@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"netmax/internal/linalg"
@@ -34,11 +35,21 @@ type input struct {
 }
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+// run is the command with its arguments and streams; it returns the exit
+// status.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("netmax-policy", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		demo    = flag.Bool("demo", false, "run on the paper's Fig. 2 example instead of stdin")
-		jsonOut = flag.Bool("json", false, "emit the policy as JSON")
+		demo    = fs.Bool("demo", false, "run on the paper's Fig. 2 example instead of stdin")
+		jsonOut = fs.Bool("json", false, "emit the policy as JSON")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	var in input
 	if *demo {
@@ -46,9 +57,9 @@ func main() {
 		// (5 nodes, other links fast).
 		in = input{Alpha: 0.1, Times: fig2Times()}
 	} else {
-		if err := json.NewDecoder(os.Stdin).Decode(&in); err != nil {
-			fmt.Fprintln(os.Stderr, "error: reading JSON input:", err)
-			os.Exit(1)
+		if err := json.NewDecoder(stdin).Decode(&in); err != nil {
+			fmt.Fprintln(stderr, "error: reading JSON input:", err)
+			return 1
 		}
 	}
 	if in.Alpha <= 0 {
@@ -63,41 +74,42 @@ func main() {
 		OuterRounds: in.K, InnerRounds: in.R, Epsilon: in.Eps,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "error:", err)
+		return 1
 	}
 
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(pol); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "error:", err)
+			return 1
 		}
-		return
+		return 0
 	}
 
-	fmt.Printf("rho          = %.4f\n", pol.Rho)
-	fmt.Printf("lambda2      = %.6f\n", pol.Lambda2)
-	fmt.Printf("mean iter t  = %.4fs\n", pol.TBar)
-	fmt.Printf("predicted Tc = %.2fs\n", pol.TConvergence)
-	fmt.Println("policy matrix P (rows: workers; diagonal: skip-communication mass):")
+	fmt.Fprintf(stdout, "rho          = %.4f\n", pol.Rho)
+	fmt.Fprintf(stdout, "lambda2      = %.6f\n", pol.Lambda2)
+	fmt.Fprintf(stdout, "mean iter t  = %.4fs\n", pol.TBar)
+	fmt.Fprintf(stdout, "predicted Tc = %.2fs\n", pol.TConvergence)
+	fmt.Fprintln(stdout, "policy matrix P (rows: workers; diagonal: skip-communication mass):")
 	for i, row := range pol.P {
-		fmt.Printf("  w%-2d:", i)
+		fmt.Fprintf(stdout, "  w%-2d:", i)
 		for _, v := range row {
-			fmt.Printf(" %6.3f", v)
+			fmt.Fprintf(stdout, " %6.3f", v)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	y := policy.BuildY(pol.P, in.Times, in.Adj, in.Alpha, pol.Rho)
 	if y.IsDoublyStochastic(1e-6) {
-		fmt.Println("Y_P check    : doubly stochastic (Theorem 3 invariant holds)")
+		fmt.Fprintln(stdout, "Y_P check    : doubly stochastic (Theorem 3 invariant holds)")
 	} else {
-		fmt.Println("Y_P check    : NOT doubly stochastic — inspect the input matrix")
+		fmt.Fprintln(stdout, "Y_P check    : NOT doubly stochastic — inspect the input matrix")
 	}
 	if eig, err := linalg.SymmetricEigenvalues(y); err == nil {
-		fmt.Printf("Y_P spectrum : lambda1=%.6f lambda2=%.6f lambdaN=%.6f\n", eig[0], eig[1], eig[len(eig)-1])
+		fmt.Fprintf(stdout, "Y_P spectrum : lambda1=%.6f lambda2=%.6f lambdaN=%.6f\n", eig[0], eig[1], eig[len(eig)-1])
 	}
+	return 0
 }
 
 // fig2Times builds a 5-node matrix shaped like the paper's Fig. 2 (T2):

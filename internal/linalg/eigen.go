@@ -1,13 +1,14 @@
 // Package linalg provides the small dense linear-algebra routines the policy
-// generator needs: a symmetric eigen-solver (cyclic Jacobi) and spectral /
-// stochastic-matrix helpers used both by Algorithm 3 and by the tests that
+// generator needs: a symmetric eigenvalue solver (Householder
+// tridiagonalization and implicit QL) and spectral / stochastic-matrix
+// helpers used both by Algorithm 3 and by the tests that
 // verify the paper's Theorem 3 invariants.
 package linalg
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Matrix is a dense row-major square matrix.
@@ -75,62 +76,173 @@ func (m *Matrix) IsDoublyStochastic(tol float64) bool {
 	return true
 }
 
-// SymmetricEigenvalues computes all eigenvalues of a symmetric matrix using
-// the cyclic Jacobi rotation method. Returned eigenvalues are sorted in
-// descending order. The input is not modified.
+// SymmetricEigenvalues computes all eigenvalues of a symmetric matrix,
+// sorted in descending order. The input is not modified.
 func SymmetricEigenvalues(m *Matrix) ([]float64, error) {
-	if !m.IsSymmetric(1e-9) {
-		return nil, fmt.Errorf("linalg: matrix is not symmetric")
+	d := make([]float64, m.N)
+	if err := SymmetricEigenvaluesInto(m.Clone(), d, make([]float64, m.N)); err != nil {
+		return nil, err
 	}
-	n := m.N
-	a := m.Clone()
-	const maxSweeps = 100
-	for sweep := 0; sweep < maxSweeps; sweep++ {
-		off := 0.0
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				off += a.At(i, j) * a.At(i, j)
+	return d, nil
+}
+
+// SymmetricEigenvaluesInto is SymmetricEigenvalues without allocation: it
+// writes the eigenvalues of a, sorted in descending order, into d, using e
+// as work space (both of length a.N), and overwrites a. The matrix is
+// reduced to tridiagonal form by Householder reflections and the
+// tridiagonal eigenvalues are found by implicit QL with Wilkinson shifts;
+// no eigenvectors are formed.
+func SymmetricEigenvaluesInto(a *Matrix, d, e []float64) error {
+	if len(d) != a.N || len(e) != a.N {
+		return fmt.Errorf("linalg: eigenvalue buffers of length %d and %d for a %dx%d matrix", len(d), len(e), a.N, a.N)
+	}
+	if !a.IsSymmetric(1e-9) {
+		return fmt.Errorf("linalg: matrix is not symmetric")
+	}
+	tridiagonalize(a, d, e)
+	if err := tridiagonalQL(d, e); err != nil {
+		return err
+	}
+	slices.Sort(d)
+	slices.Reverse(d)
+	return nil
+}
+
+// tridiagonalize reduces the symmetric matrix a to a tridiagonal matrix
+// with the same eigenvalues by n−2 Householder reflections (tred2 without
+// accumulating the transformations). It leaves the diagonal in d and the
+// subdiagonal in e[1:], with e[0] = 0. Only the lower triangle of a is
+// read, and a is overwritten.
+func tridiagonalize(a *Matrix, d, e []float64) {
+	n := a.N
+	for i := n - 1; i > 0; i-- {
+		l := i - 1
+		ai := a.Data[i*n : i*n+i] // row i left of the diagonal
+		scale := 0.0
+		if l > 0 {
+			for _, v := range ai {
+				scale += math.Abs(v)
 			}
 		}
-		if off < 1e-24 {
-			break
+		if scale == 0 {
+			e[i] = ai[l]
+			continue
 		}
-		for p := 0; p < n-1; p++ {
-			for q := p + 1; q < n; q++ {
-				apq := a.At(p, q)
-				if math.Abs(apq) < 1e-18 {
-					continue
-				}
-				app, aqq := a.At(p, p), a.At(q, q)
-				theta := (aqq - app) / (2 * apq)
-				var t float64
-				if theta >= 0 {
-					t = 1 / (theta + math.Sqrt(theta*theta+1))
-				} else {
-					t = -1 / (-theta + math.Sqrt(theta*theta+1))
-				}
-				c := 1 / math.Sqrt(t*t+1)
-				s := t * c
-				// Apply the rotation G(p,q,θ)ᵀ A G(p,q,θ).
-				for k := 0; k < n; k++ {
-					akp, akq := a.At(k, p), a.At(k, q)
-					a.Set(k, p, c*akp-s*akq)
-					a.Set(k, q, s*akp+c*akq)
-				}
-				for k := 0; k < n; k++ {
-					apk, aqk := a.At(p, k), a.At(q, k)
-					a.Set(p, k, c*apk-s*aqk)
-					a.Set(q, k, s*apk+c*aqk)
-				}
+		h := 0.0
+		for k := range ai {
+			ai[k] /= scale
+			h += ai[k] * ai[k]
+		}
+		f := ai[l]
+		g := math.Sqrt(h)
+		if f >= 0 {
+			g = -g
+		}
+		e[i] = scale * g
+		h -= f * g
+		ai[l] = f - g
+		// e[:i] = A·u/h for the reflector u = ai, then f = uᵀ·e[:i].
+		f = 0
+		for j := 0; j <= l; j++ {
+			g := 0.0
+			for k, v := range a.Data[j*n : j*n+j+1] {
+				g += v * ai[k]
+			}
+			for k := j + 1; k <= l; k++ {
+				g += a.Data[k*n+j] * ai[k]
+			}
+			e[j] = g / h
+			f += e[j] * ai[j]
+		}
+		// A ← A − u·qᵀ − q·uᵀ with q = e[:i] − (f/2h)·u, lower triangle.
+		hh := f / (h + h)
+		for j := 0; j <= l; j++ {
+			f := ai[j]
+			g := e[j] - hh*f
+			e[j] = g
+			aj := a.Data[j*n : j*n+j+1]
+			for k := range aj {
+				aj[k] -= f*e[k] + g*ai[k]
 			}
 		}
 	}
-	eig := make([]float64, n)
-	for i := 0; i < n; i++ {
-		eig[i] = a.At(i, i)
+	if n > 0 {
+		e[0] = 0
 	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(eig)))
-	return eig, nil
+	for i := range d {
+		d[i] = a.Data[i*n+i]
+	}
+}
+
+// maxQLIterations bounds the QL sweeps spent on any one eigenvalue.
+const maxQLIterations = 30
+
+// tridiagonalQL finds the eigenvalues of the symmetric tridiagonal matrix
+// with diagonal d and subdiagonal e[1:] by the implicit QL method (tqli
+// without eigenvectors), overwriting d with them in no particular order and
+// destroying e. A matrix whose off-diagonal does not vanish within
+// maxQLIterations sweeps per eigenvalue — in practice only one with NaN or
+// infinite entries — is reported as an error.
+func tridiagonalQL(d, e []float64) error {
+	n := len(d)
+	if n == 0 {
+		return nil
+	}
+	copy(e, e[1:])
+	e[n-1] = 0
+	const eps = 0x1p-52
+	for l := 0; l < n; l++ {
+		for iter := 0; ; iter++ {
+			// Find the first negligible subdiagonal entry at or below l.
+			m := l
+			for ; m < n-1; m++ {
+				if math.Abs(e[m]) <= eps*(math.Abs(d[m])+math.Abs(d[m+1])) {
+					break
+				}
+			}
+			if m == l {
+				break
+			}
+			if iter == maxQLIterations {
+				return fmt.Errorf("linalg: QL iteration did not converge for eigenvalue %d", l)
+			}
+			// Wilkinson shift from the leading 2x2 block.
+			g := (d[l+1] - d[l]) / (2 * e[l])
+			r := math.Hypot(g, 1)
+			if g < 0 {
+				r = -r
+			}
+			g = d[m] - d[l] + e[l]/(g+r)
+			s, c, p := 1.0, 1.0, 0.0
+			i := m - 1
+			for ; i >= l; i-- {
+				f := s * e[i]
+				b := c * e[i]
+				r = math.Hypot(f, g)
+				e[i+1] = r
+				if r == 0 {
+					// Underflow: deflate and restart from l.
+					d[i+1] -= p
+					e[m] = 0
+					break
+				}
+				s = f / r
+				c = g / r
+				g = d[i+1] - p
+				r = (d[i]-g)*s + 2*c*b
+				p = s * r
+				d[i+1] = g + p
+				g = c*r - b
+			}
+			if r == 0 && i >= l {
+				continue
+			}
+			d[l] -= p
+			e[l] = g
+			e[m] = 0
+		}
+	}
+	return nil
 }
 
 // SecondLargestEigenvalue returns λ₂ of a symmetric matrix.

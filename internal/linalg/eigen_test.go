@@ -1,8 +1,10 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -226,5 +228,150 @@ func TestStochasticMatrixTopEigenvalueIsOne(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// randomOrthogonal returns a Haar-like random orthogonal matrix: the Q of a
+// modified Gram-Schmidt pass over a Gaussian matrix, re-orthogonalized once.
+func randomOrthogonal(rng *rand.Rand, n int) [][]float64 {
+	q := make([][]float64, n)
+	for i := range q {
+		q[i] = make([]float64, n)
+		for j := range q[i] {
+			q[i][j] = rng.NormFloat64()
+		}
+	}
+	for pass := 0; pass < 2; pass++ {
+		for i := range q {
+			for k := 0; k < i; k++ {
+				dot := 0.0
+				for j := range q[i] {
+					dot += q[i][j] * q[k][j]
+				}
+				for j := range q[i] {
+					q[i][j] -= dot * q[k][j]
+				}
+			}
+			norm := 0.0
+			for _, v := range q[i] {
+				norm += v * v
+			}
+			norm = math.Sqrt(norm)
+			for j := range q[i] {
+				q[i][j] /= norm
+			}
+		}
+	}
+	return q
+}
+
+// similar returns Qᵀ·diag(d)·Q (rows of q orthonormal), built from its
+// upper triangle so that the result is exactly symmetric.
+func similar(q [][]float64, d []float64) *Matrix {
+	n := len(d)
+	m := NewMatrix(n)
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			v := 0.0
+			for k := 0; k < n; k++ {
+				v += q[k][i] * d[k] * q[k][j]
+			}
+			m.Set(i, j, v)
+			m.Set(j, i, v)
+		}
+	}
+	return m
+}
+
+// checkSpectrum requires the computed eigenvalues of m to match want
+// (descending) to 1e-12 relative to the spectral radius.
+func checkSpectrum(t *testing.T, name string, m *Matrix, want []float64) {
+	t.Helper()
+	got, err := SymmetricEigenvalues(m)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	scale := 0.0
+	for _, v := range want {
+		scale = math.Max(scale, math.Abs(v))
+	}
+	for i := range want {
+		if math.Abs(got[i]-want[i]) > 1e-12*scale {
+			t.Fatalf("%s: eigenvalues %v, want %v", name, got, want)
+		}
+	}
+}
+
+func TestEigenKnownSpectra(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	spectra := map[string][]float64{
+		"n=1":      {4.5},
+		"n=2":      {3, -1},
+		"zero":     {0, 0, 0, 0, 0},
+		"repeated": {2, 2, 2, 0.5, 0.5, -1, -1, -1},
+		"all-same": {0.7, 0.7, 0.7, 0.7, 0.7, 0.7},
+		"spread":   {1e3, 1, 1e-3, 0, -1e-3, -1, -1e3},
+	}
+	for n := 8; n <= 64; n *= 2 {
+		d := make([]float64, n)
+		for i := range d {
+			d[i] = rng.NormFloat64()
+		}
+		spectra[fmt.Sprintf("random n=%d", n)] = d
+	}
+	for name, d := range spectra {
+		d = slices.Clone(d)
+		slices.Sort(d)
+		slices.Reverse(d)
+		q := randomOrthogonal(rng, len(d))
+		for _, s := range []float64{1e-12, 1e-6, 1, 1e6, 1e12} {
+			ds := make([]float64, len(d))
+			for i := range d {
+				ds[i] = d[i] * s
+			}
+			checkSpectrum(t, fmt.Sprintf("%s scaled %g", name, s), similar(q, ds), ds)
+		}
+	}
+}
+
+func TestEigenTridiagonalInput(t *testing.T) {
+	// The second-difference matrix tridiag(-1, 2, -1) of order n has
+	// eigenvalues 2 − 2cos(kπ/(n+1)), k = 1..n.
+	n := 12
+	m := NewMatrix(n)
+	want := make([]float64, n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, 2)
+		if i > 0 {
+			m.Set(i, i-1, -1)
+			m.Set(i-1, i, -1)
+		}
+		want[i] = 2 - 2*math.Cos(float64(n-i)*math.Pi/float64(n+1))
+	}
+	checkSpectrum(t, "second difference", m, want)
+}
+
+func TestEigenNonFiniteIsAnError(t *testing.T) {
+	m := NewMatrix(3)
+	for i := 0; i < 3; i++ {
+		for j := 0; j < 3; j++ {
+			m.Set(i, j, math.NaN())
+		}
+	}
+	if _, err := SymmetricEigenvalues(m); err == nil {
+		t.Fatal("NaN matrix accepted")
+	}
+	m = NewMatrix(3)
+	m.Set(0, 1, math.Inf(1))
+	m.Set(1, 0, math.Inf(1))
+	if _, err := SymmetricEigenvalues(m); err == nil {
+		t.Fatal("infinite matrix accepted")
+	}
+}
+
+func TestSymmetricEigenvaluesIntoBufferLengths(t *testing.T) {
+	m := NewMatrix(3)
+	if err := SymmetricEigenvaluesInto(m, make([]float64, 2), make([]float64, 3)); err == nil {
+		t.Fatal("short eigenvalue buffer accepted")
 	}
 }

@@ -5,9 +5,11 @@
 // Given the iteration-time matrix t[i][m] collected by the Network Monitor,
 // Generate searches K values of the consensus weight ρ and, for each, R
 // values of the target mean iteration time t̄; every (ρ, t̄) candidate is
-// turned into a concrete probability matrix P by solving one small linear
-// program per worker row (Eq. 14), scored by the predicted convergence time
-// T = t̄ · ln ε / ln λ₂(Y_P), and the best-scoring policy is returned.
+// turned into a concrete probability matrix P by solving the Eq. (14) row
+// LP of every worker in closed form (solveRow), scored by the predicted
+// convergence time T = t̄ · ln ε / ln λ₂(Y_P), and the best-scoring policy
+// is returned. λ₂ comes from a tridiagonal QL eigensolve (linalg), and one
+// Generate call reuses a single set of buffers for all K·R candidates.
 package policy
 
 import (
@@ -16,13 +18,13 @@ import (
 	"math"
 
 	"netmax/internal/linalg"
-	"netmax/internal/lp"
 )
 
 // Input bundles everything Algorithm 3 needs.
 type Input struct {
 	// Times[i][m] is the measured iteration time of worker i when pulling
-	// from neighbor m (seconds). Entries for non-neighbors are ignored.
+	// from neighbor m (seconds); it must be finite and non-negative on every
+	// edge. Entries for non-neighbors are ignored.
 	Times [][]float64
 	// Adj is the communication graph d[i][m].
 	Adj [][]bool
@@ -61,6 +63,35 @@ type Policy struct {
 // ErrNoFeasiblePolicy is returned when no (ρ, t̄) candidate admits a feasible
 // probability matrix; callers should fall back to Uniform.
 var ErrNoFeasiblePolicy = errors.New("policy: no feasible policy found")
+
+// ErrInvalidInput is returned, wrapped with the offending entry, when
+// Generate is given a malformed Input: an empty, ragged or non-square
+// Times or Adj, a NaN, infinite or negative time on an edge, or a learning
+// rate that is not a positive finite number.
+var ErrInvalidInput = errors.New("policy: invalid input")
+
+// validate checks in for ErrInvalidInput.
+func (in *Input) validate() error {
+	m := len(in.Times)
+	if m == 0 || len(in.Adj) != m {
+		return fmt.Errorf("%w: %d time rows and %d adjacency rows", ErrInvalidInput, m, len(in.Adj))
+	}
+	if !(in.Alpha > 0) || math.IsInf(in.Alpha, 1) {
+		return fmt.Errorf("%w: learning rate %v", ErrInvalidInput, in.Alpha)
+	}
+	for i := 0; i < m; i++ {
+		if len(in.Times[i]) != m || len(in.Adj[i]) != m {
+			return fmt.Errorf("%w: row %d has %d times and %d adjacency entries, want %d",
+				ErrInvalidInput, i, len(in.Times[i]), len(in.Adj[i]), m)
+		}
+		for j, ok := range in.Adj[i] {
+			if t := in.Times[i][j]; ok && i != j && !(t >= 0 && t <= math.MaxFloat64) {
+				return fmt.Errorf("%w: time[%d][%d] = %v on an edge", ErrInvalidInput, i, j, t)
+			}
+		}
+	}
+	return nil
+}
 
 // Uniform returns the uniform neighbor-selection policy used by AD-PSGD and
 // GoSGD: every neighbor of i gets probability 1/deg(i), self 0.
@@ -130,44 +161,45 @@ func GlobalStepProbs(avgIterTimes []float64) []float64 {
 // (not only feasible ones), using the Eq. (2)/(3) global-step probabilities
 // derived from the measured iteration times.
 func BuildY(p [][]float64, times [][]float64, adj [][]bool, alpha, rho float64) *linalg.Matrix {
-	pg := GlobalStepProbs(AvgIterTimes(p, times, adj))
-	return buildYWithProbs(p, adj, alpha, rho, pg)
-}
-
-// buildYWithProbs is Eq. (22) with explicit global-step probabilities.
-// γ_{i,m} = (d_im+d_mi)/(2 p_im); terms with p_im = 0 contribute nothing
-// (the selection event has probability zero).
-func buildYWithProbs(p [][]float64, adj [][]bool, alpha, rho float64, pg []float64) *linalg.Matrix {
-	ar := alpha * rho
-	gamma := func(i, j int) float64 {
-		d := 0.0
-		if adj[i][j] {
-			d++
-		}
-		if adj[j][i] {
-			d++
-		}
-		return d / (2 * p[i][j])
-	}
-	return buildYWeighted(p, adj, func(i, j int) float64 { return ar * gamma(i, j) }, pg)
+	y := linalg.NewMatrix(len(p))
+	buildY(y, p, adj, alpha*rho, false, GlobalStepProbs(AvgIterTimes(p, times, adj)))
+	return y
 }
 
 // BuildYAveraging constructs Y for the Section III-D extension, where the
 // update D^k = I + (1/2) e_i(e_m-e_i)ᵀ uses AD-PSGD's fixed averaging
 // weight instead of αργ.
 func BuildYAveraging(p [][]float64, times [][]float64, adj [][]bool) *linalg.Matrix {
-	pg := GlobalStepProbs(AvgIterTimes(p, times, adj))
-	return buildYWeighted(p, adj, func(i, j int) float64 { return 0.5 }, pg)
+	y := linalg.NewMatrix(len(p))
+	buildY(y, p, adj, 0, true, GlobalStepProbs(AvgIterTimes(p, times, adj)))
+	return y
 }
 
-// buildYWeighted evaluates E[(D^k)ᵀD^k] for the generic update
-// D^k = I + w(i,m)·e_i(e_m-e_i)ᵀ: with w = αργ this is Eq. (22); with
-// w = 1/2 it is the averaging extension. In terms of w the entries are
+// weight is the blend weight w(i,m) of the update D^k = I + w·e_i(e_m-e_i)ᵀ:
+// αρ·γ_im with γ_im = (d_im+d_mi)/(2 p_im) for Eq. (22), or AD-PSGD's fixed
+// 1/2 for the averaging extension.
+func weight(p [][]float64, adj [][]bool, i, j int, ar float64, averaging bool) float64 {
+	if averaging {
+		return 0.5
+	}
+	d := 0.0
+	if adj[i][j] {
+		d++
+	}
+	if adj[j][i] {
+		d++
+	}
+	return ar * (d / (2 * p[i][j]))
+}
+
+// buildY writes E[(D^k)ᵀD^k] into y for global-step probabilities pg, with
+// ar = αρ and w = weight. In terms of w the entries are
 // y_im = Σ_{sides} pg·p·(w - w²) and
 // y_ii = 1 - 2 Σ_m pg_i p_im w_im + Σ_m Σ_{sides} pg·p·w².
-func buildYWeighted(p [][]float64, adj [][]bool, w func(i, j int) float64, pg []float64) *linalg.Matrix {
+// Terms with p_im = 0 contribute nothing (the selection event has
+// probability zero).
+func buildY(y *linalg.Matrix, p [][]float64, adj [][]bool, ar float64, averaging bool, pg []float64) {
 	m := len(p)
-	y := linalg.NewMatrix(m)
 	for i := 0; i < m; i++ {
 		diag := 1.0
 		for j := 0; j < m; j++ {
@@ -176,14 +208,14 @@ func buildYWeighted(p [][]float64, adj [][]bool, w func(i, j int) float64, pg []
 			}
 			var first, second float64
 			if adj[i][j] && p[i][j] > 0 {
-				wij := w(i, j)
+				wij := weight(p, adj, i, j, ar, averaging)
 				first += pg[i] * p[i][j] * wij
 				second += pg[i] * p[i][j] * wij * wij
 				// Diagonal first-order term covers only i's own pulls.
 				diag -= 2 * pg[i] * p[i][j] * wij
 			}
 			if adj[j][i] && p[j][i] > 0 {
-				wji := w(j, i)
+				wji := weight(p, adj, j, i, ar, averaging)
 				first += pg[j] * p[j][i] * wji
 				second += pg[j] * p[j][i] * wji * wji
 			}
@@ -192,7 +224,6 @@ func buildYWeighted(p [][]float64, adj [][]bool, w func(i, j int) float64, pg []
 		}
 		y.Set(i, i, diag)
 	}
-	return y
 }
 
 // FeasibleRhoInterval returns (Lρ, Uρ] = (0, 0.5/α] per Appendix A.
@@ -234,71 +265,19 @@ func FeasibleTimeInterval(times [][]float64, adj [][]bool, alpha, rho float64) (
 	return lo, hi, nil
 }
 
-// solveRows solves the Eq. (14) LP independently for every worker row given
-// (ρ, t̄): minimize p_ii subject to Σ_m t_im p_im = M·t̄,
-// p_im ≥ αρ(d_im+d_mi) for neighbors (or a tiny positivity floor when
-// averaging=true, per Section III-D), probabilities sum to 1.
-func solveRows(times [][]float64, adj [][]bool, alpha, rho, tbar float64, averaging bool) ([][]float64, error) {
-	m := len(times)
-	p := make([][]float64, m)
-	floorEps := 1e-9 // Eq. (11) is strict; keep entries strictly above floor
-	for i := 0; i < m; i++ {
-		var nbrs []int
-		for j := 0; j < m; j++ {
-			if i != j && adj[i][j] {
-				nbrs = append(nbrs, j)
-			}
-		}
-		n := len(nbrs)
-		if n == 0 {
-			row := make([]float64, m)
-			row[i] = 1
-			p[i] = row
-			continue
-		}
-		// Variables: p_i,nbrs[0..n-1], then p_ii.
-		c := make([]float64, n+1)
-		c[n] = 1
-		timeRow := make([]float64, n+1)
-		oneRow := make([]float64, n+1)
-		lower := make([]float64, n+1)
-		for k, j := range nbrs {
-			timeRow[k] = times[i][j]
-			oneRow[k] = 1
-			if averaging {
-				lower[k] = 1e-4 // Section III-D: only positivity is needed
-			} else {
-				lower[k] = 2*alpha*rho + floorEps
-			}
-		}
-		oneRow[n] = 1
-		x, _, err := lp.Solve(&lp.Problem{
-			C:     c,
-			Aeq:   [][]float64{timeRow, oneRow},
-			Beq:   []float64{float64(m) * tbar, 1},
-			Lower: lower,
-		})
-		if err != nil {
-			return nil, err
-		}
-		row := make([]float64, m)
-		for k, j := range nbrs {
-			row[j] = x[k]
-		}
-		row[i] = x[n]
-		p[i] = row
+// Generate runs Algorithm 3 and returns the best feasible policy. A
+// malformed Input returns ErrInvalidInput. When no candidate is feasible it
+// returns ErrNoFeasiblePolicy; callers typically fall back to Uniform with
+// a mid-range ρ.
+func Generate(in Input) (*Policy, error) {
+	if err := in.validate(); err != nil {
+		return nil, err
 	}
-	return p, nil
+	return generate(in)
 }
 
-// Generate runs Algorithm 3 and returns the best feasible policy. When no
-// candidate is feasible it returns ErrNoFeasiblePolicy; callers typically
-// fall back to Uniform with a mid-range ρ.
-func Generate(in Input) (*Policy, error) {
-	m := len(in.Times)
-	if m == 0 || len(in.Adj) != m {
-		return nil, errors.New("policy: times/adjacency size mismatch")
-	}
+// generate is Generate on a validated Input.
+func generate(in Input) (*Policy, error) {
 	k := in.OuterRounds
 	if k <= 0 {
 		k = 10
@@ -311,25 +290,22 @@ func Generate(in Input) (*Policy, error) {
 	if eps <= 0 || eps >= 1 {
 		eps = 1e-2
 	}
-	lr, ur := FeasibleRhoInterval(in.Alpha)
+	s := newSearch(in, eps)
+	if in.AveragingBlend {
+		// Section III-D: the blend weight is fixed at 1/2, so ρ plays no
+		// role in the update and a single inner search suffices.
+		if err := s.innerLoop(0, r); err != nil {
+			return nil, err
+		}
+		return s.result()
+	}
+	_, ur := FeasibleRhoInterval(in.Alpha)
 	// The row floors p_im >= 2αρ must fit within a probability row, which
 	// caps ρ at 1/(2α·deg_max) (the paper's Eq. 33 for fully connected
 	// graphs). Searching beyond that wastes the whole grid on infeasible
 	// candidates, so clamp the upper end with a small safety margin.
-	maxDeg := 0
-	for i := range in.Adj {
-		deg := 0
-		for j, ok := range in.Adj[i] {
-			if ok && j != i {
-				deg++
-			}
-		}
-		if deg > maxDeg {
-			maxDeg = deg
-		}
-	}
-	if maxDeg > 0 {
-		if cap := 0.999 / (2 * in.Alpha * float64(maxDeg)); cap < ur {
+	if s.maxDeg > 0 {
+		if cap := 0.999 / (2 * in.Alpha * float64(s.maxDeg)); cap < ur {
 			ur = cap
 		}
 	}
@@ -338,85 +314,158 @@ func Generate(in Input) (*Policy, error) {
 	// uniform grid like the paper's pseudo-code would need a very large K
 	// to land inside it; geometric spacing covers three decades with the
 	// same K.
-	_ = lr
-	if in.AveragingBlend {
-		// Section III-D: the blend weight is fixed at 1/2, so ρ plays no
-		// role in the update and a single inner search suffices.
-		best, err := innerLoop(in, 0, r, eps)
-		if err != nil {
-			return nil, err
-		}
-		return best, nil
-	}
 	const span = 1000.0
-	var best *Policy
 	for ki := 0; ki < k; ki++ {
 		frac := float64(ki) / float64(k-1)
 		if k == 1 {
 			frac = 1
 		}
-		rho := ur / math.Pow(span, 1-frac)
-		cand, err := innerLoop(in, rho, r, eps)
-		if err != nil {
-			continue
-		}
-		if best == nil || cand.TConvergence < best.TConvergence {
-			best = cand
-		}
+		// A ρ without a feasible t̄ interval simply contributes no candidate.
+		_ = s.innerLoop(ur/math.Pow(span, 1-frac), r)
 	}
-	if best == nil {
-		return nil, ErrNoFeasiblePolicy
-	}
-	return best, nil
+	return s.result()
 }
 
-// innerLoop is Algorithm 3's INNERLOOP: grid over t̄ ∈ [L, U].
-func innerLoop(in Input, rho float64, r int, eps float64) (*Policy, error) {
+// search is the state of one Generate call: the neighbor lists, and
+// buffers for the row solves, the candidate P, Y_P and the eigensolve,
+// allocated once and reused by every (ρ, t̄) candidate. Only an improving
+// candidate's P is copied, into best.
+type search struct {
+	in      Input
+	eps     float64
+	nbrs    [][]int
+	maxDeg  int
+	rowT    []float64 // times of one row's neighbors
+	rowP    []float64 // solveRow output for one row
+	p       [][]float64
+	pg      []float64
+	y       *linalg.Matrix
+	eig     []float64
+	eigWork []float64
+	best    Policy
+	found   bool
+}
+
+func newSearch(in Input, eps float64) *search {
+	m := len(in.Times)
+	s := &search{in: in, eps: eps, nbrs: make([][]int, m), pg: make([]float64, m)}
+	flat := make([]int, 0, m*m)
+	for i := range in.Adj {
+		start := len(flat)
+		for j, ok := range in.Adj[i] {
+			if ok && j != i {
+				flat = append(flat, j)
+			}
+		}
+		s.nbrs[i] = flat[start:]
+		s.maxDeg = max(s.maxDeg, len(s.nbrs[i]))
+		// For a feasible P all workers share t_i = M·t̄, so p_i = 1/M.
+		s.pg[i] = 1 / float64(m)
+	}
+	s.rowT = make([]float64, s.maxDeg)
+	s.rowP = make([]float64, s.maxDeg)
+	s.p = matrix(m)
+	s.best.P = matrix(m)
+	s.y = linalg.NewMatrix(m)
+	s.eig = make([]float64, m)
+	s.eigWork = make([]float64, m)
+	return s
+}
+
+// matrix returns an m x m zero matrix backed by one allocation.
+func matrix(m int) [][]float64 {
+	data := make([]float64, m*m)
+	rows := make([][]float64, m)
+	for i := range rows {
+		rows[i] = data[i*m : (i+1)*m]
+	}
+	return rows
+}
+
+// innerLoop is Algorithm 3's INNERLOOP: grid over t̄ ∈ [L, U] for one ρ.
+func (s *search) innerLoop(rho float64, r int) error {
 	var lo, hi float64
 	var err error
-	if in.AveragingBlend {
+	floor := 1e-4 // Section III-D: only positivity is needed
+	if s.in.AveragingBlend {
 		// Only positivity floors apply, so the lower end of the feasible
 		// interval collapses; search from a small positive fraction of U.
-		_, hi, err = FeasibleTimeInterval(in.Times, in.Adj, in.Alpha, 0)
+		_, hi, err = FeasibleTimeInterval(s.in.Times, s.in.Adj, s.in.Alpha, 0)
 		lo = hi / (10 * float64(r))
 	} else {
-		lo, hi, err = FeasibleTimeInterval(in.Times, in.Adj, in.Alpha, rho)
+		lo, hi, err = FeasibleTimeInterval(s.in.Times, s.in.Adj, s.in.Alpha, rho)
+		floor = 2*s.in.Alpha*rho + 1e-9 // Eq. (11) is strict; keep entries strictly above the floor
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	delta := (hi - lo) / float64(r)
-	var best *Policy
 	for ri := 1; ri <= r; ri++ {
-		tbar := lo + float64(ri)*delta
-		p, err := solveRows(in.Times, in.Adj, in.Alpha, rho, tbar, in.AveragingBlend)
-		if err != nil {
-			continue
-		}
-		// For a feasible P all workers share t_i = M·t̄, so p_i = 1/M.
-		pg := make([]float64, len(p))
-		for i := range pg {
-			pg[i] = 1 / float64(len(p))
-		}
-		var y *linalg.Matrix
-		if in.AveragingBlend {
-			y = buildYWeighted(p, in.Adj, func(i, j int) float64 { return 0.5 }, pg)
-		} else {
-			y = buildYWithProbs(p, in.Adj, in.Alpha, rho, pg)
-		}
-		l2, err := linalg.SecondLargestEigenvalue(y)
-		if err != nil || l2 >= 1 || l2 <= 0 {
-			continue
-		}
-		tconv := tbar * math.Log(eps) / math.Log(l2)
-		if best == nil || tconv < best.TConvergence {
-			best = &Policy{P: p, Rho: rho, Lambda2: l2, TBar: tbar, TConvergence: tconv}
-		}
+		s.score(rho, lo+float64(ri)*delta, floor)
 	}
-	if best == nil {
+	return nil
+}
+
+// score builds the (ρ, t̄) candidate and keeps it if its predicted
+// convergence time beats the best so far.
+func (s *search) score(rho, tbar, floor float64) {
+	if !s.solveRows(floor, float64(len(s.p))*tbar) {
+		return
+	}
+	buildY(s.y, s.p, s.in.Adj, s.in.Alpha*rho, s.in.AveragingBlend, s.pg)
+	if len(s.eig) < 2 || linalg.SymmetricEigenvaluesInto(s.y, s.eig, s.eigWork) != nil {
+		return
+	}
+	l2 := s.eig[1]
+	if l2 >= 1 || l2 <= 0 {
+		return
+	}
+	tconv := tbar * math.Log(s.eps) / math.Log(l2)
+	if s.found && !(tconv < s.best.TConvergence) {
+		return
+	}
+	for i, row := range s.p {
+		copy(s.best.P[i], row)
+	}
+	s.best.Rho, s.best.Lambda2, s.best.TBar, s.best.TConvergence = rho, l2, tbar, tconv
+	s.found = true
+}
+
+// solveRows fills s.p with the Eq. (14) solution of every worker row:
+// minimize p_ii subject to Σ_m t_im p_im = target, p_im ≥ floor for
+// neighbors and probabilities summing to 1. It reports false as soon as one
+// row is infeasible.
+func (s *search) solveRows(floor, target float64) bool {
+	for i, nbrs := range s.nbrs {
+		row := s.p[i]
+		clear(row)
+		if len(nbrs) == 0 {
+			row[i] = 1
+			continue
+		}
+		t, x := s.rowT[:len(nbrs)], s.rowP[:len(nbrs)]
+		for k, j := range nbrs {
+			t[k] = s.in.Times[i][j]
+		}
+		pii, ok := solveRow(t, floor, target, x)
+		if !ok {
+			return false
+		}
+		for k, j := range nbrs {
+			row[j] = x[k]
+		}
+		row[i] = pii
+	}
+	return true
+}
+
+// result returns the best candidate, or ErrNoFeasiblePolicy.
+func (s *search) result() (*Policy, error) {
+	if !s.found {
 		return nil, ErrNoFeasiblePolicy
 	}
-	return best, nil
+	pol := s.best
+	return &pol, nil
 }
 
 // Validate checks the structural feasibility of a policy matrix: rows sum to

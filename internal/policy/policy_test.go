@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -325,4 +326,50 @@ func mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
+}
+
+func TestGenerateRejectsInvalidInput(t *testing.T) {
+	full3 := simnet.FullyConnected(3)
+	good := [][]float64{{0, 1, 2}, {1, 0, 2}, {2, 1, 0}}
+	cases := map[string]Input{
+		"empty":          {Alpha: 0.1},
+		"ragged times":   {Times: [][]float64{{0, 1, 2}, {1, 0}, {2, 1, 0}}, Adj: full3, Alpha: 0.1},
+		"ragged adj":     {Times: good, Adj: [][]bool{{false, true, true}, {true, false}, {true, true, false}}, Alpha: 0.1},
+		"negative time":  {Times: [][]float64{{0, -1, 2}, {-1, 0, 2}, {2, 2, 0}}, Adj: full3, Alpha: 0.1},
+		"NaN time":       {Times: [][]float64{{0, math.NaN(), 2}, {1, 0, 2}, {2, 1, 0}}, Adj: full3, Alpha: 0.1},
+		"infinite time":  {Times: [][]float64{{0, 1, 2}, {1, 0, math.Inf(1)}, {2, 1, 0}}, Adj: full3, Alpha: 0.1},
+		"zero alpha":     {Times: good, Adj: full3},
+		"negative alpha": {Times: good, Adj: full3, Alpha: -0.1},
+		"NaN alpha":      {Times: good, Adj: full3, Alpha: math.NaN()},
+	}
+	for name, in := range cases {
+		if _, err := Generate(in); !errors.Is(err, ErrInvalidInput) {
+			t.Errorf("%s: Generate err = %v, want ErrInvalidInput", name, err)
+		}
+		if _, err := GenerateLive(in, []bool{true, false, true}); !errors.Is(err, ErrInvalidInput) {
+			t.Errorf("%s: GenerateLive err = %v, want ErrInvalidInput", name, err)
+		}
+	}
+	// Non-edge entries are ignored: a ring's missing chords may hold
+	// anything.
+	ring := hetTimes(5, 3)
+	ring[0][2], ring[2][0] = math.NaN(), -1
+	if _, err := Generate(Input{Times: ring, Adj: simnet.Ring(5), Alpha: 0.1}); err != nil {
+		t.Fatalf("non-edge entries rejected: %v", err)
+	}
+}
+
+// TestGenerateAllocationsIndependentOfGrid pins the buffer reuse: one
+// Generate call allocates a fixed set of buffers, not per candidate or per
+// row.
+func TestGenerateAllocationsIndependentOfGrid(t *testing.T) {
+	m := 8
+	in := Input{Times: hetTimes(m, 1), Adj: simnet.FullyConnected(m), Alpha: 0.1}
+	small := in
+	small.OuterRounds, small.InnerRounds = 2, 2
+	a := testing.AllocsPerRun(5, func() { Generate(small) })
+	b := testing.AllocsPerRun(5, func() { Generate(in) })
+	if b > a+10 {
+		t.Fatalf("a 10x10 grid allocates %v times, a 2x2 grid %v", b, a)
+	}
 }

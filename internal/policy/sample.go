@@ -111,8 +111,11 @@ func SelfOnly(row []float64, self int) bool {
 // all-true alive vector is exactly Generate. Fewer than two live workers
 // cannot form a policy and return ErrNoFeasiblePolicy.
 func GenerateLive(in Input, alive []bool) (*Policy, error) {
+	if err := in.validate(); err != nil {
+		return nil, err
+	}
 	if alive == nil {
-		return Generate(in)
+		return generate(in)
 	}
 	m := len(in.Times)
 	var idx []int
@@ -122,7 +125,7 @@ func GenerateLive(in Input, alive []bool) (*Policy, error) {
 		}
 	}
 	if len(idx) == m {
-		return Generate(in)
+		return generate(in)
 	}
 	if len(idx) < 2 {
 		return nil, ErrNoFeasiblePolicy
@@ -141,7 +144,7 @@ func GenerateLive(in Input, alive []bool) (*Policy, error) {
 	sub := in
 	sub.Times = times
 	sub.Adj = adj
-	pol, err := Generate(sub)
+	pol, err := generate(sub)
 	if err != nil {
 		return nil, err
 	}
