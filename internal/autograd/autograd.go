@@ -20,11 +20,14 @@
 //   - Values must not be shared between graphs that are backpropagated
 //     separately: the first Backward would recycle buffers the second still
 //     needs. Leaves (parameters, constants) are exempt and freely shared.
+//   - A forward-only graph (evaluation) hands its buffers back through
+//     Release once the caller has read its outputs.
 package autograd
 
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"netmax/internal/tensor"
 )
@@ -40,6 +43,11 @@ type Value struct {
 	parents      []*Value
 	backward     func() // accumulates into parents' Grad using v.Grad
 	label        string
+
+	// saved is an arena-owned forward temporary that backward reads; the
+	// backward closure recycles it, or the graph's release does if backward
+	// never runs.
+	saved *tensor.Tensor
 }
 
 // NewLeaf wraps t as a graph leaf. If requiresGrad, Backward will populate
@@ -291,6 +299,7 @@ func SoftmaxCrossEntropy(logits *Value, labels []int) *Value {
 	data := tensor.GetPooledDirty(1)
 	data.Data[0] = loss
 	out := newPooledOp("softmax-xent", data, logits)
+	out.saved = probs
 	out.backward = func() {
 		scale := out.Grad.Data[0] / float64(m)
 		g := tensor.GetPooledDirty(m, n)
@@ -303,6 +312,7 @@ func SoftmaxCrossEntropy(logits *Value, labels []int) *Value {
 			grow[labels[i]] -= scale
 		}
 		tensor.Recycle(probs)
+		out.saved = nil
 		accumTemp(logits, g)
 	}
 	return out
@@ -315,10 +325,12 @@ func MSE(a *Value, target *tensor.Tensor) *Value {
 	data := tensor.GetPooledDirty(1)
 	data.Data[0] = tensor.Dot(diff, diff) / float64(diff.Len())
 	out := newPooledOp("mse", data, a)
+	out.saved = diff
 	out.backward = func() {
 		scale := 2 * out.Grad.Data[0] / float64(diff.Len())
 		accumTemp(a, tensor.ScaleInto(tensor.GetPooledDirty(diff.Shape...), diff, scale))
 		tensor.Recycle(diff)
+		out.saved = nil
 	}
 	return out
 }
@@ -388,6 +400,80 @@ func (v *Value) Item() float64 {
 	return v.Data.Data[0]
 }
 
+// traversal is the scratch of one topological sort. Backward and Release
+// borrow it from traversals, so a training or evaluation step does not
+// allocate a fresh order slice and visited set. Visit marks live here
+// rather than on Value because leaves are shared between graphs that may
+// be walked concurrently.
+type traversal struct {
+	order   []*Value
+	visited map[*Value]struct{}
+	stack   []frame
+}
+
+type frame struct {
+	node *Value
+	idx  int
+}
+
+var traversals = sync.Pool{New: func() any {
+	return &traversal{visited: make(map[*Value]struct{})}
+}}
+
+// sort fills tr.order with the graph reachable from v, every node after
+// its parents, via an iterative DFS.
+func (tr *traversal) sort(v *Value) {
+	tr.stack = append(tr.stack, frame{v, 0})
+	tr.visited[v] = struct{}{}
+	for len(tr.stack) > 0 {
+		f := &tr.stack[len(tr.stack)-1]
+		if f.idx < len(f.node.parents) {
+			p := f.node.parents[f.idx]
+			f.idx++
+			if _, seen := tr.visited[p]; !seen {
+				tr.visited[p] = struct{}{}
+				tr.stack = append(tr.stack, frame{p, 0})
+			}
+			continue
+		}
+		tr.order = append(tr.order, f.node)
+		tr.stack = tr.stack[:len(tr.stack)-1]
+	}
+}
+
+// done drops the traversal's references to the graph and returns it to
+// the pool.
+func (tr *traversal) done() {
+	clear(tr.order)
+	tr.order = tr.order[:0]
+	clear(tr.stack[:cap(tr.stack)])
+	clear(tr.visited)
+	traversals.Put(tr)
+}
+
+// release returns the intermediates of a sorted graph to the arena: every
+// non-leaf node loses its Grad and saved temporary, and its Data unless it
+// is keep. Leaves keep both Data and Grad.
+func (tr *traversal) release(keep *Value) {
+	for _, n := range tr.order {
+		if n.parents == nil {
+			continue
+		}
+		if n.Grad != nil {
+			tensor.Recycle(n.Grad)
+			n.Grad = nil
+		}
+		if n.saved != nil {
+			tensor.Recycle(n.saved)
+			n.saved = nil
+		}
+		if n != keep && n.pooled {
+			tensor.Recycle(n.Data)
+			n.Data = nil
+		}
+	}
+}
+
 // Backward runs reverse-mode autodiff from v, which must be scalar.
 // Gradients accumulate into every reachable node with RequiresGrad.
 //
@@ -400,54 +486,31 @@ func Backward(v *Value) {
 	if v.Data.Len() != 1 {
 		panic("autograd: Backward requires a scalar output")
 	}
-	// Topological order via iterative DFS.
-	order := make([]*Value, 0, 64)
-	visited := make(map[*Value]bool)
-	type frame struct {
-		node *Value
-		idx  int
-	}
-	stack := []frame{{v, 0}}
-	visited[v] = true
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		if f.idx < len(f.node.parents) {
-			p := f.node.parents[f.idx]
-			f.idx++
-			if !visited[p] {
-				visited[p] = true
-				stack = append(stack, frame{p, 0})
-			}
-			continue
-		}
-		order = append(order, f.node)
-		stack = stack[:len(stack)-1]
-	}
+	tr := traversals.Get().(*traversal)
+	defer tr.done()
+	tr.sort(v)
 	// order is children-after-parents; walk it in reverse.
 	v.ensureGrad()
 	v.Grad.Data[0] = 1
-	for i := len(order) - 1; i >= 0; i-- {
-		n := order[i]
+	for i := len(tr.order) - 1; i >= 0; i-- {
+		n := tr.order[i]
 		if n.backward != nil && n.requiresGrad && n.Grad != nil {
 			n.backward()
 		}
 	}
-	// Release the graph's intermediates back to the arena. The root keeps
-	// its Data (callers read the loss after Backward); leaves keep both
-	// Data and Grad (the optimizer reads leaf gradients).
-	for _, n := range order {
-		if n.parents == nil {
-			continue
-		}
-		if n.Grad != nil {
-			tensor.Recycle(n.Grad)
-			n.Grad = nil
-		}
-		if n != v && n.pooled {
-			tensor.Recycle(n.Data)
-			n.Data = nil
-		}
-	}
+	tr.release(v)
+}
+
+// Release returns a forward-only graph rooted at v to the tensor arena once
+// the caller has read what it needs: every pooled op output, v's included,
+// loses its Data, and forward temporaries kept for a backward pass that
+// will not run are recycled. Leaves are untouched. Neither v nor any other
+// intermediate of the graph may be used afterwards.
+func Release(v *Value) {
+	tr := traversals.Get().(*traversal)
+	defer tr.done()
+	tr.sort(v)
+	tr.release(nil)
 }
 
 // ZeroGrad clears the gradients of the given leaves.

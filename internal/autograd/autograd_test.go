@@ -316,3 +316,31 @@ func TestDeepChainGradient(t *testing.T) {
 		}
 	}
 }
+
+// TestReleaseRecyclesForwardGraph checks what Release hands back to the
+// arena: every pooled op output, the root included, and the forward
+// temporaries a backward pass would have consumed; leaves stay intact.
+func TestReleaseRecyclesForwardGraph(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	w := NewLeaf(tensor.Randn(rng, 1, 3, 4), true)
+	x := Constant(tensor.Randn(rng, 1, 5, 3))
+	logits := ReLU(MatMul(x, w))
+	xent := SoftmaxCrossEntropy(logits, []int{0, 1, 2, 3, 0})
+	mse := MSE(logits, tensor.New(5, 4))
+	root := Add(xent, mse)
+	wData := append([]float64(nil), w.Data.Data...)
+	Release(root)
+	for _, v := range []*Value{logits, xent, mse, root} {
+		if v.Data != nil || v.saved != nil {
+			t.Fatalf("%s node still holds buffers after Release", v.label)
+		}
+	}
+	if x.Data == nil || w.Data == nil || w.Grad != nil {
+		t.Fatal("Release touched a leaf")
+	}
+	for i, d := range wData {
+		if w.Data.Data[i] != d {
+			t.Fatal("Release changed a leaf's data")
+		}
+	}
+}

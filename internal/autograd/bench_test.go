@@ -35,8 +35,9 @@ func BenchmarkResNet18ForwardBackward(b *testing.B) {
 	}
 }
 
-// BenchmarkResNet18ForwardOnly isolates the inference path (no graph
-// teardown, no gradient buffers) for comparison with the training step.
+// BenchmarkResNet18ForwardOnly isolates the evaluation path (forward pass,
+// then the graph's buffers go back to the arena; no gradient buffers) for
+// comparison with the training step.
 func BenchmarkResNet18ForwardOnly(b *testing.B) {
 	const (
 		batch   = 16
@@ -53,6 +54,6 @@ func BenchmarkResNet18ForwardOnly(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		model.Loss(x, labels)
+		model.Evaluate(x, labels)
 	}
 }

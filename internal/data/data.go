@@ -47,16 +47,21 @@ func (d *Dataset) Slice(idx []int) *Dataset {
 
 // Batch copies rows [start, start+size) wrapping around the dataset.
 func (d *Dataset) Batch(start, size int) (*tensor.Tensor, []int) {
+	x, labels := tensor.New(size, d.Dim()), make([]int, size)
+	d.BatchInto(x, labels, start)
+	return x, labels
+}
+
+// BatchInto is Batch into caller-owned buffers: it fills the len(labels)
+// rows of x and labels from row start on, wrapping around the dataset.
+func (d *Dataset) BatchInto(x *tensor.Tensor, labels []int, start int) {
 	dim := d.Dim()
-	x := tensor.New(size, dim)
-	labels := make([]int, size)
 	n := d.Len()
-	for r := 0; r < size; r++ {
+	for r := range labels {
 		i := (start + r) % n
 		copy(x.Data[r*dim:(r+1)*dim], d.X.Data[i*dim:(i+1)*dim])
 		labels[r] = d.Labels[i]
 	}
-	return x, labels
 }
 
 // Spec describes a synthetic dataset family.

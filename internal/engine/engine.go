@@ -152,16 +152,24 @@ type Worker struct {
 	Batch  int
 	Rng    *rand.Rand
 	cursor int
+
+	// x and labels hold the batch NextBatch last drew.
+	x      *tensor.Tensor
+	labels []int
 }
 
 // NextBatch returns the worker's next training batch and advances its
 // cursor. Split out from GradStep so batch selection (which must follow the
 // deterministic event order) can be separated from gradient computation
-// (which may run concurrently with other workers').
+// (which may run concurrently with other workers'). The batch lives in
+// buffers the worker owns: its next NextBatch call overwrites them.
 func (w *Worker) NextBatch() (x *tensor.Tensor, labels []int) {
-	x, labels = w.Shard.Batch(w.cursor, w.Batch)
+	if len(w.labels) != w.Batch {
+		w.x, w.labels = tensor.New(w.Batch, w.Shard.Dim()), make([]int, w.Batch)
+	}
+	w.Shard.BatchInto(w.x, w.labels, w.cursor)
 	w.cursor = (w.cursor + w.Batch) % w.Shard.Len()
-	return x, labels
+	return w.x, w.labels
 }
 
 // ComputeGrad runs forward+backward on (x, labels), leaving the gradients in
@@ -280,23 +288,21 @@ func (r *Result) EpochToLoss(target float64) float64 {
 	return -1
 }
 
-// AverageModel returns a model holding the elementwise mean of all worker
-// parameter vectors — the consensus model the paper evaluates.
-func AverageModel(cfg *Config, ws []*Worker) *nn.Model {
-	avg := make([]float64, ws[0].Model.VectorLen())
-	tmp := make([]float64, len(avg))
+// averageModelInto overwrites dst's parameters with the elementwise mean of
+// all worker parameter vectors — the consensus model the paper evaluates.
+// sum and tmp are scratch buffers of the model's VectorLen.
+func averageModelInto(dst *nn.Model, ws []*Worker, sum, tmp []float64) {
+	clear(sum)
 	for _, w := range ws {
 		w.Model.CopyVector(tmp)
-		for i := range avg {
-			avg[i] += tmp[i]
+		for i := range sum {
+			sum[i] += tmp[i]
 		}
 	}
-	for i := range avg {
-		avg[i] /= float64(len(ws))
+	for i := range sum {
+		sum[i] /= float64(len(ws))
 	}
-	m := cfg.Spec.Build(cfg.Seed, cfg.Part.Shards[0].Dim(), cfg.Part.Shards[0].Classes)
-	m.SetVector(avg)
-	return m
+	dst.SetVector(sum)
 }
 
 // Tracker accumulates per-iteration bookkeeping shared by all algorithm
@@ -308,8 +314,10 @@ type Tracker struct {
 	samples    int
 	epochsDone int
 	res        *Result
-	evalX      *tensor.Tensor
-	evalLabels []int
+	// avg is the consensus model every evaluation averages the workers
+	// into; sum and tmp are its averaging scratch.
+	avg      *nn.Model
+	sum, tmp []float64
 }
 
 // NewTracker builds a tracker. The loss curve is evaluated on cfg.Eval.
@@ -318,9 +326,9 @@ func NewTracker(cfg *Config, ws []*Worker, algo string) *Tracker {
 	for _, s := range cfg.Part.Shards {
 		total += s.Len()
 	}
-	t := &Tracker{cfg: cfg, ws: ws, totalTrain: total, res: &Result{Algo: algo}}
-	t.evalX, t.evalLabels = cfg.Eval.Batch(0, cfg.Eval.Len())
-	return t
+	avg := cfg.Spec.Build(cfg.Seed, cfg.Part.Shards[0].Dim(), cfg.Part.Shards[0].Classes)
+	return &Tracker{cfg: cfg, ws: ws, totalTrain: total, res: &Result{Algo: algo},
+		avg: avg, sum: make([]float64, avg.VectorLen()), tmp: make([]float64, avg.VectorLen())}
 }
 
 // OnIteration records one worker iteration that ended at virtual time now.
@@ -353,8 +361,8 @@ func (t *Tracker) Done() bool { return t.epochsDone >= t.cfg.Epochs }
 func (t *Tracker) EpochsDone() int { return t.epochsDone }
 
 func (t *Tracker) recordPoint(now float64) {
-	avg := AverageModel(t.cfg, t.ws)
-	loss := avg.Loss(t.evalX, t.evalLabels).Item()
+	averageModelInto(t.avg, t.ws, t.sum, t.tmp)
+	loss, _ := t.avg.Evaluate(t.cfg.Eval.X, t.cfg.Eval.Labels)
 	t.res.Curve = append(t.res.Curve, Point{Time: now, Epoch: float64(t.epochsDone), Value: loss})
 }
 
@@ -364,9 +372,8 @@ func (t *Tracker) Finish() *Result {
 	if n := len(t.res.Curve); n > 0 {
 		t.res.FinalLoss = t.res.Curve[n-1].Value
 	}
-	avg := AverageModel(t.cfg, t.ws)
-	x, labels := t.cfg.Test.Batch(0, t.cfg.Test.Len())
-	t.res.FinalAccuracy = avg.Accuracy(x, labels)
+	averageModelInto(t.avg, t.ws, t.sum, t.tmp)
+	t.res.FinalAccuracy = t.avg.Accuracy(t.cfg.Test.X, t.cfg.Test.Labels)
 	return t.res
 }
 

@@ -220,7 +220,8 @@ func TestAverageModelIsMean(t *testing.T) {
 		v[i] += 2
 	}
 	ws[1].Model.SetVector(v)
-	avg := AverageModel(cfg, ws)
+	avg := cfg.Spec.Build(cfg.Seed+1, cfg.Part.Shards[0].Dim(), cfg.Part.Shards[0].Classes)
+	averageModelInto(avg, ws, make([]float64, avg.VectorLen()), make([]float64, avg.VectorLen()))
 	av := avg.Vector()
 	v0 := ws[0].Model.Vector()
 	for i := range av {
@@ -316,5 +317,25 @@ func TestSerialSlowerThanOverlap(t *testing.T) {
 	serial := RunAsync(mk(false), &simpleBehavior{m: 4}, "s")
 	if serial.TotalTime <= over.TotalTime {
 		t.Fatalf("serial (%v) should be slower than overlapped (%v)", serial.TotalTime, over.TotalTime)
+	}
+}
+
+func TestNextBatchReusesItsBuffers(t *testing.T) {
+	w := testConfig(2, 1).Workers()[0]
+	w.NextBatch()
+	wantX, wantLabels := w.Shard.Batch(w.Batch, w.Batch)
+	x, labels := w.NextBatch()
+	for i := range wantX.Data {
+		if x.Data[i] != wantX.Data[i] {
+			t.Fatalf("second batch x[%d] = %v, want %v", i, x.Data[i], wantX.Data[i])
+		}
+	}
+	for i := range wantLabels {
+		if labels[i] != wantLabels[i] {
+			t.Fatalf("second batch label %d = %d, want %d", i, labels[i], wantLabels[i])
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { w.NextBatch() }); allocs != 0 {
+		t.Fatalf("NextBatch allocates %v times per call after the first", allocs)
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"netmax/internal/monitor"
 	"netmax/internal/nn"
 	"netmax/internal/policy"
+	"netmax/internal/tensor"
 	"netmax/internal/transport"
 )
 
@@ -107,6 +108,9 @@ type worker struct {
 	shard *data.Dataset
 	batch int
 	rng   *rand.Rand
+	// x and labels are the gradient step's batch buffers.
+	x      *tensor.Tensor
+	labels []int
 
 	p       [][]float64
 	rho     float64
@@ -201,6 +205,8 @@ func Run(ctx context.Context, cfg Config, hub Hub) *Stats {
 			opt:      nn.NewSGD(cfg.LR),
 			shard:    cfg.Part.Shards[i],
 			batch:    batch,
+			x:        tensor.New(batch, dim),
+			labels:   make([]int, batch),
 			rng:      rand.New(rand.NewSource(cfg.Seed*1000 + int64(i))),
 			p:        policy.Uniform(adj),
 			rho:      1 / (8 * cfg.LR * float64(m-1)),
@@ -403,12 +409,12 @@ func Run(ctx context.Context, cfg Config, hub Hub) *Stats {
 		vec[i] /= float64(m)
 	}
 	avg.SetVector(vec)
-	x, labels := cfg.Test.Batch(0, cfg.Test.Len())
+	loss, acc := avg.Evaluate(cfg.Test.X, cfg.Test.Labels)
 	_, _, version, _ := hub.Monitor().FetchPolicy()
 	return &Stats{
 		IterationsPerWorker: counts,
-		FinalAccuracy:       avg.Accuracy(x, labels),
-		FinalLoss:           avg.Loss(x, labels).Item(),
+		FinalAccuracy:       acc,
+		FinalLoss:           loss,
 		PolicyVersions:      version,
 		BytesOnWire:         wireBytes.Load(),
 		Pulls:               pulls.Load(),
@@ -418,11 +424,11 @@ func Run(ctx context.Context, cfg Config, hub Hub) *Stats {
 }
 
 func (w *worker) gradStep(it int) {
-	x, labels := w.shard.Batch(it*w.batch%w.shard.Len(), w.batch)
+	w.shard.BatchInto(w.x, w.labels, it*w.batch%w.shard.Len())
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.model.ZeroGrad()
-	loss := w.model.Loss(x, labels)
+	loss := w.model.Loss(w.x, w.labels)
 	backward(loss)
 	w.opt.Step(w.model)
 }

@@ -209,20 +209,31 @@ func (m *Model) Loss(x *tensor.Tensor, labels []int) *autograd.Value {
 	return autograd.SoftmaxCrossEntropy(logits, labels)
 }
 
-// Accuracy returns the fraction of rows of x whose argmax logit equals the
-// label. It does not build a gradient graph.
-func (m *Model) Accuracy(x *tensor.Tensor, labels []int) float64 {
+// Evaluate returns the mean softmax cross-entropy on a batch and the
+// fraction of rows whose argmax logit equals the label, from one forward
+// pass that keeps no graph: its buffers go back to the tensor arena before
+// Evaluate returns. The loss equals Loss(x, labels).Item() bitwise.
+func (m *Model) Evaluate(x *tensor.Tensor, labels []int) (loss, acc float64) {
 	logits := m.Forward(autograd.Constant(x))
-	correct := 0
-	for i := range labels {
-		if logits.Data.ArgMaxRow(i) == labels[i] {
-			correct++
+	xent := autograd.SoftmaxCrossEntropy(logits, labels)
+	loss = xent.Item()
+	if len(labels) > 0 {
+		correct := 0
+		for i := range labels {
+			if logits.Data.ArgMaxRow(i) == labels[i] {
+				correct++
+			}
 		}
+		acc = float64(correct) / float64(len(labels))
 	}
-	if len(labels) == 0 {
-		return 0
-	}
-	return float64(correct) / float64(len(labels))
+	autograd.Release(xent)
+	return loss, acc
+}
+
+// Accuracy is the accuracy half of Evaluate (0 on an empty batch).
+func (m *Model) Accuracy(x *tensor.Tensor, labels []int) float64 {
+	_, acc := m.Evaluate(x, labels)
+	return acc
 }
 
 // SGD is a stochastic-gradient-descent optimizer with momentum and weight

@@ -210,3 +210,29 @@ func TestSetVectorWrongLenPanics(t *testing.T) {
 	}()
 	smallModel(1).SetVector([]float64{1})
 }
+
+// TestEvaluateReleasesItsGraph pins the evaluation path: its loss equals
+// the training graph's bitwise, and because the forward pass's buffers go
+// back to the arena it allocates no more than a full forward+backward step
+// on the same batch does.
+func TestEvaluateReleasesItsGraph(t *testing.T) {
+	m := SimResNet18.Build(1, 24, 10)
+	rng := rand.New(rand.NewSource(2))
+	x := tensor.Randn(rng, 1, 16, 24)
+	labels := make([]int, 16)
+	for i := range labels {
+		labels[i] = rng.Intn(10)
+	}
+	want := m.Loss(x, labels).Item()
+	if got, _ := m.Evaluate(x, labels); got != want {
+		t.Fatalf("Evaluate loss = %v, Loss(...).Item() = %v", got, want)
+	}
+	train := testing.AllocsPerRun(200, func() {
+		m.ZeroGrad()
+		backwardScalar(m.Loss(x, labels))
+	})
+	eval := testing.AllocsPerRun(200, func() { m.Evaluate(x, labels) })
+	if eval > train {
+		t.Fatalf("Evaluate allocates %v times per call, forward+backward %v", eval, train)
+	}
+}

@@ -16,6 +16,7 @@ package simnet
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 )
 
 // Topology places M worker nodes onto physical machines and fixes the
@@ -132,12 +133,76 @@ func (t *Topology) Connected() bool {
 	return count == t.M
 }
 
-// slowdown is one entry of the dynamic schedule: from Start, link (A,B) is
-// slowed by Factor.
+// slowdown is one entry of the dynamic schedule: link (A,B) is slowed by
+// Factor.
 type slowdown struct {
-	Start  float64
 	A, B   int
 	Factor float64
+}
+
+// schedule is a periodic sequence of entries, one starting every period
+// seconds from time 0 up to (not including) horizon, drawn on demand: an
+// entry is drawn only once a query reaches its start time. Entries are
+// drawn in start order from one RNG stream, so the schedule is the same one
+// an eager loop over the whole horizon would build, while a run pays only
+// for the stretch of virtual time it reaches. The mutex guards the drawn
+// prefix and the RNG, so one Network may serve concurrent runs.
+type schedule[T any] struct {
+	mu      sync.Mutex
+	period  float64
+	horizon float64
+	next    float64  // start of the first undrawn entry
+	draw    func() T // draws the next entry from the schedule's RNG
+	starts  []float64
+	entries []T
+}
+
+func newSchedule[T any](horizon, period float64, draw func() T) *schedule[T] {
+	if !(period > 0) {
+		panic(fmt.Sprintf("simnet: schedule period %v must be positive", period))
+	}
+	return &schedule[T]{period: period, horizon: horizon, draw: draw}
+}
+
+// drawThrough draws every entry that starts at or before now. Start times
+// accumulate by repeated addition, exactly as an eager t += period loop
+// does; k*period would round differently.
+func (s *schedule[T]) drawThrough(now float64) {
+	for s.next < s.horizon && s.next <= now {
+		s.starts = append(s.starts, s.next)
+		s.entries = append(s.entries, s.draw())
+		s.next += s.period
+	}
+}
+
+// at returns the entry in force at virtual time now: the latest one that
+// starts at or before now. ok is false before the first entry starts or
+// when the horizon admits no entry.
+func (s *schedule[T]) at(now float64) (e T, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.drawThrough(now)
+	lo, hi := 0, len(s.starts)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if s.starts[mid] <= now {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == 0 {
+		return e, false
+	}
+	return s.entries[lo-1], true
+}
+
+// count draws the schedule out to its horizon and returns its length.
+func (s *schedule[T]) count() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.drawThrough(s.horizon)
+	return len(s.entries)
 }
 
 // Network converts (link, bytes, virtual time) into transfer seconds.
@@ -149,19 +214,19 @@ type Network struct {
 	IntraRate float64
 	InterRate float64
 
-	// schedule of slowdown events, ascending by Start. At any time exactly
-	// one (or zero) entry is active: the latest one with Start <= now.
-	schedule []slowdown
+	// slow is the moving slow link of NewHeterogeneousPeriod: at any time
+	// exactly one (or zero) link is slowed.
+	slow *schedule[slowdown]
 
 	// rateOverride, if non-nil, gives a full per-pair rate matrix
 	// (bytes/sec) and takes precedence over Intra/InterRate. Used by the
 	// cross-region WAN setting.
 	rateOverride [][]float64
 
-	// shuffles, if non-empty, is the time-varying fast/slow link
-	// permutation of NewShuffledRates and replaces the machine-placement
-	// rate rule.
-	shuffles []rateShuffle
+	// shuffles, if non-nil, is the time-varying set of fast links of
+	// NewShuffledRates; once its first period starts it replaces the
+	// machine-placement rate rule.
+	shuffles *schedule[map[[2]int]bool]
 }
 
 // Paper-calibrated defaults (see nn zoo comment): intra-machine GPU-to-GPU
@@ -177,30 +242,26 @@ const (
 	SlowLinkPeriod = 300.0
 )
 
-// NewHeterogeneous builds the multi-tenant-cluster network of Section V-A:
-// cluster placement rates plus a dynamic 2-100x slowdown moving every
-// SlowLinkPeriod seconds for the given horizon. Deterministic in seed.
-func NewHeterogeneous(topo *Topology, seed int64, horizon float64) *Network {
-	return NewHeterogeneousPeriod(topo, seed, horizon, SlowLinkPeriod)
-}
-
-// NewHeterogeneousPeriod is NewHeterogeneous with an explicit slow-link
-// relocation period. The paper moves the slow link every 300s against epochs
-// of ~100s; simulations with faster epochs scale the period down to keep the
-// dynamics-per-epoch ratio.
+// NewHeterogeneousPeriod builds the multi-tenant-cluster network of
+// Section V-A: cluster placement rates plus a dynamic 2-100x slowdown of one
+// random link that moves every period seconds, out to the given horizon.
+// The paper moves the slow link every SlowLinkPeriod (300s) against epochs
+// of ~100s; simulations with faster epochs scale the period down to keep
+// the dynamics-per-epoch ratio. Deterministic in seed. The schedule is
+// drawn as Rate queries reach it, so a long horizon costs nothing up front.
 func NewHeterogeneousPeriod(topo *Topology, seed int64, horizon, period float64) *Network {
-	n := &Network{Topo: topo, IntraRate: DefaultIntraRate, InterRate: DefaultInterRate}
 	rng := rand.New(rand.NewSource(seed))
-	for t := 0.0; t < horizon; t += period {
+	draw := func() slowdown {
 		a := rng.Intn(topo.M)
 		b := rng.Intn(topo.M - 1)
 		if b >= a {
 			b++
 		}
 		factor := 2 + rng.Float64()*98 // 2x .. 100x
-		n.schedule = append(n.schedule, slowdown{Start: t, A: a, B: b, Factor: factor})
+		return slowdown{A: a, B: b, Factor: factor}
 	}
-	return n
+	return &Network{Topo: topo, IntraRate: DefaultIntraRate, InterRate: DefaultInterRate,
+		slow: newSchedule(horizon, period, draw)}
 }
 
 // NewHomogeneous builds the single-server 10 Gbps virtual-switch network of
@@ -248,23 +309,6 @@ func NewCrossRegion() *Network {
 	return &Network{Topo: topo, rateOverride: rates}
 }
 
-// activeSlowdown returns the slowdown in force at virtual time now, if any.
-func (n *Network) activeSlowdown(now float64) (slowdown, bool) {
-	lo, hi := 0, len(n.schedule)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if n.schedule[mid].Start <= now {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == 0 {
-		return slowdown{}, false
-	}
-	return n.schedule[lo-1], true
-}
-
 // Rate returns the effective transfer rate in bytes/second between nodes i
 // and j at virtual time now.
 func (n *Network) Rate(i, j int, now float64) float64 {
@@ -274,22 +318,24 @@ func (n *Network) Rate(i, j int, now float64) float64 {
 	if n.rateOverride != nil {
 		return n.rateOverride[i][j]
 	}
-	if s, ok := n.activeShuffle(now); ok {
-		key := [2]int{i, j}
-		if j < i {
-			key = [2]int{j, i}
+	if n.shuffles != nil {
+		if fast, ok := n.shuffles.at(now); ok {
+			key := [2]int{i, j}
+			if j < i {
+				key = [2]int{j, i}
+			}
+			if fast[key] {
+				return n.IntraRate
+			}
+			return n.InterRate
 		}
-		if s.Fast[key] {
-			return n.IntraRate
-		}
-		return n.InterRate
 	}
 	rate := n.InterRate
 	if n.Topo.Machine[i] == n.Topo.Machine[j] {
 		rate = n.IntraRate
 	}
-	if s, ok := n.activeSlowdown(now); ok {
-		if (s.A == i && s.B == j) || (s.A == j && s.B == i) {
+	if n.slow != nil {
+		if s, ok := n.slow.at(now); ok && ((s.A == i && s.B == j) || (s.A == j && s.B == i)) {
 			rate /= s.Factor
 		}
 	}
@@ -324,14 +370,13 @@ func (n *Network) IterationTime(i, j int, bytes int64, computeSecs, now float64,
 	return computeSecs + nt
 }
 
-// SlowdownCount returns the number of scheduled slowdown events (testing).
-func (n *Network) SlowdownCount() int { return len(n.schedule) }
-
-// rateShuffle is one period of the base-rate permutation schedule used by
-// NewShuffledRates: from Start, node pair classes are remapped by Perm.
-type rateShuffle struct {
-	Start float64
-	Fast  map[[2]int]bool // pairs that are fast during this period
+// SlowdownCount returns the number of slowdown events the schedule holds
+// out to its horizon (testing). It draws the whole schedule.
+func (n *Network) SlowdownCount() int {
+	if n.slow == nil {
+		return 0
+	}
+	return n.slow.count()
 }
 
 // NewShuffledRates builds the Fig. 2 scenario directly: which links are
@@ -339,9 +384,10 @@ type rateShuffle struct {
 // random third of the link pairs is congested (8x below the inter-machine
 // rate, inside the paper's 2-100x slowdown range) while the rest run at the
 // intra-machine rate. Static-subgraph methods (SAPS-PSGD) keep using links
-// that were fast at t=0 and degrade; adaptive methods re-measure.
+// that were fast at t=0 and degrade; adaptive methods re-measure. Like the
+// slow link of NewHeterogeneousPeriod, periods are drawn as Rate queries
+// reach them.
 func NewShuffledRates(topo *Topology, seed int64, horizon, period float64) *Network {
-	n := &Network{Topo: topo, IntraRate: DefaultIntraRate, InterRate: DefaultInterRate / 8}
 	rng := rand.New(rand.NewSource(seed))
 	var pairs [][2]int
 	for i := 0; i < topo.M; i++ {
@@ -349,32 +395,16 @@ func NewShuffledRates(topo *Topology, seed int64, horizon, period float64) *Netw
 			pairs = append(pairs, [2]int{i, j})
 		}
 	}
-	for t := 0.0; t < horizon; t += period {
+	draw := func() map[[2]int]bool {
 		rng.Shuffle(len(pairs), func(a, b int) { pairs[a], pairs[b] = pairs[b], pairs[a] })
 		fast := make(map[[2]int]bool, len(pairs))
 		for _, p := range pairs[len(pairs)/3:] {
 			fast[p] = true
 		}
-		n.shuffles = append(n.shuffles, rateShuffle{Start: t, Fast: fast})
+		return fast
 	}
-	return n
-}
-
-// activeShuffle returns the rate permutation in force at time now.
-func (n *Network) activeShuffle(now float64) (rateShuffle, bool) {
-	lo, hi := 0, len(n.shuffles)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if n.shuffles[mid].Start <= now {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == 0 {
-		return rateShuffle{}, false
-	}
-	return n.shuffles[lo-1], true
+	return &Network{Topo: topo, IntraRate: DefaultIntraRate, InterRate: DefaultInterRate / 8,
+		shuffles: newSchedule(horizon, period, draw)}
 }
 
 // PSRate returns the effective rate between worker i and a parameter server

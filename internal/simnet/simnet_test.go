@@ -108,7 +108,7 @@ func TestFig3Shape(t *testing.T) {
 
 func TestSlowdownScheduleMovesEveryPeriod(t *testing.T) {
 	topo := PaperCluster(8)
-	net := NewHeterogeneous(topo, 1, 1800)
+	net := NewHeterogeneousPeriod(topo, 1, 1800, SlowLinkPeriod)
 	if got := net.SlowdownCount(); got != 6 {
 		t.Fatalf("schedule has %d events for 1800s horizon, want 6", got)
 	}
@@ -116,7 +116,7 @@ func TestSlowdownScheduleMovesEveryPeriod(t *testing.T) {
 
 func TestSlowdownAffectsExactlyOneLink(t *testing.T) {
 	topo := PaperCluster(4)
-	net := NewHeterogeneous(topo, 3, 600)
+	net := NewHeterogeneousPeriod(topo, 3, 600, SlowLinkPeriod)
 	now := 10.0
 	slowed := 0
 	for i := 0; i < 4; i++ {
@@ -139,8 +139,8 @@ func TestSlowdownAffectsExactlyOneLink(t *testing.T) {
 
 func TestSlowdownDeterministicInSeed(t *testing.T) {
 	topo := PaperCluster(8)
-	a := NewHeterogeneous(topo, 42, 1200)
-	b := NewHeterogeneous(topo, 42, 1200)
+	a := NewHeterogeneousPeriod(topo, 42, 1200, SlowLinkPeriod)
+	b := NewHeterogeneousPeriod(topo, 42, 1200, SlowLinkPeriod)
 	for now := 0.0; now < 1200; now += 37 {
 		for i := 0; i < 8; i++ {
 			for j := 0; j < 8; j++ {
@@ -157,7 +157,7 @@ func TestSlowdownDeterministicInSeed(t *testing.T) {
 
 func TestSlowLinkChangesOverTime(t *testing.T) {
 	topo := PaperCluster(8)
-	net := NewHeterogeneous(topo, 7, 3000)
+	net := NewHeterogeneousPeriod(topo, 7, 3000, SlowLinkPeriod)
 	// Find the slowed pair in two different periods; with 28 pairs the odds
 	// of a collision across all sampled periods are negligible for this seed.
 	find := func(now float64) [2]int {
@@ -255,7 +255,7 @@ func TestCrossRegionStructure(t *testing.T) {
 func TestTransferTimeScalesLinearlyInBytes(t *testing.T) {
 	f := func(seed int64) bool {
 		topo := PaperCluster(8)
-		net := NewHeterogeneous(topo, seed, 600)
+		net := NewHeterogeneousPeriod(topo, seed, 600, SlowLinkPeriod)
 		t1 := net.TransferTime(0, 5, 1e6, 100)
 		t2 := net.TransferTime(0, 5, 2e6, 100)
 		return math.Abs(t2-2*t1) < 1e-9*t1+1e-15
@@ -268,7 +268,7 @@ func TestTransferTimeScalesLinearlyInBytes(t *testing.T) {
 func TestRateSymmetryProperty(t *testing.T) {
 	f := func(seed int64, nowRaw uint16) bool {
 		topo := PaperCluster(8)
-		net := NewHeterogeneous(topo, seed, 3000)
+		net := NewHeterogeneousPeriod(topo, seed, 3000, SlowLinkPeriod)
 		now := float64(nowRaw)
 		for i := 0; i < 8; i++ {
 			for j := i + 1; j < 8; j++ {
