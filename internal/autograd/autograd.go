@@ -163,14 +163,10 @@ func MatMul(a, b *Value) *Value {
 	out.backward = func() {
 		// dA = dOut @ B^T ; dB = A^T @ dOut
 		if a.requiresGrad {
-			bt := tensor.TransposeInto(tensor.GetPooledDirty(b.Data.Shape[1], b.Data.Shape[0]), b.Data)
-			accumTemp(a, tensor.MatMulInto(tensor.GetPooledDirty(a.Data.Shape...), out.Grad, bt))
-			tensor.Recycle(bt)
+			accumTemp(a, tensor.MatMulTransBInto(tensor.GetPooledDirty(a.Data.Shape...), out.Grad, b.Data))
 		}
 		if b.requiresGrad {
-			at := tensor.TransposeInto(tensor.GetPooledDirty(a.Data.Shape[1], a.Data.Shape[0]), a.Data)
-			accumTemp(b, tensor.MatMulInto(tensor.GetPooledDirty(b.Data.Shape...), at, out.Grad))
-			tensor.Recycle(at)
+			accumTemp(b, tensor.MatMulTransAInto(tensor.GetPooledDirty(b.Data.Shape...), a.Data, out.Grad))
 		}
 	}
 	return out
@@ -188,26 +184,14 @@ func AddRowVector(a, v *Value) *Value {
 	return out
 }
 
-// ReLU returns max(x, 0) elementwise.
+// ReLU returns max(x, 0) elementwise: +0 wherever x ≤ 0 or x is NaN, and
+// gradient only where x > 0.
 func ReLU(a *Value) *Value {
-	out := newPooledOp("relu", tensor.ApplyInto(tensor.GetPooledDirty(a.Data.Shape...), a.Data, func(x float64) float64 {
-		if x > 0 {
-			return x
-		}
-		return 0
-	}), a)
+	out := newPooledOp("relu", tensor.ReLUInto(tensor.GetPooledDirty(a.Data.Shape...), a.Data), a)
 	out.backward = func() {
-		if !a.requiresGrad {
-			return
+		if a.requiresGrad {
+			accumTemp(a, tensor.ReLUGradInto(tensor.GetPooledDirty(a.Data.Shape...), out.Grad, a.Data))
 		}
-		// Zero-filled: only the positive positions are written below.
-		g := tensor.GetPooled(a.Data.Shape...)
-		for i, x := range a.Data.Data {
-			if x > 0 {
-				g.Data[i] = out.Grad.Data[i]
-			}
-		}
-		accumTemp(a, g)
 	}
 	return out
 }

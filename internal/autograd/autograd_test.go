@@ -97,6 +97,90 @@ func TestReLUBackward(t *testing.T) {
 	}
 }
 
+// zeroSkipMatMul is the axpy loop MatMul ran before the dot-product
+// kernel: terms whose a entry is zero are skipped.
+func zeroSkipMatMul(a, b *tensor.Tensor) *tensor.Tensor {
+	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
+	out := tensor.New(m, n)
+	for i := 0; i < m; i++ {
+		for p := 0; p < k; p++ {
+			av := a.Data[i*k+p]
+			if av == 0 {
+				continue
+			}
+			for j := 0; j < n; j++ {
+				out.Data[i*n+j] += av * b.Data[p*n+j]
+			}
+		}
+	}
+	return out
+}
+
+func sameBits(a, b *tensor.Tensor) bool {
+	if !a.SameShape(b) {
+		return false
+	}
+	for i := range a.Data {
+		if math.Float64bits(a.Data[i]) != math.Float64bits(b.Data[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestMatMulBackwardMatchesTransposedReference checks MatMul's backward
+// bitwise against the backward it replaced, which materialized Bᵀ and Aᵀ
+// and multiplied with the zero-skipping loop. Operands and the upstream
+// gradient are ReLU-sparse, as they are between the model's layers.
+func TestMatMulBackwardMatchesTransposedReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, dims := range [][3]int{{16, 24, 40}, {16, 40, 10}, {5, 3, 7}, {1, 1, 1}, {9, 9, 9}} {
+		m, k, n := dims[0], dims[1], dims[2]
+		at := tensor.Randn(rng, 1, m, k)
+		bt := tensor.Randn(rng, 1, k, n)
+		w := tensor.Randn(rng, 1, m, n)
+		for _, v := range []*tensor.Tensor{at, bt, w} {
+			tensor.ReLUInto(v, v)
+		}
+		a, b := NewLeaf(at, true), NewLeaf(bt, true)
+		Backward(Mean(Mul(MatMul(a, b), Constant(w))))
+
+		dOut := tensor.Scale(w, 1/float64(m*n))
+		wantA := zeroSkipMatMul(dOut, tensor.Transpose(bt))
+		wantB := zeroSkipMatMul(tensor.Transpose(at), dOut)
+		if !sameBits(a.Grad, wantA) {
+			t.Fatalf("%v: dA = %v, reference %v", dims, a.Grad.Data, wantA.Data)
+		}
+		if !sameBits(b.Grad, wantB) {
+			t.Fatalf("%v: dB = %v, reference %v", dims, b.Grad.Data, wantB.Data)
+		}
+	}
+}
+
+// TestReLUSpecialValues pins ReLU at the IEEE edge cases: forward is x
+// for x > 0 and +0 for x ≤ 0 (both zeros included) and NaN; backward
+// passes the gradient only where x > 0 and is +0 elsewhere, even where the
+// upstream gradient is negative.
+func TestReLUSpecialValues(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	sub := math.SmallestNonzeroFloat64
+	x := []float64{negZero, 0, math.NaN(), math.Inf(1), math.Inf(-1), sub, -sub, 2.5, -2.5}
+	wantFwd := []float64{0, 0, 0, math.Inf(1), 0, sub, 0, 2.5, 0}
+	w := []float64{-1, -2, -3, -4, -5, -6, -7, -8, -9}
+	c := 1 / float64(len(x))
+	wantGrad := []float64{0, 0, 0, -4 * c, 0, -6 * c, 0, -8 * c, 0}
+
+	a := NewLeaf(tensor.FromSlice(append([]float64(nil), x...), len(x)), true)
+	r := ReLU(a)
+	if !sameBits(r.Data, tensor.FromSlice(wantFwd, len(x))) {
+		t.Fatalf("ReLU(%v) = %v, want %v", x, r.Data.Data, wantFwd)
+	}
+	Backward(Mean(Mul(r, Constant(tensor.FromSlice(w, len(w))))))
+	if !sameBits(a.Grad, tensor.FromSlice(wantGrad, len(x))) {
+		t.Fatalf("ReLU grad at %v = %v, want %v", x, a.Grad.Data, wantGrad)
+	}
+}
+
 func TestTanhBackwardNumerical(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	at := tensor.Randn(rng, 1, 4)

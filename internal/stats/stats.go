@@ -70,25 +70,6 @@ func Replicate(n int, baseSeed int64, run func(seed int64) *engine.Result) []*en
 	return out
 }
 
-// Extract maps results to a scalar series.
-func Extract(rs []*engine.Result, f func(*engine.Result) float64) []float64 {
-	out := make([]float64, len(rs))
-	for i, r := range rs {
-		out[i] = f(r)
-	}
-	return out
-}
-
-// TotalTimes extracts TotalTime from each result.
-func TotalTimes(rs []*engine.Result) []float64 {
-	return Extract(rs, func(r *engine.Result) float64 { return r.TotalTime })
-}
-
-// Accuracies extracts FinalAccuracy from each result.
-func Accuracies(rs []*engine.Result) []float64 {
-	return Extract(rs, func(r *engine.Result) float64 { return r.FinalAccuracy })
-}
-
 // SpeedupSummary computes per-seed speedups base[i]/test[i] and summarizes
 // them; the two slices must be paired by seed.
 func SpeedupSummary(base, test []*engine.Result) (Summary, error) {

@@ -75,18 +75,6 @@ func TestReplicateSeedsDistinct(t *testing.T) {
 	}
 }
 
-func TestExtractHelpers(t *testing.T) {
-	rs := []*engine.Result{{TotalTime: 10, FinalAccuracy: 0.9}, {TotalTime: 20, FinalAccuracy: 0.8}}
-	tt := TotalTimes(rs)
-	if tt[0] != 10 || tt[1] != 20 {
-		t.Fatalf("TotalTimes = %v", tt)
-	}
-	acc := Accuracies(rs)
-	if acc[0] != 0.9 || acc[1] != 0.8 {
-		t.Fatalf("Accuracies = %v", acc)
-	}
-}
-
 func TestSpeedupSummary(t *testing.T) {
 	base := []*engine.Result{{TotalTime: 20}, {TotalTime: 40}}
 	test := []*engine.Result{{TotalTime: 10}, {TotalTime: 10}}

@@ -44,3 +44,61 @@ func BenchmarkMatMulInto(b *testing.B) {
 		MatMulInto(dst, x, y)
 	}
 }
+
+// BenchmarkMatMulModelShapes times the five products one SimResNet18
+// training step takes (batch 16, widths 24 → 40 → 10), each in the form
+// autograd calls it: two forward products, dA of the second layer, and the
+// two weight gradients. Operands that are ReLU outputs or ReLU-masked
+// gradients in training are ReLU-sparse here too.
+func BenchmarkMatMulModelShapes(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	x, w1, w2 := Randn(rng, 1, 16, 24), Randn(rng, 1, 24, 40), Randn(rng, 1, 40, 10)
+	h := Randn(rng, 1, 16, 40)
+	dOut2, dOut1 := Randn(rng, 1, 16, 10), Randn(rng, 1, 16, 40)
+	ReLUInto(h, h)
+	ReLUInto(dOut1, dOut1)
+	for _, c := range []struct {
+		name    string
+		dst     *Tensor
+		a, bOp  *Tensor
+		product func(dst, a, b *Tensor) *Tensor
+	}{
+		{"fwd-16x24x40", New(16, 40), x, w1, MatMulInto},
+		{"fwd-16x40x10", New(16, 10), h, w2, MatMulInto},
+		{"dA-16x10x40T", New(16, 40), dOut2, w2, MatMulTransBInto},
+		{"dW-24x16x40", New(24, 40), x, dOut1, MatMulTransAInto},
+		{"dW-40x16x10", New(40, 10), h, dOut2, MatMulTransAInto},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.product(c.dst, c.a, c.bOp)
+			}
+		})
+	}
+}
+
+// BenchmarkReLU times the ReLU kernels on the model's hidden activation
+// shape (16×40). Each call gets the next of 16 mixed-sign inputs, as each
+// training step gets a fresh batch: a single repeated input would let the
+// branch predictor learn its sign pattern, which training never allows.
+func BenchmarkReLU(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	xs := make([]*Tensor, 16)
+	for i := range xs {
+		xs[i] = Randn(rng, 1, 16, 40)
+	}
+	grad, dst := Randn(rng, 1, 16, 40), New(16, 40)
+	b.Run("forward", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ReLUInto(dst, xs[i%len(xs)])
+		}
+	})
+	b.Run("backward", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ReLUGradInto(dst, grad, xs[i%len(xs)])
+		}
+	})
+}

@@ -120,44 +120,89 @@ func parallelFor(n, grain int, f func(lo, hi int)) {
 // stay below it and run serially, which is the right call at that size.
 const matMulGrainFlops = 64 * 1024
 
-// matMulInto is the shared kernel of MatMul and MatMulInto: out = a@b with
-// row panels of out sharded across the pool. Each output row is produced
-// start-to-finish by one task with the serial loop's arithmetic order, so the
-// result is bitwise identical at any parallel degree.
-func matMulInto(out, a, b *Tensor) {
-	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
+// matMulABt is the one matmul kernel every product goes through:
+// out[i,j] = Σ_p a[i,p]·bt[j,p] for a (m×k) and bt (n×k), both contiguous
+// along k, with row panels of out sharded across the pool. Every output
+// element is one accumulator that starts at +0 and adds its k products in
+// ascending p, whichever tile or remainder loop computes it, so the result
+// is bitwise identical at any parallel degree.
+func matMulABt(out, a, bt *Tensor) {
+	m, k, n := a.Shape[0], a.Shape[1], bt.Shape[0]
 	grain := 1
 	if rowFlops := k * n; rowFlops > 0 {
 		grain = (matMulGrainFlops + rowFlops - 1) / rowFlops
 	}
+	od, ad, bd := out.Data, a.Data, bt.Data
 	if Parallelism() <= 1 || m <= grain {
 		// Skip parallelFor entirely: the direct call keeps the serial path
 		// allocation-free (no chunk closure).
-		matMulRows(out, a, b, 0, m)
+		dotRows(od, ad, bd, k, n, 0, m)
 		return
 	}
-	parallelFor(m, grain, func(lo, hi int) { matMulRows(out, a, b, lo, hi) })
+	parallelFor(m, grain, func(lo, hi int) { dotRows(od, ad, bd, k, n, lo, hi) })
 }
 
-func matMulRows(out, a, b *Tensor, lo, hi int) {
-	k, n := a.Shape[1], b.Shape[1]
-	// Local slice headers: with out passed in (rather than freshly
-	// allocated) the compiler cannot prove non-aliasing and would otherwise
-	// reload the headers through the Tensor pointers on every iteration,
-	// costing ~40% on model-sized products.
-	ad, bd, od := a.Data, b.Data, out.Data
-	for i := lo; i < hi; i++ {
-		arow := ad[i*k : (i+1)*k]
-		orow := od[i*n : (i+1)*n : (i+1)*n]
-		for p := 0; p < k; p++ {
-			av := arow[p]
-			if av == 0 {
-				continue
+// dotRows computes rows [lo, hi) of out = a·btᵀ in 4×2 register tiles: four
+// rows of a against two rows of bt, eight accumulators per pass over k.
+// Leftover columns run 4×1 and leftover rows 1×2 then 1×1, with the same
+// per-element summation order.
+func dotRows(od, ad, bd []float64, k, n, lo, hi int) {
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		a0, a1, a2, a3 := ad[i*k:][:k], ad[(i+1)*k:][:k], ad[(i+2)*k:][:k], ad[(i+3)*k:][:k]
+		o0, o1, o2, o3 := od[i*n:][:n], od[(i+1)*n:][:n], od[(i+2)*n:][:n], od[(i+3)*n:][:n]
+		j := 0
+		for ; j+2 <= n; j += 2 {
+			b0, b1 := bd[j*k:][:k], bd[(j+1)*k:][:k]
+			var s00, s01, s10, s11, s20, s21, s30, s31 float64
+			for p, x0 := range b0 {
+				x1 := b1[p]
+				y0, y1, y2, y3 := a0[p], a1[p], a2[p], a3[p]
+				s00 += y0 * x0
+				s01 += y0 * x1
+				s10 += y1 * x0
+				s11 += y1 * x1
+				s20 += y2 * x0
+				s21 += y2 * x1
+				s30 += y3 * x0
+				s31 += y3 * x1
 			}
-			brow := bd[p*n : (p+1)*n : (p+1)*n]
-			for j := 0; j < n; j++ {
-				orow[j] += av * brow[j]
+			o0[j], o0[j+1] = s00, s01
+			o1[j], o1[j+1] = s10, s11
+			o2[j], o2[j+1] = s20, s21
+			o3[j], o3[j+1] = s30, s31
+		}
+		if j < n {
+			b0 := bd[j*k:][:k]
+			var s0, s1, s2, s3 float64
+			for p, x0 := range b0 {
+				s0 += a0[p] * x0
+				s1 += a1[p] * x0
+				s2 += a2[p] * x0
+				s3 += a3[p] * x0
 			}
+			o0[j], o1[j], o2[j], o3[j] = s0, s1, s2, s3
+		}
+	}
+	for ; i < hi; i++ {
+		a0, o0 := ad[i*k:][:k], od[i*n:][:n]
+		j := 0
+		for ; j+2 <= n; j += 2 {
+			b0, b1 := bd[j*k:][:k], bd[(j+1)*k:][:k]
+			var s0, s1 float64
+			for p, y0 := range a0 {
+				s0 += y0 * b0[p]
+				s1 += y0 * b1[p]
+			}
+			o0[j], o0[j+1] = s0, s1
+		}
+		if j < n {
+			b0 := bd[j*k:][:k]
+			var s0 float64
+			for p, y0 := range a0 {
+				s0 += y0 * b0[p]
+			}
+			o0[j] = s0
 		}
 	}
 }

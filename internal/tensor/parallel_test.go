@@ -5,7 +5,9 @@ import (
 	"testing"
 )
 
-// serialMatMul is the reference kernel: the pre-parallel triple loop.
+// serialMatMul is the reference kernel: the axpy triple loop the package
+// ran before the dot-product kernel, which skips every term whose a entry
+// is zero. For finite b the two agree bitwise (see FuzzMatMul).
 func serialMatMul(a, b *Tensor) *Tensor {
 	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
 	out := New(m, n)
@@ -26,18 +28,32 @@ func serialMatMul(a, b *Tensor) *Tensor {
 	return out
 }
 
+// TestParallelMatMulBitwiseIdenticalToSerial runs all three product forms
+// at several parallel degrees. The larger shapes shard into row panels
+// that are not multiples of the kernel's 4-row tile, so rows move between
+// the tile and remainder loops as the degree changes.
 func TestParallelMatMulBitwiseIdenticalToSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, dims := range [][3]int{{1, 1, 1}, {3, 7, 5}, {16, 24, 40}, {97, 103, 89}, {256, 64, 128}} {
-		a := Randn(rng, 1, dims[0], dims[1])
-		b := Randn(rng, 1, dims[1], dims[2])
+		m, k, n := dims[0], dims[1], dims[2]
+		a := Randn(rng, 1, m, k)
+		b := Randn(rng, 1, k, n)
 		want := serialMatMul(a, b)
+		at, bt := Transpose(a), Transpose(b)
 		for _, par := range []int{1, 2, 4, 8} {
 			prev := SetParallelism(par)
 			got := MatMul(a, b)
+			gotB := MatMulTransBInto(New(m, n), a, bt)
+			gotA := MatMulTransAInto(New(m, n), at, b)
 			SetParallelism(prev)
 			if !Equal(got, want) {
 				t.Fatalf("MatMul %vx%v at parallelism %d differs from serial", a.Shape, b.Shape, par)
+			}
+			if !Equal(gotB, want) {
+				t.Fatalf("MatMulTransBInto %vx%v at parallelism %d differs from serial", a.Shape, b.Shape, par)
+			}
+			if !Equal(gotA, want) {
+				t.Fatalf("MatMulTransAInto %vx%v at parallelism %d differs from serial", a.Shape, b.Shape, par)
 			}
 		}
 	}

@@ -6,10 +6,19 @@
 // allocate their result unless the method name ends in "Into" or is
 // documented as in-place; "Into" variants write into a caller-owned
 // destination so hot loops can reuse buffers (see GetPooled/Recycle for the
-// size-keyed arena they pair with). Large MatMuls shard row panels across a
-// persistent worker pool sized to runtime.NumCPU() (see SetParallelism);
-// sharding never changes arithmetic order, so parallel results are bitwise
-// identical to serial ones.
+// size-keyed arena they pair with).
+//
+// MatMul, MatMulInto, MatMulTransBInto and MatMulTransAInto share one
+// register-tiled kernel that reads both operands along the inner dimension.
+// MatMul and MatMulInto transpose b into arena scratch for it, and
+// MatMulTransAInto transposes both operands. Large products shard row
+// panels across a persistent worker pool sized to runtime.NumCPU() (see
+// SetParallelism); sharding never changes arithmetic order, so parallel
+// results are bitwise identical to serial ones. The kernel follows IEEE 754
+// for every term: a zero times an infinity contributes NaN. Whenever the
+// right operand is finite the result equals that of a loop skipping zero
+// terms, bit for bit, since adding a ±0 product to a sum that starts at +0
+// never changes it.
 package tensor
 
 import (
@@ -238,21 +247,63 @@ func checkMatMulShapes(a, b *Tensor) (m, k, n int) {
 // are bitwise identical at any parallel degree.
 func MatMul(a, b *Tensor) *Tensor {
 	m, _, n := checkMatMulShapes(a, b)
-	out := New(m, n)
-	matMulInto(out, a, b)
-	return out
+	return MatMulInto(New(m, n), a, b)
 }
 
 // MatMulInto computes a@b into dst, which must have shape (a rows, b cols)
-// and must not alias a or b. dst is overwritten, not accumulated into.
+// and must not alias a or b. dst is overwritten, not accumulated into. b is
+// transposed into arena scratch so the kernel reads both operands along k.
 func MatMulInto(dst, a, b *Tensor) *Tensor {
-	m, _, n := checkMatMulShapes(a, b)
-	if dst.Rank() != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulInto dst shape %v, want [%d %d]", dst.Shape, m, n))
-	}
-	dst.Zero()
-	matMulInto(dst, a, b)
+	m, k, n := checkMatMulShapes(a, b)
+	checkMatMulDst("MatMulInto", dst, m, n)
+	bt := GetPooledDirty(n, k)
+	transposeInto(bt, b)
+	matMulABt(dst, a, bt)
+	Recycle(bt)
 	return dst
+}
+
+// MatMulTransBInto computes a@bᵀ into dst for a (m×k) and b (n×k), without
+// materializing bᵀ. dst must have shape (m, n) and must not alias a or b;
+// it is overwritten. This is the dA = dOut@Bᵀ product of MatMul's backward.
+func MatMulTransBInto(dst, a, b *Tensor) *Tensor {
+	if a.Rank() != 2 || b.Rank() != 2 {
+		panic("tensor: MatMulTransBInto requires rank-2 operands")
+	}
+	m, k, n := a.Shape[0], a.Shape[1], b.Shape[0]
+	if k != b.Shape[1] {
+		panic(fmt.Sprintf("tensor: MatMulTransBInto inner dims %d vs %d", k, b.Shape[1]))
+	}
+	checkMatMulDst("MatMulTransBInto", dst, m, n)
+	matMulABt(dst, a, b)
+	return dst
+}
+
+// MatMulTransAInto computes aᵀ@b into dst for a (k×m) and b (k×n). dst must
+// have shape (m, n) and must not alias a or b; it is overwritten. Both
+// operands are transposed into arena scratch so the kernel reads them along
+// k. This is the dB = Aᵀ@dOut product of MatMul's backward.
+func MatMulTransAInto(dst, a, b *Tensor) *Tensor {
+	if a.Rank() != 2 || b.Rank() != 2 {
+		panic("tensor: MatMulTransAInto requires rank-2 operands")
+	}
+	k, m, n := a.Shape[0], a.Shape[1], b.Shape[1]
+	if k != b.Shape[0] {
+		panic(fmt.Sprintf("tensor: MatMulTransAInto inner dims %d vs %d", k, b.Shape[0]))
+	}
+	checkMatMulDst("MatMulTransAInto", dst, m, n)
+	at, bt := GetPooledDirty(m, k), GetPooledDirty(n, k)
+	transposeInto(at, a)
+	transposeInto(bt, b)
+	matMulABt(dst, at, bt)
+	Recycle(at, bt)
+	return dst
+}
+
+func checkMatMulDst(op string, dst *Tensor, m, n int) {
+	if dst.Rank() != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
+		panic(fmt.Sprintf("tensor: %s dst shape %v, want [%d %d]", op, dst.Shape, m, n))
+	}
 }
 
 // Transpose returns the transpose of a rank-2 tensor.
@@ -280,9 +331,10 @@ func TransposeInto(dst, a *Tensor) *Tensor {
 
 func transposeInto(dst, a *Tensor) {
 	m, n := a.Shape[0], a.Shape[1]
+	ad, dd := a.Data, dst.Data
 	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			dst.Data[j*m+i] = a.Data[i*n+j]
+		for j, v := range ad[i*n:][:n] {
+			dd[j*m+i] = v
 		}
 	}
 }
@@ -334,6 +386,44 @@ func ApplyInto(dst, a *Tensor, f func(float64) float64) *Tensor {
 		dst.Data[i] = f(v)
 	}
 	return dst
+}
+
+// ReLUInto writes max(x, 0) elementwise over a into dst (same element
+// count): x where x > 0, +0 where x ≤ 0 or x is NaN. dst may alias a. The
+// select is a bit mask, not a branch, so mixed-sign data costs no
+// mispredictions.
+func ReLUInto(dst, a *Tensor) *Tensor {
+	assertSameLen("ReLUInto", dst, a)
+	dd := dst.Data[:len(a.Data)]
+	for i, x := range a.Data {
+		b := math.Float64bits(x)
+		dd[i] = math.Float64frombits(b & positiveMask(b))
+	}
+	return dst
+}
+
+// ReLUGradInto writes ReLU's backward into dst: grad where x > 0, +0
+// elsewhere (x ≤ 0 or NaN). dst, grad and x have the same element count;
+// dst may alias grad.
+func ReLUGradInto(dst, grad, x *Tensor) *Tensor {
+	assertSameLen("ReLUGradInto", dst, x)
+	assertSameLen("ReLUGradInto", grad, x)
+	dd, gd := dst.Data[:len(x.Data)], grad.Data[:len(x.Data)]
+	for i, v := range x.Data {
+		dd[i] = math.Float64frombits(math.Float64bits(gd[i]) & positiveMask(math.Float64bits(v)))
+	}
+	return dst
+}
+
+// positiveMask returns all ones if the float64 with bit pattern b is > 0,
+// and all zeros if it is ≤ 0 or NaN, without a branch. Read as an int64 s,
+// such a float is exactly 0 < s ≤ +Inf's bits: then -s and s-(+Inf bits)-1
+// are both negative, while for zeros, negatives and NaNs one of them is
+// not, so the AND of their sign bits is the mask.
+func positiveMask(b uint64) uint64 {
+	const posInf = 0x7FF0000000000000
+	s := int64(b)
+	return uint64((-s & (s - posInf - 1)) >> 63)
 }
 
 // ArgMaxRow returns the index of the maximum element of row i (rank-2).

@@ -241,3 +241,14 @@ func TestMatMulDistributesOverAdd(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestMatMulZeroTimesInfIsNaN pins the kernel's one departure from the old
+// zero-skipping loop: a zero in a times an infinity in b is an IEEE NaN
+// term, not a skipped one.
+func TestMatMulZeroTimesInfIsNaN(t *testing.T) {
+	a := FromSlice([]float64{0, 1}, 1, 2)
+	b := FromSlice([]float64{math.Inf(1), 2}, 2, 1)
+	if got := MatMul(a, b).Data[0]; !math.IsNaN(got) {
+		t.Fatalf("[0 1]·[+Inf 2]ᵀ = %v, want NaN", got)
+	}
+}
