@@ -7,11 +7,19 @@ import (
 	"netmax/internal/simnet"
 )
 
-// ExampleTrain trains NetMax on a small heterogeneous cluster. Virtual time
-// depends only on the seeds, so the output is deterministic.
+// ExampleTrain trains NetMax on a small heterogeneous cluster built from a
+// scenario manifest. Virtual time depends only on the seeds, so the output
+// is deterministic.
 func ExampleTrain() {
-	train, test := netmax.Dataset(netmax.SynthMNIST, 1)
-	cfg := netmax.ClusterConfig(netmax.SimMobileNet, train, test, 4, 4, 1)
+	sc := &netmax.Scenario{
+		Name: "train", Model: "MobileNet", Dataset: "MNIST",
+		Workers: 4, Epochs: 4, LRDecayEpoch: 2,
+	}
+	cfg, _, err := sc.BuildEngine()
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
 	r := netmax.Train(cfg, netmax.Options{})
 	fmt.Println("epochs:", r.Epochs)
 	fmt.Println("learned:", r.FinalAccuracy > 0.9)
@@ -40,12 +48,18 @@ func ExampleGeneratePolicy() {
 	// policy converges: true
 }
 
-// ExampleTrain_churn injects a declarative failure schedule into a
-// simulated run: worker 1 crashes and rejoins, worker 2 hangs
+// ExampleTrain_churn attaches a failure schedule to a built configuration: worker 1 crashes and rejoins, worker 2 hangs
 // (undetectable), and the monitor's liveness tracking routes around both.
 func ExampleTrain_churn() {
-	train, test := netmax.Dataset(netmax.SynthMNIST, 1)
-	cfg := netmax.ClusterConfig(netmax.SimMobileNet, train, test, 4, 3, 1)
+	sc := &netmax.Scenario{
+		Name: "churn", Model: "MobileNet", Dataset: "MNIST",
+		Workers: 4, Epochs: 3, LRDecayEpoch: 2,
+	}
+	cfg, _, err := sc.BuildEngine()
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
 	cfg.Failures = netmax.NewFailureSchedule().
 		Crash(1, 2, 4). // worker 1 down for 2 virtual seconds
 		Hang(2, 1, 3)   // worker 2 freezes (no membership event)

@@ -10,9 +10,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log"
 
 	"netmax"
 	"netmax/internal/data"
+	"netmax/internal/scenario"
 	"netmax/internal/simnet"
 )
 
@@ -23,15 +25,17 @@ func main() {
 	if *quick {
 		epochs = 3 // six regions are fixed by the WAN matrix; only time shrinks
 	}
-	train, test := netmax.Dataset(netmax.SynthMNIST, 1)
-
+	sc := &netmax.Scenario{
+		Name: "crossregion", Model: "MobileNet", Dataset: "MNIST", Workers: 6, Epochs: epochs,
+		Batch: 8, LR: 0.05,
+		Network:   &scenario.NetworkSpec{Kind: "cross-region"},
+		Partition: &scenario.PartitionSpec{Preset: "table-7"},
+	}
 	mkCfg := func() *netmax.Config {
-		cfg := netmax.ClusterConfig(netmax.SimMobileNet, train, test, 6, epochs, 1)
-		cfg.Net = simnet.NewCrossRegion()
-		cfg.Part = data.LabelSkew(train, data.TableVIISkew(), 1)
-		cfg.Batch = 8
-		cfg.LR = 0.05
-		cfg.LRDecayEpoch = 0
+		cfg, _, err := sc.BuildEngine()
+		if err != nil {
+			log.Fatal(err)
+		}
 		return cfg
 	}
 

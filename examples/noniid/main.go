@@ -10,9 +10,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log"
 
 	"netmax"
 	"netmax/internal/data"
+	"netmax/internal/scenario"
 )
 
 func main() {
@@ -22,16 +24,18 @@ func main() {
 	if *quick {
 		epochs = 3 // the Table IV skew needs all 8 workers; only time shrinks
 	}
-	train, test := netmax.Dataset(netmax.SynthMNIST, 1)
-
+	// Table IV: workers on server 1 never see digits {0,1,x}; workers on
+	// server 2 never see {5,6,y}.
+	sc := &netmax.Scenario{
+		Name: "noniid", Model: "MobileNet", Dataset: "MNIST", Workers: 8, Epochs: epochs,
+		Batch: 8, LR: 0.05,
+		Partition: &scenario.PartitionSpec{Preset: "table-4"},
+	}
 	mkCfg := func() *netmax.Config {
-		cfg := netmax.ClusterConfig(netmax.SimMobileNet, train, test, 8, epochs, 1)
-		// Table IV: workers on server 1 never see digits {0,1,x}; workers
-		// on server 2 never see {5,6,y}.
-		cfg.Part = data.LabelSkew(train, data.TableIVSkew(), 1)
-		cfg.Batch = 8
-		cfg.LR = 0.05
-		cfg.LRDecayEpoch = 0
+		cfg, _, err := sc.BuildEngine()
+		if err != nil {
+			log.Fatal(err)
+		}
 		return cfg
 	}
 

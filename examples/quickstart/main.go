@@ -9,6 +9,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log"
 
 	"netmax"
 )
@@ -21,13 +22,21 @@ func main() {
 		workers, epochs = 4, 3
 	}
 
-	train, test := netmax.Dataset(netmax.SynthCIFAR10, 1)
+	// The zero manifest is ResNet18 on synthetic CIFAR10 across the paper's
+	// heterogeneous cluster, seed 1.
+	sc := &netmax.Scenario{Name: "quickstart", Workers: workers, Epochs: epochs, LRDecayEpoch: epochs * 7 / 10}
 
-	cfg := netmax.ClusterConfig(netmax.SimResNet18, train, test, workers, epochs, 1)
+	cfg, _, err := sc.BuildEngine()
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("Training NetMax (%d workers, heterogeneous network)...\n", workers)
 	nm := netmax.Train(cfg, netmax.Options{})
 
-	cfg2 := netmax.ClusterConfig(netmax.SimResNet18, train, test, workers, epochs, 1)
+	cfg2, _, err := sc.BuildEngine()
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("Training AD-PSGD on the identical workload...")
 	ad := netmax.TrainADPSGD(cfg2)
 

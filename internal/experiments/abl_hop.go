@@ -3,12 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"netmax/internal/baselines"
-	"netmax/internal/core"
-	"netmax/internal/data"
-	"netmax/internal/engine"
-	"netmax/internal/nn"
-	"netmax/internal/simnet"
+	"netmax/internal/scenario"
 )
 
 func init() {
@@ -24,32 +19,31 @@ func init() {
 func runAblHop(opt Options) (*Result, error) {
 	const workers = 8
 	epochs := scaleEpochs(16, opt)
-	wl := buildWorkload(data.SynthCIFAR10, workers, opt.Seed+1)
-	topo := simnet.PaperCluster(workers)
+	m := paperRun("abl-hop", opt)
+	m.Workers, m.Epochs = workers, epochs
 	// A static network with one continuously slow link: the heterogeneous
-	// generator with a single never-moving slowdown period.
-	net := func(seed int64) *simnet.Network {
-		return simnet.NewHeterogeneousPeriod(topo, seed, 1e7, 1e7)
-	}
-	p := cfgParams{spec: nn.SimResNet18, wl: wl, net: net, epochs: epochs, overlap: true, seed: opt.Seed + 3}
+	// generator with one slowdown period spanning the whole schedule.
+	m.Network.PeriodSecs = scenario.DefaultHorizon
 	res := &Result{
 		ID:     "abl-hop",
 		Title:  "Bounded staleness vs adaptive routing, one continuously slow link",
 		Header: []string{"approach", "total time (s)", "comm cost/epoch (s)"},
 	}
 	for _, a := range []struct {
-		name string
-		run  func() *engine.Result
+		label, algo string
+		staleness   int
 	}{
-		{"Hop (s=2)", func() *engine.Result { return baselines.RunHop(p.config(opt.Seed+5), 2) }},
-		{"Hop (s=8)", func() *engine.Result { return baselines.RunHop(p.config(opt.Seed+5), 8) }},
-		{"AD-PSGD", func() *engine.Result { return baselines.RunADPSGD(p.config(opt.Seed + 5)) }},
-		{"NetMax", func() *engine.Result {
-			return core.Run(p.config(opt.Seed+5), core.Options{Ts: MonitorTs})
-		}},
+		{"Hop (s=2)", "hop", 2},
+		{"Hop (s=8)", "hop", 8},
+		{"AD-PSGD", "adpsgd", 0},
+		{"NetMax", "netmax", 0},
 	} {
-		r := a.run()
-		res.Rows = append(res.Rows, []string{a.name, f1(r.TotalTime), f2(r.CommCostPerEpoch(workers))})
+		m.Algorithm, m.HopStaleness = a.algo, a.staleness
+		r, err := run(m)
+		if err != nil {
+			return nil, err
+		}
+		res.Rows = append(res.Rows, []string{a.label, f1(r.TotalTime), f2(r.CommCostPerEpoch(workers))})
 	}
 	res.Notes = append(res.Notes,
 		"expected: tight staleness bounds drag the whole system toward the slow worker's pace; NetMax avoids the slow link entirely",

@@ -1,12 +1,6 @@
 package experiments
 
-import (
-	"netmax/internal/baselines"
-	"netmax/internal/core"
-	"netmax/internal/data"
-	"netmax/internal/nn"
-	"netmax/internal/simnet"
-)
+import "netmax/internal/scenario"
 
 func init() {
 	register("abl-saps", "Ablation: static fast-subgraph (SAPS) vs adaptive policy under changing link speeds", runAblSAPS)
@@ -19,10 +13,6 @@ func init() {
 // have become slow, while NetMax's monitor re-measures and re-routes.
 func runAblSAPS(opt Options) (*Result, error) {
 	const workers = 8
-	epochs := scaleEpochs(40, opt)
-	wl := buildWorkload(data.SynthCIFAR10, workers, opt.Seed+1)
-	topo := simnet.PaperCluster(workers)
-
 	res := &Result{
 		ID:     "abl-saps",
 		Title:  "SAPS static subgraph vs NetMax under shuffled link speeds",
@@ -34,22 +24,27 @@ func runAblSAPS(opt Options) (*Result, error) {
 	}
 	for _, netcase := range []struct {
 		name string
-		net  func(seed int64) *simnet.Network
+		net  func(seed int64) *scenario.NetworkSpec
 	}{
-		{"static rates", func(seed int64) *simnet.Network { return simnet.NewStatic(topo) }},
+		{"static rates", func(int64) *scenario.NetworkSpec { return &scenario.NetworkSpec{Kind: "static"} }},
 		// The shuffle period is 2x the slow-link period: long enough that
 		// the monitor's tracking lag (Ts plus EMA warm-up) is a modest
 		// fraction of each regime, short enough that a 40-epoch run spans
 		// many regimes for averaging.
-		{"shuffled rates", func(seed int64) *simnet.Network {
-			return simnet.NewShuffledRates(topo, seed, 1e7, 2*SlowPeriod)
+		{"shuffled rates", func(seed int64) *scenario.NetworkSpec {
+			return &scenario.NetworkSpec{Kind: "shuffled", Seed: ptr(seed), PeriodSecs: 2 * scenario.DefaultSlowPeriod}
 		}},
 	} {
 		var sapsT, sapsC, nmT, nmC float64
 		for _, ns := range netSeeds {
-			p := cfgParams{spec: nn.SimResNet18, wl: wl, net: netcase.net, epochs: epochs, overlap: true, seed: opt.Seed + 3}
-			saps := baselines.RunSAPS(p.config(ns))
-			netmax := core.Run(p.config(ns), core.Options{Ts: MonitorTs})
+			m := paperRun("abl-saps", opt)
+			m.Workers, m.Epochs = workers, scaleEpochs(40, opt)
+			m.Network = netcase.net(ns)
+			rs, err := runAll(m, "saps", "netmax")
+			if err != nil {
+				return nil, err
+			}
+			saps, netmax := rs[0], rs[1]
 			sapsT += saps.TotalTime / float64(len(netSeeds))
 			sapsC += saps.CommCostPerEpoch(workers) / float64(len(netSeeds))
 			nmT += netmax.TotalTime / float64(len(netSeeds))
@@ -69,11 +64,13 @@ func runAblSAPS(opt Options) (*Result, error) {
 // barrier) against NetMax on the heterogeneous cluster.
 func runAblDPSGD(opt Options) (*Result, error) {
 	const workers = 8
-	epochs := scaleEpochs(16, opt)
-	wl := buildWorkload(data.SynthCIFAR10, workers, opt.Seed+1)
-	p := cfgParams{spec: nn.SimResNet18, wl: wl, net: hetNet(workers), epochs: epochs, overlap: true, seed: opt.Seed + 3}
-	dpsgd := baselines.RunSyncDPSGD(p.config(opt.Seed + 5))
-	netmax := core.Run(p.config(opt.Seed+5), core.Options{Ts: MonitorTs})
+	m := paperRun("abl-dpsgd", opt)
+	m.Workers, m.Epochs = workers, scaleEpochs(16, opt)
+	rs, err := runAll(m, "dpsgd", "netmax")
+	if err != nil {
+		return nil, err
+	}
+	dpsgd, netmax := rs[0], rs[1]
 	res := &Result{
 		ID:     "abl-dpsgd",
 		Title:  "Synchronous D-PSGD vs NetMax, heterogeneous network",

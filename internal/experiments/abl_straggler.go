@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"netmax/internal/baselines"
-	"netmax/internal/data"
-	"netmax/internal/nn"
-)
+import "netmax/internal/scenario"
 
 func init() {
 	register("abl-straggler", "Ablation: compute stragglers (one worker 5x slower)", runAblStraggler)
@@ -15,34 +11,26 @@ func init() {
 // slower. Barrier-synchronized approaches pay the straggler every round;
 // asynchronous approaches (and Prague's group scheme) degrade gracefully.
 func runAblStraggler(opt Options) (*Result, error) {
-	const workers = 8
-	epochs := scaleEpochs(16, opt)
-	wl := buildWorkload(data.SynthCIFAR10, workers, opt.Seed+1)
-
-	straggler := make([]float64, workers)
-	for i := range straggler {
-		straggler[i] = 1
-	}
-	straggler[3] = 5
-
 	res := &Result{
 		ID:     "abl-straggler",
 		Title:  "One worker computing 5x slower, homogeneous network",
 		Header: []string{"approach", "uniform compute (s)", "with straggler (s)", "slowdown"},
 	}
-	for _, a := range []algo{
-		{"Allreduce", baselines.RunAllreduce},
-		{"D-PSGD", baselines.RunSyncDPSGD},
-		{"Prague", baselines.RunPrague},
-		{"AD-PSGD", baselines.RunADPSGD},
-		netmaxAlgo(),
-	} {
-		p := cfgParams{spec: nn.SimResNet18, wl: wl, net: homNet(workers), epochs: epochs, overlap: true, seed: opt.Seed + 3}
-		base := a.run(p.config(opt.Seed + 5))
-		cfg := p.config(opt.Seed + 5)
-		cfg.ComputeScale = straggler
-		slow := a.run(cfg)
-		res.Rows = append(res.Rows, []string{a.name, f1(base.TotalTime), f1(slow.TotalTime), f2(slow.TotalTime / base.TotalTime)})
+	m := paperRun("abl-straggler", opt)
+	m.Workers, m.Epochs = 8, scaleEpochs(16, opt)
+	onSwitch(m)
+	algos := []string{"allreduce", "dpsgd", "prague", "adpsgd", "netmax"}
+	base, err := runAll(m, algos...)
+	if err != nil {
+		return nil, err
+	}
+	m.Compute = &scenario.ComputeSpec{Kind: "straggler", Worker: 3, Factor: 5}
+	slow, err := runAll(m, algos...)
+	if err != nil {
+		return nil, err
+	}
+	for i, label := range []string{"Allreduce", "D-PSGD", "Prague", "AD-PSGD", "NetMax"} {
+		res.Rows = append(res.Rows, []string{label, f1(base[i].TotalTime), f1(slow[i].TotalTime), f2(slow[i].TotalTime / base[i].TotalTime)})
 	}
 	res.Notes = append(res.Notes,
 		"expected: sync approaches slow down toward 5x; async approaches stay near 1x (the straggler only throttles its own share of samples)")

@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"netmax/internal/core"
-	"netmax/internal/data"
-	"netmax/internal/nn"
+	"netmax/internal/scenario"
 )
 
 func init() {
@@ -15,10 +13,13 @@ func init() {
 	register("abl-rounds", "Ablation: Algorithm 3 search grid size K=R", runAblRounds)
 }
 
-func ablConfig(opt Options, epochs int) cfgParams {
-	wl := buildWorkload(data.SynthCIFAR10, 8, opt.Seed+1)
-	return cfgParams{spec: nn.SimResNet18, wl: wl, net: hetNet(8), epochs: epochs,
-		decayAt: epochs * 7 / 10, overlap: true, seed: opt.Seed + 3}
+// ablRun is the ablations' NetMax run on the paper cluster, with the
+// given monitor knobs.
+func ablRun(id string, opt Options, epochs int, nm scenario.NetMaxSpec) *scenario.Manifest {
+	m := paperRun(id, opt)
+	m.Workers, m.Epochs, m.LRDecayEpoch = 8, epochs, epochs*7/10
+	m.NetMax = &nm
+	return m
 }
 
 // runAblBlend compares Algorithm 2's 1/p_im-scaled blend weight against
@@ -26,9 +27,14 @@ func ablConfig(opt Options, epochs int) cfgParams {
 // delta between NetMax and AD-PSGD+Monitor).
 func runAblBlend(opt Options) (*Result, error) {
 	epochs := scaleEpochs(30, opt)
-	p := ablConfig(opt, epochs)
-	scaled := core.Run(p.config(opt.Seed+5), core.Options{Ts: MonitorTs})
-	fixed := core.Run(p.config(opt.Seed+5), core.Options{Ts: MonitorTs, FixedBlend: true})
+	scaled, err := run(ablRun("abl-blend", opt, epochs, scenario.NetMaxSpec{}))
+	if err != nil {
+		return nil, err
+	}
+	fixed, err := run(ablRun("abl-blend", opt, epochs, scenario.NetMaxSpec{FixedBlend: true}))
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{
 		ID:     "abl-blend",
 		Title:  "Consensus blend weight ablation",
@@ -52,9 +58,12 @@ func runAblTs(opt Options) (*Result, error) {
 		Title:  "Monitor period Ts sweep (seconds, simulator scale)",
 		Header: []string{"Ts", "total time (s)", "comm cost/epoch (s)"},
 	}
-	for _, ts := range []float64{MonitorTs / 4, MonitorTs, MonitorTs * 4, MonitorTs * 16} {
-		p := ablConfig(opt, epochs)
-		r := core.Run(p.config(opt.Seed+5), core.Options{Ts: ts})
+	const ts0 = scenario.DefaultMonitorTs
+	for _, ts := range []float64{ts0 / 4, ts0, ts0 * 4, ts0 * 16} {
+		r, err := run(ablRun("abl-ts", opt, epochs, scenario.NetMaxSpec{TsSecs: ts}))
+		if err != nil {
+			return nil, err
+		}
 		res.Rows = append(res.Rows, []string{f2(ts), f1(r.TotalTime), f2(r.CommCostPerEpoch(8))})
 	}
 	res.Notes = append(res.Notes, "expected: total time grows once Ts far exceeds the slow-link period (stale policies)")
@@ -71,8 +80,10 @@ func runAblBeta(opt Options) (*Result, error) {
 		Header: []string{"beta", "total time (s)", "comm cost/epoch (s)"},
 	}
 	for _, beta := range []float64{0.1, 0.5, 0.9} {
-		p := ablConfig(opt, epochs)
-		r := core.Run(p.config(opt.Seed+5), core.Options{Ts: MonitorTs, Beta: beta})
+		r, err := run(ablRun("abl-beta", opt, epochs, scenario.NetMaxSpec{Beta: beta}))
+		if err != nil {
+			return nil, err
+		}
 		res.Rows = append(res.Rows, []string{f2(beta), f1(r.TotalTime), f2(r.CommCostPerEpoch(8))})
 	}
 	return res, nil
@@ -88,8 +99,10 @@ func runAblRounds(opt Options) (*Result, error) {
 		Header: []string{"K=R", "total time (s)", "comm cost/epoch (s)"},
 	}
 	for _, k := range []int{3, 10, 20} {
-		p := ablConfig(opt, epochs)
-		r := core.Run(p.config(opt.Seed+5), core.Options{Ts: MonitorTs, PolicyRounds: k})
+		r, err := run(ablRun("abl-rounds", opt, epochs, scenario.NetMaxSpec{PolicyRounds: k}))
+		if err != nil {
+			return nil, err
+		}
 		res.Rows = append(res.Rows, []string{fmt.Sprint(k), f1(r.TotalTime), f2(r.CommCostPerEpoch(8))})
 	}
 	return res, nil

@@ -2,8 +2,9 @@
 // evaluation (Section V and Appendices F-G) on the simulated substrate.
 //
 // Each experiment id (fig3, fig5, ..., tab2, ..., fig19, plus the abl-*
-// ablations) maps to a function that builds the paper's workload, runs the
-// compared algorithms on the discrete-event engine, and returns the same
+// ablations) maps to a function that describes each of its runs as a
+// scenario manifest, builds and runs it through scenario.BuildEngine (the
+// same path as the checked-in scenario library), and returns the same
 // rows/series the paper reports. Absolute numbers differ — the substrate is
 // a simulator, not the authors' GPU cluster — but the shapes (who wins, by
 // roughly what factor, where crossovers fall) are the reproduction target;
@@ -11,27 +12,13 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
-	"netmax/internal/baselines"
-	"netmax/internal/core"
-	"netmax/internal/data"
 	"netmax/internal/engine"
-	"netmax/internal/nn"
-	"netmax/internal/simnet"
+	"netmax/internal/scenario"
 )
-
-// TimeScale relates the simulator's clock to the paper's: our epochs run
-// ~50x faster than the paper's GPU epochs, so every wall-clock-periodic
-// mechanism is scaled by the same factor to keep dynamics-per-epoch equal.
-const TimeScale = 50.0
-
-// MonitorTs is the Network Monitor period: the paper's 120s over TimeScale.
-const MonitorTs = 120.0 / TimeScale
-
-// SlowPeriod is the slow-link relocation period: the paper's 300s scaled.
-const SlowPeriod = 300.0 / TimeScale
 
 // Options tunes an experiment run.
 type Options struct {
@@ -93,140 +80,58 @@ func ids() []string {
 	return out
 }
 
-// ---- shared workload builders ----
+// ---- shared run construction ----
 
-// algo pairs a display name with a runner over a fresh config.
-type algo struct {
-	name string
-	run  func(cfg *engine.Config) *engine.Result
+// paperRun returns the manifest every paper run starts from: ResNet18 on
+// CIFAR10 across the Section V-A heterogeneous cluster, with overlap on.
+// Data and partition are seeded Seed+1, the model Seed+3 and the network's
+// dynamics Seed+5 unless the figure picks another network seed. Figures set
+// the rest.
+func paperRun(id string, opt Options) *scenario.Manifest {
+	return &scenario.Manifest{
+		Name:     id,
+		Seed:     opt.Seed + 3,
+		DataSeed: ptr(opt.Seed + 1),
+		Network:  &scenario.NetworkSpec{Kind: "heterogeneous", Seed: ptr(opt.Seed + 5)},
+	}
 }
 
-func netmaxAlgo() algo {
-	return algo{"NetMax", func(cfg *engine.Config) *engine.Result {
-		return core.Run(cfg, core.Options{Ts: MonitorTs})
-	}}
+// onSwitch moves a run onto the Section V-A homogeneous network: every
+// worker on one server behind a 10 Gbps virtual switch.
+func onSwitch(m *scenario.Manifest) {
+	m.Topology = &scenario.TopologySpec{Kind: "single-machine"}
+	m.Network = &scenario.NetworkSpec{Kind: "homogeneous"}
+}
+
+func ptr[T any](v T) *T { return &v }
+
+// run builds the manifest's engine configuration and runs its algorithm.
+func run(m *scenario.Manifest) (*engine.Result, error) {
+	cfg, runner, err := m.BuildEngine()
+	if err != nil {
+		return nil, err
+	}
+	return runner(cfg), nil
+}
+
+// runAll runs each named algorithm on a copy of m. Runs execute
+// concurrently under the bounded-parallelism driver; each builds its own
+// data, network and workers, and every run is internally deterministic, so
+// results land in the given order regardless of scheduling.
+func runAll(m *scenario.Manifest, algos ...string) ([]*engine.Result, error) {
+	out := make([]*engine.Result, len(algos))
+	errs := make([]error, len(algos))
+	engine.Concurrently(len(algos), engine.ResolveParallelism(0), func(k int) {
+		a := *m
+		a.Algorithm = algos[k]
+		out[k], errs[k] = run(&a)
+	})
+	return out, errors.Join(errs...)
 }
 
 // clusterAlgos is the comparison set of Sections V-B..V-F, in the paper's
 // reporting order.
-func clusterAlgos() []algo {
-	return []algo{
-		{"Prague", baselines.RunPrague},
-		{"Allreduce", baselines.RunAllreduce},
-		{"AD-PSGD", baselines.RunADPSGD},
-		netmaxAlgo(),
-	}
-}
-
-// psAlgos adds the parameter-server baselines of Section V-G.
-func psAlgos() []algo {
-	return append(clusterAlgos()[:3:3], []algo{
-		{"PS-syn", baselines.RunPSSync},
-		{"PS-asyn", baselines.RunPSAsync},
-		netmaxAlgo(),
-	}...)
-}
-
-// workload bundles the shared data of one experiment so every algorithm
-// sees identical shards, eval subset and test set.
-type workload struct {
-	part *data.Partition
-	eval *data.Dataset
-	test *data.Dataset
-}
-
-func buildWorkload(ds data.Spec, workers int, seed int64) *workload {
-	train, test := ds.Generate(seed)
-	evalN := 400
-	if evalN > train.Len() {
-		evalN = train.Len()
-	}
-	idx := make([]int, evalN)
-	for i := range idx {
-		idx[i] = i
-	}
-	return &workload{
-		part: data.Uniform(train, workers, seed),
-		eval: train.Slice(idx),
-		test: test,
-	}
-}
-
-func (w *workload) withSegments(ds data.Spec, segments []int, seed int64) *workload {
-	train, _ := ds.Generate(seed)
-	w.part = data.Segments(train, segments, seed)
-	return w
-}
-
-func (w *workload) withLabelSkew(ds data.Spec, skew [][]int, seed int64) *workload {
-	train, _ := ds.Generate(seed)
-	w.part = data.LabelSkew(train, skew, seed)
-	return w
-}
-
-// cfgParams collects the knobs that vary across experiments.
-type cfgParams struct {
-	spec    nn.ModelSpec
-	wl      *workload
-	net     func(seed int64) *simnet.Network
-	epochs  int
-	batch   int
-	lr      float64
-	decayAt int
-	overlap bool
-	seed    int64
-}
-
-func (p cfgParams) config(netSeed int64) *engine.Config {
-	lr := p.lr
-	if lr == 0 {
-		lr = 0.1
-	}
-	batch := p.batch
-	if batch == 0 {
-		batch = 16
-	}
-	return &engine.Config{
-		Spec:         p.spec,
-		Part:         p.wl.part,
-		Eval:         p.wl.eval,
-		Test:         p.wl.test,
-		Net:          p.net(netSeed),
-		LR:           lr,
-		Batch:        batch,
-		Epochs:       p.epochs,
-		Seed:         p.seed,
-		Overlap:      p.overlap,
-		LRDecayEpoch: p.decayAt,
-	}
-}
-
-// hetNet builds the Section V-A heterogeneous cluster network.
-func hetNet(workers int) func(seed int64) *simnet.Network {
-	topo := simnet.PaperCluster(workers)
-	return func(seed int64) *simnet.Network {
-		return simnet.NewHeterogeneousPeriod(topo, seed, 1e7, SlowPeriod)
-	}
-}
-
-// homNet builds the Section V-A homogeneous single-server network.
-func homNet(workers int) func(seed int64) *simnet.Network {
-	topo := simnet.SingleMachine(workers)
-	return func(seed int64) *simnet.Network { return simnet.NewHomogeneous(topo) }
-}
-
-// runAll executes every algorithm on an identical fresh workload/config.
-// Algorithms run concurrently under the bounded-parallelism driver — each
-// builds its own config (fresh network, fresh workers) over the shared
-// read-only workload, and every run is internally deterministic, so results
-// land in reporting order regardless of scheduling.
-func runAll(algos []algo, p cfgParams) []*engine.Result {
-	out := make([]*engine.Result, len(algos))
-	engine.Concurrently(len(algos), engine.ResolveParallelism(0), func(k int) {
-		out[k] = algos[k].run(p.config(p.seed))
-	})
-	return out
-}
+var clusterAlgos = []string{"prague", "allreduce", "adpsgd", "netmax"}
 
 func scaleEpochs(full int, opt Options) int {
 	if opt.Quick {

@@ -3,11 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"netmax/internal/baselines"
-	"netmax/internal/core"
-	"netmax/internal/data"
 	"netmax/internal/engine"
 	"netmax/internal/nn"
+	"netmax/internal/scenario"
 	"netmax/internal/simnet"
 )
 
@@ -41,22 +39,27 @@ func runFig3(opt Options) (*Result, error) {
 	return res, nil
 }
 
-func epochTimeDecomposition(id, title string, net func(int) func(int64) *simnet.Network, opt Options) (*Result, error) {
+func epochTimeDecomposition(id, title string, homogeneous bool, opt Options) (*Result, error) {
 	const workers = 8
-	epochs := scaleEpochs(16, opt)
 	res := &Result{
 		ID:     id,
 		Title:  title,
 		Header: []string{"model", "approach", "comp cost (s)", "comm cost (s)", "epoch time (s)"},
 		Curves: map[string][]engine.Point{},
 	}
-	for _, spec := range []nn.ModelSpec{nn.SimResNet18, nn.SimVGG19} {
-		wl := buildWorkload(data.SynthCIFAR10, workers, opt.Seed+1)
-		p := cfgParams{spec: spec, wl: wl, net: net(workers), epochs: epochs, overlap: true, seed: opt.Seed + 3}
-		for _, a := range clusterAlgos() {
-			r := a.run(p.config(opt.Seed + 5))
+	for _, model := range []string{"ResNet18", "VGG19"} {
+		m := paperRun(id, opt)
+		m.Model, m.Workers, m.Epochs = model, workers, scaleEpochs(16, opt)
+		if homogeneous {
+			onSwitch(m)
+		}
+		rs, err := runAll(m, clusterAlgos...)
+		if err != nil {
+			return nil, err
+		}
+		for _, r := range rs {
 			res.Rows = append(res.Rows, []string{
-				spec.Name, r.Algo,
+				model, r.Algo,
 				f2(r.CompCostPerEpoch(workers)), f2(r.CommCostPerEpoch(workers)),
 				f2(r.AvgEpochTime()),
 			})
@@ -67,7 +70,7 @@ func epochTimeDecomposition(id, title string, net func(int) func(int64) *simnet.
 
 // runFig5 reproduces the heterogeneous epoch-time bars (paper Fig. 5).
 func runFig5(opt Options) (*Result, error) {
-	res, err := epochTimeDecomposition("fig5", "Avg epoch time, heterogeneous network", hetNet, opt)
+	res, err := epochTimeDecomposition("fig5", "Avg epoch time, heterogeneous network", false, opt)
 	if err == nil {
 		res.Notes = append(res.Notes,
 			"paper shape: comp costs ~equal; NetMax lowest comm; Prague highest comm",
@@ -78,7 +81,7 @@ func runFig5(opt Options) (*Result, error) {
 
 // runFig6 reproduces the homogeneous epoch-time bars (paper Fig. 6).
 func runFig6(opt Options) (*Result, error) {
-	res, err := epochTimeDecomposition("fig6", "Avg epoch time, homogeneous network", homNet, opt)
+	res, err := epochTimeDecomposition("fig6", "Avg epoch time, homogeneous network", true, opt)
 	if err == nil {
 		res.Notes = append(res.Notes,
 			"paper shape: comm costs much lower than Fig.5; NetMax ~ AD-PSGD < Allreduce < Prague")
@@ -89,8 +92,6 @@ func runFig6(opt Options) (*Result, error) {
 // runFig7 reproduces the source-of-improvement ablation (paper Fig. 7):
 // serial vs parallel execution x uniform vs adaptive probabilities.
 func runFig7(opt Options) (*Result, error) {
-	const workers = 8
-	epochs := scaleEpochs(16, opt)
 	res := &Result{
 		ID:     "fig7",
 		Title:  "Avg epoch time (s) under the four NetMax settings",
@@ -103,17 +104,23 @@ func runFig7(opt Options) (*Result, error) {
 	if opt.Quick {
 		netSeeds = netSeeds[:1]
 	}
-	for _, spec := range []nn.ModelSpec{nn.SimResNet18, nn.SimVGG19} {
-		wl := buildWorkload(data.SynthCIFAR10, workers, opt.Seed+1)
-		row := []string{spec.Name}
+	for _, model := range []string{"ResNet18", "VGG19"} {
+		row := []string{model}
 		for _, setting := range []struct {
 			overlap bool
 			uniform bool
 		}{{false, true}, {true, true}, {false, false}, {true, false}} {
-			p := cfgParams{spec: spec, wl: wl, net: hetNet(workers), epochs: epochs, overlap: setting.overlap, seed: opt.Seed + 3}
+			m := paperRun("fig7", opt)
+			m.Model, m.Workers, m.Epochs = model, 8, scaleEpochs(16, opt)
+			m.Overlap = ptr(setting.overlap)
+			m.NetMax = &scenario.NetMaxSpec{UniformPolicy: setting.uniform}
 			sum := 0.0
 			for _, ns := range netSeeds {
-				r := core.Run(p.config(ns), core.Options{Ts: MonitorTs, UniformPolicy: setting.uniform})
+				m.Network.Seed = ptr(ns)
+				r, err := run(m)
+				if err != nil {
+					return nil, err
+				}
 				sum += r.AvgEpochTime()
 			}
 			row = append(row, f1(sum/float64(len(netSeeds))))
@@ -125,8 +132,7 @@ func runFig7(opt Options) (*Result, error) {
 	return res, nil
 }
 
-func lossVsTime(id, title string, net func(int) func(int64) *simnet.Network, opt Options) (*Result, error) {
-	const workers = 8
+func lossVsTime(id, title string, homogeneous bool, opt Options) (*Result, error) {
 	epochs := scaleEpochs(40, opt)
 	res := &Result{
 		ID:     id,
@@ -134,20 +140,28 @@ func lossVsTime(id, title string, net func(int) func(int64) *simnet.Network, opt
 		Header: []string{"model", "approach", "total time (s)", "time to target loss (s)", "final loss"},
 		Curves: map[string][]engine.Point{},
 	}
-	for _, spec := range []nn.ModelSpec{nn.SimResNet18, nn.SimVGG19} {
-		wl := buildWorkload(data.SynthCIFAR10, workers, opt.Seed+1)
+	for _, model := range []string{"ResNet18", "VGG19"} {
 		// LR 0.03 keeps per-epoch convergence comparable across approaches
 		// (see the segmentsExperiment comment): at 0.1 the exact-averaging
 		// baselines hit the plateau in 1-2 epochs on this substrate, which
 		// the paper's DNN workloads do not exhibit.
-		p := cfgParams{spec: spec, wl: wl, net: net(workers), epochs: epochs, lr: 0.03, decayAt: epochs * 7 / 10, overlap: true, seed: opt.Seed + 3}
-		rs := runAll(clusterAlgos(), p)
+		m := paperRun(id, opt)
+		m.Model, m.Workers, m.Epochs = model, 8, epochs
+		m.LR, m.LRDecayEpoch = 0.03, epochs*7/10
+		m.Network.Seed = ptr(m.Seed) // the races draw dynamics from the model seed
+		if homogeneous {
+			onSwitch(m)
+		}
+		rs, err := runAll(m, clusterAlgos...)
+		if err != nil {
+			return nil, err
+		}
 		target := lossTarget(rs)
 		var netmaxT float64
 		for _, r := range rs {
 			t := r.TimeToLoss(target)
-			res.Rows = append(res.Rows, []string{spec.Name, r.Algo, f1(r.TotalTime), f1(t), fmt.Sprintf("%.3f", r.FinalLoss)})
-			res.Curves[spec.Name+"/"+r.Algo] = r.Curve
+			res.Rows = append(res.Rows, []string{model, r.Algo, f1(r.TotalTime), f1(t), fmt.Sprintf("%.3f", r.FinalLoss)})
+			res.Curves[model+"/"+r.Algo] = r.Curve
 			if r.Algo == "NetMax" {
 				netmaxT = t
 			}
@@ -157,7 +171,7 @@ func lossVsTime(id, title string, net func(int) func(int64) *simnet.Network, opt
 				continue
 			}
 			if t := r.TimeToLoss(target); t > 0 {
-				res.Notes = append(res.Notes, fmt.Sprintf("%s: NetMax speedup over %s at loss %.3f: %.2fx", spec.Name, r.Algo, target, t/netmaxT))
+				res.Notes = append(res.Notes, fmt.Sprintf("%s: NetMax speedup over %s at loss %.3f: %.2fx", model, r.Algo, target, t/netmaxT))
 			}
 		}
 	}
@@ -167,7 +181,7 @@ func lossVsTime(id, title string, net func(int) func(int64) *simnet.Network, opt
 // runFig8 reproduces the heterogeneous convergence race (paper Fig. 8:
 // NetMax 3.7x/3.4x/1.9x over Prague/Allreduce/AD-PSGD for ResNet18).
 func runFig8(opt Options) (*Result, error) {
-	res, err := lossVsTime("fig8", "Training loss vs time, heterogeneous", hetNet, opt)
+	res, err := lossVsTime("fig8", "Training loss vs time, heterogeneous", false, opt)
 	if err == nil {
 		res.Notes = append(res.Notes, "paper: ResNet18 speedups 3.7x/3.4x/1.9x; VGG19 2.8x/2.2x/1.7x")
 	}
@@ -177,15 +191,14 @@ func runFig8(opt Options) (*Result, error) {
 // runFig9 reproduces the homogeneous convergence race (paper Fig. 9:
 // NetMax ~ AD-PSGD, both ahead of Allreduce and Prague).
 func runFig9(opt Options) (*Result, error) {
-	res, err := lossVsTime("fig9", "Training loss vs time, homogeneous", homNet, opt)
+	res, err := lossVsTime("fig9", "Training loss vs time, homogeneous", true, opt)
 	if err == nil {
 		res.Notes = append(res.Notes, "paper shape: NetMax and AD-PSGD nearly coincide; both beat Allreduce/Prague")
 	}
 	return res, err
 }
 
-func scalability(id, title string, nodeCounts []int, net func(int) func(int64) *simnet.Network, opt Options) (*Result, error) {
-	epochs := scaleEpochs(12, opt)
+func scalability(id, title string, nodeCounts []int, homogeneous bool, opt Options) (*Result, error) {
 	res := &Result{
 		ID:    id,
 		Title: title,
@@ -197,19 +210,26 @@ func scalability(id, title string, nodeCounts []int, net func(int) func(int64) *
 			return h
 		}()...),
 	}
-	// Baseline: Allreduce with the smallest node count (the paper's
-	// reference run).
-	wl0 := buildWorkload(data.SynthCIFAR10, nodeCounts[0], opt.Seed+1)
-	p0 := cfgParams{spec: nn.SimResNet18, wl: wl0, net: net(nodeCounts[0]), epochs: epochs, overlap: true, seed: opt.Seed + 3}
-	base := baselines.RunAllreduce(p0.config(opt.Seed + 5)).TotalTime
-
-	for _, a := range clusterAlgos() {
-		row := []string{a.name}
-		for _, n := range nodeCounts {
-			wl := buildWorkload(data.SynthCIFAR10, n, opt.Seed+1)
-			p := cfgParams{spec: nn.SimResNet18, wl: wl, net: net(n), epochs: epochs, overlap: true, seed: opt.Seed + 3}
-			r := a.run(p.config(opt.Seed + 5))
-			row = append(row, f2(base/r.TotalTime))
+	runs := make([][]*engine.Result, len(nodeCounts)) // [node count][clusterAlgos]
+	for i, n := range nodeCounts {
+		m := paperRun(id, opt)
+		m.Workers, m.Epochs = n, scaleEpochs(12, opt)
+		if homogeneous {
+			onSwitch(m)
+		}
+		rs, err := runAll(m, clusterAlgos...)
+		if err != nil {
+			return nil, err
+		}
+		runs[i] = rs
+	}
+	// Baseline: Allreduce (clusterAlgos[1]) with the smallest node count,
+	// the paper's reference run.
+	base := runs[0][1].TotalTime
+	for k, label := range []string{"Prague", "Allreduce", "AD-PSGD", "NetMax"} {
+		row := []string{label}
+		for i := range nodeCounts {
+			row = append(row, f2(base/runs[i][k].TotalTime))
 		}
 		res.Rows = append(res.Rows, row)
 	}
@@ -223,7 +243,7 @@ func runFig10(opt Options) (*Result, error) {
 	if opt.Quick {
 		counts = []int{4, 8}
 	}
-	res, err := scalability("fig10", "Speedup vs workers, heterogeneous (ResNet18)", counts, hetNet, opt)
+	res, err := scalability("fig10", "Speedup vs workers, heterogeneous (ResNet18)", counts, false, opt)
 	if err == nil {
 		res.Notes = append(res.Notes, "paper shape: NetMax scales best; gap widens with more nodes")
 	}
@@ -236,7 +256,7 @@ func runFig11(opt Options) (*Result, error) {
 	if opt.Quick {
 		counts = []int{4, 8}
 	}
-	res, err := scalability("fig11", "Speedup vs workers, homogeneous (ResNet18)", counts, homNet, opt)
+	res, err := scalability("fig11", "Speedup vs workers, homogeneous (ResNet18)", counts, true, opt)
 	if err == nil {
 		res.Notes = append(res.Notes, "paper shape: NetMax >= AD-PSGD > Allreduce > Prague")
 	}

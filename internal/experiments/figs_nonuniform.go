@@ -3,9 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"netmax/internal/data"
 	"netmax/internal/engine"
-	"netmax/internal/nn"
+	"netmax/internal/scenario"
 )
 
 func init() {
@@ -19,11 +18,14 @@ func init() {
 
 // segmentsExperiment runs the Section V-F protocol: segment-proportional
 // shards and batch sizes (64 x segments), reporting loss vs epochs and vs
-// time for the four cluster approaches.
-func segmentsExperiment(id, title string, ds data.Spec, spec nn.ModelSpec, segments []int, fullEpochs int, opt Options) (*Result, error) {
-	workers := len(segments)
+// time for the four cluster approaches. preset names the segment layout
+// (paper-8 or paper-16) of the given worker count.
+func segmentsExperiment(id, title, dataset, model, preset string, workers, fullEpochs int, opt Options) (*Result, error) {
 	epochs := scaleEpochs(fullEpochs, opt)
-	wl := buildWorkload(ds, workers, opt.Seed+1).withSegments(ds, segments, opt.Seed+1)
+	m := paperRun(id, opt)
+	m.Dataset, m.Model, m.Workers, m.Epochs = dataset, model, workers, epochs
+	m.Partition = &scenario.PartitionSpec{Preset: preset}
+	m.Network.Seed = ptr(m.Seed) // the races draw dynamics from the model seed
 	// The paper uses batch 64 x segments; our shards are ~100x smaller, so
 	// the per-segment batch is scaled to keep iterations-per-epoch similar.
 	// LR 0.03: on the synthetic substrate the paper's 0.1 lets exact-
@@ -31,15 +33,17 @@ func segmentsExperiment(id, title string, ds data.Spec, spec nn.ModelSpec, segme
 	// destroying the "curves coincide per epoch" shape of Fig. 12(a); the
 	// lower rate restores comparable per-epoch convergence for all
 	// approaches (a documented substitution on the synthetic substrate).
-	p := cfgParams{spec: spec, wl: wl, net: hetNet(workers), epochs: epochs, batch: 8, lr: 0.03,
-		decayAt: epochs * 2 / 3, overlap: true, seed: opt.Seed + 3}
+	m.Batch, m.LR, m.LRDecayEpoch = 8, 0.03, epochs*2/3
 	res := &Result{
 		ID:     id,
 		Title:  title,
 		Header: []string{"approach", "total time (s)", "epochs to target", "time to target (s)", "final loss", "accuracy"},
 		Curves: map[string][]engine.Point{},
 	}
-	rs := runAll(clusterAlgos(), p)
+	rs, err := runAll(m, clusterAlgos...)
+	if err != nil {
+		return nil, err
+	}
 	target := lossTarget(rs)
 	for _, r := range rs {
 		res.Rows = append(res.Rows, []string{
@@ -56,25 +60,25 @@ func segmentsExperiment(id, title string, ds data.Spec, spec nn.ModelSpec, segme
 // runFig12 reproduces Fig. 12: ResNet18 / CIFAR100 / 8 workers / segments.
 func runFig12(opt Options) (*Result, error) {
 	return segmentsExperiment("fig12", "ResNet18 on CIFAR100, segments (1,1,1,1,2,1,2,1)",
-		data.SynthCIFAR100, nn.SimResNet18, data.PaperSegments8(), 40, opt)
+		"CIFAR100", "ResNet18", "paper-8", 8, 40, opt)
 }
 
 // runFig13 reproduces Fig. 13: ResNet50 / ImageNet / 16 workers / segments.
 func runFig13(opt Options) (*Result, error) {
 	return segmentsExperiment("fig13", "ResNet50 on ImageNet, 16 workers, segments",
-		data.SynthImageNet, nn.SimResNet50, data.PaperSegments16(), 30, opt)
+		"ImageNet", "ResNet50", "paper-16", 16, 30, opt)
 }
 
 // runFig16 reproduces Appendix Fig. 16: ResNet18 / CIFAR10 / segments.
 func runFig16(opt Options) (*Result, error) {
 	return segmentsExperiment("fig16", "ResNet18 on CIFAR10, segments",
-		data.SynthCIFAR10, nn.SimResNet18, data.PaperSegments8(), 40, opt)
+		"CIFAR10", "ResNet18", "paper-8", 8, 40, opt)
 }
 
 // runFig17 reproduces Appendix Fig. 17: ResNet18 / Tiny-ImageNet / segments.
 func runFig17(opt Options) (*Result, error) {
 	return segmentsExperiment("fig17", "ResNet18 on Tiny-ImageNet, segments",
-		data.SynthTinyImageNet, nn.SimResNet18, data.PaperSegments8(), 30, opt)
+		"TinyImageNet", "ResNet18", "paper-8", 8, 30, opt)
 }
 
 // runFig18 reproduces Appendix Fig. 18: MobileNet on MNIST with the extreme
@@ -82,19 +86,21 @@ func runFig17(opt Options) (*Result, error) {
 // iteration but 2.45x/2.35x/1.39x faster in time than
 // Prague/Allreduce/AD-PSGD.
 func runFig18(opt Options) (*Result, error) {
-	const workers = 8
-	epochs := scaleEpochs(30, opt)
-	wl := buildWorkload(data.SynthMNIST, workers, opt.Seed+1).
-		withLabelSkew(data.SynthMNIST, data.TableIVSkew(), opt.Seed+1)
-	p := cfgParams{spec: nn.SimMobileNet, wl: wl, net: hetNet(workers), epochs: epochs,
-		batch: 8, lr: 0.05, overlap: true, seed: opt.Seed + 3}
+	m := paperRun("fig18", opt)
+	m.Dataset, m.Model, m.Workers, m.Epochs = "MNIST", "MobileNet", 8, scaleEpochs(30, opt)
+	m.Partition = &scenario.PartitionSpec{Preset: "table-4"}
+	m.Network.Seed = ptr(m.Seed) // the races draw dynamics from the model seed
+	m.Batch, m.LR = 8, 0.05
 	res := &Result{
 		ID:     "fig18",
 		Title:  "MobileNet on non-IID MNIST (Table IV skew)",
 		Header: []string{"approach", "total time (s)", "time to target (s)", "final loss", "accuracy"},
 		Curves: map[string][]engine.Point{},
 	}
-	rs := runAll(clusterAlgos(), p)
+	rs, err := runAll(m, clusterAlgos...)
+	if err != nil {
+		return nil, err
+	}
 	target := lossTarget(rs)
 	var netmaxT float64
 	for _, r := range rs {
@@ -126,37 +132,29 @@ func runTab5(opt Options) (*Result, error) {
 		Header: []string{"dataset", "model", "Prague", "Allreduce", "AD-PSGD", "NetMax"},
 	}
 	cases := []struct {
-		ds    data.Spec
-		spec  nn.ModelSpec
-		skewy bool
+		dataset, model, preset string
+		workers                int
 	}{
-		{data.SynthCIFAR10, nn.SimResNet18, false},
-		{data.SynthCIFAR100, nn.SimResNet18, false},
-		{data.SynthMNIST, nn.SimMobileNet, true},
-		{data.SynthTinyImageNet, nn.SimResNet18, false},
-		{data.SynthImageNet, nn.SimResNet50, false},
+		{"CIFAR10", "ResNet18", "paper-8", 8},
+		{"CIFAR100", "ResNet18", "paper-8", 8},
+		{"MNIST", "MobileNet", "table-4", 8},
+		{"TinyImageNet", "ResNet18", "paper-8", 8},
+		{"ImageNet", "ResNet50", "paper-16", 16},
 	}
 	if opt.Quick {
 		cases = cases[:2]
 	}
 	for _, c := range cases {
-		workers := 8
-		segments := data.PaperSegments8()
-		if c.ds.Name == "ImageNet" {
-			workers = 16
-			segments = data.PaperSegments16()
+		m := paperRun("tab5", opt)
+		m.Dataset, m.Model, m.Workers, m.Epochs = c.dataset, c.model, c.workers, epochs
+		m.Partition = &scenario.PartitionSpec{Preset: c.preset}
+		m.Batch, m.LRDecayEpoch = 8, epochs*2/3
+		rs, err := runAll(m, clusterAlgos...)
+		if err != nil {
+			return nil, err
 		}
-		wl := buildWorkload(c.ds, workers, opt.Seed+1)
-		if c.skewy {
-			wl = wl.withLabelSkew(c.ds, data.TableIVSkew(), opt.Seed+1)
-		} else {
-			wl = wl.withSegments(c.ds, segments, opt.Seed+1)
-		}
-		p := cfgParams{spec: c.spec, wl: wl, net: hetNet(workers), epochs: epochs, batch: 8,
-			decayAt: epochs * 2 / 3, overlap: true, seed: opt.Seed + 3}
-		row := []string{c.ds.Name, c.spec.Name}
-		for _, a := range clusterAlgos() {
-			r := a.run(p.config(opt.Seed + 5))
+		row := []string{c.dataset, c.model}
+		for _, r := range rs {
 			row = append(row, pct(r.FinalAccuracy))
 		}
 		res.Rows = append(res.Rows, row)

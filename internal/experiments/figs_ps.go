@@ -3,12 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"netmax/internal/baselines"
-	"netmax/internal/core"
-	"netmax/internal/data"
 	"netmax/internal/engine"
-	"netmax/internal/nn"
-	"netmax/internal/simnet"
+	"netmax/internal/scenario"
 )
 
 func init() {
@@ -20,19 +16,24 @@ func init() {
 // runFig14 reproduces Fig. 14 and Table VI: a small model (MobileNet) on a
 // complex dataset (CIFAR100) with PS-syn/PS-asyn added to the comparison.
 func runFig14(opt Options) (*Result, error) {
-	const workers = 8
 	epochs := scaleEpochs(30, opt)
-	wl := buildWorkload(data.SynthCIFAR100, workers, opt.Seed+1).
-		withSegments(data.SynthCIFAR100, data.PaperSegments8(), opt.Seed+1)
-	p := cfgParams{spec: nn.SimMobileNet, wl: wl, net: hetNet(workers), epochs: epochs, batch: 8, lr: 0.03,
-		decayAt: epochs * 2 / 3, overlap: true, seed: opt.Seed + 3}
+	m := paperRun("fig14", opt)
+	m.Dataset, m.Model, m.Workers, m.Epochs = "CIFAR100", "MobileNet", 8, epochs
+	m.Partition = &scenario.PartitionSpec{Preset: "paper-8"}
+	m.Network.Seed = ptr(m.Seed) // the races draw dynamics from the model seed
+	m.Batch, m.LR, m.LRDecayEpoch = 8, 0.03, epochs*2/3
 	res := &Result{
 		ID:     "fig14",
 		Title:  "MobileNet on CIFAR100, heterogeneous, with PS baselines",
 		Header: []string{"approach", "total time (s)", "epochs to target", "time to target (s)", "accuracy"},
 		Curves: map[string][]engine.Point{},
 	}
-	rs := runAll(psAlgos(), p)
+	// The cluster comparison set plus the parameter-server baselines of
+	// Section V-G.
+	rs, err := runAll(m, "prague", "allreduce", "adpsgd", "ps-sync", "ps-async", "netmax")
+	if err != nil {
+		return nil, err
+	}
 	target := lossTarget(rs)
 	for _, r := range rs {
 		res.Rows = append(res.Rows, []string{r.Algo, f1(r.TotalTime), f1(r.EpochToLoss(target)),
@@ -47,22 +48,20 @@ func runFig14(opt Options) (*Result, error) {
 
 // runFig15 reproduces Fig. 15: plain AD-PSGD vs AD-PSGD+Monitor vs NetMax.
 func runFig15(opt Options) (*Result, error) {
-	const workers = 8
 	epochs := scaleEpochs(40, opt)
-	wl := buildWorkload(data.SynthCIFAR100, workers, opt.Seed+1).
-		withSegments(data.SynthCIFAR100, data.PaperSegments8(), opt.Seed+1)
-	p := cfgParams{spec: nn.SimResNet18, wl: wl, net: hetNet(workers), epochs: epochs, batch: 8, lr: 0.03,
-		decayAt: epochs * 2 / 3, overlap: true, seed: opt.Seed + 3}
+	m := paperRun("fig15", opt)
+	m.Dataset, m.Workers, m.Epochs = "CIFAR100", 8, epochs
+	m.Partition = &scenario.PartitionSpec{Preset: "paper-8"}
+	m.Batch, m.LR, m.LRDecayEpoch = 8, 0.03, epochs*2/3
 	res := &Result{
 		ID:     "fig15",
 		Title:  "Extension of AD-PSGD with Network Monitor",
 		Header: []string{"approach", "total time (s)", "epochs to target", "time to target (s)", "final loss"},
 		Curves: map[string][]engine.Point{},
 	}
-	rs := []*engine.Result{
-		baselines.RunADPSGD(p.config(opt.Seed + 5)),
-		core.RunADPSGDMonitor(p.config(opt.Seed+5), core.Options{Ts: MonitorTs}),
-		core.Run(p.config(opt.Seed+5), core.Options{Ts: MonitorTs}),
+	rs, err := runAll(m, "adpsgd", "adpsgd-monitor", "netmax")
+	if err != nil {
+		return nil, err
 	}
 	target := lossTarget(rs)
 	for _, r := range rs {
@@ -78,36 +77,32 @@ func runFig15(opt Options) (*Result, error) {
 // runFig19 reproduces Appendix G: six AWS regions, Table VII label skew,
 // MobileNet and GoogLeNet, test accuracy vs time, NetMax vs AD-PSGD vs PS.
 func runFig19(opt Options) (*Result, error) {
-	epochs := scaleEpochs(30, opt)
 	res := &Result{
 		ID:     "fig19",
 		Title:  "Cross-region WAN training (6 regions, Table VII skew)",
 		Header: []string{"model", "approach", "total time (s)", "time to target (s)", "accuracy"},
 		Curves: map[string][]engine.Point{},
 	}
-	specs := []nn.ModelSpec{nn.SimMobileNet, nn.SimGoogLeNet}
+	models := []string{"MobileNet", "GoogLeNet"}
 	if opt.Quick {
-		specs = specs[:1]
+		models = models[:1]
 	}
-	for _, spec := range specs {
-		wl := buildWorkload(data.SynthMNIST, 6, opt.Seed+1).
-			withLabelSkew(data.SynthMNIST, data.TableVIISkew(), opt.Seed+1)
-		p := cfgParams{spec: spec, wl: wl,
-			net:    func(seed int64) *simnet.Network { return simnet.NewCrossRegion() },
-			epochs: epochs, batch: 8, lr: 0.05, overlap: true, seed: opt.Seed + 3}
-		algos := []algo{
-			netmaxAlgo(),
-			{"AD-PSGD", baselines.RunADPSGD},
-			{"PS-asyn", baselines.RunPSAsync},
-			{"PS-syn", baselines.RunPSSync},
+	for _, model := range models {
+		m := paperRun("fig19", opt)
+		m.Dataset, m.Model, m.Workers, m.Epochs = "MNIST", model, 6, scaleEpochs(30, opt)
+		m.Network = &scenario.NetworkSpec{Kind: "cross-region"}
+		m.Partition = &scenario.PartitionSpec{Preset: "table-7"}
+		m.Batch, m.LR = 8, 0.05
+		rs, err := runAll(m, "netmax", "adpsgd", "ps-async", "ps-sync")
+		if err != nil {
+			return nil, err
 		}
-		rs := runAll(algos, p)
 		target := lossTarget(rs)
 		var netmaxT float64
 		for _, r := range rs {
-			res.Rows = append(res.Rows, []string{spec.Name, r.Algo, f1(r.TotalTime),
+			res.Rows = append(res.Rows, []string{model, r.Algo, f1(r.TotalTime),
 				f1(r.TimeToLoss(target)), pct(r.FinalAccuracy)})
-			res.Curves[spec.Name+"/"+r.Algo] = r.Curve
+			res.Curves[model+"/"+r.Algo] = r.Curve
 			if r.Algo == "NetMax" {
 				netmaxT = r.TimeToLoss(target)
 			}
@@ -115,7 +110,7 @@ func runFig19(opt Options) (*Result, error) {
 		for _, r := range rs {
 			if r.Algo != "NetMax" && netmaxT > 0 {
 				if t := r.TimeToLoss(target); t > 0 {
-					res.Notes = append(res.Notes, fmt.Sprintf("%s: NetMax %.2fx faster than %s", spec.Name, t/netmaxT, r.Algo))
+					res.Notes = append(res.Notes, fmt.Sprintf("%s: NetMax %.2fx faster than %s", model, t/netmaxT, r.Algo))
 				}
 			}
 		}

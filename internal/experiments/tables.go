@@ -1,32 +1,32 @@
 package experiments
 
-import (
-	"fmt"
-
-	"netmax/internal/data"
-	"netmax/internal/nn"
-	"netmax/internal/simnet"
-)
+import "fmt"
 
 func init() {
 	register("tab2", "Test accuracy over a heterogeneous network (Table II)", runTab2)
 	register("tab3", "Test accuracy over a homogeneous network (Table III)", runTab3)
 }
 
-func accuracyTable(id, title string, nodeCounts []int, net func(int) func(int64) *simnet.Network, opt Options) (*Result, error) {
+func accuracyTable(id, title string, nodeCounts []int, homogeneous bool, opt Options) (*Result, error) {
 	epochs := scaleEpochs(30, opt)
 	res := &Result{
 		ID:     id,
 		Title:  title,
 		Header: []string{"model", "nodes", "Prague", "Allreduce", "AD-PSGD", "NetMax"},
 	}
-	for _, spec := range []nn.ModelSpec{nn.SimResNet18, nn.SimVGG19} {
+	for _, model := range []string{"ResNet18", "VGG19"} {
 		for _, n := range nodeCounts {
-			wl := buildWorkload(data.SynthCIFAR10, n, opt.Seed+1)
-			p := cfgParams{spec: spec, wl: wl, net: net(n), epochs: epochs, decayAt: epochs * 7 / 10, overlap: true, seed: opt.Seed + 3}
-			row := []string{spec.Name, fmt.Sprint(n)}
-			for _, a := range clusterAlgos() {
-				r := a.run(p.config(opt.Seed + 5))
+			m := paperRun(id, opt)
+			m.Model, m.Workers, m.Epochs, m.LRDecayEpoch = model, n, epochs, epochs*7/10
+			if homogeneous {
+				onSwitch(m)
+			}
+			rs, err := runAll(m, clusterAlgos...)
+			if err != nil {
+				return nil, err
+			}
+			row := []string{model, fmt.Sprint(n)}
+			for _, r := range rs {
 				row = append(row, pct(r.FinalAccuracy))
 			}
 			res.Rows = append(res.Rows, row)
@@ -42,7 +42,7 @@ func runTab2(opt Options) (*Result, error) {
 	if opt.Quick {
 		counts = []int{4, 8}
 	}
-	return accuracyTable("tab2", "Accuracy, heterogeneous network", counts, hetNet, opt)
+	return accuracyTable("tab2", "Accuracy, heterogeneous network", counts, false, opt)
 }
 
 // runTab3 reproduces Table III: accuracy at 4/6/8 workers, homogeneous.
@@ -51,5 +51,5 @@ func runTab3(opt Options) (*Result, error) {
 	if opt.Quick {
 		counts = []int{4, 8}
 	}
-	return accuracyTable("tab3", "Accuracy, homogeneous network", counts, homNet, opt)
+	return accuracyTable("tab3", "Accuracy, homogeneous network", counts, true, opt)
 }

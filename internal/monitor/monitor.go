@@ -84,19 +84,12 @@ func New(cfg Config) *Monitor {
 		lastReport: make([]float64, m), everReported: make([]bool, m), lastAlive: lastAlive}
 }
 
-// Observe ingests one measured iteration time for link (i, j). In the
-// distributed deployment this arrives with the periodic statistics pull; in
-// the simulator workers report as they finish iterations. The worker-side
-// EMA has already been applied, so the monitor just stores the latest value.
-func (mo *Monitor) Observe(i, j int, iterSecs float64) {
-	mo.mu.Lock()
-	now := mo.clock
-	mo.mu.Unlock()
-	mo.ObserveAt(i, j, iterSecs, now)
-}
-
-// ObserveAt is Observe with the (virtual or wall) time of the report. The
-// timestamp feeds liveness tracking: a worker whose reports stop arriving
+// ObserveAt ingests one measured iteration time for link (i, j), reported
+// at (virtual or wall) time now. In the distributed deployment this arrives
+// with the periodic statistics pull; in the simulator workers report as
+// they finish iterations. The worker-side EMA has already been applied, so
+// the monitor just stores the latest value. The timestamp feeds liveness
+// tracking: a worker whose reports stop arriving
 // is evicted from policy generation after StalePeriods periods.
 func (mo *Monitor) ObserveAt(i, j int, iterSecs, now float64) {
 	// Reports arrive over the wire: reject out-of-range indices and

@@ -7,25 +7,13 @@ import (
 	"netmax/internal/simnet"
 )
 
-func fullTimes(m int, v float64) func(mo *Monitor) {
-	return func(mo *Monitor) {
-		for i := 0; i < m; i++ {
-			for j := 0; j < m; j++ {
-				if i != j {
-					mo.Observe(i, j, v)
-				}
-			}
-		}
-	}
-}
-
 func TestNoRegenerationWithoutCoverage(t *testing.T) {
 	mo := New(Config{Adj: simnet.FullyConnected(4), Alpha: 0.1, Period: 10})
 	if _, ok := mo.MaybeRegenerate(0); ok {
 		t.Fatal("regenerated with no observations")
 	}
 	// Partial coverage: only node 0 reported.
-	mo.Observe(0, 1, 2.0)
+	mo.ObserveAt(0, 1, 2.0, 0)
 	if _, ok := mo.MaybeRegenerate(1); ok {
 		t.Fatal("regenerated before every worker reported")
 	}
@@ -33,7 +21,7 @@ func TestNoRegenerationWithoutCoverage(t *testing.T) {
 
 func TestRegeneratesOnceCovered(t *testing.T) {
 	mo := New(Config{Adj: simnet.FullyConnected(4), Alpha: 0.1, Period: 10})
-	fullTimes(4, 2.0)(mo)
+	fullTimesAt(mo, 4, 2.0, 0)
 	pol, ok := mo.MaybeRegenerate(0)
 	if !ok {
 		t.Fatal("expected regeneration")
@@ -48,7 +36,7 @@ func TestRegeneratesOnceCovered(t *testing.T) {
 
 func TestPeriodGate(t *testing.T) {
 	mo := New(Config{Adj: simnet.FullyConnected(4), Alpha: 0.1, Period: 10})
-	fullTimes(4, 2.0)(mo)
+	fullTimesAt(mo, 4, 2.0, 0)
 	if _, ok := mo.MaybeRegenerate(0); !ok {
 		t.Fatal("first regeneration blocked")
 	}
@@ -72,9 +60,9 @@ func TestDefaultPeriodIsPaperTs(t *testing.T) {
 
 func TestTimesFillsGapsPessimistically(t *testing.T) {
 	mo := New(Config{Adj: simnet.FullyConnected(3), Alpha: 0.1, Period: 10})
-	mo.Observe(0, 1, 1.0)
-	mo.Observe(1, 0, 1.0)
-	mo.Observe(2, 0, 9.0)
+	mo.ObserveAt(0, 1, 1.0, 0)
+	mo.ObserveAt(1, 0, 1.0, 0)
+	mo.ObserveAt(2, 0, 9.0, 0)
 	times := mo.Times()
 	// Unobserved edges take the max observed time (9).
 	if times[0][2] != 9 || times[1][2] != 9 {
@@ -90,7 +78,7 @@ func TestTimesFillsGapsPessimistically(t *testing.T) {
 
 func TestObserveSelfIgnored(t *testing.T) {
 	mo := New(Config{Adj: simnet.FullyConnected(2), Alpha: 0.1, Period: 10})
-	mo.Observe(1, 1, 5)
+	mo.ObserveAt(1, 1, 5, 0)
 	if mo.ema[1][1] != 0 {
 		t.Fatal("self observation stored")
 	}
@@ -100,13 +88,13 @@ func TestAdaptsToChangedTimes(t *testing.T) {
 	// After link (0,1) degrades, the regenerated policy should shift mass
 	// away from it.
 	mo := New(Config{Adj: simnet.FullyConnected(4), Alpha: 0.1, Period: 1})
-	fullTimes(4, 1.0)(mo)
+	fullTimesAt(mo, 4, 1.0, 0)
 	pol1, ok := mo.MaybeRegenerate(0)
 	if !ok {
 		t.Fatal("first regeneration failed")
 	}
-	mo.Observe(0, 1, 50)
-	mo.Observe(1, 0, 50)
+	mo.ObserveAt(0, 1, 50, 0)
+	mo.ObserveAt(1, 0, 50, 0)
 	pol2, ok := mo.MaybeRegenerate(2)
 	if !ok {
 		t.Fatal("second regeneration failed")
@@ -140,8 +128,8 @@ func TestObserveBytesAccumulates(t *testing.T) {
 func TestObserveRejectsOutOfRangeIndices(t *testing.T) {
 	mo := New(Config{Adj: simnet.FullyConnected(3), Alpha: 0.1, Period: 10})
 	// Wire-supplied indices must never panic or corrupt state.
-	mo.Observe(7, 1, 2.0)
-	mo.Observe(0, -1, 2.0)
+	mo.ObserveAt(7, 1, 2.0, 0)
+	mo.ObserveAt(0, -1, 2.0, 0)
 	mo.ObserveBytes(3, 0, 100)
 	mo.ObserveBytes(-2, 1, 100)
 	if got := mo.TotalWireBytes(); got != 0 {
@@ -283,14 +271,14 @@ func TestSetLivenessForcesRegeneration(t *testing.T) {
 
 func TestObserveRejectsNonFiniteTimes(t *testing.T) {
 	mo := New(Config{Adj: simnet.FullyConnected(2), Alpha: 0.1, Period: 10})
-	mo.Observe(0, 1, math.NaN())
-	mo.Observe(0, 1, math.Inf(1))
-	mo.Observe(0, 1, -3)
-	mo.Observe(0, 1, 0)
+	mo.ObserveAt(0, 1, math.NaN(), 0)
+	mo.ObserveAt(0, 1, math.Inf(1), 0)
+	mo.ObserveAt(0, 1, -3, 0)
+	mo.ObserveAt(0, 1, 0, 0)
 	if mo.ema[0][1] != 0 {
 		t.Fatalf("poisonous observation stored: %v", mo.ema[0][1])
 	}
-	mo.Observe(0, 1, 2.5)
+	mo.ObserveAt(0, 1, 2.5, 0)
 	if mo.ema[0][1] != 2.5 {
 		t.Fatal("valid observation rejected")
 	}

@@ -18,11 +18,13 @@ import (
 )
 
 // BuildEngine translates an engine-runtime manifest into a ready-to-run
-// engine.Config plus the algorithm runner that executes it. The manifest is
-// resolved first, so callers may pass either raw or resolved manifests; the
-// construction mirrors netmax.ClusterConfig exactly (same constructors,
-// same argument order, same RNG consumption), which is what keeps the
-// manifest path bitwise-identical to the hand-assembled one.
+// engine.Config plus the algorithm runner that executes it. It is the one
+// constructor of engine configurations: the paper experiments, the
+// examples, the public API and the scenario tools all build their runs
+// here. The manifest is resolved first, so callers may pass either raw or
+// resolved manifests. TestManifestMatchesFlagPathBitwise keeps a
+// hand-assembled configuration as the reference this construction must
+// match bitwise (same constructors, argument order and RNG consumption).
 func (m *Manifest) BuildEngine() (*engine.Config, func(*engine.Config) *engine.Result, error) {
 	if err := m.Validate(); err != nil {
 		return nil, nil, err
@@ -39,7 +41,7 @@ func (m *Manifest) BuildEngine() (*engine.Config, func(*engine.Config) *engine.R
 	if err != nil {
 		return nil, nil, err
 	}
-	train, test := ds.Generate(r.Seed)
+	train, test := ds.Generate(*r.DataSeed)
 	part, err := r.buildPartition(train)
 	if err != nil {
 		return nil, nil, err
@@ -187,16 +189,17 @@ func (r *Manifest) buildNetwork() (*simnet.Network, error) {
 	return nil, fmt.Errorf("scenario %q: unknown network kind %q", r.Name, n.Kind)
 }
 
-// buildPartition materializes the partition spec over the training set.
+// buildPartition materializes the partition spec over the training set,
+// drawing with the data seed.
 func (r *Manifest) buildPartition(train *data.Dataset) (*data.Partition, error) {
 	p := r.Partition
 	switch p.Kind {
 	case "uniform":
-		return data.Uniform(train, r.Workers, r.Seed), nil
+		return data.Uniform(train, r.Workers, *r.DataSeed), nil
 	case "segments":
-		return data.Segments(train, p.Segments, r.Seed), nil
+		return data.Segments(train, p.Segments, *r.DataSeed), nil
 	case "label-skew":
-		return data.LabelSkew(train, p.LostLabels, r.Seed), nil
+		return data.LabelSkew(train, p.LostLabels, *r.DataSeed), nil
 	}
 	return nil, fmt.Errorf("scenario %q: unknown partition kind %q", r.Name, p.Kind)
 }
@@ -313,7 +316,7 @@ func (m *Manifest) BuildLive() (live.Config, live.Hub, func() error, error) {
 	if err != nil {
 		return live.Config{}, nil, noop, err
 	}
-	train, test := ds.Generate(r.Seed)
+	train, test := ds.Generate(*r.DataSeed)
 	part, err := r.buildPartition(train)
 	if err != nil {
 		return live.Config{}, nil, noop, err

@@ -13,7 +13,7 @@ import (
 
 // flagConfig hand-assembles the engine configuration the way the examples
 // and cmd flags historically did — the construction BuildEngine must match
-// call-for-call. It mirrors netmax.ClusterConfig's eval-subset convention.
+// call-for-call, including its eval-subset convention.
 func flagConfig(spec nn.ModelSpec, ds data.Spec, workers, epochs int, seed int64, net *simnet.Network) *engine.Config {
 	train, test := ds.Generate(seed)
 	evalN := 400
@@ -93,9 +93,9 @@ func TestManifestMatchesFlagPathBitwise(t *testing.T) {
 	})
 
 	t.Run("netmax heterogeneous", func(t *testing.T) {
-		// The ClusterConfig path: dynamic slow link with the experiments
-		// period over an effectively unbounded horizon, seeded by the run
-		// seed — all defaults in the manifest path.
+		// The hand-assembled heterogeneous path: dynamic slow link with the
+		// default period over an effectively unbounded horizon, seeded by
+		// the run seed — all defaults in the manifest path.
 		cfg := flagConfig(nn.SimMobileNet, data.SynthMNIST, workers, epochs, seed,
 			simnet.NewHeterogeneousPeriod(simnet.PaperCluster(workers), seed, DefaultHorizon, DefaultSlowPeriod))
 		want := core.Run(cfg, core.Options{Ts: DefaultMonitorTs})

@@ -44,6 +44,7 @@ func TestResolvedFixedPoint(t *testing.T) {
 			Name: "t-preset", Dataset: "MNIST",
 			Partition: &PartitionSpec{Preset: "paper-8"},
 		},
+		{Name: "t-data-seed", Seed: 4, DataSeed: i64Ptr(12)},
 		{
 			Name: "t-live", Runtime: "live", Model: "MobileNet", Dataset: "MNIST",
 			Live: &LiveSpec{Iterations: 10, Latency: &LatencySpec{Colocated: 2, IntraMillis: 1, InterMillis: 6}},

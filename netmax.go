@@ -6,12 +6,20 @@
 // heterogeneous-network simulator that regenerates every table and figure
 // of the paper's evaluation.
 //
-// Quick start:
+// Every run is described by a Scenario manifest; BuildEngine turns it into
+// a ready-to-run Config (the zero manifest is ResNet18 on CIFAR10 across the
+// paper's 8-worker heterogeneous cluster). Quick start:
 //
-//	train, test := netmax.Dataset(netmax.SynthCIFAR10, 1)
-//	cfg := netmax.ClusterConfig(netmax.SimResNet18, train, test, 8, 40, 1)
+//	sc := &netmax.Scenario{Name: "quickstart", Epochs: 40, LRDecayEpoch: 28}
+//	cfg, _, err := sc.BuildEngine()
+//	if err != nil {
+//		log.Fatal(err)
+//	}
 //	result := netmax.Train(cfg, netmax.Options{})
 //	fmt.Println(result.FinalAccuracy, result.TotalTime)
+//
+// Fields of Config may still be changed before the run, for example to
+// attach a FailureSchedule.
 //
 // See the examples directory for runnable scenarios and cmd/netmax-bench
 // for the experiment harness.
@@ -99,47 +107,11 @@ func Dataset(spec data.Spec, seed int64) (train, test *data.Dataset) {
 	return spec.Generate(seed)
 }
 
-// ClusterConfig builds a ready-to-run heterogeneous-cluster configuration:
-// `workers` nodes placed as in the paper (Section V-A), uniform data
-// partition, the dynamic 2-100x slow-link schedule, and the paper's
-// default hyper-parameters.
-func ClusterConfig(spec nn.ModelSpec, train, test *data.Dataset, workers, epochs int, seed int64) *Config {
-	evalN := 400
-	if evalN > train.Len() {
-		evalN = train.Len()
-	}
-	idx := make([]int, evalN)
-	for i := range idx {
-		idx[i] = i
-	}
-	topo := simnet.PaperCluster(workers)
-	return &Config{
-		Spec:         spec,
-		Part:         data.Uniform(train, workers, seed),
-		Eval:         train.Slice(idx),
-		Test:         test,
-		Net:          simnet.NewHeterogeneousPeriod(topo, seed, 1e7, experiments.SlowPeriod),
-		LR:           0.1,
-		Batch:        16,
-		Epochs:       epochs,
-		Seed:         seed,
-		Overlap:      true,
-		LRDecayEpoch: epochs * 7 / 10,
-	}
-}
-
-// HomogeneousConfig is ClusterConfig on the single-server 10 Gbps network.
-func HomogeneousConfig(spec nn.ModelSpec, train, test *data.Dataset, workers, epochs int, seed int64) *Config {
-	cfg := ClusterConfig(spec, train, test, workers, epochs, seed)
-	cfg.Net = simnet.NewHomogeneous(simnet.SingleMachine(workers))
-	return cfg
-}
-
 // Train runs NetMax (consensus SGD + Network Monitor) and returns the
-// aggregated result.
+// aggregated result. Options.Ts <= 0 selects scenario.DefaultMonitorTs.
 func Train(cfg *Config, opts Options) *Result {
 	if opts.Ts <= 0 {
-		opts.Ts = experiments.MonitorTs
+		opts.Ts = scenario.DefaultMonitorTs
 	}
 	return core.Run(cfg, opts)
 }
@@ -176,7 +148,7 @@ func TrainHop(cfg *Config, staleness int) *Result {
 // the Network Monitor's adaptive policy.
 func TrainADPSGDMonitor(cfg *Config, opts Options) *Result {
 	if opts.Ts <= 0 {
-		opts.Ts = experiments.MonitorTs
+		opts.Ts = scenario.DefaultMonitorTs
 	}
 	return core.RunADPSGDMonitor(cfg, opts)
 }

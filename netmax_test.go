@@ -3,12 +3,23 @@ package netmax
 import (
 	"testing"
 
+	"netmax/internal/scenario"
 	"netmax/internal/simnet"
 )
 
+// build returns the engine configuration of a small MobileNet/MNIST run.
+func build(t *testing.T, sc *Scenario) *Config {
+	t.Helper()
+	sc.Name, sc.Model, sc.Dataset, sc.Workers = "public", "MobileNet", "MNIST", 4
+	cfg, _, err := sc.BuildEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
 func TestPublicQuickstartPath(t *testing.T) {
-	train, test := Dataset(SynthMNIST, 1)
-	cfg := ClusterConfig(SimMobileNet, train, test, 4, 4, 1)
+	cfg := build(t, &Scenario{Epochs: 4, LRDecayEpoch: 2})
 	r := Train(cfg, Options{})
 	if r.Epochs != 4 {
 		t.Fatalf("epochs = %d", r.Epochs)
@@ -19,9 +30,12 @@ func TestPublicQuickstartPath(t *testing.T) {
 }
 
 func TestPublicBaselinesShareConfigShape(t *testing.T) {
-	train, test := Dataset(SynthMNIST, 1)
 	for _, f := range []func(*Config) *Result{TrainADPSGD, TrainAllreduce, TrainGossip} {
-		cfg := HomogeneousConfig(SimMobileNet, train, test, 4, 3, 1)
+		cfg := build(t, &Scenario{
+			Epochs: 3, LRDecayEpoch: 2,
+			Topology: &scenario.TopologySpec{Kind: "single-machine"},
+			Network:  &scenario.NetworkSpec{Kind: "homogeneous"},
+		})
 		r := f(cfg)
 		if r.Epochs != 3 || r.TotalTime <= 0 {
 			t.Fatalf("baseline run incomplete: %+v", r)
@@ -59,8 +73,7 @@ func TestPublicExperiment(t *testing.T) {
 }
 
 func TestPublicADPSGDMonitor(t *testing.T) {
-	train, test := Dataset(SynthMNIST, 1)
-	cfg := ClusterConfig(SimMobileNet, train, test, 4, 3, 1)
+	cfg := build(t, &Scenario{Epochs: 3, LRDecayEpoch: 2})
 	r := TrainADPSGDMonitor(cfg, Options{})
 	if r.Algo != "AD-PSGD+Monitor" {
 		t.Fatalf("algo = %q", r.Algo)
