@@ -22,14 +22,10 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"netmax/internal/codec"
-	"netmax/internal/data"
 	"netmax/internal/live"
-	"netmax/internal/nn"
 	"netmax/internal/scenario"
-	"netmax/internal/transport"
 )
 
 // runScenario executes a live-runtime manifest and prints the same stats
@@ -111,72 +107,64 @@ func main() {
 		return
 	}
 
-	var cdc codec.Codec
+	// The flags describe a live manifest: the library's MobileNet/MNIST
+	// group with a 400 ms monitor period, in-process with workers {0,1}
+	// co-located (1 ms links) and everyone else cross-machine (6 ms), or
+	// over loopback TCP.
+	m := &scenario.Manifest{
+		Name:    "netmax-live",
+		Runtime: "live",
+		Model:   "MobileNet",
+		Dataset: "MNIST",
+		Workers: *workers,
+		Seed:    *seed,
+		Batch:   16,
+		LR:      0.1,
+		Codec:   &scenario.CodecSpec{Name: *codecName},
+		Live: &scenario.LiveSpec{
+			TsMillis:        400,
+			DurationSecs:    *seconds,
+			PullTimeoutSecs: *pullTO,
+			Uniform:         *uniform,
+		},
+	}
 	if *codecName == "topk" {
-		cdc = codec.NewTopK(*topkFrac)
+		m.Codec.TopKFrac = min(max(*topkFrac, 0), 1) // codec.NewTopK's clamp
+	}
+	if *pullTO == 0 {
+		m.Live.PullTimeoutSecs = -1 // flag semantics: 0 disables deadlines
+	}
+	transportDesc := "in-process"
+	if *tcp {
+		m.Live.Transport = "tcp"
+		transportDesc = "over loopback TCP"
 	} else {
-		var err error
-		cdc, err = codec.ByName(*codecName)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(2)
-		}
-	}
-
-	train, test := data.SynthMNIST.Generate(*seed)
-	cfg := live.Config{
-		Spec:        nn.SimMobileNet,
-		Part:        data.Uniform(train, *workers, *seed),
-		Test:        test,
-		LR:          0.1,
-		Batch:       16,
-		Seed:        *seed,
-		Ts:          400 * time.Millisecond,
-		Duration:    time.Duration(*seconds * float64(time.Second)),
-		Uniform:     *uniform,
-		Codec:       cdc,
-		PullTimeout: time.Duration(*pullTO * float64(time.Second)),
-	}
-	if cfg.PullTimeout == 0 {
-		cfg.PullTimeout = -1 // flag semantics: 0 disables deadlines
+		m.Live.Latency = &scenario.LatencySpec{Colocated: min(2, *workers), IntraMillis: 1, InterMillis: 6}
 	}
 	if *crash >= 0 && *crash < *workers {
-		cfg.Churn = []live.ChurnEvent{{
-			Worker: *crash,
-			At:     time.Duration(*crashAt * float64(time.Second)),
-			Rejoin: time.Duration(*rejoinAt * float64(time.Second)),
-		}}
+		m.Live.Churn = []scenario.LiveChurnEvent{{Worker: *crash, AtSecs: *crashAt, RejoinSecs: *rejoinAt}}
+	}
+	// Bad flag values are usage errors (exit 2); past validation, BuildLive
+	// fails only to open a TCP hub.
+	if err := m.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "error:", err)
+		os.Exit(2)
+	}
+	cfg, hub, closeHub, err := m.BuildLive()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "error:", err)
+		os.Exit(1)
+	}
+	defer closeHub()
+	if len(m.Live.Churn) > 0 {
 		if *rejoinAt > *crashAt {
 			fmt.Printf("churn: worker %d crashes at %.1fs, rejoins at %.1fs\n", *crash, *crashAt, *rejoinAt)
 		} else {
 			fmt.Printf("churn: worker %d leaves permanently at %.1fs\n", *crash, *crashAt)
 		}
 	}
-	var hub live.Hub
-	if *tcp {
-		th, err := transport.NewTCPHub()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tcp hub:", err)
-			os.Exit(1)
-		}
-		defer th.Close()
-		hub = th
-		fmt.Printf("Running %d live workers over loopback TCP for %.1fs (codec: %s, adaptive policy: %v)...\n",
-			*workers, *seconds, cdc.Name(), !*uniform)
-	} else {
-		ln := transport.NewLocalNet()
-		// Emulate a heterogeneous network: workers {0,1} are "co-located"
-		// (fast links), the rest are cross-machine (slower).
-		ln.Latency = func(i, j int, _ time.Time) time.Duration {
-			if (i < 2) == (j < 2) {
-				return 1 * time.Millisecond
-			}
-			return 6 * time.Millisecond
-		}
-		hub = ln
-		fmt.Printf("Running %d live workers in-process for %.1fs (codec: %s, adaptive policy: %v)...\n",
-			*workers, *seconds, cdc.Name(), !*uniform)
-	}
+	fmt.Printf("Running %d live workers %s for %.1fs (codec: %s, adaptive policy: %v)...\n",
+		*workers, transportDesc, *seconds, *codecName, !*uniform)
 	stats := live.Run(context.Background(), cfg, hub)
-	printStats(stats, cdc.Name())
+	printStats(stats, *codecName)
 }

@@ -11,6 +11,12 @@
 //     so that rarely-pulled neighbors get proportionally larger weight,
 //  4. folds the measured iteration time into its EMA time vector, which the
 //     Network Monitor collects every Ts seconds to regenerate (P, ρ).
+//
+// A worker's decisions — peer selection, blend coefficient, EMA update,
+// policy adoption and peer masking — live in Node, which holds no model and
+// no clock. The discrete-event runtime here drives one Node per simulated
+// worker; the live runtime (internal/live) drives the same type from each
+// worker goroutine.
 package core
 
 import (
@@ -19,7 +25,6 @@ import (
 
 	"netmax/internal/engine"
 	"netmax/internal/monitor"
-	"netmax/internal/policy"
 )
 
 // Options tunes NetMax beyond the engine Config.
@@ -42,11 +47,6 @@ type Options struct {
 	// monitor this is exactly the AD-PSGD+Monitor extension of
 	// Section III-D / Fig. 15.
 	FixedBlend bool
-	// Parallelism, when non-zero, overrides the engine config's host
-	// parallelism for this run (0 = leave the config's setting, which
-	// itself defaults to NumCPU; 1 = serial). Results are bitwise
-	// identical at any setting — see engine.Config.Parallelism.
-	Parallelism int
 	// StalePeriods enables the Network Monitor's liveness tracking: a
 	// worker silent for this many monitor periods is evicted and policies
 	// regenerate over the live subgraph (see monitor.Config.StalePeriods).
@@ -70,144 +70,60 @@ func (o *Options) defaults() {
 	}
 }
 
-// behavior implements engine.AsyncBehavior for NetMax.
+// behavior implements engine.AsyncBehavior for NetMax: one Node per worker
+// plus the Network Monitor that regenerates their policy.
 type behavior struct {
 	opts  Options
-	adj   [][]bool
-	alpha float64
 	mon   *monitor.Monitor
-
-	p       [][]float64 // current policy matrix
-	uniform [][]float64 // fallback rows for re-admitted workers
-	rho     float64
-	ema     [][]float64 // worker-side EMA time vectors T_i
-
-	// mask marks peers known dead through membership events; masked peers
-	// are skipped in selection (their row mass renormalized away) until
-	// the monitor regenerates a policy over the live subgraph or the peer
-	// rejoins. Nil until the first membership event, which keeps the
-	// failure-free sampling path bitwise identical to the historical one.
-	mask []bool
+	nodes []*Node
 }
 
 func newBehavior(cfg *engine.Config, opts Options) *behavior {
 	opts.defaults()
 	adj := cfg.Net.Topo.Adj
-	m := len(adj)
-	b := &behavior{
-		opts:    opts,
-		adj:     adj,
-		alpha:   cfg.LR,
-		p:       policy.Uniform(adj),
-		uniform: policy.Uniform(adj),
-		ema:     make([][]float64, m),
+	return &behavior{
+		opts:  opts,
+		nodes: NewNodes(adj, cfg.LR, opts),
+		mon: monitor.New(monitor.Config{
+			Adj:            adj,
+			Alpha:          cfg.LR,
+			Period:         opts.Ts,
+			OuterRounds:    opts.PolicyRounds,
+			InnerRounds:    opts.PolicyRounds,
+			Epsilon:        opts.Epsilon,
+			AveragingBlend: opts.FixedBlend,
+			StalePeriods:   opts.StalePeriods,
+		}),
 	}
-	for i := range b.ema {
-		b.ema[i] = make([]float64, m)
-	}
-	// Initial ρ: quarter of the feasibility cap 1/(2α·deg_max), giving an
-	// initial uniform blend coefficient αρ·deg = 1/8.
-	maxDeg := 0
-	for i := range adj {
-		deg := 0
-		for j, ok := range adj[i] {
-			if ok && j != i {
-				deg++
-			}
-		}
-		if deg > maxDeg {
-			maxDeg = deg
-		}
-	}
-	if maxDeg == 0 {
-		maxDeg = 1
-	}
-	b.rho = 1 / (8 * cfg.LR * float64(maxDeg))
-	b.mon = monitor.New(monitor.Config{
-		Adj:            adj,
-		Alpha:          cfg.LR,
-		Period:         opts.Ts,
-		OuterRounds:    opts.PolicyRounds,
-		InnerRounds:    opts.PolicyRounds,
-		Epsilon:        opts.Epsilon,
-		AveragingBlend: opts.FixedBlend,
-		StalePeriods:   opts.StalePeriods,
-	})
-	return b
 }
 
-// SelectPeer samples neighbor m with probability p[i][m] (Algorithm 2
-// line 9); p[i][i] mass means "no pull this iteration". Peers masked by
-// membership events are skipped until the monitor regenerates the policy.
-//
-// If worker i's own row carries no peer mass — the row GenerateLive pins
-// onto workers presumed dead — the worker is by construction alive (the
-// engine only runs live workers' events), so the row is repaired to the
-// uniform one in place: staying silent would mean never reporting and
-// never being re-admitted. Repairing b.p (rather than substituting only
-// here) matters because BlendCoef reads the same row — a fallback that
-// sampled from uniform but left p_ij = 0 would pull models and blend them
-// with coefficient zero, paying bandwidth for nothing. Failure-free
-// policies always carry peer mass (the Eq. 11 floors), so this path
-// cannot fire without churn.
+// SelectPeer samples worker i's peer from its policy row (Algorithm 2
+// line 9); p[i][i] mass means "no pull this iteration".
 func (b *behavior) SelectPeer(i int, now float64, rng *rand.Rand) int {
-	if policy.SelfOnly(b.p[i], i) {
-		b.p[i] = b.uniform[i]
-	}
-	return policy.SampleMasked(b.p[i], i, b.mask, rng)
+	return b.nodes[i].Select(rng)
 }
 
-// OnMembership masks crashed peers out of selection immediately and feeds
-// the membership to the monitor, which forces a policy regeneration over
-// the live subgraph at the next Tick (the row LPs re-solve on every
-// membership change).
+// OnMembership masks crashed peers out of every worker's selection at once
+// and feeds the membership to the monitor, which forces a policy
+// regeneration over the live subgraph at the next Tick (the row LPs
+// re-solve on every membership change).
 func (b *behavior) OnMembership(alive []bool, now float64) {
-	if b.mask == nil {
-		b.mask = make([]bool, len(alive))
-	}
-	for i, a := range alive {
-		b.mask[i] = !a
+	for _, n := range b.nodes {
+		for k, a := range alive {
+			n.SetMasked(k, !a)
+		}
 	}
 	b.mon.SetLiveness(alive, now)
 }
 
-// BlendCoef implements Algorithm 2 lines 13-14: the pulled model enters with
-// coefficient αρ(d_im+d_mi)/(2 p_im), clamped to (0, 1] for safety when the
-// live EMA and the policy briefly disagree.
-func (b *behavior) BlendCoef(i, j int) float64 {
-	if b.opts.FixedBlend {
-		return 0.5
-	}
-	d := 0.0
-	if b.adj[i][j] {
-		d++
-	}
-	if b.adj[j][i] {
-		d++
-	}
-	pij := b.p[i][j]
-	if pij <= 0 {
-		return 0
-	}
-	c := b.alpha * b.rho * d / (2 * pij)
-	if c > 1 {
-		c = 1
-	}
-	return c
-}
+// BlendCoef returns the weight of the pulled model (Algorithm 2 lines
+// 13-14).
+func (b *behavior) BlendCoef(i, j int) float64 { return b.nodes[i].Coef(j) }
 
-// OnIterationEnd folds the measured iteration time into the worker's EMA
-// time vector (Algorithm 2 UPDATETIMEVECTOR) and reports it to the monitor.
+// OnIterationEnd folds the measured iteration time into worker i's EMA time
+// vector and reports it to the monitor, which ignores self reports.
 func (b *behavior) OnIterationEnd(i, j int, iterSecs, now float64) {
-	if i == j {
-		return
-	}
-	if b.ema[i][j] == 0 {
-		b.ema[i][j] = iterSecs
-	} else {
-		b.ema[i][j] = b.opts.Beta*b.ema[i][j] + (1-b.opts.Beta)*iterSecs
-	}
-	b.mon.ObserveAt(i, j, b.ema[i][j], now)
+	b.mon.ObserveAt(i, j, b.nodes[i].Observe(j, iterSecs), now)
 }
 
 // Symmetric reports whether the blend applies to both endpoints: NetMax's
@@ -215,30 +131,20 @@ func (b *behavior) OnIterationEnd(i, j int, iterSecs, now float64) {
 // AD-PSGD's two-sided atomic averaging.
 func (b *behavior) Symmetric() bool { return b.opts.FixedBlend }
 
-// Tick runs the Network Monitor's periodic policy regeneration.
+// Tick runs the Network Monitor's periodic policy regeneration and hands
+// every worker the new policy.
 func (b *behavior) Tick(now float64) {
 	pol, ok := b.mon.MaybeRegenerate(now)
 	if !ok || b.opts.UniformPolicy {
 		return
 	}
-	b.p = pol.P
-	b.rho = pol.Rho
-}
-
-// withParallelism applies an Options-level parallelism override on a copy,
-// leaving the caller's config untouched for subsequent runs.
-func withParallelism(cfg *engine.Config, opts Options) *engine.Config {
-	if opts.Parallelism == 0 || opts.Parallelism == cfg.Parallelism {
-		return cfg
+	for _, n := range b.nodes {
+		n.Adopt(pol.P, pol.Rho)
 	}
-	c := *cfg
-	c.Parallelism = opts.Parallelism
-	return &c
 }
 
 // Run trains with NetMax under cfg and returns the aggregated result.
 func Run(cfg *engine.Config, opts Options) *engine.Result {
-	cfg = withParallelism(cfg, opts)
 	b := newBehavior(cfg, opts)
 	r := engine.RunAsync(cfg, b, "NetMax")
 	debugRegens.Store(int64(b.mon.Regenerations))
@@ -249,12 +155,8 @@ func Run(cfg *engine.Config, opts Options) *engine.Result {
 // from the Network Monitor, but AD-PSGD's fixed averaging weight.
 func RunADPSGDMonitor(cfg *engine.Config, opts Options) *engine.Result {
 	opts.FixedBlend = true
-	cfg = withParallelism(cfg, opts)
 	return engine.RunAsync(cfg, newBehavior(cfg, opts), "AD-PSGD+Monitor")
 }
-
-// Monitor exposes the behavior's monitor for observability in tests.
-func (b *behavior) Monitor() *monitor.Monitor { return b.mon }
 
 // debugRegens records the regeneration count of the most recent Run for
 // diagnostics; atomic because the experiment driver runs algorithms

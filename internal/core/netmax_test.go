@@ -125,15 +125,15 @@ func TestADPSGDMonitorBetweenADPSGDAndNetMax(t *testing.T) {
 
 func TestBlendCoefScalesInverselyWithProbability(t *testing.T) {
 	cfg := hetConfig(4, 1, 3)
-	b := newBehavior(cfg, Options{})
-	b.p = [][]float64{
+	n := NewNodes(cfg.Net.Topo.Adj, cfg.LR, Options{})[0]
+	n.Adopt([][]float64{
 		{0, 0.8, 0.1, 0.1},
 		{0.8, 0, 0.1, 0.1},
 		{0.1, 0.1, 0, 0.8},
 		{0.1, 0.1, 0.8, 0},
-	}
-	cHigh := b.BlendCoef(0, 1) // frequently selected neighbor
-	cLow := b.BlendCoef(0, 2)  // rarely selected neighbor
+	}, n.rho)
+	cHigh := n.Coef(1) // frequently selected neighbor
+	cLow := n.Coef(2)  // rarely selected neighbor
 	if cLow <= cHigh {
 		t.Fatalf("low-probability neighbor should get larger weight: %v vs %v", cLow, cHigh)
 	}
@@ -145,25 +145,25 @@ func TestBlendCoefScalesInverselyWithProbability(t *testing.T) {
 
 func TestBlendCoefClamped(t *testing.T) {
 	cfg := hetConfig(4, 1, 3)
-	b := newBehavior(cfg, Options{})
-	b.rho = 1e6 // absurd rho must not produce a divergent blend
-	if c := b.BlendCoef(0, 1); c > 1 {
+	n := NewNodes(cfg.Net.Topo.Adj, cfg.LR, Options{})[0]
+	n.rho = 1e6 // absurd rho must not produce a divergent blend
+	if c := n.Coef(1); c > 1 {
 		t.Fatalf("blend coefficient %v > 1", c)
 	}
 }
 
 func TestSelectPeerRespectsPolicySupport(t *testing.T) {
 	cfg := hetConfig(4, 1, 3)
-	b := newBehavior(cfg, Options{})
-	b.p = [][]float64{
+	n := NewNodes(cfg.Net.Topo.Adj, cfg.LR, Options{})[0]
+	n.Adopt([][]float64{
 		{0, 1, 0, 0},
 		{1, 0, 0, 0},
 		{0, 0, 0, 1},
 		{0, 0, 1, 0},
-	}
+	}, n.rho)
 	ws := cfg.Workers()
 	for k := 0; k < 100; k++ {
-		if j := b.SelectPeer(0, 0, ws[0].Rng); j != 1 {
+		if j := n.Select(ws[0].Rng); j != 1 {
 			t.Fatalf("selected %d with deterministic policy", j)
 		}
 	}
@@ -171,8 +171,8 @@ func TestSelectPeerRespectsPolicySupport(t *testing.T) {
 
 func TestFixedBlendOption(t *testing.T) {
 	cfg := hetConfig(4, 1, 3)
-	b := newBehavior(cfg, Options{FixedBlend: true})
-	if c := b.BlendCoef(0, 1); c != 0.5 {
+	n := NewNodes(cfg.Net.Topo.Adj, cfg.LR, Options{FixedBlend: true})[0]
+	if c := n.Coef(1); c != 0.5 {
 		t.Fatalf("fixed blend = %v, want 0.5", c)
 	}
 }
@@ -187,17 +187,17 @@ func TestOptionsDefaults(t *testing.T) {
 
 func TestEMAUpdateRule(t *testing.T) {
 	cfg := hetConfig(4, 1, 3)
-	b := newBehavior(cfg, Options{Beta: 0.5})
-	b.OnIterationEnd(0, 1, 2.0, 0)
-	if b.ema[0][1] != 2.0 {
-		t.Fatalf("first observation should seed EMA, got %v", b.ema[0][1])
+	nodes := NewNodes(cfg.Net.Topo.Adj, cfg.LR, Options{Beta: 0.5})
+	nodes[0].Observe(1, 2.0)
+	if nodes[0].ema[1] != 2.0 {
+		t.Fatalf("first observation should seed EMA, got %v", nodes[0].ema[1])
 	}
-	b.OnIterationEnd(0, 1, 4.0, 1)
-	if math.Abs(b.ema[0][1]-3.0) > 1e-12 {
-		t.Fatalf("EMA = %v, want 0.5*2 + 0.5*4 = 3", b.ema[0][1])
+	nodes[0].Observe(1, 4.0)
+	if math.Abs(nodes[0].ema[1]-3.0) > 1e-12 {
+		t.Fatalf("EMA = %v, want 0.5*2 + 0.5*4 = 3", nodes[0].ema[1])
 	}
-	b.OnIterationEnd(2, 2, 9.0, 2)
-	if b.ema[2][2] != 0 {
+	nodes[2].Observe(2, 9.0)
+	if nodes[2].ema[2] != 0 {
 		t.Fatal("self iteration should not touch EMA")
 	}
 }
@@ -261,7 +261,7 @@ func TestNetMaxReadmitsEvictedWorker(t *testing.T) {
 	if !alive[1] {
 		t.Fatal("rejoined worker still considered dead at run end (exile loop)")
 	}
-	if policy.SelfOnly(b.p[1], 1) {
-		t.Fatalf("final policy still pins the rejoined worker to self: %v", b.p[1])
+	if policy.SelfOnly(b.nodes[1].Row(), 1) {
+		t.Fatalf("final policy still pins the rejoined worker to self: %v", b.nodes[1].Row())
 	}
 }

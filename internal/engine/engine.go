@@ -20,9 +20,6 @@ import (
 	"netmax/internal/tensor"
 )
 
-// backward runs reverse-mode autodiff on a scalar loss.
-func backward(v *autograd.Value) { autograd.Backward(v) }
-
 // Config describes one training run.
 type Config struct {
 	Spec nn.ModelSpec
@@ -179,7 +176,7 @@ func (w *Worker) NextBatch() (x *tensor.Tensor, labels []int) {
 func (w *Worker) ComputeGrad(x *tensor.Tensor, labels []int) float64 {
 	w.Model.ZeroGrad()
 	l := w.Model.Loss(x, labels)
-	backward(l)
+	autograd.Backward(l)
 	return l.Item()
 }
 
@@ -288,10 +285,11 @@ func (r *Result) EpochToLoss(target float64) float64 {
 	return -1
 }
 
-// averageModelInto overwrites dst's parameters with the elementwise mean of
+// AverageModelInto overwrites dst's parameters with the elementwise mean of
 // all worker parameter vectors — the consensus model the paper evaluates.
-// sum and tmp are scratch buffers of the model's VectorLen.
-func averageModelInto(dst *nn.Model, ws []*Worker, sum, tmp []float64) {
+// sum and tmp are scratch buffers of the model's VectorLen. Both runtimes
+// evaluate this model: the Tracker at every curve point, live at the end.
+func AverageModelInto(dst *nn.Model, ws []*Worker, sum, tmp []float64) {
 	clear(sum)
 	for _, w := range ws {
 		w.Model.CopyVector(tmp)
@@ -361,7 +359,7 @@ func (t *Tracker) Done() bool { return t.epochsDone >= t.cfg.Epochs }
 func (t *Tracker) EpochsDone() int { return t.epochsDone }
 
 func (t *Tracker) recordPoint(now float64) {
-	averageModelInto(t.avg, t.ws, t.sum, t.tmp)
+	AverageModelInto(t.avg, t.ws, t.sum, t.tmp)
 	loss, _ := t.avg.Evaluate(t.cfg.Eval.X, t.cfg.Eval.Labels)
 	t.res.Curve = append(t.res.Curve, Point{Time: now, Epoch: float64(t.epochsDone), Value: loss})
 }
@@ -372,7 +370,7 @@ func (t *Tracker) Finish() *Result {
 	if n := len(t.res.Curve); n > 0 {
 		t.res.FinalLoss = t.res.Curve[n-1].Value
 	}
-	averageModelInto(t.avg, t.ws, t.sum, t.tmp)
+	AverageModelInto(t.avg, t.ws, t.sum, t.tmp)
 	t.res.FinalAccuracy = t.avg.Accuracy(t.cfg.Test.X, t.cfg.Test.Labels)
 	return t.res
 }

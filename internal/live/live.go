@@ -4,23 +4,33 @@
 // discrete-event simulation in internal/engine. This is the deployment-
 // shaped half of the reproduction: the examples use the in-process
 // transport with injected latency, and cmd/netmax-live uses TCP.
+//
+// The algorithm is not re-implemented here. Each worker goroutine drives
+// core.Node, the per-worker NetMax state the engine's behavior also uses
+// (peer selection, blend coefficient, EMA update, policy adoption, peer
+// mask), and trains an engine.Worker replica built by engine.Config.Workers,
+// so it starts from the simulated worker's model, batch order and RNG
+// stream. What stays here is what only a live group has: wall-clock
+// timing, the transport, policies fetched from the wire (validated before
+// adoption), the peer-down retry cooldown and scheduled churn.
 package live
 
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"netmax/internal/codec"
+	"netmax/internal/core"
 	"netmax/internal/data"
+	"netmax/internal/engine"
 	"netmax/internal/monitor"
 	"netmax/internal/nn"
 	"netmax/internal/policy"
-	"netmax/internal/tensor"
+	"netmax/internal/simnet"
 	"netmax/internal/transport"
 )
 
@@ -99,29 +109,19 @@ type Stats struct {
 	Elapsed time.Duration
 }
 
-// worker is one live training replica.
+// worker is one live training replica: the engine's replica (model,
+// optimizer, shard, batch cursor, RNG stream) driven by core's per-worker
+// NetMax state. Everything but mu is owned by the worker goroutine.
 type worker struct {
-	id    int
-	model *nn.Model
-	mu    sync.Mutex // guards model vector reads vs. local updates
-	opt   *nn.SGD
-	shard *data.Dataset
-	batch int
-	rng   *rand.Rand
-	// x and labels are the gradient step's batch buffers.
-	x      *tensor.Tensor
-	labels []int
-
-	p       [][]float64
-	rho     float64
+	id   int
+	rep  *engine.Worker
+	mu   sync.Mutex // guards rep.Model's parameters: transport reads vs. local updates
+	node *core.Node
+	// version is the broadcast policy version the node last adopted.
 	version int
-	ema     []float64
-
-	// masked marks peers whose pulls failed with ErrPeerDown; a masked
-	// peer is skipped in selection until the monitor reacts (a new policy
-	// version arrives) or a retry cooldown expires. Owned by the worker
-	// goroutine — no locking.
-	masked   []bool
+	// maskedAt records when a pull at each peer last failed with
+	// ErrPeerDown. The node skips such a peer until the monitor reacts (a
+	// new policy version gives it mass) or a retry cooldown expires.
 	maskedAt []time.Time
 
 	churn    []ChurnEvent // this worker's crash schedule, ascending by At
@@ -131,7 +131,7 @@ type worker struct {
 func (w *worker) vector() []float64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.model.Vector()
+	return w.rep.Model.Vector()
 }
 
 // Hub is the transport surface the live group needs; both
@@ -152,17 +152,11 @@ type Hub interface {
 // The transport hub must be fresh; Run registers all workers on it.
 func Run(ctx context.Context, cfg Config, hub Hub) *Stats {
 	m := len(cfg.Part.Shards)
-	adj := fullAdj(m)
-	dim := cfg.Part.Shards[0].Dim()
-	classes := cfg.Part.Shards[0].Classes
+	adj := simnet.FullyConnected(m)
 
 	ts := cfg.Ts
 	if ts <= 0 {
 		ts = 500 * time.Millisecond
-	}
-	beta := cfg.Beta
-	if beta <= 0 || beta >= 1 {
-		beta = 0.5
 	}
 	pullTimeout := cfg.PullTimeout
 	if pullTimeout == 0 {
@@ -179,8 +173,6 @@ func Run(ctx context.Context, cfg Config, hub Hub) *Stats {
 	// A masked peer is retried after the monitor has had a fair chance to
 	// react: the staleness window plus one period.
 	maskCooldown := ts * time.Duration(stale+1)
-	// Fallback rows for workers handed a dead-pinned policy row (below).
-	uniformRows := policy.Uniform(adj)
 
 	if cfg.Codec != nil {
 		hub.SetCodec(cfg.Codec)
@@ -193,27 +185,14 @@ func Run(ctx context.Context, cfg Config, hub Hub) *Stats {
 		mon.ObserveBytes(from, to, bytes)
 	})
 
+	// The replicas are the engine's, so a live worker starts from the same
+	// model, batch order and RNG stream as the simulated one.
+	ecfg := &engine.Config{Spec: cfg.Spec, Part: cfg.Part, LR: cfg.LR, Batch: cfg.Batch, Seed: cfg.Seed}
+	reps := ecfg.Workers()
+	nodes := core.NewNodes(adj, cfg.LR, core.Options{Beta: cfg.Beta})
 	workers := make([]*worker, m)
 	for i := 0; i < m; i++ {
-		batch := cfg.Batch
-		if batch > cfg.Part.Shards[i].Len() {
-			batch = cfg.Part.Shards[i].Len()
-		}
-		w := &worker{
-			id:       i,
-			model:    cfg.Spec.Build(cfg.Seed, dim, classes),
-			opt:      nn.NewSGD(cfg.LR),
-			shard:    cfg.Part.Shards[i],
-			batch:    batch,
-			x:        tensor.New(batch, dim),
-			labels:   make([]int, batch),
-			rng:      rand.New(rand.NewSource(cfg.Seed*1000 + int64(i))),
-			p:        policy.Uniform(adj),
-			rho:      1 / (8 * cfg.LR * float64(m-1)),
-			ema:      make([]float64, m),
-			masked:   make([]bool, m),
-			maskedAt: make([]time.Time, m),
-		}
+		w := &worker{id: i, rep: reps[i], node: nodes[i], maskedAt: make([]time.Time, m)}
 		for _, ev := range cfg.Churn {
 			if ev.Worker == i {
 				w.churn = append(w.churn, ev)
@@ -288,44 +267,33 @@ func Run(ctx context.Context, cfg Config, hub Hub) *Stats {
 					}
 					hub.SetWorkerDown(w.id, false)
 				}
-				// Adopt a newer policy if one was broadcast. Masks reset
-				// only for peers the new policy assigns mass — the monitor
-				// believes those are usable. (A version generated just
-				// before a crash can still carry mass on the dead peer and
-				// cost one more deadline; the cooldown bounds that.) A
+				// Adopt a newer policy if one was broadcast and it is well
+				// formed; a malformed one (it arrives over the wire) is
+				// skipped and the worker keeps its previous policy. Masks
+				// reset only for peers the new policy assigns mass — the
+				// monitor believes those are usable. (A version generated
+				// just before a crash can still carry mass on the dead peer
+				// and cost one more deadline; the cooldown bounds that.) A
 				// masked peer the policy dropped stays masked, which is a
 				// no-op anyway since its row mass is zero.
-				if p, rho, v, err := monClient.FetchPolicy(); err == nil && v > w.version && p != nil {
-					// A policy generated while this worker was presumed
-					// dead pins its own row to self. A live worker must
-					// not adopt that row — selecting only self means never
-					// pulling, never reporting, and never being
-					// re-admitted — so it falls back to uniform selection
-					// until the monitor takes it back. The broadcast
-					// policy is shared between workers; replace the row on
-					// a private copy of the row table.
-					if policy.SelfOnly(p[w.id], w.id) {
-						np := make([][]float64, len(p))
-						copy(np, p)
-						np[w.id] = uniformRows[w.id]
-						p = np
-					}
-					w.p, w.rho, w.version = p, rho, v
-					for k := range w.masked {
-						if w.masked[k] && w.p[w.id][k] > 0 {
-							w.masked[k] = false
+				if p, rho, v, err := monClient.FetchPolicy(); err == nil && v > w.version && policy.Validate(p, rho, m) == nil {
+					w.node.Adopt(p, rho)
+					w.version = v
+					for k, pk := range w.node.Row() {
+						if pk > 0 {
+							w.node.SetMasked(k, false)
 						}
 					}
 				}
 				// Retry cooldown: without policy broadcasts (uniform mode)
 				// a mask would otherwise be permanent and a rejoining peer
 				// never re-admitted.
-				for k, mk := range w.masked {
-					if mk && time.Since(w.maskedAt[k]) > maskCooldown {
-						w.masked[k] = false
+				for k, at := range w.maskedAt {
+					if w.node.Masked(k) && time.Since(at) > maskCooldown {
+						w.node.SetMasked(k, false)
 					}
 				}
-				j := policy.SampleMasked(w.p[w.id], w.id, w.masked, w.rng)
+				j := w.node.Select(w.rep.Rng)
 				iterStart := time.Now()
 				// Pull the neighbor's model concurrently with the local
 				// gradient step (Algorithm 2's overlap). The pull arrives
@@ -343,18 +311,22 @@ func Run(ctx context.Context, cfg Config, hub Hub) *Stats {
 				} else {
 					close(done)
 				}
-				w.gradStep(it)
+				x, labels := w.rep.NextBatch()
+				w.mu.Lock()
+				w.rep.ComputeGrad(x, labels)
+				w.rep.ApplyStep()
+				w.mu.Unlock()
 				<-done
 				if j != w.id && pullErr == nil && pulled != nil {
-					coef := w.blendCoef(cfg.LR, j)
+					coef := w.node.Coef(j)
 					w.mu.Lock()
 					var prior []float64
 					if pulled.NeedsPrior() {
-						prior = w.model.Vector()
+						prior = w.rep.Model.Vector()
 					}
 					vec, decErr := pulled.Decode(prior)
 					if decErr == nil {
-						w.model.BlendVector(coef, vec)
+						w.rep.Model.BlendVector(coef, vec)
 					}
 					w.mu.Unlock()
 					if decErr == nil {
@@ -362,12 +334,7 @@ func Run(ctx context.Context, cfg Config, hub Hub) *Stats {
 						wireBytes.Add(pulledBytes)
 						pulls.Add(1)
 						secs := time.Since(iterStart).Seconds()
-						if w.ema[j] == 0 {
-							w.ema[j] = secs
-						} else {
-							w.ema[j] = beta*w.ema[j] + (1-beta)*secs
-						}
-						_ = monClient.ReportTime(w.id, j, w.ema[j], pulledBytes)
+						_ = monClient.ReportTime(w.id, j, w.node.Observe(j, secs), pulledBytes)
 					}
 				} else if j != w.id && pullErr != nil {
 					// Failed pull: mask the peer locally until the monitor
@@ -375,17 +342,12 @@ func Run(ctx context.Context, cfg Config, hub Hub) *Stats {
 					// cost so the link degrades in the policy input rather
 					// than keeping its last attractive time.
 					if errors.Is(pullErr, transport.ErrPeerDown) {
-						w.masked[j] = true
+						w.node.SetMasked(j, true)
 						w.maskedAt[j] = time.Now()
 						peerDown.Add(1)
 					}
 					secs := time.Since(iterStart).Seconds()
-					if w.ema[j] == 0 {
-						w.ema[j] = secs
-					} else {
-						w.ema[j] = beta*w.ema[j] + (1-beta)*secs
-					}
-					_ = monClient.ReportTime(w.id, j, w.ema[j], 0)
+					_ = monClient.ReportTime(w.id, j, w.node.Observe(j, secs), 0)
 				}
 				counts[w.id]++ // safe: one writer per index
 			}
@@ -395,20 +357,12 @@ func Run(ctx context.Context, cfg Config, hub Hub) *Stats {
 	cancel()
 	<-monDone
 
-	// Final consensus model: elementwise mean.
-	avg := cfg.Spec.Build(cfg.Seed, dim, classes)
-	vec := make([]float64, avg.VectorLen())
-	tmp := make([]float64, avg.VectorLen())
-	for _, w := range workers {
-		copy(tmp, w.vector())
-		for i := range vec {
-			vec[i] += tmp[i]
-		}
-	}
-	for i := range vec {
-		vec[i] /= float64(m)
-	}
-	avg.SetVector(vec)
+	// Final consensus model: elementwise mean. Every worker goroutine has
+	// exited, so nothing writes the replicas any more.
+	shard := cfg.Part.Shards[0]
+	avg := cfg.Spec.Build(cfg.Seed, shard.Dim(), shard.Classes)
+	n := avg.VectorLen()
+	engine.AverageModelInto(avg, reps, make([]float64, n), make([]float64, n))
 	loss, acc := avg.Evaluate(cfg.Test.X, cfg.Test.Labels)
 	_, _, version, _ := hub.Monitor().FetchPolicy()
 	return &Stats{
@@ -421,37 +375,4 @@ func Run(ctx context.Context, cfg Config, hub Hub) *Stats {
 		PeerDownErrors:      peerDown.Load(),
 		Elapsed:             time.Since(start),
 	}
-}
-
-func (w *worker) gradStep(it int) {
-	w.shard.BatchInto(w.x, w.labels, it*w.batch%w.shard.Len())
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.model.ZeroGrad()
-	loss := w.model.Loss(w.x, w.labels)
-	backward(loss)
-	w.opt.Step(w.model)
-}
-
-func (w *worker) blendCoef(alpha float64, j int) float64 {
-	pij := w.p[w.id][j]
-	if pij <= 0 {
-		return 0
-	}
-	c := alpha * w.rho * 2 / (2 * pij)
-	if c > 1 {
-		c = 1
-	}
-	return c
-}
-
-func fullAdj(m int) [][]bool {
-	adj := make([][]bool, m)
-	for i := range adj {
-		adj[i] = make([]bool, m)
-		for j := range adj[i] {
-			adj[i][j] = i != j
-		}
-	}
-	return adj
 }

@@ -2,6 +2,7 @@ package live
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
@@ -245,5 +246,42 @@ func TestLiveCodecOverTCP(t *testing.T) {
 	}
 	if stats.BytesOnWire == 0 || stats.Pulls == 0 {
 		t.Fatalf("no traffic recorded: %+v", stats)
+	}
+}
+
+// TestLiveRejectsMalformedPolicy broadcasts a policy no worker may adopt
+// before the group starts: a matrix with too few rows (indexing it by worker
+// id would panic), a NaN ρ (every blend would poison the model) and a NaN
+// entry. Workers must keep their uniform policy and train to a finite loss.
+func TestLiveRejectsMalformedPolicy(t *testing.T) {
+	nan := math.NaN()
+	uniform := [][]float64{
+		{0, 1.0 / 3, 1.0 / 3, 1.0 / 3},
+		{1.0 / 3, 0, 1.0 / 3, 1.0 / 3},
+		{1.0 / 3, 1.0 / 3, 0, 1.0 / 3},
+		{1.0 / 3, 1.0 / 3, 1.0 / 3, 0},
+	}
+	for _, c := range []struct {
+		name string
+		p    [][]float64
+		rho  float64
+	}{
+		{"short", uniform[:1], 1},
+		{"nan-rho", uniform, nan},
+		{"nan-entry", [][]float64{{0, nan, 0.5, 0.5}, uniform[1], uniform[2], uniform[3]}, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			hub := transport.NewLocalNet()
+			hub.SetPolicy(c.p, c.rho)
+			cfg := liveConfig(4, 60)
+			cfg.Uniform = true // no valid broadcast replaces the bad one
+			stats := Run(context.Background(), cfg, hub)
+			if math.IsNaN(stats.FinalLoss) || math.IsInf(stats.FinalLoss, 0) {
+				t.Fatalf("final loss %v after a malformed policy", stats.FinalLoss)
+			}
+			if stats.Pulls == 0 {
+				t.Fatal("workers stopped pulling")
+			}
+		})
 	}
 }

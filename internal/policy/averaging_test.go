@@ -16,7 +16,8 @@ func TestAveragingBlendPolicyFeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Validate(pol.P, adj); err != nil {
+	// ρ plays no role in the averaging blend; Generate leaves it 0.
+	if err := feasible(pol.P, 1, adj); err != nil {
 		t.Fatal(err)
 	}
 	if pol.Lambda2 <= 0 || pol.Lambda2 >= 1 {

@@ -67,8 +67,45 @@ var ErrNoFeasiblePolicy = errors.New("policy: no feasible policy found")
 // ErrInvalidInput is returned, wrapped with the offending entry, when
 // Generate is given a malformed Input: an empty, ragged or non-square
 // Times or Adj, a NaN, infinite or negative time on an edge, or a learning
-// rate that is not a positive finite number.
+// rate that is not a positive finite number. Validate returns it for a
+// policy no worker may adopt.
 var ErrInvalidInput = errors.New("policy: invalid input")
+
+// rowSumTol is how far a policy row may sum from 1 and still be adopted:
+// well above the rounding of the closed-form row solves, well below any
+// meaningful probability.
+const rowSumTol = 1e-6
+
+// Validate checks a policy (p, rho) received from outside the process before
+// a worker of an m-worker group adopts it: p must have m rows of m entries,
+// every entry finite and non-negative, every row summing to 1, and rho must
+// be finite and positive. rho has no upper bound: Algorithm 3 caps it at
+// 0.999/(2α·deg_max), which exceeds 1 for small α, and the blend
+// coefficient is clamped to 1 anyway.
+func Validate(p [][]float64, rho float64, m int) error {
+	if len(p) != m {
+		return fmt.Errorf("%w: policy has %d rows, want %d", ErrInvalidInput, len(p), m)
+	}
+	for i, row := range p {
+		if len(row) != m {
+			return fmt.Errorf("%w: policy row %d has %d entries, want %d", ErrInvalidInput, i, len(row), m)
+		}
+		sum := 0.0
+		for j, v := range row {
+			if !(v >= 0 && v <= math.MaxFloat64) {
+				return fmt.Errorf("%w: policy p[%d][%d] = %v", ErrInvalidInput, i, j, v)
+			}
+			sum += v
+		}
+		if math.Abs(sum-1) > rowSumTol {
+			return fmt.Errorf("%w: policy row %d sums to %v", ErrInvalidInput, i, sum)
+		}
+	}
+	if !(rho > 0 && rho <= math.MaxFloat64) {
+		return fmt.Errorf("%w: rho %v", ErrInvalidInput, rho)
+	}
+	return nil
+}
 
 // validate checks in for ErrInvalidInput.
 func (in *Input) validate() error {
@@ -466,25 +503,4 @@ func (s *search) result() (*Policy, error) {
 	}
 	pol := s.best
 	return &pol, nil
-}
-
-// Validate checks the structural feasibility of a policy matrix: rows sum to
-// one, entries non-negative, zero where there is no edge.
-func Validate(p [][]float64, adj [][]bool) error {
-	for i := range p {
-		sum := 0.0
-		for j, v := range p[i] {
-			if v < -1e-9 {
-				return fmt.Errorf("policy: negative probability p[%d][%d]=%v", i, j, v)
-			}
-			if i != j && !adj[i][j] && v > 1e-9 {
-				return fmt.Errorf("policy: probability on non-edge p[%d][%d]=%v", i, j, v)
-			}
-			sum += v
-		}
-		if math.Abs(sum-1) > 1e-6 {
-			return fmt.Errorf("policy: row %d sums to %v", i, sum)
-		}
-	}
-	return nil
 }

@@ -2,6 +2,7 @@ package policy
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -32,7 +33,7 @@ func hetTimes(m int, seed int64) [][]float64 {
 func TestUniformPolicyRows(t *testing.T) {
 	adj := simnet.FullyConnected(5)
 	p := Uniform(adj)
-	if err := Validate(p, adj); err != nil {
+	if err := feasible(p, 1, adj); err != nil {
 		t.Fatal(err)
 	}
 	for i := range p {
@@ -114,7 +115,7 @@ func TestGenerateProducesFeasiblePolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Validate(pol.P, adj); err != nil {
+	if err := feasible(pol.P, pol.Rho, adj); err != nil {
 		t.Fatal(err)
 	}
 	// Floors: p_im >= 2αρ on every edge (Eq. 11).
@@ -261,7 +262,7 @@ func TestGenerateRingTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Validate(pol.P, adj); err != nil {
+	if err := feasible(pol.P, pol.Rho, adj); err != nil {
 		t.Fatal(err)
 	}
 	// No probability mass on non-ring edges.
@@ -275,13 +276,56 @@ func TestGenerateRingTopology(t *testing.T) {
 }
 
 func TestValidateCatchesBadRows(t *testing.T) {
-	adj := simnet.FullyConnected(2)
-	if err := Validate([][]float64{{0.5, 0.4}, {0.5, 0.5}}, adj); err == nil {
-		t.Fatal("row not summing to 1 accepted")
+	nan, inf := math.NaN(), math.Inf(1)
+	ok := [][]float64{{0.5, 0.5}, {0.25, 0.75}}
+	for _, c := range []struct {
+		name string
+		p    [][]float64
+		rho  float64
+		m    int
+		ok   bool
+	}{
+		{"valid", ok, 1, 2, true},
+		{"rho above 1", ok, 12.5, 2, true},
+		{"self-only row", [][]float64{{1, 0}, {0.5, 0.5}}, 1, 2, true},
+		{"row sum within tolerance", [][]float64{{0.5, 0.5 + 1e-9}, {0.5, 0.5}}, 1, 2, true},
+		{"row not summing to 1", [][]float64{{0.5, 0.4}, {0.5, 0.5}}, 1, 2, false},
+		{"negative entry", [][]float64{{-0.1, 1.1}, {0.5, 0.5}}, 1, 2, false},
+		{"NaN entry", [][]float64{{nan, 1}, {0.5, 0.5}}, 1, 2, false},
+		{"infinite entry", [][]float64{{inf, 0}, {0.5, 0.5}}, 1, 2, false},
+		{"too few rows", [][]float64{{0.5, 0.5}}, 1, 2, false},
+		{"too many rows", [][]float64{{0.5, 0.5}, {0.5, 0.5}, {0.5, 0.5}}, 1, 2, false},
+		{"short row", [][]float64{{1}, {0.5, 0.5}}, 1, 2, false},
+		{"nil policy", nil, 1, 2, false},
+		{"zero rho", ok, 0, 2, false},
+		{"negative rho", ok, -1, 2, false},
+		{"NaN rho", ok, nan, 2, false},
+		{"infinite rho", ok, inf, 2, false},
+	} {
+		err := Validate(c.p, c.rho, c.m)
+		if c.ok && err != nil {
+			t.Errorf("%s: rejected: %v", c.name, err)
+		}
+		if !c.ok && !errors.Is(err, ErrInvalidInput) {
+			t.Errorf("%s: err = %v, want ErrInvalidInput", c.name, err)
+		}
 	}
-	if err := Validate([][]float64{{-0.1, 1.1}, {0.5, 0.5}}, adj); err == nil {
-		t.Fatal("negative entry accepted")
+}
+
+// feasible checks a generated policy: Validate's shape, sign and row-sum
+// rules, and no mass on a non-edge.
+func feasible(p [][]float64, rho float64, adj [][]bool) error {
+	if err := Validate(p, rho, len(adj)); err != nil {
+		return err
 	}
+	for i := range p {
+		for j, v := range p[i] {
+			if i != j && !adj[i][j] && v > 1e-9 {
+				return fmt.Errorf("policy: probability on non-edge p[%d][%d]=%v", i, j, v)
+			}
+		}
+	}
+	return nil
 }
 
 func TestGenerateSizeMismatch(t *testing.T) {

@@ -32,8 +32,8 @@
 // engine steps workers whose events are independent at the same virtual
 // timestamp concurrently. All of it is bitwise deterministic — results are
 // identical at any parallelism, only wall-clock changes. Config.Parallelism
-// (or Options.Parallelism for NetMax runs) bounds the concurrency: 0 means
-// one worker per CPU, 1 reproduces the serial loop. cmd/netmax-bench -par
+// bounds the concurrency: 0 means one worker per CPU, 1 reproduces the
+// serial loop. cmd/netmax-bench -par
 // pins it process-wide and -bench-out records the perf trajectory (see
 // BENCH_baseline.json / BENCH_pr1.json and README.md for the buffer-pool
 // lifecycle rules).
