@@ -8,16 +8,13 @@
 //	netmax-bench -all -quick
 //	netmax-bench -exp fig12 -curves
 //	netmax-bench -all -quick -par 1 -bench-out BENCH_baseline.json -bench-label baseline
-//	netmax-bench -scenario scenarios/cluster-resnet18-cifar10.json
 //
 // -par pins the host parallelism of the compute core (1 = the serial
 // baseline, 0 = one worker per CPU); results are bitwise identical at any
 // setting, only wall-clock changes. -bench-out records per-experiment
 // wall-clock seconds as JSON so successive PRs can track the perf
-// trajectory (see BENCH_baseline.json at the repo root). -scenario runs a
-// declarative manifest (see internal/scenario and cmd/netmax-scenario)
-// instead of a registered experiment id, writing the resolved manifest
-// next to the results.
+// trajectory (see BENCH_baseline.json at the repo root). Scenario manifests
+// and suites run through netmax-scenario run.
 package main
 
 import (
@@ -35,7 +32,6 @@ import (
 
 	"netmax/internal/engine"
 	"netmax/internal/experiments"
-	"netmax/internal/scenario"
 	"netmax/internal/tensor"
 	"netmax/internal/trace"
 )
@@ -67,8 +63,6 @@ func main() {
 		curves   = flag.Bool("curves", false, "also print the raw figure series")
 		csvDir   = flag.String("csv", "", "directory to write per-experiment curve CSVs into")
 		par      = flag.Int("par", 0, "host parallelism: 0 = NumCPU, 1 = serial; results are identical either way")
-		scen     = flag.String("scenario", "", "scenario manifest to run instead of an experiment id (engine runtime)")
-		scenOut  = flag.String("scenario-out", "runs", "output directory for -scenario (resolved manifest + results); empty disables file output")
 		benchOut = flag.String("bench-out", "", "write per-experiment wall-clock seconds as JSON to this file")
 		benchLab = flag.String("bench-label", "run", "label stored in the -bench-out record")
 		benchCmp = flag.String("bench-compare", "", "baseline -bench-out JSON to compare the recorded timings against; exits 1 on regression")
@@ -86,47 +80,6 @@ func main() {
 	if *list {
 		for _, r := range experiments.All() {
 			fmt.Printf("%-10s %s\n", r.ID, r.Title)
-		}
-		return
-	}
-	if *scen != "" {
-		// The manifest is the single source of configuration: flags that
-		// would silently be ignored (the manifest's seed wins, bench
-		// records are not written) are rejected instead.
-		incompatible := map[string]bool{
-			"exp": true, "all": true, "seed": true, "curves": true, "csv": true,
-			"bench-out": true, "bench-label": true, "bench-compare": true, "bench-threshold": true,
-		}
-		flag.Visit(func(f *flag.Flag) {
-			if incompatible[f.Name] {
-				fmt.Fprintf(os.Stderr, "error: -%s does not apply to -scenario runs (the manifest governs; see netmax-scenario)\n", f.Name)
-				os.Exit(2)
-			}
-		})
-		if raw, err := os.ReadFile(*scen); err == nil && scenario.IsSuite(raw) {
-			fmt.Fprintln(os.Stderr, "error: netmax-bench runs single-run manifests; use netmax-scenario run for suite files")
-			os.Exit(2)
-		}
-		m, err := scenario.Load(*scen)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-		if m.Runtime == "live" {
-			fmt.Fprintln(os.Stderr, "error: netmax-bench runs engine-runtime scenarios; use netmax-live -scenario (or netmax-scenario run) for live manifests")
-			os.Exit(2)
-		}
-		// -par already pins host parallelism process-wide (DefaultParallelism
-		// above); the manifest stays untouched so the emitted resolved.json —
-		// and any reproducibility diff over it — is identical at any -par.
-		rep, err := scenario.Run(m, scenario.RunOptions{Quick: *quick, OutDir: *scenOut})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-		fmt.Println(rep.Summary())
-		if rep.Dir != "" {
-			fmt.Printf("outputs written to %s\n", rep.Dir)
 		}
 		return
 	}

@@ -9,11 +9,10 @@
 //	netmax-live -tcp -codec float32
 //	netmax-live -tcp -codec topk -topk 0.1
 //	netmax-live -crash 2 -crash-at 1.5 -rejoin-at 3    # kill worker 2 mid-run
-//	netmax-live -scenario scenarios/live-local-heterogeneous.json
 //
-// -scenario replaces the flag soup with a declarative manifest (runtime
-// "live"; see internal/scenario): the run is configured entirely from the
-// file and its resolved form is written next to the results.
+// The flags describe one live scenario manifest, which goes through
+// scenario.BuildLive like a manifest file. Manifest files (runtime "live"; see
+// internal/scenario) run through netmax-scenario run.
 package main
 
 import (
@@ -28,61 +27,6 @@ import (
 	"netmax/internal/scenario"
 )
 
-// runScenario executes a live-runtime manifest and prints the same stats
-// block as the flag path.
-func runScenario(path string, quick bool, out string) {
-	if raw, err := os.ReadFile(path); err == nil && scenario.IsSuite(raw) {
-		fmt.Fprintln(os.Stderr, "error: netmax-live runs single-run manifests; use netmax-scenario run for suite files")
-		os.Exit(2)
-	}
-	m, err := scenario.Load(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
-	}
-	// Banner from the configuration that will actually run: quick
-	// overrides applied first, defaults made explicit once.
-	banner := m
-	if quick {
-		banner = m.ApplyQuick()
-	}
-	r := banner.Resolved()
-	if r.Runtime != "live" {
-		fmt.Fprintln(os.Stderr, "error: netmax-live runs live-runtime scenarios; use netmax-bench -scenario (or netmax-scenario run) for engine manifests")
-		os.Exit(2)
-	}
-	fmt.Printf("Running scenario %q: %d live workers over %s (codec: %s, adaptive policy: %v)...\n",
-		r.Name, r.Workers, r.Live.Transport, codecName(r), !r.Live.Uniform)
-	rep, err := scenario.Run(m, scenario.RunOptions{Quick: quick, OutDir: out})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
-	}
-	printStats(rep.Live, codecName(r))
-	if rep.Dir != "" {
-		fmt.Printf("outputs written to %s\n", rep.Dir)
-	}
-}
-
-func codecName(r *scenario.Manifest) string {
-	if r.Codec == nil {
-		return "raw"
-	}
-	return r.Codec.Name
-}
-
-// printStats renders a live run's stats block; both the flag path and the
-// scenario path go through it so the two output formats cannot diverge.
-func printStats(stats *live.Stats, codec string) {
-	fmt.Printf("iterations per worker: %v\n", stats.IterationsPerWorker)
-	fmt.Printf("policy broadcasts:     %d\n", stats.PolicyVersions)
-	fmt.Printf("model pulls:           %d\n", stats.Pulls)
-	fmt.Printf("peer-down pulls:       %d\n", stats.PeerDownErrors)
-	fmt.Printf("bytes on wire:         %d (%s codec)\n", stats.BytesOnWire, codec)
-	fmt.Printf("final loss:            %.4f\n", stats.FinalLoss)
-	fmt.Printf("final accuracy:        %.2f%%\n", 100*stats.FinalAccuracy)
-}
-
 func main() {
 	var (
 		workers   = flag.Int("workers", 4, "number of live workers")
@@ -96,16 +40,8 @@ func main() {
 		crash     = flag.Int("crash", -1, "worker to crash mid-run (-1 disables)")
 		crashAt   = flag.Float64("crash-at", 1, "crash time in seconds since start")
 		rejoinAt  = flag.Float64("rejoin-at", 0, "rejoin time in seconds since start (<= crash-at means permanent)")
-		scen      = flag.String("scenario", "", "live-runtime scenario manifest to run instead of flags")
-		scenQuick = flag.Bool("quick", false, "with -scenario: apply the manifest's quick overrides")
-		scenOut   = flag.String("out", "runs", "with -scenario: output directory (resolved manifest + results); empty disables file output")
 	)
 	flag.Parse()
-
-	if *scen != "" {
-		runScenario(*scen, *scenQuick, *scenOut)
-		return
-	}
 
 	// The flags describe a live manifest: the library's MobileNet/MNIST
 	// group with a 400 ms monitor period, in-process with workers {0,1}
@@ -166,5 +102,11 @@ func main() {
 	fmt.Printf("Running %d live workers %s for %.1fs (codec: %s, adaptive policy: %v)...\n",
 		*workers, transportDesc, *seconds, *codecName, !*uniform)
 	stats := live.Run(context.Background(), cfg, hub)
-	printStats(stats, *codecName)
+	fmt.Printf("iterations per worker: %v\n", stats.IterationsPerWorker)
+	fmt.Printf("policy broadcasts:     %d\n", stats.PolicyVersions)
+	fmt.Printf("model pulls:           %d\n", stats.Pulls)
+	fmt.Printf("peer-down pulls:       %d\n", stats.PeerDownErrors)
+	fmt.Printf("bytes on wire:         %d (%s codec)\n", stats.BytesOnWire, *codecName)
+	fmt.Printf("final loss:            %.4f\n", stats.FinalLoss)
+	fmt.Printf("final accuracy:        %.2f%%\n", 100*stats.FinalAccuracy)
 }

@@ -59,10 +59,9 @@ func NewLeaf(t *tensor.Tensor, requiresGrad bool) *Value {
 // Constant wraps t as a leaf that does not require gradients.
 func Constant(t *tensor.Tensor) *Value { return NewLeaf(t, false) }
 
-// RequiresGrad reports whether gradients flow to this node.
-func (v *Value) RequiresGrad() bool { return v.requiresGrad }
-
-func newOp(label string, data *tensor.Tensor, parents ...*Value) *Value {
+// newPooledOp creates an op node whose output was drawn from the tensor
+// arena; Backward recycles its Data once the sweep completes.
+func newPooledOp(label string, data *tensor.Tensor, parents ...*Value) *Value {
 	rg := false
 	for _, p := range parents {
 		if p.requiresGrad {
@@ -70,15 +69,7 @@ func newOp(label string, data *tensor.Tensor, parents ...*Value) *Value {
 			break
 		}
 	}
-	return &Value{Data: data, requiresGrad: rg, parents: parents, label: label}
-}
-
-// newPooledOp is newOp for outputs drawn from the tensor arena; Backward
-// recycles their Data once the sweep completes.
-func newPooledOp(label string, data *tensor.Tensor, parents ...*Value) *Value {
-	v := newOp(label, data, parents...)
-	v.pooled = true
-	return v
+	return &Value{Data: data, requiresGrad: rg, pooled: true, parents: parents, label: label}
 }
 
 func (v *Value) ensureGrad() {
@@ -231,20 +222,6 @@ func Mean(a *Value) *Value {
 	return out
 }
 
-// SumSquares returns the scalar sum of squared elements (for L2 terms).
-func SumSquares(a *Value) *Value {
-	data := tensor.GetPooledDirty(1)
-	data.Data[0] = tensor.Dot(a.Data, a.Data)
-	out := newPooledOp("sumsq", data, a)
-	out.backward = func() {
-		if !a.requiresGrad {
-			return
-		}
-		accumTemp(a, tensor.ScaleInto(tensor.GetPooledDirty(a.Data.Shape...), a.Data, 2*out.Grad.Data[0]))
-	}
-	return out
-}
-
 // SoftmaxCrossEntropy computes the mean cross-entropy loss of rank-2 logits
 // against integer class labels, with a numerically stable fused
 // softmax+log+NLL. It returns a scalar value.
@@ -302,23 +279,6 @@ func SoftmaxCrossEntropy(logits *Value, labels []int) *Value {
 	return out
 }
 
-// MSE returns mean squared error between prediction a and target t
-// (target receives no gradient).
-func MSE(a *Value, target *tensor.Tensor) *Value {
-	diff := tensor.SubInto(tensor.GetPooledDirty(a.Data.Shape...), a.Data, target)
-	data := tensor.GetPooledDirty(1)
-	data.Data[0] = tensor.Dot(diff, diff) / float64(diff.Len())
-	out := newPooledOp("mse", data, a)
-	out.saved = diff
-	out.backward = func() {
-		scale := 2 * out.Grad.Data[0] / float64(diff.Len())
-		accumTemp(a, tensor.ScaleInto(tensor.GetPooledDirty(diff.Shape...), diff, scale))
-		tensor.Recycle(diff)
-		out.saved = nil
-	}
-	return out
-}
-
 // Transpose2D returns the transpose of a rank-2 value.
 func Transpose2D(a *Value) *Value {
 	out := newPooledOp("transpose", tensor.TransposeInto(tensor.GetPooledDirty(a.Data.Shape[1], a.Data.Shape[0]), a.Data), a)
@@ -350,28 +310,6 @@ func Reshape(a *Value, shape ...int) *Value {
 		g := tensor.GetPooledDirty(a.Data.Shape...)
 		copy(g.Data, out.Grad.Data)
 		accumTemp(a, g)
-	}
-	return out
-}
-
-// Custom creates a node with a user-supplied backward function: given the
-// node's output gradient it must return one gradient tensor per parent (nil
-// entries are skipped). This is the extension point used by layers whose
-// backward pass is cheaper to write directly (im2col, pooling). Both data
-// and the returned gradients remain caller-owned: the arena never recycles
-// them.
-func Custom(label string, data *tensor.Tensor, parents []*Value, back func(grad *tensor.Tensor, parents []*Value) []*tensor.Tensor) *Value {
-	out := newOp(label, data, parents...)
-	out.backward = func() {
-		grads := back(out.Grad, parents)
-		if len(grads) != len(parents) {
-			panic(fmt.Sprintf("autograd: Custom %q returned %d gradients for %d parents", label, len(grads), len(parents)))
-		}
-		for i, g := range grads {
-			if g != nil {
-				accumulate(parents[i], g)
-			}
-		}
 	}
 	return out
 }
@@ -459,7 +397,7 @@ func (tr *traversal) release(keep *Value) {
 }
 
 // Backward runs reverse-mode autodiff from v, which must be scalar.
-// Gradients accumulate into every reachable node with RequiresGrad.
+// Gradients accumulate into every reachable node that requires gradients.
 //
 // After the sweep the graph's intermediate buffers are returned to the
 // tensor arena: every non-leaf node loses its Grad, and every pooled op

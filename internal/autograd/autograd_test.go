@@ -276,32 +276,6 @@ func TestSoftmaxGradSumsToZeroPerRow(t *testing.T) {
 	}
 }
 
-func TestMSEBackwardNumerical(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	pred := tensor.Randn(rng, 1, 5)
-	target := tensor.Randn(rng, 1, 5)
-	forward := func() float64 {
-		d := tensor.Sub(pred, target)
-		return tensor.Dot(d, d) / 5
-	}
-	p := NewLeaf(pred, true)
-	Backward(MSE(p, target))
-	for i := range pred.Data {
-		want := numericalGrad(forward, pred, i)
-		if math.Abs(p.Grad.Data[i]-want) > 1e-5 {
-			t.Fatalf("mse grad[%d] = %v, numerical %v", i, p.Grad.Data[i], want)
-		}
-	}
-}
-
-func TestSumSquaresBackward(t *testing.T) {
-	a := NewLeaf(tensor.FromSlice([]float64{1, -2}, 2), true)
-	Backward(SumSquares(a))
-	if a.Grad.Data[0] != 2 || a.Grad.Data[1] != -4 {
-		t.Fatalf("sumsq grad = %v, want [2 -4]", a.Grad.Data)
-	}
-}
-
 func TestGradAccumulationOnSharedNode(t *testing.T) {
 	// y = a + a: grad should be 2 * d(mean)
 	a := NewLeaf(tensor.FromSlice([]float64{1, 1}, 2), true)
@@ -410,11 +384,11 @@ func TestReleaseRecyclesForwardGraph(t *testing.T) {
 	x := Constant(tensor.Randn(rng, 1, 5, 3))
 	logits := ReLU(MatMul(x, w))
 	xent := SoftmaxCrossEntropy(logits, []int{0, 1, 2, 3, 0})
-	mse := MSE(logits, tensor.New(5, 4))
-	root := Add(xent, mse)
+	sq := Mean(Mul(logits, logits))
+	root := Add(xent, sq)
 	wData := append([]float64(nil), w.Data.Data...)
 	Release(root)
-	for _, v := range []*Value{logits, xent, mse, root} {
+	for _, v := range []*Value{logits, xent, sq, root} {
 		if v.Data != nil || v.saved != nil {
 			t.Fatalf("%s node still holds buffers after Release", v.label)
 		}

@@ -46,7 +46,7 @@ func RunAllreduce(cfg *engine.Config) *engine.Result {
 		for _, w := range ws {
 			w.ApplyGrad(avg)
 		}
-		comm := RingAllreduceTime(cfg, now)
+		comm := ringAllreduceTime(cfg, now)
 		tr.AddBytes(2 * int64(len(ws)-1) * cfg.Spec.ModelBytes())
 		now += cfg.MaxComputeSecs() + comm
 		for _, w := range ws {
@@ -56,10 +56,10 @@ func RunAllreduce(cfg *engine.Config) *engine.Result {
 	return tr.Finish()
 }
 
-// RingAllreduceTime returns the duration of one ring allreduce of the model
+// ringAllreduceTime returns the duration of one ring allreduce of the model
 // over workers 0..M-1 at virtual time now: 2(M-1) pipeline steps each moving
 // bytes/M over the ring, bottlenecked by the slowest ring link.
-func RingAllreduceTime(cfg *engine.Config, now float64) float64 {
+func ringAllreduceTime(cfg *engine.Config, now float64) float64 {
 	m := cfg.Net.Topo.M
 	if m < 2 {
 		return 0

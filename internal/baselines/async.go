@@ -73,13 +73,13 @@ func RunGossip(cfg *engine.Config) *engine.Result {
 	return engine.RunAsync(cfg, newUniformAsync(cfg.Net.Topo.Adj), "Gossip")
 }
 
-// SAPSSubgraph builds SAPS-PSGD's static communication subgraph [15]: the
+// sapsSubgraph builds SAPS-PSGD's static communication subgraph [15]: the
 // links that are fastest *at time zero*. Edges are added in descending
 // initial-rate order until the subgraph is connected and every node has
 // degree >= 2 (or its full degree, if smaller). Because the subgraph is
 // frozen, a link that later becomes slow keeps being used — the weakness
 // the paper's Fig. 2 discussion calls out.
-func SAPSSubgraph(cfg *engine.Config) [][]bool {
+func sapsSubgraph(cfg *engine.Config) [][]bool {
 	topo := cfg.Net.Topo
 	m := topo.M
 	type edge struct {
@@ -140,28 +140,28 @@ func SAPSSubgraph(cfg *engine.Config) [][]bool {
 	return sub
 }
 
-// SAPSSparsity is the fraction of the model SAPS-PSGD transfers per pull:
+// sapsSparsity is the fraction of the model SAPS-PSGD transfers per pull:
 // the method's second ingredient (besides the static fast subgraph) is
 // model sparsification [15].
-const SAPSSparsity = 0.25
+const sapsSparsity = 0.25
 
 // sapsAsync is uniform gossip on the static subgraph with sparsified
-// transfers: only SAPSSparsity of the model moves per pull, and the
+// transfers: only sapsSparsity of the model moves per pull, and the
 // averaging weight is scaled down accordingly (in expectation over the
 // transferred coordinates).
 type sapsAsync struct {
 	uniformAsync
 }
 
-func (s *sapsAsync) BlendCoef(i, j int) float64 { return 0.5 * SAPSSparsity }
+func (s *sapsAsync) BlendCoef(i, j int) float64 { return 0.5 * sapsSparsity }
 
 func (s *sapsAsync) TransferBytes(full int64) int64 {
-	return int64(float64(full) * SAPSSparsity)
+	return int64(float64(full) * sapsSparsity)
 }
 
 // RunSAPS trains with SAPS-PSGD [15]: sparsified uniform gossip restricted
 // to the static initially-fast subgraph.
 func RunSAPS(cfg *engine.Config) *engine.Result {
-	b := &sapsAsync{*newUniformAsync(SAPSSubgraph(cfg))}
+	b := &sapsAsync{*newUniformAsync(sapsSubgraph(cfg))}
 	return engine.RunAsync(cfg, b, "SAPS-PSGD")
 }

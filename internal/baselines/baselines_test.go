@@ -104,7 +104,7 @@ func TestSAPSTrains(t *testing.T) {
 
 func TestSAPSSubgraphConnectedAndSparse(t *testing.T) {
 	cfg := hetConfig(8, 1, 3)
-	sub := SAPSSubgraph(cfg)
+	sub := sapsSubgraph(cfg)
 	topo := &simnet.Topology{M: 8, Machine: cfg.Net.Topo.Machine, Adj: sub}
 	if !topo.Connected() {
 		t.Fatal("SAPS subgraph disconnected")
@@ -142,7 +142,7 @@ func TestSAPSSubgraphConnectedAndSparse(t *testing.T) {
 
 func TestSAPSPrefersFastLinks(t *testing.T) {
 	cfg := hetConfig(8, 1, 3)
-	sub := SAPSSubgraph(cfg)
+	sub := sapsSubgraph(cfg)
 	// Count intra- vs inter-machine subgraph edges: intra (fast) edges
 	// should all be included.
 	mac := cfg.Net.Topo.Machine
@@ -176,10 +176,10 @@ func TestSAPSPrefersFastLinks(t *testing.T) {
 func TestRingAllreduceTimeScalesWithModel(t *testing.T) {
 	cfg := hetConfig(8, 1, 3)
 	small := cfg
-	tSmall := RingAllreduceTime(small, 0)
+	tSmall := ringAllreduceTime(small, 0)
 	cfg2 := hetConfig(8, 1, 3)
 	cfg2.Spec = nn.SimVGG19
-	tBig := RingAllreduceTime(cfg2, 0)
+	tBig := ringAllreduceTime(cfg2, 0)
 	if tBig <= tSmall {
 		t.Fatalf("VGG19 allreduce (%v) should exceed ResNet18 (%v)", tBig, tSmall)
 	}
@@ -188,7 +188,7 @@ func TestRingAllreduceTimeScalesWithModel(t *testing.T) {
 func TestRingAllreduceSingleNode(t *testing.T) {
 	cfg := hetConfig(4, 1, 3)
 	cfg.Net = simnet.NewHomogeneous(simnet.SingleMachine(1))
-	if got := RingAllreduceTime(cfg, 0); got != 0 {
+	if got := ringAllreduceTime(cfg, 0); got != 0 {
 		t.Fatalf("single-node allreduce time = %v", got)
 	}
 }

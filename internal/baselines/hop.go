@@ -5,8 +5,8 @@ import (
 	"netmax/internal/policy"
 )
 
-// DefaultHopStaleness is the default iteration-gap bound for RunHop.
-const DefaultHopStaleness = 4
+// defaultHopStaleness is the default iteration-gap bound for RunHop.
+const defaultHopStaleness = 4
 
 // RunHop trains with Hop-style bounded staleness [25]: workers run the
 // asynchronous uniform gossip loop, but no worker may advance more than
@@ -17,7 +17,7 @@ const DefaultHopStaleness = 4
 // slow link eventually stalls everyone through the staleness gate.
 func RunHop(cfg *engine.Config, staleness int) *engine.Result {
 	if staleness <= 0 {
-		staleness = DefaultHopStaleness
+		staleness = defaultHopStaleness
 	}
 	ws := cfg.Workers()
 	tr := engine.NewTracker(cfg, ws, "Hop")

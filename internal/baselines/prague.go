@@ -7,9 +7,9 @@ import (
 	"netmax/internal/engine"
 )
 
-// PragueGroupSize is the partial-allreduce group size. Prague [14] draws
+// pragueGroupSize is the partial-allreduce group size. Prague [14] draws
 // random groups each "iteration"; four is representative of its evaluation.
-const PragueGroupSize = 4
+const pragueGroupSize = 4
 
 // RunPrague trains with Prague-style partial allreduce [14]: the earliest
 // free workers form a group, locally step, then average their models with an
@@ -22,7 +22,7 @@ func RunPrague(cfg *engine.Config) *engine.Result {
 	ws := cfg.Workers()
 	tr := engine.NewTracker(cfg, ws, "Prague")
 	m := len(ws)
-	g := PragueGroupSize
+	g := pragueGroupSize
 	if g > m {
 		g = m
 	}

@@ -27,10 +27,17 @@ import (
 	"netmax/internal/monitor"
 )
 
+// DefaultMonitorTs is the Network Monitor period in virtual seconds: the
+// paper's Ts = 120s over the evaluation's 50x time scale. Simulated epochs
+// run about 50x faster than the paper's GPU epochs, so every
+// wall-clock-periodic mechanism is scaled by the same factor to keep the
+// dynamics per epoch equal.
+const DefaultMonitorTs = 120.0 / 50
+
 // Options tunes NetMax beyond the engine Config.
 type Options struct {
 	// Ts is the Network Monitor schedule period in virtual seconds
-	// (paper: 120s).
+	// (default DefaultMonitorTs).
 	Ts float64
 	// Beta is the EMA smoothing factor β of Algorithm 2 (paper suggests
 	// adapting it to network dynamics; default 0.5).
@@ -57,7 +64,7 @@ type Options struct {
 
 func (o *Options) defaults() {
 	if o.Ts <= 0 {
-		o.Ts = 120
+		o.Ts = DefaultMonitorTs
 	}
 	if o.Beta <= 0 || o.Beta >= 1 {
 		o.Beta = 0.5

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"netmax/internal/baselines"
@@ -51,6 +52,19 @@ func TestNetMaxDeterministic(t *testing.T) {
 	b := Run(hetConfig(4, 3, 3), Options{Ts: 2})
 	if a.TotalTime != b.TotalTime || a.FinalLoss != b.FinalLoss {
 		t.Fatalf("non-deterministic: %v/%v vs %v/%v", a.TotalTime, a.FinalLoss, b.TotalTime, b.FinalLoss)
+	}
+}
+
+// TestRunDefaultTsIsDefaultMonitorTs checks that a zero Options.Ts runs the
+// monitor on the scaled paper period that every documented entry point
+// uses, not on the paper's unscaled 120 s.
+func TestRunDefaultTsIsDefaultMonitorTs(t *testing.T) {
+	def := Run(hetConfig(4, 3, 3), Options{})
+	defRegens := DebugRegens()
+	want := Run(hetConfig(4, 3, 3), Options{Ts: DefaultMonitorTs})
+	if !reflect.DeepEqual(def, want) || defRegens != DebugRegens() {
+		t.Fatalf("Options{} differs from Ts = DefaultMonitorTs: loss %v vs %v, virtual time %v vs %v, %d vs %d regenerations",
+			def.FinalLoss, want.FinalLoss, def.TotalTime, want.TotalTime, defRegens, DebugRegens())
 	}
 }
 
@@ -180,7 +194,7 @@ func TestFixedBlendOption(t *testing.T) {
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}
 	o.defaults()
-	if o.Ts != 120 || o.Beta != 0.5 || o.PolicyRounds != 10 || o.Epsilon != 1e-2 {
+	if o.Ts != DefaultMonitorTs || o.Beta != 0.5 || o.PolicyRounds != 10 || o.Epsilon != 1e-2 {
 		t.Fatalf("defaults = %+v", o)
 	}
 }

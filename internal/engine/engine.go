@@ -355,9 +355,6 @@ func (t *Tracker) AddBytes(n int64) { t.res.BytesSent += n }
 // Done reports whether the configured number of epochs has completed.
 func (t *Tracker) Done() bool { return t.epochsDone >= t.cfg.Epochs }
 
-// EpochsDone returns the completed epoch count.
-func (t *Tracker) EpochsDone() int { return t.epochsDone }
-
 func (t *Tracker) recordPoint(now float64) {
 	AverageModelInto(t.avg, t.ws, t.sum, t.tmp)
 	loss, _ := t.avg.Evaluate(t.cfg.Eval.X, t.cfg.Eval.Labels)

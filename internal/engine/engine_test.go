@@ -146,19 +146,19 @@ func TestTrackerEpochDetection(t *testing.T) {
 		total += s.Len()
 	}
 	tr.OnIteration(1.0, total-1, 0.1, 0.2)
-	if tr.EpochsDone() != 0 {
+	if tr.epochsDone != 0 {
 		t.Fatal("epoch counted early")
 	}
 	tr.OnIteration(2.0, 1, 0.1, 0.2)
-	if tr.EpochsDone() != 1 {
-		t.Fatalf("epochs = %d, want 1", tr.EpochsDone())
+	if tr.epochsDone != 1 {
+		t.Fatalf("epochs = %d, want 1", tr.epochsDone)
 	}
 	if len(tr.res.Curve) != 1 {
 		t.Fatalf("curve points = %d, want 1", len(tr.res.Curve))
 	}
 	tr.OnIteration(3.0, 2*total, 0.1, 0.2)
-	if tr.EpochsDone() != 3 {
-		t.Fatalf("epochs = %d, want 3 after bulk samples", tr.EpochsDone())
+	if tr.epochsDone != 3 {
+		t.Fatalf("epochs = %d, want 3 after bulk samples", tr.epochsDone)
 	}
 	if !tr.Done() {
 		t.Fatal("tracker should be done after 3 epochs")

@@ -42,7 +42,7 @@ type Config struct {
 	LR    float64
 	Batch int
 	Seed  int64
-	// Ts is the monitor's wall-clock policy period.
+	// Ts is the monitor's wall-clock policy period; it must be positive.
 	Ts time.Duration
 	// Beta is the EMA smoothing factor.
 	Beta float64
@@ -58,12 +58,11 @@ type Config struct {
 	Codec codec.Codec
 	// PullTimeout bounds every model pull and monitor exchange: a hung or
 	// dead peer costs at most one deadline instead of blocking the worker
-	// forever. Zero selects the 2s default; negative disables deadlines.
+	// forever. Zero disables deadlines.
 	PullTimeout time.Duration
 	// StalePeriods configures the monitor's liveness tracking: a worker
 	// silent for this many Ts periods is evicted and policies regenerate
-	// over the live subgraph. Zero selects the default of 3; negative
-	// disables eviction.
+	// over the live subgraph. Zero disables eviction.
 	StalePeriods int
 	// Churn schedules wall-clock crash/rejoin events for workers: the
 	// worker goes silent (and its transport endpoint refuses pulls) at At,
@@ -78,14 +77,6 @@ type ChurnEvent struct {
 	At     time.Duration // since run start
 	Rejoin time.Duration // since run start; <= At means permanent
 }
-
-// DefaultPullTimeout is the conservative per-call deadline applied when
-// Config.PullTimeout is zero.
-const DefaultPullTimeout = 2 * time.Second
-
-// DefaultStalePeriods is the monitor liveness window (in Ts periods)
-// applied when Config.StalePeriods is zero.
-const DefaultStalePeriods = 3
 
 // Stats summarizes a live run.
 type Stats struct {
@@ -154,32 +145,16 @@ func Run(ctx context.Context, cfg Config, hub Hub) *Stats {
 	m := len(cfg.Part.Shards)
 	adj := simnet.FullyConnected(m)
 
-	ts := cfg.Ts
-	if ts <= 0 {
-		ts = 500 * time.Millisecond
-	}
-	pullTimeout := cfg.PullTimeout
-	if pullTimeout == 0 {
-		pullTimeout = DefaultPullTimeout
-	} else if pullTimeout < 0 {
-		pullTimeout = 0
-	}
-	stale := cfg.StalePeriods
-	if stale == 0 {
-		stale = DefaultStalePeriods
-	} else if stale < 0 {
-		stale = 0
-	}
 	// A masked peer is retried after the monitor has had a fair chance to
 	// react: the staleness window plus one period.
-	maskCooldown := ts * time.Duration(stale+1)
+	maskCooldown := cfg.Ts * time.Duration(cfg.StalePeriods+1)
 
 	if cfg.Codec != nil {
 		hub.SetCodec(cfg.Codec)
 	}
-	hub.SetPullTimeout(pullTimeout)
+	hub.SetPullTimeout(cfg.PullTimeout)
 	start := time.Now()
-	mon := monitor.New(monitor.Config{Adj: adj, Alpha: cfg.LR, Period: ts.Seconds(), StalePeriods: stale})
+	mon := monitor.New(monitor.Config{Adj: adj, Alpha: cfg.LR, Period: cfg.Ts.Seconds(), StalePeriods: cfg.StalePeriods})
 	hub.OnReport(func(from, to int, secs float64, bytes int64) {
 		mon.ObserveAt(from, to, secs, time.Since(start).Seconds())
 		mon.ObserveBytes(from, to, bytes)
@@ -217,7 +192,7 @@ func Run(ctx context.Context, cfg Config, hub Hub) *Stats {
 	monDone := make(chan struct{})
 	go func() {
 		defer close(monDone)
-		ticker := time.NewTicker(ts)
+		ticker := time.NewTicker(cfg.Ts)
 		defer ticker.Stop()
 		for {
 			select {

@@ -86,17 +86,21 @@ func TestLiveGroupCrashOverTCP(t *testing.T) {
 	}
 }
 
+// liveConfig is a small MobileNet/MNIST group with the library's 2s pull
+// deadline and 3-period eviction window.
 func liveConfig(workers, iters int) Config {
 	train, test := data.SynthMNIST.Generate(1)
 	return Config{
-		Spec:       nn.SimMobileNet,
-		Part:       data.Uniform(train, workers, 1),
-		Test:       test,
-		LR:         0.1,
-		Batch:      16,
-		Seed:       7,
-		Ts:         50 * time.Millisecond,
-		Iterations: iters,
+		Spec:         nn.SimMobileNet,
+		Part:         data.Uniform(train, workers, 1),
+		Test:         test,
+		LR:           0.1,
+		Batch:        16,
+		Seed:         7,
+		Ts:           50 * time.Millisecond,
+		Iterations:   iters,
+		PullTimeout:  2 * time.Second,
+		StalePeriods: 3,
 	}
 }
 

@@ -66,9 +66,6 @@ type Monitor struct {
 
 // New creates a Monitor. Period must be positive.
 func New(cfg Config) *Monitor {
-	if cfg.Period <= 0 {
-		cfg.Period = 120 // the paper's Ts = 2 minutes
-	}
 	m := len(cfg.Adj)
 	ema := make([][]float64, m)
 	payload := make([][]int64, m)

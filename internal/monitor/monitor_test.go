@@ -51,13 +51,6 @@ func TestPeriodGate(t *testing.T) {
 	}
 }
 
-func TestDefaultPeriodIsPaperTs(t *testing.T) {
-	mo := New(Config{Adj: simnet.FullyConnected(2), Alpha: 0.1})
-	if mo.cfg.Period != 120 {
-		t.Fatalf("default period = %v, want 120 (the paper's 2 minutes)", mo.cfg.Period)
-	}
-}
-
 func TestTimesFillsGapsPessimistically(t *testing.T) {
 	mo := New(Config{Adj: simnet.FullyConnected(3), Alpha: 0.1, Period: 10})
 	mo.ObserveAt(0, 1, 1.0, 0)

@@ -4,7 +4,7 @@
 // A central requirement of the decentralized algorithms in this repository is
 // treating a model as a flat parameter vector that can be serialized, sent to
 // a peer, and blended into another replica (Algorithm 2, lines 13-15 of the
-// paper). Model therefore exposes VectorLen/CopyVector/SetVector/AXPYVector
+// paper). Model therefore exposes VectorLen/CopyVector/SetVector/BlendVector
 // views over its parameters in addition to the usual Forward/Loss methods.
 package nn
 
@@ -124,22 +124,6 @@ func (m *Model) SetVector(src []float64) {
 	off := 0
 	for _, p := range m.params {
 		off += copy(p.Data.Data, src[off:off+p.Data.Len()])
-	}
-}
-
-// AXPYVector performs params += s*v over the flat parameter view.
-// This is the primitive used by the consensus second-step update.
-func (m *Model) AXPYVector(s float64, v []float64) {
-	if len(v) != m.total {
-		panic(fmt.Sprintf("nn: AXPYVector length %d, want %d", len(v), m.total))
-	}
-	off := 0
-	for _, p := range m.params {
-		d := p.Data.Data
-		for i := range d {
-			d[i] += s * v[off+i]
-		}
-		off += len(d)
 	}
 }
 

@@ -4,8 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
+	"netmax/internal/autograd"
 	"netmax/internal/tensor"
 )
 
@@ -35,51 +35,6 @@ func TestVectorLenMatchesLayers(t *testing.T) {
 	want := 4*8 + 8 + 8*3 + 3
 	if m.VectorLen() != want {
 		t.Fatalf("VectorLen = %d, want %d", m.VectorLen(), want)
-	}
-}
-
-func TestAXPYVector(t *testing.T) {
-	m := smallModel(3)
-	orig := m.Vector()
-	delta := make([]float64, m.VectorLen())
-	for i := range delta {
-		delta[i] = float64(i%5) - 2
-	}
-	m.AXPYVector(0.5, delta)
-	got := m.Vector()
-	for i := range got {
-		want := orig[i] + 0.5*delta[i]
-		if math.Abs(got[i]-want) > 1e-12 {
-			t.Fatalf("AXPY wrong at %d: %v vs %v", i, got[i], want)
-		}
-	}
-}
-
-func TestAXPYVectorProperty(t *testing.T) {
-	// AXPY with s then -s restores the original vector.
-	f := func(seed int64, s float64) bool {
-		if math.IsNaN(s) || math.IsInf(s, 0) || math.Abs(s) > 1e6 {
-			return true
-		}
-		m := smallModel(seed)
-		orig := m.Vector()
-		rng := rand.New(rand.NewSource(seed + 1))
-		v := make([]float64, m.VectorLen())
-		for i := range v {
-			v[i] = rng.NormFloat64()
-		}
-		m.AXPYVector(s, v)
-		m.AXPYVector(-s, v)
-		got := m.Vector()
-		for i := range got {
-			if math.Abs(got[i]-orig[i]) > 1e-8*(1+math.Abs(orig[i])) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -234,5 +189,31 @@ func TestEvaluateReleasesItsGraph(t *testing.T) {
 	eval := testing.AllocsPerRun(200, func() { m.Evaluate(x, labels) })
 	if eval > train {
 		t.Fatalf("Evaluate allocates %v times per call, forward+backward %v", eval, train)
+	}
+}
+
+func TestReshapeRoundTrip(t *testing.T) {
+	xt := tensor.FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
+	x := autograd.NewLeaf(xt, true)
+	r := autograd.Reshape(x, 3, 2)
+	if r.Data.Shape[0] != 3 || r.Data.Shape[1] != 2 {
+		t.Fatalf("shape = %v", r.Data.Shape)
+	}
+	autograd.Backward(autograd.Mean(r))
+	for _, g := range x.Grad.Data {
+		if math.Abs(g-1.0/6) > 1e-12 {
+			t.Fatalf("reshape grad = %v", x.Grad.Data)
+		}
+	}
+}
+
+func TestTranspose2DGrad(t *testing.T) {
+	xt := tensor.FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
+	x := autograd.NewLeaf(xt, true)
+	autograd.Backward(autograd.Mean(autograd.Transpose2D(x)))
+	for _, g := range x.Grad.Data {
+		if math.Abs(g-1.0/6) > 1e-12 {
+			t.Fatalf("transpose grad = %v", x.Grad.Data)
+		}
 	}
 }

@@ -124,12 +124,10 @@ func (r *Manifest) engineRunner() (func(*engine.Config) *engine.Result, error) {
 	return nil, fmt.Errorf("scenario %q: unknown algorithm %q", r.Name, r.Algorithm)
 }
 
-// coreOptions converts the resolved NetMax block into core.Options.
+// coreOptions converts the resolved NetMax block, which Resolved fills in
+// for every algorithm that runs the monitor, into core.Options.
 func (r *Manifest) coreOptions() core.Options {
 	nm := r.NetMax
-	if nm == nil {
-		nm = &NetMaxSpec{TsSecs: DefaultMonitorTs}
-	}
 	return core.Options{
 		Ts:            nm.TsSecs,
 		Beta:          nm.Beta,
@@ -326,6 +324,8 @@ func (m *Manifest) BuildLive() (live.Config, live.Hub, func() error, error) {
 		return live.Config{}, nil, noop, err
 	}
 	l := r.Live
+	// Negative manifest values disable the pull deadline and eviction,
+	// which live.Config encodes as zero.
 	cfg := live.Config{
 		Spec:         spec,
 		Part:         part,
@@ -339,13 +339,8 @@ func (m *Manifest) BuildLive() (live.Config, live.Hub, func() error, error) {
 		Iterations:   l.Iterations,
 		Uniform:      l.Uniform,
 		Codec:        cdc,
-		StalePeriods: l.StalePeriods,
-	}
-	switch {
-	case l.PullTimeoutSecs < 0:
-		cfg.PullTimeout = -1
-	default:
-		cfg.PullTimeout = time.Duration(l.PullTimeoutSecs * float64(time.Second))
+		PullTimeout:  time.Duration(max(l.PullTimeoutSecs, 0) * float64(time.Second)),
+		StalePeriods: max(l.StalePeriods, 0),
 	}
 	for _, ev := range l.Churn {
 		cfg.Churn = append(cfg.Churn, live.ChurnEvent{

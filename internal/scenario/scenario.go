@@ -32,6 +32,7 @@ import (
 	"strings"
 
 	"netmax/internal/codec"
+	"netmax/internal/core"
 	"netmax/internal/data"
 	"netmax/internal/nn"
 	"netmax/internal/simnet"
@@ -321,12 +322,9 @@ const (
 	DefaultEpochs      = 8
 	DefaultBatch       = 16
 	DefaultLR          = 0.1
-	// DefaultMonitorTs is the NetMax monitor period in virtual seconds:
-	// the paper's 120s over the evaluation's 50x time scale. Simulated
-	// epochs run about 50x faster than the paper's GPU epochs, so every
-	// wall-clock-periodic mechanism is scaled by the same factor to keep
-	// the dynamics per epoch equal.
-	DefaultMonitorTs = 120.0 / 50
+	// DefaultMonitorTs is the NetMax monitor period in virtual seconds
+	// (see core.DefaultMonitorTs).
+	DefaultMonitorTs = core.DefaultMonitorTs
 	// DefaultSlowPeriod is the slow-link relocation period: the paper's
 	// 300s over the same 50x time scale.
 	DefaultSlowPeriod = 300.0 / 50
@@ -401,7 +399,7 @@ func orStr(v, d string) string {
 func (m *Manifest) Resolved() *Manifest {
 	r := m.clone()
 	r.Runtime = orStr(r.Runtime, DefaultRuntime)
-	r.Algorithm = orStr(r.Algorithm, defaultAlgorithm(r.Runtime))
+	r.Algorithm = orStr(r.Algorithm, DefaultAlgorithm)
 	r.Model = orStr(r.Model, DefaultModel)
 	r.Dataset = orStr(r.Dataset, DefaultDataset)
 	if r.Seed == 0 {
@@ -550,11 +548,6 @@ func (m *Manifest) ApplyQuick() *Manifest {
 		}
 	}
 	return r
-}
-
-func defaultAlgorithm(runtime string) string {
-	_ = runtime
-	return DefaultAlgorithm
 }
 
 // usesMonitor reports whether the algorithm consumes the NetMax spec.
@@ -964,6 +957,9 @@ func validateLive(e *errorList, m, r *Manifest) {
 	}
 	if l.TsMillis <= 0 {
 		e.addf("live.ts_millis must be positive, got %d", l.TsMillis)
+	}
+	if l.Beta <= 0 || l.Beta >= 1 {
+		e.addf("live.beta must be in (0, 1), got %g", l.Beta)
 	}
 	if l.DurationSecs < 0 {
 		e.addf("live.duration_secs must be >= 0, got %g", l.DurationSecs)

@@ -7,6 +7,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"netmax/internal/live"
 )
 
 // minimal returns the smallest interesting engine manifest: quick to run,
@@ -119,6 +122,8 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		{"live with engine block", `{"name": "x", "runtime": "live", "epochs": 4, "live": {"iterations": 5}}`, "engine-only"},
 		{"engine with live block", `{"name": "x", "live": {"iterations": 5}}`, "only valid with runtime"},
 		{"live bad transport", `{"name": "x", "runtime": "live", "live": {"iterations": 5, "transport": "udp"}}`, "unknown live transport"},
+		{"live beta above 1", `{"name": "x", "runtime": "live", "live": {"iterations": 5, "beta": 1.5}}`, "live.beta must be in (0, 1)"},
+		{"live beta negative", `{"name": "x", "runtime": "live", "live": {"iterations": 5, "beta": -0.2}}`, "live.beta must be in (0, 1)"},
 		{"live segments", `{"name": "x", "runtime": "live", "workers": 2, "partition": {"kind": "segments", "segments": [1, 2]}, "live": {"iterations": 5}}`, "engine-only"},
 		{"quick breaks cluster", `{"name": "x", "workers": 8, "topology": {"kind": "cluster", "nodes_per_machine": [4, 4]}, "quick": {"workers": 4}}`, "quick overrides"},
 		{"bad quick", `{"name": "x", "quick": {"epochs": -1}}`, "epochs"},
@@ -296,5 +301,52 @@ func TestRunLive(t *testing.T) {
 	}
 	if total != 10 {
 		t.Fatalf("expected 2 workers x 5 iterations, got %v", rep.Live.IterationsPerWorker)
+	}
+}
+
+// TestBuildLiveConfigEncoding pins how BuildLive maps the live block onto
+// live.Config, which has one encoding: the library defaults become explicit
+// values, and the manifest's negative "disable" values become zero.
+func TestBuildLiveConfigEncoding(t *testing.T) {
+	build := func(l *LiveSpec) (time.Duration, time.Duration, int) {
+		t.Helper()
+		m := &Manifest{Name: "t-live-encoding", Runtime: "live", Model: "MobileNet", Dataset: "MNIST", Live: l}
+		cfg, _, closeHub, err := m.BuildLive()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer closeHub()
+		return cfg.Ts, cfg.PullTimeout, cfg.StalePeriods
+	}
+	ts, timeout, stale := build(&LiveSpec{Iterations: 1})
+	if ts != 500*time.Millisecond || timeout != 2*time.Second || stale != 3 {
+		t.Fatalf("defaults: Ts %v, PullTimeout %v, StalePeriods %d; want 500ms, 2s, 3", ts, timeout, stale)
+	}
+	_, timeout, stale = build(&LiveSpec{Iterations: 1, PullTimeoutSecs: -1, StalePeriods: -1})
+	if timeout != 0 || stale != 0 {
+		t.Fatalf("disabled: PullTimeout %v, StalePeriods %d; want 0, 0", timeout, stale)
+	}
+}
+
+// TestLiveSummaryFields checks that a live run's summary line carries every
+// number the live runtime reports: accuracy and loss, iterations, policy
+// broadcasts, pulls, failed pulls, bytes on wire and wall time.
+func TestLiveSummaryFields(t *testing.T) {
+	rep := &Report{
+		Manifest: &Manifest{Name: "t-live", Algorithm: "netmax", Model: "MobileNet", Workers: 2},
+		Live: &live.Stats{
+			IterationsPerWorker: []int{5, 7},
+			FinalAccuracy:       0.875,
+			FinalLoss:           0.31416,
+			PolicyVersions:      3,
+			BytesOnWire:         4096,
+			Pulls:               11,
+			PeerDownErrors:      2,
+			Elapsed:             1500 * time.Millisecond,
+		},
+	}
+	want := "t-live [live/netmax MobileNet x2]: acc 87.50%, loss 0.3142, 12 iterations, 3 policy broadcasts, 11 pulls, 2 peer-down pulls, 4096 bytes on wire, 1.5s"
+	if got := rep.Summary(); got != want {
+		t.Fatalf("Summary() = %q\nwant        %q", got, want)
 	}
 }

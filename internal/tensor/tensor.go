@@ -217,13 +217,6 @@ func (t *Tensor) AXPY(s float64, b *Tensor) {
 	}
 }
 
-// ScaleInPlace multiplies t by s in place.
-func (t *Tensor) ScaleInPlace(s float64) {
-	for i := range t.Data {
-		t.Data[i] *= s
-	}
-}
-
 // Zero sets all elements to 0.
 func (t *Tensor) Zero() {
 	for i := range t.Data {
@@ -368,11 +361,6 @@ func Dot(a, b *Tensor) float64 {
 	return s
 }
 
-// Norm2 returns the Euclidean norm of the tensor viewed as a flat vector.
-func (t *Tensor) Norm2() float64 {
-	return math.Sqrt(Dot(t, t))
-}
-
 // Apply returns f applied elementwise.
 func Apply(a *Tensor, f func(float64) float64) *Tensor {
 	return ApplyInto(New(a.Shape...), a, f)
@@ -479,17 +467,6 @@ func SumRowsInto(dst, a *Tensor) *Tensor {
 		}
 	}
 	return dst
-}
-
-// MaxAbs returns the maximum absolute element value (0 for empty tensors).
-func (t *Tensor) MaxAbs() float64 {
-	m := 0.0
-	for _, v := range t.Data {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 // Equal reports exact equality of shape and data.

@@ -152,9 +152,6 @@ func TestSumMeanDotNorm(t *testing.T) {
 	if Dot(a, a) != 25 {
 		t.Errorf("Dot = %v", Dot(a, a))
 	}
-	if a.Norm2() != 5 {
-		t.Errorf("Norm2 = %v", a.Norm2())
-	}
 }
 
 func TestCloneIndependence(t *testing.T) {
@@ -202,16 +199,6 @@ func TestRandnDeterministic(t *testing.T) {
 	b := Randn(rand.New(rand.NewSource(42)), 1, 3, 3)
 	if !Equal(a, b) {
 		t.Fatal("Randn not deterministic for equal seeds")
-	}
-}
-
-func TestMaxAbs(t *testing.T) {
-	a := FromSlice([]float64{-7, 3}, 2)
-	if a.MaxAbs() != 7 {
-		t.Errorf("MaxAbs = %v", a.MaxAbs())
-	}
-	if New(0).MaxAbs() != 0 {
-		t.Error("MaxAbs of empty should be 0")
 	}
 }
 

@@ -60,10 +60,10 @@ func NewPull(c codec.Codec, dim int, payload []byte) *Pull {
 	return &Pull{codec: c, dim: dim, payload: payload, wire: int64(len(payload))}
 }
 
-// NewDecodedPull wraps an already-decoded vector (the in-process raw fast
+// newDecodedPull wraps an already-decoded vector (the in-process raw fast
 // path: lossless, so encode/decode would be pure overhead) with the wire
 // size the encoding would have had. The Pull takes ownership of vec.
-func NewDecodedPull(vec []float64, wire int64) *Pull {
+func newDecodedPull(vec []float64, wire int64) *Pull {
 	return &Pull{vec: vec, dim: len(vec), wire: wire}
 }
 
@@ -207,7 +207,7 @@ func (p *localPeer) PullModel() (*Pull, error) {
 	if _, ok := c.(codec.Raw); ok {
 		out := make([]float64, len(v))
 		copy(out, v)
-		return NewDecodedPull(out, c.WireBytes(len(v))), nil
+		return newDecodedPull(out, c.WireBytes(len(v))), nil
 	}
 	// Encode through the codec: decoding happens at the caller's blend
 	// step, carrying exactly the loss a socket transfer would.

@@ -42,10 +42,8 @@ package netmax
 import (
 	"netmax/internal/baselines"
 	"netmax/internal/core"
-	"netmax/internal/data"
 	"netmax/internal/engine"
 	"netmax/internal/experiments"
-	"netmax/internal/nn"
 	"netmax/internal/policy"
 	"netmax/internal/scenario"
 	"netmax/internal/simnet"
@@ -83,36 +81,9 @@ var NewFailureSchedule = simnet.NewFailureSchedule
 // crashes per worker over the horizon, mean downtime seconds).
 var NewRandomChurn = simnet.NewRandomChurn
 
-// Model specs mirroring the paper's models (parameter counts and compute
-// costs preserved; see internal/nn).
-var (
-	SimMobileNet = nn.SimMobileNet
-	SimResNet18  = nn.SimResNet18
-	SimResNet50  = nn.SimResNet50
-	SimVGG19     = nn.SimVGG19
-	SimGoogLeNet = nn.SimGoogLeNet
-)
-
-// Dataset specs substituting the paper's datasets (class counts preserved).
-var (
-	SynthMNIST        = data.SynthMNIST
-	SynthCIFAR10      = data.SynthCIFAR10
-	SynthCIFAR100     = data.SynthCIFAR100
-	SynthTinyImageNet = data.SynthTinyImageNet
-	SynthImageNet     = data.SynthImageNet
-)
-
-// Dataset materializes a dataset spec deterministically.
-func Dataset(spec data.Spec, seed int64) (train, test *data.Dataset) {
-	return spec.Generate(seed)
-}
-
 // Train runs NetMax (consensus SGD + Network Monitor) and returns the
-// aggregated result. Options.Ts <= 0 selects scenario.DefaultMonitorTs.
+// aggregated result. Zero Options fields select core's defaults.
 func Train(cfg *Config, opts Options) *Result {
-	if opts.Ts <= 0 {
-		opts.Ts = scenario.DefaultMonitorTs
-	}
 	return core.Run(cfg, opts)
 }
 
@@ -147,9 +118,6 @@ func TrainHop(cfg *Config, staleness int) *Result {
 // TrainADPSGDMonitor runs the Section III-D extension: AD-PSGD steered by
 // the Network Monitor's adaptive policy.
 func TrainADPSGDMonitor(cfg *Config, opts Options) *Result {
-	if opts.Ts <= 0 {
-		opts.Ts = scenario.DefaultMonitorTs
-	}
 	return core.RunADPSGDMonitor(cfg, opts)
 }
 
