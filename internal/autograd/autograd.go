@@ -279,41 +279,6 @@ func SoftmaxCrossEntropy(logits *Value, labels []int) *Value {
 	return out
 }
 
-// Transpose2D returns the transpose of a rank-2 value.
-func Transpose2D(a *Value) *Value {
-	out := newPooledOp("transpose", tensor.TransposeInto(tensor.GetPooledDirty(a.Data.Shape[1], a.Data.Shape[0]), a.Data), a)
-	out.backward = func() {
-		if a.requiresGrad {
-			accumTemp(a, tensor.TransposeInto(tensor.GetPooledDirty(a.Data.Shape...), out.Grad))
-		}
-	}
-	return out
-}
-
-// Reshape reinterprets a value's data under a new shape with the same
-// element count; gradients flow back under the original shape.
-func Reshape(a *Value, shape ...int) *Value {
-	n := 1
-	for _, s := range shape {
-		n *= s
-	}
-	if n != a.Data.Len() {
-		panic(fmt.Sprintf("autograd: Reshape %v to %v", a.Data.Shape, shape))
-	}
-	data := tensor.GetPooledDirty(shape...)
-	copy(data.Data, a.Data.Data)
-	out := newPooledOp("reshape", data, a)
-	out.backward = func() {
-		if !a.requiresGrad {
-			return
-		}
-		g := tensor.GetPooledDirty(a.Data.Shape...)
-		copy(g.Data, out.Grad.Data)
-		accumTemp(a, g)
-	}
-	return out
-}
-
 // Item returns the scalar payload of a 1-element value.
 func (v *Value) Item() float64 {
 	if v.Data.Len() != 1 {

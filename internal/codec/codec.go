@@ -47,13 +47,11 @@ type Codec interface {
 	// AppendEncode appends the payload encoding of vec to dst and returns
 	// the extended slice (append-style, so callers can reuse buffers).
 	AppendEncode(dst []byte, vec []float64) []byte
-	// Decode reconstructs a dim-length vector from payload. prior, when
-	// non-nil, supplies values for coordinates the codec did not transmit
-	// (sparse codecs); it must have length dim. Dense codecs ignore it.
-	// prior is never written; the returned slice is freshly allocated.
-	Decode(payload []byte, dim int, prior []float64) ([]float64, error)
-	// DecodeInto is Decode writing into caller-owned dst (length = dim) so
-	// hot loops can reuse buffers. dst and prior may be the same slice.
+	// DecodeInto reconstructs a len(dst)-length vector from payload into
+	// caller-owned dst, so hot loops reuse buffers. prior, when non-nil,
+	// supplies values for coordinates the codec did not transmit (sparse
+	// codecs); it must have length len(dst). Dense codecs ignore it. dst
+	// and prior may be the same slice; otherwise prior is never written.
 	DecodeInto(payload []byte, dst, prior []float64) error
 	// WireBytes predicts the payload size for a dim-length vector. This is
 	// the figure the simulator's bandwidth model charges per transfer.
@@ -96,18 +94,6 @@ func ByID(id uint8) (Codec, error) {
 // Names lists the flag-facing codec names.
 func Names() []string { return []string{"raw", "float32", "topk"} }
 
-// decodeAlloc implements the allocating Decode in terms of DecodeInto.
-func decodeAlloc(c Codec, payload []byte, dim int, prior []float64) ([]float64, error) {
-	if prior != nil && len(prior) != dim {
-		return nil, fmt.Errorf("codec: %s prior length %d, want %d", c.Name(), len(prior), dim)
-	}
-	out := make([]float64, dim)
-	if err := c.DecodeInto(payload, out, prior); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // --- raw ---
 
 // Raw transmits float64 coordinates verbatim: exact, 8 bytes per coordinate.
@@ -125,11 +111,6 @@ func (Raw) AppendEncode(dst []byte, vec []float64) []byte {
 		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v))
 	}
 	return dst
-}
-
-// Decode implements Codec.
-func (c Raw) Decode(payload []byte, dim int, prior []float64) ([]float64, error) {
-	return decodeAlloc(c, payload, dim, prior)
 }
 
 // DecodeInto implements Codec.
@@ -169,11 +150,6 @@ func (Float32) AppendEncode(dst []byte, vec []float64) []byte {
 		dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(float32(v)))
 	}
 	return dst
-}
-
-// Decode implements Codec.
-func (c Float32) Decode(payload []byte, dim int, prior []float64) ([]float64, error) {
-	return decodeAlloc(c, payload, dim, prior)
 }
 
 // DecodeInto implements Codec.
@@ -258,11 +234,6 @@ func (c TopK) AppendEncode(dst []byte, vec []float64) []byte {
 	return dst
 }
 
-// Decode implements Codec.
-func (c TopK) Decode(payload []byte, dim int, prior []float64) ([]float64, error) {
-	return decodeAlloc(c, payload, dim, prior)
-}
-
 // DecodeInto implements Codec.
 func (TopK) DecodeInto(payload []byte, dst, prior []float64) error {
 	dim := len(dst)
@@ -280,11 +251,18 @@ func (TopK) DecodeInto(payload []byte, dst, prior []float64) error {
 		return fmt.Errorf("codec: topk prior length %d, want %d", len(prior), dim)
 	}
 	// Validate every index before writing so a malformed payload leaves
-	// dst untouched.
+	// dst untouched. AppendEncode emits strictly ascending indices; a
+	// repeated or out-of-order one marks a corrupt payload.
+	prev := -1
 	for e := 0; e < k; e++ {
-		if i := int(binary.BigEndian.Uint32(payload[4+8*e:])); i >= dim {
+		i := int(binary.BigEndian.Uint32(payload[4+8*e:]))
+		if i >= dim {
 			return fmt.Errorf("codec: topk index %d out of range for dim %d", i, dim)
 		}
+		if i <= prev {
+			return fmt.Errorf("codec: topk index %d follows %d; indices must ascend", i, prev)
+		}
+		prev = i
 	}
 	if prior == nil {
 		for i := range dst {

@@ -15,6 +15,12 @@ func randomVec(rng *rand.Rand, dim int) []float64 {
 	return v
 }
 
+// decode runs DecodeInto on a fresh dim-length vector.
+func decode(c Codec, payload []byte, dim int, prior []float64) ([]float64, error) {
+	got := make([]float64, dim)
+	return got, c.DecodeInto(payload, got, prior)
+}
+
 func TestRawRoundTripExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, dim := range []int{0, 1, 7, 256, 1023} {
@@ -23,7 +29,7 @@ func TestRawRoundTripExact(t *testing.T) {
 		if int64(len(payload)) != (Raw{}).WireBytes(dim) {
 			t.Fatalf("dim %d: payload %d bytes, WireBytes says %d", dim, len(payload), (Raw{}).WireBytes(dim))
 		}
-		got, err := (Raw{}).Decode(payload, dim, nil)
+		got, err := decode(Raw{}, payload, dim, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +50,7 @@ func TestFloat32RoundTripWithinTolerance(t *testing.T) {
 		if int64(len(payload)) != (Float32{}).WireBytes(dim) {
 			t.Fatalf("payload %d bytes, WireBytes says %d", len(payload), (Float32{}).WireBytes(dim))
 		}
-		got, err := (Float32{}).Decode(payload, dim, nil)
+		got, err := decode(Float32{}, payload, dim, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +88,7 @@ func TestTopKPreservesLargestMagnitudes(t *testing.T) {
 			t.Fatalf("payload %d bytes, WireBytes says %d", len(payload), c.WireBytes(dim))
 		}
 		prior := randomVec(rng, dim)
-		got, err := c.Decode(payload, dim, prior)
+		got, err := decode(c, payload, dim, prior)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +119,7 @@ func TestTopKPreservesLargestMagnitudes(t *testing.T) {
 func TestTopKNilPriorDecodesZeros(t *testing.T) {
 	vec := []float64{5, -9, 0.5, 2}
 	c := NewTopK(0.5) // k = 2: coords 1 (-9) and 0 (5)
-	got, err := c.Decode(c.AppendEncode(nil, vec), 4, nil)
+	got, err := decode(c, c.AppendEncode(nil, vec), 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +139,7 @@ func TestTopKDeterministicOnTies(t *testing.T) {
 	if string(p1) != string(p2) {
 		t.Fatal("encoding not deterministic")
 	}
-	got, err := c.Decode(p1, 5, nil)
+	got, err := decode(c, p1, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,24 +165,35 @@ func TestTopKFracClamping(t *testing.T) {
 }
 
 func TestDecodeRejectsMalformedPayloads(t *testing.T) {
-	if _, err := (Raw{}).Decode(make([]byte, 12), 2, nil); err == nil {
+	if _, err := decode(Raw{}, make([]byte, 12), 2, nil); err == nil {
 		t.Fatal("raw accepted short payload")
 	}
-	if _, err := (Float32{}).Decode(make([]byte, 9), 2, nil); err == nil {
+	if _, err := decode(Float32{}, make([]byte, 9), 2, nil); err == nil {
 		t.Fatal("float32 accepted misaligned payload")
 	}
-	if _, err := (TopK{}).Decode([]byte{0, 0}, 2, nil); err == nil {
+	if _, err := decode(TopK{}, []byte{0, 0}, 2, nil); err == nil {
 		t.Fatal("topk accepted truncated header")
 	}
 	// k claims more entries than the payload holds.
-	if _, err := (TopK{}).Decode([]byte{0, 0, 0, 9, 1, 2, 3}, 2, nil); err == nil {
+	if _, err := decode(TopK{}, []byte{0, 0, 0, 9, 1, 2, 3}, 2, nil); err == nil {
 		t.Fatal("topk accepted inconsistent k")
 	}
 	// Index out of range for dim.
 	c := NewTopK(1)
 	payload := c.AppendEncode(nil, []float64{1, 2, 3})
-	if _, err := c.Decode(payload, 2, nil); err == nil {
+	if _, err := decode(c, payload, 2, nil); err == nil {
 		t.Fatal("topk accepted out-of-range index")
+	}
+	// Indices that repeat or descend: the encoder never emits them.
+	for _, idx := range [][2]byte{{1, 1}, {2, 0}} {
+		bad := []byte{0, 0, 0, 2, 0, 0, 0, idx[0], 0, 0, 0, 0, 0, 0, 0, idx[1], 0, 0, 0, 0}
+		if _, err := decode(TopK{}, bad, 3, nil); err == nil {
+			t.Fatalf("topk accepted indices %v", idx)
+		}
+	}
+	// A prior whose length disagrees with the vector's.
+	if _, err := decode(c, payload, 3, []float64{1, 2}); err == nil {
+		t.Fatal("topk accepted a prior of the wrong length")
 	}
 }
 

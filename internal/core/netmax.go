@@ -34,17 +34,22 @@ import (
 // dynamics per epoch equal.
 const DefaultMonitorTs = 120.0 / 50
 
+// DefaultBeta is the EMA smoothing factor β of Algorithm 2.
+const DefaultBeta = 0.5
+
 // Options tunes NetMax beyond the engine Config.
 type Options struct {
 	// Ts is the Network Monitor schedule period in virtual seconds
 	// (default DefaultMonitorTs).
 	Ts float64
 	// Beta is the EMA smoothing factor β of Algorithm 2 (paper suggests
-	// adapting it to network dynamics; default 0.5).
+	// adapting it to network dynamics; default DefaultBeta).
 	Beta float64
-	// PolicyRounds sets Algorithm 3's K and R grids (default 10).
+	// PolicyRounds sets Algorithm 3's K and R grids (default
+	// policy.DefaultRounds).
 	PolicyRounds int
-	// Epsilon is the Eq. 9 convergence target (default 1e-2).
+	// Epsilon is the Eq. 9 convergence target (default
+	// policy.DefaultEpsilon).
 	Epsilon float64
 	// UniformPolicy disables the adaptive policy (the "uniform" arm of the
 	// Fig. 7 ablation): the monitor still runs but its output is ignored.
@@ -67,13 +72,7 @@ func (o *Options) defaults() {
 		o.Ts = DefaultMonitorTs
 	}
 	if o.Beta <= 0 || o.Beta >= 1 {
-		o.Beta = 0.5
-	}
-	if o.PolicyRounds <= 0 {
-		o.PolicyRounds = 10
-	}
-	if o.Epsilon <= 0 {
-		o.Epsilon = 1e-2
+		o.Beta = DefaultBeta
 	}
 }
 

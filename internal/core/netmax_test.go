@@ -191,10 +191,13 @@ func TestFixedBlendOption(t *testing.T) {
 	}
 }
 
+// TestOptionsDefaults pins the defaults core owns. Policy rounds and ε
+// stay zero: policy.Generate applies its own DefaultRounds and
+// DefaultEpsilon to them.
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}
 	o.defaults()
-	if o.Ts != DefaultMonitorTs || o.Beta != 0.5 || o.PolicyRounds != 10 || o.Epsilon != 1e-2 {
+	if o.Ts != DefaultMonitorTs || o.Beta != 0.5 || o.PolicyRounds != 0 || o.Epsilon != 0 {
 		t.Fatalf("defaults = %+v", o)
 	}
 }

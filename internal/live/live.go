@@ -1,9 +1,10 @@
 // Package live runs NetMax as an actual concurrent process group — real
-// goroutine workers exchanging models over a Transport, a real Network
-// Monitor regenerating policies on a wall-clock timer — as opposed to the
-// discrete-event simulation in internal/engine. This is the deployment-
-// shaped half of the reproduction: the examples use the in-process
-// transport with injected latency, and cmd/netmax-live uses TCP.
+// goroutine workers exchanging models through a transport.Hub, a real
+// Network Monitor regenerating policies on a wall-clock timer — as opposed
+// to the discrete-event simulation in internal/engine. This is the
+// deployment-shaped half of the reproduction. The hub speaks one wire
+// protocol over in-memory pipes (with injected latency, for heterogeneity
+// on one machine) or over loopback TCP.
 //
 // The algorithm is not re-implemented here. Each worker goroutine drives
 // core.Node, the per-worker NetMax state the engine's behavior also uses
@@ -108,6 +109,8 @@ type worker struct {
 	rep  *engine.Worker
 	mu   sync.Mutex // guards rep.Model's parameters: transport reads vs. local updates
 	node *core.Node
+	// pulled is the buffer pulls decode into before the blend.
+	pulled []float64
 	// version is the broadcast policy version the node last adopted.
 	version int
 	// maskedAt records when a pull at each peer last failed with
@@ -125,23 +128,9 @@ func (w *worker) vector() []float64 {
 	return w.rep.Model.Vector()
 }
 
-// Hub is the transport surface the live group needs; both
-// transport.LocalNet (in-process, injectable latency) and transport.TCPHub
-// (loopback sockets) satisfy it.
-type Hub interface {
-	Register(id int, src transport.ModelSource)
-	Peer(from, to int) transport.Peer
-	Monitor() transport.MonitorClient
-	SetPolicy(p [][]float64, rho float64)
-	SetCodec(c codec.Codec)
-	SetPullTimeout(d time.Duration)
-	SetWorkerDown(id int, down bool)
-	OnReport(f func(from, to int, secs float64, bytes int64))
-}
-
 // Run executes the live group until the configured bound and returns stats.
 // The transport hub must be fresh; Run registers all workers on it.
-func Run(ctx context.Context, cfg Config, hub Hub) *Stats {
+func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
 	m := len(cfg.Part.Shards)
 	adj := simnet.FullyConnected(m)
 
@@ -167,7 +156,7 @@ func Run(ctx context.Context, cfg Config, hub Hub) *Stats {
 	nodes := core.NewNodes(adj, cfg.LR, core.Options{Beta: cfg.Beta})
 	workers := make([]*worker, m)
 	for i := 0; i < m; i++ {
-		w := &worker{id: i, rep: reps[i], node: nodes[i], maskedAt: make([]time.Time, m)}
+		w := &worker{id: i, rep: reps[i], node: nodes[i], pulled: make([]float64, reps[i].Model.VectorLen()), maskedAt: make([]time.Time, m)}
 		for _, ev := range cfg.Churn {
 			if ev.Worker == i {
 				w.churn = append(w.churn, ev)
@@ -296,12 +285,12 @@ func Run(ctx context.Context, cfg Config, hub Hub) *Stats {
 					coef := w.node.Coef(j)
 					w.mu.Lock()
 					var prior []float64
-					if pulled.NeedsPrior() {
-						prior = w.rep.Model.Vector()
+					if pulled.Sparse() {
+						prior = w.rep.Model.CopyVector(w.pulled)
 					}
-					vec, decErr := pulled.Decode(prior)
+					decErr := pulled.DecodeInto(w.pulled, prior)
 					if decErr == nil {
-						w.rep.Model.BlendVector(coef, vec)
+						w.rep.Model.BlendVector(coef, w.pulled)
 					}
 					w.mu.Unlock()
 					if decErr == nil {

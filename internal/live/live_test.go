@@ -17,7 +17,8 @@ import (
 // neighbor was masked, not fatal), and still produce a finite consensus
 // model with everyone else iterating.
 func TestLiveGroupSurvivesCrashRejoin(t *testing.T) {
-	hub := transport.NewLocalNet()
+	hub := transport.NewLocalHub()
+	defer hub.Close()
 	// Slow iterations down to ~1ms so the wall-clock churn window overlaps
 	// a substantial stretch of the run.
 	hub.Latency = func(i, j int, _ time.Time) time.Duration { return time.Millisecond }
@@ -46,7 +47,8 @@ func TestLiveGroupSurvivesCrashRejoin(t *testing.T) {
 // TestLiveGroupPermanentLeave verifies a worker that leaves for good: the
 // survivors finish their iterations and the run terminates.
 func TestLiveGroupPermanentLeave(t *testing.T) {
-	hub := transport.NewLocalNet()
+	hub := transport.NewLocalHub()
+	defer hub.Close()
 	hub.Latency = func(i, j int, _ time.Time) time.Duration { return time.Millisecond }
 	cfg := liveConfig(3, 120)
 	cfg.PullTimeout = 200 * time.Millisecond
@@ -105,7 +107,8 @@ func liveConfig(workers, iters int) Config {
 }
 
 func TestLiveGroupTrains(t *testing.T) {
-	hub := transport.NewLocalNet()
+	hub := transport.NewLocalHub()
+	defer hub.Close()
 	stats := Run(context.Background(), liveConfig(4, 150), hub)
 	if stats.FinalAccuracy < 0.85 {
 		t.Fatalf("live accuracy = %v, want >= 0.85", stats.FinalAccuracy)
@@ -118,7 +121,8 @@ func TestLiveGroupTrains(t *testing.T) {
 }
 
 func TestLiveGroupRegeneratesPolicy(t *testing.T) {
-	hub := transport.NewLocalNet()
+	hub := transport.NewLocalHub()
+	defer hub.Close()
 	// Inject strong latency asymmetry so the policy matters and iterations
 	// are slow enough for several monitor periods to pass.
 	hub.Latency = func(i, j int, _ time.Time) time.Duration {
@@ -136,7 +140,8 @@ func TestLiveGroupRegeneratesPolicy(t *testing.T) {
 }
 
 func TestLiveGroupDurationBound(t *testing.T) {
-	hub := transport.NewLocalNet()
+	hub := transport.NewLocalHub()
+	defer hub.Close()
 	cfg := liveConfig(2, 0)
 	cfg.Duration = 300 * time.Millisecond
 	start := time.Now()
@@ -150,7 +155,8 @@ func TestLiveGroupDurationBound(t *testing.T) {
 }
 
 func TestLiveGroupContextCancel(t *testing.T) {
-	hub := transport.NewLocalNet()
+	hub := transport.NewLocalHub()
+	defer hub.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(100 * time.Millisecond)
@@ -188,7 +194,8 @@ func TestLiveGroupOverTCP(t *testing.T) {
 }
 
 func TestLiveUniformMode(t *testing.T) {
-	hub := transport.NewLocalNet()
+	hub := transport.NewLocalHub()
+	defer hub.Close()
 	cfg := liveConfig(3, 60)
 	cfg.Uniform = true
 	stats := Run(context.Background(), cfg, hub)
@@ -203,7 +210,8 @@ func TestLiveUniformMode(t *testing.T) {
 // consensus model stays within tolerance of the raw-codec accuracy.
 func TestCompressionCodecsReduceBytes(t *testing.T) {
 	run := func(c codec.Codec) *Stats {
-		hub := transport.NewLocalNet()
+		hub := transport.NewLocalHub()
+		defer hub.Close()
 		cfg := liveConfig(4, 120)
 		cfg.Codec = c
 		return Run(context.Background(), cfg, hub)
@@ -275,7 +283,8 @@ func TestLiveRejectsMalformedPolicy(t *testing.T) {
 		{"nan-entry", [][]float64{{0, nan, 0.5, 0.5}, uniform[1], uniform[2], uniform[3]}, 1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			hub := transport.NewLocalNet()
+			hub := transport.NewLocalHub()
+			defer hub.Close()
 			hub.SetPolicy(c.p, c.rho)
 			cfg := liveConfig(4, 60)
 			cfg.Uniform = true // no valid broadcast replaces the bad one

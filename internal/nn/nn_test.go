@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"netmax/internal/autograd"
 	"netmax/internal/tensor"
 )
 
@@ -189,31 +188,5 @@ func TestEvaluateReleasesItsGraph(t *testing.T) {
 	eval := testing.AllocsPerRun(200, func() { m.Evaluate(x, labels) })
 	if eval > train {
 		t.Fatalf("Evaluate allocates %v times per call, forward+backward %v", eval, train)
-	}
-}
-
-func TestReshapeRoundTrip(t *testing.T) {
-	xt := tensor.FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	x := autograd.NewLeaf(xt, true)
-	r := autograd.Reshape(x, 3, 2)
-	if r.Data.Shape[0] != 3 || r.Data.Shape[1] != 2 {
-		t.Fatalf("shape = %v", r.Data.Shape)
-	}
-	autograd.Backward(autograd.Mean(r))
-	for _, g := range x.Grad.Data {
-		if math.Abs(g-1.0/6) > 1e-12 {
-			t.Fatalf("reshape grad = %v", x.Grad.Data)
-		}
-	}
-}
-
-func TestTranspose2DGrad(t *testing.T) {
-	xt := tensor.FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	x := autograd.NewLeaf(xt, true)
-	autograd.Backward(autograd.Mean(autograd.Transpose2D(x)))
-	for _, g := range x.Grad.Data {
-		if math.Abs(g-1.0/6) > 1e-12 {
-			t.Fatalf("transpose grad = %v", x.Grad.Data)
-		}
 	}
 }

@@ -31,9 +31,10 @@ type Input struct {
 	// Alpha is the SGD learning rate α.
 	Alpha float64
 	// OuterRounds (K) and InnerRounds (R) are the grid sizes of
-	// Algorithm 3. Zero values default to 10 and 10.
+	// Algorithm 3. Zero values default to DefaultRounds.
 	OuterRounds, InnerRounds int
-	// Epsilon is the convergence target ε of Eq. (9); defaults to 1e-2.
+	// Epsilon is the convergence target ε of Eq. (9); defaults to
+	// DefaultEpsilon.
 	Epsilon float64
 	// AveragingBlend selects the Section III-D extension mode: the worker
 	// update is AD-PSGD's fixed averaging x_i ← (x_i+x_j)/2 instead of the
@@ -313,19 +314,26 @@ func Generate(in Input) (*Policy, error) {
 	return generate(in)
 }
 
+// Algorithm 3's defaults: the K and R grid sizes and the Eq. 9
+// convergence target ε.
+const (
+	DefaultRounds  = 10
+	DefaultEpsilon = 1e-2
+)
+
 // generate is Generate on a validated Input.
 func generate(in Input) (*Policy, error) {
 	k := in.OuterRounds
 	if k <= 0 {
-		k = 10
+		k = DefaultRounds
 	}
 	r := in.InnerRounds
 	if r <= 0 {
-		r = 10
+		r = DefaultRounds
 	}
 	eps := in.Epsilon
 	if eps <= 0 || eps >= 1 {
-		eps = 1e-2
+		eps = DefaultEpsilon
 	}
 	s := newSearch(in, eps)
 	if in.AveragingBlend {

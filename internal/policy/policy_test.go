@@ -142,6 +142,25 @@ func TestGenerateProducesFeasiblePolicy(t *testing.T) {
 	}
 }
 
+// TestGenerateZeroOptionsMeanDefaults pins the one home of Algorithm 3's
+// defaults: zero rounds and ε generate the same policy as DefaultRounds
+// and DefaultEpsilon, so callers may leave them unset.
+func TestGenerateZeroOptionsMeanDefaults(t *testing.T) {
+	in := Input{Times: hetTimes(5, 2), Adj: simnet.FullyConnected(5), Alpha: 0.1}
+	zero, err := Generate(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.OuterRounds, in.InnerRounds, in.Epsilon = DefaultRounds, DefaultRounds, DefaultEpsilon
+	explicit, err := Generate(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(*zero) != fmt.Sprint(*explicit) {
+		t.Fatalf("zero options gave %+v, explicit defaults %+v", *zero, *explicit)
+	}
+}
+
 func TestGenerateYIsDoublyStochastic(t *testing.T) {
 	// Theorem 3 / Lemmas 1-2: for any feasible P, Y_P is doubly stochastic
 	// with λ2 < 1.

@@ -295,9 +295,10 @@ func (r *Manifest) buildFailures() (*simnet.FailureSchedule, error) {
 }
 
 // BuildLive translates a live-runtime manifest into a live.Config plus a
-// transport hub. The returned closer releases the hub's resources (a no-op
-// for the in-process transport) and must be called after the run.
-func (m *Manifest) BuildLive() (live.Config, live.Hub, func() error, error) {
+// transport hub: in-memory for transport "local", loopback sockets for
+// "tcp". The returned closer releases the hub's servers and connections
+// and must be called after the run.
+func (m *Manifest) BuildLive() (live.Config, *transport.Hub, func() error, error) {
 	noop := func() error { return nil }
 	if err := m.Validate(); err != nil {
 		return live.Config{}, nil, noop, err
@@ -356,15 +357,15 @@ func (m *Manifest) BuildLive() (live.Config, live.Hub, func() error, error) {
 		}
 		return cfg, hub, hub.Close, nil
 	}
-	ln := transport.NewLocalNet()
+	hub := transport.NewLocalHub()
 	if lat := l.Latency; lat != nil {
 		colocated, intra, inter := lat.Colocated, lat.IntraMillis, lat.InterMillis
-		ln.Latency = func(i, j int, _ time.Time) time.Duration {
+		hub.Latency = func(i, j int, _ time.Time) time.Duration {
 			if (i < colocated) == (j < colocated) {
 				return time.Duration(intra * float64(time.Millisecond))
 			}
 			return time.Duration(inter * float64(time.Millisecond))
 		}
 	}
-	return cfg, ln, noop, nil
+	return cfg, hub, hub.Close, nil
 }

@@ -29,12 +29,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"netmax/internal/codec"
 	"netmax/internal/core"
 	"netmax/internal/data"
 	"netmax/internal/nn"
+	"netmax/internal/policy"
 	"netmax/internal/simnet"
 )
 
@@ -250,8 +252,8 @@ type NetMaxSpec struct {
 
 // LiveSpec configures the live (goroutine / TCP) runtime.
 type LiveSpec struct {
-	// Transport: "local" (default; in-process with injectable latency) or
-	// "tcp" (loopback sockets speaking the binary wire protocol).
+	// Transport: "local" (default; in-memory pipes, injectable latency) or
+	// "tcp" (loopback sockets). Both speak the binary wire protocol.
 	Transport string `json:"transport,omitempty"`
 	// TsMillis is the monitor's wall-clock policy period (default 500).
 	TsMillis int `json:"ts_millis,omitempty"`
@@ -447,7 +449,7 @@ func (m *Manifest) Resolved() *Manifest {
 			l.StalePeriods = DefaultLiveStale
 		}
 		if l.Beta == 0 {
-			l.Beta = 0.5
+			l.Beta = core.DefaultBeta
 		}
 	default: // engine
 		if r.Epochs == 0 {
@@ -502,13 +504,13 @@ func (m *Manifest) Resolved() *Manifest {
 				nm.TsSecs = DefaultMonitorTs
 			}
 			if nm.Beta == 0 {
-				nm.Beta = 0.5
+				nm.Beta = core.DefaultBeta
 			}
 			if nm.PolicyRounds == 0 {
-				nm.PolicyRounds = 10
+				nm.PolicyRounds = policy.DefaultRounds
 			}
 			if nm.Epsilon == 0 {
-				nm.Epsilon = 0.01
+				nm.Epsilon = policy.DefaultEpsilon
 			}
 		}
 	}
@@ -555,19 +557,14 @@ func usesMonitor(algo string) bool {
 	return algo == "netmax" || algo == "adpsgd-monitor"
 }
 
-var engineAlgorithms = []string{
-	"netmax", "adpsgd", "adpsgd-monitor", "gossip", "saps", "dlion",
-	"hop", "allreduce", "dpsgd", "prague", "ps-sync", "ps-async",
-}
+// asyncAlgorithms run on engine.RunAsync, the only engine loop that reads
+// the codec and the failure schedule.
+var asyncAlgorithms = []string{"netmax", "adpsgd", "adpsgd-monitor", "gossip", "saps", "dlion"}
 
-func knownEngineAlgorithm(a string) bool {
-	for _, k := range engineAlgorithms {
-		if a == k {
-			return true
-		}
-	}
-	return false
-}
+var engineAlgorithms = append(slices.Clone(asyncAlgorithms),
+	"hop", "allreduce", "dpsgd", "prague", "ps-sync", "ps-async")
+
+func knownEngineAlgorithm(a string) bool { return slices.Contains(engineAlgorithms, a) }
 
 // expandPreset replaces a partition preset with its concrete table.
 func expandPreset(p *PartitionSpec) {
@@ -748,6 +745,15 @@ func validateEngine(e *errorList, m, r *Manifest) {
 	}
 	if r.NetMax != nil && !usesMonitor(r.Algorithm) {
 		e.addf("netmax block is only valid with algorithms netmax and adpsgd-monitor (got %q)", r.Algorithm)
+	}
+	if !slices.Contains(asyncAlgorithms, r.Algorithm) {
+		async := strings.Join(asyncAlgorithms, ", ")
+		if r.Codec != nil {
+			e.addf("codec block is only valid with the asynchronous algorithms (%s); %q ignores it", async, r.Algorithm)
+		}
+		if r.Failures != nil {
+			e.addf("failures block is only valid with the asynchronous algorithms (%s); %q ignores it", async, r.Algorithm)
+		}
 	}
 	if r.Epochs < 1 {
 		e.addf("epochs must be >= 1, got %d", r.Epochs)

@@ -116,6 +116,8 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		{"static with dynamics", `{"name": "x", "network": {"kind": "static", "period_secs": 5}}`, "no dynamics"},
 		{"hop staleness misuse", `{"name": "x", "hop_staleness": 4}`, "only valid with algorithm"},
 		{"netmax block misuse", `{"name": "x", "algorithm": "adpsgd", "netmax": {"ts_secs": 1}}`, "netmax block is only valid"},
+		{"codec on allreduce", `{"name": "x", "algorithm": "allreduce", "codec": {"name": "topk", "topk_frac": 0.1}}`, `"allreduce" ignores it`},
+		{"failures on hop", `{"name": "x", "algorithm": "hop", "failures": {"events": [{"kind": "leave", "worker": 1, "at": 1}]}}`, `"hop" ignores it`},
 		{"compute scale mismatch", `{"name": "x", "workers": 4, "compute": {"kind": "explicit", "scale": [1, 2]}}`, "want one per worker"},
 		{"straggler range", `{"name": "x", "workers": 4, "compute": {"kind": "straggler", "worker": 6, "factor": 5}}`, "outside [0, 4)"},
 		{"live without bound", `{"name": "x", "runtime": "live", "live": {}}`, "need a bound"},

@@ -221,6 +221,7 @@ func TestSuiteValidateRejectsMalformed(t *testing.T) {
 		{"duplicate member names", `{"name": "x", "runs": [{"manifest": ` + valid + `}, {"manifest": ` + valid + `}]}`, "share the name"},
 		{"invalid member", `{"name": "x", "runs": [{"manifest": {"name": "m", "model": "ResNet34"}}]}`, "unknown model"},
 		{"bad codec arm", `{"name": "x", "base": {"manifest": ` + valid + `}, "grid": {"codecs": [{"name": "zstd"}]}}`, "unknown codec"},
+		{"codec arm on allreduce", `{"name": "x", "base": {"manifest": ` + valid + `}, "grid": {"algorithms": ["allreduce"], "codecs": [{"name": "float32"}]}}`, `"allreduce" ignores it`},
 		{"missing member file", `{"name": "x", "runs": [{"path": "no-such-file.json"}]}`, "no-such-file.json"},
 	}
 	for _, c := range cases {

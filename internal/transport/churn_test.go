@@ -27,7 +27,7 @@ func TestTCPPeerDeadlineOnHungServer(t *testing.T) {
 			defer conn.Close()
 		}
 	}()
-	p := &TCPPeer{From: 0, Addr: ln.Addr().String(), Timeout: 300 * time.Millisecond}
+	p := &PullClient{From: 0, Addr: ln.Addr().String(), Timeout: 300 * time.Millisecond}
 	start := time.Now()
 	_, err = p.PullModel()
 	elapsed := time.Since(start)
@@ -48,7 +48,7 @@ func TestTCPPeerDeadlineOnHungServer(t *testing.T) {
 // TestTCPPeerDownClassified verifies that a dead endpoint (nothing
 // listening) maps to ErrPeerDown.
 func TestTCPPeerDownClassified(t *testing.T) {
-	p := &TCPPeer{From: 0, Addr: "127.0.0.1:1", Timeout: 200 * time.Millisecond}
+	p := &PullClient{From: 0, Addr: "127.0.0.1:1", Timeout: 200 * time.Millisecond}
 	if _, err := p.PullModel(); !errors.Is(err, ErrPeerDown) {
 		t.Fatalf("dead endpoint error = %v, want ErrPeerDown", err)
 	}
@@ -62,7 +62,7 @@ func TestTCPWorkerServerSetDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	p := &TCPPeer{From: 0, Addr: srv.Addr(), Timeout: time.Second}
+	p := &PullClient{From: 0, Addr: srv.Addr(), Timeout: time.Second}
 	if _, err := p.PullModel(); err != nil {
 		t.Fatalf("pull before crash: %v", err)
 	}
@@ -75,8 +75,8 @@ func TestTCPWorkerServerSetDown(t *testing.T) {
 	if err != nil {
 		t.Fatalf("pull after recovery: %v", err)
 	}
-	vec, err := pulled.Decode(nil)
-	if err != nil || len(vec) != 2 || vec[1] != 2 {
+	vec := make([]float64, 2)
+	if err := pulled.DecodeInto(vec, nil); err != nil || vec[1] != 2 {
 		t.Fatalf("recovered pull decoded %v (%v)", vec, err)
 	}
 }
@@ -106,10 +106,11 @@ func TestTCPHubWorkerDownAndTimeouts(t *testing.T) {
 	hub.SetWorkerDown(7, true) // unknown id: no-op, no panic
 }
 
-// TestLocalNetWorkerDownAndHang verifies the in-process crash/hang
-// injection used by examples and the live tests.
+// TestLocalNetWorkerDownAndHang verifies crash and hang injection on the
+// in-process hub used by examples and the live tests.
 func TestLocalNetWorkerDownAndHang(t *testing.T) {
-	hub := NewLocalNet()
+	hub := NewLocalHub()
+	defer hub.Close()
 	hub.Register(1, func() []float64 { return []float64{1} })
 	hub.SetWorkerDown(1, true)
 	if _, err := hub.Peer(0, 1).PullModel(); !errors.Is(err, ErrPeerDown) {

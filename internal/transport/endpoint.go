@@ -11,31 +11,36 @@ import (
 	"netmax/internal/codec"
 )
 
-// The TCP transport speaks the persistent binary wire protocol of wire.go:
+// The endpoints speak the persistent binary wire protocol of wire.go:
 // clients dial once and exchange length-prefixed frames (message kind +
-// codec id + payload) over the same connection for the life of the run,
-// instead of the seed's gob-encoded dial-per-call scheme. Model payloads go
-// through a pluggable codec (internal/codec), and every pull reports its
-// encoded byte size so the monitor and the caller can account for real
-// bytes-on-wire.
+// codec id + payload) over the same connection for the life of the run.
+// The connection is a TCP socket or one end of an in-memory net.Pipe
+// (pipe.go); nothing above the dialer and the listener tells them apart.
+// Model payloads go through a pluggable codec (internal/codec), and every
+// pull reports its encoded byte size so the monitor and the caller can
+// account for real bytes-on-wire.
 
 // listenerGroup is the shared server chassis: it owns the listener, tracks
 // live connections so Close can unblock handler reads, and waits for every
 // goroutine on shutdown.
 type listenerGroup struct {
-	ln     net.Listener
-	wg     sync.WaitGroup
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
+	ln    net.Listener
+	wg    sync.WaitGroup
+	mu    sync.Mutex
+	conns map[net.Conn]struct{}
+	done  chan struct{} // closed by close; ends handlers' waits too
 }
 
-func newListenerGroup(ln net.Listener) *listenerGroup {
-	return &listenerGroup{ln: ln, conns: make(map[net.Conn]struct{})}
+// newListenerGroup starts the accept loop on ln, invoking handle for each
+// connection in its own goroutine until close.
+func newListenerGroup(ln net.Listener, handle func(net.Conn)) *listenerGroup {
+	g := &listenerGroup{ln: ln, conns: make(map[net.Conn]struct{}), done: make(chan struct{})}
+	g.wg.Add(1)
+	go g.serve(handle)
+	return g
 }
 
-// serve runs the accept loop, invoking handle for each connection in its
-// own goroutine. It returns when the listener is closed.
+// serve runs the accept loop. It returns when the listener is closed.
 func (g *listenerGroup) serve(handle func(net.Conn)) {
 	defer g.wg.Done()
 	for {
@@ -45,14 +50,12 @@ func (g *listenerGroup) serve(handle func(net.Conn)) {
 			// transiently under fd exhaustion); either way, stop if Close
 			// ran, otherwise back off briefly and keep accepting — a bare
 			// retry would spin a core exactly when fds are scarce.
-			g.mu.Lock()
-			closed := g.closed
-			g.mu.Unlock()
-			if closed {
+			select {
+			case <-g.done:
 				return
+			case <-time.After(10 * time.Millisecond):
+				continue
 			}
-			time.Sleep(10 * time.Millisecond)
-			continue
 		}
 		if !g.track(conn) {
 			conn.Close() // lost the race with Close
@@ -71,11 +74,20 @@ func (g *listenerGroup) serve(handle func(net.Conn)) {
 func (g *listenerGroup) track(c net.Conn) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.closed {
+	if g.isClosed() {
 		return false
 	}
 	g.conns[c] = struct{}{}
 	return true
+}
+
+func (g *listenerGroup) isClosed() bool {
+	select {
+	case <-g.done:
+		return true
+	default:
+		return false
+	}
 }
 
 func (g *listenerGroup) untrack(c net.Conn) {
@@ -100,12 +112,12 @@ func (g *listenerGroup) dropConns() {
 // handler reads), and waits for the accept loop and all handlers to return.
 func (g *listenerGroup) close() error {
 	g.mu.Lock()
-	if g.closed {
+	if g.isClosed() {
 		g.mu.Unlock()
 		g.wg.Wait()
 		return nil
 	}
-	g.closed = true
+	close(g.done)
 	err := g.ln.Close()
 	for c := range g.conns {
 		c.Close()
@@ -117,33 +129,40 @@ func (g *listenerGroup) close() error {
 
 // --- worker server ---
 
-// TCPWorkerServer answers model pulls for one worker over persistent
+// WorkerServer answers model pulls for one worker over persistent
 // connections, encoding responses with its configured codec (raw until
 // SetCodec is called).
-type TCPWorkerServer struct {
+type WorkerServer struct {
 	grp *listenerGroup
 	src ModelSource
+	// latency, when non-nil, is the artificial delay before answering a
+	// pull by worker `from`; the hub installs it for latency injection.
+	latency func(from int) time.Duration
 
 	codecMu sync.RWMutex
 	codec   codec.Codec
 	down    bool
 }
 
-// ServeWorker starts answering pulls on addr (e.g. "127.0.0.1:0") and
-// returns the server; its Addr method reports the bound address.
-func ServeWorker(addr string, src ModelSource) (*TCPWorkerServer, error) {
+// ServeWorker starts answering pulls on TCP address addr (e.g.
+// "127.0.0.1:0") and returns the server; its Addr method reports the bound
+// address.
+func ServeWorker(addr string, src ModelSource) (*WorkerServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	s := &TCPWorkerServer{grp: newListenerGroup(ln), src: src, codec: codec.Raw{}}
-	s.grp.wg.Add(1)
-	go s.grp.serve(s.handle)
-	return s, nil
+	return serveWorker(ln, src, nil), nil
+}
+
+func serveWorker(ln net.Listener, src ModelSource, latency func(from int) time.Duration) *WorkerServer {
+	s := &WorkerServer{src: src, latency: latency, codec: codec.Raw{}}
+	s.grp = newListenerGroup(ln, s.handle)
+	return s
 }
 
 // SetCodec switches the codec used for subsequent pull responses.
-func (s *TCPWorkerServer) SetCodec(c codec.Codec) {
+func (s *WorkerServer) SetCodec(c codec.Codec) {
 	if c == nil {
 		c = codec.Raw{}
 	}
@@ -157,7 +176,7 @@ func (s *TCPWorkerServer) SetCodec(c codec.Codec) {
 // without a response, so clients fail fast with ErrPeerDown. The listener
 // stays open — recovery is just SetDown(false), like a process restart on
 // the same port.
-func (s *TCPWorkerServer) SetDown(down bool) {
+func (s *WorkerServer) SetDown(down bool) {
 	s.codecMu.Lock()
 	s.down = down
 	s.codecMu.Unlock()
@@ -167,15 +186,15 @@ func (s *TCPWorkerServer) SetDown(down bool) {
 }
 
 // Addr returns the listener's address.
-func (s *TCPWorkerServer) Addr() string { return s.grp.ln.Addr().String() }
+func (s *WorkerServer) Addr() string { return s.grp.ln.Addr().String() }
 
 // Close stops the server: it unblocks the accept loop, tears down live
 // connections, and waits for every handler goroutine to exit.
-func (s *TCPWorkerServer) Close() error { return s.grp.close() }
+func (s *WorkerServer) Close() error { return s.grp.close() }
 
 // handle serves one persistent connection: pull frames in, model frames out,
 // until the peer hangs up or Close tears the connection down.
-func (s *TCPWorkerServer) handle(conn net.Conn) {
+func (s *WorkerServer) handle(conn net.Conn) {
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
 	var rbuf, wbuf []byte
@@ -187,7 +206,8 @@ func (s *TCPWorkerServer) handle(conn net.Conn) {
 		if kind != msgPull {
 			return // protocol violation; drop the connection
 		}
-		if _, err := parsePullReq(body); err != nil {
+		from, err := parsePullReq(body)
+		if err != nil {
 			return
 		}
 		s.codecMu.RLock()
@@ -197,6 +217,9 @@ func (s *TCPWorkerServer) handle(conn net.Conn) {
 		if down {
 			return // crashed: drop the connection without answering
 		}
+		if !s.wait(from) {
+			return
+		}
 		wbuf = appendPullResp(wbuf[:0], s.src(), c)
 		if err := writeFrame(w, msgPullResp, c.ID(), wbuf); err != nil {
 			return
@@ -204,12 +227,42 @@ func (s *TCPWorkerServer) handle(conn net.Conn) {
 	}
 }
 
+// wait holds a pull by worker `from` for its injected latency. A latency
+// past the puller's deadline makes this a hung peer: the puller gives up
+// after one deadline while the server still waits. It reports false when
+// Close ends the wait.
+func (s *WorkerServer) wait(from int) bool {
+	if s.latency == nil {
+		return true
+	}
+	d := s.latency(from)
+	if d <= 0 {
+		return true
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-s.grp.done:
+		return false
+	}
+}
+
 // --- persistent client connection ---
+
+// dialer opens a connection to addr; a positive timeout bounds the dial.
+type dialer func(addr string, timeout time.Duration) (net.Conn, error)
+
+func dialTCP(addr string, timeout time.Duration) (net.Conn, error) {
+	return net.DialTimeout("tcp", addr, timeout)
+}
 
 // persistentConn is the shared client chassis: one lazily dialed
 // connection plus the frame request/response exchange with its retry
 // policy. Owners serialize access with their own mutex.
 type persistentConn struct {
+	dial  dialer // nil dials TCP
 	conn  net.Conn
 	r     *bufio.Reader
 	w     *bufio.Writer
@@ -279,7 +332,11 @@ func (pc *persistentConn) ensure(addr string, timeout time.Duration) error {
 	if pc.conn != nil {
 		return nil
 	}
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+	dial := pc.dial
+	if dial == nil {
+		dial = dialTCP
+	}
+	conn, err := dial(addr, timeout)
 	if err != nil {
 		return fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
@@ -313,13 +370,13 @@ func (pc *persistentConn) drop() error {
 
 // --- worker client ---
 
-// TCPPeer pulls models from a remote worker address over one persistent
+// PullClient pulls models from a remote worker address over one persistent
 // connection, redialing transparently if the connection drops. The zero
-// value with Addr set is ready to use; it is safe for concurrent use.
-// A positive Timeout bounds every pull (dial + request + response): a
+// value with Addr set is ready to use over TCP; it is safe for concurrent
+// use. A positive Timeout bounds every pull (dial + request + response): a
 // hung or dead peer then fails with an error wrapping ErrPeerDown instead
 // of blocking the worker forever.
-type TCPPeer struct {
+type PullClient struct {
 	From    int
 	Addr    string
 	Timeout time.Duration
@@ -330,7 +387,7 @@ type TCPPeer struct {
 }
 
 // SetTimeout changes the per-call deadline for subsequent pulls.
-func (p *TCPPeer) SetTimeout(d time.Duration) {
+func (p *PullClient) SetTimeout(d time.Duration) {
 	p.mu.Lock()
 	p.Timeout = d
 	p.mu.Unlock()
@@ -341,7 +398,7 @@ func (p *TCPPeer) SetTimeout(d time.Duration) {
 // Transport-level failures — refused or dropped connections, deadline
 // expiry — classify as ErrPeerDown: the peer is gone or unresponsive, and
 // the caller should mask it until the monitor reacts.
-func (p *TCPPeer) PullModel() (*Pull, error) {
+func (p *PullClient) PullModel() (*Pull, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.wbuf = appendPullReq(p.wbuf[:0], p.From)
@@ -367,20 +424,11 @@ func (p *TCPPeer) PullModel() (*Pull, error) {
 	// this call, so it takes a private copy.
 	owned := make([]byte, len(payload))
 	copy(owned, payload)
-	return NewPull(c, dim, owned), nil
-}
-
-// priorFor returns prior only when it matches the advertised dimension;
-// a stale prior (e.g. after a model resize) must not poison sparse decodes.
-func priorFor(prior []float64, dim int) []float64 {
-	if len(prior) == dim {
-		return prior
-	}
-	return nil
+	return &Pull{codec: c, dim: dim, payload: owned}, nil
 }
 
 // Close tears down the persistent connection, if any.
-func (p *TCPPeer) Close() error {
+func (p *PullClient) Close() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.pc.drop()
@@ -388,9 +436,9 @@ func (p *TCPPeer) Close() error {
 
 // --- monitor server ---
 
-// TCPMonitorServer hosts the Network Monitor endpoint over persistent
+// MonitorServer hosts the Network Monitor endpoint over persistent
 // connections.
-type TCPMonitorServer struct {
+type MonitorServer struct {
 	grp    *listenerGroup
 	report func(from, to int, secs float64, bytes int64)
 
@@ -400,24 +448,28 @@ type TCPMonitorServer struct {
 	version  int
 }
 
-// ServeMonitor starts the monitor endpoint on addr; onReport receives every
-// time report together with the reported transfer's encoded byte size.
-func ServeMonitor(addr string, onReport func(from, to int, secs float64, bytes int64)) (*TCPMonitorServer, error) {
+// ServeMonitor starts the monitor endpoint on TCP address addr; onReport
+// receives every time report together with the reported transfer's
+// encoded byte size.
+func ServeMonitor(addr string, onReport func(from, to int, secs float64, bytes int64)) (*MonitorServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	s := &TCPMonitorServer{grp: newListenerGroup(ln), report: onReport}
-	s.grp.wg.Add(1)
-	go s.grp.serve(s.handle)
-	return s, nil
+	return serveMonitor(ln, onReport), nil
+}
+
+func serveMonitor(ln net.Listener, onReport func(from, to int, secs float64, bytes int64)) *MonitorServer {
+	s := &MonitorServer{report: onReport}
+	s.grp = newListenerGroup(ln, s.handle)
+	return s
 }
 
 // Addr returns the listener's address.
-func (s *TCPMonitorServer) Addr() string { return s.grp.ln.Addr().String() }
+func (s *MonitorServer) Addr() string { return s.grp.ln.Addr().String() }
 
 // SetPolicy publishes a new policy to pollers.
-func (s *TCPMonitorServer) SetPolicy(p [][]float64, rho float64) {
+func (s *MonitorServer) SetPolicy(p [][]float64, rho float64) {
 	s.policyMu.Lock()
 	defer s.policyMu.Unlock()
 	s.p = p
@@ -427,9 +479,9 @@ func (s *TCPMonitorServer) SetPolicy(p [][]float64, rho float64) {
 
 // Close stops the endpoint, tearing down live connections and waiting for
 // every handler goroutine.
-func (s *TCPMonitorServer) Close() error { return s.grp.close() }
+func (s *MonitorServer) Close() error { return s.grp.close() }
 
-func (s *TCPMonitorServer) handle(conn net.Conn) {
+func (s *MonitorServer) handle(conn net.Conn) {
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
 	var rbuf, wbuf []byte
@@ -465,11 +517,11 @@ func (s *TCPMonitorServer) handle(conn net.Conn) {
 
 // --- monitor client ---
 
-// TCPMonitorClient is a worker's persistent-connection client to the
-// monitor. The zero value with Addr set is ready to use; it is safe for
-// concurrent use (calls serialize on one connection). A positive Timeout
-// bounds each call the same way TCPPeer.Timeout bounds pulls.
-type TCPMonitorClient struct {
+// MonitorClient is a worker's persistent-connection client to the
+// monitor. The zero value with Addr set is ready to use over TCP; it is
+// safe for concurrent use (calls serialize on one connection). A positive
+// Timeout bounds each call the same way PullClient.Timeout bounds pulls.
+type MonitorClient struct {
 	Addr    string
 	Timeout time.Duration
 
@@ -479,7 +531,7 @@ type TCPMonitorClient struct {
 }
 
 // SetTimeout changes the per-call deadline for subsequent monitor calls.
-func (c *TCPMonitorClient) SetTimeout(d time.Duration) {
+func (c *MonitorClient) SetTimeout(d time.Duration) {
 	c.mu.Lock()
 	c.Timeout = d
 	c.mu.Unlock()
@@ -490,7 +542,7 @@ func (c *TCPMonitorClient) SetTimeout(d time.Duration) {
 // monitor accumulates byte totals), so a report whose ack is lost returns
 // an error rather than risking a duplicate; callers treat reports as
 // best-effort and simply carry the next observation.
-func (c *TCPMonitorClient) ReportTime(from, to int, secs float64, bytes int64) error {
+func (c *MonitorClient) ReportTime(from, to int, secs float64, bytes int64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.wbuf = appendReport(c.wbuf[:0], from, to, secs, bytes)
@@ -505,7 +557,7 @@ func (c *TCPMonitorClient) ReportTime(from, to int, secs float64, bytes int64) e
 }
 
 // FetchPolicy retrieves the latest policy.
-func (c *TCPMonitorClient) FetchPolicy() ([][]float64, float64, int, error) {
+func (c *MonitorClient) FetchPolicy() ([][]float64, float64, int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	body, _, err := c.pc.roundTrip(c.Addr, c.Timeout, msgPolicy, c.wbuf[:0], msgPolicyResp, true)
@@ -516,7 +568,7 @@ func (c *TCPMonitorClient) FetchPolicy() ([][]float64, float64, int, error) {
 }
 
 // Close tears down the persistent connection, if any.
-func (c *TCPMonitorClient) Close() error {
+func (c *MonitorClient) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.pc.drop()

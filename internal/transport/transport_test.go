@@ -8,8 +8,12 @@ import (
 	"netmax/internal/codec"
 )
 
+// The TestLocalNet tests drive the in-process hub: the same servers,
+// clients and frames as TCP, over in-memory pipes.
+
 func TestLocalNetPull(t *testing.T) {
-	hub := NewLocalNet()
+	hub := NewLocalHub()
+	defer hub.Close()
 	hub.Register(1, func() []float64 { return []float64{1, 2, 3} })
 	got, wire, err := pull(hub.Peer(0, 1), nil)
 	if err != nil {
@@ -25,7 +29,8 @@ func TestLocalNetPull(t *testing.T) {
 
 func TestLocalNetPullCopies(t *testing.T) {
 	backing := []float64{1, 2}
-	hub := NewLocalNet()
+	hub := NewLocalHub()
+	defer hub.Close()
 	hub.Register(0, func() []float64 { return backing })
 	got, _, _ := pull(hub.Peer(1, 0), nil)
 	got[0] = 99
@@ -35,14 +40,16 @@ func TestLocalNetPullCopies(t *testing.T) {
 }
 
 func TestLocalNetUnknownPeer(t *testing.T) {
-	hub := NewLocalNet()
+	hub := NewLocalHub()
+	defer hub.Close()
 	if _, _, err := pull(hub.Peer(0, 5), nil); err == nil {
 		t.Fatal("expected error for unknown peer")
 	}
 }
 
 func TestLocalNetLatencyInjected(t *testing.T) {
-	hub := NewLocalNet()
+	hub := NewLocalHub()
+	defer hub.Close()
 	hub.Register(1, func() []float64 { return []float64{1} })
 	hub.Latency = func(i, j int, _ time.Time) time.Duration { return 30 * time.Millisecond }
 	start := time.Now()
@@ -55,7 +62,8 @@ func TestLocalNetLatencyInjected(t *testing.T) {
 }
 
 func TestLocalNetCodecApplied(t *testing.T) {
-	hub := NewLocalNet()
+	hub := NewLocalHub()
+	defer hub.Close()
 	hub.Register(1, func() []float64 { return []float64{4, -8, 0.5, 1} })
 	hub.SetCodec(codec.NewTopK(0.5)) // k = 2: coords 1 (-8) and 0 (4)
 	prior := []float64{10, 10, 10, 10}
@@ -75,7 +83,8 @@ func TestLocalNetCodecApplied(t *testing.T) {
 }
 
 func TestLocalNetPolicyVersioning(t *testing.T) {
-	hub := NewLocalNet()
+	hub := NewLocalHub()
+	defer hub.Close()
 	mc := hub.Monitor()
 	_, _, v0, _ := mc.FetchPolicy()
 	hub.SetPolicy([][]float64{{0, 1}, {1, 0}}, 0.4)
@@ -86,7 +95,8 @@ func TestLocalNetPolicyVersioning(t *testing.T) {
 }
 
 func TestLocalNetReports(t *testing.T) {
-	hub := NewLocalNet()
+	hub := NewLocalHub()
+	defer hub.Close()
 	var mu sync.Mutex
 	var got []float64
 	var gotBytes []int64
@@ -112,7 +122,7 @@ func TestTCPWorkerPull(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	peer := &TCPPeer{From: 0, Addr: srv.Addr()}
+	peer := &PullClient{From: 0, Addr: srv.Addr()}
 	defer peer.Close()
 	got, wire, err := pull(peer, nil)
 	if err != nil {
@@ -138,7 +148,7 @@ func TestTCPWorkerConcurrentPulls(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			peer := &TCPPeer{Addr: srv.Addr()}
+			peer := &PullClient{Addr: srv.Addr()}
 			defer peer.Close()
 			// Several pulls per peer exercise connection reuse under load.
 			for n := 0; n < 4; n++ {
@@ -170,7 +180,7 @@ func TestTCPMonitorRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	client := &TCPMonitorClient{Addr: srv.Addr()}
+	client := &MonitorClient{Addr: srv.Addr()}
 	defer client.Close()
 	if err := client.ReportTime(0, 1, 1.5, 1024); err != nil {
 		t.Fatal(err)
@@ -194,7 +204,7 @@ func TestTCPMonitorEmptyPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	client := &TCPMonitorClient{Addr: srv.Addr()}
+	client := &MonitorClient{Addr: srv.Addr()}
 	defer client.Close()
 	p, _, v, err := client.FetchPolicy()
 	if err != nil || p != nil || v != 0 {
@@ -203,7 +213,7 @@ func TestTCPMonitorEmptyPolicy(t *testing.T) {
 }
 
 func TestTCPPeerDialError(t *testing.T) {
-	peer := &TCPPeer{Addr: "127.0.0.1:1"} // reserved port, nothing listening
+	peer := &PullClient{Addr: "127.0.0.1:1"} // reserved port, nothing listening
 	if _, _, err := pull(peer, nil); err == nil {
 		t.Fatal("expected dial error")
 	}
@@ -218,7 +228,7 @@ func TestTCPServerCloseIdempotentAccept(t *testing.T) {
 		t.Fatal(err)
 	}
 	// After close, pulls must fail rather than hang.
-	peer := &TCPPeer{Addr: srv.Addr()}
+	peer := &PullClient{Addr: srv.Addr()}
 	if _, _, err := pull(peer, nil); err == nil {
 		t.Fatal("pull succeeded after close")
 	}
@@ -233,7 +243,7 @@ func TestTCPPeerSurvivesServerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := srv.Addr()
-	peer := &TCPPeer{Addr: addr}
+	peer := &PullClient{Addr: addr}
 	defer peer.Close()
 	if _, _, err := pull(peer, nil); err != nil {
 		t.Fatal(err)
@@ -277,13 +287,13 @@ func TestTCPHubPeerBeforeRegisterRecovers(t *testing.T) {
 }
 
 // pull fetches and decodes in one step — the common case in these tests.
-func pull(p Peer, prior []float64) ([]float64, int64, error) {
+func pull(p *PullClient, prior []float64) ([]float64, int64, error) {
 	pl, err := p.PullModel()
 	if err != nil {
 		return nil, 0, err
 	}
-	vec, err := pl.Decode(prior)
-	if err != nil {
+	vec := make([]float64, pl.dim)
+	if err := pl.DecodeInto(vec, prior); err != nil {
 		return nil, 0, err
 	}
 	return vec, pl.WireBytes(), nil

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -77,7 +78,17 @@ func readFrame(r io.Reader, buf *[]byte) (kind, codecID uint8, body []byte, err 
 	}
 	need := int(n - 2)
 	if cap(*buf) < need {
-		*buf = make([]byte, need)
+		// Grow in step with the bytes that arrive: a corrupt or hostile
+		// length must not allocate gigabytes before its body shows up.
+		grown := bytes.NewBuffer((*buf)[:0])
+		if _, err = io.CopyN(grown, r, int64(need)); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, 0, nil, err
+		}
+		*buf = grown.Bytes()
+		return hdr[4], hdr[5], *buf, nil
 	}
 	body = (*buf)[:need]
 	if _, err = io.ReadFull(r, body); err != nil {

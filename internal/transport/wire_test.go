@@ -3,6 +3,7 @@ package transport
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
 	"runtime"
@@ -62,6 +63,24 @@ func TestFrameRejectsCorruptHeaders(t *testing.T) {
 	}
 }
 
+// TestFrameHostileLengthAllocatesLittle pins that readFrame allocates in
+// step with the bytes that arrive, not with the length a header claims: a
+// header announcing a 1 GiB body followed by ten bytes must fail without
+// allocating anything near 1 GiB.
+func TestFrameHostileLengthAllocatesLittle(t *testing.T) {
+	raw := append([]byte{0x40, 0, 0, 0, msgPullResp, 0}, make([]byte, 10)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, _, err := readFrame(bytes.NewReader(raw), new([]byte))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("accepted a truncated 1 GiB frame")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("reading a 16-byte stream allocated %d bytes", grew)
+	}
+}
+
 // TestTCPLargeVectorPull moves a multi-megabyte model through the wire
 // protocol, guaranteeing the frame spans many TCP segments and loopback
 // socket buffers.
@@ -77,7 +96,7 @@ func TestTCPLargeVectorPull(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	peer := &TCPPeer{Addr: srv.Addr()}
+	peer := &PullClient{Addr: srv.Addr()}
 	defer peer.Close()
 	got, wire, err := pull(peer, nil)
 	if err != nil {
@@ -103,7 +122,7 @@ func TestTCPCodecNegotiation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	peer := &TCPPeer{Addr: srv.Addr()}
+	peer := &PullClient{Addr: srv.Addr()}
 	defer peer.Close()
 
 	got, wire, err := pull(peer, nil)
@@ -155,43 +174,71 @@ func waitForGoroutines(t *testing.T, baseline int) {
 	}
 }
 
-// TestTCPHubCloseLeaksNoGoroutines is the shutdown gate: after heavy use of
-// persistent connections, Close must unblock every accept loop and
-// connection handler and leave no transport goroutines behind.
+// TestTCPHubCloseLeaksNoGoroutines is the shutdown gate, for the TCP and
+// the in-process hub: after heavy use of persistent connections and one
+// hung pull, Close must return promptly, unblock every accept loop,
+// connection handler and injected-latency wait, and leave no transport
+// goroutines behind.
 func TestTCPHubCloseLeaksNoGoroutines(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	hub, err := NewTCPHub()
-	if err != nil {
-		t.Fatal(err)
-	}
-	hub.SetCodec(codec.Float32{})
-	for id := 0; id < 3; id++ {
-		v := []float64{float64(id), float64(id + 1)}
-		hub.Register(id, func() []float64 { return v })
-	}
-	hub.OnReport(func(int, int, float64, int64) {})
-	mon := hub.Monitor()
-	for from := 0; from < 3; from++ {
-		for to := 0; to < 3; to++ {
-			if from == to {
-				continue
-			}
-			if _, _, err := pull(hub.Peer(from, to), nil); err != nil {
+	for _, c := range []struct {
+		name string
+		open func() (*Hub, error)
+	}{
+		{"tcp", NewTCPHub},
+		{"local", func() (*Hub, error) { return NewLocalHub(), nil }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			hub, err := c.open()
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
+			hub.SetCodec(codec.Float32{})
+			for id := 0; id < 3; id++ {
+				v := []float64{float64(id), float64(id + 1)}
+				hub.Register(id, func() []float64 { return v })
+			}
+			hub.OnReport(func(int, int, float64, int64) {})
+			mon := hub.Monitor()
+			for from := 0; from < 3; from++ {
+				for to := 0; to < 3; to++ {
+					if from == to {
+						continue
+					}
+					if _, _, err := pull(hub.Peer(from, to), nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := mon.ReportTime(0, 1, 0.5, 16); err != nil {
+				t.Fatal(err)
+			}
+			hub.SetPolicy([][]float64{{0, 1, 0}, {1, 0, 0}, {0, 0, 1}}, 0.3)
+			if _, _, v, err := mon.FetchPolicy(); err != nil || v != 1 {
+				t.Fatalf("policy fetch: v=%d err=%v", v, err)
+			}
+			// A hung peer: worker 2's server holds pulls by worker 0 for
+			// an hour, far past the deadline.
+			hub.Latency = func(i, j int, _ time.Time) time.Duration {
+				if i == 0 && j == 2 {
+					return time.Hour
+				}
+				return 0
+			}
+			hub.SetPullTimeout(50 * time.Millisecond)
+			if _, err := hub.Peer(0, 2).PullModel(); !errors.Is(err, ErrPeerDown) {
+				t.Fatalf("hung pull = %v, want ErrPeerDown", err)
+			}
+			start := time.Now()
+			if err := hub.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if d := time.Since(start); d > 5*time.Second {
+				t.Fatalf("Close took %v with a hung pull outstanding", d)
+			}
+			waitForGoroutines(t, baseline)
+		})
 	}
-	if err := mon.ReportTime(0, 1, 0.5, 16); err != nil {
-		t.Fatal(err)
-	}
-	hub.SetPolicy([][]float64{{0, 1, 0}, {1, 0, 0}, {0, 0, 1}}, 0.3)
-	if _, _, v, err := mon.FetchPolicy(); err != nil || v != 1 {
-		t.Fatalf("policy fetch: v=%d err=%v", v, err)
-	}
-	if err := hub.Close(); err != nil {
-		t.Fatal(err)
-	}
-	waitForGoroutines(t, baseline)
 }
 
 // TestTCPServerCloseUnblocksIdleConnection pins the listener-shutdown fix:
@@ -203,7 +250,7 @@ func TestTCPServerCloseUnblocksIdleConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	peer := &TCPPeer{Addr: srv.Addr()}
+	peer := &PullClient{Addr: srv.Addr()}
 	defer peer.Close()
 	if _, _, err := pull(peer, nil); err != nil {
 		t.Fatal(err)
