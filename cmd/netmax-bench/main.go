@@ -9,12 +9,14 @@
 //	netmax-bench -exp fig12 -curves
 //	netmax-bench -all -quick -par 1 -bench-out BENCH_baseline.json -bench-label baseline
 //
-// -par pins the host parallelism of the compute core (1 = the serial
-// baseline, 0 = one worker per CPU); results are bitwise identical at any
-// setting, only wall-clock changes. -bench-out records per-experiment
-// wall-clock seconds as JSON so successive PRs can track the perf
-// trajectory (see BENCH_baseline.json at the repo root). Scenario manifests
-// and suites run through netmax-scenario run.
+// -par pins host parallelism (1 = the serial baseline, 0 = one per CPU):
+// how many experiments, algorithm runs and seeds run side by side, and how
+// many gradients a synchronous baseline's round computes at once. Results
+// are bitwise identical at any setting, only wall-clock changes.
+// -bench-out records per-experiment wall-clock seconds as JSON so
+// successive PRs can track the perf trajectory (see BENCH_baseline.json at
+// the repo root). Scenario manifests and suites run through netmax-scenario
+// run.
 package main
 
 import (
@@ -32,7 +34,6 @@ import (
 
 	"netmax/internal/engine"
 	"netmax/internal/experiments"
-	"netmax/internal/tensor"
 	"netmax/internal/trace"
 )
 
@@ -75,7 +76,6 @@ func main() {
 		os.Exit(2)
 	}
 	engine.DefaultParallelism = *par
-	tensor.SetParallelism(*par)
 
 	if *list {
 		for _, r := range experiments.All() {

@@ -32,7 +32,6 @@ import (
 
 	"netmax/internal/engine"
 	"netmax/internal/scenario"
-	"netmax/internal/tensor"
 )
 
 func usage() {
@@ -107,11 +106,10 @@ func runCmd(args []string) {
 		fmt.Fprintln(os.Stderr, "error: -par must be >= 0")
 		os.Exit(2)
 	}
-	// -par pins host concurrency process-wide (tensor sharding, engine
-	// worker stepping, the suite driver) without touching the manifests, so
-	// emitted resolved manifests — and therefore the reproducibility diffs —
-	// are identical at any -par.
-	tensor.SetParallelism(*par)
+	// -par pins host concurrency process-wide (a suite's member runs, a
+	// synchronous baseline's gradient round) without touching the
+	// manifests, so emitted resolved manifests — and therefore the
+	// reproducibility diffs — are identical at any -par.
 	engine.DefaultParallelism = *par
 	paths, err := expand(fl.Args())
 	if err != nil {

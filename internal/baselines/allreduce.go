@@ -13,39 +13,10 @@ import (
 func RunAllreduce(cfg *engine.Config) *engine.Result {
 	ws := cfg.Workers()
 	tr := engine.NewTracker(cfg, ws, "Allreduce-SGD")
-	vlen := ws[0].Model.VectorLen()
-	avg := make([]float64, vlen)
-	tmp := make([]float64, vlen)
-	par := cfg.EffectiveParallelism()
-	samples := make([]int, len(ws))
-
+	step := averagedStep(cfg, ws)
 	now := 0.0
 	for !tr.Done() {
-		// Gradients are computed concurrently (each worker touches only its
-		// own replica) and reduced serially in worker order below, so the
-		// floating-point sum is identical at any parallelism.
-		engine.Concurrently(len(ws), par, func(k int) {
-			_, samples[k] = ws[k].GradOnly()
-		})
-		totalSamples := 0
-		for i := range avg {
-			avg[i] = 0
-		}
-		for k, w := range ws {
-			w.Model.GradVector(tmp)
-			// Weight by batch size so segment workers contribute
-			// proportionally (Section V-F).
-			for i := range avg {
-				avg[i] += tmp[i] * float64(samples[k])
-			}
-			totalSamples += samples[k]
-		}
-		for i := range avg {
-			avg[i] /= float64(totalSamples)
-		}
-		for _, w := range ws {
-			w.ApplyGrad(avg)
-		}
+		step()
 		comm := ringAllreduceTime(cfg, now)
 		tr.AddBytes(2 * int64(len(ws)-1) * cfg.Spec.ModelBytes())
 		now += cfg.MaxComputeSecs() + comm
@@ -54,6 +25,39 @@ func RunAllreduce(cfg *engine.Config) *engine.Result {
 		}
 	}
 	return tr.Finish()
+}
+
+// averagedStep returns one synchronous update shared by Allreduce-SGD and
+// PS-syn: every worker computes a gradient on its next batch, and every
+// worker applies the batch-size-weighted mean of those gradients. Gradients
+// are computed concurrently (each worker touches only its own replica) and
+// summed serially in worker order, so the floating-point result is
+// identical at any parallelism.
+func averagedStep(cfg *engine.Config, ws []*engine.Worker) func() {
+	par := cfg.EffectiveParallelism()
+	vlen := ws[0].Model.VectorLen()
+	avg := make([]float64, vlen)
+	tmp := make([]float64, vlen)
+	return func() {
+		engine.Concurrently(len(ws), par, func(k int) { ws[k].GradOnly() })
+		clear(avg)
+		total := 0
+		for _, w := range ws {
+			w.Model.GradVector(tmp)
+			// Weight by batch size so segment workers contribute
+			// proportionally (Section V-F).
+			for i := range avg {
+				avg[i] += tmp[i] * float64(w.Batch)
+			}
+			total += w.Batch
+		}
+		for i := range avg {
+			avg[i] /= float64(total)
+		}
+		for _, w := range ws {
+			w.ApplyGrad(avg)
+		}
+	}
 }
 
 // ringAllreduceTime returns the duration of one ring allreduce of the model

@@ -238,3 +238,61 @@ func TestDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestSyncRoundsParallelismBitwiseDeterministic is the gate for the one
+// engine-level host parallelism left: a synchronous round's gradients run
+// concurrently, so Parallelism 4 must reproduce Parallelism 1 bitwise.
+func TestSyncRoundsParallelismBitwiseDeterministic(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(*engine.Config) *engine.Result
+	}{
+		{"allreduce", RunAllreduce},
+		{"ps-sync", RunPSSync},
+		{"dpsgd", RunSyncDPSGD},
+	} {
+		results := make([]*engine.Result, 2)
+		for k, par := range []int{1, 4} {
+			cfg := hetConfig(4, 3, 3)
+			cfg.Parallelism = par
+			results[k] = tc.run(cfg)
+		}
+		a, b := results[0], results[1]
+		if a.FinalLoss != b.FinalLoss || a.FinalAccuracy != b.FinalAccuracy || a.TotalTime != b.TotalTime {
+			t.Fatalf("%s: loss/accuracy/clock %v/%v/%v vs %v/%v/%v", tc.name,
+				a.FinalLoss, a.FinalAccuracy, a.TotalTime, b.FinalLoss, b.FinalAccuracy, b.TotalTime)
+		}
+		if a.GlobalSteps != b.GlobalSteps || a.BytesSent != b.BytesSent || a.CompSecs != b.CompSecs || a.CommSecs != b.CommSecs {
+			t.Fatalf("%s: steps/bytes/cost split differ: %+v vs %+v", tc.name, a, b)
+		}
+		if len(a.Curve) != len(b.Curve) {
+			t.Fatalf("%s: curve lengths %d vs %d", tc.name, len(a.Curve), len(b.Curve))
+		}
+		for i := range a.Curve {
+			if a.Curve[i] != b.Curve[i] {
+				t.Fatalf("%s: curve[%d] = %+v vs %+v", tc.name, i, a.Curve[i], b.Curve[i])
+			}
+		}
+	}
+}
+
+// TestPragueGroupRoundMovesAllreduceRoundBytes pins Prague's traffic: on 4
+// workers a group is the whole ring, so a group round moves what one
+// Allreduce round does, 2(M-1) models.
+func TestPragueGroupRoundMovesAllreduceRoundBytes(t *testing.T) {
+	const m = 4
+	perRound := func(r *engine.Result) int64 {
+		rounds := int64((r.GlobalSteps + m - 1) / m) // the last round may stop part-way
+		if rounds == 0 || r.BytesSent%rounds != 0 {
+			t.Fatalf("%s: %d bytes over %d rounds", r.Algo, r.BytesSent, rounds)
+		}
+		return r.BytesSent / rounds
+	}
+	want := 2 * (m - 1) * hetConfig(m, 1, 1).Spec.ModelBytes()
+	if got := perRound(RunAllreduce(hetConfig(m, 2, 3))); got != want {
+		t.Fatalf("Allreduce moves %d bytes per round, want %d", got, want)
+	}
+	if got := perRound(RunPrague(hetConfig(m, 2, 3))); got != want {
+		t.Fatalf("Prague moves %d bytes per group round, want Allreduce's %d", got, want)
+	}
+}

@@ -64,13 +64,10 @@ func RunPrague(cfg *engine.Config) *engine.Result {
 			}
 		}
 
-		// Local gradient steps: group members are distinct workers, so their
-		// steps (gradient + own optimizer) are independent and run
-		// concurrently; the model averaging below stays in member order.
-		samples := make([]int, g)
-		engine.Concurrently(g, cfg.EffectiveParallelism(), func(k int) {
-			_, samples[k] = ws[members[k]].GradStep()
-		})
+		// Local gradient steps, in member order.
+		for _, w := range members {
+			ws[w].GradStep()
+		}
 		// Partial allreduce: group model average.
 		for i := range mean {
 			mean[i] = 0
@@ -118,11 +115,13 @@ func RunPrague(cfg *engine.Config) *engine.Result {
 			comm *= float64(contention)
 			active = append(active, interval{start: start, end: start + groupComp + comm})
 		}
-		tr.AddBytes(2 * int64(g-1) * int64(chunk))
+		// Every member sends and receives 2(g-1) chunks, so the group's
+		// ring moves 2(g-1) whole models, as RunAllreduce charges for M.
+		tr.AddBytes(2 * int64(g-1) * bytes)
 		end := start + groupComp + comm
-		for k, w := range members {
+		for _, w := range members {
 			freeAt[w] = end
-			tr.OnIteration(end, samples[k], groupComp, comm)
+			tr.OnIteration(end, ws[w].Batch, groupComp, comm)
 			if tr.Done() {
 				break
 			}

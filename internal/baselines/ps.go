@@ -15,9 +15,6 @@ func RunPSSync(cfg *engine.Config) *engine.Result {
 	ws := cfg.Workers()
 	tr := engine.NewTracker(cfg, ws, "PS-syn")
 	bytes := cfg.Spec.ModelBytes()
-	vlen := ws[0].Model.VectorLen()
-	avg := make([]float64, vlen)
-	tmp := make([]float64, vlen)
 
 	// Link-class sharer counts: workers on the PS machine share the intra
 	// fabric; remote workers share the PS NIC.
@@ -31,32 +28,10 @@ func RunPSSync(cfg *engine.Config) *engine.Result {
 		}
 	}
 
-	par := cfg.EffectiveParallelism()
-	samples := make([]int, len(ws))
+	step := averagedStep(cfg, ws)
 	now := 0.0
 	for !tr.Done() {
-		// Concurrent gradient computation, serial in-order reduction: see
-		// RunAllreduce for the determinism argument.
-		engine.Concurrently(len(ws), par, func(k int) {
-			_, samples[k] = ws[k].GradOnly()
-		})
-		totalSamples := 0
-		for i := range avg {
-			avg[i] = 0
-		}
-		for k, w := range ws {
-			w.Model.GradVector(tmp)
-			for i := range avg {
-				avg[i] += tmp[i] * float64(samples[k])
-			}
-			totalSamples += samples[k]
-		}
-		for i := range avg {
-			avg[i] /= float64(totalSamples)
-		}
-		for _, w := range ws {
-			w.ApplyGrad(avg)
-		}
+		step()
 		comm := 0.0
 		for i := range ws {
 			sharers := inter

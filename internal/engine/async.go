@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-
-	"netmax/internal/tensor"
 )
 
 // AsyncBehavior parameterizes the shared asynchronous pull loop: NetMax,
@@ -66,17 +64,8 @@ type PartialTransferrer interface {
 // given behavior, returning the aggregated result. Events are processed in
 // completion order on the virtual clock; each event atomically performs one
 // worker iteration (select peer, snapshot its model, local gradient step,
-// blend) and schedules the next completion.
-//
-// When cfg allows host parallelism, all events sharing the earliest virtual
-// timestamp are drained together and their gradient computations — which
-// touch only each worker's own replica — run concurrently before the
-// mutating tail of every iteration (optimizer step, peer snapshot, blend,
-// bookkeeping) is applied serially in event order. A gradient whose replica
-// was retroactively written by an earlier same-timestamp event (two-sided
-// blending) is recomputed serially on the same batch. The schedule, the
-// peer draws and every floating-point reduction therefore happen exactly as
-// in the serial loop, keeping results bitwise identical at any Parallelism.
+// blend) and schedules the next completion, one event at a time on the
+// calling goroutine.
 //
 // When cfg.Failures carries events, the loop injects them: unresponsive
 // workers' events are parked until rejoin (iterations in flight across a
@@ -90,7 +79,6 @@ func RunAsync(cfg *Config, b AsyncBehavior, algo string) *Result {
 	ws := cfg.Workers()
 	tr := NewTracker(cfg, ws, algo)
 	bytes := cfg.WireBytes()
-	par := cfg.EffectiveParallelism()
 	// Compression state: every transferred vector round-trips through the
 	// codec so its loss lands in the trajectory; prior receives the
 	// receiving worker's own parameters for sparse partial pulls. All
@@ -176,22 +164,8 @@ func RunAsync(cfg *Config, b AsyncBehavior, algo string) *Result {
 		return true
 	}
 
-	// batch holds the events drained for one timestamp; job keeps the
-	// pre-fetched training batch so a conflicting gradient can be redone on
-	// identical data.
-	type job struct {
-		id     int
-		x      *tensor.Tensor
-		labels []int
-	}
-	batch := make([]job, 0, len(ws))
-	// dirty[i] marks worker i's replica as written by an earlier event of
-	// the current batch after i's gradient was precomputed.
-	dirty := make([]bool, len(ws))
-
-events:
 	for !tr.Done() && q.Len() > 0 {
-		now, first := q.Pop()
+		now, i := q.Pop()
 		// Membership boundaries (crash, leave, rejoin) that passed since
 		// the previous event are announced before anything at this
 		// timestamp runs, so behaviors stop selecting dead peers at once.
@@ -202,126 +176,78 @@ events:
 			}
 			nextMemb, haveMemb = fs.NextTransition(now)
 		}
-		batch = batch[:0]
-		if admit(first, now) {
-			batch = append(batch, job{id: first})
+		if !admit(i, now) {
+			continue // the worker is down; admit parked it
 		}
-		if par > 1 {
-			for {
-				t, ok := q.PeekTime()
-				if !ok || t != now {
-					break
-				}
-				_, id := q.Pop()
-				if admit(id, now) {
-					batch = append(batch, job{id: id})
-				}
+		// Flush the completed iteration's accounting.
+		if p := pend[i]; p.samples > 0 {
+			tr.OnIteration(now, p.samples, p.comp, p.comm)
+			if tr.Done() {
+				break
 			}
 		}
-		if len(batch) == 0 {
-			continue // every event at this timestamp hit a down worker
-		}
-		prefetched := len(batch) > 1
-		if prefetched {
-			// Draw every batch in event order (cursor advances are
-			// per-worker, so the order is cosmetic but kept identical to
-			// the serial loop), then compute all gradients concurrently.
-			for k := range batch {
-				batch[k].x, batch[k].labels = ws[batch[k].id].NextBatch()
-			}
-			Concurrently(len(batch), par, func(k int) {
-				ws[batch[k].id].ComputeGrad(batch[k].x, batch[k].labels)
-			})
-			for i := range dirty {
-				dirty[i] = false
-			}
-		}
-		for k := range batch {
-			i := batch[k].id
-			// Flush the completed iteration's accounting.
-			if p := pend[i]; p.samples > 0 {
-				tr.OnIteration(now, p.samples, p.comp, p.comm)
-				if tr.Done() {
-					break events
+		b.Tick(now)
+		w := ws[i]
+		j := b.SelectPeer(i, now, w.Rng)
+		// A pull at an unresponsive peer or over a blacked-out link
+		// fails: nothing is blended or transferred, and the worker
+		// loses the schedule's detection deadline waiting it out. The
+		// failed attempt still feeds OnIterationEnd, so adaptive
+		// behaviors see the link's iteration time inflate and route
+		// away — exactly how a hang is survivable at all.
+		pullFailed := fs != nil && j != i && fs.PullFails(i, j, now)
+		_, samples := w.GradStep() // first update (local gradients)
+		if j != i && !pullFailed {
+			ws[j].Model.CopyVector(snapshot) // pull x_j (freshest params)
+			compress(snapshot, w)
+			coef := b.BlendCoef(i, j)
+			if symmetric {
+				// Two-sided atomic averaging: j also moves toward i's
+				// (pre-blend) model with the same coefficient. The
+				// reverse transfer goes through the codec as well, so
+				// both directions carry compression loss.
+				if ownBuf == nil {
+					ownBuf = make([]float64, len(snapshot))
 				}
-			}
-			b.Tick(now)
-			w := ws[i]
-			j := b.SelectPeer(i, now, w.Rng)
-			// A pull at an unresponsive peer or over a blacked-out link
-			// fails: nothing is blended or transferred, and the worker
-			// loses the schedule's detection deadline waiting it out. The
-			// failed attempt still feeds OnIterationEnd, so adaptive
-			// behaviors see the link's iteration time inflate and route
-			// away — exactly how a hang is survivable at all.
-			pullFailed := fs != nil && j != i && fs.PullFails(i, j, now)
-			var samples int
-			if prefetched {
-				if dirty[i] {
-					// An earlier same-timestamp event blended into this
-					// replica after its gradient was precomputed; redo the
-					// computation on the same batch against the current
-					// parameters, exactly as the serial loop would.
-					w.ComputeGrad(batch[k].x, batch[k].labels)
-				}
-				w.ApplyStep()
-				samples = w.Batch
+				w.Model.CopyVector(ownBuf)
+				compress(ownBuf, ws[j])
+				w.Model.BlendVector(coef, snapshot)
+				ws[j].Model.BlendVector(coef, ownBuf)
 			} else {
-				_, samples = w.GradStep() // first update (local gradients)
+				w.Model.BlendVector(coef, snapshot)
 			}
-			if j != i && !pullFailed {
-				ws[j].Model.CopyVector(snapshot) // pull x_j (freshest params)
-				compress(snapshot, w)
-				coef := b.BlendCoef(i, j)
-				if symmetric {
-					// Two-sided atomic averaging: j also moves toward i's
-					// (pre-blend) model with the same coefficient. The
-					// reverse transfer goes through the codec as well, so
-					// both directions carry compression loss.
-					if ownBuf == nil {
-						ownBuf = make([]float64, len(snapshot))
-					}
-					w.Model.CopyVector(ownBuf)
-					compress(ownBuf, ws[j])
-					w.Model.BlendVector(coef, snapshot)
-					ws[j].Model.BlendVector(coef, ownBuf)
-					dirty[j] = true
-				} else {
-					w.Model.BlendVector(coef, snapshot)
+		}
+		moved := bytes
+		if pt, ok := b.(PartialTransferrer); ok {
+			moved = pt.TransferBytes(bytes)
+		}
+		comp := cfg.ComputeSecs(i)
+		var iterSecs float64
+		if pullFailed {
+			// The local gradient step proceeds while the doomed pull
+			// waits out the detection deadline; no bytes move.
+			iterSecs = comp + fs.Detect()
+			if cfg.Overlap {
+				iterSecs = comp
+				if d := fs.Detect(); d > iterSecs {
+					iterSecs = d
 				}
 			}
-			moved := bytes
-			if pt, ok := b.(PartialTransferrer); ok {
-				moved = pt.TransferBytes(bytes)
+		} else {
+			if j != i {
+				tr.AddBytes(moved)
 			}
-			comp := cfg.ComputeSecs(i)
-			var iterSecs float64
-			if pullFailed {
-				// The local gradient step proceeds while the doomed pull
-				// waits out the detection deadline; no bytes move.
-				iterSecs = comp + fs.Detect()
-				if cfg.Overlap {
-					iterSecs = comp
-					if d := fs.Detect(); d > iterSecs {
-						iterSecs = d
-					}
-				}
-			} else {
-				if j != i {
-					tr.AddBytes(moved)
-				}
-				iterSecs = cfg.Net.IterationTime(i, j, moved, comp, now, cfg.Overlap)
-			}
-			b.OnIterationEnd(i, j, iterSecs, now)
-			commCost := iterSecs - comp
-			if commCost < 0 {
-				commCost = 0
-			}
-			pend[i] = pending{samples: samples, comp: comp, comm: commCost}
-			q.Push(now+iterSecs, i)
-			if fs != nil {
-				started[i] = now
-			}
+			iterSecs = cfg.Net.IterationTime(i, j, moved, comp, now, cfg.Overlap)
+		}
+		b.OnIterationEnd(i, j, iterSecs, now)
+		commCost := iterSecs - comp
+		if commCost < 0 {
+			commCost = 0
+		}
+		pend[i] = pending{samples: samples, comp: comp, comm: commCost}
+		q.Push(now+iterSecs, i)
+		if fs != nil {
+			started[i] = now
 		}
 	}
 	return tr.Finish()

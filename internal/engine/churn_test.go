@@ -41,16 +41,15 @@ func (s *membershipRecorder) OnMembership(alive []bool, now float64) {
 // TestFailureFreeScheduleBitwiseIdentical extends the determinism gate to
 // churn configs: attaching an empty FailureSchedule, or one whose events
 // all lie beyond the simulated horizon, must reproduce the no-schedule
-// trajectory bitwise — at serial and parallel stepping alike.
+// trajectory bitwise.
 func TestFailureFreeScheduleBitwiseIdentical(t *testing.T) {
-	run := func(fs *simnet.FailureSchedule, par int) *Result {
+	run := func(fs *simnet.FailureSchedule) *Result {
 		cfg := testConfig(4, 3)
 		cfg.Net = simnet.NewStatic(simnet.PaperCluster(4))
-		cfg.Parallelism = par
 		cfg.Failures = fs
 		return RunAsync(cfg, &simpleBehavior{m: 4}, "gate")
 	}
-	ref := run(nil, 1)
+	ref := run(nil)
 	for _, tc := range []struct {
 		name string
 		fs   *simnet.FailureSchedule
@@ -58,9 +57,7 @@ func TestFailureFreeScheduleBitwiseIdentical(t *testing.T) {
 		{"empty schedule", simnet.NewFailureSchedule()},
 		{"events beyond horizon", simnet.NewFailureSchedule().Crash(0, 1e15, 1e15+10).Blackout(1, 2, 1e15, 1e15+5)},
 	} {
-		for _, par := range []int{1, 4} {
-			resultsIdentical(t, tc.name, ref, run(tc.fs, par))
-		}
+		resultsIdentical(t, tc.name, ref, run(tc.fs))
 	}
 }
 

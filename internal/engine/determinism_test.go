@@ -1,33 +1,9 @@
 package engine
 
-import (
-	"math/rand"
-	"testing"
+import "testing"
 
-	"netmax/internal/codec"
-	"netmax/internal/simnet"
-)
-
-// lockstepBehavior deterministically pulls from the next worker in the ring.
-// On a homogeneous network every iteration takes the same time, so all
-// workers' events share every timestamp — the worst case (largest batches)
-// for the parallel stepping path.
-type lockstepBehavior struct {
-	m         int
-	symmetric bool
-}
-
-func (l *lockstepBehavior) SelectPeer(i int, now float64, rng *rand.Rand) int {
-	// Draw from the worker RNG even though the choice is modular, so the
-	// test also verifies that RNG consumption order is preserved.
-	_ = rng.Float64()
-	return (i + 1) % l.m
-}
-func (l *lockstepBehavior) BlendCoef(i, j int) float64              { return 0.25 }
-func (l *lockstepBehavior) OnIterationEnd(i, j int, t, now float64) {}
-func (l *lockstepBehavior) Tick(now float64)                        {}
-func (l *lockstepBehavior) Symmetric() bool                         { return l.symmetric }
-
+// resultsIdentical fails the test unless a and b agree bitwise: loss curve,
+// accuracy, virtual clock, traffic and cost split.
 func resultsIdentical(t *testing.T, name string, a, b *Result) {
 	t.Helper()
 	if a.FinalLoss != b.FinalLoss {
@@ -52,52 +28,6 @@ func resultsIdentical(t *testing.T, name string, a, b *Result) {
 		if a.Curve[i] != b.Curve[i] {
 			t.Fatalf("%s: curve[%d] = %+v vs %+v", name, i, a.Curve[i], b.Curve[i])
 		}
-	}
-}
-
-// TestRunAsyncParallelismBitwiseDeterministic is the regression gate for the
-// concurrent stepping path: Parallelism 4 must produce a Result — loss
-// curve, accuracy, virtual clock, traffic — identical to Parallelism 1 for
-// a fixed seed, for one-sided blending, two-sided (symmetric) blending, and
-// randomized peer selection under a heterogeneous clock.
-func TestRunAsyncParallelismBitwiseDeterministic(t *testing.T) {
-	cases := []struct {
-		name string
-		run  func(par int) *Result
-	}{
-		{"lockstep one-sided", func(par int) *Result {
-			cfg := testConfig(4, 3)
-			cfg.Parallelism = par
-			return RunAsync(cfg, &lockstepBehavior{m: 4}, "ls")
-		}},
-		{"lockstep symmetric", func(par int) *Result {
-			cfg := testConfig(4, 3)
-			cfg.Parallelism = par
-			return RunAsync(cfg, &lockstepBehavior{m: 4, symmetric: true}, "lss")
-		}},
-		{"random peers heterogeneous clock", func(par int) *Result {
-			cfg := testConfig(4, 3)
-			cfg.Net = simnet.NewStatic(simnet.PaperCluster(4))
-			cfg.Parallelism = par
-			return RunAsync(cfg, &simpleBehavior{m: 4}, "rnd")
-		}},
-		{"topk codec one-sided", func(par int) *Result {
-			cfg := testConfig(4, 3)
-			cfg.Parallelism = par
-			cfg.Codec = codec.NewTopK(0.25)
-			return RunAsync(cfg, &simpleBehavior{m: 4}, "tk")
-		}},
-		{"float32 codec symmetric", func(par int) *Result {
-			cfg := testConfig(4, 3)
-			cfg.Parallelism = par
-			cfg.Codec = codec.Float32{}
-			return RunAsync(cfg, &lockstepBehavior{m: 4, symmetric: true}, "f32s")
-		}},
-	}
-	for _, tc := range cases {
-		serial := tc.run(1)
-		parallel := tc.run(4)
-		resultsIdentical(t, tc.name, serial, parallel)
 	}
 }
 

@@ -51,12 +51,13 @@ type Config struct {
 	// resource dimension the paper's related work (Prague, Hop) targets.
 	// Nil means every worker computes at the model's nominal speed.
 	ComputeScale []float64
-	// Parallelism bounds how many workers' gradient computations run
-	// concurrently on the host when their virtual-clock events are
-	// independent: 0 defers to DefaultParallelism (and ultimately NumCPU),
-	// 1 reproduces the historical serial loop, n > 1 allows n concurrent
-	// steps. Every setting produces bitwise-identical results — parallel
-	// stepping only reorders host work, never virtual-clock arithmetic.
+	// Parallelism bounds how many workers' gradients a synchronous round
+	// of Allreduce-SGD, PS-syn or D-PSGD computes concurrently on the host:
+	// 0 defers to DefaultParallelism (and ultimately GOMAXPROCS), 1 is the
+	// serial loop, n > 1 allows n concurrent gradients. Every other
+	// algorithm steps one worker at a time and never reads it. Every
+	// setting produces bitwise-identical results: the round's reductions
+	// run serially in worker order afterwards.
 	Parallelism int
 	// Codec, when non-nil, makes the asynchronous pull loop
 	// compression-aware: pulled model snapshots round-trip through the
@@ -395,15 +396,6 @@ func (q *Queue) Push(time float64, id int) {
 func (q *Queue) Pop() (time float64, id int) {
 	e := heap.Pop(&q.h).(event)
 	return e.time, e.id
-}
-
-// PeekTime returns the earliest pending event's time without removing it;
-// ok is false when the queue is empty.
-func (q *Queue) PeekTime() (time float64, ok bool) {
-	if len(q.h) == 0 {
-		return 0, false
-	}
-	return q.h[0].time, true
 }
 
 // Len returns the number of pending events.

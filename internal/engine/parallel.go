@@ -6,11 +6,11 @@ import (
 )
 
 // DefaultParallelism is the process-wide fallback for Config.Parallelism
-// when a config leaves it at 0: 0 means runtime.GOMAXPROCS, 1 forces the
-// serial code paths everywhere (the pre-parallel behavior), n > 1 caps
-// concurrent worker stepping at n. cmd/netmax-bench sets it from its -par
-// flag so a whole experiment sweep can be pinned without threading the knob
-// through every config constructor.
+// and the run drivers when they are left at 0: 0 means runtime.GOMAXPROCS,
+// 1 forces the serial code paths everywhere, n > 1 caps each level's
+// concurrency at n. The commands set it from their -par flag so a whole
+// experiment sweep can be pinned without threading the knob through every
+// config constructor.
 var DefaultParallelism int
 
 // ResolveParallelism resolves a Parallelism setting (usually a Config field)
@@ -35,12 +35,12 @@ func ResolveParallelism(n int) int {
 // k-indexed slots (not appended) so the outcome is order-independent.
 //
 // Calls at every level (experiment driver, per-figure algorithm fan-out,
-// engine worker stepping) share one process-wide budget of GOMAXPROCS
-// helper slots, so nesting never multiplies concurrency: the outermost
-// active levels win the slots and saturated inner calls degrade to the
-// serial loop instead of oversubscribing cores or stacking N× the live
-// training state per level. Slot acquisition never blocks, so nested use
-// cannot deadlock.
+// replicated seeds, suite members, a synchronous baseline's gradient round)
+// share one process-wide budget of GOMAXPROCS helper slots, so nesting
+// never multiplies concurrency: the outermost active levels win the slots
+// and saturated inner calls degrade to the serial loop instead of
+// oversubscribing cores or stacking N× the live training state per level.
+// Slot acquisition never blocks, so nested use cannot deadlock.
 func Concurrently(n, par int, f func(k int)) {
 	if par > n {
 		par = n

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -34,6 +35,52 @@ func FuzzParseManifest(f *testing.F) {
 		}
 		if _, err := Parse(out); err != nil {
 			t.Fatalf("resolved manifest does not parse back: %v\n%s", err, out)
+		}
+	})
+}
+
+// FuzzParseSuite feeds arbitrary bytes to the suite loader, seeded with
+// every suite of the scenario library; member paths resolve against
+// scenarios/, as they do for the checked-in files. Loading must never
+// panic, and an accepted suite's Resolve(false) output must marshal, parse
+// back and resolve to the same bytes: resolved-suite.json is a fixed point.
+func FuzzParseSuite(f *testing.F) {
+	dir := filepath.Join("..", "..", "scenarios")
+	paths, err := filepath.Glob(filepath.Join(dir, "suite-*.json"))
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no seed suites under scenarios/ (%v)", err)
+	}
+	for _, p := range paths {
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	resolve := func(t *testing.T, s *Suite) []byte {
+		t.Helper()
+		r, err := s.Resolve(false)
+		if err != nil {
+			t.Fatalf("valid suite does not resolve: %v", err)
+		}
+		out, err := json.Marshal(r)
+		if err != nil {
+			t.Fatalf("resolved suite does not marshal: %v", err)
+		}
+		return out
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		s, err := loadSuiteBytes(raw, filepath.Join(dir, "fuzz.json"))
+		if err != nil {
+			return
+		}
+		out := resolve(t, s)
+		back, err := ParseSuite(out)
+		if err != nil {
+			t.Fatalf("resolved suite does not parse back: %v\n%s", err, out)
+		}
+		if again := resolve(t, back); !bytes.Equal(again, out) {
+			t.Fatalf("resolving a resolved suite changed it:\n%s\n%s", out, again)
 		}
 	})
 }

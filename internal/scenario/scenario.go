@@ -93,9 +93,11 @@ type Manifest struct {
 	// Overlap enables Algorithm 2's compute/communication overlap
 	// (default true). Engine-only.
 	Overlap *bool `json:"overlap,omitempty"`
-	// Parallelism bounds host-level concurrency: 0 (default) one worker
+	// Parallelism bounds how many gradients a synchronous round of
+	// allreduce, ps-sync or dpsgd computes concurrently: 0 (default) one
 	// per CPU, 1 serial. Results are bitwise identical at any setting.
-	// Engine-only.
+	// Values above 1 are rejected for every other algorithm, which steps
+	// one worker at a time. Engine-only.
 	Parallelism int `json:"parallelism,omitempty"`
 
 	Topology  *TopologySpec  `json:"topology,omitempty"`
@@ -561,6 +563,10 @@ func usesMonitor(algo string) bool {
 // the codec and the failure schedule.
 var asyncAlgorithms = []string{"netmax", "adpsgd", "adpsgd-monitor", "gossip", "saps", "dlion"}
 
+// roundAlgorithms compute a synchronous round's gradients concurrently, the
+// only engine loops that read parallelism.
+var roundAlgorithms = []string{"allreduce", "ps-sync", "dpsgd"}
+
 var engineAlgorithms = append(slices.Clone(asyncAlgorithms),
 	"hop", "allreduce", "dpsgd", "prague", "ps-sync", "ps-async")
 
@@ -754,6 +760,10 @@ func validateEngine(e *errorList, m, r *Manifest) {
 		if r.Failures != nil {
 			e.addf("failures block is only valid with the asynchronous algorithms (%s); %q ignores it", async, r.Algorithm)
 		}
+	}
+	if r.Parallelism > 1 && !slices.Contains(roundAlgorithms, r.Algorithm) {
+		e.addf("parallelism > 1 is only valid with the synchronous-round algorithms (%s); %q steps one worker at a time and ignores it",
+			strings.Join(roundAlgorithms, ", "), r.Algorithm)
 	}
 	if r.Epochs < 1 {
 		e.addf("epochs must be >= 1, got %d", r.Epochs)

@@ -118,6 +118,7 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		{"netmax block misuse", `{"name": "x", "algorithm": "adpsgd", "netmax": {"ts_secs": 1}}`, "netmax block is only valid"},
 		{"codec on allreduce", `{"name": "x", "algorithm": "allreduce", "codec": {"name": "topk", "topk_frac": 0.1}}`, `"allreduce" ignores it`},
 		{"failures on hop", `{"name": "x", "algorithm": "hop", "failures": {"events": [{"kind": "leave", "worker": 1, "at": 1}]}}`, `"hop" ignores it`},
+		{"parallelism on netmax", `{"name": "x", "algorithm": "netmax", "parallelism": 2}`, `"netmax" steps one worker at a time`},
 		{"compute scale mismatch", `{"name": "x", "workers": 4, "compute": {"kind": "explicit", "scale": [1, 2]}}`, "want one per worker"},
 		{"straggler range", `{"name": "x", "workers": 4, "compute": {"kind": "straggler", "worker": 6, "factor": 5}}`, "outside [0, 4)"},
 		{"live without bound", `{"name": "x", "runtime": "live", "live": {}}`, "need a bound"},

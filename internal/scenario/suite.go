@@ -233,6 +233,7 @@ func (s *Suite) validateShape() error {
 				e.addf("grid algorithm %d: unknown algorithm %q (want one of %s)", i, a, strings.Join(engineAlgorithms, ", "))
 			}
 		}
+		runs := max(len(g.Algorithms), 1) * max(len(g.Codecs), 1)
 		if r := g.Replicate; r != nil {
 			if r.N < 1 {
 				e.addf("grid.replicate.n must be >= 1, got %d", r.N)
@@ -240,6 +241,10 @@ func (s *Suite) validateShape() error {
 			if r.BaseSeed < 0 {
 				e.addf("grid.replicate.base_seed must be >= 0, got %d", r.BaseSeed)
 			}
+			runs *= min(max(r.N, 1), maxSuiteRuns+1)
+		}
+		if runs > maxSuiteRuns {
+			e.addf("grid expands to more than %d runs", maxSuiteRuns)
 		}
 	}
 	if o := s.Output; o != nil && o.TargetLoss < 0 {
@@ -258,6 +263,11 @@ func (s *Suite) validateShape() error {
 	}
 	return e.err()
 }
+
+// maxSuiteRuns caps the runs one grid expands to, checked before expansion
+// allocates anything: a replicate count is a single number in the file, and
+// a ten-digit one would otherwise allocate gigabytes.
+const maxSuiteRuns = 1000
 
 // loadMember materializes a member's manifest: inline members are
 // deep-copied (expansion must not mutate the suite), path members loaded

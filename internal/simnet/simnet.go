@@ -99,17 +99,6 @@ func SingleMachine(m int) *Topology {
 	return Cluster([]int{m})
 }
 
-// Neighbors returns the neighbor indices of node i.
-func (t *Topology) Neighbors(i int) []int {
-	var out []int
-	for j, ok := range t.Adj[i] {
-		if ok {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
 // Connected reports whether the adjacency graph is connected (Assumption 1).
 func (t *Topology) Connected() bool {
 	if t.M == 0 {

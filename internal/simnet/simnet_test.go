@@ -27,9 +27,6 @@ func TestRingConnected(t *testing.T) {
 	if !topo.Connected() {
 		t.Fatal("ring should be connected")
 	}
-	if got := len(topo.Neighbors(0)); got != 2 {
-		t.Fatalf("ring degree = %d, want 2", got)
-	}
 }
 
 func TestDisconnectedDetected(t *testing.T) {

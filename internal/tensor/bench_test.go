@@ -21,14 +21,6 @@ func BenchmarkMatMul64(b *testing.B)   { benchMatMul(b, 64) }
 func BenchmarkMatMul256(b *testing.B)  { benchMatMul(b, 256) }
 func BenchmarkMatMul1024(b *testing.B) { benchMatMul(b, 1024) }
 
-// BenchmarkMatMulSerial1024 pins the kernel to one goroutine for an in-tree
-// measurement of the parallel speedup (compare with BenchmarkMatMul1024).
-func BenchmarkMatMulSerial1024(b *testing.B) {
-	prev := SetParallelism(1)
-	defer SetParallelism(prev)
-	benchMatMul(b, 1024)
-}
-
 // BenchmarkMatMulInto isolates the destination-reuse variant: zero steady-
 // state allocations regardless of operand size.
 func BenchmarkMatMulInto(b *testing.B) {

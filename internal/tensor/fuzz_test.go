@@ -57,7 +57,7 @@ func sameBits(got, want *Tensor) bool {
 }
 
 // FuzzMatMul checks MatMulInto, MatMulTransBInto and MatMulTransAInto
-// against ieeeMatMul at parallelism 1 and 4, and against serialMatMul, the
+// against ieeeMatMul, and ieeeMatMul against serialMatMul, the
 // zero-skipping loop, whenever b is finite. The first three bytes give
 // m, k, n ≤ 9, so every tile remainder is reached; each further byte is
 // one entry of a, then of b (missing entries are 0).
@@ -92,18 +92,14 @@ func FuzzMatMul(f *testing.F) {
 			}
 		}
 		at, bt := Transpose(a), Transpose(b)
-		for _, par := range []int{1, 4} {
-			prev := SetParallelism(par)
-			got := map[string]*Tensor{
-				"MatMulInto":       MatMulInto(Full(7, m, n), a, b),
-				"MatMulTransBInto": MatMulTransBInto(Full(7, m, n), a, bt),
-				"MatMulTransAInto": MatMulTransAInto(Full(7, m, n), at, b),
-			}
-			SetParallelism(prev)
-			for name, g := range got {
-				if !sameBits(g, want) {
-					t.Fatalf("%s at parallelism %d: %v, IEEE loop %v (a=%v b=%v)", name, par, g.Data, want.Data, a.Data, b.Data)
-				}
+		got := map[string]*Tensor{
+			"MatMulInto":       MatMulInto(Full(7, m, n), a, b),
+			"MatMulTransBInto": MatMulTransBInto(Full(7, m, n), a, bt),
+			"MatMulTransAInto": MatMulTransAInto(Full(7, m, n), at, b),
+		}
+		for name, g := range got {
+			if !sameBits(g, want) {
+				t.Fatalf("%s: %v, IEEE loop %v (a=%v b=%v)", name, g.Data, want.Data, a.Data, b.Data)
 			}
 		}
 	})

@@ -11,11 +11,11 @@
 // MatMul, MatMulInto, MatMulTransBInto and MatMulTransAInto share one
 // register-tiled kernel that reads both operands along the inner dimension.
 // MatMul and MatMulInto transpose b into arena scratch for it, and
-// MatMulTransAInto transposes both operands. Large products shard row
-// panels across a persistent worker pool sized to runtime.NumCPU() (see
-// SetParallelism); sharding never changes arithmetic order, so parallel
-// results are bitwise identical to serial ones. The kernel follows IEEE 754
-// for every term: a zero times an infinity contributes NaN. Whenever the
+// MatMulTransAInto transposes both operands. Every kernel runs on the
+// calling goroutine: host parallelism lives above this package, in the
+// drivers that run independent trainings side by side and in the
+// synchronous baselines' gradient rounds. The kernel follows IEEE 754 for
+// every term: a zero times an infinity contributes NaN. Whenever the
 // right operand is finite the result equals that of a loop skipping zero
 // terms, bit for bit, since adding a ±0 product to a sum that starts at +0
 // never changes it.
@@ -235,9 +235,8 @@ func checkMatMulShapes(a, b *Tensor) (m, k, n int) {
 	return m, k, n
 }
 
-// MatMul returns a@b for rank-2 tensors. Large products are sharded across
-// the package worker pool (see MatMulInto for the reuse variant); results
-// are bitwise identical at any parallel degree.
+// MatMul returns a@b for rank-2 tensors (see MatMulInto for the reuse
+// variant).
 func MatMul(a, b *Tensor) *Tensor {
 	m, _, n := checkMatMulShapes(a, b)
 	return MatMulInto(New(m, n), a, b)

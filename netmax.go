@@ -26,17 +26,18 @@
 //
 // # Performance
 //
-// The compute core scales with the host: large tensor products shard across
-// a persistent worker pool, the autograd tape reuses buffers from a
-// size-keyed arena instead of allocating per op, and the discrete-event
-// engine steps workers whose events are independent at the same virtual
-// timestamp concurrently. All of it is bitwise deterministic — results are
-// identical at any parallelism, only wall-clock changes. Config.Parallelism
-// bounds the concurrency: 0 means one worker per CPU, 1 reproduces the
-// serial loop. cmd/netmax-bench -par
-// pins it process-wide and -bench-out records the perf trajectory (see
-// BENCH_baseline.json / BENCH_pr1.json and README.md for the buffer-pool
-// lifecycle rules).
+// Host parallelism lives at two levels, both bitwise deterministic, so
+// results are identical at any setting and only wall-clock changes:
+// independent runs fan out side by side (cmd/netmax-bench -all, a figure's
+// algorithms, replicated seeds, a suite's members), and the synchronous
+// baselines (Allreduce-SGD, PS-syn, D-PSGD) compute a round's gradients
+// concurrently, bounded by Config.Parallelism. Everything else runs on the
+// calling goroutine: the asynchronous engine steps one event at a time and
+// tensor kernels are single-threaded. The autograd tape reuses buffers from
+// a size-keyed arena instead of allocating per op. cmd/netmax-bench -par
+// pins the parallelism process-wide and -bench-out records the perf
+// trajectory (see BENCH_baseline.json / BENCH_pr1.json and README.md for
+// the buffer-pool lifecycle rules).
 package netmax
 
 import (
@@ -87,7 +88,8 @@ func Train(cfg *Config, opts Options) *Result {
 	return core.Run(cfg, opts)
 }
 
-// Baseline trainers, for comparisons on identical configurations.
+// Baseline trainers, for comparisons on identical configurations. Every
+// other algorithm is reached through a Scenario's Algorithm and BuildEngine.
 var (
 	// TrainADPSGD runs asynchronous decentralized parallel SGD [Lian et al.].
 	TrainADPSGD = baselines.RunADPSGD
@@ -101,19 +103,7 @@ var (
 	TrainPSAsync = baselines.RunPSAsync
 	// TrainGossip runs GoSGD-style uniform gossip.
 	TrainGossip = baselines.RunGossip
-	// TrainSAPS runs SAPS-PSGD on the static initially-fast subgraph.
-	TrainSAPS = baselines.RunSAPS
-	// TrainDLion runs DLion-style capacity-proportional partial transfers.
-	TrainDLion = baselines.RunDLion
-	// TrainSyncDPSGD runs synchronous D-PSGD neighborhood averaging.
-	TrainSyncDPSGD = baselines.RunSyncDPSGD
 )
-
-// TrainHop runs Hop-style bounded-staleness gossip; staleness <= 0 selects
-// the default bound.
-func TrainHop(cfg *Config, staleness int) *Result {
-	return baselines.RunHop(cfg, staleness)
-}
 
 // TrainADPSGDMonitor runs the Section III-D extension: AD-PSGD steered by
 // the Network Monitor's adaptive policy.
