@@ -2,12 +2,11 @@
 // goroutine workers exchanging models (optionally over loopback TCP with
 // the persistent binary wire protocol) under a wall-clock Network Monitor —
 // the system-shaped counterpart to the discrete-event simulation used by
-// netmax-bench. Model pulls go through a pluggable compression codec.
+// netmax-bench. Model pulls go through a dense compression codec.
 //
 //	netmax-live -workers 4 -seconds 5
 //	netmax-live -workers 4 -seconds 5 -tcp
 //	netmax-live -tcp -codec float32
-//	netmax-live -tcp -codec topk -topk 0.1
 //	netmax-live -crash 2 -crash-at 1.5 -rejoin-at 3    # kill worker 2 mid-run
 //
 // The flags describe one live scenario manifest, which goes through
@@ -35,7 +34,6 @@ func main() {
 		uniform   = flag.Bool("uniform", false, "disable the adaptive policy (AD-PSGD-style)")
 		seed      = flag.Int64("seed", 1, "random seed")
 		codecName = flag.String("codec", "raw", "model pull compression codec: "+strings.Join(codec.Names(), ", "))
-		topkFrac  = flag.Float64("topk", codec.DefaultTopKFrac, "fraction of coordinates the topk codec keeps per pull")
 		pullTO    = flag.Float64("pull-timeout", 2, "per-call pull deadline in seconds (0 disables)")
 		crash     = flag.Int("crash", -1, "worker to crash mid-run (-1 disables)")
 		crashAt   = flag.Float64("crash-at", 1, "crash time in seconds since start")
@@ -63,9 +61,6 @@ func main() {
 			PullTimeoutSecs: *pullTO,
 			Uniform:         *uniform,
 		},
-	}
-	if *codecName == "topk" {
-		m.Codec.TopKFrac = min(max(*topkFrac, 0), 1) // codec.NewTopK's clamp
 	}
 	if *pullTO == 0 {
 		m.Live.PullTimeoutSecs = -1 // flag semantics: 0 disables deadlines

@@ -9,7 +9,7 @@
 //	netmax-scenario list ./scenarios
 //	netmax-scenario validate ./scenarios/...
 //	netmax-scenario run scenarios/churn-crash-rejoin.json
-//	netmax-scenario run -quick -out runs scenarios/compression-topk25.json
+//	netmax-scenario run -quick -out runs scenarios/compression-float32.json
 //	netmax-scenario run -quick -par 2 scenarios/suite-cluster-comparison.json
 //
 // Every run writes its fully-resolved manifest (every default made

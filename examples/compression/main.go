@@ -36,20 +36,6 @@ func main() {
 	codecs := []*scenario.CodecSpec{
 		{Name: "raw"},
 		{Name: "float32"},
-		{Name: "topk", TopKFrac: 0.25},
-		{Name: "topk", TopKFrac: 0.10},
-	}
-	label := func(c *scenario.CodecSpec) string {
-		if c.Name == "topk" {
-			return fmt.Sprintf("topk %.0f%%", 100*c.TopKFrac)
-		}
-		return c.Name
-	}
-	slug := func(c *scenario.CodecSpec) string {
-		if c.Name == "topk" {
-			return fmt.Sprintf("topk%.0f", 100*c.TopKFrac)
-		}
-		return c.Name
 	}
 	run := func(m *scenario.Manifest) *scenario.Report {
 		rep, err := scenario.Run(m, scenario.RunOptions{})
@@ -66,7 +52,7 @@ func main() {
 	var rawBytes float64
 	for _, c := range codecs {
 		m := &scenario.Manifest{
-			Name:    "compression-live-" + slug(c),
+			Name:    "compression-live-" + c.Name,
 			Runtime: "live",
 			Model:   "MobileNet",
 			Dataset: "MNIST",
@@ -80,7 +66,7 @@ func main() {
 			rawBytes = perPull
 		}
 		fmt.Printf("%-10s  %14d  %9.1fx  %10d  %8.2f%%\n",
-			label(c), stats.BytesOnWire, rawBytes/perPull, stats.Pulls, 100*stats.FinalAccuracy)
+			c.Name, stats.BytesOnWire, rawBytes/perPull, stats.Pulls, 100*stats.FinalAccuracy)
 	}
 
 	// --- discrete-event engine: MobileNet-scale transfers on the paper's
@@ -91,7 +77,7 @@ func main() {
 	var rawTotal float64
 	for _, c := range codecs {
 		m := &scenario.Manifest{
-			Name:         "compression-sim-" + slug(c),
+			Name:         "compression-sim-" + c.Name,
 			Model:        "MobileNet",
 			Dataset:      "MNIST",
 			Workers:      simWorkers,
@@ -104,6 +90,6 @@ func main() {
 			rawTotal = float64(res.BytesSent)
 		}
 		fmt.Printf("%-10s  %14d  %11.1fx  %11.1fs  %8.2f%%\n",
-			label(c), res.BytesSent, rawTotal/float64(res.BytesSent), res.TotalTime, 100*res.FinalAccuracy)
+			c.Name, res.BytesSent, rawTotal/float64(res.BytesSent), res.TotalTime, 100*res.FinalAccuracy)
 	}
 }

@@ -80,26 +80,21 @@ func RunAsync(cfg *Config, b AsyncBehavior, algo string) *Result {
 	tr := NewTracker(cfg, ws, algo)
 	bytes := cfg.WireBytes()
 	// Compression state: every transferred vector round-trips through the
-	// codec so its loss lands in the trajectory; prior receives the
-	// receiving worker's own parameters for sparse partial pulls. All
-	// buffers are reused across iterations — the event loop stays
-	// allocation-free under compression.
+	// codec so its loss lands in the trajectory. The buffers are reused
+	// across iterations — the event loop stays allocation-free under
+	// compression.
 	var encBuf []byte
-	var prior, ownBuf []float64
-	if cfg.Codec != nil {
-		prior = make([]float64, ws[0].Model.VectorLen())
-	}
-	// compress overwrites vec in place with what receiver would decode off
+	var ownBuf []float64
+	// compress overwrites vec in place with what the receiver decodes off
 	// the wire. The payload is self-produced, so a decode failure is a
 	// codec bug; continuing would charge compressed bytes for an
 	// uncompressed transfer.
-	compress := func(vec []float64, receiver *Worker) {
+	compress := func(vec []float64) {
 		if cfg.Codec == nil {
 			return
 		}
 		encBuf = cfg.Codec.AppendEncode(encBuf[:0], vec)
-		receiver.Model.CopyVector(prior)
-		if err := cfg.Codec.DecodeInto(encBuf, vec, prior); err != nil {
+		if err := cfg.Codec.DecodeInto(encBuf, vec); err != nil {
 			panic(fmt.Sprintf("engine: codec %s round-trip failed: %v", cfg.Codec.Name(), err))
 		}
 	}
@@ -199,7 +194,7 @@ func RunAsync(cfg *Config, b AsyncBehavior, algo string) *Result {
 		_, samples := w.GradStep() // first update (local gradients)
 		if j != i && !pullFailed {
 			ws[j].Model.CopyVector(snapshot) // pull x_j (freshest params)
-			compress(snapshot, w)
+			compress(snapshot)
 			coef := b.BlendCoef(i, j)
 			if symmetric {
 				// Two-sided atomic averaging: j also moves toward i's
@@ -210,7 +205,7 @@ func RunAsync(cfg *Config, b AsyncBehavior, algo string) *Result {
 					ownBuf = make([]float64, len(snapshot))
 				}
 				w.Model.CopyVector(ownBuf)
-				compress(ownBuf, ws[j])
+				compress(ownBuf)
 				w.Model.BlendVector(coef, snapshot)
 				ws[j].Model.BlendVector(coef, ownBuf)
 			} else {

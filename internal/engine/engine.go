@@ -61,7 +61,7 @@ type Config struct {
 	Parallelism int
 	// Codec, when non-nil, makes the asynchronous pull loop
 	// compression-aware: pulled model snapshots round-trip through the
-	// codec (so quantization/sparsification loss shows up in the training
+	// codec (so quantization loss shows up in the training
 	// trajectory) and the simnet bandwidth model is charged the codec's
 	// encoded size for the paper model instead of the dense
 	// Spec.ModelBytes. Nil reproduces the uncompressed simulation exactly.

@@ -13,7 +13,9 @@
 // so it starts from the simulated worker's model, batch order and RNG
 // stream. What stays here is what only a live group has: wall-clock
 // timing, the transport, policies fetched from the wire (validated before
-// adoption), the peer-down retry cooldown and scheduled churn.
+// adoption), pulled models decoded straight off the wire (a non-finite one
+// is rejected, never blended), the peer-down retry cooldown and scheduled
+// churn.
 package live
 
 import (
@@ -54,8 +56,7 @@ type Config struct {
 	// Uniform disables the adaptive policy (AD-PSGD-style selection).
 	Uniform bool
 	// Codec compresses model pulls on the wire (nil keeps the transport's
-	// default raw float64 encoding). Sparse codecs turn pulls into partial
-	// model pulls: untransmitted coordinates keep the puller's local value.
+	// default raw float64 encoding).
 	Codec codec.Codec
 	// PullTimeout bounds every model pull and monitor exchange: a hung or
 	// dead peer costs at most one deadline instead of blocking the worker
@@ -97,6 +98,10 @@ type Stats struct {
 	// PeerDownErrors counts pulls that failed with transport.ErrPeerDown
 	// (dead or hung peers, expired deadlines).
 	PeerDownErrors int64
+	// RejectedPulls counts pulls that failed with transport.ErrNonFinite:
+	// the peer served a NaN or ±Inf coordinate, so the puller kept its
+	// model and reported no time for the link.
+	RejectedPulls int64
 	// Elapsed wall time.
 	Elapsed time.Duration
 }
@@ -109,7 +114,8 @@ type worker struct {
 	rep  *engine.Worker
 	mu   sync.Mutex // guards rep.Model's parameters: transport reads vs. local updates
 	node *core.Node
-	// pulled is the buffer pulls decode into before the blend.
+	// pulled is the buffer pulls decode into, straight off the wire,
+	// before the blend; only the worker's in-flight pull writes it.
 	pulled []float64
 	// version is the broadcast policy version the node last adopted.
 	version int
@@ -199,7 +205,7 @@ func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
 	}()
 
 	counts := make([]int, m)
-	var wireBytes, pulls, peerDown atomic.Int64
+	var wireBytes, pulls, peerDown, rejected atomic.Int64
 	var wg sync.WaitGroup
 	for _, w := range workers {
 		wg.Add(1)
@@ -260,16 +266,14 @@ func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
 				j := w.node.Select(w.rep.Rng)
 				iterStart := time.Now()
 				// Pull the neighbor's model concurrently with the local
-				// gradient step (Algorithm 2's overlap). The pull arrives
-				// undecoded; decoding waits for the blend step so sparse
-				// codecs substitute the post-step vector — not a stale
-				// snapshot — on untransmitted coordinates.
-				var pulled *transport.Pull
+				// gradient step (Algorithm 2's overlap), decoding straight
+				// into w.pulled.
+				var pulledBytes int64
 				var pullErr error
 				done := make(chan struct{})
 				if j != w.id {
 					go func() {
-						pulled, pullErr = hub.Peer(w.id, j).PullModel()
+						pulledBytes, pullErr = hub.Peer(w.id, j).PullModel(w.pulled)
 						close(done)
 					}()
 				} else {
@@ -281,26 +285,25 @@ func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
 				w.rep.ApplyStep()
 				w.mu.Unlock()
 				<-done
-				if j != w.id && pullErr == nil && pulled != nil {
+				switch {
+				case j == w.id:
+					// Self-selection: no pull, nothing to blend.
+				case pullErr == nil:
 					coef := w.node.Coef(j)
 					w.mu.Lock()
-					var prior []float64
-					if pulled.Sparse() {
-						prior = w.rep.Model.CopyVector(w.pulled)
-					}
-					decErr := pulled.DecodeInto(w.pulled, prior)
-					if decErr == nil {
-						w.rep.Model.BlendVector(coef, w.pulled)
-					}
+					w.rep.Model.BlendVector(coef, w.pulled)
 					w.mu.Unlock()
-					if decErr == nil {
-						pulledBytes := pulled.WireBytes()
-						wireBytes.Add(pulledBytes)
-						pulls.Add(1)
-						secs := time.Since(iterStart).Seconds()
-						_ = monClient.ReportTime(w.id, j, w.node.Observe(j, secs), pulledBytes)
-					}
-				} else if j != w.id && pullErr != nil {
+					wireBytes.Add(pulledBytes)
+					pulls.Add(1)
+					secs := time.Since(iterStart).Seconds()
+					_ = monClient.ReportTime(w.id, j, w.node.Observe(j, secs), pulledBytes)
+				case errors.Is(pullErr, transport.ErrNonFinite):
+					// The peer answered with a poisoned vector: keep the
+					// local model, and report nothing, so the link's
+					// measured time is not credited to a pull that never
+					// blended.
+					rejected.Add(1)
+				default:
 					// Failed pull: mask the peer locally until the monitor
 					// reacts, and report the attempt's (deadline-inflated)
 					// cost so the link degrades in the policy input rather
@@ -337,6 +340,7 @@ func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
 		BytesOnWire:         wireBytes.Load(),
 		Pulls:               pulls.Load(),
 		PeerDownErrors:      peerDown.Load(),
+		RejectedPulls:       rejected.Load(),
 		Elapsed:             time.Since(start),
 	}
 }

@@ -209,9 +209,6 @@ func (r *Manifest) buildCodec() (codec.Codec, error) {
 	if c == nil {
 		return nil, nil
 	}
-	if c.Name == "topk" {
-		return codec.NewTopK(c.TopKFrac), nil
-	}
 	return codec.ByName(c.Name)
 }
 

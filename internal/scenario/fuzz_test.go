@@ -9,9 +9,10 @@ import (
 )
 
 // FuzzParseManifest feeds arbitrary bytes to Parse, seeded with every file
-// of the scenario library. Parse must never panic, and whatever it accepts
-// must resolve to a manifest that marshals, parses and validates again: the
-// resolved.json a run writes is always a runnable manifest.
+// of the scenario library and two manifests naming the retired top-k
+// codec. Parse must never panic, and whatever it accepts must resolve to a
+// manifest that marshals, parses and validates again: the resolved.json a
+// run writes is always a runnable manifest.
 func FuzzParseManifest(f *testing.F) {
 	paths, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.json"))
 	if err != nil || len(paths) == 0 {
@@ -24,6 +25,10 @@ func FuzzParseManifest(f *testing.F) {
 		}
 		f.Add(raw)
 	}
+	// The retired top-k codec, by name and by its old field: the parser
+	// must reject both, and their mutations explore the codec block.
+	f.Add([]byte(`{"name": "x", "codec": {"name": "topk"}}`))
+	f.Add([]byte(`{"name": "x", "codec": {"name": "topk", "topk_frac": 0.1}}`))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		m, err := Parse(raw)
 		if err != nil {

@@ -185,11 +185,8 @@ type ComputeSpec struct {
 
 // CodecSpec selects the wire compression codec for model pulls.
 type CodecSpec struct {
-	// Name: "raw", "float32", or "topk".
+	// Name: "raw" or "float32".
 	Name string `json:"name"`
-	// TopKFrac is the fraction of coordinates the topk codec keeps
-	// (0 selects the codec default; only valid with "topk").
-	TopKFrac float64 `json:"topk_frac,omitempty"`
 }
 
 // FailureSpec is the declarative form of simnet.FailureSchedule. Engine-only.
@@ -430,9 +427,6 @@ func (m *Manifest) Resolved() *Manifest {
 	}
 	r.Partition.Kind = orStr(r.Partition.Kind, "uniform")
 	expandPreset(r.Partition)
-	if r.Codec != nil && r.Codec.Name == "topk" && r.Codec.TopKFrac == 0 {
-		r.Codec.TopKFrac = codec.DefaultTopKFrac
-	}
 
 	switch r.Runtime {
 	case "live":
@@ -728,16 +722,7 @@ func validateCodec(e *errorList, r *Manifest) {
 	if c == nil {
 		return
 	}
-	switch c.Name {
-	case "raw", "float32":
-		if c.TopKFrac != 0 {
-			e.addf("topk_frac is only valid with the topk codec")
-		}
-	case "topk":
-		if c.TopKFrac <= 0 || c.TopKFrac > 1 {
-			e.addf("topk_frac must be in (0, 1], got %g", c.TopKFrac)
-		}
-	default:
+	if !slices.Contains(codec.Names(), c.Name) {
 		e.addf("unknown codec %q (want %s)", c.Name, strings.Join(codec.Names(), ", "))
 	}
 }

@@ -38,7 +38,7 @@ func TestResolvedFixedPoint(t *testing.T) {
 			Topology: &TopologySpec{Kind: "cluster", NodesPerMachine: []int{4, 4}},
 			Network:  &NetworkSpec{Kind: "shuffled", PeriodSecs: 3},
 			Compute:  &ComputeSpec{Kind: "straggler", Worker: 3, Factor: 5},
-			Codec:    &CodecSpec{Name: "topk"},
+			Codec:    &CodecSpec{Name: "float32"},
 			Failures: &FailureSpec{Events: []FailureEvent{{Kind: "crash", Worker: 1, At: 5, Rejoin: 9}}},
 			NetMax:   &NetMaxSpec{StalePeriods: 2},
 			Output:   &OutputSpec{Curves: true},
@@ -107,8 +107,10 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		{"blackout self-loop", `{"name": "x", "failures": {"events": [{"kind": "blackout", "a": 2, "b": 2, "at": 1, "until": 2}]}}`, "endpoints must differ"},
 		{"failure worker range", `{"name": "x", "workers": 4, "failures": {"events": [{"kind": "leave", "worker": 7, "at": 1}]}}`, "outside [0, 4)"},
 		{"unknown codec", `{"name": "x", "codec": {"name": "zstd"}}`, "unknown codec"},
+		{"topk codec", `{"name": "x", "codec": {"name": "topk"}}`, `unknown codec "topk" (want raw, float32)`},
+		{"topk frac", `{"name": "x", "codec": {"name": "topk", "topk_frac": 0.1}}`, `unknown field "topk_frac"`},
 		{"topk frac range", `{"name": "x", "codec": {"name": "topk", "topk_frac": 1.5}}`, "topk_frac"},
-		{"topk frac on raw", `{"name": "x", "codec": {"name": "raw", "topk_frac": 0.5}}`, "only valid with the topk codec"},
+		{"topk frac on raw", `{"name": "x", "codec": {"name": "raw", "topk_frac": 0.5}}`, `unknown field "topk_frac"`},
 		{"segments mismatch", `{"name": "x", "workers": 4, "partition": {"kind": "segments", "segments": [1, 2]}}`, "want one per worker"},
 		{"bad preset", `{"name": "x", "partition": {"preset": "paper-32"}}`, "unknown partition preset"},
 		{"skew class range", `{"name": "x", "workers": 2, "dataset": "MNIST", "partition": {"kind": "label-skew", "lost_labels": [[11], []]}}`, "outside MNIST's 10 classes"},
@@ -116,7 +118,7 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		{"static with dynamics", `{"name": "x", "network": {"kind": "static", "period_secs": 5}}`, "no dynamics"},
 		{"hop staleness misuse", `{"name": "x", "hop_staleness": 4}`, "only valid with algorithm"},
 		{"netmax block misuse", `{"name": "x", "algorithm": "adpsgd", "netmax": {"ts_secs": 1}}`, "netmax block is only valid"},
-		{"codec on allreduce", `{"name": "x", "algorithm": "allreduce", "codec": {"name": "topk", "topk_frac": 0.1}}`, `"allreduce" ignores it`},
+		{"codec on allreduce", `{"name": "x", "algorithm": "allreduce", "codec": {"name": "float32"}}`, `"allreduce" ignores it`},
 		{"failures on hop", `{"name": "x", "algorithm": "hop", "failures": {"events": [{"kind": "leave", "worker": 1, "at": 1}]}}`, `"hop" ignores it`},
 		{"parallelism on netmax", `{"name": "x", "algorithm": "netmax", "parallelism": 2}`, `"netmax" steps one worker at a time`},
 		{"compute scale mismatch", `{"name": "x", "workers": 4, "compute": {"kind": "explicit", "scale": [1, 2]}}`, "want one per worker"},

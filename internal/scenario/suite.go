@@ -442,15 +442,11 @@ func armLabel(g *GridSpec, algo string, cdc *CodecSpec) string {
 	return strings.Join(parts, "-")
 }
 
-// codecLabel renders a codec arm compactly: "raw", "float32", "topk0.25"
-// (fraction kept), or "nocodec" for the drop-the-codec entry.
+// codecLabel renders a codec arm compactly: "raw", "float32", or
+// "nocodec" for the drop-the-codec entry.
 func codecLabel(c *CodecSpec) string {
-	switch {
-	case c.Name == "":
+	if c.Name == "" {
 		return "nocodec"
-	case c.Name == "topk" && c.TopKFrac > 0:
-		return fmt.Sprintf("topk%g", c.TopKFrac)
-	default:
-		return c.Name
 	}
+	return c.Name
 }

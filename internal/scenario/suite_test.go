@@ -96,7 +96,7 @@ func TestSuiteGridExpansion(t *testing.T) {
 		}},
 		Grid: &GridSpec{
 			Algorithms: []string{"netmax", "adpsgd"},
-			Codecs:     []CodecSpec{{Name: "raw"}, {Name: "topk", TopKFrac: 0.25}},
+			Codecs:     []CodecSpec{{Name: "raw"}, {Name: "float32"}},
 			Replicate:  &ReplicateSpec{N: 3},
 		},
 	}
@@ -124,27 +124,27 @@ func TestSuiteGridExpansion(t *testing.T) {
 	if first.Manifest.NetMax == nil || first.Manifest.NetMax.StalePeriods != 2 {
 		t.Errorf("netmax arm lost the base's netmax block: %+v", first.Manifest.NetMax)
 	}
-	// The adpsgd arms must have dropped the monitor block, and the topk
+	// The adpsgd arms must have dropped the monitor block, and the float32
 	// arms must carry the grid's codec.
-	var sawADPSGDTopK bool
+	var sawADPSGDFloat32 bool
 	for _, mem := range r.Runs {
 		m := mem.Manifest
 		if m.Algorithm == "adpsgd" && m.NetMax != nil {
 			t.Errorf("adpsgd arm %q kept the netmax block", m.Name)
 		}
-		if mem.Arm == "adpsgd-topk0.25" {
-			sawADPSGDTopK = true
-			if m.Codec == nil || m.Codec.Name != "topk" || m.Codec.TopKFrac != 0.25 {
-				t.Errorf("topk arm %q has codec %+v", m.Name, m.Codec)
+		if mem.Arm == "adpsgd-float32" {
+			sawADPSGDFloat32 = true
+			if m.Codec == nil || m.Codec.Name != "float32" {
+				t.Errorf("float32 arm %q has codec %+v", m.Name, m.Codec)
 			}
 		}
 	}
-	if !sawADPSGDTopK {
+	if !sawADPSGDFloat32 {
 		arms := make([]string, 0, len(r.Runs))
 		for _, mem := range r.Runs {
 			arms = append(arms, mem.Arm)
 		}
-		t.Fatalf("no adpsgd-topk0.25 arm among %v", arms)
+		t.Fatalf("no adpsgd-float32 arm among %v", arms)
 	}
 }
 

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -81,4 +82,36 @@ func TestReadResultJSONBadInput(t *testing.T) {
 	if _, err := ReadResultJSON(strings.NewReader("{nope")); err == nil {
 		t.Fatal("expected decode error")
 	}
+}
+
+// FuzzResultJSON feeds arbitrary bytes to ReadResultJSON, the reader for
+// result files that come back from disk. Nothing may panic, and a result
+// it accepts must re-encode and read back to the same engine.Result.
+//
+//	go test -run '^$' -fuzz FuzzResultJSON -fuzztime 20s ./internal/trace/
+func FuzzResultJSON(f *testing.F) {
+	for _, r := range []*engine.Result{sampleResult(), {}, {Algo: "AD-PSGD", Curve: []engine.Point{}, BytesSent: 1 << 40}} {
+		var buf bytes.Buffer
+		if err := WriteResultJSON(&buf, r); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		r, err := ReadResultJSON(bytes.NewReader(raw))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteResultJSON(&buf, r); err != nil {
+			t.Fatalf("accepted result does not re-encode: %v", err)
+		}
+		again, err := ReadResultJSON(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded result does not read back: %v\n%s", err, buf.Bytes())
+		}
+		if !reflect.DeepEqual(again, r) {
+			t.Fatalf("round trip changed the result: %+v, read %+v", again, r)
+		}
+	})
 }

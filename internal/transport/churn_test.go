@@ -29,7 +29,7 @@ func TestTCPPeerDeadlineOnHungServer(t *testing.T) {
 	}()
 	p := &PullClient{From: 0, Addr: ln.Addr().String(), Timeout: 300 * time.Millisecond}
 	start := time.Now()
-	_, err = p.PullModel()
+	_, err = p.PullModel(nil)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("pull from hung server succeeded")
@@ -49,7 +49,7 @@ func TestTCPPeerDeadlineOnHungServer(t *testing.T) {
 // listening) maps to ErrPeerDown.
 func TestTCPPeerDownClassified(t *testing.T) {
 	p := &PullClient{From: 0, Addr: "127.0.0.1:1", Timeout: 200 * time.Millisecond}
-	if _, err := p.PullModel(); !errors.Is(err, ErrPeerDown) {
+	if _, err := p.PullModel(nil); !errors.Is(err, ErrPeerDown) {
 		t.Fatalf("dead endpoint error = %v, want ErrPeerDown", err)
 	}
 }
@@ -57,26 +57,20 @@ func TestTCPPeerDownClassified(t *testing.T) {
 // TestTCPWorkerServerSetDown verifies crash injection and recovery on the
 // server side: pulls fail fast while down, succeed again after recovery.
 func TestTCPWorkerServerSetDown(t *testing.T) {
-	srv, err := ServeWorker("127.0.0.1:0", func() []float64 { return []float64{1, 2} })
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := serveWorker(listenLoopback(t), func() []float64 { return []float64{1, 2} }, nil)
 	defer srv.Close()
 	p := &PullClient{From: 0, Addr: srv.Addr(), Timeout: time.Second}
-	if _, err := p.PullModel(); err != nil {
+	vec := make([]float64, 2)
+	if _, err := p.PullModel(vec); err != nil {
 		t.Fatalf("pull before crash: %v", err)
 	}
 	srv.SetDown(true)
-	if _, err := p.PullModel(); !errors.Is(err, ErrPeerDown) {
+	if _, err := p.PullModel(vec); !errors.Is(err, ErrPeerDown) {
 		t.Fatalf("pull from down server = %v, want ErrPeerDown", err)
 	}
 	srv.SetDown(false)
-	pulled, err := p.PullModel()
-	if err != nil {
-		t.Fatalf("pull after recovery: %v", err)
-	}
-	vec := make([]float64, 2)
-	if err := pulled.DecodeInto(vec, nil); err != nil || vec[1] != 2 {
+	vec[1] = 0
+	if _, err := p.PullModel(vec); err != nil || vec[1] != 2 {
 		t.Fatalf("recovered pull decoded %v (%v)", vec, err)
 	}
 }
@@ -92,15 +86,15 @@ func TestTCPHubWorkerDownAndTimeouts(t *testing.T) {
 	hub.Register(0, func() []float64 { return []float64{1} })
 	hub.Register(1, func() []float64 { return []float64{2} })
 	hub.SetPullTimeout(500 * time.Millisecond)
-	if _, err := hub.Peer(0, 1).PullModel(); err != nil {
+	if _, err := hub.Peer(0, 1).PullModel(make([]float64, 1)); err != nil {
 		t.Fatalf("pull before crash: %v", err)
 	}
 	hub.SetWorkerDown(1, true)
-	if _, err := hub.Peer(0, 1).PullModel(); !errors.Is(err, ErrPeerDown) {
+	if _, err := hub.Peer(0, 1).PullModel(make([]float64, 1)); !errors.Is(err, ErrPeerDown) {
 		t.Fatalf("pull from down worker = %v, want ErrPeerDown", err)
 	}
 	hub.SetWorkerDown(1, false)
-	if _, err := hub.Peer(0, 1).PullModel(); err != nil {
+	if _, err := hub.Peer(0, 1).PullModel(make([]float64, 1)); err != nil {
 		t.Fatalf("pull after recovery: %v", err)
 	}
 	hub.SetWorkerDown(7, true) // unknown id: no-op, no panic
@@ -113,18 +107,18 @@ func TestLocalNetWorkerDownAndHang(t *testing.T) {
 	defer hub.Close()
 	hub.Register(1, func() []float64 { return []float64{1} })
 	hub.SetWorkerDown(1, true)
-	if _, err := hub.Peer(0, 1).PullModel(); !errors.Is(err, ErrPeerDown) {
+	if _, err := hub.Peer(0, 1).PullModel(make([]float64, 1)); !errors.Is(err, ErrPeerDown) {
 		t.Fatalf("pull from down worker = %v, want ErrPeerDown", err)
 	}
 	hub.SetWorkerDown(1, false)
-	if _, err := hub.Peer(0, 1).PullModel(); err != nil {
+	if _, err := hub.Peer(0, 1).PullModel(make([]float64, 1)); err != nil {
 		t.Fatalf("pull after recovery: %v", err)
 	}
 	// Hung peer: latency beyond the deadline fails after the deadline.
 	hub.SetPullTimeout(50 * time.Millisecond)
 	hub.Latency = func(i, j int, _ time.Time) time.Duration { return time.Hour }
 	start := time.Now()
-	_, err := hub.Peer(0, 1).PullModel()
+	_, err := hub.Peer(0, 1).PullModel(make([]float64, 1))
 	if !errors.Is(err, ErrPeerDown) {
 		t.Fatalf("hung pull = %v, want ErrPeerDown", err)
 	}
@@ -132,7 +126,7 @@ func TestLocalNetWorkerDownAndHang(t *testing.T) {
 		t.Fatalf("hung pull blocked %v despite 50ms deadline", elapsed)
 	}
 	// Unregistered workers classify as down too.
-	if _, err := hub.Peer(0, 9).PullModel(); !errors.Is(err, ErrPeerDown) {
+	if _, err := hub.Peer(0, 9).PullModel(make([]float64, 1)); !errors.Is(err, ErrPeerDown) {
 		t.Fatalf("unknown peer = %v, want ErrPeerDown", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -16,9 +17,9 @@ import (
 // codec id + payload) over the same connection for the life of the run.
 // The connection is a TCP socket or one end of an in-memory net.Pipe
 // (pipe.go); nothing above the dialer and the listener tells them apart.
-// Model payloads go through a pluggable codec (internal/codec), and every
-// pull reports its encoded byte size so the monitor and the caller can
-// account for real bytes-on-wire.
+// Model payloads go through a dense codec (internal/codec), and every pull
+// reports its encoded byte size so the monitor and the caller can account
+// for real bytes-on-wire.
 
 // listenerGroup is the shared server chassis: it owns the listener, tracks
 // live connections so Close can unblock handler reads, and waits for every
@@ -142,17 +143,6 @@ type WorkerServer struct {
 	codecMu sync.RWMutex
 	codec   codec.Codec
 	down    bool
-}
-
-// ServeWorker starts answering pulls on TCP address addr (e.g.
-// "127.0.0.1:0") and returns the server; its Addr method reports the bound
-// address.
-func ServeWorker(addr string, src ModelSource) (*WorkerServer, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return serveWorker(ln, src, nil), nil
 }
 
 func serveWorker(ln net.Listener, src ModelSource, latency func(from int) time.Duration) *WorkerServer {
@@ -393,12 +383,17 @@ func (p *PullClient) SetTimeout(d time.Duration) {
 	p.mu.Unlock()
 }
 
-// PullModel requests the peer's freshest parameter vector, returned
-// undecoded (the caller decodes at blend time with its current vector).
-// Transport-level failures — refused or dropped connections, deadline
-// expiry — classify as ErrPeerDown: the peer is gone or unresponsive, and
-// the caller should mask it until the monitor reacts.
-func (p *PullClient) PullModel() (*Pull, error) {
+// PullModel requests the peer's freshest parameter vector and decodes it
+// straight from the connection's read buffer into dst, returning the
+// encoded payload size (the bytes-on-wire figure). dst must have the
+// dimension the peer serves. Transport-level failures — refused or dropped
+// connections, deadline expiry — classify as ErrPeerDown: the peer is gone
+// or unresponsive, and the caller should mask it until the monitor reacts.
+// A malformed response (unknown codec id, wrong dimension, corrupt payload)
+// is a protocol error, and a vector with a NaN or ±Inf coordinate fails
+// with ErrNonFinite; neither wraps ErrPeerDown. On any error dst's contents
+// are unspecified.
+func (p *PullClient) PullModel(dst []float64) (wireBytes int64, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.wbuf = appendPullReq(p.wbuf[:0], p.From)
@@ -406,25 +401,21 @@ func (p *PullClient) PullModel() (*Pull, error) {
 	body, codecID, err := p.pc.roundTrip(p.Addr, p.Timeout, msgPull, p.wbuf, msgPullResp, true)
 	if err != nil {
 		if errors.Is(err, errProtocol) {
-			return nil, err // version skew / framing bug — peer is not down
+			return 0, err // version skew / framing bug — peer is not down
 		}
-		return nil, fmt.Errorf("%w: %w", ErrPeerDown, err)
+		return 0, fmt.Errorf("%w: %w", ErrPeerDown, err)
 	}
-	dim, payload, err := parsePullRespHeader(body)
+	payload, err := decodePullResp(body, codecID, dst)
 	if err != nil {
 		p.pc.drop()
-		return nil, err
+		return 0, err
 	}
-	c, err := codec.ByID(codecID)
-	if err != nil {
-		p.pc.drop()
-		return nil, err
+	for _, v := range dst {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return 0, ErrNonFinite
+		}
 	}
-	// The body aliases the connection's read buffer; the Pull outlives
-	// this call, so it takes a private copy.
-	owned := make([]byte, len(payload))
-	copy(owned, payload)
-	return &Pull{codec: c, dim: dim, payload: owned}, nil
+	return int64(len(payload)), nil
 }
 
 // Close tears down the persistent connection, if any.
@@ -446,17 +437,6 @@ type MonitorServer struct {
 	p        [][]float64
 	rho      float64
 	version  int
-}
-
-// ServeMonitor starts the monitor endpoint on TCP address addr; onReport
-// receives every time report together with the reported transfer's
-// encoded byte size.
-func ServeMonitor(addr string, onReport func(from, to int, secs float64, bytes int64)) (*MonitorServer, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return serveMonitor(ln, onReport), nil
 }
 
 func serveMonitor(ln net.Listener, onReport func(from, to int, secs float64, bytes int64)) *MonitorServer {

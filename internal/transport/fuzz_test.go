@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
 
@@ -11,22 +12,25 @@ import (
 )
 
 // maxFuzzDim bounds the vector a fuzzed pull response may make the harness
-// allocate; the wire's own cap (maxVectorDim) would allow 2 GiB.
+// allocate. PullModel never allocates by the wire's dim: its caller's
+// buffer fixes the dimension.
 const maxFuzzDim = 1 << 16
 
 // FuzzWireFrame feeds arbitrary bytes to readFrame and the body parsers,
 // the boundary every live pull and monitor call crosses. Nothing may
 // panic, and a frame that decodes must re-encode to the bytes it was read
-// from. Pull responses are decoded through codec.ByID and DecodeInto, as
-// PullClient and the live worker do.
+// from. Pull responses are decoded through decodePullResp, as PullModel
+// does; its every failure must be a protocol error.
 //
 //	go test -run '^$' -fuzz FuzzWireFrame -fuzztime 20s ./internal/transport/
 func FuzzWireFrame(f *testing.F) {
 	vec := []float64{4, -8, 0.5, 1, math.Inf(-1), 0}
 	f.Add(frameBytes(msgPull, 0, appendPullReq(nil, 3)))
-	for _, c := range []codec.Codec{codec.Raw{}, codec.Float32{}, codec.NewTopK(0.5)} {
+	for _, c := range []codec.Codec{codec.Raw{}, codec.Float32{}} {
 		f.Add(frameBytes(msgPullResp, c.ID(), appendPullResp(nil, vec, c)))
 	}
+	// Codec id 2 is retired: a well-formed body under it must not decode.
+	f.Add(frameBytes(msgPullResp, 2, appendPullResp(nil, vec, codec.Float32{})))
 	f.Add(frameBytes(msgReport, 0, appendReport(nil, 0, 1, 0.25, 640)))
 	f.Add(frameBytes(msgReportAck, 0, nil))
 	f.Add(frameBytes(msgPolicy, 0, nil))
@@ -63,7 +67,7 @@ func FuzzWireFrame(f *testing.F) {
 			}
 			again = appendPolicyResp(nil, p, rho, version)
 		case msgPullResp:
-			again = reencodePullResp(body, codecID)
+			again = reencodePullResp(t, body, codecID)
 			if again == nil {
 				return
 			}
@@ -92,38 +96,29 @@ func frameBytes(kind, codecID uint8, body []byte) []byte {
 
 // reencodePullResp decodes a pull response body and encodes the vector
 // again, or returns nil when the body does not decode (or its dim exceeds
-// maxFuzzDim). Top-k re-encodes the decoded values at the payload's own
-// indices, since its encoder would choose k afresh.
-func reencodePullResp(body []byte, codecID uint8) []byte {
-	dim, payload, err := parsePullRespHeader(body)
-	if err != nil || dim > maxFuzzDim {
+// maxFuzzDim).
+func reencodePullResp(t *testing.T, body []byte, codecID uint8) []byte {
+	if len(body) < 4 || binary.BigEndian.Uint32(body) > maxFuzzDim {
+		return nil
+	}
+	vec := make([]float64, binary.BigEndian.Uint32(body))
+	if _, err := decodePullResp(body, codecID, vec); err != nil {
+		if !errors.Is(err, errProtocol) {
+			t.Fatalf("pull response decode failed without errProtocol: %v", err)
+		}
 		return nil
 	}
 	c, err := codec.ByID(codecID)
 	if err != nil {
-		return nil
+		t.Fatalf("decodePullResp accepted codec id %d that codec.ByID rejects", codecID)
 	}
-	vec := make([]float64, dim)
-	if err := c.DecodeInto(payload, vec, nil); err != nil {
-		return nil
-	}
-	if !c.Sparse() {
-		return appendPullResp(nil, vec, c)
-	}
-	out := binary.BigEndian.AppendUint32(nil, uint32(dim))
-	out = append(out, payload[:4]...)
-	for e := 4; e < len(payload); e += 8 {
-		i := binary.BigEndian.Uint32(payload[e:])
-		out = binary.BigEndian.AppendUint32(out, i)
-		out = binary.BigEndian.AppendUint32(out, math.Float32bits(float32(vec[i])))
-	}
-	return out
+	return appendPullResp(nil, vec, c)
 }
 
 // sameWords compares two pull response bodies. Raw payloads must match
-// bit for bit. Float32 and top-k values pass through float64, which
-// quiets a signaling NaN, so their 4-byte words may differ only where
-// both words are NaNs.
+// bit for bit. Float32 values pass through float64, which quiets a
+// signaling NaN, so their 4-byte words may differ only where both words
+// are NaNs.
 func sameWords(a, b []byte, codecID uint8) bool {
 	if codecID == codec.IDRaw || len(a) != len(b) || len(a)%4 != 0 {
 		return bytes.Equal(a, b)

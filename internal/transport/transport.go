@@ -7,18 +7,14 @@
 // protocol of wire.go (specified in docs/WIRE.md). A Hub wires a whole
 // process group over loopback TCP (NewTCPHub, used by cmd/netmax-live -tcp)
 // or over in-memory pipes (NewLocalHub, one OS process); both run the same
-// frames, deadlines and redial rule. Model payloads go through a pluggable
-// compression codec (internal/codec) and every pull reports its encoded
-// bytes-on-wire. The discrete-event simulator does not use this package;
-// this is the "system" half of the reproduction.
+// frames, deadlines and redial rule. Model payloads go through a dense
+// compression codec (internal/codec); a pull decodes straight off the wire
+// into the caller's buffer and reports its encoded bytes-on-wire. The
+// discrete-event simulator does not use this package; this is the "system"
+// half of the reproduction.
 package transport
 
-import (
-	"errors"
-	"fmt"
-
-	"netmax/internal/codec"
-)
+import "errors"
 
 // ErrPeerDown is the typed classification of a dead or unresponsive peer:
 // pull and monitor calls that fail because the remote end is gone
@@ -29,35 +25,14 @@ import (
 // expected operating condition, not an exception.
 var ErrPeerDown = errors.New("transport: peer down")
 
+// ErrNonFinite rejects a pulled vector that decoded to a NaN or ±Inf
+// coordinate. Blending it would poison the puller's model for good, so the
+// caller keeps its previous model instead. It does not wrap ErrPeerDown: the
+// peer answered, so masking it would hide the fault rather than route
+// around a dead link.
+var ErrNonFinite = errors.New("transport: pulled vector has a non-finite coordinate")
+
 // ModelSource provides the current model vector of a worker; the transport
 // server calls it on every pull. Implementations must be safe for
 // concurrent use.
 type ModelSource func() []float64
-
-// Pull is one fetched model before decoding: the wire payload plus the
-// codec that produced it. Callers decode at blend time with their
-// then-current vector, so sparse codecs substitute the receiver's live
-// values — not a stale snapshot — on untransmitted coordinates.
-type Pull struct {
-	codec   codec.Codec
-	dim     int
-	payload []byte
-}
-
-// WireBytes is the encoded payload size — the bytes-on-wire figure.
-func (p *Pull) WireBytes() int64 { return int64(len(p.payload)) }
-
-// Sparse reports whether DecodeInto consults a prior vector, so dense
-// pulls spare the receiver the cost of materializing one.
-func (p *Pull) Sparse() bool { return p.codec.Sparse() }
-
-// DecodeInto reconstructs the pulled vector into dst, which must have the
-// dimension the peer advertised. prior, when non-nil, supplies the
-// receiver's current values for coordinates a sparse codec did not
-// transmit; it must have the same length, and it may be dst itself.
-func (p *Pull) DecodeInto(dst, prior []float64) error {
-	if len(dst) != p.dim {
-		return fmt.Errorf("transport: pulled model has dim %d, want %d", p.dim, len(dst))
-	}
-	return p.codec.DecodeInto(p.payload, dst, prior)
-}

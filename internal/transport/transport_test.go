@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -15,7 +16,7 @@ func TestLocalNetPull(t *testing.T) {
 	hub := NewLocalHub()
 	defer hub.Close()
 	hub.Register(1, func() []float64 { return []float64{1, 2, 3} })
-	got, wire, err := pull(hub.Peer(0, 1), nil)
+	got, wire, err := pull(hub.Peer(0, 1), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func TestLocalNetPullCopies(t *testing.T) {
 	hub := NewLocalHub()
 	defer hub.Close()
 	hub.Register(0, func() []float64 { return backing })
-	got, _, _ := pull(hub.Peer(1, 0), nil)
+	got, _, _ := pull(hub.Peer(1, 0), 2)
 	got[0] = 99
 	if backing[0] != 1 {
 		t.Fatal("pull aliases source storage")
@@ -42,7 +43,7 @@ func TestLocalNetPullCopies(t *testing.T) {
 func TestLocalNetUnknownPeer(t *testing.T) {
 	hub := NewLocalHub()
 	defer hub.Close()
-	if _, _, err := pull(hub.Peer(0, 5), nil); err == nil {
+	if _, _, err := pull(hub.Peer(0, 5), 1); err == nil {
 		t.Fatal("expected error for unknown peer")
 	}
 }
@@ -53,7 +54,7 @@ func TestLocalNetLatencyInjected(t *testing.T) {
 	hub.Register(1, func() []float64 { return []float64{1} })
 	hub.Latency = func(i, j int, _ time.Time) time.Duration { return 30 * time.Millisecond }
 	start := time.Now()
-	if _, _, err := pull(hub.Peer(0, 1), nil); err != nil {
+	if _, _, err := pull(hub.Peer(0, 1), 1); err != nil {
 		t.Fatal(err)
 	}
 	if d := time.Since(start); d < 25*time.Millisecond {
@@ -64,20 +65,19 @@ func TestLocalNetLatencyInjected(t *testing.T) {
 func TestLocalNetCodecApplied(t *testing.T) {
 	hub := NewLocalHub()
 	defer hub.Close()
-	hub.Register(1, func() []float64 { return []float64{4, -8, 0.5, 1} })
-	hub.SetCodec(codec.NewTopK(0.5)) // k = 2: coords 1 (-8) and 0 (4)
-	prior := []float64{10, 10, 10, 10}
-	got, wire, err := pull(hub.Peer(0, 1), prior)
+	hub.Register(1, func() []float64 { return []float64{4, -8, 0.1, 1} })
+	hub.SetCodec(codec.Float32{})
+	got, wire, err := pull(hub.Peer(0, 1), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []float64{4, -8, 10, 10}
+	want := []float64{4, -8, float64(float32(0.1)), 1}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("got %v, want %v", got, want)
 		}
 	}
-	if wire != 4+2*8 { // count header + 2 (index, value) pairs
+	if wire != 4*4 { // float32 codec: 4 coords x 4 bytes
 		t.Fatalf("wire bytes = %d", wire)
 	}
 }
@@ -117,14 +117,11 @@ func TestLocalNetReports(t *testing.T) {
 }
 
 func TestTCPWorkerPull(t *testing.T) {
-	srv, err := ServeWorker("127.0.0.1:0", func() []float64 { return []float64{4, 5} })
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := serveWorker(listenLoopback(t), func() []float64 { return []float64{4, 5} }, nil)
 	defer srv.Close()
 	peer := &PullClient{From: 0, Addr: srv.Addr()}
 	defer peer.Close()
-	got, wire, err := pull(peer, nil)
+	got, wire, err := pull(peer, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,10 +134,7 @@ func TestTCPWorkerPull(t *testing.T) {
 }
 
 func TestTCPWorkerConcurrentPulls(t *testing.T) {
-	srv, err := ServeWorker("127.0.0.1:0", func() []float64 { return []float64{7} })
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := serveWorker(listenLoopback(t), func() []float64 { return []float64{7} }, nil)
 	defer srv.Close()
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
@@ -152,7 +146,7 @@ func TestTCPWorkerConcurrentPulls(t *testing.T) {
 			defer peer.Close()
 			// Several pulls per peer exercise connection reuse under load.
 			for n := 0; n < 4; n++ {
-				if _, _, err := pull(peer, nil); err != nil {
+				if _, _, err := pull(peer, 1); err != nil {
 					errs <- err
 					return
 				}
@@ -170,15 +164,12 @@ func TestTCPMonitorRoundTrip(t *testing.T) {
 	var mu sync.Mutex
 	reports := 0
 	var reportedBytes int64
-	srv, err := ServeMonitor("127.0.0.1:0", func(from, to int, secs float64, bytes int64) {
+	srv := serveMonitor(listenLoopback(t), func(from, to int, secs float64, bytes int64) {
 		mu.Lock()
 		reports++
 		reportedBytes = bytes
 		mu.Unlock()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer srv.Close()
 	client := &MonitorClient{Addr: srv.Addr()}
 	defer client.Close()
@@ -199,10 +190,7 @@ func TestTCPMonitorRoundTrip(t *testing.T) {
 }
 
 func TestTCPMonitorEmptyPolicy(t *testing.T) {
-	srv, err := ServeMonitor("127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := serveMonitor(listenLoopback(t), nil)
 	defer srv.Close()
 	client := &MonitorClient{Addr: srv.Addr()}
 	defer client.Close()
@@ -214,22 +202,19 @@ func TestTCPMonitorEmptyPolicy(t *testing.T) {
 
 func TestTCPPeerDialError(t *testing.T) {
 	peer := &PullClient{Addr: "127.0.0.1:1"} // reserved port, nothing listening
-	if _, _, err := pull(peer, nil); err == nil {
+	if _, _, err := pull(peer, 1); err == nil {
 		t.Fatal("expected dial error")
 	}
 }
 
 func TestTCPServerCloseIdempotentAccept(t *testing.T) {
-	srv, err := ServeWorker("127.0.0.1:0", func() []float64 { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := serveWorker(listenLoopback(t), func() []float64 { return nil }, nil)
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
 	// After close, pulls must fail rather than hang.
 	peer := &PullClient{Addr: srv.Addr()}
-	if _, _, err := pull(peer, nil); err == nil {
+	if _, _, err := pull(peer, 0); err == nil {
 		t.Fatal("pull succeeded after close")
 	}
 }
@@ -238,25 +223,23 @@ func TestTCPServerCloseIdempotentAccept(t *testing.T) {
 // persistent connection dies with its server, and the next pull must
 // re-establish against the replacement listener on the same address.
 func TestTCPPeerSurvivesServerRestart(t *testing.T) {
-	srv, err := ServeWorker("127.0.0.1:0", func() []float64 { return []float64{1} })
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := serveWorker(listenLoopback(t), func() []float64 { return []float64{1} }, nil)
 	addr := srv.Addr()
 	peer := &PullClient{Addr: addr}
 	defer peer.Close()
-	if _, _, err := pull(peer, nil); err != nil {
+	if _, _, err := pull(peer, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	srv2, err := ServeWorker(addr, func() []float64 { return []float64{2} })
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		t.Skipf("could not rebind %s: %v", addr, err)
 	}
+	srv2 := serveWorker(ln, func() []float64 { return []float64{2} }, nil)
 	defer srv2.Close()
-	got, _, err := pull(peer, nil)
+	got, _, err := pull(peer, 1)
 	if err != nil {
 		t.Fatalf("pull after restart: %v", err)
 	}
@@ -273,11 +256,11 @@ func TestTCPHubPeerBeforeRegisterRecovers(t *testing.T) {
 	defer hub.Close()
 	// A peer handle fetched before the target registers must fail, not
 	// poison the cache for the post-registration lookup.
-	if _, _, err := pull(hub.Peer(0, 1), nil); err == nil {
+	if _, _, err := pull(hub.Peer(0, 1), 1); err == nil {
 		t.Fatal("pull succeeded before registration")
 	}
 	hub.Register(1, func() []float64 { return []float64{6} })
-	got, _, err := pull(hub.Peer(0, 1), nil)
+	got, _, err := pull(hub.Peer(0, 1), 1)
 	if err != nil {
 		t.Fatalf("pull after registration: %v", err)
 	}
@@ -286,15 +269,19 @@ func TestTCPHubPeerBeforeRegisterRecovers(t *testing.T) {
 	}
 }
 
-// pull fetches and decodes in one step — the common case in these tests.
-func pull(p *PullClient, prior []float64) ([]float64, int64, error) {
-	pl, err := p.PullModel()
+// pull fetches a dim-length vector into a fresh buffer.
+func pull(p *PullClient, dim int) ([]float64, int64, error) {
+	vec := make([]float64, dim)
+	wire, err := p.PullModel(vec)
+	return vec, wire, err
+}
+
+// listenLoopback listens on an ephemeral loopback TCP port.
+func listenLoopback(t *testing.T) net.Listener {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return nil, 0, err
+		t.Fatal(err)
 	}
-	vec := make([]float64, pl.dim)
-	if err := pl.DecodeInto(vec, prior); err != nil {
-		return nil, 0, err
-	}
-	return vec, pl.WireBytes(), nil
+	return ln
 }

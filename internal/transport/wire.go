@@ -171,14 +171,6 @@ func parsePolicyResp(body []byte) (p [][]float64, rho float64, version int, err 
 	return p, rho, version, nil
 }
 
-// maxVectorDim caps the vector dimension a pull response may advertise:
-// the largest dense float64 vector a frame could carry. Sparse payloads
-// are small regardless of dim, so without this bound a corrupt 8-byte
-// top-k frame could claim dim=2^32-1 and force a ~34 GB allocation in the
-// decoder; with it, a hostile dim buys at most what a legitimate dense
-// frame could anyway.
-const maxVectorDim = maxFrameBody / 8
-
 // appendPullResp frames a model vector: dim header plus the codec payload
 // (whose length, len(result)-len(dst)-4, is the bytes-on-wire figure —
 // clients measure it on receive).
@@ -187,13 +179,23 @@ func appendPullResp(dst []byte, vec []float64, c codec.Codec) []byte {
 	return c.AppendEncode(dst, vec)
 }
 
-func parsePullRespHeader(body []byte) (dim int, payload []byte, err error) {
+// decodePullResp decodes a pull response body carrying codec codecID into
+// dst, whose length is the dimension the caller expects, and returns the
+// codec payload. Every failure wraps errProtocol.
+func decodePullResp(body []byte, codecID uint8, dst []float64) (payload []byte, err error) {
 	if len(body) < 4 {
-		return 0, nil, fmt.Errorf("transport: pull response body %d bytes, want >= 4", len(body))
+		return nil, fmt.Errorf("%w: pull response body %d bytes, want >= 4", errProtocol, len(body))
 	}
-	dim = int(binary.BigEndian.Uint32(body))
-	if dim > maxVectorDim {
-		return 0, nil, fmt.Errorf("transport: pull response dim %d exceeds cap %d", dim, maxVectorDim)
+	if dim := binary.BigEndian.Uint32(body); uint64(dim) != uint64(len(dst)) {
+		return nil, fmt.Errorf("%w: pulled model has dim %d, want %d", errProtocol, dim, len(dst))
 	}
-	return dim, body[4:], nil
+	c, err := codec.ByID(codecID)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", errProtocol, err)
+	}
+	payload = body[4:]
+	if err := c.DecodeInto(payload, dst); err != nil {
+		return nil, fmt.Errorf("%w: %w", errProtocol, err)
+	}
+	return payload, nil
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -91,14 +92,11 @@ func TestTCPLargeVectorPull(t *testing.T) {
 	for i := range vec {
 		vec[i] = rng.NormFloat64()
 	}
-	srv, err := ServeWorker("127.0.0.1:0", func() []float64 { return vec })
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := serveWorker(listenLoopback(t), func() []float64 { return vec }, nil)
 	defer srv.Close()
 	peer := &PullClient{Addr: srv.Addr()}
 	defer peer.Close()
-	got, wire, err := pull(peer, nil)
+	got, wire, err := pull(peer, dim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,45 +112,106 @@ func TestTCPLargeVectorPull(t *testing.T) {
 
 // TestTCPCodecNegotiation checks that the codec id in the response frame is
 // authoritative: the client decodes with whatever codec the server used,
-// including after a mid-run codec switch.
+// including after mid-run codec switches.
 func TestTCPCodecNegotiation(t *testing.T) {
-	vec := []float64{4, -8, 0.5, 1}
-	srv, err := ServeWorker("127.0.0.1:0", func() []float64 { return vec })
-	if err != nil {
-		t.Fatal(err)
-	}
+	vec := []float64{4, -8, 0.1, 1}
+	srv := serveWorker(listenLoopback(t), func() []float64 { return vec }, nil)
 	defer srv.Close()
 	peer := &PullClient{Addr: srv.Addr()}
 	defer peer.Close()
 
-	got, wire, err := pull(peer, nil)
-	if err != nil || wire != 32 {
-		t.Fatalf("raw pull: %v wire=%d", err, wire)
-	}
-	if got[1] != -8 {
-		t.Fatalf("raw pull decoded %v", got)
-	}
-
-	srv.SetCodec(codec.NewTopK(0.5))
-	prior := []float64{10, 10, 10, 10}
-	got, wire, err = pull(peer, prior)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{4, -8, 10, 10}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("topk pull decoded %v, want %v", got, want)
+	for _, c := range []codec.Codec{codec.Raw{}, codec.Float32{}, codec.Raw{}} {
+		srv.SetCodec(c)
+		got, wire, err := pull(peer, len(vec))
+		if err != nil || wire != c.WireBytes(len(vec)) {
+			t.Fatalf("%s pull: %v wire=%d", c.Name(), err, wire)
+		}
+		want := make([]float64, len(vec))
+		if err := c.DecodeInto(c.AppendEncode(nil, vec), want); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s pull decoded %v, want %v", c.Name(), got, want)
+			}
 		}
 	}
-	if wire != 4+2*8 {
-		t.Fatalf("topk wire bytes = %d", wire)
-	}
+}
 
-	srv.SetCodec(codec.Float32{})
-	_, wire, err = pull(peer, nil)
-	if err != nil || wire != 16 {
-		t.Fatalf("float32 pull: %v wire=%d", err, wire)
+// serveFrame answers every pull on a loopback listener with one fixed
+// response frame, standing in for a peer that speaks the protocol wrongly.
+func serveFrame(t *testing.T, codecID uint8, body []byte) string {
+	t.Helper()
+	ln := listenLoopback(t)
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				r, w := bufio.NewReader(conn), bufio.NewWriter(conn)
+				var buf []byte
+				for {
+					if _, _, _, err := readFrame(r, &buf); err != nil {
+						return
+					}
+					if err := writeFrame(w, msgPullResp, codecID, body); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestPullRejectsMalformedResponse checks that a response the client
+// cannot decode is a protocol error, never ErrPeerDown: the peer answered,
+// so masking it would hide version skew or a framing bug. Codec id 2
+// belonged to the retired top-k codec and must stay unknown.
+func TestPullRejectsMalformedResponse(t *testing.T) {
+	vec := []float64{4, -8, 0.5, 1}
+	for _, c := range []struct {
+		name    string
+		codecID uint8
+		body    []byte
+		dim     int
+	}{
+		{"retired codec id 2", 2, appendPullResp(nil, vec, codec.Float32{}), 4},
+		{"dim mismatch", codec.IDRaw, appendPullResp(nil, vec, codec.Raw{}), 3},
+		{"short payload", codec.IDRaw, appendPullResp(nil, vec, codec.Float32{}), 4},
+		{"no dim header", codec.IDRaw, []byte{0, 0}, 4},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			peer := &PullClient{Addr: serveFrame(t, c.codecID, c.body), Timeout: time.Second}
+			defer peer.Close()
+			_, _, err := pull(peer, c.dim)
+			if !errors.Is(err, errProtocol) || errors.Is(err, ErrPeerDown) {
+				t.Fatalf("err = %v, want a protocol error that is not ErrPeerDown", err)
+			}
+		})
+	}
+}
+
+// TestPullRejectsNonFinite checks that a served NaN or ±Inf coordinate
+// fails the pull with ErrNonFinite under both codecs, without classifying
+// the healthy peer as down.
+func TestPullRejectsNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, c := range []codec.Codec{codec.Raw{}, codec.Float32{}} {
+			srv := serveWorker(listenLoopback(t), func() []float64 { return []float64{1, bad} }, nil)
+			srv.SetCodec(c)
+			peer := &PullClient{Addr: srv.Addr()}
+			_, _, err := pull(peer, 2)
+			if !errors.Is(err, ErrNonFinite) || errors.Is(err, ErrPeerDown) {
+				t.Errorf("%s serving [1, %v]: err = %v, want ErrNonFinite", c.Name(), bad, err)
+			}
+			peer.Close()
+			srv.Close()
+		}
 	}
 }
 
@@ -205,7 +264,7 @@ func TestTCPHubCloseLeaksNoGoroutines(t *testing.T) {
 					if from == to {
 						continue
 					}
-					if _, _, err := pull(hub.Peer(from, to), nil); err != nil {
+					if _, _, err := pull(hub.Peer(from, to), 2); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -226,7 +285,7 @@ func TestTCPHubCloseLeaksNoGoroutines(t *testing.T) {
 				return 0
 			}
 			hub.SetPullTimeout(50 * time.Millisecond)
-			if _, err := hub.Peer(0, 2).PullModel(); !errors.Is(err, ErrPeerDown) {
+			if _, _, err := pull(hub.Peer(0, 2), 2); !errors.Is(err, ErrPeerDown) {
 				t.Fatalf("hung pull = %v, want ErrPeerDown", err)
 			}
 			start := time.Now()
@@ -246,13 +305,10 @@ func TestTCPHubCloseLeaksNoGoroutines(t *testing.T) {
 // by Close rather than keeping the server alive.
 func TestTCPServerCloseUnblocksIdleConnection(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	srv, err := ServeWorker("127.0.0.1:0", func() []float64 { return []float64{1} })
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := serveWorker(listenLoopback(t), func() []float64 { return []float64{1} }, nil)
 	peer := &PullClient{Addr: srv.Addr()}
 	defer peer.Close()
-	if _, _, err := pull(peer, nil); err != nil {
+	if _, _, err := pull(peer, 1); err != nil {
 		t.Fatal(err)
 	}
 	// The connection now sits idle; the server handler is blocked in a
@@ -272,17 +328,17 @@ func TestTCPServerCloseUnblocksIdleConnection(t *testing.T) {
 }
 
 func TestPullRespHeaderRejectsOversizedDim(t *testing.T) {
-	// A sparse payload is tiny regardless of the advertised dim, so a
-	// corrupt header must not drive a huge decoder allocation.
-	body := make([]byte, 4+8) // dim header + topk k=1 entry
+	// The caller's buffer fixes the dimension, so a corrupt header claiming
+	// a huge dim is rejected before anything is decoded or allocated.
+	body := make([]byte, 4+8)
 	body[0], body[1], body[2], body[3] = 0xff, 0xff, 0xff, 0xff
-	if _, _, err := parsePullRespHeader(body); err == nil {
-		t.Fatal("accepted dim beyond the dense-frame cap")
+	if _, err := decodePullResp(body, codec.IDRaw, make([]float64, 1)); err == nil {
+		t.Fatal("accepted a dim the caller did not ask for")
 	}
-	// A legitimate dense-scale dim still parses.
 	ok := appendPullResp(nil, []float64{1, 2}, codec.Raw{})
-	if dim, payload, err := parsePullRespHeader(ok); err != nil || dim != 2 || len(payload) != 16 {
-		t.Fatalf("round trip: dim=%d payload=%d err=%v", dim, len(payload), err)
+	dst := make([]float64, 2)
+	if payload, err := decodePullResp(ok, codec.IDRaw, dst); err != nil || len(payload) != 16 || dst[1] != 2 {
+		t.Fatalf("round trip: dst=%v payload=%d err=%v", dst, len(payload), err)
 	}
 }
 
