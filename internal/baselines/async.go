@@ -120,7 +120,6 @@ func sapsSubgraph(cfg *engine.Config) [][]bool {
 		}
 		return x
 	}
-	components := m
 	for _, e := range edges {
 		needTree := find(e.i) != find(e.j)
 		needDeg := deg[e.i] < 2 || deg[e.j] < 2
@@ -133,10 +132,8 @@ func sapsSubgraph(cfg *engine.Config) [][]bool {
 		deg[e.j]++
 		if needTree {
 			parent[find(e.i)] = find(e.j)
-			components--
 		}
 	}
-	_ = components
 	return sub
 }
 

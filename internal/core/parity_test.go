@@ -76,7 +76,7 @@ func TestEngineLiveParity(t *testing.T) {
 		shard := cfg.Part.Shards[0]
 		x, labels := cfg.Test.Batch(0, cfg.Test.Len())
 		checkTrained(t, stats.FinalLoss, cfg.Spec.Build(cfg.Seed, shard.Dim(), shard.Classes).Loss(x, labels).Item())
-		p, _, _, err := hub.Monitor().FetchPolicy()
+		p, _, _, err := hub.Monitor(0).FetchPolicy()
 		if err != nil {
 			t.Fatal(err)
 		}

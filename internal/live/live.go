@@ -4,7 +4,8 @@
 // to the discrete-event simulation in internal/engine. This is the
 // deployment-shaped half of the reproduction. The hub speaks one wire
 // protocol over in-memory pipes (with injected latency, for heterogeneity
-// on one machine) or over loopback TCP.
+// on one machine) or over loopback TCP; Run serves the whole group on it
+// once, before the first pull, with the configured codec and deadline.
 //
 // The algorithm is not re-implemented here. Each worker goroutine drives
 // core.Node, the per-worker NetMax state the engine's behavior also uses
@@ -91,7 +92,7 @@ type Stats struct {
 	// PolicyVersions is the number of policy broadcasts observed.
 	PolicyVersions int
 	// BytesOnWire is the total encoded payload volume of all model pulls,
-	// as produced by the configured codec.
+	// as produced by the configured codec and counted by the pullers.
 	BytesOnWire int64
 	// Pulls counts completed cross-worker model pulls.
 	Pulls int64
@@ -135,7 +136,7 @@ func (w *worker) vector() []float64 {
 }
 
 // Run executes the live group until the configured bound and returns stats.
-// The transport hub must be fresh; Run registers all workers on it.
+// The transport hub must be fresh; Run serves the whole group on it.
 func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
 	m := len(cfg.Part.Shards)
 	adj := simnet.FullyConnected(m)
@@ -144,16 +145,8 @@ func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
 	// react: the staleness window plus one period.
 	maskCooldown := cfg.Ts * time.Duration(cfg.StalePeriods+1)
 
-	if cfg.Codec != nil {
-		hub.SetCodec(cfg.Codec)
-	}
-	hub.SetPullTimeout(cfg.PullTimeout)
 	start := time.Now()
 	mon := monitor.New(monitor.Config{Adj: adj, Alpha: cfg.LR, Period: cfg.Ts.Seconds(), StalePeriods: cfg.StalePeriods})
-	hub.OnReport(func(from, to int, secs float64, bytes int64) {
-		mon.ObserveAt(from, to, secs, time.Since(start).Seconds())
-		mon.ObserveBytes(from, to, bytes)
-	})
 
 	// The replicas are the engine's, so a live worker starts from the same
 	// model, batch order and RNG stream as the simulated one.
@@ -161,6 +154,7 @@ func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
 	reps := ecfg.Workers()
 	nodes := core.NewNodes(adj, cfg.LR, core.Options{Beta: cfg.Beta})
 	workers := make([]*worker, m)
+	sources := make([]transport.ModelSource, m)
 	for i := 0; i < m; i++ {
 		w := &worker{id: i, rep: reps[i], node: nodes[i], pulled: make([]float64, reps[i].Model.VectorLen()), maskedAt: make([]time.Time, m)}
 		for _, ev := range cfg.Churn {
@@ -170,8 +164,18 @@ func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
 		}
 		sort.Slice(w.churn, func(a, b int) bool { return w.churn[a].At < w.churn[b].At })
 		workers[i] = w
-		hub.Register(i, w.vector)
+		sources[i] = w.vector
 	}
+	// A worker whose endpoint cannot be opened (descriptor exhaustion) is
+	// unreachable: pulls at it count as PeerDownErrors, as for a crash.
+	_ = hub.Serve(transport.Group{
+		Sources: sources,
+		Codec:   cfg.Codec,
+		Timeout: cfg.PullTimeout,
+		Report: func(from, to int, secs float64) {
+			mon.ObserveAt(from, to, secs, time.Since(start).Seconds())
+		},
+	})
 
 	// Always derive a cancellable context: when the run is bounded by
 	// Iterations rather than Duration, the monitor goroutine must still be
@@ -211,7 +215,7 @@ func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
 		wg.Add(1)
 		go func(w *worker) {
 			defer wg.Done()
-			monClient := hub.Monitor()
+			monClient := hub.Monitor(w.id)
 			for it := 0; cfg.Iterations == 0 || it < cfg.Iterations; it++ {
 				select {
 				case <-runCtx.Done():
@@ -296,7 +300,7 @@ func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
 					wireBytes.Add(pulledBytes)
 					pulls.Add(1)
 					secs := time.Since(iterStart).Seconds()
-					_ = monClient.ReportTime(w.id, j, w.node.Observe(j, secs), pulledBytes)
+					_ = monClient.ReportTime(w.id, j, w.node.Observe(j, secs))
 				case errors.Is(pullErr, transport.ErrNonFinite):
 					// The peer answered with a poisoned vector: keep the
 					// local model, and report nothing, so the link's
@@ -314,7 +318,7 @@ func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
 						peerDown.Add(1)
 					}
 					secs := time.Since(iterStart).Seconds()
-					_ = monClient.ReportTime(w.id, j, w.node.Observe(j, secs), 0)
+					_ = monClient.ReportTime(w.id, j, w.node.Observe(j, secs))
 				}
 				counts[w.id]++ // safe: one writer per index
 			}
@@ -331,12 +335,11 @@ func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
 	n := avg.VectorLen()
 	engine.AverageModelInto(avg, reps, make([]float64, n), make([]float64, n))
 	loss, acc := avg.Evaluate(cfg.Test.X, cfg.Test.Labels)
-	_, _, version, _ := hub.Monitor().FetchPolicy()
 	return &Stats{
 		IterationsPerWorker: counts,
 		FinalAccuracy:       acc,
 		FinalLoss:           loss,
-		PolicyVersions:      version,
+		PolicyVersions:      hub.PolicyVersion(),
 		BytesOnWire:         wireBytes.Load(),
 		Pulls:               pulls.Load(),
 		PeerDownErrors:      peerDown.Load(),

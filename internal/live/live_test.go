@@ -18,11 +18,10 @@ import (
 // neighbor was masked, not fatal), and still produce a finite consensus
 // model with everyone else iterating.
 func TestLiveGroupSurvivesCrashRejoin(t *testing.T) {
-	hub := transport.NewLocalHub()
-	defer hub.Close()
 	// Slow iterations down to ~1ms so the wall-clock churn window overlaps
 	// a substantial stretch of the run.
-	hub.Latency = func(i, j int, _ time.Time) time.Duration { return time.Millisecond }
+	hub := transport.NewLocalHub(func(i, j int) time.Duration { return time.Millisecond })
+	defer hub.Close()
 	cfg := liveConfig(4, 200)
 	cfg.Ts = 40 * time.Millisecond
 	cfg.StalePeriods = 2
@@ -48,9 +47,8 @@ func TestLiveGroupSurvivesCrashRejoin(t *testing.T) {
 // TestLiveGroupPermanentLeave verifies a worker that leaves for good: the
 // survivors finish their iterations and the run terminates.
 func TestLiveGroupPermanentLeave(t *testing.T) {
-	hub := transport.NewLocalHub()
+	hub := transport.NewLocalHub(func(i, j int) time.Duration { return time.Millisecond })
 	defer hub.Close()
-	hub.Latency = func(i, j int, _ time.Time) time.Duration { return time.Millisecond }
 	cfg := liveConfig(3, 120)
 	cfg.PullTimeout = 200 * time.Millisecond
 	cfg.Churn = []ChurnEvent{{Worker: 1, At: 20 * time.Millisecond, Rejoin: 0}} // Rejoin <= At: leave
@@ -108,7 +106,7 @@ func liveConfig(workers, iters int) Config {
 }
 
 func TestLiveGroupTrains(t *testing.T) {
-	hub := transport.NewLocalHub()
+	hub := transport.NewLocalHub(nil)
 	defer hub.Close()
 	stats := Run(context.Background(), liveConfig(4, 150), hub)
 	if stats.FinalAccuracy < 0.85 {
@@ -122,16 +120,15 @@ func TestLiveGroupTrains(t *testing.T) {
 }
 
 func TestLiveGroupRegeneratesPolicy(t *testing.T) {
-	hub := transport.NewLocalHub()
-	defer hub.Close()
 	// Inject strong latency asymmetry so the policy matters and iterations
 	// are slow enough for several monitor periods to pass.
-	hub.Latency = func(i, j int, _ time.Time) time.Duration {
+	hub := transport.NewLocalHub(func(i, j int) time.Duration {
 		if (i < 2) == (j < 2) {
 			return time.Millisecond
 		}
 		return 8 * time.Millisecond
-	}
+	})
+	defer hub.Close()
 	cfg := liveConfig(4, 250)
 	cfg.Ts = 60 * time.Millisecond
 	stats := Run(context.Background(), cfg, hub)
@@ -141,7 +138,7 @@ func TestLiveGroupRegeneratesPolicy(t *testing.T) {
 }
 
 func TestLiveGroupDurationBound(t *testing.T) {
-	hub := transport.NewLocalHub()
+	hub := transport.NewLocalHub(nil)
 	defer hub.Close()
 	cfg := liveConfig(2, 0)
 	cfg.Duration = 300 * time.Millisecond
@@ -156,7 +153,7 @@ func TestLiveGroupDurationBound(t *testing.T) {
 }
 
 func TestLiveGroupContextCancel(t *testing.T) {
-	hub := transport.NewLocalHub()
+	hub := transport.NewLocalHub(nil)
 	defer hub.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -195,7 +192,7 @@ func TestLiveGroupOverTCP(t *testing.T) {
 }
 
 func TestLiveUniformMode(t *testing.T) {
-	hub := transport.NewLocalHub()
+	hub := transport.NewLocalHub(nil)
 	defer hub.Close()
 	cfg := liveConfig(3, 60)
 	cfg.Uniform = true
@@ -211,7 +208,7 @@ func TestLiveUniformMode(t *testing.T) {
 // consensus model stays within tolerance of the raw-codec accuracy.
 func TestCompressionCodecsReduceBytes(t *testing.T) {
 	run := func(c codec.Codec) *Stats {
-		hub := transport.NewLocalHub()
+		hub := transport.NewLocalHub(nil)
 		defer hub.Close()
 		cfg := liveConfig(4, 120)
 		cfg.Codec = c
@@ -260,7 +257,7 @@ func TestLiveCodecOverTCP(t *testing.T) {
 // pull at it must be rejected and counted, and no other worker may blend
 // the poisoned vector: after the run their served models are finite.
 func TestLiveRejectsNonFinitePulls(t *testing.T) {
-	hub := transport.NewLocalHub()
+	hub := transport.NewLocalHub(nil)
 	defer hub.Close()
 	cfg := liveConfig(3, 60)
 	cfg.Uniform = true
@@ -304,7 +301,7 @@ func TestLiveRejectsMalformedPolicy(t *testing.T) {
 		{"nan-entry", [][]float64{{0, nan, 0.5, 0.5}, uniform[1], uniform[2], uniform[3]}, 1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			hub := transport.NewLocalHub()
+			hub := transport.NewLocalHub(nil)
 			defer hub.Close()
 			hub.SetPolicy(c.p, c.rho)
 			cfg := liveConfig(4, 60)

@@ -49,10 +49,6 @@ type Monitor struct {
 	last float64     // virtual time of last regeneration
 	ran  bool
 
-	payload    [][]int64 // latest reported encoded transfer size per link
-	totalBytes int64     // cumulative reported bytes-on-wire
-
-	clock        float64   // latest time seen (ObserveAt/MaybeRegenerate)
 	lastReport   []float64 // per-worker time of the last timestamped report
 	everReported []bool    // per-worker: any report ever (coverage gate)
 	membAlive    []bool    // membership-event liveness (SetLiveness); nil = all
@@ -68,16 +64,14 @@ type Monitor struct {
 func New(cfg Config) *Monitor {
 	m := len(cfg.Adj)
 	ema := make([][]float64, m)
-	payload := make([][]int64, m)
 	for i := range ema {
 		ema[i] = make([]float64, m)
-		payload[i] = make([]int64, m)
 	}
 	lastAlive := make([]bool, m)
 	for i := range lastAlive {
 		lastAlive[i] = true
 	}
-	return &Monitor{cfg: cfg, m: m, ema: ema, payload: payload,
+	return &Monitor{cfg: cfg, m: m, ema: ema,
 		lastReport: make([]float64, m), everReported: make([]bool, m), lastAlive: lastAlive}
 }
 
@@ -101,9 +95,6 @@ func (mo *Monitor) ObserveAt(i, j int, iterSecs, now float64) {
 	mo.everReported[i] = true
 	if now > mo.lastReport[i] {
 		mo.lastReport[i] = now
-	}
-	if now > mo.clock {
-		mo.clock = now
 	}
 	mo.mu.Unlock()
 }
@@ -130,9 +121,6 @@ func (mo *Monitor) SetLiveness(alive []bool, now float64) {
 			// old lastReport would otherwise evict it again instantly.
 			mo.lastReport[i] = now
 		}
-	}
-	if now > mo.clock {
-		mo.clock = now
 	}
 }
 
@@ -170,41 +158,6 @@ func (mo *Monitor) LiveWorkers(now float64) []bool {
 // a malformed or hostile frame must not index outside the m x m matrices.
 func (mo *Monitor) validLink(i, j int) bool {
 	return i >= 0 && i < mo.m && j >= 0 && j < mo.m
-}
-
-// ObserveBytes ingests the encoded byte size of one model transfer on link
-// (i, j) — the wire payload the transport's codec actually produced, which
-// arrives with the iteration-time report. The monitor keeps the latest
-// per-link payload size (link-bandwidth observability under compression)
-// and the cumulative bytes-on-wire total.
-func (mo *Monitor) ObserveBytes(i, j int, bytes int64) {
-	if i == j || bytes <= 0 || !mo.validLink(i, j) {
-		return
-	}
-	mo.mu.Lock()
-	mo.payload[i][j] = bytes
-	mo.totalBytes += bytes
-	mo.mu.Unlock()
-}
-
-// TotalWireBytes returns the cumulative encoded bytes reported so far.
-func (mo *Monitor) TotalWireBytes() int64 {
-	mo.mu.Lock()
-	defer mo.mu.Unlock()
-	return mo.totalBytes
-}
-
-// LinkWireBytes returns a copy of the latest per-link encoded transfer
-// sizes (zero where no report carried a byte count yet).
-func (mo *Monitor) LinkWireBytes() [][]int64 {
-	mo.mu.Lock()
-	defer mo.mu.Unlock()
-	out := make([][]int64, mo.m)
-	for i := range out {
-		out[i] = make([]int64, mo.m)
-		copy(out[i], mo.payload[i])
-	}
-	return out
 }
 
 // Times returns a copy of the current iteration-time matrix with gaps
@@ -261,9 +214,6 @@ func (mo *Monitor) coverage(alive []bool) bool {
 // the live subgraph. Otherwise ok=false.
 func (mo *Monitor) MaybeRegenerate(now float64) (*policy.Policy, bool) {
 	mo.mu.Lock()
-	if now > mo.clock {
-		mo.clock = now
-	}
 	// Allocation-free fast path: Tick calls this on every event, so the
 	// liveness vector is only materialized once a regeneration is due.
 	changed := false

@@ -354,15 +354,16 @@ func (m *Manifest) BuildLive() (live.Config, *transport.Hub, func() error, error
 		}
 		return cfg, hub, hub.Close, nil
 	}
-	hub := transport.NewLocalHub()
+	var latency func(i, j int) time.Duration
 	if lat := l.Latency; lat != nil {
 		colocated, intra, inter := lat.Colocated, lat.IntraMillis, lat.InterMillis
-		hub.Latency = func(i, j int, _ time.Time) time.Duration {
+		latency = func(i, j int) time.Duration {
 			if (i < colocated) == (j < colocated) {
 				return time.Duration(intra * float64(time.Millisecond))
 			}
 			return time.Duration(inter * float64(time.Millisecond))
 		}
 	}
+	hub := transport.NewLocalHub(latency)
 	return cfg, hub, hub.Close, nil
 }

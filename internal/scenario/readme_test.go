@@ -11,7 +11,9 @@ import (
 
 // TestReadmeSchemaInSync keeps the README's manifest-schema table honest:
 // every top-level json field of Manifest must appear (backticked) in the
-// table's first column, and every field named there must exist.
+// table's first column, and every field named there must exist. Each
+// block's row (topology, network, …, quick) must also name, backticked,
+// every json field of that block's struct.
 func TestReadmeSchemaInSync(t *testing.T) {
 	raw, err := os.ReadFile("../../README.md")
 	if err != nil {
@@ -29,13 +31,19 @@ func TestReadmeSchemaInSync(t *testing.T) {
 
 	backticked := regexp.MustCompile("`([^`]+)`")
 	documented := map[string]bool{}
+	rows := map[string]map[string]bool{} // field -> every backticked name in its row
 	for _, line := range strings.Split(section, "\n") {
 		cells := strings.Split(line, "|")
 		if len(cells) < 3 || !strings.HasPrefix(strings.TrimSpace(line), "|") {
 			continue
 		}
+		named := map[string]bool{}
+		for _, m := range backticked.FindAllStringSubmatch(line, -1) {
+			named[m[1]] = true
+		}
 		for _, m := range backticked.FindAllStringSubmatch(cells[1], -1) {
 			documented[m[1]] = true
+			rows[m[1]] = named
 		}
 	}
 	if len(documented) == 0 {
@@ -45,8 +53,21 @@ func TestReadmeSchemaInSync(t *testing.T) {
 	tags := map[string]bool{}
 	typ := reflect.TypeOf(Manifest{})
 	for i := 0; i < typ.NumField(); i++ {
-		if name := strings.Split(typ.Field(i).Tag.Get("json"), ",")[0]; name != "" && name != "-" {
-			tags[name] = true
+		f := typ.Field(i)
+		name := jsonName(f)
+		if name == "" {
+			continue
+		}
+		tags[name] = true
+		if f.Type.Kind() != reflect.Pointer || f.Type.Elem().Kind() != reflect.Struct {
+			continue
+		}
+		// A block: its row must name each of the block's own fields.
+		block := f.Type.Elem()
+		for j := 0; j < block.NumField(); j++ {
+			if sub := jsonName(block.Field(j)); sub != "" && !rows[name][sub] {
+				t.Errorf("README schema row %q does not name its field %s.%s", name, name, sub)
+			}
 		}
 	}
 
@@ -69,4 +90,13 @@ func TestReadmeSchemaInSync(t *testing.T) {
 	if len(unknown) > 0 {
 		t.Errorf("README schema table names fields Manifest does not have: %v", unknown)
 	}
+}
+
+// jsonName is a struct field's json key, or "" for an untagged or skipped
+// field.
+func jsonName(f reflect.StructField) string {
+	if name := strings.Split(f.Tag.Get("json"), ",")[0]; name != "-" {
+		return name
+	}
+	return ""
 }

@@ -5,6 +5,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"netmax/internal/codec"
 )
 
 // TestTCPPeerDeadlineOnHungServer is the regression test for the
@@ -57,7 +59,7 @@ func TestTCPPeerDownClassified(t *testing.T) {
 // TestTCPWorkerServerSetDown verifies crash injection and recovery on the
 // server side: pulls fail fast while down, succeed again after recovery.
 func TestTCPWorkerServerSetDown(t *testing.T) {
-	srv := serveWorker(listenLoopback(t), func() []float64 { return []float64{1, 2} }, nil)
+	srv := serveWorker(listenLoopback(t), func() []float64 { return []float64{1, 2} }, codec.Raw{}, nil)
 	defer srv.Close()
 	p := &PullClient{From: 0, Addr: srv.Addr(), Timeout: time.Second}
 	vec := make([]float64, 2)
@@ -83,9 +85,7 @@ func TestTCPHubWorkerDownAndTimeouts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer hub.Close()
-	hub.Register(0, func() []float64 { return []float64{1} })
-	hub.Register(1, func() []float64 { return []float64{2} })
-	hub.SetPullTimeout(500 * time.Millisecond)
+	serve(t, hub, Group{Sources: fixed([]float64{1}, []float64{2}), Timeout: 500 * time.Millisecond})
 	if _, err := hub.Peer(0, 1).PullModel(make([]float64, 1)); err != nil {
 		t.Fatalf("pull before crash: %v", err)
 	}
@@ -103,9 +103,15 @@ func TestTCPHubWorkerDownAndTimeouts(t *testing.T) {
 // TestLocalNetWorkerDownAndHang verifies crash and hang injection on the
 // in-process hub used by examples and the live tests.
 func TestLocalNetWorkerDownAndHang(t *testing.T) {
-	hub := NewLocalHub()
+	// Worker 2 holds pulls by worker 0 for an hour: a hung peer.
+	hub := NewLocalHub(func(i, j int) time.Duration {
+		if i == 0 && j == 2 {
+			return time.Hour
+		}
+		return 0
+	})
 	defer hub.Close()
-	hub.Register(1, func() []float64 { return []float64{1} })
+	serve(t, hub, Group{Sources: fixed([]float64{0}, []float64{1}, []float64{2}), Timeout: 200 * time.Millisecond})
 	hub.SetWorkerDown(1, true)
 	if _, err := hub.Peer(0, 1).PullModel(make([]float64, 1)); !errors.Is(err, ErrPeerDown) {
 		t.Fatalf("pull from down worker = %v, want ErrPeerDown", err)
@@ -115,17 +121,15 @@ func TestLocalNetWorkerDownAndHang(t *testing.T) {
 		t.Fatalf("pull after recovery: %v", err)
 	}
 	// Hung peer: latency beyond the deadline fails after the deadline.
-	hub.SetPullTimeout(50 * time.Millisecond)
-	hub.Latency = func(i, j int, _ time.Time) time.Duration { return time.Hour }
 	start := time.Now()
-	_, err := hub.Peer(0, 1).PullModel(make([]float64, 1))
+	_, err := hub.Peer(0, 2).PullModel(make([]float64, 1))
 	if !errors.Is(err, ErrPeerDown) {
 		t.Fatalf("hung pull = %v, want ErrPeerDown", err)
 	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("hung pull blocked %v despite 50ms deadline", elapsed)
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("hung pull blocked %v despite 200ms deadline", elapsed)
 	}
-	// Unregistered workers classify as down too.
+	// Workers outside the group classify as down too.
 	if _, err := hub.Peer(0, 9).PullModel(make([]float64, 1)); !errors.Is(err, ErrPeerDown) {
 		t.Fatalf("unknown peer = %v, want ErrPeerDown", err)
 	}

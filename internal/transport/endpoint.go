@@ -7,6 +7,7 @@ import (
 	"math"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"netmax/internal/codec"
@@ -18,8 +19,8 @@ import (
 // The connection is a TCP socket or one end of an in-memory net.Pipe
 // (pipe.go); nothing above the dialer and the listener tells them apart.
 // Model payloads go through a dense codec (internal/codec), and every pull
-// reports its encoded byte size so the monitor and the caller can account
-// for real bytes-on-wire.
+// reports its encoded byte size, so the puller accounts for real
+// bytes-on-wire.
 
 // listenerGroup is the shared server chassis: it owns the listener, tracks
 // live connections so Close can unblock handler reads, and waits for every
@@ -131,34 +132,21 @@ func (g *listenerGroup) close() error {
 // --- worker server ---
 
 // WorkerServer answers model pulls for one worker over persistent
-// connections, encoding responses with its configured codec (raw until
-// SetCodec is called).
+// connections, encoding every response with one codec.
 type WorkerServer struct {
-	grp *listenerGroup
-	src ModelSource
+	grp   *listenerGroup
+	src   ModelSource
+	codec codec.Codec
 	// latency, when non-nil, is the artificial delay before answering a
 	// pull by worker `from`; the hub installs it for latency injection.
 	latency func(from int) time.Duration
-
-	codecMu sync.RWMutex
-	codec   codec.Codec
-	down    bool
+	down    atomic.Bool
 }
 
-func serveWorker(ln net.Listener, src ModelSource, latency func(from int) time.Duration) *WorkerServer {
-	s := &WorkerServer{src: src, latency: latency, codec: codec.Raw{}}
+func serveWorker(ln net.Listener, src ModelSource, c codec.Codec, latency func(from int) time.Duration) *WorkerServer {
+	s := &WorkerServer{src: src, codec: c, latency: latency}
 	s.grp = newListenerGroup(ln, s.handle)
 	return s
-}
-
-// SetCodec switches the codec used for subsequent pull responses.
-func (s *WorkerServer) SetCodec(c codec.Codec) {
-	if c == nil {
-		c = codec.Raw{}
-	}
-	s.codecMu.Lock()
-	s.codec = c
-	s.codecMu.Unlock()
 }
 
 // SetDown injects a crash (or recovery) for this worker's endpoint: while
@@ -167,9 +155,7 @@ func (s *WorkerServer) SetCodec(c codec.Codec) {
 // stays open — recovery is just SetDown(false), like a process restart on
 // the same port.
 func (s *WorkerServer) SetDown(down bool) {
-	s.codecMu.Lock()
-	s.down = down
-	s.codecMu.Unlock()
+	s.down.Store(down)
 	if down {
 		s.grp.dropConns()
 	}
@@ -200,18 +186,14 @@ func (s *WorkerServer) handle(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		s.codecMu.RLock()
-		c := s.codec
-		down := s.down
-		s.codecMu.RUnlock()
-		if down {
+		if s.down.Load() {
 			return // crashed: drop the connection without answering
 		}
 		if !s.wait(from) {
 			return
 		}
-		wbuf = appendPullResp(wbuf[:0], s.src(), c)
-		if err := writeFrame(w, msgPullResp, c.ID(), wbuf); err != nil {
+		wbuf = appendPullResp(wbuf[:0], s.src(), s.codec)
+		if err := writeFrame(w, msgPullResp, s.codec.ID(), wbuf); err != nil {
 			return
 		}
 	}
@@ -252,24 +234,22 @@ func dialTCP(addr string, timeout time.Duration) (net.Conn, error) {
 // connection plus the frame request/response exchange with its retry
 // policy. Owners serialize access with their own mutex.
 type persistentConn struct {
-	dial  dialer // nil dials TCP
-	conn  net.Conn
-	r     *bufio.Reader
-	w     *bufio.Writer
-	rbuf  []byte
-	armed bool // a deadline is currently set on conn
+	dial dialer // nil dials TCP
+	conn net.Conn
+	r    *bufio.Reader
+	w    *bufio.Writer
+	rbuf []byte
 }
 
 // roundTrip sends one request frame to addr and reads the response. A dead
-// connection is redialed and the request retried once — but only when
-// retrying cannot duplicate a side effect: a non-idempotent request whose
-// write already succeeded (the failure was on the response read) may have
-// been processed by the server, so it is not re-sent. A positive timeout
-// bounds every step — dial, write, response read — so a hung (not closed)
-// peer costs at most one deadline instead of blocking the caller forever.
-// The returned body aliases the connection's read buffer and is valid
-// until the next call.
-func (pc *persistentConn) roundTrip(addr string, timeout time.Duration, reqKind uint8, reqBody []byte, wantKind uint8, idempotent bool) ([]byte, uint8, error) {
+// connection is redialed and the request retried once: every request kind
+// is idempotent (pulls and policy fetches only read, and a report
+// overwrites its link's latest time), so a request the server may already
+// have processed is safe to re-send. A positive timeout bounds every step
+// — dial, write, response read — so a hung (not closed) peer costs at most
+// one deadline instead of blocking the caller forever. The returned body
+// aliases the connection's read buffer and is valid until the next call.
+func (pc *persistentConn) roundTrip(addr string, timeout time.Duration, reqKind uint8, reqBody []byte, wantKind uint8) ([]byte, uint8, error) {
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
 		if err := pc.ensure(addr, timeout); err != nil {
@@ -277,13 +257,6 @@ func (pc *persistentConn) roundTrip(addr string, timeout time.Duration, reqKind 
 		}
 		if timeout > 0 {
 			pc.conn.SetDeadline(time.Now().Add(timeout))
-			pc.armed = true
-		} else if pc.armed {
-			// The timeout was disabled after a deadline was armed on this
-			// connection; a stale expired deadline would fail a healthy
-			// peer.
-			pc.conn.SetDeadline(time.Time{})
-			pc.armed = false
 		}
 		if err := writeFrame(pc.w, reqKind, 0, reqBody); err != nil {
 			pc.drop()
@@ -301,9 +274,6 @@ func (pc *persistentConn) roundTrip(addr string, timeout time.Duration, reqKind 
 		if err != nil {
 			pc.drop()
 			lastErr = err
-			if !idempotent {
-				return nil, 0, fmt.Errorf("transport: %s: response lost after delivered request (not retried): %w", addr, err)
-			}
 			if isTimeout(err) {
 				return nil, 0, fmt.Errorf("transport: %s: %w", addr, err)
 			}
@@ -354,7 +324,6 @@ func (pc *persistentConn) drop() error {
 	}
 	err := pc.conn.Close()
 	pc.conn, pc.r, pc.w = nil, nil, nil
-	pc.armed = false
 	return err
 }
 
@@ -365,7 +334,7 @@ func (pc *persistentConn) drop() error {
 // value with Addr set is ready to use over TCP; it is safe for concurrent
 // use. A positive Timeout bounds every pull (dial + request + response): a
 // hung or dead peer then fails with an error wrapping ErrPeerDown instead
-// of blocking the worker forever.
+// of blocking the worker forever. Set the fields before the first pull.
 type PullClient struct {
 	From    int
 	Addr    string
@@ -374,13 +343,6 @@ type PullClient struct {
 	mu   sync.Mutex
 	pc   persistentConn
 	wbuf []byte
-}
-
-// SetTimeout changes the per-call deadline for subsequent pulls.
-func (p *PullClient) SetTimeout(d time.Duration) {
-	p.mu.Lock()
-	p.Timeout = d
-	p.mu.Unlock()
 }
 
 // PullModel requests the peer's freshest parameter vector and decodes it
@@ -397,8 +359,7 @@ func (p *PullClient) PullModel(dst []float64) (wireBytes int64, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.wbuf = appendPullReq(p.wbuf[:0], p.From)
-	// Pulls are read-only on the server, so lost responses retry safely.
-	body, codecID, err := p.pc.roundTrip(p.Addr, p.Timeout, msgPull, p.wbuf, msgPullResp, true)
+	body, codecID, err := p.pc.roundTrip(p.Addr, p.Timeout, msgPull, p.wbuf, msgPullResp)
 	if err != nil {
 		if errors.Is(err, errProtocol) {
 			return 0, err // version skew / framing bug — peer is not down
@@ -428,10 +389,10 @@ func (p *PullClient) Close() error {
 // --- monitor server ---
 
 // MonitorServer hosts the Network Monitor endpoint over persistent
-// connections.
+// connections. Its policy can be published before it serves.
 type MonitorServer struct {
 	grp    *listenerGroup
-	report func(from, to int, secs float64, bytes int64)
+	report func(from, to int, secs float64)
 
 	policyMu sync.RWMutex
 	p        [][]float64
@@ -439,10 +400,11 @@ type MonitorServer struct {
 	version  int
 }
 
-func serveMonitor(ln net.Listener, onReport func(from, to int, secs float64, bytes int64)) *MonitorServer {
-	s := &MonitorServer{report: onReport}
+// serve starts answering on ln, handing every report to report (nil
+// discards them). It is called once.
+func (s *MonitorServer) serve(ln net.Listener, report func(from, to int, secs float64)) {
+	s.report = report
 	s.grp = newListenerGroup(ln, s.handle)
-	return s
 }
 
 // Addr returns the listener's address.
@@ -455,6 +417,13 @@ func (s *MonitorServer) SetPolicy(p [][]float64, rho float64) {
 	s.p = p
 	s.rho = rho
 	s.version++
+}
+
+// Version returns the number of policies published so far.
+func (s *MonitorServer) Version() int {
+	s.policyMu.RLock()
+	defer s.policyMu.RUnlock()
+	return s.version
 }
 
 // Close stops the endpoint, tearing down live connections and waiting for
@@ -472,12 +441,12 @@ func (s *MonitorServer) handle(conn net.Conn) {
 		}
 		switch kind {
 		case msgReport:
-			from, to, secs, bytes, err := parseReport(body)
+			from, to, secs, err := parseReport(body)
 			if err != nil {
 				return
 			}
 			if s.report != nil {
-				s.report(from, to, secs, bytes)
+				s.report(from, to, secs)
 			}
 			if err := writeFrame(w, msgReportAck, 0, nil); err != nil {
 				return
@@ -510,23 +479,15 @@ type MonitorClient struct {
 	wbuf []byte
 }
 
-// SetTimeout changes the per-call deadline for subsequent monitor calls.
-func (c *MonitorClient) SetTimeout(d time.Duration) {
-	c.mu.Lock()
-	c.Timeout = d
-	c.mu.Unlock()
-}
-
-// ReportTime sends one iteration-time observation along with the encoded
-// byte size of the transfer it measured. Reports are not idempotent (the
-// monitor accumulates byte totals), so a report whose ack is lost returns
-// an error rather than risking a duplicate; callers treat reports as
-// best-effort and simply carry the next observation.
-func (c *MonitorClient) ReportTime(from, to int, secs float64, bytes int64) error {
+// ReportTime sends one iteration-time observation for link (from, to). A
+// report only overwrites the link's latest time at the monitor, so one
+// whose ack is lost is re-sent like any other request; callers treat
+// reports as best-effort and simply carry the next observation.
+func (c *MonitorClient) ReportTime(from, to int, secs float64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.wbuf = appendReport(c.wbuf[:0], from, to, secs, bytes)
-	body, _, err := c.pc.roundTrip(c.Addr, c.Timeout, msgReport, c.wbuf, msgReportAck, false)
+	c.wbuf = appendReport(c.wbuf[:0], from, to, secs)
+	body, _, err := c.pc.roundTrip(c.Addr, c.Timeout, msgReport, c.wbuf, msgReportAck)
 	if err != nil {
 		return err
 	}
@@ -540,7 +501,7 @@ func (c *MonitorClient) ReportTime(from, to int, secs float64, bytes int64) erro
 func (c *MonitorClient) FetchPolicy() ([][]float64, float64, int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	body, _, err := c.pc.roundTrip(c.Addr, c.Timeout, msgPolicy, c.wbuf[:0], msgPolicyResp, true)
+	body, _, err := c.pc.roundTrip(c.Addr, c.Timeout, msgPolicy, c.wbuf[:0], msgPolicyResp)
 	if err != nil {
 		return nil, 0, 0, err
 	}

@@ -31,11 +31,14 @@ func FuzzWireFrame(f *testing.F) {
 	}
 	// Codec id 2 is retired: a well-formed body under it must not decode.
 	f.Add(frameBytes(msgPullResp, 2, appendPullResp(nil, vec, codec.Float32{})))
-	f.Add(frameBytes(msgReport, 0, appendReport(nil, 0, 1, 0.25, 640)))
+	f.Add(frameBytes(msgReport, 0, appendReport(nil, 0, 1, 0.25)))
 	f.Add(frameBytes(msgReportAck, 0, nil))
 	f.Add(frameBytes(msgPolicy, 0, nil))
 	f.Add(frameBytes(msgPolicyResp, 0, appendPolicyResp(nil, [][]float64{{0, 1}, {1, 0}}, 0.4, 2)))
 	f.Add(frameBytes(msgPolicyResp, 0, appendPolicyResp(nil, nil, 0, 0)))
+	// The retired 24-byte report layout (a trailing uint64 byte count) must
+	// not parse: accepting it would re-encode to 16 bytes.
+	f.Add(frameBytes(msgReport, 0, binary.BigEndian.AppendUint64(appendReport(nil, 0, 1, 0.25), 640)))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		kind, codecID, body, err := readFrame(bytes.NewReader(raw), new([]byte))
@@ -55,11 +58,11 @@ func FuzzWireFrame(f *testing.F) {
 			}
 			again = appendPullReq(nil, from)
 		case msgReport:
-			from, to, secs, bytes, err := parseReport(body)
+			from, to, secs, err := parseReport(body)
 			if err != nil {
 				return
 			}
-			again = appendReport(nil, from, to, secs, bytes)
+			again = appendReport(nil, from, to, secs)
 		case msgPolicyResp:
 			p, rho, version, err := parsePolicyResp(body)
 			if err != nil {

@@ -1,216 +1,184 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"netmax/internal/codec"
 )
 
-// Hub wires a whole NetMax process group: one WorkerServer per registered
-// worker plus one MonitorServer, reached over loopback TCP (NewTCPHub) or
-// over in-memory pipes (NewLocalHub). Either way every pull and monitor
-// call goes through the same servers, clients and wire frames. Peer and
-// monitor handles are cached, so every (from, to) pair reuses one
-// persistent connection for the life of the hub.
+// Group is the fixed configuration a hub serves: it is handed to Serve
+// once, before the first pull, and never changes afterwards.
+type Group struct {
+	// Sources holds one model source per worker; worker i is Sources[i].
+	Sources []ModelSource
+	// Codec encodes every pull response; nil means raw float64.
+	Codec codec.Codec
+	// Timeout bounds every pull and monitor call (dial, request,
+	// response): a hung or dead peer costs at most one deadline. Zero
+	// disables deadlines.
+	Timeout time.Duration
+	// Report receives every iteration-time report at the monitor; nil
+	// discards them.
+	Report func(from, to int, secs float64)
+}
+
+// Hub wires a whole NetMax process group: one WorkerServer per worker plus
+// one MonitorServer, reached over loopback TCP (NewTCPHub) or over
+// in-memory pipes (NewLocalHub). Either way every pull and monitor call
+// goes through the same servers, clients and wire frames. Serve fixes the
+// group; from then on every (from, to) pair reuses one persistent
+// connection for the life of the hub.
 type Hub struct {
-	// Latency returns the artificial one-way delay of a pull from j by i
-	// at wall time t; nil means no delay. Worker j's server waits it out
-	// before answering, so a latency at or beyond the pull timeout is a
-	// hung peer: the pull fails with ErrPeerDown after one deadline. Set it
-	// before the pulls it should affect.
-	Latency func(i, j int, t time.Time) time.Duration
+	listen  func() (net.Listener, error)
+	dial    dialer
+	latency func(i, j int) time.Duration
 
-	listen func() (net.Listener, error)
-	dial   dialer
+	monLn net.Listener
+	mon   MonitorServer
 
-	mu          sync.RWMutex
-	workers     map[int]*WorkerServer
-	addrs       map[int]string
-	peers       map[[2]int]*PullClient
-	clients     []*MonitorClient
-	codec       codec.Codec
-	pullTimeout time.Duration
-	mon         *MonitorServer
-
-	reportMu sync.RWMutex
-	report   func(from, to int, secs float64, bytes int64)
+	// Written once by Serve and read-only afterwards.
+	served  bool
+	workers []*WorkerServer
+	peers   [][]*PullClient // peers[from][to]
+	clients []*MonitorClient
 }
 
-// NewTCPHub starts the monitor endpoint on loopback TCP and returns an
-// empty hub whose workers listen on ephemeral loopback ports. Close must
-// be called to release listeners and connections.
+// NewTCPHub opens the monitor endpoint on loopback TCP and returns a hub
+// whose workers will listen on ephemeral loopback ports. Close must be
+// called to release listeners and connections.
 func NewTCPHub() (*Hub, error) {
-	return newHub(func() (net.Listener, error) { return net.Listen("tcp", "127.0.0.1:0") }, dialTCP)
+	return newHub(listenTCP, dialTCP, nil)
 }
 
-// NewLocalHub returns an empty hub whose connections are in-memory pipes
-// inside this process. Close must be called to stop its servers.
-func NewLocalHub() *Hub {
+// listenTCP listens on an ephemeral loopback port.
+func listenTCP() (net.Listener, error) { return net.Listen("tcp", "127.0.0.1:0") }
+
+// NewLocalHub returns a hub whose connections are in-memory pipes inside
+// this process. latency, when non-nil, is the artificial one-way delay of
+// a pull from worker j by worker i: j's server waits it out before
+// answering, so a latency at or beyond the pull timeout is a hung peer
+// (the pull fails with ErrPeerDown after one deadline). Close must be
+// called to stop its servers.
+func NewLocalHub(latency func(i, j int) time.Duration) *Hub {
 	pn := &pipeNet{listeners: make(map[string]*pipeListener)}
-	h, _ := newHub(pn.listen, pn.dial) // listening on a pipeNet cannot fail
+	h, _ := newHub(pn.listen, pn.dial, latency) // listening on a pipeNet cannot fail
 	return h
 }
 
-func newHub(listen func() (net.Listener, error), dial dialer) (*Hub, error) {
-	h := &Hub{
-		listen:  listen,
-		dial:    dial,
-		workers: make(map[int]*WorkerServer),
-		addrs:   make(map[int]string),
-		peers:   make(map[[2]int]*PullClient),
-		codec:   codec.Raw{},
-	}
+func newHub(listen func() (net.Listener, error), dial dialer, latency func(i, j int) time.Duration) (*Hub, error) {
 	ln, err := listen()
 	if err != nil {
 		return nil, fmt.Errorf("transport: start monitor: %w", err)
 	}
-	h.mon = serveMonitor(ln, func(from, to int, secs float64, bytes int64) {
-		h.reportMu.RLock()
-		f := h.report
-		h.reportMu.RUnlock()
-		if f != nil {
-			f(from, to, secs, bytes)
-		}
-	})
-	return h, nil
+	return &Hub{listen: listen, dial: dial, latency: latency, monLn: ln}, nil
 }
 
-// Register starts a server answering pulls for worker id, encoding
-// responses with the hub's current codec and delaying them by Latency.
-func (h *Hub) Register(id int, src ModelSource) {
-	ln, err := h.listen()
-	if err != nil {
-		// Registration failures surface on the first pull; a hub on
-		// loopback with ephemeral ports only fails under fd exhaustion.
-		return
+// Serve starts the group g: one worker server per source, the monitor's
+// report sink, and a pull handle for every (from, to) pair and a monitor
+// handle for every worker, all bound by g.Timeout. It must be called once,
+// before Peer, Monitor or SetWorkerDown. A worker whose listener cannot be
+// opened (descriptor exhaustion) stays unreachable — pulls at it fail
+// with ErrPeerDown — and its error is returned; the rest of the group is
+// served.
+func (h *Hub) Serve(g Group) error {
+	if h.served {
+		return errors.New("transport: hub already served")
 	}
-	srv := serveWorker(ln, src, func(from int) time.Duration {
-		if h.Latency == nil {
-			return 0
-		}
-		return h.Latency(from, id, time.Now())
-	})
-	h.mu.Lock()
-	srv.SetCodec(h.codec)
-	h.workers[id] = srv
-	h.addrs[id] = srv.Addr()
-	h.mu.Unlock()
-}
-
-// SetCodec switches the codec on every registered worker server (and on
-// workers registered afterwards).
-func (h *Hub) SetCodec(c codec.Codec) {
+	h.served = true
+	c := g.Codec
 	if c == nil {
 		c = codec.Raw{}
 	}
-	h.mu.Lock()
-	h.codec = c
-	for _, srv := range h.workers {
-		srv.SetCodec(c)
+	m := len(g.Sources)
+	var errs []error
+	h.workers = make([]*WorkerServer, m)
+	addrs := make([]string, m)
+	for id, src := range g.Sources {
+		ln, err := h.listen()
+		if err != nil {
+			errs = append(errs, fmt.Errorf("transport: worker %d: %w", id, err))
+			continue
+		}
+		var lat func(from int) time.Duration
+		if h.latency != nil {
+			lat = func(from int) time.Duration { return h.latency(from, id) }
+		}
+		h.workers[id] = serveWorker(ln, src, c, lat)
+		addrs[id] = h.workers[id].Addr()
 	}
-	h.mu.Unlock()
-}
-
-// SetPullTimeout installs the per-call deadline on every cached peer and
-// monitor handle and on handles created afterwards. Zero disables
-// deadlines.
-func (h *Hub) SetPullTimeout(d time.Duration) {
-	h.mu.Lock()
-	h.pullTimeout = d
-	for _, p := range h.peers {
-		p.SetTimeout(d)
+	h.mon.serve(h.monLn, g.Report)
+	h.peers = make([][]*PullClient, m)
+	h.clients = make([]*MonitorClient, m)
+	for from := range h.peers {
+		h.peers[from] = make([]*PullClient, m)
+		for to, addr := range addrs {
+			h.peers[from][to] = &PullClient{From: from, Addr: addr, Timeout: g.Timeout, pc: persistentConn{dial: h.dial}}
+		}
+		h.clients[from] = &MonitorClient{Addr: h.mon.Addr(), Timeout: g.Timeout, pc: persistentConn{dial: h.dial}}
 	}
-	for _, c := range h.clients {
-		c.SetTimeout(d)
-	}
-	h.mu.Unlock()
+	return errors.Join(errs...)
 }
 
 // SetWorkerDown injects a crash (or recovery) for worker id's endpoint:
 // while down, its server tears down live connections and drops incoming
 // pulls, so peers fail fast with ErrPeerDown. Unknown ids are ignored.
 func (h *Hub) SetWorkerDown(id int, down bool) {
-	h.mu.RLock()
-	srv := h.workers[id]
-	h.mu.RUnlock()
-	if srv != nil {
-		srv.SetDown(down)
+	if id >= 0 && id < len(h.workers) && h.workers[id] != nil {
+		h.workers[id].SetDown(down)
 	}
 }
 
 // Peer returns the persistent pull handle from worker `from` to worker
-// `to`, creating it on first use. Before `to` registers, the returned
-// handle has no address (pulls fail) and is not cached, so a later call
-// picks up the registered address.
+// `to`. For an id outside the served group it returns a handle with no
+// address, whose pulls fail with ErrPeerDown.
 func (h *Hub) Peer(from, to int) *PullClient {
-	key := [2]int{from, to}
-	h.mu.RLock()
-	p, ok := h.peers[key]
-	h.mu.RUnlock()
-	if ok {
-		return p
+	if from < 0 || from >= len(h.peers) || to < 0 || to >= len(h.peers) {
+		return &PullClient{From: from, pc: persistentConn{dial: h.dial}}
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if p, ok := h.peers[key]; ok {
-		return p
-	}
-	addr, registered := h.addrs[to]
-	p = &PullClient{From: from, Addr: addr, Timeout: h.pullTimeout, pc: persistentConn{dial: h.dial}}
-	if registered {
-		h.peers[key] = p
-	}
-	return p
+	return h.peers[from][to]
 }
 
-// Monitor returns a worker-side monitor client on its own persistent
-// connection; the hub closes it on Close.
-func (h *Hub) Monitor() *MonitorClient {
-	h.mu.Lock()
-	c := &MonitorClient{Addr: h.mon.Addr(), Timeout: h.pullTimeout, pc: persistentConn{dial: h.dial}}
-	h.clients = append(h.clients, c)
-	h.mu.Unlock()
-	return c
-}
+// Monitor returns worker id's persistent monitor handle.
+func (h *Hub) Monitor(id int) *MonitorClient { return h.clients[id] }
 
-// SetPolicy publishes a policy through the monitor endpoint.
+// SetPolicy publishes a policy through the monitor endpoint. It may be
+// called before Serve: the first fetch then sees it.
 func (h *Hub) SetPolicy(p [][]float64, rho float64) {
 	h.mon.SetPolicy(p, rho)
 }
 
-// OnReport installs the monitor-side sink for time reports.
-func (h *Hub) OnReport(f func(from, to int, secs float64, bytes int64)) {
-	h.reportMu.Lock()
-	h.report = f
-	h.reportMu.Unlock()
-}
+// PolicyVersion returns the number of policies published so far.
+func (h *Hub) PolicyVersion() int { return h.mon.Version() }
 
-// Close stops every server and tears down every cached client
-// connection, waiting for all server goroutines to exit.
+// Close stops every server and tears down every client connection,
+// waiting for all server goroutines to exit.
 func (h *Hub) Close() error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	var first error
-	for _, p := range h.peers {
-		if err := p.Close(); err != nil && first == nil {
+	keep := func(err error) {
+		if first == nil {
 			first = err
+		}
+	}
+	for _, row := range h.peers {
+		for _, p := range row {
+			keep(p.Close())
 		}
 	}
 	for _, c := range h.clients {
-		if err := c.Close(); err != nil && first == nil {
-			first = err
-		}
+		keep(c.Close())
 	}
 	for _, srv := range h.workers {
-		if err := srv.Close(); err != nil && first == nil {
-			first = err
+		if srv != nil {
+			keep(srv.Close())
 		}
 	}
-	if err := h.mon.Close(); err != nil && first == nil {
-		first = err
+	if h.served {
+		keep(h.mon.Close())
+	} else {
+		keep(h.monLn.Close())
 	}
 	return first
 }

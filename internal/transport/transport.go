@@ -5,13 +5,15 @@
 // There is one implementation: worker and monitor servers and their
 // persistent-connection clients, speaking the length-prefixed binary frame
 // protocol of wire.go (specified in docs/WIRE.md). A Hub wires a whole
-// process group over loopback TCP (NewTCPHub, used by cmd/netmax-live -tcp)
-// or over in-memory pipes (NewLocalHub, one OS process); both run the same
-// frames, deadlines and redial rule. Model payloads go through a dense
-// compression codec (internal/codec); a pull decodes straight off the wire
-// into the caller's buffer and reports its encoded bytes-on-wire. The
-// discrete-event simulator does not use this package; this is the "system"
-// half of the reproduction.
+// process group over loopback TCP (NewTCPHub) or over in-memory pipes
+// (NewLocalHub, one OS process, with optional injected latency); both run
+// the same frames, deadlines and redial rule. A hub is configured once:
+// Serve fixes its worker sources, codec, per-call deadline and report sink
+// before the first pull. Model payloads go through a dense compression
+// codec (internal/codec); a pull decodes straight off the wire into the
+// caller's buffer and reports its encoded bytes-on-wire, which the puller
+// counts. The discrete-event simulator does not use this package; this is
+// the "system" half of the reproduction.
 package transport
 
 import "errors"

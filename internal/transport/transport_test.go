@@ -13,9 +13,9 @@ import (
 // clients and frames as TCP, over in-memory pipes.
 
 func TestLocalNetPull(t *testing.T) {
-	hub := NewLocalHub()
+	hub := NewLocalHub(nil)
 	defer hub.Close()
-	hub.Register(1, func() []float64 { return []float64{1, 2, 3} })
+	serve(t, hub, Group{Sources: fixed([]float64{0}, []float64{1, 2, 3})})
 	got, wire, err := pull(hub.Peer(0, 1), 3)
 	if err != nil {
 		t.Fatal(err)
@@ -30,9 +30,9 @@ func TestLocalNetPull(t *testing.T) {
 
 func TestLocalNetPullCopies(t *testing.T) {
 	backing := []float64{1, 2}
-	hub := NewLocalHub()
+	hub := NewLocalHub(nil)
 	defer hub.Close()
-	hub.Register(0, func() []float64 { return backing })
+	serve(t, hub, Group{Sources: fixed(backing, backing)})
 	got, _, _ := pull(hub.Peer(1, 0), 2)
 	got[0] = 99
 	if backing[0] != 1 {
@@ -41,18 +41,18 @@ func TestLocalNetPullCopies(t *testing.T) {
 }
 
 func TestLocalNetUnknownPeer(t *testing.T) {
-	hub := NewLocalHub()
+	hub := NewLocalHub(nil)
 	defer hub.Close()
+	serve(t, hub, Group{Sources: fixed([]float64{1}, []float64{2})})
 	if _, _, err := pull(hub.Peer(0, 5), 1); err == nil {
 		t.Fatal("expected error for unknown peer")
 	}
 }
 
 func TestLocalNetLatencyInjected(t *testing.T) {
-	hub := NewLocalHub()
+	hub := NewLocalHub(func(i, j int) time.Duration { return 30 * time.Millisecond })
 	defer hub.Close()
-	hub.Register(1, func() []float64 { return []float64{1} })
-	hub.Latency = func(i, j int, _ time.Time) time.Duration { return 30 * time.Millisecond }
+	serve(t, hub, Group{Sources: fixed([]float64{0}, []float64{1})})
 	start := time.Now()
 	if _, _, err := pull(hub.Peer(0, 1), 1); err != nil {
 		t.Fatal(err)
@@ -63,10 +63,9 @@ func TestLocalNetLatencyInjected(t *testing.T) {
 }
 
 func TestLocalNetCodecApplied(t *testing.T) {
-	hub := NewLocalHub()
+	hub := NewLocalHub(nil)
 	defer hub.Close()
-	hub.Register(1, func() []float64 { return []float64{4, -8, 0.1, 1} })
-	hub.SetCodec(codec.Float32{})
+	serve(t, hub, Group{Sources: fixed(nil, []float64{4, -8, 0.1, 1}), Codec: codec.Float32{}})
 	got, wire, err := pull(hub.Peer(0, 1), 4)
 	if err != nil {
 		t.Fatal(err)
@@ -83,41 +82,57 @@ func TestLocalNetCodecApplied(t *testing.T) {
 }
 
 func TestLocalNetPolicyVersioning(t *testing.T) {
-	hub := NewLocalHub()
+	hub := NewLocalHub(nil)
 	defer hub.Close()
-	mc := hub.Monitor()
+	serve(t, hub, Group{Sources: fixed(nil, nil)})
+	mc := hub.Monitor(0)
 	_, _, v0, _ := mc.FetchPolicy()
 	hub.SetPolicy([][]float64{{0, 1}, {1, 0}}, 0.4)
 	p, rho, v1, err := mc.FetchPolicy()
 	if err != nil || v1 != v0+1 || rho != 0.4 || p[0][1] != 1 {
 		t.Fatalf("policy fetch wrong: %v %v %v %v", p, rho, v1, err)
 	}
+	if v := hub.PolicyVersion(); v != v1 {
+		t.Fatalf("PolicyVersion = %d, the wire says %d", v, v1)
+	}
 }
 
 func TestLocalNetReports(t *testing.T) {
-	hub := NewLocalHub()
+	hub := NewLocalHub(nil)
 	defer hub.Close()
 	var mu sync.Mutex
 	var got []float64
-	var gotBytes []int64
-	hub.OnReport(func(from, to int, secs float64, bytes int64) {
+	serve(t, hub, Group{Sources: fixed(nil, nil), Report: func(from, to int, secs float64) {
 		mu.Lock()
 		got = append(got, secs)
-		gotBytes = append(gotBytes, bytes)
 		mu.Unlock()
-	})
-	if err := hub.Monitor().ReportTime(0, 1, 2.5, 640); err != nil {
+	}})
+	if err := hub.Monitor(1).ReportTime(1, 0, 2.5); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(got) != 1 || got[0] != 2.5 || gotBytes[0] != 640 {
-		t.Fatalf("reports = %v bytes %v", got, gotBytes)
+	if len(got) != 1 || got[0] != 2.5 {
+		t.Fatalf("reports = %v", got)
+	}
+}
+
+// TestLocalNetServeOnce pins that a hub's group is fixed: a second Serve
+// fails and leaves the first group in place.
+func TestLocalNetServeOnce(t *testing.T) {
+	hub := NewLocalHub(nil)
+	defer hub.Close()
+	serve(t, hub, Group{Sources: fixed([]float64{1}, []float64{2})})
+	if err := hub.Serve(Group{Sources: fixed([]float64{3}, []float64{4})}); err == nil {
+		t.Fatal("second Serve succeeded")
+	}
+	if got, _, err := pull(hub.Peer(0, 1), 1); err != nil || got[0] != 2 {
+		t.Fatalf("pull after a second Serve: %v (%v)", got, err)
 	}
 }
 
 func TestTCPWorkerPull(t *testing.T) {
-	srv := serveWorker(listenLoopback(t), func() []float64 { return []float64{4, 5} }, nil)
+	srv := serveWorker(listenLoopback(t), func() []float64 { return []float64{4, 5} }, codec.Raw{}, nil)
 	defer srv.Close()
 	peer := &PullClient{From: 0, Addr: srv.Addr()}
 	defer peer.Close()
@@ -134,7 +149,7 @@ func TestTCPWorkerPull(t *testing.T) {
 }
 
 func TestTCPWorkerConcurrentPulls(t *testing.T) {
-	srv := serveWorker(listenLoopback(t), func() []float64 { return []float64{7} }, nil)
+	srv := serveWorker(listenLoopback(t), func() []float64 { return []float64{7} }, codec.Raw{}, nil)
 	defer srv.Close()
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
@@ -163,22 +178,23 @@ func TestTCPWorkerConcurrentPulls(t *testing.T) {
 func TestTCPMonitorRoundTrip(t *testing.T) {
 	var mu sync.Mutex
 	reports := 0
-	var reportedBytes int64
-	srv := serveMonitor(listenLoopback(t), func(from, to int, secs float64, bytes int64) {
+	var secs float64
+	srv := new(MonitorServer)
+	srv.serve(listenLoopback(t), func(from, to int, s float64) {
 		mu.Lock()
 		reports++
-		reportedBytes = bytes
+		secs = s
 		mu.Unlock()
 	})
 	defer srv.Close()
 	client := &MonitorClient{Addr: srv.Addr()}
 	defer client.Close()
-	if err := client.ReportTime(0, 1, 1.5, 1024); err != nil {
+	if err := client.ReportTime(0, 1, 1.5); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
-	if reports != 1 || reportedBytes != 1024 {
-		t.Fatalf("reports = %d bytes %d", reports, reportedBytes)
+	if reports != 1 || secs != 1.5 {
+		t.Fatalf("reports = %d secs %v", reports, secs)
 	}
 	mu.Unlock()
 
@@ -189,8 +205,39 @@ func TestTCPMonitorRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTCPReportResentAfterLostAck pins the report's retry rule: a report
+// only overwrites its link's latest time, so one whose ack is lost with
+// the connection is redialed and re-sent once, and the monitor's sink sees
+// it again.
+func TestTCPReportResentAfterLostAck(t *testing.T) {
+	var mu sync.Mutex
+	var got []float64
+	srv := new(MonitorServer)
+	srv.serve(listenLoopback(t), func(from, to int, secs float64) {
+		mu.Lock()
+		got = append(got, secs)
+		first := len(got) == 1
+		mu.Unlock()
+		if first {
+			srv.grp.dropConns() // the first delivery's ack is lost
+		}
+	})
+	defer srv.Close()
+	client := &MonitorClient{Addr: srv.Addr(), Timeout: 5 * time.Second}
+	defer client.Close()
+	if err := client.ReportTime(0, 1, 1.5); err != nil {
+		t.Fatalf("report after a lost ack: %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(got) != 2 || got[0] != 1.5 || got[1] != 1.5 {
+		t.Fatalf("sink saw %v, want the report delivered twice", got)
+	}
+}
+
 func TestTCPMonitorEmptyPolicy(t *testing.T) {
-	srv := serveMonitor(listenLoopback(t), nil)
+	srv := new(MonitorServer)
+	srv.serve(listenLoopback(t), nil)
 	defer srv.Close()
 	client := &MonitorClient{Addr: srv.Addr()}
 	defer client.Close()
@@ -208,7 +255,7 @@ func TestTCPPeerDialError(t *testing.T) {
 }
 
 func TestTCPServerCloseIdempotentAccept(t *testing.T) {
-	srv := serveWorker(listenLoopback(t), func() []float64 { return nil }, nil)
+	srv := serveWorker(listenLoopback(t), func() []float64 { return nil }, codec.Raw{}, nil)
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +270,7 @@ func TestTCPServerCloseIdempotentAccept(t *testing.T) {
 // persistent connection dies with its server, and the next pull must
 // re-establish against the replacement listener on the same address.
 func TestTCPPeerSurvivesServerRestart(t *testing.T) {
-	srv := serveWorker(listenLoopback(t), func() []float64 { return []float64{1} }, nil)
+	srv := serveWorker(listenLoopback(t), func() []float64 { return []float64{1} }, codec.Raw{}, nil)
 	addr := srv.Addr()
 	peer := &PullClient{Addr: addr}
 	defer peer.Close()
@@ -237,7 +284,7 @@ func TestTCPPeerSurvivesServerRestart(t *testing.T) {
 	if err != nil {
 		t.Skipf("could not rebind %s: %v", addr, err)
 	}
-	srv2 := serveWorker(ln, func() []float64 { return []float64{2} }, nil)
+	srv2 := serveWorker(ln, func() []float64 { return []float64{2} }, codec.Raw{}, nil)
 	defer srv2.Close()
 	got, _, err := pull(peer, 1)
 	if err != nil {
@@ -248,32 +295,28 @@ func TestTCPPeerSurvivesServerRestart(t *testing.T) {
 	}
 }
 
-func TestTCPHubPeerBeforeRegisterRecovers(t *testing.T) {
-	hub, err := NewTCPHub()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hub.Close()
-	// A peer handle fetched before the target registers must fail, not
-	// poison the cache for the post-registration lookup.
-	if _, _, err := pull(hub.Peer(0, 1), 1); err == nil {
-		t.Fatal("pull succeeded before registration")
-	}
-	hub.Register(1, func() []float64 { return []float64{6} })
-	got, _, err := pull(hub.Peer(0, 1), 1)
-	if err != nil {
-		t.Fatalf("pull after registration: %v", err)
-	}
-	if len(got) != 1 || got[0] != 6 {
-		t.Fatalf("pulled %v", got)
-	}
-}
-
 // pull fetches a dim-length vector into a fresh buffer.
 func pull(p *PullClient, dim int) ([]float64, int64, error) {
 	vec := make([]float64, dim)
 	wire, err := p.PullModel(vec)
 	return vec, wire, err
+}
+
+// serve serves g on hub, failing the test if any endpoint fails to open.
+func serve(t *testing.T, hub *Hub, g Group) {
+	t.Helper()
+	if err := hub.Serve(g); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// fixed returns one model source per vector, each serving its vector.
+func fixed(vecs ...[]float64) []ModelSource {
+	srcs := make([]ModelSource, len(vecs))
+	for i, v := range vecs {
+		srcs[i] = func() []float64 { return v }
+	}
+	return srcs
 }
 
 // listenLoopback listens on an ephemeral loopback TCP port.

@@ -25,7 +25,7 @@ import (
 //
 //	msgPull        uint32 from
 //	msgPullResp    uint32 dim, then the codec payload for a dim-length vector
-//	msgReport      uint32 from, uint32 to, float64 secs, uint64 wire bytes
+//	msgReport      uint32 from, uint32 to, float64 secs
 //	msgReportAck   empty
 //	msgPolicy      empty
 //	msgPolicyResp  uint64 version, float64 rho, uint32 m, then m·m float64
@@ -110,23 +110,20 @@ func parsePullReq(body []byte) (from int, err error) {
 	return int(binary.BigEndian.Uint32(body)), nil
 }
 
-func appendReport(dst []byte, from, to int, secs float64, bytes int64) []byte {
+func appendReport(dst []byte, from, to int, secs float64) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(from))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(to))
-	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(secs))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(bytes))
-	return dst
+	return binary.BigEndian.AppendUint64(dst, math.Float64bits(secs))
 }
 
-func parseReport(body []byte) (from, to int, secs float64, bytes int64, err error) {
-	if len(body) != 24 {
-		return 0, 0, 0, 0, fmt.Errorf("transport: report body %d bytes, want 24", len(body))
+func parseReport(body []byte) (from, to int, secs float64, err error) {
+	if len(body) != 16 {
+		return 0, 0, 0, fmt.Errorf("transport: report body %d bytes, want 16", len(body))
 	}
 	from = int(binary.BigEndian.Uint32(body[0:]))
 	to = int(binary.BigEndian.Uint32(body[4:]))
 	secs = math.Float64frombits(binary.BigEndian.Uint64(body[8:]))
-	bytes = int64(binary.BigEndian.Uint64(body[16:]))
-	return from, to, secs, bytes, nil
+	return from, to, secs, nil
 }
 
 func appendPolicyResp(dst []byte, p [][]float64, rho float64, version int) []byte {

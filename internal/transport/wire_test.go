@@ -3,6 +3,7 @@ package transport
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -29,7 +30,7 @@ func (c chunkReader) Read(p []byte) (int, error) {
 func TestFrameRoundTripAcrossShortReads(t *testing.T) {
 	var raw bytes.Buffer
 	w := bufio.NewWriter(&raw)
-	body := appendReport(nil, 3, 7, 1.25, 4096)
+	body := appendReport(nil, 3, 7, 1.25)
 	if err := writeFrame(w, msgReport, 0, body); err != nil {
 		t.Fatal(err)
 	}
@@ -40,9 +41,13 @@ func TestFrameRoundTripAcrossShortReads(t *testing.T) {
 	if kind != msgReport || codecID != 0 {
 		t.Fatalf("kind=%d codec=%d", kind, codecID)
 	}
-	from, to, secs, wire, err := parseReport(got)
-	if err != nil || from != 3 || to != 7 || secs != 1.25 || wire != 4096 {
-		t.Fatalf("report = %d %d %v %d (%v)", from, to, secs, wire, err)
+	from, to, secs, err := parseReport(got)
+	if err != nil || from != 3 || to != 7 || secs != 1.25 {
+		t.Fatalf("report = %d %d %v (%v)", from, to, secs, err)
+	}
+	// The retired 24-byte layout carried a trailing uint64 byte count.
+	if _, _, _, err := parseReport(binary.BigEndian.AppendUint64(got, 4096)); err == nil {
+		t.Fatal("accepted a 24-byte (old-layout) report body")
 	}
 }
 
@@ -92,7 +97,7 @@ func TestTCPLargeVectorPull(t *testing.T) {
 	for i := range vec {
 		vec[i] = rng.NormFloat64()
 	}
-	srv := serveWorker(listenLoopback(t), func() []float64 { return vec }, nil)
+	srv := serveWorker(listenLoopback(t), func() []float64 { return vec }, codec.Raw{}, nil)
 	defer srv.Close()
 	peer := &PullClient{Addr: srv.Addr()}
 	defer peer.Close()
@@ -111,17 +116,15 @@ func TestTCPLargeVectorPull(t *testing.T) {
 }
 
 // TestTCPCodecNegotiation checks that the codec id in the response frame is
-// authoritative: the client decodes with whatever codec the server used,
-// including after mid-run codec switches.
+// authoritative: identically configured clients decode with whatever codec
+// the server they pull from was built with.
 func TestTCPCodecNegotiation(t *testing.T) {
 	vec := []float64{4, -8, 0.1, 1}
-	srv := serveWorker(listenLoopback(t), func() []float64 { return vec }, nil)
-	defer srv.Close()
-	peer := &PullClient{Addr: srv.Addr()}
-	defer peer.Close()
-
-	for _, c := range []codec.Codec{codec.Raw{}, codec.Float32{}, codec.Raw{}} {
-		srv.SetCodec(c)
+	for _, c := range []codec.Codec{codec.Raw{}, codec.Float32{}} {
+		srv := serveWorker(listenLoopback(t), func() []float64 { return vec }, c, nil)
+		defer srv.Close()
+		peer := &PullClient{Addr: srv.Addr()}
+		defer peer.Close()
 		got, wire, err := pull(peer, len(vec))
 		if err != nil || wire != c.WireBytes(len(vec)) {
 			t.Fatalf("%s pull: %v wire=%d", c.Name(), err, wire)
@@ -202,8 +205,7 @@ func TestPullRejectsMalformedResponse(t *testing.T) {
 func TestPullRejectsNonFinite(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		for _, c := range []codec.Codec{codec.Raw{}, codec.Float32{}} {
-			srv := serveWorker(listenLoopback(t), func() []float64 { return []float64{1, bad} }, nil)
-			srv.SetCodec(c)
+			srv := serveWorker(listenLoopback(t), func() []float64 { return []float64{1, bad} }, c, nil)
 			peer := &PullClient{Addr: srv.Addr()}
 			_, _, err := pull(peer, 2)
 			if !errors.Is(err, ErrNonFinite) || errors.Is(err, ErrPeerDown) {
@@ -239,12 +241,20 @@ func waitForGoroutines(t *testing.T, baseline int) {
 // connection handler and injected-latency wait, and leave no transport
 // goroutines behind.
 func TestTCPHubCloseLeaksNoGoroutines(t *testing.T) {
+	// A hung peer: worker 2's server holds pulls by worker 0 for an hour,
+	// far past the deadline.
+	hang := func(i, j int) time.Duration {
+		if i == 0 && j == 2 {
+			return time.Hour
+		}
+		return 0
+	}
 	for _, c := range []struct {
 		name string
 		open func() (*Hub, error)
 	}{
-		{"tcp", NewTCPHub},
-		{"local", func() (*Hub, error) { return NewLocalHub(), nil }},
+		{"tcp", func() (*Hub, error) { return newHub(listenTCP, dialTCP, hang) }},
+		{"local", func() (*Hub, error) { return NewLocalHub(hang), nil }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			baseline := runtime.NumGoroutine()
@@ -252,16 +262,15 @@ func TestTCPHubCloseLeaksNoGoroutines(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			hub.SetCodec(codec.Float32{})
-			for id := 0; id < 3; id++ {
-				v := []float64{float64(id), float64(id + 1)}
-				hub.Register(id, func() []float64 { return v })
-			}
-			hub.OnReport(func(int, int, float64, int64) {})
-			mon := hub.Monitor()
+			serve(t, hub, Group{
+				Sources: fixed([]float64{0, 1}, []float64{1, 2}, []float64{2, 3}),
+				Codec:   codec.Float32{},
+				Timeout: 500 * time.Millisecond,
+				Report:  func(int, int, float64) {},
+			})
 			for from := 0; from < 3; from++ {
 				for to := 0; to < 3; to++ {
-					if from == to {
+					if from == to || from == 0 && to == 2 {
 						continue
 					}
 					if _, _, err := pull(hub.Peer(from, to), 2); err != nil {
@@ -269,22 +278,14 @@ func TestTCPHubCloseLeaksNoGoroutines(t *testing.T) {
 					}
 				}
 			}
-			if err := mon.ReportTime(0, 1, 0.5, 16); err != nil {
+			mon := hub.Monitor(0)
+			if err := mon.ReportTime(0, 1, 0.5); err != nil {
 				t.Fatal(err)
 			}
 			hub.SetPolicy([][]float64{{0, 1, 0}, {1, 0, 0}, {0, 0, 1}}, 0.3)
 			if _, _, v, err := mon.FetchPolicy(); err != nil || v != 1 {
 				t.Fatalf("policy fetch: v=%d err=%v", v, err)
 			}
-			// A hung peer: worker 2's server holds pulls by worker 0 for
-			// an hour, far past the deadline.
-			hub.Latency = func(i, j int, _ time.Time) time.Duration {
-				if i == 0 && j == 2 {
-					return time.Hour
-				}
-				return 0
-			}
-			hub.SetPullTimeout(50 * time.Millisecond)
 			if _, _, err := pull(hub.Peer(0, 2), 2); !errors.Is(err, ErrPeerDown) {
 				t.Fatalf("hung pull = %v, want ErrPeerDown", err)
 			}
@@ -305,7 +306,7 @@ func TestTCPHubCloseLeaksNoGoroutines(t *testing.T) {
 // by Close rather than keeping the server alive.
 func TestTCPServerCloseUnblocksIdleConnection(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	srv := serveWorker(listenLoopback(t), func() []float64 { return []float64{1} }, nil)
+	srv := serveWorker(listenLoopback(t), func() []float64 { return []float64{1} }, codec.Raw{}, nil)
 	peer := &PullClient{Addr: srv.Addr()}
 	defer peer.Close()
 	if _, _, err := pull(peer, 1); err != nil {

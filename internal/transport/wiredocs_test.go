@@ -100,9 +100,8 @@ func TestWireDocsInSync(t *testing.T) {
 		t.Errorf("docs/WIRE.md documents codec id %d (%q) that the registry does not know", id, name)
 	}
 
-	// Every registered codec's flag-facing name must appear in the doc's
-	// table (codec.Names is what the manifest schema and -codec flags
-	// accept).
+	// Every registered codec's name must appear in the doc's table
+	// (codec.Names is what the manifest schema accepts).
 	for _, name := range codec.Names() {
 		if !regexp.MustCompile("`" + regexp.QuoteMeta(name) + "`").MatchString(doc) {
 			t.Errorf("docs/WIRE.md never mentions registered codec %q", name)
