@@ -17,6 +17,13 @@
 // adoption), pulled models decoded straight off the wire (a non-finite one
 // is rejected, never blended), the peer-down retry cooldown and scheduled
 // churn.
+//
+// A worker fetches a policy only when it is new. The ack of every time
+// report announces how many policies the monitor has published, and the
+// worker sends a policy request only when that number exceeds the version
+// it adopted, so it adopts a broadcast at most one iteration after its
+// next report. In uniform mode the monitor never publishes and workers
+// never fetch.
 package live
 
 import (
@@ -91,6 +98,9 @@ type Stats struct {
 	FinalLoss float64
 	// PolicyVersions is the number of policy broadcasts observed.
 	PolicyVersions int
+	// AdoptedVersions is the policy version each worker held when it
+	// stopped (0: it never adopted one).
+	AdoptedVersions []int
 	// BytesOnWire is the total encoded payload volume of all model pulls,
 	// as produced by the configured codec and counted by the pullers.
 	BytesOnWire int64
@@ -242,20 +252,24 @@ func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
 					hub.SetWorkerDown(w.id, false)
 				}
 				// Adopt a newer policy if one was broadcast and it is well
-				// formed; a malformed one (it arrives over the wire) is
-				// skipped and the worker keeps its previous policy. Masks
-				// reset only for peers the new policy assigns mass — the
-				// monitor believes those are usable. (A version generated
+				// formed. The worker learns of a broadcast from the version
+				// its reports' acks announced, and fetches only then. A
+				// malformed policy (it arrives over the wire) is skipped:
+				// the worker keeps its previous policy and fetches again
+				// next iteration. Masks reset only for peers the new policy
+				// assigns mass — the monitor believes those are usable. (A version generated
 				// just before a crash can still carry mass on the dead peer
 				// and cost one more deadline; the cooldown bounds that.) A
 				// masked peer the policy dropped stays masked, which is a
 				// no-op anyway since its row mass is zero.
-				if p, rho, v, err := monClient.FetchPolicy(); err == nil && v > w.version && policy.Validate(p, rho, m) == nil {
-					w.node.Adopt(p, rho)
-					w.version = v
-					for k, pk := range w.node.Row() {
-						if pk > 0 {
-							w.node.SetMasked(k, false)
+				if monClient.Announced() > w.version {
+					if p, rho, v, err := monClient.FetchPolicy(); err == nil && v > w.version && policy.Validate(p, rho, m) == nil {
+						w.node.Adopt(p, rho)
+						w.version = v
+						for k, pk := range w.node.Row() {
+							if pk > 0 {
+								w.node.SetMasked(k, false)
+							}
 						}
 					}
 				}
@@ -335,11 +349,16 @@ func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
 	n := avg.VectorLen()
 	engine.AverageModelInto(avg, reps, make([]float64, n), make([]float64, n))
 	loss, acc := avg.Evaluate(cfg.Test.X, cfg.Test.Labels)
+	adopted := make([]int, m)
+	for i, w := range workers {
+		adopted[i] = w.version
+	}
 	return &Stats{
 		IterationsPerWorker: counts,
 		FinalAccuracy:       acc,
 		FinalLoss:           loss,
 		PolicyVersions:      hub.PolicyVersion(),
+		AdoptedVersions:     adopted,
 		BytesOnWire:         wireBytes.Load(),
 		Pulls:               pulls.Load(),
 		PeerDownErrors:      peerDown.Load(),

@@ -135,6 +135,16 @@ func TestLiveGroupRegeneratesPolicy(t *testing.T) {
 	if stats.PolicyVersions == 0 {
 		t.Fatal("monitor never published a policy")
 	}
+	// Workers learn of a broadcast from their report acks; one that never
+	// fetched would still hold version 0.
+	if len(stats.AdoptedVersions) != 4 {
+		t.Fatalf("AdoptedVersions = %v, want one per worker", stats.AdoptedVersions)
+	}
+	for i, v := range stats.AdoptedVersions {
+		if v < 1 || v > stats.PolicyVersions {
+			t.Fatalf("worker %d stopped at policy version %d of %d published", i, v, stats.PolicyVersions)
+		}
+	}
 }
 
 func TestLiveGroupDurationBound(t *testing.T) {
@@ -199,6 +209,11 @@ func TestLiveUniformMode(t *testing.T) {
 	stats := Run(context.Background(), cfg, hub)
 	if stats.PolicyVersions != 0 {
 		t.Fatalf("uniform mode published %d policies", stats.PolicyVersions)
+	}
+	for i, v := range stats.AdoptedVersions {
+		if v != 0 {
+			t.Fatalf("worker %d adopted policy version %d in uniform mode", i, v)
+		}
 	}
 }
 

@@ -13,7 +13,8 @@ import (
 // every top-level json field of Manifest must appear (backticked) in the
 // table's first column, and every field named there must exist. Each
 // block's row (topology, network, …, quick) must also name, backticked,
-// every json field of that block's struct.
+// every json field of that block's struct and of the structs its fields
+// hold (live.latency.*, live.churn[].*, failures.events[].*).
 func TestReadmeSchemaInSync(t *testing.T) {
 	raw, err := os.ReadFile("../../README.md")
 	if err != nil {
@@ -62,11 +63,29 @@ func TestReadmeSchemaInSync(t *testing.T) {
 		if f.Type.Kind() != reflect.Pointer || f.Type.Elem().Kind() != reflect.Struct {
 			continue
 		}
-		// A block: its row must name each of the block's own fields.
+		// A block: its row must name each of the block's own fields, and
+		// each field of a struct nested one level deeper (live.latency,
+		// live.churn[], failures.events[], …).
 		block := f.Type.Elem()
 		for j := 0; j < block.NumField(); j++ {
-			if sub := jsonName(block.Field(j)); sub != "" && !rows[name][sub] {
+			sub := jsonName(block.Field(j))
+			if sub == "" {
+				continue
+			}
+			if !rows[name][sub] {
 				t.Errorf("README schema row %q does not name its field %s.%s", name, name, sub)
+			}
+			nested := block.Field(j).Type
+			for nested.Kind() == reflect.Pointer || nested.Kind() == reflect.Slice {
+				nested = nested.Elem()
+			}
+			if nested.Kind() != reflect.Struct {
+				continue
+			}
+			for k := 0; k < nested.NumField(); k++ {
+				if leaf := jsonName(nested.Field(k)); leaf != "" && !rows[name][leaf] {
+					t.Errorf("README schema row %q does not name its field %s.%s.%s", name, name, sub, leaf)
+				}
 			}
 		}
 	}

@@ -448,7 +448,8 @@ func (s *MonitorServer) handle(conn net.Conn) {
 			if s.report != nil {
 				s.report(from, to, secs)
 			}
-			if err := writeFrame(w, msgReportAck, 0, nil); err != nil {
+			wbuf = appendReportAck(wbuf[:0], s.Version())
+			if err := writeFrame(w, msgReportAck, 0, wbuf); err != nil {
 				return
 			}
 		case msgPolicy:
@@ -474,13 +475,15 @@ type MonitorClient struct {
 	Addr    string
 	Timeout time.Duration
 
-	mu   sync.Mutex
-	pc   persistentConn
-	wbuf []byte
+	mu        sync.Mutex
+	pc        persistentConn
+	wbuf      []byte
+	announced int // largest policy version a report ack announced
 }
 
-// ReportTime sends one iteration-time observation for link (from, to). A
-// report only overwrites the link's latest time at the monitor, so one
+// ReportTime sends one iteration-time observation for link (from, to) and
+// records the policy version the monitor's ack announces (see Announced).
+// A report only overwrites the link's latest time at the monitor, so one
 // whose ack is lost is re-sent like any other request; callers treat
 // reports as best-effort and simply carry the next observation.
 func (c *MonitorClient) ReportTime(from, to int, secs float64) error {
@@ -491,10 +494,22 @@ func (c *MonitorClient) ReportTime(from, to int, secs float64) error {
 	if err != nil {
 		return err
 	}
-	if len(body) != 0 {
-		return fmt.Errorf("transport: report ack carried %d unexpected bytes", len(body))
+	version, err := parseReportAck(body)
+	if err != nil {
+		return err
 	}
+	c.announced = max(c.announced, version)
 	return nil
+}
+
+// Announced returns the largest policy version any report ack has
+// announced: the number of policies the monitor had published when it
+// last acknowledged a report. A worker holding an older version fetches
+// the policy; one that is up to date has nothing to fetch.
+func (c *MonitorClient) Announced() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.announced
 }
 
 // FetchPolicy retrieves the latest policy.

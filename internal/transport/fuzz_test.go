@@ -32,13 +32,16 @@ func FuzzWireFrame(f *testing.F) {
 	// Codec id 2 is retired: a well-formed body under it must not decode.
 	f.Add(frameBytes(msgPullResp, 2, appendPullResp(nil, vec, codec.Float32{})))
 	f.Add(frameBytes(msgReport, 0, appendReport(nil, 0, 1, 0.25)))
-	f.Add(frameBytes(msgReportAck, 0, nil))
+	f.Add(frameBytes(msgReportAck, 0, appendReportAck(nil, 3)))
 	f.Add(frameBytes(msgPolicy, 0, nil))
 	f.Add(frameBytes(msgPolicyResp, 0, appendPolicyResp(nil, [][]float64{{0, 1}, {1, 0}}, 0.4, 2)))
 	f.Add(frameBytes(msgPolicyResp, 0, appendPolicyResp(nil, nil, 0, 0)))
 	// The retired 24-byte report layout (a trailing uint64 byte count) must
 	// not parse: accepting it would re-encode to 16 bytes.
 	f.Add(frameBytes(msgReport, 0, binary.BigEndian.AppendUint64(appendReport(nil, 0, 1, 0.25), 640)))
+	// The retired empty report ack must not parse either: accepting it
+	// would re-encode to 8 bytes.
+	f.Add(frameBytes(msgReportAck, 0, nil))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		kind, codecID, body, err := readFrame(bytes.NewReader(raw), new([]byte))
@@ -63,6 +66,12 @@ func FuzzWireFrame(f *testing.F) {
 				return
 			}
 			again = appendReport(nil, from, to, secs)
+		case msgReportAck:
+			version, err := parseReportAck(body)
+			if err != nil {
+				return
+			}
+			again = appendReportAck(nil, version)
 		case msgPolicyResp:
 			p, rho, version, err := parsePolicyResp(body)
 			if err != nil {

@@ -9,7 +9,9 @@
 // (NewLocalHub, one OS process, with optional injected latency); both run
 // the same frames, deadlines and redial rule. A hub is configured once:
 // Serve fixes its worker sources, codec, per-call deadline and report sink
-// before the first pull. Model payloads go through a dense compression
+// before the first pull. Every report ack announces the monitor's policy
+// version (MonitorClient.Announced), so workers fetch a policy only when a
+// new one exists. Model payloads go through a dense compression
 // codec (internal/codec); a pull decodes straight off the wire into the
 // caller's buffer and reports its encoded bytes-on-wire, which the puller
 // counts. The discrete-event simulator does not use this package; this is

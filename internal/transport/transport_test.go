@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"net"
 	"sync"
 	"testing"
@@ -205,10 +206,32 @@ func TestTCPMonitorRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReportAckCarriesPolicyVersion pins the report ack's body: the number
+// of policies the monitor has published, which the client records.
+func TestReportAckCarriesPolicyVersion(t *testing.T) {
+	srv := new(MonitorServer)
+	srv.serve(listenLoopback(t), nil)
+	defer srv.Close()
+	client := &MonitorClient{Addr: srv.Addr()}
+	defer client.Close()
+	for want := 0; want <= 2; want++ {
+		if want > 0 {
+			srv.SetPolicy([][]float64{{0, 1}, {1, 0}}, 0.5)
+		}
+		if err := client.ReportTime(0, 1, 0.5); err != nil {
+			t.Fatal(err)
+		}
+		if got := client.Announced(); got != want {
+			t.Fatalf("ack announced version %d after %d policies", got, want)
+		}
+	}
+}
+
 // TestTCPReportResentAfterLostAck pins the report's retry rule: a report
 // only overwrites its link's latest time, so one whose ack is lost with
 // the connection is redialed and re-sent once, and the monitor's sink sees
-// it again.
+// it again. The re-sent report's ack still announces the current policy
+// version.
 func TestTCPReportResentAfterLostAck(t *testing.T) {
 	var mu sync.Mutex
 	var got []float64
@@ -223,16 +246,116 @@ func TestTCPReportResentAfterLostAck(t *testing.T) {
 		}
 	})
 	defer srv.Close()
+	srv.SetPolicy([][]float64{{0, 1}, {1, 0}}, 0.5)
 	client := &MonitorClient{Addr: srv.Addr(), Timeout: 5 * time.Second}
 	defer client.Close()
 	if err := client.ReportTime(0, 1, 1.5); err != nil {
 		t.Fatalf("report after a lost ack: %v", err)
+	}
+	if v := client.Announced(); v != 1 {
+		t.Fatalf("re-sent report's ack announced version %d, want 1", v)
 	}
 	mu.Lock()
 	defer mu.Unlock()
 	if len(got) != 2 || got[0] != 1.5 || got[1] != 1.5 {
 		t.Fatalf("sink saw %v, want the report delivered twice", got)
 	}
+}
+
+// TestPolicyFetchedOnlyWhenAnnounced counts the frames a monitor reads
+// while a client follows the live worker's rule: fetch the policy only
+// when a report ack announced a version newer than the one held. Reports
+// with nothing published cost no policy frame; one publication costs
+// exactly one.
+func TestPolicyFetchedOnlyWhenAnnounced(t *testing.T) {
+	ln := &recordingListener{Listener: listenLoopback(t)}
+	srv := new(MonitorServer)
+	srv.serve(ln, nil)
+	defer srv.Close()
+	client := &MonitorClient{Addr: srv.Addr()}
+	defer client.Close()
+	held := 0
+	iterate := func(n int) {
+		for i := 0; i < n; i++ {
+			if client.Announced() > held {
+				_, _, v, err := client.FetchPolicy()
+				if err != nil {
+					t.Fatal(err)
+				}
+				held = v
+			}
+			if err := client.ReportTime(0, 1, 0.5); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	iterate(20)
+	if n := ln.frames(msgPolicy); n != 0 {
+		t.Fatalf("%d policy frames with nothing published", n)
+	}
+	if n := ln.frames(msgReport); n != 20 {
+		t.Fatalf("monitor read %d report frames, want 20", n)
+	}
+	srv.SetPolicy([][]float64{{0, 1}, {1, 0}}, 0.5)
+	iterate(20)
+	if n := ln.frames(msgPolicy); n != 1 || held != 1 {
+		t.Fatalf("%d policy frames (version %d held) after one publication, want 1", n, held)
+	}
+}
+
+// recordingListener records the bytes each accepted connection delivers
+// to the server, so a test can count the request frames it read.
+type recordingListener struct {
+	net.Listener
+	mu      sync.Mutex
+	streams []*bytes.Buffer
+}
+
+func (l *recordingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	rc := &recordingConn{Conn: c, l: l, buf: new(bytes.Buffer)}
+	l.streams = append(l.streams, rc.buf)
+	return rc, nil
+}
+
+// frames counts the complete frames of the given kind read so far.
+func (l *recordingListener) frames(kind uint8) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := 0
+	var buf []byte
+	for _, s := range l.streams {
+		r := bytes.NewReader(s.Bytes())
+		for {
+			k, _, _, err := readFrame(r, &buf)
+			if err != nil {
+				break
+			}
+			if k == kind {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+type recordingConn struct {
+	net.Conn
+	l   *recordingListener
+	buf *bytes.Buffer
+}
+
+func (c *recordingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.l.mu.Lock()
+	c.buf.Write(p[:n])
+	c.l.mu.Unlock()
+	return n, err
 }
 
 func TestTCPMonitorEmptyPolicy(t *testing.T) {

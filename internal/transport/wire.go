@@ -26,7 +26,7 @@ import (
 //	msgPull        uint32 from
 //	msgPullResp    uint32 dim, then the codec payload for a dim-length vector
 //	msgReport      uint32 from, uint32 to, float64 secs
-//	msgReportAck   empty
+//	msgReportAck   uint64 version (policies the monitor has published)
 //	msgPolicy      empty
 //	msgPolicyResp  uint64 version, float64 rho, uint32 m, then m·m float64
 //	               (row-major P; m = 0 means no policy published yet)
@@ -47,13 +47,12 @@ const maxFrameBody = 2 << 30
 // frameHeaderLen is the fixed prefix: length, kind, codec id.
 const frameHeaderLen = 6
 
-// writeFrame emits one frame and flushes the writer.
+// writeFrame emits one frame and flushes the writer. The header is built
+// in the writer's free buffer space: a local array handed to Write would
+// escape to the heap, one allocation per frame.
 func writeFrame(w *bufio.Writer, kind, codecID uint8, body []byte) error {
-	var hdr [frameHeaderLen]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(body)+2))
-	hdr[4] = kind
-	hdr[5] = codecID
-	if _, err := w.Write(hdr[:]); err != nil {
+	hdr := binary.BigEndian.AppendUint32(w.AvailableBuffer(), uint32(len(body)+2))
+	if _, err := w.Write(append(hdr, kind, codecID)); err != nil {
 		return err
 	}
 	if _, err := w.Write(body); err != nil {
@@ -62,13 +61,19 @@ func writeFrame(w *bufio.Writer, kind, codecID uint8, body []byte) error {
 	return w.Flush()
 }
 
-// readFrame reads one complete frame, growing and reusing *buf for the body
-// (the returned body aliases *buf and is valid until the next call).
+// readFrame reads one complete frame, growing and reusing *buf for the
+// header and then the body (the returned body aliases *buf and is valid
+// until the next call). A local header array handed to the reader would
+// escape to the heap, one allocation per frame.
 func readFrame(r io.Reader, buf *[]byte) (kind, codecID uint8, body []byte, err error) {
-	var hdr [frameHeaderLen]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
+	if cap(*buf) < frameHeaderLen {
+		*buf = make([]byte, frameHeaderLen)
+	}
+	hdr := (*buf)[:frameHeaderLen]
+	if _, err = io.ReadFull(r, hdr); err != nil {
 		return 0, 0, nil, err
 	}
+	kind, codecID = hdr[4], hdr[5]
 	n := binary.BigEndian.Uint32(hdr[:4])
 	if n < 2 {
 		return 0, 0, nil, fmt.Errorf("transport: frame length %d below header size", n)
@@ -88,13 +93,13 @@ func readFrame(r io.Reader, buf *[]byte) (kind, codecID uint8, body []byte, err 
 			return 0, 0, nil, err
 		}
 		*buf = grown.Bytes()
-		return hdr[4], hdr[5], *buf, nil
+		return kind, codecID, *buf, nil
 	}
 	body = (*buf)[:need]
 	if _, err = io.ReadFull(r, body); err != nil {
 		return 0, 0, nil, err
 	}
-	return hdr[4], hdr[5], body, nil
+	return kind, codecID, body, nil
 }
 
 // --- body encodings ---
@@ -124,6 +129,17 @@ func parseReport(body []byte) (from, to int, secs float64, err error) {
 	to = int(binary.BigEndian.Uint32(body[4:]))
 	secs = math.Float64frombits(binary.BigEndian.Uint64(body[8:]))
 	return from, to, secs, nil
+}
+
+func appendReportAck(dst []byte, version int) []byte {
+	return binary.BigEndian.AppendUint64(dst, uint64(version))
+}
+
+func parseReportAck(body []byte) (version int, err error) {
+	if len(body) != 8 {
+		return 0, fmt.Errorf("transport: report ack body %d bytes, want 8", len(body))
+	}
+	return int(binary.BigEndian.Uint64(body)), nil
 }
 
 func appendPolicyResp(dst []byte, p [][]float64, rho float64, version int) []byte {

@@ -14,7 +14,8 @@ import (
 // TestWireDocsInSync is the docs drift gate: the kind and codec-id tables
 // in docs/WIRE.md are normative, so they must match the constants in
 // wire.go and the registrations in internal/codec exactly — same names,
-// same values, nothing missing, nothing extra. CI's docs job runs this
+// same values, nothing missing, nothing extra — and the fixed body sizes
+// the kind table states must match the encoders. CI's docs job runs this
 // test explicitly; renumbering a kind or adding a codec without updating
 // the spec fails the build.
 func TestWireDocsInSync(t *testing.T) {
@@ -59,6 +60,27 @@ func TestWireDocsInSync(t *testing.T) {
 	}
 	for name, val := range gotKinds {
 		t.Errorf("docs/WIRE.md documents unknown message kind %q (= %d)", name, val)
+	}
+
+	// Fixed-size bodies state their size in the kind row's body cell, and
+	// it must be what the encoder writes.
+	wantSizes := map[string]int{
+		"pull":      len(appendPullReq(nil, 0)),
+		"report":    len(appendReport(nil, 0, 0, 0)),
+		"reportAck": len(appendReportAck(nil, 0)),
+	}
+	sizeRow := regexp.MustCompile("(?m)^\\| `(\\w+)` \\|[^|\n]*\\|[^|\n]*\\|[^\n]*\\((\\d+) bytes\\) \\|$")
+	gotSizes := map[string]int{}
+	for _, m := range sizeRow.FindAllStringSubmatch(doc, -1) {
+		gotSizes[m[1]], _ = strconv.Atoi(m[2])
+	}
+	for name, want := range wantSizes {
+		got, ok := gotSizes[name]
+		if !ok {
+			t.Errorf("docs/WIRE.md does not state the %q body size (%d bytes)", name, want)
+		} else if got != want {
+			t.Errorf("docs/WIRE.md documents a %d-byte %q body, the encoder writes %d", got, name, want)
+		}
 	}
 
 	// The codec-id table must cover the registry exactly: every id that
