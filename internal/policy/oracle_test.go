@@ -1,0 +1,336 @@
+package policy
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"netmax/internal/linalg"
+	"netmax/internal/simnet"
+)
+
+// exhaustiveGenerate is Algorithm 3 without the λ₂ certificate: it walks
+// generate's (ρ, t̄) grid and scores every feasible candidate with a full
+// linalg.SymmetricEigenvalues. It shares the row solves and buildY with
+// generate (FuzzSolveRow and the Y tests cover those), so a disagreement
+// points at the scoring.
+func exhaustiveGenerate(in Input) (*Policy, error) {
+	if err := in.validate(); err != nil {
+		return nil, err
+	}
+	k, r, eps := in.OuterRounds, in.InnerRounds, in.Epsilon
+	if k <= 0 {
+		k = DefaultRounds
+	}
+	if r <= 0 {
+		r = DefaultRounds
+	}
+	if eps <= 0 || eps >= 1 {
+		eps = DefaultEpsilon
+	}
+	s := newSearch(in, eps)
+	var best *Policy
+	score := func(rho, tbar, floor float64) {
+		if !s.solveRows(floor, float64(len(s.p))*tbar) {
+			return
+		}
+		buildY(s.y, s.p, in.Adj, in.Alpha*rho, in.AveragingBlend, s.pg)
+		eig, err := linalg.SymmetricEigenvalues(s.y)
+		if err != nil || len(eig) < 2 {
+			return
+		}
+		l2 := eig[1]
+		if l2 >= 1 || l2 <= 0 {
+			return
+		}
+		tconv := tbar * math.Log(eps) / math.Log(l2)
+		if best != nil && !(tconv < best.TConvergence) {
+			return
+		}
+		p := matrix(len(s.p))
+		for i, row := range s.p {
+			copy(p[i], row)
+		}
+		best = &Policy{P: p, Rho: rho, Lambda2: l2, TBar: tbar, TConvergence: tconv}
+	}
+	inner := func(rho float64) error {
+		floor := 1e-4
+		var lo, hi float64
+		var err error
+		if in.AveragingBlend {
+			_, hi, err = FeasibleTimeInterval(in.Times, in.Adj, in.Alpha, 0)
+			lo = hi / (10 * float64(r))
+		} else {
+			lo, hi, err = FeasibleTimeInterval(in.Times, in.Adj, in.Alpha, rho)
+			floor = 2*in.Alpha*rho + 1e-9
+		}
+		if err != nil {
+			return err
+		}
+		delta := (hi - lo) / float64(r)
+		for ri := 1; ri <= r; ri++ {
+			score(rho, lo+float64(ri)*delta, floor)
+		}
+		return nil
+	}
+	if in.AveragingBlend {
+		if err := inner(0); err != nil {
+			return nil, err
+		}
+	} else {
+		_, ur := FeasibleRhoInterval(in.Alpha)
+		if s.maxDeg > 0 {
+			ur = min(ur, 0.999/(2*in.Alpha*float64(s.maxDeg)))
+		}
+		for ki := 0; ki < k; ki++ {
+			frac := 1.0
+			if k > 1 {
+				frac = float64(ki) / float64(k-1)
+			}
+			_ = inner(ur / math.Pow(1000, 1-frac))
+		}
+	}
+	if best == nil {
+		return nil, ErrNoFeasiblePolicy
+	}
+	return best, nil
+}
+
+// checkAgainstOracle requires GenerateLive(in, alive) (Generate when alive
+// is nil) to return bitwise what exhaustiveGenerate returns on the live
+// subgraph, embedded as GenerateLive documents: dead rows self-only, dead
+// columns zero.
+func checkAgainstOracle(t *testing.T, in Input, alive []bool) {
+	t.Helper()
+	var got *Policy
+	var err error
+	if alive == nil {
+		got, err = Generate(in)
+	} else {
+		got, err = GenerateLive(in, alive)
+	}
+	m := len(in.Times)
+	var idx []int
+	for i := 0; i < m; i++ {
+		if alive == nil || alive[i] {
+			idx = append(idx, i)
+		}
+	}
+	var want *Policy
+	var werr error
+	if len(idx) < 2 && alive != nil {
+		werr = ErrNoFeasiblePolicy
+	} else {
+		sub := in
+		sub.Times, sub.Adj = make([][]float64, len(idx)), make([][]bool, len(idx))
+		for a, i := range idx {
+			sub.Times[a], sub.Adj[a] = make([]float64, len(idx)), make([]bool, len(idx))
+			for b, j := range idx {
+				sub.Times[a][b], sub.Adj[a][b] = in.Times[i][j], in.Adj[i][j]
+			}
+		}
+		want, werr = exhaustiveGenerate(sub)
+	}
+	if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
+		t.Fatalf("error %v, exhaustive search gives %v", err, werr)
+	}
+	if err != nil {
+		return
+	}
+	for _, f := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"Rho", got.Rho, want.Rho},
+		{"Lambda2", got.Lambda2, want.Lambda2},
+		{"TBar", got.TBar, want.TBar},
+		{"TConvergence", got.TConvergence, want.TConvergence},
+	} {
+		if math.Float64bits(f.got) != math.Float64bits(f.want) {
+			t.Fatalf("%s = %v, exhaustive search gives %v", f.name, f.got, f.want)
+		}
+	}
+	if len(got.P) != m {
+		t.Fatalf("policy has %d rows, want %d", len(got.P), m)
+	}
+	pos := make([]int, m)
+	for i := range pos {
+		pos[i] = -1
+	}
+	for a, i := range idx {
+		pos[i] = a
+	}
+	for i, row := range got.P {
+		for j, v := range row {
+			var w float64
+			switch {
+			case pos[i] >= 0 && pos[j] >= 0:
+				w = want.P[pos[i]][pos[j]]
+			case i == j:
+				w = 1
+			}
+			if math.Float64bits(v) != math.Float64bits(w) {
+				t.Fatalf("P[%d][%d] = %v, exhaustive search gives %v", i, j, v, w)
+			}
+		}
+	}
+}
+
+// randomGraph returns a symmetric graph on m nodes with each edge present
+// with probability density, on top of a ring when ring is set.
+func randomGraph(rng *rand.Rand, m int, density float64, ring bool) [][]bool {
+	adj := make([][]bool, m)
+	if ring {
+		adj = simnet.Ring(m)
+	} else {
+		for i := range adj {
+			adj[i] = make([]bool, m)
+		}
+	}
+	for i := 0; i < m; i++ {
+		for j := i + 1; j < m; j++ {
+			if rng.Float64() < density {
+				adj[i][j], adj[j][i] = true, true
+			}
+		}
+	}
+	return adj
+}
+
+// slowLinks multiplies each link's time (both directions) by 100 with
+// probability frac.
+func slowLinks(rng *rand.Rand, times [][]float64, frac float64) [][]float64 {
+	for i := range times {
+		for j := i + 1; j < len(times); j++ {
+			if rng.Float64() < frac {
+				times[i][j] *= 100
+				times[j][i] *= 100
+			}
+		}
+	}
+	return times
+}
+
+// TestGenerateMatchesExhaustiveSearch checks that skipping the eigensolve
+// for candidates the λ₂ certificate rules out never changes the policy:
+// Generate and GenerateLive return bitwise the exhaustive search's policy
+// on full, sparse and directed graphs, in the averaging mode, with dead
+// workers and over a range of grid sizes.
+func TestGenerateMatchesExhaustiveSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for m := 2; m <= 32; m++ {
+		t.Run(fmt.Sprintf("full/N=%d", m), func(t *testing.T) {
+			checkAgainstOracle(t, Input{Times: hetTimes(m, int64(m)), Adj: simnet.FullyConnected(m), Alpha: 0.1}, nil)
+		})
+		t.Run(fmt.Sprintf("sparse/N=%d", m), func(t *testing.T) {
+			times := slowLinks(rng, hetTimes(m, int64(m)), 0.2)
+			checkAgainstOracle(t, Input{Times: times, Adj: randomGraph(rng, m, 0.3, m%2 == 0), Alpha: 0.05}, nil)
+		})
+	}
+	t.Run("directed", func(t *testing.T) {
+		m := 9
+		adj := simnet.FullyConnected(m)
+		for i := 0; i < m; i++ {
+			adj[i][(i+1)%m] = false // keep only the edge (i+1) → i
+		}
+		checkAgainstOracle(t, Input{Times: hetTimes(m, 3), Adj: adj, Alpha: 0.1}, nil)
+	})
+	for _, m := range []int{4, 12, 24} {
+		t.Run(fmt.Sprintf("averaging/N=%d", m), func(t *testing.T) {
+			in := Input{Times: slowLinks(rng, hetTimes(m, 5), 0.1), Adj: simnet.FullyConnected(m), Alpha: 0.1, AveragingBlend: true}
+			checkAgainstOracle(t, in, nil)
+			in.Adj = randomGraph(rng, m, 0.4, true)
+			checkAgainstOracle(t, in, nil)
+		})
+	}
+	for _, m := range []int{3, 8, 16} {
+		t.Run(fmt.Sprintf("dead/N=%d", m), func(t *testing.T) {
+			in := Input{Times: slowLinks(rng, hetTimes(m, 7), 0.1), Adj: simnet.FullyConnected(m), Alpha: 0.1}
+			for trial := 0; trial < 4; trial++ {
+				alive := make([]bool, m)
+				for i := range alive {
+					alive[i] = rng.Float64() < 0.7
+				}
+				checkAgainstOracle(t, in, alive)
+			}
+		})
+	}
+	rounds := []int{1, 3, 10, 20}
+	for _, k := range rounds {
+		for _, r := range rounds {
+			t.Run(fmt.Sprintf("K=%d/R=%d", k, r), func(t *testing.T) {
+				m := 10
+				in := Input{Times: slowLinks(rng, hetTimes(m, 11), 0.15), Adj: simnet.FullyConnected(m),
+					Alpha: 0.1, OuterRounds: k, InnerRounds: r}
+				checkAgainstOracle(t, in, nil)
+				in.Adj = randomGraph(rng, m, 0.3, true)
+				checkAgainstOracle(t, in, nil)
+			})
+		}
+	}
+}
+
+// FuzzGenerate checks Generate and GenerateLive against the exhaustive
+// search on inputs decoded from fuzz bytes: n, k and r give N in 2..16 and
+// K, R in 1..20; data, read cyclically, gives two bytes per worker pair
+// (the pair's times, whether each direction is an edge, and whether the
+// link is 100x slower) and then one byte per worker (dead or alive). flags
+// select the averaging blend, dead workers, a directed graph and the
+// learning rate.
+func FuzzGenerate(f *testing.F) {
+	f.Add(uint8(8), uint8(9), uint8(9), uint8(0), []byte{})
+	f.Add(uint8(14), uint8(9), uint8(9), uint8(0), []byte{0xf9, 0x08, 0xfa, 0x04, 0x2b, 0x00, 0x5d, 0x00, 0x2b, 0x00, 0x03})
+	f.Add(uint8(4), uint8(2), uint8(19), uint8(0x01), []byte{0xbd, 0x02, 0xd4, 0x00, 0x95, 0x04, 0x79, 0x03, 0x40, 0x08, 0x02})
+	f.Add(uint8(6), uint8(19), uint8(2), uint8(0x02), []byte{0x67, 0x02, 0x3f, 0x01, 0xed, 0x00, 0xe7, 0x00, 0xb0, 0x08, 0x06})
+	f.Add(uint8(5), uint8(9), uint8(9), uint8(0x04), []byte{0x3a, 0x04, 0x6f, 0x00, 0x7d, 0x00, 0xf0, 0x00, 0x80, 0x04, 0x06})
+	f.Add(uint8(10), uint8(9), uint8(9), uint8(0x12), []byte{0x18, 0x00, 0x80, 0x00, 0xa4, 0x04, 0x94, 0x00, 0x2e, 0x00, 0x05})
+	f.Fuzz(func(t *testing.T, n, k, r, flags uint8, data []byte) {
+		m := 2 + int(n)%15
+		pos := 0
+		next := func() byte { // cycles through data, 0 when empty
+			if len(data) == 0 {
+				return 0
+			}
+			pos++
+			return data[(pos-1)%len(data)]
+		}
+		in := Input{
+			Times: make([][]float64, m), Adj: make([][]bool, m),
+			Alpha:       []float64{0.1, 0.01, 0.3, 0.05}[flags>>4&3],
+			OuterRounds: 1 + int(k)%20, InnerRounds: 1 + int(r)%20,
+			AveragingBlend: flags&1 != 0,
+		}
+		for i := range in.Times {
+			in.Times[i], in.Adj[i] = make([]float64, m), make([]bool, m)
+		}
+		for i := 0; i < m; i++ {
+			for j := i + 1; j < m; j++ {
+				tb, eb := next(), next()
+				v := 1 + float64(tb)/16
+				if eb&4 != 0 {
+					v *= 100
+				}
+				in.Times[i][j], in.Times[j][i] = v, v
+				if eb&8 != 0 {
+					in.Times[j][i] = v * (1 + float64(tb&7)/8)
+				}
+				// Bits 0 and 1 set drop the link; with flags bit 2 they
+				// drop i → j and j → i on their own. An empty data stream
+				// gives the full graph.
+				in.Adj[i][j], in.Adj[j][i] = eb&3 != 3, eb&3 != 3
+				if flags&4 != 0 {
+					in.Adj[i][j], in.Adj[j][i] = eb&1 == 0, eb&2 == 0
+				}
+			}
+		}
+		var alive []bool
+		if flags&2 != 0 {
+			alive = make([]bool, m)
+			for i := range alive {
+				alive[i] = next()&3 != 0
+			}
+		}
+		checkAgainstOracle(t, in, alive)
+	})
+}

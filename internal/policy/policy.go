@@ -8,8 +8,11 @@
 // turned into a concrete probability matrix P by solving the Eq. (14) row
 // LP of every worker in closed form (solveRow), scored by the predicted
 // convergence time T = t̄ · ln ε / ln λ₂(Y_P), and the best-scoring policy
-// is returned. λ₂ comes from a tridiagonal QL eigensolve (linalg), and one
-// Generate call reuses a single set of buffers for all K·R candidates.
+// is returned. λ₂ comes from a tridiagonal QL eigensolve (linalg), except
+// for candidates that a Cholesky certificate (linalg.Lambda2Exceeds) proves
+// cannot beat the best so far; skipping them leaves the chosen policy
+// bitwise unchanged (see score). One Generate call reuses a single set of
+// buffers for all K·R candidates.
 package policy
 
 import (
@@ -372,9 +375,9 @@ func generate(in Input) (*Policy, error) {
 }
 
 // search is the state of one Generate call: the neighbor lists, and
-// buffers for the row solves, the candidate P, Y_P and the eigensolve,
-// allocated once and reused by every (ρ, t̄) candidate. Only an improving
-// candidate's P is copied, into best.
+// buffers for the row solves, the candidate P, Y_P, the λ₂ certificate and
+// the eigensolve, allocated once and reused by every (ρ, t̄) candidate.
+// Only an improving candidate's P is copied, into best.
 type search struct {
 	in      Input
 	eps     float64
@@ -387,6 +390,7 @@ type search struct {
 	y       *linalg.Matrix
 	eig     []float64
 	eigWork []float64
+	cert    []float64 // Cholesky scratch for the λ₂ certificate
 	best    Policy
 	found   bool
 }
@@ -414,6 +418,7 @@ func newSearch(in Input, eps float64) *search {
 	s.y = linalg.NewMatrix(m)
 	s.eig = make([]float64, m)
 	s.eigWork = make([]float64, m)
+	s.cert = make([]float64, m*m)
 	return s
 }
 
@@ -453,12 +458,29 @@ func (s *search) innerLoop(rho float64, r int) error {
 
 // score builds the (ρ, t̄) candidate and keeps it if its predicted
 // convergence time beats the best so far.
+//
+// Once a best exists, the candidate can win only if λ₂ < λ* =
+// exp(t̄·ln ε / T_best), so a Cholesky certificate that proves λ₂ > λ*
+// (linalg.Lambda2Exceeds) rejects it before the eigensolve. The proof
+// holds with a margin of about 1e-9, far above the rounding of the
+// eigensolve and of the T comparison, so every rejected candidate would
+// also have lost that comparison (or had λ₂ ≥ 1), and the chosen policy is
+// bitwise the one scoring every candidate by eigensolve would pick. Where
+// the certificate does not apply (no best yet, Y·1 ≠ 1 as for the
+// averaging blend or a directed graph) or proves nothing, the eigensolve
+// runs as before.
 func (s *search) score(rho, tbar, floor float64) {
 	if !s.solveRows(floor, float64(len(s.p))*tbar) {
 		return
 	}
 	buildY(s.y, s.p, s.in.Adj, s.in.Alpha*rho, s.in.AveragingBlend, s.pg)
-	if len(s.eig) < 2 || linalg.SymmetricEigenvaluesInto(s.y, s.eig, s.eigWork) != nil {
+	if len(s.eig) < 2 {
+		return
+	}
+	if s.found && linalg.Lambda2Exceeds(s.y, math.Exp(tbar*math.Log(s.eps)/s.best.TConvergence), s.cert) {
+		return
+	}
+	if linalg.SymmetricEigenvaluesInto(s.y, s.eig, s.eigWork) != nil {
 		return
 	}
 	l2 := s.eig[1]

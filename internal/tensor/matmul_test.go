@@ -66,13 +66,26 @@ func TestMatMulIntoMatchesMatMul(t *testing.T) {
 	}
 }
 
+// TransposeInto is the transpose oracle: it writes the transpose of
+// rank-2 a into dst element by element, walking dst in row order, where
+// the package's transposeInto walks a.
+func TransposeInto(dst, a *Tensor) *Tensor {
+	for j := 0; j < a.Shape[1]; j++ {
+		for i := 0; i < a.Shape[0]; i++ {
+			dst.Data[j*a.Shape[0]+i] = a.At(i, j)
+		}
+	}
+	return dst
+}
+
 func TestTransposeIntoMatchesTranspose(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	a := Randn(rng, 1, 5, 9)
-	want := Transpose(a)
-	got := TransposeInto(Full(99, 9, 5), a)
-	if !Equal(got, want) {
-		t.Fatal("TransposeInto differs from Transpose")
+	for _, shape := range [][2]int{{5, 9}, {1, 7}, {7, 1}, {16, 40}} {
+		a := Randn(rng, 1, shape[0], shape[1])
+		want := TransposeInto(New(shape[1], shape[0]), a)
+		if got := Transpose(a); !Equal(got, want) {
+			t.Fatalf("Transpose of a %v tensor differs from the element-wise oracle", shape)
+		}
 	}
 }
 

@@ -308,19 +308,6 @@ func Transpose(a *Tensor) *Tensor {
 	return out
 }
 
-// TransposeInto writes the transpose of rank-2 a into dst, which must have
-// shape (a cols, a rows) and must not alias a.
-func TransposeInto(dst, a *Tensor) *Tensor {
-	if a.Rank() != 2 {
-		panic("tensor: TransposeInto requires rank-2 operand")
-	}
-	if dst.Rank() != 2 || dst.Shape[0] != a.Shape[1] || dst.Shape[1] != a.Shape[0] {
-		panic(fmt.Sprintf("tensor: TransposeInto dst shape %v for operand %v", dst.Shape, a.Shape))
-	}
-	transposeInto(dst, a)
-	return dst
-}
-
 func transposeInto(dst, a *Tensor) {
 	m, n := a.Shape[0], a.Shape[1]
 	ad, dd := a.Data, dst.Data
