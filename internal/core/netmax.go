@@ -45,14 +45,13 @@ type Options struct {
 	// Beta is the EMA smoothing factor β of Algorithm 2 (paper suggests
 	// adapting it to network dynamics; default DefaultBeta).
 	Beta float64
-	// PolicyRounds sets Algorithm 3's K and R grids (default
-	// policy.DefaultRounds).
+	// PolicyRounds sets Algorithm 3's K = R grid (default
+	// policy.DefaultRounds). The convergence target is always Eq. 9's
+	// policy.DefaultEpsilon.
 	PolicyRounds int
-	// Epsilon is the Eq. 9 convergence target (default
-	// policy.DefaultEpsilon).
-	Epsilon float64
 	// UniformPolicy disables the adaptive policy (the "uniform" arm of the
-	// Fig. 7 ablation): the monitor still runs but its output is ignored.
+	// Fig. 7 ablation): the monitor still collects reports but never
+	// generates a policy.
 	UniformPolicy bool
 	// FixedBlend, when true, replaces the 1/p_im-scaled consensus weight
 	// with plain averaging (coefficient 1/2). Combined with an active
@@ -94,9 +93,7 @@ func newBehavior(cfg *engine.Config, opts Options) *behavior {
 			Adj:            adj,
 			Alpha:          cfg.LR,
 			Period:         opts.Ts,
-			OuterRounds:    opts.PolicyRounds,
-			InnerRounds:    opts.PolicyRounds,
-			Epsilon:        opts.Epsilon,
+			Rounds:         opts.PolicyRounds,
 			AveragingBlend: opts.FixedBlend,
 			StalePeriods:   opts.StalePeriods,
 		}),
@@ -138,10 +135,14 @@ func (b *behavior) OnIterationEnd(i, j int, iterSecs, now float64) {
 func (b *behavior) Symmetric() bool { return b.opts.FixedBlend }
 
 // Tick runs the Network Monitor's periodic policy regeneration and hands
-// every worker the new policy.
+// every worker the new policy. Under UniformPolicy there is nothing to
+// hand out, so the monitor is never asked to generate one.
 func (b *behavior) Tick(now float64) {
+	if b.opts.UniformPolicy {
+		return
+	}
 	pol, ok := b.mon.MaybeRegenerate(now)
-	if !ok || b.opts.UniformPolicy {
+	if !ok {
 		return
 	}
 	for _, n := range b.nodes {

@@ -118,10 +118,16 @@ func TestNetMaxHomogeneousMatchesADPSGD(t *testing.T) {
 
 func TestUniformPolicyOptionDisablesAdaptation(t *testing.T) {
 	adaptive := Run(hetConfig(8, 10, 17), Options{Ts: 2})
-	uniform := Run(hetConfig(8, 10, 17), Options{Ts: 2, UniformPolicy: true})
+	cfg := hetConfig(8, 10, 17)
+	b := newBehavior(cfg, Options{Ts: 2, UniformPolicy: true})
+	uniform := engine.RunAsync(cfg, b, "NetMax")
 	// Fig. 7: adaptive probabilities are the main source of gain.
 	if adaptive.TotalTime >= uniform.TotalTime {
 		t.Fatalf("adaptive (%v) not faster than uniform (%v)", adaptive.TotalTime, uniform.TotalTime)
+	}
+	// The uniform arm discards every policy, so none may be generated.
+	if b.mon.Regenerations != 0 {
+		t.Fatalf("uniform run generated %d policies, want 0", b.mon.Regenerations)
 	}
 }
 
@@ -191,13 +197,12 @@ func TestFixedBlendOption(t *testing.T) {
 	}
 }
 
-// TestOptionsDefaults pins the defaults core owns. Policy rounds and ε
-// stay zero: policy.Generate applies its own DefaultRounds and
-// DefaultEpsilon to them.
+// TestOptionsDefaults pins the defaults core owns. Policy rounds stay
+// zero: policy.Generate applies its own DefaultRounds to them.
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}
 	o.defaults()
-	if o.Ts != DefaultMonitorTs || o.Beta != 0.5 || o.PolicyRounds != 0 || o.Epsilon != 0 {
+	if o.Ts != DefaultMonitorTs || o.Beta != 0.5 || o.PolicyRounds != 0 {
 		t.Fatalf("defaults = %+v", o)
 	}
 }

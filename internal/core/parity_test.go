@@ -11,8 +11,8 @@ import (
 )
 
 // TestEngineLiveParity runs one 4-worker NetMax manifest on both runtimes:
-// on the engine over a two-machine cluster (workers 0-1 and 2-3 share a
-// machine), and on the in-process live transport with the same split
+// on the engine over the paper cluster, which at 4 workers is two machines
+// (workers 0-1 and 2-3 share one), and on the in-process live transport with the same split
 // emulated by latency (1 ms within a pair, 6 ms across). Both drive
 // core.Node, so this checks what each runtime wires around it — clock,
 // network and monitor: both groups must train, and each converged policy
@@ -28,7 +28,7 @@ import (
 func TestEngineLiveParity(t *testing.T) {
 	const shared = `"model": "ResNet18", "dataset": "MNIST", "workers": 4, "seed": 3`
 	em, err := scenario.Parse([]byte(`{"name": "parity-engine", ` + shared + `, "epochs": 4,
-		"topology": {"kind": "cluster", "nodes_per_machine": [2, 2]}, "network": {"kind": "static"}}`))
+		"topology": {"kind": "paper-cluster"}, "network": {"kind": "static"}}`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,6 +86,9 @@ func runAblBeta(opt Options) (*Result, error) {
 		}
 		res.Rows = append(res.Rows, []string{f2(beta), f1(r.TotalTime), f2(r.CommCostPerEpoch(8))})
 	}
+	if opt.Quick {
+		res.Notes = append(res.Notes, fmt.Sprintf("quick scale cannot separate beta: its %d-epoch runs print the same row for every beta; compare beta at full scale", epochs))
+	}
 	return res, nil
 }
 

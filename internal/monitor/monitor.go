@@ -24,10 +24,9 @@ type Config struct {
 	// Period is Ts, the schedule period in (virtual) seconds. The paper
 	// uses 2 minutes; shorter values react faster to link changes.
 	Period float64
-	// OuterRounds/InnerRounds are Algorithm 3's grid sizes (default 10).
-	OuterRounds, InnerRounds int
-	// Epsilon is the convergence target of Eq. 9 (default 1e-2).
-	Epsilon float64
+	// Rounds is Algorithm 3's grid size, used for both K and R (default
+	// policy.DefaultRounds). Policies target Eq. 9's policy.DefaultEpsilon.
+	Rounds int
 	// AveragingBlend selects the Section III-D extension mode (fixed 1/2
 	// averaging weight) when generating policies.
 	AveragingBlend bool
@@ -250,9 +249,8 @@ func (mo *Monitor) MaybeRegenerate(now float64) (*policy.Policy, bool) {
 		Times:          mo.Times(),
 		Adj:            mo.cfg.Adj,
 		Alpha:          mo.cfg.Alpha,
-		OuterRounds:    mo.cfg.OuterRounds,
-		InnerRounds:    mo.cfg.InnerRounds,
-		Epsilon:        mo.cfg.Epsilon,
+		OuterRounds:    mo.cfg.Rounds,
+		InnerRounds:    mo.cfg.Rounds,
 		AveragingBlend: mo.cfg.AveragingBlend,
 	}, alive)
 	mo.mu.Lock()

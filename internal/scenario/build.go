@@ -2,8 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
 	"time"
 
 	"netmax/internal/baselines"
@@ -132,7 +130,6 @@ func (r *Manifest) coreOptions() core.Options {
 		Ts:            nm.TsSecs,
 		Beta:          nm.Beta,
 		PolicyRounds:  nm.PolicyRounds,
-		Epsilon:       nm.Epsilon,
 		UniformPolicy: nm.UniformPolicy,
 		FixedBlend:    nm.FixedBlend,
 		StalePeriods:  nm.StalePeriods,
@@ -151,8 +148,6 @@ func (r *Manifest) buildTopology() (*simnet.Topology, error) {
 		topo := simnet.SingleMachine(r.Workers)
 		topo.Adj = simnet.Ring(r.Workers)
 		return topo, nil
-	case "cluster":
-		return simnet.Cluster(t.NodesPerMachine), nil
 	case "cross-region":
 		// The cross-region network carries its own six-region topology.
 		return nil, nil
@@ -176,13 +171,13 @@ func (r *Manifest) buildNetwork() (*simnet.Network, error) {
 	}
 	switch n.Kind {
 	case "heterogeneous":
-		return simnet.NewHeterogeneousPeriod(topo, seed, n.HorizonSecs, n.PeriodSecs), nil
+		return simnet.NewHeterogeneousPeriod(topo, seed, DefaultHorizon, n.PeriodSecs), nil
 	case "homogeneous":
 		return simnet.NewHomogeneous(topo), nil
 	case "static":
 		return simnet.NewStatic(topo), nil
 	case "shuffled":
-		return simnet.NewShuffledRates(topo, seed, n.HorizonSecs, n.PeriodSecs), nil
+		return simnet.NewShuffledRates(topo, seed, DefaultHorizon, n.PeriodSecs), nil
 	}
 	return nil, fmt.Errorf("scenario %q: unknown network kind %q", r.Name, n.Kind)
 }
@@ -212,47 +207,18 @@ func (r *Manifest) buildCodec() (codec.Codec, error) {
 	return codec.ByName(c.Name)
 }
 
-// buildComputeScale materializes the compute-heterogeneity distribution.
+// buildComputeScale materializes the straggler as per-worker multipliers.
 func (r *Manifest) buildComputeScale() []float64 {
 	c := r.Compute
 	if c == nil {
 		return nil
 	}
-	switch c.Kind {
-	case "explicit":
-		return append([]float64(nil), c.Scale...)
-	case "straggler":
-		scale := make([]float64, r.Workers)
-		for i := range scale {
-			scale[i] = 1
-		}
-		scale[c.Worker] = c.Factor
-		return scale
-	case "linear":
-		scale := make([]float64, r.Workers)
-		for i := range scale {
-			frac := 0.0
-			if r.Workers > 1 {
-				frac = float64(i) / float64(r.Workers-1)
-			}
-			scale[i] = c.Min + frac*(c.Max-c.Min)
-		}
-		return scale
-	case "lognormal":
-		seed := r.Seed
-		if c.Seed != nil {
-			seed = *c.Seed
-		}
-		rng := rand.New(rand.NewSource(seed))
-		scale := make([]float64, r.Workers)
-		for i := range scale {
-			// Median 1: half the workers are faster than nominal, half
-			// slower, with Sigma controlling the spread.
-			scale[i] = math.Exp(rng.NormFloat64() * c.Sigma)
-		}
-		return scale
+	scale := make([]float64, r.Workers)
+	for i := range scale {
+		scale[i] = 1
 	}
-	return nil
+	scale[c.Worker] = c.Factor
+	return scale
 }
 
 // buildFailures materializes the failure spec into a simnet schedule; a nil
@@ -265,11 +231,7 @@ func (r *Manifest) buildFailures() (*simnet.FailureSchedule, error) {
 	s := simnet.NewFailureSchedule()
 	s.DetectSecs = f.DetectSecs
 	if rc := f.RandomChurn; rc != nil {
-		seed := r.Seed
-		if rc.Seed != nil {
-			seed = *rc.Seed
-		}
-		churn := simnet.NewRandomChurn(r.Workers, seed, rc.HorizonSecs, rc.CrashesPerWorker, rc.MeanDownSecs)
+		churn := simnet.NewRandomChurn(r.Workers, r.Seed, rc.HorizonSecs, rc.CrashesPerWorker, rc.MeanDownSecs)
 		for _, ev := range churn.Events() {
 			s.Crash(ev.Worker, ev.Start, ev.End)
 		}

@@ -9,12 +9,28 @@ import (
 	"testing"
 )
 
+// kindProbes lists, for each block whose README row enumerates kind values,
+// manifests that set one of the block's kinds to a value no validator
+// accepts, so the validation error spells out the accepted list.
+var kindProbes = []struct {
+	block  string
+	probes []string
+}{
+	{"topology", []string{`{"name": "x", "topology": {"kind": "?"}}`}},
+	{"network", []string{`{"name": "x", "network": {"kind": "?"}}`}},
+	{"partition", []string{`{"name": "x", "partition": {"kind": "?"}}`, `{"name": "x", "partition": {"preset": "?"}}`}},
+	{"compute", []string{`{"name": "x", "compute": {"kind": "?"}}`}},
+	{"failures", []string{`{"name": "x", "failures": {"events": [{"kind": "?"}]}}`}},
+}
+
 // TestReadmeSchemaInSync keeps the README's manifest-schema table honest:
 // every top-level json field of Manifest must appear (backticked) in the
 // table's first column, and every field named there must exist. Each
 // block's row (topology, network, …, quick) must also name, backticked,
 // every json field of that block's struct and of the structs its fields
-// hold (live.latency.*, live.churn[].*, failures.events[].*).
+// hold (live.latency.*, live.churn[].*, failures.events[].*). The rows of
+// the blocks in kindProbes must name every kind (and preset) the validator
+// accepts, and name nothing else but the block's own fields.
 func TestReadmeSchemaInSync(t *testing.T) {
 	raw, err := os.ReadFile("../../README.md")
 	if err != nil {
@@ -52,6 +68,7 @@ func TestReadmeSchemaInSync(t *testing.T) {
 	}
 
 	tags := map[string]bool{}
+	fields := map[string]map[string]bool{} // block -> its fields and its nested structs' fields
 	typ := reflect.TypeOf(Manifest{})
 	for i := 0; i < typ.NumField(); i++ {
 		f := typ.Field(i)
@@ -67,11 +84,13 @@ func TestReadmeSchemaInSync(t *testing.T) {
 		// each field of a struct nested one level deeper (live.latency,
 		// live.churn[], failures.events[], …).
 		block := f.Type.Elem()
+		fields[name] = map[string]bool{}
 		for j := 0; j < block.NumField(); j++ {
 			sub := jsonName(block.Field(j))
 			if sub == "" {
 				continue
 			}
+			fields[name][sub] = true
 			if !rows[name][sub] {
 				t.Errorf("README schema row %q does not name its field %s.%s", name, name, sub)
 			}
@@ -83,7 +102,12 @@ func TestReadmeSchemaInSync(t *testing.T) {
 				continue
 			}
 			for k := 0; k < nested.NumField(); k++ {
-				if leaf := jsonName(nested.Field(k)); leaf != "" && !rows[name][leaf] {
+				leaf := jsonName(nested.Field(k))
+				if leaf == "" {
+					continue
+				}
+				fields[name][leaf] = true
+				if !rows[name][leaf] {
 					t.Errorf("README schema row %q does not name its field %s.%s.%s", name, name, sub, leaf)
 				}
 			}
@@ -109,6 +133,38 @@ func TestReadmeSchemaInSync(t *testing.T) {
 	if len(unknown) > 0 {
 		t.Errorf("README schema table names fields Manifest does not have: %v", unknown)
 	}
+
+	for _, kp := range kindProbes {
+		kinds := map[string]bool{}
+		for _, raw := range kp.probes {
+			for _, k := range acceptedValues(t, raw) {
+				kinds[k] = true
+				if !rows[kp.block][k] {
+					t.Errorf("README schema row %q does not name the accepted value %q", kp.block, k)
+				}
+			}
+		}
+		for named := range rows[kp.block] {
+			if named != kp.block && !fields[kp.block][named] && !kinds[named] {
+				t.Errorf("README schema row %q names %q, which is neither a field of the block nor a value the validator accepts", kp.block, named)
+			}
+		}
+	}
+}
+
+// acceptedValues parses a manifest that sets one kind to an unknown value
+// and returns the values the validator's "unknown … (want …)" error lists.
+func acceptedValues(t *testing.T, raw string) []string {
+	t.Helper()
+	_, err := Parse([]byte(raw))
+	if err == nil {
+		t.Fatalf("probe %s was accepted", raw)
+	}
+	m := regexp.MustCompile(`unknown [^;]*"\?" \(want ([^)]*)\)`).FindStringSubmatch(err.Error())
+	if m == nil {
+		t.Fatalf("probe %s: error %q lists no accepted values", raw, err)
+	}
+	return strings.FieldsFunc(strings.ReplaceAll(m[1], " or ", ", "), func(r rune) bool { return r == ',' || r == ' ' })
 }
 
 // jsonName is a struct field's json key, or "" for an untagged or skipped

@@ -16,7 +16,7 @@
 //
 // Load rejects unknown fields (a typoed knob must fail loudly, not silently
 // run the default) and Validate performs cross-field checks (a crash must
-// precede its rejoin, a cluster layout must sum to the worker count, ...).
+// precede its rejoin, segment weights must cover every worker, ...).
 // Resolved returns the manifest with every default made explicit; Run
 // writes that resolved manifest next to the run's results, so any number in
 // any table is reproducible from one file. A manifest that injects no
@@ -44,9 +44,9 @@ import (
 //
 // Zero values mean "use the documented default"; Resolved returns a copy
 // with every default made explicit. Engine-runtime manifests may set
-// Topology, Network, Partition, Compute, Failures and NetMax; live-runtime
-// manifests use Live instead (plus Partition and Codec, which both runtimes
-// share).
+// Topology, Network, Compute, Failures, NetMax and Output; live-runtime
+// manifests use Live instead. Partition, Codec and Quick serve both
+// runtimes.
 type Manifest struct {
 	// Name identifies the scenario; it becomes the output directory name,
 	// so it must be non-empty and contain no path separators.
@@ -73,9 +73,8 @@ type Manifest struct {
 	Dataset string `json:"dataset,omitempty"`
 	// Workers is the node count (default 8 for engine, 4 for live).
 	Workers int `json:"workers,omitempty"`
-	// Seed drives model init and every stochastic decision whose own seed
-	// is left unset: data (DataSeed), network dynamics, random churn and
-	// lognormal compute (default 1).
+	// Seed drives model init, random churn, and the data (DataSeed) and
+	// network dynamics whose own seed is left unset (default 1).
 	Seed int64 `json:"seed,omitempty"`
 	// DataSeed drives dataset generation and the partition; nil uses Seed.
 	DataSeed *int64 `json:"data_seed,omitempty"`
@@ -115,13 +114,9 @@ type Manifest struct {
 // TopologySpec places workers onto machines. Engine-only.
 type TopologySpec struct {
 	// Kind: "paper-cluster" (default; the paper's Section V-A placement),
-	// "single-machine", "ring", "cluster" (explicit NodesPerMachine), or
-	// "cross-region" (implied by — and only valid with — the cross-region
-	// network).
+	// "single-machine", "ring", or "cross-region" (implied by — and only
+	// valid with — the cross-region network).
 	Kind string `json:"kind"`
-	// NodesPerMachine gives the per-machine worker counts for kind
-	// "cluster"; entries must be positive and sum to the worker count.
-	NodesPerMachine []int `json:"nodes_per_machine,omitempty"`
 }
 
 // NetworkSpec selects the link-rate model and its dynamics. Engine-only.
@@ -136,11 +131,9 @@ type NetworkSpec struct {
 	Seed *int64 `json:"seed,omitempty"`
 	// PeriodSecs is the slow-link relocation (or shuffle) period for the
 	// dynamic kinds; 0 selects the experiments default (6 virtual
-	// seconds, the paper's 300s over the 50x time scale).
+	// seconds, the paper's 300s over the 50x time scale). The schedule
+	// covers DefaultHorizon virtual seconds.
 	PeriodSecs float64 `json:"period_secs,omitempty"`
-	// HorizonSecs is how much virtual time the dynamic schedule covers;
-	// 0 selects 1e7 (effectively unbounded).
-	HorizonSecs float64 `json:"horizon_secs,omitempty"`
 }
 
 // PartitionSpec assigns data shards to workers.
@@ -161,26 +154,13 @@ type PartitionSpec struct {
 	Preset string `json:"preset,omitempty"`
 }
 
-// ComputeSpec describes compute heterogeneity: per-worker multipliers on
-// gradient-computation time. Engine-only.
+// ComputeSpec describes compute heterogeneity as a multiplier on one
+// worker's gradient-computation time. Engine-only.
 type ComputeSpec struct {
-	// Kind: "explicit" (Scale given verbatim), "straggler" (one worker
-	// Factor-times slower), "linear" (a Min..Max ramp across workers), or
-	// "lognormal" (deterministic lognormal draws with the given Sigma).
-	Kind string `json:"kind"`
-	// Scale is the per-worker multiplier vector for kind "explicit".
-	Scale []float64 `json:"scale,omitempty"`
-	// Worker and Factor configure kind "straggler".
+	// Kind: "straggler" (worker Worker computes Factor times slower).
+	Kind   string  `json:"kind"`
 	Worker int     `json:"worker,omitempty"`
 	Factor float64 `json:"factor,omitempty"`
-	// Min and Max configure kind "linear": worker i's multiplier ramps
-	// linearly from Min (worker 0) to Max (last worker).
-	Min float64 `json:"min,omitempty"`
-	Max float64 `json:"max,omitempty"`
-	// Sigma and Seed configure kind "lognormal"; nil Seed uses the
-	// manifest seed.
-	Sigma float64 `json:"sigma,omitempty"`
-	Seed  *int64  `json:"seed,omitempty"`
 }
 
 // CodecSpec selects the wire compression codec for model pulls.
@@ -214,10 +194,9 @@ type FailureEvent struct {
 	Rejoin float64 `json:"rejoin,omitempty"`
 }
 
-// RandomChurnSpec parameterizes simnet.NewRandomChurn.
+// RandomChurnSpec parameterizes simnet.NewRandomChurn; the manifest seed
+// drives the schedule.
 type RandomChurnSpec struct {
-	// Seed drives the schedule; nil uses the manifest seed.
-	Seed *int64 `json:"seed,omitempty"`
 	// HorizonSecs is the virtual-time window the churn covers.
 	HorizonSecs float64 `json:"horizon_secs"`
 	// CrashesPerWorker is the expected crash count per worker.
@@ -237,8 +216,6 @@ type NetMaxSpec struct {
 	Beta float64 `json:"beta,omitempty"`
 	// PolicyRounds sets Algorithm 3's K and R grids (default 10).
 	PolicyRounds int `json:"policy_rounds,omitempty"`
-	// Epsilon is the Eq. 9 convergence target (default 0.01).
-	Epsilon float64 `json:"epsilon,omitempty"`
 	// UniformPolicy disables the adaptive policy (the uniform ablation).
 	UniformPolicy bool `json:"uniform_policy,omitempty"`
 	// FixedBlend replaces the 1/p-scaled consensus weight with plain
@@ -297,18 +274,19 @@ type LiveChurnEvent struct {
 }
 
 // OutputSpec selects what a run writes next to its resolved manifest.
+// Engine-only.
 type OutputSpec struct {
-	// Curves also writes the loss curve as CSV (engine runtime).
+	// Curves also writes the loss curve as CSV.
 	Curves bool `json:"curves,omitempty"`
 }
 
 // QuickSpec lists overrides applied when a run is invoked with -quick:
-// fields left zero keep the manifest's full-scale values.
+// fields left zero keep the manifest's full-scale values. Epochs shrinks
+// an engine run; Iterations replaces a live run's bound.
 type QuickSpec struct {
-	Workers      int     `json:"workers,omitempty"`
-	Epochs       int     `json:"epochs,omitempty"`
-	Iterations   int     `json:"iterations,omitempty"`
-	DurationSecs float64 `json:"duration_secs,omitempty"`
+	Workers    int `json:"workers,omitempty"`
+	Epochs     int `json:"epochs,omitempty"`
+	Iterations int `json:"iterations,omitempty"`
 }
 
 // Default values made explicit by Resolved.
@@ -329,8 +307,8 @@ const (
 	// DefaultSlowPeriod is the slow-link relocation period: the paper's
 	// 300s over the same 50x time scale.
 	DefaultSlowPeriod = 300.0 / 50
-	// DefaultHorizon is the virtual-time span dynamic network schedules
-	// cover; effectively unbounded.
+	// DefaultHorizon is the virtual-time span every dynamic network
+	// schedule covers; effectively unbounded.
 	DefaultHorizon     = 1e7
 	DefaultLiveTsMs    = 500
 	DefaultPullTimeout = 2.0
@@ -466,9 +444,6 @@ func (m *Manifest) Resolved() *Manifest {
 			if r.Network.PeriodSecs == 0 {
 				r.Network.PeriodSecs = DefaultSlowPeriod
 			}
-			if r.Network.HorizonSecs == 0 {
-				r.Network.HorizonSecs = DefaultHorizon
-			}
 		}
 		if r.Topology == nil {
 			r.Topology = &TopologySpec{}
@@ -480,16 +455,8 @@ func (m *Manifest) Resolved() *Manifest {
 				r.Topology.Kind = "paper-cluster"
 			}
 		}
-		if r.Failures != nil {
-			if r.Failures.DetectSecs == 0 {
-				r.Failures.DetectSecs = simnet.DefaultDetectSecs
-			}
-			if rc := r.Failures.RandomChurn; rc != nil && rc.Seed == nil {
-				rc.Seed = i64Ptr(r.Seed)
-			}
-		}
-		if r.Compute != nil && r.Compute.Kind == "lognormal" && r.Compute.Seed == nil {
-			r.Compute.Seed = i64Ptr(r.Seed)
+		if r.Failures != nil && r.Failures.DetectSecs == 0 {
+			r.Failures.DetectSecs = simnet.DefaultDetectSecs
 		}
 		if usesMonitor(r.Algorithm) {
 			if r.NetMax == nil {
@@ -504,9 +471,6 @@ func (m *Manifest) Resolved() *Manifest {
 			}
 			if nm.PolicyRounds == 0 {
 				nm.PolicyRounds = policy.DefaultRounds
-			}
-			if nm.Epsilon == 0 {
-				nm.Epsilon = policy.DefaultEpsilon
 			}
 		}
 	}
@@ -530,20 +494,12 @@ func (m *Manifest) ApplyQuick() *Manifest {
 	if q.Epochs > 0 {
 		r.Epochs = q.Epochs
 	}
-	if r.Live != nil || r.Runtime == "live" {
+	if q.Iterations > 0 && r.Runtime == "live" {
 		if r.Live == nil {
 			r.Live = &LiveSpec{}
 		}
-		if q.Iterations > 0 {
-			r.Live.Iterations = q.Iterations
-			r.Live.DurationSecs = 0
-		}
-		if q.DurationSecs > 0 {
-			r.Live.DurationSecs = q.DurationSecs
-			if q.Iterations == 0 {
-				r.Live.Iterations = 0
-			}
-		}
+		r.Live.Iterations = q.Iterations
+		r.Live.DurationSecs = 0
 	}
 	return r
 }
@@ -665,8 +621,8 @@ func (m *Manifest) validateOne() error {
 		if q.Iterations < 0 {
 			e.addf("quick.iterations must be >= 0, got %d", q.Iterations)
 		}
-		if q.DurationSecs < 0 {
-			e.addf("quick.duration_secs must be >= 0, got %g", q.DurationSecs)
+		if q.Iterations != 0 && r.Runtime != "live" {
+			e.addf("quick.iterations is live-only (an engine run shrinks through quick.epochs)")
 		}
 	}
 	validatePartition(e, r)
@@ -769,9 +725,6 @@ func validateEngine(e *errorList, m, r *Manifest) {
 		if nm.PolicyRounds < 1 {
 			e.addf("netmax.policy_rounds must be >= 1, got %d", nm.PolicyRounds)
 		}
-		if nm.Epsilon <= 0 {
-			e.addf("netmax.epsilon must be positive, got %g", nm.Epsilon)
-		}
 		if nm.StalePeriods < 0 {
 			e.addf("netmax.stale_periods must be >= 0, got %d", nm.StalePeriods)
 		}
@@ -788,12 +741,9 @@ func validateTopologyNetwork(e *errorList, r *Manifest) {
 		if n.PeriodSecs <= 0 {
 			e.addf("network.period_secs must be positive, got %g", n.PeriodSecs)
 		}
-		if n.HorizonSecs <= 0 {
-			e.addf("network.horizon_secs must be positive, got %g", n.HorizonSecs)
-		}
 	case "homogeneous", "static":
-		if n.PeriodSecs != 0 || n.HorizonSecs != 0 || n.Seed != nil {
-			e.addf("network kind %q has no dynamics: drop period_secs/horizon_secs/seed", n.Kind)
+		if n.PeriodSecs != 0 || n.Seed != nil {
+			e.addf("network kind %q has no dynamics: drop period_secs/seed", n.Kind)
 		}
 	case "cross-region":
 		if r.Workers != len(simnet.Regions) {
@@ -807,29 +757,12 @@ func validateTopologyNetwork(e *errorList, r *Manifest) {
 	}
 	switch t.Kind {
 	case "paper-cluster", "single-machine", "ring":
-		if len(t.NodesPerMachine) > 0 {
-			e.addf("topology kind %q takes no nodes_per_machine", t.Kind)
-		}
-	case "cluster":
-		if len(t.NodesPerMachine) == 0 {
-			e.addf("topology kind cluster requires nodes_per_machine")
-		}
-		sum := 0
-		for i, c := range t.NodesPerMachine {
-			if c <= 0 {
-				e.addf("nodes_per_machine[%d] must be positive, got %d", i, c)
-			}
-			sum += c
-		}
-		if sum != r.Workers && sum > 0 {
-			e.addf("nodes_per_machine sums to %d, want workers (%d)", sum, r.Workers)
-		}
 	case "cross-region":
 		if n.Kind != "cross-region" {
 			e.addf("cross-region topology requires the cross-region network, got %q", n.Kind)
 		}
 	default:
-		e.addf("unknown topology kind %q (want paper-cluster, single-machine, ring, cluster or cross-region)", t.Kind)
+		e.addf("unknown topology kind %q (want paper-cluster, single-machine, ring or cross-region)", t.Kind)
 	}
 }
 
@@ -838,33 +771,15 @@ func validateCompute(e *errorList, r *Manifest) {
 	if c == nil {
 		return
 	}
-	switch c.Kind {
-	case "explicit":
-		if len(c.Scale) != r.Workers {
-			e.addf("compute.scale has %d entries, want one per worker (%d)", len(c.Scale), r.Workers)
-		}
-		for i, s := range c.Scale {
-			if s <= 0 {
-				e.addf("compute.scale[%d] must be positive, got %g", i, s)
-			}
-		}
-	case "straggler":
-		if c.Worker < 0 || c.Worker >= r.Workers {
-			e.addf("compute.worker %d outside [0, %d)", c.Worker, r.Workers)
-		}
-		if c.Factor <= 0 {
-			e.addf("compute.factor must be positive, got %g", c.Factor)
-		}
-	case "linear":
-		if c.Min <= 0 || c.Max < c.Min {
-			e.addf("compute linear ramp requires 0 < min <= max, got min %g max %g", c.Min, c.Max)
-		}
-	case "lognormal":
-		if c.Sigma <= 0 {
-			e.addf("compute.sigma must be positive, got %g", c.Sigma)
-		}
-	default:
-		e.addf("unknown compute kind %q (want explicit, straggler, linear or lognormal)", c.Kind)
+	if c.Kind != "straggler" {
+		e.addf("unknown compute kind %q (want straggler)", c.Kind)
+		return
+	}
+	if c.Worker < 0 || c.Worker >= r.Workers {
+		e.addf("compute.worker %d outside [0, %d)", c.Worker, r.Workers)
+	}
+	if c.Factor <= 0 {
+		e.addf("compute.factor must be positive, got %g", c.Factor)
 	}
 }
 
@@ -940,6 +855,7 @@ func validateLive(e *errorList, m, r *Manifest) {
 		{"lr_decay_epoch", m.LRDecayEpoch != 0},
 		{"overlap", m.Overlap != nil},
 		{"parallelism", m.Parallelism != 0},
+		{"output", m.Output != nil},
 	}
 	for _, f := range engineOnly {
 		if f.set {

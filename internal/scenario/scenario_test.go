@@ -35,7 +35,7 @@ func TestResolvedFixedPoint(t *testing.T) {
 		{
 			Name: "t-full", Algorithm: "adpsgd-monitor", Model: "VGG19", Dataset: "CIFAR100",
 			Workers: 8, Epochs: 3, Batch: 8, LR: 0.05, LRDecayEpoch: 2, Seed: 9,
-			Topology: &TopologySpec{Kind: "cluster", NodesPerMachine: []int{4, 4}},
+			Topology: &TopologySpec{Kind: "paper-cluster"},
 			Network:  &NetworkSpec{Kind: "shuffled", PeriodSecs: 3},
 			Compute:  &ComputeSpec{Kind: "straggler", Worker: 3, Factor: 5},
 			Codec:    &CodecSpec{Name: "float32"},
@@ -101,7 +101,9 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		{"bad dataset", `{"name": "x", "dataset": "SVHN"}`, "unknown dataset"},
 		{"one worker", `{"name": "x", "workers": 1}`, "workers must be >= 2"},
 		{"bad topology kind", `{"name": "x", "topology": {"kind": "torus"}}`, "unknown topology kind"},
-		{"cluster sum mismatch", `{"name": "x", "workers": 8, "topology": {"kind": "cluster", "nodes_per_machine": [4, 3]}}`, "sums to 7"},
+		{"cluster topology", `{"name": "x", "topology": {"kind": "cluster"}}`, `unknown topology kind "cluster"`},
+		{"nodes per machine", `{"name": "x", "topology": {"kind": "paper-cluster", "nodes_per_machine": [4, 4]}}`, `unknown field "nodes_per_machine"`},
+		{"network horizon", `{"name": "x", "network": {"kind": "heterogeneous", "horizon_secs": 100}}`, `unknown field "horizon_secs"`},
 		{"crash after rejoin", `{"name": "x", "failures": {"events": [{"kind": "crash", "worker": 1, "at": 9, "rejoin": 5}]}}`, "must come after the crash"},
 		{"hang without until", `{"name": "x", "failures": {"events": [{"kind": "hang", "worker": 1, "at": 9}]}}`, "must come after at"},
 		{"blackout self-loop", `{"name": "x", "failures": {"events": [{"kind": "blackout", "a": 2, "b": 2, "at": 1, "until": 2}]}}`, "endpoints must differ"},
@@ -121,7 +123,19 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		{"codec on allreduce", `{"name": "x", "algorithm": "allreduce", "codec": {"name": "float32"}}`, `"allreduce" ignores it`},
 		{"failures on hop", `{"name": "x", "algorithm": "hop", "failures": {"events": [{"kind": "leave", "worker": 1, "at": 1}]}}`, `"hop" ignores it`},
 		{"parallelism on netmax", `{"name": "x", "algorithm": "netmax", "parallelism": 2}`, `"netmax" steps one worker at a time`},
-		{"compute scale mismatch", `{"name": "x", "workers": 4, "compute": {"kind": "explicit", "scale": [1, 2]}}`, "want one per worker"},
+		{"explicit compute", `{"name": "x", "compute": {"kind": "explicit"}}`, `unknown compute kind "explicit" (want straggler)`},
+		{"linear compute", `{"name": "x", "compute": {"kind": "linear"}}`, `unknown compute kind "linear" (want straggler)`},
+		{"lognormal compute", `{"name": "x", "compute": {"kind": "lognormal"}}`, `unknown compute kind "lognormal" (want straggler)`},
+		{"compute scale", `{"name": "x", "workers": 2, "compute": {"kind": "straggler", "factor": 2, "scale": [1, 2]}}`, `unknown field "scale"`},
+		{"compute min", `{"name": "x", "compute": {"kind": "straggler", "factor": 2, "min": 1}}`, `unknown field "min"`},
+		{"compute max", `{"name": "x", "compute": {"kind": "straggler", "factor": 2, "max": 3}}`, `unknown field "max"`},
+		{"compute sigma", `{"name": "x", "compute": {"kind": "straggler", "factor": 2, "sigma": 0.5}}`, `unknown field "sigma"`},
+		{"compute seed", `{"name": "x", "compute": {"kind": "straggler", "factor": 2, "seed": 3}}`, `unknown field "seed"`},
+		{"netmax epsilon", `{"name": "x", "netmax": {"epsilon": 0.01}}`, `unknown field "epsilon"`},
+		{"random churn seed", `{"name": "x", "failures": {"random_churn": {"horizon_secs": 10, "crashes_per_worker": 1, "mean_down_secs": 1, "seed": 3}}}`, `unknown field "seed"`},
+		{"quick duration", `{"name": "x", "runtime": "live", "live": {"iterations": 5}, "quick": {"duration_secs": 1}}`, `unknown field "duration_secs"`},
+		{"quick iterations on engine", `{"name": "x", "quick": {"iterations": 5}}`, "quick.iterations is live-only"},
+		{"live output", `{"name": "x", "runtime": "live", "live": {"iterations": 5}, "output": {"curves": true}}`, "output is engine-only"},
 		{"straggler range", `{"name": "x", "workers": 4, "compute": {"kind": "straggler", "worker": 6, "factor": 5}}`, "outside [0, 4)"},
 		{"live without bound", `{"name": "x", "runtime": "live", "live": {}}`, "need a bound"},
 		{"live with engine block", `{"name": "x", "runtime": "live", "epochs": 4, "live": {"iterations": 5}}`, "engine-only"},
@@ -130,7 +144,7 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		{"live beta above 1", `{"name": "x", "runtime": "live", "live": {"iterations": 5, "beta": 1.5}}`, "live.beta must be in (0, 1)"},
 		{"live beta negative", `{"name": "x", "runtime": "live", "live": {"iterations": 5, "beta": -0.2}}`, "live.beta must be in (0, 1)"},
 		{"live segments", `{"name": "x", "runtime": "live", "workers": 2, "partition": {"kind": "segments", "segments": [1, 2]}, "live": {"iterations": 5}}`, "engine-only"},
-		{"quick breaks cluster", `{"name": "x", "workers": 8, "topology": {"kind": "cluster", "nodes_per_machine": [4, 4]}, "quick": {"workers": 4}}`, "quick overrides"},
+		{"quick breaks segments", `{"name": "x", "partition": {"preset": "paper-8"}, "quick": {"workers": 4}}`, "quick overrides"},
 		{"bad quick", `{"name": "x", "quick": {"epochs": -1}}`, "epochs"},
 	}
 	for _, c := range cases {

@@ -155,7 +155,7 @@ func (s *Suite) buildTable(reports []*Report) *SuiteTable {
 			a.losses = append(a.losses, r.Engine.FinalLoss)
 			a.bytes = append(a.bytes, float64(r.Engine.BytesSent))
 			if target > 0 {
-				if t, ok := timeToLoss(r.Engine.Curve, target); ok {
+				if t := r.Engine.TimeToLoss(target); t >= 0 {
 					a.timeToLoss = append(a.timeToLoss, t)
 					a.reached++
 				}
@@ -186,16 +186,6 @@ func (s *Suite) buildTable(reports []*Report) *SuiteTable {
 		table.Arms = append(table.Arms, row)
 	}
 	return table
-}
-
-// timeToLoss finds the first curve sample at or below the target loss.
-func timeToLoss(curve []engine.Point, target float64) (float64, bool) {
-	for _, p := range curve {
-		if p.Value <= target {
-			return p.Time, true
-		}
-	}
-	return 0, false
 }
 
 // write emits resolved-suite.json and suite.json under dir (already the
