@@ -40,15 +40,19 @@ func BenchmarkMatMulInto(b *testing.B) {
 // BenchmarkMatMulModelShapes times the five products one SimResNet18
 // training step takes (batch 16, widths 24 → 40 → 10), each in the form
 // autograd calls it: two forward products, dA of the second layer, and the
-// two weight gradients. Operands that are ReLU outputs or ReLU-masked
-// gradients in training are ReLU-sparse here too.
+// two weight gradients. The last two are the forward products of the
+// Tracker's final-accuracy pass over the 500-sample CIFAR10 test split.
+// Operands that are ReLU outputs or ReLU-masked gradients in training are
+// ReLU-sparse here too.
 func BenchmarkMatMulModelShapes(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x, w1, w2 := Randn(rng, 1, 16, 24), Randn(rng, 1, 24, 40), Randn(rng, 1, 40, 10)
 	h := Randn(rng, 1, 16, 40)
 	dOut2, dOut1 := Randn(rng, 1, 16, 10), Randn(rng, 1, 16, 40)
+	evalX, evalH := Randn(rng, 1, 500, 24), Randn(rng, 1, 500, 40)
 	ReLUInto(h, h)
 	ReLUInto(dOut1, dOut1)
+	ReLUInto(evalH, evalH)
 	for _, c := range []struct {
 		name    string
 		dst     *Tensor
@@ -60,6 +64,8 @@ func BenchmarkMatMulModelShapes(b *testing.B) {
 		{"dA-16x10x40T", New(16, 40), dOut2, w2, MatMulTransBInto},
 		{"dW-24x16x40", New(24, 40), x, dOut1, MatMulTransAInto},
 		{"dW-40x16x10", New(40, 10), h, dOut2, MatMulTransAInto},
+		{"eval-500x24x40", New(500, 40), evalX, w1, MatMulInto},
+		{"eval-500x40x10", New(500, 10), evalH, w2, MatMulInto},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()

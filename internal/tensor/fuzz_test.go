@@ -32,7 +32,7 @@ func ieeeMatMul(a, b *Tensor) *Tensor {
 		for j := 0; j < n; j++ {
 			s := 0.0
 			for p := 0; p < k; p++ {
-				s += a.Data[i*k+p] * b.Data[p*n+j]
+				s += float64(a.Data[i*k+p] * b.Data[p*n+j])
 			}
 			out.Data[i*n+j] = s
 		}
@@ -56,33 +56,86 @@ func sameBits(got, want *Tensor) bool {
 	return true
 }
 
-// FuzzMatMul checks MatMulInto, MatMulTransBInto and MatMulTransAInto
-// against ieeeMatMul, and ieeeMatMul against serialMatMul, the
-// zero-skipping loop, whenever b is finite. The first three bytes give
-// m, k, n ≤ 9, so every tile remainder is reached; each further byte is
-// one entry of a, then of b (missing entries are 0).
+// kernels lists the matmul kernels this machine runs, by the value of
+// useAVX2 that selects each: the pure-Go kernel always, the assembly one
+// where the CPU and the operating system support AVX2.
+func kernels() []bool {
+	if haveAVX2() {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
+// withKernel runs f with useAVX2 set to avx, and restores it afterwards.
+func withKernel(avx bool, f func()) {
+	old := useAVX2
+	useAVX2 = avx
+	defer func() { useAVX2 = old }()
+	f()
+}
+
+// checkProducts runs MatMulInto, MatMulTransBInto and MatMulTransAInto for
+// a·b on every kernel, into destinations full of stale values, and fails
+// unless each equals want bit for bit. Each destination is followed by a
+// guard row of stale values, which no kernel may write.
+func checkProducts(t *testing.T, a, b, want *Tensor) {
+	t.Helper()
+	m, n := a.Shape[0], b.Shape[1]
+	at, bt := Transpose(a), Transpose(b)
+	for _, avx := range kernels() {
+		withKernel(avx, func() {
+			products := map[string]func(dst *Tensor){
+				"MatMulInto":       func(dst *Tensor) { MatMulInto(dst, a, b) },
+				"MatMulTransBInto": func(dst *Tensor) { MatMulTransBInto(dst, a, bt) },
+				"MatMulTransAInto": func(dst *Tensor) { MatMulTransAInto(dst, at, b) },
+			}
+			for name, product := range products {
+				buf := Full(7, m+1, n).Data
+				g := FromSlice(buf[:m*n], m, n)
+				product(g)
+				if !sameBits(g, want) {
+					t.Fatalf("%s with useAVX2=%v: %v, IEEE loop %v (a=%v b=%v)",
+						name, avx, g.Data, want.Data, a.Data, b.Data)
+				}
+				for _, v := range buf[m*n:] {
+					if v != 7 {
+						t.Fatalf("%s with useAVX2=%v wrote past its %dx%d destination", name, avx, m, n)
+					}
+				}
+			}
+		})
+	}
+}
+
+// FuzzMatMul checks MatMulInto, MatMulTransBInto and MatMulTransAInto, on
+// the pure-Go and the assembly kernel, against ieeeMatMul, and ieeeMatMul
+// against serialMatMul, the zero-skipping loop, whenever b is finite. The
+// first three bytes give m, k, n ≤ 40, so every column block (16, 8, 4, 2
+// and 1 wide) is reached, alone and after the others. The further bytes
+// are the entries of a, then of b; when they run out they repeat from the
+// start (with no further bytes every entry is 0).
 func FuzzMatMul(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
 		}
-		m, k, n := int(data[0]%10), int(data[1]%10), int(data[2]%10)
-		vals := data[3:]
-		next := func() float64 {
+		m, k, n := int(data[0]%41), int(data[1]%41), int(data[2]%41)
+		vals, next := data[3:], 0
+		value := func() float64 {
 			if len(vals) == 0 {
 				return 0
 			}
-			v := fuzzValue(vals[0])
-			vals = vals[1:]
+			v := fuzzValue(vals[next%len(vals)])
+			next++
 			return v
 		}
 		a, b := New(m, k), New(k, n)
 		for i := range a.Data {
-			a.Data[i] = next()
+			a.Data[i] = value()
 		}
 		finiteB := true
 		for i := range b.Data {
-			b.Data[i] = next()
+			b.Data[i] = value()
 			finiteB = finiteB && !math.IsInf(b.Data[i], 0) && !math.IsNaN(b.Data[i])
 		}
 		want := ieeeMatMul(a, b)
@@ -91,16 +144,6 @@ func FuzzMatMul(f *testing.F) {
 				t.Fatalf("zero-skipping loop %v differs from IEEE loop %v for finite b", old.Data, want.Data)
 			}
 		}
-		at, bt := Transpose(a), Transpose(b)
-		got := map[string]*Tensor{
-			"MatMulInto":       MatMulInto(Full(7, m, n), a, b),
-			"MatMulTransBInto": MatMulTransBInto(Full(7, m, n), a, bt),
-			"MatMulTransAInto": MatMulTransAInto(Full(7, m, n), at, b),
-		}
-		for name, g := range got {
-			if !sameBits(g, want) {
-				t.Fatalf("%s: %v, IEEE loop %v (a=%v b=%v)", name, g.Data, want.Data, a.Data, b.Data)
-			}
-		}
+		checkProducts(t, a, b, want)
 	})
 }

@@ -1,0 +1,30 @@
+package tensor
+
+// gemmAVX2 is gemm's assembly kernel (gemm_amd64.s). The caller checks the
+// operand lengths and that m and n are positive.
+//
+//go:noescape
+func gemmAVX2(out, a, b []float64, m, k, n, aRowStride, aColStride int)
+
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+
+func xgetbv() (eax, edx uint32)
+
+// haveAVX2 reports whether the CPU has AVX2 and the operating system saves
+// the YMM registers across context switches (OSXSAVE set, and XCR0 enabling
+// both the XMM and the YMM state).
+func haveAVX2() bool {
+	if maxID, _, _, _ := cpuid(0, 0); maxID < 7 {
+		return false
+	}
+	const osxsave, avx = 1 << 27, 1 << 28
+	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
+		return false
+	}
+	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
+		return false
+	}
+	const avx2 = 1 << 5
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&avx2 != 0
+}

@@ -1,0 +1,254 @@
+#include "textflag.h"
+
+// gemmAVX2 walks out in row pairs. When m is odd, the last row runs as a
+// pair of two copies of itself: both row strides are zeroed, so both
+// halves read the same row of a and store the same values to the same
+// row of out. In a pair, column blocks of 16, 8 and 4 doubles keep their
+// accumulators in YMM registers; a block of 2 uses XMM and a block of 1 a
+// scalar. A block's accumulators start at +0 (VXORPD) and stay in
+// registers for the whole pass over p. Each step broadcasts a[i, p],
+// multiplies it by b[p, j:] into a temporary and adds the temporary to the
+// accumulator, with the accumulator as first source. Multiply and add are
+// separate instructions, never a fused multiply-add, so every lane does
+// the same IEEE operations in the same order as gemmGo.
+//
+// General registers:
+//
+//	SI  out, at the current row       DX  b
+//	DI  a, at the current row         R8  rows left
+//	R9  k                             R10 n
+//	R11 aRowStride in bytes           R12 aColStride in bytes
+//	R13 n in bytes (b's row stride)   R15 out's row stride in bytes
+//	AX  a[i, p]   R14 b[p, j]         BX  column j
+//	CX  p steps left, then scratch
+//
+// R11 and R15 are zero for the last row of an odd m.
+//
+// Vector registers: up to 8 accumulators in Y0–Y7 (4 per row), the two
+// rows' a[i, p] broadcast into Y8 and Y9, b[p, j:] in Y10–Y13, products
+// in Y12–Y15.
+
+// BLOCK points AX and R14 at p = 0 for column j and loads the step count;
+// a k of zero skips the loop and stores the +0 accumulators.
+#define BLOCK(done) \
+	MOVQ  DI, AX;          \
+	LEAQ  (DX)(BX*8), R14; \
+	MOVQ  R9, CX;          \
+	TESTQ CX, CX;          \
+	JZ    done
+
+#define STEP \
+	ADDQ R12, AX;  \
+	ADDQ R13, R14; \
+	DECQ CX
+
+// func gemmAVX2(out, a, b []float64, m, k, n, aRowStride, aColStride int)
+TEXT ·gemmAVX2(SB), NOSPLIT, $0-112
+	MOVQ out_base+0(FP), SI
+	MOVQ a_base+24(FP), DI
+	MOVQ b_base+48(FP), DX
+	MOVQ m+72(FP), R8
+	MOVQ k+80(FP), R9
+	MOVQ n+88(FP), R10
+	MOVQ aRowStride+96(FP), R11
+	SHLQ $3, R11
+	MOVQ aColStride+104(FP), R12
+	SHLQ $3, R12
+	LEAQ (R10*8), R13
+	MOVQ R13, R15
+
+pair:
+	CMPQ R8, $1
+	JNE  cols
+	XORQ R11, R11
+	XORQ R15, R15
+
+cols:
+	XORQ BX, BX
+
+cols16:
+	LEAQ 16(BX), CX
+	CMPQ CX, R10
+	JGT  cols8
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	BLOCK(store16)
+
+loop16:
+	VMOVUPD      (R14), Y10
+	VMOVUPD      32(R14), Y11
+	VMOVUPD      64(R14), Y12
+	VMOVUPD      96(R14), Y13
+	VBROADCASTSD (AX), Y8
+	VBROADCASTSD (AX)(R11*1), Y9
+	VMULPD       Y10, Y8, Y14
+	VADDPD       Y14, Y0, Y0
+	VMULPD       Y11, Y8, Y15
+	VADDPD       Y15, Y1, Y1
+	VMULPD       Y12, Y8, Y14
+	VADDPD       Y14, Y2, Y2
+	VMULPD       Y13, Y8, Y15
+	VADDPD       Y15, Y3, Y3
+	VMULPD       Y10, Y9, Y14
+	VADDPD       Y14, Y4, Y4
+	VMULPD       Y11, Y9, Y15
+	VADDPD       Y15, Y5, Y5
+	VMULPD       Y12, Y9, Y14
+	VADDPD       Y14, Y6, Y6
+	VMULPD       Y13, Y9, Y15
+	VADDPD       Y15, Y7, Y7
+	STEP
+	JNZ          loop16
+
+store16:
+	LEAQ    (SI)(R15*1), CX
+	VMOVUPD Y0, (SI)(BX*8)
+	VMOVUPD Y1, 32(SI)(BX*8)
+	VMOVUPD Y2, 64(SI)(BX*8)
+	VMOVUPD Y3, 96(SI)(BX*8)
+	VMOVUPD Y4, (CX)(BX*8)
+	VMOVUPD Y5, 32(CX)(BX*8)
+	VMOVUPD Y6, 64(CX)(BX*8)
+	VMOVUPD Y7, 96(CX)(BX*8)
+	ADDQ    $16, BX
+	JMP     cols16
+
+cols8:
+	LEAQ 8(BX), CX
+	CMPQ CX, R10
+	JGT  cols4
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	BLOCK(store8)
+
+loop8:
+	VMOVUPD      (R14), Y10
+	VMOVUPD      32(R14), Y11
+	VBROADCASTSD (AX), Y8
+	VBROADCASTSD (AX)(R11*1), Y9
+	VMULPD       Y10, Y8, Y12
+	VADDPD       Y12, Y0, Y0
+	VMULPD       Y11, Y8, Y13
+	VADDPD       Y13, Y1, Y1
+	VMULPD       Y10, Y9, Y14
+	VADDPD       Y14, Y2, Y2
+	VMULPD       Y11, Y9, Y15
+	VADDPD       Y15, Y3, Y3
+	STEP
+	JNZ          loop8
+
+store8:
+	LEAQ    (SI)(R15*1), CX
+	VMOVUPD Y0, (SI)(BX*8)
+	VMOVUPD Y1, 32(SI)(BX*8)
+	VMOVUPD Y2, (CX)(BX*8)
+	VMOVUPD Y3, 32(CX)(BX*8)
+	ADDQ    $8, BX
+
+cols4:
+	LEAQ 4(BX), CX
+	CMPQ CX, R10
+	JGT  cols2
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	BLOCK(store4)
+
+loop4:
+	VMOVUPD      (R14), Y10
+	VBROADCASTSD (AX), Y8
+	VBROADCASTSD (AX)(R11*1), Y9
+	VMULPD       Y10, Y8, Y12
+	VADDPD       Y12, Y0, Y0
+	VMULPD       Y10, Y9, Y13
+	VADDPD       Y13, Y1, Y1
+	STEP
+	JNZ          loop4
+
+store4:
+	LEAQ    (SI)(R15*1), CX
+	VMOVUPD Y0, (SI)(BX*8)
+	VMOVUPD Y1, (CX)(BX*8)
+	ADDQ    $4, BX
+
+cols2:
+	LEAQ 2(BX), CX
+	CMPQ CX, R10
+	JGT  cols1
+	VXORPD X0, X0, X0
+	VXORPD X1, X1, X1
+	BLOCK(store2)
+
+loop2:
+	VMOVUPD  (R14), X10
+	VMOVDDUP (AX), X8
+	VMOVDDUP (AX)(R11*1), X9
+	VMULPD   X10, X8, X12
+	VADDPD   X12, X0, X0
+	VMULPD   X10, X9, X13
+	VADDPD   X13, X1, X1
+	STEP
+	JNZ      loop2
+
+store2:
+	LEAQ    (SI)(R15*1), CX
+	VMOVUPD X0, (SI)(BX*8)
+	VMOVUPD X1, (CX)(BX*8)
+	ADDQ    $2, BX
+
+cols1:
+	CMPQ BX, R10
+	JGE  nextpair
+	VXORPD X0, X0, X0
+	VXORPD X1, X1, X1
+	BLOCK(store1)
+
+loop1:
+	VMOVSD (R14), X10
+	VMOVSD (AX), X8
+	VMOVSD (AX)(R11*1), X9
+	VMULSD X10, X8, X12
+	VADDSD X12, X0, X0
+	VMULSD X10, X9, X13
+	VADDSD X13, X1, X1
+	STEP
+	JNZ    loop1
+
+store1:
+	LEAQ   (SI)(R15*1), CX
+	VMOVSD X0, (SI)(BX*8)
+	VMOVSD X1, (CX)(BX*8)
+
+nextpair:
+	LEAQ (DI)(R11*2), DI
+	LEAQ (SI)(R15*2), SI
+	SUBQ $2, R8
+	JGT  pair
+	VZEROUPPER
+	RET
+
+// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL eaxArg+0(FP), AX
+	MOVL ecxArg+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax, edx uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	MOVL $0, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
+	RET

@@ -1,0 +1,9 @@
+//go:build !amd64
+
+package tensor
+
+func haveAVX2() bool { return false }
+
+func gemmAVX2(out, a, b []float64, m, k, n, aRowStride, aColStride int) {
+	panic("tensor: no AVX2 kernel on this architecture")
+}

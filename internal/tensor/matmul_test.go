@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -21,16 +22,17 @@ func serialMatMul(a, b *Tensor) *Tensor {
 			}
 			brow := b.Data[p*n : (p+1)*n]
 			for j := 0; j < n; j++ {
-				orow[j] += av * brow[j]
+				orow[j] += float64(av * brow[j])
 			}
 		}
 	}
 	return out
 }
 
-// TestParallelMatMulBitwiseIdenticalToSerial runs all three product forms
-// against the zero-skipping reference. The larger shapes are not multiples
-// of the kernel's 4-row or 2-column tile, so every remainder loop runs.
+// TestParallelMatMulBitwiseIdenticalToSerial runs all three product forms,
+// on every kernel, against the zero-skipping reference. The larger shapes
+// have odd row counts and column counts that are not multiples of 16, so
+// every row and column remainder runs.
 func TestParallelMatMulBitwiseIdenticalToSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, dims := range [][3]int{{1, 1, 1}, {3, 7, 5}, {16, 24, 40}, {97, 103, 89}, {256, 64, 128}} {
@@ -39,14 +41,68 @@ func TestParallelMatMulBitwiseIdenticalToSerial(t *testing.T) {
 		b := Randn(rng, 1, k, n)
 		want := serialMatMul(a, b)
 		at, bt := Transpose(a), Transpose(b)
-		if got := MatMul(a, b); !Equal(got, want) {
-			t.Fatalf("MatMul %vx%v differs from serial", a.Shape, b.Shape)
+		for _, avx := range kernels() {
+			withKernel(avx, func() {
+				if got := MatMul(a, b); !Equal(got, want) {
+					t.Fatalf("useAVX2=%v: MatMul %vx%v differs from serial", avx, a.Shape, b.Shape)
+				}
+				if got := MatMulTransBInto(New(m, n), a, bt); !Equal(got, want) {
+					t.Fatalf("useAVX2=%v: MatMulTransBInto %vx%v differs from serial", avx, a.Shape, b.Shape)
+				}
+				if got := MatMulTransAInto(New(m, n), at, b); !Equal(got, want) {
+					t.Fatalf("useAVX2=%v: MatMulTransAInto %vx%v differs from serial", avx, a.Shape, b.Shape)
+				}
+			})
 		}
-		if got := MatMulTransBInto(New(m, n), a, bt); !Equal(got, want) {
-			t.Fatalf("MatMulTransBInto %vx%v differs from serial", a.Shape, b.Shape)
+	}
+}
+
+// TestMatMulColumnBlocks checks every product form on every kernel, bitwise
+// against ieeeMatMul, for shapes that end in each column block: n mod 4 is
+// 0, 1, 2 and 3, n runs past one and two 16-wide blocks, k is 0 (every
+// output is +0), and m is 1 (no row pair) or odd (a pair, then one row).
+// The operands mix signed zeros, subnormals, extremes and infinities into
+// eighth-step values; a NaN operand becomes −0, since it would turn its
+// whole row or column of the result into NaN and hide the rest.
+func TestMatMulColumnBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	shapes := [][3]int{
+		{1, 1, 1}, {1, 5, 2}, {1, 3, 3}, {1, 9, 4}, {1, 24, 40},
+		{2, 7, 5}, {3, 4, 6}, {5, 6, 7}, {4, 3, 8}, {3, 10, 13},
+		{2, 2, 16}, {3, 5, 17}, {5, 3, 18}, {1, 8, 19}, {2, 9, 31},
+		{3, 11, 32}, {7, 16, 33}, {6, 40, 10}, {40, 40, 40},
+		{3, 0, 17}, {1, 0, 1}, {4, 0, 40}, {1, 40, 1}, {0, 4, 5}, {5, 4, 0},
+	}
+	for _, s := range shapes {
+		m, k, n := s[0], s[1], s[2]
+		a, b := New(m, k), New(k, n)
+		for _, d := range [][]float64{a.Data, b.Data} {
+			for i := range d {
+				d[i] = fuzzValue(byte(rng.Intn(256)))
+				if math.IsNaN(d[i]) {
+					d[i] = math.Copysign(0, -1)
+				}
+			}
 		}
-		if got := MatMulTransAInto(New(m, n), at, b); !Equal(got, want) {
-			t.Fatalf("MatMulTransAInto %vx%v differs from serial", a.Shape, b.Shape)
+		checkProducts(t, a, b, ieeeMatMul(a, b))
+	}
+}
+
+// TestMatMulAllocsWhenWarm pins the three product forms at zero
+// allocations once the arena holds MatMulTransBInto's transpose scratch.
+func TestMatMulAllocsWhenWarm(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	x, w := Randn(rng, 1, 16, 24), Randn(rng, 1, 24, 40)
+	dOut := Randn(rng, 1, 16, 40)
+	out, dx, dw := New(16, 40), New(16, 24), New(24, 40)
+	for name, product := range map[string]func(){
+		"MatMulInto":       func() { MatMulInto(out, x, w) },
+		"MatMulTransBInto": func() { MatMulTransBInto(dx, dOut, w) },
+		"MatMulTransAInto": func() { MatMulTransAInto(dw, x, dOut) },
+	} {
+		product()
+		if allocs := testing.AllocsPerRun(100, product); allocs != 0 {
+			t.Errorf("%s: %v allocations per call with a warm arena, want 0", name, allocs)
 		}
 	}
 }

@@ -9,16 +9,23 @@
 // size-keyed arena they pair with).
 //
 // MatMul, MatMulInto, MatMulTransBInto and MatMulTransAInto share one
-// register-tiled kernel that reads both operands along the inner dimension.
-// MatMul and MatMulInto transpose b into arena scratch for it, and
-// MatMulTransAInto transposes both operands. Every kernel runs on the
-// calling goroutine: host parallelism lives above this package, in the
-// drivers that run independent trainings side by side and in the
-// synchronous baselines' gradient rounds. The kernel follows IEEE 754 for
-// every term: a zero times an infinity contributes NaN. Whenever the
-// right operand is finite the result equals that of a loop skipping zero
-// terms, bit for bit, since adding a ±0 product to a sum that starts at +0
-// never changes it.
+// broadcast kernel, gemm: out[i, j:j+4] += a[i,p] · b[p, j:j+4], with the
+// right operand in its natural row-major layout and the left one read
+// through strides. MatMulInto and MatMulTransAInto copy nothing;
+// MatMulTransBInto transposes its right operand, the layer's weight, into
+// arena scratch. On amd64 CPUs with AVX2 the kernel is assembly; elsewhere
+// a pure-Go loop of the same form runs, and tests run both. Each lane is
+// one output element that starts at +0 and adds its k products in
+// ascending p, with multiply and add kept separate, so both kernels give
+// the same bits as the plain IEEE triple loop. Every product in this
+// package is rounded on its own (float64(x*y)), so no architecture may fuse
+// it into a multiply-add. Every kernel runs on the calling goroutine: host
+// parallelism lives above this package, in the drivers that run
+// independent trainings side by side and in the synchronous baselines'
+// gradient rounds. The kernel follows IEEE 754 for every term: a zero
+// times an infinity contributes NaN. Whenever the right operand is finite
+// the result equals that of a loop skipping zero terms, bit for bit, since
+// adding a ±0 product to a sum that starts at +0 never changes it.
 package tensor
 
 import (
@@ -61,7 +68,7 @@ func FromSlice(data []float64, shape ...int) *Tensor {
 func Randn(rng *rand.Rand, std float64, shape ...int) *Tensor {
 	t := New(shape...)
 	for i := range t.Data {
-		t.Data[i] = rng.NormFloat64() * std
+		t.Data[i] = float64(rng.NormFloat64() * std)
 	}
 	return t
 }
@@ -182,7 +189,7 @@ func MulInto(dst, a, b *Tensor) *Tensor {
 	assertSameShape("MulInto", a, b)
 	assertSameLen("MulInto", dst, a)
 	for i := range a.Data {
-		dst.Data[i] = a.Data[i] * b.Data[i]
+		dst.Data[i] = float64(a.Data[i] * b.Data[i])
 	}
 	return dst
 }
@@ -196,7 +203,7 @@ func Scale(a *Tensor, s float64) *Tensor {
 func ScaleInto(dst, a *Tensor, s float64) *Tensor {
 	assertSameLen("ScaleInto", dst, a)
 	for i := range a.Data {
-		dst.Data[i] = a.Data[i] * s
+		dst.Data[i] = float64(a.Data[i] * s)
 	}
 	return dst
 }
@@ -213,7 +220,7 @@ func (t *Tensor) AddInPlace(b *Tensor) {
 func (t *Tensor) AXPY(s float64, b *Tensor) {
 	assertSameShape("AXPY", t, b)
 	for i := range t.Data {
-		t.Data[i] += s * b.Data[i]
+		t.Data[i] += float64(s * b.Data[i])
 	}
 }
 
@@ -243,21 +250,19 @@ func MatMul(a, b *Tensor) *Tensor {
 }
 
 // MatMulInto computes a@b into dst, which must have shape (a rows, b cols)
-// and must not alias a or b. dst is overwritten, not accumulated into. b is
-// transposed into arena scratch so the kernel reads both operands along k.
+// and must not alias a or b. dst is overwritten, not accumulated into.
 func MatMulInto(dst, a, b *Tensor) *Tensor {
 	m, k, n := checkMatMulShapes(a, b)
 	checkMatMulDst("MatMulInto", dst, m, n)
-	bt := GetPooledDirty(n, k)
-	transposeInto(bt, b)
-	matMulABt(dst, a, bt)
-	Recycle(bt)
+	gemm(dst.Data, a.Data, b.Data, m, k, n, k, 1)
 	return dst
 }
 
-// MatMulTransBInto computes a@bᵀ into dst for a (m×k) and b (n×k), without
-// materializing bᵀ. dst must have shape (m, n) and must not alias a or b;
-// it is overwritten. This is the dA = dOut@Bᵀ product of MatMul's backward.
+// MatMulTransBInto computes a@bᵀ into dst for a (m×k) and b (n×k). dst
+// must have shape (m, n) and must not alias a or b; it is overwritten. b is
+// transposed into arena scratch, since the kernel reads its right operand
+// along n. This is the dA = dOut@Bᵀ product of MatMul's backward, where b
+// is the layer's weight.
 func MatMulTransBInto(dst, a, b *Tensor) *Tensor {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic("tensor: MatMulTransBInto requires rank-2 operands")
@@ -267,14 +272,17 @@ func MatMulTransBInto(dst, a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulTransBInto inner dims %d vs %d", k, b.Shape[1]))
 	}
 	checkMatMulDst("MatMulTransBInto", dst, m, n)
-	matMulABt(dst, a, b)
+	bt := GetPooledDirty(k, n)
+	transposeInto(bt, b)
+	gemm(dst.Data, a.Data, bt.Data, m, k, n, k, 1)
+	Recycle(bt)
 	return dst
 }
 
 // MatMulTransAInto computes aᵀ@b into dst for a (k×m) and b (k×n). dst must
-// have shape (m, n) and must not alias a or b; it is overwritten. Both
-// operands are transposed into arena scratch so the kernel reads them along
-// k. This is the dB = Aᵀ@dOut product of MatMul's backward.
+// have shape (m, n) and must not alias a or b; it is overwritten. The
+// kernel reads aᵀ through strides, so neither operand is copied. This is
+// the dB = Aᵀ@dOut product of MatMul's backward.
 func MatMulTransAInto(dst, a, b *Tensor) *Tensor {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic("tensor: MatMulTransAInto requires rank-2 operands")
@@ -284,11 +292,7 @@ func MatMulTransAInto(dst, a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulTransAInto inner dims %d vs %d", k, b.Shape[0]))
 	}
 	checkMatMulDst("MatMulTransAInto", dst, m, n)
-	at, bt := GetPooledDirty(m, k), GetPooledDirty(n, k)
-	transposeInto(at, a)
-	transposeInto(bt, b)
-	matMulABt(dst, at, bt)
-	Recycle(at, bt)
+	gemm(dst.Data, a.Data, b.Data, m, k, n, 1, m)
 	return dst
 }
 
@@ -342,7 +346,7 @@ func Dot(a, b *Tensor) float64 {
 	}
 	s := 0.0
 	for i := range a.Data {
-		s += a.Data[i] * b.Data[i]
+		s += float64(a.Data[i] * b.Data[i])
 	}
 	return s
 }
@@ -426,9 +430,11 @@ func AddRowVectorInto(dst, a, v *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: AddRowVector length %d vs cols %d", v.Len(), n))
 	}
 	assertSameLen("AddRowVectorInto", dst, a)
+	vd := v.Data[:n]
 	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			dst.Data[i*n+j] = a.Data[i*n+j] + v.Data[j]
+		d, r := dst.Data[i*n:][:n], a.Data[i*n:][:n]
+		for j, x := range vd {
+			d[j] = r[j] + x
 		}
 	}
 	return dst

@@ -33,11 +33,16 @@
 // baselines (Allreduce-SGD, PS-syn, D-PSGD) compute a round's gradients
 // concurrently, bounded by Config.Parallelism. Everything else runs on the
 // calling goroutine: the asynchronous engine steps one event at a time and
-// tensor kernels are single-threaded. The autograd tape reuses buffers from
-// a size-keyed arena instead of allocating per op. cmd/netmax-bench -par
-// pins the parallelism process-wide and -bench-out records the perf
-// trajectory (see BENCH_baseline.json / BENCH_pr1.json and README.md for
-// the buffer-pool lifecycle rules).
+// tensor kernels are single-threaded. The matmul kernel is AVX2 assembly on
+// amd64 CPUs that have it, with a pure-Go fallback of the same form
+// elsewhere. Each vector lane is one output element that adds its products
+// in the scalar loop's order, multiplying and adding in separate
+// instructions, so results are bitwise identical on either kernel. The
+// autograd tape reuses buffers from a size-keyed arena instead of
+// allocating per op. cmd/netmax-bench -par pins the parallelism
+// process-wide and -bench-out records the perf trajectory (see
+// BENCH_baseline.json / BENCH_pr1.json and README.md for the buffer-pool
+// lifecycle rules).
 package netmax
 
 import (
