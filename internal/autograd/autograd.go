@@ -22,6 +22,12 @@
 //     needs. Leaves (parameters, constants) are exempt and freely shared.
 //   - A forward-only graph (evaluation) hands its buffers back through
 //     Release once the caller has read its outputs.
+//
+// Gradients are written where they live: the first contribution a node
+// receives from Linear, ReLU or SoftmaxCrossEntropy is stored straight
+// into its Grad, with no zero fill, temporary or add (see gradDst for why
+// the bits are those of adding it to zeros). Later contributions, and
+// every contribution from the other ops, are added.
 package autograd
 
 import (
@@ -43,6 +49,10 @@ type Value struct {
 	parents      []*Value
 	backward     func() // accumulates into parents' Grad using v.Grad
 	label        string
+	// zeroed marks a leaf whose Grad ZeroGrad cleared and no gradient
+	// write has touched since: its next contribution may be stored rather
+	// than added.
+	zeroed bool
 
 	// saved is an arena-owned forward temporary that backward reads; the
 	// backward closure recycles it, or the graph's release does if backward
@@ -91,7 +101,47 @@ func accumulate(p *Value, g *tensor.Tensor) {
 		return
 	}
 	p.ensureGrad()
+	p.zeroed = false
 	p.Grad.AddInPlace(g)
+}
+
+// gradDst returns where a kernel that overwrites its destination should
+// write its contribution to p's gradient. With direct set, dst is p.Grad
+// and the kernel's output is the gradient: p had none yet (a non-leaf
+// gets a dirty arena buffer, a leaf a new tensor), or p is a leaf that
+// ZeroGrad cleared and no write has touched since. Otherwise dst is an
+// arena temporary for finishGrad to add in.
+//
+// A direct store of g gives the bits of the add path's +0 + g: the two
+// differ only when g is −0 (+0 + NaN is that NaN, and arithmetic never
+// makes a signalling one). The producers that store directly never emit
+// −0. Under round-to-nearest x + y is −0 only when both are −0, so the
+// gemm products (dW, dx) and SumRowsInto (db), whose accumulators start
+// at +0, never are; the add path's +0 + g never is either. ReLUGradInto
+// passes through an upstream gradient, itself a buffer written only by
+// these rules, or stores +0, so by induction it never emits −0.
+// SoftmaxCrossEntropy's p·scale is −0 when p underflowed to +0 and the
+// upstream scale is negative, so its direct store adds +0 itself. Every
+// other producer keeps the temporary and the add.
+func gradDst(p *Value) (dst *tensor.Tensor, direct bool) {
+	switch {
+	case p.Grad == nil && p.parents != nil:
+		p.Grad = tensor.GetPooledDirty(p.Data.Shape...)
+	case p.Grad == nil:
+		p.Grad = tensor.New(p.Data.Shape...)
+	case !p.zeroed:
+		return tensor.GetPooledDirty(p.Data.Shape...), false
+	}
+	p.zeroed = false
+	return p.Grad, true
+}
+
+// finishGrad completes a write gradDst started: a temporary is added into
+// p's gradient and recycled; a direct store is already in place.
+func finishGrad(p *Value, dst *tensor.Tensor, direct bool) {
+	if !direct {
+		accumTemp(p, dst)
+	}
 }
 
 // accumTemp accumulates an arena-owned temporary into p's gradient and
@@ -148,28 +198,26 @@ func Scale(a *Value, s float64) *Value {
 	return out
 }
 
-// MatMul returns a@b for rank-2 values.
-func MatMul(a, b *Value) *Value {
-	out := newPooledOp("matmul", tensor.MatMulInto(tensor.GetPooledDirty(a.Data.Shape[0], b.Data.Shape[1]), a.Data, b.Data), a, b)
+// Linear returns x@w + b for rank-2 x (batch×in) and w (in×out) and a bias
+// vector b (out): each output element is its products summed from +0, then
+// b[j] added, the operations of a matmul node followed by a row-vector
+// add, in one node. Backward writes db, dW and, if x needs it, dx.
+func Linear(x, w, b *Value) *Value {
+	y := tensor.MatMulInto(tensor.GetPooledDirty(x.Data.Shape[0], w.Data.Shape[1]), x.Data, w.Data)
+	out := newPooledOp("linear", tensor.AddRowVectorInto(y, y, b.Data), x, w, b)
 	out.backward = func() {
-		// dA = dOut @ B^T ; dB = A^T @ dOut
-		if a.requiresGrad {
-			accumTemp(a, tensor.MatMulTransBInto(tensor.GetPooledDirty(a.Data.Shape...), out.Grad, b.Data))
-		}
+		// db = Σ_rows dOut ; dW = xᵀ@dOut ; dx = dOut@Wᵀ
 		if b.requiresGrad {
-			accumTemp(b, tensor.MatMulTransAInto(tensor.GetPooledDirty(b.Data.Shape...), a.Data, out.Grad))
+			dst, direct := gradDst(b)
+			finishGrad(b, tensor.SumRowsInto(dst, out.Grad), direct)
 		}
-	}
-	return out
-}
-
-// AddRowVector adds a bias vector v to every row of rank-2 a.
-func AddRowVector(a, v *Value) *Value {
-	out := newPooledOp("addrow", tensor.AddRowVectorInto(tensor.GetPooledDirty(a.Data.Shape...), a.Data, v.Data), a, v)
-	out.backward = func() {
-		accumulate(a, out.Grad)
-		if v.requiresGrad {
-			accumTemp(v, tensor.SumRowsInto(tensor.GetPooledDirty(v.Data.Len()), out.Grad))
+		if w.requiresGrad {
+			dst, direct := gradDst(w)
+			finishGrad(w, tensor.MatMulTransAInto(dst, x.Data, out.Grad), direct)
+		}
+		if x.requiresGrad {
+			dst, direct := gradDst(x)
+			finishGrad(x, tensor.MatMulTransBInto(dst, out.Grad, w.Data), direct)
 		}
 	}
 	return out
@@ -181,7 +229,8 @@ func ReLU(a *Value) *Value {
 	out := newPooledOp("relu", tensor.ReLUInto(tensor.GetPooledDirty(a.Data.Shape...), a.Data), a)
 	out.backward = func() {
 		if a.requiresGrad {
-			accumTemp(a, tensor.ReLUGradInto(tensor.GetPooledDirty(a.Data.Shape...), out.Grad, a.Data))
+			dst, direct := gradDst(a)
+			finishGrad(a, tensor.ReLUGradInto(dst, out.Grad, a.Data), direct)
 		}
 	}
 	return out
@@ -263,7 +312,7 @@ func SoftmaxCrossEntropy(logits *Value, labels []int) *Value {
 	out.saved = probs
 	out.backward = func() {
 		scale := out.Grad.Data[0] / float64(m)
-		g := tensor.GetPooledDirty(m, n)
+		g, direct := gradDst(logits)
 		for i := 0; i < m; i++ {
 			prow := probs.Data[i*n : (i+1)*n]
 			grow := g.Data[i*n : (i+1)*n]
@@ -271,10 +320,18 @@ func SoftmaxCrossEntropy(logits *Value, labels []int) *Value {
 				grow[j] = prow[j] * scale
 			}
 			grow[labels[i]] -= scale
+			if direct {
+				// The add path stored +0 + v, which turns a −0 (a
+				// probability underflowed to +0 times a negative
+				// scale) into +0 and leaves every other value alone.
+				for j := range grow {
+					grow[j] += 0
+				}
+			}
 		}
 		tensor.Recycle(probs)
 		out.saved = nil
-		accumTemp(logits, g)
+		finishGrad(logits, g, direct)
 	}
 	return out
 }
@@ -378,6 +435,7 @@ func Backward(v *Value) {
 	tr.sort(v)
 	// order is children-after-parents; walk it in reverse.
 	v.ensureGrad()
+	v.zeroed = false
 	v.Grad.Data[0] = 1
 	for i := len(tr.order) - 1; i >= 0; i-- {
 		n := tr.order[i]
@@ -400,11 +458,16 @@ func Release(v *Value) {
 	tr.release(nil)
 }
 
-// ZeroGrad clears the gradients of the given leaves.
+// ZeroGrad clears the gradients of the given leaves, so a leaf that no
+// graph reaches reads 0, and marks them: the next backward pass that
+// reaches a marked leaf may store its first contribution over the zeros
+// instead of adding it. Code outside this package that writes a marked
+// leaf's Grad before that pass has its values overwritten, not added to.
 func ZeroGrad(leaves ...*Value) {
 	for _, l := range leaves {
 		if l.Grad != nil {
 			l.Grad.Zero()
+			l.zeroed = true
 		}
 	}
 }

@@ -402,3 +402,87 @@ func TestReleaseRecyclesForwardGraph(t *testing.T) {
 		}
 	}
 }
+
+func hasNegativeZero(t *tensor.Tensor) bool {
+	for _, v := range t.Data {
+		if v == 0 && math.Signbit(v) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestSoftmaxStoreMatchesAddPath backpropagates a negated cross-entropy
+// through logits whose softmax underflows to +0, so the product p·scale is
+// −0. A leaf whose gradient is stored directly (new, or cleared by
+// ZeroGrad) must get the add path's bits, with no −0.
+func TestSoftmaxStoreMatchesAddPath(t *testing.T) {
+	logits := []float64{0, -1000, 3, 1, -1000, 0}
+	labels := []int{0, 2}
+	leaf := func() *Value {
+		return NewLeaf(tensor.FromSlice(append([]float64(nil), logits...), 2, 3), true)
+	}
+	fresh, marked, added := leaf(), leaf(), leaf()
+	marked.Grad = tensor.Full(7, 2, 3)
+	ZeroGrad(marked)
+	// Zeros written from outside carry no ZeroGrad mark: the add path.
+	added.Grad = tensor.New(2, 3)
+	for _, l := range []*Value{fresh, marked, added} {
+		Backward(Scale(SoftmaxCrossEntropy(l, labels), -1))
+	}
+	if added.Grad.Data[1] != 0 {
+		t.Fatalf("softmax did not underflow: gradient %v", added.Grad.Data)
+	}
+	for _, l := range []*Value{fresh, marked, added} {
+		if hasNegativeZero(l.Grad) {
+			t.Fatalf("logits gradient %v holds −0", l.Grad.Data)
+		}
+		if !sameBits(l.Grad, added.Grad) {
+			t.Fatalf("logits gradient %v, add path %v", l.Grad.Data, added.Grad.Data)
+		}
+	}
+}
+
+// TestMixedWritersSum gives leaves several writers: w feeds a Linear node,
+// which stores its first contribution, and a Mul node, which adds; x and b
+// feed two Linear nodes. In every order of the three terms, after a fresh
+// pass and after ZeroGrad, each leaf must hold the sum the all-add oracle
+// graph computes. A write that left ZeroGrad's mark set would let a later
+// store overwrite the contribution before it.
+func TestMixedWritersSum(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	xd, wd, w2d := tensor.Randn(rng, 1, 5, 3), tensor.Randn(rng, 1, 3, 4), tensor.Randn(rng, 1, 3, 4)
+	bd, c := tensor.Randn(rng, 1, 4), Constant(tensor.Randn(rng, 1, 3, 4))
+	labels, labels2 := []int{0, 1, 2, 3, 0}, []int{3, 3, 1, 0, 2}
+	leaves := func() []*Value {
+		return []*Value{NewLeaf(xd.Clone(), true), NewLeaf(wd.Clone(), true), NewLeaf(w2d.Clone(), true), NewLeaf(bd.Clone(), true)}
+	}
+	// terms builds the three terms over leaves x, w, w2, b with either
+	// linear op, in the given order.
+	terms := func(l []*Value, linear func(x, w, b *Value) *Value, order []int) *Value {
+		x, w, w2, b := l[0], l[1], l[2], l[3]
+		ts := []*Value{
+			SoftmaxCrossEntropy(linear(x, w, b), labels),
+			Mean(Mul(w, c)),
+			SoftmaxCrossEntropy(linear(x, w2, b), labels2),
+		}
+		return Add(Add(ts[order[0]], ts[order[1]]), ts[order[2]])
+	}
+	composed := func(x, w, b *Value) *Value { return AddRowVector(MatMul(x, w), b) }
+	for _, order := range [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+		got, want := leaves(), leaves()
+		for pass := 0; pass < 2; pass++ {
+			if pass == 1 {
+				ZeroGrad(got...)
+				ZeroGrad(want...)
+			}
+			Backward(terms(got, Linear, order))
+			Backward(terms(want, composed, order))
+			for i := range got {
+				if !sameBits(got[i].Grad, want[i].Grad) {
+					t.Fatalf("order %v pass %d leaf %d: gradient %v, oracle %v", order, pass, i, got[i].Grad.Data, want[i].Grad.Data)
+				}
+			}
+		}
+	}
+}

@@ -40,7 +40,7 @@ func NewLinear(rng *rand.Rand, in, out int) *Linear {
 
 // Forward applies the affine map.
 func (l *Linear) Forward(x *autograd.Value) *autograd.Value {
-	return autograd.AddRowVector(autograd.MatMul(x, l.W), l.B)
+	return autograd.Linear(x, l.W, l.B)
 }
 
 // Params returns the trainable leaves.
@@ -138,8 +138,9 @@ func (m *Model) BlendVector(c float64, v []float64) {
 	off := 0
 	for _, p := range m.params {
 		d := p.Data.Data
-		for i := range d {
-			d[i] += c * (v[off+i] - d[i])
+		src := v[off:][:len(d)]
+		for i, x := range d {
+			d[i] = x + c*(src[i]-x)
 		}
 		off += len(d)
 	}
@@ -246,17 +247,18 @@ func (o *SGD) Step(m *Model) {
 			o.velocity[i] = make([]float64, p.Data.Len())
 		}
 	}
+	lr, momentum, decay := o.LR, o.Momentum, o.WeightDecay
 	for i, p := range params {
 		if p.Grad == nil {
 			continue
 		}
-		v := o.velocity[i]
 		d := p.Data.Data
-		g := p.Grad.Data
-		for j := range d {
-			gj := g[j] + o.WeightDecay*d[j]
-			v[j] = o.Momentum*v[j] - o.LR*gj
-			d[j] += v[j]
+		v := o.velocity[i][:len(d)]
+		g := p.Grad.Data[:len(d)]
+		for j, x := range d {
+			gj := g[j] + decay*x
+			v[j] = momentum*v[j] - lr*gj
+			d[j] = x + v[j]
 		}
 	}
 }

@@ -261,8 +261,8 @@ func MatMulInto(dst, a, b *Tensor) *Tensor {
 // MatMulTransBInto computes a@bᵀ into dst for a (m×k) and b (n×k). dst
 // must have shape (m, n) and must not alias a or b; it is overwritten. b is
 // transposed into arena scratch, since the kernel reads its right operand
-// along n. This is the dA = dOut@Bᵀ product of MatMul's backward, where b
-// is the layer's weight.
+// along n. This is the dx = dOut@Wᵀ product of autograd.Linear's backward,
+// where b is the layer's weight.
 func MatMulTransBInto(dst, a, b *Tensor) *Tensor {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic("tensor: MatMulTransBInto requires rank-2 operands")
@@ -282,7 +282,7 @@ func MatMulTransBInto(dst, a, b *Tensor) *Tensor {
 // MatMulTransAInto computes aᵀ@b into dst for a (k×m) and b (k×n). dst must
 // have shape (m, n) and must not alias a or b; it is overwritten. The
 // kernel reads aᵀ through strides, so neither operand is copied. This is
-// the dB = Aᵀ@dOut product of MatMul's backward.
+// the dW = xᵀ@dOut product of autograd.Linear's backward.
 func MatMulTransAInto(dst, a, b *Tensor) *Tensor {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic("tensor: MatMulTransAInto requires rank-2 operands")
@@ -312,10 +312,20 @@ func Transpose(a *Tensor) *Tensor {
 	return out
 }
 
+// transposeInto writes aᵀ into dst. Rows of a go four at a time, so each
+// row of dst takes four adjacent stores per visit instead of one.
 func transposeInto(dst, a *Tensor) {
 	m, n := a.Shape[0], a.Shape[1]
 	ad, dd := a.Data, dst.Data
-	for i := 0; i < m; i++ {
+	i := 0
+	for ; i+4 <= m; i += 4 {
+		r0, r1, r2, r3 := ad[i*n:][:n], ad[(i+1)*n:][:n], ad[(i+2)*n:][:n], ad[(i+3)*n:][:n]
+		for j, v := range r0 {
+			d := dd[j*m+i:][:4]
+			d[0], d[1], d[2], d[3] = v, r1[j], r2[j], r3[j]
+		}
+	}
+	for ; i < m; i++ {
 		for j, v := range ad[i*n:][:n] {
 			dd[j*m+i] = v
 		}
@@ -452,10 +462,11 @@ func SumRowsInto(dst, a *Tensor) *Tensor {
 	if dst.Len() != n {
 		panic(fmt.Sprintf("tensor: SumRowsInto dst length %d, want %d", dst.Len(), n))
 	}
-	dst.Zero()
+	d := dst.Data[:n]
+	clear(d)
 	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			dst.Data[j] += a.Data[i*n+j]
+		for j, x := range a.Data[i*n:][:n] {
+			d[j] += x
 		}
 	}
 	return dst
