@@ -53,11 +53,6 @@ type Options struct {
 	// Fig. 7 ablation): the monitor still collects reports but never
 	// generates a policy.
 	UniformPolicy bool
-	// FixedBlend, when true, replaces the 1/p_im-scaled consensus weight
-	// with plain averaging (coefficient 1/2). Combined with an active
-	// monitor this is exactly the AD-PSGD+Monitor extension of
-	// Section III-D / Fig. 15.
-	FixedBlend bool
 	// StalePeriods enables the Network Monitor's liveness tracking: a
 	// worker silent for this many monitor periods is evicted and policies
 	// regenerate over the live subgraph (see monitor.Config.StalePeriods).
@@ -83,18 +78,20 @@ type behavior struct {
 	nodes []*Node
 }
 
-func newBehavior(cfg *engine.Config, opts Options) *behavior {
+// averaging selects AD-PSGD+Monitor's blend for the nodes and the policies
+// the monitor generates for them (see NewNodes).
+func newBehavior(cfg *engine.Config, opts Options, averaging bool) *behavior {
 	opts.defaults()
 	adj := cfg.Net.Topo.Adj
 	return &behavior{
 		opts:  opts,
-		nodes: NewNodes(adj, cfg.LR, opts),
+		nodes: NewNodes(adj, cfg.LR, opts.Beta, averaging),
 		mon: monitor.New(monitor.Config{
 			Adj:            adj,
 			Alpha:          cfg.LR,
 			Period:         opts.Ts,
 			Rounds:         opts.PolicyRounds,
-			AveragingBlend: opts.FixedBlend,
+			AveragingBlend: averaging,
 			StalePeriods:   opts.StalePeriods,
 		}),
 	}
@@ -129,10 +126,9 @@ func (b *behavior) OnIterationEnd(i, j int, iterSecs, now float64) {
 	b.mon.ObserveAt(i, j, b.nodes[i].Observe(j, iterSecs), now)
 }
 
-// Symmetric reports whether the blend applies to both endpoints: NetMax's
-// Algorithm 2 is a one-sided pull, but the AD-PSGD+Monitor extension keeps
-// AD-PSGD's two-sided atomic averaging.
-func (b *behavior) Symmetric() bool { return b.opts.FixedBlend }
+// Symmetric reports whether the blend applies to both endpoints, as the
+// nodes decide (Node.TwoSided).
+func (b *behavior) Symmetric() bool { return b.nodes[0].TwoSided() }
 
 // Tick runs the Network Monitor's periodic policy regeneration and hands
 // every worker the new policy. Under UniformPolicy there is nothing to
@@ -152,17 +148,17 @@ func (b *behavior) Tick(now float64) {
 
 // Run trains with NetMax under cfg and returns the aggregated result.
 func Run(cfg *engine.Config, opts Options) *engine.Result {
-	b := newBehavior(cfg, opts)
+	b := newBehavior(cfg, opts, false)
 	r := engine.RunAsync(cfg, b, "NetMax")
 	debugRegens.Store(int64(b.mon.Regenerations))
 	return r
 }
 
-// RunADPSGDMonitor trains with the Section III-D extension: adaptive policy
-// from the Network Monitor, but AD-PSGD's fixed averaging weight.
+// RunADPSGDMonitor trains with the Section III-D extension, the only way to
+// run the averaging blend: adaptive policy from the Network Monitor, but
+// AD-PSGD's two-sided averaging with coefficient 1/2.
 func RunADPSGDMonitor(cfg *engine.Config, opts Options) *engine.Result {
-	opts.FixedBlend = true
-	return engine.RunAsync(cfg, newBehavior(cfg, opts), "AD-PSGD+Monitor")
+	return engine.RunAsync(cfg, newBehavior(cfg, opts, true), "AD-PSGD+Monitor")
 }
 
 // debugRegens records the regeneration count of the most recent Run for

@@ -69,7 +69,7 @@ func TestRunDefaultTsIsDefaultMonitorTs(t *testing.T) {
 }
 
 func TestNetMaxRegeneratesPolicies(t *testing.T) {
-	b := newBehavior(hetConfig(4, 1, 3), Options{Ts: 2})
+	b := newBehavior(hetConfig(4, 1, 3), Options{Ts: 2}, false)
 	cfg := hetConfig(4, 8, 3)
 	engine.RunAsync(cfg, b, "NetMax")
 	if b.mon.Regenerations < 2 {
@@ -119,7 +119,7 @@ func TestNetMaxHomogeneousMatchesADPSGD(t *testing.T) {
 func TestUniformPolicyOptionDisablesAdaptation(t *testing.T) {
 	adaptive := Run(hetConfig(8, 10, 17), Options{Ts: 2})
 	cfg := hetConfig(8, 10, 17)
-	b := newBehavior(cfg, Options{Ts: 2, UniformPolicy: true})
+	b := newBehavior(cfg, Options{Ts: 2, UniformPolicy: true}, false)
 	uniform := engine.RunAsync(cfg, b, "NetMax")
 	// Fig. 7: adaptive probabilities are the main source of gain.
 	if adaptive.TotalTime >= uniform.TotalTime {
@@ -145,7 +145,7 @@ func TestADPSGDMonitorBetweenADPSGDAndNetMax(t *testing.T) {
 
 func TestBlendCoefScalesInverselyWithProbability(t *testing.T) {
 	cfg := hetConfig(4, 1, 3)
-	n := NewNodes(cfg.Net.Topo.Adj, cfg.LR, Options{})[0]
+	n := NewNodes(cfg.Net.Topo.Adj, cfg.LR, DefaultBeta, false)[0]
 	n.Adopt([][]float64{
 		{0, 0.8, 0.1, 0.1},
 		{0.8, 0, 0.1, 0.1},
@@ -165,7 +165,7 @@ func TestBlendCoefScalesInverselyWithProbability(t *testing.T) {
 
 func TestBlendCoefClamped(t *testing.T) {
 	cfg := hetConfig(4, 1, 3)
-	n := NewNodes(cfg.Net.Topo.Adj, cfg.LR, Options{})[0]
+	n := NewNodes(cfg.Net.Topo.Adj, cfg.LR, DefaultBeta, false)[0]
 	n.rho = 1e6 // absurd rho must not produce a divergent blend
 	if c := n.Coef(1); c > 1 {
 		t.Fatalf("blend coefficient %v > 1", c)
@@ -174,7 +174,7 @@ func TestBlendCoefClamped(t *testing.T) {
 
 func TestSelectPeerRespectsPolicySupport(t *testing.T) {
 	cfg := hetConfig(4, 1, 3)
-	n := NewNodes(cfg.Net.Topo.Adj, cfg.LR, Options{})[0]
+	n := NewNodes(cfg.Net.Topo.Adj, cfg.LR, DefaultBeta, false)[0]
 	n.Adopt([][]float64{
 		{0, 1, 0, 0},
 		{1, 0, 0, 0},
@@ -189,10 +189,24 @@ func TestSelectPeerRespectsPolicySupport(t *testing.T) {
 	}
 }
 
+// TestFixedBlendOption pins the blend each entry point runs: Run's nodes
+// pull one-sided with the 1/p-scaled coefficient, RunADPSGDMonitor's
+// average two-sided with coefficient 1/2 whatever row they adopt.
 func TestFixedBlendOption(t *testing.T) {
 	cfg := hetConfig(4, 1, 3)
-	n := NewNodes(cfg.Net.Topo.Adj, cfg.LR, Options{FixedBlend: true})[0]
+	if b := newBehavior(cfg, Options{}, false); b.Symmetric() || b.nodes[0].Coef(1) == 0.5 {
+		t.Fatalf("NetMax node: two-sided %v, coefficient %v", b.Symmetric(), b.nodes[0].Coef(1))
+	}
+	b := newBehavior(cfg, Options{}, true)
+	if !b.Symmetric() {
+		t.Fatal("AD-PSGD+Monitor blend is one-sided")
+	}
+	n := b.nodes[0]
+	n.Adopt([][]float64{{0, 0.9, 0.05, 0.05}}, 3)
 	if c := n.Coef(1); c != 0.5 {
+		t.Fatalf("fixed blend = %v, want 0.5", c)
+	}
+	if c := n.Coef(2); c != 0.5 {
 		t.Fatalf("fixed blend = %v, want 0.5", c)
 	}
 }
@@ -209,7 +223,7 @@ func TestOptionsDefaults(t *testing.T) {
 
 func TestEMAUpdateRule(t *testing.T) {
 	cfg := hetConfig(4, 1, 3)
-	nodes := NewNodes(cfg.Net.Topo.Adj, cfg.LR, Options{Beta: 0.5})
+	nodes := NewNodes(cfg.Net.Topo.Adj, cfg.LR, 0.5, false)
 	nodes[0].Observe(1, 2.0)
 	if nodes[0].ema[1] != 2.0 {
 		t.Fatalf("first observation should seed EMA, got %v", nodes[0].ema[1])
@@ -271,7 +285,7 @@ func TestNetMaxReadmitsEvictedWorker(t *testing.T) {
 	crashAt := clean.TotalTime * 0.5
 	rejoinAt := crashAt + 10*2
 	cfg.Failures = simnet.NewFailureSchedule().Crash(1, crashAt, rejoinAt)
-	b := newBehavior(cfg, Options{Ts: 2, StalePeriods: 1})
+	b := newBehavior(cfg, Options{Ts: 2, StalePeriods: 1}, false)
 	r := engine.RunAsync(cfg, b, "NetMax")
 	if r.Epochs != 8 {
 		t.Fatalf("run completed %d epochs, want 8", r.Epochs)

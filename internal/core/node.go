@@ -13,11 +13,11 @@ import (
 // simulated worker, and every live worker goroutine owns one. A Node is not
 // safe for concurrent use.
 type Node struct {
-	id         int
-	adj        [][]bool
-	alpha      float64
-	beta       float64
-	fixedBlend bool
+	id        int
+	adj       [][]bool
+	alpha     float64
+	beta      float64
+	averaging bool
 
 	row     []float64 // p_i, this worker's row of the adopted policy
 	uniform []float64 // fallback for a row with no peer mass
@@ -31,11 +31,15 @@ type Node struct {
 }
 
 // NewNodes builds the decision state of every worker of the graph adj with
-// learning rate alpha, taking Beta and FixedBlend from opts. Each node starts
-// on the uniform policy with ρ a quarter of the feasibility cap
+// learning rate alpha and EMA factor beta (DefaultBeta if outside (0, 1)).
+// averaging selects the Section III-D blend of AD-PSGD+Monitor, AD-PSGD's
+// two-sided averaging, in place of Algorithm 2's one-sided pull. Each node
+// starts on the uniform policy with ρ a quarter of the feasibility cap
 // 1/(2α·deg_max), giving an initial uniform blend coefficient αρ·deg = 1/8.
-func NewNodes(adj [][]bool, alpha float64, opts Options) []*Node {
-	opts.defaults()
+func NewNodes(adj [][]bool, alpha, beta float64, averaging bool) []*Node {
+	if beta <= 0 || beta >= 1 {
+		beta = DefaultBeta
+	}
 	maxDeg := 0
 	for i := range adj {
 		deg := 0
@@ -56,15 +60,15 @@ func NewNodes(adj [][]bool, alpha float64, opts Options) []*Node {
 	nodes := make([]*Node, len(adj))
 	for i := range nodes {
 		nodes[i] = &Node{
-			id:         i,
-			adj:        adj,
-			alpha:      alpha,
-			beta:       opts.Beta,
-			fixedBlend: opts.FixedBlend,
-			row:        uniform[i],
-			uniform:    uniform[i],
-			rho:        rho,
-			ema:        make([]float64, len(adj)),
+			id:        i,
+			adj:       adj,
+			alpha:     alpha,
+			beta:      beta,
+			averaging: averaging,
+			row:       uniform[i],
+			uniform:   uniform[i],
+			rho:       rho,
+			ema:       make([]float64, len(adj)),
 		}
 	}
 	return nodes
@@ -77,12 +81,12 @@ func (n *Node) Select(rng *rand.Rand) int {
 	return policy.SampleMasked(n.row, n.id, n.mask, rng)
 }
 
-// Coef returns the coefficient with which peer j's model enters the blend
-// (Algorithm 2 lines 13-14): αρ(d_ij+d_ji)/(2 p_ij), clamped to (0, 1] for
-// safety when the live EMA and the policy briefly disagree, or 1/2 under
-// FixedBlend.
+// Coef returns the coefficient c of the blend x ← x + c(x_j − x) (Algorithm
+// 2 lines 13-14): αρ(d_ij+d_ji)/(2 p_ij), clamped to (0, 1] for safety when
+// the live EMA and the policy briefly disagree, or 1/2 for the averaging
+// blend.
 func (n *Node) Coef(j int) float64 {
-	if n.fixedBlend {
+	if n.averaging {
 		return 0.5
 	}
 	d := 0.0
@@ -102,6 +106,12 @@ func (n *Node) Coef(j int) float64 {
 	}
 	return c
 }
+
+// TwoSided reports whether a pull also moves the peer, x_j ← x_j + c(x_i −
+// x_j) with the same coefficient and the puller's pre-blend model. That is
+// AD-PSGD's atomic averaging, which the averaging blend keeps; Algorithm
+// 2's pull moves only the puller.
+func (n *Node) TwoSided() bool { return n.averaging }
 
 // Observe folds a measured iteration time with peer j into the EMA time
 // vector (Algorithm 2 UPDATETIMEVECTOR) and returns the smoothed value the

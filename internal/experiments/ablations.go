@@ -23,15 +23,17 @@ func ablRun(id string, opt Options, epochs int, nm scenario.NetMaxSpec) *scenari
 }
 
 // runAblBlend compares Algorithm 2's 1/p_im-scaled blend weight against
-// plain averaging under the same adaptive policy (this is the algorithmic
-// delta between NetMax and AD-PSGD+Monitor).
+// AD-PSGD+Monitor's averaging under the same adaptive monitor (this is the
+// algorithmic delta between NetMax and AD-PSGD+Monitor).
 func runAblBlend(opt Options) (*Result, error) {
 	epochs := scaleEpochs(30, opt)
 	scaled, err := run(ablRun("abl-blend", opt, epochs, scenario.NetMaxSpec{}))
 	if err != nil {
 		return nil, err
 	}
-	fixed, err := run(ablRun("abl-blend", opt, epochs, scenario.NetMaxSpec{FixedBlend: true}))
+	m := ablRun("abl-blend", opt, epochs, scenario.NetMaxSpec{})
+	m.Algorithm = "adpsgd-monitor"
+	fixed, err := run(m)
 	if err != nil {
 		return nil, err
 	}

@@ -162,7 +162,7 @@ func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
 	// model, batch order and RNG stream as the simulated one.
 	ecfg := &engine.Config{Spec: cfg.Spec, Part: cfg.Part, LR: cfg.LR, Batch: cfg.Batch, Seed: cfg.Seed}
 	reps := ecfg.Workers()
-	nodes := core.NewNodes(adj, cfg.LR, core.Options{Beta: cfg.Beta})
+	nodes := core.NewNodes(adj, cfg.LR, cfg.Beta, false)
 	workers := make([]*worker, m)
 	sources := make([]transport.ModelSource, m)
 	for i := 0; i < m; i++ {

@@ -64,13 +64,12 @@ func TestAveragingBlendAllowsTinyProbabilities(t *testing.T) {
 	}
 }
 
+// TestBuildYAveragingSpectrum pins the averaging blend's Y to the update
+// AD-PSGD+Monitor runs: both endpoints move to their midpoint, so Y is the
+// randomized-gossip matrix I − ½·Σ pg_i·p_ij·uuᵀ (u = e_i − e_j). It is
+// symmetric with unit row sums, so λ₁ = 1 on the consensus vector and
+// Lambda2Exceeds's certificate applies to +Monitor's candidates too.
 func TestBuildYAveragingSpectrum(t *testing.T) {
-	// With the fixed 1/2 weight, p_ij·w_ij depends on p, so the row-sum
-	// cancellation that makes NetMax's Y doubly stochastic (p_ij·w_ij = αρ
-	// for every edge) is lost: averaging-mode Y is symmetric but generally
-	// NOT doubly stochastic, and the paper's Theorem 1 then uses λ₁
-	// ("otherwise let λ = λ1"). This is the spectral reason the extension
-	// converges per-epoch slightly slower than NetMax (Fig. 15).
 	m := 5
 	times := hetTimes(m, 25)
 	adj := simnet.FullyConnected(m)
@@ -82,16 +81,36 @@ func TestBuildYAveragingSpectrum(t *testing.T) {
 	if !y.IsSymmetric(1e-9) {
 		t.Fatal("averaging-mode Y must still be symmetric")
 	}
+	ones := make([]float64, m)
+	for i := range ones {
+		ones[i] = 1
+	}
+	for i, sum := range y.MatVec(ones) {
+		if math.Abs(sum-1) > 1e-12 {
+			t.Fatalf("row %d of Y sums to %v, want 1", i, sum)
+		}
+	}
+	pg := GlobalStepProbs(AvgIterTimes(pol.P, times, adj))
+	for i := 0; i < m; i++ {
+		for j := 0; j < m; j++ {
+			if want := (pg[i]*pol.P[i][j] + pg[j]*pol.P[j][i]) / 2; j != i && math.Abs(y.At(i, j)-want) > 1e-15 {
+				t.Fatalf("y[%d][%d] = %v, want ½(pg_i p_ij + pg_j p_ji) = %v", i, j, y.At(i, j), want)
+			}
+		}
+	}
 	eig, err := linalg.SymmetricEigenvalues(y)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The spectrum stays in a sane contraction range around 1.
-	if eig[0] < 0.5 || eig[0] > 1.1 {
-		t.Fatalf("lambda1 = %v out of range", eig[0])
+	if math.Abs(eig[0]-1) > 1e-12 || !(eig[1] > 0 && eig[1] < 1) || eig[m-1] < 0 {
+		t.Fatalf("spectrum %v, want λ₁ = 1 > λ₂ > 0 and no negative eigenvalue", eig)
 	}
-	if eig[len(eig)-1] < 0 {
-		t.Fatalf("negative eigenvalue %v", eig[len(eig)-1])
+	if math.Abs(eig[1]-pol.Lambda2) > 1e-9 {
+		t.Fatalf("λ₂ = %v, policy reports %v", eig[1], pol.Lambda2)
+	}
+	work := make([]float64, m*m)
+	if !linalg.Lambda2Exceeds(y, eig[1]*0.99, work) || linalg.Lambda2Exceeds(y, math.Min(eig[1]*1.01, 0.999), work) {
+		t.Fatalf("Lambda2Exceeds does not bracket λ₂ = %v", eig[1])
 	}
 }
 

@@ -207,22 +207,18 @@ func BuildY(p [][]float64, times [][]float64, adj [][]bool, alpha, rho float64) 
 	return y
 }
 
-// BuildYAveraging constructs Y for the Section III-D extension, where the
-// update D^k = I + (1/2) e_i(e_m-e_i)ᵀ uses AD-PSGD's fixed averaging
-// weight instead of αργ.
+// BuildYAveraging constructs Y for the Section III-D extension, whose pull
+// moves both endpoints to their midpoint (AD-PSGD's atomic averaging):
+// D^k = I − ½uuᵀ with u = e_i − e_m.
 func BuildYAveraging(p [][]float64, times [][]float64, adj [][]bool) *linalg.Matrix {
 	y := linalg.NewMatrix(len(p))
 	buildY(y, p, adj, 0, true, GlobalStepProbs(AvgIterTimes(p, times, adj)))
 	return y
 }
 
-// weight is the blend weight w(i,m) of the update D^k = I + w·e_i(e_m-e_i)ᵀ:
-// αρ·γ_im with γ_im = (d_im+d_mi)/(2 p_im) for Eq. (22), or AD-PSGD's fixed
-// 1/2 for the averaging extension.
-func weight(p [][]float64, adj [][]bool, i, j int, ar float64, averaging bool) float64 {
-	if averaging {
-		return 0.5
-	}
+// weight is the blend weight w(i,m) = αρ·γ_im of NetMax's update
+// D^k = I + w·e_i(e_m-e_i)ᵀ, with γ_im = (d_im+d_mi)/(2 p_im) (Eq. 22).
+func weight(p [][]float64, adj [][]bool, i, j int, ar float64) float64 {
 	d := 0.0
 	if adj[i][j] {
 		d++
@@ -233,12 +229,18 @@ func weight(p [][]float64, adj [][]bool, i, j int, ar float64, averaging bool) f
 	return ar * (d / (2 * p[i][j]))
 }
 
-// buildY writes E[(D^k)ᵀD^k] into y for global-step probabilities pg, with
-// ar = αρ and w = weight. In terms of w the entries are
-// y_im = Σ_{sides} pg·p·(w - w²) and
-// y_ii = 1 - 2 Σ_m pg_i p_im w_im + Σ_m Σ_{sides} pg·p·w².
+// buildY writes E[(D^k)ᵀD^k] into y for global-step probabilities pg.
 // Terms with p_im = 0 contribute nothing (the selection event has
 // probability zero).
+//
+// For NetMax's one-sided pull, with ar = αρ and w = weight, the entries are
+// y_im = Σ_{sides} pg·p·(w - w²) and
+// y_ii = 1 - 2 Σ_m pg_i p_im w_im + Σ_m Σ_{sides} pg·p·w².
+//
+// The averaging blend's D^k = I − ½uuᵀ is symmetric and idempotent, so
+// Y = E[D^k] = I − ½ Σ pg_i p_im uuᵀ, the randomized-gossip matrix of Boyd
+// et al. (IEEE Trans. Inf. Theory 2006): y_im = ½(pg_i p_im + pg_m p_mi)
+// and every row sums to 1.
 func buildY(y *linalg.Matrix, p [][]float64, adj [][]bool, ar float64, averaging bool, pg []float64) {
 	m := len(p)
 	for i := 0; i < m; i++ {
@@ -247,16 +249,28 @@ func buildY(y *linalg.Matrix, p [][]float64, adj [][]bool, ar float64, averaging
 			if j == i {
 				continue
 			}
+			if averaging {
+				var mass float64 // pg_i p_ij + pg_j p_ji: the rate of i–j pulls
+				if adj[i][j] && p[i][j] > 0 {
+					mass += pg[i] * p[i][j]
+				}
+				if adj[j][i] && p[j][i] > 0 {
+					mass += pg[j] * p[j][i]
+				}
+				y.Set(i, j, mass/2)
+				diag -= mass / 2
+				continue
+			}
 			var first, second float64
 			if adj[i][j] && p[i][j] > 0 {
-				wij := weight(p, adj, i, j, ar, averaging)
+				wij := weight(p, adj, i, j, ar)
 				first += pg[i] * p[i][j] * wij
 				second += pg[i] * p[i][j] * wij * wij
 				// Diagonal first-order term covers only i's own pulls.
 				diag -= 2 * pg[i] * p[i][j] * wij
 			}
 			if adj[j][i] && p[j][i] > 0 {
-				wji := weight(p, adj, j, i, ar, averaging)
+				wji := weight(p, adj, j, i, ar)
 				first += pg[j] * p[j][i] * wji
 				second += pg[j] * p[j][i] * wji * wji
 			}
@@ -466,9 +480,8 @@ func (s *search) innerLoop(rho float64, r int) error {
 // eigensolve and of the T comparison, so every rejected candidate would
 // also have lost that comparison (or had λ₂ ≥ 1), and the chosen policy is
 // bitwise the one scoring every candidate by eigensolve would pick. Where
-// the certificate does not apply (no best yet, Y·1 ≠ 1 as for the
-// averaging blend or a directed graph) or proves nothing, the eigensolve
-// runs as before.
+// the certificate does not apply (no best yet, Y·1 ≠ 1 as on a directed
+// graph) or proves nothing, the eigensolve runs as before.
 func (s *search) score(rho, tbar, floor float64) {
 	if !s.solveRows(floor, float64(len(s.p))*tbar) {
 		return

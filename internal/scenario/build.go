@@ -131,7 +131,6 @@ func (r *Manifest) coreOptions() core.Options {
 		Beta:          nm.Beta,
 		PolicyRounds:  nm.PolicyRounds,
 		UniformPolicy: nm.UniformPolicy,
-		FixedBlend:    nm.FixedBlend,
 		StalePeriods:  nm.StalePeriods,
 	}
 }

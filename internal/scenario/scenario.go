@@ -218,9 +218,6 @@ type NetMaxSpec struct {
 	PolicyRounds int `json:"policy_rounds,omitempty"`
 	// UniformPolicy disables the adaptive policy (the uniform ablation).
 	UniformPolicy bool `json:"uniform_policy,omitempty"`
-	// FixedBlend replaces the 1/p-scaled consensus weight with plain
-	// averaging (only meaningful for "netmax"; "adpsgd-monitor" implies it).
-	FixedBlend bool `json:"fixed_blend,omitempty"`
 	// StalePeriods enables monitor liveness eviction (0 disables — the
 	// right setting for failure-free runs).
 	StalePeriods int `json:"stale_periods,omitempty"`
@@ -727,9 +724,6 @@ func validateEngine(e *errorList, m, r *Manifest) {
 		}
 		if nm.StalePeriods < 0 {
 			e.addf("netmax.stale_periods must be >= 0, got %d", nm.StalePeriods)
-		}
-		if nm.FixedBlend && r.Algorithm == "adpsgd-monitor" {
-			e.addf("netmax.fixed_blend is implied by algorithm adpsgd-monitor; drop it")
 		}
 	}
 }

@@ -132,6 +132,7 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		{"compute sigma", `{"name": "x", "compute": {"kind": "straggler", "factor": 2, "sigma": 0.5}}`, `unknown field "sigma"`},
 		{"compute seed", `{"name": "x", "compute": {"kind": "straggler", "factor": 2, "seed": 3}}`, `unknown field "seed"`},
 		{"netmax epsilon", `{"name": "x", "netmax": {"epsilon": 0.01}}`, `unknown field "epsilon"`},
+		{"netmax fixed blend", `{"name": "x", "netmax": {"fixed_blend": true}}`, `unknown field "fixed_blend"`},
 		{"random churn seed", `{"name": "x", "failures": {"random_churn": {"horizon_secs": 10, "crashes_per_worker": 1, "mean_down_secs": 1, "seed": 3}}}`, `unknown field "seed"`},
 		{"quick duration", `{"name": "x", "runtime": "live", "live": {"iterations": 5}, "quick": {"duration_secs": 1}}`, `unknown field "duration_secs"`},
 		{"quick iterations on engine", `{"name": "x", "quick": {"iterations": 5}}`, "quick.iterations is live-only"},

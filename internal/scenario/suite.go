@@ -69,8 +69,7 @@ type SuiteMember struct {
 type GridSpec struct {
 	// Algorithms lists the algorithm arms. Base blocks an arm cannot carry
 	// are dropped during expansion: the netmax block for monitor-free
-	// algorithms, hop_staleness for non-hop ones, fixed_blend under
-	// adpsgd-monitor (which implies it).
+	// algorithms, hop_staleness for non-hop ones.
 	Algorithms []string `json:"algorithms,omitempty"`
 	// Codecs lists the codec arms; an entry with name "" means "no codec"
 	// (the uncompressed bandwidth model).
@@ -409,9 +408,6 @@ func (s *Suite) expandGrid(quick bool) ([]SuiteMember, error) {
 				}
 				if m.Algorithm != "hop" {
 					m.HopStaleness = 0
-				}
-				if m.Algorithm == "adpsgd-monitor" && m.NetMax != nil {
-					m.NetMax.FixedBlend = false
 				}
 				m.Name = fmt.Sprintf("%s-%s-s%d", s.Name, arm, seed)
 				m.Description = ""

@@ -11,6 +11,7 @@ import (
 	"math"
 	"math/rand"
 
+	"netmax/internal/core"
 	"netmax/internal/linalg"
 	"netmax/internal/policy"
 )
@@ -51,71 +52,70 @@ func (q *Quadratic) Grad(i int, x, noiseStd float64, rng *rand.Rand) float64 {
 	return q.Mu*(x-q.Targets[i]) + rng.NormFloat64()*noiseStd
 }
 
-// Iteration runs the paper's Eq. (17)/(18) update directly: at each global
-// step one worker i (drawn with probability pg[i]) takes a gradient step
-// and blends toward a neighbor m (drawn with probability P[i][m]).
+// Iteration runs the paper's Eq. (17)/(18) update on scalar models: at each
+// global step one worker i (drawn with probability Pg[i]) takes a gradient
+// step and pulls a neighbor. Selection, blend coefficient and sidedness are
+// the runtime's: one core.Node per worker, so the iteration applies exactly
+// the update the engine and the live group apply.
 type Iteration struct {
 	Q        *Quadratic
-	P        [][]float64
-	Adj      [][]bool
+	Nodes    []*core.Node
 	Alpha    float64
-	Rho      float64
 	NoiseStd float64
-	// Pg is the global-step ownership distribution (Eq. 3); nil = uniform.
+	// Pg is the global-step ownership distribution (Eq. 3); NewIteration
+	// sets it uniform.
 	Pg []float64
 
 	X   []float64
 	rng *rand.Rand
-	k   int
 }
 
-// NewIteration initializes all workers at x0.
-func NewIteration(q *Quadratic, p [][]float64, adj [][]bool, alpha, rho, noiseStd, x0 float64, seed int64) *Iteration {
-	m := len(p)
-	x := make([]float64, m)
-	for i := range x {
-		x[i] = x0
+// NewIteration initializes all workers at x0 on nodes of the graph adj that
+// adopted pol; averaging selects AD-PSGD+Monitor's blend (see core.NewNodes).
+func NewIteration(q *Quadratic, pol *policy.Policy, adj [][]bool, alpha, noiseStd, x0 float64, averaging bool, seed int64) *Iteration {
+	m := len(adj)
+	it := &Iteration{
+		Q:        q,
+		Nodes:    core.NewNodes(adj, alpha, core.DefaultBeta, averaging),
+		Alpha:    alpha,
+		NoiseStd: noiseStd,
+		Pg:       make([]float64, m),
+		X:        make([]float64, m),
+		rng:      rand.New(rand.NewSource(seed)),
 	}
-	return &Iteration{Q: q, P: p, Adj: adj, Alpha: alpha, Rho: rho, NoiseStd: noiseStd, X: x, rng: rand.New(rand.NewSource(seed))}
+	for i := range it.X {
+		it.Pg[i] = 1 / float64(m)
+		it.X[i] = x0
+	}
+	it.Adopt(pol)
+	return it
 }
 
-// Step advances one global iteration step k (Eq. 17).
+// Adopt hands every worker the policy pol, as the Network Monitor does when
+// it regenerates one.
+func (it *Iteration) Adopt(pol *policy.Policy) {
+	for _, n := range it.Nodes {
+		n.Adopt(pol.P, pol.Rho)
+	}
+}
+
+// Step advances one global iteration step k (Eq. 17): the local gradient
+// step, then the blend x_i + c(x_j − x_i), which a two-sided node mirrors
+// onto j with i's pre-blend model.
 func (it *Iteration) Step() {
-	m := len(it.X)
-	i := it.sampleWorker()
-	j := sampleRow(it.P[i], i, it.rng)
-	// First update: local gradient.
+	i := policy.Sample(it.Pg, 0, it.rng)
+	n := it.Nodes[i]
+	j := n.Select(it.rng)
 	xi := it.X[i] - it.Alpha*it.Q.Grad(i, it.X[i], it.NoiseStd, it.rng)
-	// Second update: consensus blend with gamma = (d_ij+d_ji)/(2 p_ij).
-	if j != i && it.P[i][j] > 0 {
-		d := 0.0
-		if it.Adj[i][j] {
-			d++
-		}
-		if it.Adj[j][i] {
-			d++
-		}
-		gamma := d / (2 * it.P[i][j])
-		xi -= it.Alpha * it.Rho * gamma * (xi - it.X[j])
-	}
 	it.X[i] = xi
-	it.k++
-	_ = m
-}
-
-func (it *Iteration) sampleWorker() int {
-	if it.Pg == nil {
-		return it.rng.Intn(len(it.X))
+	if j == i {
+		return
 	}
-	r := it.rng.Float64()
-	acc := 0.0
-	for i, p := range it.Pg {
-		acc += p
-		if r < acc {
-			return i
-		}
+	c, xj := n.Coef(j), it.X[j]
+	it.X[i] = xi + c*(xj-xi)
+	if n.TwoSided() {
+		it.X[j] = xj + c*(xi-xj)
 	}
-	return len(it.X) - 1
 }
 
 // Deviation returns ||x^k - x* 1||^2, the quantity bounded by Theorem 1.
@@ -136,18 +136,6 @@ func (it *Iteration) ConsensusGap() float64 {
 		hi = math.Max(hi, x)
 	}
 	return hi - lo
-}
-
-func sampleRow(row []float64, self int, rng *rand.Rand) int {
-	r := rng.Float64()
-	acc := 0.0
-	for j, p := range row {
-		acc += p
-		if r < acc {
-			return j
-		}
-	}
-	return self
 }
 
 // TheoremOneBound evaluates the geometric-contraction envelope of Eq. (23):
@@ -199,7 +187,7 @@ func VerifyTheorem1(p *policy.Policy, adj [][]bool, alpha, noiseStd float64, ste
 		bound[c] = TheoremOneBound(rate, init, alpha, noiseStd, c*checkEvery)
 	}
 	for trial := 0; trial < trials; trial++ {
-		it := NewIteration(q, p.P, adj, alpha, p.Rho, noiseStd, x0, seed+int64(trial)*101)
+		it := NewIteration(q, p, adj, alpha, noiseStd, x0, false, seed+int64(trial)*101)
 		for s := 0; s <= steps; s++ {
 			if s%checkEvery == 0 {
 				measured[s/checkEvery] += it.Deviation() / float64(trials)
@@ -231,7 +219,7 @@ func VerifyConsensusContraction(p *policy.Policy, adj [][]bool, alpha float64, s
 	const checkEvery = 100
 	rng := rand.New(rand.NewSource(seed))
 	for trial := 0; trial < trials; trial++ {
-		it := NewIteration(q, p.P, adj, alpha, p.Rho, 0, 0, seed+int64(trial)*107)
+		it := NewIteration(q, p, adj, alpha, 0, 0, false, seed+int64(trial)*107)
 		// Random disagreement around zero mean.
 		for i := range it.X {
 			it.X[i] = rng.NormFloat64()
@@ -297,7 +285,7 @@ func ConvergenceRateCheck(p *policy.Policy, adj [][]bool, ks []int, c float64, s
 	out := make([]float64, len(ks))
 	for idx, k := range ks {
 		alpha := c / math.Sqrt(float64(k))
-		it := NewIteration(q, p.P, adj, alpha, p.Rho, 0.1, 3.0, seed+int64(idx))
+		it := NewIteration(q, p, adj, alpha, 0.1, 3.0, false, seed+int64(idx))
 		sum := 0.0
 		for s := 0; s < k; s++ {
 			it.Step()
