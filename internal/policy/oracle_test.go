@@ -63,14 +63,14 @@ func exhaustiveGenerate(in Input) (*Policy, error) {
 			lo = hi / (10 * float64(r))
 		} else {
 			lo, hi, err = FeasibleTimeInterval(in.Times, in.Adj, in.Alpha, rho)
-			floor = 2*in.Alpha*rho + 1e-9
+			floor = float64(2*in.Alpha*rho) + 1e-9
 		}
 		if err != nil {
 			return err
 		}
 		delta := (hi - lo) / float64(r)
 		for ri := 1; ri <= r; ri++ {
-			score(rho, lo+float64(ri)*delta, floor)
+			score(rho, lo+float64(float64(ri)*delta), floor)
 		}
 		return nil
 	}

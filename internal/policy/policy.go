@@ -168,7 +168,7 @@ func AvgIterTimes(p [][]float64, times [][]float64, adj [][]bool) []float64 {
 	for i := 0; i < m; i++ {
 		for j := 0; j < m; j++ {
 			if i != j && adj[i][j] {
-				out[i] += times[i][j] * p[i][j]
+				out[i] += float64(times[i][j] * p[i][j])
 			}
 		}
 	}
@@ -252,27 +252,27 @@ func buildY(y *linalg.Matrix, p [][]float64, adj [][]bool, ar float64, averaging
 			if averaging {
 				var mass float64 // pg_i p_ij + pg_j p_ji: the rate of i–j pulls
 				if adj[i][j] && p[i][j] > 0 {
-					mass += pg[i] * p[i][j]
+					mass += float64(pg[i] * p[i][j])
 				}
 				if adj[j][i] && p[j][i] > 0 {
-					mass += pg[j] * p[j][i]
+					mass += float64(pg[j] * p[j][i])
 				}
 				y.Set(i, j, mass/2)
-				diag -= mass / 2
+				diag -= float64(mass / 2)
 				continue
 			}
 			var first, second float64
 			if adj[i][j] && p[i][j] > 0 {
 				wij := weight(p, adj, i, j, ar)
-				first += pg[i] * p[i][j] * wij
-				second += pg[i] * p[i][j] * wij * wij
+				first += float64(pg[i] * p[i][j] * wij)
+				second += float64(pg[i] * p[i][j] * wij * wij)
 				// Diagonal first-order term covers only i's own pulls.
-				diag -= 2 * pg[i] * p[i][j] * wij
+				diag -= float64(2 * pg[i] * p[i][j] * wij)
 			}
 			if adj[j][i] && p[j][i] > 0 {
 				wji := weight(p, adj, j, i, ar)
-				first += pg[j] * p[j][i] * wji
-				second += pg[j] * p[j][i] * wji * wji
+				first += float64(pg[j] * p[j][i] * wji)
+				second += float64(pg[j] * p[j][i] * wji * wji)
 			}
 			y.Set(i, j, first-second)
 			diag += second
@@ -458,14 +458,14 @@ func (s *search) innerLoop(rho float64, r int) error {
 		lo = hi / (10 * float64(r))
 	} else {
 		lo, hi, err = FeasibleTimeInterval(s.in.Times, s.in.Adj, s.in.Alpha, rho)
-		floor = 2*s.in.Alpha*rho + 1e-9 // Eq. (11) is strict; keep entries strictly above the floor
+		floor = float64(2*s.in.Alpha*rho) + 1e-9 // Eq. (11) is strict; keep entries strictly above the floor
 	}
 	if err != nil {
 		return err
 	}
 	delta := (hi - lo) / float64(r)
 	for ri := 1; ri <= r; ri++ {
-		s.score(rho, lo+float64(ri)*delta, floor)
+		s.score(rho, lo+float64(float64(ri)*delta), floor)
 	}
 	return nil
 }

@@ -14,10 +14,10 @@ func rowBudget(t []float64, floor, target float64) (s, b, tmax float64) {
 	s, b = 1, target
 	for _, tk := range t {
 		s -= floor
-		b -= tk * floor
+		b -= float64(tk * floor)
 		tmax = max(tmax, tk)
 	}
-	if b > tmax*s && b-tmax*s <= rowTol*tmax {
+	if b > tmax*s && b-float64(tmax*s) <= rowTol*tmax {
 		b = tmax * s
 	}
 	return s, b, tmax
@@ -110,7 +110,7 @@ func solveRow(t []float64, floor, target float64, p []float64) (pii float64, ok 
 		p[lo] += s
 		return 0, true
 	}
-	yhi := min(max((b-t[lo]*s)/(t[hi]-t[lo]), 0), s)
+	yhi := min(max((b-float64(t[lo]*s))/(t[hi]-t[lo]), 0), s)
 	p[lo] += s - yhi
 	p[hi] += yhi
 	return 0, true

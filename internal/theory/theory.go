@@ -31,7 +31,7 @@ func NewQuadratic(m int, mu, spread float64, seed int64) *Quadratic {
 	rng := rand.New(rand.NewSource(seed))
 	t := make([]float64, m)
 	for i := range t {
-		t[i] = (rng.Float64()*2 - 1) * spread
+		t[i] = (2*float64(rng.Float64()) - 1) * spread
 	}
 	return &Quadratic{Mu: mu, Targets: t}
 }
@@ -49,7 +49,7 @@ func (q *Quadratic) Optimum() float64 {
 // Grad returns worker i's stochastic gradient at x with additive noise of
 // the given standard deviation (Assumption 1's bounded-variance noise).
 func (q *Quadratic) Grad(i int, x, noiseStd float64, rng *rand.Rand) float64 {
-	return q.Mu*(x-q.Targets[i]) + rng.NormFloat64()*noiseStd
+	return float64(q.Mu*(x-q.Targets[i])) + float64(rng.NormFloat64()*noiseStd)
 }
 
 // Iteration runs the paper's Eq. (17)/(18) update on scalar models: at each
@@ -106,15 +106,15 @@ func (it *Iteration) Step() {
 	i := policy.Sample(it.Pg, 0, it.rng)
 	n := it.Nodes[i]
 	j := n.Select(it.rng)
-	xi := it.X[i] - it.Alpha*it.Q.Grad(i, it.X[i], it.NoiseStd, it.rng)
+	xi := it.X[i] - float64(it.Alpha*it.Q.Grad(i, it.X[i], it.NoiseStd, it.rng))
 	it.X[i] = xi
 	if j == i {
 		return
 	}
 	c, xj := n.Coef(j), it.X[j]
-	it.X[i] = xi + c*(xj-xi)
+	it.X[i] = xi + float64(c*(xj-xi))
 	if n.TwoSided() {
-		it.X[j] = xj + c*(xi-xj)
+		it.X[j] = xj + float64(c*(xi-xj))
 	}
 }
 
@@ -123,7 +123,7 @@ func (it *Iteration) Deviation() float64 {
 	opt := it.Q.Optimum()
 	s := 0.0
 	for _, x := range it.X {
-		s += (x - opt) * (x - opt)
+		s += float64((x - opt) * (x - opt))
 	}
 	return s
 }
@@ -151,7 +151,7 @@ func (it *Iteration) ConsensusGap() float64 {
 // governs the consensus (perpendicular) component, which
 // VerifyConsensusContraction checks separately.
 func TheoremOneBound(rate, initialDeviation, alpha, sigma float64, k int) float64 {
-	return math.Pow(rate, float64(k))*initialDeviation + alpha*alpha*sigma*sigma*rate/(1-rate)
+	return float64(math.Pow(rate, float64(k))*initialDeviation) + float64(alpha*alpha*sigma*sigma*rate/(1-rate))
 }
 
 // ContractionRate returns the rigorous per-global-step contraction factor
@@ -159,7 +159,7 @@ func TheoremOneBound(rate, initialDeviation, alpha, sigma float64, k int) float6
 // problem with L-Lipschitz gradients and minimum global-step probability
 // pMin (see TheoremOneBound's note).
 func ContractionRate(lambda2, alpha, mu, l, pMin float64) float64 {
-	sc := 1 - 2*alpha*mu*l*pMin/(mu+l)
+	sc := 1 - float64(2*alpha*mu*l*pMin/(mu+l))
 	if lambda2 > sc {
 		return lambda2
 	}
@@ -198,7 +198,7 @@ func VerifyTheorem1(p *policy.Policy, adj [][]bool, alpha, noiseStd float64, ste
 		}
 	}
 	for c := range measured {
-		if measured[c] > slack*bound[c]+1e-9 {
+		if measured[c] > float64(slack*bound[c])+1e-9 {
 			return measured, bound, fmt.Errorf("theory: deviation %v exceeds %vx bound %v at step %d",
 				measured[c], slack, bound[c], c*checkEvery)
 		}
@@ -250,7 +250,7 @@ func consensusSq(x []float64) float64 {
 	mean /= float64(len(x))
 	s := 0.0
 	for _, v := range x {
-		s += (v - mean) * (v - mean)
+		s += float64((v - mean) * (v - mean))
 	}
 	return s
 }
@@ -277,7 +277,7 @@ func ConvergenceRateCheck(p *policy.Policy, adj [][]bool, ks []int, c float64, s
 	f := func(x float64) float64 {
 		s := 0.0
 		for _, t := range q.Targets {
-			s += 0.5 * (x - t) * (x - t)
+			s += float64(0.5 * (x - t) * (x - t))
 		}
 		return s
 	}
