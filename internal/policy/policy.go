@@ -257,8 +257,9 @@ func buildY(y *linalg.Matrix, p [][]float64, adj [][]bool, ar float64, averaging
 				if adj[j][i] && p[j][i] > 0 {
 					mass += float64(pg[j] * p[j][i])
 				}
-				y.Set(i, j, mass/2)
-				diag -= float64(mass / 2)
+				half := float64(mass / 2)
+				y.Set(i, j, half)
+				diag -= half
 				continue
 			}
 			var first, second float64
