@@ -12,7 +12,6 @@ import (
 	"container/heap"
 	"math/rand"
 
-	"netmax/internal/autograd"
 	"netmax/internal/codec"
 	"netmax/internal/data"
 	"netmax/internal/nn"
@@ -175,9 +174,8 @@ func (w *Worker) NextBatch() (x *tensor.Tensor, labels []int) {
 // worker's replica, so distinct workers' ComputeGrad calls are safe to run
 // concurrently.
 func (w *Worker) ComputeGrad(x *tensor.Tensor, labels []int) float64 {
-	w.Model.ZeroGrad()
 	l := w.Model.Loss(x, labels)
-	autograd.Backward(l)
+	l.Backward()
 	return l.Item()
 }
 

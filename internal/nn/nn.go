@@ -1,11 +1,16 @@
-// Package nn provides neural-network layers, models and the SGD optimizer
-// built on the internal autograd engine.
+// Package nn provides the MLP every trainer runs, its forward and backward
+// pass, and the SGD optimizer.
 //
 // A central requirement of the decentralized algorithms in this repository is
 // treating a model as a flat parameter vector that can be serialized, sent to
 // a peer, and blended into another replica (Algorithm 2, lines 13-15 of the
-// paper). Model therefore exposes VectorLen/CopyVector/SetVector/BlendVector
-// views over its parameters in addition to the usual Forward/Loss methods.
+// paper). Model therefore keeps its parameters, and their gradients, in one
+// flat vector each, and exposes VectorLen/CopyVector/SetVector/BlendVector
+// views over them next to Loss and Evaluate.
+//
+// The network is a fixed chain, so its gradient is one hand-written pass
+// instead of a recorded graph. Every gradient element is stored once, never
+// added to a previous value: a training step needs no zero fill.
 package nn
 
 import (
@@ -13,118 +18,83 @@ import (
 	"math"
 	"math/rand"
 
-	"netmax/internal/autograd"
 	"netmax/internal/tensor"
 )
 
-// Layer is a differentiable module.
-type Layer interface {
-	Forward(x *autograd.Value) *autograd.Value
-	Params() []*autograd.Value
-}
-
-// Linear is a fully connected layer: y = xW + b.
-type Linear struct {
-	W *autograd.Value
-	B *autograd.Value
-}
-
-// NewLinear creates a Linear layer with Xavier-style initialization.
-func NewLinear(rng *rand.Rand, in, out int) *Linear {
-	std := math.Sqrt(2.0 / float64(in+out))
-	return &Linear{
-		W: autograd.NewLeaf(tensor.Randn(rng, std, in, out), true),
-		B: autograd.NewLeaf(tensor.New(out), true),
-	}
-}
-
-// Forward applies the affine map.
-func (l *Linear) Forward(x *autograd.Value) *autograd.Value {
-	return autograd.Linear(x, l.W, l.B)
-}
-
-// Params returns the trainable leaves.
-func (l *Linear) Params() []*autograd.Value { return []*autograd.Value{l.W, l.B} }
-
-// ReLU is a stateless rectified-linear activation layer.
-type ReLU struct{}
-
-// Forward applies max(x,0).
-func (ReLU) Forward(x *autograd.Value) *autograd.Value { return autograd.ReLU(x) }
-
-// Params returns nil: ReLU has no parameters.
-func (ReLU) Params() []*autograd.Value { return nil }
-
-// Tanh is a stateless hyperbolic-tangent activation layer.
-type Tanh struct{}
-
-// Forward applies tanh elementwise.
-func (Tanh) Forward(x *autograd.Value) *autograd.Value { return autograd.Tanh(x) }
-
-// Params returns nil: Tanh has no parameters.
-func (Tanh) Params() []*autograd.Value { return nil }
-
-// Model is a feed-forward network with a flat-parameter-vector view.
+// Model is a feed-forward network of affine layers y = xW + b with ReLU
+// between them, trained on mean softmax cross-entropy. Its parameters lie
+// layer by layer in one flat vector, each layer's W (row-major) then b,
+// and its gradients in a second vector of the same layout. The model also
+// owns the buffers of its forward and backward passes, so a model must
+// not run two passes at once.
 type Model struct {
-	Layers []Layer
-
-	params []*autograd.Value // cached flattened parameter list
-	total  int               // total scalar parameter count
+	params, grads []float64
+	layers        []layer
 }
 
-// NewModel builds a model from layers and caches the parameter layout.
-func NewModel(layers ...Layer) *Model {
-	m := &Model{Layers: layers}
-	for _, l := range layers {
-		for _, p := range l.Params() {
-			m.params = append(m.params, p)
-			m.total += p.Data.Len()
+// layer is one affine map of the chain with the buffers of its passes.
+type layer struct {
+	w, b, dw, db *tensor.Tensor // views into Model.params and Model.grads
+	// wt holds Wᵀ for the input gradient dx = dOut@Wᵀ; the input layer
+	// computes no input gradient and has none.
+	wt *tensor.Tensor
+	// out is the layer's output on the last batch: ReLU(xW+b) below the
+	// top layer, the logits at it.
+	out *tensor.Tensor
+	// grad is the gradient of the loss with respect to xW+b. At the top
+	// layer it holds the softmax probabilities between the forward pass
+	// and Backward, which turns them into the gradient in place.
+	grad *tensor.Tensor
+}
+
+// newModel builds the chain widths[0] → … → widths[len-1] with
+// Xavier-style weights drawn from rng layer by layer, and zero biases.
+func newModel(rng *rand.Rand, widths []int) *Model {
+	total := 0
+	for i := 0; i+1 < len(widths); i++ {
+		total += (widths[i] + 1) * widths[i+1]
+	}
+	m := &Model{params: make([]float64, total), grads: make([]float64, total), layers: make([]layer, len(widths)-1)}
+	off := 0
+	for i := range m.layers {
+		in, out := widths[i], widths[i+1]
+		l := &m.layers[i]
+		w, b := off, off+in*out
+		off = b + out
+		l.w, l.dw = tensor.FromSlice(m.params[w:b], in, out), tensor.FromSlice(m.grads[w:b], in, out)
+		l.b, l.db = tensor.FromSlice(m.params[b:off], out), tensor.FromSlice(m.grads[b:off], out)
+		copy(l.w.Data, tensor.Randn(rng, math.Sqrt(2.0/float64(in+out)), in, out).Data)
+		if i > 0 {
+			l.wt = tensor.New(out, in)
 		}
 	}
 	return m
 }
 
-// Forward runs the network on a batch of inputs (rank-2: batch x features).
-func (m *Model) Forward(x *autograd.Value) *autograd.Value {
-	for _, l := range m.Layers {
-		x = l.Forward(x)
-	}
-	return x
-}
-
-// Params returns the flattened list of trainable leaves.
-func (m *Model) Params() []*autograd.Value { return m.params }
-
 // VectorLen returns the total number of scalar parameters.
-func (m *Model) VectorLen() int { return m.total }
+func (m *Model) VectorLen() int { return len(m.params) }
 
 // CopyVector copies all parameters into dst, which must have length
 // VectorLen, and returns dst.
 func (m *Model) CopyVector(dst []float64) []float64 {
-	if len(dst) != m.total {
-		panic(fmt.Sprintf("nn: CopyVector dst length %d, want %d", len(dst), m.total))
+	if len(dst) != len(m.params) {
+		panic(fmt.Sprintf("nn: CopyVector dst length %d, want %d", len(dst), len(m.params)))
 	}
-	off := 0
-	for _, p := range m.params {
-		off += copy(dst[off:], p.Data.Data)
-	}
+	copy(dst, m.params)
 	return dst
 }
 
 // Vector returns a fresh copy of the parameter vector.
 func (m *Model) Vector() []float64 {
-	return m.CopyVector(make([]float64, m.total))
+	return m.CopyVector(make([]float64, len(m.params)))
 }
 
 // SetVector overwrites all parameters from src (length VectorLen).
 func (m *Model) SetVector(src []float64) {
-	if len(src) != m.total {
-		panic(fmt.Sprintf("nn: SetVector src length %d, want %d", len(src), m.total))
+	if len(src) != len(m.params) {
+		panic(fmt.Sprintf("nn: SetVector src length %d, want %d", len(src), len(m.params)))
 	}
-	off := 0
-	for _, p := range m.params {
-		off += copy(p.Data.Data, src[off:off+p.Data.Len()])
-	}
+	copy(m.params, src)
 }
 
 // BlendVector performs params += c*(v - params) over the flat parameter
@@ -132,86 +102,104 @@ func (m *Model) SetVector(src []float64) {
 // consensus update x_i ← x_i − αθ with θ = (ρ/2)(d_im+d_mi)/p_im (x_i − x_m)
 // of Algorithm 2 when c = αρ(d_im+d_mi)/(2 p_im).
 func (m *Model) BlendVector(c float64, v []float64) {
-	if len(v) != m.total {
-		panic(fmt.Sprintf("nn: BlendVector length %d, want %d", len(v), m.total))
+	if len(v) != len(m.params) {
+		panic(fmt.Sprintf("nn: BlendVector length %d, want %d", len(v), len(m.params)))
 	}
-	off := 0
-	for _, p := range m.params {
-		d := p.Data.Data
-		src := v[off:][:len(d)]
-		for i, x := range d {
-			d[i] = x + c*(src[i]-x)
-		}
-		off += len(d)
+	for i, x := range m.params {
+		m.params[i] = x + c*(v[i]-x)
 	}
 }
 
-// GradVector copies all parameter gradients into dst (zeros where a
-// parameter has no gradient yet) and returns dst.
+// GradVector copies all parameter gradients into dst (zeros before the
+// first Backward) and returns dst.
 func (m *Model) GradVector(dst []float64) []float64 {
-	if len(dst) != m.total {
-		panic(fmt.Sprintf("nn: GradVector dst length %d, want %d", len(dst), m.total))
+	if len(dst) != len(m.grads) {
+		panic(fmt.Sprintf("nn: GradVector dst length %d, want %d", len(dst), len(m.grads)))
 	}
-	off := 0
-	for _, p := range m.params {
-		n := p.Data.Len()
-		if p.Grad == nil {
-			for i := 0; i < n; i++ {
-				dst[off+i] = 0
-			}
-		} else {
-			copy(dst[off:], p.Grad.Data)
-		}
-		off += n
-	}
+	copy(dst, m.grads)
 	return dst
 }
 
 // SetGradVector overwrites all parameter gradients from src (length
-// VectorLen), allocating gradient tensors where missing. Used by
-// gradient-averaging algorithms (allreduce, parameter server).
+// VectorLen). Used by gradient-averaging algorithms (allreduce, parameter
+// server).
 func (m *Model) SetGradVector(src []float64) {
-	if len(src) != m.total {
-		panic(fmt.Sprintf("nn: SetGradVector src length %d, want %d", len(src), m.total))
+	if len(src) != len(m.grads) {
+		panic(fmt.Sprintf("nn: SetGradVector src length %d, want %d", len(src), len(m.grads)))
 	}
-	off := 0
-	for _, p := range m.params {
-		n := p.Data.Len()
-		if p.Grad == nil {
-			p.Grad = tensor.New(p.Data.Shape...)
+	copy(m.grads, src)
+}
+
+// Loss is the mean softmax cross-entropy of one forward pass, which
+// Backward differentiates.
+type Loss struct {
+	m      *Model
+	x      *tensor.Tensor
+	labels []int
+	value  float64
+}
+
+// Item returns the loss.
+func (l Loss) Item() float64 { return l.value }
+
+// Backward writes the gradient of the loss with respect to every
+// parameter into the model's gradient vector, overwriting the previous
+// one. It reads the activations of the forward pass that returned l, so
+// it must run before the model's next Loss or Evaluate.
+//
+// Per layer, top down: db = Σ_rows dOut, dW = xᵀ@dOut, and below the top
+// layer dx = dOut@Wᵀ masked by ReLU's derivative. The mask is read from
+// the ReLU output rather than its input: one is > 0 exactly where the
+// other is.
+func (l Loss) Backward() {
+	layers := l.m.layers
+	top := len(layers) - 1
+	g := layers[top].grad
+	rows, n := g.Shape[0], g.Shape[1]
+	scale := 1 / float64(rows)
+	for i := 0; i < rows; i++ {
+		grow := g.Data[i*n : (i+1)*n]
+		for j, p := range grow {
+			grow[j] = p * scale
 		}
-		copy(p.Grad.Data, src[off:off+n])
-		off += n
+		grow[l.labels[i]] -= scale
+	}
+	for i := top; i >= 0; i-- {
+		ly := &layers[i]
+		tensor.SumRowsInto(ly.db, ly.grad)
+		if i == 0 {
+			tensor.MatMulTransAInto(ly.dw, l.x, ly.grad)
+			break
+		}
+		below := &layers[i-1]
+		tensor.MatMulTransAInto(ly.dw, below.out, ly.grad)
+		tensor.TransposeInto(ly.wt, ly.w)
+		tensor.MatMulInto(below.grad, ly.grad, ly.wt)
+		tensor.ReLUGradInto(below.grad, below.grad, below.out)
 	}
 }
 
-// ZeroGrad clears all parameter gradients.
-func (m *Model) ZeroGrad() { autograd.ZeroGrad(m.params...) }
-
-// Loss computes mean softmax cross-entropy on a batch, building the graph.
-func (m *Model) Loss(x *tensor.Tensor, labels []int) *autograd.Value {
-	logits := m.Forward(autograd.Constant(x))
-	return autograd.SoftmaxCrossEntropy(logits, labels)
+// Loss runs the forward pass on a batch (rank-2: batch × features) and
+// returns its mean softmax cross-entropy.
+func (m *Model) Loss(x *tensor.Tensor, labels []int) Loss {
+	return Loss{m: m, x: x, labels: labels, value: m.forward(x, labels)}
 }
 
 // Evaluate returns the mean softmax cross-entropy on a batch and the
 // fraction of rows whose argmax logit equals the label, from one forward
-// pass that keeps no graph: its buffers go back to the tensor arena before
-// Evaluate returns. The loss equals Loss(x, labels).Item() bitwise.
+// pass. The loss equals Loss(x, labels).Item() bitwise.
 func (m *Model) Evaluate(x *tensor.Tensor, labels []int) (loss, acc float64) {
-	logits := m.Forward(autograd.Constant(x))
-	xent := autograd.SoftmaxCrossEntropy(logits, labels)
-	loss = xent.Item()
+	loss = m.forward(x, labels)
 	if len(labels) > 0 {
+		logits := m.layers[len(m.layers)-1].out
 		correct := 0
 		for i := range labels {
-			if logits.Data.ArgMaxRow(i) == labels[i] {
+			if logits.ArgMaxRow(i) == labels[i] {
 				correct++
 			}
 		}
 		acc = float64(correct) / float64(len(labels))
 	}
-	autograd.Release(xent)
 	return loss, acc
 }
 
@@ -219,6 +207,69 @@ func (m *Model) Evaluate(x *tensor.Tensor, labels []int) (loss, acc float64) {
 func (m *Model) Accuracy(x *tensor.Tensor, labels []int) float64 {
 	_, acc := m.Evaluate(x, labels)
 	return acc
+}
+
+// forward runs the chain on x, leaving each layer's output in its out
+// buffer and the softmax probabilities in the top layer's grad buffer, and
+// returns the mean cross-entropy against labels with a numerically stable
+// fused softmax+log+NLL.
+func (m *Model) forward(x *tensor.Tensor, labels []int) float64 {
+	rows := x.Rows()
+	if len(labels) != rows {
+		panic(fmt.Sprintf("nn: %d labels for %d rows", len(labels), rows))
+	}
+	in := x
+	for i := range m.layers {
+		l := &m.layers[i]
+		cols := l.w.Shape[1]
+		l.out, l.grad = reuse(l.out, rows, cols), reuse(l.grad, rows, cols)
+		tensor.MatMulInto(l.out, in, l.w)
+		tensor.AddRowVectorInto(l.out, l.out, l.b)
+		if i < len(m.layers)-1 {
+			tensor.ReLUInto(l.out, l.out)
+		}
+		in = l.out
+	}
+	logits, probs := in, m.layers[len(m.layers)-1].grad
+	n := logits.Shape[1]
+	loss := 0.0
+	for i := 0; i < rows; i++ {
+		row := logits.Data[i*n : (i+1)*n]
+		maxv := row[0]
+		for _, v := range row {
+			if v > maxv {
+				maxv = v
+			}
+		}
+		sum := 0.0
+		prow := probs.Data[i*n : (i+1)*n]
+		for j, v := range row {
+			e := math.Exp(v - maxv)
+			prow[j] = e
+			sum += e
+		}
+		for j := range prow {
+			prow[j] /= sum
+		}
+		p := prow[labels[i]]
+		if p < 1e-300 {
+			p = 1e-300
+		}
+		loss -= math.Log(p)
+	}
+	return loss / float64(rows)
+}
+
+// reuse returns t reshaped to rows × cols, keeping its storage when that
+// holds enough elements: a model evaluated on two batch sizes in turn
+// allocates only for the first of each.
+func reuse(t *tensor.Tensor, rows, cols int) *tensor.Tensor {
+	if t == nil || cap(t.Data) < rows*cols {
+		return tensor.New(rows, cols)
+	}
+	t.Shape[0], t.Shape[1] = rows, cols
+	t.Data = t.Data[:rows*cols]
+	return t
 }
 
 // SGD is a stochastic-gradient-descent optimizer with momentum and weight
@@ -229,7 +280,7 @@ type SGD struct {
 	Momentum    float64
 	WeightDecay float64
 
-	velocity [][]float64
+	velocity []float64
 }
 
 // NewSGD creates an optimizer with the paper's default hyper-parameters and
@@ -240,26 +291,15 @@ func NewSGD(lr float64) *SGD {
 
 // Step applies one SGD update to the model from its current gradients.
 func (o *SGD) Step(m *Model) {
-	params := m.Params()
 	if o.velocity == nil {
-		o.velocity = make([][]float64, len(params))
-		for i, p := range params {
-			o.velocity[i] = make([]float64, p.Data.Len())
-		}
+		o.velocity = make([]float64, len(m.params))
 	}
 	lr, momentum, decay := o.LR, o.Momentum, o.WeightDecay
-	for i, p := range params {
-		if p.Grad == nil {
-			continue
-		}
-		d := p.Data.Data
-		v := o.velocity[i][:len(d)]
-		g := p.Grad.Data[:len(d)]
-		for j, x := range d {
-			gj := g[j] + decay*x
-			v[j] = momentum*v[j] - lr*gj
-			d[j] = x + v[j]
-		}
+	v, g := o.velocity[:len(m.params)], m.grads[:len(m.params)]
+	for j, x := range m.params {
+		gj := g[j] + decay*x
+		v[j] = momentum*v[j] - lr*gj
+		m.params[j] = x + v[j]
 	}
 }
 

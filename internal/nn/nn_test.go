@@ -9,8 +9,7 @@ import (
 )
 
 func smallModel(seed int64) *Model {
-	rng := rand.New(rand.NewSource(seed))
-	return NewModel(NewLinear(rng, 4, 8), ReLU{}, NewLinear(rng, 8, 3))
+	return ModelSpec{Hidden: []int{8}}.Build(seed, 4, 3)
 }
 
 func TestVectorRoundTrip(t *testing.T) {
@@ -92,9 +91,8 @@ func TestLossDecreasesUnderSGD(t *testing.T) {
 	opt := NewSGD(0.1)
 	first := m.Loss(x, labels).Item()
 	for it := 0; it < 200; it++ {
-		m.ZeroGrad()
 		loss := m.Loss(x, labels)
-		backwardScalar(loss)
+		loss.Backward()
 		opt.Step(m)
 	}
 	last := m.Loss(x, labels).Item()
@@ -120,13 +118,8 @@ func TestSGDWeightDecayShrinksParams(t *testing.T) {
 	m := smallModel(13)
 	opt := &SGD{LR: 0.1, Momentum: 0, WeightDecay: 0.5}
 	before := m.Vector()
-	// No gradients: only weight decay acts... but Step skips params with nil
-	// Grad, so force a zero backward pass first.
-	x := tensor.New(2, 4)
-	labels := []int{0, 1}
-	m.ZeroGrad()
-	backwardScalar(m.Loss(x, labels))
-	m.ZeroGrad() // zero out the actual gradients, keep Grad tensors allocated
+	// No backward pass has run, so every gradient is 0: only weight decay
+	// acts.
 	opt.Step(m)
 	after := m.Vector()
 	norm := func(v []float64) float64 {
@@ -163,30 +156,4 @@ func TestSetVectorWrongLenPanics(t *testing.T) {
 		}
 	}()
 	smallModel(1).SetVector([]float64{1})
-}
-
-// TestEvaluateReleasesItsGraph pins the evaluation path: its loss equals
-// the training graph's bitwise, and because the forward pass's buffers go
-// back to the arena it allocates no more than a full forward+backward step
-// on the same batch does.
-func TestEvaluateReleasesItsGraph(t *testing.T) {
-	m := SimResNet18.Build(1, 24, 10)
-	rng := rand.New(rand.NewSource(2))
-	x := tensor.Randn(rng, 1, 16, 24)
-	labels := make([]int, 16)
-	for i := range labels {
-		labels[i] = rng.Intn(10)
-	}
-	want := m.Loss(x, labels).Item()
-	if got, _ := m.Evaluate(x, labels); got != want {
-		t.Fatalf("Evaluate loss = %v, Loss(...).Item() = %v", got, want)
-	}
-	train := testing.AllocsPerRun(200, func() {
-		m.ZeroGrad()
-		backwardScalar(m.Loss(x, labels))
-	})
-	eval := testing.AllocsPerRun(200, func() { m.Evaluate(x, labels) })
-	if eval > train {
-		t.Fatalf("Evaluate allocates %v times per call, forward+backward %v", eval, train)
-	}
 }

@@ -58,13 +58,6 @@ func (s ModelSpec) ModelBytes() int64 { return s.RealParams * 4 }
 // dimensionality and class count. Identical seeds produce identical initial
 // parameters, which the decentralized trainers rely on.
 func (s ModelSpec) Build(seed int64, inputDim, classes int) *Model {
-	rng := rand.New(rand.NewSource(seed))
-	var layers []Layer
-	prev := inputDim
-	for _, h := range s.Hidden {
-		layers = append(layers, NewLinear(rng, prev, h), ReLU{})
-		prev = h
-	}
-	layers = append(layers, NewLinear(rng, prev, classes))
-	return NewModel(layers...)
+	widths := append(append([]int{inputDim}, s.Hidden...), classes)
+	return newModel(rand.New(rand.NewSource(seed)), widths)
 }

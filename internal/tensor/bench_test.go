@@ -9,25 +9,6 @@ func benchMatMul(b *testing.B, n int) {
 	rng := rand.New(rand.NewSource(1))
 	x := Randn(rng, 1, n, n)
 	y := Randn(rng, 1, n, n)
-	b.ReportAllocs()
-	b.SetBytes(int64(8 * n * n))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMul(x, y)
-	}
-}
-
-func BenchmarkMatMul64(b *testing.B)   { benchMatMul(b, 64) }
-func BenchmarkMatMul256(b *testing.B)  { benchMatMul(b, 256) }
-func BenchmarkMatMul1024(b *testing.B) { benchMatMul(b, 1024) }
-
-// BenchmarkMatMulInto isolates the destination-reuse variant: zero steady-
-// state allocations regardless of operand size.
-func BenchmarkMatMulInto(b *testing.B) {
-	const n = 256
-	rng := rand.New(rand.NewSource(1))
-	x := Randn(rng, 1, n, n)
-	y := Randn(rng, 1, n, n)
 	dst := New(n, n)
 	b.ReportAllocs()
 	b.SetBytes(int64(8 * n * n))
@@ -37,10 +18,15 @@ func BenchmarkMatMulInto(b *testing.B) {
 	}
 }
 
+func BenchmarkMatMul64(b *testing.B)   { benchMatMul(b, 64) }
+func BenchmarkMatMul256(b *testing.B)  { benchMatMul(b, 256) }
+func BenchmarkMatMul1024(b *testing.B) { benchMatMul(b, 1024) }
+
 // BenchmarkMatMulModelShapes times the five products one SimResNet18
 // training step takes (batch 16, widths 24 → 40 → 10), each in the form
-// autograd calls it: two forward products, dA of the second layer, and the
-// two weight gradients. The last two are the forward products of the
+// internal/nn calls it: two forward products, the input gradient of the
+// second layer (its weight transposed, then the product), and the two
+// weight gradients. The last two are the forward products of the
 // Tracker's final-accuracy pass over the 500-sample CIFAR10 test split.
 // Operands that are ReLU outputs or ReLU-masked gradients in training are
 // ReLU-sparse here too.
@@ -53,24 +39,24 @@ func BenchmarkMatMulModelShapes(b *testing.B) {
 	ReLUInto(h, h)
 	ReLUInto(dOut1, dOut1)
 	ReLUInto(evalH, evalH)
+	out1, out2, w2t, dA := New(16, 40), New(16, 10), New(10, 40), New(16, 40)
+	dW1, dW2, eval1, eval2 := New(24, 40), New(40, 10), New(500, 40), New(500, 10)
 	for _, c := range []struct {
 		name    string
-		dst     *Tensor
-		a, bOp  *Tensor
-		product func(dst, a, b *Tensor) *Tensor
+		product func()
 	}{
-		{"fwd-16x24x40", New(16, 40), x, w1, MatMulInto},
-		{"fwd-16x40x10", New(16, 10), h, w2, MatMulInto},
-		{"dA-16x10x40T", New(16, 40), dOut2, w2, MatMulTransBInto},
-		{"dW-24x16x40", New(24, 40), x, dOut1, MatMulTransAInto},
-		{"dW-40x16x10", New(40, 10), h, dOut2, MatMulTransAInto},
-		{"eval-500x24x40", New(500, 40), evalX, w1, MatMulInto},
-		{"eval-500x40x10", New(500, 10), evalH, w2, MatMulInto},
+		{"fwd-16x24x40", func() { MatMulInto(out1, x, w1) }},
+		{"fwd-16x40x10", func() { MatMulInto(out2, h, w2) }},
+		{"dA-16x10x40T", func() { MatMulInto(dA, dOut2, TransposeInto(w2t, w2)) }},
+		{"dW-24x16x40", func() { MatMulTransAInto(dW1, x, dOut1) }},
+		{"dW-40x16x10", func() { MatMulTransAInto(dW2, h, dOut2) }},
+		{"eval-500x24x40", func() { MatMulInto(eval1, evalX, w1) }},
+		{"eval-500x40x10", func() { MatMulInto(eval2, evalH, w2) }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				c.product(c.dst, c.a, c.bOp)
+				c.product()
 			}
 		})
 	}

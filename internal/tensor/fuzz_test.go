@@ -74,23 +74,28 @@ func withKernel(avx bool, f func()) {
 	f()
 }
 
-// checkProducts runs MatMulInto, MatMulTransBInto and MatMulTransAInto for
-// a·b on every kernel, into destinations full of stale values, and fails
+// checkProducts computes a·b on every kernel in each form a layer's passes
+// use: MatMulInto, MatMulInto on a right operand that TransposeInto
+// restored from its transpose (the input gradient), and MatMulTransAInto.
+// Each writes into a destination full of stale values, and it fails
 // unless each equals want bit for bit. Each destination is followed by a
 // guard row of stale values, which no kernel may write.
 func checkProducts(t *testing.T, a, b, want *Tensor) {
 	t.Helper()
 	m, n := a.Shape[0], b.Shape[1]
-	at, bt := Transpose(a), Transpose(b)
+	at, bt := transpose(a), transpose(b)
 	for _, avx := range kernels() {
 		withKernel(avx, func() {
 			products := map[string]func(dst *Tensor){
-				"MatMulInto":       func(dst *Tensor) { MatMulInto(dst, a, b) },
-				"MatMulTransBInto": func(dst *Tensor) { MatMulTransBInto(dst, a, bt) },
-				"MatMulTransAInto": func(dst *Tensor) { MatMulTransAInto(dst, at, b) },
+				"MatMulInto":               func(dst *Tensor) { MatMulInto(dst, a, b) },
+				"TransposeInto+MatMulInto": func(dst *Tensor) { MatMulInto(dst, a, transpose(bt)) },
+				"MatMulTransAInto":         func(dst *Tensor) { MatMulTransAInto(dst, at, b) },
 			}
 			for name, product := range products {
-				buf := Full(7, m+1, n).Data
+				buf := make([]float64, (m+1)*n)
+				for i := range buf {
+					buf[i] = 7
+				}
 				g := FromSlice(buf[:m*n], m, n)
 				product(g)
 				if !sameBits(g, want) {
@@ -107,8 +112,8 @@ func checkProducts(t *testing.T, a, b, want *Tensor) {
 	}
 }
 
-// FuzzMatMul checks MatMulInto, MatMulTransBInto and MatMulTransAInto, on
-// the pure-Go and the assembly kernel, against ieeeMatMul, and ieeeMatMul
+// FuzzMatMul checks the product forms of checkProducts, on the pure-Go
+// and the assembly kernel, against ieeeMatMul, and ieeeMatMul
 // against serialMatMul, the zero-skipping loop, whenever b is finite. The
 // first three bytes give m, k, n ≤ 40, so every column block (16, 8, 4, 2
 // and 1 wide) is reached, alone and after the others. The further bytes

@@ -29,8 +29,8 @@ func serialMatMul(a, b *Tensor) *Tensor {
 	return out
 }
 
-// TestParallelMatMulBitwiseIdenticalToSerial runs all three product forms,
-// on every kernel, against the zero-skipping reference. The larger shapes
+// TestParallelMatMulBitwiseIdenticalToSerial runs every product form, on
+// every kernel, against the zero-skipping reference. The larger shapes
 // have odd row counts and column counts that are not multiples of 16, so
 // every row and column remainder runs.
 func TestParallelMatMulBitwiseIdenticalToSerial(t *testing.T) {
@@ -40,16 +40,13 @@ func TestParallelMatMulBitwiseIdenticalToSerial(t *testing.T) {
 		a := Randn(rng, 1, m, k)
 		b := Randn(rng, 1, k, n)
 		want := serialMatMul(a, b)
-		at, bt := Transpose(a), Transpose(b)
+		at := transpose(a)
 		for _, avx := range kernels() {
 			withKernel(avx, func() {
-				if got := MatMul(a, b); !Equal(got, want) {
-					t.Fatalf("useAVX2=%v: MatMul %vx%v differs from serial", avx, a.Shape, b.Shape)
+				if got := matMul(a, b); !sameBits(got, want) {
+					t.Fatalf("useAVX2=%v: MatMulInto %vx%v differs from serial", avx, a.Shape, b.Shape)
 				}
-				if got := MatMulTransBInto(New(m, n), a, bt); !Equal(got, want) {
-					t.Fatalf("useAVX2=%v: MatMulTransBInto %vx%v differs from serial", avx, a.Shape, b.Shape)
-				}
-				if got := MatMulTransAInto(New(m, n), at, b); !Equal(got, want) {
+				if got := MatMulTransAInto(New(m, n), at, b); !sameBits(got, want) {
 					t.Fatalf("useAVX2=%v: MatMulTransAInto %vx%v differs from serial", avx, a.Shape, b.Shape)
 				}
 			})
@@ -88,21 +85,20 @@ func TestMatMulColumnBlocks(t *testing.T) {
 	}
 }
 
-// TestMatMulAllocsWhenWarm pins the three product forms at zero
-// allocations once the arena holds MatMulTransBInto's transpose scratch.
+// TestMatMulAllocsWhenWarm pins the products and the transpose of a
+// layer's passes at zero allocations.
 func TestMatMulAllocsWhenWarm(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	x, w := Randn(rng, 1, 16, 24), Randn(rng, 1, 24, 40)
 	dOut := Randn(rng, 1, 16, 40)
-	out, dx, dw := New(16, 40), New(16, 24), New(24, 40)
+	out, wt, dw := New(16, 40), New(40, 24), New(24, 40)
 	for name, product := range map[string]func(){
 		"MatMulInto":       func() { MatMulInto(out, x, w) },
-		"MatMulTransBInto": func() { MatMulTransBInto(dx, dOut, w) },
+		"TransposeInto":    func() { TransposeInto(wt, w) },
 		"MatMulTransAInto": func() { MatMulTransAInto(dw, x, dOut) },
 	} {
-		product()
 		if allocs := testing.AllocsPerRun(100, product); allocs != 0 {
-			t.Errorf("%s: %v allocations per call with a warm arena, want 0", name, allocs)
+			t.Errorf("%s: %v allocations per call, want 0", name, allocs)
 		}
 	}
 }
@@ -111,21 +107,23 @@ func TestMatMulIntoMatchesMatMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := Randn(rng, 1, 33, 17)
 	b := Randn(rng, 1, 17, 29)
-	want := MatMul(a, b)
-	dst := Full(99, 33, 29) // stale contents must be overwritten
+	want := ieeeMatMul(a, b)
+	dst := New(33, 29)
+	for i := range dst.Data {
+		dst.Data[i] = 99 // stale contents must be overwritten
+	}
 	got := MatMulInto(dst, a, b)
 	if got != dst {
 		t.Fatal("MatMulInto did not return dst")
 	}
-	if !Equal(got, want) {
-		t.Fatal("MatMulInto differs from MatMul")
+	if !sameBits(got, want) {
+		t.Fatal("MatMulInto differs from the IEEE loop")
 	}
 }
 
-// TransposeInto is the transpose oracle: it writes the transpose of
-// rank-2 a into dst element by element, walking dst in row order, where
-// the package's transposeInto walks a.
-func TransposeInto(dst, a *Tensor) *Tensor {
+// transposeOracle writes the transpose of rank-2 a into dst element by
+// element, walking dst in row order, where TransposeInto walks a.
+func transposeOracle(dst, a *Tensor) *Tensor {
 	for j := 0; j < a.Shape[1]; j++ {
 		for i := 0; i < a.Shape[0]; i++ {
 			dst.Data[j*a.Shape[0]+i] = a.At(i, j)
@@ -138,76 +136,9 @@ func TestTransposeIntoMatchesTranspose(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for _, shape := range [][2]int{{5, 9}, {1, 7}, {7, 1}, {16, 40}} {
 		a := Randn(rng, 1, shape[0], shape[1])
-		want := TransposeInto(New(shape[1], shape[0]), a)
-		if got := Transpose(a); !Equal(got, want) {
-			t.Fatalf("Transpose of a %v tensor differs from the element-wise oracle", shape)
+		want := transposeOracle(New(shape[1], shape[0]), a)
+		if got := transpose(a); !sameBits(got, want) {
+			t.Fatalf("TransposeInto of a %v tensor differs from the element-wise oracle", shape)
 		}
 	}
-}
-
-func TestApplyIntoAliasedDestination(t *testing.T) {
-	a := FromSlice([]float64{-2, -1, 0, 1}, 2, 2)
-	ApplyInto(a, a, func(v float64) float64 {
-		if v > 0 {
-			return v
-		}
-		return 0
-	})
-	want := []float64{0, 0, 0, 1}
-	for i, v := range want {
-		if a.Data[i] != v {
-			t.Fatalf("aliased ApplyInto = %v, want %v", a.Data, want)
-		}
-	}
-}
-
-func TestIntoVariantsMatchAllocatingOnes(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	a := Randn(rng, 1, 4, 6)
-	b := Randn(rng, 1, 4, 6)
-	v := Randn(rng, 1, 6)
-	if !Equal(AddInto(New(4, 6), a, b), Add(a, b)) {
-		t.Fatal("AddInto mismatch")
-	}
-	if !Equal(SubInto(New(4, 6), a, b), Sub(a, b)) {
-		t.Fatal("SubInto mismatch")
-	}
-	if !Equal(MulInto(New(4, 6), a, b), Mul(a, b)) {
-		t.Fatal("MulInto mismatch")
-	}
-	if !Equal(ScaleInto(New(4, 6), a, -1.5), Scale(a, -1.5)) {
-		t.Fatal("ScaleInto mismatch")
-	}
-	if !Equal(AddRowVectorInto(New(4, 6), a, v), AddRowVector(a, v)) {
-		t.Fatal("AddRowVectorInto mismatch")
-	}
-	if !Equal(SumRowsInto(Full(3, 6), a), SumRows(a)) {
-		t.Fatal("SumRowsInto mismatch")
-	}
-}
-
-func TestGetPooledReturnsZeroedTensor(t *testing.T) {
-	dirty := GetPooled(3, 4)
-	for i := range dirty.Data {
-		dirty.Data[i] = float64(i + 1)
-	}
-	Recycle(dirty)
-	// A pool hit of the same element count must come back zeroed with the
-	// requested (possibly different) shape.
-	got := GetPooled(4, 3)
-	if got.Shape[0] != 4 || got.Shape[1] != 3 {
-		t.Fatalf("pooled shape = %v, want [4 3]", got.Shape)
-	}
-	for i, v := range got.Data {
-		if v != 0 {
-			t.Fatalf("pooled tensor not zeroed at %d: %v", i, got.Data)
-		}
-	}
-	if got.Len() != 12 {
-		t.Fatalf("pooled len = %d", got.Len())
-	}
-}
-
-func TestRecycleNilIsNoop(t *testing.T) {
-	Recycle(nil, New(2), nil)
 }

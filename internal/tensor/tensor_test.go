@@ -7,6 +7,35 @@ import (
 	"testing/quick"
 )
 
+// matMul returns a@b in a new tensor.
+func matMul(a, b *Tensor) *Tensor { return MatMulInto(New(a.Shape[0], b.Shape[1]), a, b) }
+
+// transpose returns the transpose of rank-2 a in a new tensor.
+func transpose(a *Tensor) *Tensor { return TransposeInto(New(a.Shape[1], a.Shape[0]), a) }
+
+// add returns a + b elementwise in a new tensor.
+func add(a, b *Tensor) *Tensor {
+	out := New(a.Shape...)
+	for i := range out.Data {
+		out.Data[i] = a.Data[i] + b.Data[i]
+	}
+	return out
+}
+
+// allClose reports whether a and b have the same length and differ by at
+// most tol elementwise.
+func allClose(a, b *Tensor, tol float64) bool {
+	if len(a.Data) != len(b.Data) {
+		return false
+	}
+	for i := range a.Data {
+		if math.Abs(a.Data[i]-b.Data[i]) > tol {
+			return false
+		}
+	}
+	return true
+}
+
 func TestNewZeroFilled(t *testing.T) {
 	a := New(2, 3)
 	if a.Len() != 6 {
@@ -39,33 +68,10 @@ func TestAtSet(t *testing.T) {
 	}
 }
 
-func TestAddSubMul(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3, 4}, 2, 2)
-	b := FromSlice([]float64{5, 6, 7, 8}, 2, 2)
-	if got := Add(a, b).Data; got[0] != 6 || got[3] != 12 {
-		t.Errorf("Add wrong: %v", got)
-	}
-	if got := Sub(b, a).Data; got[0] != 4 || got[3] != 4 {
-		t.Errorf("Sub wrong: %v", got)
-	}
-	if got := Mul(a, b).Data; got[0] != 5 || got[3] != 32 {
-		t.Errorf("Mul wrong: %v", got)
-	}
-}
-
-func TestAddShapeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Add(New(2, 2), New(2, 3))
-}
-
 func TestMatMul(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
 	b := FromSlice([]float64{7, 8, 9, 10, 11, 12}, 3, 2)
-	got := MatMul(a, b)
+	got := matMul(a, b)
 	want := []float64{58, 64, 139, 154}
 	for i := range want {
 		if got.Data[i] != want[i] {
@@ -81,17 +87,17 @@ func TestMatMulIdentity(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		id.Set(i, i, 1)
 	}
-	if !AllClose(MatMul(a, id), a, 1e-12) {
+	if !sameBits(matMul(a, id), a) {
 		t.Fatal("A @ I != A")
 	}
-	if !AllClose(MatMul(id, a), a, 1e-12) {
+	if !sameBits(matMul(id, a), a) {
 		t.Fatal("I @ A != A")
 	}
 }
 
 func TestTranspose(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	at := Transpose(a)
+	at := transpose(a)
 	if at.Shape[0] != 3 || at.Shape[1] != 2 {
 		t.Fatalf("shape = %v", at.Shape)
 	}
@@ -105,7 +111,7 @@ func TestTransposeInvolution(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		m, n := 1+rng.Intn(6), 1+rng.Intn(6)
 		a := Randn(rng, 1, m, n)
-		return Equal(Transpose(Transpose(a)), a)
+		return sameBits(transpose(transpose(a)), a)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -119,38 +125,12 @@ func TestMatMulTransposeProperty(t *testing.T) {
 		m, k, n := 1+rng.Intn(5), 1+rng.Intn(5), 1+rng.Intn(5)
 		a := Randn(rng, 1, m, k)
 		b := Randn(rng, 1, k, n)
-		lhs := Transpose(MatMul(a, b))
-		rhs := MatMul(Transpose(b), Transpose(a))
-		return AllClose(lhs, rhs, 1e-9)
+		lhs := transpose(matMul(a, b))
+		rhs := matMul(transpose(b), transpose(a))
+		return allClose(lhs, rhs, 1e-9)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestScaleAndAXPY(t *testing.T) {
-	a := FromSlice([]float64{1, 2}, 2)
-	b := FromSlice([]float64{10, 20}, 2)
-	c := Scale(a, 3)
-	if c.Data[1] != 6 {
-		t.Errorf("Scale wrong: %v", c.Data)
-	}
-	a.AXPY(0.5, b)
-	if a.Data[0] != 6 || a.Data[1] != 12 {
-		t.Errorf("AXPY wrong: %v", a.Data)
-	}
-}
-
-func TestSumMeanDotNorm(t *testing.T) {
-	a := FromSlice([]float64{3, 4}, 2)
-	if a.Sum() != 7 {
-		t.Errorf("Sum = %v", a.Sum())
-	}
-	if a.Mean() != 3.5 {
-		t.Errorf("Mean = %v", a.Mean())
-	}
-	if Dot(a, a) != 25 {
-		t.Errorf("Dot = %v", Dot(a, a))
 	}
 }
 
@@ -160,14 +140,6 @@ func TestCloneIndependence(t *testing.T) {
 	b.Data[0] = 99
 	if a.Data[0] != 1 {
 		t.Fatal("Clone shares storage")
-	}
-}
-
-func TestApply(t *testing.T) {
-	a := FromSlice([]float64{-1, 4}, 2)
-	b := Apply(a, math.Abs)
-	if b.Data[0] != 1 || b.Data[1] != 4 {
-		t.Errorf("Apply wrong: %v", b.Data)
 	}
 }
 
@@ -184,32 +156,22 @@ func TestArgMaxRow(t *testing.T) {
 func TestAddRowVectorAndSumRows(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4}, 2, 2)
 	v := FromSlice([]float64{10, 20}, 2)
-	b := AddRowVector(a, v)
+	b := AddRowVectorInto(New(2, 2), a, v)
 	if b.At(0, 0) != 11 || b.At(1, 1) != 24 {
-		t.Errorf("AddRowVector wrong: %v", b.Data)
+		t.Errorf("AddRowVectorInto wrong: %v", b.Data)
 	}
-	s := SumRows(a)
+	// The destination's stale contents are overwritten, not added to.
+	s := SumRowsInto(FromSlice([]float64{3, 3}, 2), a)
 	if s.Data[0] != 4 || s.Data[1] != 6 {
-		t.Errorf("SumRows wrong: %v", s.Data)
+		t.Errorf("SumRowsInto wrong: %v", s.Data)
 	}
 }
 
 func TestRandnDeterministic(t *testing.T) {
 	a := Randn(rand.New(rand.NewSource(42)), 1, 3, 3)
 	b := Randn(rand.New(rand.NewSource(42)), 1, 3, 3)
-	if !Equal(a, b) {
+	if !sameBits(a, b) {
 		t.Fatal("Randn not deterministic for equal seeds")
-	}
-}
-
-func TestFullAndZero(t *testing.T) {
-	a := Full(2.5, 3)
-	if a.Data[2] != 2.5 {
-		t.Errorf("Full wrong: %v", a.Data)
-	}
-	a.Zero()
-	if a.Sum() != 0 {
-		t.Errorf("Zero wrong: %v", a.Data)
 	}
 }
 
@@ -220,9 +182,9 @@ func TestMatMulDistributesOverAdd(t *testing.T) {
 		a := Randn(rng, 1, m, k)
 		b := Randn(rng, 1, k, n)
 		c := Randn(rng, 1, k, n)
-		lhs := MatMul(a, Add(b, c))
-		rhs := Add(MatMul(a, b), MatMul(a, c))
-		return AllClose(lhs, rhs, 1e-9)
+		lhs := matMul(a, add(b, c))
+		rhs := add(matMul(a, b), matMul(a, c))
+		return allClose(lhs, rhs, 1e-9)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -235,7 +197,7 @@ func TestMatMulDistributesOverAdd(t *testing.T) {
 func TestMatMulZeroTimesInfIsNaN(t *testing.T) {
 	a := FromSlice([]float64{0, 1}, 1, 2)
 	b := FromSlice([]float64{math.Inf(1), 2}, 2, 1)
-	if got := MatMul(a, b).Data[0]; !math.IsNaN(got) {
+	if got := matMul(a, b).Data[0]; !math.IsNaN(got) {
 		t.Fatalf("[0 1]·[+Inf 2]ᵀ = %v, want NaN", got)
 	}
 }

@@ -38,11 +38,12 @@
 // elsewhere. Each vector lane is one output element that adds its products
 // in the scalar loop's order, multiplying and adding in separate
 // instructions, so results are bitwise identical on either kernel. The
-// autograd tape reuses buffers from a size-keyed arena instead of
-// allocating per op. cmd/netmax-bench -par pins the parallelism
+// model's forward and backward pass is written out by hand over its
+// layer chain and reuses buffers the model owns, so a warm training step
+// allocates nothing. cmd/netmax-bench -par pins the parallelism
 // process-wide and -bench-out records the perf trajectory (see
-// BENCH_baseline.json / BENCH_pr1.json and README.md for the buffer-pool
-// lifecycle rules).
+// BENCH_baseline.json / BENCH_pr1.json and README.md for the compute
+// core).
 package netmax
 
 import (
