@@ -10,7 +10,10 @@
 //
 // The network is a fixed chain, so its gradient is one hand-written pass
 // instead of a recorded graph. Every gradient element is stored once, never
-// added to a previous value: a training step needs no zero fill.
+// added to a previous value: a training step needs no zero fill. Every
+// product in this package is rounded on its own (float64(x*y)), so no
+// architecture may fuse it into a multiply-add and the bits are those of
+// amd64 everywhere.
 package nn
 
 import (
@@ -106,7 +109,7 @@ func (m *Model) BlendVector(c float64, v []float64) {
 		panic(fmt.Sprintf("nn: BlendVector length %d, want %d", len(v), len(m.params)))
 	}
 	for i, x := range m.params {
-		m.params[i] = x + c*(v[i]-x)
+		m.params[i] = x + float64(c*(v[i]-x))
 	}
 }
 
@@ -160,7 +163,7 @@ func (l Loss) Backward() {
 	for i := 0; i < rows; i++ {
 		grow := g.Data[i*n : (i+1)*n]
 		for j, p := range grow {
-			grow[j] = p * scale
+			grow[j] = float64(p * scale)
 		}
 		grow[l.labels[i]] -= scale
 	}
@@ -297,8 +300,8 @@ func (o *SGD) Step(m *Model) {
 	lr, momentum, decay := o.LR, o.Momentum, o.WeightDecay
 	v, g := o.velocity[:len(m.params)], m.grads[:len(m.params)]
 	for j, x := range m.params {
-		gj := g[j] + decay*x
-		v[j] = momentum*v[j] - lr*gj
+		gj := g[j] + float64(decay*x)
+		v[j] = float64(momentum*v[j]) - float64(lr*gj)
 		m.params[j] = x + v[j]
 	}
 }
