@@ -170,9 +170,9 @@ func (w *Worker) NextBatch() (x *tensor.Tensor, labels []int) {
 }
 
 // ComputeGrad runs forward+backward on (x, labels), leaving the gradients in
-// the model's Grad buffers, and returns the batch loss. It touches only this
-// worker's replica, so distinct workers' ComputeGrad calls are safe to run
-// concurrently.
+// the model's gradient vector, and returns the batch loss. It touches only
+// this worker's replica, so distinct workers' ComputeGrad calls are safe to
+// run concurrently.
 func (w *Worker) ComputeGrad(x *tensor.Tensor, labels []int) float64 {
 	l := w.Model.Loss(x, labels)
 	l.Backward()
@@ -193,7 +193,7 @@ func (w *Worker) GradStep() (loss float64, samples int) {
 }
 
 // GradOnly computes gradients on the worker's next batch without applying
-// them (they remain in the model's Grad buffers), for algorithms that
+// them (they remain in the model's gradient vector), for algorithms that
 // average gradients across workers before stepping (Allreduce-SGD, PS-syn).
 func (w *Worker) GradOnly() (loss float64, samples int) {
 	x, labels := w.NextBatch()

@@ -264,8 +264,8 @@ func (m *Model) forward(x *tensor.Tensor, labels []int) float64 {
 }
 
 // reuse returns t reshaped to rows × cols, keeping its storage when that
-// holds enough elements: a model evaluated on two batch sizes in turn
-// allocates only for the first of each.
+// holds enough elements: a model that alternates batch sizes allocates
+// only while the batch outgrows every earlier one.
 func reuse(t *tensor.Tensor, rows, cols int) *tensor.Tensor {
 	if t == nil || cap(t.Data) < rows*cols {
 		return tensor.New(rows, cols)
