@@ -222,6 +222,67 @@ func TestModelMatchesPlainLoops(t *testing.T) {
 	}
 }
 
+// zeroSkipMatMul is a@b by the axpy loop that skips every term whose a
+// entry is zero: the reference the tape's MatMul backward was checked
+// against. For finite operands it agrees bitwise with the kernels, which
+// add those terms as zeros.
+func zeroSkipMatMul(a, b *tensor.Tensor) *tensor.Tensor {
+	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
+	out := tensor.New(m, n)
+	for i := 0; i < m; i++ {
+		for p := 0; p < k; p++ {
+			av := a.Data[i*k+p]
+			if av == 0 {
+				continue
+			}
+			for j := 0; j < n; j++ {
+				out.Data[i*n+j] += float64(av * b.Data[p*n+j])
+			}
+		}
+	}
+	return out
+}
+
+func transposed(a *tensor.Tensor) *tensor.Tensor {
+	return tensor.TransposeInto(tensor.New(a.Shape[1], a.Shape[0]), a)
+}
+
+// TestBackwardMatchesTransposedReference checks, bitwise against
+// zeroSkipMatMul on materialized transposes, each layer's dW = xᵀ@dOut
+// and, below the top layer, dx = dOut@Wᵀ wherever the ReLU is active. The
+// batch is ReLU-sparse, as the hidden activations and their gradients are,
+// so the reference skips many of the terms the kernels add.
+func TestBackwardMatchesTransposedReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, widths := range [][]int{{24, 40, 10}, {5, 3, 7}, {1, 1, 2}, {9, 9, 9, 9}} {
+		last := len(widths) - 1
+		m := ModelSpec{Hidden: widths[1:last]}.Build(12, widths[0], widths[last])
+		x, labels := batch(rng, 16, widths[0], widths[last])
+		tensor.ReLUInto(x, x)
+		m.Loss(x, labels).Backward()
+		in := x
+		for i := range m.layers {
+			ly := &m.layers[i]
+			want := zeroSkipMatMul(transposed(in), ly.grad)
+			for k, g := range ly.dw.Data {
+				if !sameFloat(g, want.Data[k]) {
+					t.Fatalf("widths %v layer %d: dW[%d] = %v, reference %v", widths, i, k, g, want.Data[k])
+				}
+			}
+			if i > 0 {
+				below := &m.layers[i-1]
+				want := zeroSkipMatMul(ly.grad, transposed(ly.w))
+				for k, g := range below.grad.Data {
+					if below.out.Data[k] > 0 && !sameFloat(g, want.Data[k]) {
+						t.Fatalf("widths %v layer %d: dx[%d] = %v, reference %v", widths, i, k, g, want.Data[k])
+					}
+				}
+			}
+			in = ly.out
+		}
+	}
+}
+
 // TestUnderflowedSoftmaxGivesNoNegativeZero sets one logit near −1000, so
 // its softmax probability underflows to +0. The gradient still matches
 // plainLoops, and neither it nor the logits' gradient holds −0: a loss
@@ -295,6 +356,29 @@ func TestLinearGradNumerical(t *testing.T) {
 	numericalGrad(t, m, x, labels, 1e-5)
 }
 
+// TestBiasGradSumsRows checks each layer's bias gradient bitwise against
+// the column sums of the gradient at the layer's output, each sum starting
+// at +0 and running down the rows.
+func TestBiasGradSumsRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	m := ModelSpec{Hidden: []int{6, 5}}.Build(4, 3, 4)
+	x, labels := batch(rng, 7, 3, 4)
+	m.Loss(x, labels).Backward()
+	for i := range m.layers {
+		ly := &m.layers[i]
+		rows, n := ly.grad.Shape[0], ly.grad.Shape[1]
+		for j := 0; j < n; j++ {
+			s := 0.0
+			for r := 0; r < rows; r++ {
+				s += ly.grad.Data[r*n+j]
+			}
+			if !sameFloat(ly.db.Data[j], s) {
+				t.Fatalf("layer %d: db[%d] = %v, column sum %v", i, j, ly.db.Data[j], s)
+			}
+		}
+	}
+}
+
 func TestDeepChainGradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	m := ModelSpec{Hidden: []int{4, 5}}.Build(3, 3, 2)
@@ -346,6 +430,34 @@ func TestSoftmaxGradSumsToZeroPerRow(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestReLUBackward feeds the hidden unit the pre-activations −1, 2, 0
+// and 3 (one-feature batch, weight 1, bias 0). Its gradient is the
+// upstream gradient −d₀ + d₁ (second-layer weights −1 and 1) where the
+// pre-activation is positive, and +0 elsewhere, although the upstream
+// gradient is negative on every row (label 1).
+func TestReLUBackward(t *testing.T) {
+	m := ModelSpec{Hidden: []int{1}}.Build(1, 1, 2)
+	copy(m.params, []float64{1, 0, -1, 1, 0, 0}) // W1, b1, W2, b2
+	x := tensor.FromSlice([]float64{-1, 2, 0, 3}, 4, 1)
+	m.Loss(x, []int{1, 1, 1, 1}).Backward()
+	dlogits := m.layers[1].grad.Data
+	for i, active := range []bool{false, true, false, true} {
+		upstream := 0.0
+		upstream += float64(dlogits[2*i] * -1)
+		upstream += float64(dlogits[2*i+1] * 1)
+		if !(upstream < 0) {
+			t.Fatalf("row %d: upstream gradient %v, want negative", i, upstream)
+		}
+		want := 0.0
+		if active {
+			want = upstream
+		}
+		if got := m.layers[0].grad.Data[i]; !sameFloat(got, want) {
+			t.Fatalf("ReLU gradient at %v = %v, want %v", x.Data[i], got, want)
+		}
 	}
 }
 

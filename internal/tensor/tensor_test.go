@@ -167,6 +167,34 @@ func TestAddRowVectorAndSumRows(t *testing.T) {
 	}
 }
 
+// TestRowOpsMatchPlainLoops checks AddRowVectorInto, into a fresh and
+// into an aliased destination, and SumRowsInto, into a stale one, bitwise
+// against plain loops whose sums start at +0 and run down the rows.
+func TestRowOpsMatchPlainLoops(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	a := Randn(rng, 1, 4, 6)
+	v := Randn(rng, 1, 6)
+	want, sums := New(4, 6), New(6)
+	for j := 0; j < 6; j++ {
+		s := 0.0
+		for i := 0; i < 4; i++ {
+			want.Data[i*6+j] = a.Data[i*6+j] + v.Data[j]
+			s += a.Data[i*6+j]
+		}
+		sums.Data[j] = s
+	}
+	if got := AddRowVectorInto(New(4, 6), a, v); !sameBits(got, want) {
+		t.Fatalf("AddRowVectorInto = %v, want %v", got.Data, want.Data)
+	}
+	stale := FromSlice([]float64{3, 3, 3, 3, 3, 3}, 6)
+	if got := SumRowsInto(stale, a); !sameBits(got, sums) {
+		t.Fatalf("SumRowsInto = %v, want %v", got.Data, sums.Data)
+	}
+	if got := AddRowVectorInto(a, a, v); !sameBits(got, want) {
+		t.Fatalf("aliased AddRowVectorInto = %v, want %v", got.Data, want.Data)
+	}
+}
+
 func TestRandnDeterministic(t *testing.T) {
 	a := Randn(rand.New(rand.NewSource(42)), 1, 3, 3)
 	b := Randn(rand.New(rand.NewSource(42)), 1, 3, 3)
