@@ -123,7 +123,7 @@ func runCmd(args []string) {
 			os.Exit(1)
 		}
 		if s != nil {
-			rep, err := scenario.RunSuite(s, scenario.SuiteRunOptions{Quick: *quick, OutDir: *out, Par: *par})
+			rep, err := scenario.RunSuite(s, scenario.SuiteRunOptions{Quick: *quick, OutDir: *out})
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "error:", err)
 				os.Exit(1)

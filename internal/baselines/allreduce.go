@@ -12,16 +12,29 @@ import (
 // the synchronization weakness Section I attributes to sync D-PSGD.
 func RunAllreduce(cfg *engine.Config) *engine.Result {
 	ws := cfg.Workers()
-	tr := engine.NewTracker(cfg, ws, "Allreduce-SGD")
 	step := averagedStep(cfg, ws)
+	ring := 2 * int64(len(ws)-1) * cfg.Spec.ModelBytes()
+	return runRounds(cfg, ws, "Allreduce-SGD", ring, func(now float64) float64 {
+		step()
+		return ringAllreduceTime(cfg, now)
+	})
+}
+
+// runRounds is the loop of the barrier-synchronized trainers (Allreduce-SGD,
+// PS-syn, D-PSGD). Each round, round updates every worker's model and
+// returns the round's communication time at virtual time now; the round
+// puts bytes on the network and ends, for every worker, after the slowest
+// worker's compute plus that communication time.
+func runRounds(cfg *engine.Config, ws []*engine.Worker, algo string, bytes int64, round func(now float64) float64) *engine.Result {
+	tr := engine.NewTracker(cfg, ws, algo)
+	comp := cfg.MaxComputeSecs()
 	now := 0.0
 	for !tr.Done() {
-		step()
-		comm := ringAllreduceTime(cfg, now)
-		tr.AddBytes(2 * int64(len(ws)-1) * cfg.Spec.ModelBytes())
-		now += cfg.MaxComputeSecs() + comm
+		comm := round(now)
+		tr.AddBytes(bytes)
+		now += comp + comm
 		for _, w := range ws {
-			tr.OnIteration(now, w.Batch, cfg.MaxComputeSecs(), comm)
+			tr.OnIteration(now, w.Batch, comp, comm)
 		}
 	}
 	return tr.Finish()
@@ -47,7 +60,7 @@ func averagedStep(cfg *engine.Config, ws []*engine.Worker) func() {
 			// Weight by batch size so segment workers contribute
 			// proportionally (Section V-F).
 			for i := range avg {
-				avg[i] += tmp[i] * float64(w.Batch)
+				avg[i] += float64(tmp[i] * float64(w.Batch))
 			}
 			total += w.Batch
 		}

@@ -15,26 +15,30 @@ import (
 )
 
 // uniformAsync is the AD-PSGD / GoSGD behavior: uniform neighbor selection
-// over a (possibly sparsified) adjacency, fixed averaging weight 1/2, no
-// periodic control. Membership events renormalize the selection over the
+// over a (possibly sparsified) adjacency, two-sided averaging with weight
+// 1/2 (scaled by the share of the model each pull moves), no periodic
+// control. Membership events renormalize the selection over the
 // live peers — process-level crash detection is fast even for a policy-less
 // algorithm — but the selection never *adapts*: hung peers and slow links
 // keep their uniform share, which is exactly the weakness the churn
 // scenarios demonstrate.
 type uniformAsync struct {
-	adj [][]bool
-	p   [][]float64
+	adj   [][]bool
+	p     [][]float64
+	share float64
 }
 
-func newUniformAsync(adj [][]bool) *uniformAsync {
-	return &uniformAsync{adj: adj, p: policy.Uniform(adj)}
+func newUniformAsync(adj [][]bool, share float64) *uniformAsync {
+	return &uniformAsync{adj: adj, p: policy.Uniform(adj), share: share}
 }
 
-func (u *uniformAsync) SelectPeer(i int, now float64, rng *rand.Rand) int {
-	return policy.Sample(u.p[i], i, rng)
+// Plan averages with a uniformly sampled neighbor. The averaging is
+// two-sided: AD-PSGD's atomic averaging sets both endpoints to the midpoint
+// [11].
+func (u *uniformAsync) Plan(i int, now float64, rng *rand.Rand) engine.Pull {
+	return engine.Pull{Peer: policy.Sample(u.p[i], i, rng), Coef: 0.5 * u.share, TwoSided: true, Share: u.share}
 }
 
-func (u *uniformAsync) BlendCoef(i, j int) float64              { return 0.5 }
 func (u *uniformAsync) OnIterationEnd(i, j int, s, now float64) {}
 func (u *uniformAsync) Tick(now float64)                        {}
 
@@ -57,20 +61,16 @@ func liveAdj(adj [][]bool, alive []bool) [][]bool {
 	return out
 }
 
-// Symmetric marks the averaging as two-sided: AD-PSGD's atomic averaging
-// sets both endpoints to the midpoint [11].
-func (u *uniformAsync) Symmetric() bool { return true }
-
 // RunADPSGD trains with asynchronous decentralized parallel SGD [11]: each
 // worker repeatedly averages its model with one uniformly random neighbor.
 func RunADPSGD(cfg *engine.Config) *engine.Result {
-	return engine.RunAsync(cfg, newUniformAsync(cfg.Net.Topo.Adj), "AD-PSGD")
+	return engine.RunAsync(cfg, newUniformAsync(cfg.Net.Topo.Adj, 1), "AD-PSGD")
 }
 
 // RunGossip trains with GoSGD-style gossip [12]; operationally it is the
 // uniform pull-average loop, identical to AD-PSGD in this timing model.
 func RunGossip(cfg *engine.Config) *engine.Result {
-	return engine.RunAsync(cfg, newUniformAsync(cfg.Net.Topo.Adj), "Gossip")
+	return engine.RunAsync(cfg, newUniformAsync(cfg.Net.Topo.Adj, 1), "Gossip")
 }
 
 // sapsSubgraph builds SAPS-PSGD's static communication subgraph [15]: the
@@ -139,26 +139,12 @@ func sapsSubgraph(cfg *engine.Config) [][]bool {
 
 // sapsSparsity is the fraction of the model SAPS-PSGD transfers per pull:
 // the method's second ingredient (besides the static fast subgraph) is
-// model sparsification [15].
+// model sparsification [15]. The averaging weight is scaled down
+// accordingly (in expectation over the transferred coordinates).
 const sapsSparsity = 0.25
-
-// sapsAsync is uniform gossip on the static subgraph with sparsified
-// transfers: only sapsSparsity of the model moves per pull, and the
-// averaging weight is scaled down accordingly (in expectation over the
-// transferred coordinates).
-type sapsAsync struct {
-	uniformAsync
-}
-
-func (s *sapsAsync) BlendCoef(i, j int) float64 { return 0.5 * sapsSparsity }
-
-func (s *sapsAsync) TransferBytes(full int64) int64 {
-	return int64(float64(full) * sapsSparsity)
-}
 
 // RunSAPS trains with SAPS-PSGD [15]: sparsified uniform gossip restricted
 // to the static initially-fast subgraph.
 func RunSAPS(cfg *engine.Config) *engine.Result {
-	b := &sapsAsync{*newUniformAsync(sapsSubgraph(cfg))}
-	return engine.RunAsync(cfg, b, "SAPS-PSGD")
+	return engine.RunAsync(cfg, newUniformAsync(sapsSubgraph(cfg), sapsSparsity), "SAPS-PSGD")
 }

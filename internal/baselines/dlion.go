@@ -21,41 +21,28 @@ type dlionAsync struct {
 	// transfer proportionally less, floored at minFraction.
 	refRate     float64
 	minFraction float64
-
-	// fraction of the model to blend on the current pull, set in
-	// SelectPeer (the engine calls SelectPeer then BlendCoef for the same
-	// iteration; the async loop is single-threaded).
-	curFraction float64
 }
 
-func (d *dlionAsync) SelectPeer(i int, now float64, rng *rand.Rand) int {
+// Plan sizes the partition by the link's current rate and scales the
+// averaging weight by it: only part of the model arrives, so only that
+// share of the blend applies (in expectation over the chosen partition).
+func (d *dlionAsync) Plan(i int, now float64, rng *rand.Rand) engine.Pull {
 	j := policy.Sample(d.p[i], i, rng)
-	if j != i {
-		frac := d.cfg.Net.Rate(i, j, now) / d.refRate
-		if frac > 1 {
-			frac = 1
-		}
-		if frac < d.minFraction {
-			frac = d.minFraction
-		}
-		d.curFraction = frac
+	if j == i {
+		return engine.Pull{Peer: i}
 	}
-	return j
+	frac := d.cfg.Net.Rate(i, j, now) / d.refRate
+	if frac > 1 {
+		frac = 1
+	}
+	if frac < d.minFraction {
+		frac = d.minFraction
+	}
+	return engine.Pull{Peer: j, Coef: 0.5 * frac, Share: frac}
 }
-
-// BlendCoef scales the averaging weight by the transferred fraction: only
-// part of the model arrived, so only that share of the blend applies (in
-// expectation over the chosen partition).
-func (d *dlionAsync) BlendCoef(i, j int) float64 { return 0.5 * d.curFraction }
 
 func (d *dlionAsync) OnIterationEnd(i, j int, s, now float64) {}
 func (d *dlionAsync) Tick(now float64)                        {}
-
-// TransferBytes reports the partial-model size for the engine's byte and
-// timing accounting.
-func (d *dlionAsync) TransferBytes(full int64) int64 {
-	return int64(float64(full) * d.curFraction)
-}
 
 // RunDLion trains with the DLion-style capacity-proportional partial model
 // exchange.
@@ -65,7 +52,6 @@ func RunDLion(cfg *engine.Config) *engine.Result {
 		p:           policy.Uniform(cfg.Net.Topo.Adj),
 		refRate:     cfg.Net.IntraRate,
 		minFraction: 0.1,
-		curFraction: 1,
 	}
 	if b.refRate == 0 {
 		b.refRate = 1

@@ -12,19 +12,20 @@ import (
 // the synchronization cost Section I attributes to sync D-PSGD.
 func RunSyncDPSGD(cfg *engine.Config) *engine.Result {
 	ws := cfg.Workers()
-	tr := engine.NewTracker(cfg, ws, "D-PSGD")
 	m := len(ws)
 	bytes := cfg.Spec.ModelBytes()
 	vlen := ws[0].Model.VectorLen()
 	adj := cfg.Net.Topo.Adj
 
 	// Metropolis-Hastings mixing weights: symmetric, doubly stochastic for
-	// any connected graph.
+	// any connected graph. Every directed edge carries one model a round.
 	deg := make([]int, m)
+	edges := int64(0)
 	for i := 0; i < m; i++ {
 		for j := 0; j < m; j++ {
 			if i != j && adj[i][j] {
 				deg[i]++
+				edges++
 			}
 		}
 	}
@@ -47,8 +48,7 @@ func RunSyncDPSGD(cfg *engine.Config) *engine.Result {
 	}
 
 	par := cfg.EffectiveParallelism()
-	now := 0.0
-	for !tr.Done() {
+	return runRounds(cfg, ws, "D-PSGD", edges*bytes, func(now float64) float64 {
 		// Local gradient steps: conceptually parallel in the algorithm, and
 		// actually concurrent on the host (each worker only touches its own
 		// replica; the averaging below reads models serially afterwards).
@@ -70,7 +70,7 @@ func RunSyncDPSGD(cfg *engine.Config) *engine.Result {
 			for j := 0; j < m; j++ {
 				if wij := weight(i, j); wij > 0 {
 					for k := range next[i] {
-						next[i][k] += wij * vecs[j][k]
+						next[i][k] += float64(wij * vecs[j][k])
 					}
 				}
 			}
@@ -91,19 +91,6 @@ func RunSyncDPSGD(cfg *engine.Config) *engine.Result {
 				}
 			}
 		}
-		edges := int64(0)
-		for i := 0; i < m; i++ {
-			for j := 0; j < m; j++ {
-				if i != j && adj[i][j] {
-					edges++
-				}
-			}
-		}
-		tr.AddBytes(edges * bytes)
-		now += cfg.MaxComputeSecs() + comm
-		for _, w := range ws {
-			tr.OnIteration(now, w.Batch, cfg.MaxComputeSecs(), comm)
-		}
-	}
-	return tr.Finish()
+		return comm
+	})
 }

@@ -1,12 +1,53 @@
 package baselines
 
 import (
+	"math/rand"
+	"slices"
+
 	"netmax/internal/engine"
-	"netmax/internal/policy"
 )
 
 // defaultHopStaleness is the default iteration-gap bound for RunHop.
 const defaultHopStaleness = 4
+
+// hopAsync is AD-PSGD's uniform averaging behind a staleness gate: a worker
+// too far ahead of the slowest one waits instead of starting an iteration.
+type hopAsync struct {
+	uniformAsync
+	staleness int
+	iters     []int     // completed iterations per worker
+	inFlight  []bool    // whether the worker has started an iteration since its last Plan
+	busyUntil []float64 // end of each worker's latest iteration
+}
+
+// Plan counts the iteration that just completed, then either holds worker
+// i until the next other-worker completion or plans a uniform pull.
+func (h *hopAsync) Plan(i int, now float64, rng *rand.Rand) engine.Pull {
+	if h.inFlight[i] {
+		h.inFlight[i] = false
+		h.iters[i]++
+	}
+	if h.iters[i] >= slices.Min(h.iters)+h.staleness {
+		next := now
+		for j, b := range h.busyUntil {
+			if j != i && b > now && (next == now || b < next) {
+				next = b
+			}
+		}
+		if next == now {
+			next = now + 1e-6 // everyone idle: break ties and retry
+		}
+		return engine.Pull{Until: next}
+	}
+	return h.uniformAsync.Plan(i, now, rng)
+}
+
+// OnIterationEnd marks worker i's iteration as started; its next Plan
+// counts it as completed.
+func (h *hopAsync) OnIterationEnd(i, j int, iterSecs, now float64) {
+	h.inFlight[i] = true
+	h.busyUntil[i] = now + iterSecs
+}
 
 // RunHop trains with Hop-style bounded staleness [25]: workers run the
 // asynchronous uniform gossip loop, but no worker may advance more than
@@ -19,80 +60,13 @@ func RunHop(cfg *engine.Config, staleness int) *engine.Result {
 	if staleness <= 0 {
 		staleness = defaultHopStaleness
 	}
-	ws := cfg.Workers()
-	tr := engine.NewTracker(cfg, ws, "Hop")
-	m := len(ws)
-	bytes := cfg.Spec.ModelBytes()
-	p := policy.Uniform(cfg.Net.Topo.Adj)
-
-	iters := make([]int, m) // completed iterations per worker
-	busyUntil := make([]float64, m)
-	type pending struct {
-		samples    int
-		comp, comm float64
+	m := len(cfg.Part.Shards)
+	h := &hopAsync{
+		uniformAsync: *newUniformAsync(cfg.Net.Topo.Adj, 1),
+		staleness:    staleness,
+		iters:        make([]int, m),
+		inFlight:     make([]bool, m),
+		busyUntil:    make([]float64, m),
 	}
-	pend := make([]pending, m)
-	snapshot := make([]float64, ws[0].Model.VectorLen())
-	own := make([]float64, ws[0].Model.VectorLen())
-
-	var q engine.Queue
-	for i := range ws {
-		q.Push(0, i)
-	}
-	minIters := func() int {
-		lo := iters[0]
-		for _, v := range iters[1:] {
-			if v < lo {
-				lo = v
-			}
-		}
-		return lo
-	}
-	for !tr.Done() && q.Len() > 0 {
-		now, i := q.Pop()
-		if pd := pend[i]; pd.samples > 0 {
-			iters[i]++
-			tr.OnIteration(now, pd.samples, pd.comp, pd.comm)
-			pend[i] = pending{}
-			if tr.Done() {
-				break
-			}
-		}
-		// Staleness gate: a worker too far ahead waits for the slowest.
-		// Re-queue it just after the next other-worker completion.
-		if iters[i] >= minIters()+staleness {
-			next := now
-			for j, b := range busyUntil {
-				if j != i && b > now && (next == now || b < next) {
-					next = b
-				}
-			}
-			if next == now {
-				next = now + 1e-6 // everyone idle: break ties and retry
-			}
-			q.Push(next, i)
-			continue
-		}
-		w := ws[i]
-		j := policy.Sample(p[i], i, w.Rng)
-		_, samples := w.GradStep()
-		if j != i {
-			// AD-PSGD-style symmetric atomic averaging.
-			ws[j].Model.CopyVector(snapshot)
-			w.Model.CopyVector(own)
-			w.Model.BlendVector(0.5, snapshot)
-			ws[j].Model.BlendVector(0.5, own)
-			tr.AddBytes(bytes)
-		}
-		iterSecs := cfg.Net.IterationTime(i, j, bytes, cfg.ComputeSecs(i), now, cfg.Overlap)
-		comp := cfg.ComputeSecs(i)
-		comm := iterSecs - comp
-		if comm < 0 {
-			comm = 0
-		}
-		pend[i] = pending{samples: samples, comp: comp, comm: comm}
-		busyUntil[i] = now + iterSecs
-		q.Push(now+iterSecs, i)
-	}
-	return tr.Finish()
+	return engine.RunAsync(cfg, h, "Hop")
 }

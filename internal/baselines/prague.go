@@ -112,7 +112,7 @@ func RunPrague(cfg *engine.Config) *engine.Result {
 				}
 			}
 			active = keep
-			comm *= float64(contention)
+			comm = float64(comm * float64(contention))
 			active = append(active, interval{start: start, end: start + groupComp + comm})
 		}
 		// Every member sends and receives 2(g-1) chunks, so the group's

@@ -13,7 +13,6 @@ import (
 // class — the central-bottleneck weakness of C-PSGD (Section I).
 func RunPSSync(cfg *engine.Config) *engine.Result {
 	ws := cfg.Workers()
-	tr := engine.NewTracker(cfg, ws, "PS-syn")
 	bytes := cfg.Spec.ModelBytes()
 
 	// Link-class sharer counts: workers on the PS machine share the intra
@@ -28,28 +27,24 @@ func RunPSSync(cfg *engine.Config) *engine.Result {
 		}
 	}
 
-	step := averagedStep(cfg, ws)
-	now := 0.0
-	for !tr.Done() {
-		step()
-		comm := 0.0
-		for i := range ws {
-			sharers := inter
-			if cfg.Net.Topo.Machine[i] == psMachine {
-				sharers = intra
-			}
-			// Push gradient + pull model: 2x the model size.
-			if t := cfg.Net.PSTransferTime(i, 2*bytes, sharers); t > comm {
-				comm = t
-			}
+	// PS links keep their base rate, so every round takes as long to
+	// communicate.
+	comm := 0.0
+	for i := range ws {
+		sharers := inter
+		if cfg.Net.Topo.Machine[i] == psMachine {
+			sharers = intra
 		}
-		tr.AddBytes(2 * int64(len(ws)) * bytes)
-		now += cfg.MaxComputeSecs() + comm
-		for _, w := range ws {
-			tr.OnIteration(now, w.Batch, cfg.MaxComputeSecs(), comm)
+		// Push gradient + pull model: 2x the model size.
+		if t := cfg.Net.PSTransferTime(i, 2*bytes, sharers); t > comm {
+			comm = t
 		}
 	}
-	return tr.Finish()
+	step := averagedStep(cfg, ws)
+	return runRounds(cfg, ws, "PS-syn", 2*int64(len(ws))*bytes, func(now float64) float64 {
+		step()
+		return comm
+	})
 }
 
 // RunPSAsync trains with an asynchronous parameter server: each worker

@@ -97,10 +97,16 @@ func newBehavior(cfg *engine.Config, opts Options, averaging bool) *behavior {
 	}
 }
 
-// SelectPeer samples worker i's peer from its policy row (Algorithm 2
-// line 9); p[i][i] mass means "no pull this iteration".
-func (b *behavior) SelectPeer(i int, now float64, rng *rand.Rand) int {
-	return b.nodes[i].Select(rng)
+// Plan samples worker i's peer from its policy row (Algorithm 2 line 9;
+// p[i][i] mass means "no pull this iteration") and weighs the pulled model
+// as the node decides (lines 13-14, Node.Coef and Node.TwoSided).
+func (b *behavior) Plan(i int, now float64, rng *rand.Rand) engine.Pull {
+	n := b.nodes[i]
+	j := n.Select(rng)
+	if j == i {
+		return engine.Pull{Peer: i}
+	}
+	return engine.Pull{Peer: j, Coef: n.Coef(j), TwoSided: n.TwoSided(), Share: 1}
 }
 
 // OnMembership masks crashed peers out of every worker's selection at once
@@ -116,19 +122,11 @@ func (b *behavior) OnMembership(alive []bool, now float64) {
 	b.mon.SetLiveness(alive, now)
 }
 
-// BlendCoef returns the weight of the pulled model (Algorithm 2 lines
-// 13-14).
-func (b *behavior) BlendCoef(i, j int) float64 { return b.nodes[i].Coef(j) }
-
 // OnIterationEnd folds the measured iteration time into worker i's EMA time
 // vector and reports it to the monitor, which ignores self reports.
 func (b *behavior) OnIterationEnd(i, j int, iterSecs, now float64) {
 	b.mon.ObserveAt(i, j, b.nodes[i].Observe(j, iterSecs), now)
 }
-
-// Symmetric reports whether the blend applies to both endpoints, as the
-// nodes decide (Node.TwoSided).
-func (b *behavior) Symmetric() bool { return b.nodes[0].TwoSided() }
 
 // Tick runs the Network Monitor's periodic policy regeneration and hands
 // every worker the new policy. Under UniformPolicy there is nothing to

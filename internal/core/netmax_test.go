@@ -194,11 +194,11 @@ func TestSelectPeerRespectsPolicySupport(t *testing.T) {
 // average two-sided with coefficient 1/2 whatever row they adopt.
 func TestFixedBlendOption(t *testing.T) {
 	cfg := hetConfig(4, 1, 3)
-	if b := newBehavior(cfg, Options{}, false); b.Symmetric() || b.nodes[0].Coef(1) == 0.5 {
-		t.Fatalf("NetMax node: two-sided %v, coefficient %v", b.Symmetric(), b.nodes[0].Coef(1))
+	if b := newBehavior(cfg, Options{}, false); b.nodes[0].TwoSided() || b.nodes[0].Coef(1) == 0.5 {
+		t.Fatalf("NetMax node: two-sided %v, coefficient %v", b.nodes[0].TwoSided(), b.nodes[0].Coef(1))
 	}
 	b := newBehavior(cfg, Options{}, true)
-	if !b.Symmetric() {
+	if !b.nodes[0].TwoSided() {
 		t.Fatal("AD-PSGD+Monitor blend is one-sided")
 	}
 	n := b.nodes[0]

@@ -4,22 +4,20 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"netmax/internal/codec"
+	"netmax/internal/nn"
 )
 
 // AsyncBehavior parameterizes the shared asynchronous pull loop: NetMax,
-// AD-PSGD, GoSGD-style gossip, SAPS-PSGD and AD-PSGD+Monitor are all
-// "select a peer, pull its model, blend" algorithms that differ only in how
-// peers are selected, how the pulled model is weighted, and what periodic
-// control runs alongside.
+// AD-PSGD, GoSGD-style gossip, SAPS-PSGD, DLion, Hop and AD-PSGD+Monitor
+// are all "select a peer, pull its model, blend" algorithms that differ
+// only in how each pull is planned and what periodic control runs
+// alongside.
 type AsyncBehavior interface {
-	// SelectPeer returns the peer worker i pulls from for the iteration
-	// starting at virtual time now. Returning i itself means "skip
-	// communication this iteration" (a policy may assign p_ii > 0).
-	SelectPeer(i int, now float64, rng *rand.Rand) int
-	// BlendCoef returns the coefficient c of the second-step update
-	// x_i ← (1-c)·x_i + c·x_j. For NetMax c = αρ(d_ij+d_ji)/(2 p_ij)
-	// (Algorithm 2 line 13); for AD-PSGD-style averaging c = 1/2.
-	BlendCoef(i, j int) float64
+	// Plan returns worker i's pull for the iteration starting at virtual
+	// time now.
+	Plan(i int, now float64, rng *rand.Rand) Pull
 	// OnIterationEnd reports the measured iteration time, which behaviors
 	// with a Network Monitor feed into their EMA time vectors
 	// (Algorithm 2 line 16).
@@ -30,13 +28,28 @@ type AsyncBehavior interface {
 	Tick(now float64)
 }
 
-// SymmetricBlender is an optional AsyncBehavior refinement: when Symmetric
-// returns true, the blend is applied to BOTH endpoints (each moves toward
-// the midpoint with the blend coefficient), matching AD-PSGD's atomic
-// two-sided averaging [11]. One-sided behaviors (NetMax's Algorithm 2 pull)
-// leave the peer untouched.
-type SymmetricBlender interface {
-	Symmetric() bool
+// Pull is one worker's plan for an iteration.
+type Pull struct {
+	// Peer is the worker to pull from. The worker's own id means "skip
+	// communication this iteration" (a policy may assign p_ii > 0); the
+	// other fields are then ignored.
+	Peer int
+	// Coef is the coefficient c of the second-step update
+	// x_i ← (1-c)·x_i + c·x_j. For NetMax c = αρ(d_ij+d_ji)/(2 p_ij)
+	// (Algorithm 2 line 13); for AD-PSGD-style averaging c = 1/2.
+	Coef float64
+	// TwoSided applies the blend to both endpoints: x_j also moves toward
+	// i's pre-blend model with the same coefficient, AD-PSGD's atomic
+	// averaging [11]. A one-sided pull (NetMax's Algorithm 2) leaves the
+	// peer untouched.
+	TwoSided bool
+	// Share is the fraction of the model the pull moves, in (0, 1]: 1 for
+	// a full model, less for SAPS sparsification and DLion partitions. It
+	// scales the bytes charged and timed.
+	Share float64
+	// Until, when later than now, holds the worker back: it starts no
+	// iteration, and its next Plan runs at Until (Hop's staleness gate).
+	Until float64
 }
 
 // MembershipAware is an optional AsyncBehavior refinement for behaviors
@@ -52,20 +65,58 @@ type MembershipAware interface {
 	OnMembership(alive []bool, now float64)
 }
 
-// PartialTransferrer is an optional AsyncBehavior refinement for methods
-// that send only part of the model per pull (DLion-style capacity-scaled
-// partitions): TransferBytes maps the full model size to the bytes actually
-// moved for the current iteration.
-type PartialTransferrer interface {
-	TransferBytes(full int64) int64
+// exchange carries out pulls. Every transferred vector round-trips through
+// the codec, when there is one, so its loss lands in the trajectory. The
+// buffers are reused across pulls: the event loop stays allocation-free
+// under compression.
+type exchange struct {
+	codec     codec.Codec
+	enc       []byte
+	peer, own []float64
+}
+
+// compress overwrites vec in place with what the receiver decodes off the
+// wire. The payload is self-produced, so a decode failure is a codec bug;
+// continuing would charge compressed bytes for an uncompressed transfer.
+func (e *exchange) compress(vec []float64) {
+	if e.codec == nil {
+		return
+	}
+	e.enc = e.codec.AppendEncode(e.enc[:0], vec)
+	if err := e.codec.DecodeInto(e.enc, vec); err != nil {
+		panic(fmt.Sprintf("engine: codec %s round-trip failed: %v", e.codec.Name(), err))
+	}
+}
+
+// pull blends x toward y with p.Coef and, for a two-sided pull, y toward
+// x's pre-blend model with the same coefficient. The reverse transfer goes
+// through the codec as well, so both directions carry compression loss.
+func (e *exchange) pull(x, y *nn.Model, p Pull) {
+	if e.peer == nil {
+		e.peer = make([]float64, x.VectorLen())
+	}
+	y.CopyVector(e.peer) // x_j's freshest params
+	e.compress(e.peer)
+	if p.TwoSided {
+		if e.own == nil {
+			e.own = make([]float64, x.VectorLen())
+		}
+		x.CopyVector(e.own)
+		e.compress(e.own)
+		x.BlendVector(p.Coef, e.peer)
+		y.BlendVector(p.Coef, e.own)
+		return
+	}
+	x.BlendVector(p.Coef, e.peer)
 }
 
 // RunAsync executes the asynchronous decentralized loop under cfg with the
 // given behavior, returning the aggregated result. Events are processed in
 // completion order on the virtual clock; each event atomically performs one
-// worker iteration (select peer, snapshot its model, local gradient step,
-// blend) and schedules the next completion, one event at a time on the
-// calling goroutine.
+// worker iteration (plan the pull, local gradient step, pull and blend) and
+// schedules the next completion, one event at a time on the calling
+// goroutine. A pull held back until a later time starts no iteration: the
+// worker's event is re-queued at Pull.Until.
 //
 // When cfg.Failures carries events, the loop injects them: unresponsive
 // workers' events are parked until rejoin (iterations in flight across a
@@ -79,29 +130,7 @@ func RunAsync(cfg *Config, b AsyncBehavior, algo string) *Result {
 	ws := cfg.Workers()
 	tr := NewTracker(cfg, ws, algo)
 	bytes := cfg.WireBytes()
-	// Compression state: every transferred vector round-trips through the
-	// codec so its loss lands in the trajectory. The buffers are reused
-	// across iterations — the event loop stays allocation-free under
-	// compression.
-	var encBuf []byte
-	var ownBuf []float64
-	// compress overwrites vec in place with what the receiver decodes off
-	// the wire. The payload is self-produced, so a decode failure is a
-	// codec bug; continuing would charge compressed bytes for an
-	// uncompressed transfer.
-	compress := func(vec []float64) {
-		if cfg.Codec == nil {
-			return
-		}
-		encBuf = cfg.Codec.AppendEncode(encBuf[:0], vec)
-		if err := cfg.Codec.DecodeInto(encBuf, vec); err != nil {
-			panic(fmt.Sprintf("engine: codec %s round-trip failed: %v", cfg.Codec.Name(), err))
-		}
-	}
-	symmetric := false
-	if sb, ok := b.(SymmetricBlender); ok {
-		symmetric = sb.Symmetric()
-	}
+	ex := exchange{codec: cfg.Codec}
 
 	var q Queue
 	// Pending bookkeeping per worker: costs of the iteration in flight.
@@ -115,7 +144,6 @@ func RunAsync(cfg *Config, b AsyncBehavior, algo string) *Result {
 	for i := range ws {
 		q.Push(0, i)
 	}
-	snapshot := make([]float64, ws[0].Model.VectorLen())
 
 	// Churn state. An empty schedule is normalized to nil so the
 	// failure-free path is literally the historical one — the bitwise
@@ -174,16 +202,23 @@ func RunAsync(cfg *Config, b AsyncBehavior, algo string) *Result {
 		if !admit(i, now) {
 			continue // the worker is down; admit parked it
 		}
-		// Flush the completed iteration's accounting.
+		// Flush the completed iteration's accounting. Clearing it keeps
+		// a held worker's re-queued event from counting it again.
 		if p := pend[i]; p.samples > 0 {
 			tr.OnIteration(now, p.samples, p.comp, p.comm)
+			pend[i] = pending{}
 			if tr.Done() {
 				break
 			}
 		}
 		b.Tick(now)
 		w := ws[i]
-		j := b.SelectPeer(i, now, w.Rng)
+		pull := b.Plan(i, now, w.Rng)
+		if pull.Until > now {
+			q.Push(pull.Until, i)
+			continue
+		}
+		j := pull.Peer
 		// A pull at an unresponsive peer or over a blacked-out link
 		// fails: nothing is blended or transferred, and the worker
 		// loses the schedule's detection deadline waiting it out. The
@@ -193,29 +228,9 @@ func RunAsync(cfg *Config, b AsyncBehavior, algo string) *Result {
 		pullFailed := fs != nil && j != i && fs.PullFails(i, j, now)
 		_, samples := w.GradStep() // first update (local gradients)
 		if j != i && !pullFailed {
-			ws[j].Model.CopyVector(snapshot) // pull x_j (freshest params)
-			compress(snapshot)
-			coef := b.BlendCoef(i, j)
-			if symmetric {
-				// Two-sided atomic averaging: j also moves toward i's
-				// (pre-blend) model with the same coefficient. The
-				// reverse transfer goes through the codec as well, so
-				// both directions carry compression loss.
-				if ownBuf == nil {
-					ownBuf = make([]float64, len(snapshot))
-				}
-				w.Model.CopyVector(ownBuf)
-				compress(ownBuf)
-				w.Model.BlendVector(coef, snapshot)
-				ws[j].Model.BlendVector(coef, ownBuf)
-			} else {
-				w.Model.BlendVector(coef, snapshot)
-			}
+			ex.pull(w.Model, ws[j].Model, pull)
 		}
-		moved := bytes
-		if pt, ok := b.(PartialTransferrer); ok {
-			moved = pt.TransferBytes(bytes)
-		}
+		moved := int64(float64(bytes) * pull.Share)
 		comp := cfg.ComputeSecs(i)
 		var iterSecs float64
 		if pullFailed {

@@ -15,17 +15,16 @@ type membershipRecorder struct {
 	events int
 }
 
-func (s *membershipRecorder) SelectPeer(i int, now float64, rng *rand.Rand) int {
+func (s *membershipRecorder) Plan(i int, now float64, rng *rand.Rand) Pull {
 	j := rng.Intn(s.m - 1)
 	if j >= i {
 		j++
 	}
 	if s.dead != nil && s.dead[j] {
-		return i // skip communication rather than pull at a corpse
+		return Pull{Peer: i} // skip communication rather than pull at a corpse
 	}
-	return j
+	return Pull{Peer: j, Coef: 0.5, Share: 1}
 }
-func (s *membershipRecorder) BlendCoef(i, j int) float64              { return 0.5 }
 func (s *membershipRecorder) OnIterationEnd(i, j int, t, now float64) {}
 func (s *membershipRecorder) Tick(now float64)                        {}
 func (s *membershipRecorder) OnMembership(alive []bool, now float64) {

@@ -215,26 +215,28 @@ type Point struct {
 }
 
 // Result aggregates everything the evaluation figures need from one run.
+// The json tags name the fields of a run's result.json.
 type Result struct {
-	Algo string
+	Algo string `json:"algo"`
 	// Loss curve sampled at (fractional) epoch boundaries.
-	Curve []Point
+	Curve []Point `json:"curve"`
 	// FinalLoss is the last curve value.
-	FinalLoss float64
+	FinalLoss float64 `json:"final_loss"`
 	// FinalAccuracy on the held-out test set, of the averaged model.
-	FinalAccuracy float64
+	FinalAccuracy float64 `json:"final_accuracy"`
 	// TotalTime is the virtual wall-clock of the full run.
-	TotalTime float64
+	TotalTime float64 `json:"total_time_seconds"`
 	// GlobalSteps counts worker iterations across the cluster.
-	GlobalSteps int
+	GlobalSteps int `json:"global_steps"`
 	// CompSecs and CommSecs decompose worker busy time per Section V-B:
 	// per iteration, computation contributes C and communication the
 	// non-overlapped remainder (max(0, N-C) when overlapped, N serial).
-	CompSecs, CommSecs float64
+	CompSecs float64 `json:"comp_seconds"`
+	CommSecs float64 `json:"comm_seconds"`
 	// BytesSent is the total traffic the algorithm put on the network.
-	BytesSent int64
+	BytesSent int64 `json:"bytes_sent"`
 	// Epochs actually completed.
-	Epochs int
+	Epochs int `json:"epochs"`
 }
 
 // AvgEpochTime returns TotalTime / Epochs.

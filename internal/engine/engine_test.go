@@ -235,14 +235,13 @@ func TestAverageModelIsMean(t *testing.T) {
 // simpleBehavior is a uniform-random async behavior for engine-level tests.
 type simpleBehavior struct{ m int }
 
-func (s *simpleBehavior) SelectPeer(i int, now float64, rng *rand.Rand) int {
+func (s *simpleBehavior) Plan(i int, now float64, rng *rand.Rand) Pull {
 	j := rng.Intn(s.m - 1)
 	if j >= i {
 		j++
 	}
-	return j
+	return Pull{Peer: j, Coef: 0.5, Share: 1}
 }
-func (s *simpleBehavior) BlendCoef(i, j int) float64              { return 0.5 }
 func (s *simpleBehavior) OnIterationEnd(i, j int, t, now float64) {}
 func (s *simpleBehavior) Tick(now float64)                        {}
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 )
 
@@ -50,7 +51,7 @@ func (r *Result) WriteCurves(w io.Writer) {
 	for k := range r.Curves {
 		keys = append(keys, k)
 	}
-	sortStrings(keys)
+	sort.Strings(keys)
 	for _, k := range keys {
 		fmt.Fprintf(w, "-- %s --\n", k)
 		for _, p := range r.Curves[k] {
@@ -64,12 +65,4 @@ func pad(s string, n int) string {
 		return s
 	}
 	return s + strings.Repeat(" ", n-len(s))
-}
-
-func sortStrings(xs []string) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

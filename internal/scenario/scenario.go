@@ -506,8 +506,9 @@ func usesMonitor(algo string) bool {
 	return algo == "netmax" || algo == "adpsgd-monitor"
 }
 
-// asyncAlgorithms run on engine.RunAsync, the only engine loop that reads
-// the codec and the failure schedule.
+// asyncAlgorithms take the codec and the failure schedule: they run on
+// engine.RunAsync, the only engine loop that reads either. Hop runs on it
+// too but takes neither (see validation), so it is not listed.
 var asyncAlgorithms = []string{"netmax", "adpsgd", "adpsgd-monitor", "gossip", "saps", "dlion"}
 
 // roundAlgorithms compute a synchronous round's gradients concurrently, the
@@ -692,11 +693,16 @@ func validateEngine(e *errorList, m, r *Manifest) {
 	}
 	if !slices.Contains(asyncAlgorithms, r.Algorithm) {
 		async := strings.Join(asyncAlgorithms, ", ")
+		codecWhy, failuresWhy := "ignores it", "ignores it"
+		if r.Algorithm == "hop" {
+			codecWhy = "does not take one"
+			failuresWhy = "cannot take one: a worker that leaves freezes the slowest-worker count, so the staleness gate would re-queue everyone forever"
+		}
 		if r.Codec != nil {
-			e.addf("codec block is only valid with the asynchronous algorithms (%s); %q ignores it", async, r.Algorithm)
+			e.addf("codec block is only valid with the asynchronous algorithms (%s); %q %s", async, r.Algorithm, codecWhy)
 		}
 		if r.Failures != nil {
-			e.addf("failures block is only valid with the asynchronous algorithms (%s); %q ignores it", async, r.Algorithm)
+			e.addf("failures block is only valid with the asynchronous algorithms (%s); %q %s", async, r.Algorithm, failuresWhy)
 		}
 	}
 	if r.Parallelism > 1 && !slices.Contains(roundAlgorithms, r.Algorithm) {

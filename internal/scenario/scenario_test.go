@@ -121,7 +121,7 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		{"hop staleness misuse", `{"name": "x", "hop_staleness": 4}`, "only valid with algorithm"},
 		{"netmax block misuse", `{"name": "x", "algorithm": "adpsgd", "netmax": {"ts_secs": 1}}`, "netmax block is only valid"},
 		{"codec on allreduce", `{"name": "x", "algorithm": "allreduce", "codec": {"name": "float32"}}`, `"allreduce" ignores it`},
-		{"failures on hop", `{"name": "x", "algorithm": "hop", "failures": {"events": [{"kind": "leave", "worker": 1, "at": 1}]}}`, `"hop" ignores it`},
+		{"failures on hop", `{"name": "x", "algorithm": "hop", "failures": {"events": [{"kind": "leave", "worker": 1, "at": 1}]}}`, `"hop" cannot take one: a worker that leaves freezes the slowest-worker count`},
 		{"parallelism on netmax", `{"name": "x", "algorithm": "netmax", "parallelism": 2}`, `"netmax" steps one worker at a time`},
 		{"explicit compute", `{"name": "x", "compute": {"kind": "explicit"}}`, `unknown compute kind "explicit" (want straggler)`},
 		{"linear compute", `{"name": "x", "compute": {"kind": "linear"}}`, `unknown compute kind "linear" (want straggler)`},

@@ -354,10 +354,13 @@ func TestRunSuiteEmitsOutputs(t *testing.T) {
 // concurrent driver produces byte-identical per-run outputs and an
 // identical joint table.
 func TestSuiteRunParallelismBitwise(t *testing.T) {
+	prev := engine.DefaultParallelism
+	defer func() { engine.DefaultParallelism = prev }()
 	trees := map[int]map[string]string{}
 	for _, par := range []int{1, 4} {
+		engine.DefaultParallelism = par
 		out := t.TempDir()
-		rep, err := RunSuite(tinySuite(), SuiteRunOptions{OutDir: out, Par: par})
+		rep, err := RunSuite(tinySuite(), SuiteRunOptions{OutDir: out})
 		if err != nil {
 			t.Fatalf("RunSuite(par=%d): %v", par, err)
 		}

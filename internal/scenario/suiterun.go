@@ -21,13 +21,6 @@ type SuiteRunOptions struct {
 	// <member-name>/ directory per run with the usual resolved.json /
 	// result.json / curve.csv. Empty skips all file output.
 	OutDir string
-	// Par bounds how many member runs execute concurrently: 0 means the
-	// process default (engine.DefaultParallelism, then GOMAXPROCS), 1
-	// serial. The driver draws from the same process-wide GOMAXPROCS slot
-	// budget as every other level (engine worker stepping, netmax-bench
-	// -all), so nesting never multiplies concurrency — and per-run results
-	// and the joint table are byte-identical at any setting.
-	Par int
 }
 
 // SuiteReport is the outcome of one suite run.
@@ -104,10 +97,14 @@ func RunSuite(s *Suite, opt SuiteRunOptions) (*SuiteReport, error) {
 		memberOut = filepath.Join(opt.OutDir, resolved.Name)
 	}
 	// Members are independent (disjoint seeds, resolved configs) and each
-	// engine run is bitwise deterministic, so they execute concurrently and
-	// land in run-list order; results are identical at any Par.
+	// engine run is bitwise deterministic, so they execute concurrently —
+	// as many at once as engine.DefaultParallelism (then GOMAXPROCS)
+	// allows — and land in run-list order; per-run results and the joint
+	// table are byte-identical at any setting. The driver draws from the
+	// same process-wide GOMAXPROCS slot budget as every other level, so
+	// nesting never multiplies concurrency.
 	errs := make([]error, len(resolved.Runs))
-	engine.Concurrently(len(resolved.Runs), engine.ResolveParallelism(opt.Par), func(k int) {
+	engine.Concurrently(len(resolved.Runs), engine.ResolveParallelism(0), func(k int) {
 		rep.Reports[k], errs[k] = Run(resolved.Runs[k].Manifest, RunOptions{OutDir: memberOut})
 	})
 	for k, err := range errs {

@@ -64,55 +64,19 @@ func WriteCurvesCSV(w io.Writer, curves map[string][]engine.Point) error {
 	return cw.Error()
 }
 
-// ResultJSON is the JSON projection of an engine.Result.
-type ResultJSON struct {
-	Algo          string         `json:"algo"`
-	Curve         []engine.Point `json:"curve"`
-	FinalLoss     float64        `json:"final_loss"`
-	FinalAccuracy float64        `json:"final_accuracy"`
-	TotalTime     float64        `json:"total_time_seconds"`
-	GlobalSteps   int            `json:"global_steps"`
-	CompSecs      float64        `json:"comp_seconds"`
-	CommSecs      float64        `json:"comm_seconds"`
-	BytesSent     int64          `json:"bytes_sent"`
-	Epochs        int            `json:"epochs"`
-}
-
 // WriteResultJSON writes one result as indented JSON.
 func WriteResultJSON(w io.Writer, r *engine.Result) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(ResultJSON{
-		Algo:          r.Algo,
-		Curve:         r.Curve,
-		FinalLoss:     r.FinalLoss,
-		FinalAccuracy: r.FinalAccuracy,
-		TotalTime:     r.TotalTime,
-		GlobalSteps:   r.GlobalSteps,
-		CompSecs:      r.CompSecs,
-		CommSecs:      r.CommSecs,
-		BytesSent:     r.BytesSent,
-		Epochs:        r.Epochs,
-	})
+	return enc.Encode(r)
 }
 
 // ReadResultJSON parses a result written by WriteResultJSON back into an
 // engine.Result.
 func ReadResultJSON(r io.Reader) (*engine.Result, error) {
-	var rj ResultJSON
-	if err := json.NewDecoder(r).Decode(&rj); err != nil {
+	var res engine.Result
+	if err := json.NewDecoder(r).Decode(&res); err != nil {
 		return nil, fmt.Errorf("trace: decode result: %w", err)
 	}
-	return &engine.Result{
-		Algo:          rj.Algo,
-		Curve:         rj.Curve,
-		FinalLoss:     rj.FinalLoss,
-		FinalAccuracy: rj.FinalAccuracy,
-		TotalTime:     rj.TotalTime,
-		GlobalSteps:   rj.GlobalSteps,
-		CompSecs:      rj.CompSecs,
-		CommSecs:      rj.CommSecs,
-		BytesSent:     rj.BytesSent,
-		Epochs:        rj.Epochs,
-	}, nil
+	return &res, nil
 }

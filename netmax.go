@@ -168,8 +168,9 @@ type Suite = scenario.Suite
 // table.
 type SuiteReport = scenario.SuiteReport
 
-// SuiteRunOptions tunes RunSuite (quick overrides, output directory, and
-// the bounded parallelism of the member-run driver).
+// SuiteRunOptions tunes RunSuite (quick overrides and output directory).
+// Members run side by side, as many as the process-wide host parallelism
+// allows (GOMAXPROCS unless a command's -par pins it).
 type SuiteRunOptions = scenario.SuiteRunOptions
 
 // SuiteTable is the joint comparison table of a suite run (the suite.json
