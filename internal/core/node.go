@@ -124,7 +124,7 @@ func (n *Node) Observe(j int, secs float64) float64 {
 	if n.ema[j] == 0 {
 		n.ema[j] = secs
 	} else {
-		n.ema[j] = n.beta*n.ema[j] + (1-n.beta)*secs
+		n.ema[j] = float64(n.beta*n.ema[j]) + float64((1-n.beta)*secs)
 	}
 	return n.ema[j]
 }

@@ -137,7 +137,7 @@ func (s Spec) Generate(seed int64) (train, test *Dataset) {
 			labels[i] = c
 			row := x.Data[i*s.Dim : (i+1)*s.Dim]
 			for j := range row {
-				row[j] = centers[c][j] + rng.NormFloat64()*s.ClusterStd
+				row[j] = centers[c][j] + float64(rng.NormFloat64()*s.ClusterStd)
 			}
 		}
 		// Shuffle so sequential batches are class-mixed.

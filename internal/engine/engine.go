@@ -116,21 +116,25 @@ func (c *Config) MaxComputeSecs() float64 {
 	return c.Spec.ComputeSecs * maxScale
 }
 
-// Workers instantiates the worker pool: identical initial models (same
-// seed), per-worker RNG streams, shard-proportional batch sizes.
+// Workers instantiates the worker pool: identical initial models (one
+// model built from the seed, then cloned), per-worker RNG streams,
+// shard-proportional batch sizes.
 func (c *Config) Workers() []*Worker {
 	m := len(c.Part.Shards)
 	ws := make([]*Worker, m)
-	dim := c.Part.Shards[0].Dim()
-	classes := c.Part.Shards[0].Classes
+	initial := c.Spec.Build(c.Seed, c.Part.Shards[0].Dim(), c.Part.Shards[0].Classes)
 	for i := 0; i < m; i++ {
 		batch := c.Batch * c.Part.Segments[i]
 		if batch > c.Part.Shards[i].Len() {
 			batch = c.Part.Shards[i].Len()
 		}
+		model := initial
+		if i > 0 {
+			model = initial.Clone()
+		}
 		ws[i] = &Worker{
 			ID:    i,
-			Model: c.Spec.Build(c.Seed, dim, classes),
+			Model: model,
 			Opt:   nn.NewSGD(c.LR),
 			Shard: c.Part.Shards[i],
 			Batch: batch,

@@ -47,6 +47,38 @@ func TestBuildDeterministic(t *testing.T) {
 	}
 }
 
+// TestCloneTrainsLikeBuild checks that a clone starts where a model built
+// from the same seed starts, trains to the same bits on the same batch,
+// and shares no buffer with its source.
+func TestCloneTrainsLikeBuild(t *testing.T) {
+	m, x, labels := resNet18Batch()
+	before := m.Vector()
+	c, built := m.Clone(), SimResNet18.Build(1, x.Cols(), 10)
+	cOpt, builtOpt := NewSGD(0.05), NewSGD(0.05)
+	for i := 0; i < 3; i++ {
+		c.Loss(x, labels).Backward()
+		cOpt.Step(c)
+		built.Loss(x, labels).Backward()
+		builtOpt.Step(built)
+	}
+	got, want := c.Vector(), built.Vector()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("clone parameter %d = %v after 3 steps, built model %v", i, got[i], want[i])
+		}
+	}
+	for i, v := range m.Vector() {
+		if math.Float64bits(v) != math.Float64bits(before[i]) {
+			t.Fatalf("training the clone changed its source's parameter %d", i)
+		}
+	}
+	for i, g := range m.GradVector(make([]float64, m.VectorLen())) {
+		if g != 0 {
+			t.Fatalf("training the clone wrote its source's gradient %d", i)
+		}
+	}
+}
+
 func TestZooOrdering(t *testing.T) {
 	// Paper's parameter counts: MobileNet < GoogLeNet < ResNet18 < ResNet50 < VGG19.
 	if !(SimMobileNet.RealParams < SimGoogLeNet.RealParams &&

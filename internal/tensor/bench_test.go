@@ -86,3 +86,59 @@ func BenchmarkReLU(b *testing.B) {
 		}
 	})
 }
+
+// simResNet18Passes returns the element-wise passes of one SimResNet18
+// iteration at its sizes, by name: the SGD step over its 1,410 parameters
+// (widths 24 → 40 → 10), the blend toward a peer's vector, and the hidden
+// layer's bias add and ReLU on a 16×40 batch of activations.
+func simResNet18Passes() map[string]func() {
+	const params = (24+1)*40 + (40+1)*10
+	rng := rand.New(rand.NewSource(1))
+	p, g, peer := Randn(rng, 0.1, params).Data, Randn(rng, 0.01, params).Data, Randn(rng, 0.1, params).Data
+	vel := make([]float64, params)
+	x, bias, out := Randn(rng, 1, 16, 40), Randn(rng, 0.1, 40), New(16, 40)
+	return map[string]func(){
+		"SGDStep": func() { SGDStep(p, g, vel, 0.05, 0.9, 1e-4) },
+		"Blend":   func() { Blend(p, peer, 0.25) },
+		"BiasReLU": func() {
+			AddRowVectorInto(out, x, bias)
+			ReLUInto(out, out)
+		},
+	}
+}
+
+// benchPass times one of simResNet18Passes on each kernel this machine
+// runs: "go" is the portable loop, "avx2" the assembly.
+func benchPass(b *testing.B, name string) {
+	for _, avx := range kernels() {
+		label := "go"
+		if avx {
+			label = "avx2"
+		}
+		b.Run(label, func(b *testing.B) {
+			run := simResNet18Passes()[name]
+			withKernel(avx, func() {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					run()
+				}
+			})
+		})
+	}
+}
+
+func BenchmarkSGDStep(b *testing.B)  { benchPass(b, "SGDStep") }
+func BenchmarkBlend(b *testing.B)    { benchPass(b, "Blend") }
+func BenchmarkBiasReLU(b *testing.B) { benchPass(b, "BiasReLU") }
+
+func TestSimResNet18PassesAllocateNothing(t *testing.T) {
+	for name, run := range simResNet18Passes() {
+		for _, avx := range kernels() {
+			withKernel(avx, func() {
+				if n := testing.AllocsPerRun(10, run); n != 0 {
+					t.Errorf("%s with useAVX2=%v allocates %v times, want 0", name, avx, n)
+				}
+			})
+		}
+	}
+}

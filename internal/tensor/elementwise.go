@@ -1,0 +1,186 @@
+package tensor
+
+import (
+	"fmt"
+	"math"
+)
+
+// The element-wise passes below follow gemm's pattern. Each lane, an
+// element or a column, is independent of the others, so on amd64 CPUs with
+// AVX2 the assembly (elementwise_amd64.s) runs the body whose length is a
+// multiple of 4, four lanes to a YMM register, and the Go loop runs the
+// rest. Each lane does the same IEEE operations in the same order on both,
+// with multiply and add in separate instructions, so the assembly gives
+// the Go loop's bits. With useAVX2 off the Go loop runs every lane: it is
+// the portable kernel and the assembly's oracle.
+
+// SGDStep applies one momentum SGD update with weight decay to params,
+// element by element:
+//
+//	g' = g + decay·x,  vel = momentum·vel − lr·g',  x = x + vel
+//
+// grads and velocity must be at least as long as params; velocity is
+// updated in place. None of the three may overlap another.
+func SGDStep(params, grads, velocity []float64, lr, momentum, decay float64) {
+	n := len(params)
+	grads, velocity = grads[:n], velocity[:n]
+	i := 0
+	if useAVX2 {
+		i = n &^ 3
+		sgdStepAVX2(params[:i], grads[:i], velocity[:i], lr, momentum, decay)
+	}
+	sgdStepGo(params[i:], grads[i:], velocity[i:], lr, momentum, decay)
+}
+
+func sgdStepGo(params, grads, velocity []float64, lr, momentum, decay float64) {
+	g, v := grads[:len(params)], velocity[:len(params)]
+	for j, x := range params {
+		gj := g[j] + float64(decay*x)
+		v[j] = float64(momentum*v[j]) - float64(lr*gj)
+		params[j] = x + v[j]
+	}
+}
+
+// Blend performs p += c·(v − p) element by element, i.e. p = (1−c)·p + c·v
+// with the difference taken first. v must be at least as long as p.
+func Blend(p, v []float64, c float64) {
+	v = v[:len(p)]
+	i := 0
+	if useAVX2 {
+		i = len(p) &^ 3
+		blendAVX2(p[:i], v[:i], c)
+	}
+	blendGo(p[i:], v[i:], c)
+}
+
+func blendGo(p, v []float64, c float64) {
+	v = v[:len(p)]
+	for i, x := range p {
+		p[i] = x + float64(c*(v[i]-x))
+	}
+}
+
+// ReLUInto writes max(x, 0) elementwise over a into dst (same element
+// count): x where x > 0, +0 where x ≤ 0 or x is NaN. dst may alias a. The
+// select is a bit mask, not a branch, so mixed-sign data costs no
+// mispredictions: the assembly ANDs x with the mask of an ordered
+// greater-than compare against +0, the Go loop with positiveMask.
+func ReLUInto(dst, a *Tensor) *Tensor {
+	assertSameLen("ReLUInto", dst, a)
+	dd, ad := dst.Data[:len(a.Data)], a.Data
+	i := 0
+	if useAVX2 {
+		i = len(ad) &^ 3
+		reluAVX2(dd[:i], ad[:i])
+	}
+	reluGo(dd[i:], ad[i:])
+	return dst
+}
+
+func reluGo(dst, a []float64) {
+	dst = dst[:len(a)]
+	for i, x := range a {
+		b := math.Float64bits(x)
+		dst[i] = math.Float64frombits(b & positiveMask(b))
+	}
+}
+
+// ReLUGradInto writes ReLU's backward into dst: grad where x > 0, +0
+// elsewhere (x ≤ 0 or NaN). dst, grad and x have the same element count;
+// dst may alias grad.
+func ReLUGradInto(dst, grad, x *Tensor) *Tensor {
+	assertSameLen("ReLUGradInto", dst, x)
+	assertSameLen("ReLUGradInto", grad, x)
+	dd, gd, xd := dst.Data, grad.Data, x.Data
+	i := 0
+	if useAVX2 {
+		i = len(xd) &^ 3
+		reluGradAVX2(dd[:i], gd[:i], xd[:i])
+	}
+	reluGradGo(dd[i:], gd[i:], xd[i:])
+	return dst
+}
+
+func reluGradGo(dst, grad, x []float64) {
+	dst, grad = dst[:len(x)], grad[:len(x)]
+	for i, v := range x {
+		dst[i] = math.Float64frombits(math.Float64bits(grad[i]) & positiveMask(math.Float64bits(v)))
+	}
+}
+
+// positiveMask returns all ones if the float64 with bit pattern b is > 0,
+// and all zeros if it is ≤ 0 or NaN, without a branch. Read as an int64 s,
+// such a float is exactly 0 < s ≤ +Inf's bits: then -s and s-(+Inf bits)-1
+// are both negative, while for zeros, negatives and NaNs one of them is
+// not, so the AND of their sign bits is the mask.
+func positiveMask(b uint64) uint64 {
+	const posInf = 0x7FF0000000000000
+	s := int64(b)
+	return uint64((-s & (s - posInf - 1)) >> 63)
+}
+
+// AddRowVectorInto writes a + v (v broadcast over rows) into dst (same
+// element count as a). dst may alias a.
+func AddRowVectorInto(dst, a, v *Tensor) *Tensor {
+	m, n := a.Shape[0], a.Shape[1]
+	if v.Len() != n {
+		panic(fmt.Sprintf("tensor: AddRowVector length %d vs cols %d", v.Len(), n))
+	}
+	assertSameLen("AddRowVectorInto", dst, a)
+	checkRows("AddRowVectorInto", a, m, n)
+	j := 0
+	if useAVX2 {
+		j = n &^ 3
+		addRowVectorAVX2(dst.Data, a.Data, v.Data[:n], m, n)
+	}
+	addRowVectorGo(dst.Data, a.Data, v.Data[:n], m, n, j)
+	return dst
+}
+
+// addRowVectorGo writes columns from through n−1 of a + v into dst.
+func addRowVectorGo(dst, a, v []float64, m, n, from int) {
+	vd := v[from:n]
+	for i := 0; i < m; i++ {
+		d, r := dst[i*n+from:][:len(vd)], a[i*n+from:][:len(vd)]
+		for j, x := range vd {
+			d[j] = r[j] + x
+		}
+	}
+}
+
+// SumRowsInto writes the column-wise sums of rank-2 a into vector dst
+// (length = a cols), overwriting it. Each sum starts at +0 and adds the
+// rows in order. dst must not alias a.
+func SumRowsInto(dst, a *Tensor) *Tensor {
+	m, n := a.Shape[0], a.Shape[1]
+	if dst.Len() != n {
+		panic(fmt.Sprintf("tensor: SumRowsInto dst length %d, want %d", dst.Len(), n))
+	}
+	checkRows("SumRowsInto", a, m, n)
+	j := 0
+	if useAVX2 {
+		j = n &^ 3
+		sumRowsAVX2(dst.Data[:n], a.Data, m, n)
+	}
+	sumRowsGo(dst.Data[:n], a.Data, m, n, j)
+	return dst
+}
+
+// sumRowsGo writes the sums of columns from through n−1 into dst.
+func sumRowsGo(dst, a []float64, m, n, from int) {
+	d := dst[from:n]
+	clear(d)
+	for i := 0; i < m; i++ {
+		for j, x := range a[i*n+from:][:len(d)] {
+			d[j] += x
+		}
+	}
+}
+
+// checkRows panics unless a holds its m×n elements: the assembly reads
+// them without bounds checks.
+func checkRows(op string, a *Tensor, m, n int) {
+	if len(a.Data) < m*n {
+		panic(fmt.Sprintf("tensor: %s operand length %d, want %d", op, len(a.Data), m*n))
+	}
+}

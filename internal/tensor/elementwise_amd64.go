@@ -1,0 +1,23 @@
+package tensor
+
+// The element-wise kernels of elementwise_amd64.s. Each runs the first
+// len&^3 elements of its slices, or the first n&^3 columns of each of m
+// rows; the caller checks the lengths and runs the rest in Go.
+
+//go:noescape
+func sgdStepAVX2(params, grads, velocity []float64, lr, momentum, decay float64)
+
+//go:noescape
+func blendAVX2(p, v []float64, c float64)
+
+//go:noescape
+func reluAVX2(dst, a []float64)
+
+//go:noescape
+func reluGradAVX2(dst, grad, x []float64)
+
+//go:noescape
+func addRowVectorAVX2(dst, a, v []float64, m, n int)
+
+//go:noescape
+func sumRowsAVX2(dst, a []float64, m, n int)

@@ -1,0 +1,356 @@
+#include "textflag.h"
+
+// The element-wise kernels. Each takes four lanes to a YMM register and
+// does, per lane, the IEEE operations of its Go loop in elementwise.go in
+// the same order: products and sums are separate VMULPD and VADDPD/VSUBPD
+// instructions, never a fused multiply-add, and every sum and product
+// takes the Go loop's left operand as its first source. In Go's operand
+// order "VSUBPD Y1, Y2, Y3" is Y3 = Y2 − Y1.
+//
+// The flat kernels run len&^3 elements of their slices, 16 at a time in
+// four independent register groups and then 4 at a time; AX is the
+// element, CX the element count and R8 the part of it a multiple of 16.
+// The row kernels run columns 0 to n&^3 − 1 of m rows in column blocks of
+// 16, 8 and 4, each block going down the rows. The callers run the rest.
+
+// ORDERED_GT is VCMPPD's predicate GT_OQ: true where the first source is
+// greater than the second and neither is NaN.
+#define ORDERED_GT $0x1e
+
+// FLAT loads the element count of the slice at arg into CX, rounded down
+// to a multiple of 4, and its multiple of 16 into R8, and zeroes AX.
+#define FLAT(arg) \
+	MOVQ arg, CX;  \
+	ANDQ $-4, CX;  \
+	MOVQ CX, R8;   \
+	ANDQ $-16, R8; \
+	XORQ AX, AX
+
+// SGD4 steps the four lanes at byte offset off: params at SI, grads at DX
+// and velocity at DI, indexed by AX; lr, momentum and decay are broadcast
+// in Y13, Y14 and Y15.
+#define SGD4(off, x, g, t) \
+	VMOVUPD off(SI)(AX*8), x;      \ // x
+	VMOVUPD off(DX)(AX*8), g;      \ // g
+	VMULPD  x, Y15, t;             \ // decay·x
+	VADDPD  t, g, g;               \ // g' = g + decay·x
+	VMULPD  off(DI)(AX*8), Y14, t; \ // momentum·vel
+	VMULPD  g, Y13, g;             \ // lr·g'
+	VSUBPD  g, t, t;               \ // vel = momentum·vel − lr·g'
+	VMOVUPD t, off(DI)(AX*8);      \
+	VADDPD  t, x, x;               \ // x + vel
+	VMOVUPD x, off(SI)(AX*8)
+
+// func sgdStepAVX2(params, grads, velocity []float64, lr, momentum, decay float64)
+TEXT ·sgdStepAVX2(SB), NOSPLIT, $0-96
+	MOVQ         params_base+0(FP), SI
+	MOVQ         grads_base+24(FP), DX
+	MOVQ         velocity_base+48(FP), DI
+	VBROADCASTSD lr+72(FP), Y13
+	VBROADCASTSD momentum+80(FP), Y14
+	VBROADCASTSD decay+88(FP), Y15
+	FLAT(params_len+8(FP))
+	CMPQ         AX, R8
+	JGE          sgd4
+
+sgd16:
+	SGD4(0, Y0, Y1, Y2)
+	SGD4(32, Y3, Y4, Y5)
+	SGD4(64, Y6, Y7, Y8)
+	SGD4(96, Y9, Y10, Y11)
+	ADDQ $16, AX
+	CMPQ AX, R8
+	JLT  sgd16
+
+sgd4:
+	CMPQ AX, CX
+	JGE  sgddone
+	SGD4(0, Y0, Y1, Y2)
+	ADDQ $4, AX
+	JMP  sgd4
+
+sgddone:
+	VZEROUPPER
+	RET
+
+// BLEND4 blends the four lanes at byte offset off: p at SI and v at DX,
+// indexed by AX; c is broadcast in Y15.
+#define BLEND4(off, x, d) \
+	VMOVUPD off(SI)(AX*8), x; \ // x
+	VMOVUPD off(DX)(AX*8), d; \ // v
+	VSUBPD  x, d, d;          \ // v − x
+	VMULPD  d, Y15, d;        \ // c·(v − x)
+	VADDPD  d, x, x;          \ // x + c·(v − x)
+	VMOVUPD x, off(SI)(AX*8)
+
+// func blendAVX2(p, v []float64, c float64)
+TEXT ·blendAVX2(SB), NOSPLIT, $0-56
+	MOVQ         p_base+0(FP), SI
+	MOVQ         v_base+24(FP), DX
+	VBROADCASTSD c+48(FP), Y15
+	FLAT(p_len+8(FP))
+	CMPQ         AX, R8
+	JGE          blend4
+
+blend16:
+	BLEND4(0, Y0, Y1)
+	BLEND4(32, Y2, Y3)
+	BLEND4(64, Y4, Y5)
+	BLEND4(96, Y6, Y7)
+	ADDQ $16, AX
+	CMPQ AX, R8
+	JLT  blend16
+
+blend4:
+	CMPQ AX, CX
+	JGE  blenddone
+	BLEND4(0, Y0, Y1)
+	ADDQ $4, AX
+	JMP  blend4
+
+blenddone:
+	VZEROUPPER
+	RET
+
+// RELU4 writes ReLU of the four lanes of a at byte offset off from SI,
+// indexed by AX, to dst at DI; Y15 holds +0.
+#define RELU4(off, x, m) \
+	VMOVUPD off(SI)(AX*8), x;      \
+	VCMPPD  ORDERED_GT, Y15, x, m; \ // all ones where x > +0
+	VANDPD  x, m, m;               \
+	VMOVUPD m, off(DI)(AX*8)
+
+// func reluAVX2(dst, a []float64)
+TEXT ·reluAVX2(SB), NOSPLIT, $0-48
+	MOVQ   dst_base+0(FP), DI
+	MOVQ   a_base+24(FP), SI
+	VXORPD Y15, Y15, Y15
+	FLAT(a_len+32(FP))
+	CMPQ   AX, R8
+	JGE    relu4
+
+relu16:
+	RELU4(0, Y0, Y1)
+	RELU4(32, Y2, Y3)
+	RELU4(64, Y4, Y5)
+	RELU4(96, Y6, Y7)
+	ADDQ $16, AX
+	CMPQ AX, R8
+	JLT  relu16
+
+relu4:
+	CMPQ AX, CX
+	JGE  reludone
+	RELU4(0, Y0, Y1)
+	ADDQ $4, AX
+	JMP  relu4
+
+reludone:
+	VZEROUPPER
+	RET
+
+// RELUGRAD4 writes the four lanes of grad at byte offset off from DX,
+// indexed by AX, masked by x > +0 for x at SI, to dst at DI; Y15 holds +0.
+#define RELUGRAD4(off, x, m) \
+	VMOVUPD off(SI)(AX*8), x;      \
+	VCMPPD  ORDERED_GT, Y15, x, m; \ // all ones where x > +0
+	VANDPD  off(DX)(AX*8), m, m;   \ // grad under the mask
+	VMOVUPD m, off(DI)(AX*8)
+
+// func reluGradAVX2(dst, grad, x []float64)
+TEXT ·reluGradAVX2(SB), NOSPLIT, $0-72
+	MOVQ   dst_base+0(FP), DI
+	MOVQ   grad_base+24(FP), DX
+	MOVQ   x_base+48(FP), SI
+	VXORPD Y15, Y15, Y15
+	FLAT(x_len+56(FP))
+	CMPQ   AX, R8
+	JGE    relugrad4
+
+relugrad16:
+	RELUGRAD4(0, Y0, Y1)
+	RELUGRAD4(32, Y2, Y3)
+	RELUGRAD4(64, Y4, Y5)
+	RELUGRAD4(96, Y6, Y7)
+	ADDQ $16, AX
+	CMPQ AX, R8
+	JLT  relugrad16
+
+relugrad4:
+	CMPQ AX, CX
+	JGE  relugraddone
+	RELUGRAD4(0, Y0, Y1)
+	ADDQ $4, AX
+	JMP  relugrad4
+
+relugraddone:
+	VZEROUPPER
+	RET
+
+// The row kernels share their general registers:
+//
+//	SI  a             DI  dst           DX  v (addRowVectorAVX2)
+//	R8  m             R9  a's row stride in bytes
+//	R10 n&^3          BX  the block's first column
+//	R11 a at the current row, column BX
+//	R12 dst at the current row, column BX (addRowVectorAVX2)
+//	CX  rows left
+
+// ROWS loads the shared registers from the row kernels' m and n
+// arguments and zeroes BX.
+#define ROWS(marg, narg) \
+	MOVQ marg, R8;   \
+	MOVQ narg, R9;   \
+	MOVQ R9, R10;    \
+	ANDQ $-4, R10;   \
+	SHLQ $3, R9;     \
+	XORQ BX, BX
+
+// BLOCK jumps to next unless a block of width columns fits at column
+// BX, then points R11 at a's first row, column BX, and loads the row
+// count, skipping the row loop to done when it is zero.
+#define BLOCK(width, next, done) \
+	LEAQ  width(BX), CX;   \
+	CMPQ  CX, R10;         \
+	JGT   next;            \
+	LEAQ  (SI)(BX*8), R11; \
+	MOVQ  R8, CX;          \
+	TESTQ CX, CX;          \
+	JLE   done
+
+// ADDROW4 writes a + v for the four columns at byte offset off from R11
+// and R12, with v's columns in vreg.
+#define ADDROW4(off, vreg, t) \
+	VMOVUPD off(R11), t; \
+	VADDPD  vreg, t, t;  \ // a + v
+	VMOVUPD t, off(R12)
+
+// func addRowVectorAVX2(dst, a, v []float64, m, n int)
+//
+// Each block keeps v's columns in Y12–Y15 while it goes down the rows.
+TEXT ·addRowVectorAVX2(SB), NOSPLIT, $0-88
+	MOVQ dst_base+0(FP), DI
+	MOVQ a_base+24(FP), SI
+	MOVQ v_base+48(FP), DX
+	ROWS(m+72(FP), n+80(FP))
+
+add16:
+	BLOCK(16, add8, addnext16)
+	LEAQ    (DI)(BX*8), R12
+	VMOVUPD (DX)(BX*8), Y12
+	VMOVUPD 32(DX)(BX*8), Y13
+	VMOVUPD 64(DX)(BX*8), Y14
+	VMOVUPD 96(DX)(BX*8), Y15
+
+addrows16:
+	ADDROW4(0, Y12, Y0)
+	ADDROW4(32, Y13, Y1)
+	ADDROW4(64, Y14, Y2)
+	ADDROW4(96, Y15, Y3)
+	ADDQ R9, R11
+	ADDQ R9, R12
+	DECQ CX
+	JNZ  addrows16
+
+addnext16:
+	ADDQ $16, BX
+	JMP  add16
+
+add8:
+	BLOCK(8, add4, addnext8)
+	LEAQ    (DI)(BX*8), R12
+	VMOVUPD (DX)(BX*8), Y12
+	VMOVUPD 32(DX)(BX*8), Y13
+
+addrows8:
+	ADDROW4(0, Y12, Y0)
+	ADDROW4(32, Y13, Y1)
+	ADDQ R9, R11
+	ADDQ R9, R12
+	DECQ CX
+	JNZ  addrows8
+
+addnext8:
+	ADDQ $8, BX
+
+add4:
+	BLOCK(4, adddone, adddone)
+	LEAQ    (DI)(BX*8), R12
+	VMOVUPD (DX)(BX*8), Y12
+
+addrows4:
+	ADDROW4(0, Y12, Y0)
+	ADDQ R9, R11
+	ADDQ R9, R12
+	DECQ CX
+	JNZ  addrows4
+
+adddone:
+	VZEROUPPER
+	RET
+
+// func sumRowsAVX2(dst, a []float64, m, n int)
+//
+// Each block keeps its column sums in Y0–Y3 while it goes down the rows.
+// Each sum starts at +0 and adds the rows in order, as sumRowsGo's
+// dst[j] += x does.
+TEXT ·sumRowsAVX2(SB), NOSPLIT, $0-64
+	MOVQ dst_base+0(FP), DI
+	MOVQ a_base+24(FP), SI
+	ROWS(m+48(FP), n+56(FP))
+
+sum16:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	BLOCK(16, sum8, store16)
+
+sumrows16:
+	VADDPD (R11), Y0, Y0
+	VADDPD 32(R11), Y1, Y1
+	VADDPD 64(R11), Y2, Y2
+	VADDPD 96(R11), Y3, Y3
+	ADDQ   R9, R11
+	DECQ   CX
+	JNZ    sumrows16
+
+store16:
+	VMOVUPD Y0, (DI)(BX*8)
+	VMOVUPD Y1, 32(DI)(BX*8)
+	VMOVUPD Y2, 64(DI)(BX*8)
+	VMOVUPD Y3, 96(DI)(BX*8)
+	ADDQ    $16, BX
+	JMP     sum16
+
+sum8:
+	BLOCK(8, sum4, store8)
+
+sumrows8:
+	VADDPD (R11), Y0, Y0
+	VADDPD 32(R11), Y1, Y1
+	ADDQ   R9, R11
+	DECQ   CX
+	JNZ    sumrows8
+
+store8:
+	VMOVUPD Y0, (DI)(BX*8)
+	VMOVUPD Y1, 32(DI)(BX*8)
+	ADDQ    $8, BX
+	VXORPD  Y0, Y0, Y0
+
+sum4:
+	BLOCK(4, sumdone, store4)
+
+sumrows4:
+	VADDPD (R11), Y0, Y0
+	ADDQ   R9, R11
+	DECQ   CX
+	JNZ    sumrows4
+
+store4:
+	VMOVUPD Y0, (DI)(BX*8)
+
+sumdone:
+	VZEROUPPER
+	RET

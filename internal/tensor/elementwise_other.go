@@ -1,0 +1,15 @@
+//go:build !amd64
+
+package tensor
+
+func sgdStepAVX2(params, grads, velocity []float64, lr, momentum, decay float64) { noAVX2() }
+
+func blendAVX2(p, v []float64, c float64) { noAVX2() }
+
+func reluAVX2(dst, a []float64) { noAVX2() }
+
+func reluGradAVX2(dst, grad, x []float64) { noAVX2() }
+
+func addRowVectorAVX2(dst, a, v []float64, m, n int) { noAVX2() }
+
+func sumRowsAVX2(dst, a []float64, m, n int) { noAVX2() }

@@ -152,3 +152,136 @@ func FuzzMatMul(f *testing.F) {
 		checkProducts(t, a, b, want)
 	})
 }
+
+// vectorKernels lists the element-wise kernels as calls on operand slices:
+// lens gives each operand's length for n lanes (n columns of rows-row
+// operands for the row kernels), and run calls the kernel with the
+// scalars s. The aliased forms are the ones the model's passes use.
+var vectorKernels = []struct {
+	name string
+	lens func(n, rows int) []int
+	run  func(ops [][]float64, n, rows int, s [3]float64)
+}{
+	{"SGDStep", flat(3), func(ops [][]float64, _, _ int, s [3]float64) {
+		SGDStep(ops[0], ops[1], ops[2], s[0], s[1], s[2])
+	}},
+	{"Blend", flat(2), func(ops [][]float64, _, _ int, s [3]float64) {
+		Blend(ops[0], ops[1], s[0])
+	}},
+	{"ReLUInto", flat(2), func(ops [][]float64, n, _ int, _ [3]float64) {
+		ReLUInto(FromSlice(ops[0], n), FromSlice(ops[1], n))
+	}},
+	{"ReLUInto aliased", flat(1), func(ops [][]float64, n, _ int, _ [3]float64) {
+		a := FromSlice(ops[0], n)
+		ReLUInto(a, a)
+	}},
+	{"ReLUGradInto", flat(3), func(ops [][]float64, n, _ int, _ [3]float64) {
+		ReLUGradInto(FromSlice(ops[0], n), FromSlice(ops[1], n), FromSlice(ops[2], n))
+	}},
+	{"ReLUGradInto aliased", flat(2), func(ops [][]float64, n, _ int, _ [3]float64) {
+		g := FromSlice(ops[0], n)
+		ReLUGradInto(g, g, FromSlice(ops[1], n))
+	}},
+	{"AddRowVectorInto", func(n, rows int) []int { return []int{rows * n, rows * n, n} },
+		func(ops [][]float64, n, rows int, _ [3]float64) {
+			AddRowVectorInto(FromSlice(ops[0], rows, n), FromSlice(ops[1], rows, n), FromSlice(ops[2], n))
+		}},
+	{"AddRowVectorInto aliased", func(n, rows int) []int { return []int{rows * n, n} },
+		func(ops [][]float64, n, rows int, _ [3]float64) {
+			a := FromSlice(ops[0], rows, n)
+			AddRowVectorInto(a, a, FromSlice(ops[1], n))
+		}},
+	{"SumRowsInto", func(n, rows int) []int { return []int{n, rows * n} },
+		func(ops [][]float64, n, rows int, _ [3]float64) {
+			SumRowsInto(FromSlice(ops[0], n), FromSlice(ops[1], rows, n))
+		}},
+}
+
+// flat returns the lens of a kernel on k operands of n elements each.
+func flat(k int) func(n, rows int) []int {
+	return func(n, _ int) []int {
+		lens := make([]int, k)
+		for i := range lens {
+			lens[i] = n
+		}
+		return lens
+	}
+}
+
+// guardBits fills the memory around each fuzzed operand. It is a NaN with
+// a payload no kernel produces: arithmetic quiets it and the ReLU masks
+// turn it into +0, so any write there changes its bits.
+const guardBits = 0x7FF4_0000_0000_DEAD
+
+// FuzzVectorKernels runs each element-wise kernel with useAVX2 off (the Go
+// loop, the oracle) and on, and requires the same bits in every operand
+// afterwards, except that any NaN matches any NaN, as in FuzzMatMul. The
+// first byte gives n ≤ 37 lanes, so every tail length follows every body
+// length; the second an offset 0–3 of each operand in its buffer, so the
+// vectors start at every alignment; the third 0–5 rows for the row
+// kernels. The further bytes, repeated as in FuzzMatMul, are the scalars
+// and then the operands' entries. The buffer around each operand must keep
+// its guard bits.
+func FuzzVectorKernels(f *testing.F) {
+	f.Add([]byte{37, 1, 3, 16, 17, 18, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 200, 60})
+	f.Add([]byte{5, 3, 1, 140, 150, 160, 13, 11, 12, 0, 1})
+	f.Add([]byte{16, 0, 5, 130, 128, 137, 20, 255, 7, 9, 1, 0})
+	f.Add([]byte{0, 2, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		n, off, rows := int(data[0]%38), int(data[1]%4), int(data[2]%6)
+		vals, next := data[3:], 0
+		value := func() float64 {
+			if len(vals) == 0 {
+				return 0
+			}
+			v := fuzzValue(vals[next%len(vals)])
+			next++
+			return v
+		}
+		s := [3]float64{value(), value(), value()}
+		for _, k := range vectorKernels {
+			lens := k.lens(n, rows)
+			init := make([][]float64, len(lens))
+			for i, l := range lens {
+				init[i] = make([]float64, l)
+				for j := range init[i] {
+					init[i][j] = value()
+				}
+			}
+			var want [][]float64
+			for _, avx := range kernels() {
+				bufs, ops := make([][]float64, len(init)), make([][]float64, len(init))
+				for i, v := range init {
+					bufs[i] = make([]float64, off+len(v)+4)
+					for j := range bufs[i] {
+						bufs[i][j] = math.Float64frombits(guardBits)
+					}
+					ops[i] = bufs[i][off : off+len(v)]
+					copy(ops[i], v)
+				}
+				withKernel(avx, func() { k.run(ops, n, rows, s) })
+				for i, b := range bufs {
+					for j, v := range b {
+						if (j < off || j >= off+len(ops[i])) && math.Float64bits(v) != guardBits {
+							t.Fatalf("%s with useAVX2=%v wrote outside operand %d (n=%d rows=%d offset=%d)",
+								k.name, avx, i, n, rows, off)
+						}
+					}
+				}
+				if want == nil {
+					want = ops
+					continue
+				}
+				for i := range ops {
+					if !sameBits(FromSlice(ops[i], len(ops[i])), FromSlice(want[i], len(want[i]))) {
+						t.Fatalf("%s operand %d with useAVX2=true: %v, Go loop %v (n=%d rows=%d offset=%d scalars %v, operands %v)",
+							k.name, i, ops[i], want[i], n, rows, off, s, init)
+					}
+				}
+			}
+		}
+	})
+}

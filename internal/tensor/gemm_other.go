@@ -4,6 +4,6 @@ package tensor
 
 func haveAVX2() bool { return false }
 
-func gemmAVX2(out, a, b []float64, m, k, n, aRowStride, aColStride int) {
-	panic("tensor: no AVX2 kernel on this architecture")
-}
+func gemmAVX2(out, a, b []float64, m, k, n, aRowStride, aColStride int) { noAVX2() }
+
+func noAVX2() { panic("tensor: no AVX2 kernel on this architecture") }

@@ -24,11 +24,21 @@
 // finite the result equals that of a loop skipping zero terms, bit for
 // bit, since adding a ±0 product to a sum that starts at +0 never changes
 // it.
+//
+// The element-wise passes follow the same pattern (elementwise.go): the
+// momentum SGD step and the blend over a model's flat parameter vector
+// (SGDStep, Blend), the bias row add (AddRowVectorInto), ReLU forward and
+// backward, and the column sums of a layer's bias gradient (SumRowsInto).
+// Their lanes are independent, so on AVX2 CPUs assembly
+// (elementwise_amd64.s) runs four lanes to a register over the body whose
+// length is a multiple of 4 and a Go loop runs the rest. The Go loop is
+// the portable kernel and the assembly's oracle, and each lane does the
+// same separate IEEE multiplies and adds in the same order on both, so the
+// results keep their bits.
 package tensor
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 )
 
@@ -186,44 +196,6 @@ func TransposeInto(dst, a *Tensor) *Tensor {
 	return dst
 }
 
-// ReLUInto writes max(x, 0) elementwise over a into dst (same element
-// count): x where x > 0, +0 where x ≤ 0 or x is NaN. dst may alias a. The
-// select is a bit mask, not a branch, so mixed-sign data costs no
-// mispredictions.
-func ReLUInto(dst, a *Tensor) *Tensor {
-	assertSameLen("ReLUInto", dst, a)
-	dd := dst.Data[:len(a.Data)]
-	for i, x := range a.Data {
-		b := math.Float64bits(x)
-		dd[i] = math.Float64frombits(b & positiveMask(b))
-	}
-	return dst
-}
-
-// ReLUGradInto writes ReLU's backward into dst: grad where x > 0, +0
-// elsewhere (x ≤ 0 or NaN). dst, grad and x have the same element count;
-// dst may alias grad.
-func ReLUGradInto(dst, grad, x *Tensor) *Tensor {
-	assertSameLen("ReLUGradInto", dst, x)
-	assertSameLen("ReLUGradInto", grad, x)
-	dd, gd := dst.Data[:len(x.Data)], grad.Data[:len(x.Data)]
-	for i, v := range x.Data {
-		dd[i] = math.Float64frombits(math.Float64bits(gd[i]) & positiveMask(math.Float64bits(v)))
-	}
-	return dst
-}
-
-// positiveMask returns all ones if the float64 with bit pattern b is > 0,
-// and all zeros if it is ≤ 0 or NaN, without a branch. Read as an int64 s,
-// such a float is exactly 0 < s ≤ +Inf's bits: then -s and s-(+Inf bits)-1
-// are both negative, while for zeros, negatives and NaNs one of them is
-// not, so the AND of their sign bits is the mask.
-func positiveMask(b uint64) uint64 {
-	const posInf = 0x7FF0000000000000
-	s := int64(b)
-	return uint64((-s & (s - posInf - 1)) >> 63)
-}
-
 // ArgMaxRow returns the index of the maximum element of row i (rank-2).
 func (t *Tensor) ArgMaxRow(i int) int {
 	c := t.Cols()
@@ -235,39 +207,4 @@ func (t *Tensor) ArgMaxRow(i int) int {
 		}
 	}
 	return best
-}
-
-// AddRowVectorInto writes a + v (v broadcast over rows) into dst (same
-// element count as a). dst may alias a.
-func AddRowVectorInto(dst, a, v *Tensor) *Tensor {
-	m, n := a.Shape[0], a.Shape[1]
-	if v.Len() != n {
-		panic(fmt.Sprintf("tensor: AddRowVector length %d vs cols %d", v.Len(), n))
-	}
-	assertSameLen("AddRowVectorInto", dst, a)
-	vd := v.Data[:n]
-	for i := 0; i < m; i++ {
-		d, r := dst.Data[i*n:][:n], a.Data[i*n:][:n]
-		for j, x := range vd {
-			d[j] = r[j] + x
-		}
-	}
-	return dst
-}
-
-// SumRowsInto writes the column-wise sums of rank-2 a into vector dst
-// (length = a cols), overwriting it. dst must not alias a.
-func SumRowsInto(dst, a *Tensor) *Tensor {
-	m, n := a.Shape[0], a.Shape[1]
-	if dst.Len() != n {
-		panic(fmt.Sprintf("tensor: SumRowsInto dst length %d, want %d", dst.Len(), n))
-	}
-	d := dst.Data[:n]
-	clear(d)
-	for i := 0; i < m; i++ {
-		for j, x := range a.Data[i*n:][:n] {
-			d[j] += x
-		}
-	}
-	return dst
 }
