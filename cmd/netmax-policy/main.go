@@ -7,7 +7,9 @@
 //
 //	{"alpha": 0.1, "times": [[0,1,9],[1,0,2],[9,2,0]]}
 //
-// Missing adjacency means fully connected.
+// Missing adjacency means fully connected. Optional fields: "adj", "rounds"
+// (Algorithm 3's grid size K = R) and "epsilon". Unknown fields and data
+// after the object are errors.
 //
 //	echo '{"alpha":0.1,"times":[[0,1,9],[1,0,2],[9,2,0]]}' | netmax-policy
 //	netmax-policy -demo
@@ -26,12 +28,11 @@ import (
 )
 
 type input struct {
-	Alpha float64     `json:"alpha"`
-	Times [][]float64 `json:"times"`
-	Adj   [][]bool    `json:"adj,omitempty"`
-	K     int         `json:"outer_rounds,omitempty"`
-	R     int         `json:"inner_rounds,omitempty"`
-	Eps   float64     `json:"epsilon,omitempty"`
+	Alpha  float64     `json:"alpha"`
+	Times  [][]float64 `json:"times"`
+	Adj    [][]bool    `json:"adj,omitempty"`
+	Rounds int         `json:"rounds,omitempty"`
+	Eps    float64     `json:"epsilon,omitempty"`
 }
 
 func main() {
@@ -57,8 +58,14 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		// (5 nodes, other links fast).
 		in = input{Alpha: 0.1, Times: fig2Times()}
 	} else {
-		if err := json.NewDecoder(stdin).Decode(&in); err != nil {
+		dec := json.NewDecoder(stdin)
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&in); err != nil {
 			fmt.Fprintln(stderr, "error: reading JSON input:", err)
+			return 1
+		}
+		if _, err := dec.Token(); err != io.EOF {
+			fmt.Fprintln(stderr, "error: reading JSON input: trailing data after the object")
 			return 1
 		}
 	}
@@ -71,7 +78,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 
 	pol, err := policy.Generate(policy.Input{
 		Times: in.Times, Adj: in.Adj, Alpha: in.Alpha,
-		OuterRounds: in.K, InnerRounds: in.R, Epsilon: in.Eps,
+		Rounds: in.Rounds, Epsilon: in.Eps,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, "error:", err)

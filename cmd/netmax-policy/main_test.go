@@ -7,21 +7,24 @@ import (
 )
 
 // TestMalformedInputExitsWithMessage pins inputs that used to panic with an
-// index out of range (ragged times, ragged adjacency) or print a policy for
-// impossible link times (negative times): each now exits 1 with the
-// policy package's invalid-input message.
+// index out of range (ragged times, ragged adjacency), print a policy for
+// impossible link times (negative times), or silently run the defaults (a
+// misspelled or retired field such as the old outer_rounds, a stray
+// closing brace): each now exits 1 with a message naming the fault.
 func TestMalformedInputExitsWithMessage(t *testing.T) {
-	for name, in := range map[string]string{
-		"ragged times":   `{"alpha":0.1,"times":[[0,1,2],[1,0],[2,1,0]]}`,
-		"ragged adj":     `{"alpha":0.1,"times":[[0,1,2],[1,0,2],[2,1,0]],"adj":[[false,true,true],[true,false],[true,true,false]]}`,
-		"negative times": `{"alpha":0.1,"times":[[0,-1,2],[-1,0,2],[2,2,0]]}`,
+	for name, c := range map[string]struct{ in, msg string }{
+		"ragged times":   {`{"alpha":0.1,"times":[[0,1,2],[1,0],[2,1,0]]}`, "policy: invalid input"},
+		"ragged adj":     {`{"alpha":0.1,"times":[[0,1,2],[1,0,2],[2,1,0]],"adj":[[false,true,true],[true,false],[true,true,false]]}`, "policy: invalid input"},
+		"negative times": {`{"alpha":0.1,"times":[[0,-1,2],[-1,0,2],[2,2,0]]}`, "policy: invalid input"},
+		"unknown field":  {`{"alpha":0.1,"times":[[0,1],[1,0]],"outer_rounds":5}`, `unknown field "outer_rounds"`},
+		"stray brace":    {`{"alpha":0.1,"times":[[0,1],[1,0]]}}`, "trailing data"},
 	} {
 		var stdout, stderr bytes.Buffer
-		if code := run(nil, strings.NewReader(in), &stdout, &stderr); code != 1 {
+		if code := run(nil, strings.NewReader(c.in), &stdout, &stderr); code != 1 {
 			t.Errorf("%s: exit %d, want 1 (stdout %q)", name, code, stdout.String())
 		}
-		if !strings.Contains(stderr.String(), "policy: invalid input") {
-			t.Errorf("%s: stderr %q lacks the invalid-input message", name, stderr.String())
+		if !strings.Contains(stderr.String(), c.msg) {
+			t.Errorf("%s: stderr %q lacks %q", name, stderr.String(), c.msg)
 		}
 	}
 }
@@ -33,5 +36,22 @@ func TestDemoPrintsPolicy(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "doubly stochastic (Theorem 3 invariant holds)") {
 		t.Fatalf("demo output:\n%s", stdout.String())
+	}
+}
+
+// TestRoundsSetsTheGrid runs a valid input that sets rounds: a three-point
+// grid gives a different policy from the default ten-point one.
+func TestRoundsSetsTheGrid(t *testing.T) {
+	gen := func(in string) string {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-json"}, strings.NewReader(in), &stdout, &stderr); code != 0 {
+			t.Fatalf("exit %d: %s", code, stderr.String())
+		}
+		return stdout.String()
+	}
+	times := `"times":[[0,1,9],[1,0,2],[9,2,0]]`
+	if three, def := gen(`{"alpha":0.1,`+times+`,"rounds":3}`), gen(`{"alpha":0.1,`+times+`}`); three == def {
+		t.Fatalf("rounds 3 printed the default grid's policy:\n%s", three)
 	}
 }

@@ -7,27 +7,6 @@ import (
 	"netmax/internal/simnet"
 )
 
-// ExampleTrain trains NetMax on a small heterogeneous cluster built from a
-// scenario manifest. Virtual time depends only on the seeds, so the output
-// is deterministic.
-func ExampleTrain() {
-	sc := &netmax.Scenario{
-		Name: "train", Model: "MobileNet", Dataset: "MNIST",
-		Workers: 4, Epochs: 4, LRDecayEpoch: 2,
-	}
-	cfg, _, err := sc.BuildEngine()
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	r := netmax.Train(cfg, netmax.Options{})
-	fmt.Println("epochs:", r.Epochs)
-	fmt.Println("learned:", r.FinalAccuracy > 0.9)
-	// Output:
-	// epochs: 4
-	// learned: true
-}
-
 // ExampleGeneratePolicy shows Algorithm 3 preferring a fast link.
 func ExampleGeneratePolicy() {
 	// Worker 0 reaches worker 1 in 1s but worker 2 only in 10s.
@@ -46,29 +25,6 @@ func ExampleGeneratePolicy() {
 	// Output:
 	// fast neighbor preferred: true
 	// policy converges: true
-}
-
-// ExampleTrain_churn attaches a failure schedule to a built configuration: worker 1 crashes and rejoins, worker 2 hangs
-// (undetectable), and the monitor's liveness tracking routes around both.
-func ExampleTrain_churn() {
-	sc := &netmax.Scenario{
-		Name: "churn", Model: "MobileNet", Dataset: "MNIST",
-		Workers: 4, Epochs: 3, LRDecayEpoch: 2,
-	}
-	cfg, _, err := sc.BuildEngine()
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	cfg.Failures = netmax.NewFailureSchedule().
-		Crash(1, 2, 4). // worker 1 down for 2 virtual seconds
-		Hang(2, 1, 3)   // worker 2 freezes (no membership event)
-	r := netmax.Train(cfg, netmax.Options{StalePeriods: 2})
-	fmt.Println("epochs:", r.Epochs)
-	fmt.Println("survived and learned:", r.FinalAccuracy > 0.9)
-	// Output:
-	// epochs: 3
-	// survived and learned: true
 }
 
 // ExampleRunScenario drives a run from a declarative manifest instead of
@@ -99,6 +55,39 @@ func ExampleRunScenario() {
 	// algorithm: netmax
 	// epochs: 4
 	// learned: true
+}
+
+// ExampleRunScenario_churn runs a manifest with a failure block: worker 1
+// crashes and rejoins, worker 2 hangs (undetectable), and the monitor's
+// liveness tracking routes around both.
+func ExampleRunScenario_churn() {
+	sc, err := netmax.ParseScenario([]byte(`{
+	  "name": "churn",
+	  "model": "MobileNet",
+	  "dataset": "MNIST",
+	  "workers": 4,
+	  "epochs": 3,
+	  "lr_decay_epoch": 2,
+	  "netmax": {"stale_periods": 2},
+	  "failures": {"events": [
+	    {"kind": "crash", "worker": 1, "at": 2, "rejoin": 4},
+	    {"kind": "hang", "worker": 2, "at": 1, "until": 3}
+	  ]}
+	}`))
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	rep, err := netmax.RunScenario(sc, netmax.ScenarioRunOptions{})
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	fmt.Println("epochs:", rep.Engine.Epochs)
+	fmt.Println("survived and learned:", rep.Engine.FinalAccuracy > 0.9)
+	// Output:
+	// epochs: 3
+	// survived and learned: true
 }
 
 // ExampleParseScenario_invalid shows the manifest validator rejecting a

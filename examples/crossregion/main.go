@@ -31,12 +31,13 @@ func main() {
 		Network:   &scenario.NetworkSpec{Kind: "cross-region"},
 		Partition: &scenario.PartitionSpec{Preset: "table-7"},
 	}
-	mkCfg := func() *netmax.Config {
-		cfg, _, err := sc.BuildEngine()
+	train := func(algorithm string) *netmax.Result {
+		sc.Algorithm = algorithm
+		cfg, run, err := sc.BuildEngine()
 		if err != nil {
 			log.Fatal(err)
 		}
-		return cfg
+		return run(cfg)
 	}
 
 	fmt.Println("Regions:", simnet.Regions)
@@ -51,10 +52,10 @@ func main() {
 		res  *netmax.Result
 	}
 	results := []run{
-		{"NetMax", netmax.Train(mkCfg(), netmax.Options{})},
-		{"AD-PSGD", netmax.TrainADPSGD(mkCfg())},
-		{"PS-asyn", netmax.TrainPSAsync(mkCfg())},
-		{"PS-syn", netmax.TrainPSSync(mkCfg())},
+		{"NetMax", train("netmax")},
+		{"AD-PSGD", train("adpsgd")},
+		{"PS-asyn", train("ps-async")},
+		{"PS-syn", train("ps-sync")},
 	}
 	fmt.Printf("\n%-8s  %12s  %9s\n", "approach", "total time", "accuracy")
 	for _, r := range results {

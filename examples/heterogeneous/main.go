@@ -24,15 +24,11 @@ func main() {
 		workers, epochs = 4, 3
 	}
 
-	type run struct {
-		name string
-		f    func(*netmax.Config) *netmax.Result
-	}
-	runs := []run{
-		{"Prague", netmax.TrainPrague},
-		{"Allreduce", netmax.TrainAllreduce},
-		{"AD-PSGD", netmax.TrainADPSGD},
-		{"NetMax", func(c *netmax.Config) *netmax.Result { return netmax.Train(c, netmax.Options{}) }},
+	runs := []struct{ name, algorithm string }{
+		{"Prague", "prague"},
+		{"Allreduce", "allreduce"},
+		{"AD-PSGD", "adpsgd"},
+		{"NetMax", "netmax"},
 	}
 
 	// ResNet18 on synthetic CIFAR10 across the paper cluster, seed 1. The
@@ -45,11 +41,12 @@ func main() {
 	fmt.Printf("%-10s  %12s  %12s  %12s  %9s\n", "approach", "epoch time", "comp cost", "comm cost", "accuracy")
 	var results []*netmax.Result
 	for _, r := range runs {
-		cfg, _, err := sc.BuildEngine()
+		sc.Algorithm = r.algorithm
+		cfg, run, err := sc.BuildEngine()
 		if err != nil {
 			log.Fatal(err)
 		}
-		res := r.f(cfg)
+		res := run(cfg)
 		results = append(results, res)
 		fmt.Printf("%-10s  %10.1fs  %10.2fs  %10.2fs  %8.2f%%\n",
 			r.name, res.AvgEpochTime(), res.CompCostPerEpoch(workers),

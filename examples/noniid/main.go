@@ -31,12 +31,13 @@ func main() {
 		Batch: 8, LR: 0.05,
 		Partition: &scenario.PartitionSpec{Preset: "table-4"},
 	}
-	mkCfg := func() *netmax.Config {
-		cfg, _, err := sc.BuildEngine()
+	train := func(algorithm string) *netmax.Result {
+		sc.Algorithm = algorithm
+		cfg, run, err := sc.BuildEngine()
 		if err != nil {
 			log.Fatal(err)
 		}
-		return cfg
+		return run(cfg)
 	}
 
 	fmt.Println("Label skew (Table IV): lost labels per worker")
@@ -45,9 +46,9 @@ func main() {
 	}
 
 	fmt.Println("\nTraining on the non-IID partition, heterogeneous network...")
-	nm := netmax.Train(mkCfg(), netmax.Options{})
-	ad := netmax.TrainADPSGD(mkCfg())
-	ar := netmax.TrainAllreduce(mkCfg())
+	nm := train("netmax")
+	ad := train("adpsgd")
+	ar := train("allreduce")
 
 	fmt.Printf("\n%-10s total=%8.1fs  acc=%5.2f%%\n", "NetMax", nm.TotalTime, 100*nm.FinalAccuracy)
 	fmt.Printf("%-10s total=%8.1fs  acc=%5.2f%%\n", "AD-PSGD", ad.TotalTime, 100*ad.FinalAccuracy)

@@ -26,19 +26,18 @@ func main() {
 	// heterogeneous cluster, seed 1.
 	sc := &netmax.Scenario{Name: "quickstart", Workers: workers, Epochs: epochs, LRDecayEpoch: epochs * 7 / 10}
 
-	cfg, _, err := sc.BuildEngine()
-	if err != nil {
-		log.Fatal(err)
+	train := func(algorithm string) *netmax.Result {
+		sc.Algorithm = algorithm
+		cfg, run, err := sc.BuildEngine()
+		if err != nil {
+			log.Fatal(err)
+		}
+		return run(cfg)
 	}
 	fmt.Printf("Training NetMax (%d workers, heterogeneous network)...\n", workers)
-	nm := netmax.Train(cfg, netmax.Options{})
-
-	cfg2, _, err := sc.BuildEngine()
-	if err != nil {
-		log.Fatal(err)
-	}
+	nm := train("netmax")
 	fmt.Println("Training AD-PSGD on the identical workload...")
-	ad := netmax.TrainADPSGD(cfg2)
+	ad := train("adpsgd")
 
 	fmt.Println("\nloss curve (virtual seconds -> loss):")
 	for i := 0; i < len(nm.Curve); i += 5 {

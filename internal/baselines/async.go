@@ -1,7 +1,7 @@
 // Package baselines implements the decentralized and centralized training
 // approaches NetMax is compared against in the paper's evaluation:
-// AD-PSGD [11], GoSGD-style gossip [12], SAPS-PSGD [15], Allreduce-SGD [8],
-// Prague [14], and synchronous/asynchronous parameter servers [6, 7].
+// AD-PSGD [11], SAPS-PSGD [15], Allreduce-SGD [8], Prague [14], and
+// synchronous/asynchronous parameter servers [6, 7].
 // All run on the same discrete-event engine and simnet timing model as
 // NetMax, so every comparison isolates the algorithmic difference.
 package baselines
@@ -14,7 +14,7 @@ import (
 	"netmax/internal/policy"
 )
 
-// uniformAsync is the AD-PSGD / GoSGD behavior: uniform neighbor selection
+// uniformAsync is the AD-PSGD behavior: uniform neighbor selection
 // over a (possibly sparsified) adjacency, two-sided averaging with weight
 // 1/2 (scaled by the share of the model each pull moves), no periodic
 // control. Membership events renormalize the selection over the
@@ -65,12 +65,6 @@ func liveAdj(adj [][]bool, alive []bool) [][]bool {
 // worker repeatedly averages its model with one uniformly random neighbor.
 func RunADPSGD(cfg *engine.Config) *engine.Result {
 	return engine.RunAsync(cfg, newUniformAsync(cfg.Net.Topo.Adj, 1), "AD-PSGD")
-}
-
-// RunGossip trains with GoSGD-style gossip [12]; operationally it is the
-// uniform pull-average loop, identical to AD-PSGD in this timing model.
-func RunGossip(cfg *engine.Config) *engine.Result {
-	return engine.RunAsync(cfg, newUniformAsync(cfg.Net.Topo.Adj, 1), "Gossip")
 }
 
 // sapsSubgraph builds SAPS-PSGD's static communication subgraph [15]: the

@@ -30,12 +30,6 @@ func hetConfig(workers, epochs int, seed int64) *engine.Config {
 	}
 }
 
-func homConfig(workers, epochs int) *engine.Config {
-	cfg := hetConfig(workers, epochs, 1)
-	cfg.Net = simnet.NewHomogeneous(simnet.SingleMachine(workers))
-	return cfg
-}
-
 func checkTrains(t *testing.T, r *engine.Result, name string, epochs int) {
 	t.Helper()
 	if r.Epochs != epochs {
@@ -58,10 +52,6 @@ func TestADPSGDTrains(t *testing.T) {
 	if r.Algo != "AD-PSGD" {
 		t.Fatalf("algo = %q", r.Algo)
 	}
-}
-
-func TestGossipTrains(t *testing.T) {
-	checkTrains(t, RunGossip(homConfig(4, 6)), "Gossip", 6)
 }
 
 func TestAllreduceTrains(t *testing.T) {
@@ -96,6 +86,20 @@ func TestPSSyncTrains(t *testing.T) {
 
 func TestPSAsyncTrains(t *testing.T) {
 	checkTrains(t, RunPSAsync(hetConfig(4, 8, 3)), "PS-asyn", 8)
+}
+
+// TestPSAsyncDecaysLR pins that LRDecayEpoch reaches the parameter server's
+// optimizer: the workers only compute gradients, so the decay must change
+// the server's steps.
+func TestPSAsyncDecaysLR(t *testing.T) {
+	loss := func(decay int) float64 {
+		cfg := hetConfig(4, 3, 3)
+		cfg.LRDecayEpoch = decay
+		return RunPSAsync(cfg).FinalLoss
+	}
+	if d, n := loss(1), loss(0); d == n {
+		t.Fatalf("final loss %v with LRDecayEpoch 1 equals the undecayed run's", d)
+	}
 }
 
 func TestSAPSTrains(t *testing.T) {
@@ -294,5 +298,28 @@ func TestPragueGroupRoundMovesAllreduceRoundBytes(t *testing.T) {
 	}
 	if got := perRound(RunPrague(hetConfig(m, 2, 3))); got != want {
 		t.Fatalf("Prague moves %d bytes per group round, want Allreduce's %d", got, want)
+	}
+}
+
+func TestSAPSMovesFewerBytesThanADPSGD(t *testing.T) {
+	sp := RunSAPS(hetConfig(8, 6, 9))
+	ad := RunADPSGD(hetConfig(8, 6, 9))
+	if sp.BytesSent >= ad.BytesSent {
+		t.Fatalf("SAPS bytes %d should be far below AD-PSGD %d (sparsified transfers)", sp.BytesSent, ad.BytesSent)
+	}
+}
+
+func TestBytesSentAccounting(t *testing.T) {
+	r := RunADPSGD(hetConfig(4, 2, 11))
+	// Every non-self iteration moves one full model; bytes for in-flight
+	// iterations at shutdown are counted too, so allow up to one extra
+	// model per worker.
+	want := int64(r.GlobalSteps+4) * hetConfig(4, 1, 1).Spec.ModelBytes()
+	if r.BytesSent <= 0 || r.BytesSent > want {
+		t.Fatalf("BytesSent = %d, want in (0, %d]", r.BytesSent, want)
+	}
+	ar := RunAllreduce(hetConfig(4, 2, 11))
+	if ar.BytesSent <= 0 {
+		t.Fatal("allreduce bytes not recorded")
 	}
 }

@@ -97,6 +97,9 @@ func RunPSAsync(cfg *engine.Config) *engine.Result {
 		_, samples := w.GradOnly()
 		w.Model.GradVector(grad)
 		ps.SetGradVector(grad)
+		// The Tracker decays the workers' optimizers only; step at their
+		// current rate so LRDecayEpoch reaches the server.
+		psOpt.LR = w.Opt.LR
 		psOpt.Step(ps)
 		ps.CopyVector(global)
 		w.Model.SetVector(global)

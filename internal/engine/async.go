@@ -10,10 +10,9 @@ import (
 )
 
 // AsyncBehavior parameterizes the shared asynchronous pull loop: NetMax,
-// AD-PSGD, GoSGD-style gossip, SAPS-PSGD, DLion, Hop and AD-PSGD+Monitor
-// are all "select a peer, pull its model, blend" algorithms that differ
-// only in how each pull is planned and what periodic control runs
-// alongside.
+// AD-PSGD, SAPS-PSGD, Hop and AD-PSGD+Monitor are all "select a peer, pull
+// its model, blend" algorithms that differ only in how each pull is planned
+// and what periodic control runs alongside.
 type AsyncBehavior interface {
 	// Plan returns worker i's pull for the iteration starting at virtual
 	// time now.
@@ -44,8 +43,8 @@ type Pull struct {
 	// peer untouched.
 	TwoSided bool
 	// Share is the fraction of the model the pull moves, in (0, 1]: 1 for
-	// a full model, less for SAPS sparsification and DLion partitions. It
-	// scales the bytes charged and timed.
+	// a full model, less for SAPS sparsification. It scales the bytes
+	// charged and timed.
 	Share float64
 	// Until, when later than now, holds the worker back: it starts no
 	// iteration, and its next Plan runs at Until (Hop's staleness gate).

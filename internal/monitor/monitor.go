@@ -249,8 +249,7 @@ func (mo *Monitor) MaybeRegenerate(now float64) (*policy.Policy, bool) {
 		Times:          mo.Times(),
 		Adj:            mo.cfg.Adj,
 		Alpha:          mo.cfg.Alpha,
-		OuterRounds:    mo.cfg.Rounds,
-		InnerRounds:    mo.cfg.Rounds,
+		Rounds:         mo.cfg.Rounds,
 		AveragingBlend: mo.cfg.AveragingBlend,
 	}, alive)
 	mo.mu.Lock()

@@ -19,12 +19,9 @@ func exhaustiveGenerate(in Input) (*Policy, error) {
 	if err := in.validate(); err != nil {
 		return nil, err
 	}
-	k, r, eps := in.OuterRounds, in.InnerRounds, in.Epsilon
-	if k <= 0 {
-		k = DefaultRounds
-	}
-	if r <= 0 {
-		r = DefaultRounds
+	rounds, eps := in.Rounds, in.Epsilon
+	if rounds <= 0 {
+		rounds = DefaultRounds
 	}
 	if eps <= 0 || eps >= 1 {
 		eps = DefaultEpsilon
@@ -60,7 +57,7 @@ func exhaustiveGenerate(in Input) (*Policy, error) {
 		var err error
 		if in.AveragingBlend {
 			_, hi, err = FeasibleTimeInterval(in.Times, in.Adj, in.Alpha, 0)
-			lo = hi / (10 * float64(r))
+			lo = hi / (10 * float64(rounds))
 		} else {
 			lo, hi, err = FeasibleTimeInterval(in.Times, in.Adj, in.Alpha, rho)
 			floor = float64(2*in.Alpha*rho) + 1e-9
@@ -68,8 +65,8 @@ func exhaustiveGenerate(in Input) (*Policy, error) {
 		if err != nil {
 			return err
 		}
-		delta := (hi - lo) / float64(r)
-		for ri := 1; ri <= r; ri++ {
+		delta := (hi - lo) / float64(rounds)
+		for ri := 1; ri <= rounds; ri++ {
 			score(rho, lo+float64(float64(ri)*delta), floor)
 		}
 		return nil
@@ -83,10 +80,10 @@ func exhaustiveGenerate(in Input) (*Policy, error) {
 		if s.maxDeg > 0 {
 			ur = min(ur, 0.999/(2*in.Alpha*float64(s.maxDeg)))
 		}
-		for ki := 0; ki < k; ki++ {
+		for ki := 0; ki < rounds; ki++ {
 			frac := 1.0
-			if k > 1 {
-				frac = float64(ki) / float64(k-1)
+			if rounds > 1 {
+				frac = float64(ki) / float64(rounds-1)
 			}
 			_ = inner(ur / math.Pow(1000, 1-frac))
 		}
@@ -256,36 +253,34 @@ func TestGenerateMatchesExhaustiveSearch(t *testing.T) {
 			}
 		})
 	}
-	rounds := []int{1, 3, 10, 20}
-	for _, k := range rounds {
-		for _, r := range rounds {
-			t.Run(fmt.Sprintf("K=%d/R=%d", k, r), func(t *testing.T) {
-				m := 10
-				in := Input{Times: slowLinks(rng, hetTimes(m, 11), 0.15), Adj: simnet.FullyConnected(m),
-					Alpha: 0.1, OuterRounds: k, InnerRounds: r}
-				checkAgainstOracle(t, in, nil)
-				in.Adj = randomGraph(rng, m, 0.3, true)
-				checkAgainstOracle(t, in, nil)
-			})
-		}
+	// Rounds sets both of Algorithm 3's grid sizes, K and R.
+	for _, rounds := range []int{1, 3, 10, 20} {
+		t.Run(fmt.Sprintf("K=%d/R=%d", rounds, rounds), func(t *testing.T) {
+			m := 10
+			in := Input{Times: slowLinks(rng, hetTimes(m, 11), 0.15), Adj: simnet.FullyConnected(m),
+				Alpha: 0.1, Rounds: rounds}
+			checkAgainstOracle(t, in, nil)
+			in.Adj = randomGraph(rng, m, 0.3, true)
+			checkAgainstOracle(t, in, nil)
+		})
 	}
 }
 
 // FuzzGenerate checks Generate and GenerateLive against the exhaustive
-// search on inputs decoded from fuzz bytes: n, k and r give N in 2..16 and
-// K, R in 1..20; data, read cyclically, gives two bytes per worker pair
-// (the pair's times, whether each direction is an edge, and whether the
-// link is 100x slower) and then one byte per worker (dead or alive). flags
-// select the averaging blend, dead workers, a directed graph and the
-// learning rate.
+// search on inputs decoded from fuzz bytes: n and rounds give N in 2..16
+// and the grid size in 1..20; data, read cyclically, gives two bytes per
+// worker pair (the pair's times, whether each direction is an edge, and
+// whether the link is 100x slower) and then one byte per worker (dead or
+// alive). flags select the averaging blend, dead workers, a directed graph
+// and the learning rate.
 func FuzzGenerate(f *testing.F) {
-	f.Add(uint8(8), uint8(9), uint8(9), uint8(0), []byte{})
-	f.Add(uint8(14), uint8(9), uint8(9), uint8(0), []byte{0xf9, 0x08, 0xfa, 0x04, 0x2b, 0x00, 0x5d, 0x00, 0x2b, 0x00, 0x03})
-	f.Add(uint8(4), uint8(2), uint8(19), uint8(0x01), []byte{0xbd, 0x02, 0xd4, 0x00, 0x95, 0x04, 0x79, 0x03, 0x40, 0x08, 0x02})
-	f.Add(uint8(6), uint8(19), uint8(2), uint8(0x02), []byte{0x67, 0x02, 0x3f, 0x01, 0xed, 0x00, 0xe7, 0x00, 0xb0, 0x08, 0x06})
-	f.Add(uint8(5), uint8(9), uint8(9), uint8(0x04), []byte{0x3a, 0x04, 0x6f, 0x00, 0x7d, 0x00, 0xf0, 0x00, 0x80, 0x04, 0x06})
-	f.Add(uint8(10), uint8(9), uint8(9), uint8(0x12), []byte{0x18, 0x00, 0x80, 0x00, 0xa4, 0x04, 0x94, 0x00, 0x2e, 0x00, 0x05})
-	f.Fuzz(func(t *testing.T, n, k, r, flags uint8, data []byte) {
+	f.Add(uint8(8), uint8(9), uint8(0), []byte{})
+	f.Add(uint8(14), uint8(9), uint8(0), []byte{0xf9, 0x08, 0xfa, 0x04, 0x2b, 0x00, 0x5d, 0x00, 0x2b, 0x00, 0x03})
+	f.Add(uint8(4), uint8(1), uint8(0x01), []byte{0xbd, 0x02, 0xd4, 0x00, 0x95, 0x04, 0x79, 0x03, 0x40, 0x08, 0x02})
+	f.Add(uint8(6), uint8(19), uint8(0x02), []byte{0x67, 0x02, 0x3f, 0x01, 0xed, 0x00, 0xe7, 0x00, 0xb0, 0x08, 0x06})
+	f.Add(uint8(5), uint8(9), uint8(0x04), []byte{0x3a, 0x04, 0x6f, 0x00, 0x7d, 0x00, 0xf0, 0x00, 0x80, 0x04, 0x06})
+	f.Add(uint8(10), uint8(9), uint8(0x12), []byte{0x18, 0x00, 0x80, 0x00, 0xa4, 0x04, 0x94, 0x00, 0x2e, 0x00, 0x05})
+	f.Fuzz(func(t *testing.T, n, rounds, flags uint8, data []byte) {
 		m := 2 + int(n)%15
 		pos := 0
 		next := func() byte { // cycles through data, 0 when empty
@@ -297,8 +292,8 @@ func FuzzGenerate(f *testing.F) {
 		}
 		in := Input{
 			Times: make([][]float64, m), Adj: make([][]bool, m),
-			Alpha:       []float64{0.1, 0.01, 0.3, 0.05}[flags>>4&3],
-			OuterRounds: 1 + int(k)%20, InnerRounds: 1 + int(r)%20,
+			Alpha:          []float64{0.1, 0.01, 0.3, 0.05}[flags>>4&3],
+			Rounds:         1 + int(rounds)%20,
 			AveragingBlend: flags&1 != 0,
 		}
 		for i := range in.Times {

@@ -33,9 +33,9 @@ type Input struct {
 	Adj [][]bool
 	// Alpha is the SGD learning rate α.
 	Alpha float64
-	// OuterRounds (K) and InnerRounds (R) are the grid sizes of
-	// Algorithm 3. Zero values default to DefaultRounds.
-	OuterRounds, InnerRounds int
+	// Rounds is the grid size of Algorithm 3, used for both its outer ρ
+	// loop (K) and its inner t̄ loop (R). Zero defaults to DefaultRounds.
+	Rounds int
 	// Epsilon is the convergence target ε of Eq. (9); defaults to
 	// DefaultEpsilon.
 	Epsilon float64
@@ -134,8 +134,8 @@ func (in *Input) validate() error {
 	return nil
 }
 
-// Uniform returns the uniform neighbor-selection policy used by AD-PSGD and
-// GoSGD: every neighbor of i gets probability 1/deg(i), self 0.
+// Uniform returns the uniform neighbor-selection policy used by AD-PSGD:
+// every neighbor of i gets probability 1/deg(i), self 0.
 func Uniform(adj [][]bool) [][]float64 {
 	m := len(adj)
 	p := make([][]float64, m)
@@ -332,8 +332,8 @@ func Generate(in Input) (*Policy, error) {
 	return generate(in)
 }
 
-// Algorithm 3's defaults: the K and R grid sizes and the Eq. 9
-// convergence target ε.
+// Algorithm 3's defaults: the grid size K = R and the Eq. 9 convergence
+// target ε.
 const (
 	DefaultRounds  = 10
 	DefaultEpsilon = 1e-2
@@ -341,13 +341,9 @@ const (
 
 // generate is Generate on a validated Input.
 func generate(in Input) (*Policy, error) {
-	k := in.OuterRounds
-	if k <= 0 {
-		k = DefaultRounds
-	}
-	r := in.InnerRounds
-	if r <= 0 {
-		r = DefaultRounds
+	rounds := in.Rounds
+	if rounds <= 0 {
+		rounds = DefaultRounds
 	}
 	eps := in.Epsilon
 	if eps <= 0 || eps >= 1 {
@@ -357,7 +353,7 @@ func generate(in Input) (*Policy, error) {
 	if in.AveragingBlend {
 		// Section III-D: the blend weight is fixed at 1/2, so ρ plays no
 		// role in the update and a single inner search suffices.
-		if err := s.innerLoop(0, r); err != nil {
+		if err := s.innerLoop(0, rounds); err != nil {
 			return nil, err
 		}
 		return s.result()
@@ -378,13 +374,13 @@ func generate(in Input) (*Policy, error) {
 	// to land inside it; geometric spacing covers three decades with the
 	// same K.
 	const span = 1000.0
-	for ki := 0; ki < k; ki++ {
-		frac := float64(ki) / float64(k-1)
-		if k == 1 {
+	for ki := 0; ki < rounds; ki++ {
+		frac := float64(ki) / float64(rounds-1)
+		if rounds == 1 {
 			frac = 1
 		}
 		// A ρ without a feasible t̄ interval simply contributes no candidate.
-		_ = s.innerLoop(ur/math.Pow(span, 1-frac), r)
+		_ = s.innerLoop(ur/math.Pow(span, 1-frac), rounds)
 	}
 	return s.result()
 }

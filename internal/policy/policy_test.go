@@ -151,7 +151,7 @@ func TestGenerateZeroOptionsMeanDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in.OuterRounds, in.InnerRounds, in.Epsilon = DefaultRounds, DefaultRounds, DefaultEpsilon
+	in.Rounds, in.Epsilon = DefaultRounds, DefaultEpsilon
 	explicit, err := Generate(in)
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +168,7 @@ func TestGenerateYIsDoublyStochastic(t *testing.T) {
 		m := 4 + int(seed%3+3)%3 // 4..6
 		times := hetTimes(m, seed)
 		adj := simnet.FullyConnected(m)
-		pol, err := Generate(Input{Times: times, Adj: adj, Alpha: 0.1, OuterRounds: 5, InnerRounds: 5})
+		pol, err := Generate(Input{Times: times, Adj: adj, Alpha: 0.1, Rounds: 5})
 		if err != nil {
 			return false
 		}
@@ -429,7 +429,7 @@ func TestGenerateAllocationsIndependentOfGrid(t *testing.T) {
 	m := 8
 	in := Input{Times: hetTimes(m, 1), Adj: simnet.FullyConnected(m), Alpha: 0.1}
 	small := in
-	small.OuterRounds, small.InnerRounds = 2, 2
+	small.Rounds = 2
 	a := testing.AllocsPerRun(5, func() { Generate(small) })
 	b := testing.AllocsPerRun(5, func() { Generate(in) })
 	if b > a+10 {

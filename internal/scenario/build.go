@@ -99,12 +99,8 @@ func (r *Manifest) engineRunner() (func(*engine.Config) *engine.Result, error) {
 		return func(cfg *engine.Config) *engine.Result { return core.RunADPSGDMonitor(cfg, opts) }, nil
 	case "adpsgd":
 		return baselines.RunADPSGD, nil
-	case "gossip":
-		return baselines.RunGossip, nil
 	case "saps":
 		return baselines.RunSAPS, nil
-	case "dlion":
-		return baselines.RunDLion, nil
 	case "hop":
 		st := r.HopStaleness
 		return func(cfg *engine.Config) *engine.Result { return baselines.RunHop(cfg, st) }, nil

@@ -9,8 +9,9 @@ import (
 )
 
 // FuzzParseManifest feeds arbitrary bytes to Parse, seeded with every file
-// of the scenario library and two manifests naming the retired top-k
-// codec. Parse must never panic, and whatever it accepts must resolve to a
+// of the scenario library, two manifests naming the retired top-k codec
+// and one with a stray closing brace. Parse must never panic, whatever it
+// accepts must be one valid JSON document, and it must resolve to a
 // manifest that marshals, parses and validates again: the resolved.json a
 // run writes is always a runnable manifest.
 func FuzzParseManifest(f *testing.F) {
@@ -29,10 +30,14 @@ func FuzzParseManifest(f *testing.F) {
 	// must reject both, and their mutations explore the codec block.
 	f.Add([]byte(`{"name": "x", "codec": {"name": "topk"}}`))
 	f.Add([]byte(`{"name": "x", "codec": {"name": "topk", "topk_frac": 0.1}}`))
+	f.Add([]byte(`{"name": "x"}}`))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		m, err := Parse(raw)
 		if err != nil {
 			return
+		}
+		if !json.Valid(raw) {
+			t.Fatalf("Parse accepted invalid JSON %q", raw)
 		}
 		out, err := json.Marshal(m.Resolved())
 		if err != nil {
@@ -45,9 +50,10 @@ func FuzzParseManifest(f *testing.F) {
 }
 
 // FuzzParseSuite feeds arbitrary bytes to the suite loader, seeded with
-// every suite of the scenario library; member paths resolve against
-// scenarios/, as they do for the checked-in files. Loading must never
-// panic, and an accepted suite's Resolve(false) output must marshal, parse
+// every suite of the scenario library and one suite with a stray closing
+// brace; member paths resolve against scenarios/, as they do for the
+// checked-in files. Loading must never panic, whatever it accepts must be
+// one valid JSON document, and an accepted suite's Resolve(false) output must marshal, parse
 // back and resolve to the same bytes: resolved-suite.json is a fixed point.
 func FuzzParseSuite(f *testing.F) {
 	dir := filepath.Join("..", "..", "scenarios")
@@ -62,6 +68,7 @@ func FuzzParseSuite(f *testing.F) {
 		}
 		f.Add(raw)
 	}
+	f.Add([]byte(`{"name": "x", "runs": [{"path": "churn-crash-rejoin.json"}]}}`))
 	resolve := func(t *testing.T, s *Suite) []byte {
 		t.Helper()
 		r, err := s.Resolve(false)
@@ -78,6 +85,9 @@ func FuzzParseSuite(f *testing.F) {
 		s, err := loadSuiteBytes(raw, filepath.Join(dir, "fuzz.json"))
 		if err != nil {
 			return
+		}
+		if !json.Valid(raw) {
+			t.Fatalf("suite loader accepted invalid JSON %q", raw)
 		}
 		out := resolve(t, s)
 		back, err := ParseSuite(out)

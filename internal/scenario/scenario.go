@@ -28,6 +28,7 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"strings"
@@ -58,8 +59,8 @@ type Manifest struct {
 	// goroutine process group.
 	Runtime string `json:"runtime,omitempty"`
 	// Algorithm names the training approach. Engine runtime accepts
-	// netmax (default), adpsgd, adpsgd-monitor, gossip, saps, dlion, hop,
-	// allreduce, dpsgd, prague, ps-sync, ps-async. Live runtime runs
+	// netmax (default), adpsgd, adpsgd-monitor, saps, hop, allreduce,
+	// dpsgd, prague, ps-sync, ps-async. Live runtime runs
 	// NetMax (or uniform AD-PSGD-style selection via live.uniform).
 	Algorithm string `json:"algorithm,omitempty"`
 	// HopStaleness is Hop's staleness bound (algorithm "hop" only;
@@ -323,13 +324,20 @@ func Parse(raw []byte) (*Manifest, error) {
 	}
 	// Trailing garbage after the manifest object is as much a mistake as
 	// an unknown field.
-	if dec.More() {
+	if !atEOF(dec) {
 		return nil, fmt.Errorf("scenario: parse: trailing data after manifest object")
 	}
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	return &m, nil
+}
+
+// atEOF reports whether dec holds nothing but whitespace after the value
+// it decoded. dec.More is not enough: it is false on a stray '}' or ']'.
+func atEOF(dec *json.Decoder) bool {
+	_, err := dec.Token()
+	return err == io.EOF
 }
 
 // Load reads, parses and validates a manifest file.
@@ -509,7 +517,7 @@ func usesMonitor(algo string) bool {
 // asyncAlgorithms take the codec and the failure schedule: they run on
 // engine.RunAsync, the only engine loop that reads either. Hop runs on it
 // too but takes neither (see validation), so it is not listed.
-var asyncAlgorithms = []string{"netmax", "adpsgd", "adpsgd-monitor", "gossip", "saps", "dlion"}
+var asyncAlgorithms = []string{"netmax", "adpsgd", "adpsgd-monitor", "saps"}
 
 // roundAlgorithms compute a synchronous round's gradients concurrently, the
 // only engine loops that read parallelism.

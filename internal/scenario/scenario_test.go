@@ -94,9 +94,13 @@ func TestValidateRejectsMalformed(t *testing.T) {
 	}{
 		{"unknown field", `{"name": "x", "wrkers": 4}`, "wrkers"},
 		{"trailing data", `{"name": "x"} {"name": "y"}`, "trailing data"},
+		{"stray brace", `{"name": "x"}}`, "trailing data"},
+		{"stray bracket", `{"name": "x"}]`, "trailing data"},
 		{"empty name", `{}`, "name must be non-empty"},
 		{"bad runtime", `{"name": "x", "runtime": "simulated"}`, "unknown runtime"},
 		{"bad algorithm", `{"name": "x", "algorithm": "sgd"}`, "unknown algorithm"},
+		{"gossip algorithm", `{"name": "x", "algorithm": "gossip"}`, `unknown algorithm "gossip"`},
+		{"dlion algorithm", `{"name": "x", "algorithm": "dlion"}`, `unknown algorithm "dlion"`},
 		{"bad model", `{"name": "x", "model": "ResNet34"}`, "unknown model"},
 		{"bad dataset", `{"name": "x", "dataset": "SVHN"}`, "unknown dataset"},
 		{"one worker", `{"name": "x", "workers": 1}`, "workers must be >= 2"},

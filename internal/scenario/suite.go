@@ -121,7 +121,7 @@ func decodeSuite(raw []byte) (*Suite, error) {
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("scenario: parse suite: %w", err)
 	}
-	if dec.More() {
+	if !atEOF(dec) {
 		return nil, fmt.Errorf("scenario: parse suite: trailing data after suite object")
 	}
 	return &s, nil

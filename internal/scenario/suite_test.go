@@ -204,6 +204,8 @@ func TestSuiteValidateRejectsMalformed(t *testing.T) {
 	}{
 		{"unknown field", `{"name": "x", "runz": []}`, "runz"},
 		{"trailing data", `{"name": "x", "runs": [{"manifest": ` + valid + `}]} {}`, "trailing data"},
+		{"stray brace", `{"name": "x", "runs": [{"manifest": ` + valid + `}]}}`, "trailing data"},
+		{"stray bracket", `{"name": "x", "runs": [{"manifest": ` + valid + `}]}]`, "trailing data"},
 		{"empty name", `{"runs": [{"manifest": ` + valid + `}]}`, "name must be non-empty"},
 		{"separator in name", `{"name": "a/b", "runs": [{"manifest": ` + valid + `}]}`, "path separators"},
 		{"no members", `{"name": "x"}`, "needs members"},

@@ -11,15 +11,16 @@
 // paper's 8-worker heterogeneous cluster). Quick start:
 //
 //	sc := &netmax.Scenario{Name: "quickstart", Epochs: 40, LRDecayEpoch: 28}
-//	cfg, _, err := sc.BuildEngine()
+//	cfg, run, err := sc.BuildEngine()
 //	if err != nil {
 //		log.Fatal(err)
 //	}
-//	result := netmax.Train(cfg, netmax.Options{})
+//	result := run(cfg)
 //	fmt.Println(result.FinalAccuracy, result.TotalTime)
 //
-// Fields of Config may still be changed before the run, for example to
-// attach a FailureSchedule.
+// The manifest's Algorithm picks the runner (NetMax by default, or any of
+// the baselines it is compared against), its NetMax block tunes the
+// Network Monitor, and its Failures block injects churn.
 //
 // See the examples directory for runnable scenarios and cmd/netmax-bench
 // for the experiment harness.
@@ -47,13 +48,10 @@
 package netmax
 
 import (
-	"netmax/internal/baselines"
-	"netmax/internal/core"
 	"netmax/internal/engine"
 	"netmax/internal/experiments"
 	"netmax/internal/policy"
 	"netmax/internal/scenario"
-	"netmax/internal/simnet"
 )
 
 // Config describes one training run (model, data partition, network,
@@ -67,55 +65,9 @@ type Result = engine.Result
 // Point is one sample of a training curve.
 type Point = engine.Point
 
-// Options tunes NetMax (monitor period Ts, EMA beta, policy grid size,
-// ablation switches).
-type Options = core.Options
-
 // Policy is a generated communication policy (P, rho, lambda2, predicted
 // convergence time).
 type Policy = policy.Policy
-
-// FailureSchedule is a deterministic schedule of churn events — crashes,
-// hangs, permanent leaves, link blackouts — injected into a simulated run
-// via Config.Failures. See internal/simnet.
-type FailureSchedule = simnet.FailureSchedule
-
-// NewFailureSchedule returns an empty churn schedule; chain Crash, Hang,
-// Leave and Blackout to populate it.
-var NewFailureSchedule = simnet.NewFailureSchedule
-
-// NewRandomChurn builds a deterministic random crash schedule (expected
-// crashes per worker over the horizon, mean downtime seconds).
-var NewRandomChurn = simnet.NewRandomChurn
-
-// Train runs NetMax (consensus SGD + Network Monitor) and returns the
-// aggregated result. Zero Options fields select core's defaults.
-func Train(cfg *Config, opts Options) *Result {
-	return core.Run(cfg, opts)
-}
-
-// Baseline trainers, for comparisons on identical configurations. Every
-// other algorithm is reached through a Scenario's Algorithm and BuildEngine.
-var (
-	// TrainADPSGD runs asynchronous decentralized parallel SGD [Lian et al.].
-	TrainADPSGD = baselines.RunADPSGD
-	// TrainAllreduce runs synchronous ring-allreduce SGD.
-	TrainAllreduce = baselines.RunAllreduce
-	// TrainPrague runs Prague-style randomized partial allreduce.
-	TrainPrague = baselines.RunPrague
-	// TrainPSSync runs a synchronous parameter server.
-	TrainPSSync = baselines.RunPSSync
-	// TrainPSAsync runs an asynchronous parameter server.
-	TrainPSAsync = baselines.RunPSAsync
-	// TrainGossip runs GoSGD-style uniform gossip.
-	TrainGossip = baselines.RunGossip
-)
-
-// TrainADPSGDMonitor runs the Section III-D extension: AD-PSGD steered by
-// the Network Monitor's adaptive policy.
-func TrainADPSGDMonitor(cfg *Config, opts Options) *Result {
-	return core.RunADPSGDMonitor(cfg, opts)
-}
 
 // GeneratePolicy runs Algorithm 3 directly on an iteration-time matrix:
 // times[i][m] is worker i's measured iteration time against neighbor m, adj

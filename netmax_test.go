@@ -7,20 +7,20 @@ import (
 	"netmax/internal/simnet"
 )
 
-// build returns the engine configuration of a small MobileNet/MNIST run.
-func build(t *testing.T, sc *Scenario) *Config {
+// train builds a small MobileNet/MNIST run from the manifest and runs it on
+// the runner its algorithm picks.
+func train(t *testing.T, sc *Scenario) *Result {
 	t.Helper()
 	sc.Name, sc.Model, sc.Dataset, sc.Workers = "public", "MobileNet", "MNIST", 4
-	cfg, _, err := sc.BuildEngine()
+	cfg, run, err := sc.BuildEngine()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cfg
+	return run(cfg)
 }
 
 func TestPublicQuickstartPath(t *testing.T) {
-	cfg := build(t, &Scenario{Epochs: 4, LRDecayEpoch: 2})
-	r := Train(cfg, Options{})
+	r := train(t, &Scenario{Epochs: 4, LRDecayEpoch: 2})
 	if r.Epochs != 4 {
 		t.Fatalf("epochs = %d", r.Epochs)
 	}
@@ -30,15 +30,14 @@ func TestPublicQuickstartPath(t *testing.T) {
 }
 
 func TestPublicBaselinesShareConfigShape(t *testing.T) {
-	for _, f := range []func(*Config) *Result{TrainADPSGD, TrainAllreduce, TrainGossip} {
-		cfg := build(t, &Scenario{
-			Epochs: 3, LRDecayEpoch: 2,
+	for _, algo := range []string{"adpsgd", "allreduce"} {
+		r := train(t, &Scenario{
+			Algorithm: algo, Epochs: 3, LRDecayEpoch: 2,
 			Topology: &scenario.TopologySpec{Kind: "single-machine"},
 			Network:  &scenario.NetworkSpec{Kind: "homogeneous"},
 		})
-		r := f(cfg)
 		if r.Epochs != 3 || r.TotalTime <= 0 {
-			t.Fatalf("baseline run incomplete: %+v", r)
+			t.Fatalf("%s run incomplete: %+v", algo, r)
 		}
 	}
 }
@@ -73,8 +72,7 @@ func TestPublicExperiment(t *testing.T) {
 }
 
 func TestPublicADPSGDMonitor(t *testing.T) {
-	cfg := build(t, &Scenario{Epochs: 3, LRDecayEpoch: 2})
-	r := TrainADPSGDMonitor(cfg, Options{})
+	r := train(t, &Scenario{Algorithm: "adpsgd-monitor", Epochs: 3, LRDecayEpoch: 2})
 	if r.Algo != "AD-PSGD+Monitor" {
 		t.Fatalf("algo = %q", r.Algo)
 	}
