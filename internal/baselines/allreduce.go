@@ -50,18 +50,14 @@ func averagedStep(cfg *engine.Config, ws []*engine.Worker) func() {
 	par := cfg.EffectiveParallelism()
 	vlen := ws[0].Model.VectorLen()
 	avg := make([]float64, vlen)
-	tmp := make([]float64, vlen)
 	return func() {
 		engine.Concurrently(len(ws), par, func(k int) { ws[k].GradOnly() })
 		clear(avg)
 		total := 0
 		for _, w := range ws {
-			w.Model.GradVector(tmp)
 			// Weight by batch size so segment workers contribute
 			// proportionally (Section V-F).
-			for i := range avg {
-				avg[i] += float64(tmp[i] * float64(w.Batch))
-			}
+			w.Model.AddScaledGrad(avg, float64(w.Batch))
 			total += w.Batch
 		}
 		for i := range avg {

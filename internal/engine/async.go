@@ -91,6 +91,11 @@ func (e *exchange) compress(vec []float64) {
 // x's pre-blend model with the same coefficient. The reverse transfer goes
 // through the codec as well, so both directions carry compression loss.
 func (e *exchange) pull(x, y *nn.Model, p Pull) {
+	if !p.TwoSided && e.codec == nil {
+		// Nothing reaches y or the wire: blend from y's parameters in place.
+		x.BlendModel(p.Coef, y)
+		return
+	}
 	if e.peer == nil {
 		e.peer = make([]float64, x.VectorLen())
 	}

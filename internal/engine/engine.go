@@ -329,7 +329,9 @@ func NewTracker(cfg *Config, ws []*Worker, algo string) *Tracker {
 	for _, s := range cfg.Part.Shards {
 		total += s.Len()
 	}
-	avg := cfg.Spec.Build(cfg.Seed, cfg.Part.Shards[0].Dim(), cfg.Part.Shards[0].Classes)
+	// Every evaluation overwrites avg's parameters first, so a clone of
+	// any worker's model serves.
+	avg := ws[0].Model.Clone()
 	return &Tracker{cfg: cfg, ws: ws, totalTrain: total, res: &Result{Algo: algo},
 		avg: avg, sum: make([]float64, avg.VectorLen()), tmp: make([]float64, avg.VectorLen())}
 }

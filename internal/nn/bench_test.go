@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -113,5 +114,40 @@ func TestEvaluateAllocatesNothing(t *testing.T) {
 		m.Evaluate(x, labels)
 	}); n != 0 {
 		t.Fatalf("warm Evaluates on two batch sizes allocate %v times, want 0", n)
+	}
+}
+
+// softmaxFixture returns rows × 10 logits of the spread a trained top
+// layer gives, their labels and a probabilities buffer.
+func softmaxFixture(rows int) (probs, logits []float64, labels []int) {
+	rng := rand.New(rand.NewSource(4))
+	logits = tensor.Randn(rng, 4, rows, 10).Data
+	labels = make([]int, rows)
+	for i := range labels {
+		labels[i] = rng.Intn(10)
+	}
+	return make([]float64, len(logits)), logits, labels
+}
+
+// BenchmarkSoftmax measures the top layer's softmax and cross-entropy on a
+// training batch (16 rows of 10 classes) and on an eval set (400 rows).
+func BenchmarkSoftmax(b *testing.B) {
+	for _, rows := range []int{16, 400} {
+		b.Run(fmt.Sprintf("%dx10", rows), func(b *testing.B) {
+			probs, logits, labels := softmaxFixture(rows)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				softmaxNLL(probs, logits, 10, labels, 0)
+			}
+		})
+	}
+}
+
+func TestSoftmaxAllocatesNothing(t *testing.T) {
+	for _, rows := range []int{16, 400} {
+		probs, logits, labels := softmaxFixture(rows)
+		if n := testing.AllocsPerRun(10, func() { softmaxNLL(probs, logits, 10, labels, 0) }); n != 0 {
+			t.Errorf("softmax on %d×10 allocates %v times, want 0", rows, n)
+		}
 	}
 }

@@ -33,6 +33,8 @@ import (
 type Model struct {
 	params, grads []float64
 	layers        []layer
+	// block is Evaluate's view of the rows of one block of its batch.
+	block tensor.Tensor
 }
 
 // layer is one affine map of the chain with the buffers of its passes.
@@ -68,7 +70,8 @@ func zeroModel(widths []int) *Model {
 	for i := 0; i+1 < len(widths); i++ {
 		total += (widths[i] + 1) * widths[i+1]
 	}
-	m := &Model{params: make([]float64, total), grads: make([]float64, total), layers: make([]layer, len(widths)-1)}
+	m := &Model{params: make([]float64, total), grads: make([]float64, total), layers: make([]layer, len(widths)-1),
+		block: tensor.Tensor{Shape: make([]int, 2)}}
 	off := 0
 	for i := range m.layers {
 		in, out := widths[i], widths[i+1]
@@ -136,6 +139,13 @@ func (m *Model) BlendVector(c float64, v []float64) {
 	tensor.Blend(m.params, v, c)
 }
 
+// BlendModel is BlendVector toward y's parameters, read in place: it gives
+// the bits of BlendVector(c, y.Vector()) without the copy. y must have m's
+// layout.
+func (m *Model) BlendModel(c float64, y *Model) {
+	m.BlendVector(c, y.params)
+}
+
 // GradVector copies all parameter gradients into dst (zeros before the
 // first Backward) and returns dst.
 func (m *Model) GradVector(dst []float64) []float64 {
@@ -144,6 +154,16 @@ func (m *Model) GradVector(dst []float64) []float64 {
 	}
 	copy(dst, m.grads)
 	return dst
+}
+
+// AddScaledGrad adds c times the parameter gradients to dst element by
+// element, dst[i] += c·grad[i], reading the gradients in place. dst must
+// have length VectorLen.
+func (m *Model) AddScaledGrad(dst []float64, c float64) {
+	if len(dst) != len(m.grads) {
+		panic(fmt.Sprintf("nn: AddScaledGrad dst length %d, want %d", len(dst), len(m.grads)))
+	}
+	tensor.AddScaled(dst, m.grads, c)
 }
 
 // SetGradVector overwrites all parameter gradients from src (length
@@ -208,25 +228,42 @@ func (l Loss) Backward() {
 // Loss runs the forward pass on a batch (rank-2: batch × features) and
 // returns its mean softmax cross-entropy.
 func (m *Model) Loss(x *tensor.Tensor, labels []int) Loss {
-	return Loss{m: m, x: x, labels: labels, value: m.forward(x, labels)}
+	checkLabels(x, labels)
+	return Loss{m: m, x: x, labels: labels, value: m.forward(x, labels, 0) / float64(x.Rows())}
 }
 
+// evalBlock is the number of rows Evaluate passes through the network at
+// a time, so that its buffers hold at most evalBlock rows whatever the
+// size of the eval set.
+const evalBlock = 64
+
 // Evaluate returns the mean softmax cross-entropy on a batch and the
-// fraction of rows whose argmax logit equals the label, from one forward
-// pass. The loss equals Loss(x, labels).Item() bitwise.
+// fraction of rows whose argmax logit equals the label. It runs the batch
+// in blocks of evalBlock rows; every row's terms are those of one pass over
+// the whole batch, and the cross-entropy is summed over the rows in order
+// and divided once, so the loss equals Loss(x, labels).Item() bitwise.
+// Like Loss, it overwrites the buffers Backward reads.
 func (m *Model) Evaluate(x *tensor.Tensor, labels []int) (loss, acc float64) {
-	loss = m.forward(x, labels)
-	if len(labels) > 0 {
-		logits := m.layers[len(m.layers)-1].out
-		correct := 0
-		for i := range labels {
-			if logits.ArgMaxRow(i) == labels[i] {
+	checkLabels(x, labels)
+	rows, cols := x.Rows(), x.Cols()
+	top := &m.layers[len(m.layers)-1]
+	correct := 0
+	for r := 0; r < rows; r += evalBlock {
+		n := min(evalBlock, rows-r)
+		m.block.Shape[0], m.block.Shape[1] = n, cols
+		m.block.Data = x.Data[r*cols : (r+n)*cols]
+		loss = m.forward(&m.block, labels[r:r+n], loss)
+		for i, y := range labels[r : r+n] {
+			if top.out.ArgMaxRow(i) == y {
 				correct++
 			}
 		}
-		acc = float64(correct) / float64(len(labels))
 	}
-	return loss, acc
+	m.block.Data = nil
+	if rows > 0 {
+		acc = float64(correct) / float64(rows)
+	}
+	return loss / float64(rows), acc
 }
 
 // Accuracy is the accuracy half of Evaluate (0 on an empty batch).
@@ -235,15 +272,17 @@ func (m *Model) Accuracy(x *tensor.Tensor, labels []int) float64 {
 	return acc
 }
 
-// forward runs the chain on x, leaving each layer's output in its out
-// buffer and the softmax probabilities in the top layer's grad buffer, and
-// returns the mean cross-entropy against labels with a numerically stable
-// fused softmax+log+NLL.
-func (m *Model) forward(x *tensor.Tensor, labels []int) float64 {
-	rows := x.Rows()
-	if len(labels) != rows {
+func checkLabels(x *tensor.Tensor, labels []int) {
+	if rows := x.Rows(); len(labels) != rows {
 		panic(fmt.Sprintf("nn: %d labels for %d rows", len(labels), rows))
 	}
+}
+
+// forward runs the chain on x, leaving each layer's output in its out
+// buffer and the softmax probabilities in the top layer's grad buffer, and
+// returns nll minus the log-probability of each row's label (softmaxNLL).
+func (m *Model) forward(x *tensor.Tensor, labels []int, nll float64) float64 {
+	rows := x.Rows()
 	in := x
 	for i := range m.layers {
 		l := &m.layers[i]
@@ -256,34 +295,47 @@ func (m *Model) forward(x *tensor.Tensor, labels []int) float64 {
 		}
 		in = l.out
 	}
-	logits, probs := in, m.layers[len(m.layers)-1].grad
-	n := logits.Shape[1]
-	loss := 0.0
-	for i := 0; i < rows; i++ {
-		row := logits.Data[i*n : (i+1)*n]
+	return softmaxNLL(m.layers[len(m.layers)-1].grad.Data, in.Data, in.Shape[1], labels, nll)
+}
+
+// softmaxNLL writes the softmax of each n-wide row of logits into probs
+// (same length) and returns nll minus the log-probability of each row's
+// label, subtracted in row order: a numerically stable fused
+// softmax+log+NLL, with each probability floored at 1e-300 before its log.
+// It takes three passes. The first writes each logit minus its row's
+// maximum into probs, the second is one ExpInto over all of them, and the
+// third sums each row in column order, divides and takes the log.
+func softmaxNLL(probs, logits []float64, n int, labels []int, nll float64) float64 {
+	probs = probs[:len(logits)]
+	for i := 0; i+n <= len(logits); i += n {
+		row, prow := logits[i:i+n], probs[i:i+n]
 		maxv := row[0]
 		for _, v := range row {
 			if v > maxv {
 				maxv = v
 			}
 		}
-		sum := 0.0
-		prow := probs.Data[i*n : (i+1)*n]
 		for j, v := range row {
-			e := math.Exp(v - maxv)
-			prow[j] = e
+			prow[j] = v - maxv
+		}
+	}
+	tensor.ExpInto(probs, probs)
+	for i, y := range labels {
+		prow := probs[i*n : (i+1)*n]
+		sum := 0.0
+		for _, e := range prow {
 			sum += e
 		}
 		for j := range prow {
 			prow[j] /= sum
 		}
-		p := prow[labels[i]]
+		p := prow[y]
 		if p < 1e-300 {
 			p = 1e-300
 		}
-		loss -= math.Log(p)
+		nll -= tensor.Log(p)
 	}
-	return loss / float64(rows)
+	return nll
 }
 
 // reuse returns t reshaped to rows × cols, keeping its storage when that

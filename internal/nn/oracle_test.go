@@ -21,8 +21,9 @@ type plainPass struct {
 // forward and backward pass of the MLP with layer widths widths and flat
 // parameters params (Model's layout), written as plain loops. Every
 // product is rounded on its own, every sum starts at +0 and runs in
-// ascending index, and the softmax loop is the model's. ReLU's derivative
-// is read from its input, not its output.
+// ascending index, and the softmax loop is the model's, on package
+// tensor's Exp and Log. ReLU's derivative is read from its input, not its
+// output.
 func plainLoops(params []float64, widths []int, x *tensor.Tensor, labels []int) plainPass {
 	rows, layers := len(labels), len(widths)-1
 	ws, bs := make([][]float64, layers), make([][]float64, layers)
@@ -73,7 +74,7 @@ func plainLoops(params []float64, widths []int, x *tensor.Tensor, labels []int) 
 		sum := 0.0
 		prow := probs[i*n : (i+1)*n]
 		for j, v := range row {
-			e := math.Exp(v - maxv)
+			e := tensor.Exp(v - maxv)
 			prow[j] = e
 			sum += e
 		}
@@ -84,7 +85,7 @@ func plainLoops(params []float64, widths []int, x *tensor.Tensor, labels []int) 
 		if p < 1e-300 {
 			p = 1e-300
 		}
-		loss -= math.Log(p)
+		loss -= tensor.Log(p)
 	}
 	r.loss = loss / float64(rows)
 	correct := 0
@@ -218,6 +219,29 @@ func TestModelMatchesPlainLoops(t *testing.T) {
 			x, labels := batch(rng, s.batch, s.widths[0], s.widths[last])
 			checkAgainstPlainLoops(t, fmt.Sprintf("batch %d widths %v pass %d", s.batch, s.widths, pass), m, s.widths, x, labels)
 			opt.Step(m)
+		}
+	}
+}
+
+// TestEvaluateInBlocksMatchesLoss checks Evaluate on batches that are
+// shorter than one block, end on a block boundary and span several
+// blocks: its loss equals Loss's bitwise, its accuracy plainLoops', and
+// its buffers never hold more than one block of rows.
+func TestEvaluateInBlocksMatchesLoss(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	widths := []int{24, 40, 10}
+	for _, rows := range []int{1, evalBlock - 1, evalBlock, evalBlock + 1, 2*evalBlock + 3, 500} {
+		m := SimResNet18.Build(int64(rows), 24, 10)
+		x, labels := batch(rng, rows, 24, 10)
+		loss, acc := m.Evaluate(x, labels)
+		for i, l := range m.layers {
+			if got := cap(l.out.Data) / widths[i+1]; got > evalBlock {
+				t.Fatalf("%d rows: layer %d's buffer holds %d rows, want at most %d", rows, i, got, evalBlock)
+			}
+		}
+		want := plainLoops(m.Vector(), widths, x, labels)
+		if l := m.Loss(x, labels).Item(); !sameFloat(loss, l) || !sameFloat(l, want.loss) || !sameFloat(acc, want.acc) {
+			t.Fatalf("%d rows: Evaluate = (%v, %v), Loss %v, plain loops (%v, %v)", rows, loss, acc, l, want.loss, want.acc)
 		}
 	}
 }

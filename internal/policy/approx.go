@@ -3,6 +3,8 @@ package policy
 import (
 	"errors"
 	"math"
+
+	"netmax/internal/tensor"
 )
 
 // This file implements the paper's Appendix B: the approximation-ratio
@@ -34,8 +36,8 @@ func Lambda2UpperBound(a float64, m int) (float64, error) {
 	if a <= 0 || a >= 1 {
 		return 0, errors.New("policy: minimum entry must lie in (0,1)")
 	}
-	num := 1 - 2*a + math.Pow(a, float64(m)+1)
-	den := 1 - 2*a + math.Pow(a, float64(m))
+	num := 1 - 2*a + tensor.Pow(a, float64(m)+1)
+	den := 1 - 2*a + tensor.Pow(a, float64(m))
 	if den <= 0 {
 		return 0, errors.New("policy: degenerate denominator in Eq. 35")
 	}
@@ -59,8 +61,8 @@ func ApproximationRatio(lo, hi float64, m int, a float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	num := -math.Log(lower) // ln(M-1) - ln(M-3)
-	den := -math.Log(upper) // ln(1-2a+aM) - ln(1-2a+a(M+1))
+	num := -tensor.Log(lower) // ln(M-1) - ln(M-3)
+	den := -tensor.Log(upper) // ln(1-2a+aM) - ln(1-2a+a(M+1))
 	if den <= 0 {
 		return 0, errors.New("policy: Eq. 35 bound is not contracting")
 	}
@@ -103,8 +105,8 @@ func CertifyApproximation(p *Policy, times [][]float64, adj [][]bool, alpha, eps
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	objective = p.TBar * math.Log(epsilon) / math.Log(p.Lambda2)
-	lowerBound = lo * math.Log(epsilon) / math.Log(lowerL2)
+	objective = p.TBar * tensor.Log(epsilon) / tensor.Log(p.Lambda2)
+	lowerBound = lo * tensor.Log(epsilon) / tensor.Log(lowerL2)
 	if objective > ratio*lowerBound*(1+1e-9) {
 		return objective, lowerBound, ratio, errors.New("policy: Appendix B bound violated")
 	}

@@ -8,6 +8,7 @@ import (
 
 	"netmax/internal/linalg"
 	"netmax/internal/simnet"
+	"netmax/internal/tensor"
 )
 
 // exhaustiveGenerate is Algorithm 3 without the λ₂ certificate: it walks
@@ -41,7 +42,7 @@ func exhaustiveGenerate(in Input) (*Policy, error) {
 		if l2 >= 1 || l2 <= 0 {
 			return
 		}
-		tconv := tbar * math.Log(eps) / math.Log(l2)
+		tconv := tbar * tensor.Log(eps) / tensor.Log(l2)
 		if best != nil && !(tconv < best.TConvergence) {
 			return
 		}
@@ -85,7 +86,7 @@ func exhaustiveGenerate(in Input) (*Policy, error) {
 			if rounds > 1 {
 				frac = float64(ki) / float64(rounds-1)
 			}
-			_ = inner(ur / math.Pow(1000, 1-frac))
+			_ = inner(ur / tensor.Pow(1000, 1-frac))
 		}
 	}
 	if best == nil {

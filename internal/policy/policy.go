@@ -21,6 +21,7 @@ import (
 	"math"
 
 	"netmax/internal/linalg"
+	"netmax/internal/tensor"
 )
 
 // Input bundles everything Algorithm 3 needs.
@@ -380,7 +381,7 @@ func generate(in Input) (*Policy, error) {
 			frac = 1
 		}
 		// A ρ without a feasible t̄ interval simply contributes no candidate.
-		_ = s.innerLoop(ur/math.Pow(span, 1-frac), rounds)
+		_ = s.innerLoop(ur/tensor.Pow(span, 1-frac), rounds)
 	}
 	return s.result()
 }
@@ -487,7 +488,7 @@ func (s *search) score(rho, tbar, floor float64) {
 	if len(s.eig) < 2 {
 		return
 	}
-	if s.found && linalg.Lambda2Exceeds(s.y, math.Exp(tbar*math.Log(s.eps)/s.best.TConvergence), s.cert) {
+	if s.found && linalg.Lambda2Exceeds(s.y, tensor.Exp(tbar*tensor.Log(s.eps)/s.best.TConvergence), s.cert) {
 		return
 	}
 	if linalg.SymmetricEigenvaluesInto(s.y, s.eig, s.eigWork) != nil {
@@ -497,7 +498,7 @@ func (s *search) score(rho, tbar, floor float64) {
 	if l2 >= 1 || l2 <= 0 {
 		return
 	}
-	tconv := tbar * math.Log(s.eps) / math.Log(l2)
+	tconv := tbar * tensor.Log(s.eps) / tensor.Log(l2)
 	if s.found && !(tconv < s.best.TConvergence) {
 		return
 	}

@@ -60,6 +60,25 @@ func blendGo(p, v []float64, c float64) {
 	}
 }
 
+// AddScaled performs dst += c·src element by element. src must be at
+// least as long as dst and must not overlap it.
+func AddScaled(dst, src []float64, c float64) {
+	src = src[:len(dst)]
+	i := 0
+	if useAVX2 {
+		i = len(dst) &^ 3
+		addScaledAVX2(dst[:i], src[:i], c)
+	}
+	addScaledGo(dst[i:], src[i:], c)
+}
+
+func addScaledGo(dst, src []float64, c float64) {
+	src = src[:len(dst)]
+	for i, x := range src {
+		dst[i] += float64(c * x)
+	}
+}
+
 // ReLUInto writes max(x, 0) elementwise over a into dst (same element
 // count): x where x > 0, +0 where x ≤ 0 or x is NaN. dst may alias a. The
 // select is a bit mask, not a branch, so mixed-sign data costs no

@@ -11,6 +11,9 @@ func sgdStepAVX2(params, grads, velocity []float64, lr, momentum, decay float64)
 func blendAVX2(p, v []float64, c float64)
 
 //go:noescape
+func addScaledAVX2(dst, src []float64, c float64)
+
+//go:noescape
 func reluAVX2(dst, a []float64)
 
 //go:noescape
@@ -21,3 +24,10 @@ func addRowVectorAVX2(dst, a, v []float64, m, n int)
 
 //go:noescape
 func sumRowsAVX2(dst, a []float64, m, n int)
+
+// expAVX2 is ExpInto's kernel (exp_amd64.s). It returns how many leading
+// elements it wrote: len(src)&^3, or the start of the first group of four
+// that holds an element it leaves to Exp.
+//
+//go:noescape
+func expAVX2(dst, src []float64, c *[15][4]float64) int

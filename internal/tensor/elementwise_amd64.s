@@ -112,6 +112,43 @@ blenddone:
 	VZEROUPPER
 	RET
 
+// ADDSCALED4 adds c times the four lanes of src at byte offset off from DX
+// to those of dst at SI, indexed by AX; c is broadcast in Y15.
+#define ADDSCALED4(off, x, d) \
+	VMOVUPD off(SI)(AX*8), x;      \ // dst
+	VMULPD  off(DX)(AX*8), Y15, d; \ // c·src
+	VADDPD  d, x, x;               \ // dst + c·src
+	VMOVUPD x, off(SI)(AX*8)
+
+// func addScaledAVX2(dst, src []float64, c float64)
+TEXT ·addScaledAVX2(SB), NOSPLIT, $0-56
+	MOVQ         dst_base+0(FP), SI
+	MOVQ         src_base+24(FP), DX
+	VBROADCASTSD c+48(FP), Y15
+	FLAT(dst_len+8(FP))
+	CMPQ         AX, R8
+	JGE          addscaled4
+
+addscaled16:
+	ADDSCALED4(0, Y0, Y1)
+	ADDSCALED4(32, Y2, Y3)
+	ADDSCALED4(64, Y4, Y5)
+	ADDSCALED4(96, Y6, Y7)
+	ADDQ $16, AX
+	CMPQ AX, R8
+	JLT  addscaled16
+
+addscaled4:
+	CMPQ AX, CX
+	JGE  addscaleddone
+	ADDSCALED4(0, Y0, Y1)
+	ADDQ $4, AX
+	JMP  addscaled4
+
+addscaleddone:
+	VZEROUPPER
+	RET
+
 // RELU4 writes ReLU of the four lanes of a at byte offset off from SI,
 // indexed by AX, to dst at DI; Y15 holds +0.
 #define RELU4(off, x, m) \

@@ -168,6 +168,9 @@ var vectorKernels = []struct {
 	{"Blend", flat(2), func(ops [][]float64, _, _ int, s [3]float64) {
 		Blend(ops[0], ops[1], s[0])
 	}},
+	{"AddScaled", flat(2), func(ops [][]float64, _, _ int, s [3]float64) {
+		AddScaled(ops[0], ops[1], s[0])
+	}},
 	{"ReLUInto", flat(2), func(ops [][]float64, n, _ int, _ [3]float64) {
 		ReLUInto(FromSlice(ops[0], n), FromSlice(ops[1], n))
 	}},
@@ -213,6 +216,34 @@ func flat(k int) func(n, rows int) []int {
 // turn it into +0, so any write there changes its bits.
 const guardBits = 0x7FF4_0000_0000_DEAD
 
+// guardedVec is a copy of an operand at offset off in a buffer whose other
+// cells, 0–3 before it and 4 after it, hold guardBits.
+type guardedVec struct {
+	buf, op []float64
+	off     int
+}
+
+func guarded(v []float64, off int) guardedVec {
+	buf := make([]float64, off+len(v)+4)
+	for j := range buf {
+		buf[j] = math.Float64frombits(guardBits)
+	}
+	op := buf[off : off+len(v)]
+	copy(op, v)
+	return guardedVec{buf, op, off}
+}
+
+// intact reports whether every cell around the operand still holds
+// guardBits.
+func (g guardedVec) intact() bool {
+	for j, v := range g.buf {
+		if (j < g.off || j >= g.off+len(g.op)) && math.Float64bits(v) != guardBits {
+			return false
+		}
+	}
+	return true
+}
+
 // FuzzVectorKernels runs each element-wise kernel with useAVX2 off (the Go
 // loop, the oracle) and on, and requires the same bits in every operand
 // afterwards, except that any NaN matches any NaN, as in FuzzMatMul. The
@@ -227,6 +258,9 @@ func FuzzVectorKernels(f *testing.F) {
 	f.Add([]byte{5, 3, 1, 140, 150, 160, 13, 11, 12, 0, 1})
 	f.Add([]byte{16, 0, 5, 130, 128, 137, 20, 255, 7, 9, 1, 0})
 	f.Add([]byte{0, 2, 4})
+	// c = −2 on MaxFloat64: c·x overflows to −Inf on its own, where a
+	// fused multiply-add would give −MaxFloat64.
+	f.Add([]byte{10, 0, 0, 120, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -253,22 +287,16 @@ func FuzzVectorKernels(f *testing.F) {
 			}
 			var want [][]float64
 			for _, avx := range kernels() {
-				bufs, ops := make([][]float64, len(init)), make([][]float64, len(init))
+				bufs, ops := make([]guardedVec, len(init)), make([][]float64, len(init))
 				for i, v := range init {
-					bufs[i] = make([]float64, off+len(v)+4)
-					for j := range bufs[i] {
-						bufs[i][j] = math.Float64frombits(guardBits)
-					}
-					ops[i] = bufs[i][off : off+len(v)]
-					copy(ops[i], v)
+					bufs[i] = guarded(v, off)
+					ops[i] = bufs[i].op
 				}
 				withKernel(avx, func() { k.run(ops, n, rows, s) })
 				for i, b := range bufs {
-					for j, v := range b {
-						if (j < off || j >= off+len(ops[i])) && math.Float64bits(v) != guardBits {
-							t.Fatalf("%s with useAVX2=%v wrote outside operand %d (n=%d rows=%d offset=%d)",
-								k.name, avx, i, n, rows, off)
-						}
+					if !b.intact() {
+						t.Fatalf("%s with useAVX2=%v wrote outside operand %d (n=%d rows=%d offset=%d)",
+							k.name, avx, i, n, rows, off)
 					}
 				}
 				if want == nil {

@@ -27,14 +27,19 @@
 //
 // The element-wise passes follow the same pattern (elementwise.go): the
 // momentum SGD step and the blend over a model's flat parameter vector
-// (SGDStep, Blend), the bias row add (AddRowVectorInto), ReLU forward and
-// backward, and the column sums of a layer's bias gradient (SumRowsInto).
+// (SGDStep, Blend), the weighted gradient sum (AddScaled), the bias row add
+// (AddRowVectorInto), ReLU forward and backward, and the column sums of a
+// layer's bias gradient (SumRowsInto).
 // Their lanes are independent, so on AVX2 CPUs assembly
 // (elementwise_amd64.s) runs four lanes to a register over the body whose
 // length is a multiple of 4 and a Go loop runs the rest. The Go loop is
 // the portable kernel and the assembly's oracle, and each lane does the
 // same separate IEEE multiplies and adds in the same order on both, so the
 // results keep their bits.
+//
+// Exp, Log and Pow (exp.go) are the repository's own transcendental
+// functions, with the same bits on every CPU, and ExpInto runs Exp over a
+// vector the same way, in AVX2 assembly with Exp as its oracle.
 package tensor
 
 import (

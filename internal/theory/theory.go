@@ -14,6 +14,7 @@ import (
 	"netmax/internal/core"
 	"netmax/internal/linalg"
 	"netmax/internal/policy"
+	"netmax/internal/tensor"
 )
 
 // Quadratic is the scalar strongly convex test problem
@@ -151,7 +152,7 @@ func (it *Iteration) ConsensusGap() float64 {
 // governs the consensus (perpendicular) component, which
 // VerifyConsensusContraction checks separately.
 func TheoremOneBound(rate, initialDeviation, alpha, sigma float64, k int) float64 {
-	return float64(math.Pow(rate, float64(k))*initialDeviation) + float64(alpha*alpha*sigma*sigma*rate/(1-rate))
+	return float64(tensor.Pow(rate, float64(k))*initialDeviation) + float64(alpha*alpha*sigma*sigma*rate/(1-rate))
 }
 
 // ContractionRate returns the rigorous per-global-step contraction factor
@@ -228,7 +229,7 @@ func VerifyConsensusContraction(p *policy.Policy, adj [][]bool, alpha float64, s
 		for s := 1; s <= steps; s++ {
 			it.Step()
 			if s%checkEvery == 0 {
-				envelope := math.Pow(rate, float64(s)) * init * slack
+				envelope := tensor.Pow(rate, float64(s)) * init * slack
 				// Floor the envelope: rounding noise keeps a tiny residual.
 				if envelope < 1e-10 {
 					envelope = 1e-10
