@@ -1,287 +1,26 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation.
-// Each benchmark runs the corresponding experiment in quick mode (reduced
-// epochs/node counts) so the full suite completes in minutes; run
-// cmd/netmax-bench without -quick for full-scale reproductions. Reported
-// custom metrics expose the experiment's headline quantity so that
-// `go test -bench . -benchmem` output doubles as a shape summary.
+// BenchmarkQuickSuite runs every experiment of the paper's evaluation once
+// at quick scale (reduced epochs and node counts), seed 1, one sub-benchmark
+// per experiment id. The tables themselves are pinned by
+// TestQuickTablesGolden and printed by cmd/netmax-bench; this benchmark is
+// the whole quick suite under the test driver's timers and profilers:
+//
+//	go test -run '^$' -bench . -benchtime 1x -cpu 1 -cpuprofile cpu.out .
 package netmax
 
 import (
-	"strconv"
-	"strings"
 	"testing"
 
 	"netmax/internal/experiments"
 )
 
-func benchExperiment(b *testing.B, id string) *experiments.Result {
-	b.Helper()
-	var res *experiments.Result
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Run(id, experiments.Options{Seed: 1, Quick: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		res = r
-	}
-	return res
-}
-
-// metric extracts a numeric cell for ReportMetric; returns -1 when missing.
-func metric(res *experiments.Result, match func([]string) bool, col string) float64 {
-	ci := -1
-	for i, h := range res.Header {
-		if h == col {
-			ci = i
-		}
-	}
-	if ci == -1 {
-		return -1
-	}
-	for _, row := range res.Rows {
-		if match(row) {
-			v, err := strconv.ParseFloat(strings.TrimSuffix(row[ci], "%"), 64)
-			if err != nil {
-				return -1
+func BenchmarkQuickSuite(b *testing.B) {
+	for _, r := range experiments.All() {
+		b.Run(r.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := r.Run(experiments.Options{Seed: 1, Quick: true}); err != nil {
+					b.Fatal(err)
+				}
 			}
-			return v
-		}
+		})
 	}
-	return -1
-}
-
-func rowHas(name string) func([]string) bool {
-	return func(row []string) bool {
-		for _, c := range row {
-			if c == name {
-				return true
-			}
-		}
-		return false
-	}
-}
-
-func rowHasBoth(a, bb string) func([]string) bool {
-	return func(row []string) bool {
-		fa, fb := false, false
-		for _, c := range row {
-			if c == a {
-				fa = true
-			}
-			if c == bb {
-				fb = true
-			}
-		}
-		return fa && fb
-	}
-}
-
-// BenchmarkFig3IterationTime regenerates Fig. 3 (intra vs inter-machine
-// iteration time).
-func BenchmarkFig3IterationTime(b *testing.B) {
-	res := benchExperiment(b, "fig3")
-	b.ReportMetric(metric(res, rowHas("ResNet18"), "ratio"), "resnet18-inter/intra")
-	b.ReportMetric(metric(res, rowHas("VGG19"), "ratio"), "vgg19-inter/intra")
-}
-
-// BenchmarkFig5EpochTimeHetero regenerates Fig. 5 (epoch-time decomposition,
-// heterogeneous network).
-func BenchmarkFig5EpochTimeHetero(b *testing.B) {
-	res := benchExperiment(b, "fig5")
-	nm := metric(res, rowHasBoth("ResNet18", "NetMax"), "comm cost (s)")
-	ad := metric(res, rowHasBoth("ResNet18", "AD-PSGD"), "comm cost (s)")
-	b.ReportMetric(nm, "netmax-comm-s")
-	if nm > 0 {
-		b.ReportMetric(ad/nm, "adpsgd/netmax-comm")
-	}
-}
-
-// BenchmarkFig6EpochTimeHomo regenerates Fig. 6 (homogeneous decomposition).
-func BenchmarkFig6EpochTimeHomo(b *testing.B) {
-	res := benchExperiment(b, "fig6")
-	b.ReportMetric(metric(res, rowHasBoth("ResNet18", "NetMax"), "comm cost (s)"), "netmax-comm-s")
-}
-
-// BenchmarkFig7Ablation regenerates Fig. 7 (serial/parallel x
-// uniform/adaptive).
-func BenchmarkFig7Ablation(b *testing.B) {
-	res := benchExperiment(b, "fig7")
-	row := res.Rows[0]
-	su, _ := strconv.ParseFloat(row[1], 64)
-	pa, _ := strconv.ParseFloat(row[4], 64)
-	if pa > 0 {
-		b.ReportMetric(su/pa, "adaptive-speedup")
-	}
-}
-
-// BenchmarkFig8LossHetero regenerates Fig. 8 (loss vs time, heterogeneous).
-func BenchmarkFig8LossHetero(b *testing.B) {
-	res := benchExperiment(b, "fig8")
-	nm := metric(res, rowHasBoth("ResNet18", "NetMax"), "total time (s)")
-	ad := metric(res, rowHasBoth("ResNet18", "AD-PSGD"), "total time (s)")
-	if nm > 0 {
-		b.ReportMetric(ad/nm, "netmax-vs-adpsgd")
-	}
-}
-
-// BenchmarkFig9LossHomo regenerates Fig. 9 (loss vs time, homogeneous).
-func BenchmarkFig9LossHomo(b *testing.B) {
-	res := benchExperiment(b, "fig9")
-	nm := metric(res, rowHasBoth("ResNet18", "NetMax"), "total time (s)")
-	ad := metric(res, rowHasBoth("ResNet18", "AD-PSGD"), "total time (s)")
-	if nm > 0 {
-		b.ReportMetric(ad/nm, "netmax-vs-adpsgd")
-	}
-}
-
-// BenchmarkTable2AccuracyHetero regenerates Table II.
-func BenchmarkTable2AccuracyHetero(b *testing.B) {
-	res := benchExperiment(b, "tab2")
-	b.ReportMetric(metric(res, func(r []string) bool { return r[0] == "ResNet18" && r[1] == "8" }, "NetMax"), "netmax-acc-pct")
-}
-
-// BenchmarkTable3AccuracyHomo regenerates Table III.
-func BenchmarkTable3AccuracyHomo(b *testing.B) {
-	res := benchExperiment(b, "tab3")
-	b.ReportMetric(metric(res, func(r []string) bool { return r[0] == "ResNet18" && r[1] == "8" }, "NetMax"), "netmax-acc-pct")
-}
-
-// BenchmarkFig10ScalabilityHetero regenerates Fig. 10.
-func BenchmarkFig10ScalabilityHetero(b *testing.B) {
-	res := benchExperiment(b, "fig10")
-	b.ReportMetric(metric(res, rowHas("NetMax"), res.Header[len(res.Header)-1]), "netmax-speedup-max-nodes")
-}
-
-// BenchmarkFig11ScalabilityHomo regenerates Fig. 11.
-func BenchmarkFig11ScalabilityHomo(b *testing.B) {
-	res := benchExperiment(b, "fig11")
-	b.ReportMetric(metric(res, rowHas("NetMax"), res.Header[len(res.Header)-1]), "netmax-speedup-max-nodes")
-}
-
-// BenchmarkFig12CIFAR100 regenerates Fig. 12 (segments partitioning).
-func BenchmarkFig12CIFAR100(b *testing.B) {
-	res := benchExperiment(b, "fig12")
-	b.ReportMetric(metric(res, rowHas("NetMax"), "total time (s)"), "netmax-total-s")
-}
-
-// BenchmarkFig13ImageNet regenerates Fig. 13 (16 workers, ResNet50).
-func BenchmarkFig13ImageNet(b *testing.B) {
-	res := benchExperiment(b, "fig13")
-	b.ReportMetric(metric(res, rowHas("NetMax"), "total time (s)"), "netmax-total-s")
-}
-
-// BenchmarkTable5AccuracyNonUniform regenerates Table V.
-func BenchmarkTable5AccuracyNonUniform(b *testing.B) {
-	res := benchExperiment(b, "tab5")
-	b.ReportMetric(metric(res, rowHas("CIFAR10"), "NetMax"), "netmax-cifar10-acc-pct")
-}
-
-// BenchmarkFig14SmallModel regenerates Fig. 14 / Table VI (PS baselines).
-func BenchmarkFig14SmallModel(b *testing.B) {
-	res := benchExperiment(b, "fig14")
-	nm := metric(res, rowHas("NetMax"), "total time (s)")
-	ps := metric(res, rowHas("PS-syn"), "total time (s)")
-	if nm > 0 {
-		b.ReportMetric(ps/nm, "netmax-vs-pssyn")
-	}
-}
-
-// BenchmarkFig15ADPSGDMonitor regenerates Fig. 15 (the Monitor extension).
-func BenchmarkFig15ADPSGDMonitor(b *testing.B) {
-	res := benchExperiment(b, "fig15")
-	ad := metric(res, rowHas("AD-PSGD"), "total time (s)")
-	ext := metric(res, rowHas("AD-PSGD+Monitor"), "total time (s)")
-	if ext > 0 {
-		b.ReportMetric(ad/ext, "monitor-speedup")
-	}
-}
-
-// BenchmarkFig16CIFAR10 regenerates Appendix Fig. 16.
-func BenchmarkFig16CIFAR10(b *testing.B) {
-	res := benchExperiment(b, "fig16")
-	b.ReportMetric(metric(res, rowHas("NetMax"), "total time (s)"), "netmax-total-s")
-}
-
-// BenchmarkFig17TinyImageNet regenerates Appendix Fig. 17.
-func BenchmarkFig17TinyImageNet(b *testing.B) {
-	res := benchExperiment(b, "fig17")
-	b.ReportMetric(metric(res, rowHas("NetMax"), "total time (s)"), "netmax-total-s")
-}
-
-// BenchmarkFig18NonIIDMNIST regenerates Appendix Fig. 18 (Table IV skew).
-func BenchmarkFig18NonIIDMNIST(b *testing.B) {
-	res := benchExperiment(b, "fig18")
-	nm := metric(res, rowHas("NetMax"), "total time (s)")
-	ad := metric(res, rowHas("AD-PSGD"), "total time (s)")
-	if nm > 0 {
-		b.ReportMetric(ad/nm, "netmax-vs-adpsgd")
-	}
-}
-
-// BenchmarkFig19CrossRegion regenerates Appendix Fig. 19 (six regions).
-func BenchmarkFig19CrossRegion(b *testing.B) {
-	res := benchExperiment(b, "fig19")
-	nm := metric(res, rowHas("NetMax"), "total time (s)")
-	ps := metric(res, rowHas("PS-syn"), "total time (s)")
-	if nm > 0 {
-		b.ReportMetric(ps/nm, "netmax-vs-pssyn")
-	}
-}
-
-// BenchmarkAblationBlendWeight measures the 1/p-scaled vs fixed blend
-// ablation (the algorithmic delta between NetMax and AD-PSGD+Monitor).
-func BenchmarkAblationBlendWeight(b *testing.B) {
-	benchExperiment(b, "abl-blend")
-}
-
-// BenchmarkAblationPolicyPeriod sweeps the monitor period Ts.
-func BenchmarkAblationPolicyPeriod(b *testing.B) {
-	benchExperiment(b, "abl-ts")
-}
-
-// BenchmarkAblationEMABeta sweeps the EMA smoothing factor.
-func BenchmarkAblationEMABeta(b *testing.B) {
-	benchExperiment(b, "abl-beta")
-}
-
-// BenchmarkAblationPolicyRounds sweeps Algorithm 3's grid size.
-func BenchmarkAblationPolicyRounds(b *testing.B) {
-	benchExperiment(b, "abl-rounds")
-}
-
-// BenchmarkAblationSAPS compares the static fast-subgraph against the
-// adaptive policy under changing link speeds (the Fig. 2 scenario).
-func BenchmarkAblationSAPS(b *testing.B) {
-	benchExperiment(b, "abl-saps")
-}
-
-// BenchmarkAblationSyncDPSGD compares synchronous neighborhood averaging
-// against NetMax.
-func BenchmarkAblationSyncDPSGD(b *testing.B) {
-	benchExperiment(b, "abl-dpsgd")
-}
-
-// BenchmarkAblationStraggler measures compute-straggler tolerance across
-// all approaches.
-func BenchmarkAblationStraggler(b *testing.B) {
-	res := benchExperiment(b, "abl-straggler")
-	b.ReportMetric(metric(res, rowHas("Allreduce"), "slowdown"), "allreduce-slowdown")
-	b.ReportMetric(metric(res, rowHas("NetMax"), "slowdown"), "netmax-slowdown")
-}
-
-// BenchmarkAblationHop measures the bounded-staleness critique: Hop vs
-// AD-PSGD vs NetMax under one continuously slow link.
-func BenchmarkAblationHop(b *testing.B) {
-	res := benchExperiment(b, "abl-hop")
-	hop := metric(res, rowHas("Hop (s=2)"), "total time (s)")
-	nm := metric(res, rowHas("NetMax"), "total time (s)")
-	if nm > 0 {
-		b.ReportMetric(hop/nm, "hop-vs-netmax")
-	}
-}
-
-// BenchmarkStatsSpeedup replicates the headline speedups over seeds.
-func BenchmarkStatsSpeedup(b *testing.B) {
-	res := benchExperiment(b, "stats-speedup")
-	b.ReportMetric(metric(res, rowHas("AD-PSGD"), "speedup mean"), "vs-adpsgd-mean")
 }

@@ -132,7 +132,7 @@ func tridiagonalize(a *Matrix, d, e []float64) {
 		h := 0.0
 		for k := range ai {
 			ai[k] /= scale
-			h += ai[k] * ai[k]
+			h += float64(ai[k] * ai[k])
 		}
 		f := ai[l]
 		g := math.Sqrt(h)
@@ -140,30 +140,30 @@ func tridiagonalize(a *Matrix, d, e []float64) {
 			g = -g
 		}
 		e[i] = scale * g
-		h -= f * g
+		h -= float64(f * g)
 		ai[l] = f - g
 		// e[:i] = A·u/h for the reflector u = ai, then f = uᵀ·e[:i].
 		f = 0
 		for j := 0; j <= l; j++ {
 			g := 0.0
 			for k, v := range a.Data[j*n : j*n+j+1] {
-				g += v * ai[k]
+				g += float64(v * ai[k])
 			}
 			for k := j + 1; k <= l; k++ {
-				g += a.Data[k*n+j] * ai[k]
+				g += float64(a.Data[k*n+j] * ai[k])
 			}
 			e[j] = g / h
-			f += e[j] * ai[j]
+			f += float64(e[j] * ai[j])
 		}
 		// A ← A − u·qᵀ − q·uᵀ with q = e[:i] − (f/2h)·u, lower triangle.
 		hh := f / (h + h)
 		for j := 0; j <= l; j++ {
 			f := ai[j]
-			g := e[j] - hh*f
+			g := e[j] - float64(hh*f)
 			e[j] = g
 			aj := a.Data[j*n : j*n+j+1]
 			for k := range aj {
-				aj[k] -= f*e[k] + g*ai[k]
+				aj[k] -= float64(f*e[k]) + float64(g*ai[k])
 			}
 		}
 	}
@@ -230,10 +230,10 @@ func tridiagonalQL(d, e []float64) error {
 				s = f / r
 				c = g / r
 				g = d[i+1] - p
-				r = (d[i]-g)*s + 2*c*b
-				p = s * r
+				r = float64((d[i]-g)*s) + float64(2*c*b)
+				p = float64(s * r)
 				d[i+1] = g + p
-				g = c*r - b
+				g = float64(c*r) - float64(b)
 			}
 			if r == 0 && i >= l {
 				continue
@@ -290,13 +290,13 @@ func Lambda2Exceeds(y *Matrix, x float64, work []float64) bool {
 		for j := 0; j < i; j++ {
 			s := inv - yi[j]
 			for k, v := range work[j*n : j*n+j] {
-				s -= li[k] * v
+				s -= float64(li[k] * v)
 			}
 			li[j] = s / work[j*n+j]
 		}
 		d := shift + inv - yi[i]
 		for _, v := range li[:i] {
-			d -= v * v
+			d -= float64(v * v)
 		}
 		if !(d > 0) {
 			return d <= 0 // a NaN pivot from overflow proves nothing
@@ -328,7 +328,7 @@ func (m *Matrix) MatVec(v []float64) []float64 {
 		s := 0.0
 		row := m.Data[i*m.N : (i+1)*m.N]
 		for j, x := range v {
-			s += row[j] * x
+			s += float64(row[j] * x)
 		}
 		out[i] = s
 	}

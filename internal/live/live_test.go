@@ -69,6 +69,8 @@ func TestLiveGroupPermanentLeave(t *testing.T) {
 
 // TestLiveGroupCrashOverTCP drives the crash path over real sockets: the
 // down endpoint drops connections, peers classify ErrPeerDown and finish.
+// Worker 0 goes down at its first iteration: the survivors can finish their
+// 200 iterations in about 20 ms, so a later crash could miss them entirely.
 func TestLiveGroupCrashOverTCP(t *testing.T) {
 	hub, err := transport.NewTCPHub()
 	if err != nil {
@@ -77,7 +79,7 @@ func TestLiveGroupCrashOverTCP(t *testing.T) {
 	defer hub.Close()
 	cfg := liveConfig(3, 200)
 	cfg.PullTimeout = 300 * time.Millisecond
-	cfg.Churn = []ChurnEvent{{Worker: 0, At: 20 * time.Millisecond, Rejoin: 200 * time.Millisecond}}
+	cfg.Churn = []ChurnEvent{{Worker: 0, At: 0, Rejoin: 200 * time.Millisecond}}
 	stats := Run(context.Background(), cfg, hub)
 	if stats.IterationsPerWorker[1] != 200 || stats.IterationsPerWorker[2] != 200 {
 		t.Fatalf("survivors did not finish over TCP: %v", stats.IterationsPerWorker)

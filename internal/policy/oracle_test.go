@@ -82,11 +82,7 @@ func exhaustiveGenerate(in Input) (*Policy, error) {
 			ur = min(ur, 0.999/(2*in.Alpha*float64(s.maxDeg)))
 		}
 		for ki := 0; ki < rounds; ki++ {
-			frac := 1.0
-			if rounds > 1 {
-				frac = float64(ki) / float64(rounds-1)
-			}
-			_ = inner(ur / tensor.Pow(1000, 1-frac))
+			_ = inner(ur / tensor.Pow(1000, 1-float64(ki)/float64(rounds-1)))
 		}
 	}
 	if best == nil {
@@ -254,8 +250,9 @@ func TestGenerateMatchesExhaustiveSearch(t *testing.T) {
 			}
 		})
 	}
-	// Rounds sets both of Algorithm 3's grid sizes, K and R.
-	for _, rounds := range []int{1, 3, 10, 20} {
+	// Rounds sets both of Algorithm 3's grid sizes, K and R; 1 is invalid
+	// input, which both searches must report alike.
+	for _, rounds := range []int{1, 2, 3, 10, 20} {
 		t.Run(fmt.Sprintf("K=%d/R=%d", rounds, rounds), func(t *testing.T) {
 			m := 10
 			in := Input{Times: slowLinks(rng, hetTimes(m, 11), 0.15), Adj: simnet.FullyConnected(m),
@@ -269,7 +266,7 @@ func TestGenerateMatchesExhaustiveSearch(t *testing.T) {
 
 // FuzzGenerate checks Generate and GenerateLive against the exhaustive
 // search on inputs decoded from fuzz bytes: n and rounds give N in 2..16
-// and the grid size in 1..20; data, read cyclically, gives two bytes per
+// and the grid size in 2..20; data, read cyclically, gives two bytes per
 // worker pair (the pair's times, whether each direction is an edge, and
 // whether the link is 100x slower) and then one byte per worker (dead or
 // alive). flags select the averaging blend, dead workers, a directed graph
@@ -294,7 +291,7 @@ func FuzzGenerate(f *testing.F) {
 		in := Input{
 			Times: make([][]float64, m), Adj: make([][]bool, m),
 			Alpha:          []float64{0.1, 0.01, 0.3, 0.05}[flags>>4&3],
-			Rounds:         1 + int(rounds)%20,
+			Rounds:         2 + int(rounds)%19,
 			AveragingBlend: flags&1 != 0,
 		}
 		for i := range in.Times {

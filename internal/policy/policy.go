@@ -35,7 +35,9 @@ type Input struct {
 	// Alpha is the SGD learning rate α.
 	Alpha float64
 	// Rounds is the grid size of Algorithm 3, used for both its outer ρ
-	// loop (K) and its inner t̄ loop (R). Zero defaults to DefaultRounds.
+	// loop (K) and its inner t̄ loop (R). Zero defaults to DefaultRounds;
+	// 1 is invalid: a one-point ρ grid tries only the top of the range,
+	// where the row floors 2αρ leave almost no feasible policy.
 	Rounds int
 	// Epsilon is the convergence target ε of Eq. (9); defaults to
 	// DefaultEpsilon.
@@ -71,9 +73,9 @@ var ErrNoFeasiblePolicy = errors.New("policy: no feasible policy found")
 
 // ErrInvalidInput is returned, wrapped with the offending entry, when
 // Generate is given a malformed Input: an empty, ragged or non-square
-// Times or Adj, a NaN, infinite or negative time on an edge, or a learning
-// rate that is not a positive finite number. Validate returns it for a
-// policy no worker may adopt.
+// Times or Adj, a NaN, infinite or negative time on an edge, a learning
+// rate that is not a positive finite number, or Rounds 1. Validate returns
+// it for a policy no worker may adopt.
 var ErrInvalidInput = errors.New("policy: invalid input")
 
 // rowSumTol is how far a policy row may sum from 1 and still be adopted:
@@ -120,6 +122,9 @@ func (in *Input) validate() error {
 	}
 	if !(in.Alpha > 0) || math.IsInf(in.Alpha, 1) {
 		return fmt.Errorf("%w: learning rate %v", ErrInvalidInput, in.Alpha)
+	}
+	if in.Rounds == 1 {
+		return fmt.Errorf("%w: rounds 1 gives a one-point grid; use 0 for the default or at least 2", ErrInvalidInput)
 	}
 	for i := 0; i < m; i++ {
 		if len(in.Times[i]) != m || len(in.Adj[i]) != m {
@@ -377,9 +382,6 @@ func generate(in Input) (*Policy, error) {
 	const span = 1000.0
 	for ki := 0; ki < rounds; ki++ {
 		frac := float64(ki) / float64(rounds-1)
-		if rounds == 1 {
-			frac = 1
-		}
 		// A ρ without a feasible t̄ interval simply contributes no candidate.
 		_ = s.innerLoop(ur/tensor.Pow(span, 1-frac), rounds)
 	}

@@ -404,6 +404,7 @@ func TestGenerateRejectsInvalidInput(t *testing.T) {
 		"zero alpha":     {Times: good, Adj: full3},
 		"negative alpha": {Times: good, Adj: full3, Alpha: -0.1},
 		"NaN alpha":      {Times: good, Adj: full3, Alpha: math.NaN()},
+		"one round":      {Times: good, Adj: full3, Alpha: 0.1, Rounds: 1},
 	}
 	for name, in := range cases {
 		if _, err := Generate(in); !errors.Is(err, ErrInvalidInput) {

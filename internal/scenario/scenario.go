@@ -733,8 +733,8 @@ func validateEngine(e *errorList, m, r *Manifest) {
 		if nm.Beta <= 0 || nm.Beta >= 1 {
 			e.addf("netmax.beta must be in (0, 1), got %g", nm.Beta)
 		}
-		if nm.PolicyRounds < 1 {
-			e.addf("netmax.policy_rounds must be >= 1, got %d", nm.PolicyRounds)
+		if nm.PolicyRounds < 2 {
+			e.addf("netmax.policy_rounds must be >= 2 (one round searches a one-point grid), got %d", nm.PolicyRounds)
 		}
 		if nm.StalePeriods < 0 {
 			e.addf("netmax.stale_periods must be >= 0, got %d", nm.StalePeriods)

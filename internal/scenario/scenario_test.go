@@ -135,6 +135,7 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		{"compute max", `{"name": "x", "compute": {"kind": "straggler", "factor": 2, "max": 3}}`, `unknown field "max"`},
 		{"compute sigma", `{"name": "x", "compute": {"kind": "straggler", "factor": 2, "sigma": 0.5}}`, `unknown field "sigma"`},
 		{"compute seed", `{"name": "x", "compute": {"kind": "straggler", "factor": 2, "seed": 3}}`, `unknown field "seed"`},
+		{"one policy round", `{"name": "x", "netmax": {"policy_rounds": 1}}`, "netmax.policy_rounds must be >= 2"},
 		{"netmax epsilon", `{"name": "x", "netmax": {"epsilon": 0.01}}`, `unknown field "epsilon"`},
 		{"netmax fixed blend", `{"name": "x", "netmax": {"fixed_blend": true}}`, `unknown field "fixed_blend"`},
 		{"random churn seed", `{"name": "x", "failures": {"random_churn": {"horizon_secs": 10, "crashes_per_worker": 1, "mean_down_secs": 1, "seed": 3}}}`, `unknown field "seed"`},

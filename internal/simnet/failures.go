@@ -122,11 +122,11 @@ func NewRandomChurn(m int, seed int64, horizon, crashesPerWorker, meanDown float
 	for w := 0; w < m; w++ {
 		t := 0.0
 		for {
-			t += rng.ExpFloat64() * meanGap
+			t += float64(rng.ExpFloat64() * meanGap)
 			if t >= horizon {
 				break
 			}
-			down := meanDown * (0.5 + rng.Float64())
+			down := float64(meanDown * (0.5 + float64(rng.Float64()))) // Float64's inlined 2⁻⁶³ scaling would fuse
 			s.Crash(w, t, t+down)
 			t += down
 		}

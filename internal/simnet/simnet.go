@@ -246,7 +246,7 @@ func NewHeterogeneousPeriod(topo *Topology, seed int64, horizon, period float64)
 		if b >= a {
 			b++
 		}
-		factor := 2 + rng.Float64()*98 // 2x .. 100x
+		factor := 2 + float64(rng.Float64()*98) // 2x .. 100x
 		return slowdown{A: a, B: b, Factor: factor}
 	}
 	return &Network{Topo: topo, IntraRate: DefaultIntraRate, InterRate: DefaultInterRate,

@@ -40,7 +40,7 @@ func Summarize(xs []float64) Summary {
 		ss := 0.0
 		for _, x := range xs {
 			d := x - s.Mean
-			ss += d * d
+			ss += float64(d * d)
 		}
 		s.Std = math.Sqrt(ss / float64(len(xs)-1))
 		s.StdErr = s.Std / math.Sqrt(float64(len(xs)))

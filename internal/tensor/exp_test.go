@@ -97,7 +97,7 @@ func TestExpIntoMatchesExp(t *testing.T) {
 		case i%2 == 0:
 			src[i] = -30 * rng.Float64()
 		default:
-			src[i] = 1600*rng.Float64() - 800
+			src[i] = float64(1600*rng.Float64()) - 800
 		}
 	}
 	for _, avx := range kernels() {
@@ -175,7 +175,7 @@ func expReference(x float64) float64 {
 func TestTranscendentalsWithin1ULP(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 5000; i++ {
-		x := 1416*rng.Float64() - 708
+		x := float64(1416*rng.Float64()) - 708
 		if i%2 == 0 {
 			x = -30 * rng.Float64()
 		}
@@ -203,15 +203,15 @@ func TestTranscendentalsWithin1ULP(t *testing.T) {
 		}
 	}
 	for i := 0; i < 100_000; i++ {
-		x := 1416*rng.Float64() - 708
+		x := float64(1416*rng.Float64()) - 708
 		if got, want := Exp(x), math.Exp(x); !within1ULP(got, want) && ulps(got, want) > 2 {
 			t.Fatalf("Exp(%v) = %v, math.Exp %v, more than 2 ulps apart", x, got, want)
 		}
-		p := math.Ldexp(rng.Float64()+0.5, rng.Intn(2046)-1021)
+		p := math.Ldexp(float64(rng.Float64())+0.5, rng.Intn(2046)-1021)
 		if got, want := Log(p), math.Log(p); !within1ULP(got, want) {
 			t.Fatalf("Log(%v) = %v, math.Log %v", p, got, want)
 		}
-		base, e, tol := 10*rng.Float64(), 60*rng.Float64()-30, uint64(6)
+		base, e, tol := 10*rng.Float64(), float64(60*rng.Float64())-30, uint64(6)
 		if i%2 == 0 {
 			base, e, tol = -base, math.Round(e), 1
 		}

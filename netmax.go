@@ -22,8 +22,9 @@
 // the baselines it is compared against), its NetMax block tunes the
 // Network Monitor, and its Failures block injects churn.
 //
-// See the examples directory for runnable scenarios and cmd/netmax-bench
-// for the experiment harness.
+// cmd/netmax-scenario runs the checked-in manifests and suites under
+// scenarios/, and cmd/netmax-bench regenerates the paper's tables and
+// figures by experiment id.
 //
 // # Performance
 //
