@@ -27,9 +27,7 @@ func RunPrague(cfg *engine.Config) *engine.Result {
 		g = m
 	}
 	bytes := cfg.Spec.ModelBytes()
-	vlen := ws[0].Model.VectorLen()
-	mean := make([]float64, vlen)
-	tmp := make([]float64, vlen)
+	mean := make([]float64, ws[0].Model.VectorLen())
 	rng := rand.New(rand.NewSource(cfg.Seed + 777))
 
 	freeAt := make([]float64, m)
@@ -69,14 +67,9 @@ func RunPrague(cfg *engine.Config) *engine.Result {
 			ws[w].GradStep()
 		}
 		// Partial allreduce: group model average.
-		for i := range mean {
-			mean[i] = 0
-		}
+		clear(mean)
 		for _, w := range members {
-			ws[w].Model.CopyVector(tmp)
-			for i := range mean {
-				mean[i] += tmp[i]
-			}
+			ws[w].Model.AddVectorTo(mean)
 		}
 		for i := range mean {
 			mean[i] /= float64(g)

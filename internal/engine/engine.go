@@ -292,15 +292,12 @@ func (r *Result) EpochToLoss(target float64) float64 {
 
 // AverageModelInto overwrites dst's parameters with the elementwise mean of
 // all worker parameter vectors — the consensus model the paper evaluates.
-// sum and tmp are scratch buffers of the model's VectorLen. Both runtimes
-// evaluate this model: the Tracker at every curve point, live at the end.
-func AverageModelInto(dst *nn.Model, ws []*Worker, sum, tmp []float64) {
+// sum is a scratch buffer of the model's VectorLen. Both runtimes evaluate
+// this model: the Tracker at every curve point, live at the end.
+func AverageModelInto(dst *nn.Model, ws []*Worker, sum []float64) {
 	clear(sum)
 	for _, w := range ws {
-		w.Model.CopyVector(tmp)
-		for i := range sum {
-			sum[i] += tmp[i]
-		}
+		w.Model.AddVectorTo(sum)
 	}
 	for i := range sum {
 		sum[i] /= float64(len(ws))
@@ -318,9 +315,9 @@ type Tracker struct {
 	epochsDone int
 	res        *Result
 	// avg is the consensus model every evaluation averages the workers
-	// into; sum and tmp are its averaging scratch.
-	avg      *nn.Model
-	sum, tmp []float64
+	// into; sum is its averaging scratch.
+	avg *nn.Model
+	sum []float64
 }
 
 // NewTracker builds a tracker. The loss curve is evaluated on cfg.Eval.
@@ -333,7 +330,7 @@ func NewTracker(cfg *Config, ws []*Worker, algo string) *Tracker {
 	// any worker's model serves.
 	avg := ws[0].Model.Clone()
 	return &Tracker{cfg: cfg, ws: ws, totalTrain: total, res: &Result{Algo: algo},
-		avg: avg, sum: make([]float64, avg.VectorLen()), tmp: make([]float64, avg.VectorLen())}
+		avg: avg, sum: make([]float64, avg.VectorLen())}
 }
 
 // OnIteration records one worker iteration that ended at virtual time now.
@@ -363,7 +360,7 @@ func (t *Tracker) AddBytes(n int64) { t.res.BytesSent += n }
 func (t *Tracker) Done() bool { return t.epochsDone >= t.cfg.Epochs }
 
 func (t *Tracker) recordPoint(now float64) {
-	AverageModelInto(t.avg, t.ws, t.sum, t.tmp)
+	AverageModelInto(t.avg, t.ws, t.sum)
 	loss, _ := t.avg.Evaluate(t.cfg.Eval.X, t.cfg.Eval.Labels)
 	t.res.Curve = append(t.res.Curve, Point{Time: now, Epoch: float64(t.epochsDone), Value: loss})
 }
@@ -374,7 +371,7 @@ func (t *Tracker) Finish() *Result {
 	if n := len(t.res.Curve); n > 0 {
 		t.res.FinalLoss = t.res.Curve[n-1].Value
 	}
-	AverageModelInto(t.avg, t.ws, t.sum, t.tmp)
+	AverageModelInto(t.avg, t.ws, t.sum)
 	t.res.FinalAccuracy = t.avg.Accuracy(t.cfg.Test.X, t.cfg.Test.Labels)
 	return t.res
 }

@@ -221,7 +221,7 @@ func TestAverageModelIsMean(t *testing.T) {
 	}
 	ws[1].Model.SetVector(v)
 	avg := cfg.Spec.Build(cfg.Seed+1, cfg.Part.Shards[0].Dim(), cfg.Part.Shards[0].Classes)
-	AverageModelInto(avg, ws, make([]float64, avg.VectorLen()), make([]float64, avg.VectorLen()))
+	AverageModelInto(avg, ws, make([]float64, avg.VectorLen()))
 	av := avg.Vector()
 	v0 := ws[0].Model.Vector()
 	for i := range av {

@@ -16,7 +16,7 @@
 // timing, the transport, policies fetched from the wire (validated before
 // adoption), pulled models decoded straight off the wire (a non-finite one
 // is rejected, never blended), the peer-down retry cooldown and scheduled
-// churn.
+// churn, read from the engine's simnet.FailureSchedule on the wall clock.
 //
 // A worker fetches a policy only when it is new. The ack of every time
 // report announces how many policies the monitor has published, and the
@@ -29,7 +29,6 @@ package live
 import (
 	"context"
 	"errors"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,16 +52,14 @@ type Config struct {
 	LR    float64
 	Batch int
 	Seed  int64
-	// Ts is the monitor's wall-clock policy period; it must be positive.
-	Ts time.Duration
-	// Beta is the EMA smoothing factor.
-	Beta float64
+	// NetMax tunes the monitor and workers as it tunes core.Run, but Ts is
+	// the wall-clock period in seconds and must be positive, and no default
+	// is filled in (StalePeriods zero disables eviction).
+	NetMax core.Options
 	// Duration bounds the run (wall clock); zero means rely on Iterations.
 	Duration time.Duration
 	// Iterations bounds per-worker iterations; zero means rely on Duration.
 	Iterations int
-	// Uniform disables the adaptive policy (AD-PSGD-style selection).
-	Uniform bool
 	// Codec compresses model pulls on the wire (nil keeps the transport's
 	// default raw float64 encoding).
 	Codec codec.Codec
@@ -70,22 +67,10 @@ type Config struct {
 	// dead peer costs at most one deadline instead of blocking the worker
 	// forever. Zero disables deadlines.
 	PullTimeout time.Duration
-	// StalePeriods configures the monitor's liveness tracking: a worker
-	// silent for this many Ts periods is evicted and policies regenerate
-	// over the live subgraph. Zero disables eviction.
-	StalePeriods int
-	// Churn schedules wall-clock crash/rejoin events for workers: the
-	// worker goes silent (and its transport endpoint refuses pulls) at At,
-	// and resumes at Rejoin with the parameters it held when it crashed.
-	Churn []ChurnEvent
-}
-
-// ChurnEvent is one scheduled live crash. Rejoin at or before At means the
-// worker leaves permanently.
-type ChurnEvent struct {
-	Worker int
-	At     time.Duration // since run start
-	Rejoin time.Duration // since run start; <= At means permanent
+	// Failures schedules crashes and leaves in wall-clock seconds since the
+	// start: a crashed worker's endpoint refuses pulls until it rejoins with
+	// the parameters it held. Hangs and blackouts are not injected.
+	Failures *simnet.FailureSchedule
 }
 
 // Stats summarizes a live run.
@@ -134,9 +119,6 @@ type worker struct {
 	// ErrPeerDown. The node skips such a peer until the monitor reacts (a
 	// new policy version gives it mass) or a retry cooldown expires.
 	maskedAt []time.Time
-
-	churn    []ChurnEvent // this worker's crash schedule, ascending by At
-	churnIdx int
 }
 
 func (w *worker) vector() []float64 {
@@ -150,29 +132,25 @@ func (w *worker) vector() []float64 {
 func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
 	m := len(cfg.Part.Shards)
 	adj := simnet.FullyConnected(m)
+	opts, fs := cfg.NetMax, cfg.Failures
+	ts := time.Duration(opts.Ts * float64(time.Second))
 
 	// A masked peer is retried after the monitor has had a fair chance to
 	// react: the staleness window plus one period.
-	maskCooldown := cfg.Ts * time.Duration(cfg.StalePeriods+1)
+	maskCooldown := ts * time.Duration(opts.StalePeriods+1)
 
 	start := time.Now()
-	mon := monitor.New(monitor.Config{Adj: adj, Alpha: cfg.LR, Period: cfg.Ts.Seconds(), StalePeriods: cfg.StalePeriods})
+	mon := monitor.New(monitor.Config{Adj: adj, Alpha: cfg.LR, Period: opts.Ts, Rounds: opts.PolicyRounds, StalePeriods: opts.StalePeriods})
 
 	// The replicas are the engine's, so a live worker starts from the same
 	// model, batch order and RNG stream as the simulated one.
 	ecfg := &engine.Config{Spec: cfg.Spec, Part: cfg.Part, LR: cfg.LR, Batch: cfg.Batch, Seed: cfg.Seed}
 	reps := ecfg.Workers()
-	nodes := core.NewNodes(adj, cfg.LR, cfg.Beta, false)
+	nodes := core.NewNodes(adj, cfg.LR, opts.Beta, false)
 	workers := make([]*worker, m)
 	sources := make([]transport.ModelSource, m)
 	for i := 0; i < m; i++ {
 		w := &worker{id: i, rep: reps[i], node: nodes[i], pulled: make([]float64, reps[i].Model.VectorLen()), maskedAt: make([]time.Time, m)}
-		for _, ev := range cfg.Churn {
-			if ev.Worker == i {
-				w.churn = append(w.churn, ev)
-			}
-		}
-		sort.Slice(w.churn, func(a, b int) bool { return w.churn[a].At < w.churn[b].At })
 		workers[i] = w
 		sources[i] = w.vector
 	}
@@ -201,14 +179,14 @@ func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
 	monDone := make(chan struct{})
 	go func() {
 		defer close(monDone)
-		ticker := time.NewTicker(cfg.Ts)
+		ticker := time.NewTicker(ts)
 		defer ticker.Stop()
 		for {
 			select {
 			case <-runCtx.Done():
 				return
 			case <-ticker.C:
-				if cfg.Uniform {
+				if opts.UniformPolicy {
 					continue
 				}
 				if pol, ok := mon.MaybeRegenerate(time.Since(start).Seconds()); ok {
@@ -235,19 +213,16 @@ func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
 				// Scheduled churn: crash (endpoint refuses pulls, no
 				// iterations, no reports) and rejoin with the parameters
 				// held at crash time. A permanent leave exits the loop.
-				for w.churnIdx < len(w.churn) && time.Since(start) >= w.churn[w.churnIdx].At {
-					ev := w.churn[w.churnIdx]
-					w.churnIdx++
+				if now := time.Since(start).Seconds(); fs != nil && fs.Down(w.id, now) {
 					hub.SetWorkerDown(w.id, true)
-					if ev.Rejoin <= ev.At {
+					up, ok := fs.NextUp(w.id, now)
+					if !ok {
 						return
 					}
-					if wait := ev.Rejoin - time.Since(start); wait > 0 {
-						select {
-						case <-runCtx.Done():
-							return
-						case <-time.After(wait):
-						}
+					select {
+					case <-runCtx.Done():
+						return
+					case <-time.After(time.Duration(up*float64(time.Second)) - time.Since(start)):
 					}
 					hub.SetWorkerDown(w.id, false)
 				}
@@ -346,8 +321,7 @@ func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
 	// exited, so nothing writes the replicas any more.
 	shard := cfg.Part.Shards[0]
 	avg := cfg.Spec.Build(cfg.Seed, shard.Dim(), shard.Classes)
-	n := avg.VectorLen()
-	engine.AverageModelInto(avg, reps, make([]float64, n), make([]float64, n))
+	engine.AverageModelInto(avg, reps, make([]float64, avg.VectorLen()))
 	loss, acc := avg.Evaluate(cfg.Test.X, cfg.Test.Labels)
 	adopted := make([]int, m)
 	for i, w := range workers {

@@ -8,8 +8,10 @@ import (
 	"time"
 
 	"netmax/internal/codec"
+	"netmax/internal/core"
 	"netmax/internal/data"
 	"netmax/internal/nn"
+	"netmax/internal/simnet"
 	"netmax/internal/transport"
 )
 
@@ -23,10 +25,10 @@ func TestLiveGroupSurvivesCrashRejoin(t *testing.T) {
 	hub := transport.NewLocalHub(func(i, j int) time.Duration { return time.Millisecond })
 	defer hub.Close()
 	cfg := liveConfig(4, 200)
-	cfg.Ts = 40 * time.Millisecond
-	cfg.StalePeriods = 2
+	cfg.NetMax.Ts = 0.040
+	cfg.NetMax.StalePeriods = 2
 	cfg.PullTimeout = 200 * time.Millisecond
-	cfg.Churn = []ChurnEvent{{Worker: 2, At: 30 * time.Millisecond, Rejoin: 150 * time.Millisecond}}
+	cfg.Failures = simnet.NewFailureSchedule().Crash(2, 0.030, 0.150)
 	stats := Run(context.Background(), cfg, hub)
 	if stats.PeerDownErrors == 0 {
 		t.Fatal("crash produced no ErrPeerDown pulls")
@@ -51,7 +53,7 @@ func TestLiveGroupPermanentLeave(t *testing.T) {
 	defer hub.Close()
 	cfg := liveConfig(3, 120)
 	cfg.PullTimeout = 200 * time.Millisecond
-	cfg.Churn = []ChurnEvent{{Worker: 1, At: 20 * time.Millisecond, Rejoin: 0}} // Rejoin <= At: leave
+	cfg.Failures = simnet.NewFailureSchedule().Leave(1, 0.020)
 	done := make(chan *Stats, 1)
 	go func() { done <- Run(context.Background(), cfg, hub) }()
 	select {
@@ -79,7 +81,7 @@ func TestLiveGroupCrashOverTCP(t *testing.T) {
 	defer hub.Close()
 	cfg := liveConfig(3, 200)
 	cfg.PullTimeout = 300 * time.Millisecond
-	cfg.Churn = []ChurnEvent{{Worker: 0, At: 0, Rejoin: 200 * time.Millisecond}}
+	cfg.Failures = simnet.NewFailureSchedule().Crash(0, 0, 0.200)
 	stats := Run(context.Background(), cfg, hub)
 	if stats.IterationsPerWorker[1] != 200 || stats.IterationsPerWorker[2] != 200 {
 		t.Fatalf("survivors did not finish over TCP: %v", stats.IterationsPerWorker)
@@ -94,16 +96,15 @@ func TestLiveGroupCrashOverTCP(t *testing.T) {
 func liveConfig(workers, iters int) Config {
 	train, test := data.SynthMNIST.Generate(1)
 	return Config{
-		Spec:         nn.SimMobileNet,
-		Part:         data.Uniform(train, workers, 1),
-		Test:         test,
-		LR:           0.1,
-		Batch:        16,
-		Seed:         7,
-		Ts:           50 * time.Millisecond,
-		Iterations:   iters,
-		PullTimeout:  2 * time.Second,
-		StalePeriods: 3,
+		Spec:        nn.SimMobileNet,
+		Part:        data.Uniform(train, workers, 1),
+		Test:        test,
+		LR:          0.1,
+		Batch:       16,
+		Seed:        7,
+		NetMax:      core.Options{Ts: 0.050, StalePeriods: 3},
+		Iterations:  iters,
+		PullTimeout: 2 * time.Second,
 	}
 }
 
@@ -132,7 +133,7 @@ func TestLiveGroupRegeneratesPolicy(t *testing.T) {
 	})
 	defer hub.Close()
 	cfg := liveConfig(4, 250)
-	cfg.Ts = 60 * time.Millisecond
+	cfg.NetMax.Ts = 0.060
 	stats := Run(context.Background(), cfg, hub)
 	if stats.PolicyVersions == 0 {
 		t.Fatal("monitor never published a policy")
@@ -207,7 +208,7 @@ func TestLiveUniformMode(t *testing.T) {
 	hub := transport.NewLocalHub(nil)
 	defer hub.Close()
 	cfg := liveConfig(3, 60)
-	cfg.Uniform = true
+	cfg.NetMax.UniformPolicy = true
 	stats := Run(context.Background(), cfg, hub)
 	if stats.PolicyVersions != 0 {
 		t.Fatalf("uniform mode published %d policies", stats.PolicyVersions)
@@ -277,7 +278,7 @@ func TestLiveRejectsNonFinitePulls(t *testing.T) {
 	hub := transport.NewLocalHub(nil)
 	defer hub.Close()
 	cfg := liveConfig(3, 60)
-	cfg.Uniform = true
+	cfg.NetMax.UniformPolicy = true
 	for i := range cfg.Part.Shards[1].X.Data {
 		cfg.Part.Shards[1].X.Data[i] = math.NaN()
 	}
@@ -322,7 +323,7 @@ func TestLiveRejectsMalformedPolicy(t *testing.T) {
 			defer hub.Close()
 			hub.SetPolicy(c.p, c.rho)
 			cfg := liveConfig(4, 60)
-			cfg.Uniform = true // no valid broadcast replaces the bad one
+			cfg.NetMax.UniformPolicy = true // no valid broadcast replaces the bad one
 			stats := Run(context.Background(), cfg, hub)
 			if math.IsNaN(stats.FinalLoss) || math.IsInf(stats.FinalLoss, 0) {
 				t.Fatalf("final loss %v after a malformed policy", stats.FinalLoss)

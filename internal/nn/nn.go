@@ -146,6 +146,16 @@ func (m *Model) BlendModel(c float64, y *Model) {
 	m.BlendVector(c, y.params)
 }
 
+// AddVectorTo adds the parameters to dst in place, dst[i] += params[i],
+// with the bits of adding CopyVector's output (float64(1·x) = x). dst must
+// have length VectorLen.
+func (m *Model) AddVectorTo(dst []float64) {
+	if len(dst) != len(m.params) {
+		panic(fmt.Sprintf("nn: AddVectorTo dst length %d, want %d", len(dst), len(m.params)))
+	}
+	tensor.AddScaled(dst, m.params, 1)
+}
+
 // GradVector copies all parameter gradients into dst (zeros before the
 // first Backward) and returns dst.
 func (m *Model) GradVector(dst []float64) []float64 {

@@ -28,6 +28,29 @@ func TestVectorRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAddVectorToMatchesCopyAndAdd checks that adding the parameters in
+// place gives the bits of copying them out and adding them in a loop, the
+// sum the consensus averages were built on.
+func TestAddVectorToMatchesCopyAndAdd(t *testing.T) {
+	m := SimResNet18.Build(3, 10, 10)
+	rng := rand.New(rand.NewSource(5))
+	got := make([]float64, m.VectorLen())
+	for i := range got {
+		got[i] = rng.NormFloat64()
+	}
+	got[0], got[1] = math.Copysign(0, -1), math.Inf(1)
+	want := append([]float64(nil), got...)
+	m.AddVectorTo(got)
+	for i, x := range m.Vector() {
+		want[i] += x
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("sum[%d] = %v, want %v", i, got[i], want[i])
+		}
+	}
+}
+
 func TestVectorLenMatchesLayers(t *testing.T) {
 	m := smallModel(1)
 	want := 4*8 + 8 + 8*3 + 3

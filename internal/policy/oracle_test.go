@@ -21,10 +21,10 @@ func exhaustiveGenerate(in Input) (*Policy, error) {
 		return nil, err
 	}
 	rounds, eps := in.Rounds, in.Epsilon
-	if rounds <= 0 {
+	if rounds == 0 {
 		rounds = DefaultRounds
 	}
-	if eps <= 0 || eps >= 1 {
+	if eps == 0 {
 		eps = DefaultEpsilon
 	}
 	s := newSearch(in, eps)

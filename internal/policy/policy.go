@@ -36,11 +36,12 @@ type Input struct {
 	Alpha float64
 	// Rounds is the grid size of Algorithm 3, used for both its outer ρ
 	// loop (K) and its inner t̄ loop (R). Zero defaults to DefaultRounds;
-	// 1 is invalid: a one-point ρ grid tries only the top of the range,
-	// where the row floors 2αρ leave almost no feasible policy.
+	// a negative value is invalid, and so is 1: a one-point ρ grid tries
+	// only the top of the range, where the row floors 2αρ leave almost no
+	// feasible policy.
 	Rounds int
-	// Epsilon is the convergence target ε of Eq. (9); defaults to
-	// DefaultEpsilon.
+	// Epsilon is the convergence target ε of Eq. (9), in (0, 1). Zero
+	// defaults to DefaultEpsilon.
 	Epsilon float64
 	// AveragingBlend selects the Section III-D extension mode: the worker
 	// update is AD-PSGD's fixed averaging x_i ← (x_i+x_j)/2 instead of the
@@ -74,7 +75,8 @@ var ErrNoFeasiblePolicy = errors.New("policy: no feasible policy found")
 // ErrInvalidInput is returned, wrapped with the offending entry, when
 // Generate is given a malformed Input: an empty, ragged or non-square
 // Times or Adj, a NaN, infinite or negative time on an edge, a learning
-// rate that is not a positive finite number, or Rounds 1. Validate returns
+// rate that is not a positive finite number, a negative Rounds or Rounds
+// 1, or a nonzero Epsilon outside (0, 1). Validate returns
 // it for a policy no worker may adopt.
 var ErrInvalidInput = errors.New("policy: invalid input")
 
@@ -123,8 +125,14 @@ func (in *Input) validate() error {
 	if !(in.Alpha > 0) || math.IsInf(in.Alpha, 1) {
 		return fmt.Errorf("%w: learning rate %v", ErrInvalidInput, in.Alpha)
 	}
+	if in.Rounds < 0 {
+		return fmt.Errorf("%w: rounds %d; use 0 for the default or at least 2", ErrInvalidInput, in.Rounds)
+	}
 	if in.Rounds == 1 {
 		return fmt.Errorf("%w: rounds 1 gives a one-point grid; use 0 for the default or at least 2", ErrInvalidInput)
+	}
+	if in.Epsilon != 0 && !(in.Epsilon > 0 && in.Epsilon < 1) {
+		return fmt.Errorf("%w: epsilon %v outside (0, 1); use 0 for the default", ErrInvalidInput, in.Epsilon)
 	}
 	for i := 0; i < m; i++ {
 		if len(in.Times[i]) != m || len(in.Adj[i]) != m {
@@ -348,11 +356,11 @@ const (
 // generate is Generate on a validated Input.
 func generate(in Input) (*Policy, error) {
 	rounds := in.Rounds
-	if rounds <= 0 {
+	if rounds == 0 {
 		rounds = DefaultRounds
 	}
 	eps := in.Epsilon
-	if eps <= 0 || eps >= 1 {
+	if eps == 0 {
 		eps = DefaultEpsilon
 	}
 	s := newSearch(in, eps)

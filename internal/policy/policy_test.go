@@ -395,16 +395,21 @@ func TestGenerateRejectsInvalidInput(t *testing.T) {
 	full3 := simnet.FullyConnected(3)
 	good := [][]float64{{0, 1, 2}, {1, 0, 2}, {2, 1, 0}}
 	cases := map[string]Input{
-		"empty":          {Alpha: 0.1},
-		"ragged times":   {Times: [][]float64{{0, 1, 2}, {1, 0}, {2, 1, 0}}, Adj: full3, Alpha: 0.1},
-		"ragged adj":     {Times: good, Adj: [][]bool{{false, true, true}, {true, false}, {true, true, false}}, Alpha: 0.1},
-		"negative time":  {Times: [][]float64{{0, -1, 2}, {-1, 0, 2}, {2, 2, 0}}, Adj: full3, Alpha: 0.1},
-		"NaN time":       {Times: [][]float64{{0, math.NaN(), 2}, {1, 0, 2}, {2, 1, 0}}, Adj: full3, Alpha: 0.1},
-		"infinite time":  {Times: [][]float64{{0, 1, 2}, {1, 0, math.Inf(1)}, {2, 1, 0}}, Adj: full3, Alpha: 0.1},
-		"zero alpha":     {Times: good, Adj: full3},
-		"negative alpha": {Times: good, Adj: full3, Alpha: -0.1},
-		"NaN alpha":      {Times: good, Adj: full3, Alpha: math.NaN()},
-		"one round":      {Times: good, Adj: full3, Alpha: 0.1, Rounds: 1},
+		"empty":            {Alpha: 0.1},
+		"ragged times":     {Times: [][]float64{{0, 1, 2}, {1, 0}, {2, 1, 0}}, Adj: full3, Alpha: 0.1},
+		"ragged adj":       {Times: good, Adj: [][]bool{{false, true, true}, {true, false}, {true, true, false}}, Alpha: 0.1},
+		"negative time":    {Times: [][]float64{{0, -1, 2}, {-1, 0, 2}, {2, 2, 0}}, Adj: full3, Alpha: 0.1},
+		"NaN time":         {Times: [][]float64{{0, math.NaN(), 2}, {1, 0, 2}, {2, 1, 0}}, Adj: full3, Alpha: 0.1},
+		"infinite time":    {Times: [][]float64{{0, 1, 2}, {1, 0, math.Inf(1)}, {2, 1, 0}}, Adj: full3, Alpha: 0.1},
+		"zero alpha":       {Times: good, Adj: full3},
+		"negative alpha":   {Times: good, Adj: full3, Alpha: -0.1},
+		"NaN alpha":        {Times: good, Adj: full3, Alpha: math.NaN()},
+		"one round":        {Times: good, Adj: full3, Alpha: 0.1, Rounds: 1},
+		"negative rounds":  {Times: good, Adj: full3, Alpha: 0.1, Rounds: -5},
+		"epsilon above 1":  {Times: good, Adj: full3, Alpha: 0.1, Epsilon: 5},
+		"epsilon of 1":     {Times: good, Adj: full3, Alpha: 0.1, Epsilon: 1},
+		"negative epsilon": {Times: good, Adj: full3, Alpha: 0.1, Epsilon: -0.01},
+		"NaN epsilon":      {Times: good, Adj: full3, Alpha: 0.1, Epsilon: math.NaN()},
 	}
 	for name, in := range cases {
 		if _, err := Generate(in); !errors.Is(err, ErrInvalidInput) {

@@ -119,7 +119,8 @@ func (r *Manifest) engineRunner() (func(*engine.Config) *engine.Result, error) {
 }
 
 // coreOptions converts the resolved NetMax block, which Resolved fills in
-// for every algorithm that runs the monitor, into core.Options.
+// for every algorithm that runs the monitor on either runtime, into
+// core.Options.
 func (r *Manifest) coreOptions() core.Options {
 	nm := r.NetMax
 	return core.Options{
@@ -278,31 +279,28 @@ func (m *Manifest) BuildLive() (live.Config, *transport.Hub, func() error, error
 	if err != nil {
 		return live.Config{}, nil, noop, err
 	}
-	l := r.Live
-	// Negative manifest values disable the pull deadline and eviction,
-	// which live.Config encodes as zero.
-	cfg := live.Config{
-		Spec:         spec,
-		Part:         part,
-		Test:         test,
-		LR:           r.LR,
-		Batch:        r.Batch,
-		Seed:         r.Seed,
-		Ts:           time.Duration(l.TsMillis) * time.Millisecond,
-		Beta:         l.Beta,
-		Duration:     time.Duration(l.DurationSecs * float64(time.Second)),
-		Iterations:   l.Iterations,
-		Uniform:      l.Uniform,
-		Codec:        cdc,
-		PullTimeout:  time.Duration(max(l.PullTimeoutSecs, 0) * float64(time.Second)),
-		StalePeriods: max(l.StalePeriods, 0),
+	failures, err := r.buildFailures()
+	if err != nil {
+		return live.Config{}, nil, noop, err
 	}
-	for _, ev := range l.Churn {
-		cfg.Churn = append(cfg.Churn, live.ChurnEvent{
-			Worker: ev.Worker,
-			At:     time.Duration(ev.AtSecs * float64(time.Second)),
-			Rejoin: time.Duration(ev.RejoinSecs * float64(time.Second)),
-		})
+	l := r.Live
+	opts := r.coreOptions()
+	opts.Ts = float64(l.TsMillis) / 1000
+	// A negative manifest pull timeout disables the deadline, which
+	// live.Config encodes as zero.
+	cfg := live.Config{
+		Spec:        spec,
+		Part:        part,
+		Test:        test,
+		LR:          r.LR,
+		Batch:       r.Batch,
+		Seed:        r.Seed,
+		NetMax:      opts,
+		Duration:    time.Duration(l.DurationSecs * float64(time.Second)),
+		Iterations:  l.Iterations,
+		Codec:       cdc,
+		PullTimeout: time.Duration(max(l.PullTimeoutSecs, 0) * float64(time.Second)),
+		Failures:    failures,
 	}
 	if l.Transport == "tcp" {
 		hub, err := transport.NewTCPHub()

@@ -28,7 +28,7 @@ var kindProbes = []struct {
 // table's first column, and every field named there must exist. Each
 // block's row (topology, network, …, quick) must also name, backticked,
 // every json field of that block's struct and of the structs its fields
-// hold (live.latency.*, live.churn[].*, failures.events[].*). The rows of
+// hold (live.latency.*, failures.events[].*). The rows of
 // the blocks in kindProbes must name every kind (and preset) the validator
 // accepts, and name nothing else but the block's own fields.
 func TestReadmeSchemaInSync(t *testing.T) {
@@ -82,7 +82,7 @@ func TestReadmeSchemaInSync(t *testing.T) {
 		}
 		// A block: its row must name each of the block's own fields, and
 		// each field of a struct nested one level deeper (live.latency,
-		// live.churn[], failures.events[], …).
+		// failures.events[], …).
 		block := f.Type.Elem()
 		fields[name] = map[string]bool{}
 		for j := 0; j < block.NumField(); j++ {

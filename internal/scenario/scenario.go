@@ -45,9 +45,9 @@ import (
 //
 // Zero values mean "use the documented default"; Resolved returns a copy
 // with every default made explicit. Engine-runtime manifests may set
-// Topology, Network, Compute, Failures, NetMax and Output; live-runtime
-// manifests use Live instead. Partition, Codec and Quick serve both
-// runtimes.
+// Topology, Network, Compute and Output; live-runtime manifests set Live
+// instead. Partition, Codec, Failures, NetMax and Quick serve both
+// runtimes, less the few knobs a live group cannot honour.
 type Manifest struct {
 	// Name identifies the scenario; it becomes the output directory name,
 	// so it must be non-empty and contain no path separators.
@@ -61,7 +61,8 @@ type Manifest struct {
 	// Algorithm names the training approach. Engine runtime accepts
 	// netmax (default), adpsgd, adpsgd-monitor, saps, hop, allreduce,
 	// dpsgd, prague, ps-sync, ps-async. Live runtime runs
-	// NetMax (or uniform AD-PSGD-style selection via live.uniform).
+	// NetMax (or uniform AD-PSGD-style selection via
+	// netmax.uniform_policy).
 	Algorithm string `json:"algorithm,omitempty"`
 	// HopStaleness is Hop's staleness bound (algorithm "hop" only;
 	// 0 selects the baseline default).
@@ -170,19 +171,21 @@ type CodecSpec struct {
 	Name string `json:"name"`
 }
 
-// FailureSpec is the declarative form of simnet.FailureSchedule. Engine-only.
+// FailureSpec is the declarative form of simnet.FailureSchedule, in virtual
+// seconds on the engine and wall-clock seconds since the start on live,
+// which takes crash and leave events only.
 type FailureSpec struct {
 	// DetectSecs is the simulated pull deadline charged for a pull at an
-	// unresponsive peer; 0 selects simnet.DefaultDetectSecs.
+	// unresponsive peer; 0 selects simnet.DefaultDetectSecs. Engine-only.
 	DetectSecs float64 `json:"detect_secs,omitempty"`
 	// Events lists the scheduled failures.
 	Events []FailureEvent `json:"events,omitempty"`
 	// RandomChurn adds a deterministic random crash schedule on top of
-	// Events.
+	// Events. Engine-only.
 	RandomChurn *RandomChurnSpec `json:"random_churn,omitempty"`
 }
 
-// FailureEvent is one scheduled churn event on the virtual clock.
+// FailureEvent is one scheduled churn event.
 type FailureEvent struct {
 	// Kind: "crash" (Worker, At, Rejoin), "hang" (Worker, At, Until),
 	// "leave" (Worker, At), or "blackout" (A, B, At, Until).
@@ -207,11 +210,11 @@ type RandomChurnSpec struct {
 }
 
 // NetMaxSpec tunes the NetMax monitor/policy loop (algorithms "netmax" and
-// "adpsgd-monitor" only). Engine-only; the live runtime's knobs are in
-// LiveSpec.
+// "adpsgd-monitor" only) on both runtimes.
 type NetMaxSpec struct {
 	// TsSecs is the Network Monitor period in virtual seconds (default
-	// 2.4, the paper's 120s over the 50x time scale).
+	// 2.4, the paper's 120s over the 50x time scale). Engine-only: a live
+	// monitor's wall-clock period is live.ts_millis.
 	TsSecs float64 `json:"ts_secs,omitempty"`
 	// Beta is the EMA smoothing factor (default 0.5).
 	Beta float64 `json:"beta,omitempty"`
@@ -219,12 +222,14 @@ type NetMaxSpec struct {
 	PolicyRounds int `json:"policy_rounds,omitempty"`
 	// UniformPolicy disables the adaptive policy (the uniform ablation).
 	UniformPolicy bool `json:"uniform_policy,omitempty"`
-	// StalePeriods enables monitor liveness eviction (0 disables — the
-	// right setting for failure-free runs).
+	// StalePeriods enables monitor liveness eviction. On the engine 0
+	// disables it, the right setting for failure-free runs; on live 0
+	// selects the default of 3 periods.
 	StalePeriods int `json:"stale_periods,omitempty"`
 }
 
-// LiveSpec configures the live (goroutine / TCP) runtime.
+// LiveSpec configures what only the live (goroutine / TCP) runtime has;
+// its monitor and churn are in NetMaxSpec and FailureSpec.
 type LiveSpec struct {
 	// Transport: "local" (default; in-memory pipes, injectable latency) or
 	// "tcp" (loopback sockets). Both speak the binary wire protocol.
@@ -239,17 +244,8 @@ type LiveSpec struct {
 	// PullTimeoutSecs bounds every model pull and monitor exchange;
 	// 0 selects the 2s default, negative disables deadlines.
 	PullTimeoutSecs float64 `json:"pull_timeout_secs,omitempty"`
-	// StalePeriods configures monitor liveness eviction; 0 selects the
-	// default of 3, negative disables.
-	StalePeriods int `json:"stale_periods,omitempty"`
-	// Uniform disables the adaptive policy (AD-PSGD-style selection).
-	Uniform bool `json:"uniform,omitempty"`
-	// Beta is the EMA smoothing factor (default 0.5).
-	Beta float64 `json:"beta,omitempty"`
 	// Latency injects artificial latency on the local transport.
 	Latency *LatencySpec `json:"latency,omitempty"`
-	// Churn schedules wall-clock crash/rejoin events.
-	Churn []LiveChurnEvent `json:"churn,omitempty"`
 }
 
 // LatencySpec emulates a two-tier network on the in-process transport: the
@@ -261,14 +257,6 @@ type LatencySpec struct {
 	// non-co-located ones — the "same side" rule), InterMillis across.
 	IntraMillis float64 `json:"intra_millis"`
 	InterMillis float64 `json:"inter_millis"`
-}
-
-// LiveChurnEvent schedules one wall-clock crash; RejoinSecs at or before
-// AtSecs means the worker leaves permanently.
-type LiveChurnEvent struct {
-	Worker     int     `json:"worker"`
-	AtSecs     float64 `json:"at_secs"`
-	RejoinSecs float64 `json:"rejoin_secs,omitempty"`
 }
 
 // OutputSpec selects what a run writes next to its resolved manifest.
@@ -424,12 +412,6 @@ func (m *Manifest) Resolved() *Manifest {
 		if l.PullTimeoutSecs == 0 {
 			l.PullTimeoutSecs = DefaultPullTimeout
 		}
-		if l.StalePeriods == 0 {
-			l.StalePeriods = DefaultLiveStale
-		}
-		if l.Beta == 0 {
-			l.Beta = core.DefaultBeta
-		}
 	default: // engine
 		if r.Epochs == 0 {
 			r.Epochs = DefaultEpochs
@@ -463,20 +445,25 @@ func (m *Manifest) Resolved() *Manifest {
 		if r.Failures != nil && r.Failures.DetectSecs == 0 {
 			r.Failures.DetectSecs = simnet.DefaultDetectSecs
 		}
-		if usesMonitor(r.Algorithm) {
-			if r.NetMax == nil {
-				r.NetMax = &NetMaxSpec{}
+	}
+	if usesMonitor(r.Algorithm) {
+		if r.NetMax == nil {
+			r.NetMax = &NetMaxSpec{}
+		}
+		nm := r.NetMax
+		// Live takes its period from live.ts_millis and evicts by default.
+		if r.Runtime == "live" {
+			if nm.StalePeriods == 0 {
+				nm.StalePeriods = DefaultLiveStale
 			}
-			nm := r.NetMax
-			if nm.TsSecs == 0 {
-				nm.TsSecs = DefaultMonitorTs
-			}
-			if nm.Beta == 0 {
-				nm.Beta = core.DefaultBeta
-			}
-			if nm.PolicyRounds == 0 {
-				nm.PolicyRounds = policy.DefaultRounds
-			}
+		} else if nm.TsSecs == 0 {
+			nm.TsSecs = DefaultMonitorTs
+		}
+		if nm.Beta == 0 {
+			nm.Beta = core.DefaultBeta
+		}
+		if nm.PolicyRounds == 0 {
+			nm.PolicyRounds = policy.DefaultRounds
 		}
 	}
 	return r
@@ -726,8 +713,18 @@ func validateEngine(e *errorList, m, r *Manifest) {
 	validateTopologyNetwork(e, r)
 	validateCompute(e, r)
 	validateFailures(e, r)
+	validateNetMax(e, r)
+}
+
+// validateNetMax checks the resolved NetMax block of either runtime; only
+// the engine reads ts_secs.
+func validateNetMax(e *errorList, r *Manifest) {
 	if nm := r.NetMax; nm != nil {
-		if nm.TsSecs <= 0 {
+		if r.Runtime == "live" {
+			if nm.TsSecs != 0 {
+				e.addf("netmax.ts_secs is engine-only (a live monitor's period is live.ts_millis)")
+			}
+		} else if nm.TsSecs <= 0 {
 			e.addf("netmax.ts_secs must be positive, got %g", nm.TsSecs)
 		}
 		if nm.Beta <= 0 || nm.Beta >= 1 {
@@ -857,8 +854,6 @@ func validateLive(e *errorList, m, r *Manifest) {
 		{"topology", m.Topology != nil},
 		{"network", m.Network != nil},
 		{"compute", m.Compute != nil},
-		{"failures", m.Failures != nil},
-		{"netmax", m.NetMax != nil},
 		{"epochs", m.Epochs != 0},
 		{"lr_decay_epoch", m.LRDecayEpoch != 0},
 		{"overlap", m.Overlap != nil},
@@ -871,7 +866,7 @@ func validateLive(e *errorList, m, r *Manifest) {
 		}
 	}
 	if r.Algorithm != "netmax" {
-		e.addf("live runtime runs the NetMax group (algorithm %q unsupported; use live.uniform for AD-PSGD-style selection)", r.Algorithm)
+		e.addf("live runtime runs the NetMax group (algorithm %q unsupported; use netmax.uniform_policy for AD-PSGD-style selection)", r.Algorithm)
 	}
 	if r.Partition.Kind == "segments" {
 		e.addf("segments partition is engine-only (live workers share one batch size)")
@@ -882,9 +877,6 @@ func validateLive(e *errorList, m, r *Manifest) {
 	}
 	if l.TsMillis <= 0 {
 		e.addf("live.ts_millis must be positive, got %d", l.TsMillis)
-	}
-	if l.Beta <= 0 || l.Beta >= 1 {
-		e.addf("live.beta must be in (0, 1), got %g", l.Beta)
 	}
 	if l.DurationSecs < 0 {
 		e.addf("live.duration_secs must be >= 0, got %g", l.DurationSecs)
@@ -906,12 +898,19 @@ func validateLive(e *errorList, m, r *Manifest) {
 			e.addf("live.latency millis must be >= 0")
 		}
 	}
-	for i, ev := range l.Churn {
-		if ev.Worker < 0 || ev.Worker >= r.Workers {
-			e.addf("live churn event %d: worker %d outside [0, %d)", i, ev.Worker, r.Workers)
+	if f := r.Failures; f != nil {
+		if f.DetectSecs != 0 {
+			e.addf("failures.detect_secs is engine-only (a live pull's deadline is live.pull_timeout_secs)")
 		}
-		if ev.AtSecs < 0 {
-			e.addf("live churn event %d: at_secs must be >= 0, got %g", i, ev.AtSecs)
+		if f.RandomChurn != nil {
+			e.addf("failures.random_churn is engine-only (live runs list their events)")
+		}
+		for i, ev := range f.Events {
+			if ev.Kind == "hang" || ev.Kind == "blackout" {
+				e.addf("failure event %d: kind %q is engine-only (the live runtime injects crash and leave)", i, ev.Kind)
+			}
 		}
 	}
+	validateFailures(e, r)
+	validateNetMax(e, r)
 }

@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"netmax/internal/core"
 	"netmax/internal/live"
+	"netmax/internal/simnet"
 )
 
 // minimal returns the smallest interesting engine manifest: quick to run,
@@ -51,6 +53,12 @@ func TestResolvedFixedPoint(t *testing.T) {
 		{
 			Name: "t-live", Runtime: "live", Model: "MobileNet", Dataset: "MNIST",
 			Live: &LiveSpec{Iterations: 10, Latency: &LatencySpec{Colocated: 2, IntraMillis: 1, InterMillis: 6}},
+		},
+		{
+			Name: "t-live-churn", Runtime: "live", Model: "MobileNet", Dataset: "MNIST",
+			Live:     &LiveSpec{DurationSecs: 1},
+			NetMax:   &NetMaxSpec{UniformPolicy: true},
+			Failures: &FailureSpec{Events: []FailureEvent{{Kind: "crash", Worker: 1, At: 0.2, Rejoin: 0.6}}},
 		},
 		{
 			Name: "t-churn", Workers: 4, Network: &NetworkSpec{Kind: "homogeneous"},
@@ -147,8 +155,19 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		{"live with engine block", `{"name": "x", "runtime": "live", "epochs": 4, "live": {"iterations": 5}}`, "engine-only"},
 		{"engine with live block", `{"name": "x", "live": {"iterations": 5}}`, "only valid with runtime"},
 		{"live bad transport", `{"name": "x", "runtime": "live", "live": {"iterations": 5, "transport": "udp"}}`, "unknown live transport"},
-		{"live beta above 1", `{"name": "x", "runtime": "live", "live": {"iterations": 5, "beta": 1.5}}`, "live.beta must be in (0, 1)"},
-		{"live beta negative", `{"name": "x", "runtime": "live", "live": {"iterations": 5, "beta": -0.2}}`, "live.beta must be in (0, 1)"},
+		{"live beta above 1", `{"name": "x", "runtime": "live", "live": {"iterations": 5}, "netmax": {"beta": 1.5}}`, "netmax.beta must be in (0, 1)"},
+		{"live beta negative", `{"name": "x", "runtime": "live", "live": {"iterations": 5}, "netmax": {"beta": -0.2}}`, "netmax.beta must be in (0, 1)"},
+		{"live ts_secs", `{"name": "x", "runtime": "live", "live": {"iterations": 5}, "netmax": {"ts_secs": 1}}`, "netmax.ts_secs is engine-only"},
+		{"live detect_secs", `{"name": "x", "runtime": "live", "live": {"iterations": 5}, "failures": {"detect_secs": 1, "events": [{"kind": "leave", "worker": 1, "at": 1}]}}`, "failures.detect_secs is engine-only"},
+		{"live random churn", `{"name": "x", "runtime": "live", "live": {"iterations": 5}, "failures": {"random_churn": {"horizon_secs": 10, "crashes_per_worker": 1, "mean_down_secs": 1}}}`, "failures.random_churn is engine-only"},
+		{"live hang", `{"name": "x", "runtime": "live", "live": {"iterations": 5}, "failures": {"events": [{"kind": "hang", "worker": 1, "at": 1, "until": 2}]}}`, `kind "hang" is engine-only`},
+		{"live blackout", `{"name": "x", "runtime": "live", "live": {"iterations": 5}, "failures": {"events": [{"kind": "blackout", "a": 0, "b": 1, "at": 1, "until": 2}]}}`, `kind "blackout" is engine-only`},
+		{"live crash after rejoin", `{"name": "x", "runtime": "live", "live": {"iterations": 5}, "failures": {"events": [{"kind": "crash", "worker": 1, "at": 0.6, "rejoin": 0.2}]}}`, "must come after the crash"},
+		{"live one policy round", `{"name": "x", "runtime": "live", "live": {"iterations": 5}, "netmax": {"policy_rounds": 1}}`, "netmax.policy_rounds must be >= 2"},
+		{"live churn", `{"name": "x", "runtime": "live", "live": {"iterations": 5, "churn": [{"worker": 1, "at_secs": 0.2, "rejoin_secs": 0.6}]}}`, `unknown field "churn"`},
+		{"live beta", `{"name": "x", "runtime": "live", "live": {"iterations": 5, "beta": 0.3}}`, `unknown field "beta"`},
+		{"live uniform", `{"name": "x", "runtime": "live", "live": {"iterations": 5, "uniform": true}}`, `unknown field "uniform"`},
+		{"live stale_periods", `{"name": "x", "runtime": "live", "live": {"iterations": 5, "stale_periods": 2}}`, `unknown field "stale_periods"`},
 		{"live segments", `{"name": "x", "runtime": "live", "workers": 2, "partition": {"kind": "segments", "segments": [1, 2]}, "live": {"iterations": 5}}`, "engine-only"},
 		{"quick breaks segments", `{"name": "x", "partition": {"preset": "paper-8"}, "quick": {"workers": 4}}`, "quick overrides"},
 		{"bad quick", `{"name": "x", "quick": {"epochs": -1}}`, "epochs"},
@@ -329,27 +348,53 @@ func TestRunLive(t *testing.T) {
 	}
 }
 
-// TestBuildLiveConfigEncoding pins how BuildLive maps the live block onto
-// live.Config, which has one encoding: the library defaults become explicit
-// values, and the manifest's negative "disable" values become zero.
+// TestBuildLiveConfigEncoding pins how BuildLive maps a live manifest onto
+// live.Config, which has one encoding: the netmax block becomes the
+// core.Options the engine takes, with Ts the live.ts_millis period in
+// seconds and the library defaults explicit, and a negative pull timeout
+// becomes zero.
 func TestBuildLiveConfigEncoding(t *testing.T) {
-	build := func(l *LiveSpec) (time.Duration, time.Duration, int) {
+	build := func(l *LiveSpec, nm *NetMaxSpec) live.Config {
 		t.Helper()
-		m := &Manifest{Name: "t-live-encoding", Runtime: "live", Model: "MobileNet", Dataset: "MNIST", Live: l}
+		m := &Manifest{Name: "t-live-encoding", Runtime: "live", Model: "MobileNet", Dataset: "MNIST", Live: l, NetMax: nm}
 		cfg, _, closeHub, err := m.BuildLive()
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer closeHub()
-		return cfg.Ts, cfg.PullTimeout, cfg.StalePeriods
+		return cfg
 	}
-	ts, timeout, stale := build(&LiveSpec{Iterations: 1})
-	if ts != 500*time.Millisecond || timeout != 2*time.Second || stale != 3 {
-		t.Fatalf("defaults: Ts %v, PullTimeout %v, StalePeriods %d; want 500ms, 2s, 3", ts, timeout, stale)
+	cfg := build(&LiveSpec{Iterations: 1}, nil)
+	want := core.Options{Ts: 0.5, Beta: 0.5, PolicyRounds: 10, StalePeriods: 3}
+	if cfg.NetMax != want || cfg.PullTimeout != 2*time.Second || cfg.Failures != nil {
+		t.Fatalf("defaults: NetMax %+v, PullTimeout %v, Failures %v; want %+v, 2s, nil", cfg.NetMax, cfg.PullTimeout, cfg.Failures, want)
 	}
-	_, timeout, stale = build(&LiveSpec{Iterations: 1, PullTimeoutSecs: -1, StalePeriods: -1})
-	if timeout != 0 || stale != 0 {
-		t.Fatalf("disabled: PullTimeout %v, StalePeriods %d; want 0, 0", timeout, stale)
+	cfg = build(&LiveSpec{Iterations: 1, TsMillis: 200, PullTimeoutSecs: -1},
+		&NetMaxSpec{Beta: 0.3, PolicyRounds: 4, UniformPolicy: true, StalePeriods: 5})
+	want = core.Options{Ts: 0.2, Beta: 0.3, PolicyRounds: 4, UniformPolicy: true, StalePeriods: 5}
+	if cfg.NetMax != want || cfg.PullTimeout != 0 {
+		t.Fatalf("set: NetMax %+v, PullTimeout %v; want %+v, 0", cfg.NetMax, cfg.PullTimeout, want)
+	}
+}
+
+// TestBuildLiveFailures checks that a live manifest takes the engine's
+// failures block: crash and leave events validate, and BuildLive hands
+// live.Config the schedule the engine would build from them.
+func TestBuildLiveFailures(t *testing.T) {
+	m, err := Parse([]byte(`{"name": "t-live-failures", "runtime": "live", "model": "MobileNet", "dataset": "MNIST",
+		"workers": 3, "live": {"iterations": 1},
+		"failures": {"events": [{"kind": "crash", "worker": 1, "at": 0.2, "rejoin": 0.6}, {"kind": "leave", "worker": 2, "at": 0.5}]}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, _, closeHub, err := m.BuildLive()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeHub()
+	want := simnet.NewFailureSchedule().Crash(1, 0.2, 0.6).Leave(2, 0.5).Events()
+	if cfg.Failures == nil || !reflect.DeepEqual(cfg.Failures.Events(), want) {
+		t.Fatalf("live.Config.Failures = %+v, want events %+v", cfg.Failures, want)
 	}
 }
 

@@ -43,7 +43,9 @@ type Failure struct {
 // FailureSchedule is a deterministic schedule of churn events on the
 // virtual clock, the failure counterpart of the Network's slowdown
 // schedule. An empty schedule injects nothing: the engine treats it exactly
-// like a nil one, which the bitwise-determinism gate relies on.
+// like a nil one, which the bitwise-determinism gate relies on. The live
+// runtime reads the same schedule on the wall clock, in seconds since its
+// run started, and injects its crashes and leaves.
 type FailureSchedule struct {
 	events []Failure
 
@@ -68,9 +70,8 @@ func NewFailureSchedule() *FailureSchedule {
 
 // Crash schedules worker w to crash at virtual time `at` and rejoin, with
 // the parameters it held when it crashed, at `rejoin`. A rejoin at or
-// before the crash time means the worker never comes back — the same
-// convention as the live runtime's ChurnEvent — so the call degrades to
-// Leave instead of silently scheduling an empty interval.
+// before the crash time means the worker never comes back, so the call
+// degrades to Leave instead of silently scheduling an empty interval.
 func (s *FailureSchedule) Crash(w int, at, rejoin float64) *FailureSchedule {
 	if rejoin <= at {
 		return s.Leave(w, at)

@@ -62,8 +62,8 @@ func TestFailureScheduleNextUp(t *testing.T) {
 }
 
 func TestCrashWithoutRejoinIsLeave(t *testing.T) {
-	// Crash(w, at, rejoin <= at) follows the live ChurnEvent convention:
-	// the worker leaves permanently instead of a silent zero-length no-op.
+	// Crash(w, at, rejoin <= at) means the worker leaves permanently
+	// instead of a silent zero-length no-op.
 	s := NewFailureSchedule().Crash(0, 10, 0)
 	if !s.Down(0, 10) || !s.Down(0, 1e12) {
 		t.Fatal("rejoin <= at must mean a permanent leave")
