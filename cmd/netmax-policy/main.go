@@ -8,7 +8,7 @@
 //	{"alpha": 0.1, "times": [[0,1,9],[1,0,2],[9,2,0]]}
 //
 // Missing adjacency means fully connected. Optional fields: "adj", "rounds"
-// (Algorithm 3's grid size K = R, at least 2) and "epsilon" (Eq. 9's
+// (Algorithm 3's grid size K = R, 2 to 64) and "epsilon" (Eq. 9's
 // target, in (0, 1)); zero or absent selects the default. Unknown fields
 // and data after the object are errors.
 //

@@ -10,19 +10,20 @@ import (
 // index out of range (ragged times, ragged adjacency), print a policy for
 // impossible link times (negative times), or silently run the defaults (a
 // misspelled or retired field such as the old outer_rounds, a stray
-// closing brace, a negative rounds or an epsilon outside (0, 1)), or report
-// a one-point grid as "no feasible policy": each now exits 1 with a message
-// naming the fault.
+// closing brace, a negative rounds or an epsilon outside (0, 1)), report
+// a one-point grid as "no feasible policy", or score a grid too large to
+// finish: each now exits 1 with a message naming the fault.
 func TestMalformedInputExitsWithMessage(t *testing.T) {
 	for name, c := range map[string]struct{ in, msg string }{
-		"ragged times":    {`{"alpha":0.1,"times":[[0,1,2],[1,0],[2,1,0]]}`, "policy: invalid input"},
-		"ragged adj":      {`{"alpha":0.1,"times":[[0,1,2],[1,0,2],[2,1,0]],"adj":[[false,true,true],[true,false],[true,true,false]]}`, "policy: invalid input"},
-		"negative times":  {`{"alpha":0.1,"times":[[0,-1,2],[-1,0,2],[2,2,0]]}`, "policy: invalid input"},
-		"unknown field":   {`{"alpha":0.1,"times":[[0,1],[1,0]],"outer_rounds":5}`, `unknown field "outer_rounds"`},
-		"stray brace":     {`{"alpha":0.1,"times":[[0,1],[1,0]]}}`, "trailing data"},
-		"one round":       {`{"alpha":0.1,"times":[[0,1,9],[1,0,2],[9,2,0]],"rounds":1}`, "policy: invalid input: rounds 1"},
-		"negative rounds": {`{"alpha":0.1,"times":[[0,1,9],[1,0,2],[9,2,0]],"rounds":-5}`, "policy: invalid input: rounds -5"},
-		"epsilon above 1": {`{"alpha":0.1,"times":[[0,1,9],[1,0,2],[9,2,0]],"epsilon":5}`, "policy: invalid input: epsilon 5"},
+		"ragged times":     {`{"alpha":0.1,"times":[[0,1,2],[1,0],[2,1,0]]}`, "policy: invalid input"},
+		"ragged adj":       {`{"alpha":0.1,"times":[[0,1,2],[1,0,2],[2,1,0]],"adj":[[false,true,true],[true,false],[true,true,false]]}`, "policy: invalid input"},
+		"negative times":   {`{"alpha":0.1,"times":[[0,-1,2],[-1,0,2],[2,2,0]]}`, "policy: invalid input"},
+		"unknown field":    {`{"alpha":0.1,"times":[[0,1],[1,0]],"outer_rounds":5}`, `unknown field "outer_rounds"`},
+		"stray brace":      {`{"alpha":0.1,"times":[[0,1],[1,0]]}}`, "trailing data"},
+		"one round":        {`{"alpha":0.1,"times":[[0,1,9],[1,0,2],[9,2,0]],"rounds":1}`, "policy: invalid input: rounds 1"},
+		"negative rounds":  {`{"alpha":0.1,"times":[[0,1,9],[1,0,2],[9,2,0]],"rounds":-5}`, "policy: invalid input: rounds -5"},
+		"rounds above cap": {`{"alpha":0.1,"times":[[0,1,9],[1,0,2],[9,2,0]],"rounds":65}`, "policy: invalid input: rounds 65"},
+		"epsilon above 1":  {`{"alpha":0.1,"times":[[0,1,9],[1,0,2],[9,2,0]],"epsilon":5}`, "policy: invalid input: epsilon 5"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(nil, strings.NewReader(c.in), &stdout, &stderr); code != 1 {

@@ -40,7 +40,6 @@ func (u *uniformAsync) Plan(i int, now float64, rng *rand.Rand) engine.Pull {
 }
 
 func (u *uniformAsync) OnIterationEnd(i, j int, s, now float64) {}
-func (u *uniformAsync) Tick(now float64)                        {}
 
 // OnMembership rebuilds the uniform selection over the live subgraph so
 // crashed peers stop being selected and rejoining ones are re-admitted.

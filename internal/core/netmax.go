@@ -97,10 +97,20 @@ func newBehavior(cfg *engine.Config, opts Options, averaging bool) *behavior {
 	}
 }
 
-// Plan samples worker i's peer from its policy row (Algorithm 2 line 9;
-// p[i][i] mass means "no pull this iteration") and weighs the pulled model
-// as the node decides (lines 13-14, Node.Coef and Node.TwoSided).
+// Plan first runs the Network Monitor's periodic policy regeneration and
+// hands every worker the new policy; under UniformPolicy there is nothing to
+// hand out, so the monitor is never asked to generate one. It then samples
+// worker i's peer from its policy row (Algorithm 2 line 9; p[i][i] mass
+// means "no pull this iteration") and weighs the pulled model as the node
+// decides (lines 13-14, Node.Coef and Node.TwoSided).
 func (b *behavior) Plan(i int, now float64, rng *rand.Rand) engine.Pull {
+	if !b.opts.UniformPolicy {
+		if pol, ok := b.mon.MaybeRegenerate(now); ok {
+			for _, n := range b.nodes {
+				n.Adopt(pol.P, pol.Rho)
+			}
+		}
+	}
 	n := b.nodes[i]
 	j := n.Select(rng)
 	if j == i {
@@ -111,7 +121,7 @@ func (b *behavior) Plan(i int, now float64, rng *rand.Rand) engine.Pull {
 
 // OnMembership masks crashed peers out of every worker's selection at once
 // and feeds the membership to the monitor, which forces a policy
-// regeneration over the live subgraph at the next Tick (the row LPs
+// regeneration over the live subgraph at the next Plan (the row LPs
 // re-solve on every membership change).
 func (b *behavior) OnMembership(alive []bool, now float64) {
 	for _, n := range b.nodes {
@@ -126,22 +136,6 @@ func (b *behavior) OnMembership(alive []bool, now float64) {
 // vector and reports it to the monitor, which ignores self reports.
 func (b *behavior) OnIterationEnd(i, j int, iterSecs, now float64) {
 	b.mon.ObserveAt(i, j, b.nodes[i].Observe(j, iterSecs), now)
-}
-
-// Tick runs the Network Monitor's periodic policy regeneration and hands
-// every worker the new policy. Under UniformPolicy there is nothing to
-// hand out, so the monitor is never asked to generate one.
-func (b *behavior) Tick(now float64) {
-	if b.opts.UniformPolicy {
-		return
-	}
-	pol, ok := b.mon.MaybeRegenerate(now)
-	if !ok {
-		return
-	}
-	for _, n := range b.nodes {
-		n.Adopt(pol.P, pol.Rho)
-	}
 }
 
 // Run trains with NetMax under cfg and returns the aggregated result.

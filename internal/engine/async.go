@@ -15,16 +15,14 @@ import (
 // and what periodic control runs alongside.
 type AsyncBehavior interface {
 	// Plan returns worker i's pull for the iteration starting at virtual
-	// time now.
+	// time now. The engine calls it on every admitted event in time order,
+	// so it is also where periodic control runs: the Network Monitor's
+	// policy regeneration (Algorithm 1).
 	Plan(i int, now float64, rng *rand.Rand) Pull
 	// OnIterationEnd reports the measured iteration time, which behaviors
 	// with a Network Monitor feed into their EMA time vectors
 	// (Algorithm 2 line 16).
 	OnIterationEnd(i, j int, iterSecs, now float64)
-	// Tick runs periodic control at virtual time now — the Network
-	// Monitor's policy regeneration (Algorithm 1). No-op for static
-	// behaviors.
-	Tick(now float64)
 }
 
 // Pull is one worker's plan for an iteration.
@@ -215,7 +213,6 @@ func RunAsync(cfg *Config, b AsyncBehavior, algo string) *Result {
 				break
 			}
 		}
-		b.Tick(now)
 		w := ws[i]
 		pull := b.Plan(i, now, w.Rng)
 		if pull.Until > now {

@@ -26,7 +26,6 @@ func (s *membershipRecorder) Plan(i int, now float64, rng *rand.Rand) Pull {
 	return Pull{Peer: j, Coef: 0.5, Share: 1}
 }
 func (s *membershipRecorder) OnIterationEnd(i, j int, t, now float64) {}
-func (s *membershipRecorder) Tick(now float64)                        {}
 func (s *membershipRecorder) OnMembership(alive []bool, now float64) {
 	if s.dead == nil {
 		s.dead = make([]bool, s.m)

@@ -209,7 +209,7 @@ func tridiagonalQL(d, e []float64) error {
 			}
 			// Wilkinson shift from the leading 2x2 block.
 			g := (d[l+1] - d[l]) / (2 * e[l])
-			r := math.Hypot(g, 1)
+			r := hypot(g, 1)
 			if g < 0 {
 				r = -r
 			}
@@ -219,7 +219,7 @@ func tridiagonalQL(d, e []float64) error {
 			for ; i >= l; i-- {
 				f := s * e[i]
 				b := c * e[i]
-				r = math.Hypot(f, g)
+				r = hypot(f, g)
 				e[i+1] = r
 				if r == 0 {
 					// Underflow: deflate and restart from l.

@@ -213,8 +213,8 @@ func (mo *Monitor) coverage(alive []bool) bool {
 // the live subgraph. Otherwise ok=false.
 func (mo *Monitor) MaybeRegenerate(now float64) (*policy.Policy, bool) {
 	mo.mu.Lock()
-	// Allocation-free fast path: Tick calls this on every event, so the
-	// liveness vector is only materialized once a regeneration is due.
+	// Allocation-free fast path: the engine calls this on every event, so
+	// the liveness vector is only materialized once a regeneration is due.
 	changed := false
 	for i := 0; i < mo.m; i++ {
 		if mo.aliveAt(i, now) != mo.lastAlive[i] {

@@ -38,7 +38,7 @@ type Input struct {
 	// loop (K) and its inner t̄ loop (R). Zero defaults to DefaultRounds;
 	// a negative value is invalid, and so is 1: a one-point ρ grid tries
 	// only the top of the range, where the row floors 2αρ leave almost no
-	// feasible policy.
+	// feasible policy. So is a value above MaxRounds.
 	Rounds int
 	// Epsilon is the convergence target ε of Eq. (9), in (0, 1). Zero
 	// defaults to DefaultEpsilon.
@@ -75,9 +75,9 @@ var ErrNoFeasiblePolicy = errors.New("policy: no feasible policy found")
 // ErrInvalidInput is returned, wrapped with the offending entry, when
 // Generate is given a malformed Input: an empty, ragged or non-square
 // Times or Adj, a NaN, infinite or negative time on an edge, a learning
-// rate that is not a positive finite number, a negative Rounds or Rounds
-// 1, or a nonzero Epsilon outside (0, 1). Validate returns
-// it for a policy no worker may adopt.
+// rate that is not a positive finite number, a negative Rounds, Rounds 1
+// or Rounds above MaxRounds, or a nonzero Epsilon outside (0, 1). Validate
+// returns it for a policy no worker may adopt.
 var ErrInvalidInput = errors.New("policy: invalid input")
 
 // rowSumTol is how far a policy row may sum from 1 and still be adopted:
@@ -130,6 +130,9 @@ func (in *Input) validate() error {
 	}
 	if in.Rounds == 1 {
 		return fmt.Errorf("%w: rounds 1 gives a one-point grid; use 0 for the default or at least 2", ErrInvalidInput)
+	}
+	if in.Rounds > MaxRounds {
+		return fmt.Errorf("%w: rounds %d above the cap of %d", ErrInvalidInput, in.Rounds, MaxRounds)
 	}
 	if in.Epsilon != 0 && !(in.Epsilon > 0 && in.Epsilon < 1) {
 		return fmt.Errorf("%w: epsilon %v outside (0, 1); use 0 for the default", ErrInvalidInput, in.Epsilon)
@@ -352,6 +355,11 @@ const (
 	DefaultRounds  = 10
 	DefaultEpsilon = 1e-2
 )
+
+// MaxRounds caps the grid size: one regeneration scores Rounds² candidates,
+// and each candidate solves every row, so an unbounded value turns a valid
+// input into a run that never ends. The largest grid in use is 20.
+const MaxRounds = 64
 
 // generate is Generate on a validated Input.
 func generate(in Input) (*Policy, error) {

@@ -406,6 +406,7 @@ func TestGenerateRejectsInvalidInput(t *testing.T) {
 		"NaN alpha":        {Times: good, Adj: full3, Alpha: math.NaN()},
 		"one round":        {Times: good, Adj: full3, Alpha: 0.1, Rounds: 1},
 		"negative rounds":  {Times: good, Adj: full3, Alpha: 0.1, Rounds: -5},
+		"rounds above cap": {Times: good, Adj: full3, Alpha: 0.1, Rounds: MaxRounds + 1},
 		"epsilon above 1":  {Times: good, Adj: full3, Alpha: 0.1, Epsilon: 5},
 		"epsilon of 1":     {Times: good, Adj: full3, Alpha: 0.1, Epsilon: 1},
 		"negative epsilon": {Times: good, Adj: full3, Alpha: 0.1, Epsilon: -0.01},

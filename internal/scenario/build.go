@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"netmax/internal/baselines"
@@ -15,61 +16,155 @@ import (
 	"netmax/internal/transport"
 )
 
+// runFunc runs one algorithm over a built engine configuration.
+type runFunc = func(*engine.Config) *engine.Result
+
+// algorithm is one entry of the algorithm table: how a kind runs and which
+// manifest settings it reads. Validation, the builders and suite expansion
+// all read a kind's properties here.
+type algorithm struct {
+	kind   string
+	newRun func(p *prepared) runFunc // the engine runner of a built manifest
+	// codecFailures: the kind runs on engine.RunAsync, the only engine loop
+	// that reads a codec or a failure schedule, and takes both. noFailures,
+	// for a kind that runs there yet takes neither, says why.
+	codecFailures bool
+	noFailures    string
+	parallelism   bool // computes a synchronous round's gradients concurrently
+	netmax        bool // runs the Network Monitor: reads the netmax block
+	hopStaleness  bool // takes hop_staleness
+	live          bool // also runs on the live runtime
+}
+
+// fixed is the runner constructor of a kind that reads no manifest setting.
+func fixed(run runFunc) func(*prepared) runFunc {
+	return func(*prepared) runFunc { return run }
+}
+
+// algorithms is the algorithm table, in the order error messages list it.
+var algorithms = []algorithm{
+	{kind: "netmax", codecFailures: true, netmax: true, live: true, newRun: func(p *prepared) runFunc {
+		return func(cfg *engine.Config) *engine.Result { return core.Run(cfg, p.opts) }
+	}},
+	{kind: "adpsgd", codecFailures: true, newRun: fixed(baselines.RunADPSGD)},
+	{kind: "adpsgd-monitor", codecFailures: true, netmax: true, newRun: func(p *prepared) runFunc {
+		return func(cfg *engine.Config) *engine.Result { return core.RunADPSGDMonitor(cfg, p.opts) }
+	}},
+	{kind: "saps", codecFailures: true, newRun: fixed(baselines.RunSAPS)},
+	{kind: "hop", hopStaleness: true,
+		noFailures: "cannot take one: a worker that leaves freezes the slowest-worker count, so the staleness gate would re-queue everyone forever",
+		newRun: func(p *prepared) runFunc {
+			return func(cfg *engine.Config) *engine.Result { return baselines.RunHop(cfg, p.r.HopStaleness) }
+		}},
+	{kind: "allreduce", parallelism: true, newRun: fixed(baselines.RunAllreduce)},
+	{kind: "dpsgd", parallelism: true, newRun: fixed(baselines.RunSyncDPSGD)},
+	{kind: "prague", newRun: fixed(baselines.RunPrague)},
+	{kind: "ps-sync", parallelism: true, newRun: fixed(baselines.RunPSSync)},
+	{kind: "ps-async", newRun: fixed(baselines.RunPSAsync)},
+}
+
+// lookupAlgorithm returns the table entry of kind; an unknown kind gets the
+// zero entry, which takes nothing.
+func lookupAlgorithm(kind string) (algorithm, bool) {
+	for _, a := range algorithms {
+		if a.kind == kind {
+			return a, true
+		}
+	}
+	return algorithm{}, false
+}
+
+// algorithmsWhere lists, in table order, the kinds for which has holds.
+func algorithmsWhere(has func(algorithm) bool) string {
+	var kinds []string
+	for _, a := range algorithms {
+		if has(a) {
+			kinds = append(kinds, a.kind)
+		}
+	}
+	return strings.Join(kinds, ", ")
+}
+
+// anyAlgorithm makes algorithmsWhere list every kind.
+func anyAlgorithm(algorithm) bool { return true }
+
+// prepared is one manifest made ready to run: validated and resolved once,
+// with what both runtimes read built from it.
+type prepared struct {
+	r           *Manifest
+	algo        algorithm
+	spec        nn.ModelSpec
+	train, test *data.Dataset
+	part        *data.Partition
+	codec       codec.Codec
+	failures    *simnet.FailureSchedule
+	opts        core.Options
+}
+
+// prepare validates and resolves m, then builds the model spec, the data,
+// its partition, the codec, the failure schedule and the NetMax options.
+func (m *Manifest) prepare() (*prepared, error) {
+	r, err := m.resolve()
+	if err != nil {
+		return nil, err
+	}
+	// Validation has checked every name and kind looked up from here on,
+	// so neither the lookups nor the builders can fail.
+	p := &prepared{r: r}
+	p.algo, _ = lookupAlgorithm(r.Algorithm)
+	p.spec, _ = nn.SpecByName(r.Model)
+	ds, _ := data.SpecByName(r.Dataset)
+	p.train, p.test = ds.Generate(*r.DataSeed)
+	p.part = r.buildPartition(p.train)
+	if r.Codec != nil {
+		p.codec, _ = codec.ByName(r.Codec.Name)
+	}
+	p.failures = r.buildFailures()
+	if nm := r.NetMax; nm != nil {
+		p.opts = core.Options{
+			Ts:            nm.TsSecs,
+			Beta:          nm.Beta,
+			PolicyRounds:  nm.PolicyRounds,
+			UniformPolicy: nm.UniformPolicy,
+			StalePeriods:  nm.StalePeriods,
+		}
+	}
+	return p, nil
+}
+
 // BuildEngine translates an engine-runtime manifest into a ready-to-run
 // engine.Config plus the algorithm runner that executes it. It is the one
-// constructor of engine configurations: the paper experiments, the
-// examples, the public API and the scenario tools all build their runs
-// here. The manifest is resolved first, so callers may pass either raw or
-// resolved manifests. TestManifestMatchesFlagPathBitwise keeps a
-// hand-assembled configuration as the reference this construction must
-// match bitwise (same constructors, argument order and RNG consumption).
+// constructor of engine configurations: the paper experiments, the public
+// API and the scenario tools all build their runs here. The manifest is
+// validated and resolved first, so callers may pass either raw or resolved
+// manifests. TestManifestMatchesFlagPathBitwise keeps a hand-assembled
+// configuration as the reference this construction must match bitwise
+// (same constructors, argument order and RNG consumption).
 func (m *Manifest) BuildEngine() (*engine.Config, func(*engine.Config) *engine.Result, error) {
-	if err := m.Validate(); err != nil {
-		return nil, nil, err
-	}
-	r := m.Resolved()
-	if r.Runtime != "engine" {
-		return nil, nil, fmt.Errorf("scenario %q: BuildEngine on runtime %q", r.Name, r.Runtime)
-	}
-	spec, err := nn.SpecByName(r.Model)
+	p, err := m.prepare()
 	if err != nil {
 		return nil, nil, err
 	}
-	ds, err := data.SpecByName(r.Dataset)
-	if err != nil {
-		return nil, nil, err
+	if p.r.Runtime != "engine" {
+		return nil, nil, fmt.Errorf("scenario %q: BuildEngine on runtime %q", p.r.Name, p.r.Runtime)
 	}
-	train, test := ds.Generate(*r.DataSeed)
-	part, err := r.buildPartition(train)
-	if err != nil {
-		return nil, nil, err
-	}
-	net, err := r.buildNetwork()
-	if err != nil {
-		return nil, nil, err
-	}
-	cdc, err := r.buildCodec()
-	if err != nil {
-		return nil, nil, err
-	}
-	failures, err := r.buildFailures()
-	if err != nil {
-		return nil, nil, err
-	}
-	evalN := 400
-	if evalN > train.Len() {
-		evalN = train.Len()
-	}
-	idx := make([]int, evalN)
+	cfg, run := p.engine()
+	return cfg, run, nil
+}
+
+// engine builds the engine configuration and the algorithm's runner.
+func (p *prepared) engine() (*engine.Config, runFunc) {
+	r := p.r
+	idx := make([]int, min(400, p.train.Len()))
 	for i := range idx {
 		idx[i] = i
 	}
 	cfg := &engine.Config{
-		Spec:         spec,
-		Part:         part,
-		Eval:         train.Slice(idx),
-		Test:         test,
-		Net:          net,
+		Spec:         p.spec,
+		Part:         p.part,
+		Eval:         p.train.Slice(idx),
+		Test:         p.test,
+		Net:          r.buildNetwork(),
 		LR:           r.LR,
 		Batch:        r.Batch,
 		Epochs:       r.Epochs,
@@ -78,129 +173,55 @@ func (m *Manifest) BuildEngine() (*engine.Config, func(*engine.Config) *engine.R
 		LRDecayEpoch: r.LRDecayEpoch,
 		ComputeScale: r.buildComputeScale(),
 		Parallelism:  r.Parallelism,
-		Codec:        cdc,
-		Failures:     failures,
+		Codec:        p.codec,
+		Failures:     p.failures,
 	}
-	run, err := r.engineRunner()
-	if err != nil {
-		return nil, nil, err
-	}
-	return cfg, run, nil
+	return cfg, p.algo.newRun(p)
 }
 
-// engineRunner maps the manifest's algorithm name onto its runner.
-func (r *Manifest) engineRunner() (func(*engine.Config) *engine.Result, error) {
-	switch r.Algorithm {
-	case "netmax":
-		opts := r.coreOptions()
-		return func(cfg *engine.Config) *engine.Result { return core.Run(cfg, opts) }, nil
-	case "adpsgd-monitor":
-		opts := r.coreOptions()
-		return func(cfg *engine.Config) *engine.Result { return core.RunADPSGDMonitor(cfg, opts) }, nil
-	case "adpsgd":
-		return baselines.RunADPSGD, nil
-	case "saps":
-		return baselines.RunSAPS, nil
-	case "hop":
-		st := r.HopStaleness
-		return func(cfg *engine.Config) *engine.Result { return baselines.RunHop(cfg, st) }, nil
-	case "allreduce":
-		return baselines.RunAllreduce, nil
-	case "dpsgd":
-		return baselines.RunSyncDPSGD, nil
-	case "prague":
-		return baselines.RunPrague, nil
-	case "ps-sync":
-		return baselines.RunPSSync, nil
-	case "ps-async":
-		return baselines.RunPSAsync, nil
-	}
-	return nil, fmt.Errorf("scenario %q: unknown algorithm %q", r.Name, r.Algorithm)
-}
-
-// coreOptions converts the resolved NetMax block, which Resolved fills in
-// for every algorithm that runs the monitor on either runtime, into
-// core.Options.
-func (r *Manifest) coreOptions() core.Options {
-	nm := r.NetMax
-	return core.Options{
-		Ts:            nm.TsSecs,
-		Beta:          nm.Beta,
-		PolicyRounds:  nm.PolicyRounds,
-		UniformPolicy: nm.UniformPolicy,
-		StalePeriods:  nm.StalePeriods,
-	}
-}
-
-// buildTopology materializes the topology spec.
-func (r *Manifest) buildTopology() (*simnet.Topology, error) {
-	t := r.Topology
-	switch t.Kind {
-	case "paper-cluster":
-		return simnet.PaperCluster(r.Workers), nil
+// buildTopology materializes the topology spec. The cross-region topology
+// never gets here: the cross-region network carries its own.
+func (r *Manifest) buildTopology() *simnet.Topology {
+	switch r.Topology.Kind {
 	case "single-machine":
-		return simnet.SingleMachine(r.Workers), nil
+		return simnet.SingleMachine(r.Workers)
 	case "ring":
 		topo := simnet.SingleMachine(r.Workers)
 		topo.Adj = simnet.Ring(r.Workers)
-		return topo, nil
-	case "cross-region":
-		// The cross-region network carries its own six-region topology.
-		return nil, nil
+		return topo
 	}
-	return nil, fmt.Errorf("scenario %q: unknown topology kind %q", r.Name, t.Kind)
+	return simnet.PaperCluster(r.Workers)
 }
 
 // buildNetwork materializes the network spec.
-func (r *Manifest) buildNetwork() (*simnet.Network, error) {
+func (r *Manifest) buildNetwork() *simnet.Network {
 	n := r.Network
 	if n.Kind == "cross-region" {
-		return simnet.NewCrossRegion(), nil
+		return simnet.NewCrossRegion()
 	}
-	topo, err := r.buildTopology()
-	if err != nil {
-		return nil, err
-	}
-	seed := r.Seed
-	if n.Seed != nil {
-		seed = *n.Seed
-	}
+	topo := r.buildTopology()
 	switch n.Kind {
-	case "heterogeneous":
-		return simnet.NewHeterogeneousPeriod(topo, seed, DefaultHorizon, n.PeriodSecs), nil
 	case "homogeneous":
-		return simnet.NewHomogeneous(topo), nil
+		return simnet.NewHomogeneous(topo)
 	case "static":
-		return simnet.NewStatic(topo), nil
+		return simnet.NewStatic(topo)
 	case "shuffled":
-		return simnet.NewShuffledRates(topo, seed, DefaultHorizon, n.PeriodSecs), nil
+		return simnet.NewShuffledRates(topo, *n.Seed, DefaultHorizon, n.PeriodSecs)
 	}
-	return nil, fmt.Errorf("scenario %q: unknown network kind %q", r.Name, n.Kind)
+	return simnet.NewHeterogeneousPeriod(topo, *n.Seed, DefaultHorizon, n.PeriodSecs)
 }
 
 // buildPartition materializes the partition spec over the training set,
 // drawing with the data seed.
-func (r *Manifest) buildPartition(train *data.Dataset) (*data.Partition, error) {
+func (r *Manifest) buildPartition(train *data.Dataset) *data.Partition {
 	p := r.Partition
 	switch p.Kind {
-	case "uniform":
-		return data.Uniform(train, r.Workers, *r.DataSeed), nil
 	case "segments":
-		return data.Segments(train, p.Segments, *r.DataSeed), nil
+		return data.Segments(train, p.Segments, *r.DataSeed)
 	case "label-skew":
-		return data.LabelSkew(train, p.LostLabels, *r.DataSeed), nil
+		return data.LabelSkew(train, p.LostLabels, *r.DataSeed)
 	}
-	return nil, fmt.Errorf("scenario %q: unknown partition kind %q", r.Name, p.Kind)
-}
-
-// buildCodec materializes the codec spec; nil means no codec (the engine's
-// uncompressed float32-on-the-wire bandwidth model).
-func (r *Manifest) buildCodec() (codec.Codec, error) {
-	c := r.Codec
-	if c == nil {
-		return nil, nil
-	}
-	return codec.ByName(c.Name)
+	return data.Uniform(train, r.Workers, *r.DataSeed)
 }
 
 // buildComputeScale materializes the straggler as per-worker multipliers.
@@ -219,10 +240,10 @@ func (r *Manifest) buildComputeScale() []float64 {
 
 // buildFailures materializes the failure spec into a simnet schedule; a nil
 // spec yields a nil schedule (the bitwise failure-free path).
-func (r *Manifest) buildFailures() (*simnet.FailureSchedule, error) {
+func (r *Manifest) buildFailures() *simnet.FailureSchedule {
 	f := r.Failures
 	if f == nil {
-		return nil, nil
+		return nil
 	}
 	s := simnet.NewFailureSchedule()
 	s.DetectSecs = f.DetectSecs
@@ -242,11 +263,9 @@ func (r *Manifest) buildFailures() (*simnet.FailureSchedule, error) {
 			s.Leave(ev.Worker, ev.At)
 		case "blackout":
 			s.Blackout(ev.A, ev.B, ev.At, ev.Until)
-		default:
-			return nil, fmt.Errorf("scenario %q: unknown failure kind %q", r.Name, ev.Kind)
 		}
 	}
-	return s, nil
+	return s
 }
 
 // BuildLive translates a live-runtime manifest into a live.Config plus a
@@ -254,58 +273,42 @@ func (r *Manifest) buildFailures() (*simnet.FailureSchedule, error) {
 // "tcp". The returned closer releases the hub's servers and connections
 // and must be called after the run.
 func (m *Manifest) BuildLive() (live.Config, *transport.Hub, func() error, error) {
-	noop := func() error { return nil }
-	if err := m.Validate(); err != nil {
-		return live.Config{}, nil, noop, err
-	}
-	r := m.Resolved()
-	if r.Runtime != "live" {
-		return live.Config{}, nil, noop, fmt.Errorf("scenario %q: BuildLive on runtime %q", r.Name, r.Runtime)
-	}
-	spec, err := nn.SpecByName(r.Model)
+	p, err := m.prepare()
 	if err != nil {
-		return live.Config{}, nil, noop, err
+		return live.Config{}, nil, closeNothing, err
 	}
-	ds, err := data.SpecByName(r.Dataset)
-	if err != nil {
-		return live.Config{}, nil, noop, err
+	if p.r.Runtime != "live" {
+		return live.Config{}, nil, closeNothing, fmt.Errorf("scenario %q: BuildLive on runtime %q", p.r.Name, p.r.Runtime)
 	}
-	train, test := ds.Generate(*r.DataSeed)
-	part, err := r.buildPartition(train)
-	if err != nil {
-		return live.Config{}, nil, noop, err
-	}
-	cdc, err := r.buildCodec()
-	if err != nil {
-		return live.Config{}, nil, noop, err
-	}
-	failures, err := r.buildFailures()
-	if err != nil {
-		return live.Config{}, nil, noop, err
-	}
-	l := r.Live
-	opts := r.coreOptions()
+	return p.live()
+}
+
+// closeNothing is the closer BuildLive returns when it builds no hub.
+func closeNothing() error { return nil }
+
+// live builds the live configuration and its transport hub.
+func (p *prepared) live() (live.Config, *transport.Hub, func() error, error) {
+	r, l := p.r, p.r.Live
+	opts := p.opts
 	opts.Ts = float64(l.TsMillis) / 1000
-	// A negative manifest pull timeout disables the deadline, which
-	// live.Config encodes as zero.
 	cfg := live.Config{
-		Spec:        spec,
-		Part:        part,
-		Test:        test,
+		Spec:        p.spec,
+		Part:        p.part,
+		Test:        p.test,
 		LR:          r.LR,
 		Batch:       r.Batch,
 		Seed:        r.Seed,
 		NetMax:      opts,
 		Duration:    time.Duration(l.DurationSecs * float64(time.Second)),
 		Iterations:  l.Iterations,
-		Codec:       cdc,
-		PullTimeout: time.Duration(max(l.PullTimeoutSecs, 0) * float64(time.Second)),
-		Failures:    failures,
+		Codec:       p.codec,
+		PullTimeout: DefaultPullTimeout,
+		Failures:    p.failures,
 	}
 	if l.Transport == "tcp" {
 		hub, err := transport.NewTCPHub()
 		if err != nil {
-			return live.Config{}, nil, noop, fmt.Errorf("scenario %q: tcp hub: %w", r.Name, err)
+			return live.Config{}, nil, closeNothing, fmt.Errorf("scenario %q: tcp hub: %w", r.Name, err)
 		}
 		return cfg, hub, hub.Close, nil
 	}

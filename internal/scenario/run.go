@@ -42,30 +42,26 @@ type Report struct {
 // build, run, and emit the resolved manifest next to the results so every
 // reported number is reproducible from one file.
 func Run(m *Manifest, opt RunOptions) (*Report, error) {
-	run := m
 	if opt.Quick {
-		run = m.ApplyQuick()
+		m = m.ApplyQuick()
 	}
-	if err := run.Validate(); err != nil {
+	p, err := m.prepare()
+	if err != nil {
 		return nil, err
 	}
-	resolved := run.Resolved()
-	rep := &Report{Manifest: resolved}
-	if resolved.Runtime == "live" {
-		cfg, hub, closeHub, err := run.BuildLive()
+	rep := &Report{Manifest: p.r}
+	if p.r.Runtime == "live" {
+		cfg, hub, closeHub, err := p.live()
 		if err != nil {
 			return nil, err
 		}
 		rep.Live = live.Run(context.Background(), cfg, hub)
 		if err := closeHub(); err != nil {
-			return nil, fmt.Errorf("scenario %q: closing hub: %w", resolved.Name, err)
+			return nil, fmt.Errorf("scenario %q: closing hub: %w", p.r.Name, err)
 		}
 	} else {
-		cfg, runner, err := run.BuildEngine()
-		if err != nil {
-			return nil, err
-		}
-		rep.Engine = runner(cfg)
+		cfg, run := p.engine()
+		rep.Engine = run(cfg)
 	}
 	if opt.OutDir != "" {
 		dir, err := rep.write(opt.OutDir)

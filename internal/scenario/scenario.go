@@ -32,6 +32,7 @@ import (
 	"os"
 	"slices"
 	"strings"
+	"time"
 
 	"netmax/internal/codec"
 	"netmax/internal/core"
@@ -229,7 +230,8 @@ type NetMaxSpec struct {
 }
 
 // LiveSpec configures what only the live (goroutine / TCP) runtime has;
-// its monitor and churn are in NetMaxSpec and FailureSpec.
+// its monitor and churn are in NetMaxSpec and FailureSpec. Every model pull
+// and monitor exchange has the deadline DefaultPullTimeout.
 type LiveSpec struct {
 	// Transport: "local" (default; in-memory pipes, injectable latency) or
 	// "tcp" (loopback sockets). Both speak the binary wire protocol.
@@ -241,9 +243,6 @@ type LiveSpec struct {
 	DurationSecs float64 `json:"duration_secs,omitempty"`
 	// Iterations bounds per-worker iterations; 0 relies on DurationSecs.
 	Iterations int `json:"iterations,omitempty"`
-	// PullTimeoutSecs bounds every model pull and monitor exchange;
-	// 0 selects the 2s default, negative disables deadlines.
-	PullTimeoutSecs float64 `json:"pull_timeout_secs,omitempty"`
 	// Latency injects artificial latency on the local transport.
 	Latency *LatencySpec `json:"latency,omitempty"`
 }
@@ -295,10 +294,11 @@ const (
 	DefaultSlowPeriod = 300.0 / 50
 	// DefaultHorizon is the virtual-time span every dynamic network
 	// schedule covers; effectively unbounded.
-	DefaultHorizon     = 1e7
-	DefaultLiveTsMs    = 500
-	DefaultPullTimeout = 2.0
-	DefaultLiveStale   = 3
+	DefaultHorizon   = 1e7
+	DefaultLiveTsMs  = 500
+	DefaultLiveStale = 3
+	// DefaultPullTimeout bounds every live model pull and monitor exchange.
+	DefaultPullTimeout = 2 * time.Second
 )
 
 // Parse decodes a manifest from JSON, rejecting unknown fields, and
@@ -409,9 +409,6 @@ func (m *Manifest) Resolved() *Manifest {
 		if l.TsMillis == 0 {
 			l.TsMillis = DefaultLiveTsMs
 		}
-		if l.PullTimeoutSecs == 0 {
-			l.PullTimeoutSecs = DefaultPullTimeout
-		}
 	default: // engine
 		if r.Epochs == 0 {
 			r.Epochs = DefaultEpochs
@@ -446,7 +443,7 @@ func (m *Manifest) Resolved() *Manifest {
 			r.Failures.DetectSecs = simnet.DefaultDetectSecs
 		}
 	}
-	if usesMonitor(r.Algorithm) {
+	if a, _ := lookupAlgorithm(r.Algorithm); a.netmax {
 		if r.NetMax == nil {
 			r.NetMax = &NetMaxSpec{}
 		}
@@ -496,25 +493,6 @@ func (m *Manifest) ApplyQuick() *Manifest {
 	return r
 }
 
-// usesMonitor reports whether the algorithm consumes the NetMax spec.
-func usesMonitor(algo string) bool {
-	return algo == "netmax" || algo == "adpsgd-monitor"
-}
-
-// asyncAlgorithms take the codec and the failure schedule: they run on
-// engine.RunAsync, the only engine loop that reads either. Hop runs on it
-// too but takes neither (see validation), so it is not listed.
-var asyncAlgorithms = []string{"netmax", "adpsgd", "adpsgd-monitor", "saps"}
-
-// roundAlgorithms compute a synchronous round's gradients concurrently, the
-// only engine loops that read parallelism.
-var roundAlgorithms = []string{"allreduce", "ps-sync", "dpsgd"}
-
-var engineAlgorithms = append(slices.Clone(asyncAlgorithms),
-	"hop", "allreduce", "dpsgd", "prague", "ps-sync", "ps-async")
-
-func knownEngineAlgorithm(a string) bool { return slices.Contains(engineAlgorithms, a) }
-
 // expandPreset replaces a partition preset with its concrete table.
 func expandPreset(p *PartitionSpec) {
 	switch p.Preset {
@@ -554,18 +532,28 @@ func (e *errorList) err() error {
 // Validation operates on the resolved view, so a manifest is valid exactly
 // when its resolved form is runnable; the quick overrides are checked too.
 func (m *Manifest) Validate() error {
-	if err := m.validateOne(); err != nil {
-		return err
-	}
-	if m.Quick != nil {
-		if err := m.ApplyQuick().validateOne(); err != nil {
-			return fmt.Errorf("%w (with quick overrides applied)", err)
-		}
-	}
-	return nil
+	_, err := m.resolve()
+	return err
 }
 
-func (m *Manifest) validateOne() error {
+// resolve validates the manifest as Validate does and returns its resolved
+// form.
+func (m *Manifest) resolve() (*Manifest, error) {
+	r, err := m.validateOne()
+	if err != nil {
+		return nil, err
+	}
+	if m.Quick != nil {
+		if _, err := m.ApplyQuick().validateOne(); err != nil {
+			return nil, fmt.Errorf("%w (with quick overrides applied)", err)
+		}
+	}
+	return r, nil
+}
+
+// validateOne validates the manifest alone, without its quick form, and
+// returns its resolved form.
+func (m *Manifest) validateOne() (*Manifest, error) {
 	e := &errorList{name: m.Name}
 	if m.Name == "" {
 		e.addf("name must be non-empty")
@@ -577,9 +565,10 @@ func (m *Manifest) validateOne() error {
 	case "", "engine", "live":
 	default:
 		e.addf("unknown runtime %q (want engine or live)", m.Runtime)
-		return e.err()
+		return nil, e.err()
 	}
 	r := m.Resolved()
+	a, _ := lookupAlgorithm(r.Algorithm)
 	if _, err := nn.SpecByName(r.Model); err != nil {
 		e.addf("unknown model %q", r.Model)
 	}
@@ -601,8 +590,9 @@ func (m *Manifest) validateOne() error {
 	if r.HopStaleness < 0 {
 		e.addf("hop_staleness must be >= 0, got %d", r.HopStaleness)
 	}
-	if r.HopStaleness > 0 && r.Algorithm != "hop" {
-		e.addf("hop_staleness is only valid with algorithm \"hop\" (got %q)", r.Algorithm)
+	if r.HopStaleness > 0 && !a.hopStaleness {
+		e.addf("hop_staleness is only valid with algorithm %s (got %q)",
+			algorithmsWhere(func(a algorithm) bool { return a.hopStaleness }), r.Algorithm)
 	}
 	if q := m.Quick; q != nil {
 		if q.Workers < 0 {
@@ -621,11 +611,14 @@ func (m *Manifest) validateOne() error {
 	validatePartition(e, r)
 	validateCodec(e, r)
 	if r.Runtime == "live" {
-		validateLive(e, m, r)
+		validateLive(e, m, r, a)
 	} else {
-		validateEngine(e, m, r)
+		validateEngine(e, m, r, a)
 	}
-	return e.err()
+	if err := e.err(); err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
 func validatePartition(e *errorList, r *Manifest) {
@@ -676,22 +669,22 @@ func validateCodec(e *errorList, r *Manifest) {
 	}
 }
 
-func validateEngine(e *errorList, m, r *Manifest) {
+func validateEngine(e *errorList, m, r *Manifest, a algorithm) {
 	if m.Live != nil {
 		e.addf("live block is only valid with runtime \"live\"")
 	}
-	if !knownEngineAlgorithm(r.Algorithm) {
-		e.addf("unknown algorithm %q (want one of %s)", r.Algorithm, strings.Join(engineAlgorithms, ", "))
+	if _, ok := lookupAlgorithm(r.Algorithm); !ok {
+		e.addf("unknown algorithm %q (want one of %s)", r.Algorithm, algorithmsWhere(anyAlgorithm))
 	}
-	if r.NetMax != nil && !usesMonitor(r.Algorithm) {
-		e.addf("netmax block is only valid with algorithms netmax and adpsgd-monitor (got %q)", r.Algorithm)
+	if r.NetMax != nil && !a.netmax {
+		e.addf("netmax block is only valid with algorithms %s (got %q)",
+			algorithmsWhere(func(a algorithm) bool { return a.netmax }), r.Algorithm)
 	}
-	if !slices.Contains(asyncAlgorithms, r.Algorithm) {
-		async := strings.Join(asyncAlgorithms, ", ")
+	if !a.codecFailures {
+		async := algorithmsWhere(func(a algorithm) bool { return a.codecFailures })
 		codecWhy, failuresWhy := "ignores it", "ignores it"
-		if r.Algorithm == "hop" {
-			codecWhy = "does not take one"
-			failuresWhy = "cannot take one: a worker that leaves freezes the slowest-worker count, so the staleness gate would re-queue everyone forever"
+		if a.noFailures != "" {
+			codecWhy, failuresWhy = "does not take one", a.noFailures
 		}
 		if r.Codec != nil {
 			e.addf("codec block is only valid with the asynchronous algorithms (%s); %q %s", async, r.Algorithm, codecWhy)
@@ -700,9 +693,9 @@ func validateEngine(e *errorList, m, r *Manifest) {
 			e.addf("failures block is only valid with the asynchronous algorithms (%s); %q %s", async, r.Algorithm, failuresWhy)
 		}
 	}
-	if r.Parallelism > 1 && !slices.Contains(roundAlgorithms, r.Algorithm) {
+	if r.Parallelism > 1 && !a.parallelism {
 		e.addf("parallelism > 1 is only valid with the synchronous-round algorithms (%s); %q steps one worker at a time and ignores it",
-			strings.Join(roundAlgorithms, ", "), r.Algorithm)
+			algorithmsWhere(func(a algorithm) bool { return a.parallelism }), r.Algorithm)
 	}
 	if r.Epochs < 1 {
 		e.addf("epochs must be >= 1, got %d", r.Epochs)
@@ -732,6 +725,9 @@ func validateNetMax(e *errorList, r *Manifest) {
 		}
 		if nm.PolicyRounds < 2 {
 			e.addf("netmax.policy_rounds must be >= 2 (one round searches a one-point grid), got %d", nm.PolicyRounds)
+		}
+		if nm.PolicyRounds > policy.MaxRounds {
+			e.addf("netmax.policy_rounds must be <= %d (a regeneration scores rounds² candidates), got %d", policy.MaxRounds, nm.PolicyRounds)
 		}
 		if nm.StalePeriods < 0 {
 			e.addf("netmax.stale_periods must be >= 0, got %d", nm.StalePeriods)
@@ -846,7 +842,7 @@ func checkEventWorker(e *errorList, r *Manifest, i, w int) {
 	}
 }
 
-func validateLive(e *errorList, m, r *Manifest) {
+func validateLive(e *errorList, m, r *Manifest, a algorithm) {
 	engineOnly := []struct {
 		field string
 		set   bool
@@ -865,8 +861,9 @@ func validateLive(e *errorList, m, r *Manifest) {
 			e.addf("%s is engine-only (runtime is live; use the live block)", f.field)
 		}
 	}
-	if r.Algorithm != "netmax" {
-		e.addf("live runtime runs the NetMax group (algorithm %q unsupported; use netmax.uniform_policy for AD-PSGD-style selection)", r.Algorithm)
+	if !a.live {
+		e.addf("live runtime runs only %s (algorithm %q unsupported; use netmax.uniform_policy for AD-PSGD-style selection)",
+			algorithmsWhere(func(a algorithm) bool { return a.live }), r.Algorithm)
 	}
 	if r.Partition.Kind == "segments" {
 		e.addf("segments partition is engine-only (live workers share one batch size)")
@@ -900,7 +897,7 @@ func validateLive(e *errorList, m, r *Manifest) {
 	}
 	if f := r.Failures; f != nil {
 		if f.DetectSecs != 0 {
-			e.addf("failures.detect_secs is engine-only (a live pull's deadline is live.pull_timeout_secs)")
+			e.addf("failures.detect_secs is engine-only (a live pull's deadline is a fixed %v)", DefaultPullTimeout)
 		}
 		if f.RandomChurn != nil {
 			e.addf("failures.random_churn is engine-only (live runs list their events)")

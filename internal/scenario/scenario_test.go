@@ -144,6 +144,7 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		{"compute sigma", `{"name": "x", "compute": {"kind": "straggler", "factor": 2, "sigma": 0.5}}`, `unknown field "sigma"`},
 		{"compute seed", `{"name": "x", "compute": {"kind": "straggler", "factor": 2, "seed": 3}}`, `unknown field "seed"`},
 		{"one policy round", `{"name": "x", "netmax": {"policy_rounds": 1}}`, "netmax.policy_rounds must be >= 2"},
+		{"policy rounds above cap", `{"name": "x", "netmax": {"policy_rounds": 65}}`, "netmax.policy_rounds must be <= 64"},
 		{"netmax epsilon", `{"name": "x", "netmax": {"epsilon": 0.01}}`, `unknown field "epsilon"`},
 		{"netmax fixed blend", `{"name": "x", "netmax": {"fixed_blend": true}}`, `unknown field "fixed_blend"`},
 		{"random churn seed", `{"name": "x", "failures": {"random_churn": {"horizon_secs": 10, "crashes_per_worker": 1, "mean_down_secs": 1, "seed": 3}}}`, `unknown field "seed"`},
@@ -168,6 +169,7 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		{"live beta", `{"name": "x", "runtime": "live", "live": {"iterations": 5, "beta": 0.3}}`, `unknown field "beta"`},
 		{"live uniform", `{"name": "x", "runtime": "live", "live": {"iterations": 5, "uniform": true}}`, `unknown field "uniform"`},
 		{"live stale_periods", `{"name": "x", "runtime": "live", "live": {"iterations": 5, "stale_periods": 2}}`, `unknown field "stale_periods"`},
+		{"live pull timeout", `{"name": "x", "runtime": "live", "live": {"iterations": 5, "pull_timeout_secs": 1}}`, `unknown field "pull_timeout_secs"`},
 		{"live segments", `{"name": "x", "runtime": "live", "workers": 2, "partition": {"kind": "segments", "segments": [1, 2]}, "live": {"iterations": 5}}`, "engine-only"},
 		{"quick breaks segments", `{"name": "x", "partition": {"preset": "paper-8"}, "quick": {"workers": 4}}`, "quick overrides"},
 		{"bad quick", `{"name": "x", "quick": {"epochs": -1}}`, "epochs"},
@@ -351,8 +353,8 @@ func TestRunLive(t *testing.T) {
 // TestBuildLiveConfigEncoding pins how BuildLive maps a live manifest onto
 // live.Config, which has one encoding: the netmax block becomes the
 // core.Options the engine takes, with Ts the live.ts_millis period in
-// seconds and the library defaults explicit, and a negative pull timeout
-// becomes zero.
+// seconds and the library defaults explicit, and the pull deadline is
+// DefaultPullTimeout.
 func TestBuildLiveConfigEncoding(t *testing.T) {
 	build := func(l *LiveSpec, nm *NetMaxSpec) live.Config {
 		t.Helper()
@@ -369,11 +371,11 @@ func TestBuildLiveConfigEncoding(t *testing.T) {
 	if cfg.NetMax != want || cfg.PullTimeout != 2*time.Second || cfg.Failures != nil {
 		t.Fatalf("defaults: NetMax %+v, PullTimeout %v, Failures %v; want %+v, 2s, nil", cfg.NetMax, cfg.PullTimeout, cfg.Failures, want)
 	}
-	cfg = build(&LiveSpec{Iterations: 1, TsMillis: 200, PullTimeoutSecs: -1},
+	cfg = build(&LiveSpec{Iterations: 1, TsMillis: 200},
 		&NetMaxSpec{Beta: 0.3, PolicyRounds: 4, UniformPolicy: true, StalePeriods: 5})
 	want = core.Options{Ts: 0.2, Beta: 0.3, PolicyRounds: 4, UniformPolicy: true, StalePeriods: 5}
-	if cfg.NetMax != want || cfg.PullTimeout != 0 {
-		t.Fatalf("set: NetMax %+v, PullTimeout %v; want %+v, 0", cfg.NetMax, cfg.PullTimeout, want)
+	if cfg.NetMax != want {
+		t.Fatalf("set: NetMax %+v; want %+v", cfg.NetMax, want)
 	}
 }
 

@@ -79,13 +79,11 @@ type GridSpec struct {
 }
 
 // ReplicateSpec is the multi-seed replication block, wired to
-// internal/stats: seed i is stats.ReplicaSeed(base_seed, i).
+// internal/stats: seed i is stats.ReplicaSeed(seed, i), where seed is the
+// base manifest's (resolved) seed.
 type ReplicateSpec struct {
 	// N is the replica count per arm.
 	N int `json:"n"`
-	// BaseSeed anchors the seed sequence; 0 uses the base manifest's
-	// (resolved) seed.
-	BaseSeed int64 `json:"base_seed,omitempty"`
 }
 
 // SuiteOutputSpec tunes the suite's joint table.
@@ -228,17 +226,14 @@ func (s *Suite) validateShape() error {
 			e.addf("grid expands nothing: set algorithms, codecs or replicate")
 		}
 		for i, a := range g.Algorithms {
-			if !knownEngineAlgorithm(a) {
-				e.addf("grid algorithm %d: unknown algorithm %q (want one of %s)", i, a, strings.Join(engineAlgorithms, ", "))
+			if _, ok := lookupAlgorithm(a); !ok {
+				e.addf("grid algorithm %d: unknown algorithm %q (want one of %s)", i, a, algorithmsWhere(anyAlgorithm))
 			}
 		}
 		runs := max(len(g.Algorithms), 1) * max(len(g.Codecs), 1)
 		if r := g.Replicate; r != nil {
 			if r.N < 1 {
 				e.addf("grid.replicate.n must be >= 1, got %d", r.N)
-			}
-			if r.BaseSeed < 0 {
-				e.addf("grid.replicate.base_seed must be >= 0, got %d", r.BaseSeed)
 			}
 			runs *= min(max(r.N, 1), maxSuiteRuns+1)
 		}
@@ -333,10 +328,10 @@ func (s *Suite) explicitMembers(quick bool) ([]SuiteMember, error) {
 		if quick {
 			m = m.ApplyQuick()
 		}
-		if err := m.Validate(); err != nil {
+		r, err := m.resolve()
+		if err != nil {
 			return nil, fmt.Errorf("suite %q: run %d: %w", s.Name, i, err)
 		}
-		r := m.Resolved()
 		arm := mem.Arm
 		if arm == "" {
 			arm = r.Name
@@ -358,10 +353,11 @@ func (s *Suite) expandGrid(quick bool) ([]SuiteMember, error) {
 		base = base.ApplyQuick()
 	}
 	g := s.Grid
+	br := base.Resolved()
 
 	algos := g.Algorithms
 	if len(algos) == 0 {
-		algos = []string{base.Resolved().Algorithm}
+		algos = []string{br.Algorithm}
 	}
 	// A nil entry in codecs means "keep the base's codec block".
 	codecs := []*CodecSpec{nil}
@@ -372,15 +368,11 @@ func (s *Suite) expandGrid(quick bool) ([]SuiteMember, error) {
 			codecs[i] = &cp
 		}
 	}
-	seeds := []int64{base.Resolved().Seed}
+	seeds := []int64{br.Seed}
 	if r := g.Replicate; r != nil {
-		baseSeed := r.BaseSeed
-		if baseSeed == 0 {
-			baseSeed = base.Resolved().Seed
-		}
 		seeds = make([]int64, r.N)
 		for i := range seeds {
-			seeds[i] = stats.ReplicaSeed(baseSeed, i)
+			seeds[i] = stats.ReplicaSeed(br.Seed, i)
 		}
 	}
 
@@ -403,18 +395,20 @@ func (s *Suite) expandGrid(quick bool) ([]SuiteMember, error) {
 				// Drop base blocks this arm cannot carry (rather than
 				// failing validation on a block the base legitimately
 				// needs for its own algorithm).
-				if !usesMonitor(m.Algorithm) {
+				a, _ := lookupAlgorithm(m.Algorithm)
+				if !a.netmax {
 					m.NetMax = nil
 				}
-				if m.Algorithm != "hop" {
+				if !a.hopStaleness {
 					m.HopStaleness = 0
 				}
 				m.Name = fmt.Sprintf("%s-%s-s%d", s.Name, arm, seed)
 				m.Description = ""
-				if err := m.Validate(); err != nil {
+				r, err := m.resolve()
+				if err != nil {
 					return nil, fmt.Errorf("suite %q: arm %q seed %d: %w", s.Name, arm, seed, err)
 				}
-				members = append(members, SuiteMember{Manifest: m.Resolved(), Arm: arm})
+				members = append(members, SuiteMember{Manifest: r, Arm: arm})
 			}
 		}
 	}

@@ -217,7 +217,7 @@ func TestSuiteValidateRejectsMalformed(t *testing.T) {
 		{"replicate n", `{"name": "x", "base": {"manifest": ` + valid + `}, "grid": {"replicate": {"n": 0}}}`, "replicate.n"},
 		{"replicate beyond the run cap", `{"name": "x", "base": {"manifest": ` + valid + `}, "grid": {"replicate": {"n": 5000000000}}}`, "more than 1000 runs"},
 		{"grid product beyond the run cap", `{"name": "x", "base": {"manifest": ` + valid + `}, "grid": {"algorithms": ["netmax", "adpsgd"], "replicate": {"n": 501}}}`, "more than 1000 runs"},
-		{"negative base seed", `{"name": "x", "base": {"manifest": ` + valid + `}, "grid": {"replicate": {"n": 2, "base_seed": -1}}}`, "base_seed"},
+		{"negative base seed", `{"name": "x", "base": {"manifest": ` + valid + `}, "grid": {"replicate": {"n": 2, "base_seed": -1}}}`, `unknown field "base_seed"`},
 		{"negative target loss", `{"name": "x", "runs": [{"manifest": ` + valid + `}], "output": {"target_loss": -1}}`, "target_loss"},
 		{"member path and manifest", `{"name": "x", "runs": [{"path": "a.json", "manifest": ` + valid + `}]}`, "exactly one of path and manifest"},
 		{"member neither", `{"name": "x", "runs": [{"arm": "a"}]}`, "exactly one of path and manifest"},
