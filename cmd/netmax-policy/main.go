@@ -7,10 +7,10 @@
 //
 //	{"alpha": 0.1, "times": [[0,1,9],[1,0,2],[9,2,0]]}
 //
-// Missing adjacency means fully connected. Optional fields: "adj", "rounds"
-// (Algorithm 3's grid size K = R, 2 to 64) and "epsilon" (Eq. 9's
-// target, in (0, 1)); zero or absent selects the default. Unknown fields
-// and data after the object are errors.
+// At most 256 workers. Missing adjacency means fully connected. Optional
+// fields: "adj", "rounds" (Algorithm 3's grid size K = R, 2 to 64) and
+// "epsilon" (Eq. 9's target, in (0, 1)); zero or absent selects the
+// default. Unknown fields and data after the object are errors.
 //
 //	echo '{"alpha":0.1,"times":[[0,1,9],[1,0,2],[9,2,0]]}' | netmax-policy
 //	netmax-policy -demo

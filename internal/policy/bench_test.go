@@ -2,6 +2,7 @@ package policy
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"netmax/internal/simnet"
@@ -20,5 +21,74 @@ func BenchmarkGenerate(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// warmCandidate returns a search over BenchmarkGenerate's input at N = m,
+// set up for the (ρ, t̄) candidate Generate picks on it, and that policy.
+func warmCandidate(tb testing.TB, m int) (*search, *Policy) {
+	tb.Helper()
+	in := Input{Times: hetTimes(m, 1), Adj: simnet.FullyConnected(m), Alpha: 0.1}
+	pol, err := Generate(in)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s := newSearch(in, DefaultEpsilon)
+	s.rows.setFloor(float64(2*in.Alpha*pol.Rho) + 1e-9)
+	return s, pol
+}
+
+// BenchmarkSolveRows measures one candidate's row solves on a warm search.
+func BenchmarkSolveRows(b *testing.B) {
+	for _, m := range []int{8, 16, 32, 64} {
+		s, pol := warmCandidate(b, m)
+		b.Run(fmt.Sprintf("N=%d", m), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if !s.solveRows(float64(m) * pol.TBar) {
+					b.Fatal("the chosen candidate is infeasible")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkBuildY measures one candidate's Y_P build on a warm search.
+func BenchmarkBuildY(b *testing.B) {
+	for _, m := range []int{8, 16, 32, 64} {
+		s, pol := warmCandidate(b, m)
+		if !s.solveRows(float64(m) * pol.TBar) {
+			b.Fatal("the chosen candidate is infeasible")
+		}
+		b.Run(fmt.Sprintf("N=%d", m), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buildY(s.y, s.p, s.in.Adj, s.in.Alpha*pol.Rho, false, s.pg, s.diag)
+			}
+		})
+	}
+}
+
+// TestCandidateAllocatesNothing pins the buffer reuse per candidate: on a
+// warm search, one candidate's row solves and Y build allocate nothing,
+// and they rebuild the P that Generate chose.
+func TestCandidateAllocatesNothing(t *testing.T) {
+	m := 16
+	s, pol := warmCandidate(t, m)
+	allocs := testing.AllocsPerRun(20, func() {
+		if !s.solveRows(float64(m) * pol.TBar) {
+			t.Fatal("the chosen candidate is infeasible")
+		}
+		buildY(s.y, s.p, s.in.Adj, s.in.Alpha*pol.Rho, false, s.pg, s.diag)
+	})
+	if allocs != 0 {
+		t.Fatalf("one candidate allocates %v times", allocs)
+	}
+	for i, row := range s.p {
+		for j, v := range row {
+			if math.Float64bits(v) != math.Float64bits(pol.P[i][j]) {
+				t.Fatalf("P[%d][%d] = %v, Generate chose %v", i, j, v, pol.P[i][j])
+			}
+		}
 	}
 }

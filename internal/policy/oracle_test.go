@@ -11,11 +11,12 @@ import (
 	"netmax/internal/tensor"
 )
 
-// exhaustiveGenerate is Algorithm 3 without the λ₂ certificate: it walks
-// generate's (ρ, t̄) grid and scores every feasible candidate with a full
-// linalg.SymmetricEigenvalues. It shares the row solves and buildY with
-// generate (FuzzSolveRow and the Y tests cover those), so a disagreement
-// points at the scoring.
+// exhaustiveGenerate is Algorithm 3 without the λ₂ certificate and
+// without the search's precomputation: it walks generate's (ρ, t̄) grid,
+// solves every row with plainSolveRows, builds Y with plainBuildY and
+// scores every feasible candidate with a full linalg.SymmetricEigenvalues.
+// It shares only newSearch's neighbor lists and buffers with generate, so
+// a disagreement points at the row solves, the Y build or the scoring.
 func exhaustiveGenerate(in Input) (*Policy, error) {
 	if err := in.validate(); err != nil {
 		return nil, err
@@ -30,10 +31,10 @@ func exhaustiveGenerate(in Input) (*Policy, error) {
 	s := newSearch(in, eps)
 	var best *Policy
 	score := func(rho, tbar, floor float64) {
-		if !s.solveRows(floor, float64(len(s.p))*tbar) {
+		if !plainSolveRows(s.p, in, floor, float64(len(s.p))*tbar) {
 			return
 		}
-		buildY(s.y, s.p, in.Adj, in.Alpha*rho, in.AveragingBlend, s.pg)
+		plainBuildY(s.y, s.p, in.Adj, in.Alpha*rho, in.AveragingBlend, s.pg)
 		eig, err := linalg.SymmetricEigenvalues(s.y)
 		if err != nil || len(eig) < 2 {
 			return
@@ -89,6 +90,178 @@ func exhaustiveGenerate(in Input) (*Policy, error) {
 		return nil, ErrNoFeasiblePolicy
 	}
 	return best, nil
+}
+
+// plainSolveRows fills p with the Eq. (14) solution of every row of in at
+// the given floor and target, one plainSolveRow per row from scratch, and
+// reports false as soon as one row is infeasible.
+func plainSolveRows(p [][]float64, in Input, floor, target float64) bool {
+	for i := range p {
+		row := p[i]
+		clear(row)
+		var t []float64
+		var nbrs []int
+		for j, ok := range in.Adj[i] {
+			if ok && j != i {
+				t, nbrs = append(t, in.Times[i][j]), append(nbrs, j)
+			}
+		}
+		if len(nbrs) == 0 {
+			row[i] = 1
+			continue
+		}
+		x := make([]float64, len(nbrs))
+		pii, ok := plainSolveRow(t, floor, target, x)
+		if !ok {
+			return false
+		}
+		for k, j := range nbrs {
+			row[j] = x[k]
+		}
+		row[i] = pii
+	}
+	return true
+}
+
+// plainRowBudget returns the slack S = 1 − n·floor and the time budget
+// B = target − floor·Σt that remain for one row once every neighbor has
+// its floor, together with the row's largest time. A budget above t_max·S
+// by at most rowTol·t_max is clamped to t_max·S.
+func plainRowBudget(t []float64, floor, target float64) (s, b, tmax float64) {
+	s, b = 1, target
+	for _, tk := range t {
+		s -= floor
+		b -= float64(tk * floor)
+		tmax = max(tmax, tk)
+	}
+	if b > tmax*s && b-float64(tmax*s) <= rowTol*tmax {
+		b = tmax * s
+	}
+	return s, b, tmax
+}
+
+// plainSolveRow is rowLPs.solve on one row with nothing precomputed: the
+// budget from plainRowBudget and every step of the vertex walk found by
+// scanning the row, dividing as it goes.
+func plainSolveRow(t []float64, floor, target float64, p []float64) (pii float64, ok bool) {
+	s, b, tmax := plainRowBudget(t, floor, target)
+	if s < 0 || b < 0 || b > tmax*s {
+		return 0, false
+	}
+	for k := range p {
+		p[k] = floor
+	}
+	lo, hi := 0, 0
+	c, tc := 0, t[0]
+	switch {
+	case tc*s > b:
+		for {
+			k := -1
+			for j, tj := range t {
+				if tj/tc-1 < -rowTol {
+					k = j
+					break
+				}
+			}
+			if k < 0 {
+				y := min(b/tc, s)
+				p[c] += y
+				return s - y, true
+			}
+			if t[k]*s <= b {
+				lo, hi = k, c
+				break
+			}
+			c, tc = k, t[k]
+		}
+	case tc*s < b:
+		for {
+			k := -1
+			for j, tj := range t {
+				if (tj-tc)/tmax > rowTol {
+					k = j
+					break
+				}
+			}
+			if k < 0 {
+				for j, tj := range t {
+					if tj*s >= b {
+						k = j
+						break
+					}
+				}
+			}
+			if t[k]*s >= b {
+				lo, hi = c, k
+				break
+			}
+			c, tc = k, t[k]
+		}
+	}
+	if lo == hi {
+		p[lo] += s
+		return 0, true
+	}
+	yhi := min(max((b-float64(t[lo]*s))/(t[hi]-t[lo]), 0), s)
+	p[lo] += s - yhi
+	p[hi] += yhi
+	return 0, true
+}
+
+// plainWeight is the blend weight w(i,m) = αρ·γ_im of NetMax's update,
+// γ_im = (d_im+d_mi)/(2 p_im) (Eq. 22).
+func plainWeight(p [][]float64, adj [][]bool, i, j int, ar float64) float64 {
+	d := 0.0
+	if adj[i][j] {
+		d++
+	}
+	if adj[j][i] {
+		d++
+	}
+	return ar * (d / (2 * p[i][j]))
+}
+
+// plainBuildY is buildY entry by entry: every ordered pair (i, j) sums its
+// own two sides, with two weights per side, and each row's diagonal
+// accumulates while its row is written.
+func plainBuildY(y *linalg.Matrix, p [][]float64, adj [][]bool, ar float64, averaging bool, pg []float64) {
+	m := len(p)
+	for i := 0; i < m; i++ {
+		diag := 1.0
+		for j := 0; j < m; j++ {
+			if j == i {
+				continue
+			}
+			if averaging {
+				var mass float64
+				if adj[i][j] && p[i][j] > 0 {
+					mass += float64(pg[i] * p[i][j])
+				}
+				if adj[j][i] && p[j][i] > 0 {
+					mass += float64(pg[j] * p[j][i])
+				}
+				half := float64(mass / 2)
+				y.Set(i, j, half)
+				diag -= half
+				continue
+			}
+			var first, second float64
+			if adj[i][j] && p[i][j] > 0 {
+				wij := plainWeight(p, adj, i, j, ar)
+				first += float64(pg[i] * p[i][j] * wij)
+				second += float64(pg[i] * p[i][j] * wij * wij)
+				diag -= float64(2 * pg[i] * p[i][j] * wij)
+			}
+			if adj[j][i] && p[j][i] > 0 {
+				wji := plainWeight(p, adj, j, i, ar)
+				first += float64(pg[j] * p[j][i] * wji)
+				second += float64(pg[j] * p[j][i] * wji * wji)
+			}
+			y.Set(i, j, first-second)
+			diag += second
+		}
+		y.Set(i, i, diag)
+	}
 }
 
 // checkAgainstOracle requires GenerateLive(in, alive) (Generate when alive
@@ -326,4 +499,97 @@ func FuzzGenerate(f *testing.F) {
 		}
 		checkAgainstOracle(t, in, alive)
 	})
+}
+
+// checkBuildY requires buildY, on warm scratch holding garbage, to write
+// bitwise what plainBuildY writes for the input decoded from fuzz bytes:
+// n gives N in 1..16; data, read cyclically, gives one byte per ordered
+// pair (whether it is an edge, and p as zero, subnormal, tiny or an
+// ordinary probability) and then one byte per worker (pg as zero,
+// subnormal, 1/N or another value in [0, 4)). flags select the averaging
+// blend, a symmetric graph and αρ.
+func checkBuildY(t *testing.T, n, flags uint8, data []byte) {
+	t.Helper()
+	m := 1 + int(n)%16
+	pos := 0
+	next := func() byte { // cycles through data, 0 when empty
+		if len(data) == 0 {
+			return 0
+		}
+		pos++
+		return data[(pos-1)%len(data)]
+	}
+	p, adj, pg := matrix(m), make([][]bool, m), make([]float64, m)
+	for i := range adj {
+		adj[i] = make([]bool, m)
+	}
+	for i := 0; i < m; i++ {
+		for j := 0; j < m; j++ {
+			b := next()
+			adj[i][j] = b&1 == 0
+			if flags&2 != 0 && j < i {
+				adj[i][j] = adj[j][i]
+			}
+			k := float64(b>>3) + 1
+			switch b >> 1 & 3 {
+			case 1:
+				p[i][j] = k * math.SmallestNonzeroFloat64
+			case 2:
+				p[i][j] = k * 1e-300
+			case 3:
+				p[i][j] = k / 32
+			}
+		}
+	}
+	for i := range pg {
+		b := next()
+		switch b & 3 {
+		case 1:
+			pg[i] = float64(b>>2) * math.SmallestNonzeroFloat64
+		case 2:
+			pg[i] = 1 / float64(m)
+		case 3:
+			pg[i] = float64(b>>2) / 16
+		}
+	}
+	ar := []float64{0.05, 0.01, 1, 0, 3e-5, 40, 0.5, 1e-300}[flags>>2&7]
+	averaging := flags&1 != 0
+
+	got, diag := linalg.NewMatrix(m), make([]float64, m)
+	for i := range got.Data {
+		got.Data[i] = math.NaN()
+	}
+	for i := range diag {
+		diag[i] = -7
+	}
+	buildY(got, p, adj, ar, averaging, pg, diag)
+	want := linalg.NewMatrix(m)
+	plainBuildY(want, p, adj, ar, averaging, pg)
+	for k, v := range got.Data {
+		if math.Float64bits(v) != math.Float64bits(want.Data[k]) {
+			t.Fatalf("y[%d][%d] = %v, plainBuildY gives %v", k/m, k%m, v, want.Data[k])
+		}
+	}
+}
+
+// TestBuildYMatchesPlain runs checkBuildY on random inputs: every size,
+// graph and blend mode, with zero and subnormal p and pg.
+func TestBuildYMatchesPlain(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	data := make([]byte, 300)
+	for trial := 0; trial < 3000; trial++ {
+		n := rng.Intn(len(data))
+		rng.Read(data[:n])
+		checkBuildY(t, uint8(rng.Intn(256)), uint8(rng.Intn(256)), data[:n])
+	}
+}
+
+// FuzzBuildY is checkBuildY on fuzzed bytes.
+func FuzzBuildY(f *testing.F) {
+	f.Add(uint8(7), uint8(0), []byte{})
+	f.Add(uint8(15), uint8(0x02), []byte{0x07, 0x36, 0xfe, 0x1d, 0x3b, 0x0e, 0xa5})
+	f.Add(uint8(9), uint8(0x03), []byte{0x02, 0x17, 0x0c, 0x96, 0x3f, 0x44})
+	f.Add(uint8(4), uint8(0x14), []byte{0x02, 0x03, 0x05, 0x06, 0x0e, 0x01})
+	f.Add(uint8(12), uint8(0x1e), []byte{0xf6, 0x0d, 0x7c, 0x2a, 0x99})
+	f.Fuzz(checkBuildY)
 }

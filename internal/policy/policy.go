@@ -6,13 +6,21 @@
 // Generate searches K values of the consensus weight ρ and, for each, R
 // values of the target mean iteration time t̄; every (ρ, t̄) candidate is
 // turned into a concrete probability matrix P by solving the Eq. (14) row
-// LP of every worker in closed form (solveRow), scored by the predicted
+// LP of every worker in closed form (rowLPs), scored by the predicted
 // convergence time T = t̄ · ln ε / ln λ₂(Y_P), and the best-scoring policy
 // is returned. λ₂ comes from a tridiagonal QL eigensolve (linalg), except
 // for candidates that a Cholesky certificate (linalg.Lambda2Exceeds) proves
 // cannot beat the best so far; skipping them leaves the chosen policy
-// bitwise unchanged (see score). One Generate call reuses a single set of
-// buffers for all K·R candidates.
+// bitwise unchanged (see score).
+//
+// Whatever does not depend on the candidate is computed once. Per Generate
+// call: each row's neighbor times, its largest time, the sums behind
+// FeasibleTimeInterval and the steps of the row solver's vertex walk. Per
+// ρ: each row's slack and floor products. A candidate then only subtracts
+// its row budgets, walks the tabulated steps and builds Y_P one unordered
+// pair at a time (buildY), into buffers allocated once for all K·R
+// candidates. Test-only plain versions that redo all of it per candidate
+// (plainSolveRows, plainBuildY) check every policy bit.
 package policy
 
 import (
@@ -74,10 +82,11 @@ var ErrNoFeasiblePolicy = errors.New("policy: no feasible policy found")
 
 // ErrInvalidInput is returned, wrapped with the offending entry, when
 // Generate is given a malformed Input: an empty, ragged or non-square
-// Times or Adj, a NaN, infinite or negative time on an edge, a learning
-// rate that is not a positive finite number, a negative Rounds, Rounds 1
-// or Rounds above MaxRounds, or a nonzero Epsilon outside (0, 1). Validate
-// returns it for a policy no worker may adopt.
+// Times or Adj, more than MaxWorkers workers, a NaN, infinite or negative
+// time on an edge, a learning rate that is not a positive finite number, a
+// negative Rounds, Rounds 1 or Rounds above MaxRounds, or a nonzero
+// Epsilon outside (0, 1). Validate returns it for a policy no worker may
+// adopt.
 var ErrInvalidInput = errors.New("policy: invalid input")
 
 // rowSumTol is how far a policy row may sum from 1 and still be adopted:
@@ -121,6 +130,9 @@ func (in *Input) validate() error {
 	m := len(in.Times)
 	if m == 0 || len(in.Adj) != m {
 		return fmt.Errorf("%w: %d time rows and %d adjacency rows", ErrInvalidInput, m, len(in.Adj))
+	}
+	if m > MaxWorkers {
+		return fmt.Errorf("%w: %d workers above the cap of %d", ErrInvalidInput, m, MaxWorkers)
 	}
 	if !(in.Alpha > 0) || math.IsInf(in.Alpha, 1) {
 		return fmt.Errorf("%w: learning rate %v", ErrInvalidInput, in.Alpha)
@@ -220,7 +232,7 @@ func GlobalStepProbs(avgIterTimes []float64) []float64 {
 // derived from the measured iteration times.
 func BuildY(p [][]float64, times [][]float64, adj [][]bool, alpha, rho float64) *linalg.Matrix {
 	y := linalg.NewMatrix(len(p))
-	buildY(y, p, adj, alpha*rho, false, GlobalStepProbs(AvgIterTimes(p, times, adj)))
+	buildY(y, p, adj, alpha*rho, false, GlobalStepProbs(AvgIterTimes(p, times, adj)), make([]float64, len(p)))
 	return y
 }
 
@@ -229,28 +241,17 @@ func BuildY(p [][]float64, times [][]float64, adj [][]bool, alpha, rho float64) 
 // D^k = I − ½uuᵀ with u = e_i − e_m.
 func BuildYAveraging(p [][]float64, times [][]float64, adj [][]bool) *linalg.Matrix {
 	y := linalg.NewMatrix(len(p))
-	buildY(y, p, adj, 0, true, GlobalStepProbs(AvgIterTimes(p, times, adj)))
+	buildY(y, p, adj, 0, true, GlobalStepProbs(AvgIterTimes(p, times, adj)), make([]float64, len(p)))
 	return y
 }
 
-// weight is the blend weight w(i,m) = αρ·γ_im of NetMax's update
-// D^k = I + w·e_i(e_m-e_i)ᵀ, with γ_im = (d_im+d_mi)/(2 p_im) (Eq. 22).
-func weight(p [][]float64, adj [][]bool, i, j int, ar float64) float64 {
-	d := 0.0
-	if adj[i][j] {
-		d++
-	}
-	if adj[j][i] {
-		d++
-	}
-	return ar * (d / (2 * p[i][j]))
-}
-
-// buildY writes E[(D^k)ᵀD^k] into y for global-step probabilities pg.
-// Terms with p_im = 0 contribute nothing (the selection event has
-// probability zero).
+// buildY writes E[(D^k)ᵀD^k] into y for global-step probabilities pg,
+// using diag (len(p) entries) as scratch. Terms with p_im = 0 contribute
+// nothing (the selection event has probability zero).
 //
-// For NetMax's one-sided pull, with ar = αρ and w = weight, the entries are
+// For NetMax's one-sided pull, with ar = αρ and the blend weight
+// w_im = αρ·γ_im of D^k = I + w·e_i(e_m-e_i)ᵀ, γ_im = (d_im+d_mi)/(2 p_im)
+// (Eq. 22), the entries are
 // y_im = Σ_{sides} pg·p·(w - w²) and
 // y_ii = 1 - 2 Σ_m pg_i p_im w_im + Σ_m Σ_{sides} pg·p·w².
 //
@@ -258,44 +259,68 @@ func weight(p [][]float64, adj [][]bool, i, j int, ar float64) float64 {
 // Y = E[D^k] = I − ½ Σ pg_i p_im uuᵀ, the randomized-gossip matrix of Boyd
 // et al. (IEEE Trans. Inf. Theory 2006): y_im = ½(pg_i p_im + pg_m p_mi)
 // and every row sums to 1.
-func buildY(y *linalg.Matrix, p [][]float64, adj [][]bool, ar float64, averaging bool, pg []float64) {
+//
+// Each unordered pair is visited once, with one weight per direction:
+// y_im and y_mi sum the same two sides, and IEEE addition is commutative,
+// so one sum gives both. Row i's diagonal still takes its terms in
+// increasing m, since the pairs (m, i) with m < i come before i's own.
+func buildY(y *linalg.Matrix, p [][]float64, adj [][]bool, ar float64, averaging bool, pg, diag []float64) {
 	m := len(p)
+	diag = diag[:m]
+	for i := range diag {
+		diag[i] = 1
+	}
 	for i := 0; i < m; i++ {
-		diag := 1.0
-		for j := 0; j < m; j++ {
-			if j == i {
-				continue
-			}
+		yi, di := y.Data[i*m:(i+1)*m], diag[i]
+		pi, ai, pgi := p[i], adj[i], pg[i]
+		for j := i + 1; j < m; j++ {
+			pij, pji := pi[j], p[j][i]
+			ij := ai[j] && pij > 0 // i pulls from j
+			ji := adj[j][i] && pji > 0
+			var v float64
 			if averaging {
 				var mass float64 // pg_i p_ij + pg_j p_ji: the rate of i–j pulls
-				if adj[i][j] && p[i][j] > 0 {
-					mass += float64(pg[i] * p[i][j])
+				if ij {
+					mass += float64(pgi * pij)
 				}
-				if adj[j][i] && p[j][i] > 0 {
-					mass += float64(pg[j] * p[j][i])
+				if ji {
+					mass += float64(pg[j] * pji)
 				}
-				half := float64(mass / 2)
-				y.Set(i, j, half)
-				diag -= half
-				continue
+				v = float64(mass / 2)
+				di -= v
+				diag[j] -= v
+			} else {
+				d := 0.0 // d_ij + d_ji
+				if ai[j] {
+					d++
+				}
+				if adj[j][i] {
+					d++
+				}
+				var first, second float64
+				if ij {
+					w := ar * (d / (2 * pij))
+					f := float64(pgi * pij * w)
+					first += f
+					second += float64(f * w)
+					// A diagonal's first-order term covers only its own pulls.
+					di -= float64(2 * pgi * pij * w)
+				}
+				if ji {
+					w := ar * (d / (2 * pji))
+					f := float64(pg[j] * pji * w)
+					first += f
+					second += float64(f * w)
+					diag[j] -= float64(2 * pg[j] * pji * w)
+				}
+				v = first - second
+				di += second
+				diag[j] += second
 			}
-			var first, second float64
-			if adj[i][j] && p[i][j] > 0 {
-				wij := weight(p, adj, i, j, ar)
-				first += float64(pg[i] * p[i][j] * wij)
-				second += float64(pg[i] * p[i][j] * wij * wij)
-				// Diagonal first-order term covers only i's own pulls.
-				diag -= float64(2 * pg[i] * p[i][j] * wij)
-			}
-			if adj[j][i] && p[j][i] > 0 {
-				wji := weight(p, adj, j, i, ar)
-				first += float64(pg[j] * p[j][i] * wji)
-				second += float64(pg[j] * p[j][i] * wji * wji)
-			}
-			y.Set(i, j, first-second)
-			diag += second
+			yi[j] = v
+			y.Data[j*m+i] = v
 		}
-		y.Set(i, i, diag)
+		yi[i] = di
 	}
 }
 
@@ -308,23 +333,30 @@ func FeasibleRhoInterval(alpha float64) (lo, hi float64) {
 // (Eq. 25-28). Returns an error when L > U (no feasible mean time).
 func FeasibleTimeInterval(times [][]float64, adj [][]bool, alpha, rho float64) (lo, hi float64, err error) {
 	m := len(times)
-	lo = 0
-	hi = math.Inf(1)
+	sum, top := make([]float64, m), make([]float64, m)
 	for i := 0; i < m; i++ {
-		li := 0.0
-		ui := 0.0
 		for j := 0; j < m; j++ {
 			if i == j || !adj[i][j] {
 				continue
 			}
-			d := 2.0 // d_im + d_mi on an undirected graph
-			li += times[i][j] * d
-			if times[i][j] > ui {
-				ui = times[i][j]
+			sum[i] += times[i][j] * 2 // d_im + d_mi on an undirected graph
+			if times[i][j] > top[i] {
+				top[i] = times[i][j]
 			}
 		}
-		li = li * alpha * rho / float64(m)
-		ui = ui / float64(m)
+	}
+	return timeInterval(sum, top, alpha, rho)
+}
+
+// timeInterval is FeasibleTimeInterval on each row's Σ_m 2·t_im and
+// largest t_im.
+func timeInterval(sum, top []float64, alpha, rho float64) (lo, hi float64, err error) {
+	m := len(sum)
+	lo = 0
+	hi = math.Inf(1)
+	for i := 0; i < m; i++ {
+		li := sum[i] * alpha * rho / float64(m)
+		ui := top[i] / float64(m)
 		if li > lo {
 			lo = li
 		}
@@ -360,6 +392,12 @@ const (
 // and each candidate solves every row, so an unbounded value turns a valid
 // input into a run that never ends. The largest grid in use is 20.
 const MaxRounds = 64
+
+// MaxWorkers caps the worker count N of a policy, and so of every run: a
+// candidate's Y build is O(N²) and its eigensolve O(N³), and every run
+// holds N models. The largest group in use is 16 workers, and
+// BenchmarkGenerate goes up to 64.
+const MaxWorkers = 256
 
 // generate is Generate on a validated Input.
 func generate(in Input) (*Policy, error) {
@@ -404,20 +442,22 @@ func generate(in Input) (*Policy, error) {
 	return s.result()
 }
 
-// search is the state of one Generate call: the neighbor lists, and
-// buffers for the row solves, the candidate P, Y_P, the λ₂ certificate and
-// the eigensolve, allocated once and reused by every (ρ, t̄) candidate.
-// Only an improving candidate's P is copied, into best.
+// search is the state of one Generate call: the neighbor lists, the row
+// LPs with their candidate-independent work done (rowLPs), and buffers for
+// the candidate P, Y_P, the λ₂ certificate and the eigensolve, allocated
+// once and reused by every (ρ, t̄) candidate. Only an improving candidate's
+// P is copied, into best.
 type search struct {
 	in      Input
 	eps     float64
 	nbrs    [][]int
 	maxDeg  int
-	rowT    []float64 // times of one row's neighbors
-	rowP    []float64 // solveRow output for one row
+	rows    *rowLPs
+	rowP    []float64 // solve output for one row
 	p       [][]float64
 	pg      []float64
 	y       *linalg.Matrix
+	diag    []float64 // buildY scratch
 	eig     []float64
 	eigWork []float64
 	cert    []float64 // Cholesky scratch for the λ₂ certificate
@@ -441,11 +481,18 @@ func newSearch(in Input, eps float64) *search {
 		// For a feasible P all workers share t_i = M·t̄, so p_i = 1/M.
 		s.pg[i] = 1 / float64(m)
 	}
-	s.rowT = make([]float64, s.maxDeg)
+	times := carve[float64](s.nbrs)
+	for i, nbrs := range s.nbrs {
+		for k, j := range nbrs {
+			times[i][k] = in.Times[i][j]
+		}
+	}
+	s.rows = newRowLPs(times)
 	s.rowP = make([]float64, s.maxDeg)
 	s.p = matrix(m)
 	s.best.P = matrix(m)
 	s.y = linalg.NewMatrix(m)
+	s.diag = make([]float64, m)
 	s.eig = make([]float64, m)
 	s.eigWork = make([]float64, m)
 	s.cert = make([]float64, m*m)
@@ -470,24 +517,25 @@ func (s *search) innerLoop(rho float64, r int) error {
 	if s.in.AveragingBlend {
 		// Only positivity floors apply, so the lower end of the feasible
 		// interval collapses; search from a small positive fraction of U.
-		_, hi, err = FeasibleTimeInterval(s.in.Times, s.in.Adj, s.in.Alpha, 0)
+		_, hi, err = timeInterval(s.rows.sum, s.rows.tmax, s.in.Alpha, 0)
 		lo = hi / (10 * float64(r))
 	} else {
-		lo, hi, err = FeasibleTimeInterval(s.in.Times, s.in.Adj, s.in.Alpha, rho)
+		lo, hi, err = timeInterval(s.rows.sum, s.rows.tmax, s.in.Alpha, rho)
 		floor = float64(2*s.in.Alpha*rho) + 1e-9 // Eq. (11) is strict; keep entries strictly above the floor
 	}
 	if err != nil {
 		return err
 	}
+	s.rows.setFloor(floor)
 	delta := (hi - lo) / float64(r)
 	for ri := 1; ri <= r; ri++ {
-		s.score(rho, lo+float64(float64(ri)*delta), floor)
+		s.score(rho, lo+float64(float64(ri)*delta))
 	}
 	return nil
 }
 
-// score builds the (ρ, t̄) candidate and keeps it if its predicted
-// convergence time beats the best so far.
+// score builds the (ρ, t̄) candidate at the floor of the last setFloor and
+// keeps it if its predicted convergence time beats the best so far.
 //
 // Once a best exists, the candidate can win only if λ₂ < λ* =
 // exp(t̄·ln ε / T_best), so a Cholesky certificate that proves λ₂ > λ*
@@ -498,11 +546,11 @@ func (s *search) innerLoop(rho float64, r int) error {
 // bitwise the one scoring every candidate by eigensolve would pick. Where
 // the certificate does not apply (no best yet, Y·1 ≠ 1 as on a directed
 // graph) or proves nothing, the eigensolve runs as before.
-func (s *search) score(rho, tbar, floor float64) {
-	if !s.solveRows(floor, float64(len(s.p))*tbar) {
+func (s *search) score(rho, tbar float64) {
+	if !s.solveRows(float64(len(s.p)) * tbar) {
 		return
 	}
-	buildY(s.y, s.p, s.in.Adj, s.in.Alpha*rho, s.in.AveragingBlend, s.pg)
+	buildY(s.y, s.p, s.in.Adj, s.in.Alpha*rho, s.in.AveragingBlend, s.pg, s.diag)
 	if len(s.eig) < 2 {
 		return
 	}
@@ -527,11 +575,11 @@ func (s *search) score(rho, tbar, floor float64) {
 	s.found = true
 }
 
-// solveRows fills s.p with the Eq. (14) solution of every worker row:
-// minimize p_ii subject to Σ_m t_im p_im = target, p_im ≥ floor for
-// neighbors and probabilities summing to 1. It reports false as soon as one
-// row is infeasible.
-func (s *search) solveRows(floor, target float64) bool {
+// solveRows fills s.p with the Eq. (14) solution of every worker row at the
+// floor of the last setFloor: minimize p_ii subject to
+// Σ_m t_im p_im = target, p_im ≥ floor for neighbors and probabilities
+// summing to 1. It reports false as soon as one row is infeasible.
+func (s *search) solveRows(target float64) bool {
 	for i, nbrs := range s.nbrs {
 		row := s.p[i]
 		clear(row)
@@ -539,11 +587,8 @@ func (s *search) solveRows(floor, target float64) bool {
 			row[i] = 1
 			continue
 		}
-		t, x := s.rowT[:len(nbrs)], s.rowP[:len(nbrs)]
-		for k, j := range nbrs {
-			t[k] = s.in.Times[i][j]
-		}
-		pii, ok := solveRow(t, floor, target, x)
+		x := s.rowP[:len(nbrs)]
+		pii, ok := s.rows.solve(i, target, x)
 		if !ok {
 			return false
 		}

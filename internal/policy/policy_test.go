@@ -411,6 +411,8 @@ func TestGenerateRejectsInvalidInput(t *testing.T) {
 		"epsilon of 1":     {Times: good, Adj: full3, Alpha: 0.1, Epsilon: 1},
 		"negative epsilon": {Times: good, Adj: full3, Alpha: 0.1, Epsilon: -0.01},
 		"NaN epsilon":      {Times: good, Adj: full3, Alpha: 0.1, Epsilon: math.NaN()},
+		"workers above cap": {Times: hetTimes(MaxWorkers+1, 1), Adj: simnet.FullyConnected(MaxWorkers + 1),
+			Alpha: 0.1, Rounds: 2},
 	}
 	for name, in := range cases {
 		if _, err := Generate(in); !errors.Is(err, ErrInvalidInput) {

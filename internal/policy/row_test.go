@@ -9,6 +9,14 @@ import (
 	"testing/quick"
 )
 
+// solveRow solves the one row with neighbor times t through the search's
+// row solver: newRowLPs, setFloor and solve.
+func solveRow(t []float64, floor, target float64, p []float64) (pii float64, ok bool) {
+	r := newRowLPs([][]float64{t})
+	r.setFloor(floor)
+	return r.solve(0, target, p)
+}
+
 // TestSolveRowVertex pins the vertex solveRow picks on rows where the
 // choice is delicate. The expected rows are the vertices the two-phase
 // Bland simplex that solveRow replaced returned on the same input (nil:
@@ -254,13 +262,13 @@ func parseRow(s string) ([]float64, bool) {
 }
 
 // bruteForceRow returns the smallest p_ii over every vertex of the row LP
-// on the budget rowBudget leaves: the 2-column bases of
+// on the budget plainRowBudget leaves: the 2-column bases of
 // {Σ t·y = B, Σ y + p_ii = S} — two links, or one link and p_ii — plus the
 // single-column supports that the bases degenerate to. Feasibility of a
 // basis is decided from the signs of its solution, computed as the
 // products t·S against B.
 func bruteForceRow(t []float64, floor, target float64) (pii float64, feasible bool) {
-	s, b, _ := rowBudget(t, floor, target)
+	s, b, _ := plainRowBudget(t, floor, target)
 	if s < 0 {
 		return 0, false
 	}
@@ -288,7 +296,9 @@ func bruteForceRow(t []float64, floor, target float64) (pii float64, feasible bo
 // FuzzSolveRow checks solveRow against its definition on arbitrary rows:
 // it never panics, agrees with brute-force vertex enumeration on
 // feasibility and on the optimal p_ii, and a feasible row sums to one,
-// meets the floors and meets the time budget.
+// meets the floors and meets the time budget. Its feasibility, p_ii and
+// row are bitwise plainSolveRow's, which finds every walk step by scanning
+// the row instead of looking it up.
 func FuzzSolveRow(f *testing.F) {
 	f.Fuzz(func(t *testing.T, times string, floor, target float64) {
 		row, ok := parseRow(times)
@@ -297,6 +307,16 @@ func FuzzSolveRow(f *testing.F) {
 		}
 		p := make([]float64, len(row))
 		pii, ok := solveRow(row, floor, target, p)
+		plain := make([]float64, len(row))
+		plainPii, plainOK := plainSolveRow(row, floor, target, plain)
+		if ok != plainOK || math.Float64bits(pii) != math.Float64bits(plainPii) {
+			t.Fatalf("solveRow = (%v, %v), plainSolveRow = (%v, %v)", pii, ok, plainPii, plainOK)
+		}
+		for k := range p {
+			if math.Float64bits(p[k]) != math.Float64bits(plain[k]) {
+				t.Fatalf("p[%d] = %v, plainSolveRow gives %v", k, p[k], plain[k])
+			}
+		}
 		want, feasible := bruteForceRow(row, floor, target)
 		if ok != feasible {
 			t.Fatalf("feasible = %v, brute force says %v", ok, feasible)
@@ -304,7 +324,7 @@ func FuzzSolveRow(f *testing.F) {
 		if !ok {
 			return
 		}
-		s, _, tmax := rowBudget(row, floor, target)
+		s, _, tmax := plainRowBudget(row, floor, target)
 		if pii < 0 || math.Abs(pii-want) > 2*rowTol*s+1e-15 {
 			t.Fatalf("p_ii = %v, brute-force optimum %v", pii, want)
 		}

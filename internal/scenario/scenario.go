@@ -304,6 +304,19 @@ const (
 // Parse decodes a manifest from JSON, rejecting unknown fields, and
 // validates it.
 func Parse(raw []byte) (*Manifest, error) {
+	m, err := decodeManifest(raw)
+	if err != nil {
+		return nil, err
+	}
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// decodeManifest decodes a manifest, rejecting unknown fields and trailing
+// data; validation is the caller's job.
+func decodeManifest(raw []byte) (*Manifest, error) {
 	dec := json.NewDecoder(strings.NewReader(string(raw)))
 	dec.DisallowUnknownFields()
 	var m Manifest
@@ -314,9 +327,6 @@ func Parse(raw []byte) (*Manifest, error) {
 	// an unknown field.
 	if !atEOF(dec) {
 		return nil, fmt.Errorf("scenario: parse: trailing data after manifest object")
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
 	}
 	return &m, nil
 }
@@ -539,16 +549,24 @@ func (m *Manifest) Validate() error {
 // resolve validates the manifest as Validate does and returns its resolved
 // form.
 func (m *Manifest) resolve() (*Manifest, error) {
-	r, err := m.validateOne()
-	if err != nil {
-		return nil, err
+	r, _, err := m.resolveForms()
+	return r, err
+}
+
+// resolveForms validates the manifest as Validate does and returns its
+// resolved form and the resolved form of ApplyQuick (r itself when there
+// is no quick block).
+func (m *Manifest) resolveForms() (r, quick *Manifest, err error) {
+	if r, err = m.validateOne(); err != nil {
+		return nil, nil, err
 	}
-	if m.Quick != nil {
-		if _, err := m.ApplyQuick().validateOne(); err != nil {
-			return nil, fmt.Errorf("%w (with quick overrides applied)", err)
-		}
+	if m.Quick == nil {
+		return r, r, nil
 	}
-	return r, nil
+	if quick, err = m.ApplyQuick().validateOne(); err != nil {
+		return nil, nil, fmt.Errorf("%w (with quick overrides applied)", err)
+	}
+	return r, quick, nil
 }
 
 // validateOne validates the manifest alone, without its quick form, and
@@ -578,6 +596,9 @@ func (m *Manifest) validateOne() (*Manifest, error) {
 	if r.Workers < 2 {
 		e.addf("workers must be >= 2, got %d", r.Workers)
 	}
+	if r.Workers > policy.MaxWorkers {
+		e.addf("workers must be <= %d, got %d", policy.MaxWorkers, r.Workers)
+	}
 	if r.Batch < 1 {
 		e.addf("batch must be >= 1, got %d", r.Batch)
 	}
@@ -597,6 +618,9 @@ func (m *Manifest) validateOne() (*Manifest, error) {
 	if q := m.Quick; q != nil {
 		if q.Workers < 0 {
 			e.addf("quick.workers must be >= 0, got %d", q.Workers)
+		}
+		if q.Workers > policy.MaxWorkers {
+			e.addf("quick.workers must be <= %d, got %d", policy.MaxWorkers, q.Workers)
 		}
 		if q.Epochs < 0 {
 			e.addf("quick.epochs must be >= 0, got %d", q.Epochs)

@@ -112,6 +112,11 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		{"bad model", `{"name": "x", "model": "ResNet34"}`, "unknown model"},
 		{"bad dataset", `{"name": "x", "dataset": "SVHN"}`, "unknown dataset"},
 		{"one worker", `{"name": "x", "workers": 1}`, "workers must be >= 2"},
+		{"workers above cap", `{"name": "x", "workers": 257}`, "workers must be <= 256"},
+		// homogeneous-resnet18-cifar10.json at three million workers.
+		{"three million workers", `{"name": "homogeneous-resnet18-cifar10", "model": "ResNet18", "dataset": "CIFAR10", "workers": 3000000, "epochs": 20,
+			"topology": {"kind": "single-machine"}, "network": {"kind": "homogeneous"}, "quick": {"workers": 4, "epochs": 3}}`, "workers must be <= 256"},
+		{"quick workers above cap", `{"name": "x", "quick": {"workers": 3000000}}`, "quick.workers must be <= 256"},
 		{"bad topology kind", `{"name": "x", "topology": {"kind": "torus"}}`, "unknown topology kind"},
 		{"cluster topology", `{"name": "x", "topology": {"kind": "cluster"}}`, `unknown topology kind "cluster"`},
 		{"nodes per machine", `{"name": "x", "topology": {"kind": "paper-cluster", "nodes_per_machine": [4, 4]}}`, `unknown field "nodes_per_machine"`},

@@ -263,21 +263,32 @@ func (s *Suite) validateShape() error {
 // a ten-digit one would otherwise allocate gigabytes.
 const maxSuiteRuns = 1000
 
-// loadMember materializes a member's manifest: inline members are
-// deep-copied (expansion must not mutate the suite), path members loaded
-// relative to the suite's directory.
-func (s *Suite) loadMember(mem *SuiteMember) (*Manifest, error) {
+// loadMember materializes and validates a member's manifest, inline or
+// loaded relative to the suite's directory. It returns the manifest (for
+// an inline member a deep copy: expansion must not mutate the suite) and
+// its resolved full and quick forms (resolveForms), so each member is
+// validated once per Resolve.
+func (s *Suite) loadMember(mem *SuiteMember) (m, full, quick *Manifest, err error) {
 	if mem.Manifest != nil {
-		if err := mem.Manifest.Validate(); err != nil {
-			return nil, err
-		}
-		return mem.Manifest.clone(), nil
+		m = mem.Manifest.clone()
+		full, quick, err = m.resolveForms()
+		return m, full, quick, err
 	}
 	path := mem.Path
 	if !filepath.IsAbs(path) && s.dir != "" {
 		path = filepath.Join(s.dir, path)
 	}
-	return Load(path)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("scenario: %w", err)
+	}
+	if m, err = decodeManifest(raw); err == nil {
+		full, quick, err = m.resolveForms()
+	}
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("%w (in %s)", err, path)
+	}
+	return m, full, quick, nil
 }
 
 // Resolve expands the suite into its explicit run list: the grid (if any)
@@ -321,16 +332,12 @@ func (s *Suite) Resolve(quick bool) (*Suite, error) {
 func (s *Suite) explicitMembers(quick bool) ([]SuiteMember, error) {
 	members := make([]SuiteMember, 0, len(s.Runs))
 	for i, mem := range s.Runs {
-		m, err := s.loadMember(&mem)
+		_, r, q, err := s.loadMember(&mem)
 		if err != nil {
 			return nil, fmt.Errorf("suite %q: run %d: %w", s.Name, i, err)
 		}
 		if quick {
-			m = m.ApplyQuick()
-		}
-		r, err := m.resolve()
-		if err != nil {
-			return nil, fmt.Errorf("suite %q: run %d: %w", s.Name, i, err)
+			r = q
 		}
 		arm := mem.Arm
 		if arm == "" {
@@ -345,7 +352,7 @@ func (s *Suite) explicitMembers(quick bool) ([]SuiteMember, error) {
 // labels concatenate the varying dimensions (algorithm, then codec);
 // member names append the arm and the seed to the suite name.
 func (s *Suite) expandGrid(quick bool) ([]SuiteMember, error) {
-	base, err := s.loadMember(s.Base)
+	base, _, _, err := s.loadMember(s.Base)
 	if err != nil {
 		return nil, fmt.Errorf("suite %q: base: %w", s.Name, err)
 	}
