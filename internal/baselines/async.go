@@ -17,47 +17,39 @@ import (
 // uniformAsync is the AD-PSGD behavior: uniform neighbor selection
 // over a (possibly sparsified) adjacency, two-sided averaging with weight
 // 1/2 (scaled by the share of the model each pull moves), no periodic
-// control. Membership events renormalize the selection over the
-// live peers — process-level crash detection is fast even for a policy-less
-// algorithm — but the selection never *adapts*: hung peers and slow links
-// keep their uniform share, which is exactly the weakness the churn
-// scenarios demonstrate.
+// control. Departed peers are masked out of the selection the way NetMax's
+// nodes mask them — process-level crash detection is fast even for a
+// policy-less algorithm — but the selection never *adapts*: hung peers and
+// slow links keep their uniform share, which is exactly the weakness the
+// churn scenarios demonstrate.
 type uniformAsync struct {
-	adj   [][]bool
 	p     [][]float64
+	down  []bool // departed workers; nil until the first membership event
 	share float64
 }
 
 func newUniformAsync(adj [][]bool, share float64) *uniformAsync {
-	return &uniformAsync{adj: adj, p: policy.Uniform(adj), share: share}
+	return &uniformAsync{p: policy.Uniform(adj), share: share}
 }
 
-// Plan averages with a uniformly sampled neighbor. The averaging is
+// Plan averages with a uniformly sampled live neighbor. The averaging is
 // two-sided: AD-PSGD's atomic averaging sets both endpoints to the midpoint
 // [11].
 func (u *uniformAsync) Plan(i int, now float64, rng *rand.Rand) engine.Pull {
-	return engine.Pull{Peer: policy.Sample(u.p[i], i, rng), Coef: 0.5 * u.share, TwoSided: true, Share: u.share}
+	return engine.Pull{Peer: policy.SampleMasked(u.p[i], i, u.down, rng), Coef: 0.5 * u.share, TwoSided: true, Share: u.share}
 }
 
 func (u *uniformAsync) OnIterationEnd(i, j int, s, now float64) {}
 
-// OnMembership rebuilds the uniform selection over the live subgraph so
-// crashed peers stop being selected and rejoining ones are re-admitted.
+// OnMembership masks departed peers out of the selection, and re-admits
+// rejoining ones.
 func (u *uniformAsync) OnMembership(alive []bool, now float64) {
-	u.p = policy.Uniform(liveAdj(u.adj, alive))
-}
-
-// liveAdj restricts an adjacency to the live workers.
-func liveAdj(adj [][]bool, alive []bool) [][]bool {
-	m := len(adj)
-	out := make([][]bool, m)
-	for i := range out {
-		out[i] = make([]bool, m)
-		for j := range out[i] {
-			out[i][j] = adj[i][j] && alive[i] && alive[j]
-		}
+	if u.down == nil {
+		u.down = make([]bool, len(alive))
 	}
-	return out
+	for k, a := range alive {
+		u.down[k] = !a
+	}
 }
 
 // RunADPSGD trains with asynchronous decentralized parallel SGD [11]: each

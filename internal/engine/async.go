@@ -23,6 +23,15 @@ type AsyncBehavior interface {
 	// with a Network Monitor feed into their EMA time vectors
 	// (Algorithm 2 line 16).
 	OnIterationEnd(i, j int, iterSecs, now float64)
+	// OnMembership reports cluster membership: whenever a crash, leave or
+	// rejoin boundary of the configured FailureSchedule passes, the engine
+	// calls it with the current membership vector before processing the
+	// first event at or after the boundary. alive is only valid during the
+	// call — behaviors keep their own copy. Hangs and link blackouts are
+	// NOT membership events: a frozen process is indistinguishable from a
+	// slow link, so behaviors learn about those only through failed pulls
+	// and inflated iteration times.
+	OnMembership(alive []bool, now float64)
 }
 
 // Pull is one worker's plan for an iteration.
@@ -47,19 +56,6 @@ type Pull struct {
 	// Until, when later than now, holds the worker back: it starts no
 	// iteration, and its next Plan runs at Until (Hop's staleness gate).
 	Until float64
-}
-
-// MembershipAware is an optional AsyncBehavior refinement for behaviors
-// that react to cluster membership: whenever a crash, leave or rejoin
-// boundary of the configured FailureSchedule passes, the engine calls
-// OnMembership with the current membership vector before processing the
-// first event at or after the boundary. alive is only valid during the
-// call — behaviors keep their own copy. Hangs and link blackouts are NOT
-// membership events: a frozen process is indistinguishable from a slow
-// link, so behaviors learn about those only through failed pulls and
-// inflated iteration times.
-type MembershipAware interface {
-	OnMembership(alive []bool, now float64)
 }
 
 // exchange carries out pulls. Every transferred vector round-trips through
@@ -124,8 +120,8 @@ func (e *exchange) pull(x, y *nn.Model, p Pull) {
 // workers' events are parked until rejoin (iterations in flight across a
 // down interval are discarded), pulls at unresponsive peers or blacked-out
 // links fail after the schedule's detection deadline without moving bytes,
-// and crash/leave/rejoin boundaries are delivered to MembershipAware
-// behaviors before the first event at or past the boundary. A nil or empty
+// and crash/leave/rejoin boundaries are delivered to b.OnMembership
+// before the first event at or past the boundary. A nil or empty
 // schedule takes none of these paths and reproduces the failure-free
 // trajectory bitwise.
 func RunAsync(cfg *Config, b AsyncBehavior, algo string) *Result {
@@ -156,14 +152,12 @@ func RunAsync(cfg *Config, b AsyncBehavior, algo string) *Result {
 	}
 	var started []float64 // virtual start time of each worker's in-flight iteration
 	var alive []bool      // scratch membership vector
-	var membAware MembershipAware
 	// nextMemb is the earliest unannounced membership boundary: an O(1)
 	// comparison per event pop instead of a schedule scan.
 	nextMemb, haveMemb := 0.0, false
 	if fs != nil {
 		started = make([]float64, len(ws))
 		alive = make([]bool, len(ws))
-		membAware, _ = b.(MembershipAware)
 		nextMemb, haveMemb = fs.NextTransition(math.Inf(-1))
 	}
 	// admit decides whether worker id's completion event at time now runs
@@ -196,9 +190,7 @@ func RunAsync(cfg *Config, b AsyncBehavior, algo string) *Result {
 		// timestamp runs, so behaviors stop selecting dead peers at once.
 		if fs != nil && haveMemb && now >= nextMemb {
 			fs.AliveInto(alive, now)
-			if membAware != nil {
-				membAware.OnMembership(alive, now)
-			}
+			b.OnMembership(alive, now)
 			nextMemb, haveMemb = fs.NextTransition(now)
 		}
 		if !admit(i, now) {

@@ -69,9 +69,8 @@ type Config struct {
 	// into the asynchronous loop: crashed/hung workers stop iterating
 	// (in-flight iterations are discarded), pulls at unresponsive peers or
 	// blacked-out links fail after the schedule's detection deadline, and
-	// crash/leave/rejoin boundaries are emitted as membership events to
-	// behaviors implementing MembershipAware. A nil or empty schedule
-	// reproduces the failure-free trajectory bitwise.
+	// crash/leave/rejoin boundaries reach the behavior's OnMembership. A
+	// nil or empty schedule reproduces the failure-free trajectory bitwise.
 	Failures *simnet.FailureSchedule
 }
 

@@ -243,6 +243,7 @@ func (s *simpleBehavior) Plan(i int, now float64, rng *rand.Rand) Pull {
 	return Pull{Peer: j, Coef: 0.5, Share: 1}
 }
 func (s *simpleBehavior) OnIterationEnd(i, j int, t, now float64) {}
+func (s *simpleBehavior) OnMembership(alive []bool, now float64)  {}
 
 func TestRunAsyncConvergesAndTerminates(t *testing.T) {
 	cfg := testConfig(4, 8)

@@ -422,6 +422,16 @@ func TestGenerateRejectsInvalidInput(t *testing.T) {
 			t.Errorf("%s: GenerateLive err = %v, want ErrInvalidInput", name, err)
 		}
 	}
+	// A liveness vector must hold one entry per worker; nil means all alive.
+	valid := Input{Times: hetTimes(4, 1), Adj: simnet.FullyConnected(4), Alpha: 0.1, Rounds: 2}
+	for _, alive := range [][]bool{{true, true, true}, {true, true, true, true, true}, {}} {
+		if _, err := GenerateLive(valid, alive); !errors.Is(err, ErrInvalidInput) {
+			t.Errorf("%d liveness entries for 4 workers: GenerateLive err = %v, want ErrInvalidInput", len(alive), err)
+		}
+	}
+	if _, err := GenerateLive(valid, nil); err != nil {
+		t.Fatalf("nil liveness rejected: %v", err)
+	}
 	// Non-edge entries are ignored: a ring's missing chords may hold
 	// anything.
 	ring := hetTimes(5, 3)

@@ -1,6 +1,10 @@
 package policy
 
-import "math/rand"
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+)
 
 // Sample draws one index from the probability row (row[j] is the
 // probability of selecting j; row[self] is the probability of selecting no
@@ -23,57 +27,33 @@ func Sample(row []float64, self int, rng *rand.Rand) int {
 
 // SampleMasked is Sample with a worker-local liveness mask: masked indices
 // are treated as zero-probability and the remaining mass is renormalized,
-// so a freshly failed neighbor is skipped without waiting for the monitor
-// to regenerate the policy. A nil or all-false mask reproduces Sample's
-// arithmetic exactly, draw for draw — an all-false mask is detected and
-// routed through the nil path, since the renormalizing branch multiplies
-// r by the row's FP sum and would otherwise draw differently whenever
-// that sum is not exactly 1. The bitwise-determinism gate for failure-free
-// runs (where masks, once allocated, stay all-false after a full rejoin)
-// depends on this. Self is never masked.
+// so a departed neighbor is skipped without rebuilding or regenerating the
+// policy. Every asynchronous algorithm drops departed peers this way. When
+// any entry is masked, r is first scaled by the unmasked mass; a nil or
+// all-false mask leaves r as drawn, so it reproduces Sample's arithmetic
+// exactly, draw for draw (scaling by the row's FP sum would draw
+// differently whenever that sum is not exactly 1). The bitwise-determinism
+// gate for failure-free runs, where masks once allocated stay all-false
+// after a full rejoin, depends on this. Self is never masked.
 func SampleMasked(row []float64, self int, masked []bool, rng *rand.Rand) int {
 	r := rng.Float64()
-	if masked != nil {
-		any := false
-		for _, m := range masked {
-			if m {
-				any = true
-				break
-			}
-		}
-		if !any {
-			masked = nil
-		}
-	}
-	if masked == nil {
-		acc := 0.0
-		fallback := self
+	skip := func(j int) bool { return masked != nil && j != self && masked[j] }
+	if slices.Contains(masked, true) {
+		total := 0.0
 		for j, pj := range row {
-			acc += pj
-			if r < acc {
-				return j
-			}
-			if pj > 0 {
-				fallback = j
+			if !skip(j) {
+				total += pj
 			}
 		}
-		return fallback
-	}
-	live := func(j int) bool { return j == self || !masked[j] }
-	total := 0.0
-	for j, pj := range row {
-		if live(j) {
-			total += pj
+		if total <= 0 {
+			return self
 		}
+		r *= total
 	}
-	if total <= 0 {
-		return self
-	}
-	r *= total
 	acc := 0.0
 	fallback := self
 	for j, pj := range row {
-		if !live(j) {
+		if skip(j) {
 			continue
 		}
 		acc += pj
@@ -108,8 +88,9 @@ func SelfOnly(row []float64, self int) bool {
 // resulting policy is embedded back into the full index space, with dead
 // rows pinned to self (a dead worker that somehow acts selects nobody) and
 // dead columns zeroed (no live worker routes a pull at a corpse). A nil or
-// all-true alive vector is exactly Generate. Fewer than two live workers
-// cannot form a policy and return ErrNoFeasiblePolicy.
+// all-true alive vector is exactly Generate. A non-nil alive must hold one
+// entry per worker, or GenerateLive returns ErrInvalidInput. Fewer than two
+// live workers cannot form a policy and return ErrNoFeasiblePolicy.
 func GenerateLive(in Input, alive []bool) (*Policy, error) {
 	if err := in.validate(); err != nil {
 		return nil, err
@@ -118,8 +99,11 @@ func GenerateLive(in Input, alive []bool) (*Policy, error) {
 		return generate(in)
 	}
 	m := len(in.Times)
+	if len(alive) != m {
+		return nil, fmt.Errorf("%w: %d liveness entries for %d workers", ErrInvalidInput, len(alive), m)
+	}
 	var idx []int
-	for i := 0; i < m && i < len(alive); i++ {
+	for i := 0; i < m; i++ {
 		if alive[i] {
 			idx = append(idx, i)
 		}

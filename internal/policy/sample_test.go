@@ -106,6 +106,122 @@ func TestSampleMaskedSkipsMaskedPeers(t *testing.T) {
 	}
 }
 
+// twoScanSampleMasked is SampleMasked as it was written before its two
+// cases shared one scan: an unmasked scan for a nil or all-false mask, and
+// a separate renormalizing scan otherwise. It is the bitwise oracle for the
+// single scan.
+func twoScanSampleMasked(row []float64, self int, masked []bool, rng *rand.Rand) int {
+	r := rng.Float64()
+	if masked != nil {
+		any := false
+		for _, m := range masked {
+			if m {
+				any = true
+				break
+			}
+		}
+		if !any {
+			masked = nil
+		}
+	}
+	if masked == nil {
+		acc := 0.0
+		fallback := self
+		for j, pj := range row {
+			acc += pj
+			if r < acc {
+				return j
+			}
+			if pj > 0 {
+				fallback = j
+			}
+		}
+		return fallback
+	}
+	live := func(j int) bool { return j == self || !masked[j] }
+	total := 0.0
+	for j, pj := range row {
+		if live(j) {
+			total += pj
+		}
+	}
+	if total <= 0 {
+		return self
+	}
+	r *= total
+	acc := 0.0
+	fallback := self
+	for j, pj := range row {
+		if !live(j) {
+			continue
+		}
+		acc += pj
+		if r < acc {
+			return j
+		}
+		if pj > 0 {
+			fallback = j
+		}
+	}
+	return fallback
+}
+
+// TestSampleMaskedMatchesTwoScans draws from random rows (normalized,
+// under-normalized, with and without self mass and zero entries) under
+// nil, all-false, partial, self-only and full masks, and requires the
+// single scan to pick the two-scan oracle's index on every draw of the
+// same RNG stream.
+func TestSampleMaskedMatchesTwoScans(t *testing.T) {
+	gen := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 3000; trial++ {
+		m := 1 + gen.Intn(9)
+		self := gen.Intn(m)
+		row := make([]float64, m)
+		sum := 0.0
+		for j := range row {
+			if gen.Float64() < 0.7 {
+				row[j] = gen.Float64()
+				sum += row[j]
+			}
+		}
+		scale := 1.0
+		if trial%3 == 0 {
+			scale = 1 - 1e-3*gen.Float64() // cumulative sum falls short of 1
+		}
+		for j := range row {
+			if sum > 0 {
+				row[j] = row[j] / sum * scale
+			}
+		}
+		var masked []bool
+		switch trial % 5 {
+		case 1:
+			masked = make([]bool, m) // all false
+		case 2:
+			masked = make([]bool, m)
+			for j := range masked {
+				masked[j] = gen.Float64() < 0.4
+			}
+		case 3:
+			masked = make([]bool, m)
+			masked[self] = true
+		case 4:
+			masked = make([]bool, m)
+			for j := range masked {
+				masked[j] = true
+			}
+		}
+		seed := gen.Int63()
+		a, b := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		for draw := 0; draw < 40; draw++ {
+			if got, want := SampleMasked(row, self, masked, a), twoScanSampleMasked(row, self, masked, b); got != want {
+				t.Fatalf("trial %d draw %d: SampleMasked = %d, two-scan oracle = %d (row %v, self %d, mask %v)",
+					trial, draw, got, want, row, self, masked)
+			}
+		}
+	}
+}
+
 func TestGenerateLiveRestrictsToLiveSubgraph(t *testing.T) {
 	m := 4
 	adj := simnet.FullyConnected(m)

@@ -301,6 +301,11 @@ const (
 	DefaultPullTimeout = 2 * time.Second
 )
 
+// maxEpochs caps epochs and quick.epochs, so a manifest that validates
+// also finishes. The largest value in use is 40, in full-scale
+// experiments such as fig8.
+const maxEpochs = 1000
+
 // Parse decodes a manifest from JSON, rejecting unknown fields, and
 // validates it.
 func Parse(raw []byte) (*Manifest, error) {
@@ -625,6 +630,9 @@ func (m *Manifest) validateOne() (*Manifest, error) {
 		if q.Epochs < 0 {
 			e.addf("quick.epochs must be >= 0, got %d", q.Epochs)
 		}
+		if q.Epochs > maxEpochs {
+			e.addf("quick.epochs must be <= %d, got %d", maxEpochs, q.Epochs)
+		}
 		if q.Iterations < 0 {
 			e.addf("quick.iterations must be >= 0, got %d", q.Iterations)
 		}
@@ -723,6 +731,9 @@ func validateEngine(e *errorList, m, r *Manifest, a algorithm) {
 	}
 	if r.Epochs < 1 {
 		e.addf("epochs must be >= 1, got %d", r.Epochs)
+	}
+	if r.Epochs > maxEpochs {
+		e.addf("epochs must be <= %d, got %d", maxEpochs, r.Epochs)
 	}
 	if r.LRDecayEpoch < 0 {
 		e.addf("lr_decay_epoch must be >= 0, got %d", r.LRDecayEpoch)

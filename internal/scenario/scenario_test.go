@@ -117,6 +117,11 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		{"three million workers", `{"name": "homogeneous-resnet18-cifar10", "model": "ResNet18", "dataset": "CIFAR10", "workers": 3000000, "epochs": 20,
 			"topology": {"kind": "single-machine"}, "network": {"kind": "homogeneous"}, "quick": {"workers": 4, "epochs": 3}}`, "workers must be <= 256"},
 		{"quick workers above cap", `{"name": "x", "quick": {"workers": 3000000}}`, "quick.workers must be <= 256"},
+		{"epochs above cap", `{"name": "x", "epochs": 1001}`, "epochs must be <= 1000"},
+		// homogeneous-resnet18-cifar10.json at a billion epochs.
+		{"a billion epochs", `{"name": "homogeneous-resnet18-cifar10", "model": "ResNet18", "dataset": "CIFAR10", "workers": 8, "epochs": 1000000000,
+			"topology": {"kind": "single-machine"}, "network": {"kind": "homogeneous"}, "quick": {"workers": 4, "epochs": 3}}`, "epochs must be <= 1000"},
+		{"quick epochs above cap", `{"name": "x", "quick": {"epochs": 1000000000}}`, "quick.epochs must be <= 1000"},
 		{"bad topology kind", `{"name": "x", "topology": {"kind": "torus"}}`, "unknown topology kind"},
 		{"cluster topology", `{"name": "x", "topology": {"kind": "cluster"}}`, `unknown topology kind "cluster"`},
 		{"nodes per machine", `{"name": "x", "topology": {"kind": "paper-cluster", "nodes_per_machine": [4, 4]}}`, `unknown field "nodes_per_machine"`},
