@@ -24,12 +24,12 @@ import (
 // churn scenarios demonstrate.
 type uniformAsync struct {
 	p     [][]float64
-	down  []bool // departed workers; nil until the first membership event
+	down  []bool // departed workers, from the latest membership event
 	share float64
 }
 
 func newUniformAsync(adj [][]bool, share float64) *uniformAsync {
-	return &uniformAsync{p: policy.Uniform(adj), share: share}
+	return &uniformAsync{p: policy.Uniform(adj), down: make([]bool, len(adj)), share: share}
 }
 
 // Plan averages with a uniformly sampled live neighbor. The averaging is
@@ -44,9 +44,6 @@ func (u *uniformAsync) OnIterationEnd(i, j int, s, now float64) {}
 // OnMembership masks departed peers out of the selection, and re-admits
 // rejoining ones.
 func (u *uniformAsync) OnMembership(alive []bool, now float64) {
-	if u.down == nil {
-		u.down = make([]bool, len(alive))
-	}
 	for k, a := range alive {
 		u.down[k] = !a
 	}

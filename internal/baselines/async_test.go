@@ -138,10 +138,10 @@ func (c *departedPullCheck) Plan(i int, now float64, rng *rand.Rand) engine.Pull
 	return p
 }
 
-// TestUniformRunsSkipDepartedPeers runs AD-PSGD and SAPS-PSGD on the
+// TestUniformRunsSkipDepartedPeers runs AD-PSGD, SAPS-PSGD and Hop on the
 // engine through a crash, a rejoin and a leave: membership events reach
-// each behavior, and no pull is planned at a departed worker. (Hop takes
-// no failure schedule: a worker that leaves would hold everyone forever.)
+// each behavior, no pull is planned at a departed worker, and Hop's
+// staleness gate does not wait for the worker that left.
 func TestUniformRunsSkipDepartedPeers(t *testing.T) {
 	cfg := hetConfig(4, 4, 3)
 	dry := RunADPSGD(cfg)
@@ -149,6 +149,7 @@ func TestUniformRunsSkipDepartedPeers(t *testing.T) {
 	for name, b := range map[string]engine.AsyncBehavior{
 		"AD-PSGD": newUniformAsync(cfg.Net.Topo.Adj, 1),
 		"SAPS":    newUniformAsync(sapsSubgraph(cfg), sapsSparsity),
+		"Hop":     newHopAsync(cfg.Net.Topo.Adj, 0),
 	} {
 		run := hetConfig(4, 4, 3)
 		run.Failures = simnet.NewFailureSchedule().Crash(1, 0.2*T, 0.5*T).Leave(3, 0.6*T)

@@ -1,8 +1,8 @@
 package baselines
 
 import (
+	"math"
 	"math/rand"
-	"slices"
 
 	"netmax/internal/engine"
 )
@@ -11,7 +11,8 @@ import (
 const defaultHopStaleness = 4
 
 // hopAsync is AD-PSGD's uniform averaging behind a staleness gate: a worker
-// too far ahead of the slowest one waits instead of starting an iteration.
+// too far ahead of the slowest member waits instead of starting an
+// iteration. A departed worker is no member, so it holds nobody back.
 type hopAsync struct {
 	uniformAsync
 	staleness int
@@ -27,7 +28,13 @@ func (h *hopAsync) Plan(i int, now float64, rng *rand.Rand) engine.Pull {
 		h.inFlight[i] = false
 		h.iters[i]++
 	}
-	if h.iters[i] >= slices.Min(h.iters)+h.staleness {
+	slowest := math.MaxInt
+	for j, n := range h.iters {
+		if !h.down[j] {
+			slowest = min(slowest, n)
+		}
+	}
+	if h.iters[i] >= slowest+h.staleness {
 		next := now
 		for j, b := range h.busyUntil {
 			if j != i && b > now && (next == now || b < next) {
@@ -57,16 +64,21 @@ func (h *hopAsync) OnIterationEnd(i, j int, iterSecs, now float64) {
 // would be dragged down by these low-speed links": a worker stuck behind a
 // slow link eventually stalls everyone through the staleness gate.
 func RunHop(cfg *engine.Config, staleness int) *engine.Result {
+	return engine.RunAsync(cfg, newHopAsync(cfg.Net.Topo.Adj, staleness), "Hop")
+}
+
+// newHopAsync builds Hop's behavior over the graph adj; a non-positive
+// staleness selects defaultHopStaleness.
+func newHopAsync(adj [][]bool, staleness int) *hopAsync {
 	if staleness <= 0 {
 		staleness = defaultHopStaleness
 	}
-	m := len(cfg.Part.Shards)
-	h := &hopAsync{
-		uniformAsync: *newUniformAsync(cfg.Net.Topo.Adj, 1),
+	m := len(adj)
+	return &hopAsync{
+		uniformAsync: *newUniformAsync(adj, 1),
 		staleness:    staleness,
 		iters:        make([]int, m),
 		inFlight:     make([]bool, m),
 		busyUntil:    make([]float64, m),
 	}
-	return engine.RunAsync(cfg, h, "Hop")
 }

@@ -25,8 +25,7 @@ type Node struct {
 	ema     []float64
 
 	// mask marks peers to skip in selection (their row mass renormalized
-	// away). Nil until the first peer is masked, which keeps the
-	// failure-free sampling path draw for draw the historical one.
+	// away). An all-false mask draws exactly as no mask does.
 	mask []bool
 }
 
@@ -69,6 +68,7 @@ func NewNodes(adj [][]bool, alpha, beta float64, averaging bool) []*Node {
 			uniform:   uniform[i],
 			rho:       rho,
 			ema:       make([]float64, len(adj)),
+			mask:      make([]bool, len(adj)),
 		}
 	}
 	return nodes
@@ -149,15 +149,7 @@ func (n *Node) Row() []float64 { return n.row }
 
 // SetMasked marks peer j as skipped by Select (true) or selectable again
 // (false).
-func (n *Node) SetMasked(j int, masked bool) {
-	if n.mask == nil {
-		if !masked {
-			return
-		}
-		n.mask = make([]bool, len(n.row))
-	}
-	n.mask[j] = masked
-}
+func (n *Node) SetMasked(j int, masked bool) { n.mask[j] = masked }
 
 // Masked reports whether peer j is currently skipped by Select.
-func (n *Node) Masked(j int) bool { return n.mask != nil && n.mask[j] }
+func (n *Node) Masked(j int) bool { return n.mask[j] }

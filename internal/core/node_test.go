@@ -33,15 +33,10 @@ func TestNodeAdoptFallsBackWithoutWritingPolicy(t *testing.T) {
 	}
 }
 
-// TestNodeMaskStaysNilUntilMasked pins the failure-free sampling path: a
-// node allocates its mask only when a peer is first masked, and unmasking
-// an unmasked peer allocates nothing.
-func TestNodeMaskStaysNilUntilMasked(t *testing.T) {
+// TestNodeMaskSkipsMaskedPeer checks that masking a peer marks only that
+// peer, that Select never returns it, and that unmasking restores it.
+func TestNodeMaskSkipsMaskedPeer(t *testing.T) {
 	n := NewNodes(simnet.FullyConnected(4), 0.1, DefaultBeta, false)[0]
-	n.SetMasked(2, false)
-	if n.mask != nil {
-		t.Fatal("unmasking allocated a mask")
-	}
 	n.SetMasked(2, true)
 	if !n.Masked(2) || n.Masked(1) {
 		t.Fatalf("mask = %v, want only peer 2", n.mask)

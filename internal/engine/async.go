@@ -7,6 +7,7 @@ import (
 
 	"netmax/internal/codec"
 	"netmax/internal/nn"
+	"netmax/internal/simnet"
 )
 
 // AsyncBehavior parameterizes the shared asynchronous pull loop: NetMax,
@@ -116,14 +117,13 @@ func (e *exchange) pull(x, y *nn.Model, p Pull) {
 // goroutine. A pull held back until a later time starts no iteration: the
 // worker's event is re-queued at Pull.Until.
 //
-// When cfg.Failures carries events, the loop injects them: unresponsive
-// workers' events are parked until rejoin (iterations in flight across a
-// down interval are discarded), pulls at unresponsive peers or blacked-out
-// links fail after the schedule's detection deadline without moving bytes,
-// and crash/leave/rejoin boundaries are delivered to b.OnMembership
-// before the first event at or past the boundary. A nil or empty
-// schedule takes none of these paths and reproduces the failure-free
-// trajectory bitwise.
+// The loop injects cfg.Failures: unresponsive workers' events are parked
+// until rejoin (iterations in flight across a down interval are
+// discarded), pulls at unresponsive peers or blacked-out links fail after
+// the schedule's detection deadline without moving bytes, and
+// crash/leave/rejoin boundaries are delivered to b.OnMembership before the
+// first event at or past the boundary. A nil schedule runs as an empty
+// one, on which every churn query answers false.
 func RunAsync(cfg *Config, b AsyncBehavior, algo string) *Result {
 	ws := cfg.Workers()
 	tr := NewTracker(cfg, ws, algo)
@@ -143,32 +143,22 @@ func RunAsync(cfg *Config, b AsyncBehavior, algo string) *Result {
 		q.Push(0, i)
 	}
 
-	// Churn state. An empty schedule is normalized to nil so the
-	// failure-free path is literally the historical one — the bitwise
-	// determinism gate compares the two.
-	fs := cfg.Failures
-	if fs.Empty() {
-		fs = nil
+	// Churn state.
+	fs := simnet.NewFailureSchedule()
+	if cfg.Failures != nil {
+		fs = cfg.Failures
 	}
-	var started []float64 // virtual start time of each worker's in-flight iteration
-	var alive []bool      // scratch membership vector
+	started := make([]float64, len(ws)) // virtual start time of each worker's in-flight iteration
+	alive := make([]bool, len(ws))      // scratch membership vector
 	// nextMemb is the earliest unannounced membership boundary: an O(1)
 	// comparison per event pop instead of a schedule scan.
-	nextMemb, haveMemb := 0.0, false
-	if fs != nil {
-		started = make([]float64, len(ws))
-		alive = make([]bool, len(ws))
-		nextMemb, haveMemb = fs.NextTransition(math.Inf(-1))
-	}
+	nextMemb, haveMemb := fs.NextTransition(math.Inf(-1))
 	// admit decides whether worker id's completion event at time now runs
 	// an iteration: a currently unresponsive worker is parked until its
 	// rejoin (its in-flight iteration died with it), and a worker that
 	// crashed and already rejoined mid-flight restarts fresh — the
 	// interrupted iteration's accounting is discarded either way.
 	admit := func(id int, now float64) bool {
-		if fs == nil {
-			return true
-		}
 		if fs.Unresponsive(id, now) {
 			pend[id] = pending{}
 			if up, ok := fs.NextUp(id, now); ok {
@@ -188,7 +178,7 @@ func RunAsync(cfg *Config, b AsyncBehavior, algo string) *Result {
 		// Membership boundaries (crash, leave, rejoin) that passed since
 		// the previous event are announced before anything at this
 		// timestamp runs, so behaviors stop selecting dead peers at once.
-		if fs != nil && haveMemb && now >= nextMemb {
+		if haveMemb && now >= nextMemb {
 			fs.AliveInto(alive, now)
 			b.OnMembership(alive, now)
 			nextMemb, haveMemb = fs.NextTransition(now)
@@ -218,7 +208,7 @@ func RunAsync(cfg *Config, b AsyncBehavior, algo string) *Result {
 		// failed attempt still feeds OnIterationEnd, so adaptive
 		// behaviors see the link's iteration time inflate and route
 		// away — exactly how a hang is survivable at all.
-		pullFailed := fs != nil && j != i && fs.PullFails(i, j, now)
+		pullFailed := j != i && fs.PullFails(i, j, now)
 		_, samples := w.GradStep() // first update (local gradients)
 		if j != i && !pullFailed {
 			ex.pull(w.Model, ws[j].Model, pull)
@@ -229,12 +219,9 @@ func RunAsync(cfg *Config, b AsyncBehavior, algo string) *Result {
 		if pullFailed {
 			// The local gradient step proceeds while the doomed pull
 			// waits out the detection deadline; no bytes move.
-			iterSecs = comp + fs.Detect()
+			iterSecs = comp + fs.DetectSecs
 			if cfg.Overlap {
-				iterSecs = comp
-				if d := fs.Detect(); d > iterSecs {
-					iterSecs = d
-				}
+				iterSecs = max(comp, fs.DetectSecs)
 			}
 		} else {
 			if j != i {
@@ -249,9 +236,7 @@ func RunAsync(cfg *Config, b AsyncBehavior, algo string) *Result {
 		}
 		pend[i] = pending{samples: samples, comp: comp, comm: commCost}
 		q.Push(now+iterSecs, i)
-		if fs != nil {
-			started[i] = now
-		}
+		started[i] = now
 	}
 	return tr.Finish()
 }

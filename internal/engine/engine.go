@@ -65,12 +65,12 @@ type Config struct {
 	// encoded size for the paper model instead of the dense
 	// Spec.ModelBytes. Nil reproduces the uncompressed simulation exactly.
 	Codec codec.Codec
-	// Failures, when non-nil and non-empty, injects the schedule's churn
-	// into the asynchronous loop: crashed/hung workers stop iterating
-	// (in-flight iterations are discarded), pulls at unresponsive peers or
-	// blacked-out links fail after the schedule's detection deadline, and
-	// crash/leave/rejoin boundaries reach the behavior's OnMembership. A
-	// nil or empty schedule reproduces the failure-free trajectory bitwise.
+	// Failures injects the schedule's churn into the asynchronous loop:
+	// crashed/hung workers stop iterating (in-flight iterations are
+	// discarded), pulls at unresponsive peers or blacked-out links fail
+	// after the schedule's detection deadline, and crash/leave/rejoin
+	// boundaries reach the behavior's OnMembership. Nil runs an empty
+	// schedule, which injects nothing.
 	Failures *simnet.FailureSchedule
 }
 

@@ -69,7 +69,8 @@ type Config struct {
 	PullTimeout time.Duration
 	// Failures schedules crashes and leaves in wall-clock seconds since the
 	// start: a crashed worker's endpoint refuses pulls until it rejoins with
-	// the parameters it held. Hangs and blackouts are not injected.
+	// the parameters it held. Hangs and blackouts are not injected. Nil
+	// schedules nothing.
 	Failures *simnet.FailureSchedule
 }
 
@@ -132,7 +133,10 @@ func (w *worker) vector() []float64 {
 func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
 	m := len(cfg.Part.Shards)
 	adj := simnet.FullyConnected(m)
-	opts, fs := cfg.NetMax, cfg.Failures
+	opts, fs := cfg.NetMax, simnet.NewFailureSchedule()
+	if cfg.Failures != nil {
+		fs = cfg.Failures
+	}
 	ts := time.Duration(opts.Ts * float64(time.Second))
 
 	// A masked peer is retried after the monitor has had a fair chance to
@@ -213,7 +217,7 @@ func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
 				// Scheduled churn: crash (endpoint refuses pulls, no
 				// iterations, no reports) and rejoin with the parameters
 				// held at crash time. A permanent leave exits the loop.
-				if now := time.Since(start).Seconds(); fs != nil && fs.Down(w.id, now) {
+				if now := time.Since(start).Seconds(); fs.Down(w.id, now) {
 					hub.SetWorkerDown(w.id, true)
 					up, ok := fs.NextUp(w.id, now)
 					if !ok {

@@ -50,7 +50,7 @@ type Monitor struct {
 
 	lastReport   []float64 // per-worker time of the last timestamped report
 	everReported []bool    // per-worker: any report ever (coverage gate)
-	membAlive    []bool    // membership-event liveness (SetLiveness); nil = all
+	membAlive    []bool    // membership-event liveness (SetLiveness)
 	lastAlive    []bool    // liveness set of the last successful regeneration
 
 	// Regenerations counts successful policy computations (observability).
@@ -66,12 +66,12 @@ func New(cfg Config) *Monitor {
 	for i := range ema {
 		ema[i] = make([]float64, m)
 	}
-	lastAlive := make([]bool, m)
+	membAlive, lastAlive := make([]bool, m), make([]bool, m)
 	for i := range lastAlive {
-		lastAlive[i] = true
+		membAlive[i], lastAlive[i] = true, true
 	}
 	return &Monitor{cfg: cfg, m: m, ema: ema,
-		lastReport: make([]float64, m), everReported: make([]bool, m), lastAlive: lastAlive}
+		lastReport: make([]float64, m), everReported: make([]bool, m), membAlive: membAlive, lastAlive: lastAlive}
 }
 
 // ObserveAt ingests one measured iteration time for link (i, j), reported
@@ -107,12 +107,6 @@ func (mo *Monitor) ObserveAt(i, j int, iterSecs, now float64) {
 func (mo *Monitor) SetLiveness(alive []bool, now float64) {
 	mo.mu.Lock()
 	defer mo.mu.Unlock()
-	if mo.membAlive == nil {
-		mo.membAlive = make([]bool, mo.m)
-		for i := range mo.membAlive {
-			mo.membAlive[i] = true
-		}
-	}
 	for i := 0; i < mo.m && i < len(alive); i++ {
 		mo.membAlive[i] = alive[i]
 		if alive[i] && now > mo.lastReport[i] {
@@ -127,7 +121,7 @@ func (mo *Monitor) SetLiveness(alive []bool, now float64) {
 // unless a membership event marked it down or (with StalePeriods > 0) its
 // reports have gone stale. Callers hold mo.mu.
 func (mo *Monitor) aliveAt(i int, now float64) bool {
-	if mo.membAlive != nil && !mo.membAlive[i] {
+	if !mo.membAlive[i] {
 		return false
 	}
 	if mo.cfg.StalePeriods > 0 && now-mo.lastReport[i] > float64(mo.cfg.StalePeriods)*mo.cfg.Period {

@@ -32,9 +32,9 @@ func Sample(row []float64, self int, rng *rand.Rand) int {
 // any entry is masked, r is first scaled by the unmasked mass; a nil or
 // all-false mask leaves r as drawn, so it reproduces Sample's arithmetic
 // exactly, draw for draw (scaling by the row's FP sum would draw
-// differently whenever that sum is not exactly 1). The bitwise-determinism
-// gate for failure-free runs, where masks once allocated stay all-false
-// after a full rejoin, depends on this. Self is never masked.
+// differently whenever that sum is not exactly 1). Every failure-free run
+// samples through an all-false mask, so the bitwise-determinism gates
+// depend on this. Self is never masked.
 func SampleMasked(row []float64, self int, masked []bool, rng *rand.Rand) int {
 	r := rng.Float64()
 	skip := func(j int) bool { return masked != nil && j != self && masked[j] }

@@ -1,6 +1,14 @@
 package scenario
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+	"time"
+)
+
+// churnDeadline bounds TestAlgorithmTable's churn run of one kind, which
+// takes well under a second when it terminates.
+const churnDeadline = 20 * time.Second
 
 // algoLabels is the Result.Algo each algorithm kind's runner reports.
 var algoLabels = map[string]string{
@@ -19,7 +27,9 @@ var algoLabels = map[string]string{
 // TestAlgorithmTable walks every entry of the algorithm table: the kind's
 // quick 4-worker manifest builds and runs under its own label, and each
 // setting an entry claims to read or refuse validates exactly when the
-// entry says the kind reads it.
+// entry says the kind reads it. A kind that takes failures also runs
+// through a crash, a rejoin and a leave, and must finish before a
+// deadline rather than hang.
 func TestAlgorithmTable(t *testing.T) {
 	if len(algorithms) != len(algoLabels) {
 		t.Fatalf("the table has %d kinds, the test knows %d labels", len(algorithms), len(algoLabels))
@@ -38,6 +48,30 @@ func TestAlgorithmTable(t *testing.T) {
 			}
 			if want := algoLabels[a.kind]; rep.Engine.Algo != want {
 				t.Fatalf("Result.Algo = %q, want %q", rep.Engine.Algo, want)
+			}
+			if a.codecFailures {
+				T := rep.Engine.TotalTime
+				m := base()
+				m.Failures = &FailureSpec{Events: []FailureEvent{
+					{Kind: "crash", Worker: 1, At: 0.2 * T, Rejoin: 0.5 * T},
+					{Kind: "leave", Worker: 3, At: 0.6 * T},
+				}}
+				done := make(chan error, 1)
+				go func() {
+					rep, err := Run(m, RunOptions{})
+					if err == nil && rep.Engine.Epochs != m.Epochs {
+						err = fmt.Errorf("%d epochs, want %d", rep.Engine.Epochs, m.Epochs)
+					}
+					done <- err
+				}()
+				select {
+				case err := <-done:
+					if err != nil {
+						t.Fatalf("run through a crash, a rejoin and a leave: %v", err)
+					}
+				case <-time.After(churnDeadline):
+					t.Fatalf("run through a crash, a rejoin and a leave still going after %v", churnDeadline)
+				}
 			}
 
 			settings := []struct {

@@ -26,10 +26,8 @@ type algorithm struct {
 	kind   string
 	newRun func(p *prepared) runFunc // the engine runner of a built manifest
 	// codecFailures: the kind runs on engine.RunAsync, the only engine loop
-	// that reads a codec or a failure schedule, and takes both. noFailures,
-	// for a kind that runs there yet takes neither, says why.
+	// that reads a codec or a failure schedule, and takes both.
 	codecFailures bool
-	noFailures    string
 	parallelism   bool // computes a synchronous round's gradients concurrently
 	netmax        bool // runs the Network Monitor: reads the netmax block
 	hopStaleness  bool // takes hop_staleness
@@ -51,11 +49,9 @@ var algorithms = []algorithm{
 		return func(cfg *engine.Config) *engine.Result { return core.RunADPSGDMonitor(cfg, p.opts) }
 	}},
 	{kind: "saps", codecFailures: true, newRun: fixed(baselines.RunSAPS)},
-	{kind: "hop", hopStaleness: true,
-		noFailures: "cannot take one: a worker that leaves freezes the slowest-worker count, so the staleness gate would re-queue everyone forever",
-		newRun: func(p *prepared) runFunc {
-			return func(cfg *engine.Config) *engine.Result { return baselines.RunHop(cfg, p.r.HopStaleness) }
-		}},
+	{kind: "hop", codecFailures: true, hopStaleness: true, newRun: func(p *prepared) runFunc {
+		return func(cfg *engine.Config) *engine.Result { return baselines.RunHop(cfg, p.r.HopStaleness) }
+	}},
 	{kind: "allreduce", parallelism: true, newRun: fixed(baselines.RunAllreduce)},
 	{kind: "dpsgd", parallelism: true, newRun: fixed(baselines.RunSyncDPSGD)},
 	{kind: "prague", newRun: fixed(baselines.RunPrague)},
@@ -239,7 +235,7 @@ func (r *Manifest) buildComputeScale() []float64 {
 }
 
 // buildFailures materializes the failure spec into a simnet schedule; a nil
-// spec yields a nil schedule (the bitwise failure-free path).
+// spec yields none, and the runtimes then run on an empty schedule.
 func (r *Manifest) buildFailures() *simnet.FailureSchedule {
 	f := r.Failures
 	if f == nil {

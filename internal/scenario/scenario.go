@@ -306,6 +306,21 @@ const (
 // experiments such as fig8.
 const maxEpochs = 1000
 
+// maxLiveIterations caps live.iterations and quick.iterations, and
+// maxLiveSecs caps live.duration_secs, so that a live run that validates
+// also ends. The largest values in use are 3,000 iterations (perfbench's
+// live-float32) and 1 s.
+const (
+	maxLiveIterations = 100_000
+	maxLiveSecs       = 600
+)
+
+// maxCrashesPerWorker caps random_churn.crashes_per_worker, which alone
+// sets the schedule's size: about workers × crashes_per_worker events,
+// whatever the horizon, each scanned by every churn query. The largest
+// value in use is 2.
+const maxCrashesPerWorker = 100
+
 // Parse decodes a manifest from JSON, rejecting unknown fields, and
 // validates it.
 func Parse(raw []byte) (*Manifest, error) {
@@ -636,6 +651,9 @@ func (m *Manifest) validateOne() (*Manifest, error) {
 		if q.Iterations < 0 {
 			e.addf("quick.iterations must be >= 0, got %d", q.Iterations)
 		}
+		if q.Iterations > maxLiveIterations {
+			e.addf("quick.iterations must be <= %d, got %d", maxLiveIterations, q.Iterations)
+		}
 		if q.Iterations != 0 && r.Runtime != "live" {
 			e.addf("quick.iterations is live-only (an engine run shrinks through quick.epochs)")
 		}
@@ -714,15 +732,11 @@ func validateEngine(e *errorList, m, r *Manifest, a algorithm) {
 	}
 	if !a.codecFailures {
 		async := algorithmsWhere(func(a algorithm) bool { return a.codecFailures })
-		codecWhy, failuresWhy := "ignores it", "ignores it"
-		if a.noFailures != "" {
-			codecWhy, failuresWhy = "does not take one", a.noFailures
-		}
 		if r.Codec != nil {
-			e.addf("codec block is only valid with the asynchronous algorithms (%s); %q %s", async, r.Algorithm, codecWhy)
+			e.addf("codec block is only valid with the asynchronous algorithms (%s); %q ignores it", async, r.Algorithm)
 		}
 		if r.Failures != nil {
-			e.addf("failures block is only valid with the asynchronous algorithms (%s); %q %s", async, r.Algorithm, failuresWhy)
+			e.addf("failures block is only valid with the asynchronous algorithms (%s); %q ignores it", async, r.Algorithm)
 		}
 	}
 	if r.Parallelism > 1 && !a.parallelism {
@@ -865,6 +879,9 @@ func validateFailures(e *errorList, r *Manifest) {
 		if rc.CrashesPerWorker <= 0 {
 			e.addf("random_churn.crashes_per_worker must be positive, got %g", rc.CrashesPerWorker)
 		}
+		if rc.CrashesPerWorker > maxCrashesPerWorker {
+			e.addf("random_churn.crashes_per_worker must be <= %d, got %g", maxCrashesPerWorker, rc.CrashesPerWorker)
+		}
 		if rc.MeanDownSecs <= 0 {
 			e.addf("random_churn.mean_down_secs must be positive, got %g", rc.MeanDownSecs)
 		}
@@ -913,8 +930,14 @@ func validateLive(e *errorList, m, r *Manifest, a algorithm) {
 	if l.DurationSecs < 0 {
 		e.addf("live.duration_secs must be >= 0, got %g", l.DurationSecs)
 	}
+	if l.DurationSecs > maxLiveSecs {
+		e.addf("live.duration_secs must be <= %d, got %g", maxLiveSecs, l.DurationSecs)
+	}
 	if l.Iterations < 0 {
 		e.addf("live.iterations must be >= 0, got %d", l.Iterations)
+	}
+	if l.Iterations > maxLiveIterations {
+		e.addf("live.iterations must be <= %d, got %d", maxLiveIterations, l.Iterations)
 	}
 	if l.DurationSecs == 0 && l.Iterations == 0 {
 		e.addf("live runs need a bound: set duration_secs or iterations")

@@ -122,6 +122,10 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		{"a billion epochs", `{"name": "homogeneous-resnet18-cifar10", "model": "ResNet18", "dataset": "CIFAR10", "workers": 8, "epochs": 1000000000,
 			"topology": {"kind": "single-machine"}, "network": {"kind": "homogeneous"}, "quick": {"workers": 4, "epochs": 3}}`, "epochs must be <= 1000"},
 		{"quick epochs above cap", `{"name": "x", "quick": {"epochs": 1000000000}}`, "quick.epochs must be <= 1000"},
+		{"live iterations above cap", `{"name": "x", "runtime": "live", "live": {"iterations": 100001}}`, "live.iterations must be <= 100000"},
+		{"quick iterations above cap", `{"name": "x", "runtime": "live", "live": {"iterations": 5}, "quick": {"iterations": 1000000000}}`, "quick.iterations must be <= 100000"},
+		{"live duration above cap", `{"name": "x", "runtime": "live", "live": {"duration_secs": 1e9}}`, "live.duration_secs must be <= 600"},
+		{"crashes per worker above cap", `{"name": "x", "failures": {"random_churn": {"horizon_secs": 10, "crashes_per_worker": 1e9, "mean_down_secs": 1}}}`, "random_churn.crashes_per_worker must be <= 100"},
 		{"bad topology kind", `{"name": "x", "topology": {"kind": "torus"}}`, "unknown topology kind"},
 		{"cluster topology", `{"name": "x", "topology": {"kind": "cluster"}}`, `unknown topology kind "cluster"`},
 		{"nodes per machine", `{"name": "x", "topology": {"kind": "paper-cluster", "nodes_per_machine": [4, 4]}}`, `unknown field "nodes_per_machine"`},
@@ -143,7 +147,6 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		{"hop staleness misuse", `{"name": "x", "hop_staleness": 4}`, "only valid with algorithm"},
 		{"netmax block misuse", `{"name": "x", "algorithm": "adpsgd", "netmax": {"ts_secs": 1}}`, "netmax block is only valid"},
 		{"codec on allreduce", `{"name": "x", "algorithm": "allreduce", "codec": {"name": "float32"}}`, `"allreduce" ignores it`},
-		{"failures on hop", `{"name": "x", "algorithm": "hop", "failures": {"events": [{"kind": "leave", "worker": 1, "at": 1}]}}`, `"hop" cannot take one: a worker that leaves freezes the slowest-worker count`},
 		{"parallelism on netmax", `{"name": "x", "algorithm": "netmax", "parallelism": 2}`, `"netmax" steps one worker at a time`},
 		{"explicit compute", `{"name": "x", "compute": {"kind": "explicit"}}`, `unknown compute kind "explicit" (want straggler)`},
 		{"linear compute", `{"name": "x", "compute": {"kind": "linear"}}`, `unknown compute kind "linear" (want straggler)`},

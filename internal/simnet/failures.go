@@ -42,10 +42,10 @@ type Failure struct {
 
 // FailureSchedule is a deterministic schedule of churn events on the
 // virtual clock, the failure counterpart of the Network's slowdown
-// schedule. An empty schedule injects nothing: the engine treats it exactly
-// like a nil one, which the bitwise-determinism gate relies on. The live
-// runtime reads the same schedule on the wall clock, in seconds since its
-// run started, and injects its crashes and leaves.
+// schedule. An empty schedule injects nothing: every query answers as for
+// a failure-free run, and a run given no schedule uses an empty one. The
+// live runtime reads the same schedule on the wall clock, in seconds since
+// its run started, and injects its crashes and leaves.
 type FailureSchedule struct {
 	events []Failure
 
@@ -133,18 +133,6 @@ func NewRandomChurn(m int, seed int64, horizon, crashesPerWorker, meanDown float
 		}
 	}
 	return s
-}
-
-// Empty reports whether the schedule has no events; the engine treats an
-// empty schedule exactly like a nil one.
-func (s *FailureSchedule) Empty() bool { return s == nil || len(s.events) == 0 }
-
-// Len returns the number of scheduled events.
-func (s *FailureSchedule) Len() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.events)
 }
 
 // Events returns a copy of the scheduled events (observability, tests).
@@ -271,12 +259,4 @@ func (s *FailureSchedule) AliveInto(dst []bool, now float64) {
 	for i := range dst {
 		dst[i] = !s.Down(i, now)
 	}
-}
-
-// Detect returns the configured detection deadline, defaulting when unset.
-func (s *FailureSchedule) Detect() float64 {
-	if s.DetectSecs > 0 {
-		return s.DetectSecs
-	}
-	return DefaultDetectSecs
 }

@@ -113,16 +113,16 @@ func TestFailureScheduleTransitions(t *testing.T) {
 func TestRandomChurnDeterministicAndBounded(t *testing.T) {
 	a := NewRandomChurn(8, 42, 1000, 2, 50)
 	b := NewRandomChurn(8, 42, 1000, 2, 50)
-	if a.Len() != b.Len() {
-		t.Fatalf("same seed, different event counts: %d vs %d", a.Len(), b.Len())
-	}
 	ea, eb := a.Events(), b.Events()
+	if len(ea) != len(eb) {
+		t.Fatalf("same seed, different event counts: %d vs %d", len(ea), len(eb))
+	}
 	for i := range ea {
 		if ea[i] != eb[i] {
 			t.Fatalf("same seed, different event %d: %+v vs %+v", i, ea[i], eb[i])
 		}
 	}
-	if a.Len() == 0 {
+	if len(ea) == 0 {
 		t.Fatal("rate 2 over 8 workers produced no crashes")
 	}
 	for _, e := range ea {
@@ -133,17 +133,17 @@ func TestRandomChurnDeterministicAndBounded(t *testing.T) {
 			t.Fatalf("event outside horizon or malformed: %+v", e)
 		}
 	}
-	if c := NewRandomChurn(4, 1, 1000, 0, 50); !c.Empty() {
+	if c := NewRandomChurn(4, 1, 1000, 0, 50); len(c.Events()) != 0 {
 		t.Fatal("zero rate must give an empty schedule")
 	}
-	if c := NewRandomChurn(4, 1, 1000, 2, 0); !c.Empty() {
+	if c := NewRandomChurn(4, 1, 1000, 2, 0); len(c.Events()) != 0 {
 		t.Fatal("zero mean downtime must give an empty schedule, not permanent leaves")
 	}
 }
 
 func TestEmptyScheduleIsInert(t *testing.T) {
 	s := NewFailureSchedule()
-	if !s.Empty() {
+	if len(s.Events()) != 0 {
 		t.Fatal("fresh schedule not empty")
 	}
 	if s.Down(0, 5) || s.Hung(0, 5) || s.LinkDown(0, 1, 5) || s.PullFails(0, 1, 5) {
@@ -152,7 +152,7 @@ func TestEmptyScheduleIsInert(t *testing.T) {
 	if up, ok := s.NextUp(0, 7); !ok || up != 7 {
 		t.Fatal("NextUp on empty schedule must be identity")
 	}
-	if s.Detect() != DefaultDetectSecs {
-		t.Fatalf("default Detect = %v", s.Detect())
+	if s.DetectSecs != DefaultDetectSecs {
+		t.Fatalf("default DetectSecs = %v", s.DetectSecs)
 	}
 }
