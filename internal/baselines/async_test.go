@@ -141,7 +141,8 @@ func (c *departedPullCheck) Plan(i int, now float64, rng *rand.Rand) engine.Pull
 // TestUniformRunsSkipDepartedPeers runs AD-PSGD, SAPS-PSGD and Hop on the
 // engine through a crash, a rejoin and a leave: membership events reach
 // each behavior, no pull is planned at a departed worker, and Hop's
-// staleness gate does not wait for the worker that left.
+// staleness gate does not wait for the worker that left, nor for a
+// rejoining one to redo the iterations it missed.
 func TestUniformRunsSkipDepartedPeers(t *testing.T) {
 	cfg := hetConfig(4, 4, 3)
 	dry := RunADPSGD(cfg)
@@ -161,5 +162,16 @@ func TestUniformRunsSkipDepartedPeers(t *testing.T) {
 		if c.plans == 0 || c.misses != 0 {
 			t.Fatalf("%s: %d of %d pulls planned at a departed worker", name, c.misses, c.plans)
 		}
+	}
+
+	h := newHopAsync(cfg.Net.Topo.Adj, 0)
+	copy(h.iters, []int{9, 3, 7, 8})
+	h.inFlight[1] = true
+	alive := []bool{true, false, true, true}
+	h.OnMembership(alive, 1)
+	alive[1] = true
+	h.OnMembership(alive, 2)
+	if h.iters[1] != 7 || h.inFlight[1] {
+		t.Fatalf("Hop re-admitted worker 1 at %d iterations (in flight %v), want the slowest member's 7 and none in flight", h.iters[1], h.inFlight[1])
 	}
 }

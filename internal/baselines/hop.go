@@ -12,48 +12,61 @@ const defaultHopStaleness = 4
 
 // hopAsync is AD-PSGD's uniform averaging behind a staleness gate: a worker
 // too far ahead of the slowest member waits instead of starting an
-// iteration. A departed worker is no member, so it holds nobody back.
+// iteration. A departed worker is no member, so it holds nobody back; a
+// hung one stays a member and holds everyone until the hang ends.
 type hopAsync struct {
 	uniformAsync
 	staleness int
-	iters     []int     // completed iterations per worker
-	inFlight  []bool    // whether the worker has started an iteration since its last Plan
-	busyUntil []float64 // end of each worker's latest iteration
+	iters     []int  // completed iterations per worker
+	inFlight  []bool // whether the worker has started an iteration since its last Plan
 }
 
 // Plan counts the iteration that just completed, then either holds worker
-// i until the next other-worker completion or plans a uniform pull.
+// i until another worker's next event or plans a uniform pull.
 func (h *hopAsync) Plan(i int, now float64, rng *rand.Rand) engine.Pull {
 	if h.inFlight[i] {
 		h.inFlight[i] = false
 		h.iters[i]++
 	}
-	slowest := math.MaxInt
-	for j, n := range h.iters {
-		if !h.down[j] {
-			slowest = min(slowest, n)
-		}
-	}
-	if h.iters[i] >= slowest+h.staleness {
-		next := now
-		for j, b := range h.busyUntil {
-			if j != i && b > now && (next == now || b < next) {
-				next = b
-			}
-		}
-		if next == now {
-			next = now + 1e-6 // everyone idle: break ties and retry
-		}
-		return engine.Pull{Until: next}
+	if h.iters[i] >= h.slowest()+h.staleness {
+		return engine.Pull{Until: math.Inf(1)}
 	}
 	return h.uniformAsync.Plan(i, now, rng)
+}
+
+// slowest returns the least iteration count among members, or MaxInt
+// when every worker is down.
+func (h *hopAsync) slowest() int {
+	s := math.MaxInt
+	for j, n := range h.iters {
+		if !h.down[j] {
+			s = min(s, n)
+		}
+	}
+	return s
 }
 
 // OnIterationEnd marks worker i's iteration as started; its next Plan
 // counts it as completed.
 func (h *hopAsync) OnIterationEnd(i, j int, iterSecs, now float64) {
 	h.inFlight[i] = true
-	h.busyUntil[i] = now + iterSecs
+}
+
+// OnMembership re-admits a rejoining worker at the slowest member's
+// iteration count: like a worker skipping iterations in Hop [25], it does
+// not redo the iterations it missed while down, so nobody is held while it
+// catches up. The iteration it had in flight died with it.
+func (h *hopAsync) OnMembership(alive []bool, now float64) {
+	slowest := h.slowest()
+	for k, a := range alive {
+		if a && h.down[k] {
+			h.inFlight[k] = false
+			if slowest != math.MaxInt {
+				h.iters[k] = max(h.iters[k], slowest)
+			}
+		}
+	}
+	h.uniformAsync.OnMembership(alive, now)
 }
 
 // RunHop trains with Hop-style bounded staleness [25]: workers run the
@@ -79,6 +92,5 @@ func newHopAsync(adj [][]bool, staleness int) *hopAsync {
 		staleness:    staleness,
 		iters:        make([]int, m),
 		inFlight:     make([]bool, m),
-		busyUntil:    make([]float64, m),
 	}
 }

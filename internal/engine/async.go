@@ -56,6 +56,9 @@ type Pull struct {
 	Share float64
 	// Until, when later than now, holds the worker back: it starts no
 	// iteration, and its next Plan runs at Until (Hop's staleness gate).
+	// +Inf holds it until the next event of a worker that is not held, or
+	// the next membership boundary: a wait on the other workers that
+	// skips their holds. A worker with neither left is never planned again.
 	Until float64
 }
 
@@ -150,41 +153,37 @@ func RunAsync(cfg *Config, b AsyncBehavior, algo string) *Result {
 	}
 	started := make([]float64, len(ws)) // virtual start time of each worker's in-flight iteration
 	alive := make([]bool, len(ws))      // scratch membership vector
-	// nextMemb is the earliest unannounced membership boundary: an O(1)
-	// comparison per event pop instead of a schedule scan.
-	nextMemb, haveMemb := fs.NextTransition(math.Inf(-1))
-	// admit decides whether worker id's completion event at time now runs
-	// an iteration: a currently unresponsive worker is parked until its
-	// rejoin (its in-flight iteration died with it), and a worker that
-	// crashed and already rejoined mid-flight restarts fresh — the
-	// interrupted iteration's accounting is discarded either way.
-	admit := func(id int, now float64) bool {
-		if fs.Unresponsive(id, now) {
-			pend[id] = pending{}
-			if up, ok := fs.NextUp(id, now); ok {
-				q.Push(up, id)
-				started[id] = up
-			}
-			return false
-		}
-		if fs.Interrupted(id, started[id], now) {
-			pend[id] = pending{}
-		}
-		return true
-	}
+	held := make([]bool, len(ws))       // whether the worker's queued event is a hold's wake-up
+	// nextMemb is the earliest unannounced membership boundary (+Inf when
+	// none remain): an O(1) comparison per event pop instead of a schedule
+	// scan.
+	nextMemb := fs.NextTransition(math.Inf(-1))
 
 	for !tr.Done() && q.Len() > 0 {
 		now, i := q.Pop()
+		held[i] = false
 		// Membership boundaries (crash, leave, rejoin) that passed since
 		// the previous event are announced before anything at this
 		// timestamp runs, so behaviors stop selecting dead peers at once.
-		if haveMemb && now >= nextMemb {
+		if now >= nextMemb {
 			fs.AliveInto(alive, now)
 			b.OnMembership(alive, now)
-			nextMemb, haveMemb = fs.NextTransition(now)
+			nextMemb = fs.NextTransition(now)
 		}
-		if !admit(i, now) {
-			continue // the worker is down; admit parked it
+		// A currently unresponsive worker is parked until it is back (its
+		// in-flight iteration died with it), and a worker that crashed and
+		// already rejoined mid-flight restarts fresh: the interrupted
+		// iteration's accounting is discarded either way.
+		if fs.Unresponsive(i, now) {
+			pend[i] = pending{}
+			if up, ok := fs.NextUp(i, now); ok {
+				q.Push(up, i)
+				started[i] = up
+			}
+			continue
+		}
+		if fs.Interrupted(i, started[i], now) {
+			pend[i] = pending{}
 		}
 		// Flush the completed iteration's accounting. Clearing it keeps
 		// a held worker's re-queued event from counting it again.
@@ -198,7 +197,18 @@ func RunAsync(cfg *Config, b AsyncBehavior, algo string) *Result {
 		w := ws[i]
 		pull := b.Plan(i, now, w.Rng)
 		if pull.Until > now {
-			q.Push(pull.Until, i)
+			if math.IsInf(pull.Until, 1) { // see Pull.Until
+				pull.Until = nextMemb
+				for _, e := range q.h {
+					if !held[e.id] {
+						pull.Until = min(pull.Until, e.time)
+					}
+				}
+			}
+			if !math.IsInf(pull.Until, 1) {
+				held[i] = true
+				q.Push(pull.Until, i)
+			}
 			continue
 		}
 		j := pull.Peer

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -60,6 +62,49 @@ func TestHeldWorkerStartsNoIteration(t *testing.T) {
 	}
 	if r.GlobalSteps > h.started {
 		t.Fatalf("%d iterations recorded, only %d started: a held worker's iteration counted twice", r.GlobalSteps, h.started)
+	}
+}
+
+// waitBehavior is simpleBehavior except that every other Plan of worker 0
+// holds it with Until = +Inf. It records, for each hold, the earliest
+// pending iteration end of the other workers, and worker 0's next Plan.
+type waitBehavior struct {
+	simpleBehavior
+	ends  []float64 // each worker's latest iteration end
+	plans int
+	want  []float64 // earliest other-worker event at each hold
+	got   []float64 // worker 0's Plan time after each hold
+}
+
+func (w *waitBehavior) Plan(i int, now float64, rng *rand.Rand) Pull {
+	if i == 0 {
+		w.plans++
+		if len(w.got) < len(w.want) {
+			w.got = append(w.got, now)
+		}
+		if w.plans%2 == 1 {
+			w.want = append(w.want, slices.Min(w.ends[1:]))
+			return Pull{Until: math.Inf(1)}
+		}
+	}
+	return w.simpleBehavior.Plan(i, now, rng)
+}
+
+func (w *waitBehavior) OnIterationEnd(i, j int, t, now float64) { w.ends[i] = now + t }
+
+// TestInfiniteHoldWaitsForNextEvent pins Pull.Until = +Inf: the held
+// worker's next Plan runs at the next event of a worker that is not held,
+// ties at the hold's own time included.
+func TestInfiniteHoldWaitsForNextEvent(t *testing.T) {
+	w := &waitBehavior{simpleBehavior: simpleBehavior{m: 4}, ends: make([]float64, 4)}
+	RunAsync(testConfig(4, 2), w, "wait")
+	if len(w.got) < 3 {
+		t.Fatalf("worker 0 woke from %d holds", len(w.got))
+	}
+	for k, got := range w.got {
+		if got != w.want[k] {
+			t.Fatalf("hold %d: next Plan at %v, want the next other-worker event at %v", k, got, w.want[k])
+		}
 	}
 }
 

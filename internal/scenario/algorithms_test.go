@@ -28,8 +28,8 @@ var algoLabels = map[string]string{
 // quick 4-worker manifest builds and runs under its own label, and each
 // setting an entry claims to read or refuse validates exactly when the
 // entry says the kind reads it. A kind that takes failures also runs
-// through a crash, a rejoin and a leave, and must finish before a
-// deadline rather than hang.
+// through a crash, a rejoin, a leave and a hang far past the run's
+// length, and must finish before a deadline rather than spin or stall.
 func TestAlgorithmTable(t *testing.T) {
 	if len(algorithms) != len(algoLabels) {
 		t.Fatalf("the table has %d kinds, the test knows %d labels", len(algorithms), len(algoLabels))
@@ -53,6 +53,7 @@ func TestAlgorithmTable(t *testing.T) {
 				T := rep.Engine.TotalTime
 				m := base()
 				m.Failures = &FailureSpec{Events: []FailureEvent{
+					{Kind: "hang", Worker: 2, At: 0.1 * T, Until: 1e9},
 					{Kind: "crash", Worker: 1, At: 0.2 * T, Rejoin: 0.5 * T},
 					{Kind: "leave", Worker: 3, At: 0.6 * T},
 				}}
@@ -67,10 +68,10 @@ func TestAlgorithmTable(t *testing.T) {
 				select {
 				case err := <-done:
 					if err != nil {
-						t.Fatalf("run through a crash, a rejoin and a leave: %v", err)
+						t.Fatalf("run through churn: %v", err)
 					}
 				case <-time.After(churnDeadline):
-					t.Fatalf("run through a crash, a rejoin and a leave still going after %v", churnDeadline)
+					t.Fatalf("run through churn still going after %v", churnDeadline)
 				}
 			}
 

@@ -306,20 +306,17 @@ const (
 // experiments such as fig8.
 const maxEpochs = 1000
 
-// maxLiveIterations caps live.iterations and quick.iterations, and
-// maxLiveSecs caps live.duration_secs, so that a live run that validates
-// also ends. The largest values in use are 3,000 iterations (perfbench's
-// live-float32) and 1 s.
+// Caps on live.iterations and quick.iterations, live.duration_secs and
+// random_churn.crashes_per_worker, so that a run that validates also ends.
+// crashes_per_worker alone sets a schedule's size: about workers ×
+// crashes_per_worker events, whatever the horizon, each scanned by every
+// churn query. The largest values in use are 3,000 iterations (perfbench's
+// live-float32), 1 s and 2 crashes per worker.
 const (
-	maxLiveIterations = 100_000
-	maxLiveSecs       = 600
+	maxLiveIterations   = 100_000
+	maxLiveSecs         = 600
+	maxCrashesPerWorker = 100
 )
-
-// maxCrashesPerWorker caps random_churn.crashes_per_worker, which alone
-// sets the schedule's size: about workers × crashes_per_worker events,
-// whatever the horizon, each scanned by every churn query. The largest
-// value in use is 2.
-const maxCrashesPerWorker = 100
 
 // Parse decodes a manifest from JSON, rejecting unknown fields, and
 // validates it.

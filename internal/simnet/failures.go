@@ -153,20 +153,15 @@ func (s *FailureSchedule) Down(i int, now float64) bool {
 	return false
 }
 
-// Hung reports whether worker i is frozen at virtual time now.
-func (s *FailureSchedule) Hung(i int, now float64) bool {
+// Unresponsive reports whether worker i can neither iterate nor answer
+// pulls at virtual time now (crashed, left, or hung).
+func (s *FailureSchedule) Unresponsive(i int, now float64) bool {
 	for _, e := range s.events {
-		if e.Kind == FailHang && e.Worker == i && e.Start <= now && now < e.End {
+		if e.Kind != FailBlackout && e.Worker == i && e.Start <= now && now < e.End {
 			return true
 		}
 	}
 	return false
-}
-
-// Unresponsive reports whether worker i can neither iterate nor answer
-// pulls at virtual time now (crashed, left, or hung).
-func (s *FailureSchedule) Unresponsive(i int, now float64) bool {
-	return s.Down(i, now) || s.Hung(i, now)
 }
 
 // LinkDown reports whether the link between i and j is blacked out at
@@ -230,26 +225,23 @@ func (s *FailureSchedule) Interrupted(i int, from, to float64) bool {
 }
 
 // NextTransition returns the earliest membership boundary — a crash, a
-// leave, or a crash's rejoin — strictly after the given time; ok is false
-// when none remain. The engine tracks the next boundary with this instead
-// of re-scanning the schedule on every event pop.
-func (s *FailureSchedule) NextTransition(after float64) (float64, bool) {
+// leave, or a crash's rejoin — strictly after the given time, or +Inf when
+// none remain. The engine tracks the next boundary with this instead of
+// re-scanning the schedule on every event pop.
+func (s *FailureSchedule) NextTransition(after float64) float64 {
 	best := math.Inf(1)
 	for _, e := range s.events {
 		if e.Kind != FailCrash && e.Kind != FailLeave {
 			continue
 		}
-		if e.Start > after && e.Start < best {
-			best = e.Start
+		if e.Start > after {
+			best = min(best, e.Start)
 		}
-		if !math.IsInf(e.End, 1) && e.End > after && e.End < best {
-			best = e.End
+		if e.End > after {
+			best = min(best, e.End) // +Inf for a leave
 		}
 	}
-	if math.IsInf(best, 1) {
-		return 0, false
-	}
-	return best, true
+	return best
 }
 
 // AliveInto fills dst[i] with the membership status of worker i at virtual

@@ -20,7 +20,7 @@ func TestFailureScheduleQueries(t *testing.T) {
 	if s.Down(2, 6) {
 		t.Fatal("hang must not change membership")
 	}
-	if !s.Hung(2, 6) || !s.Unresponsive(2, 6) || s.Unresponsive(2, 8) {
+	if !s.Unresponsive(2, 6) || s.Unresponsive(2, 8) {
 		t.Fatal("hang interval wrong")
 	}
 	// Leave: down forever.
@@ -99,14 +99,14 @@ func TestFailureScheduleTransitions(t *testing.T) {
 	}
 	// NextTransition walks the crash/rejoin boundaries and ignores
 	// hangs/blackouts: peers cannot detect those except by timeout.
-	if tr, ok := s.NextTransition(math.Inf(-1)); !ok || tr != 10 {
-		t.Fatalf("NextTransition(-Inf) = %v, %v; want 10, true", tr, ok)
+	if tr := s.NextTransition(math.Inf(-1)); tr != 10 {
+		t.Fatalf("NextTransition(-Inf) = %v; want 10", tr)
 	}
-	if tr, ok := s.NextTransition(10); !ok || tr != 20 {
-		t.Fatalf("NextTransition(10) = %v, %v; want 20, true", tr, ok)
+	if tr := s.NextTransition(10); tr != 20 {
+		t.Fatalf("NextTransition(10) = %v; want 20", tr)
 	}
-	if _, ok := s.NextTransition(20); ok {
-		t.Fatal("no boundaries remain after the rejoin")
+	if tr := s.NextTransition(20); !math.IsInf(tr, 1) {
+		t.Fatalf("NextTransition(20) = %v; want +Inf: no boundaries remain after the rejoin", tr)
 	}
 }
 
@@ -146,7 +146,7 @@ func TestEmptyScheduleIsInert(t *testing.T) {
 	if len(s.Events()) != 0 {
 		t.Fatal("fresh schedule not empty")
 	}
-	if s.Down(0, 5) || s.Hung(0, 5) || s.LinkDown(0, 1, 5) || s.PullFails(0, 1, 5) {
+	if s.Down(0, 5) || s.Unresponsive(0, 5) || s.LinkDown(0, 1, 5) || s.PullFails(0, 1, 5) {
 		t.Fatal("empty schedule must report no failures")
 	}
 	if up, ok := s.NextUp(0, 7); !ok || up != 7 {
