@@ -1,9 +1,8 @@
 // Package linalg provides the small dense linear-algebra routines the policy
 // generator needs: a symmetric eigenvalue solver (Householder
-// tridiagonalization and implicit QL), a Cholesky certificate that proves
-// λ₂ above a threshold without an eigensolve, and spectral /
-// stochastic-matrix helpers used both by Algorithm 3 and by the tests that
-// verify the paper's Theorem 3 invariants.
+// tridiagonalization and implicit QL) and spectral / stochastic-matrix
+// helpers used both by Algorithm 3 and by the tests that verify the
+// paper's Theorem 3 invariants.
 package linalg
 
 import (
@@ -244,66 +243,6 @@ func tridiagonalQL(d, e []float64) error {
 		}
 	}
 	return nil
-}
-
-// Lambda2Exceeds's tolerances: the rows of y must sum to 1 within
-// certRowSumTol, and the factorized matrix is shifted by certSlack above x.
-// Both sit far above the rounding of the row sums and of the factorization
-// (about N²·2⁻⁵³), so a proof keeps a margin of about certSlack.
-const (
-	certRowSumTol = 1e-12
-	certSlack     = 1e-9
-)
-
-// Lambda2Exceeds tries to prove, without an eigensolve, that the symmetric
-// matrix y has λ₂ > x, for an x in [0, 1). It needs y·1 = 1, checked to
-// certRowSumTol: then 1 is an eigenvector of y, Z = y − 11ᵀ/N has y's
-// other eigenvalues plus a 0, and a Cholesky factorization of
-// (x+δ)I − Z (δ = certSlack) that meets a non-positive pivot shows that
-// one of them exceeds x. So a true result means λ₂(y) ≥ min(x, 1) with a
-// margin of about δ; a false result proves nothing. It reads y's lower
-// triangle for the factorization, uses work (at least N² long) as scratch,
-// and returns false for N < 2, for x outside [0, 1), for rows that do not
-// sum to 1, and for NaN or infinite input.
-func Lambda2Exceeds(y *Matrix, x float64, work []float64) bool {
-	n := y.N
-	if len(work) < n*n {
-		panic(fmt.Sprintf("linalg: Lambda2Exceeds work of length %d for a %dx%d matrix", len(work), n, n))
-	}
-	if n < 2 || !(x >= 0 && x < 1) {
-		return false
-	}
-	for i := 0; i < n; i++ {
-		s := 0.0
-		for _, v := range y.Data[i*n : (i+1)*n] {
-			s += v
-		}
-		if !(math.Abs(s-1) <= certRowSumTol) { // also rejects NaN and ±Inf
-			return false
-		}
-	}
-	// Row-by-row Cholesky A = LLᵀ of A = (x+δ)I − y + 11ᵀ/N, L in work's
-	// lower triangle: pivot i is tested after i²/2 multiply-adds.
-	shift, inv := x+certSlack, 1/float64(n)
-	for i := 0; i < n; i++ {
-		yi, li := y.Data[i*n:i*n+i+1], work[i*n:i*n+i+1]
-		for j := 0; j < i; j++ {
-			s := inv - yi[j]
-			for k, v := range work[j*n : j*n+j] {
-				s -= float64(li[k] * v)
-			}
-			li[j] = s / work[j*n+j]
-		}
-		d := shift + inv - yi[i]
-		for _, v := range li[:i] {
-			d -= float64(v * v)
-		}
-		if !(d > 0) {
-			return d <= 0 // a NaN pivot from overflow proves nothing
-		}
-		li[i] = math.Sqrt(d)
-	}
-	return false
 }
 
 // SecondLargestEigenvalue returns λ₂ of a symmetric matrix.

@@ -375,122 +375,3 @@ func TestSymmetricEigenvaluesIntoBufferLengths(t *testing.T) {
 		t.Fatal("short eigenvalue buffer accepted")
 	}
 }
-
-// randomDoublyStochastic returns a random symmetric doubly-stochastic
-// matrix I − c·L, where L is the Laplacian of a random weighted graph and
-// c keeps the diagonal non-negative. Sparse draws leave the graph
-// disconnected (λ₂ = 1) and dense ones mix fast (λ₂ near 0).
-func randomDoublyStochastic(rng *rand.Rand, n int) *Matrix {
-	m := NewMatrix(n)
-	density := rng.Float64()
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if rng.Float64() < density {
-				w := rng.Float64()
-				m.Set(i, j, w)
-				m.Set(j, i, w)
-			}
-		}
-	}
-	deg := 0.0
-	for i := 0; i < n; i++ {
-		s := 0.0
-		for j := 0; j < n; j++ {
-			s += m.At(i, j)
-		}
-		deg = max(deg, s)
-	}
-	c := rng.Float64() / max(deg, 1)
-	for i := 0; i < n; i++ {
-		s := 0.0
-		for j := 0; j < n; j++ {
-			if j != i {
-				m.Set(i, j, c*m.At(i, j))
-				s += m.At(i, j)
-			}
-		}
-		m.Set(i, i, 1-s)
-	}
-	return m
-}
-
-// TestLambda2ExceedsCertificate checks the certificate against the full
-// eigensolve on random symmetric doubly-stochastic matrices: a proof for x
-// means λ₂ ≥ x − 1e-12, and x more than 1e-6 below λ₂ is always proved
-// while x more than 1e-6 above it never is.
-func TestLambda2ExceedsCertificate(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	proved := 0
-	for trial := 0; trial < 300; trial++ {
-		n := 2 + rng.Intn(40)
-		y := randomDoublyStochastic(rng, n)
-		l2, err := SecondLargestEigenvalue(y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		work := make([]float64, n*n)
-		for _, x := range []float64{rng.Float64(), rng.Float64(), l2 - 1e-3, l2 - 1e-6, l2 + 1e-6, l2 + 1e-3} {
-			if !(x >= 0 && x < 1) {
-				continue
-			}
-			got := Lambda2Exceeds(y, x, work)
-			switch {
-			case got && l2 < x-1e-12:
-				t.Fatalf("n=%d: proved λ₂ > %v, but λ₂ = %v", n, x, l2)
-			case !got && x <= l2-1e-6:
-				t.Fatalf("n=%d: λ₂ = %v exceeds %v, not proved", n, l2, x)
-			case got && x >= l2+1e-6:
-				t.Fatalf("n=%d: proved λ₂ > %v, but λ₂ = %v", n, x, l2)
-			}
-			if got {
-				proved++
-			}
-		}
-	}
-	if proved == 0 {
-		t.Fatal("no trial was proved")
-	}
-}
-
-// TestLambda2ExceedsProvesNothingOffItsDomain checks that rows not summing
-// to 1, NaN or infinite entries, and an x outside [0, 1) are never proved,
-// on a matrix whose λ₂ is well above 0.
-func TestLambda2ExceedsProvesNothingOffItsDomain(t *testing.T) {
-	n := 6
-	y := NewMatrix(n)
-	for i := 0; i < n; i++ {
-		y.Set(i, i, 0.8)
-		y.Set(i, (i+1)%n, 0.1)
-		y.Set((i+1)%n, i, 0.1)
-	}
-	work := make([]float64, n*n)
-	if !Lambda2Exceeds(y, 0, work) {
-		t.Fatal("ring gossip matrix: λ₂ > 0 not proved")
-	}
-	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.5, 1, 2} {
-		if Lambda2Exceeds(y, x, work) {
-			t.Fatalf("x = %v proved", x)
-		}
-	}
-	for _, tc := range []struct {
-		name string
-		i, j int
-		v    float64
-	}{
-		{"diagonal off by 1e-11", 0, 0, 0.8 + 1e-11},
-		{"off-diagonal pair off by 1e-11", 0, 1, 0.1 + 1e-11},
-		{"NaN", 0, 1, math.NaN()},
-		{"+Inf", 0, 1, math.Inf(1)},
-		{"-Inf", 2, 3, math.Inf(-1)},
-	} {
-		bad := y.Clone()
-		bad.Set(tc.i, tc.j, tc.v)
-		bad.Set(tc.j, tc.i, tc.v)
-		if Lambda2Exceeds(bad, 0, work) {
-			t.Fatalf("%s: proved", tc.name)
-		}
-	}
-	if Lambda2Exceeds(NewMatrix(1), 0, work) {
-		t.Fatal("1x1 matrix proved")
-	}
-}

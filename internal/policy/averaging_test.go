@@ -68,7 +68,7 @@ func TestAveragingBlendAllowsTinyProbabilities(t *testing.T) {
 // AD-PSGD+Monitor runs: both endpoints move to their midpoint, so Y is the
 // randomized-gossip matrix I − ½·Σ pg_i·p_ij·uuᵀ (u = e_i − e_j). It is
 // symmetric with unit row sums, so λ₁ = 1 on the consensus vector and
-// Lambda2Exceeds's certificate applies to +Monitor's candidates too.
+// the search's λ₂ bounds apply to +Monitor's candidates too.
 func TestBuildYAveragingSpectrum(t *testing.T) {
 	m := 5
 	times := hetTimes(m, 25)
@@ -107,10 +107,6 @@ func TestBuildYAveragingSpectrum(t *testing.T) {
 	}
 	if math.Abs(eig[1]-pol.Lambda2) > 1e-9 {
 		t.Fatalf("λ₂ = %v, policy reports %v", eig[1], pol.Lambda2)
-	}
-	work := make([]float64, m*m)
-	if !linalg.Lambda2Exceeds(y, eig[1]*0.99, work) || linalg.Lambda2Exceeds(y, math.Min(eig[1]*1.01, 0.999), work) {
-		t.Fatalf("Lambda2Exceeds does not bracket λ₂ = %v", eig[1])
 	}
 }
 

@@ -69,15 +69,38 @@ func BenchmarkBuildY(b *testing.B) {
 	}
 }
 
+// BenchmarkDiagonalBound measures step C's diagonal bound on a warm
+// search in its most expensive case, a limit just above the candidate's
+// own λ₂: every row's diagonal is summed and none proves anything.
+func BenchmarkDiagonalBound(b *testing.B) {
+	for _, m := range []int{8, 16, 32, 64} {
+		s, pol := warmCandidate(b, m)
+		if !s.solveRows(float64(m) * pol.TBar) {
+			b.Fatal("the chosen candidate is infeasible")
+		}
+		b.Run(fmt.Sprintf("N=%d", m), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if s.diagExceeds(s.in.Alpha*pol.Rho, pol.Lambda2+boundMargin) {
+					b.Fatal("the diagonal bound proves λ₂ above λ₂")
+				}
+			}
+		})
+	}
+}
+
 // TestCandidateAllocatesNothing pins the buffer reuse per candidate: on a
-// warm search, one candidate's row solves and Y build allocate nothing,
-// and they rebuild the P that Generate chose.
+// warm search, one candidate's row solves, diagonal bound and Y build
+// allocate nothing, and they rebuild the P that Generate chose.
 func TestCandidateAllocatesNothing(t *testing.T) {
 	m := 16
 	s, pol := warmCandidate(t, m)
 	allocs := testing.AllocsPerRun(20, func() {
 		if !s.solveRows(float64(m) * pol.TBar) {
 			t.Fatal("the chosen candidate is infeasible")
+		}
+		if s.diagExceeds(s.in.Alpha*pol.Rho, pol.Lambda2+boundMargin) {
+			t.Fatal("the diagonal bound rejects the chosen candidate")
 		}
 		buildY(s.y, s.p, s.in.Adj, s.in.Alpha*pol.Rho, false, s.pg, s.diag)
 	})

@@ -11,13 +11,18 @@ import (
 	"netmax/internal/tensor"
 )
 
-// exhaustiveGenerate is Algorithm 3 without the λ₂ certificate and
-// without the search's precomputation: it walks generate's (ρ, t̄) grid,
-// solves every row with plainSolveRows, builds Y with plainBuildY and
-// scores every feasible candidate with a full linalg.SymmetricEigenvalues.
-// It shares only newSearch's neighbor lists and buffers with generate, so
-// a disagreement points at the row solves, the Y build or the scoring.
-func exhaustiveGenerate(in Input) (*Policy, error) {
+// exhaustiveGenerate is Algorithm 3 without the λ₂ bounds and without the
+// search's precomputation: it walks generate's (ρ, t̄) grid, solves every
+// row with plainSolveRows, builds Y with plainBuildY and scores every
+// feasible candidate with a full linalg.SymmetricEigenvalues. It shares
+// only newSearch's neighbor lists and buffers with generate, so a
+// disagreement points at the row solves, the Y build, the bounds or the
+// scoring.
+//
+// A non-nil audit sees every feasible candidate scored once a best exists,
+// with s.p holding its P, lim = λ* + boundMargin for the best so far, and
+// whether the eigensolve shows it to lose.
+func exhaustiveGenerate(in Input, audit func(s *search, rho, lim float64, lost bool)) (*Policy, error) {
 	if err := in.validate(); err != nil {
 		return nil, err
 	}
@@ -36,15 +41,16 @@ func exhaustiveGenerate(in Input) (*Policy, error) {
 		}
 		plainBuildY(s.y, s.p, in.Adj, in.Alpha*rho, in.AveragingBlend, s.pg)
 		eig, err := linalg.SymmetricEigenvalues(s.y)
-		if err != nil || len(eig) < 2 {
-			return
+		l2, tconv := math.NaN(), math.NaN()
+		if err == nil && len(eig) >= 2 {
+			l2 = eig[1]
+			tconv = tbar * tensor.Log(eps) / tensor.Log(l2)
 		}
-		l2 := eig[1]
-		if l2 >= 1 || l2 <= 0 {
-			return
+		lost := !(l2 < 1 && l2 > 0) || best != nil && !(tconv < best.TConvergence)
+		if audit != nil && best != nil {
+			audit(s, rho, tensor.Exp(tbar*tensor.Log(eps)/best.TConvergence)+boundMargin, lost)
 		}
-		tconv := tbar * tensor.Log(eps) / tensor.Log(l2)
-		if best != nil && !(tconv < best.TConvergence) {
+		if lost {
 			return
 		}
 		p := matrix(len(s.p))
@@ -297,7 +303,7 @@ func checkAgainstOracle(t *testing.T, in Input, alive []bool) {
 				sub.Times[a][b], sub.Adj[a][b] = in.Times[i][j], in.Adj[i][j]
 			}
 		}
-		want, werr = exhaustiveGenerate(sub)
+		want, werr = exhaustiveGenerate(sub, nil)
 	}
 	if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
 		t.Fatalf("error %v, exhaustive search gives %v", err, werr)
@@ -379,11 +385,14 @@ func slowLinks(rng *rand.Rand, times [][]float64, frac float64) [][]float64 {
 	return times
 }
 
-// TestGenerateMatchesExhaustiveSearch checks that skipping the eigensolve
-// for candidates the λ₂ certificate rules out never changes the policy:
-// Generate and GenerateLive return bitwise the exhaustive search's policy
-// on full, sparse and directed graphs, in the averaging mode, with dead
-// workers and over a range of grid sizes.
+// TestGenerateMatchesExhaustiveSearch checks that the λ₂ bounds never
+// change the policy: step A's per-ρ floor, which ends a ρ's t̄ loop before
+// its rows are solved, and step C's diagonal bound, which rejects a
+// candidate before Y_P is built, only reject candidates the eigensolve
+// shows to lose. Generate and GenerateLive return bitwise the exhaustive
+// search's policy on full, sparse and directed graphs (where neither bound
+// applies to the one-sided blend), in the averaging mode on symmetric and
+// directed graphs, with dead workers and over a range of grid sizes.
 func TestGenerateMatchesExhaustiveSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for m := 2; m <= 32; m++ {
@@ -401,7 +410,10 @@ func TestGenerateMatchesExhaustiveSearch(t *testing.T) {
 		for i := 0; i < m; i++ {
 			adj[i][(i+1)%m] = false // keep only the edge (i+1) → i
 		}
-		checkAgainstOracle(t, Input{Times: hetTimes(m, 3), Adj: adj, Alpha: 0.1}, nil)
+		in := Input{Times: hetTimes(m, 3), Adj: adj, Alpha: 0.1}
+		checkAgainstOracle(t, in, nil)
+		in.AveragingBlend = true // Y·1 = 1 on any graph: step C applies
+		checkAgainstOracle(t, in, nil)
 	})
 	for _, m := range []int{4, 12, 24} {
 		t.Run(fmt.Sprintf("averaging/N=%d", m), func(t *testing.T) {
@@ -502,8 +514,9 @@ func FuzzGenerate(f *testing.F) {
 }
 
 // checkBuildY requires buildY, on warm scratch holding garbage, to write
-// bitwise what plainBuildY writes for the input decoded from fuzz bytes:
-// n gives N in 1..16; data, read cyclically, gives one byte per ordered
+// bitwise what plainBuildY writes, and yDiag to return bitwise its
+// diagonal, for the input decoded from fuzz bytes: n gives N in 1..16;
+// data, read cyclically, gives one byte per ordered
 // pair (whether it is an edge, and p as zero, subnormal, tiny or an
 // ordinary probability) and then one byte per worker (pg as zero,
 // subnormal, 1/N or another value in [0, 4)). flags select the averaging
@@ -568,6 +581,18 @@ func checkBuildY(t *testing.T, n, flags uint8, data []byte) {
 	for k, v := range got.Data {
 		if math.Float64bits(v) != math.Float64bits(want.Data[k]) {
 			t.Fatalf("y[%d][%d] = %v, plainBuildY gives %v", k/m, k%m, v, want.Data[k])
+		}
+	}
+	var links []int
+	for i := 0; i < m; i++ {
+		links = links[:0]
+		for j := 0; j < m; j++ {
+			if j != i && (adj[i][j] || adj[j][i]) {
+				links = append(links, j)
+			}
+		}
+		if v, w := yDiag(p, adj, links, i, ar, averaging, pg), want.At(i, i); math.Float64bits(v) != math.Float64bits(w) {
+			t.Fatalf("yDiag(%d) = %v, plainBuildY gives %v", i, v, w)
 		}
 	}
 }

@@ -8,10 +8,18 @@
 // turned into a concrete probability matrix P by solving the Eq. (14) row
 // LP of every worker in closed form (rowLPs), scored by the predicted
 // convergence time T = t̄ · ln ε / ln λ₂(Y_P), and the best-scoring policy
-// is returned. λ₂ comes from a tridiagonal QL eigensolve (linalg), except
-// for candidates that a Cholesky certificate (linalg.Lambda2Exceeds) proves
-// cannot beat the best so far; skipping them leaves the chosen policy
-// bitwise unchanged (see score).
+// is returned. λ₂ comes from a tridiagonal QL eigensolve (linalg).
+//
+// Most candidates lose, and two closed-form lower bounds on λ₂ reject
+// most of the losers before their eigensolve. Both come from the Rayleigh
+// quotient at eᵢ − 1/N, which bounds λ₂ wherever Y_P·1 = 1: on a
+// symmetric graph, and on any graph under the averaging blend. Step A
+// (l2Floor, one-sided blend only) bounds every candidate of a ρ before
+// any row is solved and ends that ρ's t̄ loop; step C (diagExceeds)
+// bounds one candidate from the diagonal of Y_P, in O(deg) per row,
+// before Y_P is built. Both reject only candidates that would have lost,
+// so the chosen policy is bitwise the one an eigensolve of every
+// candidate picks (see score).
 //
 // Whatever does not depend on the candidate is computed once. Per Generate
 // call: each row's neighbor times, its largest time, the sums behind
@@ -324,6 +332,55 @@ func buildY(y *linalg.Matrix, p [][]float64, adj [][]bool, ar float64, averaging
 	}
 }
 
+// yDiag returns buildY's diagonal entry y_ii, bitwise, in O(len(links)).
+// links must list, in increasing order, every m ≠ i with d_im or d_mi: the
+// pairs buildY adds to y_ii. Each pair is taken as buildY takes it, lower
+// index first, so the terms and their order are buildY's.
+func yDiag(p [][]float64, adj [][]bool, links []int, i int, ar float64, averaging bool, pg []float64) float64 {
+	di := 1.0
+	for _, j := range links {
+		lo, hi := min(i, j), max(i, j)
+		plh, phl := p[lo][hi], p[hi][lo]
+		lh := adj[lo][hi] && plh > 0 // lo pulls from hi
+		hl := adj[hi][lo] && phl > 0
+		if averaging {
+			var mass float64
+			if lh {
+				mass += float64(pg[lo] * plh)
+			}
+			if hl {
+				mass += float64(pg[hi] * phl)
+			}
+			di -= float64(mass / 2)
+			continue
+		}
+		d := 0.0
+		if adj[lo][hi] {
+			d++
+		}
+		if adj[hi][lo] {
+			d++
+		}
+		var second float64
+		if lh {
+			w := ar * (d / (2 * plh))
+			second += float64(float64(pg[lo]*plh*w) * w)
+			if lo == i {
+				di -= float64(2 * pg[lo] * plh * w)
+			}
+		}
+		if hl {
+			w := ar * (d / (2 * phl))
+			second += float64(float64(pg[hi]*phl*w) * w)
+			if hi == i {
+				di -= float64(2 * pg[hi] * phl * w)
+			}
+		}
+		di += second
+	}
+	return di
+}
+
 // FeasibleRhoInterval returns (Lρ, Uρ] = (0, 0.5/α] per Appendix A.
 func FeasibleRhoInterval(alpha float64) (lo, hi float64) {
 	return 0, 0.5 / alpha
@@ -444,14 +501,15 @@ func generate(in Input) (*Policy, error) {
 
 // search is the state of one Generate call: the neighbor lists, the row
 // LPs with their candidate-independent work done (rowLPs), and buffers for
-// the candidate P, Y_P, the λ₂ certificate and the eigensolve, allocated
-// once and reused by every (ρ, t̄) candidate. Only an improving candidate's
-// P is copied, into best.
+// the candidate P, Y_P and the eigensolve, allocated once and reused by
+// every (ρ, t̄) candidate. Only an improving candidate's P is copied, into
+// best.
 type search struct {
 	in      Input
 	eps     float64
 	nbrs    [][]int
 	maxDeg  int
+	minDeg  int
 	rows    *rowLPs
 	rowP    []float64 // solve output for one row
 	p       [][]float64
@@ -460,26 +518,47 @@ type search struct {
 	diag    []float64 // buildY scratch
 	eig     []float64
 	eigWork []float64
-	cert    []float64 // Cholesky scratch for the λ₂ certificate
 	best    Policy
 	found   bool
+	// unitRows records that every candidate's Y_P has unit row sums, so
+	// that the λ₂ bounds apply: the graph is symmetric (with pg = 1/N), or
+	// the blend is the averaging one. links then lists each row's pairs
+	// for yDiag: nbrs on a symmetric graph, else the neighbors in either
+	// direction.
+	unitRows bool
+	links    [][]int
 }
 
 func newSearch(in Input, eps float64) *search {
 	m := len(in.Times)
-	s := &search{in: in, eps: eps, nbrs: make([][]int, m), pg: make([]float64, m)}
+	s := &search{in: in, eps: eps, nbrs: make([][]int, m), minDeg: m, pg: make([]float64, m)}
 	flat := make([]int, 0, m*m)
+	symmetric := true
 	for i := range in.Adj {
 		start := len(flat)
 		for j, ok := range in.Adj[i] {
 			if ok && j != i {
 				flat = append(flat, j)
 			}
+			symmetric = symmetric && ok == in.Adj[j][i]
 		}
 		s.nbrs[i] = flat[start:]
 		s.maxDeg = max(s.maxDeg, len(s.nbrs[i]))
+		s.minDeg = min(s.minDeg, len(s.nbrs[i]))
 		// For a feasible P all workers share t_i = M·t̄, so p_i = 1/M.
 		s.pg[i] = 1 / float64(m)
+	}
+	s.unitRows = symmetric || in.AveragingBlend
+	s.links = s.nbrs
+	if !symmetric && in.AveragingBlend {
+		s.links = make([][]int, m)
+		for i := range s.links {
+			for j := range m {
+				if j != i && (in.Adj[i][j] || in.Adj[j][i]) {
+					s.links[i] = append(s.links[i], j)
+				}
+			}
+		}
 	}
 	times := carve[float64](s.nbrs)
 	for i, nbrs := range s.nbrs {
@@ -495,7 +574,6 @@ func newSearch(in Input, eps float64) *search {
 	s.diag = make([]float64, m)
 	s.eig = make([]float64, m)
 	s.eigWork = make([]float64, m)
-	s.cert = make([]float64, m*m)
 	return s
 }
 
@@ -527,34 +605,85 @@ func (s *search) innerLoop(rho float64, r int) error {
 		return err
 	}
 	s.rows.setFloor(floor)
+	l2Floor := s.l2Floor(rho)
 	delta := (hi - lo) / float64(r)
 	for ri := 1; ri <= r; ri++ {
-		s.score(rho, lo+float64(float64(ri)*delta))
+		tbar := lo + float64(float64(ri)*delta)
+		lim := s.lossLimit(tbar)
+		if l2Floor > lim {
+			// Step A: λ* only falls as t̄ grows (and as T_best improves),
+			// so every later t̄ of this ρ loses too.
+			break
+		}
+		s.score(rho, tbar, lim)
 	}
 	return nil
+}
+
+// boundMargin is how far a λ₂ lower bound must exceed λ* to reject a
+// candidate: far above the rounding of the bounds, of the eigensolve and
+// of the T comparison (about N²·2⁻⁵³), so that every rejected candidate
+// would also have lost the comparison, or had λ₂ ≥ 1.
+const boundMargin = 1e-9
+
+// lossLimit returns λ* + boundMargin, where λ* = ε^(t̄/T_best) is the λ₂
+// below which a candidate at t̄ beats the best so far: a candidate whose
+// λ₂ provably exceeds the limit loses. It is +Inf before a best exists.
+func (s *search) lossLimit(tbar float64) float64 {
+	if !s.found {
+		return math.Inf(1)
+	}
+	return tensor.Exp(tbar*tensor.Log(s.eps)/s.best.TConvergence) + boundMargin
+}
+
+// l2Floor returns step A's lower bound on λ₂ for every candidate at ρ, or
+// -Inf where it is not derived: under the averaging blend and on a
+// directed graph. With Y·1 = 1, the Rayleigh quotient at eᵢ − 1/N gives
+// λ₂ ≥ (N·y_ii − 1)/(N − 1), and dropping y_ii's nonnegative second-order
+// terms leaves y_ii ≥ 1 − 2αρ·deg_i/N. So λ₂ ≥ 1 − 2αρ·deg_min/(N − 1),
+// which depends on neither P nor t̄.
+func (s *search) l2Floor(rho float64) float64 {
+	if !s.unitRows || s.in.AveragingBlend {
+		return math.Inf(-1)
+	}
+	return 1 - float64(2*s.in.Alpha*rho)*float64(s.minDeg)/float64(len(s.nbrs)-1)
+}
+
+// diagExceeds is step C: it reports whether some row of the candidate in
+// s.p, at αρ = ar, has (N·y_ii − 1)/(N − 1) > lim, which proves λ₂ > lim
+// where Y·1 = 1. Since λ₂ ≥ min(1, that bound), it proves nothing for
+// lim ≥ 1, and reports false there and where Y·1 = 1 may fail.
+func (s *search) diagExceeds(ar, lim float64) bool {
+	if !s.unitRows || !(lim < 1) {
+		return false
+	}
+	m := len(s.p)
+	thr := (1 + float64(float64(m-1)*lim)) / float64(m) // y_ii > thr ⇔ the bound exceeds lim
+	for i, links := range s.links {
+		if yDiag(s.p, s.in.Adj, links, i, ar, s.in.AveragingBlend, s.pg) > thr {
+			return true
+		}
+	}
+	return false
 }
 
 // score builds the (ρ, t̄) candidate at the floor of the last setFloor and
 // keeps it if its predicted convergence time beats the best so far.
 //
-// Once a best exists, the candidate can win only if λ₂ < λ* =
-// exp(t̄·ln ε / T_best), so a Cholesky certificate that proves λ₂ > λ*
-// (linalg.Lambda2Exceeds) rejects it before the eigensolve. The proof
-// holds with a margin of about 1e-9, far above the rounding of the
-// eigensolve and of the T comparison, so every rejected candidate would
-// also have lost that comparison (or had λ₂ ≥ 1), and the chosen policy is
-// bitwise the one scoring every candidate by eigensolve would pick. Where
-// the certificate does not apply (no best yet, Y·1 ≠ 1 as on a directed
-// graph) or proves nothing, the eigensolve runs as before.
-func (s *search) score(rho, tbar float64) {
-	if !s.solveRows(float64(len(s.p)) * tbar) {
+// lim is lossLimit(t̄): the candidate can win only if λ₂ < λ* < lim, so
+// once its rows are solved, step C (diagExceeds) rejects it before Y_P is
+// built when a row's diagonal bound exceeds lim. The bound holds with
+// boundMargin to spare, so every rejected candidate would also have lost
+// the T comparison (or had λ₂ ≥ 1), and the chosen policy is bitwise the
+// one scoring every candidate by eigensolve would pick. Where the bound
+// does not apply (no best yet, a directed graph under the one-sided
+// blend) or proves nothing, the eigensolve runs.
+func (s *search) score(rho, tbar, lim float64) {
+	if !s.solveRows(float64(len(s.p))*tbar) || s.diagExceeds(s.in.Alpha*rho, lim) {
 		return
 	}
 	buildY(s.y, s.p, s.in.Adj, s.in.Alpha*rho, s.in.AveragingBlend, s.pg, s.diag)
 	if len(s.eig) < 2 {
-		return
-	}
-	if s.found && linalg.Lambda2Exceeds(s.y, tensor.Exp(tbar*tensor.Log(s.eps)/s.best.TConvergence), s.cert) {
 		return
 	}
 	if linalg.SymmetricEigenvaluesInto(s.y, s.eig, s.eigWork) != nil {
