@@ -1,59 +1,20 @@
 // Package baselines implements the decentralized and centralized training
 // approaches NetMax is compared against in the paper's evaluation:
-// AD-PSGD [11], SAPS-PSGD [15], Allreduce-SGD [8], Prague [14], and
-// synchronous/asynchronous parameter servers [6, 7].
-// All run on the same discrete-event engine and simnet timing model as
-// NetMax, so every comparison isolates the algorithmic difference.
+// SAPS-PSGD [15], Allreduce-SGD [8], Prague [14], and
+// synchronous/asynchronous parameter servers [6, 7]. AD-PSGD [11] is
+// core.RunADPSGD, since core.Node is every asynchronous decentralized
+// worker; SAPS-PSGD and Hop wrap its behavior. All run on the same
+// discrete-event engine and simnet timing model as NetMax, so every
+// comparison isolates the algorithmic difference.
 package baselines
 
 import (
 	"math/rand"
 	"sort"
 
+	"netmax/internal/core"
 	"netmax/internal/engine"
-	"netmax/internal/policy"
 )
-
-// uniformAsync is the AD-PSGD behavior: uniform neighbor selection
-// over a (possibly sparsified) adjacency, two-sided averaging with weight
-// 1/2 (scaled by the share of the model each pull moves), no periodic
-// control. Departed peers are masked out of the selection the way NetMax's
-// nodes mask them — process-level crash detection is fast even for a
-// policy-less algorithm — but the selection never *adapts*: hung peers and
-// slow links keep their uniform share, which is exactly the weakness the
-// churn scenarios demonstrate.
-type uniformAsync struct {
-	p     [][]float64
-	down  []bool // departed workers, from the latest membership event
-	share float64
-}
-
-func newUniformAsync(adj [][]bool, share float64) *uniformAsync {
-	return &uniformAsync{p: policy.Uniform(adj), down: make([]bool, len(adj)), share: share}
-}
-
-// Plan averages with a uniformly sampled live neighbor. The averaging is
-// two-sided: AD-PSGD's atomic averaging sets both endpoints to the midpoint
-// [11].
-func (u *uniformAsync) Plan(i int, now float64, rng *rand.Rand) engine.Pull {
-	return engine.Pull{Peer: policy.SampleMasked(u.p[i], i, u.down, rng), Coef: 0.5 * u.share, TwoSided: true, Share: u.share}
-}
-
-func (u *uniformAsync) OnIterationEnd(i, j int, s, now float64) {}
-
-// OnMembership masks departed peers out of the selection, and re-admits
-// rejoining ones.
-func (u *uniformAsync) OnMembership(alive []bool, now float64) {
-	for k, a := range alive {
-		u.down[k] = !a
-	}
-}
-
-// RunADPSGD trains with asynchronous decentralized parallel SGD [11]: each
-// worker repeatedly averages its model with one uniformly random neighbor.
-func RunADPSGD(cfg *engine.Config) *engine.Result {
-	return engine.RunAsync(cfg, newUniformAsync(cfg.Net.Topo.Adj, 1), "AD-PSGD")
-}
 
 // sapsSubgraph builds SAPS-PSGD's static communication subgraph [15]: the
 // links that are fastest *at time zero*. Edges are added in descending
@@ -125,8 +86,19 @@ func sapsSubgraph(cfg *engine.Config) [][]bool {
 // accordingly (in expectation over the transferred coordinates).
 const sapsSparsity = 0.25
 
+// saps makes each of AD-PSGD's pulls move a sapsSparsity share of the
+// model, with the averaging weight scaled by the same share.
+type saps struct{ engine.AsyncBehavior }
+
+func (s saps) Plan(i int, now float64, rng *rand.Rand) engine.Pull {
+	p := s.AsyncBehavior.Plan(i, now, rng)
+	p.Coef *= sapsSparsity
+	p.Share = sapsSparsity
+	return p
+}
+
 // RunSAPS trains with SAPS-PSGD [15]: sparsified uniform gossip restricted
 // to the static initially-fast subgraph.
 func RunSAPS(cfg *engine.Config) *engine.Result {
-	return engine.RunAsync(cfg, newUniformAsync(sapsSubgraph(cfg), sapsSparsity), "SAPS-PSGD")
+	return engine.RunAsync(cfg, saps{core.NewADPSGD(sapsSubgraph(cfg), cfg.LR)}, "SAPS-PSGD")
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"netmax/internal/core"
 	"netmax/internal/engine"
 	"netmax/internal/policy"
 	"netmax/internal/simnet"
@@ -35,17 +36,21 @@ func uniformAdjacencies(m int, seed int64) map[string][][]bool {
 	}
 }
 
-// TestUniformMaskMatchesRebuild drives uniformAsync through random
-// membership sequences and requires Plan to pick, draw for draw on the
-// same RNG stream, the peer that sampling the rebuilt live-subgraph
-// uniform matrix picks. No live worker may select a departed peer, and
-// Coef and Share stay the behavior's own.
+// TestUniformMaskMatchesRebuild drives AD-PSGD's behavior, bare and with
+// SAPS-PSGD's share, through random membership sequences and requires Plan
+// to pick, draw for draw on the same RNG stream, the peer that sampling
+// the rebuilt live-subgraph uniform matrix picks. No live worker may
+// select a departed peer, and a pull at a peer carries the behavior's own
+// Coef and Share (a self pick carries only its Peer, see engine.Pull).
 func TestUniformMaskMatchesRebuild(t *testing.T) {
 	for _, m := range []int{4, 8} {
 		for seed := int64(1); seed <= 3; seed++ {
 			for name, adj := range uniformAdjacencies(m, seed) {
 				for _, share := range []float64{1, sapsSparsity} {
-					u := newUniformAsync(adj, share)
+					var u engine.AsyncBehavior = core.NewADPSGD(adj, 0.1)
+					if share != 1 {
+						u = saps{u}
+					}
 					gen := rand.New(rand.NewSource(seed))
 					alive := make([]bool, m)
 					for event := 0; event < 30; event++ {
@@ -70,7 +75,7 @@ func TestUniformMaskMatchesRebuild(t *testing.T) {
 								if p.Peer != i && !alive[p.Peer] {
 									t.Fatalf("%s: worker %d selected departed peer %d (alive %v)", name, i, p.Peer, alive)
 								}
-								if p.Coef != 0.5*share || p.Share != share || !p.TwoSided {
+								if p.Peer != i && (p.Coef != 0.5*share || p.Share != share || !p.TwoSided) {
 									t.Fatalf("%s: pull %+v, want Coef %v, Share %v, two-sided", name, p, 0.5*share, share)
 								}
 							}
@@ -88,7 +93,7 @@ func TestUniformMaskMatchesRebuild(t *testing.T) {
 func TestUniformRejoinReadmitsPeer(t *testing.T) {
 	const m = 6
 	for name, adj := range uniformAdjacencies(m, 1) {
-		var b engine.AsyncBehavior = newUniformAsync(adj, 1)
+		b := core.NewADPSGD(adj, 0.1)
 		rng := rand.New(rand.NewSource(9))
 		alive := []bool{false, true, true, true, true, true}
 		b.OnMembership(alive, 1)
@@ -145,12 +150,12 @@ func (c *departedPullCheck) Plan(i int, now float64, rng *rand.Rand) engine.Pull
 // rejoining one to redo the iterations it missed.
 func TestUniformRunsSkipDepartedPeers(t *testing.T) {
 	cfg := hetConfig(4, 4, 3)
-	dry := RunADPSGD(cfg)
+	dry := core.RunADPSGD(cfg)
 	T := dry.TotalTime
 	for name, b := range map[string]engine.AsyncBehavior{
-		"AD-PSGD": newUniformAsync(cfg.Net.Topo.Adj, 1),
-		"SAPS":    newUniformAsync(sapsSubgraph(cfg), sapsSparsity),
-		"Hop":     newHopAsync(cfg.Net.Topo.Adj, 0),
+		"AD-PSGD": core.NewADPSGD(cfg.Net.Topo.Adj, cfg.LR),
+		"SAPS":    saps{core.NewADPSGD(sapsSubgraph(cfg), cfg.LR)},
+		"Hop":     newHopAsync(cfg.Net.Topo.Adj, cfg.LR, 0),
 	} {
 		run := hetConfig(4, 4, 3)
 		run.Failures = simnet.NewFailureSchedule().Crash(1, 0.2*T, 0.5*T).Leave(3, 0.6*T)
@@ -164,7 +169,7 @@ func TestUniformRunsSkipDepartedPeers(t *testing.T) {
 		}
 	}
 
-	h := newHopAsync(cfg.Net.Topo.Adj, 0)
+	h := newHopAsync(cfg.Net.Topo.Adj, cfg.LR, 0)
 	copy(h.iters, []int{9, 3, 7, 8})
 	h.inFlight[1] = true
 	alive := []bool{true, false, true, true}

@@ -3,6 +3,7 @@ package baselines
 import (
 	"testing"
 
+	"netmax/internal/core"
 	"netmax/internal/data"
 	"netmax/internal/engine"
 	"netmax/internal/nn"
@@ -47,7 +48,7 @@ func checkTrains(t *testing.T, r *engine.Result, name string, epochs int) {
 }
 
 func TestADPSGDTrains(t *testing.T) {
-	r := RunADPSGD(hetConfig(4, 6, 3))
+	r := core.RunADPSGD(hetConfig(4, 6, 3))
 	checkTrains(t, r, "AD-PSGD", 6)
 	if r.Algo != "AD-PSGD" {
 		t.Fatalf("algo = %q", r.Algo)
@@ -199,7 +200,7 @@ func TestRingAllreduceSingleNode(t *testing.T) {
 
 func TestSyncSlowerThanAsyncOnHeterogeneous(t *testing.T) {
 	// Section V-B: sync approaches pay for the slow link every round.
-	ad := RunADPSGD(hetConfig(8, 8, 7))
+	ad := core.RunADPSGD(hetConfig(8, 8, 7))
 	ar := RunAllreduce(hetConfig(8, 8, 7))
 	if ar.TotalTime <= ad.TotalTime {
 		t.Fatalf("Allreduce (%v) should be slower than AD-PSGD (%v) on heterogeneous net", ar.TotalTime, ad.TotalTime)
@@ -210,7 +211,7 @@ func TestPragueCommCostHighestAmongDecentralized(t *testing.T) {
 	// Fig. 5: Prague suffers the highest communication cost under
 	// heterogeneity (group allreduce + congestion).
 	pr := RunPrague(hetConfig(8, 8, 9))
-	ad := RunADPSGD(hetConfig(8, 8, 9))
+	ad := core.RunADPSGD(hetConfig(8, 8, 9))
 	if pr.CommCostPerEpoch(8) <= ad.CommCostPerEpoch(8) {
 		t.Fatalf("Prague comm (%v) should exceed AD-PSGD (%v)", pr.CommCostPerEpoch(8), ad.CommCostPerEpoch(8))
 	}
@@ -303,14 +304,14 @@ func TestPragueGroupRoundMovesAllreduceRoundBytes(t *testing.T) {
 
 func TestSAPSMovesFewerBytesThanADPSGD(t *testing.T) {
 	sp := RunSAPS(hetConfig(8, 6, 9))
-	ad := RunADPSGD(hetConfig(8, 6, 9))
+	ad := core.RunADPSGD(hetConfig(8, 6, 9))
 	if sp.BytesSent >= ad.BytesSent {
 		t.Fatalf("SAPS bytes %d should be far below AD-PSGD %d (sparsified transfers)", sp.BytesSent, ad.BytesSent)
 	}
 }
 
 func TestBytesSentAccounting(t *testing.T) {
-	r := RunADPSGD(hetConfig(4, 2, 11))
+	r := core.RunADPSGD(hetConfig(4, 2, 11))
 	// Every non-self iteration moves one full model; bytes for in-flight
 	// iterations at shutdown are counted too, so allow up to one extra
 	// model per worker.

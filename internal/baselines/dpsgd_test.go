@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"netmax/internal/core"
 	"netmax/internal/engine"
 	"netmax/internal/simnet"
 )
@@ -56,7 +57,7 @@ func TestSyncDPSGDMetropolisConsensus(t *testing.T) {
 
 func TestSyncDPSGDSlowerThanADPSGDOnHeterogeneous(t *testing.T) {
 	dp := RunSyncDPSGD(hetConfig(8, 6, 9))
-	ad := RunADPSGD(hetConfig(8, 6, 9))
+	ad := core.RunADPSGD(hetConfig(8, 6, 9))
 	if dp.TotalTime <= ad.TotalTime {
 		t.Fatalf("sync D-PSGD (%v) should be slower than AD-PSGD (%v)", dp.TotalTime, ad.TotalTime)
 	}
@@ -72,8 +73,8 @@ func TestStragglerHurtsSyncMoreThanAsync(t *testing.T) {
 	straggler := []float64{1, 1, 6, 1}
 	syncBase := RunAllreduce(mk(nil))
 	syncSlow := RunAllreduce(mk(straggler))
-	asyncBase := RunADPSGD(mk(nil))
-	asyncSlow := RunADPSGD(mk(straggler))
+	asyncBase := core.RunADPSGD(mk(nil))
+	asyncSlow := core.RunADPSGD(mk(straggler))
 	syncRatio := syncSlow.TotalTime / syncBase.TotalTime
 	asyncRatio := asyncSlow.TotalTime / asyncBase.TotalTime
 	if syncRatio <= asyncRatio {

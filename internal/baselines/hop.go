@@ -4,21 +4,23 @@ import (
 	"math"
 	"math/rand"
 
+	"netmax/internal/core"
 	"netmax/internal/engine"
 )
 
 // defaultHopStaleness is the default iteration-gap bound for RunHop.
 const defaultHopStaleness = 4
 
-// hopAsync is AD-PSGD's uniform averaging behind a staleness gate: a worker
-// too far ahead of the slowest member waits instead of starting an
+// hopAsync is AD-PSGD's behavior (core.NewADPSGD) behind a staleness gate:
+// a worker too far ahead of the slowest member waits instead of starting an
 // iteration. A departed worker is no member, so it holds nobody back; a
 // hung one stays a member and holds everyone until the hang ends.
 type hopAsync struct {
-	uniformAsync
+	engine.AsyncBehavior
 	staleness int
 	iters     []int  // completed iterations per worker
 	inFlight  []bool // whether the worker has started an iteration since its last Plan
+	down      []bool // departed workers, from the latest membership event
 }
 
 // Plan counts the iteration that just completed, then either holds worker
@@ -31,7 +33,7 @@ func (h *hopAsync) Plan(i int, now float64, rng *rand.Rand) engine.Pull {
 	if h.iters[i] >= h.slowest()+h.staleness {
 		return engine.Pull{Until: math.Inf(1)}
 	}
-	return h.uniformAsync.Plan(i, now, rng)
+	return h.AsyncBehavior.Plan(i, now, rng)
 }
 
 // slowest returns the least iteration count among members, or MaxInt
@@ -50,6 +52,7 @@ func (h *hopAsync) slowest() int {
 // counts it as completed.
 func (h *hopAsync) OnIterationEnd(i, j int, iterSecs, now float64) {
 	h.inFlight[i] = true
+	h.AsyncBehavior.OnIterationEnd(i, j, iterSecs, now)
 }
 
 // OnMembership re-admits a rejoining worker at the slowest member's
@@ -65,8 +68,9 @@ func (h *hopAsync) OnMembership(alive []bool, now float64) {
 				h.iters[k] = max(h.iters[k], slowest)
 			}
 		}
+		h.down[k] = !a
 	}
-	h.uniformAsync.OnMembership(alive, now)
+	h.AsyncBehavior.OnMembership(alive, now)
 }
 
 // RunHop trains with Hop-style bounded staleness [25]: workers run the
@@ -77,20 +81,21 @@ func (h *hopAsync) OnMembership(alive []bool, now float64) {
 // would be dragged down by these low-speed links": a worker stuck behind a
 // slow link eventually stalls everyone through the staleness gate.
 func RunHop(cfg *engine.Config, staleness int) *engine.Result {
-	return engine.RunAsync(cfg, newHopAsync(cfg.Net.Topo.Adj, staleness), "Hop")
+	return engine.RunAsync(cfg, newHopAsync(cfg.Net.Topo.Adj, cfg.LR, staleness), "Hop")
 }
 
-// newHopAsync builds Hop's behavior over the graph adj; a non-positive
-// staleness selects defaultHopStaleness.
-func newHopAsync(adj [][]bool, staleness int) *hopAsync {
+// newHopAsync builds Hop's behavior over the graph adj with learning rate
+// alpha; a non-positive staleness selects defaultHopStaleness.
+func newHopAsync(adj [][]bool, alpha float64, staleness int) *hopAsync {
 	if staleness <= 0 {
 		staleness = defaultHopStaleness
 	}
 	m := len(adj)
 	return &hopAsync{
-		uniformAsync: *newUniformAsync(adj, 1),
-		staleness:    staleness,
-		iters:        make([]int, m),
-		inFlight:     make([]bool, m),
+		AsyncBehavior: core.NewADPSGD(adj, alpha),
+		staleness:     staleness,
+		iters:         make([]int, m),
+		inFlight:      make([]bool, m),
+		down:          make([]bool, m),
 	}
 }

@@ -3,6 +3,7 @@ package baselines
 import (
 	"testing"
 
+	"netmax/internal/core"
 	"netmax/internal/engine"
 	"netmax/internal/simnet"
 )
@@ -44,8 +45,8 @@ func TestHopBoundedStalenessEnforced(t *testing.T) {
 	straggler := []float64{1, 1, 10, 1}
 	base := RunHop(mk(nil), 2)
 	slow := RunHop(mk(straggler), 2)
-	adBase := RunADPSGD(mk(nil))
-	adSlow := RunADPSGD(mk(straggler))
+	adBase := core.RunADPSGD(mk(nil))
+	adSlow := core.RunADPSGD(mk(straggler))
 	hopRatio := slow.TotalTime / base.TotalTime
 	adRatio := adSlow.TotalTime / adBase.TotalTime
 	if hopRatio <= adRatio {
@@ -57,7 +58,7 @@ func TestHopLooseBoundApproachesADPSGD(t *testing.T) {
 	// With a very loose bound the gate rarely triggers: total time should
 	// be close to plain AD-PSGD on the same workload.
 	hop := RunHop(hetConfig(4, 4, 9), 1000)
-	ad := RunADPSGD(hetConfig(4, 4, 9))
+	ad := core.RunADPSGD(hetConfig(4, 4, 9))
 	ratio := hop.TotalTime / ad.TotalTime
 	if ratio < 0.7 || ratio > 1.5 {
 		t.Fatalf("loose-bound Hop time ratio vs AD-PSGD = %v, want ~1", ratio)

@@ -14,9 +14,11 @@
 //
 // A worker's decisions — peer selection, blend coefficient, EMA update,
 // policy adoption and peer masking — live in Node, which holds no model and
-// no clock. The discrete-event runtime here drives one Node per simulated
-// worker; the live runtime (internal/live) drives the same type from each
-// worker goroutine.
+// no clock, and is every asynchronous decentralized worker: plain AD-PSGD
+// is the averaging node on a fixed uniform policy (NewADPSGD). The
+// discrete-event runtime here drives one Node per simulated worker; the
+// live runtime (internal/live) drives the same type from each worker
+// goroutine.
 package core
 
 import (
@@ -78,23 +80,30 @@ type behavior struct {
 	nodes []*Node
 }
 
-// averaging selects AD-PSGD+Monitor's blend for the nodes and the policies
-// the monitor generates for them (see NewNodes).
-func newBehavior(cfg *engine.Config, opts Options, averaging bool) *behavior {
+// averaging selects AD-PSGD's blend for the nodes of the graph adj and the
+// policies the monitor generates for them (see NewNodes).
+func newBehavior(adj [][]bool, alpha float64, opts Options, averaging bool) *behavior {
 	opts.defaults()
-	adj := cfg.Net.Topo.Adj
 	return &behavior{
 		opts:  opts,
-		nodes: NewNodes(adj, cfg.LR, opts.Beta, averaging),
+		nodes: NewNodes(adj, alpha, opts.Beta, averaging),
 		mon: monitor.New(monitor.Config{
 			Adj:            adj,
-			Alpha:          cfg.LR,
+			Alpha:          alpha,
 			Period:         opts.Ts,
 			Rounds:         opts.PolicyRounds,
 			AveragingBlend: averaging,
 			StalePeriods:   opts.StalePeriods,
 		}),
 	}
+}
+
+// NewADPSGD returns AD-PSGD's behavior over the graph adj [11]: averaging
+// nodes on the fixed uniform policy. Departed peers are masked out, but hung
+// peers and slow links keep their uniform share. The nodes still report to
+// a monitor, which is never asked for a policy.
+func NewADPSGD(adj [][]bool, alpha float64) engine.AsyncBehavior {
+	return newBehavior(adj, alpha, Options{UniformPolicy: true}, true)
 }
 
 // Plan first runs the Network Monitor's periodic policy regeneration and
@@ -140,17 +149,23 @@ func (b *behavior) OnIterationEnd(i, j int, iterSecs, now float64) {
 
 // Run trains with NetMax under cfg and returns the aggregated result.
 func Run(cfg *engine.Config, opts Options) *engine.Result {
-	b := newBehavior(cfg, opts, false)
+	b := newBehavior(cfg.Net.Topo.Adj, cfg.LR, opts, false)
 	r := engine.RunAsync(cfg, b, "NetMax")
 	debugRegens.Store(int64(b.mon.Regenerations))
 	return r
 }
 
-// RunADPSGDMonitor trains with the Section III-D extension, the only way to
-// run the averaging blend: adaptive policy from the Network Monitor, but
-// AD-PSGD's two-sided averaging with coefficient 1/2.
+// RunADPSGDMonitor trains with the Section III-D extension: adaptive policy
+// from the Network Monitor, but AD-PSGD's two-sided averaging with
+// coefficient 1/2.
 func RunADPSGDMonitor(cfg *engine.Config, opts Options) *engine.Result {
-	return engine.RunAsync(cfg, newBehavior(cfg, opts, true), "AD-PSGD+Monitor")
+	return engine.RunAsync(cfg, newBehavior(cfg.Net.Topo.Adj, cfg.LR, opts, true), "AD-PSGD+Monitor")
+}
+
+// RunADPSGD trains with asynchronous decentralized parallel SGD [11]: each
+// worker repeatedly averages its model with one uniformly random neighbor.
+func RunADPSGD(cfg *engine.Config) *engine.Result {
+	return engine.RunAsync(cfg, NewADPSGD(cfg.Net.Topo.Adj, cfg.LR), "AD-PSGD")
 }
 
 // debugRegens records the regeneration count of the most recent Run for

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"netmax/internal/baselines"
 	"netmax/internal/data"
 	"netmax/internal/engine"
 	"netmax/internal/nn"
@@ -69,8 +68,8 @@ func TestRunDefaultTsIsDefaultMonitorTs(t *testing.T) {
 }
 
 func TestNetMaxRegeneratesPolicies(t *testing.T) {
-	b := newBehavior(hetConfig(4, 1, 3), Options{Ts: 2}, false)
 	cfg := hetConfig(4, 8, 3)
+	b := newBehavior(cfg.Net.Topo.Adj, cfg.LR, Options{Ts: 2}, false)
 	engine.RunAsync(cfg, b, "NetMax")
 	if b.mon.Regenerations < 2 {
 		t.Fatalf("monitor regenerated only %d times over a multi-period run", b.mon.Regenerations)
@@ -81,7 +80,7 @@ func TestNetMaxFasterThanADPSGDHeterogeneous(t *testing.T) {
 	// The headline claim (Fig. 8): on a heterogeneous network NetMax's
 	// total training time beats AD-PSGD's for the same epoch count.
 	nm := Run(hetConfig(8, 12, 11), Options{Ts: 2})
-	ad := baselines.RunADPSGD(hetConfig(8, 12, 11))
+	ad := RunADPSGD(hetConfig(8, 12, 11))
 	if nm.TotalTime >= ad.TotalTime {
 		t.Fatalf("NetMax %vs not faster than AD-PSGD %vs", nm.TotalTime, ad.TotalTime)
 	}
@@ -90,7 +89,7 @@ func TestNetMaxFasterThanADPSGDHeterogeneous(t *testing.T) {
 func TestNetMaxCommCostBelowADPSGD(t *testing.T) {
 	// Fig. 5: NetMax's per-epoch communication cost is below AD-PSGD's.
 	nm := Run(hetConfig(8, 12, 13), Options{Ts: 2})
-	ad := baselines.RunADPSGD(hetConfig(8, 12, 13))
+	ad := RunADPSGD(hetConfig(8, 12, 13))
 	if nm.CommCostPerEpoch(8) >= ad.CommCostPerEpoch(8) {
 		t.Fatalf("NetMax comm %v >= AD-PSGD %v", nm.CommCostPerEpoch(8), ad.CommCostPerEpoch(8))
 	}
@@ -109,7 +108,7 @@ func TestNetMaxHomogeneousMatchesADPSGD(t *testing.T) {
 		return cfg
 	}
 	nm := Run(mk(), Options{Ts: 2})
-	ad := baselines.RunADPSGD(mk())
+	ad := RunADPSGD(mk())
 	ratio := nm.TotalTime / ad.TotalTime
 	if ratio > 1.5 || ratio < 0.5 {
 		t.Fatalf("homogeneous NetMax/AD-PSGD time ratio = %v, want ~1", ratio)
@@ -119,7 +118,7 @@ func TestNetMaxHomogeneousMatchesADPSGD(t *testing.T) {
 func TestUniformPolicyOptionDisablesAdaptation(t *testing.T) {
 	adaptive := Run(hetConfig(8, 10, 17), Options{Ts: 2})
 	cfg := hetConfig(8, 10, 17)
-	b := newBehavior(cfg, Options{Ts: 2, UniformPolicy: true}, false)
+	b := newBehavior(cfg.Net.Topo.Adj, cfg.LR, Options{Ts: 2, UniformPolicy: true}, false)
 	uniform := engine.RunAsync(cfg, b, "NetMax")
 	// Fig. 7: adaptive probabilities are the main source of gain.
 	if adaptive.TotalTime >= uniform.TotalTime {
@@ -134,7 +133,7 @@ func TestUniformPolicyOptionDisablesAdaptation(t *testing.T) {
 func TestADPSGDMonitorBetweenADPSGDAndNetMax(t *testing.T) {
 	// Fig. 15: AD-PSGD+Monitor is faster than plain AD-PSGD in time.
 	ext := RunADPSGDMonitor(hetConfig(8, 10, 19), Options{Ts: 2})
-	ad := baselines.RunADPSGD(hetConfig(8, 10, 19))
+	ad := RunADPSGD(hetConfig(8, 10, 19))
 	if ext.TotalTime >= ad.TotalTime {
 		t.Fatalf("AD-PSGD+Monitor (%v) not faster than AD-PSGD (%v)", ext.TotalTime, ad.TotalTime)
 	}
@@ -194,10 +193,10 @@ func TestSelectPeerRespectsPolicySupport(t *testing.T) {
 // average two-sided with coefficient 1/2 whatever row they adopt.
 func TestFixedBlendOption(t *testing.T) {
 	cfg := hetConfig(4, 1, 3)
-	if b := newBehavior(cfg, Options{}, false); b.nodes[0].TwoSided() || b.nodes[0].Coef(1) == 0.5 {
+	if b := newBehavior(cfg.Net.Topo.Adj, cfg.LR, Options{}, false); b.nodes[0].TwoSided() || b.nodes[0].Coef(1) == 0.5 {
 		t.Fatalf("NetMax node: two-sided %v, coefficient %v", b.nodes[0].TwoSided(), b.nodes[0].Coef(1))
 	}
-	b := newBehavior(cfg, Options{}, true)
+	b := newBehavior(cfg.Net.Topo.Adj, cfg.LR, Options{}, true)
 	if !b.nodes[0].TwoSided() {
 		t.Fatal("AD-PSGD+Monitor blend is one-sided")
 	}
@@ -285,7 +284,7 @@ func TestNetMaxReadmitsEvictedWorker(t *testing.T) {
 	crashAt := clean.TotalTime * 0.5
 	rejoinAt := crashAt + 10*2
 	cfg.Failures = simnet.NewFailureSchedule().Crash(1, crashAt, rejoinAt)
-	b := newBehavior(cfg, Options{Ts: 2, StalePeriods: 1}, false)
+	b := newBehavior(cfg.Net.Topo.Adj, cfg.LR, Options{Ts: 2, StalePeriods: 1}, false)
 	r := engine.RunAsync(cfg, b, "NetMax")
 	if r.Epochs != 8 {
 		t.Fatalf("run completed %d epochs, want 8", r.Epochs)

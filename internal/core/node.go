@@ -6,12 +6,13 @@ import (
 	"netmax/internal/policy"
 )
 
-// Node is one NetMax worker's decision state: its row of the communication
-// policy, the consensus step size ρ, its EMA time vector T_i, and a mask of
-// peers to skip. It trains nothing and does no I/O, so both runtimes drive
-// the same state machine: the engine's NetMax behavior holds one Node per
-// simulated worker, and every live worker goroutine owns one. A Node is not
-// safe for concurrent use.
+// Node is the decision state of every asynchronous decentralized worker
+// (NetMax, AD-PSGD+Monitor, AD-PSGD, SAPS-PSGD, Hop): its row of the
+// communication policy, the consensus step size ρ, its EMA time vector T_i,
+// and a mask of peers to skip. It trains nothing and does no I/O, so both
+// runtimes drive the same state machine: the engine's behaviors hold one
+// Node per simulated worker, and every live worker goroutine owns one. A
+// Node is not safe for concurrent use.
 type Node struct {
 	id        int
 	adj       [][]bool
@@ -31,10 +32,11 @@ type Node struct {
 
 // NewNodes builds the decision state of every worker of the graph adj with
 // learning rate alpha and EMA factor beta (DefaultBeta if outside (0, 1)).
-// averaging selects the Section III-D blend of AD-PSGD+Monitor, AD-PSGD's
-// two-sided averaging, in place of Algorithm 2's one-sided pull. Each node
-// starts on the uniform policy with ρ a quarter of the feasibility cap
-// 1/(2α·deg_max), giving an initial uniform blend coefficient αρ·deg = 1/8.
+// averaging selects AD-PSGD's two-sided averaging (also the blend of the
+// Section III-D AD-PSGD+Monitor) in place of Algorithm 2's one-sided pull.
+// Each node starts on the uniform policy with ρ a quarter of the
+// feasibility cap 1/(2α·deg_max), giving an initial uniform blend
+// coefficient αρ·deg = 1/8.
 func NewNodes(adj [][]bool, alpha, beta float64, averaging bool) []*Node {
 	if beta <= 0 || beta >= 1 {
 		beta = DefaultBeta

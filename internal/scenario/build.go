@@ -44,7 +44,7 @@ var algorithms = []algorithm{
 	{kind: "netmax", codecFailures: true, netmax: true, live: true, newRun: func(p *prepared) runFunc {
 		return func(cfg *engine.Config) *engine.Result { return core.Run(cfg, p.opts) }
 	}},
-	{kind: "adpsgd", codecFailures: true, newRun: fixed(baselines.RunADPSGD)},
+	{kind: "adpsgd", codecFailures: true, newRun: fixed(core.RunADPSGD)},
 	{kind: "adpsgd-monitor", codecFailures: true, netmax: true, newRun: func(p *prepared) runFunc {
 		return func(cfg *engine.Config) *engine.Result { return core.RunADPSGDMonitor(cfg, p.opts) }
 	}},

@@ -3,7 +3,6 @@ package scenario
 import (
 	"testing"
 
-	"netmax/internal/baselines"
 	"netmax/internal/core"
 	"netmax/internal/data"
 	"netmax/internal/engine"
@@ -114,7 +113,7 @@ func TestManifestMatchesFlagPathBitwise(t *testing.T) {
 	t.Run("adpsgd static", func(t *testing.T) {
 		cfg := flagConfig(nn.SimMobileNet, data.SynthMNIST, workers, epochs, seed,
 			simnet.NewStatic(simnet.PaperCluster(workers)))
-		want := baselines.RunADPSGD(cfg)
+		want := core.RunADPSGD(cfg)
 
 		m := &Manifest{
 			Name: "gate-adpsgd", Algorithm: "adpsgd", Model: "MobileNet", Dataset: "MNIST",
@@ -168,7 +167,7 @@ func TestManifestMatchesFlagPathBitwise(t *testing.T) {
 		fs := simnet.NewRandomChurn(workers, seed, 50, 1, 3)
 		fs.DetectSecs = 0.5
 		cfg.Failures = fs
-		want := baselines.RunADPSGD(cfg)
+		want := core.RunADPSGD(cfg)
 
 		m := &Manifest{
 			Name: "gate-random-churn", Algorithm: "adpsgd", Model: "MobileNet", Dataset: "MNIST",

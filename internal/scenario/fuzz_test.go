@@ -13,7 +13,9 @@ import (
 // and one with a stray closing brace. Parse must never panic, whatever it
 // accepts must be one valid JSON document, and it must resolve to a
 // manifest that marshals, parses and validates again: the resolved.json a
-// run writes is always a runnable manifest.
+// run writes is always a runnable manifest. An accepted engine manifest
+// must also build, in its full and its quick form, without an error or a
+// panic: past validation, the builders cannot fail.
 func FuzzParseManifest(f *testing.F) {
 	paths, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.json"))
 	if err != nil || len(paths) == 0 {
@@ -45,6 +47,14 @@ func FuzzParseManifest(f *testing.F) {
 		}
 		if _, err := Parse(out); err != nil {
 			t.Fatalf("resolved manifest does not parse back: %v\n%s", err, out)
+		}
+		if m.Resolved().Runtime != "engine" {
+			return
+		}
+		for _, form := range []*Manifest{m, m.ApplyQuick()} {
+			if _, _, err := form.BuildEngine(); err != nil {
+				t.Fatalf("accepted manifest does not build: %v\n%s", err, raw)
+			}
 		}
 	})
 }

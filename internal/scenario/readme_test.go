@@ -30,7 +30,8 @@ var kindProbes = []struct {
 // every json field of that block's struct and of the structs its fields
 // hold (live.latency.*, failures.events[].*). The rows of
 // the blocks in kindProbes must name every kind (and preset) the validator
-// accepts, and name nothing else but the block's own fields.
+// accepts, and name nothing else but the block's own fields. The codec row
+// must name exactly the algorithms that take a codec, in table order.
 func TestReadmeSchemaInSync(t *testing.T) {
 	raw, err := os.ReadFile("../../README.md")
 	if err != nil {
@@ -49,6 +50,7 @@ func TestReadmeSchemaInSync(t *testing.T) {
 	backticked := regexp.MustCompile("`([^`]+)`")
 	documented := map[string]bool{}
 	rows := map[string]map[string]bool{} // field -> every backticked name in its row
+	lines := map[string]string{}         // field -> its row
 	for _, line := range strings.Split(section, "\n") {
 		cells := strings.Split(line, "|")
 		if len(cells) < 3 || !strings.HasPrefix(strings.TrimSpace(line), "|") {
@@ -61,6 +63,7 @@ func TestReadmeSchemaInSync(t *testing.T) {
 		for _, m := range backticked.FindAllStringSubmatch(cells[1], -1) {
 			documented[m[1]] = true
 			rows[m[1]] = named
+			lines[m[1]] = line
 		}
 	}
 	if len(documented) == 0 {
@@ -132,6 +135,16 @@ func TestReadmeSchemaInSync(t *testing.T) {
 	}
 	if len(unknown) > 0 {
 		t.Errorf("README schema table names fields Manifest does not have: %v", unknown)
+	}
+
+	var codecKinds []string
+	for _, m := range backticked.FindAllStringSubmatch(lines["codec"], -1) {
+		if _, ok := lookupAlgorithm(m[1]); ok {
+			codecKinds = append(codecKinds, m[1])
+		}
+	}
+	if got, want := strings.Join(codecKinds, ", "), algorithmsWhere(func(a algorithm) bool { return a.codecFailures }); got != want {
+		t.Errorf("README schema row \"codec\" names the algorithms %q, want those that take a codec: %q", got, want)
 	}
 
 	for _, kp := range kindProbes {
