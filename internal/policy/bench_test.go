@@ -8,11 +8,29 @@ import (
 	"netmax/internal/simnet"
 )
 
-// BenchmarkGenerate measures one full Algorithm 3 search (K = R = 10) on a
-// fully connected graph with heterogeneous link times, as a function of N.
+// benchInput is BenchmarkGenerate's input at N = m: a fully connected graph
+// with heterogeneous link times.
+func benchInput(m int) Input {
+	return Input{Times: hetTimes(m, 1), Adj: simnet.FullyConnected(m), Alpha: 0.1}
+}
+
+// BenchmarkGenerate measures one full Algorithm 3 search (K = R = 10) on
+// benchInput, as a function of N.
 func BenchmarkGenerate(b *testing.B) {
+	benchmarkGenerate(b, false)
+}
+
+// BenchmarkGenerateAveraging is BenchmarkGenerate under the averaging
+// blend, the AD-PSGD+Monitor path: a single ρ, so the order in which the ρ
+// grid is scored plays no part in it.
+func BenchmarkGenerateAveraging(b *testing.B) {
+	benchmarkGenerate(b, true)
+}
+
+func benchmarkGenerate(b *testing.B, averaging bool) {
 	for _, m := range []int{8, 16, 32, 64} {
-		in := Input{Times: hetTimes(m, 1), Adj: simnet.FullyConnected(m), Alpha: 0.1}
+		in := benchInput(m)
+		in.AveragingBlend = averaging
 		b.Run(fmt.Sprintf("N=%d", m), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -24,11 +42,28 @@ func BenchmarkGenerate(b *testing.B) {
 	}
 }
 
+// TestBestFirstEigensolves pins what scoring the ρ grid from the cap down
+// buys: on BenchmarkGenerate's inputs the first ρ scored holds the winner,
+// and the λ₂ bounds reject all but at most one of the 10×10 grid's other
+// candidates before their eigensolve.
+func TestBestFirstEigensolves(t *testing.T) {
+	for _, m := range []int{8, 16, 32, 64} {
+		s, err := runSearch(benchInput(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("N=%d: %d eigensolves", m, s.eigensolves)
+		if s.eigensolves > 2 {
+			t.Errorf("N=%d: %d eigensolves, want at most 2", m, s.eigensolves)
+		}
+	}
+}
+
 // warmCandidate returns a search over BenchmarkGenerate's input at N = m,
 // set up for the (ρ, t̄) candidate Generate picks on it, and that policy.
 func warmCandidate(tb testing.TB, m int) (*search, *Policy) {
 	tb.Helper()
-	in := Input{Times: hetTimes(m, 1), Adj: simnet.FullyConnected(m), Alpha: 0.1}
+	in := benchInput(m)
 	pol, err := Generate(in)
 	if err != nil {
 		tb.Fatal(err)

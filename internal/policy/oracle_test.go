@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"netmax/internal/linalg"
@@ -449,13 +450,44 @@ func TestGenerateMatchesExhaustiveSearch(t *testing.T) {
 	}
 }
 
+// TestGenerateBreaksTiesInGridOrder pins score's tie rule. With every time
+// zero, every feasible candidate has t̄ = 0 and so T = +0, and the winner
+// is decided by grid order alone: the exhaustive search, which walks the
+// grid upward and keeps only strictly better candidates, picks the first
+// feasible one. Generate scores the ρ grid from the cap down and must pick
+// the same policy, under both blends.
+func TestGenerateBreaksTiesInGridOrder(t *testing.T) {
+	for _, m := range []int{2, 3, 8, 16} {
+		for _, averaging := range []bool{false, true} {
+			t.Run(fmt.Sprintf("N=%d/averaging=%v", m, averaging), func(t *testing.T) {
+				in := Input{Times: matrix(m), Adj: simnet.FullyConnected(m), Alpha: 0.1, AveragingBlend: averaging}
+				got, err := Generate(in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := exhaustiveGenerate(in, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.TConvergence != 0 {
+					t.Fatalf("T = %v with every time zero", got.TConvergence)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("Generate picks ρ = %v, t̄ = %v, λ₂ = %v; the exhaustive search ρ = %v, t̄ = %v, λ₂ = %v",
+						got.Rho, got.TBar, got.Lambda2, want.Rho, want.TBar, want.Lambda2)
+				}
+			})
+		}
+	}
+}
+
 // FuzzGenerate checks Generate and GenerateLive against the exhaustive
 // search on inputs decoded from fuzz bytes: n and rounds give N in 2..16
 // and the grid size in 2..20; data, read cyclically, gives two bytes per
 // worker pair (the pair's times, whether each direction is an edge, and
 // whether the link is 100x slower) and then one byte per worker (dead or
-// alive). flags select the averaging blend, dead workers, a directed graph
-// and the learning rate.
+// alive). flags select the averaging blend, dead workers, a directed graph,
+// all-zero times (every candidate ties at T = 0) and the learning rate.
 func FuzzGenerate(f *testing.F) {
 	f.Add(uint8(8), uint8(9), uint8(0), []byte{})
 	f.Add(uint8(14), uint8(9), uint8(0), []byte{0xf9, 0x08, 0xfa, 0x04, 0x2b, 0x00, 0x5d, 0x00, 0x2b, 0x00, 0x03})
@@ -463,6 +495,7 @@ func FuzzGenerate(f *testing.F) {
 	f.Add(uint8(6), uint8(19), uint8(0x02), []byte{0x67, 0x02, 0x3f, 0x01, 0xed, 0x00, 0xe7, 0x00, 0xb0, 0x08, 0x06})
 	f.Add(uint8(5), uint8(9), uint8(0x04), []byte{0x3a, 0x04, 0x6f, 0x00, 0x7d, 0x00, 0xf0, 0x00, 0x80, 0x04, 0x06})
 	f.Add(uint8(10), uint8(9), uint8(0x12), []byte{0x18, 0x00, 0x80, 0x00, 0xa4, 0x04, 0x94, 0x00, 0x2e, 0x00, 0x05})
+	f.Add(uint8(7), uint8(9), uint8(0x08), []byte{0x18, 0x00, 0x80, 0x03, 0xa4, 0x04, 0x94, 0x00, 0x2e, 0x00, 0x05})
 	f.Fuzz(func(t *testing.T, n, rounds, flags uint8, data []byte) {
 		m := 2 + int(n)%15
 		pos := 0
@@ -492,6 +525,9 @@ func FuzzGenerate(f *testing.F) {
 				in.Times[i][j], in.Times[j][i] = v, v
 				if eb&8 != 0 {
 					in.Times[j][i] = v * (1 + float64(tb&7)/8)
+				}
+				if flags&8 != 0 {
+					in.Times[i][j], in.Times[j][i] = 0, 0
 				}
 				// Bits 0 and 1 set drop the link; with flags bit 2 they
 				// drop i → j and j → i on their own. An empty data stream

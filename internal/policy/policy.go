@@ -21,6 +21,13 @@
 // so the chosen policy is bitwise the one an eigensolve of every
 // candidate picks (see score).
 //
+// The bounds need a good best to reject against, so the ρ grid is scored
+// from the cap down, each ρ's t̄ in ascending order. λ₂ falls as ρ grows,
+// so the first ρ scored usually holds the winner, and the bounds reject
+// almost every later candidate. A tie in T goes to the lower grid index,
+// ρ's first: the winner is the least (T, ρ index, t̄ index), the candidate
+// an ascending walk that keeps only strictly better ones picks.
+//
 // Whatever does not depend on the candidate is computed once. Per Generate
 // call: each row's neighbor times, its largest time, the sums behind
 // FeasibleTimeInterval and the steps of the row solver's vertex walk. Per
@@ -458,6 +465,16 @@ const MaxWorkers = 256
 
 // generate is Generate on a validated Input.
 func generate(in Input) (*Policy, error) {
+	s, err := runSearch(in)
+	if err != nil {
+		return nil, err
+	}
+	return s.result()
+}
+
+// runSearch scores Algorithm 3's (ρ, t̄) grid for a validated Input and
+// returns the search holding the best candidate.
+func runSearch(in Input) (*search, error) {
 	rounds := in.Rounds
 	if rounds == 0 {
 		rounds = DefaultRounds
@@ -470,10 +487,7 @@ func generate(in Input) (*Policy, error) {
 	if in.AveragingBlend {
 		// Section III-D: the blend weight is fixed at 1/2, so ρ plays no
 		// role in the update and a single inner search suffices.
-		if err := s.innerLoop(0, rounds); err != nil {
-			return nil, err
-		}
-		return s.result()
+		return s, s.innerLoop(0, 0, rounds)
 	}
 	_, ur := FeasibleRhoInterval(in.Alpha)
 	// The row floors p_im >= 2αρ must fit within a probability row, which
@@ -489,20 +503,21 @@ func generate(in Input) (*Policy, error) {
 	// slowed 100x) the feasible ρ range collapses toward zero, and a
 	// uniform grid like the paper's pseudo-code would need a very large K
 	// to land inside it; geometric spacing covers three decades with the
-	// same K.
+	// same K. It is scored from the cap down, where the winner usually
+	// lies; score's tie rule keeps the ascending walk's winner.
 	const span = 1000.0
-	for ki := 0; ki < rounds; ki++ {
+	for ki := rounds - 1; ki >= 0; ki-- {
 		frac := float64(ki) / float64(rounds-1)
 		// A ρ without a feasible t̄ interval simply contributes no candidate.
-		_ = s.innerLoop(ur/tensor.Pow(span, 1-frac), rounds)
+		_ = s.innerLoop(ki, ur/tensor.Pow(span, 1-frac), rounds)
 	}
-	return s.result()
+	return s, nil
 }
 
 // search is the state of one Generate call: the neighbor lists, the row
 // LPs with their candidate-independent work done (rowLPs), and buffers for
 // the candidate P, Y_P and the eigensolve, allocated once and reused by
-// every (ρ, t̄) candidate. Only an improving candidate's P is copied, into
+// every (ρ, t̄) candidate. Only a winning candidate's P is copied, into
 // best.
 type search struct {
 	in      Input
@@ -520,6 +535,10 @@ type search struct {
 	eigWork []float64
 	best    Policy
 	found   bool
+	// bestK and bestR are best's ρ and t̄ grid indices, for score's tie
+	// rule; eigensolves counts the candidates that reached an eigensolve.
+	bestK, bestR int
+	eigensolves  int
 	// unitRows records that every candidate's Y_P has unit row sums, so
 	// that the λ₂ bounds apply: the graph is symmetric (with pg = 1/N), or
 	// the blend is the averaging one. links then lists each row's pairs
@@ -587,8 +606,9 @@ func matrix(m int) [][]float64 {
 	return rows
 }
 
-// innerLoop is Algorithm 3's INNERLOOP: grid over t̄ ∈ [L, U] for one ρ.
-func (s *search) innerLoop(rho float64, r int) error {
+// innerLoop is Algorithm 3's INNERLOOP: grid over t̄ ∈ [L, U] for one ρ,
+// the ki-th of the ρ grid, in ascending t̄.
+func (s *search) innerLoop(ki int, rho float64, r int) error {
 	var lo, hi float64
 	var err error
 	floor := 1e-4 // Section III-D: only positivity is needed
@@ -615,7 +635,7 @@ func (s *search) innerLoop(rho float64, r int) error {
 			// so every later t̄ of this ρ loses too.
 			break
 		}
-		s.score(rho, tbar, lim)
+		s.score(ki, ri, rho, tbar, lim)
 	}
 	return nil
 }
@@ -667,18 +687,22 @@ func (s *search) diagExceeds(ar, lim float64) bool {
 	return false
 }
 
-// score builds the (ρ, t̄) candidate at the floor of the last setFloor and
-// keeps it if its predicted convergence time beats the best so far.
+// score builds the (ρ, t̄) candidate at grid indices (ki, ri), at the floor
+// of the last setFloor, and keeps it if its predicted convergence time
+// beats the best so far, or ties it at a lower (ki, ri) in lexicographic
+// order. The winner is then the least (T, ki, ri), whatever order the grid
+// is scored in: the candidate an ascending walk keeping only strictly
+// better ones picks.
 //
 // lim is lossLimit(t̄): the candidate can win only if λ₂ < λ* < lim, so
 // once its rows are solved, step C (diagExceeds) rejects it before Y_P is
 // built when a row's diagonal bound exceeds lim. The bound holds with
 // boundMargin to spare, so every rejected candidate would also have lost
-// the T comparison (or had λ₂ ≥ 1), and the chosen policy is bitwise the
-// one scoring every candidate by eigensolve would pick. Where the bound
-// does not apply (no best yet, a directed graph under the one-sided
-// blend) or proves nothing, the eigensolve runs.
-func (s *search) score(rho, tbar, lim float64) {
+// the T comparison (or had λ₂ ≥ 1), no tie is rejected, and the chosen
+// policy is bitwise the one scoring every candidate by eigensolve would
+// pick. Where the bound does not apply (no best yet, a directed graph
+// under the one-sided blend) or proves nothing, the eigensolve runs.
+func (s *search) score(ki, ri int, rho, tbar, lim float64) {
 	if !s.solveRows(float64(len(s.p))*tbar) || s.diagExceeds(s.in.Alpha*rho, lim) {
 		return
 	}
@@ -686,6 +710,7 @@ func (s *search) score(rho, tbar, lim float64) {
 	if len(s.eig) < 2 {
 		return
 	}
+	s.eigensolves++
 	if linalg.SymmetricEigenvaluesInto(s.y, s.eig, s.eigWork) != nil {
 		return
 	}
@@ -694,14 +719,15 @@ func (s *search) score(rho, tbar, lim float64) {
 		return
 	}
 	tconv := tbar * tensor.Log(s.eps) / tensor.Log(l2)
-	if s.found && !(tconv < s.best.TConvergence) {
+	if s.found && !(tconv < s.best.TConvergence ||
+		tconv == s.best.TConvergence && (ki < s.bestK || ki == s.bestK && ri < s.bestR)) {
 		return
 	}
 	for i, row := range s.p {
 		copy(s.best.P[i], row)
 	}
 	s.best.Rho, s.best.Lambda2, s.best.TBar, s.best.TConvergence = rho, l2, tbar, tconv
-	s.found = true
+	s.bestK, s.bestR, s.found = ki, ri, true
 }
 
 // solveRows fills s.p with the Eq. (14) solution of every worker row at the
