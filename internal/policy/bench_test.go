@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"netmax/internal/simnet"
+	"netmax/internal/tensor"
 )
 
 // benchInput is BenchmarkGenerate's input at N = m: a fully connected graph
@@ -48,14 +49,64 @@ func benchmarkGenerate(b *testing.B, averaging bool) {
 // candidates before their eigensolve.
 func TestBestFirstEigensolves(t *testing.T) {
 	for _, m := range []int{8, 16, 32, 64} {
-		s, err := runSearch(benchInput(m))
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := runSearch(benchInput(m))
 		t.Logf("N=%d: %d eigensolves", m, s.eigensolves)
 		if s.eigensolves > 2 {
 			t.Errorf("N=%d: %d eigensolves, want at most 2", m, s.eigensolves)
 		}
+	}
+}
+
+// TestSetFloorOnlyForScoredRho pins where innerLoop prepares a ρ's rows:
+// on BenchmarkGenerate's inputs, walking runSearch's ρ grid, setFloor runs
+// for a ρ exactly when its t̄ interval is non-empty and its first t̄ passes
+// step A, that is when the ρ scores at least one candidate, and most ρ
+// values never reach it.
+func TestSetFloorOnlyForScoredRho(t *testing.T) {
+	for _, m := range []int{8, 16, 32, 64} {
+		in := benchInput(m)
+		s, r := newSearch(in, DefaultEpsilon), DefaultRounds
+		ur := 0.999 / (2 * in.Alpha * float64(s.maxDeg)) // below 0.5/α on a complete graph
+		scored := 0
+		for ki := r - 1; ki >= 0; ki-- {
+			rho := ur / tensor.Pow(1000, 1-float64(ki)/float64(r-1))
+			lo, hi, ok := timeInterval(s.rows.sum, s.rows.tmax, in.Alpha, rho)
+			first := ok && s.l2Floor(rho) <= s.lossLimit(lo+(hi-lo)/float64(r))
+			floors := s.floors
+			s.innerLoop(ki, rho, r)
+			if got := s.floors - floors; got != 0 && !first || got != 1 && first {
+				t.Errorf("N=%d, ρ index %d: setFloor ran %d times, first t̄ scored: %v", m, ki, got, first)
+			}
+			if first {
+				scored++
+			}
+		}
+		full := runSearch(in)
+		t.Logf("N=%d: setFloor for %d of %d ρ", m, full.floors, r)
+		if full.floors != scored || full.best.TConvergence != s.best.TConvergence {
+			t.Errorf("N=%d: runSearch set %d floors and found T = %v, the grid walk %d and %v",
+				m, full.floors, full.best.TConvergence, scored, s.best.TConvergence)
+		}
+		if scored > r/2 {
+			t.Errorf("N=%d: %d of %d ρ scored a candidate, want at most half", m, scored, r)
+		}
+	}
+}
+
+// setupSink keeps BenchmarkSearchSetup's calls from being optimized away.
+var setupSink search
+
+// BenchmarkSearchSetup measures a Generate call's fixed set-up alone,
+// newSearch on benchInput, as a function of N.
+func BenchmarkSearchSetup(b *testing.B) {
+	for _, m := range []int{8, 16, 32, 64} {
+		in := benchInput(m)
+		b.Run(fmt.Sprintf("N=%d", m), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				setupSink = newSearch(in, DefaultEpsilon)
+			}
+		})
 	}
 }
 
@@ -70,7 +121,7 @@ func warmCandidate(tb testing.TB, m int) (*search, *Policy) {
 	}
 	s := newSearch(in, DefaultEpsilon)
 	s.rows.setFloor(float64(2*in.Alpha*pol.Rho) + 1e-9)
-	return s, pol
+	return &s, pol
 }
 
 // BenchmarkSolveRows measures one candidate's row solves on a warm search.
@@ -98,7 +149,7 @@ func BenchmarkBuildY(b *testing.B) {
 		b.Run(fmt.Sprintf("N=%d", m), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				buildY(s.y, s.p, s.in.Adj, s.in.Alpha*pol.Rho, false, s.pg, s.diag)
+				buildY(&s.y, s.p, s.in.Adj, s.in.Alpha*pol.Rho, false, s.pg, s.diag)
 			}
 		})
 	}
@@ -137,7 +188,7 @@ func TestCandidateAllocatesNothing(t *testing.T) {
 		if s.diagExceeds(s.in.Alpha*pol.Rho, pol.Lambda2+boundMargin) {
 			t.Fatal("the diagonal bound rejects the chosen candidate")
 		}
-		buildY(s.y, s.p, s.in.Adj, s.in.Alpha*pol.Rho, false, s.pg, s.diag)
+		buildY(&s.y, s.p, s.in.Adj, s.in.Alpha*pol.Rho, false, s.pg, s.diag)
 	})
 	if allocs != 0 {
 		t.Fatalf("one candidate allocates %v times", allocs)

@@ -40,8 +40,8 @@ func exhaustiveGenerate(in Input, audit func(s *search, rho, lim float64, lost b
 		if !plainSolveRows(s.p, in, floor, float64(len(s.p))*tbar) {
 			return
 		}
-		plainBuildY(s.y, s.p, in.Adj, in.Alpha*rho, in.AveragingBlend, s.pg)
-		eig, err := linalg.SymmetricEigenvalues(s.y)
+		plainBuildY(&s.y, s.p, in.Adj, in.Alpha*rho, in.AveragingBlend, s.pg)
+		eig, err := linalg.SymmetricEigenvalues(&s.y)
 		l2, tconv := math.NaN(), math.NaN()
 		if err == nil && len(eig) >= 2 {
 			l2 = eig[1]
@@ -49,7 +49,7 @@ func exhaustiveGenerate(in Input, audit func(s *search, rho, lim float64, lost b
 		}
 		lost := !(l2 < 1 && l2 > 0) || best != nil && !(tconv < best.TConvergence)
 		if audit != nil && best != nil {
-			audit(s, rho, tensor.Exp(tbar*tensor.Log(eps)/best.TConvergence)+boundMargin, lost)
+			audit(&s, rho, tensor.Exp(tbar*tensor.Log(eps)/best.TConvergence)+boundMargin, lost)
 		}
 		if lost {
 			return

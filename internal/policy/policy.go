@@ -30,12 +30,13 @@
 //
 // Whatever does not depend on the candidate is computed once. Per Generate
 // call: each row's neighbor times, its largest time, the sums behind
-// FeasibleTimeInterval and the steps of the row solver's vertex walk. Per
-// ρ: each row's slack and floor products. A candidate then only subtracts
-// its row budgets, walks the tabulated steps and builds Y_P one unordered
-// pair at a time (buildY), into buffers allocated once for all K·R
-// candidates. Test-only plain versions that redo all of it per candidate
-// (plainSolveRows, plainBuildY) check every policy bit.
+// FeasibleTimeInterval and the two chains of the row solver's vertex walk,
+// in buffers cut from one allocation per element type (newSearch). Per ρ
+// that scores a candidate: each row's slack and floor products. A
+// candidate then only subtracts its row budgets, walks a chain and builds
+// Y_P one unordered pair at a time (buildY), into those buffers. Test-only
+// plain versions that redo all of it per candidate (plainSolveRows,
+// plainBuildY) check every policy bit.
 package policy
 
 import (
@@ -409,12 +410,16 @@ func FeasibleTimeInterval(times [][]float64, adj [][]bool, alpha, rho float64) (
 			}
 		}
 	}
-	return timeInterval(sum, top, alpha, rho)
+	lo, hi, ok := timeInterval(sum, top, alpha, rho)
+	if !ok {
+		return 0, 0, fmt.Errorf("policy: infeasible time interval [%v, %v]", lo, hi)
+	}
+	return lo, hi, nil
 }
 
 // timeInterval is FeasibleTimeInterval on each row's Σ_m 2·t_im and
-// largest t_im.
-func timeInterval(sum, top []float64, alpha, rho float64) (lo, hi float64, err error) {
+// largest t_im; ok is false when L > U.
+func timeInterval(sum, top []float64, alpha, rho float64) (lo, hi float64, ok bool) {
 	m := len(sum)
 	lo = 0
 	hi = math.Inf(1)
@@ -428,10 +433,7 @@ func timeInterval(sum, top []float64, alpha, rho float64) (lo, hi float64, err e
 			hi = ui
 		}
 	}
-	if lo > hi {
-		return 0, 0, fmt.Errorf("policy: infeasible time interval [%v, %v]", lo, hi)
-	}
-	return lo, hi, nil
+	return lo, hi, lo <= hi
 }
 
 // Generate runs Algorithm 3 and returns the best feasible policy. A
@@ -465,16 +467,13 @@ const MaxWorkers = 256
 
 // generate is Generate on a validated Input.
 func generate(in Input) (*Policy, error) {
-	s, err := runSearch(in)
-	if err != nil {
-		return nil, err
-	}
+	s := runSearch(in)
 	return s.result()
 }
 
 // runSearch scores Algorithm 3's (ρ, t̄) grid for a validated Input and
 // returns the search holding the best candidate.
-func runSearch(in Input) (*search, error) {
+func runSearch(in Input) search {
 	rounds := in.Rounds
 	if rounds == 0 {
 		rounds = DefaultRounds
@@ -487,7 +486,8 @@ func runSearch(in Input) (*search, error) {
 	if in.AveragingBlend {
 		// Section III-D: the blend weight is fixed at 1/2, so ρ plays no
 		// role in the update and a single inner search suffices.
-		return s, s.innerLoop(0, 0, rounds)
+		s.innerLoop(0, 0, rounds)
+		return s
 	}
 	_, ur := FeasibleRhoInterval(in.Alpha)
 	// The row floors p_im >= 2αρ must fit within a probability row, which
@@ -508,37 +508,38 @@ func runSearch(in Input) (*search, error) {
 	const span = 1000.0
 	for ki := rounds - 1; ki >= 0; ki-- {
 		frac := float64(ki) / float64(rounds-1)
-		// A ρ without a feasible t̄ interval simply contributes no candidate.
-		_ = s.innerLoop(ki, ur/tensor.Pow(span, 1-frac), rounds)
+		s.innerLoop(ki, ur/tensor.Pow(span, 1-frac), rounds)
 	}
-	return s, nil
+	return s
 }
 
 // search is the state of one Generate call: the neighbor lists, the row
 // LPs with their candidate-independent work done (rowLPs), and buffers for
-// the candidate P, Y_P and the eigensolve, allocated once and reused by
-// every (ρ, t̄) candidate. Only a winning candidate's P is copied, into
-// best.
+// the candidate P, Y_P and the eigensolve, cut once from one allocation per
+// element type and reused by every (ρ, t̄) candidate. Only a winning
+// candidate's P is copied, into best.
 type search struct {
 	in      Input
 	eps     float64
 	nbrs    [][]int
 	maxDeg  int
 	minDeg  int
-	rows    *rowLPs
+	rows    rowLPs
 	rowP    []float64 // solve output for one row
 	p       [][]float64
 	pg      []float64
-	y       *linalg.Matrix
+	y       linalg.Matrix
 	diag    []float64 // buildY scratch
 	eig     []float64
 	eigWork []float64
 	best    Policy
 	found   bool
 	// bestK and bestR are best's ρ and t̄ grid indices, for score's tie
-	// rule; eigensolves counts the candidates that reached an eigensolve.
+	// rule. eigensolves counts the candidates that reached an eigensolve,
+	// floors the ρ values that reached setFloor.
 	bestK, bestR int
 	eigensolves  int
+	floors       int
 	// unitRows records that every candidate's Y_P has unit row sums, so
 	// that the λ₂ bounds apply: the graph is symmetric (with pg = 1/N), or
 	// the blend is the averaging one. links then lists each row's pairs
@@ -548,51 +549,89 @@ type search struct {
 	links    [][]int
 }
 
-func newSearch(in Input, eps float64) *search {
+// newSearch sets up the search for a validated Input. Every buffer but the
+// best P, which the returned Policy keeps, is cut from one arena, sized
+// here from the graph.
+func newSearch(in Input, eps float64) search {
 	m := len(in.Times)
-	s := &search{in: in, eps: eps, nbrs: make([][]int, m), minDeg: m, pg: make([]float64, m)}
-	flat := make([]int, 0, m*m)
-	symmetric := true
-	for i := range in.Adj {
+	s := search{in: in, eps: eps, minDeg: m}
+	symmetric, nnz := true, 0
+	for i, row := range in.Adj {
+		deg := 0
+		for j, ok := range row {
+			if ok && j != i {
+				deg++
+			}
+		}
+		for j := i + 1; j < m && symmetric; j++ {
+			symmetric = row[j] == in.Adj[j][i]
+		}
+		nnz += deg
+		s.maxDeg, s.minDeg = max(s.maxDeg, deg), min(s.minDeg, deg)
+	}
+	s.unitRows = symmetric || in.AveragingBlend
+	// Only a directed graph under the averaging blend needs links of its
+	// own, at most m − 1 a row.
+	linkRows, nlinks := 0, 0
+	if !symmetric && in.AveragingBlend {
+		linkRows, nlinks = m, m*(m-1)
+	}
+	a := arena{
+		// Neighbor times; the row LPs' (newRowLPs); rowP; P and Y_P; pg,
+		// diag, eig and eigWork.
+		f: make([]float64, nnz+(4*m+s.maxDeg+1+nnz)+s.maxDeg+2*m*m+4*m),
+		// nbrs; the row LPs' chains; links.
+		n: make([]int, nnz+nnz+nlinks),
+		// Rows of the neighbor times, the row LPs' floor products and P.
+		fs: make([][]float64, 3*m),
+		// Rows of nbrs, the row LPs' two chains and links.
+		ns: make([][]int, 3*m+linkRows),
+	}
+	s.nbrs = take(&a.ns, m)
+	flat := take(&a.n, nnz)[:0]
+	for i, row := range in.Adj {
 		start := len(flat)
-		for j, ok := range in.Adj[i] {
+		for j, ok := range row {
 			if ok && j != i {
 				flat = append(flat, j)
 			}
-			symmetric = symmetric && ok == in.Adj[j][i]
 		}
-		s.nbrs[i] = flat[start:]
-		s.maxDeg = max(s.maxDeg, len(s.nbrs[i]))
-		s.minDeg = min(s.minDeg, len(s.nbrs[i]))
-		// For a feasible P all workers share t_i = M·t̄, so p_i = 1/M.
-		s.pg[i] = 1 / float64(m)
+		s.nbrs[i] = flat[start:len(flat):len(flat)]
 	}
-	s.unitRows = symmetric || in.AveragingBlend
 	s.links = s.nbrs
-	if !symmetric && in.AveragingBlend {
-		s.links = make([][]int, m)
+	if linkRows > 0 {
+		s.links = take(&a.ns, m)
+		flat = take(&a.n, nlinks)[:0]
 		for i := range s.links {
+			start := len(flat)
 			for j := range m {
 				if j != i && (in.Adj[i][j] || in.Adj[j][i]) {
-					s.links[i] = append(s.links[i], j)
+					flat = append(flat, j)
 				}
 			}
+			s.links[i] = flat[start:len(flat):len(flat)]
 		}
 	}
-	times := carve[float64](s.nbrs)
+	times := takeRows(&a.f, &a.fs, s.nbrs)
 	for i, nbrs := range s.nbrs {
 		for k, j := range nbrs {
 			times[i][k] = in.Times[i][j]
 		}
 	}
-	s.rows = newRowLPs(times)
-	s.rowP = make([]float64, s.maxDeg)
-	s.p = matrix(m)
+	s.rows = newRowLPs(times, &a)
+	s.rowP = take(&a.f, s.maxDeg)
+	s.p = take(&a.fs, m)
+	for i := range s.p {
+		s.p[i] = take(&a.f, m)
+	}
+	s.y = linalg.Matrix{N: m, Data: take(&a.f, m*m)}
+	s.pg = take(&a.f, m)
+	for i := range s.pg {
+		// For a feasible P all workers share t_i = M·t̄, so p_i = 1/M.
+		s.pg[i] = 1 / float64(m)
+	}
+	s.diag, s.eig, s.eigWork = take(&a.f, m), take(&a.f, m), take(&a.f, m)
 	s.best.P = matrix(m)
-	s.y = linalg.NewMatrix(m)
-	s.diag = make([]float64, m)
-	s.eig = make([]float64, m)
-	s.eigWork = make([]float64, m)
 	return s
 }
 
@@ -607,24 +646,25 @@ func matrix(m int) [][]float64 {
 }
 
 // innerLoop is Algorithm 3's INNERLOOP: grid over t̄ ∈ [L, U] for one ρ,
-// the ki-th of the ρ grid, in ascending t̄.
-func (s *search) innerLoop(ki int, rho float64, r int) error {
+// the ki-th of the ρ grid, in ascending t̄. A ρ without a feasible t̄
+// interval contributes no candidate.
+func (s *search) innerLoop(ki int, rho float64, r int) {
 	var lo, hi float64
-	var err error
+	var ok bool
 	floor := 1e-4 // Section III-D: only positivity is needed
 	if s.in.AveragingBlend {
 		// Only positivity floors apply, so the lower end of the feasible
-		// interval collapses; search from a small positive fraction of U.
-		_, hi, err = timeInterval(s.rows.sum, s.rows.tmax, s.in.Alpha, 0)
+		// interval collapses (at ρ = 0, L = 0 ≤ U, so it is never empty);
+		// search from a small positive fraction of U.
+		_, hi, ok = timeInterval(s.rows.sum, s.rows.tmax, s.in.Alpha, 0)
 		lo = hi / (10 * float64(r))
 	} else {
-		lo, hi, err = timeInterval(s.rows.sum, s.rows.tmax, s.in.Alpha, rho)
+		lo, hi, ok = timeInterval(s.rows.sum, s.rows.tmax, s.in.Alpha, rho)
 		floor = float64(2*s.in.Alpha*rho) + 1e-9 // Eq. (11) is strict; keep entries strictly above the floor
 	}
-	if err != nil {
-		return err
+	if !ok {
+		return
 	}
-	s.rows.setFloor(floor)
 	l2Floor := s.l2Floor(rho)
 	delta := (hi - lo) / float64(r)
 	for ri := 1; ri <= r; ri++ {
@@ -635,9 +675,13 @@ func (s *search) innerLoop(ki int, rho float64, r int) error {
 			// so every later t̄ of this ρ loses too.
 			break
 		}
+		if ri == 1 {
+			// The first t̄ passed step A: this ρ scores a candidate.
+			s.rows.setFloor(floor)
+			s.floors++
+		}
 		s.score(ki, ri, rho, tbar, lim)
 	}
-	return nil
 }
 
 // boundMargin is how far a λ₂ lower bound must exceed λ* to reject a
@@ -706,12 +750,12 @@ func (s *search) score(ki, ri int, rho, tbar, lim float64) {
 	if !s.solveRows(float64(len(s.p))*tbar) || s.diagExceeds(s.in.Alpha*rho, lim) {
 		return
 	}
-	buildY(s.y, s.p, s.in.Adj, s.in.Alpha*rho, s.in.AveragingBlend, s.pg, s.diag)
+	buildY(&s.y, s.p, s.in.Adj, s.in.Alpha*rho, s.in.AveragingBlend, s.pg, s.diag)
 	if len(s.eig) < 2 {
 		return
 	}
 	s.eigensolves++
-	if linalg.SymmetricEigenvaluesInto(s.y, s.eig, s.eigWork) != nil {
+	if linalg.SymmetricEigenvaluesInto(&s.y, s.eig, s.eigWork) != nil {
 		return
 	}
 	l2 := s.eig[1]

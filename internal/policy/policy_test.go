@@ -441,17 +441,42 @@ func TestGenerateRejectsInvalidInput(t *testing.T) {
 	}
 }
 
-// TestGenerateAllocationsIndependentOfGrid pins the buffer reuse: one
-// Generate call allocates a fixed set of buffers, not per candidate or per
-// row.
+// generateAllocs is one Generate call's allocation budget: the search's
+// four blocks (float64s, ints, and the rows of each), the best P's data and
+// row headers, and the returned Policy.
+const generateAllocs = 7
+
+// TestGenerateAllocationsIndependentOfGrid pins the one-block set-up: one
+// Generate call allocates generateAllocs times at every N and on a 2×2 and
+// a 10×10 grid, not per row, per ρ or per candidate. Two more inputs take
+// the other paths through the set-up and the grid: the averaging blend on
+// a directed graph, whose links need rows of their own, and a fast worker
+// whose small times empty the t̄ interval of the top ρ values, which must
+// cost nothing either.
 func TestGenerateAllocationsIndependentOfGrid(t *testing.T) {
-	m := 8
-	in := Input{Times: hetTimes(m, 1), Adj: simnet.FullyConnected(m), Alpha: 0.1}
-	small := in
-	small.Rounds = 2
-	a := testing.AllocsPerRun(5, func() { Generate(small) })
-	b := testing.AllocsPerRun(5, func() { Generate(in) })
-	if b > a+10 {
-		t.Fatalf("a 10x10 grid allocates %v times, a 2x2 grid %v", b, a)
+	inputs := map[string]Input{"N=8": benchInput(8), "N=16": benchInput(16), "N=64": benchInput(64)}
+	fast := benchInput(16)
+	for j := 1; j < 16; j++ {
+		fast.Times[0][j] /= 20
+		fast.Times[j][0] /= 20
+	}
+	rows := newSearch(fast, DefaultEpsilon).rows
+	if _, _, ok := timeInterval(rows.sum, rows.tmax, fast.Alpha, 0.999/(2*fast.Alpha*15)); ok {
+		t.Fatal("the fast worker leaves the top ρ's interval non-empty")
+	}
+	inputs["N=16, fast worker"] = fast
+	directed := benchInput(16)
+	directed.Adj[0][1], directed.AveragingBlend = false, true
+	inputs["N=16, directed averaging"] = directed
+	for name, in := range inputs {
+		for _, rounds := range []int{2, 10} {
+			in.Rounds = rounds
+			if _, err := Generate(in); err != nil {
+				t.Fatalf("%s, %d×%d grid: %v", name, rounds, rounds, err)
+			}
+			if got := testing.AllocsPerRun(20, func() { Generate(in) }); got != generateAllocs {
+				t.Errorf("%s, %d×%d grid: %v allocations, want %d", name, rounds, rounds, got, generateAllocs)
+			}
+		}
 	}
 }

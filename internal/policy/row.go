@@ -7,8 +7,8 @@ const rowTol = 1e-9
 // rowLPs holds every worker row of the Eq. (14) LP for one Generate call,
 // with the work that no (ρ, t̄) candidate changes done once: each row's
 // times, its largest time t_max and Σ 2·t (FeasibleTimeInterval), and the
-// steps of the vertex walk (walkSteps). setFloor adds what depends on ρ
-// alone; solve then does only the t̄-dependent work of one row.
+// two chains of the vertex walk (walkChains). setFloor adds what depends
+// on ρ alone; solve then does only the t̄-dependent work of one row.
 //
 // With y_k = p_k − floor a row asks for the largest Σy with Σ t·y = B,
 // Σy ≤ S and y ≥ 0, where S = 1 − n·floor is the slack and
@@ -22,7 +22,7 @@ type rowLPs struct {
 	tmax     []float64   // each row's largest time
 	tol      []float64   // rowTol·t_max: how far B may overshoot t_max·S and be clamped
 	sum      []float64   // each row's Σ 2·t, behind FeasibleTimeInterval's lower end
-	down, up [][]int     // walkSteps of each row
+	down, up [][]int     // walkChains of each row
 
 	// Set by setFloor, once per ρ.
 	floor float64
@@ -31,63 +31,88 @@ type rowLPs struct {
 	tmaxS []float64   // each row's t_max·S
 }
 
-// newRowLPs prepares the rows whose neighbor times are rows[i]; it keeps
-// rows, which must stay unchanged while the result is in use.
-func newRowLPs(rows [][]float64) *rowLPs {
-	m, deg := len(rows), 0
-	for _, t := range rows {
-		deg = max(deg, len(t))
-	}
-	r := &rowLPs{
-		t: rows, tmax: make([]float64, m), tol: make([]float64, m), sum: make([]float64, m),
-		down: carve[int](rows), up: carve[int](rows),
-		slack: make([]float64, deg+1), prod: carve[float64](rows), tmaxS: make([]float64, m),
-	}
-	for i, t := range rows {
-		for _, tk := range t {
-			r.sum[i] += tk * 2 // d_im + d_mi on an undirected graph
-			r.tmax[i] = max(r.tmax[i], tk)
-		}
-		r.tol[i] = rowTol * r.tmax[i]
-		walkSteps(t, r.tmax[i], r.down[i], r.up[i])
-	}
-	return r
+// arena hands out the buffers of one search from one allocation per
+// element type, so that a Generate call allocates a fixed handful of times
+// whatever N, the graph and the grid. Each field is cut from the front.
+type arena struct {
+	f  []float64
+	n  []int
+	fs [][]float64
+	ns [][]int
 }
 
-// carve returns slices shaped like rows, backed by one allocation.
-func carve[T, U any](rows [][]U) [][]T {
-	n := 0
-	for _, t := range rows {
-		n += len(t)
-	}
-	flat, out := make([]T, n), make([][]T, len(rows))
-	for i, t := range rows {
-		out[i], flat = flat[:len(t):len(t)], flat[len(t):]
+// take cuts the first n elements off *block, with capacity n.
+func take[T any](block *[]T, n int) []T {
+	s := (*block)[:n:n]
+	*block = (*block)[n:]
+	return s
+}
+
+// takeRows cuts from *flat one row of each len(rows[i]) and from *heads
+// their headers: slices shaped like rows.
+func takeRows[T, U any](flat *[]T, heads *[][]T, rows [][]U) [][]T {
+	out := take(heads, len(rows))
+	for i, r := range rows {
+		out[i] = take(flat, len(r))
 	}
 	return out
 }
 
-// walkSteps tabulates the two steps of solve's vertex walk from every start
-// c: down[c] is the first k with t_k/t_c − 1 < −rowTol (a link cheaper than
-// c) and up[c] the first k with (t_k − t_c)/t_max > rowTol (a link slower
-// than c), or −1 where there is none. Both depend only on the row's times,
-// so no candidate divides.
-func walkSteps(t []float64, tmax float64, down, up []int) {
-	for c, tc := range t {
-		down[c], up[c] = -1, -1
-		for k, tk := range t {
-			if tk/tc-1 < -rowTol {
-				down[c] = k
-				break
-			}
+// newRowLPs prepares the rows whose neighbor times are rows[i], from
+// buffers cut off a: with deg the longest row, 4·len(rows) + deg + 1 +
+// Σ len(rows[i]) floats, Σ len(rows[i]) ints and 1 and 2 row headers per
+// row. It keeps rows, which must stay unchanged while the result is in use.
+func newRowLPs(rows [][]float64, a *arena) rowLPs {
+	m, maxDeg := len(rows), 0
+	for _, t := range rows {
+		maxDeg = max(maxDeg, len(t))
+	}
+	r := rowLPs{
+		t: rows, tmax: take(&a.f, m), tol: take(&a.f, m), sum: take(&a.f, m), tmaxS: take(&a.f, m),
+		slack: take(&a.f, maxDeg+1), prod: takeRows(&a.f, &a.fs, rows),
+		down: take(&a.ns, m), up: take(&a.ns, m),
+	}
+	for i, t := range rows {
+		sum, tmax := 0.0, 0.0
+		for _, tk := range t {
+			sum += tk * 2 // d_im + d_mi on an undirected graph
+			tmax = max(tmax, tk)
 		}
-		for k, tk := range t {
-			if (tk-tc)/tmax > rowTol {
-				up[c] = k
-				break
-			}
+		r.sum[i], r.tmax[i], r.tol[i] = sum, tmax, rowTol*tmax
+		r.down[i], r.up[i] = walkChains(t, tmax, take(&a.n, len(t)))
+	}
+	return r
+}
+
+// walkChains returns the two chains of solve's vertex walk from the first
+// neighbor c = 0: down holds the successive steps c → k to the first k with
+// t_k/t_c − 1 < −rowTol (a link cheaper than c), up the steps to the first
+// k with (t_k − t_c)/t_max > rowTol (a link slower than c), each until
+// there is none. Both depend only on the row's times, so no candidate
+// divides. They share buf, len(t) ints: down's links are cheaper than the
+// first neighbor and up's slower, so together they hold at most len(t) − 1.
+//
+// One forward scan finds each chain, since every step goes to a later
+// index. An index before c failed the test at the link the walk stepped to
+// c from, c being the first to pass it, so it fails at c too, whose time
+// lies further in the chain's direction: t_k/t_c only grows as t_c falls,
+// t_k − t_c only falls as t_c grows, and every rounding is monotone. c
+// fails at itself.
+func walkChains(t []float64, tmax float64, buf []int) (down, up []int) {
+	down = buf[:0]
+	for c, k := 0, 1; k < len(t); k++ {
+		if t[k]/t[c]-1 < -rowTol {
+			down, c = append(down, k), k
 		}
 	}
+	down = down[:len(down):len(down)]
+	up = buf[len(down):len(down)]
+	for c, k := 0, 1; k < len(t); k++ {
+		if (t[k]-t[c])/tmax > rowTol {
+			up, c = append(up, k), k
+		}
+	}
+	return down, up
 }
 
 // setFloor prepares the rows for candidates whose neighbor probabilities
@@ -124,12 +149,12 @@ func (r *rowLPs) setFloor(floor float64) {
 // so that policies do not depend on which of the optimal vertices a
 // particular solver happens to return. The walk starts at c = the first
 // neighbor:
-//   - while t_c > τ, move to down[c], stopping at the first such k with
-//     t_k ≤ τ: the pair is (k, c). If no link is cheaper than c by rowTol,
-//     all of B goes on c.
-//   - while t_c < τ, move to up[c], stopping at the first such k with
-//     t_k ≥ τ: the pair is (c, k). If no link is slower than c by rowTol,
-//     k is the first link with t_k ≥ τ.
+//   - while t_c > τ, step to the next k of the down chain, stopping at the
+//     first with t_k ≤ τ: the pair is (k, c). Past the chain's end no link
+//     is cheaper than c by rowTol, and all of B goes on c.
+//   - while t_c < τ, step to the next k of the up chain, stopping at the
+//     first with t_k ≥ τ: the pair is (c, k). Past the chain's end no link
+//     is slower than c by rowTol, and k is the first link with t_k ≥ τ.
 //
 // The comparisons with τ are made as t·S against B, so that S = 0 needs no
 // special case.
@@ -150,39 +175,39 @@ func (r *rowLPs) solve(i int, target float64, p []float64) (pii float64, ok bool
 		p[k] = r.floor
 	}
 	lo, hi := 0, 0 // the mix: S − y_hi on lo, y_hi on hi
-	c, tc := 0, t[0]
-	switch {
+	c := 0
+	switch tc := t[0]; {
 	case tc*s > b:
-		for {
-			k := down[c]
-			if k < 0 {
-				y := min(b/tc, s)
-				p[c] += y
-				return s - y, true
-			}
+		hi = -1
+		for _, k := range down {
 			if t[k]*s <= b {
 				lo, hi = k, c
 				break
 			}
-			c, tc = k, t[k]
+			c = k
+		}
+		if hi < 0 {
+			y := min(b/t[c], s)
+			p[c] += y
+			return s - y, true
 		}
 	case tc*s < b:
-		for {
-			k := up[c]
-			if k < 0 {
-				// b ≤ tmax·s, so some link reaches τ.
-				for j, tj := range t {
-					if tj*s >= b {
-						k = j
-						break
-					}
-				}
-			}
+		hi = -1
+		for _, k := range up {
 			if t[k]*s >= b {
 				lo, hi = c, k
 				break
 			}
-			c, tc = k, t[k]
+			c = k
+		}
+		if hi < 0 {
+			// b ≤ tmax·s, so some link reaches τ.
+			for k, tk := range t {
+				if tk*s >= b {
+					lo, hi = c, k
+					break
+				}
+			}
 		}
 	}
 	if lo == hi {

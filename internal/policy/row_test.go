@@ -12,7 +12,9 @@ import (
 // solveRow solves the one row with neighbor times t through the search's
 // row solver: newRowLPs, setFloor and solve.
 func solveRow(t []float64, floor, target float64, p []float64) (pii float64, ok bool) {
-	r := newRowLPs([][]float64{t})
+	n := len(t)
+	a := arena{f: make([]float64, 4+n+1+n), n: make([]int, n), fs: make([][]float64, 1), ns: make([][]int, 2)}
+	r := newRowLPs([][]float64{t}, &a)
 	r.setFloor(floor)
 	return r.solve(0, target, p)
 }
@@ -298,7 +300,7 @@ func bruteForceRow(t []float64, floor, target float64) (pii float64, feasible bo
 // feasibility and on the optimal p_ii, and a feasible row sums to one,
 // meets the floors and meets the time budget. Its feasibility, p_ii and
 // row are bitwise plainSolveRow's, which finds every walk step by scanning
-// the row instead of looking it up.
+// the row from its start instead of following walkChains' chains.
 func FuzzSolveRow(f *testing.F) {
 	f.Fuzz(func(t *testing.T, times string, floor, target float64) {
 		row, ok := parseRow(times)
