@@ -13,17 +13,17 @@
 // mask), and trains an engine.Worker replica built by engine.Config.Workers,
 // so it starts from the simulated worker's model, batch order and RNG
 // stream. What stays here is what only a live group has: wall-clock
-// timing, the transport, policies fetched from the wire (validated before
+// timing, the transport, policies pushed over the wire (validated before
 // adoption), pulled models decoded straight off the wire (a non-finite one
 // is rejected, never blended), the peer-down retry cooldown and scheduled
 // churn, read from the engine's simnet.FailureSchedule on the wall clock.
 //
-// A worker fetches a policy only when it is new. The ack of every time
-// report announces how many policies the monitor has published, and the
-// worker sends a policy request only when that number exceeds the version
-// it adopted, so it adopts a broadcast at most one iteration after its
-// next report. In uniform mode the monitor never publishes and workers
-// never fetch.
+// The Network Monitor talks to the workers once per period Ts, as in
+// Algorithm 1: it collects every worker's EMA link times over the wire,
+// regenerates the policy, and pushes it to each worker that has not
+// adopted it. A worker sends the monitor nothing; it adopts a pushed
+// policy at its next iteration. In uniform mode with nothing published the
+// monitor sends no frames.
 package live
 
 import (
@@ -99,13 +99,17 @@ type Stats struct {
 	// the peer served a NaN or ±Inf coordinate, so the puller kept its
 	// model and reported no time for the link.
 	RejectedPulls int64
+	// Evictions counts workers the monitor evicted for staleness: a worker
+	// that answered no collect for the staleness window.
+	Evictions int
 	// Elapsed wall time.
 	Elapsed time.Duration
 }
 
 // worker is one live training replica: the engine's replica (model,
 // optimizer, shard, batch cursor, RNG stream) driven by core's per-worker
-// NetMax state. Everything but mu is owned by the worker goroutine.
+// NetMax state. Everything but mu, timesMu and what they guard is owned by
+// the worker goroutine.
 type worker struct {
 	id   int
 	rep  *engine.Worker
@@ -114,18 +118,133 @@ type worker struct {
 	// pulled is the buffer pulls decode into, straight off the wire,
 	// before the blend; only the worker's in-flight pull writes it.
 	pulled []float64
-	// version is the broadcast policy version the node last adopted.
-	version int
+	// offered is the last pushed policy the worker checked for adoption.
+	offered *transport.Policy
 	// maskedAt records when a pull at each peer last failed with
 	// ErrPeerDown. The node skips such a peer until the monitor reacts (a
 	// new policy version gives it mass) or a retry cooldown expires.
 	maskedAt []time.Time
+
+	// timesMu guards what the monitor collects, apart from mu, which the
+	// gradient step holds. Only the worker goroutine writes it.
+	timesMu sync.Mutex
+	// times holds the EMA time and observation count of every link.
+	times []transport.LinkTime
+	// version is the policy version the node last adopted.
+	version int
 }
 
-func (w *worker) vector() []float64 {
+// copyVector is the worker's transport.ModelSource.
+func (w *worker) copyVector(dst []float64) []float64 {
+	if n := w.rep.Model.VectorLen(); len(dst) != n {
+		dst = make([]float64, n)
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.rep.Model.Vector()
+	return w.rep.Model.CopyVector(dst)
+}
+
+// collect is the worker's transport.TimeSource.
+func (w *worker) collect(dst []transport.LinkTime) ([]transport.LinkTime, int) {
+	w.timesMu.Lock()
+	defer w.timesMu.Unlock()
+	return append(dst[:0], w.times...), w.version
+}
+
+// observe folds a measured iteration time over link j into the node's EMA
+// and records the result for the monitor's next collect.
+func (w *worker) observe(j int, secs float64) {
+	t := w.node.Observe(j, secs)
+	w.timesMu.Lock()
+	w.times[j].Secs = t
+	w.times[j].Count++
+	w.timesMu.Unlock()
+}
+
+// adopt installs p, unless it is malformed (it arrives over the wire) or
+// not newer than the adopted policy. Masks reset only for peers the new
+// policy assigns mass — the monitor believes those are usable. (A version
+// generated just before a crash can still carry mass on the dead peer and
+// cost one more deadline; the cooldown bounds that.) A masked peer the
+// policy dropped stays masked, which is a no-op anyway since its row mass
+// is zero.
+func (w *worker) adopt(p *transport.Policy, m int) {
+	if p.Version <= w.version || policy.Validate(p.P, p.Rho, m) != nil {
+		return
+	}
+	w.node.Adopt(p.P, p.Rho)
+	w.timesMu.Lock()
+	w.version = p.Version
+	w.timesMu.Unlock()
+	for k, pk := range w.node.Row() {
+		if pk > 0 {
+			w.node.SetMasked(k, false)
+		}
+	}
+}
+
+// netMonitor is the live Network Monitor's side of the wire: once per
+// period it collects every worker's link times, feeds the new ones to the
+// monitor, and pushes the published policy to workers behind it. Only the
+// monitor goroutine uses it.
+type netMonitor struct {
+	hub *transport.Hub
+	mon *monitor.Monitor
+	row []transport.LinkTime
+	// seen[i][j] is the observation count of link (i, j) the monitor last
+	// ingested: a link is fed to the monitor only when its count grew, so
+	// a re-sent collect, or a rejoining worker, re-feeds nothing.
+	seen [][]uint64
+	// adopted[i] is the policy version worker i's last answer reported,
+	// or -1 when it did not answer this period.
+	adopted []int
+}
+
+func newNetMonitor(hub *transport.Hub, mon *monitor.Monitor, m int) *netMonitor {
+	seen := make([][]uint64, m)
+	for i := range seen {
+		seen[i] = make([]uint64, m)
+	}
+	return &netMonitor{hub: hub, mon: mon, row: make([]transport.LinkTime, m), seen: seen, adopted: make([]int, m)}
+}
+
+// tick runs one period at wall time now (seconds since the start).
+func (n *netMonitor) tick(now float64, uniform bool) {
+	pub := n.hub.Published()
+	if uniform && pub == nil {
+		return // nothing to generate from the times and nothing to deliver
+	}
+	for i := range n.seen {
+		n.adopted[i] = -1
+		v, err := n.hub.Control(i).Collect(n.row)
+		if err != nil {
+			continue // down or hung: unheard, so it goes stale
+		}
+		n.adopted[i] = v
+		n.mon.Heartbeat(i, now)
+		for j, lt := range n.row {
+			if lt.Count > n.seen[i][j] {
+				n.seen[i][j] = lt.Count
+				n.mon.ObserveAt(i, j, lt.Secs, now)
+			}
+		}
+	}
+	if !uniform {
+		if pol, ok := n.mon.MaybeRegenerate(now); ok {
+			n.hub.SetPolicy(pol.P, pol.Rho)
+			pub = n.hub.Published()
+		}
+	}
+	if pub == nil {
+		return
+	}
+	// A worker that missed a push, or rejected the policy, is behind and
+	// gets it again next period.
+	for i, v := range n.adopted {
+		if v >= 0 && v < pub.Version {
+			_ = n.hub.Control(i).Push(pub)
+		}
+	}
 }
 
 // Run executes the live group until the configured bound and returns stats.
@@ -153,21 +272,30 @@ func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
 	nodes := core.NewNodes(adj, cfg.LR, opts.Beta, false)
 	workers := make([]*worker, m)
 	sources := make([]transport.ModelSource, m)
+	times := make([]transport.TimeSource, m)
 	for i := 0; i < m; i++ {
-		w := &worker{id: i, rep: reps[i], node: nodes[i], pulled: make([]float64, reps[i].Model.VectorLen()), maskedAt: make([]time.Time, m)}
+		w := &worker{id: i, rep: reps[i], node: nodes[i], pulled: make([]float64, reps[i].Model.VectorLen()),
+			maskedAt: make([]time.Time, m), times: make([]transport.LinkTime, m)}
 		workers[i] = w
-		sources[i] = w.vector
+		sources[i] = w.copyVector
+		times[i] = w.collect
 	}
 	// A worker whose endpoint cannot be opened (descriptor exhaustion) is
 	// unreachable: pulls at it count as PeerDownErrors, as for a crash.
 	_ = hub.Serve(transport.Group{
 		Sources: sources,
+		Times:   times,
 		Codec:   cfg.Codec,
 		Timeout: cfg.PullTimeout,
-		Report: func(from, to int, secs float64) {
-			mon.ObserveAt(from, to, secs, time.Since(start).Seconds())
-		},
 	})
+	// A policy published before the run reaches every worker before its
+	// first iteration.
+	netMon := newNetMonitor(hub, mon, m)
+	if pub := hub.Published(); pub != nil {
+		for i := range workers {
+			_ = hub.Control(i).Push(pub)
+		}
+	}
 
 	// Always derive a cancellable context: when the run is bounded by
 	// Iterations rather than Duration, the monitor goroutine must still be
@@ -179,7 +307,7 @@ func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
 		defer cancel()
 	}
 
-	// Monitor loop: wall-clock periodic policy regeneration.
+	// Monitor loop: one collect, regeneration and push round per period.
 	monDone := make(chan struct{})
 	go func() {
 		defer close(monDone)
@@ -190,12 +318,7 @@ func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
 			case <-runCtx.Done():
 				return
 			case <-ticker.C:
-				if opts.UniformPolicy {
-					continue
-				}
-				if pol, ok := mon.MaybeRegenerate(time.Since(start).Seconds()); ok {
-					hub.SetPolicy(pol.P, pol.Rho)
-				}
+				netMon.tick(time.Since(start).Seconds(), opts.UniformPolicy)
 			}
 		}
 	}()
@@ -207,15 +330,14 @@ func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
 		wg.Add(1)
 		go func(w *worker) {
 			defer wg.Done()
-			monClient := hub.Monitor(w.id)
 			for it := 0; cfg.Iterations == 0 || it < cfg.Iterations; it++ {
 				select {
 				case <-runCtx.Done():
 					return
 				default:
 				}
-				// Scheduled churn: crash (endpoint refuses pulls, no
-				// iterations, no reports) and rejoin with the parameters
+				// Scheduled churn: crash (endpoint refuses pulls and
+				// collects, no iterations) and rejoin with the parameters
 				// held at crash time. A permanent leave exits the loop.
 				if now := time.Since(start).Seconds(); fs.Down(w.id, now) {
 					hub.SetWorkerDown(w.id, true)
@@ -230,27 +352,10 @@ func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
 					}
 					hub.SetWorkerDown(w.id, false)
 				}
-				// Adopt a newer policy if one was broadcast and it is well
-				// formed. The worker learns of a broadcast from the version
-				// its reports' acks announced, and fetches only then. A
-				// malformed policy (it arrives over the wire) is skipped:
-				// the worker keeps its previous policy and fetches again
-				// next iteration. Masks reset only for peers the new policy
-				// assigns mass — the monitor believes those are usable. (A version generated
-				// just before a crash can still carry mass on the dead peer
-				// and cost one more deadline; the cooldown bounds that.) A
-				// masked peer the policy dropped stays masked, which is a
-				// no-op anyway since its row mass is zero.
-				if monClient.Announced() > w.version {
-					if p, rho, v, err := monClient.FetchPolicy(); err == nil && v > w.version && policy.Validate(p, rho, m) == nil {
-						w.node.Adopt(p, rho)
-						w.version = v
-						for k, pk := range w.node.Row() {
-							if pk > 0 {
-								w.node.SetMasked(k, false)
-							}
-						}
-					}
+				// Check the newest policy the monitor pushed, once.
+				if p := hub.Pushed(w.id); p != w.offered {
+					w.offered = p
+					w.adopt(p, m)
 				}
 				// Retry cooldown: without policy broadcasts (uniform mode)
 				// a mask would otherwise be permanent and a rejoining peer
@@ -292,17 +397,16 @@ func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
 					w.mu.Unlock()
 					wireBytes.Add(pulledBytes)
 					pulls.Add(1)
-					secs := time.Since(iterStart).Seconds()
-					_ = monClient.ReportTime(w.id, j, w.node.Observe(j, secs))
+					w.observe(j, time.Since(iterStart).Seconds())
 				case errors.Is(pullErr, transport.ErrNonFinite):
 					// The peer answered with a poisoned vector: keep the
-					// local model, and report nothing, so the link's
+					// local model, and observe nothing, so the link's
 					// measured time is not credited to a pull that never
 					// blended.
 					rejected.Add(1)
 				default:
 					// Failed pull: mask the peer locally until the monitor
-					// reacts, and report the attempt's (deadline-inflated)
+					// reacts, and observe the attempt's (deadline-inflated)
 					// cost so the link degrades in the policy input rather
 					// than keeping its last attractive time.
 					if errors.Is(pullErr, transport.ErrPeerDown) {
@@ -310,8 +414,7 @@ func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
 						w.maskedAt[j] = time.Now()
 						peerDown.Add(1)
 					}
-					secs := time.Since(iterStart).Seconds()
-					_ = monClient.ReportTime(w.id, j, w.node.Observe(j, secs))
+					w.observe(j, time.Since(iterStart).Seconds())
 				}
 				counts[w.id]++ // safe: one writer per index
 			}
@@ -331,16 +434,21 @@ func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
 	for i, w := range workers {
 		adopted[i] = w.version
 	}
+	versions := 0
+	if pub := hub.Published(); pub != nil {
+		versions = pub.Version
+	}
 	return &Stats{
 		IterationsPerWorker: counts,
 		FinalAccuracy:       acc,
 		FinalLoss:           loss,
-		PolicyVersions:      hub.PolicyVersion(),
+		PolicyVersions:      versions,
 		AdoptedVersions:     adopted,
 		BytesOnWire:         wireBytes.Load(),
 		Pulls:               pulls.Load(),
 		PeerDownErrors:      peerDown.Load(),
 		RejectedPulls:       rejected.Load(),
+		Evictions:           mon.Evictions,
 		Elapsed:             time.Since(start),
 	}
 }

@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
 	"netmax/internal/codec"
 	"netmax/internal/core"
 	"netmax/internal/data"
+	"netmax/internal/monitor"
 	"netmax/internal/nn"
 	"netmax/internal/simnet"
 	"netmax/internal/transport"
@@ -43,6 +45,28 @@ func TestLiveGroupSurvivesCrashRejoin(t *testing.T) {
 	}
 	if !(stats.FinalLoss > 0) || stats.FinalAccuracy <= 0 {
 		t.Fatalf("consensus model degenerate after churn: loss=%v acc=%v", stats.FinalLoss, stats.FinalAccuracy)
+	}
+	if stats.Evictions == 0 {
+		t.Fatal("the crashed worker was never evicted")
+	}
+}
+
+// TestLiveHealthyGroupEvictsNobody runs a failure-free group at the
+// tightest staleness window, one period, over at least five periods. Every
+// worker answers every collect, pulled or not, so none goes stale.
+func TestLiveHealthyGroupEvictsNobody(t *testing.T) {
+	hub := transport.NewLocalHub(func(i, j int) time.Duration { return time.Millisecond })
+	defer hub.Close()
+	cfg := liveConfig(4, 0)
+	cfg.NetMax.Ts = 0.030
+	cfg.NetMax.StalePeriods = 1
+	cfg.Duration = 250 * time.Millisecond
+	stats := Run(context.Background(), cfg, hub)
+	if stats.Evictions != 0 {
+		t.Fatalf("%d evictions in a healthy group", stats.Evictions)
+	}
+	if stats.PolicyVersions < 2 {
+		t.Fatalf("%d policies published in %v: the monitor did not run its periods", stats.PolicyVersions, stats.Elapsed)
 	}
 }
 
@@ -138,8 +162,8 @@ func TestLiveGroupRegeneratesPolicy(t *testing.T) {
 	if stats.PolicyVersions == 0 {
 		t.Fatal("monitor never published a policy")
 	}
-	// Workers learn of a broadcast from their report acks; one that never
-	// fetched would still hold version 0.
+	// The monitor pushes each new policy to the workers; one that never
+	// adopted a push would still hold version 0.
 	if len(stats.AdoptedVersions) != 4 {
 		t.Fatalf("AdoptedVersions = %v, want one per worker", stats.AdoptedVersions)
 	}
@@ -297,10 +321,12 @@ func TestLiveRejectsNonFinitePulls(t *testing.T) {
 	}
 }
 
-// TestLiveRejectsMalformedPolicy broadcasts a policy no worker may adopt
+// TestLiveRejectsMalformedPolicy publishes a policy no worker may adopt
 // before the group starts: a matrix with too few rows (indexing it by worker
 // id would panic), a NaN ρ (every blend would poison the model) and a NaN
-// entry. Workers must keep their uniform policy and train to a finite loss.
+// entry. Run pushes it to every worker before its first iteration, so each
+// must have been offered it, and must keep its uniform policy and train to
+// a finite loss.
 func TestLiveRejectsMalformedPolicy(t *testing.T) {
 	nan := math.NaN()
 	uniform := [][]float64{
@@ -331,6 +357,83 @@ func TestLiveRejectsMalformedPolicy(t *testing.T) {
 			if stats.Pulls == 0 {
 				t.Fatal("workers stopped pulling")
 			}
+			for i, v := range stats.AdoptedVersions {
+				if p := hub.Pushed(i); p == nil || p.Version != 1 {
+					t.Fatalf("worker %d was never offered the policy (slot %+v)", i, p)
+				}
+				if v != 0 {
+					t.Fatalf("worker %d adopted the malformed policy as version %d", i, v)
+				}
+			}
 		})
+	}
+}
+
+// TestNetMonitorIngestsOnlyNewObservations drives the monitor's period by
+// hand over a three-worker hub whose link times the test sets. A link
+// reaches the monitor only when its count grew, so a changed time under an
+// old count is ignored; an answered collect keeps a worker alive without a
+// new link; a down worker goes stale and is evicted; and every worker
+// behind the published policy is pushed it.
+func TestNetMonitorIngestsOnlyNewObservations(t *testing.T) {
+	const m = 3
+	var mu sync.Mutex
+	rows := make([][]transport.LinkTime, m)
+	sources := make([]transport.ModelSource, m)
+	times := make([]transport.TimeSource, m)
+	for i := range rows {
+		rows[i] = make([]transport.LinkTime, m)
+		sources[i] = func(dst []float64) []float64 { return dst[:0] }
+		times[i] = func(dst []transport.LinkTime) ([]transport.LinkTime, int) {
+			mu.Lock()
+			defer mu.Unlock()
+			return append(dst[:0], rows[i]...), 0
+		}
+	}
+	set := func(i, j int, secs float64, count uint64) {
+		mu.Lock()
+		rows[i][j] = transport.LinkTime{Secs: secs, Count: count}
+		mu.Unlock()
+	}
+	hub := transport.NewLocalHub(nil)
+	defer hub.Close()
+	if err := hub.Serve(transport.Group{Sources: sources, Times: times, Timeout: time.Second}); err != nil {
+		t.Fatal(err)
+	}
+	mon := monitor.New(monitor.Config{Adj: simnet.FullyConnected(m), Alpha: 0.1, Period: 1, StalePeriods: 1})
+	n := newNetMonitor(hub, mon, m)
+
+	set(0, 1, 2, 1)
+	set(1, 0, 2, 1)
+	set(2, 0, 2, 1)
+	n.tick(1, false)
+	if got := mon.Times()[0][1]; got != 2 {
+		t.Fatalf("link (0, 1) reads %v after its first observation, want 2", got)
+	}
+	for i := 0; i < m; i++ {
+		if p := hub.Pushed(i); p == nil || p.Version != 1 {
+			t.Fatalf("worker %d holds %+v after the first regeneration, want version 1", i, p)
+		}
+	}
+	set(0, 1, 5, 1)
+	n.tick(2, false)
+	if got := mon.Times()[0][1]; got != 2 {
+		t.Fatalf("link (0, 1) reads %v: a time under an unchanged count was ingested", got)
+	}
+	set(0, 1, 5, 2)
+	n.tick(3, false)
+	if got := mon.Times()[0][1]; got != 5 {
+		t.Fatalf("link (0, 1) reads %v after its second observation, want 5", got)
+	}
+	// Worker 2 goes down at 3. Workers 0 and 1 observe nothing new but
+	// answer, so only worker 2 is evicted once a full period passes.
+	hub.SetWorkerDown(2, true)
+	n.tick(4, false)
+	n.tick(5.5, false)
+	if alive := mon.LiveWorkers(5.5); !alive[0] || !alive[1] || alive[2] {
+		t.Fatalf("liveness %v at 5.5, want only worker 2 stale", alive)
+	}
+	if mon.Evictions != 1 {
+		t.Fatalf("%d evictions, want 1", mon.Evictions)
 	}
 }

@@ -30,8 +30,8 @@ type Config struct {
 	// AveragingBlend selects the Section III-D extension mode (fixed 1/2
 	// averaging weight) when generating policies.
 	AveragingBlend bool
-	// StalePeriods enables liveness tracking: a worker whose last
-	// timestamped report (ObserveAt) is older than StalePeriods*Period is
+	// StalePeriods enables liveness tracking: a worker last heard from
+	// (ObserveAt or Heartbeat) longer ago than StalePeriods*Period is
 	// evicted — its EMA row is cleared and policies are regenerated over
 	// the live subgraph only, so the policy stops routing pulls at a
 	// corpse whose last (attractive) iteration time would otherwise live
@@ -48,7 +48,7 @@ type Monitor struct {
 	last float64     // virtual time of last regeneration
 	ran  bool
 
-	lastReport   []float64 // per-worker time of the last timestamped report
+	lastReport   []float64 // per-worker time it was last heard from
 	everReported []bool    // per-worker: any report ever (coverage gate)
 	membAlive    []bool    // membership-event liveness (SetLiveness)
 	lastAlive    []bool    // liveness set of the last successful regeneration
@@ -75,14 +75,13 @@ func New(cfg Config) *Monitor {
 }
 
 // ObserveAt ingests one measured iteration time for link (i, j), reported
-// at (virtual or wall) time now. In the distributed deployment this arrives
-// with the periodic statistics pull; in the simulator workers report as
-// they finish iterations. The worker-side EMA has already been applied, so
-// the monitor just stores the latest value. The timestamp feeds liveness
-// tracking: a worker whose reports stop arriving
-// is evicted from policy generation after StalePeriods periods.
+// at (virtual or wall) time now. In the live runtime it arrives with the
+// periodic collect, once per new observation of the link; in the
+// simulator workers report as they finish iterations. The worker-side EMA
+// has already been applied, so the monitor just stores the latest value.
+// The timestamp feeds liveness tracking as Heartbeat's does.
 func (mo *Monitor) ObserveAt(i, j int, iterSecs, now float64) {
-	// Reports arrive over the wire: reject out-of-range indices and
+	// Times arrive over the wire: reject out-of-range indices and
 	// non-finite or non-positive times, either of which would poison the
 	// EMA matrix and every policy generated from it. (NaN fails the > 0
 	// comparison.)
@@ -92,10 +91,29 @@ func (mo *Monitor) ObserveAt(i, j int, iterSecs, now float64) {
 	mo.mu.Lock()
 	mo.ema[i][j] = iterSecs
 	mo.everReported[i] = true
+	mo.stamp(i, now)
+	mo.mu.Unlock()
+}
+
+// Heartbeat records that worker i was heard from at time now, with or
+// without a new link time: the live monitor calls it for every answered
+// collect. A worker whose heartbeats and reports stop arriving is evicted
+// from policy generation after StalePeriods periods. Heartbeats do not
+// count towards the coverage the first regeneration waits for.
+func (mo *Monitor) Heartbeat(i int, now float64) {
+	if !mo.validLink(i, i) {
+		return
+	}
+	mo.mu.Lock()
+	mo.stamp(i, now)
+	mo.mu.Unlock()
+}
+
+// stamp advances worker i's last-heard time to now. Callers hold mo.mu.
+func (mo *Monitor) stamp(i int, now float64) {
 	if now > mo.lastReport[i] {
 		mo.lastReport[i] = now
 	}
-	mo.mu.Unlock()
 }
 
 // SetLiveness feeds membership knowledge from a faster detector — the
@@ -109,10 +127,10 @@ func (mo *Monitor) SetLiveness(alive []bool, now float64) {
 	defer mo.mu.Unlock()
 	for i := 0; i < mo.m && i < len(alive); i++ {
 		mo.membAlive[i] = alive[i]
-		if alive[i] && now > mo.lastReport[i] {
+		if alive[i] {
 			// A re-admitted worker gets a fresh staleness grace period; its
 			// old lastReport would otherwise evict it again instantly.
-			mo.lastReport[i] = now
+			mo.stamp(i, now)
 		}
 	}
 }

@@ -8,8 +8,8 @@ import (
 	"netmax/internal/nn"
 )
 
-// The transport round-trip benchmarks: one pull and one time report over
-// each carrier, on a served two-worker hub.
+// The transport round-trip benchmarks: one pull and one monitor collect
+// over each carrier, on a served two-worker hub.
 //
 //	go test -run '^$' -bench RoundTrip -benchmem ./internal/transport/
 
@@ -47,17 +47,19 @@ func BenchmarkPullRoundTrip(b *testing.B) {
 	}
 }
 
-// BenchmarkReportRoundTrip sends one iteration-time report to the monitor
-// and reads its ack.
-func BenchmarkReportRoundTrip(b *testing.B) {
+// BenchmarkCollectRoundTrip collects worker 1's link times, as the
+// monitor does once per period.
+func BenchmarkCollectRoundTrip(b *testing.B) {
+	row := []LinkTime{{Secs: 0.25, Count: 9}, {}}
 	for _, c := range benchHubs {
 		b.Run(c.name, func(b *testing.B) {
-			hub := openBenchHub(b, c.open, Group{Sources: fixed(nil, nil), Report: func(int, int, float64) {}})
-			mon := hub.Monitor(0)
+			hub := openBenchHub(b, c.open, Group{Sources: fixed(nil, nil), Times: []TimeSource{nil, fixedTimes(row, 1)}})
+			ctl := hub.Control(1)
+			dst := make([]LinkTime, len(row))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := mon.ReportTime(0, 1, 0.25); err != nil {
+				if _, err := ctl.Collect(dst); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -59,7 +59,7 @@ func TestTCPPeerDownClassified(t *testing.T) {
 // TestTCPWorkerServerSetDown verifies crash injection and recovery on the
 // server side: pulls fail fast while down, succeed again after recovery.
 func TestTCPWorkerServerSetDown(t *testing.T) {
-	srv := serveWorker(listenLoopback(t), func() []float64 { return []float64{1, 2} }, codec.Raw{}, nil)
+	srv := serveWorker(listenLoopback(t), vecSource([]float64{1, 2}), nil, codec.Raw{}, nil)
 	defer srv.Close()
 	p := &PullClient{From: 0, Addr: srv.Addr(), Timeout: time.Second}
 	vec := make([]float64, 2)

@@ -131,26 +131,30 @@ func (g *listenerGroup) close() error {
 
 // --- worker server ---
 
-// WorkerServer answers model pulls for one worker over persistent
-// connections, encoding every response with one codec.
+// WorkerServer answers one worker's requests over persistent connections:
+// model pulls from its peers, encoded with one codec, and the monitor's
+// collects and pushes.
 type WorkerServer struct {
 	grp   *listenerGroup
 	src   ModelSource
+	times TimeSource // nil answers collects with an empty row
 	codec codec.Codec
 	// latency, when non-nil, is the artificial delay before answering a
 	// pull by worker `from`; the hub installs it for latency injection.
 	latency func(from int) time.Duration
 	down    atomic.Bool
+	// pushed is the policy slot: the newest policy the monitor pushed.
+	pushed atomic.Pointer[Policy]
 }
 
-func serveWorker(ln net.Listener, src ModelSource, c codec.Codec, latency func(from int) time.Duration) *WorkerServer {
-	s := &WorkerServer{src: src, codec: c, latency: latency}
+func serveWorker(ln net.Listener, src ModelSource, times TimeSource, c codec.Codec, latency func(from int) time.Duration) *WorkerServer {
+	s := &WorkerServer{src: src, times: times, codec: c, latency: latency}
 	s.grp = newListenerGroup(ln, s.handle)
 	return s
 }
 
 // SetDown injects a crash (or recovery) for this worker's endpoint: while
-// down, live connections are torn down and incoming pulls are dropped
+// down, live connections are torn down and incoming requests are dropped
 // without a response, so clients fail fast with ErrPeerDown. The listener
 // stays open — recovery is just SetDown(false), like a process restart on
 // the same port.
@@ -168,32 +172,82 @@ func (s *WorkerServer) Addr() string { return s.grp.ln.Addr().String() }
 // connections, and waits for every handler goroutine to exit.
 func (s *WorkerServer) Close() error { return s.grp.close() }
 
-// handle serves one persistent connection: pull frames in, model frames out,
-// until the peer hangs up or Close tears the connection down.
+// serverConn holds the buffers one served connection reuses for every
+// answer.
+type serverConn struct {
+	vec  []float64
+	row  []LinkTime
+	wbuf []byte
+}
+
+// handle serves one persistent connection: request frames in, answers
+// out, until the peer hangs up or Close tears the connection down.
 func (s *WorkerServer) handle(conn net.Conn) {
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
-	var rbuf, wbuf []byte
+	var rbuf []byte
+	var sc serverConn
 	for {
 		kind, _, body, err := readFrame(r, &rbuf)
-		if err != nil {
-			return
-		}
-		if kind != msgPull {
-			return // protocol violation; drop the connection
-		}
-		from, err := parsePullReq(body)
 		if err != nil {
 			return
 		}
 		if s.down.Load() {
 			return // crashed: drop the connection without answering
 		}
-		if !s.wait(from) {
+		respKind, codecID, resp, ok := s.answer(&sc, kind, body)
+		if !ok {
+			return // protocol violation; drop the connection
+		}
+		if err := writeFrame(w, respKind, codecID, resp); err != nil {
 			return
 		}
-		wbuf = appendPullResp(wbuf[:0], s.src(), s.codec)
-		if err := writeFrame(w, msgPullResp, s.codec.ID(), wbuf); err != nil {
+	}
+}
+
+// answer builds the response to one request frame in sc's buffers. It
+// reports false for a frame the server does not accept: an unknown or
+// retired kind, or a malformed body.
+func (s *WorkerServer) answer(sc *serverConn, kind uint8, body []byte) (respKind, codecID uint8, resp []byte, ok bool) {
+	switch kind {
+	case msgPull:
+		from, err := parsePullReq(body)
+		if err != nil || !s.wait(from) {
+			return 0, 0, nil, false
+		}
+		sc.vec = s.src(sc.vec)
+		sc.wbuf = appendPullResp(sc.wbuf[:0], sc.vec, s.codec)
+		return msgPullResp, s.codec.ID(), sc.wbuf, true
+	case msgCollect:
+		if len(body) != 0 {
+			return 0, 0, nil, false
+		}
+		adopted := 0
+		if s.times != nil {
+			sc.row, adopted = s.times(sc.row)
+		}
+		sc.wbuf = appendCollectResp(sc.wbuf[:0], sc.row, adopted)
+		return msgCollectResp, 0, sc.wbuf, true
+	case msgPush:
+		p, err := parsePush(body)
+		if err != nil {
+			return 0, 0, nil, false
+		}
+		s.offer(p)
+		return msgPushAck, 0, nil, true
+	}
+	return 0, 0, nil, false
+}
+
+// offer fills the policy slot with p unless it already holds p's version
+// or a newer one, so a re-sent push changes nothing.
+func (s *WorkerServer) offer(p *Policy) {
+	for {
+		cur := s.pushed.Load()
+		if cur != nil && cur.Version >= p.Version {
+			return
+		}
+		if s.pushed.CompareAndSwap(cur, p) {
 			return
 		}
 	}
@@ -243,9 +297,10 @@ type persistentConn struct {
 
 // roundTrip sends one request frame to addr and reads the response. A dead
 // connection is redialed and the request retried once: every request kind
-// is idempotent (pulls and policy fetches only read, and a report
-// overwrites its link's latest time), so a request the server may already
-// have processed is safe to re-send. A positive timeout bounds every step
+// is idempotent (pulls and collects only read — the monitor ingests a link
+// only when its observation count grew — and the policy slot ignores a
+// version it already holds), so a request the server may already have
+// processed is safe to re-send. A positive timeout bounds every step
 // — dial, write, response read — so a hung (not closed) peer costs at most
 // one deadline instead of blocking the caller forever. The returned body
 // aliases the connection's read buffer and is valid until the next call.
@@ -361,10 +416,7 @@ func (p *PullClient) PullModel(dst []float64) (wireBytes int64, err error) {
 	p.wbuf = appendPullReq(p.wbuf[:0], p.From)
 	body, codecID, err := p.pc.roundTrip(p.Addr, p.Timeout, msgPull, p.wbuf, msgPullResp)
 	if err != nil {
-		if errors.Is(err, errProtocol) {
-			return 0, err // version skew / framing bug — peer is not down
-		}
-		return 0, fmt.Errorf("%w: %w", ErrPeerDown, err)
+		return 0, peerErr(err)
 	}
 	payload, err := decodePullResp(body, codecID, dst)
 	if err != nil {
@@ -386,145 +438,74 @@ func (p *PullClient) Close() error {
 	return p.pc.drop()
 }
 
-// --- monitor server ---
-
-// MonitorServer hosts the Network Monitor endpoint over persistent
-// connections. Its policy can be published before it serves.
-type MonitorServer struct {
-	grp    *listenerGroup
-	report func(from, to int, secs float64)
-
-	policyMu sync.RWMutex
-	p        [][]float64
-	rho      float64
-	version  int
-}
-
-// serve starts answering on ln, handing every report to report (nil
-// discards them). It is called once.
-func (s *MonitorServer) serve(ln net.Listener, report func(from, to int, secs float64)) {
-	s.report = report
-	s.grp = newListenerGroup(ln, s.handle)
-}
-
-// Addr returns the listener's address.
-func (s *MonitorServer) Addr() string { return s.grp.ln.Addr().String() }
-
-// SetPolicy publishes a new policy to pollers.
-func (s *MonitorServer) SetPolicy(p [][]float64, rho float64) {
-	s.policyMu.Lock()
-	defer s.policyMu.Unlock()
-	s.p = p
-	s.rho = rho
-	s.version++
-}
-
-// Version returns the number of policies published so far.
-func (s *MonitorServer) Version() int {
-	s.policyMu.RLock()
-	defer s.policyMu.RUnlock()
-	return s.version
-}
-
-// Close stops the endpoint, tearing down live connections and waiting for
-// every handler goroutine.
-func (s *MonitorServer) Close() error { return s.grp.close() }
-
-func (s *MonitorServer) handle(conn net.Conn) {
-	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
-	var rbuf, wbuf []byte
-	for {
-		kind, _, body, err := readFrame(r, &rbuf)
-		if err != nil {
-			return
-		}
-		switch kind {
-		case msgReport:
-			from, to, secs, err := parseReport(body)
-			if err != nil {
-				return
-			}
-			if s.report != nil {
-				s.report(from, to, secs)
-			}
-			wbuf = appendReportAck(wbuf[:0], s.Version())
-			if err := writeFrame(w, msgReportAck, 0, wbuf); err != nil {
-				return
-			}
-		case msgPolicy:
-			s.policyMu.RLock()
-			wbuf = appendPolicyResp(wbuf[:0], s.p, s.rho, s.version)
-			s.policyMu.RUnlock()
-			if err := writeFrame(w, msgPolicyResp, 0, wbuf); err != nil {
-				return
-			}
-		default:
-			return // protocol violation; drop the connection
-		}
+// peerErr classifies a failed round trip: a protocol violation (version
+// skew, a framing bug) stays as it is, since the peer is not down; anything
+// else wraps ErrPeerDown.
+func peerErr(err error) error {
+	if errors.Is(err, errProtocol) {
+		return err
 	}
+	return fmt.Errorf("%w: %w", ErrPeerDown, err)
 }
 
 // --- monitor client ---
 
-// MonitorClient is a worker's persistent-connection client to the
-// monitor. The zero value with Addr set is ready to use over TCP; it is
+// ControlClient is the Network Monitor's persistent-connection client to
+// one worker's server: it collects the worker's link times and pushes
+// policies. The zero value with Addr set is ready to use over TCP; it is
 // safe for concurrent use (calls serialize on one connection). A positive
 // Timeout bounds each call the same way PullClient.Timeout bounds pulls.
-type MonitorClient struct {
+// Failures classify as PullModel's do.
+type ControlClient struct {
 	Addr    string
 	Timeout time.Duration
 
-	mu        sync.Mutex
-	pc        persistentConn
-	wbuf      []byte
-	announced int // largest policy version a report ack announced
+	mu   sync.Mutex
+	pc   persistentConn
+	wbuf []byte
 }
 
-// ReportTime sends one iteration-time observation for link (from, to) and
-// records the policy version the monitor's ack announces (see Announced).
-// A report only overwrites the link's latest time at the monitor, so one
-// whose ack is lost is re-sent like any other request; callers treat
-// reports as best-effort and simply carry the next observation.
-func (c *MonitorClient) ReportTime(from, to int, secs float64) error {
+// Collect reads the worker's link times into row, which must have one
+// entry per worker of the group, and returns the policy version the worker
+// has adopted. Only the counts tell new observations from ones an earlier
+// collect already returned. On any error row's contents are unspecified.
+func (c *ControlClient) Collect(row []LinkTime) (adopted int, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.wbuf = appendReport(c.wbuf[:0], from, to, secs)
-	body, _, err := c.pc.roundTrip(c.Addr, c.Timeout, msgReport, c.wbuf, msgReportAck)
+	body, _, err := c.pc.roundTrip(c.Addr, c.Timeout, msgCollect, c.wbuf[:0], msgCollectResp)
 	if err != nil {
+		return 0, peerErr(err)
+	}
+	adopted, err = decodeCollectResp(body, row)
+	if err != nil {
+		c.pc.drop()
+	}
+	return adopted, err
+}
+
+// Push fills the worker's policy slot with p, unless the slot already
+// holds p's version or a newer one. p's matrix must have at least one row
+// and rows of one nonzero length.
+func (c *ControlClient) Push(p *Policy) error {
+	if err := checkPushShape(p.P); err != nil {
 		return err
 	}
-	version, err := parseReportAck(body)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.wbuf = appendPush(c.wbuf[:0], p)
+	body, _, err := c.pc.roundTrip(c.Addr, c.Timeout, msgPush, c.wbuf, msgPushAck)
 	if err != nil {
-		return err
+		return peerErr(err)
 	}
-	c.announced = max(c.announced, version)
+	if len(body) != 0 {
+		c.pc.drop()
+		return fmt.Errorf("%w: push ack body %d bytes, want 0", errProtocol, len(body))
+	}
 	return nil
 }
 
-// Announced returns the largest policy version any report ack has
-// announced: the number of policies the monitor had published when it
-// last acknowledged a report. A worker holding an older version fetches
-// the policy; one that is up to date has nothing to fetch.
-func (c *MonitorClient) Announced() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.announced
-}
-
-// FetchPolicy retrieves the latest policy.
-func (c *MonitorClient) FetchPolicy() ([][]float64, float64, int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	body, _, err := c.pc.roundTrip(c.Addr, c.Timeout, msgPolicy, c.wbuf[:0], msgPolicyResp)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return parsePolicyResp(body)
-}
-
 // Close tears down the persistent connection, if any.
-func (c *MonitorClient) Close() error {
+func (c *ControlClient) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.pc.drop()

@@ -1,0 +1,45 @@
+package transport
+
+import (
+	"net"
+	"sync"
+	"time"
+)
+
+// The monitor's frame kinds, for the tests outside the package.
+const (
+	MsgCollect     = msgCollect
+	MsgCollectResp = msgCollectResp
+	MsgPush        = msgPush
+	MsgPushAck     = msgPushAck
+)
+
+// NewRecordingLocalHub is NewLocalHub with every worker server's
+// connections recorded. The returned function counts the frames of a kind
+// the servers have read and written so far.
+func NewRecordingLocalHub(latency func(i, j int) time.Duration) (*Hub, func(kind uint8) int) {
+	pn := &pipeNet{listeners: make(map[string]*pipeListener)}
+	var mu sync.Mutex
+	var lns []*recordingListener
+	listen := func() (net.Listener, error) {
+		ln, err := pn.listen()
+		if err != nil {
+			return nil, err
+		}
+		rl := &recordingListener{Listener: ln}
+		mu.Lock()
+		lns = append(lns, rl)
+		mu.Unlock()
+		return rl, nil
+	}
+	frames := func(kind uint8) int {
+		mu.Lock()
+		defer mu.Unlock()
+		n := 0
+		for _, l := range lns {
+			n += l.frames(kind)
+		}
+		return n
+	}
+	return &Hub{listen: listen, dial: pn.dial, latency: latency}, frames
+}

@@ -16,11 +16,13 @@ import (
 // buffer fixes the dimension.
 const maxFuzzDim = 1 << 16
 
-// FuzzWireFrame feeds arbitrary bytes to readFrame and the body parsers,
-// the boundary every live pull and monitor call crosses. Nothing may
-// panic, and a frame that decodes must re-encode to the bytes it was read
-// from. Pull responses are decoded through decodePullResp, as PullModel
-// does; its every failure must be a protocol error.
+// FuzzWireFrame feeds arbitrary bytes to readFrame, the body parsers and a
+// worker server's request dispatch, the boundary every live pull, collect
+// and push crosses. Nothing may panic, and a frame that decodes must
+// re-encode to the bytes it was read from. The server must refuse every
+// kind but pull, collect and push, the retired ones included. Pull
+// responses are decoded through decodePullResp, as PullModel does; its
+// every failure must be a protocol error.
 //
 //	go test -run '^$' -fuzz FuzzWireFrame -fuzztime 20s ./internal/transport/
 func FuzzWireFrame(f *testing.F) {
@@ -31,18 +33,19 @@ func FuzzWireFrame(f *testing.F) {
 	}
 	// Codec id 2 is retired: a well-formed body under it must not decode.
 	f.Add(frameBytes(msgPullResp, 2, appendPullResp(nil, vec, codec.Float32{})))
-	f.Add(frameBytes(msgReport, 0, appendReport(nil, 0, 1, 0.25)))
-	f.Add(frameBytes(msgReportAck, 0, appendReportAck(nil, 3)))
-	f.Add(frameBytes(msgPolicy, 0, nil))
-	f.Add(frameBytes(msgPolicyResp, 0, appendPolicyResp(nil, [][]float64{{0, 1}, {1, 0}}, 0.4, 2)))
-	f.Add(frameBytes(msgPolicyResp, 0, appendPolicyResp(nil, nil, 0, 0)))
-	// The retired 24-byte report layout (a trailing uint64 byte count) must
-	// not parse: accepting it would re-encode to 16 bytes.
-	f.Add(frameBytes(msgReport, 0, binary.BigEndian.AppendUint64(appendReport(nil, 0, 1, 0.25), 640)))
-	// The retired empty report ack must not parse either: accepting it
-	// would re-encode to 8 bytes.
-	f.Add(frameBytes(msgReportAck, 0, nil))
+	f.Add(frameBytes(msgCollect, 0, nil))
+	f.Add(frameBytes(msgCollectResp, 0, appendCollectResp(nil, []LinkTime{{}, {Secs: 0.25, Count: 3}}, 2)))
+	f.Add(frameBytes(msgPush, 0, appendPush(nil, &Policy{P: [][]float64{{0, 1}, {1, 0}}, Rho: 0.4, Version: 2})))
+	f.Add(frameBytes(msgPushAck, 0, nil))
+	// The retired frames, in the layouts they last had, must be refused.
+	f.Add(frameBytes(3, 0, binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(nil, 1), math.Float64bits(0.25))))
+	f.Add(frameBytes(4, 0, binary.BigEndian.AppendUint64(nil, 3)))
+	f.Add(frameBytes(5, 0, nil))
+	f.Add(frameBytes(6, 0, appendPush(nil, &Policy{P: [][]float64{{0, 1}, {1, 0}}, Rho: 0.4, Version: 2})[:20]))
+	// A policy that is not square travels as it is; the worker rejects it.
+	f.Add(frameBytes(msgPush, 0, appendPush(nil, &Policy{P: [][]float64{{0, 0.5, 0.5, math.NaN()}}, Rho: 1, Version: 1})))
 
+	srv := &WorkerServer{src: vecSource(vec), times: fixedTimes([]LinkTime{{Secs: 1, Count: 1}}, 1), codec: codec.Float32{}}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		kind, codecID, body, err := readFrame(bytes.NewReader(raw), new([]byte))
 		if err != nil {
@@ -52,6 +55,9 @@ func FuzzWireFrame(f *testing.F) {
 		if got := frameBytes(kind, codecID, body); !bytes.Equal(got, read) {
 			t.Fatalf("frame re-encodes to %x, read from %x", got, read)
 		}
+		if _, _, _, ok := srv.answer(new(serverConn), kind, body); ok && kind != msgPull && kind != msgCollect && kind != msgPush {
+			t.Fatalf("worker server answered a kind %d frame", kind)
+		}
 		var again []byte
 		switch kind {
 		case msgPull:
@@ -60,24 +66,25 @@ func FuzzWireFrame(f *testing.F) {
 				return
 			}
 			again = appendPullReq(nil, from)
-		case msgReport:
-			from, to, secs, err := parseReport(body)
+		case msgCollectResp:
+			if len(body) < 12 || binary.BigEndian.Uint32(body[8:]) > maxFuzzDim {
+				return
+			}
+			row := make([]LinkTime, binary.BigEndian.Uint32(body[8:]))
+			adopted, err := decodeCollectResp(body, row)
+			if err != nil {
+				if !errors.Is(err, errProtocol) {
+					t.Fatalf("collect answer decode failed without errProtocol: %v", err)
+				}
+				return
+			}
+			again = appendCollectResp(nil, row, adopted)
+		case msgPush:
+			p, err := parsePush(body)
 			if err != nil {
 				return
 			}
-			again = appendReport(nil, from, to, secs)
-		case msgReportAck:
-			version, err := parseReportAck(body)
-			if err != nil {
-				return
-			}
-			again = appendReportAck(nil, version)
-		case msgPolicyResp:
-			p, rho, version, err := parsePolicyResp(body)
-			if err != nil {
-				return
-			}
-			again = appendPolicyResp(nil, p, rho, version)
+			again = appendPush(nil, p)
 		case msgPullResp:
 			again = reencodePullResp(t, body, codecID)
 			if again == nil {

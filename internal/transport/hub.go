@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync"
 	"time"
 
 	"netmax/internal/codec"
@@ -14,43 +15,44 @@ import (
 type Group struct {
 	// Sources holds one model source per worker; worker i is Sources[i].
 	Sources []ModelSource
+	// Times holds one time source per worker, answering the monitor's
+	// collects; a worker without one answers with an empty row.
+	Times []TimeSource
 	// Codec encodes every pull response; nil means raw float64.
 	Codec codec.Codec
-	// Timeout bounds every pull and monitor call (dial, request,
+	// Timeout bounds every pull, collect and push (dial, request,
 	// response): a hung or dead peer costs at most one deadline. Zero
 	// disables deadlines.
 	Timeout time.Duration
-	// Report receives every iteration-time report at the monitor; nil
-	// discards them.
-	Report func(from, to int, secs float64)
 }
 
-// Hub wires a whole NetMax process group: one WorkerServer per worker plus
-// one MonitorServer, reached over loopback TCP (NewTCPHub) or over
-// in-memory pipes (NewLocalHub). Either way every pull and monitor call
-// goes through the same servers, clients and wire frames. Serve fixes the
-// group; from then on every (from, to) pair reuses one persistent
-// connection for the life of the hub.
+// Hub wires a whole NetMax process group: one WorkerServer per worker,
+// reached over loopback TCP (NewTCPHub) or over in-memory pipes
+// (NewLocalHub). Either way every pull, collect and push goes through the
+// same servers, clients and wire frames. Serve fixes the group; from then
+// on every (from, to) pair, and the monitor's link to every worker, reuses
+// one persistent connection for the life of the hub.
 type Hub struct {
 	listen  func() (net.Listener, error)
 	dial    dialer
 	latency func(i, j int) time.Duration
 
-	monLn net.Listener
-	mon   MonitorServer
+	pubMu sync.Mutex
+	pub   *Policy
 
 	// Written once by Serve and read-only afterwards.
 	served  bool
 	workers []*WorkerServer
 	peers   [][]*PullClient // peers[from][to]
-	clients []*MonitorClient
+	ctl     []*ControlClient
 }
 
-// NewTCPHub opens the monitor endpoint on loopback TCP and returns a hub
-// whose workers will listen on ephemeral loopback ports. Close must be
-// called to release listeners and connections.
+// NewTCPHub returns a hub whose workers will listen on ephemeral loopback
+// ports. Its error is always nil: Serve opens the listeners and reports
+// any that fail. Close must be called to release listeners and
+// connections.
 func NewTCPHub() (*Hub, error) {
-	return newHub(listenTCP, dialTCP, nil)
+	return &Hub{listen: listenTCP, dial: dialTCP}, nil
 }
 
 // listenTCP listens on an ephemeral loopback port.
@@ -60,28 +62,20 @@ func listenTCP() (net.Listener, error) { return net.Listen("tcp", "127.0.0.1:0")
 // this process. latency, when non-nil, is the artificial one-way delay of
 // a pull from worker j by worker i: j's server waits it out before
 // answering, so a latency at or beyond the pull timeout is a hung peer
-// (the pull fails with ErrPeerDown after one deadline). Close must be
-// called to stop its servers.
+// (the pull fails with ErrPeerDown after one deadline). The monitor's
+// collects and pushes get no latency. Close must be called to stop its
+// servers.
 func NewLocalHub(latency func(i, j int) time.Duration) *Hub {
 	pn := &pipeNet{listeners: make(map[string]*pipeListener)}
-	h, _ := newHub(pn.listen, pn.dial, latency) // listening on a pipeNet cannot fail
-	return h
+	return &Hub{listen: pn.listen, dial: pn.dial, latency: latency}
 }
 
-func newHub(listen func() (net.Listener, error), dial dialer, latency func(i, j int) time.Duration) (*Hub, error) {
-	ln, err := listen()
-	if err != nil {
-		return nil, fmt.Errorf("transport: start monitor: %w", err)
-	}
-	return &Hub{listen: listen, dial: dial, latency: latency, monLn: ln}, nil
-}
-
-// Serve starts the group g: one worker server per source, the monitor's
-// report sink, and a pull handle for every (from, to) pair and a monitor
-// handle for every worker, all bound by g.Timeout. It must be called once,
-// before Peer, Monitor or SetWorkerDown. A worker whose listener cannot be
-// opened (descriptor exhaustion) stays unreachable — pulls at it fail
-// with ErrPeerDown — and its error is returned; the rest of the group is
+// Serve starts the group g: one worker server per source, a pull handle
+// for every (from, to) pair and a monitor handle for every worker, all
+// bound by g.Timeout. It must be called once, before Peer, Control,
+// Pushed or SetWorkerDown. A worker whose listener cannot be opened
+// (descriptor exhaustion) stays unreachable — pulls at it fail with
+// ErrPeerDown — and its error is returned; the rest of the group is
 // served.
 func (h *Hub) Serve(g Group) error {
 	if h.served {
@@ -106,25 +100,28 @@ func (h *Hub) Serve(g Group) error {
 		if h.latency != nil {
 			lat = func(from int) time.Duration { return h.latency(from, id) }
 		}
-		h.workers[id] = serveWorker(ln, src, c, lat)
+		var times TimeSource
+		if id < len(g.Times) {
+			times = g.Times[id]
+		}
+		h.workers[id] = serveWorker(ln, src, times, c, lat)
 		addrs[id] = h.workers[id].Addr()
 	}
-	h.mon.serve(h.monLn, g.Report)
 	h.peers = make([][]*PullClient, m)
-	h.clients = make([]*MonitorClient, m)
+	h.ctl = make([]*ControlClient, m)
 	for from := range h.peers {
 		h.peers[from] = make([]*PullClient, m)
 		for to, addr := range addrs {
 			h.peers[from][to] = &PullClient{From: from, Addr: addr, Timeout: g.Timeout, pc: persistentConn{dial: h.dial}}
 		}
-		h.clients[from] = &MonitorClient{Addr: h.mon.Addr(), Timeout: g.Timeout, pc: persistentConn{dial: h.dial}}
+		h.ctl[from] = &ControlClient{Addr: addrs[from], Timeout: g.Timeout, pc: persistentConn{dial: h.dial}}
 	}
 	return errors.Join(errs...)
 }
 
 // SetWorkerDown injects a crash (or recovery) for worker id's endpoint:
 // while down, its server tears down live connections and drops incoming
-// pulls, so peers fail fast with ErrPeerDown. Unknown ids are ignored.
+// requests, so peers and the monitor fail fast with ErrPeerDown. Unknown ids are ignored.
 func (h *Hub) SetWorkerDown(id int, down bool) {
 	if id >= 0 && id < len(h.workers) && h.workers[id] != nil {
 		h.workers[id].SetDown(down)
@@ -141,17 +138,37 @@ func (h *Hub) Peer(from, to int) *PullClient {
 	return h.peers[from][to]
 }
 
-// Monitor returns worker id's persistent monitor handle.
-func (h *Hub) Monitor(id int) *MonitorClient { return h.clients[id] }
+// Control returns the monitor's persistent handle to worker id's server.
+func (h *Hub) Control(id int) *ControlClient { return h.ctl[id] }
 
-// SetPolicy publishes a policy through the monitor endpoint. It may be
-// called before Serve: the first fetch then sees it.
-func (h *Hub) SetPolicy(p [][]float64, rho float64) {
-	h.mon.SetPolicy(p, rho)
+// Pushed returns the newest policy the monitor pushed to worker id, or nil
+// if none arrived (or id has no server). A worker reads its slot here.
+func (h *Hub) Pushed(id int) *Policy {
+	if id < 0 || id >= len(h.workers) || h.workers[id] == nil {
+		return nil
+	}
+	return h.workers[id].pushed.Load()
 }
 
-// PolicyVersion returns the number of policies published so far.
-func (h *Hub) PolicyVersion() int { return h.mon.Version() }
+// SetPolicy publishes a policy under the next version. It may be called
+// before Serve. Publishing delivers nothing: the monitor pushes the
+// published policy to the workers (ControlClient.Push).
+func (h *Hub) SetPolicy(p [][]float64, rho float64) {
+	h.pubMu.Lock()
+	defer h.pubMu.Unlock()
+	v := 1
+	if h.pub != nil {
+		v = h.pub.Version + 1
+	}
+	h.pub = &Policy{P: p, Rho: rho, Version: v}
+}
+
+// Published returns the latest published policy, or nil if none was.
+func (h *Hub) Published() *Policy {
+	h.pubMu.Lock()
+	defer h.pubMu.Unlock()
+	return h.pub
+}
 
 // Close stops every server and tears down every client connection,
 // waiting for all server goroutines to exit.
@@ -167,18 +184,13 @@ func (h *Hub) Close() error {
 			keep(p.Close())
 		}
 	}
-	for _, c := range h.clients {
+	for _, c := range h.ctl {
 		keep(c.Close())
 	}
 	for _, srv := range h.workers {
 		if srv != nil {
 			keep(srv.Close())
 		}
-	}
-	if h.served {
-		keep(h.mon.Close())
-	} else {
-		keep(h.monLn.Close())
 	}
 	return first
 }

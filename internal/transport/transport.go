@@ -1,27 +1,29 @@
-// Package transport carries NetMax's two message kinds between live worker
-// processes: model pulls (worker -> worker) and monitor exchanges
-// (iteration-time reports up, policy broadcasts down).
+// Package transport carries NetMax's messages between live worker
+// processes: model pulls (worker -> worker) and the Network Monitor's
+// once-per-period exchanges (link-time collects and policy pushes,
+// monitor -> worker).
 //
-// There is one implementation: worker and monitor servers and their
-// persistent-connection clients, speaking the length-prefixed binary frame
+// There is one implementation: worker servers and the persistent-connection
+// clients that call them, speaking the length-prefixed binary frame
 // protocol of wire.go (specified in docs/WIRE.md). A Hub wires a whole
 // process group over loopback TCP (NewTCPHub) or over in-memory pipes
 // (NewLocalHub, one OS process, with optional injected latency); both run
 // the same frames, deadlines and redial rule. A hub is configured once:
-// Serve fixes its worker sources, codec, per-call deadline and report sink
-// before the first pull. Every report ack announces the monitor's policy
-// version (MonitorClient.Announced), so workers fetch a policy only when a
-// new one exists. Model payloads go through a dense compression
-// codec (internal/codec); a pull decodes straight off the wire into the
-// caller's buffer and reports its encoded bytes-on-wire, which the puller
-// counts. The discrete-event simulator does not use this package; this is
-// the "system" half of the reproduction.
+// Serve fixes its worker model and time sources, codec and per-call
+// deadline before the first pull. The monitor side is a ControlClient per
+// worker: Collect reads the worker's link times and adopted policy
+// version, and Push fills the worker's policy slot, which the worker reads
+// with Hub.Pushed. Workers send the monitor nothing. Model payloads go
+// through a dense compression codec (internal/codec); a pull decodes
+// straight off the wire into the caller's buffer and reports its encoded
+// bytes-on-wire, which the puller counts. The discrete-event simulator does
+// not use this package; this is the "system" half of the reproduction.
 package transport
 
 import "errors"
 
 // ErrPeerDown is the typed classification of a dead or unresponsive peer:
-// pull and monitor calls that fail because the remote end is gone
+// pulls, collects and pushes that fail because the remote end is gone
 // (connection refused, torn down mid-exchange) or silent past the
 // configured per-call deadline wrap this sentinel. Callers use
 // errors.Is(err, ErrPeerDown) to mask the peer locally until the Network
@@ -36,7 +38,33 @@ var ErrPeerDown = errors.New("transport: peer down")
 // around a dead link.
 var ErrNonFinite = errors.New("transport: pulled vector has a non-finite coordinate")
 
-// ModelSource provides the current model vector of a worker; the transport
-// server calls it on every pull. Implementations must be safe for
-// concurrent use.
-type ModelSource func() []float64
+// ModelSource copies a worker's current model vector into dst and returns
+// it, allocating a new slice only when dst has the wrong length (nil on the
+// first call). The transport server calls it on every pull with a buffer
+// its connection owns, and encodes the result after the call returns, so
+// an implementation holds its lock for the copy alone. Implementations
+// must be safe for concurrent use.
+type ModelSource func(dst []float64) []float64
+
+// LinkTime is one link's entry in a worker's collect answer: the worker's
+// EMA iteration time over the link and how many times it has observed it.
+type LinkTime struct {
+	Secs  float64
+	Count uint64
+}
+
+// TimeSource answers the monitor's collect for one worker: it copies the
+// worker's link times, one entry per worker of the group, into dst as
+// ModelSource copies the model, and returns them with the policy version
+// the worker has adopted. Implementations must be safe for concurrent use
+// and must not wait for the worker's training step.
+type TimeSource func(dst []LinkTime) (row []LinkTime, adopted int)
+
+// Policy is a communication policy as it travels to the workers: the
+// matrix P, the consensus weight ρ, and its version, the number of
+// policies the hub had published when it was published.
+type Policy struct {
+	P       [][]float64
+	Rho     float64
+	Version int
+}

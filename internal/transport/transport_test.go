@@ -2,8 +2,11 @@ package transport
 
 import (
 	"bytes"
+	"errors"
 	"net"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -82,39 +85,60 @@ func TestLocalNetCodecApplied(t *testing.T) {
 	}
 }
 
+// TestLocalNetPolicyVersioning pins the hub's publication counter and the
+// worker's policy slot: each SetPolicy takes the next version, a push
+// fills the slot over the in-memory hub, and a push of an older version
+// leaves the newer one in place.
 func TestLocalNetPolicyVersioning(t *testing.T) {
 	hub := NewLocalHub(nil)
 	defer hub.Close()
 	serve(t, hub, Group{Sources: fixed(nil, nil)})
-	mc := hub.Monitor(0)
-	_, _, v0, _ := mc.FetchPolicy()
-	hub.SetPolicy([][]float64{{0, 1}, {1, 0}}, 0.4)
-	p, rho, v1, err := mc.FetchPolicy()
-	if err != nil || v1 != v0+1 || rho != 0.4 || p[0][1] != 1 {
-		t.Fatalf("policy fetch wrong: %v %v %v %v", p, rho, v1, err)
+	if hub.Published() != nil || hub.Pushed(1) != nil {
+		t.Fatal("a fresh hub has a published or pushed policy")
 	}
-	if v := hub.PolicyVersion(); v != v1 {
-		t.Fatalf("PolicyVersion = %d, the wire says %d", v, v1)
+	hub.SetPolicy([][]float64{{1, 0}, {0, 1}}, 0.2)
+	first := hub.Published()
+	hub.SetPolicy([][]float64{{0, 1}, {1, 0}}, 0.4)
+	second := hub.Published()
+	if first.Version != 1 || second.Version != 2 {
+		t.Fatalf("published versions %d, %d, want 1, 2", first.Version, second.Version)
+	}
+	ctl := hub.Control(1)
+	if err := ctl.Push(second); err != nil {
+		t.Fatal(err)
+	}
+	if err := ctl.Push(first); err != nil {
+		t.Fatal(err)
+	}
+	got := hub.Pushed(1)
+	if got == nil || got.Version != 2 || got.Rho != 0.4 || got.P[1][0] != 1 {
+		t.Fatalf("worker 1's slot holds %+v, want version 2", got)
+	}
+	if hub.Pushed(0) != nil {
+		t.Fatal("a push to worker 1 filled worker 0's slot")
 	}
 }
 
+// TestLocalNetReports checks that a collect over the in-memory hub returns
+// what the worker's time source reports: its link times with their counts,
+// and its adopted policy version.
 func TestLocalNetReports(t *testing.T) {
 	hub := NewLocalHub(nil)
 	defer hub.Close()
-	var mu sync.Mutex
-	var got []float64
-	serve(t, hub, Group{Sources: fixed(nil, nil), Report: func(from, to int, secs float64) {
-		mu.Lock()
-		got = append(got, secs)
-		mu.Unlock()
-	}})
-	if err := hub.Monitor(1).ReportTime(1, 0, 2.5); err != nil {
+	want := []LinkTime{{Secs: 2.5, Count: 3}, {}, {Secs: 0.75, Count: 1}}
+	serve(t, hub, Group{Sources: fixed(nil, nil, nil), Times: []TimeSource{nil, fixedTimes(want, 4), nil}})
+	row := make([]LinkTime, 3)
+	v, err := hub.Control(1).Collect(row)
+	if err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 1 || got[0] != 2.5 {
-		t.Fatalf("reports = %v", got)
+	if v != 4 || !slices.Equal(row, want) {
+		t.Fatalf("collect = %v (version %d), want %v (version 4)", row, v, want)
+	}
+	// A worker without a time source answers an empty row, which a
+	// three-worker collect rejects as a protocol error.
+	if _, err := hub.Control(0).Collect(row); !errors.Is(err, errProtocol) || errors.Is(err, ErrPeerDown) {
+		t.Fatalf("collect of an empty row = %v, want a protocol error", err)
 	}
 }
 
@@ -133,7 +157,7 @@ func TestLocalNetServeOnce(t *testing.T) {
 }
 
 func TestTCPWorkerPull(t *testing.T) {
-	srv := serveWorker(listenLoopback(t), func() []float64 { return []float64{4, 5} }, codec.Raw{}, nil)
+	srv := serveWorker(listenLoopback(t), vecSource([]float64{4, 5}), nil, codec.Raw{}, nil)
 	defer srv.Close()
 	peer := &PullClient{From: 0, Addr: srv.Addr()}
 	defer peer.Close()
@@ -150,7 +174,7 @@ func TestTCPWorkerPull(t *testing.T) {
 }
 
 func TestTCPWorkerConcurrentPulls(t *testing.T) {
-	srv := serveWorker(listenLoopback(t), func() []float64 { return []float64{7} }, codec.Raw{}, nil)
+	srv := serveWorker(listenLoopback(t), vecSource([]float64{7}), nil, codec.Raw{}, nil)
 	defer srv.Close()
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
@@ -176,135 +200,152 @@ func TestTCPWorkerConcurrentPulls(t *testing.T) {
 	}
 }
 
+// TestTCPMonitorRoundTrip runs the monitor's two exchanges over TCP: a
+// collect returns the worker's row and its adopted version as the source
+// changes them, and a push fills the worker's policy slot.
 func TestTCPMonitorRoundTrip(t *testing.T) {
 	var mu sync.Mutex
-	reports := 0
-	var secs float64
-	srv := new(MonitorServer)
-	srv.serve(listenLoopback(t), func(from, to int, s float64) {
+	row := []LinkTime{{}, {Secs: 1.5, Count: 1}}
+	adopted := 0
+	times := func(dst []LinkTime) ([]LinkTime, int) {
 		mu.Lock()
-		reports++
-		secs = s
-		mu.Unlock()
-	})
+		defer mu.Unlock()
+		return append(dst[:0], row...), adopted
+	}
+	srv := serveWorker(listenLoopback(t), vecSource(nil), times, codec.Raw{}, nil)
 	defer srv.Close()
-	client := &MonitorClient{Addr: srv.Addr()}
+	client := &ControlClient{Addr: srv.Addr()}
 	defer client.Close()
-	if err := client.ReportTime(0, 1, 1.5); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	if reports != 1 || secs != 1.5 {
-		t.Fatalf("reports = %d secs %v", reports, secs)
-	}
-	mu.Unlock()
-
-	srv.SetPolicy([][]float64{{0, 1}, {1, 0}}, 0.7)
-	p, rho, v, err := client.FetchPolicy()
-	if err != nil || v != 1 || rho != 0.7 || p[1][0] != 1 {
-		t.Fatalf("policy = %v %v %v %v", p, rho, v, err)
-	}
-}
-
-// TestReportAckCarriesPolicyVersion pins the report ack's body: the number
-// of policies the monitor has published, which the client records.
-func TestReportAckCarriesPolicyVersion(t *testing.T) {
-	srv := new(MonitorServer)
-	srv.serve(listenLoopback(t), nil)
-	defer srv.Close()
-	client := &MonitorClient{Addr: srv.Addr()}
-	defer client.Close()
+	got := make([]LinkTime, 2)
 	for want := 0; want <= 2; want++ {
-		if want > 0 {
-			srv.SetPolicy([][]float64{{0, 1}, {1, 0}}, 0.5)
-		}
-		if err := client.ReportTime(0, 1, 0.5); err != nil {
+		mu.Lock()
+		adopted = want
+		row[1].Count = uint64(want + 1)
+		mu.Unlock()
+		v, err := client.Collect(got)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if got := client.Announced(); got != want {
-			t.Fatalf("ack announced version %d after %d policies", got, want)
+		if v != want || got[1] != (LinkTime{Secs: 1.5, Count: uint64(want + 1)}) {
+			t.Fatalf("collect = %v (version %d), want count %d at version %d", got, v, want+1, want)
 		}
+	}
+	if err := client.Push(&Policy{P: [][]float64{{0, 1}, {1, 0}}, Rho: 0.7, Version: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if p := srv.pushed.Load(); p == nil || p.Version != 3 || p.Rho != 0.7 || p.P[1][0] != 1 {
+		t.Fatalf("slot = %+v after a push", p)
+	}
+	// A ragged matrix cannot be encoded: the push fails before any frame.
+	if err := client.Push(&Policy{P: [][]float64{{0, 1}, {1}}, Version: 4}); err == nil {
+		t.Fatal("pushed a ragged policy")
 	}
 }
 
-// TestTCPReportResentAfterLostAck pins the report's retry rule: a report
-// only overwrites its link's latest time, so one whose ack is lost with
-// the connection is redialed and re-sent once, and the monitor's sink sees
-// it again. The re-sent report's ack still announces the current policy
-// version.
-func TestTCPReportResentAfterLostAck(t *testing.T) {
+// TestTCPCollectResentAfterLostAnswer pins the collect's retry rule: the
+// first answer is lost with its connection, so the client redials and
+// re-sends, and the worker answers again with the same counts. The monitor
+// ingests a link only when its count grew, so the second delivery adds
+// nothing.
+func TestTCPCollectResentAfterLostAnswer(t *testing.T) {
+	var srv *WorkerServer
+	var calls atomic.Int32
+	times := func(dst []LinkTime) ([]LinkTime, int) {
+		if calls.Add(1) == 1 {
+			srv.grp.dropConns() // the first answer is lost
+		}
+		return append(dst[:0], LinkTime{}, LinkTime{Secs: 0.5, Count: 7}), 2
+	}
+	srv = serveWorker(listenLoopback(t), vecSource(nil), times, codec.Raw{}, nil)
+	defer srv.Close()
+	client := &ControlClient{Addr: srv.Addr(), Timeout: 5 * time.Second}
+	defer client.Close()
+	row := make([]LinkTime, 2)
+	v, err := client.Collect(row)
+	if err != nil {
+		t.Fatalf("collect after a lost answer: %v", err)
+	}
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("time source called %d times, want 2", n)
+	}
+	if v != 2 || row[1] != (LinkTime{Secs: 0.5, Count: 7}) {
+		t.Fatalf("re-sent collect = %v (version %d)", row, v)
+	}
+}
+
+// TestLocalNetDownWorkerMissesMonitor checks the monitor's exchanges with a
+// crashed worker over pipes: a collect and a push both fail with
+// ErrPeerDown and leave the slot empty, and after the rejoin the re-sent
+// push lands.
+func TestLocalNetDownWorkerMissesMonitor(t *testing.T) {
+	hub := NewLocalHub(nil)
+	defer hub.Close()
+	serve(t, hub, Group{Sources: fixed(nil, nil), Times: []TimeSource{nil, fixedTimes(make([]LinkTime, 2), 0)}, Timeout: time.Second})
+	hub.SetPolicy([][]float64{{0, 1}, {1, 0}}, 0.5)
+	ctl := hub.Control(1)
+	hub.SetWorkerDown(1, true)
+	if _, err := ctl.Collect(make([]LinkTime, 2)); !errors.Is(err, ErrPeerDown) {
+		t.Fatalf("collect from a down worker = %v, want ErrPeerDown", err)
+	}
+	if err := ctl.Push(hub.Published()); !errors.Is(err, ErrPeerDown) {
+		t.Fatalf("push to a down worker = %v, want ErrPeerDown", err)
+	}
+	if p := hub.Pushed(1); p != nil {
+		t.Fatalf("a down worker's slot took %+v", p)
+	}
+	hub.SetWorkerDown(1, false)
+	if err := ctl.Push(hub.Published()); err != nil {
+		t.Fatalf("push after the rejoin: %v", err)
+	}
+	if p := hub.Pushed(1); p == nil || p.Version != 1 {
+		t.Fatalf("slot after the rejoin = %+v, want version 1", p)
+	}
+}
+
+// TestWarmExchangesAllocateNothing pins the served side of a pull and a
+// collect at zero allocations once warm: the serving connection copies the
+// model into a buffer it owns, under the source's lock as a live worker's
+// does, and encodes into a reused frame buffer.
+func TestWarmExchangesAllocateNothing(t *testing.T) {
+	model := []float64{1, 2, 3, 4}
 	var mu sync.Mutex
-	var got []float64
-	srv := new(MonitorServer)
-	srv.serve(listenLoopback(t), func(from, to int, secs float64) {
-		mu.Lock()
-		got = append(got, secs)
-		first := len(got) == 1
-		mu.Unlock()
-		if first {
-			srv.grp.dropConns() // the first delivery's ack is lost
+	copying := func(dst []float64) []float64 {
+		if len(dst) != len(model) {
+			dst = make([]float64, len(model))
 		}
+		mu.Lock()
+		defer mu.Unlock()
+		copy(dst, model)
+		return dst
+	}
+	hub := NewLocalHub(nil)
+	defer hub.Close()
+	serve(t, hub, Group{
+		Sources: []ModelSource{copying, copying},
+		Times:   []TimeSource{fixedTimes(make([]LinkTime, 2), 0), fixedTimes(make([]LinkTime, 2), 0)},
+		Codec:   codec.Float32{},
 	})
-	defer srv.Close()
-	srv.SetPolicy([][]float64{{0, 1}, {1, 0}}, 0.5)
-	client := &MonitorClient{Addr: srv.Addr(), Timeout: 5 * time.Second}
-	defer client.Close()
-	if err := client.ReportTime(0, 1, 1.5); err != nil {
-		t.Fatalf("report after a lost ack: %v", err)
-	}
-	if v := client.Announced(); v != 1 {
-		t.Fatalf("re-sent report's ack announced version %d, want 1", v)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 2 || got[0] != 1.5 || got[1] != 1.5 {
-		t.Fatalf("sink saw %v, want the report delivered twice", got)
-	}
-}
-
-// TestPolicyFetchedOnlyWhenAnnounced counts the frames a monitor reads
-// while a client follows the live worker's rule: fetch the policy only
-// when a report ack announced a version newer than the one held. Reports
-// with nothing published cost no policy frame; one publication costs
-// exactly one.
-func TestPolicyFetchedOnlyWhenAnnounced(t *testing.T) {
-	ln := &recordingListener{Listener: listenLoopback(t)}
-	srv := new(MonitorServer)
-	srv.serve(ln, nil)
-	defer srv.Close()
-	client := &MonitorClient{Addr: srv.Addr()}
-	defer client.Close()
-	held := 0
-	iterate := func(n int) {
-		for i := 0; i < n; i++ {
-			if client.Announced() > held {
-				_, _, v, err := client.FetchPolicy()
-				if err != nil {
-					t.Fatal(err)
-				}
-				held = v
-			}
-			if err := client.ReportTime(0, 1, 0.5); err != nil {
+	dst := make([]float64, len(model))
+	row := make([]LinkTime, 2)
+	for name, exchange := range map[string]func() error{
+		"pull":    func() error { _, err := hub.Peer(0, 1).PullModel(dst); return err },
+		"collect": func() error { _, err := hub.Control(1).Collect(row); return err },
+	} {
+		if err := exchange(); err != nil { // warm: dial, grow buffers
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if err := exchange(); err != nil {
 				t.Fatal(err)
 			}
+		}); n != 0 {
+			t.Errorf("a warm %s allocates %v times", name, n)
 		}
-	}
-	iterate(20)
-	if n := ln.frames(msgPolicy); n != 0 {
-		t.Fatalf("%d policy frames with nothing published", n)
-	}
-	if n := ln.frames(msgReport); n != 20 {
-		t.Fatalf("monitor read %d report frames, want 20", n)
-	}
-	srv.SetPolicy([][]float64{{0, 1}, {1, 0}}, 0.5)
-	iterate(20)
-	if n := ln.frames(msgPolicy); n != 1 || held != 1 {
-		t.Fatalf("%d policy frames (version %d held) after one publication, want 1", n, held)
 	}
 }
 
-// recordingListener records the bytes each accepted connection delivers
-// to the server, so a test can count the request frames it read.
+// recordingListener records the bytes each accepted connection carries in
+// both directions, so a test can count the frames a server read and wrote.
 type recordingListener struct {
 	net.Listener
 	mu      sync.Mutex
@@ -318,12 +359,12 @@ func (l *recordingListener) Accept() (net.Conn, error) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	rc := &recordingConn{Conn: c, l: l, buf: new(bytes.Buffer)}
-	l.streams = append(l.streams, rc.buf)
+	rc := &recordingConn{Conn: c, l: l, in: new(bytes.Buffer), out: new(bytes.Buffer)}
+	l.streams = append(l.streams, rc.in, rc.out)
 	return rc, nil
 }
 
-// frames counts the complete frames of the given kind read so far.
+// frames counts the complete frames of the given kind carried so far.
 func (l *recordingListener) frames(kind uint8) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -346,27 +387,37 @@ func (l *recordingListener) frames(kind uint8) int {
 
 type recordingConn struct {
 	net.Conn
-	l   *recordingListener
-	buf *bytes.Buffer
+	l       *recordingListener
+	in, out *bytes.Buffer
 }
 
 func (c *recordingConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
 	c.l.mu.Lock()
-	c.buf.Write(p[:n])
+	c.in.Write(p[:n])
 	c.l.mu.Unlock()
 	return n, err
 }
 
+func (c *recordingConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.l.mu.Lock()
+	c.out.Write(p[:n])
+	c.l.mu.Unlock()
+	return n, err
+}
+
+// TestTCPMonitorEmptyPolicy checks a worker the monitor never pushed to:
+// its slot is empty, and with no time source it answers a zero-link collect
+// at version 0.
 func TestTCPMonitorEmptyPolicy(t *testing.T) {
-	srv := new(MonitorServer)
-	srv.serve(listenLoopback(t), nil)
+	srv := serveWorker(listenLoopback(t), vecSource(nil), nil, codec.Raw{}, nil)
 	defer srv.Close()
-	client := &MonitorClient{Addr: srv.Addr()}
+	client := &ControlClient{Addr: srv.Addr()}
 	defer client.Close()
-	p, _, v, err := client.FetchPolicy()
-	if err != nil || p != nil || v != 0 {
-		t.Fatalf("expected empty policy, got %v v=%d err=%v", p, v, err)
+	v, err := client.Collect(nil)
+	if err != nil || v != 0 || srv.pushed.Load() != nil {
+		t.Fatalf("empty worker: version %d, slot %+v, err %v", v, srv.pushed.Load(), err)
 	}
 }
 
@@ -378,7 +429,7 @@ func TestTCPPeerDialError(t *testing.T) {
 }
 
 func TestTCPServerCloseIdempotentAccept(t *testing.T) {
-	srv := serveWorker(listenLoopback(t), func() []float64 { return nil }, codec.Raw{}, nil)
+	srv := serveWorker(listenLoopback(t), vecSource(nil), nil, codec.Raw{}, nil)
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +444,7 @@ func TestTCPServerCloseIdempotentAccept(t *testing.T) {
 // persistent connection dies with its server, and the next pull must
 // re-establish against the replacement listener on the same address.
 func TestTCPPeerSurvivesServerRestart(t *testing.T) {
-	srv := serveWorker(listenLoopback(t), func() []float64 { return []float64{1} }, codec.Raw{}, nil)
+	srv := serveWorker(listenLoopback(t), vecSource([]float64{1}), nil, codec.Raw{}, nil)
 	addr := srv.Addr()
 	peer := &PullClient{Addr: addr}
 	defer peer.Close()
@@ -407,7 +458,7 @@ func TestTCPPeerSurvivesServerRestart(t *testing.T) {
 	if err != nil {
 		t.Skipf("could not rebind %s: %v", addr, err)
 	}
-	srv2 := serveWorker(ln, func() []float64 { return []float64{2} }, codec.Raw{}, nil)
+	srv2 := serveWorker(ln, vecSource([]float64{2}), nil, codec.Raw{}, nil)
 	defer srv2.Close()
 	got, _, err := pull(peer, 1)
 	if err != nil {
@@ -437,9 +488,19 @@ func serve(t *testing.T, hub *Hub, g Group) {
 func fixed(vecs ...[]float64) []ModelSource {
 	srcs := make([]ModelSource, len(vecs))
 	for i, v := range vecs {
-		srcs[i] = func() []float64 { return v }
+		srcs[i] = vecSource(v)
 	}
 	return srcs
+}
+
+// vecSource serves a copy of v.
+func vecSource(v []float64) ModelSource {
+	return func(dst []float64) []float64 { return append(dst[:0], v...) }
+}
+
+// fixedTimes answers every collect with row at version adopted.
+func fixedTimes(row []LinkTime, adopted int) TimeSource {
+	return func(dst []LinkTime) ([]LinkTime, int) { return append(dst[:0], row...), adopted }
 }
 
 // listenLoopback listens on an ephemeral loopback TCP port.

@@ -21,22 +21,27 @@ import (
 //
 // All integers are big-endian. Frames flow over persistent connections:
 // a client dials once, then exchanges request/response frames until it (or
-// the server) closes. Body encodings per kind:
+// the server) closes. Every request goes to a worker's server: pulls from
+// its peers, collects and pushes from the monitor. Body encodings per kind:
 //
 //	msgPull        uint32 from
 //	msgPullResp    uint32 dim, then the codec payload for a dim-length vector
-//	msgReport      uint32 from, uint32 to, float64 secs
-//	msgReportAck   uint64 version (policies the monitor has published)
-//	msgPolicy      empty
-//	msgPolicyResp  uint64 version, float64 rho, uint32 m, then m·m float64
-//	               (row-major P; m = 0 means no policy published yet)
+//	msgCollect     empty
+//	msgCollectResp uint64 adopted version, uint32 m, then m × (float64 secs,
+//	               uint64 count)
+//	msgPush        uint64 version, float64 rho, uint32 rows, uint32 cols,
+//	               then rows·cols float64 (row-major P; rows, cols >= 1)
+//	msgPushAck     empty
+//
+// Kinds 3 to 6 carried the retired worker-to-monitor report, reportAck,
+// policy and policyResp frames. They are never reused.
 const (
-	msgPull uint8 = iota + 1
-	msgPullResp
-	msgReport
-	msgReportAck
-	msgPolicy
-	msgPolicyResp
+	msgPull        uint8 = 1
+	msgPullResp    uint8 = 2
+	msgCollect     uint8 = 7
+	msgCollectResp uint8 = 8
+	msgPush        uint8 = 9
+	msgPushAck     uint8 = 10
 )
 
 // maxFrameBody caps a frame body; anything larger indicates a corrupt or
@@ -115,38 +120,54 @@ func parsePullReq(body []byte) (from int, err error) {
 	return int(binary.BigEndian.Uint32(body)), nil
 }
 
-func appendReport(dst []byte, from, to int, secs float64) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(from))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(to))
-	return binary.BigEndian.AppendUint64(dst, math.Float64bits(secs))
-}
-
-func parseReport(body []byte) (from, to int, secs float64, err error) {
-	if len(body) != 16 {
-		return 0, 0, 0, fmt.Errorf("transport: report body %d bytes, want 16", len(body))
+// appendCollectResp encodes a collect answer: the adopted policy version
+// and one (secs, count) pair per link.
+func appendCollectResp(dst []byte, row []LinkTime, adopted int) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, uint64(adopted))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(row)))
+	for _, lt := range row {
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(lt.Secs))
+		dst = binary.BigEndian.AppendUint64(dst, lt.Count)
 	}
-	from = int(binary.BigEndian.Uint32(body[0:]))
-	to = int(binary.BigEndian.Uint32(body[4:]))
-	secs = math.Float64frombits(binary.BigEndian.Uint64(body[8:]))
-	return from, to, secs, nil
+	return dst
 }
 
-func appendReportAck(dst []byte, version int) []byte {
-	return binary.BigEndian.AppendUint64(dst, uint64(version))
-}
-
-func parseReportAck(body []byte) (version int, err error) {
-	if len(body) != 8 {
-		return 0, fmt.Errorf("transport: report ack body %d bytes, want 8", len(body))
+// decodeCollectResp decodes a collect answer into row, whose length is the
+// group size the caller expects, and returns the adopted version. Every
+// failure wraps errProtocol.
+func decodeCollectResp(body []byte, row []LinkTime) (adopted int, err error) {
+	if len(body) < 12 {
+		return 0, fmt.Errorf("%w: collect answer body %d bytes, want >= 12", errProtocol, len(body))
+	}
+	if m := binary.BigEndian.Uint32(body[8:]); uint64(m) != uint64(len(row)) {
+		return 0, fmt.Errorf("%w: collect answer has %d links, want %d", errProtocol, m, len(row))
+	}
+	if want := 12 + 16*len(row); len(body) != want {
+		return 0, fmt.Errorf("%w: collect answer body %d bytes, want %d", errProtocol, len(body), want)
+	}
+	off := 12
+	for j := range row {
+		row[j] = LinkTime{
+			Secs:  math.Float64frombits(binary.BigEndian.Uint64(body[off:])),
+			Count: binary.BigEndian.Uint64(body[off+8:]),
+		}
+		off += 16
 	}
 	return int(binary.BigEndian.Uint64(body)), nil
 }
 
-func appendPolicyResp(dst []byte, p [][]float64, rho float64, version int) []byte {
-	dst = binary.BigEndian.AppendUint64(dst, uint64(version))
-	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(rho))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(p)))
-	for _, row := range p {
+// maxPolicyDim caps a pushed policy's rows and columns, bounding the body
+// length arithmetic before anything is allocated.
+const maxPolicyDim = 1 << 15
+
+// appendPush encodes policy p, whose matrix must have at least one row and
+// rows of equal, nonzero length.
+func appendPush(dst []byte, p *Policy) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, uint64(p.Version))
+	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(p.Rho))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(p.P)))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(p.P[0])))
+	for _, row := range p.P {
 		for _, v := range row {
 			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v))
 		}
@@ -154,34 +175,48 @@ func appendPolicyResp(dst []byte, p [][]float64, rho float64, version int) []byt
 	return dst
 }
 
-func parsePolicyResp(body []byte) (p [][]float64, rho float64, version int, err error) {
-	if len(body) < 20 {
-		return nil, 0, 0, fmt.Errorf("transport: policy body %d bytes, want >= 20", len(body))
+// checkPushShape reports an error unless p's matrix is one appendPush can
+// encode: 1 to maxPolicyDim rows of one length between 1 and maxPolicyDim.
+func checkPushShape(p [][]float64) error {
+	if len(p) == 0 || len(p) > maxPolicyDim || len(p[0]) == 0 || len(p[0]) > maxPolicyDim {
+		return fmt.Errorf("transport: cannot push a policy of %d rows", len(p))
 	}
-	version = int(binary.BigEndian.Uint64(body[0:]))
-	rho = math.Float64frombits(binary.BigEndian.Uint64(body[8:]))
-	m := int(binary.BigEndian.Uint32(body[16:]))
-	// Bound m before squaring: a wire-supplied m near 2^32 overflows the
-	// expected-length arithmetic and would drive an unbounded allocation.
-	if maxM := 1 << 15; m > maxM {
-		return nil, 0, 0, fmt.Errorf("transport: policy worker count %d exceeds cap %d", m, maxM)
+	for i, row := range p {
+		if len(row) != len(p[0]) {
+			return fmt.Errorf("transport: cannot push a policy whose row %d has %d entries and row 0 %d", i, len(row), len(p[0]))
+		}
 	}
-	if want := 20 + 8*m*m; len(body) != want {
-		return nil, 0, 0, fmt.Errorf("transport: policy body %d bytes, want %d for m=%d", len(body), want, m)
+	return nil
+}
+
+func parsePush(body []byte) (*Policy, error) {
+	if len(body) < 24 {
+		return nil, fmt.Errorf("transport: push body %d bytes, want >= 24", len(body))
 	}
-	if m == 0 {
-		return nil, rho, version, nil
+	rows := int(binary.BigEndian.Uint32(body[16:]))
+	cols := int(binary.BigEndian.Uint32(body[20:]))
+	// Bound both before multiplying: wire-supplied counts near 2^32 would
+	// overflow the expected-length arithmetic.
+	if rows < 1 || rows > maxPolicyDim || cols < 1 || cols > maxPolicyDim {
+		return nil, fmt.Errorf("transport: push of a %d×%d policy, want 1 to %d rows and columns", rows, cols, maxPolicyDim)
 	}
-	p = make([][]float64, m)
-	off := 20
-	for i := range p {
-		p[i] = make([]float64, m)
-		for j := range p[i] {
-			p[i][j] = math.Float64frombits(binary.BigEndian.Uint64(body[off:]))
+	if want := 24 + 8*rows*cols; len(body) != want {
+		return nil, fmt.Errorf("transport: push body %d bytes, want %d for a %d×%d policy", len(body), want, rows, cols)
+	}
+	p := &Policy{
+		Version: int(binary.BigEndian.Uint64(body[0:])),
+		Rho:     math.Float64frombits(binary.BigEndian.Uint64(body[8:])),
+		P:       make([][]float64, rows),
+	}
+	off := 24
+	for i := range p.P {
+		p.P[i] = make([]float64, cols)
+		for j := range p.P[i] {
+			p.P[i][j] = math.Float64frombits(binary.BigEndian.Uint64(body[off:]))
 			off += 8
 		}
 	}
-	return p, rho, version, nil
+	return p, nil
 }
 
 // appendPullResp frames a model vector: dim header plus the codec payload

@@ -3,12 +3,12 @@ package transport
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"io"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -30,24 +30,31 @@ func (c chunkReader) Read(p []byte) (int, error) {
 func TestFrameRoundTripAcrossShortReads(t *testing.T) {
 	var raw bytes.Buffer
 	w := bufio.NewWriter(&raw)
-	body := appendReport(nil, 3, 7, 1.25)
-	if err := writeFrame(w, msgReport, 0, body); err != nil {
+	want := []LinkTime{{Secs: 1.25, Count: 3}, {}, {Secs: 0.5, Count: 9}}
+	if err := writeFrame(w, msgCollectResp, 0, appendCollectResp(nil, want, 7)); err != nil {
 		t.Fatal(err)
 	}
 	kind, codecID, got, err := readFrame(chunkReader{&raw}, new([]byte))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kind != msgReport || codecID != 0 {
+	if kind != msgCollectResp || codecID != 0 {
 		t.Fatalf("kind=%d codec=%d", kind, codecID)
 	}
-	from, to, secs, err := parseReport(got)
-	if err != nil || from != 3 || to != 7 || secs != 1.25 {
-		t.Fatalf("report = %d %d %v (%v)", from, to, secs, err)
+	row := make([]LinkTime, len(want))
+	v, err := decodeCollectResp(got, row)
+	if err != nil || v != 7 {
+		t.Fatalf("collect answer: version %d (%v)", v, err)
 	}
-	// The retired 24-byte layout carried a trailing uint64 byte count.
-	if _, _, _, err := parseReport(binary.BigEndian.AppendUint64(got, 4096)); err == nil {
-		t.Fatal("accepted a 24-byte (old-layout) report body")
+	for j := range want {
+		if row[j] != want[j] {
+			t.Fatalf("collect answer row %v, want %v", row, want)
+		}
+	}
+	// The receiver fixes the group size: an answer for another one is a
+	// protocol error.
+	if _, err := decodeCollectResp(got, make([]LinkTime, 2)); !errors.Is(err, errProtocol) {
+		t.Fatalf("a 3-link answer decoded into 2 links: %v", err)
 	}
 }
 
@@ -97,7 +104,7 @@ func TestTCPLargeVectorPull(t *testing.T) {
 	for i := range vec {
 		vec[i] = rng.NormFloat64()
 	}
-	srv := serveWorker(listenLoopback(t), func() []float64 { return vec }, codec.Raw{}, nil)
+	srv := serveWorker(listenLoopback(t), vecSource(vec), nil, codec.Raw{}, nil)
 	defer srv.Close()
 	peer := &PullClient{Addr: srv.Addr()}
 	defer peer.Close()
@@ -121,7 +128,7 @@ func TestTCPLargeVectorPull(t *testing.T) {
 func TestTCPCodecNegotiation(t *testing.T) {
 	vec := []float64{4, -8, 0.1, 1}
 	for _, c := range []codec.Codec{codec.Raw{}, codec.Float32{}} {
-		srv := serveWorker(listenLoopback(t), func() []float64 { return vec }, c, nil)
+		srv := serveWorker(listenLoopback(t), vecSource(vec), nil, c, nil)
 		defer srv.Close()
 		peer := &PullClient{Addr: srv.Addr()}
 		defer peer.Close()
@@ -205,7 +212,7 @@ func TestPullRejectsMalformedResponse(t *testing.T) {
 func TestPullRejectsNonFinite(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		for _, c := range []codec.Codec{codec.Raw{}, codec.Float32{}} {
-			srv := serveWorker(listenLoopback(t), func() []float64 { return []float64{1, bad} }, c, nil)
+			srv := serveWorker(listenLoopback(t), vecSource([]float64{1, bad}), nil, c, nil)
 			peer := &PullClient{Addr: srv.Addr()}
 			_, _, err := pull(peer, 2)
 			if !errors.Is(err, ErrNonFinite) || errors.Is(err, ErrPeerDown) {
@@ -253,7 +260,7 @@ func TestTCPHubCloseLeaksNoGoroutines(t *testing.T) {
 		name string
 		open func() (*Hub, error)
 	}{
-		{"tcp", func() (*Hub, error) { return newHub(listenTCP, dialTCP, hang) }},
+		{"tcp", func() (*Hub, error) { return &Hub{listen: listenTCP, dial: dialTCP, latency: hang}, nil }},
 		{"local", func() (*Hub, error) { return NewLocalHub(hang), nil }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -264,9 +271,9 @@ func TestTCPHubCloseLeaksNoGoroutines(t *testing.T) {
 			}
 			serve(t, hub, Group{
 				Sources: fixed([]float64{0, 1}, []float64{1, 2}, []float64{2, 3}),
+				Times:   []TimeSource{fixedTimes(make([]LinkTime, 3), 0)},
 				Codec:   codec.Float32{},
 				Timeout: 500 * time.Millisecond,
-				Report:  func(int, int, float64) {},
 			})
 			for from := 0; from < 3; from++ {
 				for to := 0; to < 3; to++ {
@@ -278,13 +285,12 @@ func TestTCPHubCloseLeaksNoGoroutines(t *testing.T) {
 					}
 				}
 			}
-			mon := hub.Monitor(0)
-			if err := mon.ReportTime(0, 1, 0.5); err != nil {
+			if _, err := hub.Control(0).Collect(make([]LinkTime, 3)); err != nil {
 				t.Fatal(err)
 			}
 			hub.SetPolicy([][]float64{{0, 1, 0}, {1, 0, 0}, {0, 0, 1}}, 0.3)
-			if _, _, v, err := mon.FetchPolicy(); err != nil || v != 1 {
-				t.Fatalf("policy fetch: v=%d err=%v", v, err)
+			if err := hub.Control(2).Push(hub.Published()); err != nil {
+				t.Fatalf("push: %v", err)
 			}
 			if _, _, err := pull(hub.Peer(0, 2), 2); !errors.Is(err, ErrPeerDown) {
 				t.Fatalf("hung pull = %v, want ErrPeerDown", err)
@@ -306,7 +312,7 @@ func TestTCPHubCloseLeaksNoGoroutines(t *testing.T) {
 // by Close rather than keeping the server alive.
 func TestTCPServerCloseUnblocksIdleConnection(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	srv := serveWorker(listenLoopback(t), func() []float64 { return []float64{1} }, codec.Raw{}, nil)
+	srv := serveWorker(listenLoopback(t), vecSource([]float64{1}), nil, codec.Raw{}, nil)
 	peer := &PullClient{Addr: srv.Addr()}
 	defer peer.Close()
 	if _, _, err := pull(peer, 1); err != nil {
@@ -343,12 +349,18 @@ func TestPullRespHeaderRejectsOversizedDim(t *testing.T) {
 	}
 }
 
-func TestPolicyRespRejectsOversizedWorkerCount(t *testing.T) {
-	// m near 2^32 overflows the naive expected-length arithmetic; the
-	// parser must reject it before allocating.
-	body := appendPolicyResp(nil, nil, 0.5, 1)
-	body[16], body[17], body[18], body[19] = 0x80, 0x00, 0x00, 0x00
-	if _, _, _, err := parsePolicyResp(body); err == nil {
-		t.Fatal("accepted absurd policy worker count")
+func TestPushRejectsOversizedPolicy(t *testing.T) {
+	// A row or column count near 2^32 overflows the naive expected-length
+	// arithmetic; the parser must reject it before allocating.
+	body := appendPush(nil, &Policy{P: [][]float64{{1}}, Rho: 0.5, Version: 1})
+	for _, off := range []int{16, 20} {
+		bad := slices.Clone(body)
+		bad[off] = 0x80
+		if _, err := parsePush(bad); err == nil {
+			t.Fatalf("accepted an absurd policy size at offset %d", off)
+		}
+	}
+	if p, err := parsePush(body); err != nil || p.Version != 1 || p.P[0][0] != 1 {
+		t.Fatalf("round trip: %+v (%v)", p, err)
 	}
 }

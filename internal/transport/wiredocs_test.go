@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strconv"
+	"strings"
 	"testing"
 
 	"netmax/internal/codec"
@@ -27,12 +28,22 @@ func TestWireDocsInSync(t *testing.T) {
 
 	// The authoritative kind table, from wire.go.
 	wantKinds := map[string]uint8{
-		"pull":       msgPull,
-		"pullResp":   msgPullResp,
-		"report":     msgReport,
-		"reportAck":  msgReportAck,
-		"policy":     msgPolicy,
-		"policyResp": msgPolicyResp,
+		"pull":        msgPull,
+		"pullResp":    msgPullResp,
+		"collect":     msgCollect,
+		"collectResp": msgCollectResp,
+		"push":        msgPush,
+		"pushAck":     msgPushAck,
+	}
+	// The kind numbers of the retired report, reportAck, policy and
+	// policyResp frames are never reused.
+	for name, val := range wantKinds {
+		if val >= 3 && val <= 6 {
+			t.Errorf("wire.go reuses retired kind number %d for %q", val, name)
+		}
+	}
+	if !strings.Contains(doc, "Kinds 3 to 6 are retired") {
+		t.Error("docs/WIRE.md does not state that kinds 3 to 6 are retired")
 	}
 	// Documented rows look like: | `pull` | 1 | worker → worker | ... |
 	kindRow := regexp.MustCompile("(?m)^\\| `(\\w+)` \\| (\\d+) \\|")
@@ -65,9 +76,9 @@ func TestWireDocsInSync(t *testing.T) {
 	// Fixed-size bodies state their size in the kind row's body cell, and
 	// it must be what the encoder writes.
 	wantSizes := map[string]int{
-		"pull":      len(appendPullReq(nil, 0)),
-		"report":    len(appendReport(nil, 0, 0, 0)),
-		"reportAck": len(appendReportAck(nil, 0)),
+		"pull":    len(appendPullReq(nil, 0)),
+		"collect": 0,
+		"pushAck": 0,
 	}
 	sizeRow := regexp.MustCompile("(?m)^\\| `(\\w+)` \\|[^|\n]*\\|[^|\n]*\\|[^\n]*\\((\\d+) bytes\\) \\|$")
 	gotSizes := map[string]int{}
