@@ -201,34 +201,21 @@ func TestTCPWorkerConcurrentPulls(t *testing.T) {
 }
 
 // TestTCPMonitorRoundTrip runs the monitor's two exchanges over TCP: a
-// collect returns the worker's row and its adopted version as the source
-// changes them, and a push fills the worker's policy slot.
+// collect returns the worker's row and its adopted version, and a push fills
+// the worker's policy slot.
 func TestTCPMonitorRoundTrip(t *testing.T) {
-	var mu sync.Mutex
-	row := []LinkTime{{}, {Secs: 1.5, Count: 1}}
-	adopted := 0
-	times := func(dst []LinkTime) ([]LinkTime, int) {
-		mu.Lock()
-		defer mu.Unlock()
-		return append(dst[:0], row...), adopted
-	}
+	times := fixedTimes([]LinkTime{{}, {Secs: 1.5, Count: 1}}, 2)
 	srv := serveWorker(listenLoopback(t), vecSource(nil), times, codec.Raw{}, nil)
 	defer srv.Close()
 	client := &ControlClient{Addr: srv.Addr()}
 	defer client.Close()
 	got := make([]LinkTime, 2)
-	for want := 0; want <= 2; want++ {
-		mu.Lock()
-		adopted = want
-		row[1].Count = uint64(want + 1)
-		mu.Unlock()
-		v, err := client.Collect(got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v != want || got[1] != (LinkTime{Secs: 1.5, Count: uint64(want + 1)}) {
-			t.Fatalf("collect = %v (version %d), want count %d at version %d", got, v, want+1, want)
-		}
+	v, err := client.Collect(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v != 2 || got[0] != (LinkTime{}) || got[1] != (LinkTime{Secs: 1.5, Count: 1}) {
+		t.Fatalf("collect = %v (version %d), want the row at version 2", got, v)
 	}
 	if err := client.Push(&Policy{P: [][]float64{{0, 1}, {1, 0}}, Rho: 0.7, Version: 3}); err != nil {
 		t.Fatal(err)
@@ -239,6 +226,43 @@ func TestTCPMonitorRoundTrip(t *testing.T) {
 	// A ragged matrix cannot be encoded: the push fails before any frame.
 	if err := client.Push(&Policy{P: [][]float64{{0, 1}, {1}}, Version: 4}); err == nil {
 		t.Fatal("pushed a ragged policy")
+	}
+}
+
+// TestReportAckCarriesPolicyVersion checks how the monitor learns which
+// policy a worker runs: the collect answer, which took over from the time
+// report's ack, carries the version the worker adopted from its slot. Over
+// TCP, each pushed version is adopted the way a live worker does it, and
+// the next collect reports that version and the row's counts as they grow.
+func TestReportAckCarriesPolicyVersion(t *testing.T) {
+	var srv *WorkerServer
+	var count uint64
+	times := func(dst []LinkTime) ([]LinkTime, int) {
+		adopted := 0
+		if p := srv.pushed.Load(); p != nil {
+			adopted = p.Version
+		}
+		count++
+		return append(dst[:0], LinkTime{}, LinkTime{Secs: 0.5, Count: count}), adopted
+	}
+	srv = serveWorker(listenLoopback(t), vecSource(nil), times, codec.Raw{}, nil)
+	defer srv.Close()
+	client := &ControlClient{Addr: srv.Addr()}
+	defer client.Close()
+	got := make([]LinkTime, 2)
+	for want := 0; want <= 2; want++ {
+		if want > 0 {
+			if err := client.Push(&Policy{P: [][]float64{{0, 1}, {1, 0}}, Rho: 0.5, Version: want}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		v, err := client.Collect(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v != want || got[1] != (LinkTime{Secs: 0.5, Count: uint64(want + 1)}) {
+			t.Fatalf("collect = %v (version %d) after %d pushes, want count %d at version %d", got, v, want, want+1, want)
+		}
 	}
 }
 
