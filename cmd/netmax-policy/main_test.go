@@ -12,7 +12,8 @@ import (
 // misspelled or retired field such as the old outer_rounds, a stray
 // closing brace, a negative rounds or an epsilon outside (0, 1)), report
 // a one-point grid as "no feasible policy", or score a grid too large to
-// finish: each now exits 1 with a message naming the fault.
+// finish: each now exits 1 with a message naming the fault. A directed
+// adjacency is invalid input, and a disconnected one has no policy.
 func TestMalformedInputExitsWithMessage(t *testing.T) {
 	for name, c := range map[string]struct{ in, msg string }{
 		"ragged times":     {`{"alpha":0.1,"times":[[0,1,2],[1,0],[2,1,0]]}`, "policy: invalid input"},
@@ -24,6 +25,8 @@ func TestMalformedInputExitsWithMessage(t *testing.T) {
 		"negative rounds":  {`{"alpha":0.1,"times":[[0,1,9],[1,0,2],[9,2,0]],"rounds":-5}`, "policy: invalid input: rounds -5"},
 		"rounds above cap": {`{"alpha":0.1,"times":[[0,1,9],[1,0,2],[9,2,0]],"rounds":65}`, "policy: invalid input: rounds 65"},
 		"epsilon above 1":  {`{"alpha":0.1,"times":[[0,1,9],[1,0,2],[9,2,0]],"epsilon":5}`, "policy: invalid input: epsilon 5"},
+		"asymmetric adj":   {`{"alpha":0.1,"times":[[0,1,9],[1,0,2],[9,2,0]],"adj":[[false,true,true],[true,false,true],[true,false,false]]}`, "policy: invalid input"},
+		"disconnected adj": {`{"alpha":0.1,"times":[[0,1,9,1],[1,0,2,1],[9,2,0,1],[1,1,1,0]],"adj":[[false,true,false,false],[true,false,false,false],[false,false,false,true],[false,false,true,false]]}`, "policy: no feasible policy"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(nil, strings.NewReader(c.in), &stdout, &stderr); code != 1 {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -298,5 +300,87 @@ func TestNetMaxReadmitsEvictedWorker(t *testing.T) {
 	}
 	if policy.SelfOnly(b.nodes[1].Row(), 1) {
 		t.Fatalf("final policy still pins the rejoined worker to self: %v", b.nodes[1].Row())
+	}
+}
+
+// planProbe is NetMax's behavior with every planned pull handed to check.
+type planProbe struct {
+	*behavior
+	check func(i int, now float64, p engine.Pull)
+}
+
+func (b planProbe) Plan(i int, now float64, rng *rand.Rand) engine.Pull {
+	p := b.behavior.Plan(i, now, rng)
+	b.check(i, now, p)
+	return p
+}
+
+// TestNetMaxIsolatedWorkerKeepsLastRow runs NetMax on a 4-ring through a
+// window in which workers 1 and 3 are down, leaving workers 0 and 2 with no
+// live neighbor. The live subgraph is not connected, so the monitor's
+// GenerateLive returns ErrNoFeasiblePolicy and the monitor keeps the last
+// policy: each isolated worker keeps running on the row it held when the
+// window opened, with its dead peers masked and so no pull, and the run
+// finishes every epoch without a NaN. After the rejoin the monitor
+// regenerates again.
+func TestNetMaxIsolatedWorkerKeepsLastRow(t *testing.T) {
+	ringConfig := func(epochs int) *engine.Config {
+		cfg := hetConfig(4, epochs, 3)
+		cfg.Net.Topo.Adj = simnet.Ring(4)
+		return cfg
+	}
+	clean := Run(ringConfig(4), Options{Ts: 2})
+	down, up := clean.TotalTime*0.3, clean.TotalTime*0.6
+	cfg := ringConfig(4)
+	cfg.Failures = simnet.NewFailureSchedule().Crash(1, down, up).Crash(3, down, up)
+	b := newBehavior(cfg.Net.Topo.Adj, cfg.LR, Options{Ts: 2}, false)
+	isolated := []int{0, 2}
+	held := make([][]float64, 4) // each isolated worker's row as the window opens
+	regens, inWindow := -1, 0
+	r := engine.RunAsync(cfg, planProbe{b, func(i int, now float64, p engine.Pull) {
+		if math.IsNaN(p.Coef) {
+			t.Fatalf("worker %d at t = %v: NaN blend coefficient", i, now)
+		}
+		if now < down || now >= up {
+			for _, k := range isolated {
+				held[k] = b.nodes[k].Row()
+			}
+			return
+		}
+		if regens < 0 {
+			regens = b.mon.Regenerations
+		}
+		if b.mon.Regenerations != regens {
+			t.Fatalf("t = %v: the monitor regenerated a policy for a disconnected live graph", now)
+		}
+		if i != 0 && i != 2 {
+			return
+		}
+		inWindow++
+		n := b.nodes[i]
+		if row := n.Row(); &row[0] != &held[i][0] {
+			t.Fatalf("worker %d at t = %v: row %v, held %v as the window opened", i, now, row, held[i])
+		}
+		if !n.Masked(1) || !n.Masked(3) {
+			t.Fatalf("worker %d at t = %v: dead peers not masked", i, now)
+		}
+		if p.Peer != i {
+			t.Fatalf("worker %d at t = %v: pulls from %d, which is down", i, now, p.Peer)
+		}
+	}}, "NetMax")
+	t.Logf("%d isolated iterations after %d regenerations, %d at the end", inWindow, regens, b.mon.Regenerations)
+	if inWindow == 0 || regens < 1 {
+		t.Fatalf("%d isolated iterations after %d regenerations; the run did not exercise the window", inWindow, regens)
+	}
+	if r.Epochs != 4 || math.IsNaN(r.FinalLoss) || math.IsInf(r.FinalLoss, 0) {
+		t.Fatalf("%d epochs, final loss %v", r.Epochs, r.FinalLoss)
+	}
+	if b.mon.Regenerations <= regens {
+		t.Fatalf("no regeneration after the rejoin: %d, %d in the window", b.mon.Regenerations, regens)
+	}
+	_, err := policy.GenerateLive(policy.Input{Times: b.mon.Times(), Adj: cfg.Net.Topo.Adj, Alpha: cfg.LR},
+		[]bool{true, false, true, false})
+	if !errors.Is(err, policy.ErrNoFeasiblePolicy) {
+		t.Fatalf("GenerateLive on the isolated pair: %v, want ErrNoFeasiblePolicy", err)
 	}
 }

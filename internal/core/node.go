@@ -15,7 +15,6 @@ import (
 // Node is not safe for concurrent use.
 type Node struct {
 	id        int
-	adj       [][]bool
 	alpha     float64
 	beta      float64
 	averaging bool
@@ -62,7 +61,6 @@ func NewNodes(adj [][]bool, alpha, beta float64, averaging bool) []*Node {
 	for i := range nodes {
 		nodes[i] = &Node{
 			id:        i,
-			adj:       adj,
 			alpha:     alpha,
 			beta:      beta,
 			averaging: averaging,
@@ -84,25 +82,19 @@ func (n *Node) Select(rng *rand.Rand) int {
 }
 
 // Coef returns the coefficient c of the blend x ← x + c(x_j − x) (Algorithm
-// 2 lines 13-14): αρ(d_ij+d_ji)/(2 p_ij), clamped to (0, 1] for safety when
+// 2 lines 13-14): αρ(d_ij+d_ji)/(2 p_ij), which is αρ/p_ij on the undirected
+// graph every policy is generated for, clamped to (0, 1] for safety when
 // the live EMA and the policy briefly disagree, or 1/2 for the averaging
 // blend.
 func (n *Node) Coef(j int) float64 {
 	if n.averaging {
 		return 0.5
 	}
-	d := 0.0
-	if n.adj[n.id][j] {
-		d++
-	}
-	if n.adj[j][n.id] {
-		d++
-	}
 	pij := n.row[j]
 	if pij <= 0 {
 		return 0
 	}
-	c := n.alpha * n.rho * d / (2 * pij)
+	c := n.alpha * n.rho / pij
 	if c > 1 {
 		c = 1
 	}

@@ -49,7 +49,7 @@ func benchmarkGenerate(b *testing.B, averaging bool) {
 // candidates before their eigensolve.
 func TestBestFirstEigensolves(t *testing.T) {
 	for _, m := range []int{8, 16, 32, 64} {
-		s := runSearch(benchInput(m))
+		s := runSearch(benchInput(m), nil)
 		t.Logf("N=%d: %d eigensolves", m, s.eigensolves)
 		if s.eigensolves > 2 {
 			t.Errorf("N=%d: %d eigensolves, want at most 2", m, s.eigensolves)
@@ -65,7 +65,8 @@ func TestBestFirstEigensolves(t *testing.T) {
 func TestSetFloorOnlyForScoredRho(t *testing.T) {
 	for _, m := range []int{8, 16, 32, 64} {
 		in := benchInput(m)
-		s, r := newSearch(in, DefaultEpsilon), DefaultRounds
+		s, _ := newSearch(in, DefaultEpsilon, nil)
+		r := DefaultRounds
 		ur := 0.999 / (2 * in.Alpha * float64(s.maxDeg)) // below 0.5/α on a complete graph
 		scored := 0
 		for ki := r - 1; ki >= 0; ki-- {
@@ -81,7 +82,7 @@ func TestSetFloorOnlyForScoredRho(t *testing.T) {
 				scored++
 			}
 		}
-		full := runSearch(in)
+		full := runSearch(in, nil)
 		t.Logf("N=%d: setFloor for %d of %d ρ", m, full.floors, r)
 		if full.floors != scored || full.best.TConvergence != s.best.TConvergence {
 			t.Errorf("N=%d: runSearch set %d floors and found T = %v, the grid walk %d and %v",
@@ -104,7 +105,7 @@ func BenchmarkSearchSetup(b *testing.B) {
 		b.Run(fmt.Sprintf("N=%d", m), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				setupSink = newSearch(in, DefaultEpsilon)
+				setupSink, _ = newSearch(in, DefaultEpsilon, nil)
 			}
 		})
 	}
@@ -119,7 +120,7 @@ func warmCandidate(tb testing.TB, m int) (*search, *Policy) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	s := newSearch(in, DefaultEpsilon)
+	s, _ := newSearch(in, DefaultEpsilon, nil)
 	s.rows.setFloor(float64(2*in.Alpha*pol.Rho) + 1e-9)
 	return &s, pol
 }
@@ -149,7 +150,7 @@ func BenchmarkBuildY(b *testing.B) {
 		b.Run(fmt.Sprintf("N=%d", m), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				buildY(&s.y, s.p, s.in.Adj, s.in.Alpha*pol.Rho, false, s.pg, s.diag)
+				buildY(&s.y, s.p, s.nbrs, s.in.Alpha*pol.Rho, false, s.pg, s.diag)
 			}
 		})
 	}
@@ -188,7 +189,7 @@ func TestCandidateAllocatesNothing(t *testing.T) {
 		if s.diagExceeds(s.in.Alpha*pol.Rho, pol.Lambda2+boundMargin) {
 			t.Fatal("the diagonal bound rejects the chosen candidate")
 		}
-		buildY(&s.y, s.p, s.in.Adj, s.in.Alpha*pol.Rho, false, s.pg, s.diag)
+		buildY(&s.y, s.p, s.nbrs, s.in.Alpha*pol.Rho, false, s.pg, s.diag)
 	})
 	if allocs != 0 {
 		t.Fatalf("one candidate allocates %v times", allocs)

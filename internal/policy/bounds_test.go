@@ -19,13 +19,35 @@ func diagBounds(y *linalg.Matrix) []float64 {
 	return out
 }
 
+// randomRows returns random feasible rows on the graph of nbrs: each row
+// gives every neighbor its floor and splits the slack at random between
+// its neighbors and itself. Its times make every worker's mean iteration
+// time 1, as a feasible P's do (Eq. 10).
+func randomRows(rng *rand.Rand, nbrs [][]int, floor float64) (p, times [][]float64) {
+	m := len(nbrs)
+	p, times = matrix(m), matrix(m)
+	for i, nbrs := range nbrs {
+		w, sum := make([]float64, len(nbrs)+1), 0.0
+		for k := range w {
+			w[k] = rng.ExpFloat64()
+			sum += w[k]
+		}
+		slack := 1 - float64(len(nbrs))*floor
+		p[i][i] = slack * w[len(nbrs)] / sum
+		for k, j := range nbrs {
+			p[i][j] = floor + slack*w[k]/sum
+			times[i][j] = 1 / (1 - p[i][i])
+		}
+	}
+	return p, times
+}
+
 // TestLambda2BoundsHold checks the search's two λ₂ bounds against the
-// eigensolve on random symmetric graphs with random feasible rows, in both
-// blend modes, and on directed ones under the averaging blend: λ₂ of
-// BuildY (BuildYAveraging) is at least every row's diagonal bound,
-// diagExceeds proves λ₂ above a limit just below the largest of them and
-// never above λ₂ itself, and under the one-sided blend the largest
-// diagonal bound is at least step A's floor.
+// eigensolve on random connected undirected graphs with random feasible
+// rows, in both blend modes: λ₂ of BuildY (BuildYAveraging) is at least
+// every row's diagonal bound, diagExceeds proves λ₂ above a limit just
+// below the largest of them and never above λ₂ itself, and under the
+// one-sided blend the largest diagonal bound is at least step A's floor.
 func TestLambda2BoundsHold(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	const alpha = 0.1
@@ -33,17 +55,8 @@ func TestLambda2BoundsHold(t *testing.T) {
 		m := 2 + rng.Intn(31)
 		averaging := trial%2 == 1
 		adj := randomGraph(rng, m, rng.Float64(), m > 2)
-		if averaging && trial%4 == 3 && m > 2 {
-			// Drop a third of the directed edges, but keep the cycle
-			// i → i+1 so that every worker pulls from someone.
-			for i := range adj {
-				for j := range adj[i] {
-					adj[i][j] = adj[i][j] && (j == (i+1)%m || rng.Intn(3) > 0)
-				}
-			}
-		}
-		s := newSearch(Input{Times: matrix(m), Adj: adj, Alpha: alpha, AveragingBlend: averaging}, DefaultEpsilon)
-		if s.maxDeg == 0 {
+		s, ok := newSearch(Input{Times: matrix(m), Adj: adj, Alpha: alpha, AveragingBlend: averaging}, DefaultEpsilon, nil)
+		if !ok {
 			continue
 		}
 		rho, floor := 0.0, 1e-4
@@ -51,27 +64,7 @@ func TestLambda2BoundsHold(t *testing.T) {
 			rho = rng.Float64() * 0.999 / (2 * alpha * float64(s.maxDeg)) // below the ρ cap
 			floor = 2 * alpha * rho
 		}
-		// Each row gives every neighbor its floor and splits the slack at
-		// random between its neighbors and itself. Its times make every
-		// worker's mean iteration time 1, as a feasible P's do (Eq. 10).
-		p, times := matrix(m), matrix(m)
-		for i, nbrs := range s.nbrs {
-			if len(nbrs) == 0 {
-				p[i][i] = 1
-				continue
-			}
-			w, sum := make([]float64, len(nbrs)+1), 0.0
-			for k := range w {
-				w[k] = rng.ExpFloat64()
-				sum += w[k]
-			}
-			slack := 1 - float64(len(nbrs))*floor
-			p[i][i] = slack * w[len(nbrs)] / sum
-			for k, j := range nbrs {
-				p[i][j] = floor + slack*w[k]/sum
-				times[i][j] = 1 / (1 - p[i][i])
-			}
-		}
+		p, times := randomRows(rng, s.nbrs, floor)
 		var y *linalg.Matrix
 		if averaging {
 			y = BuildYAveraging(p, times, adj)
@@ -100,6 +93,37 @@ func TestLambda2BoundsHold(t *testing.T) {
 		}
 		if fl := s.l2Floor(rho); top < fl-1e-12 {
 			t.Fatalf("trial %d, N=%d: the largest diagonal bound %v is below step A's floor %v", trial, m, top, fl)
+		}
+	}
+}
+
+// TestDiagonalSecondOrderBound checks the step from the diagonal bound to
+// the ρ cap in the derivation that no feasible one-sided policy reaches
+// AD-PSGD's spectral gap. On random connected undirected graphs with
+// random feasible rows at pg = 1/N, the one-sided blend's
+// y_ii ≥ 1 − (2x − x²(1 + 1/deg_i))/N with x = αρ·deg_i: y_ii's
+// first-order terms are exactly 2x/N, and its second-order terms are
+// (αρ)²/N·Σ_m (1/p_im + 1/p_mi), where Σ_m 1/p_im ≥ deg_i² because
+// Σ_m p_im ≤ 1, and 1/p_mi ≥ 1.
+func TestDiagonalSecondOrderBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	const alpha = 0.1
+	for trial := 0; trial < 600; trial++ {
+		m := 2 + rng.Intn(31)
+		s, ok := newSearch(Input{Times: matrix(m), Adj: randomGraph(rng, m, rng.Float64(), m > 2), Alpha: alpha}, DefaultEpsilon, nil)
+		if !ok {
+			continue
+		}
+		rho := rng.Float64() * 0.999 / (2 * alpha * float64(s.maxDeg)) // below the ρ cap
+		p, _ := randomRows(rng, s.nbrs, 2*alpha*rho)
+		buildY(&s.y, p, s.nbrs, alpha*rho, false, s.pg, s.diag)
+		for i, nbrs := range s.nbrs {
+			deg := float64(len(nbrs))
+			x := alpha * rho * deg
+			if y, b := s.y.At(i, i), 1-(2*x-x*x*(1+1/deg))/float64(m); y < b-1e-12 {
+				t.Fatalf("trial %d, N=%d, ρ = %v: y_%d%d = %v below 1 − (2x − x²(1 + 1/deg))/N = %v (deg %v)",
+					trial, m, rho, i, i, y, b, deg)
+			}
 		}
 	}
 }

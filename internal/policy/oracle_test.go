@@ -1,10 +1,12 @@
 package policy
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"netmax/internal/linalg"
@@ -13,11 +15,12 @@ import (
 )
 
 // exhaustiveGenerate is Algorithm 3 without the λ₂ bounds and without the
-// search's precomputation: it walks generate's (ρ, t̄) grid, solves every
+// search's precomputation: it walks runSearch's (ρ, t̄) grid, solves every
 // row with plainSolveRows, builds Y with plainBuildY and scores every
-// feasible candidate with a full linalg.SymmetricEigenvalues. It shares
-// only newSearch's neighbor lists and buffers with generate, so a
-// disagreement points at the row solves, the Y build, the bounds or the
+// feasible candidate with a full linalg.SymmetricEigenvalues. It checks
+// connectivity with plainConnected and shares only newSearch's neighbor
+// lists and buffers with Generate, so a disagreement points at the
+// connectivity walk, the row solves, the Y build, the bounds or the
 // scoring.
 //
 // A non-nil audit sees every feasible candidate scored once a best exists,
@@ -34,7 +37,10 @@ func exhaustiveGenerate(in Input, audit func(s *search, rho, lim float64, lost b
 	if eps == 0 {
 		eps = DefaultEpsilon
 	}
-	s := newSearch(in, eps)
+	if !plainConnected(in.Adj) {
+		return nil, ErrNoFeasiblePolicy
+	}
+	s, _ := newSearch(in, eps, nil)
 	var best *Policy
 	score := func(rho, tbar, floor float64) {
 		if !plainSolveRows(s.p, in, floor, float64(len(s.p))*tbar) {
@@ -97,6 +103,24 @@ func exhaustiveGenerate(in Input, audit func(s *search, rho, lim float64, lost b
 		return nil, ErrNoFeasiblePolicy
 	}
 	return best, nil
+}
+
+// plainConnected reports whether adj has at least two workers and every
+// worker reaches worker 0, relaxing reachability until nothing changes.
+func plainConnected(adj [][]bool) bool {
+	reach := make([]bool, len(adj))
+	reach[0] = true
+	for changed := true; changed; {
+		changed = false
+		for i := range adj {
+			for j, ok := range adj[i] {
+				if reach[i] && ok && !reach[j] {
+					reach[j], changed = true, true
+				}
+			}
+		}
+	}
+	return len(adj) >= 2 && !slices.Contains(reach, false)
 }
 
 // plainSolveRows fills p with the Eq. (14) solution of every row of in at
@@ -271,10 +295,43 @@ func plainBuildY(y *linalg.Matrix, p [][]float64, adj [][]bool, ar float64, aver
 	}
 }
 
+// checkRejected requires Generate, GenerateLive (on alive, or on every
+// worker alive when it is nil) and exhaustiveGenerate to reject in with
+// ErrInvalidInput.
+func checkRejected(t *testing.T, in Input, alive []bool) {
+	t.Helper()
+	if alive == nil {
+		alive = make([]bool, len(in.Times))
+		for i := range alive {
+			alive[i] = true
+		}
+	}
+	_, gerr := Generate(in)
+	_, lerr := GenerateLive(in, alive)
+	_, xerr := exhaustiveGenerate(in, nil)
+	for name, err := range map[string]error{"Generate": gerr, "GenerateLive": lerr, "exhaustiveGenerate": xerr} {
+		if !errors.Is(err, ErrInvalidInput) {
+			t.Fatalf("%s: error %v, want ErrInvalidInput", name, err)
+		}
+	}
+}
+
+// undirected reports whether adj is symmetric.
+func undirected(adj [][]bool) bool {
+	for i, row := range adj {
+		for j, ok := range row {
+			if ok != adj[j][i] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // checkAgainstOracle requires GenerateLive(in, alive) (Generate when alive
 // is nil) to return bitwise what exhaustiveGenerate returns on the live
 // subgraph, embedded as GenerateLive documents: dead rows self-only, dead
-// columns zero.
+// columns zero. A live subgraph that is not connected gets no policy.
 func checkAgainstOracle(t *testing.T, in Input, alive []bool) {
 	t.Helper()
 	var got *Policy
@@ -305,6 +362,9 @@ func checkAgainstOracle(t *testing.T, in Input, alive []bool) {
 			}
 		}
 		want, werr = exhaustiveGenerate(sub, nil)
+		if err == nil && !plainConnected(sub.Adj) {
+			t.Fatal("a policy for a disconnected graph")
+		}
 	}
 	if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
 		t.Fatalf("error %v, exhaustive search gives %v", err, werr)
@@ -391,9 +451,9 @@ func slowLinks(rng *rand.Rand, times [][]float64, frac float64) [][]float64 {
 // its rows are solved, and step C's diagonal bound, which rejects a
 // candidate before Y_P is built, only reject candidates the eigensolve
 // shows to lose. Generate and GenerateLive return bitwise the exhaustive
-// search's policy on full, sparse and directed graphs (where neither bound
-// applies to the one-sided blend), in the averaging mode on symmetric and
-// directed graphs, with dead workers and over a range of grid sizes.
+// search's policy on full and sparse graphs, in the averaging mode, with
+// dead workers and over a range of grid sizes, and the same error on a
+// sparse graph that is not connected. Both reject a directed graph.
 func TestGenerateMatchesExhaustiveSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for m := 2; m <= 32; m++ {
@@ -412,9 +472,9 @@ func TestGenerateMatchesExhaustiveSearch(t *testing.T) {
 			adj[i][(i+1)%m] = false // keep only the edge (i+1) → i
 		}
 		in := Input{Times: hetTimes(m, 3), Adj: adj, Alpha: 0.1}
-		checkAgainstOracle(t, in, nil)
-		in.AveragingBlend = true // Y·1 = 1 on any graph: step C applies
-		checkAgainstOracle(t, in, nil)
+		checkRejected(t, in, nil)
+		in.AveragingBlend = true
+		checkRejected(t, in, nil)
 	})
 	for _, m := range []int{4, 12, 24} {
 		t.Run(fmt.Sprintf("averaging/N=%d", m), func(t *testing.T) {
@@ -486,8 +546,11 @@ func TestGenerateBreaksTiesInGridOrder(t *testing.T) {
 // and the grid size in 2..20; data, read cyclically, gives two bytes per
 // worker pair (the pair's times, whether each direction is an edge, and
 // whether the link is 100x slower) and then one byte per worker (dead or
-// alive). flags select the averaging blend, dead workers, a directed graph,
-// all-zero times (every candidate ties at T = 0) and the learning rate.
+// alive). flags select the averaging blend, dead workers, the rejection arm
+// (a graph that may be directed, which every search must reject with
+// ErrInvalidInput), all-zero times (every candidate ties at T = 0) and the
+// learning rate. A graph or live subgraph that is not connected must get
+// ErrNoFeasiblePolicy from every search (checkAgainstOracle).
 func FuzzGenerate(f *testing.F) {
 	f.Add(uint8(8), uint8(9), uint8(0), []byte{})
 	f.Add(uint8(14), uint8(9), uint8(0), []byte{0xf9, 0x08, 0xfa, 0x04, 0x2b, 0x00, 0x5d, 0x00, 0x2b, 0x00, 0x03})
@@ -529,7 +592,7 @@ func FuzzGenerate(f *testing.F) {
 				if flags&8 != 0 {
 					in.Times[i][j], in.Times[j][i] = 0, 0
 				}
-				// Bits 0 and 1 set drop the link; with flags bit 2 they
+				// Bits 0 and 1 set drop the link; in the rejection arm they
 				// drop i → j and j → i on their own. An empty data stream
 				// gives the full graph.
 				in.Adj[i][j], in.Adj[j][i] = eb&3 != 3, eb&3 != 3
@@ -545,6 +608,10 @@ func FuzzGenerate(f *testing.F) {
 				alive[i] = next()&3 != 0
 			}
 		}
+		if !undirected(in.Adj) {
+			checkRejected(t, in, alive)
+			return
+		}
 		checkAgainstOracle(t, in, alive)
 	})
 }
@@ -555,8 +622,10 @@ func FuzzGenerate(f *testing.F) {
 // data, read cyclically, gives one byte per ordered
 // pair (whether it is an edge, and p as zero, subnormal, tiny or an
 // ordinary probability) and then one byte per worker (pg as zero,
-// subnormal, 1/N or another value in [0, 4)). flags select the averaging
-// blend, a symmetric graph and αρ.
+// subnormal, 1/N or another value in [0, 4)). The graph is undirected: a
+// pair i > j takes its edge from (j, i), and no worker is its own
+// neighbor, but p may put mass anywhere. flags select the averaging blend
+// and αρ; bit 1 is unused.
 func checkBuildY(t *testing.T, n, flags uint8, data []byte) {
 	t.Helper()
 	m := 1 + int(n)%16
@@ -575,10 +644,7 @@ func checkBuildY(t *testing.T, n, flags uint8, data []byte) {
 	for i := 0; i < m; i++ {
 		for j := 0; j < m; j++ {
 			b := next()
-			adj[i][j] = b&1 == 0
-			if flags&2 != 0 && j < i {
-				adj[i][j] = adj[j][i]
-			}
+			adj[i][j] = b&1 == 0 && j > i || j < i && adj[j][i]
 			k := float64(b>>3) + 1
 			switch b >> 1 & 3 {
 			case 1:
@@ -611,7 +677,8 @@ func checkBuildY(t *testing.T, n, flags uint8, data []byte) {
 	for i := range diag {
 		diag[i] = -7
 	}
-	buildY(got, p, adj, ar, averaging, pg, diag)
+	nbrs := neighbors(adj)
+	buildY(got, p, nbrs, ar, averaging, pg, diag)
 	want := linalg.NewMatrix(m)
 	plainBuildY(want, p, adj, ar, averaging, pg)
 	for k, v := range got.Data {
@@ -619,22 +686,15 @@ func checkBuildY(t *testing.T, n, flags uint8, data []byte) {
 			t.Fatalf("y[%d][%d] = %v, plainBuildY gives %v", k/m, k%m, v, want.Data[k])
 		}
 	}
-	var links []int
 	for i := 0; i < m; i++ {
-		links = links[:0]
-		for j := 0; j < m; j++ {
-			if j != i && (adj[i][j] || adj[j][i]) {
-				links = append(links, j)
-			}
-		}
-		if v, w := yDiag(p, adj, links, i, ar, averaging, pg), want.At(i, i); math.Float64bits(v) != math.Float64bits(w) {
+		if v, w := yDiag(p, nbrs[i], i, ar, averaging, pg), want.At(i, i); math.Float64bits(v) != math.Float64bits(w) {
 			t.Fatalf("yDiag(%d) = %v, plainBuildY gives %v", i, v, w)
 		}
 	}
 }
 
 // TestBuildYMatchesPlain runs checkBuildY on random inputs: every size,
-// graph and blend mode, with zero and subnormal p and pg.
+// undirected graph and blend mode, with zero and subnormal p and pg.
 func TestBuildYMatchesPlain(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	data := make([]byte, 300)

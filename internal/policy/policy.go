@@ -10,16 +10,23 @@
 // convergence time T = t̄ · ln ε / ln λ₂(Y_P), and the best-scoring policy
 // is returned. λ₂ comes from a tridiagonal QL eigensolve (linalg).
 //
+// The graph is the paper's: d_{i,m} marks the neighbors of an undirected
+// graph, so Adj must be symmetric with a false diagonal (ErrInvalidInput
+// otherwise). Randomized gossip on a graph has λ₂ < 1 exactly when the
+// graph is connected (Boyd et al., IEEE Trans. Inf. Theory 2006), so a
+// graph with fewer than two workers or more than one component has no
+// policy (ErrNoFeasiblePolicy); GenerateLive asks this of the live
+// subgraph.
+//
 // Most candidates lose, and two closed-form lower bounds on λ₂ reject
 // most of the losers before their eigensolve. Both come from the Rayleigh
-// quotient at eᵢ − 1/N, which bounds λ₂ wherever Y_P·1 = 1: on a
-// symmetric graph, and on any graph under the averaging blend. Step A
-// (l2Floor, one-sided blend only) bounds every candidate of a ρ before
-// any row is solved and ends that ρ's t̄ loop; step C (diagExceeds)
-// bounds one candidate from the diagonal of Y_P, in O(deg) per row,
-// before Y_P is built. Both reject only candidates that would have lost,
-// so the chosen policy is bitwise the one an eigensolve of every
-// candidate picks (see score).
+// quotient at eᵢ − 1/N, which bounds λ₂ since Y_P·1 = 1 on an undirected
+// graph with the search's pg = 1/N. Step A (l2Floor, one-sided blend only) bounds every candidate of
+// a ρ before any row is solved and ends that ρ's t̄ loop; step C
+// (diagExceeds) bounds one candidate from the diagonal of Y_P, in O(deg)
+// per row, before Y_P is built. Both reject only candidates that would
+// have lost, so the chosen policy is bitwise the one an eigensolve of
+// every candidate picks (see score).
 //
 // The bounds need a good best to reject against, so the ρ grid is scored
 // from the cap down, each ρ's t̄ in ascending order. λ₂ falls as ρ grows,
@@ -34,7 +41,7 @@
 // in buffers cut from one allocation per element type (newSearch). Per ρ
 // that scores a candidate: each row's slack and floor products. A
 // candidate then only subtracts its row budgets, walks a chain and builds
-// Y_P one unordered pair at a time (buildY), into those buffers. Test-only
+// Y_P one edge at a time (buildY), into those buffers. Test-only
 // plain versions that redo all of it per candidate (plainSolveRows,
 // plainBuildY) check every policy bit.
 package policy
@@ -54,7 +61,8 @@ type Input struct {
 	// from neighbor m (seconds); it must be finite and non-negative on every
 	// edge. Entries for non-neighbors are ignored.
 	Times [][]float64
-	// Adj is the communication graph d[i][m].
+	// Adj is the communication graph d[i][m]: symmetric, with no worker
+	// its own neighbor. A graph that is not connected has no policy.
 	Adj [][]bool
 	// Alpha is the SGD learning rate α.
 	Alpha float64
@@ -92,13 +100,17 @@ type Policy struct {
 	TConvergence float64
 }
 
-// ErrNoFeasiblePolicy is returned when no (ρ, t̄) candidate admits a feasible
-// probability matrix; callers should fall back to Uniform.
+// ErrNoFeasiblePolicy is returned when the graph (for GenerateLive, the live
+// subgraph) has fewer than two workers or is not connected, so that every
+// policy has λ₂ = 1, or when no (ρ, t̄) candidate admits a feasible
+// probability matrix; callers keep their last policy or fall back to
+// Uniform.
 var ErrNoFeasiblePolicy = errors.New("policy: no feasible policy found")
 
 // ErrInvalidInput is returned, wrapped with the offending entry, when
 // Generate is given a malformed Input: an empty, ragged or non-square
-// Times or Adj, more than MaxWorkers workers, a NaN, infinite or negative
+// Times or Adj, an Adj that is not symmetric or marks a worker its own
+// neighbor, more than MaxWorkers workers, a NaN, infinite or negative
 // time on an edge, a learning rate that is not a positive finite number, a
 // negative Rounds, Rounds 1 or Rounds above MaxRounds, or a nonzero
 // Epsilon outside (0, 1). Validate returns it for a policy no worker may
@@ -170,8 +182,15 @@ func (in *Input) validate() error {
 			return fmt.Errorf("%w: row %d has %d times and %d adjacency entries, want %d",
 				ErrInvalidInput, i, len(in.Times[i]), len(in.Adj[i]), m)
 		}
+		if in.Adj[i][i] {
+			return fmt.Errorf("%w: adj[%d][%d] marks a worker its own neighbor", ErrInvalidInput, i, i)
+		}
 		for j, ok := range in.Adj[i] {
-			if t := in.Times[i][j]; ok && i != j && !(t >= 0 && t <= math.MaxFloat64) {
+			if j < i && ok != in.Adj[j][i] {
+				return fmt.Errorf("%w: adj[%d][%d] = %v but adj[%d][%d] = %v; the graph must be undirected",
+					ErrInvalidInput, i, j, ok, j, i, in.Adj[j][i])
+			}
+			if t := in.Times[i][j]; ok && !(t >= 0 && t <= math.MaxFloat64) {
 				return fmt.Errorf("%w: time[%d][%d] = %v on an edge", ErrInvalidInput, i, j, t)
 			}
 		}
@@ -245,29 +264,44 @@ func GlobalStepProbs(avgIterTimes []float64) []float64 {
 
 // BuildY constructs Y_P = E[(D^k)ᵀD^k] per Eq. (22) for an arbitrary policy
 // (not only feasible ones), using the Eq. (2)/(3) global-step probabilities
-// derived from the measured iteration times.
+// derived from the measured iteration times. adj must be undirected, as
+// Input.Adj; p's entries off its edges are ignored.
 func BuildY(p [][]float64, times [][]float64, adj [][]bool, alpha, rho float64) *linalg.Matrix {
 	y := linalg.NewMatrix(len(p))
-	buildY(y, p, adj, alpha*rho, false, GlobalStepProbs(AvgIterTimes(p, times, adj)), make([]float64, len(p)))
+	buildY(y, p, neighbors(adj), alpha*rho, false, GlobalStepProbs(AvgIterTimes(p, times, adj)), make([]float64, len(p)))
 	return y
 }
 
 // BuildYAveraging constructs Y for the Section III-D extension, whose pull
 // moves both endpoints to their midpoint (AD-PSGD's atomic averaging):
-// D^k = I − ½uuᵀ with u = e_i − e_m.
+// D^k = I − ½uuᵀ with u = e_i − e_m. adj is as for BuildY.
 func BuildYAveraging(p [][]float64, times [][]float64, adj [][]bool) *linalg.Matrix {
 	y := linalg.NewMatrix(len(p))
-	buildY(y, p, adj, 0, true, GlobalStepProbs(AvgIterTimes(p, times, adj)), make([]float64, len(p)))
+	buildY(y, p, neighbors(adj), 0, true, GlobalStepProbs(AvgIterTimes(p, times, adj)), make([]float64, len(p)))
 	return y
 }
 
-// buildY writes E[(D^k)ᵀD^k] into y for global-step probabilities pg,
+// neighbors returns each worker's neighbors in adj, in increasing order.
+func neighbors(adj [][]bool) [][]int {
+	nbrs := make([][]int, len(adj))
+	for i, row := range adj {
+		for j, ok := range row {
+			if ok && j != i {
+				nbrs[i] = append(nbrs[i], j)
+			}
+		}
+	}
+	return nbrs
+}
+
+// buildY writes E[(D^k)ᵀD^k] into y for global-step probabilities pg on
+// the undirected graph whose neighbor lists, in increasing order, are nbrs,
 // using diag (len(p) entries) as scratch. Terms with p_im = 0 contribute
 // nothing (the selection event has probability zero).
 //
 // For NetMax's one-sided pull, with ar = αρ and the blend weight
 // w_im = αρ·γ_im of D^k = I + w·e_i(e_m-e_i)ᵀ, γ_im = (d_im+d_mi)/(2 p_im)
-// (Eq. 22), the entries are
+// = 1/p_im on an edge (Eq. 22), the entries are
 // y_im = Σ_{sides} pg·p·(w - w²) and
 // y_ii = 1 - 2 Σ_m pg_i p_im w_im + Σ_m Σ_{sides} pg·p·w².
 //
@@ -276,54 +310,50 @@ func BuildYAveraging(p [][]float64, times [][]float64, adj [][]bool) *linalg.Mat
 // et al. (IEEE Trans. Inf. Theory 2006): y_im = ½(pg_i p_im + pg_m p_mi)
 // and every row sums to 1.
 //
-// Each unordered pair is visited once, with one weight per direction:
-// y_im and y_mi sum the same two sides, and IEEE addition is commutative,
-// so one sum gives both. Row i's diagonal still takes its terms in
-// increasing m, since the pairs (m, i) with m < i come before i's own.
-func buildY(y *linalg.Matrix, p [][]float64, adj [][]bool, ar float64, averaging bool, pg, diag []float64) {
+// Each edge is visited once, from its lower end, with one weight per
+// direction: y_im and y_mi sum the same two sides, and IEEE addition is
+// commutative, so one sum gives both. Row i's diagonal still takes its
+// terms in increasing m, since the edges (m, i) with m < i come before
+// i's own.
+func buildY(y *linalg.Matrix, p [][]float64, nbrs [][]int, ar float64, averaging bool, pg, diag []float64) {
 	m := len(p)
+	clear(y.Data)
 	diag = diag[:m]
 	for i := range diag {
 		diag[i] = 1
 	}
-	for i := 0; i < m; i++ {
+	for i, nbrs := range nbrs {
 		yi, di := y.Data[i*m:(i+1)*m], diag[i]
-		pi, ai, pgi := p[i], adj[i], pg[i]
-		for j := i + 1; j < m; j++ {
+		pi, pgi := p[i], pg[i]
+		for _, j := range nbrs {
+			if j < i {
+				continue
+			}
 			pij, pji := pi[j], p[j][i]
-			ij := ai[j] && pij > 0 // i pulls from j
-			ji := adj[j][i] && pji > 0
 			var v float64
 			if averaging {
 				var mass float64 // pg_i p_ij + pg_j p_ji: the rate of i–j pulls
-				if ij {
+				if pij > 0 {
 					mass += float64(pgi * pij)
 				}
-				if ji {
+				if pji > 0 {
 					mass += float64(pg[j] * pji)
 				}
 				v = float64(mass / 2)
 				di -= v
 				diag[j] -= v
 			} else {
-				d := 0.0 // d_ij + d_ji
-				if ai[j] {
-					d++
-				}
-				if adj[j][i] {
-					d++
-				}
 				var first, second float64
-				if ij {
-					w := ar * (d / (2 * pij))
+				if pij > 0 { // i pulls from j
+					w := ar * (1 / pij)
 					f := float64(pgi * pij * w)
 					first += f
 					second += float64(f * w)
 					// A diagonal's first-order term covers only its own pulls.
 					di -= float64(2 * pgi * pij * w)
 				}
-				if ji {
-					w := ar * (d / (2 * pji))
+				if pji > 0 {
+					w := ar * (1 / pji)
 					f := float64(pg[j] * pji * w)
 					first += f
 					second += float64(f * w)
@@ -340,45 +370,36 @@ func buildY(y *linalg.Matrix, p [][]float64, adj [][]bool, ar float64, averaging
 	}
 }
 
-// yDiag returns buildY's diagonal entry y_ii, bitwise, in O(len(links)).
-// links must list, in increasing order, every m ≠ i with d_im or d_mi: the
-// pairs buildY adds to y_ii. Each pair is taken as buildY takes it, lower
-// index first, so the terms and their order are buildY's.
-func yDiag(p [][]float64, adj [][]bool, links []int, i int, ar float64, averaging bool, pg []float64) float64 {
+// yDiag returns buildY's diagonal entry y_ii, bitwise, in O(len(nbrs)),
+// where nbrs lists i's neighbors in increasing order. Each edge is taken as
+// buildY takes it, lower index first, so the terms and their order are
+// buildY's.
+func yDiag(p [][]float64, nbrs []int, i int, ar float64, averaging bool, pg []float64) float64 {
 	di := 1.0
-	for _, j := range links {
+	for _, j := range nbrs {
 		lo, hi := min(i, j), max(i, j)
 		plh, phl := p[lo][hi], p[hi][lo]
-		lh := adj[lo][hi] && plh > 0 // lo pulls from hi
-		hl := adj[hi][lo] && phl > 0
 		if averaging {
 			var mass float64
-			if lh {
+			if plh > 0 {
 				mass += float64(pg[lo] * plh)
 			}
-			if hl {
+			if phl > 0 {
 				mass += float64(pg[hi] * phl)
 			}
 			di -= float64(mass / 2)
 			continue
 		}
-		d := 0.0
-		if adj[lo][hi] {
-			d++
-		}
-		if adj[hi][lo] {
-			d++
-		}
 		var second float64
-		if lh {
-			w := ar * (d / (2 * plh))
+		if plh > 0 { // lo pulls from hi
+			w := ar * (1 / plh)
 			second += float64(float64(pg[lo]*plh*w) * w)
 			if lo == i {
 				di -= float64(2 * pg[lo] * plh * w)
 			}
 		}
-		if hl {
-			w := ar * (d / (2 * phl))
+		if phl > 0 {
+			w := ar * (1 / phl)
 			second += float64(float64(pg[hi]*phl*w) * w)
 			if hi == i {
 				di -= float64(2 * pg[hi] * phl * w)
@@ -437,14 +458,16 @@ func timeInterval(sum, top []float64, alpha, rho float64) (lo, hi float64, ok bo
 }
 
 // Generate runs Algorithm 3 and returns the best feasible policy. A
-// malformed Input returns ErrInvalidInput. When no candidate is feasible it
-// returns ErrNoFeasiblePolicy; callers typically fall back to Uniform with
-// a mid-range ρ.
+// malformed Input returns ErrInvalidInput. A graph with no policy (fewer
+// than two workers, or not connected) or no feasible candidate returns
+// ErrNoFeasiblePolicy; callers typically fall back to Uniform with a
+// mid-range ρ.
 func Generate(in Input) (*Policy, error) {
 	if err := in.validate(); err != nil {
 		return nil, err
 	}
-	return generate(in)
+	s := runSearch(in, nil)
+	return s.result()
 }
 
 // Algorithm 3's defaults: the grid size K = R and the Eq. 9 convergence
@@ -465,15 +488,10 @@ const MaxRounds = 64
 // BenchmarkGenerate goes up to 64.
 const MaxWorkers = 256
 
-// generate is Generate on a validated Input.
-func generate(in Input) (*Policy, error) {
-	s := runSearch(in)
-	return s.result()
-}
-
-// runSearch scores Algorithm 3's (ρ, t̄) grid for a validated Input and
-// returns the search holding the best candidate.
-func runSearch(in Input) search {
+// runSearch scores Algorithm 3's (ρ, t̄) grid for a validated Input over
+// the workers alive marks (all of them when alive is nil) and returns the
+// search holding the best candidate, if any.
+func runSearch(in Input, alive []bool) search {
 	rounds := in.Rounds
 	if rounds == 0 {
 		rounds = DefaultRounds
@@ -482,7 +500,10 @@ func runSearch(in Input) search {
 	if eps == 0 {
 		eps = DefaultEpsilon
 	}
-	s := newSearch(in, eps)
+	s, ok := newSearch(in, eps, alive)
+	if !ok {
+		return s
+	}
 	if in.AveragingBlend {
 		// Section III-D: the blend weight is fixed at 1/2, so ρ plays no
 		// role in the update and a single inner search suffices.
@@ -494,10 +515,8 @@ func runSearch(in Input) search {
 	// caps ρ at 1/(2α·deg_max) (the paper's Eq. 33 for fully connected
 	// graphs). Searching beyond that wastes the whole grid on infeasible
 	// candidates, so clamp the upper end with a small safety margin.
-	if s.maxDeg > 0 {
-		if cap := 0.999 / (2 * in.Alpha * float64(s.maxDeg)); cap < ur {
-			ur = cap
-		}
+	if cap := 0.999 / (2 * in.Alpha * float64(s.maxDeg)); cap < ur {
+		ur = cap
 	}
 	// Log-spaced grid over (0, ur]: under extreme heterogeneity (one link
 	// slowed 100x) the feasible ρ range collapses toward zero, and a
@@ -516,11 +535,14 @@ func runSearch(in Input) search {
 // search is the state of one Generate call: the neighbor lists, the row
 // LPs with their candidate-independent work done (rowLPs), and buffers for
 // the candidate P, Y_P and the eigensolve, cut once from one allocation per
-// element type and reused by every (ρ, t̄) candidate. Only a winning
-// candidate's P is copied, into best.
+// element type and reused by every (ρ, t̄) candidate. The search runs over
+// the live workers only, renumbered 0..n−1 in order; idx maps them back.
+// Only a winning candidate's P is copied, into best, in the input's index
+// space.
 type search struct {
 	in      Input
 	eps     float64
+	idx     []int // the input index of each searched worker
 	nbrs    [][]int
 	maxDeg  int
 	minDeg  int
@@ -540,99 +562,105 @@ type search struct {
 	bestK, bestR int
 	eigensolves  int
 	floors       int
-	// unitRows records that every candidate's Y_P has unit row sums, so
-	// that the λ₂ bounds apply: the graph is symmetric (with pg = 1/N), or
-	// the blend is the averaging one. links then lists each row's pairs
-	// for yDiag: nbrs on a symmetric graph, else the neighbors in either
-	// direction.
-	unitRows bool
-	links    [][]int
 }
 
-// newSearch sets up the search for a validated Input. Every buffer but the
-// best P, which the returned Policy keeps, is cut from one arena, sized
-// here from the graph.
-func newSearch(in Input, eps float64) search {
+// newSearch sets up the search for a validated Input over the workers alive
+// marks (all of them when alive is nil), and reports whether their graph
+// has a policy: at least two workers, connected. Every buffer but the best
+// P, which the returned Policy keeps, is cut from one arena, sized here
+// from the live graph. The best P has a row per input worker, and the rows
+// of the dead select only themselves.
+func newSearch(in Input, eps float64, alive []bool) (search, bool) {
 	m := len(in.Times)
+	live := func(i int) bool { return alive == nil || alive[i] }
 	s := search{in: in, eps: eps, minDeg: m}
-	symmetric, nnz := true, 0
+	n, nnz := 0, 0
 	for i, row := range in.Adj {
+		if !live(i) {
+			continue
+		}
 		deg := 0
 		for j, ok := range row {
-			if ok && j != i {
+			if ok && live(j) {
 				deg++
 			}
 		}
-		for j := i + 1; j < m && symmetric; j++ {
-			symmetric = row[j] == in.Adj[j][i]
-		}
+		n++
 		nnz += deg
 		s.maxDeg, s.minDeg = max(s.maxDeg, deg), min(s.minDeg, deg)
-	}
-	s.unitRows = symmetric || in.AveragingBlend
-	// Only a directed graph under the averaging blend needs links of its
-	// own, at most m − 1 a row.
-	linkRows, nlinks := 0, 0
-	if !symmetric && in.AveragingBlend {
-		linkRows, nlinks = m, m*(m-1)
 	}
 	a := arena{
 		// Neighbor times; the row LPs' (newRowLPs); rowP; P and Y_P; pg,
 		// diag, eig and eigWork.
-		f: make([]float64, nnz+(4*m+s.maxDeg+1+nnz)+s.maxDeg+2*m*m+4*m),
-		// nbrs; the row LPs' chains; links.
-		n: make([]int, nnz+nnz+nlinks),
+		f: make([]float64, nnz+(4*n+s.maxDeg+1+nnz)+s.maxDeg+2*n*n+4*n),
+		// idx; nbrs; the row LPs' chains; connected's queue and marks.
+		n: make([]int, n+nnz+nnz+2*n),
 		// Rows of the neighbor times, the row LPs' floor products and P.
-		fs: make([][]float64, 3*m),
-		// Rows of nbrs, the row LPs' two chains and links.
-		ns: make([][]int, 3*m+linkRows),
+		fs: make([][]float64, 3*n),
+		// Rows of nbrs and the row LPs' two chains.
+		ns: make([][]int, 3*n),
 	}
-	s.nbrs = take(&a.ns, m)
+	s.idx = take(&a.n, n)[:0]
+	for i := range m {
+		if live(i) {
+			s.idx = append(s.idx, i)
+		}
+	}
+	s.nbrs = take(&a.ns, n)
 	flat := take(&a.n, nnz)[:0]
-	for i, row := range in.Adj {
+	for u, i := range s.idx {
 		start := len(flat)
-		for j, ok := range row {
-			if ok && j != i {
-				flat = append(flat, j)
+		for v, j := range s.idx {
+			if in.Adj[i][j] {
+				flat = append(flat, v)
 			}
 		}
-		s.nbrs[i] = flat[start:len(flat):len(flat)]
-	}
-	s.links = s.nbrs
-	if linkRows > 0 {
-		s.links = take(&a.ns, m)
-		flat = take(&a.n, nlinks)[:0]
-		for i := range s.links {
-			start := len(flat)
-			for j := range m {
-				if j != i && (in.Adj[i][j] || in.Adj[j][i]) {
-					flat = append(flat, j)
-				}
-			}
-			s.links[i] = flat[start:len(flat):len(flat)]
-		}
+		s.nbrs[u] = flat[start:len(flat):len(flat)]
 	}
 	times := takeRows(&a.f, &a.fs, s.nbrs)
-	for i, nbrs := range s.nbrs {
-		for k, j := range nbrs {
-			times[i][k] = in.Times[i][j]
+	for u, nbrs := range s.nbrs {
+		for k, v := range nbrs {
+			times[u][k] = in.Times[s.idx[u]][s.idx[v]]
 		}
 	}
 	s.rows = newRowLPs(times, &a)
 	s.rowP = take(&a.f, s.maxDeg)
-	s.p = take(&a.fs, m)
-	for i := range s.p {
-		s.p[i] = take(&a.f, m)
+	s.p = take(&a.fs, n)
+	for u := range s.p {
+		s.p[u] = take(&a.f, n)
 	}
-	s.y = linalg.Matrix{N: m, Data: take(&a.f, m*m)}
-	s.pg = take(&a.f, m)
-	for i := range s.pg {
-		// For a feasible P all workers share t_i = M·t̄, so p_i = 1/M.
-		s.pg[i] = 1 / float64(m)
+	s.y = linalg.Matrix{N: n, Data: take(&a.f, n*n)}
+	s.pg = take(&a.f, n)
+	for u := range s.pg {
+		// For a feasible P all workers share t_i = n·t̄, so p_i = 1/n.
+		s.pg[u] = 1 / float64(n)
 	}
-	s.diag, s.eig, s.eigWork = take(&a.f, m), take(&a.f, m), take(&a.f, m)
+	s.diag, s.eig, s.eigWork = take(&a.f, n), take(&a.f, n), take(&a.f, n)
 	s.best.P = matrix(m)
-	return s
+	for i := range m {
+		if !live(i) {
+			s.best.P[i][i] = 1
+		}
+	}
+	return s, n >= 2 && connected(s.nbrs, take(&a.n, 2*n))
+}
+
+// connected reports whether the graph with neighbor lists nbrs (at least
+// one worker) is connected, by a breadth-first walk from worker 0 whose
+// queue and marks are buf's 2·len(nbrs) ints, all zero.
+func connected(nbrs [][]int, buf []int) bool {
+	n := len(nbrs)
+	queue, seen := buf[:1:n], buf[n:]
+	seen[0] = 1
+	for h := 0; h < len(queue); h++ {
+		for _, j := range nbrs[queue[h]] {
+			if seen[j] == 0 {
+				seen[j] = 1
+				queue = append(queue, j)
+			}
+		}
+	}
+	return len(queue) == n
 }
 
 // matrix returns an m x m zero matrix backed by one allocation.
@@ -701,13 +729,13 @@ func (s *search) lossLimit(tbar float64) float64 {
 }
 
 // l2Floor returns step A's lower bound on λ₂ for every candidate at ρ, or
-// -Inf where it is not derived: under the averaging blend and on a
-// directed graph. With Y·1 = 1, the Rayleigh quotient at eᵢ − 1/N gives
+// -Inf under the averaging blend, where it is not derived. With Y·1 = 1,
+// the Rayleigh quotient at eᵢ − 1/N gives
 // λ₂ ≥ (N·y_ii − 1)/(N − 1), and dropping y_ii's nonnegative second-order
 // terms leaves y_ii ≥ 1 − 2αρ·deg_i/N. So λ₂ ≥ 1 − 2αρ·deg_min/(N − 1),
 // which depends on neither P nor t̄.
 func (s *search) l2Floor(rho float64) float64 {
-	if !s.unitRows || s.in.AveragingBlend {
+	if s.in.AveragingBlend {
 		return math.Inf(-1)
 	}
 	return 1 - float64(2*s.in.Alpha*rho)*float64(s.minDeg)/float64(len(s.nbrs)-1)
@@ -715,16 +743,16 @@ func (s *search) l2Floor(rho float64) float64 {
 
 // diagExceeds is step C: it reports whether some row of the candidate in
 // s.p, at αρ = ar, has (N·y_ii − 1)/(N − 1) > lim, which proves λ₂ > lim
-// where Y·1 = 1. Since λ₂ ≥ min(1, that bound), it proves nothing for
-// lim ≥ 1, and reports false there and where Y·1 = 1 may fail.
+// since Y·1 = 1. Since λ₂ ≥ min(1, that bound), it proves nothing for
+// lim ≥ 1, and reports false there.
 func (s *search) diagExceeds(ar, lim float64) bool {
-	if !s.unitRows || !(lim < 1) {
+	if !(lim < 1) {
 		return false
 	}
 	m := len(s.p)
 	thr := (1 + float64(float64(m-1)*lim)) / float64(m) // y_ii > thr ⇔ the bound exceeds lim
-	for i, links := range s.links {
-		if yDiag(s.p, s.in.Adj, links, i, ar, s.in.AveragingBlend, s.pg) > thr {
+	for i, nbrs := range s.nbrs {
+		if yDiag(s.p, nbrs, i, ar, s.in.AveragingBlend, s.pg) > thr {
 			return true
 		}
 	}
@@ -744,16 +772,13 @@ func (s *search) diagExceeds(ar, lim float64) bool {
 // boundMargin to spare, so every rejected candidate would also have lost
 // the T comparison (or had λ₂ ≥ 1), no tie is rejected, and the chosen
 // policy is bitwise the one scoring every candidate by eigensolve would
-// pick. Where the bound does not apply (no best yet, a directed graph
-// under the one-sided blend) or proves nothing, the eigensolve runs.
+// pick. Where the bound proves nothing, as before a best exists, the
+// eigensolve runs.
 func (s *search) score(ki, ri int, rho, tbar, lim float64) {
 	if !s.solveRows(float64(len(s.p))*tbar) || s.diagExceeds(s.in.Alpha*rho, lim) {
 		return
 	}
-	buildY(&s.y, s.p, s.in.Adj, s.in.Alpha*rho, s.in.AveragingBlend, s.pg, s.diag)
-	if len(s.eig) < 2 {
-		return
-	}
+	buildY(&s.y, s.p, s.nbrs, s.in.Alpha*rho, s.in.AveragingBlend, s.pg, s.diag)
 	s.eigensolves++
 	if linalg.SymmetricEigenvaluesInto(&s.y, s.eig, s.eigWork) != nil {
 		return
@@ -767,8 +792,11 @@ func (s *search) score(ki, ri int, rho, tbar, lim float64) {
 		tconv == s.best.TConvergence && (ki < s.bestK || ki == s.bestK && ri < s.bestR)) {
 		return
 	}
-	for i, row := range s.p {
-		copy(s.best.P[i], row)
+	for u, row := range s.p {
+		best := s.best.P[s.idx[u]]
+		for v, x := range row {
+			best[s.idx[v]] = x
+		}
 	}
 	s.best.Rho, s.best.Lambda2, s.best.TBar, s.best.TConvergence = rho, l2, tbar, tconv
 	s.bestK, s.bestR, s.found = ki, ri, true
@@ -782,10 +810,6 @@ func (s *search) solveRows(target float64) bool {
 	for i, nbrs := range s.nbrs {
 		row := s.p[i]
 		clear(row)
-		if len(nbrs) == 0 {
-			row[i] = 1
-			continue
-		}
 		x := s.rowP[:len(nbrs)]
 		pii, ok := s.rows.solve(i, target, x)
 		if !ok {

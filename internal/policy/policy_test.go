@@ -413,6 +413,11 @@ func TestGenerateRejectsInvalidInput(t *testing.T) {
 		"NaN epsilon":      {Times: good, Adj: full3, Alpha: 0.1, Epsilon: math.NaN()},
 		"workers above cap": {Times: hetTimes(MaxWorkers+1, 1), Adj: simnet.FullyConnected(MaxWorkers + 1),
 			Alpha: 0.1, Rounds: 2},
+		"directed 4-cycle": {Times: hetTimes(4, 1), Adj: [][]bool{
+			{false, true, false, false}, {false, false, true, false},
+			{false, false, false, true}, {true, false, false, false}}, Alpha: 0.1},
+		"one-way edge": {Times: good, Adj: [][]bool{{false, true, true}, {true, false, true}, {true, false, false}}, Alpha: 0.1},
+		"self-loop":    {Times: good, Adj: [][]bool{{false, true, true}, {true, true, true}, {true, true, false}}, Alpha: 0.1},
 	}
 	for name, in := range cases {
 		if _, err := Generate(in); !errors.Is(err, ErrInvalidInput) {
@@ -422,15 +427,12 @@ func TestGenerateRejectsInvalidInput(t *testing.T) {
 			t.Errorf("%s: GenerateLive err = %v, want ErrInvalidInput", name, err)
 		}
 	}
-	// A liveness vector must hold one entry per worker; nil means all alive.
+	// A liveness vector must hold one entry per worker, nil included.
 	valid := Input{Times: hetTimes(4, 1), Adj: simnet.FullyConnected(4), Alpha: 0.1, Rounds: 2}
-	for _, alive := range [][]bool{{true, true, true}, {true, true, true, true, true}, {}} {
+	for _, alive := range [][]bool{{true, true, true}, {true, true, true, true, true}, {}, nil} {
 		if _, err := GenerateLive(valid, alive); !errors.Is(err, ErrInvalidInput) {
 			t.Errorf("%d liveness entries for 4 workers: GenerateLive err = %v, want ErrInvalidInput", len(alive), err)
 		}
-	}
-	if _, err := GenerateLive(valid, nil); err != nil {
-		t.Fatalf("nil liveness rejected: %v", err)
 	}
 	// Non-edge entries are ignored: a ring's missing chords may hold
 	// anything.
@@ -441,6 +443,37 @@ func TestGenerateRejectsInvalidInput(t *testing.T) {
 	}
 }
 
+// TestGenerateRejectsDisconnectedGraph pins the typed error for a graph
+// with no policy: randomized gossip on a graph that is not connected has
+// λ₂ = 1. A 6-ring with workers 0 and 3 dead leaves two isolated pairs,
+// two disjoint triangles are two components, and one worker has no peer.
+func TestGenerateRejectsDisconnectedGraph(t *testing.T) {
+	ring := Input{Times: hetTimes(6, 2), Adj: simnet.Ring(6), Alpha: 0.1}
+	if _, err := GenerateLive(ring, []bool{false, true, true, false, true, true}); !errors.Is(err, ErrNoFeasiblePolicy) {
+		t.Errorf("6-ring with workers 0 and 3 dead: GenerateLive err = %v, want ErrNoFeasiblePolicy", err)
+	}
+	if _, err := GenerateLive(ring, []bool{true, true, true, false, true, true}); err != nil {
+		t.Errorf("6-ring with worker 3 dead, a path: %v", err)
+	}
+	triangles := make([][]bool, 6)
+	for i := range triangles {
+		triangles[i] = make([]bool, 6)
+		for j := range triangles[i] {
+			triangles[i][j] = i != j && i/3 == j/3
+		}
+	}
+	for _, averaging := range []bool{false, true} {
+		in := Input{Times: hetTimes(6, 2), Adj: triangles, Alpha: 0.1, AveragingBlend: averaging}
+		if _, err := Generate(in); !errors.Is(err, ErrNoFeasiblePolicy) {
+			t.Errorf("two triangles, averaging %v: Generate err = %v, want ErrNoFeasiblePolicy", averaging, err)
+		}
+	}
+	one := Input{Times: [][]float64{{0}}, Adj: [][]bool{{false}}, Alpha: 0.1}
+	if _, err := Generate(one); !errors.Is(err, ErrNoFeasiblePolicy) {
+		t.Errorf("one worker: Generate err = %v, want ErrNoFeasiblePolicy", err)
+	}
+}
+
 // generateAllocs is one Generate call's allocation budget: the search's
 // four blocks (float64s, ints, and the rows of each), the best P's data and
 // row headers, and the returned Policy.
@@ -448,11 +481,10 @@ const generateAllocs = 7
 
 // TestGenerateAllocationsIndependentOfGrid pins the one-block set-up: one
 // Generate call allocates generateAllocs times at every N and on a 2×2 and
-// a 10×10 grid, not per row, per ρ or per candidate. Two more inputs take
-// the other paths through the set-up and the grid: the averaging blend on
-// a directed graph, whose links need rows of their own, and a fast worker
-// whose small times empty the t̄ interval of the top ρ values, which must
-// cost nothing either.
+// a 10×10 grid, not per row, per ρ or per candidate. A fast worker whose
+// small times empty the t̄ interval of the top ρ values must cost nothing
+// either. GenerateLive with a dead worker, whose search runs over the
+// live workers, allocates as often.
 func TestGenerateAllocationsIndependentOfGrid(t *testing.T) {
 	inputs := map[string]Input{"N=8": benchInput(8), "N=16": benchInput(16), "N=64": benchInput(64)}
 	fast := benchInput(16)
@@ -460,14 +492,11 @@ func TestGenerateAllocationsIndependentOfGrid(t *testing.T) {
 		fast.Times[0][j] /= 20
 		fast.Times[j][0] /= 20
 	}
-	rows := newSearch(fast, DefaultEpsilon).rows
-	if _, _, ok := timeInterval(rows.sum, rows.tmax, fast.Alpha, 0.999/(2*fast.Alpha*15)); ok {
+	s, _ := newSearch(fast, DefaultEpsilon, nil)
+	if _, _, ok := timeInterval(s.rows.sum, s.rows.tmax, fast.Alpha, 0.999/(2*fast.Alpha*15)); ok {
 		t.Fatal("the fast worker leaves the top ρ's interval non-empty")
 	}
 	inputs["N=16, fast worker"] = fast
-	directed := benchInput(16)
-	directed.Adj[0][1], directed.AveragingBlend = false, true
-	inputs["N=16, directed averaging"] = directed
 	for name, in := range inputs {
 		for _, rounds := range []int{2, 10} {
 			in.Rounds = rounds
@@ -477,6 +506,18 @@ func TestGenerateAllocationsIndependentOfGrid(t *testing.T) {
 			if got := testing.AllocsPerRun(20, func() { Generate(in) }); got != generateAllocs {
 				t.Errorf("%s, %d×%d grid: %v allocations, want %d", name, rounds, rounds, got, generateAllocs)
 			}
+		}
+	}
+	for _, m := range []int{8, 16} {
+		in, alive := benchInput(m), make([]bool, m)
+		for i := range alive {
+			alive[i] = i != 2
+		}
+		if _, err := GenerateLive(in, alive); err != nil {
+			t.Fatalf("N=%d, worker 2 dead: %v", m, err)
+		}
+		if got := testing.AllocsPerRun(20, func() { GenerateLive(in, alive) }); got != generateAllocs {
+			t.Errorf("N=%d, worker 2 dead: GenerateLive allocates %v times, want %d", m, got, generateAllocs)
 		}
 	}
 }

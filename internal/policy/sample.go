@@ -83,67 +83,21 @@ func SelfOnly(row []float64, self int) bool {
 	return true
 }
 
-// GenerateLive runs Algorithm 3 restricted to the live subgraph: rows and
-// columns of departed workers are removed before generation and the
-// resulting policy is embedded back into the full index space, with dead
-// rows pinned to self (a dead worker that somehow acts selects nobody) and
-// dead columns zeroed (no live worker routes a pull at a corpse). A nil or
-// all-true alive vector is exactly Generate. A non-nil alive must hold one
-// entry per worker, or GenerateLive returns ErrInvalidInput. Fewer than two
-// live workers cannot form a policy and return ErrNoFeasiblePolicy.
+// GenerateLive runs Algorithm 3 restricted to the live subgraph, the
+// workers alive marks; alive must hold one entry per worker, or
+// GenerateLive returns ErrInvalidInput. The policy keeps the full index
+// space, with dead rows pinned to self (a dead worker that somehow acts
+// selects nobody) and dead columns zeroed (no live worker routes a pull at
+// a corpse); an all-true alive is exactly Generate. A live subgraph with
+// fewer than two workers, or one that is not connected, has no policy and
+// returns ErrNoFeasiblePolicy.
 func GenerateLive(in Input, alive []bool) (*Policy, error) {
 	if err := in.validate(); err != nil {
 		return nil, err
 	}
-	if alive == nil {
-		return generate(in)
-	}
-	m := len(in.Times)
-	if len(alive) != m {
+	if m := len(in.Times); len(alive) != m {
 		return nil, fmt.Errorf("%w: %d liveness entries for %d workers", ErrInvalidInput, len(alive), m)
 	}
-	var idx []int
-	for i := 0; i < m; i++ {
-		if alive[i] {
-			idx = append(idx, i)
-		}
-	}
-	if len(idx) == m {
-		return generate(in)
-	}
-	if len(idx) < 2 {
-		return nil, ErrNoFeasiblePolicy
-	}
-	n := len(idx)
-	times := make([][]float64, n)
-	adj := make([][]bool, n)
-	for a, i := range idx {
-		times[a] = make([]float64, n)
-		adj[a] = make([]bool, n)
-		for b, j := range idx {
-			times[a][b] = in.Times[i][j]
-			adj[a][b] = in.Adj[i][j]
-		}
-	}
-	sub := in
-	sub.Times = times
-	sub.Adj = adj
-	pol, err := generate(sub)
-	if err != nil {
-		return nil, err
-	}
-	full := make([][]float64, m)
-	for i := range full {
-		full[i] = make([]float64, m)
-		full[i][i] = 1 // dead rows: self only
-	}
-	for a, i := range idx {
-		full[i][i] = 0
-		for b, j := range idx {
-			full[i][j] = pol.P[a][b]
-		}
-	}
-	out := *pol
-	out.P = full
-	return &out, nil
+	s := runSearch(in, alive)
+	return s.result()
 }

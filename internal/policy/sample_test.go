@@ -265,7 +265,7 @@ func TestGenerateLiveRestrictsToLiveSubgraph(t *testing.T) {
 			t.Fatalf("live row %d sums to %v", i, sum)
 		}
 	}
-	// All-true and nil liveness behave like plain Generate.
+	// All-true liveness behaves like plain Generate.
 	full, err := GenerateLive(in, []bool{true, true, true, true})
 	if err != nil {
 		t.Fatal(err)
