@@ -55,11 +55,10 @@ type Options struct {
 	// Fig. 7 ablation): the monitor still collects reports but never
 	// generates a policy.
 	UniformPolicy bool
-	// StalePeriods enables the Network Monitor's liveness tracking: a
-	// worker silent for this many monitor periods is evicted and policies
-	// regenerate over the live subgraph (see monitor.Config.StalePeriods).
-	// Zero disables eviction — the right setting for failure-free runs,
-	// where it keeps trajectories bitwise identical to historical ones.
+	// StalePeriods is the Network Monitor's liveness window: a worker
+	// silent for this many monitor periods is evicted and policies
+	// regenerate over the live subgraph. Zero selects
+	// monitor.DefaultStalePeriods (see monitor.Config.StalePeriods).
 	StalePeriods int
 }
 
@@ -141,10 +140,18 @@ func (b *behavior) OnMembership(alive []bool, now float64) {
 	b.mon.SetLiveness(alive, now)
 }
 
-// OnIterationEnd folds the measured iteration time into worker i's EMA time
-// vector and reports it to the monitor, which ignores self reports.
+// OnIterationEnd folds the measured iteration time of worker i's iteration
+// that started at now into its EMA time vector and reports it to the
+// monitor. The report is stamped at the iteration's end, when the worker
+// has it; a self-selected iteration pulls nothing and only heartbeats, so
+// every iteration tells the monitor that its worker is alive.
 func (b *behavior) OnIterationEnd(i, j int, iterSecs, now float64) {
-	b.mon.ObserveAt(i, j, b.nodes[i].Observe(j, iterSecs), now)
+	end := now + iterSecs
+	if j == i {
+		b.mon.Heartbeat(i, end)
+		return
+	}
+	b.mon.ObserveAt(i, j, b.nodes[i].Observe(j, iterSecs), end)
 }
 
 // Run trains with NetMax under cfg and returns the aggregated result.

@@ -9,6 +9,7 @@ import (
 
 	"netmax/internal/data"
 	"netmax/internal/engine"
+	"netmax/internal/monitor"
 	"netmax/internal/nn"
 	"netmax/internal/policy"
 	"netmax/internal/simnet"
@@ -382,5 +383,110 @@ func TestNetMaxIsolatedWorkerKeepsLastRow(t *testing.T) {
 		[]bool{true, false, true, false})
 	if !errors.Is(err, policy.ErrNoFeasiblePolicy) {
 		t.Fatalf("GenerateLive on the isolated pair: %v, want ErrNoFeasiblePolicy", err)
+	}
+}
+
+// endProbe is planProbe with every iteration's worker, peer and length
+// also handed to record.
+type endProbe struct {
+	planProbe
+	record func(i, j int, iterSecs float64)
+}
+
+func (b endProbe) OnIterationEnd(i, j int, iterSecs, now float64) {
+	b.behavior.OnIterationEnd(i, j, iterSecs, now)
+	b.record(i, j, iterSecs)
+}
+
+// TestEveryIterationStampsItsEnd pins the engine's liveness rule: an
+// iteration that starts at now and lasts iterSecs tells the monitor that
+// its worker was alive at now + iterSecs, whether it pulled (worker 0) or
+// selected itself (worker 1).
+func TestEveryIterationStampsItsEnd(t *testing.T) {
+	window := float64(monitor.DefaultStalePeriods) * 2
+	b := newBehavior(simnet.FullyConnected(3), 0.1, Options{Ts: 2}, false)
+	b.OnIterationEnd(0, 2, 5, 100)
+	b.OnIterationEnd(1, 1, 5, 100)
+	if alive := b.mon.LiveWorkers(105 + window); !alive[0] || !alive[1] {
+		t.Fatalf("liveness %v when the window closes on the iterations' end", alive)
+	}
+	if alive := b.mon.LiveWorkers(105 + window + 0.01); alive[0] || alive[1] {
+		t.Fatalf("liveness %v after the window closed on the iterations' end", alive)
+	}
+}
+
+// TestFailureFreeRunEvictsNobody runs NetMax and AD-PSGD+Monitor on the
+// heterogeneous cluster with default Options, so the monitor evicts after
+// monitor.DefaultStalePeriods periods, and with no failure. Pulls over the
+// slowed link outlast the liveness window, and workers go several
+// iterations without a pull. Every iteration stamps its worker at its end,
+// pulled or not, so no healthy worker goes stale.
+func TestFailureFreeRunEvictsNobody(t *testing.T) {
+	window := float64(monitor.DefaultStalePeriods) * DefaultMonitorTs
+	for _, averaging := range []bool{false, true} {
+		cfg := hetConfig(8, 4, 3)
+		b := newBehavior(cfg.Net.Topo.Adj, cfg.LR, Options{}, averaging)
+		longest, selfRun, run := 0.0, 0, make([]int, 8)
+		r := engine.RunAsync(cfg, endProbe{planProbe{b, func(int, float64, engine.Pull) {}}, func(i, j int, iterSecs float64) {
+			longest = max(longest, iterSecs)
+			if j != i {
+				run[i] = 0
+				return
+			}
+			run[i]++
+			selfRun = max(selfRun, run[i])
+		}}, "NetMax")
+		t.Logf("averaging %v: longest iteration %.2f s against a %.1f s window; up to %d self-selected iterations in a row; %d regenerations",
+			averaging, longest, window, selfRun, b.mon.Regenerations)
+		if longest <= window || selfRun < 2 {
+			t.Fatalf("averaging %v: longest iteration %v s, %d self-selected in a row: the run cannot tell the stamping rules apart", averaging, longest, selfRun)
+		}
+		if r.Epochs != 4 {
+			t.Fatalf("averaging %v: %d epochs, want 4", averaging, r.Epochs)
+		}
+		if b.mon.Evictions != 0 {
+			t.Fatalf("averaging %v: the monitor evicted %d healthy workers", averaging, b.mon.Evictions)
+		}
+	}
+}
+
+// TestHungWorkerEvictedWithinWindow hangs worker 1 on a static network
+// with default Options: the monitor must evict it once the liveness window
+// of monitor.DefaultStalePeriods periods has passed since the hang began,
+// and no later than one of the hung worker's iterations after that: its
+// last stamp is the end of the iteration the hang cut short.
+func TestHungWorkerEvictedWithinWindow(t *testing.T) {
+	window := float64(monitor.DefaultStalePeriods) * DefaultMonitorTs
+	const hung = 1
+	staticConfig := func() *engine.Config {
+		cfg := hetConfig(4, 4, 3)
+		cfg.Net = simnet.NewStatic(cfg.Net.Topo)
+		return cfg
+	}
+	clean := Run(staticConfig(), Options{})
+	at := clean.TotalTime * 0.3
+	cfg := staticConfig()
+	cfg.Failures = simnet.NewFailureSchedule().Hang(hung, at, at+3*window)
+	b := newBehavior(cfg.Net.Topo.Adj, cfg.LR, Options{}, false)
+	longest, evicted := 0.0, -1.0 // the hung worker's longest iteration; the eviction time
+	engine.RunAsync(cfg, endProbe{planProbe{b, func(_ int, now float64, _ engine.Pull) {
+		if evicted < 0 && b.mon.Evictions > 0 {
+			evicted = now
+		}
+	}}, func(i, _ int, iterSecs float64) {
+		if i == hung {
+			longest = max(longest, iterSecs)
+		}
+	}}, "NetMax")
+	t.Logf("hang at %.3f s, window %.1f s, longest iteration %.3f s, evicted at %.3f s", at, window, longest, evicted)
+	if evicted < 0 {
+		t.Fatal("the hung worker was never evicted")
+	}
+	if b.mon.Evictions != 1 {
+		t.Fatalf("%d evictions, want the hung worker's 1", b.mon.Evictions)
+	}
+	if evicted <= at+window || evicted > at+window+longest {
+		t.Fatalf("evicted at %v s, want in (%v, %v]: the hang at %v s plus the %v s window plus one %v s iteration",
+			evicted, at+window, at+window+longest, at, window, longest)
 	}
 }

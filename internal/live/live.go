@@ -53,8 +53,9 @@ type Config struct {
 	Batch int
 	Seed  int64
 	// NetMax tunes the monitor and workers as it tunes core.Run, but Ts is
-	// the wall-clock period in seconds and must be positive, and no default
-	// is filled in (StalePeriods zero disables eviction).
+	// the wall-clock period in seconds and must be positive; Beta and
+	// PolicyRounds get no default. StalePeriods zero selects
+	// monitor.DefaultStalePeriods, as on the engine.
 	NetMax core.Options
 	// Duration bounds the run (wall clock); zero means rely on Iterations.
 	Duration time.Duration
@@ -247,6 +248,21 @@ func (n *netMonitor) tick(now float64, uniform bool) {
 	}
 }
 
+// newMonitor builds the Network Monitor of a run of cfg over the graph adj.
+func newMonitor(cfg Config, adj [][]bool) *monitor.Monitor {
+	opts := cfg.NetMax
+	return monitor.New(monitor.Config{Adj: adj, Alpha: cfg.LR, Period: opts.Ts, Rounds: opts.PolicyRounds, StalePeriods: opts.StalePeriods})
+}
+
+// Timing returns the wall-clock monitor period of a run of cfg and how long
+// a worker keeps a failed peer masked before it retries it: the monitor's
+// liveness window plus one period, so the monitor has had a fair chance to
+// react.
+func Timing(cfg Config) (ts, maskCooldown time.Duration) {
+	ts = time.Duration(cfg.NetMax.Ts * float64(time.Second))
+	return ts, ts * time.Duration(newMonitor(cfg, nil).StalePeriods()+1)
+}
+
 // Run executes the live group until the configured bound and returns stats.
 // The transport hub must be fresh; Run serves the whole group on it.
 func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
@@ -256,14 +272,9 @@ func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
 	if cfg.Failures != nil {
 		fs = cfg.Failures
 	}
-	ts := time.Duration(opts.Ts * float64(time.Second))
-
-	// A masked peer is retried after the monitor has had a fair chance to
-	// react: the staleness window plus one period.
-	maskCooldown := ts * time.Duration(opts.StalePeriods+1)
-
 	start := time.Now()
-	mon := monitor.New(monitor.Config{Adj: adj, Alpha: cfg.LR, Period: opts.Ts, Rounds: opts.PolicyRounds, StalePeriods: opts.StalePeriods})
+	mon := newMonitor(cfg, adj)
+	ts, maskCooldown := Timing(cfg)
 
 	// The replicas are the engine's, so a live worker starts from the same
 	// model, batch order and RNG stream as the simulated one.

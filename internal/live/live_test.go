@@ -70,6 +70,21 @@ func TestLiveHealthyGroupEvictsNobody(t *testing.T) {
 	}
 }
 
+// TestTimingFollowsTheMonitorWindow checks that a masked peer's retry
+// cooldown is the monitor's liveness window plus one period, with the
+// monitor's default window when the Config sets none.
+func TestTimingFollowsTheMonitorWindow(t *testing.T) {
+	for _, c := range []struct {
+		stale int
+		want  time.Duration
+	}{{0, time.Duration(monitor.DefaultStalePeriods+1) * 500 * time.Millisecond}, {1, time.Second}, {5, 3 * time.Second}} {
+		ts, cooldown := Timing(Config{NetMax: core.Options{Ts: 0.5, StalePeriods: c.stale}})
+		if ts != 500*time.Millisecond || cooldown != c.want {
+			t.Fatalf("StalePeriods %d: period %v, cooldown %v; want 500ms, %v", c.stale, ts, cooldown, c.want)
+		}
+	}
+}
+
 // TestLiveGroupPermanentLeave verifies a worker that leaves for good: the
 // survivors finish their iterations and the run terminates.
 func TestLiveGroupPermanentLeave(t *testing.T) {
@@ -116,7 +131,7 @@ func TestLiveGroupCrashOverTCP(t *testing.T) {
 }
 
 // liveConfig is a small MobileNet/MNIST group with the library's 2s pull
-// deadline and 3-period eviction window.
+// deadline and the monitor's default eviction window.
 func liveConfig(workers, iters int) Config {
 	train, test := data.SynthMNIST.Generate(1)
 	return Config{
@@ -126,7 +141,7 @@ func liveConfig(workers, iters int) Config {
 		LR:          0.1,
 		Batch:       16,
 		Seed:        7,
-		NetMax:      core.Options{Ts: 0.050, StalePeriods: 3},
+		NetMax:      core.Options{Ts: 0.050},
 		Iterations:  iters,
 		PullTimeout: 2 * time.Second,
 	}

@@ -30,14 +30,21 @@ type Config struct {
 	// AveragingBlend selects the Section III-D extension mode (fixed 1/2
 	// averaging weight) when generating policies.
 	AveragingBlend bool
-	// StalePeriods enables liveness tracking: a worker last heard from
-	// (ObserveAt or Heartbeat) longer ago than StalePeriods*Period is
+	// StalePeriods is the liveness window in periods: a worker last heard
+	// from (ObserveAt or Heartbeat) longer ago than StalePeriods*Period is
 	// evicted — its EMA row is cleared and policies are regenerated over
 	// the live subgraph only, so the policy stops routing pulls at a
 	// corpse whose last (attractive) iteration time would otherwise live
-	// forever. Zero disables eviction (the historical behavior).
+	// forever. A value below 1 selects DefaultStalePeriods; eviction is
+	// never off.
 	StalePeriods int
 }
+
+// DefaultStalePeriods is the liveness window, in periods, of a Config that
+// sets none. The engine stamps a worker at the end of every iteration and
+// the live monitor at every collect the worker answers, so only a crashed
+// or hung worker goes this long unheard.
+const DefaultStalePeriods = 3
 
 // Monitor tracks link statistics and regenerates communication policies.
 type Monitor struct {
@@ -61,6 +68,9 @@ type Monitor struct {
 
 // New creates a Monitor. Period must be positive.
 func New(cfg Config) *Monitor {
+	if cfg.StalePeriods < 1 {
+		cfg.StalePeriods = DefaultStalePeriods
+	}
 	m := len(cfg.Adj)
 	ema := make([][]float64, m)
 	for i := range ema {
@@ -77,9 +87,10 @@ func New(cfg Config) *Monitor {
 // ObserveAt ingests one measured iteration time for link (i, j), reported
 // at (virtual or wall) time now. In the live runtime it arrives with the
 // periodic collect, once per new observation of the link; in the
-// simulator workers report as they finish iterations. The worker-side EMA
-// has already been applied, so the monitor just stores the latest value.
-// The timestamp feeds liveness tracking as Heartbeat's does.
+// simulator a worker reports each pull, stamped at its iteration's end.
+// The worker-side EMA has already been applied, so the monitor just stores
+// the latest value. The timestamp feeds liveness tracking as Heartbeat's
+// does.
 func (mo *Monitor) ObserveAt(i, j int, iterSecs, now float64) {
 	// Times arrive over the wire: reject out-of-range indices and
 	// non-finite or non-positive times, either of which would poison the
@@ -97,7 +108,8 @@ func (mo *Monitor) ObserveAt(i, j int, iterSecs, now float64) {
 
 // Heartbeat records that worker i was heard from at time now, with or
 // without a new link time: the live monitor calls it for every answered
-// collect. A worker whose heartbeats and reports stop arriving is evicted
+// collect, the simulator for every iteration without a pull, stamped at
+// its end. A worker whose heartbeats and reports stop arriving is evicted
 // from policy generation after StalePeriods periods. Heartbeats do not
 // count towards the coverage the first regeneration waits for.
 func (mo *Monitor) Heartbeat(i int, now float64) {
@@ -135,17 +147,15 @@ func (mo *Monitor) SetLiveness(alive []bool, now float64) {
 	}
 }
 
+// StalePeriods returns the liveness window in periods, with the default
+// applied (see Config.StalePeriods).
+func (mo *Monitor) StalePeriods() int { return mo.cfg.StalePeriods }
+
 // aliveAt reports the combined liveness of worker i at time now: live
-// unless a membership event marked it down or (with StalePeriods > 0) its
-// reports have gone stale. Callers hold mo.mu.
+// unless a membership event marked it down or its reports have gone stale.
+// Callers hold mo.mu.
 func (mo *Monitor) aliveAt(i int, now float64) bool {
-	if !mo.membAlive[i] {
-		return false
-	}
-	if mo.cfg.StalePeriods > 0 && now-mo.lastReport[i] > float64(mo.cfg.StalePeriods)*mo.cfg.Period {
-		return false
-	}
-	return true
+	return mo.membAlive[i] && now-mo.lastReport[i] <= float64(mo.cfg.StalePeriods)*mo.cfg.Period
 }
 
 // liveness materializes the combined liveness vector. Callers hold mo.mu.

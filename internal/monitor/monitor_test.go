@@ -191,19 +191,38 @@ func TestStaleRowEviction(t *testing.T) {
 	}
 }
 
-// TestStaleEvictionDisabledByDefault pins the historical behavior: with
-// StalePeriods zero, silent workers are never evicted.
-func TestStaleEvictionDisabledByDefault(t *testing.T) {
-	mo := New(Config{Adj: simnet.FullyConnected(3), Alpha: 0.1, Period: 10})
+// TestStaleEvictionDefaultsToThreePeriods checks that eviction is never
+// off: with StalePeriods zero, a silent worker is evicted once
+// DefaultStalePeriods periods have passed since it was last heard from,
+// and not before.
+func TestStaleEvictionDefaultsToThreePeriods(t *testing.T) {
+	const period = 10.0
+	mo := New(Config{Adj: simnet.FullyConnected(3), Alpha: 0.1, Period: period})
+	if mo.StalePeriods() != DefaultStalePeriods || DefaultStalePeriods != 3 {
+		t.Fatalf("window %d periods, default %d; want 3", mo.StalePeriods(), DefaultStalePeriods)
+	}
 	fullTimesAt(mo, 3, 1.0, 0)
 	if _, ok := mo.MaybeRegenerate(0); !ok {
 		t.Fatal("first regeneration failed")
 	}
-	alive := mo.LiveWorkers(1e9)
-	for i, a := range alive {
-		if !a {
-			t.Fatalf("worker %d evicted with StalePeriods=0", i)
-		}
+	// Workers 0 and 1 heartbeat every period; worker 2 falls silent at 0.
+	window := DefaultStalePeriods * period
+	for now := period; now <= window; now += period {
+		mo.Heartbeat(0, now)
+		mo.Heartbeat(1, now)
+		mo.MaybeRegenerate(now)
+	}
+	if alive := mo.LiveWorkers(window); !alive[2] || mo.Evictions != 0 {
+		t.Fatalf("worker 2 evicted %d periods after its last report, inside the %d-period window: %v, %d evictions",
+			DefaultStalePeriods, DefaultStalePeriods, alive, mo.Evictions)
+	}
+	mo.Heartbeat(0, window+1)
+	mo.Heartbeat(1, window+1)
+	if _, ok := mo.MaybeRegenerate(window + 1); !ok {
+		t.Fatal("the eviction did not force a regeneration")
+	}
+	if alive := mo.LiveWorkers(window + 1); alive[2] || !alive[0] || !alive[1] || mo.Evictions != 1 {
+		t.Fatalf("one second past the window: liveness %v, %d evictions; want worker 2 alone evicted once", alive, mo.Evictions)
 	}
 }
 

@@ -116,16 +116,29 @@ func (m *Manifest) prepare() (*prepared, error) {
 		p.codec, _ = codec.ByName(r.Codec.Name)
 	}
 	p.failures = r.buildFailures()
-	if nm := r.NetMax; nm != nil {
-		p.opts = core.Options{
-			Ts:            nm.TsSecs,
-			Beta:          nm.Beta,
-			PolicyRounds:  nm.PolicyRounds,
-			UniformPolicy: nm.UniformPolicy,
-			StalePeriods:  nm.StalePeriods,
-		}
-	}
+	p.opts = r.options()
 	return p, nil
+}
+
+// options translates the resolved netmax block into core.Options (zero
+// without one). A live monitor's period is live.ts_millis in wall-clock
+// seconds.
+func (r *Manifest) options() core.Options {
+	nm := r.NetMax
+	if nm == nil {
+		return core.Options{}
+	}
+	opts := core.Options{
+		Ts:            nm.TsSecs,
+		Beta:          nm.Beta,
+		PolicyRounds:  nm.PolicyRounds,
+		UniformPolicy: nm.UniformPolicy,
+		StalePeriods:  nm.StalePeriods,
+	}
+	if r.Runtime == "live" {
+		opts.Ts = float64(r.Live.TsMillis) / 1000
+	}
+	return opts
 }
 
 // BuildEngine translates an engine-runtime manifest into a ready-to-run
@@ -285,8 +298,6 @@ func closeNothing() error { return nil }
 // live builds the live configuration and its transport hub.
 func (p *prepared) live() (live.Config, *transport.Hub, func() error, error) {
 	r, l := p.r, p.r.Live
-	opts := p.opts
-	opts.Ts = float64(l.TsMillis) / 1000
 	cfg := live.Config{
 		Spec:        p.spec,
 		Part:        p.part,
@@ -294,7 +305,7 @@ func (p *prepared) live() (live.Config, *transport.Hub, func() error, error) {
 		LR:          r.LR,
 		Batch:       r.Batch,
 		Seed:        r.Seed,
-		NetMax:      opts,
+		NetMax:      p.opts,
 		Duration:    time.Duration(l.DurationSecs * float64(time.Second)),
 		Iterations:  l.Iterations,
 		Codec:       p.codec,

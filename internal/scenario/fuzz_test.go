@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"netmax/internal/live"
 )
 
 // FuzzParseManifest feeds arbitrary bytes to Parse, seeded with every file
@@ -15,7 +17,9 @@ import (
 // manifest that marshals, parses and validates again: the resolved.json a
 // run writes is always a runnable manifest. An accepted engine manifest
 // must also build, in its full and its quick form, without an error or a
-// panic: past validation, the builders cannot fail.
+// panic: past validation, the builders cannot fail. An accepted live
+// manifest must give live.Run a positive monitor period and a positive
+// retry cooldown for a masked peer, as live.Timing computes them.
 func FuzzParseManifest(f *testing.F) {
 	paths, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.json"))
 	if err != nil || len(paths) == 0 {
@@ -33,6 +37,12 @@ func FuzzParseManifest(f *testing.F) {
 	f.Add([]byte(`{"name": "x", "codec": {"name": "topk"}}`))
 	f.Add([]byte(`{"name": "x", "codec": {"name": "topk", "topk_frac": 0.1}}`))
 	f.Add([]byte(`{"name": "x"}}`))
+	// A live manifest at the wall-clock caps, and two past them, whose
+	// period or cooldown overflows a time.Duration: the parser must reject
+	// both.
+	f.Add([]byte(`{"name": "x", "runtime": "live", "live": {"iterations": 5, "ts_millis": 3600000}, "netmax": {"stale_periods": 1000}}`))
+	f.Add([]byte(`{"name": "x", "runtime": "live", "live": {"iterations": 5, "ts_millis": 10000000000000}}`))
+	f.Add([]byte(`{"name": "x", "runtime": "live", "live": {"iterations": 5}, "netmax": {"stale_periods": 100000000000}}`))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		m, err := Parse(raw)
 		if err != nil {
@@ -48,7 +58,11 @@ func FuzzParseManifest(f *testing.F) {
 		if _, err := Parse(out); err != nil {
 			t.Fatalf("resolved manifest does not parse back: %v\n%s", err, out)
 		}
-		if m.Resolved().Runtime != "engine" {
+		if r := m.Resolved(); r.Runtime == "live" {
+			ts, cooldown := live.Timing(live.Config{NetMax: r.options()})
+			if ts <= 0 || cooldown <= 0 {
+				t.Fatalf("accepted live manifest runs a monitor period of %v and a retry cooldown of %v\n%s", ts, cooldown, raw)
+			}
 			return
 		}
 		for _, form := range []*Manifest{m, m.ApplyQuick()} {

@@ -37,6 +37,7 @@ import (
 	"netmax/internal/codec"
 	"netmax/internal/core"
 	"netmax/internal/data"
+	"netmax/internal/monitor"
 	"netmax/internal/nn"
 	"netmax/internal/policy"
 	"netmax/internal/simnet"
@@ -223,9 +224,9 @@ type NetMaxSpec struct {
 	PolicyRounds int `json:"policy_rounds,omitempty"`
 	// UniformPolicy disables the adaptive policy (the uniform ablation).
 	UniformPolicy bool `json:"uniform_policy,omitempty"`
-	// StalePeriods enables monitor liveness eviction. On the engine 0
-	// disables it, the right setting for failure-free runs; on live 0
-	// selects the default of 3 periods.
+	// StalePeriods is the monitor's liveness window in periods on both
+	// runtimes: a worker silent this long is evicted (default
+	// monitor.DefaultStalePeriods, at least 1; eviction is never off).
 	StalePeriods int `json:"stale_periods,omitempty"`
 }
 
@@ -294,9 +295,8 @@ const (
 	DefaultSlowPeriod = 300.0 / 50
 	// DefaultHorizon is the virtual-time span every dynamic network
 	// schedule covers; effectively unbounded.
-	DefaultHorizon   = 1e7
-	DefaultLiveTsMs  = 500
-	DefaultLiveStale = 3
+	DefaultHorizon  = 1e7
+	DefaultLiveTsMs = 500
 	// DefaultPullTimeout bounds every live model pull and monitor exchange.
 	DefaultPullTimeout = 2 * time.Second
 )
@@ -312,10 +312,17 @@ const maxEpochs = 1000
 // crashes_per_worker events, whatever the horizon, each scanned by every
 // churn query. The largest values in use are 3,000 iterations (perfbench's
 // live-float32), 1 s and 2 crashes per worker.
+//
+// live.ts_millis and netmax.stale_periods are capped so that a live run's
+// retry cooldown, ts × (stale_periods + 1), fits a time.Duration: an hour
+// times 1,001 is about 3.6e15 ns, against a limit of 9.2e18. The largest
+// values in use are 500 ms (the default) and 3 periods (the default).
 const (
 	maxLiveIterations   = 100_000
 	maxLiveSecs         = 600
 	maxCrashesPerWorker = 100
+	maxLiveTsMillis     = 3_600_000
+	maxStalePeriods     = 1_000
 )
 
 // Parse decodes a manifest from JSON, rejecting unknown fields, and
@@ -475,13 +482,12 @@ func (m *Manifest) Resolved() *Manifest {
 			r.NetMax = &NetMaxSpec{}
 		}
 		nm := r.NetMax
-		// Live takes its period from live.ts_millis and evicts by default.
-		if r.Runtime == "live" {
-			if nm.StalePeriods == 0 {
-				nm.StalePeriods = DefaultLiveStale
-			}
-		} else if nm.TsSecs == 0 {
+		// Live takes its period from live.ts_millis.
+		if r.Runtime != "live" && nm.TsSecs == 0 {
 			nm.TsSecs = DefaultMonitorTs
+		}
+		if nm.StalePeriods == 0 {
+			nm.StalePeriods = monitor.DefaultStalePeriods
 		}
 		if nm.Beta == 0 {
 			nm.Beta = core.DefaultBeta
@@ -775,8 +781,11 @@ func validateNetMax(e *errorList, r *Manifest) {
 		if nm.PolicyRounds > policy.MaxRounds {
 			e.addf("netmax.policy_rounds must be <= %d (a regeneration scores rounds² candidates), got %d", policy.MaxRounds, nm.PolicyRounds)
 		}
-		if nm.StalePeriods < 0 {
-			e.addf("netmax.stale_periods must be >= 0, got %d", nm.StalePeriods)
+		if nm.StalePeriods < 1 {
+			e.addf("netmax.stale_periods must be >= 1, got %d", nm.StalePeriods)
+		}
+		if nm.StalePeriods > maxStalePeriods {
+			e.addf("netmax.stale_periods must be <= %d, got %d", maxStalePeriods, nm.StalePeriods)
 		}
 	}
 }
@@ -923,6 +932,9 @@ func validateLive(e *errorList, m, r *Manifest, a algorithm) {
 	}
 	if l.TsMillis <= 0 {
 		e.addf("live.ts_millis must be positive, got %d", l.TsMillis)
+	}
+	if l.TsMillis > maxLiveTsMillis {
+		e.addf("live.ts_millis must be <= %d, got %d", maxLiveTsMillis, l.TsMillis)
 	}
 	if l.DurationSecs < 0 {
 		e.addf("live.duration_secs must be >= 0, got %g", l.DurationSecs)

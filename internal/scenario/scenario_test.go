@@ -182,6 +182,10 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		{"live beta", `{"name": "x", "runtime": "live", "live": {"iterations": 5, "beta": 0.3}}`, `unknown field "beta"`},
 		{"live uniform", `{"name": "x", "runtime": "live", "live": {"iterations": 5, "uniform": true}}`, `unknown field "uniform"`},
 		{"live stale_periods", `{"name": "x", "runtime": "live", "live": {"iterations": 5, "stale_periods": 2}}`, `unknown field "stale_periods"`},
+		{"stale periods negative", `{"name": "x", "netmax": {"stale_periods": -1}}`, "netmax.stale_periods must be >= 1"},
+		{"stale periods above cap", `{"name": "x", "netmax": {"stale_periods": 100000000000}}`, "netmax.stale_periods must be <= 1000"},
+		{"live stale periods above cap", `{"name": "x", "runtime": "live", "live": {"iterations": 5}, "netmax": {"stale_periods": 100000000000}}`, "netmax.stale_periods must be <= 1000"},
+		{"live ts_millis above cap", `{"name":"x","runtime":"live","model":"MobileNet","dataset":"MNIST","workers":4,"live":{"transport":"local","iterations":5,"ts_millis":10000000000000}}`, "live.ts_millis must be <= 3600000"},
 		{"live pull timeout", `{"name": "x", "runtime": "live", "live": {"iterations": 5, "pull_timeout_secs": 1}}`, `unknown field "pull_timeout_secs"`},
 		{"live segments", `{"name": "x", "runtime": "live", "workers": 2, "partition": {"kind": "segments", "segments": [1, 2]}, "live": {"iterations": 5}}`, "engine-only"},
 		{"quick breaks segments", `{"name": "x", "partition": {"preset": "paper-8"}, "quick": {"workers": 4}}`, "quick overrides"},
