@@ -134,7 +134,7 @@ func (Float32) DecodeInto(payload []byte, dst []float64) error {
 		return fmt.Errorf("codec: float32 payload %d bytes, want %d for dim %d", len(payload), 4*len(dst), len(dst))
 	}
 	for i := range dst {
-		dst[i] = float64(math.Float32frombits(binary.BigEndian.Uint32(payload[4*i:])))
+		dst[i] = float64(math.Float32frombits(binary.BigEndian.Uint32(payload[4*i : 4*i+4])))
 	}
 	return nil
 }

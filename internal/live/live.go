@@ -18,6 +18,12 @@
 // is rejected, never blended), the peer-down retry cooldown and scheduled
 // churn, read from the engine's simnet.FailureSchedule on the wall clock.
 //
+// A worker overlaps its pull with its gradient step, as in Algorithm 2,
+// on its own goroutine: it sends the pull request (PullClient.Request)
+// before the step and reads the answer (PullClient.Receive) after it, so
+// the peer's server copies, encodes and writes the model while the worker
+// computes. A run starts no goroutine per iteration.
+//
 // The Network Monitor talks to the workers once per period Ts, as in
 // Algorithm 1: it collects every worker's EMA link times over the wire,
 // regenerates the policy, and pushes it to each worker that has not
@@ -112,12 +118,16 @@ type Stats struct {
 // NetMax state. Everything but mu, timesMu and what they guard is owned by
 // the worker goroutine.
 type worker struct {
-	id   int
-	rep  *engine.Worker
-	mu   sync.Mutex // guards rep.Model's parameters: transport reads vs. local updates
+	id  int
+	rep *engine.Worker
+	// mu guards the writes of rep.Model's parameters (the optimizer step
+	// and the blend) against the transport's copyVector, which reads only
+	// the parameters. The gradient computation runs outside it: it reads
+	// the parameters and writes only gradients and activations.
+	mu   sync.Mutex
 	node *core.Node
 	// pulled is the buffer pulls decode into, straight off the wire,
-	// before the blend; only the worker's in-flight pull writes it.
+	// before the blend.
 	pulled []float64
 	// offered is the last pushed policy the worker checked for adoption.
 	offered *transport.Policy
@@ -127,7 +137,7 @@ type worker struct {
 	maskedAt []time.Time
 
 	// timesMu guards what the monitor collects, apart from mu, which the
-	// gradient step holds. Only the worker goroutine writes it.
+	// optimizer step holds. Only the worker goroutine writes it.
 	timesMu sync.Mutex
 	// times holds the EMA time and observation count of every link.
 	times []transport.LinkTime
@@ -378,26 +388,26 @@ func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
 				}
 				j := w.node.Select(w.rep.Rng)
 				iterStart := time.Now()
-				// Pull the neighbor's model concurrently with the local
-				// gradient step (Algorithm 2's overlap), decoding straight
-				// into w.pulled.
-				var pulledBytes int64
-				var pullErr error
-				done := make(chan struct{})
+				// Request the neighbor's model before the local gradient
+				// step and read the answer after it: the peer's server
+				// copies, encodes and sends the model while this worker
+				// computes (Algorithm 2's overlap). The answer decodes
+				// straight into w.pulled.
+				var peer *transport.PullClient
 				if j != w.id {
-					go func() {
-						pulledBytes, pullErr = hub.Peer(w.id, j).PullModel(w.pulled)
-						close(done)
-					}()
-				} else {
-					close(done)
+					peer = hub.Peer(w.id, j)
+					peer.Request()
 				}
 				x, labels := w.rep.NextBatch()
-				w.mu.Lock()
 				w.rep.ComputeGrad(x, labels)
+				w.mu.Lock()
 				w.rep.ApplyStep()
 				w.mu.Unlock()
-				<-done
+				var pulledBytes int64
+				var pullErr error
+				if peer != nil {
+					pulledBytes, pullErr = peer.Receive(w.pulled)
+				}
 				switch {
 				case j == w.id:
 					// Self-selection: no pull, nothing to blend.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -144,6 +145,36 @@ func liveConfig(workers, iters int) Config {
 		NetMax:      core.Options{Ts: 0.050},
 		Iterations:  iters,
 		PullTimeout: 2 * time.Second,
+	}
+}
+
+// TestLiveIterationsAllocateNothing runs a uniform-policy group on the
+// in-process hub for n and for 2n iterations per worker: the extra
+// iterations, pulls included, must not allocate. What a run allocates
+// once (replicas, connections, buffers, the final evaluation) is the same
+// for both. Ts is an hour, so the monitor never ticks in either run.
+func TestLiveIterationsAllocateNothing(t *testing.T) {
+	const n = 400
+	mallocs := func(iters int) uint64 {
+		hub := transport.NewLocalHub(nil)
+		defer hub.Close()
+		cfg := liveConfig(4, iters)
+		cfg.NetMax.UniformPolicy = true
+		cfg.NetMax.Ts = 3600
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		stats := Run(context.Background(), cfg, hub)
+		runtime.ReadMemStats(&after)
+		if stats.Pulls == 0 {
+			t.Fatal("the group pulled nothing")
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	short, long := mallocs(n), mallocs(2*n)
+	t.Logf("mallocs: %d for %d iterations per worker, %d for %d", short, n, long, 2*n)
+	// 4n extra iterations; a per-iteration allocation would add >= 4n.
+	if long > short+n/4 {
+		t.Fatalf("%d more allocations for %d more iterations per worker", long-short, n)
 	}
 }
 

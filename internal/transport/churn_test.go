@@ -134,3 +134,94 @@ func TestLocalNetWorkerDownAndHang(t *testing.T) {
 		t.Fatalf("unknown peer = %v, want ErrPeerDown", err)
 	}
 }
+
+// The split-pull tests run on both carriers: a live worker sends its pull
+// request before its gradient step and reads the answer after it.
+var carriers = []string{"pipe", "tcp"}
+
+// openRecordingHub opens a hub over carrier with the given pull latency,
+// whose servers record their connections as NewRecordingLocalHub's do.
+func openRecordingHub(carrier string, latency func(i, j int) time.Duration) (*Hub, func(kind uint8) int) {
+	if carrier == "pipe" {
+		return NewRecordingLocalHub(latency)
+	}
+	return newRecordingHub(listenTCP, dialTCP, latency)
+}
+
+// TestSplitPullResendsAfterDrop drops the connection between Request and
+// Receive, after the server has read the request and before it answers:
+// Receive must redial, re-send the request once and return the model.
+func TestSplitPullResendsAfterDrop(t *testing.T) {
+	for _, carrier := range carriers {
+		t.Run(carrier, func(t *testing.T) {
+			hub, frames := openRecordingHub(carrier, func(i, j int) time.Duration { return 50 * time.Millisecond })
+			defer hub.Close()
+			serve(t, hub, Group{Sources: fixed([]float64{0, 0}, []float64{1, 2}), Timeout: 2 * time.Second})
+			peer := hub.Peer(0, 1)
+			peer.Request()
+			for frames(msgPull) == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			hub.SetWorkerDown(1, true) // tears the connection down
+			hub.SetWorkerDown(1, false)
+			dst := make([]float64, 2)
+			if _, err := peer.Receive(dst); err != nil || dst[1] != 2 {
+				t.Fatalf("pull across a dropped connection decoded %v (%v)", dst, err)
+			}
+			if n := frames(msgPull); n != 2 {
+				t.Fatalf("servers read %d pull requests, want the request and one re-send", n)
+			}
+		})
+	}
+}
+
+// TestSplitPullPeerDown checks that a pull at a down peer, or at an
+// address that cannot be dialed, fails with ErrPeerDown from Receive.
+func TestSplitPullPeerDown(t *testing.T) {
+	for _, carrier := range carriers {
+		t.Run(carrier, func(t *testing.T) {
+			hub, _ := openRecordingHub(carrier, nil)
+			defer hub.Close()
+			serve(t, hub, Group{Sources: fixed([]float64{0}, []float64{1}), Timeout: time.Second})
+			dst := make([]float64, 1)
+			if _, err := hub.Peer(0, 1).PullModel(dst); err != nil {
+				t.Fatalf("pull before the crash: %v", err)
+			}
+			hub.SetWorkerDown(1, true)
+			for _, peer := range []*PullClient{hub.Peer(0, 1), hub.Peer(0, 9)} {
+				peer.Request()
+				if _, err := peer.Receive(dst); !errors.Is(err, ErrPeerDown) {
+					t.Fatalf("pull at %q = %v, want ErrPeerDown", peer.Addr, err)
+				}
+			}
+		})
+	}
+}
+
+// TestSplitPullHungPeerCostsOneDeadline pulls from a peer whose latency
+// exceeds the deadline, with 300 ms of work between Request and Receive.
+// The deadline starts at Request and is never retried, so the pull fails
+// after one 400 ms deadline: not 700 ms (a deadline started at Receive)
+// and not two deadlines.
+func TestSplitPullHungPeerCostsOneDeadline(t *testing.T) {
+	const timeout = 400 * time.Millisecond
+	for _, carrier := range carriers {
+		t.Run(carrier, func(t *testing.T) {
+			hub, _ := openRecordingHub(carrier, func(i, j int) time.Duration { return time.Hour })
+			defer hub.Close()
+			serve(t, hub, Group{Sources: fixed([]float64{0}, []float64{1}), Timeout: timeout})
+			peer := hub.Peer(0, 1)
+			start := time.Now()
+			peer.Request()
+			time.Sleep(300 * time.Millisecond)
+			_, err := peer.Receive(make([]float64, 1))
+			elapsed := time.Since(start)
+			if !errors.Is(err, ErrPeerDown) {
+				t.Fatalf("hung pull = %v, want ErrPeerDown", err)
+			}
+			if elapsed < timeout || elapsed >= 650*time.Millisecond {
+				t.Fatalf("hung pull took %v, want one %v deadline from Request", elapsed, timeout)
+			}
+		})
+	}
+}

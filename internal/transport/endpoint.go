@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -286,61 +285,89 @@ func dialTCP(addr string, timeout time.Duration) (net.Conn, error) {
 
 // persistentConn is the shared client chassis: one lazily dialed
 // connection plus the frame request/response exchange with its retry
-// policy. Owners serialize access with their own mutex.
+// policy. An exchange is send followed by recv; owners serialize
+// exchanges with their own mutex.
 type persistentConn struct {
 	dial dialer // nil dials TCP
 	conn net.Conn
 	r    *bufio.Reader
 	w    *bufio.Writer
 	rbuf []byte
+	// resent records that the exchange in flight has used its one re-send.
+	resent bool
 }
 
-// roundTrip sends one request frame to addr and reads the response. A dead
-// connection is redialed and the request retried once: every request kind
-// is idempotent (pulls and collects only read — the monitor ingests a link
-// only when its observation count grew — and the policy slot ignores a
-// version it already holds), so a request the server may already have
-// processed is safe to re-send. A positive timeout bounds every step
-// — dial, write, response read — so a hung (not closed) peer costs at most
-// one deadline instead of blocking the caller forever. The returned body
-// aliases the connection's read buffer and is valid until the next call.
-func (pc *persistentConn) roundTrip(addr string, timeout time.Duration, reqKind uint8, reqBody []byte, wantKind uint8) ([]byte, uint8, error) {
-	var lastErr error
-	for attempt := 0; attempt < 2; attempt++ {
-		if err := pc.ensure(addr, timeout); err != nil {
-			return nil, 0, err
-		}
-		if timeout > 0 {
-			pc.conn.SetDeadline(time.Now().Add(timeout))
-		}
-		if err := writeFrame(pc.w, reqKind, 0, reqBody); err != nil {
-			pc.drop()
-			lastErr = err
-			if isTimeout(err) {
-				// Deadline expired: the peer is hung, not restarted. A
-				// retry would redial the still-listening socket and wait
-				// out a second full deadline — doubling the documented
-				// one-deadline cost of a hung peer.
-				return nil, 0, fmt.Errorf("transport: %s: %w", addr, err)
-			}
-			continue
-		}
-		kind, codecID, body, err := readFrame(pc.r, &pc.rbuf)
+// send writes one request frame to addr, dialing first if there is no
+// connection. A positive timeout becomes the deadline of the whole
+// exchange: the dial, the write, whatever the caller does before recv, and
+// the response read. A dead connection is redialed and the request re-sent
+// once, here or in recv: every request kind is idempotent (pulls and
+// collects only read — the monitor ingests a link only when its
+// observation count grew — and the policy slot ignores a version it already
+// holds), so a request the server may already have processed is safe to
+// re-send. An expired deadline is never retried: the peer is hung, not
+// restarted, and a retry would redial the still-listening socket and wait
+// out a second full deadline — doubling the documented one-deadline cost
+// of a hung peer.
+func (pc *persistentConn) send(addr string, timeout time.Duration, kind uint8, body []byte) error {
+	pc.resent = false
+	retry, err := pc.write(addr, timeout, kind, body)
+	if retry {
+		pc.resent = true
+		_, err = pc.write(addr, timeout, kind, body)
+	}
+	return err
+}
+
+// recv reads the response to the request send wrote, which must be passed
+// again as kind and body for a re-send. The returned body aliases the
+// connection's read buffer and is valid until the next exchange.
+func (pc *persistentConn) recv(addr string, timeout time.Duration, kind uint8, body []byte, wantKind uint8) ([]byte, uint8, error) {
+	for {
+		respKind, codecID, resp, err := readFrame(pc.r, &pc.rbuf)
 		if err != nil {
 			pc.drop()
-			lastErr = err
-			if isTimeout(err) {
+			if pc.resent || isTimeout(err) {
 				return nil, 0, fmt.Errorf("transport: %s: %w", addr, err)
+			}
+			pc.resent = true
+			if _, err := pc.write(addr, timeout, kind, body); err != nil {
+				return nil, 0, err
 			}
 			continue
 		}
-		if kind != wantKind {
+		if respKind != wantKind {
 			pc.drop()
-			return nil, 0, fmt.Errorf("%w: unexpected frame kind %d, want %d", errProtocol, kind, wantKind)
+			return nil, 0, fmt.Errorf("%w: unexpected frame kind %d, want %d", errProtocol, respKind, wantKind)
 		}
-		return body, codecID, nil
+		return resp, codecID, nil
 	}
-	return nil, 0, fmt.Errorf("transport: %s: %w", addr, lastErr)
+}
+
+// roundTrip is send followed at once by recv.
+func (pc *persistentConn) roundTrip(addr string, timeout time.Duration, kind uint8, body []byte, wantKind uint8) ([]byte, uint8, error) {
+	if err := pc.send(addr, timeout, kind, body); err != nil {
+		return nil, 0, err
+	}
+	return pc.recv(addr, timeout, kind, body, wantKind)
+}
+
+// write makes one attempt at sending a request frame: it dials if there is
+// no connection, sets the deadline and writes. It reports whether a
+// failure may be retried: a write on a connection that died, but neither a
+// failed dial nor an expired deadline.
+func (pc *persistentConn) write(addr string, timeout time.Duration, kind uint8, body []byte) (retry bool, err error) {
+	if err := pc.ensure(addr, timeout); err != nil {
+		return false, err
+	}
+	if timeout > 0 {
+		pc.conn.SetDeadline(time.Now().Add(timeout))
+	}
+	if err := writeFrame(pc.w, kind, 0, body); err != nil {
+		pc.drop()
+		return !isTimeout(err), fmt.Errorf("transport: %s: %w", addr, err)
+	}
+	return false, nil
 }
 
 func (pc *persistentConn) ensure(addr string, timeout time.Duration) error {
@@ -387,34 +414,58 @@ func (pc *persistentConn) drop() error {
 // PullClient pulls models from a remote worker address over one persistent
 // connection, redialing transparently if the connection drops. The zero
 // value with Addr set is ready to use over TCP; it is safe for concurrent
-// use. A positive Timeout bounds every pull (dial + request + response): a
-// hung or dead peer then fails with an error wrapping ErrPeerDown instead
-// of blocking the worker forever. Set the fields before the first pull.
+// use. A pull is Request followed by Receive, so that the caller can work
+// while the peer serves it; PullModel makes both calls at once. A positive
+// Timeout bounds every pull from its Request (dial + request + the
+// caller's work + response): a hung or dead peer then fails with an error
+// wrapping ErrPeerDown instead of blocking the worker forever. Set the
+// fields before the first pull.
 type PullClient struct {
 	From    int
 	Addr    string
 	Timeout time.Duration
 
-	mu   sync.Mutex
+	mu   sync.Mutex // held from Request to Receive
 	pc   persistentConn
 	wbuf []byte
+	// sendErr is the failure of the in-flight pull's request, which
+	// Receive returns.
+	sendErr error
 }
 
 // PullModel requests the peer's freshest parameter vector and decodes it
-// straight from the connection's read buffer into dst, returning the
-// encoded payload size (the bytes-on-wire figure). dst must have the
-// dimension the peer serves. Transport-level failures — refused or dropped
-// connections, deadline expiry — classify as ErrPeerDown: the peer is gone
-// or unresponsive, and the caller should mask it until the monitor reacts.
-// A malformed response (unknown codec id, wrong dimension, corrupt payload)
-// is a protocol error, and a vector with a NaN or ±Inf coordinate fails
-// with ErrNonFinite; neither wraps ErrPeerDown. On any error dst's contents
-// are unspecified.
+// into dst: Request followed at once by Receive.
 func (p *PullClient) PullModel(dst []float64) (wireBytes int64, err error) {
+	p.Request()
+	return p.Receive(dst)
+}
+
+// Request sends a pull request for the peer's freshest parameter vector
+// and starts the pull's deadline. It holds the client until Receive, which
+// the caller must call next, from the same goroutine or not; a failure to
+// send is returned by that Receive.
+func (p *PullClient) Request() {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.wbuf = appendPullReq(p.wbuf[:0], p.From)
-	body, codecID, err := p.pc.roundTrip(p.Addr, p.Timeout, msgPull, p.wbuf, msgPullResp)
+	p.sendErr = p.pc.send(p.Addr, p.Timeout, msgPull, p.wbuf)
+}
+
+// Receive completes the pull Request started: it reads the answer and
+// decodes it straight from the connection's read buffer into dst,
+// returning the encoded payload size (the bytes-on-wire figure). dst must
+// have the dimension the peer serves. Transport-level failures — refused
+// or dropped connections, deadline expiry — classify as ErrPeerDown: the
+// peer is gone or unresponsive, and the caller should mask it until the
+// monitor reacts. A malformed response (unknown codec id, wrong dimension,
+// corrupt payload) is a protocol error, and a vector with a NaN or ±Inf
+// coordinate fails with ErrNonFinite; neither wraps ErrPeerDown. On any
+// error dst's contents are unspecified.
+func (p *PullClient) Receive(dst []float64) (wireBytes int64, err error) {
+	defer p.mu.Unlock()
+	if p.sendErr != nil {
+		return 0, peerErr(p.sendErr)
+	}
+	body, codecID, err := p.pc.recv(p.Addr, p.Timeout, msgPull, p.wbuf, msgPullResp)
 	if err != nil {
 		return 0, peerErr(err)
 	}
@@ -423,12 +474,21 @@ func (p *PullClient) PullModel(dst []float64) (wireBytes int64, err error) {
 		p.pc.drop()
 		return 0, err
 	}
-	for _, v := range dst {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return 0, ErrNonFinite
-		}
+	if !allFinite(dst) {
+		return 0, ErrNonFinite
 	}
 	return int64(len(payload)), nil
+}
+
+// allFinite reports whether vec has no NaN or ±Inf coordinate: v-v is 0
+// for every finite v and NaN otherwise, one comparison per coordinate.
+func allFinite(vec []float64) bool {
+	for _, v := range vec {
+		if v-v != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Close tears down the persistent connection, if any.

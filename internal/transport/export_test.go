@@ -19,10 +19,16 @@ const (
 // the servers have read and written so far.
 func NewRecordingLocalHub(latency func(i, j int) time.Duration) (*Hub, func(kind uint8) int) {
 	pn := &pipeNet{listeners: make(map[string]*pipeListener)}
+	return newRecordingHub(pn.listen, pn.dial, latency)
+}
+
+// newRecordingHub is NewRecordingLocalHub over any carrier: listen opens
+// each worker's listener and dial reaches it.
+func newRecordingHub(listen func() (net.Listener, error), dial dialer, latency func(i, j int) time.Duration) (*Hub, func(kind uint8) int) {
 	var mu sync.Mutex
 	var lns []*recordingListener
-	listen := func() (net.Listener, error) {
-		ln, err := pn.listen()
+	recording := func() (net.Listener, error) {
+		ln, err := listen()
 		if err != nil {
 			return nil, err
 		}
@@ -41,5 +47,5 @@ func NewRecordingLocalHub(latency func(i, j int) time.Duration) (*Hub, func(kind
 		}
 		return n
 	}
-	return &Hub{listen: listen, dial: pn.dial, latency: latency}, frames
+	return &Hub{listen: recording, dial: dial, latency: latency}, frames
 }

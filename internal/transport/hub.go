@@ -21,8 +21,9 @@ type Group struct {
 	// Codec encodes every pull response; nil means raw float64.
 	Codec codec.Codec
 	// Timeout bounds every pull, collect and push (dial, request,
-	// response): a hung or dead peer costs at most one deadline. Zero
-	// disables deadlines.
+	// response; a pull's deadline runs from its Request to its Receive):
+	// a hung or dead peer costs at most one deadline. Zero disables
+	// deadlines.
 	Timeout time.Duration
 }
 

@@ -40,13 +40,65 @@ func (n *pipeNet) dial(addr string, _ time.Duration) (net.Conn, error) {
 		client, server := net.Pipe()
 		select {
 		case l.conns <- server:
-			return client, nil
+			return &deadlineConn{Conn: client}, nil
 		case <-l.done:
 			client.Close()
 			server.Close()
 		}
 	}
 	return nil, fmt.Errorf("dial pipe %q: connection refused", addr)
+}
+
+// deadlineConn is the dialing end of a net.Pipe with a SetDeadline that
+// allocates nothing once warm. The pipe's own starts a fresh time.AfterFunc
+// timer for its read and for its write deadline on every call, four
+// allocations per exchange; this end re-arms one timer of its own, which
+// expires the pipe's deadlines by setting them in the past. The clients
+// set deadlines with SetDeadline alone; SetReadDeadline and
+// SetWriteDeadline reach the pipe unchanged.
+type deadlineConn struct {
+	net.Conn
+	mu    sync.Mutex
+	at    time.Time // the deadline; zero: none
+	timer *time.Timer
+}
+
+func (c *deadlineConn) SetDeadline(t time.Time) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.at = t
+	d := time.Until(t)
+	if t.IsZero() || d <= 0 {
+		if c.timer != nil {
+			c.timer.Stop()
+		}
+		return c.Conn.SetDeadline(t)
+	}
+	// Clear an expired deadline, then arm the timer for the new one.
+	if err := c.Conn.SetDeadline(time.Time{}); err != nil {
+		return err
+	}
+	if c.timer == nil {
+		c.timer = time.AfterFunc(d, c.expire)
+	} else {
+		c.timer.Reset(d)
+	}
+	return nil
+}
+
+// expire runs on the timer. A deadline set since the timer was armed is
+// either cleared or still ahead, and then the timer waits for it instead.
+func (c *deadlineConn) expire() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.at.IsZero() {
+		return
+	}
+	if d := time.Until(c.at); d > 0 {
+		c.timer.Reset(d)
+		return
+	}
+	_ = c.Conn.SetDeadline(c.at) // fails only on a closed pipe, which has nothing left to expire
 }
 
 // pipeListener is one listener of a pipeNet.

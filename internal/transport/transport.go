@@ -14,10 +14,14 @@
 // worker: Collect reads the worker's link times and adopted policy
 // version, and Push fills the worker's policy slot, which the worker reads
 // with Hub.Pushed. Workers send the monitor nothing. Model payloads go
-// through a dense compression codec (internal/codec); a pull decodes
+// through a dense compression codec (internal/codec). A pull is two calls
+// on the puller's goroutine: PullClient.Request sends the request and
+// starts the deadline, and PullClient.Receive reads the answer, decodes it
 // straight off the wire into the caller's buffer and reports its encoded
-// bytes-on-wire, which the puller counts. The discrete-event simulator does
-// not use this package; this is the "system" half of the reproduction.
+// bytes-on-wire, which the puller counts; the caller works in between
+// while the peer serves the pull. PullModel makes both calls at once. The
+// discrete-event simulator does not use this package; this is the
+// "system" half of the reproduction.
 package transport
 
 import "errors"

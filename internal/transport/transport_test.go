@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"errors"
+	"math"
 	"net"
 	"slices"
 	"sync"
@@ -326,10 +327,11 @@ func TestLocalNetDownWorkerMissesMonitor(t *testing.T) {
 	}
 }
 
-// TestWarmExchangesAllocateNothing pins the served side of a pull and a
-// collect at zero allocations once warm: the serving connection copies the
-// model into a buffer it owns, under the source's lock as a live worker's
-// does, and encodes into a reused frame buffer.
+// TestWarmExchangesAllocateNothing pins a pull and a collect, both sides,
+// at zero allocations once warm: the serving connection copies the model
+// into a buffer it owns, under the source's lock as a live worker's does,
+// and encodes into a reused frame buffer. The split pull runs the puller's
+// gradient step between Request and Receive, as a live worker does.
 func TestWarmExchangesAllocateNothing(t *testing.T) {
 	model := []float64{1, 2, 3, 4}
 	var mu sync.Mutex
@@ -351,9 +353,17 @@ func TestWarmExchangesAllocateNothing(t *testing.T) {
 	})
 	dst := make([]float64, len(model))
 	row := make([]LinkTime, 2)
+	step := newGradStep()
 	for name, exchange := range map[string]func() error{
 		"pull":    func() error { _, err := hub.Peer(0, 1).PullModel(dst); return err },
 		"collect": func() error { _, err := hub.Control(1).Collect(row); return err },
+		"split pull": func() error {
+			peer := hub.Peer(0, 1)
+			peer.Request()
+			step()
+			_, err := peer.Receive(dst)
+			return err
+		},
 	} {
 		if err := exchange(); err != nil { // warm: dial, grow buffers
 			t.Fatal(err)
@@ -365,6 +375,25 @@ func TestWarmExchangesAllocateNothing(t *testing.T) {
 		}); n != 0 {
 			t.Errorf("a warm %s allocates %v times", name, n)
 		}
+	}
+}
+
+// TestAllFinite pins the pull's one-comparison scan to math.IsNaN ||
+// math.IsInf on the values where they could part: NaN, the infinities,
+// both zeros, a subnormal and the largest finite values.
+func TestAllFinite(t *testing.T) {
+	for _, v := range []float64{
+		math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.MaxFloat64, -math.MaxFloat64, 1, -2.5,
+	} {
+		want := !math.IsNaN(v) && !math.IsInf(v, 0)
+		if got := allFinite([]float64{1, v, 2}); got != want {
+			t.Errorf("allFinite with %v = %v, want %v", v, got, want)
+		}
+	}
+	if !allFinite(nil) {
+		t.Error("an empty vector is not finite")
 	}
 }
 
