@@ -50,8 +50,9 @@ func averagedStep(cfg *engine.Config, ws []*engine.Worker) func() {
 	par := cfg.EffectiveParallelism()
 	vlen := ws[0].Model.VectorLen()
 	avg := make([]float64, vlen)
+	grad := func(k int) { ws[k].GradOnly() }
 	return func() {
-		engine.Concurrently(len(ws), par, func(k int) { ws[k].GradOnly() })
+		engine.Concurrently(len(ws), par, grad)
 		clear(avg)
 		total := 0
 		for _, w := range ws {

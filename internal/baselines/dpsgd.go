@@ -48,13 +48,12 @@ func RunSyncDPSGD(cfg *engine.Config) *engine.Result {
 	}
 
 	par := cfg.EffectiveParallelism()
+	step := func(k int) { ws[k].GradStep() }
 	return runRounds(cfg, ws, "D-PSGD", edges*bytes, func(now float64) float64 {
 		// Local gradient steps: conceptually parallel in the algorithm, and
 		// actually concurrent on the host (each worker only touches its own
 		// replica; the averaging below reads models serially afterwards).
-		engine.Concurrently(len(ws), par, func(k int) {
-			ws[k].GradStep()
-		})
+		engine.Concurrently(len(ws), par, step)
 		for i, w := range ws {
 			w.Model.CopyVector(vecs[i])
 		}

@@ -1,8 +1,9 @@
 package baselines
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"netmax/internal/engine"
 )
@@ -32,8 +33,11 @@ func RunPrague(cfg *engine.Config) *engine.Result {
 
 	freeAt := make([]float64, m)
 	// Active machine-spanning group intervals for the contention model.
+	// Round starts never decrease, so a worker joins a new group only
+	// after its last one has ended: the groups in flight are disjoint, and
+	// at most m/g are active at once.
 	type interval struct{ start, end float64 }
-	var active []interval
+	active := make([]interval, 0, m/g)
 
 	spansMachines := func(members []int) bool {
 		mac := cfg.Net.Topo.Machine
@@ -45,15 +49,17 @@ func RunPrague(cfg *engine.Config) *engine.Result {
 		return false
 	}
 
+	// order is the round's worker ranking; members, its first g entries,
+	// lives only until the next round overwrites it.
+	order := make([]int, m)
 	for !tr.Done() {
 		// Pick the g earliest-free workers; random tie-break keeps grouping
 		// random when many are free (Prague's randomized grouping).
-		order := make([]int, m)
 		for i := range order {
 			order[i] = i
 		}
 		rng.Shuffle(m, func(a, b int) { order[a], order[b] = order[b], order[a] })
-		sort.SliceStable(order, func(a, b int) bool { return freeAt[order[a]] < freeAt[order[b]] })
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(freeAt[a], freeAt[b]) })
 		members := order[:g]
 		start := 0.0
 		for _, w := range members {

@@ -199,9 +199,9 @@ func RunAsync(cfg *Config, b AsyncBehavior, algo string) *Result {
 		if pull.Until > now {
 			if math.IsInf(pull.Until, 1) { // see Pull.Until
 				pull.Until = nextMemb
-				for _, e := range q.h {
-					if !held[e.id] {
-						pull.Until = min(pull.Until, e.time)
+				for k, t := range q.time { // empty slots hold +Inf
+					if !held[k] {
+						pull.Until = min(pull.Until, t)
 					}
 				}
 			}

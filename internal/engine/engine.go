@@ -1,15 +1,14 @@
 // Package engine runs decentralized training algorithms on a virtual clock.
 //
 // The paper evaluates on a real cluster; here every algorithm is executed as
-// a deterministic discrete-event simulation: worker iterations are events on
-// a priority queue ordered by virtual completion time, and all timing comes
-// from internal/simnet. The gradient work is real (internal/nn on the
-// synthetic datasets), so loss curves are genuine SGD trajectories — only
-// the clock is simulated.
+// a deterministic discrete-event simulation: worker iterations complete in
+// order of virtual time, and all timing comes from internal/simnet. The
+// gradient work is real (internal/nn on the synthetic datasets), so loss
+// curves are genuine SGD trajectories — only the clock is simulated.
 package engine
 
 import (
-	"container/heap"
+	"math"
 	"math/rand"
 
 	"netmax/internal/codec"
@@ -375,49 +374,44 @@ func (t *Tracker) Finish() *Result {
 	return t.res
 }
 
-// event is one scheduled worker completion.
-type event struct {
-	time float64
-	id   int
-	seq  int // tiebreaker for determinism
-}
-
-// Queue is a deterministic min-heap of worker completion events.
+// Queue holds each worker's next completion on the virtual clock, one slot
+// per worker id: a worker runs one iteration at a time (Algorithm 2), and
+// the runners push a popped worker at most once before the next pop. A
+// Push to a pending slot replaces it. Pop takes the least (time, push
+// order), a strict total order, so the pop sequence is deterministic. The
+// zero Queue is empty.
 type Queue struct {
-	h   eventHeap
-	seq int
+	time []float64 // +Inf in an empty slot
+	seq  []int     // push order; math.MaxInt in an empty slot
+	last int       // push order of the latest Push
+	n    int       // pending completions
 }
 
 // Push schedules worker id to complete at the given virtual time.
 func (q *Queue) Push(time float64, id int) {
-	q.seq++
-	heap.Push(&q.h, event{time: time, id: id, seq: q.seq})
-}
-
-// Pop returns the earliest event.
-func (q *Queue) Pop() (time float64, id int) {
-	e := heap.Pop(&q.h).(event)
-	return e.time, e.id
-}
-
-// Len returns the number of pending events.
-func (q *Queue) Len() int { return q.h.Len() }
-
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+	for len(q.seq) <= id {
+		q.time, q.seq = append(q.time, math.Inf(1)), append(q.seq, math.MaxInt)
 	}
-	return h[i].seq < h[j].seq
+	if q.seq[id] == math.MaxInt {
+		q.n++
+	}
+	q.last++
+	q.time[id], q.seq[id] = time, q.last
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+// Pop removes and returns the earliest completion. The queue must not be
+// empty.
+func (q *Queue) Pop() (time float64, id int) {
+	for i := 1; i < len(q.seq); i++ {
+		if q.time[i] < q.time[id] || q.time[i] == q.time[id] && q.seq[i] < q.seq[id] {
+			id = i
+		}
+	}
+	time = q.time[id]
+	q.time[id], q.seq[id] = math.Inf(1), math.MaxInt
+	q.n--
+	return time, id
 }
+
+// Len returns the number of pending completions.
+func (q *Queue) Len() int { return q.n }

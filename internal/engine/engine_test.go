@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"netmax/internal/data"
@@ -134,6 +136,78 @@ func TestQueueFIFOTieBreak(t *testing.T) {
 	_, c := q.Pop()
 	if a != 10 || b != 20 || c != 30 {
 		t.Fatalf("tie-break not FIFO: %d %d %d", a, b, c)
+	}
+}
+
+func TestQueuePushReplacesPending(t *testing.T) {
+	var q Queue
+	q.Push(5, 0)
+	q.Push(1, 1)
+	q.Push(0, 0)
+	if q.Len() != 2 {
+		t.Fatalf("Len = %d after a second push of a pending id, want 2", q.Len())
+	}
+	if tm, id := q.Pop(); tm != 0 || id != 0 {
+		t.Fatalf("first pop = (%v, %d), want (0, 0)", tm, id)
+	}
+	if tm, id := q.Pop(); tm != 1 || id != 1 || q.Len() != 0 {
+		t.Fatalf("second pop = (%v, %d) with %d left, want (1, 1) and none", tm, id, q.Len())
+	}
+}
+
+// TestQueueMatchesSort drives the queue as the runners do, over up to 256
+// workers: every pop is followed by at most one push of the popped worker,
+// times repeat, and idle workers are pushed again between pops. Each pop
+// must return the head of the pending completions sorted by (time, push
+// order).
+func TestQueueMatchesSort(t *testing.T) {
+	type event struct {
+		time    float64
+		id, seq int
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(256)
+		var q Queue
+		var pending []event
+		idle := make([]bool, n)
+		seq := 0
+		push := func(time float64, id int) {
+			seq++
+			q.Push(time, id)
+			pending = append(pending, event{time, id, seq})
+			idle[id] = false
+		}
+		for i := 0; i < n; i++ {
+			push(float64(rng.Intn(8)), i)
+		}
+		for step := 0; len(pending) > 0; step++ {
+			slices.SortFunc(pending, func(a, b event) int {
+				if c := cmp.Compare(a.time, b.time); c != 0 {
+					return c
+				}
+				return cmp.Compare(a.seq, b.seq)
+			})
+			want := pending[0]
+			pending = pending[1:]
+			if q.Len() != len(pending)+1 {
+				t.Fatalf("trial %d: Len = %d, want %d", trial, q.Len(), len(pending)+1)
+			}
+			time, id := q.Pop()
+			if time != want.time || id != want.id {
+				t.Fatalf("trial %d, pop %d: (%v, %d), want (%v, %d)", trial, step, time, id, want.time, want.id)
+			}
+			idle[id] = true
+			if step < 4*n && rng.Intn(4) != 0 {
+				push(time+float64(rng.Intn(3)), id)
+			}
+			if k := rng.Intn(n); idle[k] && step < 4*n && rng.Intn(2) == 0 {
+				push(time+float64(rng.Intn(3)), k)
+			}
+		}
+		if q.Len() != 0 {
+			t.Fatalf("trial %d: %d completions left in a drained queue", trial, q.Len())
+		}
 	}
 }
 

@@ -358,11 +358,15 @@ func TestLiveRejectsNonFinitePulls(t *testing.T) {
 	}
 	buf := make([]float64, cfg.Spec.Build(cfg.Seed, cfg.Part.Shards[0].Dim(), cfg.Part.Shards[0].Classes).VectorLen())
 	for _, j := range []int{0, 2} {
-		if _, err := hub.Peer(1, j).PullModel(buf); err != nil {
+		p := hub.Peer(1, j)
+		p.Request()
+		if _, err := p.Receive(buf); err != nil {
 			t.Fatalf("worker %d blended a non-finite pull: %v", j, err)
 		}
 	}
-	if _, err := hub.Peer(0, 1).PullModel(buf); !errors.Is(err, transport.ErrNonFinite) {
+	p := hub.Peer(0, 1)
+	p.Request()
+	if _, err := p.Receive(buf); !errors.Is(err, transport.ErrNonFinite) {
 		t.Fatalf("pull at the poisoned worker: err = %v, want ErrNonFinite", err)
 	}
 }

@@ -55,10 +55,12 @@ type Monitor struct {
 	last float64     // virtual time of last regeneration
 	ran  bool
 
-	lastReport   []float64 // per-worker time it was last heard from
-	everReported []bool    // per-worker: any report ever (coverage gate)
-	membAlive    []bool    // membership-event liveness (SetLiveness)
-	lastAlive    []bool    // liveness set of the last successful regeneration
+	lastReport   []float64   // per-worker time it was last heard from
+	everReported []bool      // per-worker: any report ever (coverage gate)
+	membAlive    []bool      // membership-event liveness (SetLiveness)
+	lastAlive    []bool      // liveness set of the last successful regeneration
+	alive        []bool      // the liveness set of the regeneration under way
+	times        [][]float64 // the matrix Times fills
 
 	// Regenerations counts successful policy computations (observability).
 	Regenerations int
@@ -76,12 +78,17 @@ func New(cfg Config) *Monitor {
 	for i := range ema {
 		ema[i] = make([]float64, m)
 	}
+	times := make([][]float64, m)
+	for i := range times {
+		times[i] = make([]float64, m)
+	}
 	membAlive, lastAlive := make([]bool, m), make([]bool, m)
 	for i := range lastAlive {
 		membAlive[i], lastAlive[i] = true, true
 	}
-	return &Monitor{cfg: cfg, m: m, ema: ema,
-		lastReport: make([]float64, m), everReported: make([]bool, m), membAlive: membAlive, lastAlive: lastAlive}
+	return &Monitor{cfg: cfg, m: m, ema: ema, times: times,
+		lastReport: make([]float64, m), everReported: make([]bool, m),
+		membAlive: membAlive, lastAlive: lastAlive, alive: make([]bool, m)}
 }
 
 // ObserveAt ingests one measured iteration time for link (i, j), reported
@@ -158,9 +165,9 @@ func (mo *Monitor) aliveAt(i int, now float64) bool {
 	return mo.membAlive[i] && now-mo.lastReport[i] <= float64(mo.cfg.StalePeriods)*mo.cfg.Period
 }
 
-// liveness materializes the combined liveness vector. Callers hold mo.mu.
-func (mo *Monitor) liveness(now float64) []bool {
-	alive := make([]bool, mo.m)
+// liveness writes the combined liveness vector into alive and returns it.
+// Callers hold mo.mu.
+func (mo *Monitor) liveness(alive []bool, now float64) []bool {
 	for i := range alive {
 		alive[i] = mo.aliveAt(i, now)
 	}
@@ -172,7 +179,7 @@ func (mo *Monitor) liveness(now float64) []bool {
 func (mo *Monitor) LiveWorkers(now float64) []bool {
 	mo.mu.Lock()
 	defer mo.mu.Unlock()
-	return mo.liveness(now)
+	return mo.liveness(make([]bool, mo.m), now)
 }
 
 // validLink bounds-checks worker indices: reports arrive over the wire, so
@@ -181,9 +188,11 @@ func (mo *Monitor) validLink(i, j int) bool {
 	return i >= 0 && i < mo.m && j >= 0 && j < mo.m
 }
 
-// Times returns a copy of the current iteration-time matrix with gaps
-// (never-observed links) filled pessimistically with the largest observed
-// time, so that policy generation can run before full coverage.
+// Times returns the current iteration-time matrix with gaps (never-observed
+// links) filled pessimistically with the largest observed time, so that
+// policy generation can run before full coverage. The matrix is the
+// monitor's own: it stays valid until the next Times or MaybeRegenerate
+// call, which overwrites it.
 func (mo *Monitor) Times() [][]float64 {
 	mo.mu.Lock()
 	defer mo.mu.Unlock()
@@ -195,9 +204,8 @@ func (mo *Monitor) Times() [][]float64 {
 			}
 		}
 	}
-	out := make([][]float64, mo.m)
+	out := mo.times
 	for i := range out {
-		out[i] = make([]float64, mo.m)
 		for j := range out[i] {
 			v := mo.ema[i][j]
 			if i != j && mo.cfg.Adj[i][j] && v == 0 {
@@ -232,7 +240,8 @@ func (mo *Monitor) coverage(alive []bool) bool {
 // policy and returns it with ok=true. A membership change — a worker
 // evicted for staleness, marked down via SetLiveness, or re-admitted —
 // bypasses the period gate so the row LPs are re-solved immediately over
-// the live subgraph. Otherwise ok=false.
+// the live subgraph. Otherwise ok=false. A regeneration works in buffers
+// the monitor owns, so calls must not overlap each other or Times.
 func (mo *Monitor) MaybeRegenerate(now float64) (*policy.Policy, bool) {
 	mo.mu.Lock()
 	// Allocation-free fast path: the engine calls this on every event, so
@@ -248,7 +257,7 @@ func (mo *Monitor) MaybeRegenerate(now float64) (*policy.Policy, bool) {
 		mo.mu.Unlock()
 		return nil, false
 	}
-	alive := mo.liveness(now)
+	alive := mo.liveness(mo.alive, now)
 	if !mo.coverage(alive) {
 		mo.mu.Unlock()
 		return nil, false
@@ -277,7 +286,7 @@ func (mo *Monitor) MaybeRegenerate(now float64) (*policy.Policy, bool) {
 	mo.mu.Lock()
 	mo.last = now
 	mo.ran = true
-	mo.lastAlive = alive
+	mo.lastAlive, mo.alive = alive, mo.lastAlive
 	if err == nil {
 		mo.Regenerations++
 	}

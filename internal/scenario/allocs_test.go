@@ -1,0 +1,118 @@
+package scenario
+
+import (
+	"runtime"
+	"testing"
+
+	"netmax/internal/engine"
+)
+
+// regenAllocs is what one policy regeneration allocates: Generate's
+// allocations, pinned by internal/policy's
+// TestGenerateAllocationsIndependentOfGrid. The monitor's own buffers are
+// reused.
+const regenAllocs = 7
+
+// regrowths returns how many times a slice of T that append grows one
+// element at a time reallocates while its length goes from n1 to n2.
+func regrowths[T any](n1, n2 int) int {
+	var s []T
+	var zero T
+	count := 0
+	for n := 0; n < n2; n++ {
+		if n >= n1 && len(s) == cap(s) {
+			count++
+		}
+		s = append(s, zero)
+	}
+	return count
+}
+
+// slowdown has the layout of the entries of the heterogeneous network's
+// slow-link schedule.
+type slowdown struct {
+	a, b   int
+	factor float64
+}
+
+// TestEngineIterationsAllocateNothing runs every engine kind, and NetMax
+// through crashes, a rejoin and a leave, on the paper's 8-worker cluster
+// for E and 2E epochs at parallelism 1. It fails if the longer run
+// allocates more than what must grow with a run's length:
+//   - regenAllocs per monitor period the longer run spans beyond the
+//     shorter one, and per membership change there (each forces a
+//     regeneration);
+//   - the loss curve's regrowths;
+//   - every regrowth of the heterogeneous network's slow-link schedule
+//     out to the longer run's end. The schedule is drawn lazily, one
+//     entry per period_secs of virtual time, into a start-time slice and
+//     an entry slice, and how far the shorter run drew it is not known:
+//     a run's last rate query can come well before its last event.
+//
+// Everything else a run allocates is set up once, so an allocation per
+// iteration or per round anywhere in a runner fails the test.
+func TestEngineIterationsAllocateNothing(t *testing.T) {
+	const epochs = 2
+	churn := &FailureSpec{Events: []FailureEvent{
+		{Kind: "crash", Worker: 1, At: 2, Rejoin: 4},
+		{Kind: "crash", Worker: 5, At: 8, Rejoin: 10},
+		{Kind: "leave", Worker: 6, At: 11},
+	}}
+	type arm struct {
+		name, kind string
+		failures   *FailureSpec
+	}
+	var arms []arm
+	for _, a := range algorithms {
+		arms = append(arms, arm{a.kind, a.kind, nil})
+	}
+	arms = append(arms, arm{"netmax-churn", "netmax", churn})
+	for _, c := range arms {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(epochs int) (mallocs uint64, res *engine.Result, p *prepared) {
+				m := &Manifest{
+					Name: "allocs-" + c.name, Algorithm: c.kind, Model: "ResNet18", Dataset: "CIFAR10",
+					Workers: 8, Epochs: epochs, Parallelism: 1, Failures: c.failures,
+				}
+				p, err := m.prepare()
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg, runner := p.engine()
+				var before, after runtime.MemStats
+				runtime.GC() // a collection mid-run may start its workers, which allocate
+				runtime.ReadMemStats(&before)
+				res = runner(cfg)
+				runtime.ReadMemStats(&after)
+				return after.Mallocs - before.Mallocs, res, p
+			}
+			run(epochs) // first-use set-up anywhere in the process
+			short, r1, _ := run(epochs)
+			long, r2, p := run(2 * epochs)
+			t1, t2 := r1.TotalTime, r2.TotalTime
+
+			regens := 0
+			if p.algo.netmax {
+				regens = int((t2-t1)/p.opts.Ts) + 1
+			}
+			if fs := p.failures; fs != nil {
+				for at := fs.NextTransition(t1); at <= t2; at = fs.NextTransition(at) {
+					regens++
+				}
+			}
+			// Entries start at 0, period, 2·period, ... by repeated addition,
+			// which may round one more start under t2.
+			drawn := int(t2/p.r.Network.PeriodSecs) + 2
+			allow := int64(regenAllocs*regens +
+				regrowths[engine.Point](len(r1.Curve), len(r2.Curve)) +
+				regrowths[float64](0, drawn) + regrowths[slowdown](0, drawn))
+
+			extra, steps := int64(long)-int64(short), r2.GlobalSteps-r1.GlobalSteps
+			t.Logf("mallocs: %d in %d steps (%.1f s), %d in %d steps (%.1f s); %.3f per extra step, allowance %d",
+				short, r1.GlobalSteps, t1, long, r2.GlobalSteps, t2, float64(extra)/float64(steps), allow)
+			if extra > allow {
+				t.Fatalf("%d more allocations for %d more steps, allowance %d", extra, steps, allow)
+			}
+		})
+	}
+}

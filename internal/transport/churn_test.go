@@ -31,7 +31,7 @@ func TestTCPPeerDeadlineOnHungServer(t *testing.T) {
 	}()
 	p := &PullClient{From: 0, Addr: ln.Addr().String(), Timeout: 300 * time.Millisecond}
 	start := time.Now()
-	_, err = p.PullModel(nil)
+	_, err = pullModel(p, nil)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("pull from hung server succeeded")
@@ -51,7 +51,7 @@ func TestTCPPeerDeadlineOnHungServer(t *testing.T) {
 // listening) maps to ErrPeerDown.
 func TestTCPPeerDownClassified(t *testing.T) {
 	p := &PullClient{From: 0, Addr: "127.0.0.1:1", Timeout: 200 * time.Millisecond}
-	if _, err := p.PullModel(nil); !errors.Is(err, ErrPeerDown) {
+	if _, err := pullModel(p, nil); !errors.Is(err, ErrPeerDown) {
 		t.Fatalf("dead endpoint error = %v, want ErrPeerDown", err)
 	}
 }
@@ -63,16 +63,16 @@ func TestTCPWorkerServerSetDown(t *testing.T) {
 	defer srv.Close()
 	p := &PullClient{From: 0, Addr: srv.Addr(), Timeout: time.Second}
 	vec := make([]float64, 2)
-	if _, err := p.PullModel(vec); err != nil {
+	if _, err := pullModel(p, vec); err != nil {
 		t.Fatalf("pull before crash: %v", err)
 	}
 	srv.SetDown(true)
-	if _, err := p.PullModel(vec); !errors.Is(err, ErrPeerDown) {
+	if _, err := pullModel(p, vec); !errors.Is(err, ErrPeerDown) {
 		t.Fatalf("pull from down server = %v, want ErrPeerDown", err)
 	}
 	srv.SetDown(false)
 	vec[1] = 0
-	if _, err := p.PullModel(vec); err != nil || vec[1] != 2 {
+	if _, err := pullModel(p, vec); err != nil || vec[1] != 2 {
 		t.Fatalf("recovered pull decoded %v (%v)", vec, err)
 	}
 }
@@ -86,15 +86,15 @@ func TestTCPHubWorkerDownAndTimeouts(t *testing.T) {
 	}
 	defer hub.Close()
 	serve(t, hub, Group{Sources: fixed([]float64{1}, []float64{2}), Timeout: 500 * time.Millisecond})
-	if _, err := hub.Peer(0, 1).PullModel(make([]float64, 1)); err != nil {
+	if _, err := pullModel(hub.Peer(0, 1), make([]float64, 1)); err != nil {
 		t.Fatalf("pull before crash: %v", err)
 	}
 	hub.SetWorkerDown(1, true)
-	if _, err := hub.Peer(0, 1).PullModel(make([]float64, 1)); !errors.Is(err, ErrPeerDown) {
+	if _, err := pullModel(hub.Peer(0, 1), make([]float64, 1)); !errors.Is(err, ErrPeerDown) {
 		t.Fatalf("pull from down worker = %v, want ErrPeerDown", err)
 	}
 	hub.SetWorkerDown(1, false)
-	if _, err := hub.Peer(0, 1).PullModel(make([]float64, 1)); err != nil {
+	if _, err := pullModel(hub.Peer(0, 1), make([]float64, 1)); err != nil {
 		t.Fatalf("pull after recovery: %v", err)
 	}
 	hub.SetWorkerDown(7, true) // unknown id: no-op, no panic
@@ -113,16 +113,16 @@ func TestLocalNetWorkerDownAndHang(t *testing.T) {
 	defer hub.Close()
 	serve(t, hub, Group{Sources: fixed([]float64{0}, []float64{1}, []float64{2}), Timeout: 200 * time.Millisecond})
 	hub.SetWorkerDown(1, true)
-	if _, err := hub.Peer(0, 1).PullModel(make([]float64, 1)); !errors.Is(err, ErrPeerDown) {
+	if _, err := pullModel(hub.Peer(0, 1), make([]float64, 1)); !errors.Is(err, ErrPeerDown) {
 		t.Fatalf("pull from down worker = %v, want ErrPeerDown", err)
 	}
 	hub.SetWorkerDown(1, false)
-	if _, err := hub.Peer(0, 1).PullModel(make([]float64, 1)); err != nil {
+	if _, err := pullModel(hub.Peer(0, 1), make([]float64, 1)); err != nil {
 		t.Fatalf("pull after recovery: %v", err)
 	}
 	// Hung peer: latency beyond the deadline fails after the deadline.
 	start := time.Now()
-	_, err := hub.Peer(0, 2).PullModel(make([]float64, 1))
+	_, err := pullModel(hub.Peer(0, 2), make([]float64, 1))
 	if !errors.Is(err, ErrPeerDown) {
 		t.Fatalf("hung pull = %v, want ErrPeerDown", err)
 	}
@@ -130,7 +130,7 @@ func TestLocalNetWorkerDownAndHang(t *testing.T) {
 		t.Fatalf("hung pull blocked %v despite 200ms deadline", elapsed)
 	}
 	// Workers outside the group classify as down too.
-	if _, err := hub.Peer(0, 9).PullModel(make([]float64, 1)); !errors.Is(err, ErrPeerDown) {
+	if _, err := pullModel(hub.Peer(0, 9), make([]float64, 1)); !errors.Is(err, ErrPeerDown) {
 		t.Fatalf("unknown peer = %v, want ErrPeerDown", err)
 	}
 }
@@ -184,7 +184,7 @@ func TestSplitPullPeerDown(t *testing.T) {
 			defer hub.Close()
 			serve(t, hub, Group{Sources: fixed([]float64{0}, []float64{1}), Timeout: time.Second})
 			dst := make([]float64, 1)
-			if _, err := hub.Peer(0, 1).PullModel(dst); err != nil {
+			if _, err := pullModel(hub.Peer(0, 1), dst); err != nil {
 				t.Fatalf("pull before the crash: %v", err)
 			}
 			hub.SetWorkerDown(1, true)

@@ -415,7 +415,7 @@ func (pc *persistentConn) drop() error {
 // connection, redialing transparently if the connection drops. The zero
 // value with Addr set is ready to use over TCP; it is safe for concurrent
 // use. A pull is Request followed by Receive, so that the caller can work
-// while the peer serves it; PullModel makes both calls at once. A positive
+// while the peer serves it. A positive
 // Timeout bounds every pull from its Request (dial + request + the
 // caller's work + response): a hung or dead peer then fails with an error
 // wrapping ErrPeerDown instead of blocking the worker forever. Set the
@@ -431,13 +431,6 @@ type PullClient struct {
 	// sendErr is the failure of the in-flight pull's request, which
 	// Receive returns.
 	sendErr error
-}
-
-// PullModel requests the peer's freshest parameter vector and decodes it
-// into dst: Request followed at once by Receive.
-func (p *PullClient) PullModel(dst []float64) (wireBytes int64, err error) {
-	p.Request()
-	return p.Receive(dst)
 }
 
 // Request sends a pull request for the peer's freshest parameter vector
@@ -515,7 +508,7 @@ func peerErr(err error) error {
 // policies. The zero value with Addr set is ready to use over TCP; it is
 // safe for concurrent use (calls serialize on one connection). A positive
 // Timeout bounds each call the same way PullClient.Timeout bounds pulls.
-// Failures classify as PullModel's do.
+// Failures classify as Receive's do.
 type ControlClient struct {
 	Addr    string
 	Timeout time.Duration

@@ -14,6 +14,13 @@ const (
 	MsgPushAck     = msgPushAck
 )
 
+// pullModel is one pull with no work in between: Request followed at once
+// by Receive.
+func pullModel(p *PullClient, dst []float64) (wireBytes int64, err error) {
+	p.Request()
+	return p.Receive(dst)
+}
+
 // NewRecordingLocalHub is NewLocalHub with every worker server's
 // connections recorded. The returned function counts the frames of a kind
 // the servers have read and written so far.

@@ -12,8 +12,8 @@ import (
 )
 
 // maxFuzzDim bounds the vector a fuzzed pull response may make the harness
-// allocate. PullModel never allocates by the wire's dim: its caller's
-// buffer fixes the dimension.
+// allocate. Receive never allocates by the wire's dim: its caller's buffer
+// fixes the dimension.
 const maxFuzzDim = 1 << 16
 
 // FuzzWireFrame feeds arbitrary bytes to readFrame, the body parsers and a
@@ -21,7 +21,7 @@ const maxFuzzDim = 1 << 16
 // and push crosses. Nothing may panic, and a frame that decodes must
 // re-encode to the bytes it was read from. The server must refuse every
 // kind but pull, collect and push, the retired ones included. Pull
-// responses are decoded through decodePullResp, as PullModel does; its
+// responses are decoded through decodePullResp, as Receive does; its
 // every failure must be a protocol error.
 //
 //	go test -run '^$' -fuzz FuzzWireFrame -fuzztime 20s ./internal/transport/

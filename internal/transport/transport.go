@@ -19,8 +19,7 @@
 // starts the deadline, and PullClient.Receive reads the answer, decodes it
 // straight off the wire into the caller's buffer and reports its encoded
 // bytes-on-wire, which the puller counts; the caller works in between
-// while the peer serves the pull. PullModel makes both calls at once. The
-// discrete-event simulator does not use this package; this is the
+// while the peer serves the pull. The discrete-event simulator does not use this package; this is the
 // "system" half of the reproduction.
 package transport
 

@@ -355,7 +355,7 @@ func TestWarmExchangesAllocateNothing(t *testing.T) {
 	row := make([]LinkTime, 2)
 	step := newGradStep()
 	for name, exchange := range map[string]func() error{
-		"pull":    func() error { _, err := hub.Peer(0, 1).PullModel(dst); return err },
+		"pull":    func() error { _, err := pullModel(hub.Peer(0, 1), dst); return err },
 		"collect": func() error { _, err := hub.Control(1).Collect(row); return err },
 		"split pull": func() error {
 			peer := hub.Peer(0, 1)
@@ -525,7 +525,7 @@ func TestTCPPeerSurvivesServerRestart(t *testing.T) {
 // pull fetches a dim-length vector into a fresh buffer.
 func pull(p *PullClient, dim int) ([]float64, int64, error) {
 	vec := make([]float64, dim)
-	wire, err := p.PullModel(vec)
+	wire, err := pullModel(p, vec)
 	return vec, wire, err
 }
 
