@@ -19,6 +19,7 @@ package codec
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 )
@@ -41,7 +42,9 @@ type Codec interface {
 	// the extended slice (append-style, so callers can reuse buffers).
 	AppendEncode(dst []byte, vec []float64) []byte
 	// DecodeInto reconstructs a len(dst)-length vector from payload into
-	// caller-owned dst, so hot loops reuse buffers.
+	// caller-owned dst, so hot loops reuse buffers. It checks each
+	// coordinate as it writes it: a vector holding a NaN or ±Inf is
+	// written whole and fails with ErrNonFinite.
 	DecodeInto(payload []byte, dst []float64) error
 	// WireBytes predicts the payload size for a dim-length vector. This is
 	// the figure the simulator's bandwidth model charges per transfer.
@@ -70,6 +73,13 @@ func ByID(id uint8) (Codec, error) {
 	return nil, fmt.Errorf("codec: unknown codec id %d", id)
 }
 
+// ErrNonFinite reports a payload that decoded to a vector with a NaN or
+// ±Inf coordinate. The payload is well formed and the vector is written
+// whole; whether to use it is the caller's decision. The decoders check
+// each coordinate as they write it, with one comparison: v-v is 0 for
+// every finite v and NaN otherwise.
+var ErrNonFinite = errors.New("codec: decoded vector has a non-finite coordinate")
+
 // Names lists the flag-facing codec names.
 func Names() []string { return []string{"raw", "float32"} }
 
@@ -97,8 +107,16 @@ func (Raw) DecodeInto(payload []byte, dst []float64) error {
 	if len(payload) != 8*len(dst) {
 		return fmt.Errorf("codec: raw payload %d bytes, want %d for dim %d", len(payload), 8*len(dst), len(dst))
 	}
+	bad := false
 	for i := range dst {
-		dst[i] = math.Float64frombits(binary.BigEndian.Uint64(payload[8*i:]))
+		v := math.Float64frombits(binary.BigEndian.Uint64(payload[8*i:]))
+		dst[i] = v
+		if v-v != 0 {
+			bad = true
+		}
+	}
+	if bad {
+		return ErrNonFinite
 	}
 	return nil
 }
@@ -133,8 +151,16 @@ func (Float32) DecodeInto(payload []byte, dst []float64) error {
 	if len(payload) != 4*len(dst) {
 		return fmt.Errorf("codec: float32 payload %d bytes, want %d for dim %d", len(payload), 4*len(dst), len(dst))
 	}
+	bad := false
 	for i := range dst {
-		dst[i] = float64(math.Float32frombits(binary.BigEndian.Uint32(payload[4*i : 4*i+4])))
+		v := float64(math.Float32frombits(binary.BigEndian.Uint32(payload[4*i:])))
+		dst[i] = v
+		if v-v != 0 {
+			bad = true
+		}
+	}
+	if bad {
+		return ErrNonFinite
 	}
 	return nil
 }

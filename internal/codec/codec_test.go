@@ -1,9 +1,13 @@
 package codec
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
+
+	"netmax/internal/data"
+	"netmax/internal/nn"
 )
 
 func randomVec(rng *rand.Rand, dim int) []float64 {
@@ -83,6 +87,47 @@ func TestDecodeRejectsMalformedPayloads(t *testing.T) {
 	}
 }
 
+// TestDecodeReportsNonFinite pins each decoder's one-comparison check to
+// math.IsNaN || math.IsInf on the values where they could part: NaN, the
+// infinities, both zeros, a subnormal and the largest finite values (which
+// float32 rounds to ±Inf), at the start, the middle and the end of a
+// vector. A non-finite vector must still be written whole.
+func TestDecodeReportsNonFinite(t *testing.T) {
+	for _, v := range []float64{
+		math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.MaxFloat64, -math.MaxFloat64, 1, -2.5,
+	} {
+		for _, c := range []Codec{Raw{}, Float32{}} {
+			sent := v
+			if c.ID() == IDFloat32 {
+				sent = float64(float32(v))
+			}
+			for at := 0; at < 3; at++ {
+				vec := []float64{1, 2, 3}
+				vec[at] = v
+				got, err := decode(c, c.AppendEncode(nil, vec), len(vec))
+				want := []float64{1, 2, 3}
+				want[at] = sent
+				for i, w := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(w) && !(math.IsNaN(got[i]) && math.IsNaN(w)) {
+						t.Errorf("%s decoding %v at %d: coordinate %d = %v, want %v", c.Name(), v, at, i, got[i], w)
+					}
+				}
+				nonFinite := math.IsNaN(sent) || math.IsInf(sent, 0)
+				if (nonFinite && !errors.Is(err, ErrNonFinite)) || (!nonFinite && err != nil) {
+					t.Errorf("%s decoding %v at %d: err = %v, want non-finite %v", c.Name(), v, at, err, nonFinite)
+				}
+			}
+		}
+	}
+	for _, c := range []Codec{Raw{}, Float32{}} {
+		if err := c.DecodeInto(nil, nil); err != nil {
+			t.Errorf("%s: an empty vector fails with %v", c.Name(), err)
+		}
+	}
+}
+
 func TestByNameAndByID(t *testing.T) {
 	for _, name := range Names() {
 		c, err := ByName(name)
@@ -125,5 +170,26 @@ func TestCodecsReduceWireBytesOnSimMobileNet(t *testing.T) {
 	f32 := (Float32{}).WireBytes(dim)
 	if raw < 2*f32 {
 		t.Fatalf("float32 %d not >= 2x smaller than raw %d", f32, raw)
+	}
+}
+
+// BenchmarkDecode times one DecodeInto of each codec, its finiteness check
+// included, at the live benchmark's model size (MobileNet's stand-in on
+// MNIST): the decode every live pull runs on the pulled vector.
+func BenchmarkDecode(b *testing.B) {
+	dim := nn.SimMobileNet.Build(1, data.SynthMNIST.Dim, data.SynthMNIST.Classes).VectorLen()
+	vec := randomVec(rand.New(rand.NewSource(3)), dim)
+	dst := make([]float64, dim)
+	for _, c := range []Codec{Raw{}, Float32{}} {
+		b.Run(c.Name(), func(b *testing.B) {
+			payload := c.AppendEncode(nil, vec)
+			b.ReportAllocs()
+			b.SetBytes(int64(len(payload)))
+			for i := 0; i < b.N; i++ {
+				if err := c.DecodeInto(payload, dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -53,14 +53,17 @@ func (d *Dataset) Batch(start, size int) (*tensor.Tensor, []int) {
 }
 
 // BatchInto is Batch into caller-owned buffers: it fills the len(labels)
-// rows of x and labels from row start on, wrapping around the dataset.
+// rows of x and labels from row start on, wrapping around the dataset. It
+// copies each run of rows up to the wrap in one piece.
 func (d *Dataset) BatchInto(x *tensor.Tensor, labels []int, start int) {
 	dim := d.Dim()
 	n := d.Len()
-	for r := range labels {
+	for r := 0; r < len(labels); {
 		i := (start + r) % n
-		copy(x.Data[r*dim:(r+1)*dim], d.X.Data[i*dim:(i+1)*dim])
-		labels[r] = d.Labels[i]
+		k := min(len(labels)-r, n-i)
+		copy(x.Data[r*dim:(r+k)*dim], d.X.Data[i*dim:(i+k)*dim])
+		copy(labels[r:r+k], d.Labels[i:i+k])
+		r += k
 	}
 }
 

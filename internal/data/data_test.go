@@ -3,6 +3,8 @@ package data
 import (
 	"testing"
 	"testing/quick"
+
+	"netmax/internal/tensor"
 )
 
 func TestGenerateDeterministic(t *testing.T) {
@@ -68,6 +70,32 @@ func TestBatchWrapsAround(t *testing.T) {
 	for j := 0; j < train.Dim(); j++ {
 		if x.At(2, j) != train.X.At(0, j) {
 			t.Fatal("wrap-around row mismatch")
+		}
+	}
+}
+
+// TestBatchIntoMatchesRowByRow checks BatchInto, which copies the rows up
+// to each wrap in one piece, against a row-by-row copy, at every start of
+// a 7-row dataset and at batch sizes up to three times its length.
+func TestBatchIntoMatchesRowByRow(t *testing.T) {
+	train, _ := SynthMNIST.Generate(4)
+	d := train.Slice([]int{0, 1, 2, 3, 4, 5, 6})
+	dim := d.Dim()
+	for start := 0; start < 2*d.Len(); start++ {
+		for size := 0; size <= 3*d.Len(); size++ {
+			x, labels := tensor.New(size, dim), make([]int, size)
+			d.BatchInto(x, labels, start)
+			for r := 0; r < size; r++ {
+				i := (start + r) % d.Len()
+				if labels[r] != d.Labels[i] {
+					t.Fatalf("start %d size %d: label %d = %d, want %d", start, size, r, labels[r], d.Labels[i])
+				}
+				for j := 0; j < dim; j++ {
+					if x.At(r, j) != d.X.At(i, j) {
+						t.Fatalf("start %d size %d: row %d differs from dataset row %d", start, size, r, i)
+					}
+				}
+			}
 		}
 	}
 }

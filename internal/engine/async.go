@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -74,13 +75,15 @@ type exchange struct {
 
 // compress overwrites vec in place with what the receiver decodes off the
 // wire. The payload is self-produced, so a decode failure is a codec bug;
-// continuing would charge compressed bytes for an uncompressed transfer.
+// continuing would charge compressed bytes for an uncompressed transfer. A
+// non-finite vector is not a failure here: the decoder writes it whole,
+// and a diverged run carries it on as it would without a codec.
 func (e *exchange) compress(vec []float64) {
 	if e.codec == nil {
 		return
 	}
 	e.enc = e.codec.AppendEncode(e.enc[:0], vec)
-	if err := e.codec.DecodeInto(e.enc, vec); err != nil {
+	if err := e.codec.DecodeInto(e.enc, vec); err != nil && !errors.Is(err, codec.ErrNonFinite) {
 		panic(fmt.Sprintf("engine: codec %s round-trip failed: %v", e.codec.Name(), err))
 	}
 }

@@ -172,13 +172,14 @@ func (w *Worker) NextBatch() (x *tensor.Tensor, labels []int) {
 }
 
 // ComputeGrad runs forward+backward on (x, labels), leaving the gradients in
-// the model's gradient vector, and returns the batch loss. It touches only
-// this worker's replica, so distinct workers' ComputeGrad calls are safe to
-// run concurrently.
-func (w *Worker) ComputeGrad(x *tensor.Tensor, labels []int) float64 {
+// the model's gradient vector, and returns the handle of the batch loss,
+// which no step computes unless its Item is read. It touches only this
+// worker's replica, so distinct workers' ComputeGrad calls are safe to run
+// concurrently.
+func (w *Worker) ComputeGrad(x *tensor.Tensor, labels []int) nn.Loss {
 	l := w.Model.Loss(x, labels)
 	l.Backward()
-	return l.Item()
+	return l
 }
 
 // ApplyStep applies the optimizer to the gradients left by ComputeGrad
@@ -186,8 +187,9 @@ func (w *Worker) ComputeGrad(x *tensor.Tensor, labels []int) float64 {
 func (w *Worker) ApplyStep() { w.Opt.Step(w.Model) }
 
 // GradStep runs one local SGD step (Algorithm 2 line 11: first update) on
-// the worker's next batch and returns the batch loss and sample count.
-func (w *Worker) GradStep() (loss float64, samples int) {
+// the worker's next batch and returns the handle of the batch loss and the
+// sample count.
+func (w *Worker) GradStep() (loss nn.Loss, samples int) {
 	x, labels := w.NextBatch()
 	loss = w.ComputeGrad(x, labels)
 	w.ApplyStep()
@@ -197,7 +199,7 @@ func (w *Worker) GradStep() (loss float64, samples int) {
 // GradOnly computes gradients on the worker's next batch without applying
 // them (they remain in the model's gradient vector), for algorithms that
 // average gradients across workers before stepping (Allreduce-SGD, PS-syn).
-func (w *Worker) GradOnly() (loss float64, samples int) {
+func (w *Worker) GradOnly() (loss nn.Loss, samples int) {
 	x, labels := w.NextBatch()
 	return w.ComputeGrad(x, labels), w.Batch
 }
@@ -359,7 +361,7 @@ func (t *Tracker) Done() bool { return t.epochsDone >= t.cfg.Epochs }
 
 func (t *Tracker) recordPoint(now float64) {
 	AverageModelInto(t.avg, t.ws, t.sum)
-	loss, _ := t.avg.Evaluate(t.cfg.Eval.X, t.cfg.Eval.Labels)
+	loss := t.avg.EvalLoss(t.cfg.Eval.X, t.cfg.Eval.Labels)
 	t.res.Curve = append(t.res.Curve, Point{Time: now, Epoch: float64(t.epochsDone), Value: loss})
 }
 

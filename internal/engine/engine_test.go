@@ -65,10 +65,14 @@ func TestGradStepReducesLocalLoss(t *testing.T) {
 	cfg := testConfig(2, 1)
 	ws := cfg.Workers()
 	w := ws[0]
-	first, _ := w.GradStep()
+	// A loss handle reads the logits of its own pass: read each before the
+	// next step.
+	l, _ := w.GradStep()
+	first := l.Item()
 	var last float64
 	for i := 0; i < 50; i++ {
-		last, _ = w.GradStep()
+		l, _ = w.GradStep()
+		last = l.Item()
 	}
 	if last > first {
 		t.Fatalf("loss did not decrease: %v -> %v", first, last)

@@ -95,49 +95,101 @@ func TestTrainingStepAllocatesNothing(t *testing.T) {
 	}
 }
 
+// evalSet returns 500 rows of SynthCIFAR10's 24 features with labels
+// below 10: the size of the Tracker's eval and test sets.
+func evalSet() (*tensor.Tensor, []int) {
+	rng := rand.New(rand.NewSource(3))
+	x := tensor.Randn(rng, 1, 500, 24)
+	labels := make([]int, 500)
+	for i := range labels {
+		labels[i] = rng.Intn(10)
+	}
+	return x, labels
+}
+
 // TestEvaluateAllocatesNothing evaluates on a training batch and on the
 // 500-row test split in turn, as the loss-curve tracker does, once both
-// sizes have been seen.
+// sizes have been seen, through Evaluate and each of its halves.
 func TestEvaluateAllocatesNothing(t *testing.T) {
 	m, x, labels := resNet18Batch()
-	rng := rand.New(rand.NewSource(3))
-	test := tensor.Randn(rng, 1, 500, x.Cols())
-	testLabels := make([]int, 500)
-	for i := range testLabels {
-		testLabels[i] = rng.Intn(10)
-	}
+	test, testLabels := evalSet()
 	if n := testing.AllocsPerRun(10, func() { m.Evaluate(x, labels) }); n != 0 {
 		t.Fatalf("a warm Evaluate allocates %v times, want 0", n)
 	}
 	if n := testing.AllocsPerRun(10, func() {
 		m.Evaluate(test, testLabels)
+		m.EvalLoss(test, testLabels)
+		m.Accuracy(test, testLabels)
 		m.Evaluate(x, labels)
 	}); n != 0 {
-		t.Fatalf("warm Evaluates on two batch sizes allocate %v times, want 0", n)
+		t.Fatalf("warm evaluations on two batch sizes allocate %v times, want 0", n)
+	}
+}
+
+// BenchmarkEvaluate, BenchmarkEvalLoss and BenchmarkAccuracy time the
+// SimResNet18 stand-in's evaluations on a 500-row eval set: both halves
+// (live's final report), the loss half (each point of the Tracker's loss
+// curve) and the accuracy half (the Tracker's final test accuracy).
+func BenchmarkEvaluate(b *testing.B) {
+	benchEval(b, func(m *Model, x *tensor.Tensor, labels []int) { m.Evaluate(x, labels) })
+}
+
+func BenchmarkEvalLoss(b *testing.B) {
+	benchEval(b, func(m *Model, x *tensor.Tensor, labels []int) { m.EvalLoss(x, labels) })
+}
+
+func BenchmarkAccuracy(b *testing.B) {
+	benchEval(b, func(m *Model, x *tensor.Tensor, labels []int) { m.Accuracy(x, labels) })
+}
+
+func benchEval(b *testing.B, eval func(*Model, *tensor.Tensor, []int)) {
+	m, _, _ := resNet18Batch()
+	x, labels := evalSet()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eval(m, x, labels)
 	}
 }
 
 // softmaxFixture returns rows × 10 logits of the spread a trained top
-// layer gives, their labels and a probabilities buffer.
-func softmaxFixture(rows int) (probs, logits []float64, labels []int) {
+// layer gives, their labels and a gradient buffer.
+func softmaxFixture(rows int) (grad, logits *tensor.Tensor, labels []int) {
 	rng := rand.New(rand.NewSource(4))
-	logits = tensor.Randn(rng, 4, rows, 10).Data
+	logits = tensor.Randn(rng, 4, rows, 10)
 	labels = make([]int, rows)
 	for i := range labels {
 		labels[i] = rng.Intn(10)
 	}
-	return make([]float64, len(logits)), logits, labels
+	return tensor.New(rows, 10), logits, labels
 }
 
-// BenchmarkSoftmax measures the top layer's softmax and cross-entropy on a
-// training batch (16 rows of 10 classes) and on an eval set (400 rows).
+// softmaxPass runs the top layer's softmax as the model does: on a
+// training batch it writes the cross-entropy gradient (Backward), on an
+// eval block it sums the label's log probabilities (EvalLoss).
+func softmaxPass(s *tensor.Softmax, grad, logits *tensor.Tensor, labels []int, train bool) {
+	s.Run(logits)
+	if train {
+		s.GradInto(grad, labels, 1/float64(len(labels)))
+		return
+	}
+	nll := 0.0
+	for i, y := range labels {
+		nll = subLogProb(nll, s.Prob(i, y))
+	}
+}
+
+// BenchmarkSoftmax measures the top layer's softmax with its cross-entropy
+// gradient on a training batch (16 rows of 10 classes) and with its loss
+// on an eval set (400 rows).
 func BenchmarkSoftmax(b *testing.B) {
 	for _, rows := range []int{16, 400} {
 		b.Run(fmt.Sprintf("%dx10", rows), func(b *testing.B) {
-			probs, logits, labels := softmaxFixture(rows)
+			var s tensor.Softmax
+			grad, logits, labels := softmaxFixture(rows)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				softmaxNLL(probs, logits, 10, labels, 0)
+				softmaxPass(&s, grad, logits, labels, rows == 16)
 			}
 		})
 	}
@@ -145,9 +197,13 @@ func BenchmarkSoftmax(b *testing.B) {
 
 func TestSoftmaxAllocatesNothing(t *testing.T) {
 	for _, rows := range []int{16, 400} {
-		probs, logits, labels := softmaxFixture(rows)
-		if n := testing.AllocsPerRun(10, func() { softmaxNLL(probs, logits, 10, labels, 0) }); n != 0 {
-			t.Errorf("softmax on %d×10 allocates %v times, want 0", rows, n)
+		for _, train := range []bool{true, false} {
+			var s tensor.Softmax
+			grad, logits, labels := softmaxFixture(rows)
+			softmaxPass(&s, grad, logits, labels, train)
+			if n := testing.AllocsPerRun(10, func() { softmaxPass(&s, grad, logits, labels, train) }); n != 0 {
+				t.Errorf("a warm softmax on %d×10 (training %v) allocates %v times, want 0", rows, train, n)
+			}
 		}
 	}
 }

@@ -14,6 +14,13 @@
 // product in this package is rounded on its own (float64(x*y)), so no
 // architecture may fuse it into a multiply-add and the bits are those of
 // amd64 everywhere.
+//
+// A pass does only the work its caller reads. Loss runs the forward pass
+// and returns a handle: Backward writes the gradient, and the loss itself
+// is computed only if Item is called, which no training step does. The
+// evaluations split the same way: EvalLoss divides only each row's label
+// entry of the softmax, Accuracy compares argmax logits and runs no
+// softmax, and Evaluate returns both.
 package nn
 
 import (
@@ -33,8 +40,11 @@ import (
 type Model struct {
 	params, grads []float64
 	layers        []layer
-	// block is Evaluate's view of the rows of one block of its batch.
+	// block is the evaluations' view of the rows of one block of a batch.
 	block tensor.Tensor
+	// soft is the top layer's softmax, run by Backward and by the
+	// evaluations that return a loss.
+	soft tensor.Softmax
 }
 
 // layer is one affine map of the chain with the buffers of its passes.
@@ -46,9 +56,7 @@ type layer struct {
 	// out is the layer's output on the last batch: ReLU(xW+b) below the
 	// top layer, the logits at it.
 	out *tensor.Tensor
-	// grad is the gradient of the loss with respect to xW+b. At the top
-	// layer it holds the softmax probabilities between the forward pass
-	// and Backward, which turns them into the gradient in place.
+	// grad is the gradient of the loss with respect to xW+b.
 	grad *tensor.Tensor
 }
 
@@ -187,39 +195,67 @@ func (m *Model) SetGradVector(src []float64) {
 }
 
 // Loss is the mean softmax cross-entropy of one forward pass, which
-// Backward differentiates.
+// Backward differentiates. The pass computes no loss: Item does, from the
+// logits the pass left in the top layer.
 type Loss struct {
 	m      *Model
 	x      *tensor.Tensor
 	labels []int
-	value  float64
 }
 
-// Item returns the loss.
-func (l Loss) Item() float64 { return l.value }
+// Item returns the loss: per row, minus the log of its label's softmax
+// probability, floored at 1e-300, subtracted in row order from +0 and
+// divided once by the row count. It reads the logits of the pass that
+// returned l, so it is valid until the model's next pass (a Loss or an
+// evaluation), and it writes no buffer: calling it leaves Backward's
+// gradient unchanged.
+// It runs on the scalar Exp, which has ExpInto's bits, so the value is
+// EvalLoss's on the same batch.
+func (l Loss) Item() float64 {
+	logits := l.m.layers[len(l.m.layers)-1].out
+	n := logits.Cols()
+	nll := 0.0
+	for i, y := range l.labels {
+		row := logits.Data[i*n : (i+1)*n]
+		maxv := row[0]
+		for _, v := range row {
+			if v > maxv {
+				maxv = v
+			}
+		}
+		sum := 0.0
+		for _, v := range row {
+			sum += tensor.Exp(v - maxv)
+		}
+		nll = subLogProb(nll, tensor.Exp(row[y]-maxv)/sum)
+	}
+	return nll / float64(len(l.labels))
+}
+
+// subLogProb returns nll minus the log of probability p floored at 1e-300.
+func subLogProb(nll, p float64) float64 {
+	if p < 1e-300 {
+		p = 1e-300
+	}
+	return nll - tensor.Log(p)
+}
 
 // Backward writes the gradient of the loss with respect to every
 // parameter into the model's gradient vector, overwriting the previous
 // one. It reads the activations of the forward pass that returned l, so
-// it must run before the model's next Loss or Evaluate.
+// it must run before the model's next pass (a Loss or an evaluation).
 //
-// Per layer, top down: db = Σ_rows dOut, dW = xᵀ@dOut, and below the top
+// At the top layer the softmax writes the gradient with respect to the
+// logits directly: p/rows per entry, less 1/rows at the label. Then per
+// layer, top down: db = Σ_rows dOut, dW = xᵀ@dOut, and below the top
 // layer dx = dOut@Wᵀ masked by ReLU's derivative. The mask is read from
 // the ReLU output rather than its input: one is > 0 exactly where the
 // other is.
 func (l Loss) Backward() {
 	layers := l.m.layers
 	top := len(layers) - 1
-	g := layers[top].grad
-	rows, n := g.Shape[0], g.Shape[1]
-	scale := 1 / float64(rows)
-	for i := 0; i < rows; i++ {
-		grow := g.Data[i*n : (i+1)*n]
-		for j, p := range grow {
-			grow[j] = float64(p * scale)
-		}
-		grow[l.labels[i]] -= scale
-	}
+	l.m.soft.Run(layers[top].out)
+	l.m.soft.GradInto(layers[top].grad, l.labels, 1/float64(len(l.labels)))
 	for i := top; i >= 0; i-- {
 		ly := &layers[i]
 		tensor.SumRowsInto(ly.db, ly.grad)
@@ -236,50 +272,79 @@ func (l Loss) Backward() {
 }
 
 // Loss runs the forward pass on a batch (rank-2: batch × features) and
-// returns its mean softmax cross-entropy.
+// returns the handle of its mean softmax cross-entropy.
 func (m *Model) Loss(x *tensor.Tensor, labels []int) Loss {
 	checkLabels(x, labels)
-	return Loss{m: m, x: x, labels: labels, value: m.forward(x, labels, 0) / float64(x.Rows())}
+	m.forward(x)
+	return Loss{m: m, x: x, labels: labels}
 }
 
-// evalBlock is the number of rows Evaluate passes through the network at
-// a time, so that its buffers hold at most evalBlock rows whatever the
-// size of the eval set.
+// evalBlock is the number of rows the evaluations pass through the network
+// at a time, so that their buffers hold at most evalBlock rows whatever
+// the size of the eval set.
 const evalBlock = 64
 
 // Evaluate returns the mean softmax cross-entropy on a batch and the
-// fraction of rows whose argmax logit equals the label. It runs the batch
-// in blocks of evalBlock rows; every row's terms are those of one pass over
-// the whole batch, and the cross-entropy is summed over the rows in order
-// and divided once, so the loss equals Loss(x, labels).Item() bitwise.
-// Like Loss, it overwrites the buffers Backward reads.
+// fraction of rows whose argmax logit equals the label: EvalLoss and
+// Accuracy in one pass, with their bits. Like Loss, it overwrites the
+// buffers Backward reads.
 func (m *Model) Evaluate(x *tensor.Tensor, labels []int) (loss, acc float64) {
+	nll, correct := m.evaluate(x, labels, true, true)
+	return nll / float64(x.Rows()), accuracy(correct, x.Rows())
+}
+
+// EvalLoss is the loss half of Evaluate. It runs the batch in blocks of
+// evalBlock rows; every row's terms are those of one pass over the whole
+// batch, and the cross-entropy is summed over the rows in order and
+// divided once, so it equals Loss(x, labels).Item() bitwise. Of each row's
+// softmax it divides only the label's entry.
+func (m *Model) EvalLoss(x *tensor.Tensor, labels []int) float64 {
+	nll, _ := m.evaluate(x, labels, true, false)
+	return nll / float64(x.Rows())
+}
+
+// Accuracy is the accuracy half of Evaluate (0 on an empty batch): it
+// compares each row's argmax logit with the label and runs no softmax.
+func (m *Model) Accuracy(x *tensor.Tensor, labels []int) float64 {
+	_, correct := m.evaluate(x, labels, false, true)
+	return accuracy(correct, x.Rows())
+}
+
+func accuracy(correct, rows int) float64 {
+	if rows == 0 {
+		return 0
+	}
+	return float64(correct) / float64(rows)
+}
+
+// evaluate runs the batch through the network in blocks of evalBlock rows
+// and returns, where asked, the cross-entropy summed over the rows in
+// order from +0 and the number of rows whose argmax logit is the label.
+func (m *Model) evaluate(x *tensor.Tensor, labels []int, wantLoss, wantAcc bool) (nll float64, correct int) {
 	checkLabels(x, labels)
 	rows, cols := x.Rows(), x.Cols()
 	top := &m.layers[len(m.layers)-1]
-	correct := 0
 	for r := 0; r < rows; r += evalBlock {
 		n := min(evalBlock, rows-r)
 		m.block.Shape[0], m.block.Shape[1] = n, cols
 		m.block.Data = x.Data[r*cols : (r+n)*cols]
-		loss = m.forward(&m.block, labels[r:r+n], loss)
-		for i, y := range labels[r : r+n] {
-			if top.out.ArgMaxRow(i) == y {
-				correct++
+		m.forward(&m.block)
+		if wantLoss {
+			m.soft.Run(top.out)
+			for i, y := range labels[r : r+n] {
+				nll = subLogProb(nll, m.soft.Prob(i, y))
+			}
+		}
+		if wantAcc {
+			for i, y := range labels[r : r+n] {
+				if top.out.ArgMaxRow(i) == y {
+					correct++
+				}
 			}
 		}
 	}
 	m.block.Data = nil
-	if rows > 0 {
-		acc = float64(correct) / float64(rows)
-	}
-	return loss / float64(rows), acc
-}
-
-// Accuracy is the accuracy half of Evaluate (0 on an empty batch).
-func (m *Model) Accuracy(x *tensor.Tensor, labels []int) float64 {
-	_, acc := m.Evaluate(x, labels)
-	return acc
+	return nll, correct
 }
 
 func checkLabels(x *tensor.Tensor, labels []int) {
@@ -289,9 +354,8 @@ func checkLabels(x *tensor.Tensor, labels []int) {
 }
 
 // forward runs the chain on x, leaving each layer's output in its out
-// buffer and the softmax probabilities in the top layer's grad buffer, and
-// returns nll minus the log-probability of each row's label (softmaxNLL).
-func (m *Model) forward(x *tensor.Tensor, labels []int, nll float64) float64 {
+// buffer: the logits at the top layer.
+func (m *Model) forward(x *tensor.Tensor) {
 	rows := x.Rows()
 	in := x
 	for i := range m.layers {
@@ -305,47 +369,6 @@ func (m *Model) forward(x *tensor.Tensor, labels []int, nll float64) float64 {
 		}
 		in = l.out
 	}
-	return softmaxNLL(m.layers[len(m.layers)-1].grad.Data, in.Data, in.Shape[1], labels, nll)
-}
-
-// softmaxNLL writes the softmax of each n-wide row of logits into probs
-// (same length) and returns nll minus the log-probability of each row's
-// label, subtracted in row order: a numerically stable fused
-// softmax+log+NLL, with each probability floored at 1e-300 before its log.
-// It takes three passes. The first writes each logit minus its row's
-// maximum into probs, the second is one ExpInto over all of them, and the
-// third sums each row in column order, divides and takes the log.
-func softmaxNLL(probs, logits []float64, n int, labels []int, nll float64) float64 {
-	probs = probs[:len(logits)]
-	for i := 0; i+n <= len(logits); i += n {
-		row, prow := logits[i:i+n], probs[i:i+n]
-		maxv := row[0]
-		for _, v := range row {
-			if v > maxv {
-				maxv = v
-			}
-		}
-		for j, v := range row {
-			prow[j] = v - maxv
-		}
-	}
-	tensor.ExpInto(probs, probs)
-	for i, y := range labels {
-		prow := probs[i*n : (i+1)*n]
-		sum := 0.0
-		for _, e := range prow {
-			sum += e
-		}
-		for j := range prow {
-			prow[j] /= sum
-		}
-		p := prow[y]
-		if p < 1e-300 {
-			p = 1e-300
-		}
-		nll -= tensor.Log(p)
-	}
-	return nll
 }
 
 // reuse returns t reshaped to rows × cols, keeping its storage when that

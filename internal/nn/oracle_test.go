@@ -246,6 +246,47 @@ func TestEvaluateInBlocksMatchesLoss(t *testing.T) {
 	}
 }
 
+// TestItemLeavesGradientUnchanged reads a loss between its pass and
+// Backward, and after Backward: the gradient must have the bits of a step
+// that never read it, and both reads the loss of plainLoops.
+func TestItemLeavesGradientUnchanged(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	widths := []int{24, 40, 10}
+	m := SimResNet18.Build(3, 24, 10)
+	x, labels := batch(rng, 16, 24, 10)
+	m.Loss(x, labels).Backward()
+	want := m.GradVector(make([]float64, m.VectorLen()))
+	l := m.Loss(x, labels)
+	before := l.Item()
+	l.Backward()
+	for i, g := range m.GradVector(make([]float64, m.VectorLen())) {
+		if !sameFloat(g, want[i]) {
+			t.Fatalf("gradient[%d] = %v after Item, %v without", i, g, want[i])
+		}
+	}
+	if ref := plainLoops(m.Vector(), widths, x, labels).loss; !sameFloat(before, ref) || !sameFloat(l.Item(), ref) {
+		t.Fatalf("Item = %v before Backward and %v after, plain loops %v", before, l.Item(), ref)
+	}
+}
+
+// TestEvaluationHalvesMatchEvaluate checks EvalLoss and Accuracy each
+// bitwise against its half of Evaluate, on batches within one block and
+// across several, with labels that the model gets right and wrong.
+func TestEvaluationHalvesMatchEvaluate(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	for _, rows := range []int{1, 5, evalBlock + 3, 500} {
+		m := SimResNet18.Build(int64(rows), 24, 10)
+		x, labels := batch(rng, rows, 24, 10)
+		loss, acc := m.Evaluate(x, labels)
+		if got := m.EvalLoss(x, labels); !sameFloat(got, loss) {
+			t.Fatalf("%d rows: EvalLoss = %v, Evaluate's loss %v", rows, got, loss)
+		}
+		if got := m.Accuracy(x, labels); !sameFloat(got, acc) {
+			t.Fatalf("%d rows: Accuracy = %v, Evaluate's accuracy %v", rows, got, acc)
+		}
+	}
+}
+
 // zeroSkipMatMul is a@b by the axpy loop that skips every term whose a
 // entry is zero: the reference the tape's MatMul backward was checked
 // against. For finite operands it agrees bitwise with the kernels, which

@@ -35,6 +35,19 @@ type slowdown struct {
 	factor float64
 }
 
+// scheduleRegrowths is every regrowth of a network's lazily drawn schedule
+// while it draws its first drawn entries on the paper's 8-worker cluster:
+// the start-time slice and the entry slice, and for the shuffled network
+// the word slice its fast-link bitsets (one 8×8-bit word per entry) are
+// carved from.
+func scheduleRegrowths(kind string, drawn int) int {
+	if kind == "shuffled" {
+		const words = (8*8 + 63) / 64
+		return regrowths[float64](0, drawn) + regrowths[[]uint64](0, drawn) + regrowths[uint64](0, drawn*words)
+	}
+	return regrowths[float64](0, drawn) + regrowths[slowdown](0, drawn)
+}
+
 // TestEngineIterationsAllocateNothing runs every engine kind, and NetMax
 // through crashes, a rejoin and a leave, on the paper's 8-worker cluster
 // for E and 2E epochs at parallelism 1. It fails if the longer run
@@ -43,11 +56,12 @@ type slowdown struct {
 //     shorter one, and per membership change there (each forces a
 //     regeneration);
 //   - the loss curve's regrowths;
-//   - every regrowth of the heterogeneous network's slow-link schedule
-//     out to the longer run's end. The schedule is drawn lazily, one
-//     entry per period_secs of virtual time, into a start-time slice and
-//     an entry slice, and how far the shorter run drew it is not known:
-//     a run's last rate query can come well before its last event.
+//   - every regrowth of the network's schedule (the heterogeneous
+//     network's slow link, or the shuffled network's fast-link sets) out
+//     to the longer run's end. The schedule is drawn lazily, one entry
+//     per period_secs of virtual time, and how far the shorter run drew
+//     it is not known: a run's last rate query can come well before its
+//     last event.
 //
 // Everything else a run allocates is set up once, so an allocation per
 // iteration or per round anywhere in a runner fails the test.
@@ -61,18 +75,23 @@ func TestEngineIterationsAllocateNothing(t *testing.T) {
 	type arm struct {
 		name, kind string
 		failures   *FailureSpec
+		network    *NetworkSpec
 	}
 	var arms []arm
 	for _, a := range algorithms {
-		arms = append(arms, arm{a.kind, a.kind, nil})
+		arms = append(arms, arm{a.kind, a.kind, nil, nil})
 	}
-	arms = append(arms, arm{"netmax-churn", "netmax", churn})
+	// The shuffled arm re-draws its fast links every half second, so the
+	// longer run draws about 40 sets more than the shorter one: a set that
+	// allocates per draw shows above the allowance.
+	arms = append(arms, arm{"netmax-churn", "netmax", churn, nil},
+		arm{"netmax-shuffled", "netmax", nil, &NetworkSpec{Kind: "shuffled", PeriodSecs: 0.5}})
 	for _, c := range arms {
 		t.Run(c.name, func(t *testing.T) {
 			run := func(epochs int) (mallocs uint64, res *engine.Result, p *prepared) {
 				m := &Manifest{
 					Name: "allocs-" + c.name, Algorithm: c.kind, Model: "ResNet18", Dataset: "CIFAR10",
-					Workers: 8, Epochs: epochs, Parallelism: 1, Failures: c.failures,
+					Workers: 8, Epochs: epochs, Parallelism: 1, Failures: c.failures, Network: c.network,
 				}
 				p, err := m.prepare()
 				if err != nil {
@@ -105,7 +124,7 @@ func TestEngineIterationsAllocateNothing(t *testing.T) {
 			drawn := int(t2/p.r.Network.PeriodSecs) + 2
 			allow := int64(regenAllocs*regens +
 				regrowths[engine.Point](len(r1.Curve), len(r2.Curve)) +
-				regrowths[float64](0, drawn) + regrowths[slowdown](0, drawn))
+				scheduleRegrowths(p.r.Network.Kind, drawn))
 
 			extra, steps := int64(long)-int64(short), r2.GlobalSteps-r1.GlobalSteps
 			t.Logf("mallocs: %d in %d steps (%.1f s), %d in %d steps (%.1f s); %.3f per extra step, allowance %d",

@@ -213,9 +213,9 @@ type Network struct {
 	rateOverride [][]float64
 
 	// shuffles, if non-nil, is the time-varying set of fast links of
-	// NewShuffledRates; once its first period starts it replaces the
-	// machine-placement rate rule.
-	shuffles *schedule[map[[2]int]bool]
+	// NewShuffledRates, one bitset per period; once its first period
+	// starts it replaces the machine-placement rate rule.
+	shuffles *schedule[[]uint64]
 }
 
 // Paper-calibrated defaults (see nn zoo comment): intra-machine GPU-to-GPU
@@ -309,11 +309,8 @@ func (n *Network) Rate(i, j int, now float64) float64 {
 	}
 	if n.shuffles != nil {
 		if fast, ok := n.shuffles.at(now); ok {
-			key := [2]int{i, j}
-			if j < i {
-				key = [2]int{j, i}
-			}
-			if fast[key] {
+			k := min(i, j)*n.Topo.M + max(i, j)
+			if fast[k/64]&(1<<(k%64)) != 0 {
 				return n.IntraRate
 			}
 			return n.InterRate
@@ -384,11 +381,23 @@ func NewShuffledRates(topo *Topology, seed int64, horizon, period float64) *Netw
 			pairs = append(pairs, [2]int{i, j})
 		}
 	}
-	draw := func() map[[2]int]bool {
+	// Each period's fast set is an M×M bitset, bit i·M+j set for a fast
+	// pair i < j, carved from one growing word slice. A drawn set is never
+	// written again, so Rate may read it outside the schedule's lock while
+	// a later draw appends: the append writes only words past it, or
+	// copies them to a new array and leaves it in place.
+	words := (topo.M*topo.M + 63) / 64
+	var bits []uint64
+	draw := func() []uint64 {
 		rng.Shuffle(len(pairs), func(a, b int) { pairs[a], pairs[b] = pairs[b], pairs[a] })
-		fast := make(map[[2]int]bool, len(pairs))
+		from := len(bits)
+		for range words {
+			bits = append(bits, 0)
+		}
+		fast := bits[from:len(bits):len(bits)]
 		for _, p := range pairs[len(pairs)/3:] {
-			fast[p] = true
+			k := p[0]*topo.M + p[1]
+			fast[k/64] |= 1 << (k % 64)
 		}
 		return fast
 	}

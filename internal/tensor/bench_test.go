@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -138,6 +139,30 @@ func TestSimResNet18PassesAllocateNothing(t *testing.T) {
 				if n := testing.AllocsPerRun(10, run); n != 0 {
 					t.Errorf("%s with useAVX2=%v allocates %v times, want 0", name, avx, n)
 				}
+			})
+		}
+	}
+}
+
+// BenchmarkTranspose times Backward's weight transpose on each kernel, at
+// the paper MLP's top layer (40×10) and at the largest weight the quick
+// suite transposes (VGG19's 72×100).
+func BenchmarkTranspose(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	for _, shape := range [][2]int{{40, 10}, {72, 100}} {
+		w, wt := Randn(rng, 1, shape[0], shape[1]), New(shape[1], shape[0])
+		for _, avx := range kernels() {
+			label := "go"
+			if avx {
+				label = "avx2"
+			}
+			b.Run(fmt.Sprintf("%dx%d/%s", shape[0], shape[1], label), func(b *testing.B) {
+				withKernel(avx, func() {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						TransposeInto(wt, w)
+					}
+				})
 			})
 		}
 	}

@@ -8,8 +8,9 @@ import (
 // The element-wise passes below follow gemm's pattern. Each lane, an
 // element or a column, is independent of the others, so on amd64 CPUs with
 // AVX2 the assembly (elementwise_amd64.s) runs the body whose length is a
-// multiple of 4, four lanes to a YMM register, and the Go loop runs the
-// rest. Each lane does the same IEEE operations in the same order on both,
+// multiple of 4 (of 2 for the row kernels, whose last pair of columns
+// takes an XMM register), four lanes to a YMM register, and the Go loop
+// runs the rest. Each lane does the same IEEE operations in the same order on both,
 // with multiply and add in separate instructions, so the assembly gives
 // the Go loop's bits. With useAVX2 off the Go loop runs every lane: it is
 // the portable kernel and the assembly's oracle.
@@ -149,7 +150,7 @@ func AddRowVectorInto(dst, a, v *Tensor) *Tensor {
 	checkRows("AddRowVectorInto", a, m, n)
 	j := 0
 	if useAVX2 {
-		j = n &^ 3
+		j = n &^ 1
 		addRowVectorAVX2(dst.Data, a.Data, v.Data[:n], m, n)
 	}
 	addRowVectorGo(dst.Data, a.Data, v.Data[:n], m, n, j)
@@ -178,7 +179,7 @@ func SumRowsInto(dst, a *Tensor) *Tensor {
 	checkRows("SumRowsInto", a, m, n)
 	j := 0
 	if useAVX2 {
-		j = n &^ 3
+		j = n &^ 1
 		sumRowsAVX2(dst.Data[:n], a.Data, m, n)
 	}
 	sumRowsGo(dst.Data[:n], a.Data, m, n, j)

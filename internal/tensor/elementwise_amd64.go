@@ -1,7 +1,7 @@
 package tensor
 
 // The element-wise kernels of elementwise_amd64.s. Each runs the first
-// len&^3 elements of its slices, or the first n&^3 columns of each of m
+// len&^3 elements of its slices, or the first n&^1 columns of each of m
 // rows; the caller checks the lengths and runs the rest in Go.
 
 //go:noescape
@@ -31,3 +31,15 @@ func sumRowsAVX2(dst, a []float64, m, n int)
 //
 //go:noescape
 func expAVX2(dst, src []float64, c *[15][4]float64) int
+
+// The softmax kernels of softmax_amd64.s. Each runs the first m rows, m a
+// multiple of 4; the caller checks the lengths and runs the rest in Go.
+
+//go:noescape
+func softmaxShiftAVX2(e, logits []float64, m, n int)
+
+//go:noescape
+func softmaxSumAVX2(sums, e []float64, m, n int)
+
+//go:noescape
+func softmaxGradAVX2(grad, e, sums []float64, m, n int, scale float64)

@@ -10,8 +10,9 @@
 // The flat kernels run len&^3 elements of their slices, 16 at a time in
 // four independent register groups and then 4 at a time; AX is the
 // element, CX the element count and R8 the part of it a multiple of 16.
-// The row kernels run columns 0 to n&^3 − 1 of m rows in column blocks of
-// 16, 8 and 4, each block going down the rows. The callers run the rest.
+// The row kernels run columns 0 to n&^1 − 1 of m rows in column blocks of
+// 16, 8, 4 and 2, each block going down the rows; the block of 2 uses XMM
+// registers. The callers run the last column of an odd n.
 
 // ORDERED_GT is VCMPPD's predicate GT_OQ: true where the first source is
 // greater than the second and neither is NaN.
@@ -228,7 +229,7 @@ relugraddone:
 //
 //	SI  a             DI  dst           DX  v (addRowVectorAVX2)
 //	R8  m             R9  a's row stride in bytes
-//	R10 n&^3          BX  the block's first column
+//	R10 n&^1          BX  the block's first column
 //	R11 a at the current row, column BX
 //	R12 dst at the current row, column BX (addRowVectorAVX2)
 //	CX  rows left
@@ -239,7 +240,7 @@ relugraddone:
 	MOVQ marg, R8;   \
 	MOVQ narg, R9;   \
 	MOVQ R9, R10;    \
-	ANDQ $-4, R10;   \
+	ANDQ $-2, R10;   \
 	SHLQ $3, R9;     \
 	XORQ BX, BX
 
@@ -311,7 +312,7 @@ addnext8:
 	ADDQ $8, BX
 
 add4:
-	BLOCK(4, adddone, adddone)
+	BLOCK(4, add2, addnext4)
 	LEAQ    (DI)(BX*8), R12
 	VMOVUPD (DX)(BX*8), Y12
 
@@ -321,6 +322,23 @@ addrows4:
 	ADDQ R9, R12
 	DECQ CX
 	JNZ  addrows4
+
+addnext4:
+	ADDQ $4, BX
+
+add2:
+	BLOCK(2, adddone, adddone)
+	LEAQ    (DI)(BX*8), R12
+	VMOVUPD (DX)(BX*8), X12
+
+addrows2:
+	VMOVUPD (R11), X0
+	VADDPD  X12, X0, X0 // a + v
+	VMOVUPD X0, (R12)
+	ADDQ    R9, R11
+	ADDQ    R9, R12
+	DECQ    CX
+	JNZ     addrows2
 
 adddone:
 	VZEROUPPER
@@ -377,7 +395,7 @@ store8:
 	VXORPD  Y0, Y0, Y0
 
 sum4:
-	BLOCK(4, sumdone, store4)
+	BLOCK(4, sum2, store4)
 
 sumrows4:
 	VADDPD (R11), Y0, Y0
@@ -387,6 +405,20 @@ sumrows4:
 
 store4:
 	VMOVUPD Y0, (DI)(BX*8)
+	ADDQ    $4, BX
+
+sum2:
+	VXORPD X0, X0, X0
+	BLOCK(2, sumdone, store2)
+
+sumrows2:
+	VADDPD (R11), X0, X0
+	ADDQ   R9, R11
+	DECQ   CX
+	JNZ    sumrows2
+
+store2:
+	VMOVUPD X0, (DI)(BX*8)
 
 sumdone:
 	VZEROUPPER

@@ -17,3 +17,9 @@ func addRowVectorAVX2(dst, a, v []float64, m, n int) { noAVX2() }
 func sumRowsAVX2(dst, a []float64, m, n int) { noAVX2() }
 
 func expAVX2(dst, src []float64, c *[15][4]float64) int { noAVX2(); return 0 }
+
+func softmaxShiftAVX2(e, logits []float64, m, n int) { noAVX2() }
+
+func softmaxSumAVX2(sums, e []float64, m, n int) { noAVX2() }
+
+func softmaxGradAVX2(grad, e, sums []float64, m, n int, scale float64) { noAVX2() }

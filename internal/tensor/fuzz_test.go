@@ -153,10 +153,11 @@ func FuzzMatMul(f *testing.F) {
 	})
 }
 
-// vectorKernels lists the element-wise kernels as calls on operand slices:
-// lens gives each operand's length for n lanes (n columns of rows-row
-// operands for the row kernels), and run calls the kernel with the
-// scalars s. The aliased forms are the ones the model's passes use.
+// vectorKernels lists the element-wise kernels, and the transpose, as
+// calls on operand slices: lens gives each operand's length for n lanes
+// (n columns of rows-row operands for the row kernels and the transpose),
+// and run calls the kernel with the scalars s. The aliased forms are the
+// ones the model's passes use.
 var vectorKernels = []struct {
 	name string
 	lens func(n, rows int) []int
@@ -197,6 +198,10 @@ var vectorKernels = []struct {
 	{"SumRowsInto", func(n, rows int) []int { return []int{n, rows * n} },
 		func(ops [][]float64, n, rows int, _ [3]float64) {
 			SumRowsInto(FromSlice(ops[0], n), FromSlice(ops[1], rows, n))
+		}},
+	{"TransposeInto", func(n, rows int) []int { return []int{rows * n, rows * n} },
+		func(ops [][]float64, n, rows int, _ [3]float64) {
+			TransposeInto(FromSlice(ops[0], n, rows), FromSlice(ops[1], rows, n))
 		}},
 }
 
@@ -244,7 +249,7 @@ func (g guardedVec) intact() bool {
 	return true
 }
 
-// FuzzVectorKernels runs each element-wise kernel with useAVX2 off (the Go
+// FuzzVectorKernels runs each kernel of vectorKernels with useAVX2 off (the Go
 // loop, the oracle) and on, and requires the same bits in every operand
 // afterwards, except that any NaN matches any NaN, as in FuzzMatMul. The
 // first byte gives n ≤ 37 lanes, so every tail length follows every body

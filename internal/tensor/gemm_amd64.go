@@ -28,3 +28,12 @@ func haveAVX2() bool {
 	_, ebx, _, _ := cpuid(7, 0)
 	return ebx&avx2 != 0
 }
+
+// transposeAVX2 is TransposeInto's kernel (transpose_amd64.s): it writes
+// the transpose of the first m rows of the m×n matrix a into dst, whose
+// rows are dstStride long, in 4×4 tiles and, past the last multiple of 4
+// columns, a 4×2 and a 4×1 tile. m is a multiple of 4; the caller checks
+// the lengths and transposes the remaining rows.
+//
+//go:noescape
+func transposeAVX2(dst, a []float64, m, n, dstStride int)

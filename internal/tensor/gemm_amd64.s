@@ -5,7 +5,8 @@
 // halves read the same row of a and store the same values to the same
 // row of out. In a pair, column blocks of 16, 8 and 4 doubles keep their
 // accumulators in YMM registers; a block of 2 uses XMM and a block of 1 a
-// scalar. A block's accumulators start at +0 (VXORPD) and stay in
+// scalar. When exactly ten columns are left, the blocks of 8 and 2 run
+// together as one block of 10. A block's accumulators start at +0 (VXORPD) and stay in
 // registers for the whole pass over p. Each step broadcasts a[i, p],
 // multiplies it by b[p, j:] into a temporary and adds the temporary to the
 // accumulator, with the accumulator as first source. Multiply and add are
@@ -120,6 +121,9 @@ store16:
 	JMP     cols16
 
 cols8:
+	LEAQ 10(BX), CX
+	CMPQ CX, R10
+	JEQ  cols10
 	LEAQ 8(BX), CX
 	CMPQ CX, R10
 	JGT  cols4
@@ -233,6 +237,49 @@ nextpair:
 	JGT  pair
 	VZEROUPPER
 	RET
+
+// The last ten columns run as one block of 8 and one of 2 in a single
+// pass over p: six accumulators, so the 2-wide tail does not take a pass
+// of its own.
+cols10:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD X4, X4, X4
+	VXORPD X5, X5, X5
+	BLOCK(store10)
+
+loop10:
+	VMOVUPD      (R14), Y10
+	VMOVUPD      32(R14), Y11
+	VMOVUPD      64(R14), X12
+	VBROADCASTSD (AX), Y8
+	VBROADCASTSD (AX)(R11*1), Y9
+	VMULPD       Y10, Y8, Y13
+	VADDPD       Y13, Y0, Y0
+	VMULPD       Y11, Y8, Y14
+	VADDPD       Y14, Y1, Y1
+	VMULPD       X12, X8, X15
+	VADDPD       X15, X4, X4
+	VMULPD       Y10, Y9, Y13
+	VADDPD       Y13, Y2, Y2
+	VMULPD       Y11, Y9, Y14
+	VADDPD       Y14, Y3, Y3
+	VMULPD       X12, X9, X15
+	VADDPD       X15, X5, X5
+	STEP
+	JNZ          loop10
+
+store10:
+	LEAQ    (SI)(R15*1), CX
+	VMOVUPD Y0, (SI)(BX*8)
+	VMOVUPD Y1, 32(SI)(BX*8)
+	VMOVUPD X4, 64(SI)(BX*8)
+	VMOVUPD Y2, (CX)(BX*8)
+	VMOVUPD Y3, 32(CX)(BX*8)
+	VMOVUPD X5, 64(CX)(BX*8)
+	JMP     nextpair
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24

@@ -7,3 +7,5 @@ func haveAVX2() bool { return false }
 func gemmAVX2(out, a, b []float64, m, k, n, aRowStride, aColStride int) { noAVX2() }
 
 func noAVX2() { panic("tensor: no AVX2 kernel on this architecture") }
+
+func transposeAVX2(dst, a []float64, m, n, dstStride int) { noAVX2() }

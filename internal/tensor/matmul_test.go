@@ -132,13 +132,20 @@ func transposeOracle(dst, a *Tensor) *Tensor {
 	return dst
 }
 
+// TestTransposeIntoMatchesTranspose checks both kernels on shapes with
+// and without edges past the AVX2 kernel's 4×4 tiles, the paper model's
+// weight (40×10) and the largest the suite transposes (72×100).
 func TestTransposeIntoMatchesTranspose(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	for _, shape := range [][2]int{{5, 9}, {1, 7}, {7, 1}, {16, 40}} {
+	for _, shape := range [][2]int{{5, 9}, {1, 7}, {7, 1}, {16, 40}, {40, 10}, {72, 100}, {13, 6}, {4, 4}} {
 		a := Randn(rng, 1, shape[0], shape[1])
 		want := transposeOracle(New(shape[1], shape[0]), a)
-		if got := transpose(a); !sameBits(got, want) {
-			t.Fatalf("TransposeInto of a %v tensor differs from the element-wise oracle", shape)
+		for _, avx := range kernels() {
+			withKernel(avx, func() {
+				if got := transpose(a); !sameBits(got, want) {
+					t.Fatalf("TransposeInto with useAVX2=%v of a %v tensor differs from the element-wise oracle", avx, shape)
+				}
+			})
 		}
 	}
 }

@@ -10,7 +10,8 @@
 // out[i, j:j+4] += a[i,p] · b[p, j:j+4], with the right operand in its
 // natural row-major layout and the left one read through strides, so
 // neither copies an operand. A product with a transposed right operand
-// takes it from TransposeInto. On amd64 CPUs with AVX2 the kernel is
+// takes it from TransposeInto, which moves 4×4 register tiles on AVX2
+// CPUs. On amd64 CPUs with AVX2 the kernel is
 // assembly; elsewhere a pure-Go loop of the same form runs, and tests run
 // both. Each lane is one output element that starts at +0 and adds its k
 // products in ascending p, with multiply and add kept separate, so both
@@ -32,10 +33,16 @@
 // layer's bias gradient (SumRowsInto).
 // Their lanes are independent, so on AVX2 CPUs assembly
 // (elementwise_amd64.s) runs four lanes to a register over the body whose
-// length is a multiple of 4 and a Go loop runs the rest. The Go loop is
+// length is a multiple of 4 (the row passes take a last pair of columns
+// in an XMM register) and a Go loop runs the rest. The Go loop is
 // the portable kernel and the assembly's oracle, and each lane does the
 // same separate IEEE multiplies and adds in the same order on both, so the
 // results keep their bits.
+//
+// Softmax (softmax.go) holds a batch's row softmax as exponentials and
+// row sums, so that the cross-entropy gradient and the loss divide only
+// the entries they read. Its assembly runs four rows at a time with the
+// row as the lane, under the same rule.
 //
 // Exp, Log and Pow (exp.go) are the repository's own transcendental
 // functions, with the same bits on every CPU, and ExpInto runs Exp over a
@@ -175,17 +182,26 @@ func checkMatMulDst(op string, dst *Tensor, m, n int) {
 }
 
 // TransposeInto writes the transpose of rank-2 a (m×n) into dst, which
-// must have shape (n, m) and must not alias a, and returns dst. Rows of a
-// go four at a time, so each row of dst takes four adjacent stores per
-// visit instead of one.
+// must have shape (n, m) and must not alias a, and returns dst. Where the
+// CPU has AVX2 the assembly moves the rows above the last multiple of 4
+// in 4×4 register tiles; the Go loops move the rest, and every row with
+// useAVX2 off, four rows at a time where they can, so each row of dst
+// takes four adjacent stores per visit. Only data moves, so the kernels
+// agree bit for bit.
 func TransposeInto(dst, a *Tensor) *Tensor {
 	if a.Rank() != 2 {
 		panic("tensor: TransposeInto requires a rank-2 operand")
 	}
 	checkMatMulDst("TransposeInto", dst, a.Shape[1], a.Shape[0])
 	m, n := a.Shape[0], a.Shape[1]
+	checkRows("TransposeInto", a, m, n)
+	checkRows("TransposeInto", dst, n, m)
 	ad, dd := a.Data, dst.Data
 	i := 0
+	if useAVX2 {
+		i = m &^ 3
+		transposeAVX2(dd, ad, i, n, m)
+	}
 	for ; i+4 <= m; i += 4 {
 		r0, r1, r2, r3 := ad[i*n:][:n], ad[(i+1)*n:][:n], ad[(i+2)*n:][:n], ad[(i+3)*n:][:n]
 		for j, v := range r0 {

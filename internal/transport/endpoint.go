@@ -463,25 +463,15 @@ func (p *PullClient) Receive(dst []float64) (wireBytes int64, err error) {
 		return 0, peerErr(err)
 	}
 	payload, err := decodePullResp(body, codecID, dst)
-	if err != nil {
+	switch {
+	case errors.Is(err, codec.ErrNonFinite):
+		// The frame was well formed: keep the connection.
+		return 0, ErrNonFinite
+	case err != nil:
 		p.pc.drop()
 		return 0, err
 	}
-	if !allFinite(dst) {
-		return 0, ErrNonFinite
-	}
 	return int64(len(payload)), nil
-}
-
-// allFinite reports whether vec has no NaN or ±Inf coordinate: v-v is 0
-// for every finite v and NaN otherwise, one comparison per coordinate.
-func allFinite(vec []float64) bool {
-	for _, v := range vec {
-		if v-v != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Close tears down the persistent connection, if any.

@@ -3,7 +3,6 @@ package transport
 import (
 	"bytes"
 	"errors"
-	"math"
 	"net"
 	"slices"
 	"sync"
@@ -375,25 +374,6 @@ func TestWarmExchangesAllocateNothing(t *testing.T) {
 		}); n != 0 {
 			t.Errorf("a warm %s allocates %v times", name, n)
 		}
-	}
-}
-
-// TestAllFinite pins the pull's one-comparison scan to math.IsNaN ||
-// math.IsInf on the values where they could part: NaN, the infinities,
-// both zeros, a subnormal and the largest finite values.
-func TestAllFinite(t *testing.T) {
-	for _, v := range []float64{
-		math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
-		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
-		math.MaxFloat64, -math.MaxFloat64, 1, -2.5,
-	} {
-		want := !math.IsNaN(v) && !math.IsInf(v, 0)
-		if got := allFinite([]float64{1, v, 2}); got != want {
-			t.Errorf("allFinite with %v = %v, want %v", v, got, want)
-		}
-	}
-	if !allFinite(nil) {
-		t.Error("an empty vector is not finite")
 	}
 }
 

@@ -229,7 +229,10 @@ func appendPullResp(dst []byte, vec []float64, c codec.Codec) []byte {
 
 // decodePullResp decodes a pull response body carrying codec codecID into
 // dst, whose length is the dimension the caller expects, and returns the
-// codec payload. Every failure wraps errProtocol.
+// codec payload. Every failure wraps errProtocol. A well-formed vector
+// with a NaN or ±Inf coordinate is decoded whole, in the codec's one pass,
+// and its error wraps codec.ErrNonFinite as well, which PullClient.Receive
+// reports as ErrNonFinite.
 func decodePullResp(body []byte, codecID uint8, dst []float64) (payload []byte, err error) {
 	if len(body) < 4 {
 		return nil, fmt.Errorf("%w: pull response body %d bytes, want >= 4", errProtocol, len(body))
