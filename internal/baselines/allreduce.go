@@ -13,10 +13,14 @@ import (
 func RunAllreduce(cfg *engine.Config) *engine.Result {
 	ws := cfg.Workers()
 	step := averagedStep(cfg, ws)
-	ring := 2 * int64(len(ws)-1) * cfg.Spec.ModelBytes()
-	return runRounds(cfg, ws, "Allreduce-SGD", ring, func(now float64) float64 {
+	ring := make([]int, len(ws))
+	for i := range ring {
+		ring[i] = i
+	}
+	bytes := 2 * int64(len(ws)-1) * cfg.Spec.ModelBytes()
+	return runRounds(cfg, ws, "Allreduce-SGD", bytes, func(now float64) float64 {
 		step()
-		return ringAllreduceTime(cfg, now)
+		return ringTime(cfg, ring, now)
 	})
 }
 
@@ -50,7 +54,7 @@ func averagedStep(cfg *engine.Config, ws []*engine.Worker) func() {
 	par := cfg.EffectiveParallelism()
 	vlen := ws[0].Model.VectorLen()
 	avg := make([]float64, vlen)
-	grad := func(k int) { ws[k].GradOnly() }
+	grad := func(k int) { ws[k].ComputeGrad() }
 	return func() {
 		engine.Concurrently(len(ws), par, grad)
 		clear(avg)
@@ -70,22 +74,21 @@ func averagedStep(cfg *engine.Config, ws []*engine.Worker) func() {
 	}
 }
 
-// ringAllreduceTime returns the duration of one ring allreduce of the model
-// over workers 0..M-1 at virtual time now: 2(M-1) pipeline steps each moving
-// bytes/M over the ring, bottlenecked by the slowest ring link.
-func ringAllreduceTime(cfg *engine.Config, now float64) float64 {
-	m := cfg.Net.Topo.M
-	if m < 2 {
+// ringTime returns the duration of one ring allreduce of the model over
+// members, in ring order, at virtual time now: 2(g-1) pipeline steps each
+// moving bytes/g over the ring, bottlenecked by the slowest ring link. A
+// ring of fewer than two members moves nothing.
+func ringTime(cfg *engine.Config, members []int, now float64) float64 {
+	g := len(members)
+	if g < 2 {
 		return 0
 	}
-	bytes := cfg.Spec.ModelBytes()
-	minRate := cfg.Net.Rate(0, 1%m, now)
-	for i := 0; i < m; i++ {
-		j := (i + 1) % m
-		if r := cfg.Net.Rate(i, j, now); r < minRate {
+	minRate := cfg.Net.Rate(members[0], members[1], now)
+	for a := 0; a < g; a++ {
+		if r := cfg.Net.Rate(members[a], members[(a+1)%g], now); r < minRate {
 			minRate = r
 		}
 	}
-	chunk := float64(bytes) / float64(m)
-	return 2 * float64(m-1) * chunk / minRate
+	chunk := float64(cfg.Spec.ModelBytes()) / float64(g)
+	return 2 * float64(g-1) * chunk / minRate
 }

@@ -134,7 +134,7 @@ type departedPullCheck struct {
 
 func (c *departedPullCheck) Plan(i int, now float64, rng *rand.Rand) engine.Pull {
 	p := c.AsyncBehavior.Plan(i, now, rng)
-	if p.Until <= now {
+	if !p.Wait {
 		c.plans++
 		if p.Peer != i && c.fs.Down(p.Peer, now) {
 			c.misses++

@@ -179,12 +179,11 @@ func TestSAPSPrefersFastLinks(t *testing.T) {
 }
 
 func TestRingAllreduceTimeScalesWithModel(t *testing.T) {
-	cfg := hetConfig(8, 1, 3)
-	small := cfg
-	tSmall := ringAllreduceTime(small, 0)
+	ring := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	tSmall := ringTime(hetConfig(8, 1, 3), ring, 0)
 	cfg2 := hetConfig(8, 1, 3)
 	cfg2.Spec = nn.SimVGG19
-	tBig := ringAllreduceTime(cfg2, 0)
+	tBig := ringTime(cfg2, ring, 0)
 	if tBig <= tSmall {
 		t.Fatalf("VGG19 allreduce (%v) should exceed ResNet18 (%v)", tBig, tSmall)
 	}
@@ -193,7 +192,7 @@ func TestRingAllreduceTimeScalesWithModel(t *testing.T) {
 func TestRingAllreduceSingleNode(t *testing.T) {
 	cfg := hetConfig(4, 1, 3)
 	cfg.Net = simnet.NewHomogeneous(simnet.SingleMachine(1))
-	if got := ringAllreduceTime(cfg, 0); got != 0 {
+	if got := ringTime(cfg, []int{0}, 0); got != 0 {
 		t.Fatalf("single-node allreduce time = %v", got)
 	}
 }

@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"netmax/internal/engine"
+	"netmax/internal/tensor"
 )
 
 // RunSyncDPSGD trains with synchronous decentralized parallel SGD in the
@@ -48,7 +49,10 @@ func RunSyncDPSGD(cfg *engine.Config) *engine.Result {
 	}
 
 	par := cfg.EffectiveParallelism()
-	step := func(k int) { ws[k].GradStep() }
+	step := func(k int) {
+		ws[k].ComputeGrad()
+		ws[k].ApplyStep()
+	}
 	return runRounds(cfg, ws, "D-PSGD", edges*bytes, func(now float64) float64 {
 		// Local gradient steps: conceptually parallel in the algorithm, and
 		// actually concurrent on the host (each worker only touches its own
@@ -68,9 +72,7 @@ func RunSyncDPSGD(cfg *engine.Config) *engine.Result {
 			}
 			for j := 0; j < m; j++ {
 				if wij := weight(i, j); wij > 0 {
-					for k := range next[i] {
-						next[i][k] += float64(wij * vecs[j][k])
-					}
+					tensor.AddScaled(next[i], vecs[j], wij)
 				}
 			}
 		}

@@ -23,15 +23,15 @@ type hopAsync struct {
 	down      []bool // departed workers, from the latest membership event
 }
 
-// Plan counts the iteration that just completed, then either holds worker
-// i until another worker's next event or plans a uniform pull.
+// Plan counts the iteration that just completed, then either has worker i
+// wait for another worker's next event or plans a uniform pull.
 func (h *hopAsync) Plan(i int, now float64, rng *rand.Rand) engine.Pull {
 	if h.inFlight[i] {
 		h.inFlight[i] = false
 		h.iters[i]++
 	}
 	if h.iters[i] >= h.slowest()+h.staleness {
-		return engine.Pull{Until: math.Inf(1)}
+		return engine.Pull{Wait: true}
 	}
 	return h.AsyncBehavior.Plan(i, now, rng)
 }

@@ -70,7 +70,8 @@ func RunPrague(cfg *engine.Config) *engine.Result {
 
 		// Local gradient steps, in member order.
 		for _, w := range members {
-			ws[w].GradStep()
+			ws[w].ComputeGrad()
+			ws[w].ApplyStep()
 		}
 		// Partial allreduce: group model average.
 		clear(mean)
@@ -86,15 +87,7 @@ func RunPrague(cfg *engine.Config) *engine.Result {
 
 		// Timing: intra-group ring, slowest group link, stretched by the
 		// number of concurrently active machine-spanning groups.
-		minRate := cfg.Net.Rate(members[0], members[1], start)
-		for a := 0; a < g; a++ {
-			b := (a + 1) % g
-			if r := cfg.Net.Rate(members[a], members[b], start); r < minRate {
-				minRate = r
-			}
-		}
-		chunk := float64(bytes) / float64(g)
-		comm := 2 * float64(g-1) * chunk / minRate
+		comm := ringTime(cfg, members, start)
 		groupComp := 0.0
 		for _, w := range members {
 			if c := cfg.ComputeSecs(w); c > groupComp {

@@ -94,7 +94,7 @@ func RunPSAsync(cfg *engine.Config) *engine.Result {
 			}
 		}
 		w := ws[i]
-		_, samples := w.GradOnly()
+		w.ComputeGrad()
 		w.Model.GradVector(grad)
 		ps.SetGradVector(grad)
 		// The Tracker decays the workers' optimizers only; step at their
@@ -116,7 +116,7 @@ func RunPSAsync(cfg *engine.Config) *engine.Result {
 		tr.AddBytes(2 * bytes)
 		iter := cfg.ComputeSecs(i) + comm
 		activeEnds = append(activeEnds, now+iter)
-		pend[i] = pending{samples: samples, comp: cfg.ComputeSecs(i), comm: comm}
+		pend[i] = pending{samples: w.Batch, comp: cfg.ComputeSecs(i), comm: comm}
 		q.Push(now+iter, i)
 	}
 	return tr.Finish()

@@ -68,7 +68,7 @@ func (h *refHop) Plan(i int, now float64, rng *rand.Rand) engine.Pull {
 		h.iters[i]++
 	}
 	if h.iters[i] >= h.slowest()+h.staleness {
-		return engine.Pull{Until: math.Inf(1)}
+		return engine.Pull{Wait: true}
 	}
 	return h.refUniform.Plan(i, now, rng)
 }

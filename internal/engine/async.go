@@ -55,12 +55,12 @@ type Pull struct {
 	// a full model, less for SAPS sparsification. It scales the bytes
 	// charged and timed.
 	Share float64
-	// Until, when later than now, holds the worker back: it starts no
-	// iteration, and its next Plan runs at Until (Hop's staleness gate).
-	// +Inf holds it until the next event of a worker that is not held, or
-	// the next membership boundary: a wait on the other workers that
-	// skips their holds. A worker with neither left is never planned again.
-	Until float64
+	// Wait holds the worker back (Hop's staleness gate): it starts no
+	// iteration, and its next Plan runs at the next event of a worker that
+	// is not waiting, or at the next membership boundary, whichever comes
+	// first. A worker with neither left is never planned again. The other
+	// fields are then ignored.
+	Wait bool
 }
 
 // exchange carries out pulls. Every transferred vector round-trips through
@@ -120,8 +120,8 @@ func (e *exchange) pull(x, y *nn.Model, p Pull) {
 // completion order on the virtual clock; each event atomically performs one
 // worker iteration (plan the pull, local gradient step, pull and blend) and
 // schedules the next completion, one event at a time on the calling
-// goroutine. A pull held back until a later time starts no iteration: the
-// worker's event is re-queued at Pull.Until.
+// goroutine. A waiting worker starts no iteration: its event is re-queued
+// at the next event of a worker that is not waiting (see Pull.Wait).
 //
 // The loop injects cfg.Failures: unresponsive workers' events are parked
 // until rejoin (iterations in flight across a down interval are
@@ -156,7 +156,7 @@ func RunAsync(cfg *Config, b AsyncBehavior, algo string) *Result {
 	}
 	started := make([]float64, len(ws)) // virtual start time of each worker's in-flight iteration
 	alive := make([]bool, len(ws))      // scratch membership vector
-	held := make([]bool, len(ws))       // whether the worker's queued event is a hold's wake-up
+	waiting := make([]bool, len(ws))    // whether the worker's queued event is a wait's wake-up
 	// nextMemb is the earliest unannounced membership boundary (+Inf when
 	// none remain): an O(1) comparison per event pop instead of a schedule
 	// scan.
@@ -164,7 +164,7 @@ func RunAsync(cfg *Config, b AsyncBehavior, algo string) *Result {
 
 	for !tr.Done() && q.Len() > 0 {
 		now, i := q.Pop()
-		held[i] = false
+		waiting[i] = false
 		// Membership boundaries (crash, leave, rejoin) that passed since
 		// the previous event are announced before anything at this
 		// timestamp runs, so behaviors stop selecting dead peers at once.
@@ -189,7 +189,7 @@ func RunAsync(cfg *Config, b AsyncBehavior, algo string) *Result {
 			pend[i] = pending{}
 		}
 		// Flush the completed iteration's accounting. Clearing it keeps
-		// a held worker's re-queued event from counting it again.
+		// a waiting worker's re-queued event from counting it again.
 		if p := pend[i]; p.samples > 0 {
 			tr.OnIteration(now, p.samples, p.comp, p.comm)
 			pend[i] = pending{}
@@ -199,18 +199,16 @@ func RunAsync(cfg *Config, b AsyncBehavior, algo string) *Result {
 		}
 		w := ws[i]
 		pull := b.Plan(i, now, w.Rng)
-		if pull.Until > now {
-			if math.IsInf(pull.Until, 1) { // see Pull.Until
-				pull.Until = nextMemb
-				for k, t := range q.time { // empty slots hold +Inf
-					if !held[k] {
-						pull.Until = min(pull.Until, t)
-					}
+		if pull.Wait {
+			wake := nextMemb
+			for k, t := range q.time { // empty slots hold +Inf
+				if !waiting[k] {
+					wake = min(wake, t)
 				}
 			}
-			if !math.IsInf(pull.Until, 1) {
-				held[i] = true
-				q.Push(pull.Until, i)
+			if !math.IsInf(wake, 1) {
+				waiting[i] = true
+				q.Push(wake, i)
 			}
 			continue
 		}
@@ -222,7 +220,8 @@ func RunAsync(cfg *Config, b AsyncBehavior, algo string) *Result {
 		// behaviors see the link's iteration time inflate and route
 		// away — exactly how a hang is survivable at all.
 		pullFailed := j != i && fs.PullFails(i, j, now)
-		_, samples := w.GradStep() // first update (local gradients)
+		w.ComputeGrad() // first update (local gradients)
+		w.ApplyStep()
 		if j != i && !pullFailed {
 			ex.pull(w.Model, ws[j].Model, pull)
 		}
@@ -247,7 +246,7 @@ func RunAsync(cfg *Config, b AsyncBehavior, algo string) *Result {
 		if commCost < 0 {
 			commCost = 0
 		}
-		pend[i] = pending{samples: samples, comp: comp, comm: commCost}
+		pend[i] = pending{samples: w.Batch, comp: comp, comm: commCost}
 		q.Push(now+iterSecs, i)
 		started[i] = now
 	}

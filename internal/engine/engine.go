@@ -131,7 +131,6 @@ func (c *Config) Workers() []*Worker {
 			model = initial.Clone()
 		}
 		ws[i] = &Worker{
-			ID:    i,
 			Model: model,
 			Opt:   nn.NewSGD(c.LR),
 			Shard: c.Part.Shards[i],
@@ -144,7 +143,6 @@ func (c *Config) Workers() []*Worker {
 
 // Worker is one training replica.
 type Worker struct {
-	ID     int
 	Model  *nn.Model
 	Opt    *nn.SGD
 	Shard  *data.Dataset
@@ -152,32 +150,24 @@ type Worker struct {
 	Rng    *rand.Rand
 	cursor int
 
-	// x and labels hold the batch NextBatch last drew.
+	// x and labels hold the batch ComputeGrad last drew.
 	x      *tensor.Tensor
 	labels []int
 }
 
-// NextBatch returns the worker's next training batch and advances its
-// cursor. Split out from GradStep so batch selection (which must follow the
-// deterministic event order) can be separated from gradient computation
-// (which may run concurrently with other workers'). The batch lives in
-// buffers the worker owns: its next NextBatch call overwrites them.
-func (w *Worker) NextBatch() (x *tensor.Tensor, labels []int) {
+// ComputeGrad draws the worker's next batch into buffers the worker owns
+// and advances its cursor, runs forward+backward on it, leaving the
+// gradients in the model's gradient vector, and returns the handle of the
+// batch loss, which no step computes unless its Item is read. It touches
+// only this worker's replica, so distinct workers' ComputeGrad calls are
+// safe to run concurrently.
+func (w *Worker) ComputeGrad() nn.Loss {
 	if len(w.labels) != w.Batch {
 		w.x, w.labels = tensor.New(w.Batch, w.Shard.Dim()), make([]int, w.Batch)
 	}
 	w.Shard.BatchInto(w.x, w.labels, w.cursor)
 	w.cursor = (w.cursor + w.Batch) % w.Shard.Len()
-	return w.x, w.labels
-}
-
-// ComputeGrad runs forward+backward on (x, labels), leaving the gradients in
-// the model's gradient vector, and returns the handle of the batch loss,
-// which no step computes unless its Item is read. It touches only this
-// worker's replica, so distinct workers' ComputeGrad calls are safe to run
-// concurrently.
-func (w *Worker) ComputeGrad(x *tensor.Tensor, labels []int) nn.Loss {
-	l := w.Model.Loss(x, labels)
+	l := w.Model.Loss(w.x, w.labels)
 	l.Backward()
 	return l
 }
@@ -185,24 +175,6 @@ func (w *Worker) ComputeGrad(x *tensor.Tensor, labels []int) nn.Loss {
 // ApplyStep applies the optimizer to the gradients left by ComputeGrad
 // (Algorithm 2 line 11: first update).
 func (w *Worker) ApplyStep() { w.Opt.Step(w.Model) }
-
-// GradStep runs one local SGD step (Algorithm 2 line 11: first update) on
-// the worker's next batch and returns the handle of the batch loss and the
-// sample count.
-func (w *Worker) GradStep() (loss nn.Loss, samples int) {
-	x, labels := w.NextBatch()
-	loss = w.ComputeGrad(x, labels)
-	w.ApplyStep()
-	return loss, w.Batch
-}
-
-// GradOnly computes gradients on the worker's next batch without applying
-// them (they remain in the model's gradient vector), for algorithms that
-// average gradients across workers before stepping (Allreduce-SGD, PS-syn).
-func (w *Worker) GradOnly() (loss nn.Loss, samples int) {
-	x, labels := w.NextBatch()
-	return w.ComputeGrad(x, labels), w.Batch
-}
 
 // ApplyGrad runs the worker's optimizer against the gradient vector g
 // instead of the locally computed one.

@@ -67,12 +67,12 @@ func TestGradStepReducesLocalLoss(t *testing.T) {
 	w := ws[0]
 	// A loss handle reads the logits of its own pass: read each before the
 	// next step.
-	l, _ := w.GradStep()
-	first := l.Item()
+	first := w.ComputeGrad().Item()
+	w.ApplyStep()
 	var last float64
 	for i := 0; i < 50; i++ {
-		l, _ = w.GradStep()
-		last = l.Item()
+		last = w.ComputeGrad().Item()
+		w.ApplyStep()
 	}
 	if last > first {
 		t.Fatalf("loss did not decrease: %v -> %v", first, last)
@@ -83,11 +83,11 @@ func TestGradOnlyDoesNotChangeModel(t *testing.T) {
 	cfg := testConfig(2, 1)
 	w := cfg.Workers()[0]
 	before := w.Model.Vector()
-	w.GradOnly()
+	w.ComputeGrad()
 	after := w.Model.Vector()
 	for i := range before {
 		if before[i] != after[i] {
-			t.Fatal("GradOnly modified parameters")
+			t.Fatal("ComputeGrad modified parameters")
 		}
 	}
 }
@@ -95,7 +95,7 @@ func TestGradOnlyDoesNotChangeModel(t *testing.T) {
 func TestApplyGradMovesAgainstGradient(t *testing.T) {
 	cfg := testConfig(2, 1)
 	w := cfg.Workers()[0]
-	w.GradOnly()
+	w.ComputeGrad()
 	g := w.Model.GradVector(make([]float64, w.Model.VectorLen()))
 	before := w.Model.Vector()
 	w.ApplyGrad(g)
@@ -397,22 +397,25 @@ func TestSerialSlowerThanOverlap(t *testing.T) {
 	}
 }
 
-func TestNextBatchReusesItsBuffers(t *testing.T) {
+// TestComputeGradReusesItsBatchBuffers checks that ComputeGrad draws
+// consecutive batches into the worker's own buffers: after the second call
+// they hold the shard's second batch, and a warm call allocates nothing.
+func TestComputeGradReusesItsBatchBuffers(t *testing.T) {
 	w := testConfig(2, 1).Workers()[0]
-	w.NextBatch()
+	w.ComputeGrad()
 	wantX, wantLabels := w.Shard.Batch(w.Batch, w.Batch)
-	x, labels := w.NextBatch()
+	w.ComputeGrad()
 	for i := range wantX.Data {
-		if x.Data[i] != wantX.Data[i] {
-			t.Fatalf("second batch x[%d] = %v, want %v", i, x.Data[i], wantX.Data[i])
+		if w.x.Data[i] != wantX.Data[i] {
+			t.Fatalf("second batch x[%d] = %v, want %v", i, w.x.Data[i], wantX.Data[i])
 		}
 	}
 	for i := range wantLabels {
-		if labels[i] != wantLabels[i] {
-			t.Fatalf("second batch label %d = %d, want %d", i, labels[i], wantLabels[i])
+		if w.labels[i] != wantLabels[i] {
+			t.Fatalf("second batch label %d = %d, want %d", i, w.labels[i], wantLabels[i])
 		}
 	}
-	if allocs := testing.AllocsPerRun(100, func() { w.NextBatch() }); allocs != 0 {
-		t.Fatalf("NextBatch allocates %v times per call after the first", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { w.ComputeGrad() }); allocs != 0 {
+		t.Fatalf("ComputeGrad allocates %v times per call after the first", allocs)
 	}
 }

@@ -1,109 +1,79 @@
 package engine
 
 import (
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
 )
 
-// holdBehavior is simpleBehavior except that every other Plan of worker 0
-// holds it back for hold seconds. It records when worker 0 plans and
-// starts iterations, and how many iterations all workers start.
-type holdBehavior struct {
-	simpleBehavior
-	hold    float64
-	plans   []float64 // virtual times of worker 0's Plan calls
-	untils  []float64 // Until of each hold
-	starts  []float64 // virtual times worker 0 started an iteration
-	started int
-}
-
-func (h *holdBehavior) Plan(i int, now float64, rng *rand.Rand) Pull {
-	if i == 0 {
-		h.plans = append(h.plans, now)
-		if len(h.plans)%2 == 1 {
-			h.untils = append(h.untils, now+h.hold)
-			return Pull{Until: now + h.hold}
-		}
-	}
-	return h.simpleBehavior.Plan(i, now, rng)
-}
-
-func (h *holdBehavior) OnIterationEnd(i, j int, t, now float64) {
-	h.started++
-	if i == 0 {
-		h.starts = append(h.starts, now)
-	}
-}
-
-// TestHeldWorkerStartsNoIteration pins Pull.Until: a held worker starts no
-// iteration, its next Plan runs at Until, and the iteration it completed
-// before the hold is counted once.
-func TestHeldWorkerStartsNoIteration(t *testing.T) {
-	h := &holdBehavior{simpleBehavior: simpleBehavior{m: 4}, hold: 0.01}
-	r := RunAsync(testConfig(4, 2), h, "hold")
-	if len(h.untils) < 2 {
-		t.Fatalf("worker 0 was held %d times", len(h.untils))
-	}
-	for k, until := range h.untils {
-		if 2*k+1 >= len(h.plans) {
-			break // the run ended while worker 0 was held
-		}
-		if got := h.plans[2*k+1]; got != until {
-			t.Fatalf("hold %d: next Plan at %v, want Until %v", k, got, until)
-		}
-		if k < len(h.starts) && h.starts[k] != until {
-			t.Fatalf("iteration %d of worker 0 started at %v, want %v (after hold %d)", k, h.starts[k], until, k)
-		}
-	}
-	if len(h.starts) > len(h.untils) {
-		t.Fatalf("worker 0 started %d iterations across %d holds", len(h.starts), len(h.untils))
-	}
-	if r.GlobalSteps > h.started {
-		t.Fatalf("%d iterations recorded, only %d started: a held worker's iteration counted twice", r.GlobalSteps, h.started)
-	}
-}
-
 // waitBehavior is simpleBehavior except that every other Plan of worker 0
-// holds it with Until = +Inf. It records, for each hold, the earliest
-// pending iteration end of the other workers, and worker 0's next Plan.
+// has it wait. It records, for each wait, the earliest pending iteration
+// end of the other workers and worker 0's next Plan, how many iterations
+// all workers start, and how many worker 0 starts while it waits.
 type waitBehavior struct {
 	simpleBehavior
-	ends  []float64 // each worker's latest iteration end
-	plans int
-	want  []float64 // earliest other-worker event at each hold
-	got   []float64 // worker 0's Plan time after each hold
+	ends    []float64 // each worker's latest iteration end
+	plans   int
+	want    []float64 // earliest other-worker event at each wait
+	got     []float64 // worker 0's Plan time after each wait
+	waiting bool      // whether worker 0's latest Plan was a wait
+	started int
+	early   int // iterations worker 0 started while waiting
 }
 
 func (w *waitBehavior) Plan(i int, now float64, rng *rand.Rand) Pull {
 	if i == 0 {
 		w.plans++
+		w.waiting = w.plans%2 == 1
 		if len(w.got) < len(w.want) {
 			w.got = append(w.got, now)
 		}
-		if w.plans%2 == 1 {
+		if w.waiting {
 			w.want = append(w.want, slices.Min(w.ends[1:]))
-			return Pull{Until: math.Inf(1)}
+			return Pull{Wait: true}
 		}
 	}
 	return w.simpleBehavior.Plan(i, now, rng)
 }
 
-func (w *waitBehavior) OnIterationEnd(i, j int, t, now float64) { w.ends[i] = now + t }
+func (w *waitBehavior) OnIterationEnd(i, j int, t, now float64) {
+	w.ends[i] = now + t
+	w.started++
+	if i == 0 && w.waiting {
+		w.early++
+	}
+}
 
-// TestInfiniteHoldWaitsForNextEvent pins Pull.Until = +Inf: the held
-// worker's next Plan runs at the next event of a worker that is not held,
-// ties at the hold's own time included.
+// TestHeldWorkerStartsNoIteration pins what Pull.Wait holds back: a
+// waiting worker starts no iteration while it waits, and the iteration it
+// completed before the wait is counted once.
+func TestHeldWorkerStartsNoIteration(t *testing.T) {
+	w := &waitBehavior{simpleBehavior: simpleBehavior{m: 4}, ends: make([]float64, 4)}
+	r := RunAsync(testConfig(4, 2), w, "hold")
+	if len(w.want) < 2 {
+		t.Fatalf("worker 0 waited %d times", len(w.want))
+	}
+	if w.early > 0 {
+		t.Fatalf("worker 0 started %d iterations while waiting", w.early)
+	}
+	if r.GlobalSteps > w.started {
+		t.Fatalf("%d iterations recorded, only %d started: a waiting worker's iteration counted twice", r.GlobalSteps, w.started)
+	}
+}
+
+// TestInfiniteHoldWaitsForNextEvent pins when Pull.Wait, a hold with no
+// end time of its own, ends: the waiting worker's next Plan runs at the
+// next event of a worker that is not waiting, ties at the wait's own time
+// included.
 func TestInfiniteHoldWaitsForNextEvent(t *testing.T) {
 	w := &waitBehavior{simpleBehavior: simpleBehavior{m: 4}, ends: make([]float64, 4)}
 	RunAsync(testConfig(4, 2), w, "wait")
 	if len(w.got) < 3 {
-		t.Fatalf("worker 0 woke from %d holds", len(w.got))
+		t.Fatalf("worker 0 woke from %d waits", len(w.got))
 	}
 	for k, got := range w.got {
 		if got != w.want[k] {
-			t.Fatalf("hold %d: next Plan at %v, want the next other-worker event at %v", k, got, w.want[k])
+			t.Fatalf("wait %d: next Plan at %v, want the next other-worker event at %v", k, got, w.want[k])
 		}
 	}
 }

@@ -398,8 +398,7 @@ func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
 					peer = hub.Peer(w.id, j)
 					peer.Request()
 				}
-				x, labels := w.rep.NextBatch()
-				w.rep.ComputeGrad(x, labels)
+				w.rep.ComputeGrad()
 				w.mu.Lock()
 				w.rep.ApplyStep()
 				w.mu.Unlock()

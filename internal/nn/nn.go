@@ -50,14 +50,14 @@ type Model struct {
 // layer is one affine map of the chain with the buffers of its passes.
 type layer struct {
 	w, b, dw, db *tensor.Tensor // views into Model.params and Model.grads
-	// wt holds Wᵀ for the input gradient dx = dOut@Wᵀ; the input layer
-	// computes no input gradient and has none.
-	wt *tensor.Tensor
 	// out is the layer's output on the last batch: ReLU(xW+b) below the
-	// top layer, the logits at it.
+	// top layer, the logits at it. The forward pass sizes it.
 	out *tensor.Tensor
-	// grad is the gradient of the loss with respect to xW+b.
-	grad *tensor.Tensor
+	// grad is the gradient of the loss with respect to xW+b, and wt holds
+	// Wᵀ for the input gradient dx = dOut@Wᵀ (the input layer computes no
+	// input gradient and has none). Backward sizes both, so a model that
+	// only evaluates carries neither.
+	grad, wt *tensor.Tensor
 }
 
 // newModel builds the chain widths[0] → … → widths[len-1] with
@@ -88,9 +88,6 @@ func zeroModel(widths []int) *Model {
 		off = b + out
 		l.w, l.dw = tensor.FromSlice(m.params[w:b], in, out), tensor.FromSlice(m.grads[w:b], in, out)
 		l.b, l.db = tensor.FromSlice(m.params[b:off], out), tensor.FromSlice(m.grads[b:off], out)
-		if i > 0 {
-			l.wt = tensor.New(out, in)
-		}
 	}
 	return m
 }
@@ -253,10 +250,11 @@ func subLogProb(nll, p float64) float64 {
 // other is.
 func (l Loss) Backward() {
 	layers := l.m.layers
-	top := len(layers) - 1
-	l.m.soft.Run(layers[top].out)
-	l.m.soft.GradInto(layers[top].grad, l.labels, 1/float64(len(l.labels)))
-	for i := top; i >= 0; i-- {
+	rows, top := len(l.labels), &layers[len(layers)-1]
+	top.grad = reuse(top.grad, rows, top.out.Cols())
+	l.m.soft.Run(top.out)
+	l.m.soft.GradInto(top.grad, l.labels, 1/float64(rows))
+	for i := len(layers) - 1; i >= 0; i-- {
 		ly := &layers[i]
 		tensor.SumRowsInto(ly.db, ly.grad)
 		if i == 0 {
@@ -265,7 +263,9 @@ func (l Loss) Backward() {
 		}
 		below := &layers[i-1]
 		tensor.MatMulTransAInto(ly.dw, below.out, ly.grad)
+		ly.wt = reuse(ly.wt, ly.w.Shape[1], ly.w.Shape[0])
 		tensor.TransposeInto(ly.wt, ly.w)
+		below.grad = reuse(below.grad, rows, below.out.Cols())
 		tensor.MatMulInto(below.grad, ly.grad, ly.wt)
 		tensor.ReLUGradInto(below.grad, below.grad, below.out)
 	}
@@ -360,8 +360,7 @@ func (m *Model) forward(x *tensor.Tensor) {
 	in := x
 	for i := range m.layers {
 		l := &m.layers[i]
-		cols := l.w.Shape[1]
-		l.out, l.grad = reuse(l.out, rows, cols), reuse(l.grad, rows, cols)
+		l.out = reuse(l.out, rows, l.w.Shape[1])
 		tensor.MatMulInto(l.out, in, l.w)
 		tensor.AddRowVectorInto(l.out, l.out, l.b)
 		if i < len(m.layers)-1 {

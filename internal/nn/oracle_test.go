@@ -246,6 +246,27 @@ func TestEvaluateInBlocksMatchesLoss(t *testing.T) {
 	}
 }
 
+// TestEvaluationsSizeNoBackwardBuffers evaluates a new model on an eval
+// set of several blocks and on a training batch: no layer then holds a
+// gradient or a weight transpose buffer. A training pass after the
+// evaluations still matches plainLoops bitwise.
+func TestEvaluationsSizeNoBackwardBuffers(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	widths := []int{24, 40, 10}
+	m := SimResNet18.Build(5, 24, 10)
+	x, labels := batch(rng, 16, 24, 10)
+	test, testLabels := batch(rng, 2*evalBlock+3, 24, 10)
+	m.EvalLoss(test, testLabels)
+	m.Accuracy(test, testLabels)
+	m.Evaluate(x, labels)
+	for i, l := range m.layers {
+		if l.grad != nil || l.wt != nil {
+			t.Fatalf("layer %d holds backward buffers after evaluations only", i)
+		}
+	}
+	checkAgainstPlainLoops(t, "after evaluations", m, widths, x, labels)
+}
+
 // TestItemLeavesGradientUnchanged reads a loss between its pass and
 // Backward, and after Backward: the gradient must have the bits of a step
 // that never read it, and both reads the loss of plainLoops.
@@ -358,7 +379,7 @@ func TestUnderflowedSoftmaxGivesNoNegativeZero(t *testing.T) {
 	m.params[len(m.params)-10] = -1000 // the bias of class 0
 	x, labels := batch(rand.New(rand.NewSource(4)), 16, 24, 10)
 	checkAgainstPlainLoops(t, "bias −1000", m, widths, x, labels)
-	m.Loss(x, labels).Backward() // Evaluate left the probabilities in the logits' gradient buffer
+	m.Loss(x, labels).Backward() // the logits' gradient of this batch, read below
 	dlogits := m.layers[1].grad.Data
 	underflowed := false
 	for i, y := range labels {

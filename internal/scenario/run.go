@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -87,20 +88,19 @@ func (rep *Report) write(out string) (string, error) {
 	if err := os.WriteFile(filepath.Join(dir, "resolved.json"), append(raw, '\n'), 0o644); err != nil {
 		return "", fmt.Errorf("scenario: %w", err)
 	}
+	// Encode in memory first: a result that cannot be encoded (a diverged
+	// run's NaN loss) leaves no result.json behind.
 	resPath := filepath.Join(dir, "result.json")
-	f, err := os.Create(resPath)
-	if err != nil {
-		return "", fmt.Errorf("scenario: %w", err)
-	}
+	var res bytes.Buffer
 	if rep.Engine != nil {
-		err = trace.WriteResultJSON(f, rep.Engine)
+		err = trace.WriteResultJSON(&res, rep.Engine)
 	} else {
-		enc := json.NewEncoder(f)
+		enc := json.NewEncoder(&res)
 		enc.SetIndent("", "  ")
 		err = enc.Encode(rep.Live)
 	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	if err == nil {
+		err = os.WriteFile(resPath, res.Bytes(), 0o644)
 	}
 	if err != nil {
 		return "", fmt.Errorf("scenario: write %s: %w", resPath, err)

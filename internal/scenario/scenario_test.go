@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"encoding/json"
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -301,6 +303,23 @@ func TestApplyQuick(t *testing.T) {
 	if again := q.ApplyQuick(); !reflect.DeepEqual(q, again) {
 		// Second application is the identity (no Quick block left).
 		t.Fatalf("ApplyQuick not idempotent after clearing: %+v vs %+v", q, again)
+	}
+}
+
+// TestUnencodableResultLeavesNoFile runs a manifest whose learning rate
+// makes training diverge: its NaN loss cannot be encoded, so Run returns
+// the error and writes no result.json.
+func TestUnencodableResultLeavesNoFile(t *testing.T) {
+	m, err := Parse([]byte(`{"name":"hot","model":"ResNet18","dataset":"CIFAR10","workers":4,"epochs":2,"lr":1000,"seed":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := t.TempDir()
+	if _, err := Run(m, RunOptions{OutDir: out}); err == nil {
+		t.Fatal("Run encoded a diverged result without error")
+	}
+	if _, err := os.Stat(filepath.Join(out, "hot", "result.json")); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("result.json of a failed encode: stat error %v, want it absent", err)
 	}
 }
 
