@@ -150,23 +150,40 @@ type Worker struct {
 	Rng    *rand.Rand
 	cursor int
 
-	// x and labels hold the batch ComputeGrad last drew.
-	x      *tensor.Tensor
-	labels []int
+	// x and labels hold the batch ComputeGrad last drew: view and the
+	// shard's labels, which alias the shard's rows, when the batch does not
+	// wrap past the shard's end, or buf and bufLabels, a copy, when it
+	// does. The model only reads them.
+	x         *tensor.Tensor
+	labels    []int
+	view      tensor.Tensor
+	buf       *tensor.Tensor
+	bufLabels []int
 }
 
-// ComputeGrad draws the worker's next batch into buffers the worker owns
-// and advances its cursor, runs forward+backward on it, leaving the
-// gradients in the model's gradient vector, and returns the handle of the
-// batch loss, which no step computes unless its Item is read. It touches
-// only this worker's replica, so distinct workers' ComputeGrad calls are
-// safe to run concurrently.
+// ComputeGrad draws the worker's next batch and advances its cursor, runs
+// forward+backward on it, leaving the gradients in the model's gradient
+// vector, and returns the handle of the batch loss, which no step computes
+// unless its Item is read. A batch that does not wrap past the end of the
+// shard is a view of the shard's rows; one that wraps is copied into
+// buffers the worker owns. It touches only this worker's replica, so
+// distinct workers' ComputeGrad calls are safe to run concurrently.
 func (w *Worker) ComputeGrad() nn.Loss {
-	if len(w.labels) != w.Batch {
-		w.x, w.labels = tensor.New(w.Batch, w.Shard.Dim()), make([]int, w.Batch)
+	dim, start, end := w.Shard.Dim(), w.cursor, w.cursor+w.Batch
+	if len(w.bufLabels) != w.Batch {
+		// The copy's buffers come with the first batch, wrapped or not,
+		// so that a run allocates the same whenever its first wrap falls.
+		w.buf, w.bufLabels = tensor.New(w.Batch, dim), make([]int, w.Batch)
+		w.view.Shape = w.buf.Shape
 	}
-	w.Shard.BatchInto(w.x, w.labels, w.cursor)
-	w.cursor = (w.cursor + w.Batch) % w.Shard.Len()
+	if end <= w.Shard.Len() {
+		w.view.Data = w.Shard.X.Data[start*dim : end*dim]
+		w.x, w.labels = &w.view, w.Shard.Labels[start:end]
+	} else {
+		w.Shard.BatchInto(w.buf, w.bufLabels, start)
+		w.x, w.labels = w.buf, w.bufLabels
+	}
+	w.cursor = end % w.Shard.Len()
 	l := w.Model.Loss(w.x, w.labels)
 	l.Backward()
 	return l

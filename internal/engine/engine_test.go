@@ -35,9 +35,9 @@ func testConfig(workers, epochs int) *Config {
 func TestWorkersIdenticalInit(t *testing.T) {
 	cfg := testConfig(4, 1)
 	ws := cfg.Workers()
-	v0 := ws[0].Model.Vector()
+	v0 := vector(ws[0].Model)
 	for _, w := range ws[1:] {
-		v := w.Model.Vector()
+		v := vector(w.Model)
 		for i := range v {
 			if v[i] != v0[i] {
 				t.Fatal("workers start from different models")
@@ -82,9 +82,9 @@ func TestGradStepReducesLocalLoss(t *testing.T) {
 func TestGradOnlyDoesNotChangeModel(t *testing.T) {
 	cfg := testConfig(2, 1)
 	w := cfg.Workers()[0]
-	before := w.Model.Vector()
+	before := vector(w.Model)
 	w.ComputeGrad()
-	after := w.Model.Vector()
+	after := vector(w.Model)
 	for i := range before {
 		if before[i] != after[i] {
 			t.Fatal("ComputeGrad modified parameters")
@@ -97,9 +97,9 @@ func TestApplyGradMovesAgainstGradient(t *testing.T) {
 	w := cfg.Workers()[0]
 	w.ComputeGrad()
 	g := w.Model.GradVector(make([]float64, w.Model.VectorLen()))
-	before := w.Model.Vector()
+	before := vector(w.Model)
 	w.ApplyGrad(g)
-	after := w.Model.Vector()
+	after := vector(w.Model)
 	// First step with momentum: delta = -lr * (g + wd*x).
 	moved := false
 	for i := range before {
@@ -293,15 +293,15 @@ func TestAverageModelIsMean(t *testing.T) {
 	cfg := testConfig(2, 1)
 	ws := cfg.Workers()
 	// Perturb worker 1.
-	v := ws[1].Model.Vector()
+	v := vector(ws[1].Model)
 	for i := range v {
 		v[i] += 2
 	}
 	ws[1].Model.SetVector(v)
 	avg := cfg.Spec.Build(cfg.Seed+1, cfg.Part.Shards[0].Dim(), cfg.Part.Shards[0].Classes)
 	AverageModelInto(avg, ws, make([]float64, avg.VectorLen()))
-	av := avg.Vector()
-	v0 := ws[0].Model.Vector()
+	av := vector(avg)
+	v0 := vector(ws[0].Model)
 	for i := range av {
 		want := v0[i] + 1
 		if math.Abs(av[i]-want) > 1e-12 {
@@ -398,24 +398,37 @@ func TestSerialSlowerThanOverlap(t *testing.T) {
 }
 
 // TestComputeGradReusesItsBatchBuffers checks that ComputeGrad draws
-// consecutive batches into the worker's own buffers: after the second call
-// they hold the shard's second batch, and a warm call allocates nothing.
+// consecutive batches, each equal to the shard's Batch at the cursor,
+// over two passes through the shard, so batches that wrap past its end
+// (copied into the worker's buffers) and batches that do not (views of
+// the shard's rows) both come up, and that a warm call allocates nothing.
 func TestComputeGradReusesItsBatchBuffers(t *testing.T) {
 	w := testConfig(2, 1).Workers()[0]
-	w.ComputeGrad()
-	wantX, wantLabels := w.Shard.Batch(w.Batch, w.Batch)
-	w.ComputeGrad()
-	for i := range wantX.Data {
-		if w.x.Data[i] != wantX.Data[i] {
-			t.Fatalf("second batch x[%d] = %v, want %v", i, w.x.Data[i], wantX.Data[i])
+	wraps := 0
+	for start := 0; start < 2*w.Shard.Len(); start += w.Batch {
+		if start%w.Shard.Len()+w.Batch > w.Shard.Len() {
+			wraps++
+		}
+		wantX, wantLabels := w.Shard.Batch(start%w.Shard.Len(), w.Batch)
+		w.ComputeGrad()
+		for i := range wantX.Data {
+			if w.x.Data[i] != wantX.Data[i] {
+				t.Fatalf("batch at %d: x[%d] = %v, want %v", start, i, w.x.Data[i], wantX.Data[i])
+			}
+		}
+		for i := range wantLabels {
+			if w.labels[i] != wantLabels[i] {
+				t.Fatalf("batch at %d: label %d = %d, want %d", start, i, w.labels[i], wantLabels[i])
+			}
 		}
 	}
-	for i := range wantLabels {
-		if w.labels[i] != wantLabels[i] {
-			t.Fatalf("second batch label %d = %d, want %d", i, w.labels[i], wantLabels[i])
-		}
+	if wraps == 0 {
+		t.Fatalf("no batch of %d rows wrapped past the end of the %d-row shard", w.Batch, w.Shard.Len())
 	}
 	if allocs := testing.AllocsPerRun(100, func() { w.ComputeGrad() }); allocs != 0 {
 		t.Fatalf("ComputeGrad allocates %v times per call after the first", allocs)
 	}
 }
+
+// vector returns a fresh copy of m's parameter vector.
+func vector(m *nn.Model) []float64 { return m.CopyVector(make([]float64, m.VectorLen())) }

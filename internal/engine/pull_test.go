@@ -115,8 +115,8 @@ func TestPullShareScalesBytes(t *testing.T) {
 func TestTwoSidedPullMovesPeer(t *testing.T) {
 	cfg := testConfig(2, 1)
 	dim, classes := cfg.Part.Shards[0].Dim(), cfg.Part.Shards[0].Classes
-	x0 := cfg.Spec.Build(1, dim, classes).Vector()
-	y0 := cfg.Spec.Build(2, dim, classes).Vector()
+	x0 := vector(cfg.Spec.Build(1, dim, classes))
+	y0 := vector(cfg.Spec.Build(2, dim, classes))
 	for _, twoSided := range []bool{false, true} {
 		x, y := cfg.Spec.Build(1, dim, classes), cfg.Spec.Build(2, dim, classes)
 		var ex exchange
@@ -126,7 +126,7 @@ func TestTwoSidedPullMovesPeer(t *testing.T) {
 		if twoSided {
 			wantY.BlendVector(0.3, x0)
 		}
-		gotX, gotY, wx, wy := x.Vector(), y.Vector(), wantX.Vector(), wantY.Vector()
+		gotX, gotY, wx, wy := vector(x), vector(y), vector(wantX), vector(wantY)
 		movedY := false
 		for k := range gotX {
 			if gotX[k] != wx[k] || gotY[k] != wy[k] {

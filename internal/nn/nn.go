@@ -118,11 +118,6 @@ func (m *Model) CopyVector(dst []float64) []float64 {
 	return dst
 }
 
-// Vector returns a fresh copy of the parameter vector.
-func (m *Model) Vector() []float64 {
-	return m.CopyVector(make([]float64, len(m.params)))
-}
-
 // SetVector overwrites all parameters from src (length VectorLen).
 func (m *Model) SetVector(src []float64) {
 	if len(src) != len(m.params) {

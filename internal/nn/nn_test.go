@@ -14,13 +14,13 @@ func smallModel(seed int64) *Model {
 
 func TestVectorRoundTrip(t *testing.T) {
 	m := smallModel(1)
-	v := m.Vector()
+	v := vector(m)
 	if len(v) != m.VectorLen() {
 		t.Fatalf("Vector len %d, want %d", len(v), m.VectorLen())
 	}
 	m2 := smallModel(2)
 	m2.SetVector(v)
-	v2 := m2.Vector()
+	v2 := vector(m2)
 	for i := range v {
 		if v[i] != v2[i] {
 			t.Fatalf("round trip mismatch at %d", i)
@@ -41,7 +41,7 @@ func TestAddVectorToMatchesCopyAndAdd(t *testing.T) {
 	got[0], got[1] = math.Copysign(0, -1), math.Inf(1)
 	want := append([]float64(nil), got...)
 	m.AddVectorTo(got)
-	for i, x := range m.Vector() {
+	for i, x := range vector(m) {
 		want[i] += x
 	}
 	for i := range want {
@@ -62,7 +62,7 @@ func TestVectorLenMatchesLayers(t *testing.T) {
 func TestBuildDeterministic(t *testing.T) {
 	a := SimResNet18.Build(7, 10, 10)
 	b := SimResNet18.Build(7, 10, 10)
-	va, vb := a.Vector(), b.Vector()
+	va, vb := vector(a), vector(b)
 	for i := range va {
 		if va[i] != vb[i] {
 			t.Fatal("Build not deterministic for equal seeds")
@@ -75,7 +75,7 @@ func TestBuildDeterministic(t *testing.T) {
 // and shares no buffer with its source.
 func TestCloneTrainsLikeBuild(t *testing.T) {
 	m, x, labels := resNet18Batch()
-	before := m.Vector()
+	before := vector(m)
 	c, built := m.Clone(), SimResNet18.Build(1, x.Cols(), 10)
 	cOpt, builtOpt := NewSGD(0.05), NewSGD(0.05)
 	for i := 0; i < 3; i++ {
@@ -84,13 +84,13 @@ func TestCloneTrainsLikeBuild(t *testing.T) {
 		built.Loss(x, labels).Backward()
 		builtOpt.Step(built)
 	}
-	got, want := c.Vector(), built.Vector()
+	got, want := vector(c), vector(built)
 	for i := range want {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("clone parameter %d = %v after 3 steps, built model %v", i, got[i], want[i])
 		}
 	}
-	for i, v := range m.Vector() {
+	for i, v := range vector(m) {
 		if math.Float64bits(v) != math.Float64bits(before[i]) {
 			t.Fatalf("training the clone changed its source's parameter %d", i)
 		}
@@ -138,9 +138,9 @@ func TestLossDecreasesUnderSGD(t *testing.T) {
 		c := i % 3
 		labels[i] = c
 		for j := 0; j < 4; j++ {
-			x.Set(i, j, rng.NormFloat64()*0.3)
+			x.Data[i*4+j] = rng.NormFloat64() * 0.3
 		}
-		x.Set(i, c, x.At(i, c)+2.0)
+		x.Data[i*4+c] += 2.0
 	}
 	m := smallModel(11)
 	opt := NewSGD(0.1)
@@ -172,11 +172,11 @@ func TestGradVectorZerosWithoutBackward(t *testing.T) {
 func TestSGDWeightDecayShrinksParams(t *testing.T) {
 	m := smallModel(13)
 	opt := &SGD{LR: 0.1, Momentum: 0, WeightDecay: 0.5}
-	before := m.Vector()
+	before := vector(m)
 	// No backward pass has run, so every gradient is 0: only weight decay
 	// acts.
 	opt.Step(m)
-	after := m.Vector()
+	after := vector(m)
 	norm := func(v []float64) float64 {
 		s := 0.0
 		for _, x := range v {
@@ -212,3 +212,6 @@ func TestSetVectorWrongLenPanics(t *testing.T) {
 	}()
 	smallModel(1).SetVector([]float64{1})
 }
+
+// vector returns a fresh copy of m's parameter vector.
+func vector(m *Model) []float64 { return m.CopyVector(make([]float64, m.VectorLen())) }

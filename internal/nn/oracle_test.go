@@ -174,7 +174,7 @@ func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bi
 // agree with plainLoops bit for bit, and Evaluate's loss with Loss's.
 func checkAgainstPlainLoops(t *testing.T, name string, m *Model, widths []int, x *tensor.Tensor, labels []int) {
 	t.Helper()
-	want := plainLoops(m.Vector(), widths, x, labels)
+	want := plainLoops(vector(m), widths, x, labels)
 	l := m.Loss(x, labels)
 	l.Backward()
 	if !sameFloat(l.Item(), want.loss) {
@@ -239,7 +239,7 @@ func TestEvaluateInBlocksMatchesLoss(t *testing.T) {
 				t.Fatalf("%d rows: layer %d's buffer holds %d rows, want at most %d", rows, i, got, evalBlock)
 			}
 		}
-		want := plainLoops(m.Vector(), widths, x, labels)
+		want := plainLoops(vector(m), widths, x, labels)
 		if l := m.Loss(x, labels).Item(); !sameFloat(loss, l) || !sameFloat(l, want.loss) || !sameFloat(acc, want.acc) {
 			t.Fatalf("%d rows: Evaluate = (%v, %v), Loss %v, plain loops (%v, %v)", rows, loss, acc, l, want.loss, want.acc)
 		}
@@ -285,7 +285,7 @@ func TestItemLeavesGradientUnchanged(t *testing.T) {
 			t.Fatalf("gradient[%d] = %v after Item, %v without", i, g, want[i])
 		}
 	}
-	if ref := plainLoops(m.Vector(), widths, x, labels).loss; !sameFloat(before, ref) || !sameFloat(l.Item(), ref) {
+	if ref := plainLoops(vector(m), widths, x, labels).loss; !sameFloat(before, ref) || !sameFloat(l.Item(), ref) {
 		t.Fatalf("Item = %v before Backward and %v after, plain loops %v", before, l.Item(), ref)
 	}
 }
@@ -424,7 +424,7 @@ func logitModel(logits []float64, rows, n int) (*Model, *tensor.Tensor) {
 	copy(m.params, logits)
 	x := tensor.New(rows, rows)
 	for i := 0; i < rows; i++ {
-		x.Set(i, i, 1)
+		x.Data[i*rows+i] = 1
 	}
 	return m, x
 }
@@ -567,7 +567,7 @@ func TestReLUSpecialValues(t *testing.T) {
 	for i := range labels {
 		labels[i] = 1
 	}
-	want := plainLoops(m.Vector(), widths, x, labels)
+	want := plainLoops(vector(m), widths, x, labels)
 	m.Loss(x, labels).Backward()
 	for i, w := range wantFwd {
 		if got := m.layers[0].out.Data[i]; !sameFloat(got, w) {

@@ -21,7 +21,8 @@ func shardLabels(p *data.Partition) [][]int {
 // initialModel is the model every worker starts from: the engine and the
 // live runtime both build it from the spec and the config's seed.
 func initialModel(spec nn.ModelSpec, p *data.Partition, seed int64) []float64 {
-	return spec.Build(seed, p.Shards[0].Dim(), p.Shards[0].Classes).Vector()
+	m := spec.Build(seed, p.Shards[0].Dim(), p.Shards[0].Classes)
+	return m.CopyVector(make([]float64, m.VectorLen()))
 }
 
 func TestDataSeedDefaultsToSeed(t *testing.T) {

@@ -27,21 +27,27 @@ func BenchmarkMatMul1024(b *testing.B) { benchMatMul(b, 1024) }
 // training step takes (batch 16, widths 24 → 40 → 10), each in the form
 // internal/nn calls it: two forward products, the input gradient of the
 // second layer (its weight transposed, then the product), and the two
-// weight gradients. The last two are the forward products of the
-// Tracker's final-accuracy pass over the 500-sample CIFAR10 test split.
-// Operands that are ReLU outputs or ReLU-masked gradients in training are
-// ReLU-sparse here too.
+// weight gradients. The next two are the forward products of the
+// Tracker's final-accuracy pass over the 500-sample CIFAR10 test split,
+// and the last two SimMobileNet's forward products (widths 16 → 18 → 10),
+// which the live benchmark runs and which reach the AVX-512 kernel's
+// 18-column block and its four-row 10-column block. Operands that are ReLU outputs or ReLU-masked gradients in
+// training are ReLU-sparse here too. Each product runs on every gemm
+// kernel this machine has, as a sub-benchmark named after the kernel.
 func BenchmarkMatMulModelShapes(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x, w1, w2 := Randn(rng, 1, 16, 24), Randn(rng, 1, 24, 40), Randn(rng, 1, 40, 10)
 	h := Randn(rng, 1, 16, 40)
 	dOut2, dOut1 := Randn(rng, 1, 16, 10), Randn(rng, 1, 16, 40)
 	evalX, evalH := Randn(rng, 1, 500, 24), Randn(rng, 1, 500, 40)
+	mx, mw1, mw2, mh := Randn(rng, 1, 16, 16), Randn(rng, 1, 16, 18), Randn(rng, 1, 18, 10), Randn(rng, 1, 16, 18)
 	ReLUInto(h, h)
 	ReLUInto(dOut1, dOut1)
 	ReLUInto(evalH, evalH)
+	ReLUInto(mh, mh)
 	out1, out2, w2t, dA := New(16, 40), New(16, 10), New(10, 40), New(16, 40)
 	dW1, dW2, eval1, eval2 := New(24, 40), New(40, 10), New(500, 40), New(500, 10)
+	mOut1, mOut2 := New(16, 18), New(16, 10)
 	for _, c := range []struct {
 		name    string
 		product func()
@@ -53,13 +59,19 @@ func BenchmarkMatMulModelShapes(b *testing.B) {
 		{"dW-40x16x10", func() { MatMulTransAInto(dW2, h, dOut2) }},
 		{"eval-500x24x40", func() { MatMulInto(eval1, evalX, w1) }},
 		{"eval-500x40x10", func() { MatMulInto(eval2, evalH, w2) }},
+		{"mobilenet-16x16x18", func() { MatMulInto(mOut1, mx, mw1) }},
+		{"mobilenet-16x18x10", func() { MatMulInto(mOut2, mh, mw2) }},
 	} {
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				c.product()
-			}
-		})
+		for _, kern := range kernels() {
+			b.Run(c.name+"/"+kern.name, func(b *testing.B) {
+				withKernel(kern, func() {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						c.product()
+					}
+				})
+			})
+		}
 	}
 }
 
@@ -111,14 +123,10 @@ func simResNet18Passes() map[string]func() {
 // benchPass times one of simResNet18Passes on each kernel this machine
 // runs: "go" is the portable loop, "avx2" the assembly.
 func benchPass(b *testing.B, name string) {
-	for _, avx := range kernels() {
-		label := "go"
-		if avx {
-			label = "avx2"
-		}
-		b.Run(label, func(b *testing.B) {
+	for _, kern := range elementwiseKernels() {
+		b.Run(kern.name, func(b *testing.B) {
 			run := simResNet18Passes()[name]
-			withKernel(avx, func() {
+			withKernel(kern, func() {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					run()
@@ -134,10 +142,10 @@ func BenchmarkBiasReLU(b *testing.B) { benchPass(b, "BiasReLU") }
 
 func TestSimResNet18PassesAllocateNothing(t *testing.T) {
 	for name, run := range simResNet18Passes() {
-		for _, avx := range kernels() {
-			withKernel(avx, func() {
+		for _, kern := range kernels() {
+			withKernel(kern, func() {
 				if n := testing.AllocsPerRun(10, run); n != 0 {
-					t.Errorf("%s with useAVX2=%v allocates %v times, want 0", name, avx, n)
+					t.Errorf("%s on %v allocates %v times, want 0", name, kern, n)
 				}
 			})
 		}
@@ -151,13 +159,9 @@ func BenchmarkTranspose(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for _, shape := range [][2]int{{40, 10}, {72, 100}} {
 		w, wt := Randn(rng, 1, shape[0], shape[1]), New(shape[1], shape[0])
-		for _, avx := range kernels() {
-			label := "go"
-			if avx {
-				label = "avx2"
-			}
-			b.Run(fmt.Sprintf("%dx%d/%s", shape[0], shape[1], label), func(b *testing.B) {
-				withKernel(avx, func() {
+		for _, kern := range elementwiseKernels() {
+			b.Run(fmt.Sprintf("%dx%d/%v", shape[0], shape[1], kern), func(b *testing.B) {
+				withKernel(kern, func() {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
 						TransposeInto(wt, w)

@@ -55,28 +55,28 @@ func FuzzExp(f *testing.F) {
 				src[i] = expFuzzValue(vals[j], vals[j+1])
 			}
 		}
-		for _, avx := range kernels() {
+		for _, kern := range elementwiseKernels() {
 			in, out := guarded(src, off), guarded(src, off)
 			if alias {
 				out = in
 			}
-			withKernel(avx, func() { ExpInto(out.op, in.op) })
+			withKernel(kern, func() { ExpInto(out.op, in.op) })
 			for _, b := range []guardedVec{in, out} {
 				if !b.intact() {
-					t.Fatalf("ExpInto with useAVX2=%v wrote outside its operands (n=%d offset=%d alias=%v)", avx, n, off, alias)
+					t.Fatalf("ExpInto on %v wrote outside its operands (n=%d offset=%d alias=%v)", kern, n, off, alias)
 				}
 			}
 			for i, x := range src {
 				got, want := out.op[i], Exp(x)
 				if !(math.IsNaN(got) && math.IsNaN(want)) && math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("ExpInto with useAVX2=%v: element %d of %d, Exp(%v) = %v, want %v (offset=%d alias=%v)",
-						avx, i, n, x, got, want, off, alias)
+					t.Fatalf("ExpInto on %v: element %d of %d, Exp(%v) = %v, want %v (offset=%d alias=%v)",
+						kern, i, n, x, got, want, off, alias)
 				}
 			}
 			if !alias {
 				for i, x := range src {
 					if math.Float64bits(in.op[i]) != math.Float64bits(x) {
-						t.Fatalf("ExpInto with useAVX2=%v changed its source at %d", avx, i)
+						t.Fatalf("ExpInto on %v changed its source at %d", kern, i)
 					}
 				}
 			}
@@ -100,12 +100,12 @@ func TestExpIntoMatchesExp(t *testing.T) {
 			src[i] = float64(1600*rng.Float64()) - 800
 		}
 	}
-	for _, avx := range kernels() {
+	for _, kern := range elementwiseKernels() {
 		dst := make([]float64, len(src))
-		withKernel(avx, func() { ExpInto(dst, src) })
+		withKernel(kern, func() { ExpInto(dst, src) })
 		for i, x := range src {
 			if want := Exp(x); !(math.IsNaN(want) && math.IsNaN(dst[i])) && math.Float64bits(dst[i]) != math.Float64bits(want) {
-				t.Fatalf("useAVX2=%v: ExpInto gives %v at %v, Exp %v", avx, dst[i], x, want)
+				t.Fatalf("%v: ExpInto gives %v at %v, Exp %v", kern, dst[i], x, want)
 			}
 		}
 	}
@@ -238,13 +238,9 @@ func benchExpArgs() []float64 {
 func BenchmarkExp(b *testing.B) {
 	src := benchExpArgs()
 	dst := make([]float64, len(src))
-	for _, avx := range kernels() {
-		label := "go"
-		if avx {
-			label = "avx2"
-		}
-		b.Run(label, func(b *testing.B) {
-			withKernel(avx, func() {
+	for _, kern := range elementwiseKernels() {
+		b.Run(kern.name, func(b *testing.B) {
+			withKernel(kern, func() {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					ExpInto(dst, src)
@@ -265,10 +261,10 @@ func BenchmarkExp(b *testing.B) {
 func TestExpIntoAllocatesNothing(t *testing.T) {
 	src := benchExpArgs()
 	dst := make([]float64, len(src))
-	for _, avx := range kernels() {
-		withKernel(avx, func() {
+	for _, kern := range elementwiseKernels() {
+		withKernel(kern, func() {
 			if n := testing.AllocsPerRun(10, func() { ExpInto(dst, src) }); n != 0 {
-				t.Errorf("ExpInto with useAVX2=%v allocates %v times, want 0", avx, n)
+				t.Errorf("ExpInto on %v allocates %v times, want 0", kern, n)
 			}
 		})
 	}

@@ -56,21 +56,48 @@ func sameBits(got, want *Tensor) bool {
 	return true
 }
 
-// kernels lists the matmul kernels this machine runs, by the value of
-// useAVX2 that selects each: the pure-Go kernel always, the assembly one
-// where the CPU and the operating system support AVX2.
-func kernels() []bool {
-	if haveAVX2() {
-		return []bool{false, true}
-	}
-	return []bool{false}
+// kernel is one setting of the package's kernel switches: "go" runs every
+// portable loop, "avx2" the AVX2 assembly, and "avx512" the AVX-512 gemm
+// with the AVX2 assembly for every other pass.
+type kernel struct {
+	name         string
+	avx2, avx512 bool
 }
 
-// withKernel runs f with useAVX2 set to avx, and restores it afterwards.
-func withKernel(avx bool, f func()) {
-	old := useAVX2
-	useAVX2 = avx
-	defer func() { useAVX2 = old }()
+func (k kernel) String() string { return k.name }
+
+// kernels lists the gemm kernels this machine runs: the pure-Go one
+// always, the AVX2 one where the CPU and the operating system support
+// AVX2, and the AVX-512 one where they support AVX-512F too.
+func kernels() []kernel {
+	ks := []kernel{{name: "go"}}
+	if haveAVX2() {
+		ks = append(ks, kernel{"avx2", true, false})
+		if haveAVX512() {
+			ks = append(ks, kernel{"avx512", true, true})
+		}
+	}
+	return ks
+}
+
+// elementwiseKernels is kernels without "avx512": only gemm has an
+// AVX-512 kernel, so every other pass would run its AVX2 assembly again.
+func elementwiseKernels() []kernel {
+	var ks []kernel
+	for _, k := range kernels() {
+		if !k.avx512 {
+			ks = append(ks, k)
+		}
+	}
+	return ks
+}
+
+// withKernel runs f under the setting k, and restores the switches
+// afterwards.
+func withKernel(k kernel, f func()) {
+	old2, old512 := useAVX2, useAVX512
+	useAVX2, useAVX512 = k.avx2, k.avx512
+	defer func() { useAVX2, useAVX512 = old2, old512 }()
 	f()
 }
 
@@ -84,8 +111,8 @@ func checkProducts(t *testing.T, a, b, want *Tensor) {
 	t.Helper()
 	m, n := a.Shape[0], b.Shape[1]
 	at, bt := transpose(a), transpose(b)
-	for _, avx := range kernels() {
-		withKernel(avx, func() {
+	for _, kern := range kernels() {
+		withKernel(kern, func() {
 			products := map[string]func(dst *Tensor){
 				"MatMulInto":               func(dst *Tensor) { MatMulInto(dst, a, b) },
 				"TransposeInto+MatMulInto": func(dst *Tensor) { MatMulInto(dst, a, transpose(bt)) },
@@ -99,12 +126,12 @@ func checkProducts(t *testing.T, a, b, want *Tensor) {
 				g := FromSlice(buf[:m*n], m, n)
 				product(g)
 				if !sameBits(g, want) {
-					t.Fatalf("%s with useAVX2=%v: %v, IEEE loop %v (a=%v b=%v)",
-						name, avx, g.Data, want.Data, a.Data, b.Data)
+					t.Fatalf("%s on %v: %v, IEEE loop %v (a=%v b=%v)",
+						name, kern, g.Data, want.Data, a.Data, b.Data)
 				}
 				for _, v := range buf[m*n:] {
 					if v != 7 {
-						t.Fatalf("%s with useAVX2=%v wrote past its %dx%d destination", name, avx, m, n)
+						t.Fatalf("%s on %v wrote past its %dx%d destination", name, kern, m, n)
 					}
 				}
 			}
@@ -112,11 +139,12 @@ func checkProducts(t *testing.T, a, b, want *Tensor) {
 	}
 }
 
-// FuzzMatMul checks the product forms of checkProducts, on the pure-Go
-// and the assembly kernel, against ieeeMatMul, and ieeeMatMul
-// against serialMatMul, the zero-skipping loop, whenever b is finite. The
-// first three bytes give m, k, n ≤ 40, so every column block (16, 8, 4, 2
-// and 1 wide) is reached, alone and after the others. The further bytes
+// FuzzMatMul checks the product forms of checkProducts, on every gemm
+// kernel, against ieeeMatMul, and ieeeMatMul against serialMatMul, the
+// zero-skipping loop, whenever b is finite. The first three bytes give m,
+// k, n ≤ 40, so every column block (AVX2's 16, 8, 4, 2 and 1 wide, and
+// AVX-512's 24, 16 and 8 with every count of masked lanes, its 18 and 10
+// and its four-row 10) is reached, alone and after the others. The further bytes
 // are the entries of a, then of b; when they run out they repeat from the
 // start (with no further bytes every entry is 0).
 func FuzzMatMul(f *testing.F) {
@@ -291,17 +319,17 @@ func FuzzVectorKernels(f *testing.F) {
 				}
 			}
 			var want [][]float64
-			for _, avx := range kernels() {
+			for _, kern := range elementwiseKernels() {
 				bufs, ops := make([]guardedVec, len(init)), make([][]float64, len(init))
 				for i, v := range init {
 					bufs[i] = guarded(v, off)
 					ops[i] = bufs[i].op
 				}
-				withKernel(avx, func() { k.run(ops, n, rows, s) })
+				withKernel(kern, func() { k.run(ops, n, rows, s) })
 				for i, b := range bufs {
 					if !b.intact() {
-						t.Fatalf("%s with useAVX2=%v wrote outside operand %d (n=%d rows=%d offset=%d)",
-							k.name, avx, i, n, rows, off)
+						t.Fatalf("%s on %v wrote outside operand %d (n=%d rows=%d offset=%d)",
+							k.name, kern, i, n, rows, off)
 					}
 				}
 				if want == nil {
@@ -310,8 +338,8 @@ func FuzzVectorKernels(f *testing.F) {
 				}
 				for i := range ops {
 					if !sameBits(FromSlice(ops[i], len(ops[i])), FromSlice(want[i], len(want[i]))) {
-						t.Fatalf("%s operand %d with useAVX2=true: %v, Go loop %v (n=%d rows=%d offset=%d scalars %v, operands %v)",
-							k.name, i, ops[i], want[i], n, rows, off, s, init)
+						t.Fatalf("%s operand %d on %v: %v, Go loop %v (n=%d rows=%d offset=%d scalars %v, operands %v)",
+							k.name, i, kern, ops[i], want[i], n, rows, off, s, init)
 					}
 				}
 			}

@@ -1,10 +1,14 @@
 package tensor
 
-// gemmAVX2 is gemm's assembly kernel (gemm_amd64.s). The caller checks the
-// operand lengths and that m and n are positive.
+// gemmAVX2 and gemmAVX512 are gemm's assembly kernels (gemm_amd64.s and
+// gemm_avx512_amd64.s). The caller checks the operand lengths and that m
+// and n are positive.
 //
 //go:noescape
 func gemmAVX2(out, a, b []float64, m, k, n, aRowStride, aColStride int)
+
+//go:noescape
+func gemmAVX512(out, a, b []float64, m, k, n, aRowStride, aColStride int)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
@@ -27,6 +31,15 @@ func haveAVX2() bool {
 	const avx2 = 1 << 5
 	_, ebx, _, _ := cpuid(7, 0)
 	return ebx&avx2 != 0
+}
+
+// haveAVX512 reports whether the CPU has AVX-512F and the operating system
+// saves the opmask and ZMM registers (avx512OK). gemm asks it only where
+// haveAVX2 holds, which has checked CPUID's leaf count and OSXSAVE.
+func haveAVX512() bool {
+	_, ebx, _, _ := cpuid(7, 0)
+	xcr0, _ := xgetbv()
+	return avx512OK(ebx, xcr0)
 }
 
 // transposeAVX2 is TransposeInto's kernel (transpose_amd64.s): it writes

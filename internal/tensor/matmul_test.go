@@ -41,13 +41,13 @@ func TestParallelMatMulBitwiseIdenticalToSerial(t *testing.T) {
 		b := Randn(rng, 1, k, n)
 		want := serialMatMul(a, b)
 		at := transpose(a)
-		for _, avx := range kernels() {
-			withKernel(avx, func() {
+		for _, kern := range kernels() {
+			withKernel(kern, func() {
 				if got := matMul(a, b); !sameBits(got, want) {
-					t.Fatalf("useAVX2=%v: MatMulInto %vx%v differs from serial", avx, a.Shape, b.Shape)
+					t.Fatalf("%v: MatMulInto %vx%v differs from serial", kern, a.Shape, b.Shape)
 				}
 				if got := MatMulTransAInto(New(m, n), at, b); !sameBits(got, want) {
-					t.Fatalf("useAVX2=%v: MatMulTransAInto %vx%v differs from serial", avx, a.Shape, b.Shape)
+					t.Fatalf("%v: MatMulTransAInto %vx%v differs from serial", kern, a.Shape, b.Shape)
 				}
 			})
 		}
@@ -86,7 +86,7 @@ func TestMatMulColumnBlocks(t *testing.T) {
 }
 
 // TestMatMulAllocsWhenWarm pins the products and the transpose of a
-// layer's passes at zero allocations.
+// layer's passes at zero allocations on every kernel.
 func TestMatMulAllocsWhenWarm(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	x, w := Randn(rng, 1, 16, 24), Randn(rng, 1, 24, 40)
@@ -97,8 +97,12 @@ func TestMatMulAllocsWhenWarm(t *testing.T) {
 		"TransposeInto":    func() { TransposeInto(wt, w) },
 		"MatMulTransAInto": func() { MatMulTransAInto(dw, x, dOut) },
 	} {
-		if allocs := testing.AllocsPerRun(100, product); allocs != 0 {
-			t.Errorf("%s: %v allocations per call, want 0", name, allocs)
+		for _, kern := range kernels() {
+			withKernel(kern, func() {
+				if allocs := testing.AllocsPerRun(100, product); allocs != 0 {
+					t.Errorf("%s on %v: %v allocations per call, want 0", name, kern, allocs)
+				}
+			})
 		}
 	}
 }
@@ -140,12 +144,45 @@ func TestTransposeIntoMatchesTranspose(t *testing.T) {
 	for _, shape := range [][2]int{{5, 9}, {1, 7}, {7, 1}, {16, 40}, {40, 10}, {72, 100}, {13, 6}, {4, 4}} {
 		a := Randn(rng, 1, shape[0], shape[1])
 		want := transposeOracle(New(shape[1], shape[0]), a)
-		for _, avx := range kernels() {
-			withKernel(avx, func() {
+		for _, kern := range elementwiseKernels() {
+			withKernel(kern, func() {
 				if got := transpose(a); !sameBits(got, want) {
-					t.Fatalf("TransposeInto with useAVX2=%v of a %v tensor differs from the element-wise oracle", avx, shape)
+					t.Fatalf("TransposeInto on %v of a %v tensor differs from the element-wise oracle", kern, shape)
 				}
 			})
+		}
+	}
+}
+
+// TestGemmKernels logs the gemm kernels this machine runs, so that a test
+// log shows whether the AVX-512 kernel was covered, and checks
+// avx512OK's reading of CPUID and XCR0: AVX-512F counts only where the
+// operating system saves the opmask and both halves of the ZMM state, as
+// well as the XMM and YMM state; otherwise gemm stays on AVX2.
+func TestGemmKernels(t *testing.T) {
+	t.Logf("gemm kernels on this machine: %v", kernels())
+	if want := haveAVX2() && haveAVX512(); useAVX512 != want {
+		t.Fatalf("useAVX512 = %v, want %v", useAVX512, want)
+	}
+	const avx2, avx512f = 1 << 5, 1 << 16
+	for _, c := range []struct {
+		ebx7, xcr0 uint32
+		want       bool
+	}{
+		{avx2 | avx512f, 0xE7, true},
+		{avx512f, 0xE6, true},
+		{^uint32(0), ^uint32(0), true},
+		{avx2, 0xE7, false},
+		{^uint32(avx512f), 0xFF, false},
+		{avx2 | avx512f, 0x07, false}, // AVX2 state only
+		{avx2 | avx512f, 0xC6, false}, // no opmask state
+		{avx2 | avx512f, 0xA6, false}, // no upper halves of Z0–Z15
+		{avx2 | avx512f, 0x66, false}, // no Z16–Z31
+		{avx2 | avx512f, 0xE1, false}, // no XMM or YMM state
+		{0, 0, false},
+	} {
+		if got := avx512OK(c.ebx7, c.xcr0); got != c.want {
+			t.Errorf("avx512OK(%#x, %#x) = %v, want %v", c.ebx7, c.xcr0, got, c.want)
 		}
 	}
 }

@@ -42,8 +42,8 @@ func plainSoftmax(logits []float64, n int, labels []int, scale float64) (probs, 
 func checkSoftmax(t *testing.T, logits []float64, m, n int, labels []int, scale float64) {
 	t.Helper()
 	probs, grad := plainSoftmax(logits, n, labels, scale)
-	for _, avx := range kernels() {
-		withKernel(avx, func() {
+	for _, kern := range elementwiseKernels() {
+		withKernel(kern, func() {
 			var s Softmax
 			// A larger batch first, so that the buffers hold stale values.
 			s.Run(Randn(rand.New(rand.NewSource(1)), 1, m+5, n))
@@ -55,16 +55,16 @@ func checkSoftmax(t *testing.T, logits []float64, m, n int, labels []int, scale 
 				}
 			}
 			if !sameBits(got, FromSlice(probs, m, n)) {
-				t.Fatalf("%dx%d probabilities with useAVX2=%v: %v, plain loop %v (logits %v)", m, n, avx, got.Data, probs, logits)
+				t.Fatalf("%dx%d probabilities on %v: %v, plain loop %v (logits %v)", m, n, kern, got.Data, probs, logits)
 			}
 			g := guarded(make([]float64, m*n), 1)
 			s.GradInto(FromSlice(g.op, m, n), labels, scale)
 			if !g.intact() {
-				t.Fatalf("%dx%d gradient with useAVX2=%v wrote outside its destination", m, n, avx)
+				t.Fatalf("%dx%d gradient on %v wrote outside its destination", m, n, kern)
 			}
 			if !sameBits(FromSlice(g.op, m, n), FromSlice(grad, m, n)) {
-				t.Fatalf("%dx%d gradient with useAVX2=%v: %v, plain loop %v (logits %v labels %v scale %v)",
-					m, n, avx, g.op, grad, logits, labels, scale)
+				t.Fatalf("%dx%d gradient on %v: %v, plain loop %v (logits %v labels %v scale %v)",
+					m, n, kern, g.op, grad, logits, labels, scale)
 			}
 		})
 	}

@@ -11,11 +11,15 @@
 // natural row-major layout and the left one read through strides, so
 // neither copies an operand. A product with a transposed right operand
 // takes it from TransposeInto, which moves 4×4 register tiles on AVX2
-// CPUs. On amd64 CPUs with AVX2 the kernel is
-// assembly; elsewhere a pure-Go loop of the same form runs, and tests run
-// both. Each lane is one output element that starts at +0 and adds its k
-// products in ascending p, with multiply and add kept separate, so both
-// kernels give the same bits as the plain IEEE triple loop. Every product
+// CPUs. On amd64 CPUs with AVX2 the kernel is assembly, four lanes to a
+// YMM register (gemm_amd64.s), and where the CPU and the operating system
+// support AVX-512F as well, eight lanes to a ZMM register
+// (gemm_avx512_amd64.s); elsewhere a pure-Go loop of the same form runs.
+// The choice is made once, from CPUID and XCR0, and tests run every
+// kernel the CPU has. Each lane is one output element that starts at +0
+// and adds its k products in ascending p, with multiply and add kept
+// separate, so every kernel gives the same bits as the plain IEEE triple
+// loop, whatever its register width. Every product
 // in this package is rounded on its own (float64(x*y)), so no architecture
 // may fuse it into a multiply-add. Every kernel runs on the calling
 // goroutine: host parallelism lives above this package, in the drivers
@@ -117,9 +121,6 @@ func (t *Tensor) Cols() int {
 
 // At returns the element at a rank-2 index.
 func (t *Tensor) At(i, j int) float64 { return t.Data[i*t.Cols()+j] }
-
-// Set assigns the element at a rank-2 index.
-func (t *Tensor) Set(i, j int, v float64) { t.Data[i*t.Cols()+j] = v }
 
 // Clone returns a deep copy.
 func (t *Tensor) Clone() *Tensor {
