@@ -49,7 +49,9 @@ type Model struct {
 
 // layer is one affine map of the chain with the buffers of its passes.
 type layer struct {
-	w, b, dw, db *tensor.Tensor // views into Model.params and Model.grads
+	// Views into Model.params and Model.grads: w is W, and wb is W with b
+	// as one more row, the block the forward pass reads.
+	w, wb, dw, db *tensor.Tensor
 	// out is the layer's output on the last batch: ReLU(xW+b) below the
 	// top layer, the logits at it. The forward pass sizes it.
 	out *tensor.Tensor
@@ -87,7 +89,7 @@ func zeroModel(widths []int) *Model {
 		w, b := off, off+in*out
 		off = b + out
 		l.w, l.dw = tensor.FromSlice(m.params[w:b], in, out), tensor.FromSlice(m.grads[w:b], in, out)
-		l.b, l.db = tensor.FromSlice(m.params[b:off], out), tensor.FromSlice(m.grads[b:off], out)
+		l.wb, l.db = tensor.FromSlice(m.params[w:off], in+1, out), tensor.FromSlice(m.grads[b:off], out)
 	}
 	return m
 }
@@ -240,9 +242,10 @@ func subLogProb(nll, p float64) float64 {
 // At the top layer the softmax writes the gradient with respect to the
 // logits directly: p/rows per entry, less 1/rows at the label. Then per
 // layer, top down: db = Σ_rows dOut, dW = xᵀ@dOut, and below the top
-// layer dx = dOut@Wᵀ masked by ReLU's derivative. The mask is read from
-// the ReLU output rather than its input: one is > 0 exactly where the
-// other is.
+// layer dx = dOut@Wᵀ masked by ReLU's derivative, one gated product
+// (tensor.MatMulGateInto) that keeps an element where the ReLU's output
+// is > 0 and writes +0 elsewhere. The mask is read from the ReLU output
+// rather than its input: one is > 0 exactly where the other is.
 func (l Loss) Backward() {
 	layers := l.m.layers
 	rows, top := len(l.labels), &layers[len(layers)-1]
@@ -261,8 +264,7 @@ func (l Loss) Backward() {
 		ly.wt = reuse(ly.wt, ly.w.Shape[1], ly.w.Shape[0])
 		tensor.TransposeInto(ly.wt, ly.w)
 		below.grad = reuse(below.grad, rows, below.out.Cols())
-		tensor.MatMulInto(below.grad, ly.grad, ly.wt)
-		tensor.ReLUGradInto(below.grad, below.grad, below.out)
+		tensor.MatMulGateInto(below.grad, ly.grad, ly.wt, below.out)
 	}
 }
 
@@ -349,18 +351,16 @@ func checkLabels(x *tensor.Tensor, labels []int) {
 }
 
 // forward runs the chain on x, leaving each layer's output in its out
-// buffer: the logits at the top layer.
+// buffer: the logits at the top layer. Each layer is one pass,
+// tensor.AffineInto on its W|b block: the product, the bias added after
+// it and, below the top layer, the ReLU.
 func (m *Model) forward(x *tensor.Tensor) {
 	rows := x.Rows()
 	in := x
 	for i := range m.layers {
 		l := &m.layers[i]
 		l.out = reuse(l.out, rows, l.w.Shape[1])
-		tensor.MatMulInto(l.out, in, l.w)
-		tensor.AddRowVectorInto(l.out, l.out, l.b)
-		if i < len(m.layers)-1 {
-			tensor.ReLUInto(l.out, l.out)
-		}
+		tensor.AffineInto(l.out, in, l.wb, i < len(m.layers)-1)
 		in = l.out
 	}
 }

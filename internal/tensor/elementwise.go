@@ -1,19 +1,16 @@
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // The element-wise passes below follow gemm's pattern. Each lane, an
 // element or a column, is independent of the others, so on amd64 CPUs with
 // AVX2 the assembly (elementwise_amd64.s) runs the body whose length is a
-// multiple of 4 (of 2 for the row kernels, whose last pair of columns
+// multiple of 4 (of 2 for the column sums, whose last pair of columns
 // takes an XMM register), four lanes to a YMM register, and the Go loop
-// runs the rest. Each lane does the same IEEE operations in the same order on both,
-// with multiply and add in separate instructions, so the assembly gives
-// the Go loop's bits. With useAVX2 off the Go loop runs every lane: it is
-// the portable kernel and the assembly's oracle.
+// runs the rest, if any. Each lane does the same IEEE operations in the
+// same order on both, with multiply and add in separate instructions, so
+// the assembly gives the Go loop's bits. With useAVX2 off the Go loop runs
+// every lane: it is the portable kernel and the assembly's oracle.
 
 // SGDStep applies one momentum SGD update with weight decay to params,
 // element by element:
@@ -80,94 +77,6 @@ func addScaledGo(dst, src []float64, c float64) {
 	}
 }
 
-// ReLUInto writes max(x, 0) elementwise over a into dst (same element
-// count): x where x > 0, +0 where x ≤ 0 or x is NaN. dst may alias a. The
-// select is a bit mask, not a branch, so mixed-sign data costs no
-// mispredictions: the assembly ANDs x with the mask of an ordered
-// greater-than compare against +0, the Go loop with positiveMask.
-func ReLUInto(dst, a *Tensor) *Tensor {
-	assertSameLen("ReLUInto", dst, a)
-	dd, ad := dst.Data[:len(a.Data)], a.Data
-	i := 0
-	if useAVX2 {
-		i = len(ad) &^ 3
-		reluAVX2(dd[:i], ad[:i])
-	}
-	reluGo(dd[i:], ad[i:])
-	return dst
-}
-
-func reluGo(dst, a []float64) {
-	dst = dst[:len(a)]
-	for i, x := range a {
-		b := math.Float64bits(x)
-		dst[i] = math.Float64frombits(b & positiveMask(b))
-	}
-}
-
-// ReLUGradInto writes ReLU's backward into dst: grad where x > 0, +0
-// elsewhere (x ≤ 0 or NaN). dst, grad and x have the same element count;
-// dst may alias grad.
-func ReLUGradInto(dst, grad, x *Tensor) *Tensor {
-	assertSameLen("ReLUGradInto", dst, x)
-	assertSameLen("ReLUGradInto", grad, x)
-	dd, gd, xd := dst.Data, grad.Data, x.Data
-	i := 0
-	if useAVX2 {
-		i = len(xd) &^ 3
-		reluGradAVX2(dd[:i], gd[:i], xd[:i])
-	}
-	reluGradGo(dd[i:], gd[i:], xd[i:])
-	return dst
-}
-
-func reluGradGo(dst, grad, x []float64) {
-	dst, grad = dst[:len(x)], grad[:len(x)]
-	for i, v := range x {
-		dst[i] = math.Float64frombits(math.Float64bits(grad[i]) & positiveMask(math.Float64bits(v)))
-	}
-}
-
-// positiveMask returns all ones if the float64 with bit pattern b is > 0,
-// and all zeros if it is ≤ 0 or NaN, without a branch. Read as an int64 s,
-// such a float is exactly 0 < s ≤ +Inf's bits: then -s and s-(+Inf bits)-1
-// are both negative, while for zeros, negatives and NaNs one of them is
-// not, so the AND of their sign bits is the mask.
-func positiveMask(b uint64) uint64 {
-	const posInf = 0x7FF0000000000000
-	s := int64(b)
-	return uint64((-s & (s - posInf - 1)) >> 63)
-}
-
-// AddRowVectorInto writes a + v (v broadcast over rows) into dst (same
-// element count as a). dst may alias a.
-func AddRowVectorInto(dst, a, v *Tensor) *Tensor {
-	m, n := a.Shape[0], a.Shape[1]
-	if v.Len() != n {
-		panic(fmt.Sprintf("tensor: AddRowVector length %d vs cols %d", v.Len(), n))
-	}
-	assertSameLen("AddRowVectorInto", dst, a)
-	checkRows("AddRowVectorInto", a, m, n)
-	j := 0
-	if useAVX2 {
-		j = n &^ 1
-		addRowVectorAVX2(dst.Data, a.Data, v.Data[:n], m, n)
-	}
-	addRowVectorGo(dst.Data, a.Data, v.Data[:n], m, n, j)
-	return dst
-}
-
-// addRowVectorGo writes columns from through n−1 of a + v into dst.
-func addRowVectorGo(dst, a, v []float64, m, n, from int) {
-	vd := v[from:n]
-	for i := 0; i < m; i++ {
-		d, r := dst[i*n+from:][:len(vd)], a[i*n+from:][:len(vd)]
-		for j, x := range vd {
-			d[j] = r[j] + x
-		}
-	}
-}
-
 // SumRowsInto writes the column-wise sums of rank-2 a into vector dst
 // (length = a cols), overwriting it. Each sum starts at +0 and adds the
 // rows in order. dst must not alias a.
@@ -182,7 +91,9 @@ func SumRowsInto(dst, a *Tensor) *Tensor {
 		j = n &^ 1
 		sumRowsAVX2(dst.Data[:n], a.Data, m, n)
 	}
-	sumRowsGo(dst.Data[:n], a.Data, m, n, j)
+	if j < n {
+		sumRowsGo(dst.Data[:n], a.Data, m, n, j)
+	}
 	return dst
 }
 

@@ -14,15 +14,6 @@ func blendAVX2(p, v []float64, c float64)
 func addScaledAVX2(dst, src []float64, c float64)
 
 //go:noescape
-func reluAVX2(dst, a []float64)
-
-//go:noescape
-func reluGradAVX2(dst, grad, x []float64)
-
-//go:noescape
-func addRowVectorAVX2(dst, a, v []float64, m, n int)
-
-//go:noescape
 func sumRowsAVX2(dst, a []float64, m, n int)
 
 // expAVX2 is ExpInto's kernel (exp_amd64.s). It returns how many leading

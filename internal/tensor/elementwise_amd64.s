@@ -10,13 +10,10 @@
 // The flat kernels run len&^3 elements of their slices, 16 at a time in
 // four independent register groups and then 4 at a time; AX is the
 // element, CX the element count and R8 the part of it a multiple of 16.
-// The row kernels run columns 0 to n&^1 − 1 of m rows in column blocks of
-// 16, 8, 4 and 2, each block going down the rows; the block of 2 uses XMM
-// registers. The callers run the last column of an odd n.
-
-// ORDERED_GT is VCMPPD's predicate GT_OQ: true where the first source is
-// greater than the second and neither is NaN.
-#define ORDERED_GT $0x1e
+// The row kernel, sumRowsAVX2, runs columns 0 to n&^1 − 1 of m rows in
+// column blocks of 16, 8, 4 and 2, each block going down the rows; the
+// block of 2 uses XMM registers. The caller runs the last column of an
+// odd n.
 
 // FLAT loads the element count of the slice at arg into CX, rounded down
 // to a multiple of 4, and its multiple of 16 into R8, and zeroes AX.
@@ -150,92 +147,16 @@ addscaleddone:
 	VZEROUPPER
 	RET
 
-// RELU4 writes ReLU of the four lanes of a at byte offset off from SI,
-// indexed by AX, to dst at DI; Y15 holds +0.
-#define RELU4(off, x, m) \
-	VMOVUPD off(SI)(AX*8), x;      \
-	VCMPPD  ORDERED_GT, Y15, x, m; \ // all ones where x > +0
-	VANDPD  x, m, m;               \
-	VMOVUPD m, off(DI)(AX*8)
-
-// func reluAVX2(dst, a []float64)
-TEXT ·reluAVX2(SB), NOSPLIT, $0-48
-	MOVQ   dst_base+0(FP), DI
-	MOVQ   a_base+24(FP), SI
-	VXORPD Y15, Y15, Y15
-	FLAT(a_len+32(FP))
-	CMPQ   AX, R8
-	JGE    relu4
-
-relu16:
-	RELU4(0, Y0, Y1)
-	RELU4(32, Y2, Y3)
-	RELU4(64, Y4, Y5)
-	RELU4(96, Y6, Y7)
-	ADDQ $16, AX
-	CMPQ AX, R8
-	JLT  relu16
-
-relu4:
-	CMPQ AX, CX
-	JGE  reludone
-	RELU4(0, Y0, Y1)
-	ADDQ $4, AX
-	JMP  relu4
-
-reludone:
-	VZEROUPPER
-	RET
-
-// RELUGRAD4 writes the four lanes of grad at byte offset off from DX,
-// indexed by AX, masked by x > +0 for x at SI, to dst at DI; Y15 holds +0.
-#define RELUGRAD4(off, x, m) \
-	VMOVUPD off(SI)(AX*8), x;      \
-	VCMPPD  ORDERED_GT, Y15, x, m; \ // all ones where x > +0
-	VANDPD  off(DX)(AX*8), m, m;   \ // grad under the mask
-	VMOVUPD m, off(DI)(AX*8)
-
-// func reluGradAVX2(dst, grad, x []float64)
-TEXT ·reluGradAVX2(SB), NOSPLIT, $0-72
-	MOVQ   dst_base+0(FP), DI
-	MOVQ   grad_base+24(FP), DX
-	MOVQ   x_base+48(FP), SI
-	VXORPD Y15, Y15, Y15
-	FLAT(x_len+56(FP))
-	CMPQ   AX, R8
-	JGE    relugrad4
-
-relugrad16:
-	RELUGRAD4(0, Y0, Y1)
-	RELUGRAD4(32, Y2, Y3)
-	RELUGRAD4(64, Y4, Y5)
-	RELUGRAD4(96, Y6, Y7)
-	ADDQ $16, AX
-	CMPQ AX, R8
-	JLT  relugrad16
-
-relugrad4:
-	CMPQ AX, CX
-	JGE  relugraddone
-	RELUGRAD4(0, Y0, Y1)
-	ADDQ $4, AX
-	JMP  relugrad4
-
-relugraddone:
-	VZEROUPPER
-	RET
-
-// The row kernels share their general registers:
+// The row kernel's general registers:
 //
-//	SI  a             DI  dst           DX  v (addRowVectorAVX2)
+//	SI  a             DI  dst
 //	R8  m             R9  a's row stride in bytes
 //	R10 n&^1          BX  the block's first column
 //	R11 a at the current row, column BX
-//	R12 dst at the current row, column BX (addRowVectorAVX2)
 //	CX  rows left
 
-// ROWS loads the shared registers from the row kernels' m and n
-// arguments and zeroes BX.
+// ROWS loads the registers from the row kernel's m and n arguments and
+// zeroes BX.
 #define ROWS(marg, narg) \
 	MOVQ marg, R8;   \
 	MOVQ narg, R9;   \
@@ -255,94 +176,6 @@ relugraddone:
 	MOVQ  R8, CX;          \
 	TESTQ CX, CX;          \
 	JLE   done
-
-// ADDROW4 writes a + v for the four columns at byte offset off from R11
-// and R12, with v's columns in vreg.
-#define ADDROW4(off, vreg, t) \
-	VMOVUPD off(R11), t; \
-	VADDPD  vreg, t, t;  \ // a + v
-	VMOVUPD t, off(R12)
-
-// func addRowVectorAVX2(dst, a, v []float64, m, n int)
-//
-// Each block keeps v's columns in Y12–Y15 while it goes down the rows.
-TEXT ·addRowVectorAVX2(SB), NOSPLIT, $0-88
-	MOVQ dst_base+0(FP), DI
-	MOVQ a_base+24(FP), SI
-	MOVQ v_base+48(FP), DX
-	ROWS(m+72(FP), n+80(FP))
-
-add16:
-	BLOCK(16, add8, addnext16)
-	LEAQ    (DI)(BX*8), R12
-	VMOVUPD (DX)(BX*8), Y12
-	VMOVUPD 32(DX)(BX*8), Y13
-	VMOVUPD 64(DX)(BX*8), Y14
-	VMOVUPD 96(DX)(BX*8), Y15
-
-addrows16:
-	ADDROW4(0, Y12, Y0)
-	ADDROW4(32, Y13, Y1)
-	ADDROW4(64, Y14, Y2)
-	ADDROW4(96, Y15, Y3)
-	ADDQ R9, R11
-	ADDQ R9, R12
-	DECQ CX
-	JNZ  addrows16
-
-addnext16:
-	ADDQ $16, BX
-	JMP  add16
-
-add8:
-	BLOCK(8, add4, addnext8)
-	LEAQ    (DI)(BX*8), R12
-	VMOVUPD (DX)(BX*8), Y12
-	VMOVUPD 32(DX)(BX*8), Y13
-
-addrows8:
-	ADDROW4(0, Y12, Y0)
-	ADDROW4(32, Y13, Y1)
-	ADDQ R9, R11
-	ADDQ R9, R12
-	DECQ CX
-	JNZ  addrows8
-
-addnext8:
-	ADDQ $8, BX
-
-add4:
-	BLOCK(4, add2, addnext4)
-	LEAQ    (DI)(BX*8), R12
-	VMOVUPD (DX)(BX*8), Y12
-
-addrows4:
-	ADDROW4(0, Y12, Y0)
-	ADDQ R9, R11
-	ADDQ R9, R12
-	DECQ CX
-	JNZ  addrows4
-
-addnext4:
-	ADDQ $4, BX
-
-add2:
-	BLOCK(2, adddone, adddone)
-	LEAQ    (DI)(BX*8), R12
-	VMOVUPD (DX)(BX*8), X12
-
-addrows2:
-	VMOVUPD (R11), X0
-	VADDPD  X12, X0, X0 // a + v
-	VMOVUPD X0, (R12)
-	ADDQ    R9, R11
-	ADDQ    R9, R12
-	DECQ    CX
-	JNZ     addrows2
-
-adddone:
-	VZEROUPPER
-	RET
 
 // func sumRowsAVX2(dst, a []float64, m, n int)
 //

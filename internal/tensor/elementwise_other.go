@@ -8,12 +8,6 @@ func blendAVX2(p, v []float64, c float64) { noAVX2() }
 
 func addScaledAVX2(dst, src []float64, c float64) { noAVX2() }
 
-func reluAVX2(dst, a []float64) { noAVX2() }
-
-func reluGradAVX2(dst, grad, x []float64) { noAVX2() }
-
-func addRowVectorAVX2(dst, a, v []float64, m, n int) { noAVX2() }
-
 func sumRowsAVX2(dst, a []float64, m, n int) { noAVX2() }
 
 func expAVX2(dst, src []float64, c *[15][4]float64) int { noAVX2(); return 0 }

@@ -139,14 +139,137 @@ func checkProducts(t *testing.T, a, b, want *Tensor) {
 	}
 }
 
+// epilogues lists every epilogue gemm takes: the bias row off and on,
+// each with no gate, the lane's own (ReLU) and another matrix's (ReLU's
+// backward).
+var epilogues = []int{0, epBias, epReLU, epBias | epReLU, epGate, epBias | epGate}
+
+// addRowVectorGo, reluGo and reluGradGo are the plain loops of the
+// passes gemm's epilogue runs: the bias row add, ReLU (x where x > 0, +0
+// where x ≤ 0 or NaN) and ReLU's backward (grad where x > 0, +0
+// elsewhere). dst may alias a or grad.
+func addRowVectorGo(dst, a, v []float64, m, n int) {
+	for i := 0; i < m; i++ {
+		for j, x := range v[:n] {
+			dst[i*n+j] = a[i*n+j] + x
+		}
+	}
+}
+
+func reluGo(dst, a []float64) {
+	for i, x := range a {
+		if x > 0 {
+			dst[i] = x
+		} else {
+			dst[i] = 0
+		}
+	}
+}
+
+func reluGradGo(dst, grad, x []float64) {
+	for i, v := range x {
+		if v > 0 {
+			dst[i] = grad[i]
+		} else {
+			dst[i] = 0
+		}
+	}
+}
+
+// epilogueOracle returns the m×n product prod after the epilogue ep, run
+// as the separate passes the plain loops are: the bias row add, then
+// ReLU or the gate's mask.
+func epilogueOracle(prod *Tensor, bias, gate []float64, ep int) *Tensor {
+	m, n := prod.Shape[0], prod.Shape[1]
+	want := prod.Clone()
+	if ep&epBias != 0 {
+		addRowVectorGo(want.Data, want.Data, bias, m, n)
+	}
+	if ep&epReLU != 0 {
+		reluGo(want.Data, want.Data)
+	}
+	if ep&epGate != 0 {
+		reluGradGo(want.Data, want.Data, gate)
+	}
+	return want
+}
+
+// checkEpilogues runs gemm with every epilogue on every kernel, on the
+// first r rows of a (m×k) for each r from 1 to min(m, 9) and for r = m,
+// so that every count of rows left after four-row tiles runs, in both
+// stride forms: a natural (k, 1) and read through its transpose (1, m).
+// b is k×n, bias n long and gate m×n. Each product goes into a destination
+// of stale values followed by a guard row, which no kernel may write, and
+// must equal ieeeMatMul followed by the plain-loop passes, bit for bit
+// (any NaN matching any NaN). With all rows, the natural form also runs
+// through the exported call that takes the epilogue, where there is one.
+func checkEpilogues(t *testing.T, a, b *Tensor, bias, gate []float64) {
+	t.Helper()
+	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
+	wb := append(append([]float64(nil), b.Data...), bias...)
+	at := transpose(a)
+	prod := ieeeMatMul(a, b)
+	var counts []int
+	for r := 1; r <= min(m, 9); r++ {
+		counts = append(counts, r)
+	}
+	if m > 9 {
+		counts = append(counts, m)
+	}
+	exported := map[int]func(dst *Tensor){
+		epBias:          func(dst *Tensor) { AffineInto(dst, a, FromSlice(wb, k+1, n), false) },
+		epBias | epReLU: func(dst *Tensor) { AffineInto(dst, a, FromSlice(wb, k+1, n), true) },
+		epGate:          func(dst *Tensor) { MatMulGateInto(dst, a, b, FromSlice(gate, m, n)) },
+	}
+	for _, ep := range epilogues {
+		want := epilogueOracle(prod, bias, gate, ep)
+		for _, kern := range kernels() {
+			withKernel(kern, func() {
+				for _, r := range counts {
+					forms := map[string]func(dst *Tensor){
+						"natural": func(dst *Tensor) {
+							gemm(dst.Data, a.Data, wb, gate, r, k, n, k, 1, ep)
+						},
+						"transposed": func(dst *Tensor) {
+							gemm(dst.Data, at.Data, wb, gate, r, k, n, 1, m, ep)
+						},
+					}
+					if call := exported[ep]; call != nil && r == m {
+						forms["exported"] = call
+					}
+					for name, form := range forms {
+						buf := make([]float64, (r+1)*n)
+						for i := range buf {
+							buf[i] = 7
+						}
+						g := FromSlice(buf[:r*n], r, n)
+						form(g)
+						if !sameBits(g, FromSlice(want.Data[:r*n], r, n)) {
+							t.Fatalf("epilogue %#b, %s form, %d of %d rows on %v: %v, plain loops %v (a=%v b=%v bias=%v gate=%v)",
+								ep, name, r, m, kern, g.Data, want.Data[:r*n], a.Data, b.Data, bias, gate)
+						}
+						for _, v := range buf[r*n:] {
+							if v != 7 {
+								t.Fatalf("epilogue %#b, %s form on %v wrote past its %dx%d destination", ep, name, kern, r, n)
+							}
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
 // FuzzMatMul checks the product forms of checkProducts, on every gemm
 // kernel, against ieeeMatMul, and ieeeMatMul against serialMatMul, the
-// zero-skipping loop, whenever b is finite. The first three bytes give m,
-// k, n ≤ 40, so every column block (AVX2's 16, 8, 4, 2 and 1 wide, and
-// AVX-512's 24, 16 and 8 with every count of masked lanes, its 18 and 10
-// and its four-row 10) is reached, alone and after the others. The further bytes
-// are the entries of a, then of b; when they run out they repeat from the
-// start (with no further bytes every entry is 0).
+// zero-skipping loop, whenever b is finite; then every epilogue, through
+// checkEpilogues. The first three bytes give m, k, n ≤ 40, so every
+// column block (AVX2's 16, 8, 4, 2 and 1 wide, and AVX-512's 24, 16 and 8
+// with every count of masked lanes, its 18 and 10, and its four-row
+// blocks) is reached, alone and after the others. The further bytes are
+// the entries of a, then of b, then of the bias row and the gate; when
+// they run out they repeat from the start (with no further bytes every
+// entry is 0).
 func FuzzMatMul(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
@@ -178,14 +301,21 @@ func FuzzMatMul(f *testing.F) {
 			}
 		}
 		checkProducts(t, a, b, want)
+		bias, gate := make([]float64, n), make([]float64, m*n)
+		for i := range bias {
+			bias[i] = value()
+		}
+		for i := range gate {
+			gate[i] = value()
+		}
+		checkEpilogues(t, a, b, bias, gate)
 	})
 }
 
 // vectorKernels lists the element-wise kernels, and the transpose, as
 // calls on operand slices: lens gives each operand's length for n lanes
-// (n columns of rows-row operands for the row kernels and the transpose),
-// and run calls the kernel with the scalars s. The aliased forms are the
-// ones the model's passes use.
+// (n columns of rows-row operands for the column sums and the
+// transpose), and run calls the kernel with the scalars s.
 var vectorKernels = []struct {
 	name string
 	lens func(n, rows int) []int
@@ -200,29 +330,6 @@ var vectorKernels = []struct {
 	{"AddScaled", flat(2), func(ops [][]float64, _, _ int, s [3]float64) {
 		AddScaled(ops[0], ops[1], s[0])
 	}},
-	{"ReLUInto", flat(2), func(ops [][]float64, n, _ int, _ [3]float64) {
-		ReLUInto(FromSlice(ops[0], n), FromSlice(ops[1], n))
-	}},
-	{"ReLUInto aliased", flat(1), func(ops [][]float64, n, _ int, _ [3]float64) {
-		a := FromSlice(ops[0], n)
-		ReLUInto(a, a)
-	}},
-	{"ReLUGradInto", flat(3), func(ops [][]float64, n, _ int, _ [3]float64) {
-		ReLUGradInto(FromSlice(ops[0], n), FromSlice(ops[1], n), FromSlice(ops[2], n))
-	}},
-	{"ReLUGradInto aliased", flat(2), func(ops [][]float64, n, _ int, _ [3]float64) {
-		g := FromSlice(ops[0], n)
-		ReLUGradInto(g, g, FromSlice(ops[1], n))
-	}},
-	{"AddRowVectorInto", func(n, rows int) []int { return []int{rows * n, rows * n, n} },
-		func(ops [][]float64, n, rows int, _ [3]float64) {
-			AddRowVectorInto(FromSlice(ops[0], rows, n), FromSlice(ops[1], rows, n), FromSlice(ops[2], n))
-		}},
-	{"AddRowVectorInto aliased", func(n, rows int) []int { return []int{rows * n, n} },
-		func(ops [][]float64, n, rows int, _ [3]float64) {
-			a := FromSlice(ops[0], rows, n)
-			AddRowVectorInto(a, a, FromSlice(ops[1], n))
-		}},
 	{"SumRowsInto", func(n, rows int) []int { return []int{n, rows * n} },
 		func(ops [][]float64, n, rows int, _ [3]float64) {
 			SumRowsInto(FromSlice(ops[0], n), FromSlice(ops[1], rows, n))
@@ -245,8 +352,8 @@ func flat(k int) func(n, rows int) []int {
 }
 
 // guardBits fills the memory around each fuzzed operand. It is a NaN with
-// a payload no kernel produces: arithmetic quiets it and the ReLU masks
-// turn it into +0, so any write there changes its bits.
+// a payload no kernel produces: arithmetic quiets it, so any write there
+// changes its bits.
 const guardBits = 0x7FF4_0000_0000_DEAD
 
 // guardedVec is a copy of an operand at offset off in a buffer whose other
@@ -282,8 +389,8 @@ func (g guardedVec) intact() bool {
 // afterwards, except that any NaN matches any NaN, as in FuzzMatMul. The
 // first byte gives n ≤ 37 lanes, so every tail length follows every body
 // length; the second an offset 0–3 of each operand in its buffer, so the
-// vectors start at every alignment; the third 0–5 rows for the row
-// kernels. The further bytes, repeated as in FuzzMatMul, are the scalars
+// vectors start at every alignment; the third 0–5 rows for the column
+// sums and the transpose. The further bytes, repeated as in FuzzMatMul, are the scalars
 // and then the operands' entries. The buffer around each operand must keep
 // its guard bits.
 func FuzzVectorKernels(f *testing.F) {

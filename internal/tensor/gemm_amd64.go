@@ -1,14 +1,14 @@
 package tensor
 
 // gemmAVX2 and gemmAVX512 are gemm's assembly kernels (gemm_amd64.s and
-// gemm_avx512_amd64.s). The caller checks the operand lengths and that m
-// and n are positive.
+// gemm_avx512_amd64.s). The caller checks the operand lengths, that m
+// and n are positive and that ep holds at most one gate.
 //
 //go:noescape
-func gemmAVX2(out, a, b []float64, m, k, n, aRowStride, aColStride int)
+func gemmAVX2(out, a, b, gate []float64, m, k, n, aRowStride, aColStride, ep int)
 
 //go:noescape
-func gemmAVX512(out, a, b []float64, m, k, n, aRowStride, aColStride int)
+func gemmAVX512(out, a, b, gate []float64, m, k, n, aRowStride, aColStride, ep int)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

@@ -1,4 +1,5 @@
 #include "textflag.h"
+#include "gemm_amd64.h"
 
 // gemmAVX2 walks out in row pairs. When m is odd, the last row runs as a
 // pair of two copies of itself: both row strides are zeroed, so both
@@ -13,6 +14,14 @@
 // separate instructions, never a fused multiply-add, so every lane does
 // the same IEEE operations in the same order as gemmGo.
 //
+// After the pass, and before the stores, the epilogue ep runs on the
+// accumulators, as gemmGo's does: with EP_BIAS each lane adds b's row k,
+// on which R14 sits when the pass ends; with EP_RELU, VMAXPD against +0
+// keeps the lane where it is > 0 and gives +0 where it is ≤ 0 or NaN
+// (VMAXPD returns its second source when either is NaN or both are
+// zero); with EP_GATE the lane is ANDed with the mask of an ordered
+// compare of gate's element at the same row and column against +0.
+//
 // General registers:
 //
 //	SI  out, at the current row       DX  b
@@ -20,40 +29,45 @@
 //	R9  k                             R10 n
 //	R11 aRowStride in bytes           R12 aColStride in bytes
 //	R13 n in bytes (b's row stride)   R15 out's row stride in bytes
-//	AX  a[i, p]   R14 b[p, j]         BX  column j
+//	AX  a[i, p], then gate at the current row
+//	R14 b[p, j], then b[k, j]         BX  column j
 //	CX  p steps left, then scratch
 //
 // R11 and R15 are zero for the last row of an odd m.
 //
 // Vector registers: up to 8 accumulators in Y0–Y7 (4 per row), the two
 // rows' a[i, p] broadcast into Y8 and Y9, b[p, j:] in Y10–Y13, products
-// in Y12–Y15.
+// in Y12–Y15. The epilogue keeps +0 in Y15 and a gate mask in Y14.
 
-// BLOCK points AX and R14 at p = 0 for column j and loads the step count;
-// a k of zero skips the loop and stores the +0 accumulators.
-#define BLOCK(done) \
-	MOVQ  DI, AX;          \
-	LEAQ  (DX)(BX*8), R14; \
-	MOVQ  R9, CX;          \
-	TESTQ CX, CX;          \
-	JZ    done
+// The epilogue's steps on one accumulator: BIAS adds the bias row's
+// columns at byte offset off, RELU gates the lanes on themselves, GATE on
+// the gate row g at byte offset off. The S forms are the scalar ones.
+#define BIAS(off, acc) VADDPD off(R14), acc, acc
+#define RELU(acc) VMAXPD Y15, acc, acc
+#define GATE(off, g, acc) \
+	VCMPPD ORDERED_LT, off(g)(BX*8), Y15, Y14; \
+	VANDPD Y14, acc, acc
+#define XRELU(acc) VMAXPD X15, acc, acc
+#define XGATE(off, g, acc) \
+	VCMPPD ORDERED_LT, off(g)(BX*8), X15, X14; \
+	VANDPD X14, acc, acc
+#define SBIAS(acc) VADDSD (R14), acc, acc
+#define SRELU(acc) VMAXSD X15, acc, acc
+#define SGATE(g, acc) \
+	VCMPSD ORDERED_LT, (g)(BX*8), X15, X14; \
+	VANDPD X14, acc, acc
 
-#define STEP \
-	ADDQ R12, AX;  \
-	ADDQ R13, R14; \
-	DECQ CX
-
-// func gemmAVX2(out, a, b []float64, m, k, n, aRowStride, aColStride int)
-TEXT ·gemmAVX2(SB), NOSPLIT, $0-112
+// func gemmAVX2(out, a, b, gate []float64, m, k, n, aRowStride, aColStride, ep int)
+TEXT ·gemmAVX2(SB), NOSPLIT, $0-144
 	MOVQ out_base+0(FP), SI
 	MOVQ a_base+24(FP), DI
 	MOVQ b_base+48(FP), DX
-	MOVQ m+72(FP), R8
-	MOVQ k+80(FP), R9
-	MOVQ n+88(FP), R10
-	MOVQ aRowStride+96(FP), R11
+	MOVQ m+96(FP), R8
+	MOVQ k+104(FP), R9
+	MOVQ n+112(FP), R10
+	MOVQ aRowStride+120(FP), R11
 	SHLQ $3, R11
-	MOVQ aColStride+104(FP), R12
+	MOVQ aColStride+128(FP), R12
 	SHLQ $3, R12
 	LEAQ (R10*8), R13
 	MOVQ R13, R15
@@ -79,7 +93,7 @@ cols16:
 	VXORPD Y5, Y5, Y5
 	VXORPD Y6, Y6, Y6
 	VXORPD Y7, Y7, Y7
-	BLOCK(store16)
+	BLOCK(epi16)
 
 loop16:
 	VMOVUPD      (R14), Y10
@@ -107,6 +121,46 @@ loop16:
 	STEP
 	JNZ          loop16
 
+epi16:
+	TESTQ EP_BIAS, ep+136(FP)
+	JZ    relu16
+	BIAS(0, Y0)
+	BIAS(32, Y1)
+	BIAS(64, Y2)
+	BIAS(96, Y3)
+	BIAS(0, Y4)
+	BIAS(32, Y5)
+	BIAS(64, Y6)
+	BIAS(96, Y7)
+
+relu16:
+	VXORPD Y15, Y15, Y15
+	TESTQ  EP_RELU, ep+136(FP)
+	JZ     gate16
+	RELU(Y0)
+	RELU(Y1)
+	RELU(Y2)
+	RELU(Y3)
+	RELU(Y4)
+	RELU(Y5)
+	RELU(Y6)
+	RELU(Y7)
+	JMP    store16
+
+gate16:
+	TESTQ EP_GATE, ep+136(FP)
+	JZ    store16
+	GATEROW
+	GATE(0, AX, Y0)
+	GATE(32, AX, Y1)
+	GATE(64, AX, Y2)
+	GATE(96, AX, Y3)
+	ADDQ  R15, AX
+	GATE(0, AX, Y4)
+	GATE(32, AX, Y5)
+	GATE(64, AX, Y6)
+	GATE(96, AX, Y7)
+
 store16:
 	LEAQ    (SI)(R15*1), CX
 	VMOVUPD Y0, (SI)(BX*8)
@@ -131,7 +185,7 @@ cols8:
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
 	VXORPD Y3, Y3, Y3
-	BLOCK(store8)
+	BLOCK(epi8)
 
 loop8:
 	VMOVUPD      (R14), Y10
@@ -149,6 +203,34 @@ loop8:
 	STEP
 	JNZ          loop8
 
+epi8:
+	TESTQ EP_BIAS, ep+136(FP)
+	JZ    relu8
+	BIAS(0, Y0)
+	BIAS(32, Y1)
+	BIAS(0, Y2)
+	BIAS(32, Y3)
+
+relu8:
+	VXORPD Y15, Y15, Y15
+	TESTQ  EP_RELU, ep+136(FP)
+	JZ     gate8
+	RELU(Y0)
+	RELU(Y1)
+	RELU(Y2)
+	RELU(Y3)
+	JMP    store8
+
+gate8:
+	TESTQ EP_GATE, ep+136(FP)
+	JZ    store8
+	GATEROW
+	GATE(0, AX, Y0)
+	GATE(32, AX, Y1)
+	ADDQ  R15, AX
+	GATE(0, AX, Y2)
+	GATE(32, AX, Y3)
+
 store8:
 	LEAQ    (SI)(R15*1), CX
 	VMOVUPD Y0, (SI)(BX*8)
@@ -163,7 +245,7 @@ cols4:
 	JGT  cols2
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
-	BLOCK(store4)
+	BLOCK(epi4)
 
 loop4:
 	VMOVUPD      (R14), Y10
@@ -175,6 +257,28 @@ loop4:
 	VADDPD       Y13, Y1, Y1
 	STEP
 	JNZ          loop4
+
+epi4:
+	TESTQ EP_BIAS, ep+136(FP)
+	JZ    relu4
+	BIAS(0, Y0)
+	BIAS(0, Y1)
+
+relu4:
+	VXORPD Y15, Y15, Y15
+	TESTQ  EP_RELU, ep+136(FP)
+	JZ     gate4
+	RELU(Y0)
+	RELU(Y1)
+	JMP    store4
+
+gate4:
+	TESTQ EP_GATE, ep+136(FP)
+	JZ    store4
+	GATEROW
+	GATE(0, AX, Y0)
+	ADDQ  R15, AX
+	GATE(0, AX, Y1)
 
 store4:
 	LEAQ    (SI)(R15*1), CX
@@ -188,7 +292,7 @@ cols2:
 	JGT  cols1
 	VXORPD X0, X0, X0
 	VXORPD X1, X1, X1
-	BLOCK(store2)
+	BLOCK(epi2)
 
 loop2:
 	VMOVUPD  (R14), X10
@@ -201,6 +305,28 @@ loop2:
 	STEP
 	JNZ      loop2
 
+epi2:
+	TESTQ EP_BIAS, ep+136(FP)
+	JZ    relu2
+	BIAS(0, X0)
+	BIAS(0, X1)
+
+relu2:
+	VXORPD X15, X15, X15
+	TESTQ  EP_RELU, ep+136(FP)
+	JZ     gate2
+	XRELU(X0)
+	XRELU(X1)
+	JMP    store2
+
+gate2:
+	TESTQ EP_GATE, ep+136(FP)
+	JZ    store2
+	GATEROW
+	XGATE(0, AX, X0)
+	ADDQ  R15, AX
+	XGATE(0, AX, X1)
+
 store2:
 	LEAQ    (SI)(R15*1), CX
 	VMOVUPD X0, (SI)(BX*8)
@@ -212,7 +338,7 @@ cols1:
 	JGE  nextpair
 	VXORPD X0, X0, X0
 	VXORPD X1, X1, X1
-	BLOCK(store1)
+	BLOCK(epi1)
 
 loop1:
 	VMOVSD (R14), X10
@@ -224,6 +350,28 @@ loop1:
 	VADDSD X13, X1, X1
 	STEP
 	JNZ    loop1
+
+epi1:
+	TESTQ EP_BIAS, ep+136(FP)
+	JZ    relu1
+	SBIAS(X0)
+	SBIAS(X1)
+
+relu1:
+	VXORPD X15, X15, X15
+	TESTQ  EP_RELU, ep+136(FP)
+	JZ     gate1
+	SRELU(X0)
+	SRELU(X1)
+	JMP    store1
+
+gate1:
+	TESTQ EP_GATE, ep+136(FP)
+	JZ    store1
+	GATEROW
+	SGATE(AX, X0)
+	ADDQ  R15, AX
+	SGATE(AX, X1)
 
 store1:
 	LEAQ   (SI)(R15*1), CX
@@ -248,7 +396,7 @@ cols10:
 	VXORPD Y3, Y3, Y3
 	VXORPD X4, X4, X4
 	VXORPD X5, X5, X5
-	BLOCK(store10)
+	BLOCK(epi10)
 
 loop10:
 	VMOVUPD      (R14), Y10
@@ -270,6 +418,40 @@ loop10:
 	VADDPD       X15, X5, X5
 	STEP
 	JNZ          loop10
+
+epi10:
+	TESTQ EP_BIAS, ep+136(FP)
+	JZ    relu10
+	BIAS(0, Y0)
+	BIAS(32, Y1)
+	BIAS(64, X4)
+	BIAS(0, Y2)
+	BIAS(32, Y3)
+	BIAS(64, X5)
+
+relu10:
+	VXORPD Y15, Y15, Y15
+	TESTQ  EP_RELU, ep+136(FP)
+	JZ     gate10
+	RELU(Y0)
+	RELU(Y1)
+	XRELU(X4)
+	RELU(Y2)
+	RELU(Y3)
+	XRELU(X5)
+	JMP    store10
+
+gate10:
+	TESTQ EP_GATE, ep+136(FP)
+	JZ    store10
+	GATEROW
+	GATE(0, AX, Y0)
+	GATE(32, AX, Y1)
+	XGATE(64, AX, X4)
+	ADDQ  R15, AX
+	GATE(0, AX, Y2)
+	GATE(32, AX, Y3)
+	XGATE(64, AX, X5)
 
 store10:
 	LEAQ    (SI)(R15*1), CX

@@ -6,9 +6,9 @@ func haveAVX2() bool { return false }
 
 func haveAVX512() bool { return false }
 
-func gemmAVX2(out, a, b []float64, m, k, n, aRowStride, aColStride int) { noAVX2() }
+func gemmAVX2(out, a, b, gate []float64, m, k, n, aRowStride, aColStride, ep int) { noAVX2() }
 
-func gemmAVX512(out, a, b []float64, m, k, n, aRowStride, aColStride int) { noAVX2() }
+func gemmAVX512(out, a, b, gate []float64, m, k, n, aRowStride, aColStride, ep int) { noAVX2() }
 
 func noAVX2() { panic("tensor: no x86 vector kernel on this architecture") }
 

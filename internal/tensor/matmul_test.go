@@ -54,13 +54,16 @@ func TestParallelMatMulBitwiseIdenticalToSerial(t *testing.T) {
 	}
 }
 
-// TestMatMulColumnBlocks checks every product form on every kernel, bitwise
-// against ieeeMatMul, for shapes that end in each column block: n mod 4 is
-// 0, 1, 2 and 3, n runs past one and two 16-wide blocks, k is 0 (every
-// output is +0), and m is 1 (no row pair) or odd (a pair, then one row).
-// The operands mix signed zeros, subnormals, extremes and infinities into
-// eighth-step values; a NaN operand becomes −0, since it would turn its
-// whole row or column of the result into NaN and hide the rest.
+// TestMatMulColumnBlocks checks every product form and every epilogue on
+// every kernel, bitwise against ieeeMatMul and the plain-loop passes, for
+// shapes that end in each column block: n mod 4 is 0, 1, 2 and 3, n runs
+// past one, two and three 16-wide blocks, k is 0 (every product is +0),
+// and m is 1 (no row pair), odd (a pair, then one row), or 4 and more
+// (four-row tiles, then every count of rows left). The operands, bias and
+// gate mix signed zeros, subnormals, extremes and infinities into
+// eighth-step values; a NaN in a or b becomes −0, since it would turn its
+// whole row or column of the result into NaN and hide the rest, while
+// the bias and the gate keep theirs.
 func TestMatMulColumnBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	shapes := [][3]int{
@@ -68,20 +71,29 @@ func TestMatMulColumnBlocks(t *testing.T) {
 		{2, 7, 5}, {3, 4, 6}, {5, 6, 7}, {4, 3, 8}, {3, 10, 13},
 		{2, 2, 16}, {3, 5, 17}, {5, 3, 18}, {1, 8, 19}, {2, 9, 31},
 		{3, 11, 32}, {7, 16, 33}, {6, 40, 10}, {40, 40, 40},
+		{9, 6, 24}, {8, 5, 56}, {11, 7, 34}, {16, 16, 18}, {9, 3, 72},
 		{3, 0, 17}, {1, 0, 1}, {4, 0, 40}, {1, 40, 1}, {0, 4, 5}, {5, 4, 0},
 	}
+	value := func() float64 { return fuzzValue(byte(rng.Intn(256))) }
 	for _, s := range shapes {
 		m, k, n := s[0], s[1], s[2]
 		a, b := New(m, k), New(k, n)
 		for _, d := range [][]float64{a.Data, b.Data} {
 			for i := range d {
-				d[i] = fuzzValue(byte(rng.Intn(256)))
+				d[i] = value()
 				if math.IsNaN(d[i]) {
 					d[i] = math.Copysign(0, -1)
 				}
 			}
 		}
 		checkProducts(t, a, b, ieeeMatMul(a, b))
+		bias, gate := make([]float64, n), make([]float64, m*n)
+		for _, d := range [][]float64{bias, gate} {
+			for i := range d {
+				d[i] = value()
+			}
+		}
+		checkEpilogues(t, a, b, bias, gate)
 	}
 }
 
@@ -89,11 +101,14 @@ func TestMatMulColumnBlocks(t *testing.T) {
 // layer's passes at zero allocations on every kernel.
 func TestMatMulAllocsWhenWarm(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	x, w := Randn(rng, 1, 16, 24), Randn(rng, 1, 24, 40)
-	dOut := Randn(rng, 1, 16, 40)
+	x, wb := Randn(rng, 1, 16, 24), Randn(rng, 1, 25, 40)
+	w := FromSlice(wb.Data[:24*40], 24, 40)
+	dOut, dx := Randn(rng, 1, 16, 40), New(16, 24)
 	out, wt, dw := New(16, 40), New(40, 24), New(24, 40)
 	for name, product := range map[string]func(){
 		"MatMulInto":       func() { MatMulInto(out, x, w) },
+		"AffineInto":       func() { AffineInto(out, x, wb, true) },
+		"MatMulGateInto":   func() { MatMulGateInto(dx, dOut, wt, x) },
 		"TransposeInto":    func() { TransposeInto(wt, w) },
 		"MatMulTransAInto": func() { MatMulTransAInto(dw, x, dOut) },
 	} {

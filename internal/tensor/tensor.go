@@ -6,42 +6,49 @@
 // operation whose name ends in "Into" writes into a caller-owned
 // destination, so the model reuses its buffers from step to step.
 //
-// MatMulInto and MatMulTransAInto share one broadcast kernel, gemm:
-// out[i, j:j+4] += a[i,p] · b[p, j:j+4], with the right operand in its
-// natural row-major layout and the left one read through strides, so
-// neither copies an operand. A product with a transposed right operand
-// takes it from TransposeInto, which moves 4×4 register tiles on AVX2
-// CPUs. On amd64 CPUs with AVX2 the kernel is assembly, four lanes to a
-// YMM register (gemm_amd64.s), and where the CPU and the operating system
-// support AVX-512F as well, eight lanes to a ZMM register
-// (gemm_avx512_amd64.s); elsewhere a pure-Go loop of the same form runs.
-// The choice is made once, from CPUID and XCR0, and tests run every
-// kernel the CPU has. Each lane is one output element that starts at +0
-// and adds its k products in ascending p, with multiply and add kept
-// separate, so every kernel gives the same bits as the plain IEEE triple
-// loop, whatever its register width. Every product
-// in this package is rounded on its own (float64(x*y)), so no architecture
-// may fuse it into a multiply-add. Every kernel runs on the calling
-// goroutine: host parallelism lives above this package, in the drivers
-// that run independent trainings side by side and in the synchronous
-// baselines' gradient rounds. The kernel follows IEEE 754 for every term:
-// a zero times an infinity contributes NaN. Whenever the right operand is
-// finite the result equals that of a loop skipping zero terms, bit for
-// bit, since adding a ±0 product to a sum that starts at +0 never changes
-// it.
+// MatMulInto, MatMulTransAInto, AffineInto and MatMulGateInto share one
+// broadcast kernel, gemm: out[i, j:j+4] += a[i,p] · b[p, j:j+4], with the
+// right operand in its natural row-major layout and the left one read
+// through strides, so neither copies an operand. A product with a
+// transposed right operand takes it from TransposeInto, which moves 4×4
+// register tiles on AVX2 CPUs. On amd64 CPUs with AVX2 the kernel is
+// assembly, four lanes to a YMM register (gemm_amd64.s), and where the CPU
+// and the operating system support AVX-512F as well, eight lanes to a ZMM
+// register, four rows at a time (gemm_avx512_amd64.s); elsewhere a
+// pure-Go loop of the same form runs. The choice is made once, from CPUID
+// and XCR0, and tests run every kernel the CPU has. Each lane is one
+// output element that starts at +0 and adds its k products in ascending
+// p, with multiply and add kept separate, so every kernel gives the same
+// bits as the plain IEEE triple loop, whatever its register width. Every
+// product in this package is rounded on its own (float64(x*y)), so no
+// architecture may fuse it into a multiply-add. Every kernel runs on the
+// calling goroutine: host parallelism lives above this package, in the
+// drivers that run independent trainings side by side and in the
+// synchronous baselines' gradient rounds. The kernel follows IEEE 754 for
+// every term: a zero times an infinity contributes NaN. Whenever the right
+// operand is finite the result equals that of a loop skipping zero terms,
+// bit for bit, since adding a ±0 product to a sum that starts at +0 never
+// changes it.
+//
+// gemm has an epilogue, which runs on each lane after its k products and
+// before its store, on every kernel: a layer's bias, added as the
+// (k+1)-th term from one more row of the right operand (AffineInto), and
+// a gate that keeps the lane where a value is > 0 and writes +0 where it
+// is ≤ 0 or NaN. The gate is the lane itself for ReLU (AffineInto) and
+// the ReLU's output for its backward (MatMulGateInto). So a layer's
+// forward is one pass, and so is its input gradient, with the bits of the
+// product followed by separate bias, ReLU and mask passes.
 //
 // The element-wise passes follow the same pattern (elementwise.go): the
 // momentum SGD step and the blend over a model's flat parameter vector
-// (SGDStep, Blend), the weighted gradient sum (AddScaled), the bias row add
-// (AddRowVectorInto), ReLU forward and backward, and the column sums of a
-// layer's bias gradient (SumRowsInto).
-// Their lanes are independent, so on AVX2 CPUs assembly
-// (elementwise_amd64.s) runs four lanes to a register over the body whose
-// length is a multiple of 4 (the row passes take a last pair of columns
-// in an XMM register) and a Go loop runs the rest. The Go loop is
-// the portable kernel and the assembly's oracle, and each lane does the
-// same separate IEEE multiplies and adds in the same order on both, so the
-// results keep their bits.
+// (SGDStep, Blend), the weighted gradient sum (AddScaled) and the column
+// sums of a layer's bias gradient (SumRowsInto). Their lanes are
+// independent, so on AVX2 CPUs assembly (elementwise_amd64.s) runs four
+// lanes to a register over the body whose length is a multiple of 4 (the
+// column sums take a last pair of columns in an XMM register) and a Go
+// loop runs the rest. The Go loop is the portable kernel and the
+// assembly's oracle, and each lane does the same separate IEEE multiplies
+// and adds in the same order on both, so the results keep their bits.
 //
 // Softmax (softmax.go) holds a batch's row softmax as exponentials and
 // row sums, so that the cross-entropy gradient and the loss divide only
@@ -133,12 +140,6 @@ func (t *Tensor) String() string {
 	return fmt.Sprintf("Tensor%v%v", t.Shape, t.Data)
 }
 
-func assertSameLen(op string, dst, a *Tensor) {
-	if len(dst.Data) != len(a.Data) {
-		panic(fmt.Sprintf("tensor: %s dst length %d, want %d", op, len(dst.Data), len(a.Data)))
-	}
-}
-
 func checkMatMulShapes(a, b *Tensor) (m, k, n int) {
 	if a.Rank() != 2 || b.Rank() != 2 {
 		panic("tensor: MatMul requires rank-2 operands")
@@ -155,7 +156,46 @@ func checkMatMulShapes(a, b *Tensor) (m, k, n int) {
 func MatMulInto(dst, a, b *Tensor) *Tensor {
 	m, k, n := checkMatMulShapes(a, b)
 	checkMatMulDst("MatMulInto", dst, m, n)
-	gemm(dst.Data, a.Data, b.Data, m, k, n, k, 1)
+	gemm(dst.Data, a.Data, b.Data, nil, m, k, n, k, 1, 0)
+	return dst
+}
+
+// AffineInto computes x@W + b into dst in one pass, and with relu set
+// ReLU of it: a layer's forward. wb is W (k×n) with the bias b as
+// one more row, (k+1)×n, as a layer keeps them one after the other in its
+// parameter vector. Each element adds b's entry after its k products,
+// which gives the bits of MatMulInto followed by a row add; ReLU then
+// keeps it where it is > 0 and writes +0 where it is ≤ 0 or NaN. dst must
+// have shape (x rows, n) and must not alias x or wb.
+func AffineInto(dst, x, wb *Tensor, relu bool) *Tensor {
+	if x.Rank() != 2 || wb.Rank() != 2 {
+		panic("tensor: AffineInto requires rank-2 operands")
+	}
+	m, k, n := x.Shape[0], x.Shape[1], wb.Shape[1]
+	if k+1 != wb.Shape[0] {
+		panic(fmt.Sprintf("tensor: AffineInto inner dims %d vs %d weight rows and a bias row", k, wb.Shape[0]))
+	}
+	checkMatMulDst("AffineInto", dst, m, n)
+	ep := epBias
+	if relu {
+		ep |= epReLU
+	}
+	gemm(dst.Data, x.Data, wb.Data, nil, m, k, n, k, 1, ep)
+	return dst
+}
+
+// MatMulGateInto computes a@b into dst, keeping each element where gate's
+// element at the same index is > 0 and writing +0 where it is ≤ 0 or NaN:
+// the input gradient of a layer below a ReLU, masked by the ReLU's output
+// in the same pass. gate has dst's shape; dst must not alias a, b or
+// gate.
+func MatMulGateInto(dst, a, b, gate *Tensor) *Tensor {
+	m, k, n := checkMatMulShapes(a, b)
+	checkMatMulDst("MatMulGateInto", dst, m, n)
+	if gate.Rank() != 2 || gate.Shape[0] != m || gate.Shape[1] != n {
+		panic(fmt.Sprintf("tensor: MatMulGateInto gate shape %v, want [%d %d]", gate.Shape, m, n))
+	}
+	gemm(dst.Data, a.Data, b.Data, gate.Data, m, k, n, k, 1, epGate)
 	return dst
 }
 
@@ -172,7 +212,7 @@ func MatMulTransAInto(dst, a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulTransAInto inner dims %d vs %d", k, b.Shape[0]))
 	}
 	checkMatMulDst("MatMulTransAInto", dst, m, n)
-	gemm(dst.Data, a.Data, b.Data, m, k, n, 1, m)
+	gemm(dst.Data, a.Data, b.Data, nil, m, k, n, 1, m, 0)
 	return dst
 }
 

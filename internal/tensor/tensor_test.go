@@ -152,12 +152,15 @@ func TestArgMaxRow(t *testing.T) {
 	}
 }
 
+// TestAddRowVectorAndSumRows checks the bias row add, which AffineInto
+// runs after the product (x is the identity, so the result is W + b), and
+// SumRowsInto.
 func TestAddRowVectorAndSumRows(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4}, 2, 2)
-	v := FromSlice([]float64{10, 20}, 2)
-	b := AddRowVectorInto(New(2, 2), a, v)
+	wb := FromSlice([]float64{1, 2, 3, 4, 10, 20}, 3, 2)
+	b := AffineInto(New(2, 2), FromSlice([]float64{1, 0, 0, 1}, 2, 2), wb, false)
 	if b.At(0, 0) != 11 || b.At(1, 1) != 24 {
-		t.Errorf("AddRowVectorInto wrong: %v", b.Data)
+		t.Errorf("AffineInto's bias row add wrong: %v", b.Data)
 	}
 	// The destination's stale contents are overwritten, not added to.
 	s := SumRowsInto(FromSlice([]float64{3, 3}, 2), a)
@@ -166,31 +169,44 @@ func TestAddRowVectorAndSumRows(t *testing.T) {
 	}
 }
 
-// TestRowOpsMatchPlainLoops checks AddRowVectorInto, into a fresh and
-// into an aliased destination, and SumRowsInto, into a stale one, bitwise
-// against plain loops whose sums start at +0 and run down the rows.
+// TestRowOpsMatchPlainLoops checks AffineInto, without and with ReLU, and
+// SumRowsInto, into a stale destination, bitwise against plain loops
+// whose sums start at +0 and run in order: over p for the product, then
+// the bias, and down the rows for the column sums.
 func TestRowOpsMatchPlainLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := Randn(rng, 1, 4, 6)
-	v := Randn(rng, 1, 6)
-	want, sums := New(4, 6), New(6)
+	x, wb := Randn(rng, 1, 4, 3), Randn(rng, 1, 4, 6)
+	want, relu, sums := New(4, 6), New(4, 6), New(6)
 	for j := 0; j < 6; j++ {
 		s := 0.0
 		for i := 0; i < 4; i++ {
-			want.Data[i*6+j] = a.Data[i*6+j] + v.Data[j]
+			z := 0.0
+			for p := 0; p < 3; p++ {
+				z += float64(x.Data[i*3+p] * wb.Data[p*6+j])
+			}
+			z += wb.Data[3*6+j]
+			want.Data[i*6+j] = z
+			if z > 0 {
+				relu.Data[i*6+j] = z
+			}
 			s += a.Data[i*6+j]
 		}
 		sums.Data[j] = s
 	}
-	if got := AddRowVectorInto(New(4, 6), a, v); !sameBits(got, want) {
-		t.Fatalf("AddRowVectorInto = %v, want %v", got.Data, want.Data)
-	}
-	stale := FromSlice([]float64{3, 3, 3, 3, 3, 3}, 6)
-	if got := SumRowsInto(stale, a); !sameBits(got, sums) {
-		t.Fatalf("SumRowsInto = %v, want %v", got.Data, sums.Data)
-	}
-	if got := AddRowVectorInto(a, a, v); !sameBits(got, want) {
-		t.Fatalf("aliased AddRowVectorInto = %v, want %v", got.Data, want.Data)
+	for _, kern := range kernels() {
+		withKernel(kern, func() {
+			if got := AffineInto(New(4, 6), x, wb, false); !sameBits(got, want) {
+				t.Fatalf("AffineInto on %v = %v, want %v", kern, got.Data, want.Data)
+			}
+			if got := AffineInto(New(4, 6), x, wb, true); !sameBits(got, relu) {
+				t.Fatalf("AffineInto with ReLU on %v = %v, want %v", kern, got.Data, relu.Data)
+			}
+			stale := FromSlice([]float64{3, 3, 3, 3, 3, 3}, 6)
+			if got := SumRowsInto(stale, a); !sameBits(got, sums) {
+				t.Fatalf("SumRowsInto on %v = %v, want %v", kern, got.Data, sums.Data)
+			}
+		})
 	}
 }
 
