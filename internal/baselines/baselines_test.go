@@ -12,15 +12,11 @@ import (
 
 func hetConfig(workers, epochs int, seed int64) *engine.Config {
 	train, test := data.SynthMNIST.Generate(1)
-	idx := make([]int, 256)
-	for i := range idx {
-		idx[i] = i
-	}
 	topo := simnet.PaperCluster(workers)
 	return &engine.Config{
 		Spec:    nn.SimResNet18,
 		Part:    data.Uniform(train, workers, 1),
-		Eval:    train.Slice(idx),
+		Eval:    train.Head(256),
 		Test:    test,
 		Net:     simnet.NewHeterogeneousPeriod(topo, seed, 1e6, 8),
 		LR:      0.1,

@@ -30,10 +30,17 @@ type Dataset struct {
 func (d *Dataset) Len() int { return len(d.Labels) }
 
 // Dim returns the feature dimensionality.
-func (d *Dataset) Dim() int { return d.X.Cols() }
+func (d *Dataset) Dim() int { return d.X.Cols }
 
-// Slice returns a view dataset containing the examples at the given indices
-// (data is copied).
+// Head returns a dataset of the first n examples that shares d's rows and
+// labels: nothing is copied, and a write to either shows in the other.
+func (d *Dataset) Head(n int) *Dataset {
+	x := d.X.RowView(0, n)
+	return &Dataset{Name: d.Name, X: &x, Labels: d.Labels[:n], Classes: d.Classes}
+}
+
+// Slice returns a dataset of copies of the examples at the given indices,
+// in their order.
 func (d *Dataset) Slice(idx []int) *Dataset {
 	dim := d.Dim()
 	x := tensor.New(len(idx), dim)

@@ -1,6 +1,8 @@
 package data
 
 import (
+	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -63,8 +65,8 @@ func TestBatchWrapsAround(t *testing.T) {
 	train, _ := SynthMNIST.Generate(3)
 	n := train.Len()
 	x, labels := train.Batch(n-2, 5)
-	if x.Rows() != 5 || len(labels) != 5 {
-		t.Fatalf("batch shape wrong: %v, %d labels", x.Shape, len(labels))
+	if x.Rows != 5 || len(labels) != 5 {
+		t.Fatalf("batch is %dx%d with %d labels, want 5 rows", x.Rows, x.Cols, len(labels))
 	}
 	// Row 2 of the batch should equal dataset row 0.
 	for j := 0; j < train.Dim(); j++ {
@@ -106,6 +108,35 @@ func TestSliceCopies(t *testing.T) {
 	sub.X.Data[0] = 12345
 	if train.X.Data[0] == 12345 {
 		t.Fatal("Slice shares storage with parent")
+	}
+}
+
+// TestHeadAliasesRows checks that Head(n) is the first n rows and labels
+// of the dataset in place: bitwise equal to Slice over indices 0..n−1,
+// and a write through the view shows in the dataset.
+func TestHeadAliasesRows(t *testing.T) {
+	train, _ := SynthMNIST.Generate(4)
+	const n = 400
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	head, want := train.Head(n), train.Slice(idx)
+	if head.Len() != n || head.X.Rows != n || head.Dim() != train.Dim() || head.Classes != train.Classes || head.Name != train.Name {
+		t.Fatalf("Head(%d) is %dx%d with %d labels", n, head.X.Rows, head.X.Cols, head.Len())
+	}
+	for i, v := range want.X.Data {
+		if math.Float64bits(head.X.Data[i]) != math.Float64bits(v) {
+			t.Fatalf("Head element %d = %v, Slice %v", i, head.X.Data[i], v)
+		}
+	}
+	if !reflect.DeepEqual(head.Labels, want.Labels) {
+		t.Fatal("Head labels differ from Slice's")
+	}
+	head.X.Data[5] = 12345
+	head.Labels[1] = -1
+	if train.X.Data[5] != 12345 || train.Labels[1] != -1 {
+		t.Fatal("Head does not share the dataset's storage")
 	}
 }
 

@@ -169,15 +169,14 @@ type Worker struct {
 // buffers the worker owns. It touches only this worker's replica, so
 // distinct workers' ComputeGrad calls are safe to run concurrently.
 func (w *Worker) ComputeGrad() nn.Loss {
-	dim, start, end := w.Shard.Dim(), w.cursor, w.cursor+w.Batch
+	start, end := w.cursor, w.cursor+w.Batch
 	if len(w.bufLabels) != w.Batch {
 		// The copy's buffers come with the first batch, wrapped or not,
 		// so that a run allocates the same whenever its first wrap falls.
-		w.buf, w.bufLabels = tensor.New(w.Batch, dim), make([]int, w.Batch)
-		w.view.Shape = w.buf.Shape
+		w.buf, w.bufLabels = tensor.New(w.Batch, w.Shard.Dim()), make([]int, w.Batch)
 	}
 	if end <= w.Shard.Len() {
-		w.view.Data = w.Shard.X.Data[start*dim : end*dim]
+		w.view = w.Shard.X.RowView(start, end)
 		w.x, w.labels = &w.view, w.Shard.Labels[start:end]
 	} else {
 		w.Shard.BatchInto(w.buf, w.bufLabels, start)

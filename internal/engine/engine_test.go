@@ -14,14 +14,10 @@ import (
 
 func testConfig(workers, epochs int) *Config {
 	train, test := data.SynthMNIST.Generate(1)
-	idx := make([]int, 200)
-	for i := range idx {
-		idx[i] = i
-	}
 	return &Config{
 		Spec:    nn.SimMobileNet,
 		Part:    data.Uniform(train, workers, 1),
-		Eval:    train.Slice(idx),
+		Eval:    train.Head(200),
 		Test:    test,
 		Net:     simnet.NewHomogeneous(simnet.SingleMachine(workers)),
 		LR:      0.1,

@@ -25,9 +25,6 @@ func NewMatrix(n int) *Matrix {
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.N+j] }
 
-// Set assigns element (i, j).
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.N+j] = v }
-
 // Clone returns a deep copy.
 func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.N)

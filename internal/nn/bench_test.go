@@ -32,7 +32,7 @@ func resNet18Batch() (*Model, *tensor.Tensor, []int) {
 // iteration, SGD step then consensus blend.
 func stepBlendFixture() (*Model, *SGD, []float64) {
 	m, x, labels := resNet18Batch()
-	peer := vector(SimResNet18.Build(2, x.Cols(), 10))
+	peer := vector(SimResNet18.Build(2, x.Cols, 10))
 	m.Loss(x, labels).Backward()
 	opt := NewSGD(0.05)
 	opt.Step(m)

@@ -40,8 +40,6 @@ import (
 type Model struct {
 	params, grads []float64
 	layers        []layer
-	// block is the evaluations' view of the rows of one block of a batch.
-	block tensor.Tensor
 	// soft is the top layer's softmax, run by Backward and by the
 	// evaluations that return a loss.
 	soft tensor.Softmax
@@ -50,8 +48,10 @@ type Model struct {
 // layer is one affine map of the chain with the buffers of its passes.
 type layer struct {
 	// Views into Model.params and Model.grads: w is W, and wb is W with b
-	// as one more row, the block the forward pass reads.
-	w, wb, dw, db *tensor.Tensor
+	// as one more row, the block the forward pass reads; db is b's
+	// gradient.
+	w, wb, dw *tensor.Tensor
+	db        []float64
 	// out is the layer's output on the last batch: ReLU(xW+b) below the
 	// top layer, the logits at it. The forward pass sizes it.
 	out *tensor.Tensor
@@ -67,8 +67,10 @@ type layer struct {
 func newModel(rng *rand.Rand, widths []int) *Model {
 	m := zeroModel(widths)
 	for _, l := range m.layers {
-		in, out := l.w.Shape[0], l.w.Shape[1]
-		copy(l.w.Data, tensor.Randn(rng, math.Sqrt(2.0/float64(in+out)), in, out).Data)
+		std := math.Sqrt(2.0 / float64(l.w.Rows+l.w.Cols))
+		for i := range l.w.Data {
+			l.w.Data[i] = float64(rng.NormFloat64() * std)
+		}
 	}
 	return m
 }
@@ -80,8 +82,7 @@ func zeroModel(widths []int) *Model {
 	for i := 0; i+1 < len(widths); i++ {
 		total += (widths[i] + 1) * widths[i+1]
 	}
-	m := &Model{params: make([]float64, total), grads: make([]float64, total), layers: make([]layer, len(widths)-1),
-		block: tensor.Tensor{Shape: make([]int, 2)}}
+	m := &Model{params: make([]float64, total), grads: make([]float64, total), layers: make([]layer, len(widths)-1)}
 	off := 0
 	for i := range m.layers {
 		in, out := widths[i], widths[i+1]
@@ -89,7 +90,7 @@ func zeroModel(widths []int) *Model {
 		w, b := off, off+in*out
 		off = b + out
 		l.w, l.dw = tensor.FromSlice(m.params[w:b], in, out), tensor.FromSlice(m.grads[w:b], in, out)
-		l.wb, l.db = tensor.FromSlice(m.params[w:off], in+1, out), tensor.FromSlice(m.grads[b:off], out)
+		l.wb, l.db = tensor.FromSlice(m.params[w:off], in+1, out), m.grads[b:off]
 	}
 	return m
 }
@@ -98,9 +99,9 @@ func zeroModel(widths []int) *Model {
 // own: its gradients are zero, as a new model's are, and the two may run
 // passes at the same time.
 func (m *Model) Clone() *Model {
-	widths := []int{m.layers[0].w.Shape[0]}
+	widths := []int{m.layers[0].w.Rows}
 	for _, l := range m.layers {
-		widths = append(widths, l.w.Shape[1])
+		widths = append(widths, l.w.Cols)
 	}
 	c := zeroModel(widths)
 	copy(c.params, m.params)
@@ -199,29 +200,17 @@ type Loss struct {
 
 // Item returns the loss: per row, minus the log of its label's softmax
 // probability, floored at 1e-300, subtracted in row order from +0 and
-// divided once by the row count. It reads the logits of the pass that
-// returned l, so it is valid until the model's next pass (a Loss or an
-// evaluation), and it writes no buffer: calling it leaves Backward's
+// divided once by the row count. It runs the model's softmax on the
+// logits of the pass that returned l, as EvalLoss does, so the value is
+// EvalLoss's on the same batch. It is valid until the model's next pass
+// (a Loss or an evaluation). It writes the softmax buffers, which
+// Backward reruns from the logits, so calling it leaves Backward's
 // gradient unchanged.
-// It runs on the scalar Exp, which has ExpInto's bits, so the value is
-// EvalLoss's on the same batch.
 func (l Loss) Item() float64 {
-	logits := l.m.layers[len(l.m.layers)-1].out
-	n := logits.Cols()
+	l.m.soft.Run(l.m.layers[len(l.m.layers)-1].out)
 	nll := 0.0
 	for i, y := range l.labels {
-		row := logits.Data[i*n : (i+1)*n]
-		maxv := row[0]
-		for _, v := range row {
-			if v > maxv {
-				maxv = v
-			}
-		}
-		sum := 0.0
-		for _, v := range row {
-			sum += tensor.Exp(v - maxv)
-		}
-		nll = subLogProb(nll, tensor.Exp(row[y]-maxv)/sum)
+		nll = subLogProb(nll, l.m.soft.Prob(i, y))
 	}
 	return nll / float64(len(l.labels))
 }
@@ -249,7 +238,7 @@ func subLogProb(nll, p float64) float64 {
 func (l Loss) Backward() {
 	layers := l.m.layers
 	rows, top := len(l.labels), &layers[len(layers)-1]
-	top.grad = reuse(top.grad, rows, top.out.Cols())
+	top.grad = reuse(top.grad, rows, top.out.Cols)
 	l.m.soft.Run(top.out)
 	l.m.soft.GradInto(top.grad, l.labels, 1/float64(rows))
 	for i := len(layers) - 1; i >= 0; i-- {
@@ -261,14 +250,14 @@ func (l Loss) Backward() {
 		}
 		below := &layers[i-1]
 		tensor.MatMulTransAInto(ly.dw, below.out, ly.grad)
-		ly.wt = reuse(ly.wt, ly.w.Shape[1], ly.w.Shape[0])
+		ly.wt = reuse(ly.wt, ly.w.Cols, ly.w.Rows)
 		tensor.TransposeInto(ly.wt, ly.w)
-		below.grad = reuse(below.grad, rows, below.out.Cols())
+		below.grad = reuse(below.grad, rows, below.out.Cols)
 		tensor.MatMulGateInto(below.grad, ly.grad, ly.wt, below.out)
 	}
 }
 
-// Loss runs the forward pass on a batch (rank-2: batch × features) and
+// Loss runs the forward pass on a batch (batch × features) and
 // returns the handle of its mean softmax cross-entropy.
 func (m *Model) Loss(x *tensor.Tensor, labels []int) Loss {
 	checkLabels(x, labels)
@@ -287,7 +276,7 @@ const evalBlock = 64
 // buffers Backward reads.
 func (m *Model) Evaluate(x *tensor.Tensor, labels []int) (loss, acc float64) {
 	nll, correct := m.evaluate(x, labels, true, true)
-	return nll / float64(x.Rows()), accuracy(correct, x.Rows())
+	return nll / float64(x.Rows), accuracy(correct, x.Rows)
 }
 
 // EvalLoss is the loss half of Evaluate. It runs the batch in blocks of
@@ -297,14 +286,14 @@ func (m *Model) Evaluate(x *tensor.Tensor, labels []int) (loss, acc float64) {
 // softmax it divides only the label's entry.
 func (m *Model) EvalLoss(x *tensor.Tensor, labels []int) float64 {
 	nll, _ := m.evaluate(x, labels, true, false)
-	return nll / float64(x.Rows())
+	return nll / float64(x.Rows)
 }
 
 // Accuracy is the accuracy half of Evaluate (0 on an empty batch): it
 // compares each row's argmax logit with the label and runs no softmax.
 func (m *Model) Accuracy(x *tensor.Tensor, labels []int) float64 {
 	_, correct := m.evaluate(x, labels, false, true)
-	return accuracy(correct, x.Rows())
+	return accuracy(correct, x.Rows)
 }
 
 func accuracy(correct, rows int) float64 {
@@ -319,13 +308,11 @@ func accuracy(correct, rows int) float64 {
 // order from +0 and the number of rows whose argmax logit is the label.
 func (m *Model) evaluate(x *tensor.Tensor, labels []int, wantLoss, wantAcc bool) (nll float64, correct int) {
 	checkLabels(x, labels)
-	rows, cols := x.Rows(), x.Cols()
 	top := &m.layers[len(m.layers)-1]
-	for r := 0; r < rows; r += evalBlock {
-		n := min(evalBlock, rows-r)
-		m.block.Shape[0], m.block.Shape[1] = n, cols
-		m.block.Data = x.Data[r*cols : (r+n)*cols]
-		m.forward(&m.block)
+	for r := 0; r < x.Rows; r += evalBlock {
+		n := min(evalBlock, x.Rows-r)
+		block := x.RowView(r, r+n)
+		m.forward(&block)
 		if wantLoss {
 			m.soft.Run(top.out)
 			for i, y := range labels[r : r+n] {
@@ -340,13 +327,12 @@ func (m *Model) evaluate(x *tensor.Tensor, labels []int, wantLoss, wantAcc bool)
 			}
 		}
 	}
-	m.block.Data = nil
 	return nll, correct
 }
 
 func checkLabels(x *tensor.Tensor, labels []int) {
-	if rows := x.Rows(); len(labels) != rows {
-		panic(fmt.Sprintf("nn: %d labels for %d rows", len(labels), rows))
+	if len(labels) != x.Rows {
+		panic(fmt.Sprintf("nn: %d labels for %d rows", len(labels), x.Rows))
 	}
 }
 
@@ -355,11 +341,10 @@ func checkLabels(x *tensor.Tensor, labels []int) {
 // tensor.AffineInto on its W|b block: the product, the bias added after
 // it and, below the top layer, the ReLU.
 func (m *Model) forward(x *tensor.Tensor) {
-	rows := x.Rows()
 	in := x
 	for i := range m.layers {
 		l := &m.layers[i]
-		l.out = reuse(l.out, rows, l.w.Shape[1])
+		l.out = reuse(l.out, x.Rows, l.w.Cols)
 		tensor.AffineInto(l.out, in, l.wb, i < len(m.layers)-1)
 		in = l.out
 	}
@@ -372,7 +357,7 @@ func reuse(t *tensor.Tensor, rows, cols int) *tensor.Tensor {
 	if t == nil || cap(t.Data) < rows*cols {
 		return tensor.New(rows, cols)
 	}
-	t.Shape[0], t.Shape[1] = rows, cols
+	t.Rows, t.Cols = rows, cols
 	t.Data = t.Data[:rows*cols]
 	return t
 }

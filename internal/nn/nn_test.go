@@ -76,7 +76,7 @@ func TestBuildDeterministic(t *testing.T) {
 func TestCloneTrainsLikeBuild(t *testing.T) {
 	m, x, labels := resNet18Batch()
 	before := vector(m)
-	c, built := m.Clone(), SimResNet18.Build(1, x.Cols(), 10)
+	c, built := m.Clone(), SimResNet18.Build(1, x.Cols, 10)
 	cOpt, builtOpt := NewSGD(0.05), NewSGD(0.05)
 	for i := 0; i < 3; i++ {
 		c.Loss(x, labels).Backward()

@@ -313,7 +313,7 @@ func TestEvaluationHalvesMatchEvaluate(t *testing.T) {
 // against. For finite operands it agrees bitwise with the kernels, which
 // add those terms as zeros.
 func zeroSkipMatMul(a, b *tensor.Tensor) *tensor.Tensor {
-	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
+	m, k, n := a.Rows, a.Cols, b.Cols
 	out := tensor.New(m, n)
 	for i := 0; i < m; i++ {
 		for p := 0; p < k; p++ {
@@ -330,7 +330,7 @@ func zeroSkipMatMul(a, b *tensor.Tensor) *tensor.Tensor {
 }
 
 func transposed(a *tensor.Tensor) *tensor.Tensor {
-	return tensor.TransposeInto(tensor.New(a.Shape[1], a.Shape[0]), a)
+	return tensor.TransposeInto(tensor.New(a.Cols, a.Rows), a)
 }
 
 // TestBackwardMatchesTransposedReference checks, bitwise against
@@ -454,14 +454,14 @@ func TestBiasGradSumsRows(t *testing.T) {
 	m.Loss(x, labels).Backward()
 	for i := range m.layers {
 		ly := &m.layers[i]
-		rows, n := ly.grad.Shape[0], ly.grad.Shape[1]
+		rows, n := ly.grad.Rows, ly.grad.Cols
 		for j := 0; j < n; j++ {
 			s := 0.0
 			for r := 0; r < rows; r++ {
 				s += ly.grad.Data[r*n+j]
 			}
-			if !sameFloat(ly.db.Data[j], s) {
-				t.Fatalf("layer %d: db[%d] = %v, column sum %v", i, j, ly.db.Data[j], s)
+			if !sameFloat(ly.db[j], s) {
+				t.Fatalf("layer %d: db[%d] = %v, column sum %v", i, j, ly.db[j], s)
 			}
 		}
 	}

@@ -272,7 +272,7 @@ func plainBuildY(y *linalg.Matrix, p [][]float64, adj [][]bool, ar float64, aver
 					mass += float64(pg[j] * p[j][i])
 				}
 				half := float64(mass / 2)
-				y.Set(i, j, half)
+				y.Data[i*y.N+j] = half
 				diag -= half
 				continue
 			}
@@ -288,10 +288,10 @@ func plainBuildY(y *linalg.Matrix, p [][]float64, adj [][]bool, ar float64, aver
 				first += float64(pg[j] * p[j][i] * wji)
 				second += float64(pg[j] * p[j][i] * wji * wji)
 			}
-			y.Set(i, j, first-second)
+			y.Data[i*y.N+j] = first - second
 			diag += second
 		}
-		y.Set(i, i, diag)
+		y.Data[i*y.N+i] = diag
 	}
 }
 

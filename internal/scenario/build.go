@@ -164,14 +164,10 @@ func (m *Manifest) BuildEngine() (*engine.Config, func(*engine.Config) *engine.R
 // engine builds the engine configuration and the algorithm's runner.
 func (p *prepared) engine() (*engine.Config, runFunc) {
 	r := p.r
-	idx := make([]int, min(400, p.train.Len()))
-	for i := range idx {
-		idx[i] = i
-	}
 	cfg := &engine.Config{
 		Spec:         p.spec,
 		Part:         p.part,
-		Eval:         p.train.Slice(idx),
+		Eval:         p.train.Head(min(400, p.train.Len())),
 		Test:         p.test,
 		Net:          r.buildNetwork(),
 		LR:           r.LR,

@@ -186,14 +186,6 @@ func (s *schedule[T]) at(now float64) (e T, ok bool) {
 	return s.entries[lo-1], true
 }
 
-// count draws the schedule out to its horizon and returns its length.
-func (s *schedule[T]) count() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.drawThrough(s.horizon)
-	return len(s.entries)
-}
-
 // Network converts (link, bytes, virtual time) into transfer seconds.
 type Network struct {
 	Topo *Topology
@@ -354,15 +346,6 @@ func (n *Network) IterationTime(i, j int, bytes int64, computeSecs, now float64,
 		return nt
 	}
 	return computeSecs + nt
-}
-
-// SlowdownCount returns the number of slowdown events the schedule holds
-// out to its horizon (testing). It draws the whole schedule.
-func (n *Network) SlowdownCount() int {
-	if n.slow == nil {
-		return 0
-	}
-	return n.slow.count()
 }
 
 // NewShuffledRates builds the Fig. 2 scenario directly: which links are

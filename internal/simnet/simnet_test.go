@@ -106,7 +106,7 @@ func TestFig3Shape(t *testing.T) {
 func TestSlowdownScheduleMovesEveryPeriod(t *testing.T) {
 	topo := PaperCluster(8)
 	net := NewHeterogeneousPeriod(topo, 1, 1800, SlowLinkPeriod)
-	if got := net.SlowdownCount(); got != 6 {
+	if got := slowdownCount(net); got != 6 {
 		t.Fatalf("schedule has %d events for 1800s horizon, want 6", got)
 	}
 }

@@ -15,7 +15,7 @@ func benchMatMul(b *testing.B, n int) {
 	b.SetBytes(int64(8 * n * n))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatMulInto(dst, x, y)
+		matMulInto(dst, x, y)
 	}
 }
 
@@ -56,18 +56,18 @@ func BenchmarkMatMulModelShapes(b *testing.B) {
 		name    string
 		product func()
 	}{
-		{"fwd-16x24x40", func() { MatMulInto(out1, x, w1) }},
-		{"fwd-16x40x10", func() { MatMulInto(out2, h, w2) }},
-		{"dA-16x10x40T", func() { MatMulInto(dA, dOut2, TransposeInto(w2t, w2)) }},
+		{"fwd-16x24x40", func() { matMulInto(out1, x, w1) }},
+		{"fwd-16x40x10", func() { matMulInto(out2, h, w2) }},
+		{"dA-16x10x40T", func() { matMulInto(dA, dOut2, TransposeInto(w2t, w2)) }},
 		{"dW-24x16x40", func() { MatMulTransAInto(dW1, x, dOut1) }},
 		{"dW-40x16x10", func() { MatMulTransAInto(dW2, h, dOut2) }},
 		{"hidden-16x24x40+bias+relu", func() { AffineInto(out1, x, wb1, true) }},
 		{"top-16x40x10+bias", func() { AffineInto(out2, h, wb2, false) }},
 		{"dx-16x10x40T+gate", func() { MatMulGateInto(dA, dOut2, TransposeInto(w2t, w2), h) }},
-		{"eval-500x24x40", func() { MatMulInto(eval1, evalX, w1) }},
-		{"eval-500x40x10", func() { MatMulInto(eval2, evalH, w2) }},
-		{"mobilenet-16x16x18", func() { MatMulInto(mOut1, mx, mw1) }},
-		{"mobilenet-16x18x10", func() { MatMulInto(mOut2, mh, mw2) }},
+		{"eval-500x24x40", func() { matMulInto(eval1, evalX, w1) }},
+		{"eval-500x40x10", func() { matMulInto(eval2, evalH, w2) }},
+		{"mobilenet-16x16x18", func() { matMulInto(mOut1, mx, mw1) }},
+		{"mobilenet-16x18x10", func() { matMulInto(mOut2, mh, mw2) }},
 	} {
 		for _, kern := range kernels() {
 			b.Run(c.name+"/"+kern.name, func(b *testing.B) {
@@ -90,7 +90,7 @@ func BenchmarkMatMulModelShapes(b *testing.B) {
 func simResNet18Passes() map[string]func() {
 	const params = (24+1)*40 + (40+1)*10
 	rng := rand.New(rand.NewSource(1))
-	p, g, peer := Randn(rng, 0.1, params).Data, Randn(rng, 0.01, params).Data, Randn(rng, 0.1, params).Data
+	p, g, peer := Randn(rng, 0.1, 1, params).Data, Randn(rng, 0.01, 1, params).Data, Randn(rng, 0.1, 1, params).Data
 	vel := make([]float64, params)
 	x, wb, out := Randn(rng, 1, 16, 24), Randn(rng, 0.1, 25, 40), New(16, 40)
 	return map[string]func(){

@@ -77,24 +77,23 @@ func addScaledGo(dst, src []float64, c float64) {
 	}
 }
 
-// SumRowsInto writes the column-wise sums of rank-2 a into vector dst
-// (length = a cols), overwriting it. Each sum starts at +0 and adds the
-// rows in order. dst must not alias a.
-func SumRowsInto(dst, a *Tensor) *Tensor {
-	m, n := a.Shape[0], a.Shape[1]
-	if dst.Len() != n {
-		panic(fmt.Sprintf("tensor: SumRowsInto dst length %d, want %d", dst.Len(), n))
+// SumRowsInto writes the column-wise sums of a into dst, whose length
+// is a.Cols, overwriting it. Each sum starts at +0 and adds the rows in
+// order. dst must not overlap a.
+func SumRowsInto(dst []float64, a *Tensor) {
+	m, n := a.Rows, a.Cols
+	if len(dst) != n {
+		panic(fmt.Sprintf("tensor: SumRowsInto dst length %d, want %d", len(dst), n))
 	}
 	checkRows("SumRowsInto", a, m, n)
 	j := 0
 	if useAVX2 {
 		j = n &^ 1
-		sumRowsAVX2(dst.Data[:n], a.Data, m, n)
+		sumRowsAVX2(dst, a.Data, m, n)
 	}
 	if j < n {
-		sumRowsGo(dst.Data[:n], a.Data, m, n, j)
+		sumRowsGo(dst, a.Data, m, n, j)
 	}
-	return dst
 }
 
 // sumRowsGo writes the sums of columns from through n−1 into dst.

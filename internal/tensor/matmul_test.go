@@ -1,16 +1,30 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
 
+// matMulInto computes a@b into dst, which must be a.Rows×b.Cols and must
+// not alias a or b: the plain product, on gemm with no epilogue. dst is
+// overwritten, not accumulated into.
+func matMulInto(dst, a, b *Tensor) *Tensor {
+	m, k, n := a.Rows, a.Cols, b.Cols
+	if k != b.Rows {
+		panic(fmt.Sprintf("tensor: matMulInto inner dims %d vs %d", k, b.Rows))
+	}
+	checkMatMulDst("matMulInto", dst, m, n)
+	gemm(dst.Data, a.Data, b.Data, nil, m, k, n, k, 1, 0)
+	return dst
+}
+
 // serialMatMul is the reference kernel: the axpy triple loop the package
 // ran before the dot-product kernel, which skips every term whose a entry
 // is zero. For finite b the two agree bitwise (see FuzzMatMul).
 func serialMatMul(a, b *Tensor) *Tensor {
-	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
+	m, k, n := a.Rows, a.Cols, b.Cols
 	out := New(m, n)
 	for i := 0; i < m; i++ {
 		arow := a.Data[i*k : (i+1)*k]
@@ -44,10 +58,10 @@ func TestParallelMatMulBitwiseIdenticalToSerial(t *testing.T) {
 		for _, kern := range kernels() {
 			withKernel(kern, func() {
 				if got := matMul(a, b); !sameBits(got, want) {
-					t.Fatalf("%v: MatMulInto %vx%v differs from serial", kern, a.Shape, b.Shape)
+					t.Fatalf("%v: matMulInto %dx%dx%d differs from serial", kern, m, k, n)
 				}
 				if got := MatMulTransAInto(New(m, n), at, b); !sameBits(got, want) {
-					t.Fatalf("%v: MatMulTransAInto %vx%v differs from serial", kern, a.Shape, b.Shape)
+					t.Fatalf("%v: MatMulTransAInto %dx%dx%d differs from serial", kern, m, k, n)
 				}
 			})
 		}
@@ -106,7 +120,7 @@ func TestMatMulAllocsWhenWarm(t *testing.T) {
 	dOut, dx := Randn(rng, 1, 16, 40), New(16, 24)
 	out, wt, dw := New(16, 40), New(40, 24), New(24, 40)
 	for name, product := range map[string]func(){
-		"MatMulInto":       func() { MatMulInto(out, x, w) },
+		"MatMulInto":       func() { matMulInto(out, x, w) },
 		"AffineInto":       func() { AffineInto(out, x, wb, true) },
 		"MatMulGateInto":   func() { MatMulGateInto(dx, dOut, wt, x) },
 		"TransposeInto":    func() { TransposeInto(wt, w) },
@@ -131,21 +145,21 @@ func TestMatMulIntoMatchesMatMul(t *testing.T) {
 	for i := range dst.Data {
 		dst.Data[i] = 99 // stale contents must be overwritten
 	}
-	got := MatMulInto(dst, a, b)
+	got := matMulInto(dst, a, b)
 	if got != dst {
-		t.Fatal("MatMulInto did not return dst")
+		t.Fatal("matMulInto did not return dst")
 	}
 	if !sameBits(got, want) {
-		t.Fatal("MatMulInto differs from the IEEE loop")
+		t.Fatal("matMulInto differs from the IEEE loop")
 	}
 }
 
-// transposeOracle writes the transpose of rank-2 a into dst element by
+// transposeOracle writes the transpose of a into dst element by
 // element, walking dst in row order, where TransposeInto walks a.
 func transposeOracle(dst, a *Tensor) *Tensor {
-	for j := 0; j < a.Shape[1]; j++ {
-		for i := 0; i < a.Shape[0]; i++ {
-			dst.Data[j*a.Shape[0]+i] = a.At(i, j)
+	for j := 0; j < a.Cols; j++ {
+		for i := 0; i < a.Rows; i++ {
+			dst.Data[j*a.Rows+i] = a.At(i, j)
 		}
 	}
 	return dst

@@ -28,16 +28,16 @@ type Softmax struct {
 	m, n int
 }
 
-// Run computes the softmax parts of the rows of rank-2 logits (m×n, n ≥ 1)
+// Run computes the softmax parts of the rows of logits (m×n, n ≥ 1)
 // and keeps them until the next Run. Each row's maximum is the first
 // logit that no later one exceeds; each exponential is Exp of the logit
 // minus it (ExpInto), and each sum starts at +0 and adds the row's
 // exponentials in column order.
 func (s *Softmax) Run(logits *Tensor) {
-	if logits.Rank() != 2 || logits.Shape[1] < 1 {
-		panic(fmt.Sprintf("tensor: Softmax of shape %v, want rank 2 with at least one column", logits.Shape))
+	m, n := logits.Rows, logits.Cols
+	if n < 1 {
+		panic(fmt.Sprintf("tensor: Softmax of %dx%d logits, want at least one column", m, n))
 	}
-	m, n := logits.Shape[0], logits.Shape[1]
 	checkRows("Softmax", logits, m, n)
 	s.m, s.n = m, n
 	if cap(s.e) < m*n || cap(s.sums) < m {

@@ -1,13 +1,17 @@
-// Package tensor implements the small dense float64 tensor library the
+// Package tensor implements the small dense float64 matrix library the
 // neural network in internal/nn runs on.
 //
-// Tensors are row-major, at most rank 2 in practice (the model uses
-// vectors and matrices), but the type supports arbitrary rank. Every
-// operation whose name ends in "Into" writes into a caller-owned
-// destination, so the model reuses its buffers from step to step.
+// A Tensor is a row-major matrix by type: its Rows and Cols are fields,
+// so no operation checks a rank. The model's only vectors, a layer's bias
+// and its gradient, are plain slices of its flat parameter and gradient
+// vectors. RowView returns a run of a tensor's rows as a tensor by value
+// that shares its storage, so a batch or an evaluation block of a dataset
+// is read in place. Every operation whose name ends in "Into" writes into
+// a caller-owned destination, so the model reuses its buffers from step to
+// step.
 //
-// MatMulInto, MatMulTransAInto, AffineInto and MatMulGateInto share one
-// broadcast kernel, gemm: out[i, j:j+4] += a[i,p] · b[p, j:j+4], with the
+// MatMulTransAInto, AffineInto and MatMulGateInto share one broadcast
+// kernel, gemm: out[i, j:j+4] += a[i,p] · b[p, j:j+4], with the
 // right operand in its natural row-major layout and the left one read
 // through strides, so neither copies an operand. A product with a
 // transposed right operand takes it from TransposeInto, which moves 4×4
@@ -65,115 +69,70 @@ import (
 	"math/rand"
 )
 
-// Tensor is a dense, row-major float64 array with an explicit shape.
+// Tensor is a dense, row-major Rows×Cols float64 matrix: row i is
+// Data[i*Cols : (i+1)*Cols].
 type Tensor struct {
-	Shape []int
-	Data  []float64
+	Rows, Cols int
+	Data       []float64
 }
 
-// New returns a zero-filled tensor of the given shape.
-func New(shape ...int) *Tensor {
-	n := 1
-	for _, s := range shape {
-		if s < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension %d", s))
-		}
-		n *= s
-	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: make([]float64, n)}
+// New returns a zero-filled rows×cols tensor.
+func New(rows, cols int) *Tensor {
+	checkDims(rows, cols)
+	return &Tensor{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromSlice wraps data (not copied) with the given shape.
-func FromSlice(data []float64, shape ...int) *Tensor {
-	n := 1
-	for _, s := range shape {
-		n *= s
+// FromSlice wraps data (not copied) as a rows×cols tensor; data must hold
+// exactly rows·cols elements.
+func FromSlice(data []float64, rows, cols int) *Tensor {
+	checkDims(rows, cols)
+	if rows*cols != len(data) {
+		panic(fmt.Sprintf("tensor: %dx%d does not match data length %d", rows, cols, len(data)))
 	}
-	if n != len(data) {
-		panic(fmt.Sprintf("tensor: shape %v does not match data length %d", shape, len(data)))
-	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: data}
+	return &Tensor{Rows: rows, Cols: cols, Data: data}
 }
 
-// Randn returns a tensor with entries drawn from N(0, std²) using rng.
-func Randn(rng *rand.Rand, std float64, shape ...int) *Tensor {
-	t := New(shape...)
+// checkDims panics on a negative dimension. It stays out of line so that
+// New inlines, and a tensor that does not outlive its caller costs one
+// allocation, its data.
+//
+//go:noinline
+func checkDims(rows, cols int) {
+	if rows < 0 || cols < 0 {
+		panic(fmt.Sprintf("tensor: negative dimension in %dx%d", rows, cols))
+	}
+}
+
+// Randn returns a rows×cols tensor with entries drawn from N(0, std²)
+// using rng, in row-major order.
+func Randn(rng *rand.Rand, std float64, rows, cols int) *Tensor {
+	t := New(rows, cols)
 	for i := range t.Data {
 		t.Data[i] = float64(rng.NormFloat64() * std)
 	}
 	return t
 }
 
-// Len returns the total number of elements.
-func (t *Tensor) Len() int { return len(t.Data) }
+// At returns the element at row i, column j.
+func (t *Tensor) At(i, j int) float64 { return t.Data[i*t.Cols+j] }
 
-// Rank returns the number of dimensions.
-func (t *Tensor) Rank() int { return len(t.Shape) }
-
-// Rows returns the first dimension (1 for scalars/vectors of rank<1).
-func (t *Tensor) Rows() int {
-	if len(t.Shape) == 0 {
-		return 1
-	}
-	return t.Shape[0]
-}
-
-// Cols returns the second dimension, or 1 if rank < 2.
-func (t *Tensor) Cols() int {
-	if len(t.Shape) < 2 {
-		return 1
-	}
-	return t.Shape[1]
-}
-
-// At returns the element at a rank-2 index.
-func (t *Tensor) At(i, j int) float64 { return t.Data[i*t.Cols()+j] }
-
-// Clone returns a deep copy.
-func (t *Tensor) Clone() *Tensor {
-	c := New(t.Shape...)
-	copy(c.Data, t.Data)
-	return c
-}
-
-func (t *Tensor) String() string {
-	return fmt.Sprintf("Tensor%v%v", t.Shape, t.Data)
-}
-
-func checkMatMulShapes(a, b *Tensor) (m, k, n int) {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		panic("tensor: MatMul requires rank-2 operands")
-	}
-	m, k, n = a.Shape[0], a.Shape[1], b.Shape[1]
-	if k != b.Shape[0] {
-		panic(fmt.Sprintf("tensor: MatMul inner dims %d vs %d", k, b.Shape[0]))
-	}
-	return m, k, n
-}
-
-// MatMulInto computes a@b into dst, which must have shape (a rows, b cols)
-// and must not alias a or b. dst is overwritten, not accumulated into.
-func MatMulInto(dst, a, b *Tensor) *Tensor {
-	m, k, n := checkMatMulShapes(a, b)
-	checkMatMulDst("MatMulInto", dst, m, n)
-	gemm(dst.Data, a.Data, b.Data, nil, m, k, n, k, 1, 0)
-	return dst
+// RowView returns rows [from, to) of t as a tensor that shares t's
+// storage: a write through either shows in the other.
+func (t *Tensor) RowView(from, to int) Tensor {
+	return Tensor{Rows: to - from, Cols: t.Cols, Data: t.Data[from*t.Cols : to*t.Cols]}
 }
 
 // AffineInto computes x@W + b into dst in one pass, and with relu set
 // ReLU of it: a layer's forward. wb is W (k×n) with the bias b as
 // one more row, (k+1)×n, as a layer keeps them one after the other in its
 // parameter vector. Each element adds b's entry after its k products,
-// which gives the bits of MatMulInto followed by a row add; ReLU then
+// which gives the bits of the product followed by a row add; ReLU then
 // keeps it where it is > 0 and writes +0 where it is ≤ 0 or NaN. dst must
-// have shape (x rows, n) and must not alias x or wb.
+// be x.Rows×n and must not alias x or wb.
 func AffineInto(dst, x, wb *Tensor, relu bool) *Tensor {
-	if x.Rank() != 2 || wb.Rank() != 2 {
-		panic("tensor: AffineInto requires rank-2 operands")
-	}
-	m, k, n := x.Shape[0], x.Shape[1], wb.Shape[1]
-	if k+1 != wb.Shape[0] {
-		panic(fmt.Sprintf("tensor: AffineInto inner dims %d vs %d weight rows and a bias row", k, wb.Shape[0]))
+	m, k, n := x.Rows, x.Cols, wb.Cols
+	if k+1 != wb.Rows {
+		panic(fmt.Sprintf("tensor: AffineInto inner dims %d vs %d weight rows and a bias row", k, wb.Rows))
 	}
 	checkMatMulDst("AffineInto", dst, m, n)
 	ep := epBias
@@ -190,26 +149,26 @@ func AffineInto(dst, x, wb *Tensor, relu bool) *Tensor {
 // in the same pass. gate has dst's shape; dst must not alias a, b or
 // gate.
 func MatMulGateInto(dst, a, b, gate *Tensor) *Tensor {
-	m, k, n := checkMatMulShapes(a, b)
+	m, k, n := a.Rows, a.Cols, b.Cols
+	if k != b.Rows {
+		panic(fmt.Sprintf("tensor: MatMulGateInto inner dims %d vs %d", k, b.Rows))
+	}
 	checkMatMulDst("MatMulGateInto", dst, m, n)
-	if gate.Rank() != 2 || gate.Shape[0] != m || gate.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulGateInto gate shape %v, want [%d %d]", gate.Shape, m, n))
+	if gate.Rows != m || gate.Cols != n {
+		panic(fmt.Sprintf("tensor: MatMulGateInto gate is %dx%d, want %dx%d", gate.Rows, gate.Cols, m, n))
 	}
 	gemm(dst.Data, a.Data, b.Data, gate.Data, m, k, n, k, 1, epGate)
 	return dst
 }
 
 // MatMulTransAInto computes aᵀ@b into dst for a (k×m) and b (k×n). dst must
-// have shape (m, n) and must not alias a or b; it is overwritten. The
+// be m×n and must not alias a or b; it is overwritten. The
 // kernel reads aᵀ through strides, so neither operand is copied. This is
 // the dW = xᵀ@dOut product of a layer's backward pass.
 func MatMulTransAInto(dst, a, b *Tensor) *Tensor {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		panic("tensor: MatMulTransAInto requires rank-2 operands")
-	}
-	k, m, n := a.Shape[0], a.Shape[1], b.Shape[1]
-	if k != b.Shape[0] {
-		panic(fmt.Sprintf("tensor: MatMulTransAInto inner dims %d vs %d", k, b.Shape[0]))
+	k, m, n := a.Rows, a.Cols, b.Cols
+	if k != b.Rows {
+		panic(fmt.Sprintf("tensor: MatMulTransAInto inner dims %d vs %d", k, b.Rows))
 	}
 	checkMatMulDst("MatMulTransAInto", dst, m, n)
 	gemm(dst.Data, a.Data, b.Data, nil, m, k, n, 1, m, 0)
@@ -217,24 +176,21 @@ func MatMulTransAInto(dst, a, b *Tensor) *Tensor {
 }
 
 func checkMatMulDst(op string, dst *Tensor, m, n int) {
-	if dst.Rank() != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: %s dst shape %v, want [%d %d]", op, dst.Shape, m, n))
+	if dst.Rows != m || dst.Cols != n {
+		panic(fmt.Sprintf("tensor: %s dst is %dx%d, want %dx%d", op, dst.Rows, dst.Cols, m, n))
 	}
 }
 
-// TransposeInto writes the transpose of rank-2 a (m×n) into dst, which
-// must have shape (n, m) and must not alias a, and returns dst. Where the
+// TransposeInto writes the transpose of a (m×n) into dst, which must be
+// n×m and must not alias a, and returns dst. Where the
 // CPU has AVX2 the assembly moves the rows above the last multiple of 4
 // in 4×4 register tiles; the Go loops move the rest, and every row with
 // useAVX2 off, four rows at a time where they can, so each row of dst
 // takes four adjacent stores per visit. Only data moves, so the kernels
 // agree bit for bit.
 func TransposeInto(dst, a *Tensor) *Tensor {
-	if a.Rank() != 2 {
-		panic("tensor: TransposeInto requires a rank-2 operand")
-	}
-	checkMatMulDst("TransposeInto", dst, a.Shape[1], a.Shape[0])
-	m, n := a.Shape[0], a.Shape[1]
+	m, n := a.Rows, a.Cols
+	checkMatMulDst("TransposeInto", dst, n, m)
 	checkRows("TransposeInto", a, m, n)
 	checkRows("TransposeInto", dst, n, m)
 	ad, dd := a.Data, dst.Data
@@ -258,10 +214,9 @@ func TransposeInto(dst, a *Tensor) *Tensor {
 	return dst
 }
 
-// ArgMaxRow returns the index of the maximum element of row i (rank-2).
+// ArgMaxRow returns the index of the maximum element of row i.
 func (t *Tensor) ArgMaxRow(i int) int {
-	c := t.Cols()
-	row := t.Data[i*c : (i+1)*c]
+	row := t.Data[i*t.Cols : (i+1)*t.Cols]
 	best, bv := 0, row[0]
 	for j, v := range row {
 		if v > bv {

@@ -8,14 +8,14 @@ import (
 )
 
 // matMul returns a@b in a new tensor.
-func matMul(a, b *Tensor) *Tensor { return MatMulInto(New(a.Shape[0], b.Shape[1]), a, b) }
+func matMul(a, b *Tensor) *Tensor { return matMulInto(New(a.Rows, b.Cols), a, b) }
 
-// transpose returns the transpose of rank-2 a in a new tensor.
-func transpose(a *Tensor) *Tensor { return TransposeInto(New(a.Shape[1], a.Shape[0]), a) }
+// transpose returns the transpose of a in a new tensor.
+func transpose(a *Tensor) *Tensor { return TransposeInto(New(a.Cols, a.Rows), a) }
 
 // add returns a + b elementwise in a new tensor.
 func add(a, b *Tensor) *Tensor {
-	out := New(a.Shape...)
+	out := New(a.Rows, a.Cols)
 	for i := range out.Data {
 		out.Data[i] = a.Data[i] + b.Data[i]
 	}
@@ -38,8 +38,8 @@ func allClose(a, b *Tensor, tol float64) bool {
 
 func TestNewZeroFilled(t *testing.T) {
 	a := New(2, 3)
-	if a.Len() != 6 {
-		t.Fatalf("Len = %d, want 6", a.Len())
+	if a.Rows != 2 || a.Cols != 3 || len(a.Data) != 6 {
+		t.Fatalf("New(2, 3) is %dx%d with %d elements", a.Rows, a.Cols, len(a.Data))
 	}
 	for i, v := range a.Data {
 		if v != 0 {
@@ -55,6 +55,52 @@ func TestFromSliceShapeMismatchPanics(t *testing.T) {
 		}
 	}()
 	FromSlice([]float64{1, 2, 3}, 2, 2)
+}
+
+// TestNewAllocatesOnce checks that a tensor that does not outlive its
+// caller costs one allocation, its data: the dimensions are fields.
+func TestNewAllocatesOnce(t *testing.T) {
+	rows, cols, sum := 3, 4, 0.0
+	if got := testing.AllocsPerRun(100, func() { sum += New(rows, cols).Data[11] }); got != 1 {
+		t.Fatalf("New allocates %v times, want 1", got)
+	}
+}
+
+func TestFromSliceNegativeDimensionPanics(t *testing.T) {
+	for _, dims := range [][2]int{{-1, -2}, {-2, -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("FromSlice(%d×%d) did not panic", dims[0], dims[1])
+				}
+			}()
+			FromSlice([]float64{1, 2}, dims[0], dims[1])
+		}()
+	}
+}
+
+// TestRowView checks that a row view has to−from rows of the source's
+// width, holds those rows, and shares the source's storage both ways.
+func TestRowView(t *testing.T) {
+	a := FromSlice([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, 4, 3)
+	v := a.RowView(1, 3)
+	if v.Rows != 2 || v.Cols != 3 || len(v.Data) != 6 {
+		t.Fatalf("RowView(1, 3) of 4x3 is %dx%d with %d elements", v.Rows, v.Cols, len(v.Data))
+	}
+	if v.At(0, 0) != 3 || v.At(1, 2) != 8 {
+		t.Fatalf("RowView(1, 3) holds %v, want rows 1 and 2", v.Data)
+	}
+	v.Data[4] = -1
+	if a.At(2, 1) != -1 {
+		t.Fatal("a write through the view does not show in the source")
+	}
+	a.Data[3] = -2
+	if v.At(0, 0) != -2 {
+		t.Fatal("a write to the source does not show in the view")
+	}
+	if e := a.RowView(4, 4); e.Rows != 0 || len(e.Data) != 0 {
+		t.Fatalf("RowView(4, 4) is %dx%d with %d elements", e.Rows, e.Cols, len(e.Data))
+	}
 }
 
 // TestAtSet checks At's row-major layout on an element written through
@@ -97,8 +143,8 @@ func TestMatMulIdentity(t *testing.T) {
 func TestTranspose(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
 	at := transpose(a)
-	if at.Shape[0] != 3 || at.Shape[1] != 2 {
-		t.Fatalf("shape = %v", at.Shape)
+	if at.Rows != 3 || at.Cols != 2 {
+		t.Fatalf("transpose is %dx%d, want 3x2", at.Rows, at.Cols)
 	}
 	if at.At(2, 1) != 6 || at.At(0, 1) != 4 {
 		t.Fatalf("transpose wrong: %v", at.Data)
@@ -133,15 +179,6 @@ func TestMatMulTransposeProperty(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	a := FromSlice([]float64{1, 2}, 2)
-	b := a.Clone()
-	b.Data[0] = 99
-	if a.Data[0] != 1 {
-		t.Fatal("Clone shares storage")
-	}
-}
-
 func TestArgMaxRow(t *testing.T) {
 	a := FromSlice([]float64{1, 9, 3, 8, 2, 0}, 2, 3)
 	if a.ArgMaxRow(0) != 1 {
@@ -163,9 +200,9 @@ func TestAddRowVectorAndSumRows(t *testing.T) {
 		t.Errorf("AffineInto's bias row add wrong: %v", b.Data)
 	}
 	// The destination's stale contents are overwritten, not added to.
-	s := SumRowsInto(FromSlice([]float64{3, 3}, 2), a)
-	if s.Data[0] != 4 || s.Data[1] != 6 {
-		t.Errorf("SumRowsInto wrong: %v", s.Data)
+	s := []float64{3, 3}
+	if SumRowsInto(s, a); s[0] != 4 || s[1] != 6 {
+		t.Errorf("SumRowsInto wrong: %v", s)
 	}
 }
 
@@ -177,7 +214,7 @@ func TestRowOpsMatchPlainLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := Randn(rng, 1, 4, 6)
 	x, wb := Randn(rng, 1, 4, 3), Randn(rng, 1, 4, 6)
-	want, relu, sums := New(4, 6), New(4, 6), New(6)
+	want, relu, sums := New(4, 6), New(4, 6), New(1, 6)
 	for j := 0; j < 6; j++ {
 		s := 0.0
 		for i := 0; i < 4; i++ {
@@ -202,8 +239,8 @@ func TestRowOpsMatchPlainLoops(t *testing.T) {
 			if got := AffineInto(New(4, 6), x, wb, true); !sameBits(got, relu) {
 				t.Fatalf("AffineInto with ReLU on %v = %v, want %v", kern, got.Data, relu.Data)
 			}
-			stale := FromSlice([]float64{3, 3, 3, 3, 3, 3}, 6)
-			if got := SumRowsInto(stale, a); !sameBits(got, sums) {
+			got := FromSlice([]float64{3, 3, 3, 3, 3, 3}, 1, 6)
+			if SumRowsInto(got.Data, a); !sameBits(got, sums) {
 				t.Fatalf("SumRowsInto on %v = %v, want %v", kern, got.Data, sums.Data)
 			}
 		})

@@ -7,7 +7,6 @@ package trace
 import (
 	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
@@ -69,14 +68,4 @@ func WriteResultJSON(w io.Writer, r *engine.Result) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
-}
-
-// ReadResultJSON parses a result written by WriteResultJSON back into an
-// engine.Result.
-func ReadResultJSON(r io.Reader) (*engine.Result, error) {
-	var res engine.Result
-	if err := json.NewDecoder(r).Decode(&res); err != nil {
-		return nil, fmt.Errorf("trace: decode result: %w", err)
-	}
-	return &res, nil
 }

