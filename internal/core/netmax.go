@@ -158,7 +158,7 @@ func (b *behavior) OnIterationEnd(i, j int, iterSecs, now float64) {
 func Run(cfg *engine.Config, opts Options) *engine.Result {
 	b := newBehavior(cfg.Net.Topo.Adj, cfg.LR, opts, false)
 	r := engine.RunAsync(cfg, b, "NetMax")
-	debugRegens.Store(int64(b.mon.Regenerations))
+	debugRegens.Store(int64(b.mon.Regenerations()))
 	return r
 }
 

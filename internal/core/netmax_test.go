@@ -70,8 +70,8 @@ func TestNetMaxRegeneratesPolicies(t *testing.T) {
 	cfg := hetConfig(4, 8, 3)
 	b := newBehavior(cfg.Net.Topo.Adj, cfg.LR, Options{Ts: 2}, false)
 	engine.RunAsync(cfg, b, "NetMax")
-	if b.mon.Regenerations < 2 {
-		t.Fatalf("monitor regenerated only %d times over a multi-period run", b.mon.Regenerations)
+	if b.mon.Regenerations() < 2 {
+		t.Fatalf("monitor regenerated only %d times over a multi-period run", b.mon.Regenerations())
 	}
 }
 
@@ -124,8 +124,8 @@ func TestUniformPolicyOptionDisablesAdaptation(t *testing.T) {
 		t.Fatalf("adaptive (%v) not faster than uniform (%v)", adaptive.TotalTime, uniform.TotalTime)
 	}
 	// The uniform arm discards every policy, so none may be generated.
-	if b.mon.Regenerations != 0 {
-		t.Fatalf("uniform run generated %d policies, want 0", b.mon.Regenerations)
+	if b.mon.Regenerations() != 0 {
+		t.Fatalf("uniform run generated %d policies, want 0", b.mon.Regenerations())
 	}
 }
 
@@ -289,7 +289,7 @@ func TestNetMaxReadmitsEvictedWorker(t *testing.T) {
 		t.Fatalf("run completed %d epochs, want 8", r.Epochs)
 	}
 	alive := b.mon.LiveWorkers(r.TotalTime)
-	if b.mon.Evictions == 0 {
+	if b.mon.Evictions() == 0 {
 		t.Fatal("worker was never evicted; the scenario did not exercise re-admission")
 	}
 	if !alive[1] {
@@ -345,9 +345,9 @@ func TestNetMaxIsolatedWorkerKeepsLastRow(t *testing.T) {
 			return
 		}
 		if regens < 0 {
-			regens = b.mon.Regenerations
+			regens = b.mon.Regenerations()
 		}
-		if b.mon.Regenerations != regens {
+		if b.mon.Regenerations() != regens {
 			t.Fatalf("t = %v: the monitor regenerated a policy for a disconnected live graph", now)
 		}
 		if i != 0 && i != 2 {
@@ -365,15 +365,15 @@ func TestNetMaxIsolatedWorkerKeepsLastRow(t *testing.T) {
 			t.Fatalf("worker %d at t = %v: pulls from %d, which is down", i, now, p.Peer)
 		}
 	}}, "NetMax")
-	t.Logf("%d isolated iterations after %d regenerations, %d at the end", inWindow, regens, b.mon.Regenerations)
+	t.Logf("%d isolated iterations after %d regenerations, %d at the end", inWindow, regens, b.mon.Regenerations())
 	if inWindow == 0 || regens < 1 {
 		t.Fatalf("%d isolated iterations after %d regenerations; the run did not exercise the window", inWindow, regens)
 	}
 	if r.Epochs != 4 || math.IsNaN(r.FinalLoss) || math.IsInf(r.FinalLoss, 0) {
 		t.Fatalf("%d epochs, final loss %v", r.Epochs, r.FinalLoss)
 	}
-	if b.mon.Regenerations <= regens {
-		t.Fatalf("no regeneration after the rejoin: %d, %d in the window", b.mon.Regenerations, regens)
+	if b.mon.Regenerations() <= regens {
+		t.Fatalf("no regeneration after the rejoin: %d, %d in the window", b.mon.Regenerations(), regens)
 	}
 	_, err := policy.GenerateLive(policy.Input{Times: b.mon.Times(), Adj: cfg.Net.Topo.Adj, Alpha: cfg.LR},
 		[]bool{true, false, true, false})
@@ -433,15 +433,15 @@ func TestFailureFreeRunEvictsNobody(t *testing.T) {
 			selfRun = max(selfRun, run[i])
 		}}, "NetMax")
 		t.Logf("averaging %v: longest iteration %.2f s against a %.1f s window; up to %d self-selected iterations in a row; %d regenerations",
-			averaging, longest, window, selfRun, b.mon.Regenerations)
+			averaging, longest, window, selfRun, b.mon.Regenerations())
 		if longest <= window || selfRun < 2 {
 			t.Fatalf("averaging %v: longest iteration %v s, %d self-selected in a row: the run cannot tell the stamping rules apart", averaging, longest, selfRun)
 		}
 		if r.Epochs != 4 {
 			t.Fatalf("averaging %v: %d epochs, want 4", averaging, r.Epochs)
 		}
-		if b.mon.Evictions != 0 {
-			t.Fatalf("averaging %v: the monitor evicted %d healthy workers", averaging, b.mon.Evictions)
+		if b.mon.Evictions() != 0 {
+			t.Fatalf("averaging %v: the monitor evicted %d healthy workers", averaging, b.mon.Evictions())
 		}
 	}
 }
@@ -466,7 +466,7 @@ func TestHungWorkerEvictedWithinWindow(t *testing.T) {
 	b := newBehavior(cfg.Net.Topo.Adj, cfg.LR, Options{}, false)
 	longest, evicted := 0.0, -1.0 // the hung worker's longest iteration; the eviction time
 	engine.RunAsync(cfg, endProbe{planProbe{b, func(_ int, now float64, _ engine.Pull) {
-		if evicted < 0 && b.mon.Evictions > 0 {
+		if evicted < 0 && b.mon.Evictions() > 0 {
 			evicted = now
 		}
 	}}, func(i, _ int, iterSecs float64) {
@@ -478,8 +478,8 @@ func TestHungWorkerEvictedWithinWindow(t *testing.T) {
 	if evicted < 0 {
 		t.Fatal("the hung worker was never evicted")
 	}
-	if b.mon.Evictions != 1 {
-		t.Fatalf("%d evictions, want the hung worker's 1", b.mon.Evictions)
+	if b.mon.Evictions() != 1 {
+		t.Fatalf("%d evictions, want the hung worker's 1", b.mon.Evictions())
 	}
 	if evicted <= at+window || evicted > at+window+longest {
 		t.Fatalf("evicted at %v s, want in (%v, %v]: the hang at %v s plus the %v s window plus one %v s iteration",

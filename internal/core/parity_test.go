@@ -76,7 +76,11 @@ func TestEngineLiveParity(t *testing.T) {
 		shard := cfg.Part.Shards[0]
 		x, labels := cfg.Test.Batch(0, cfg.Test.Len())
 		checkTrained(t, stats.FinalLoss, cfg.Spec.Build(cfg.Seed, shard.Dim(), shard.Classes).Loss(x, labels).Item())
-		row := hub.Published().P[0]
+		pushed := hub.Pushed(0)
+		if pushed == nil {
+			t.Fatal("the live monitor never pushed worker 0 a policy")
+		}
+		row := pushed.P[0]
 		t.Logf("worker 0's policy row: %v", row)
 		checkPrefersPeer1(t, row)
 	})

@@ -27,9 +27,11 @@
 // The Network Monitor talks to the workers once per period Ts, as in
 // Algorithm 1: it collects every worker's EMA link times over the wire,
 // regenerates the policy, and pushes it to each worker that has not
-// adopted it. A worker sends the monitor nothing; it adopts a pushed
-// policy at its next iteration. In uniform mode with nothing published the
-// monitor sends no frames.
+// adopted it. The monitor loop is the only publisher: it numbers the
+// policies it generates 1, 2, … and keeps the newest. A worker sends the
+// monitor nothing; it adopts a pushed policy at its next iteration. A
+// uniform group generates no policy, so it runs no monitor loop and sends
+// no monitor frames.
 package live
 
 import (
@@ -59,9 +61,10 @@ type Config struct {
 	Batch int
 	Seed  int64
 	// NetMax tunes the monitor and workers as it tunes core.Run, but Ts is
-	// the wall-clock period in seconds and must be positive; Beta and
-	// PolicyRounds get no default. StalePeriods zero selects
-	// monitor.DefaultStalePeriods, as on the engine.
+	// the wall-clock period in seconds and must be positive. The defaults
+	// are the engine's: a Beta outside (0, 1) selects core.DefaultBeta,
+	// PolicyRounds zero policy.DefaultRounds and StalePeriods zero
+	// monitor.DefaultStalePeriods.
 	NetMax core.Options
 	// Duration bounds the run (wall clock); zero means rely on Iterations.
 	Duration time.Duration
@@ -89,7 +92,8 @@ type Stats struct {
 	FinalAccuracy float64
 	// FinalLoss of the averaged model on the test set.
 	FinalLoss float64
-	// PolicyVersions is the number of policy broadcasts observed.
+	// PolicyVersions is the version of the newest policy the monitor
+	// generated: the number of policies it published (0 in uniform mode).
 	PolicyVersions int
 	// AdoptedVersions is the policy version each worker held when it
 	// stopped (0: it never adopted one).
@@ -196,11 +200,14 @@ func (w *worker) adopt(p *transport.Policy, m int) {
 
 // netMonitor is the live Network Monitor's side of the wire: once per
 // period it collects every worker's link times, feeds the new ones to the
-// monitor, and pushes the published policy to workers behind it. Only the
-// monitor goroutine uses it.
+// monitor, and pushes the newest policy to workers behind it. Only the
+// monitor goroutine uses it; Run reads pub after the loop has ended.
 type netMonitor struct {
 	hub *transport.Hub
 	mon *monitor.Monitor
+	// pub is the newest policy the monitor generated, numbered 1, 2, … by
+	// regeneration; version 0 before the first.
+	pub transport.Policy
 	row []transport.LinkTime
 	// seen[i][j] is the observation count of link (i, j) the monitor last
 	// ingested: a link is fed to the monitor only when its count grew, so
@@ -220,11 +227,7 @@ func newNetMonitor(hub *transport.Hub, mon *monitor.Monitor, m int) *netMonitor 
 }
 
 // tick runs one period at wall time now (seconds since the start).
-func (n *netMonitor) tick(now float64, uniform bool) {
-	pub := n.hub.Published()
-	if uniform && pub == nil {
-		return // nothing to generate from the times and nothing to deliver
-	}
+func (n *netMonitor) tick(now float64) {
 	for i := range n.seen {
 		n.adopted[i] = -1
 		v, err := n.hub.Control(i).Collect(n.row)
@@ -240,20 +243,14 @@ func (n *netMonitor) tick(now float64, uniform bool) {
 			}
 		}
 	}
-	if !uniform {
-		if pol, ok := n.mon.MaybeRegenerate(now); ok {
-			n.hub.SetPolicy(pol.P, pol.Rho)
-			pub = n.hub.Published()
-		}
-	}
-	if pub == nil {
-		return
+	if pol, ok := n.mon.MaybeRegenerate(now); ok {
+		n.pub = transport.Policy{P: pol.P, Rho: pol.Rho, Version: n.pub.Version + 1}
 	}
 	// A worker that missed a push, or rejected the policy, is behind and
-	// gets it again next period.
+	// gets it again next period. Before the first policy none is behind.
 	for i, v := range n.adopted {
-		if v >= 0 && v < pub.Version {
-			_ = n.hub.Control(i).Push(pub)
+		if v >= 0 && v < n.pub.Version {
+			_ = n.hub.Control(i).Push(&n.pub)
 		}
 	}
 }
@@ -309,14 +306,7 @@ func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
 		Codec:   cfg.Codec,
 		Timeout: cfg.PullTimeout,
 	})
-	// A policy published before the run reaches every worker before its
-	// first iteration.
 	netMon := newNetMonitor(hub, mon, m)
-	if pub := hub.Published(); pub != nil {
-		for i := range workers {
-			_ = hub.Control(i).Push(pub)
-		}
-	}
 
 	// Always derive a cancellable context: when the run is bounded by
 	// Iterations rather than Duration, the monitor goroutine must still be
@@ -329,20 +319,26 @@ func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
 	}
 
 	// Monitor loop: one collect, regeneration and push round per period.
+	// A uniform group generates no policy, so it has nothing to collect
+	// for or push and runs no loop.
 	monDone := make(chan struct{})
-	go func() {
-		defer close(monDone)
-		ticker := time.NewTicker(ts)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-runCtx.Done():
-				return
-			case <-ticker.C:
-				netMon.tick(time.Since(start).Seconds(), opts.UniformPolicy)
+	if opts.UniformPolicy {
+		close(monDone)
+	} else {
+		go func() {
+			defer close(monDone)
+			ticker := time.NewTicker(ts)
+			defer ticker.Stop()
+			for {
+				select {
+				case <-runCtx.Done():
+					return
+				case <-ticker.C:
+					netMon.tick(time.Since(start).Seconds())
+				}
 			}
-		}
-	}()
+		}()
+	}
 
 	counts := make([]int, m)
 	var wireBytes, pulls, peerDown, rejected atomic.Int64
@@ -454,21 +450,17 @@ func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
 	for i, w := range workers {
 		adopted[i] = w.version
 	}
-	versions := 0
-	if pub := hub.Published(); pub != nil {
-		versions = pub.Version
-	}
 	return &Stats{
 		IterationsPerWorker: counts,
 		FinalAccuracy:       acc,
 		FinalLoss:           loss,
-		PolicyVersions:      versions,
+		PolicyVersions:      netMon.pub.Version,
 		AdoptedVersions:     adopted,
 		BytesOnWire:         wireBytes.Load(),
 		Pulls:               pulls.Load(),
 		PeerDownErrors:      peerDown.Load(),
 		RejectedPulls:       rejected.Load(),
-		Evictions:           mon.Evictions,
+		Evictions:           mon.Evictions(),
 		Elapsed:             time.Since(start),
 	}
 }

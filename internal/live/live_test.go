@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -371,13 +372,13 @@ func TestLiveRejectsNonFinitePulls(t *testing.T) {
 	}
 }
 
-// TestLiveRejectsMalformedPolicy publishes a policy no worker may adopt
-// before the group starts: a matrix with too few rows (indexing it by worker
-// id would panic), a NaN ρ (every blend would poison the model) and a NaN
-// entry. Run pushes it to every worker before its first iteration, so each
-// must have been offered it, and must keep its uniform policy and train to
-// a finite loss.
+// TestLiveRejectsMalformedPolicy offers a worker policies no worker may
+// adopt: a matrix with too few rows (indexing it by worker id would
+// panic), a NaN ρ (every blend would poison the model) and a NaN entry.
+// Each leaves the worker at version 0 with its row unchanged, and a
+// well-formed policy offered next is adopted.
 func TestLiveRejectsMalformedPolicy(t *testing.T) {
+	const m = 4
 	nan := math.NaN()
 	uniform := [][]float64{
 		{0, 1.0 / 3, 1.0 / 3, 1.0 / 3},
@@ -385,6 +386,7 @@ func TestLiveRejectsMalformedPolicy(t *testing.T) {
 		{1.0 / 3, 1.0 / 3, 0, 1.0 / 3},
 		{1.0 / 3, 1.0 / 3, 1.0 / 3, 0},
 	}
+	good := [][]float64{{0, 1, 0, 0}, {1, 0, 0, 0}, {0, 0, 0, 1}, {0, 0, 1, 0}}
 	for _, c := range []struct {
 		name string
 		p    [][]float64
@@ -395,25 +397,16 @@ func TestLiveRejectsMalformedPolicy(t *testing.T) {
 		{"nan-entry", [][]float64{{0, nan, 0.5, 0.5}, uniform[1], uniform[2], uniform[3]}, 1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			hub := transport.NewLocalHub(nil)
-			defer hub.Close()
-			hub.SetPolicy(c.p, c.rho)
-			cfg := liveConfig(4, 60)
-			cfg.NetMax.UniformPolicy = true // no valid broadcast replaces the bad one
-			stats := Run(context.Background(), cfg, hub)
-			if math.IsNaN(stats.FinalLoss) || math.IsInf(stats.FinalLoss, 0) {
-				t.Fatalf("final loss %v after a malformed policy", stats.FinalLoss)
+			// The last worker: the short matrix has no row for it.
+			w := &worker{id: m - 1, node: core.NewNodes(simnet.FullyConnected(m), 0.1, 0, false)[m-1]}
+			row := slices.Clone(w.node.Row())
+			w.adopt(&transport.Policy{P: c.p, Rho: c.rho, Version: 1}, m)
+			if w.version != 0 || !slices.Equal(w.node.Row(), row) {
+				t.Fatalf("adopted the malformed policy: version %d, row %v (was %v)", w.version, w.node.Row(), row)
 			}
-			if stats.Pulls == 0 {
-				t.Fatal("workers stopped pulling")
-			}
-			for i, v := range stats.AdoptedVersions {
-				if p := hub.Pushed(i); p == nil || p.Version != 1 {
-					t.Fatalf("worker %d was never offered the policy (slot %+v)", i, p)
-				}
-				if v != 0 {
-					t.Fatalf("worker %d adopted the malformed policy as version %d", i, v)
-				}
+			w.adopt(&transport.Policy{P: good, Rho: 0.5, Version: 2}, m)
+			if w.version != 2 || !slices.Equal(w.node.Row(), good[m-1]) {
+				t.Fatalf("a well-formed policy after it: version %d, row %v; want 2, %v", w.version, w.node.Row(), good[m-1])
 			}
 		})
 	}
@@ -423,8 +416,9 @@ func TestLiveRejectsMalformedPolicy(t *testing.T) {
 // hand over a three-worker hub whose link times the test sets. A link
 // reaches the monitor only when its count grew, so a changed time under an
 // old count is ignored; an answered collect keeps a worker alive without a
-// new link; a down worker goes stale and is evicted; and every worker
-// behind the published policy is pushed it.
+// new link; a down worker goes stale and is evicted; every worker behind
+// the newest policy is pushed it; and the policies are numbered by
+// regeneration.
 func TestNetMonitorIngestsOnlyNewObservations(t *testing.T) {
 	const m = 3
 	var mu sync.Mutex
@@ -456,7 +450,7 @@ func TestNetMonitorIngestsOnlyNewObservations(t *testing.T) {
 	set(0, 1, 2, 1)
 	set(1, 0, 2, 1)
 	set(2, 0, 2, 1)
-	n.tick(1, false)
+	n.tick(1)
 	if got := mon.Times()[0][1]; got != 2 {
 		t.Fatalf("link (0, 1) reads %v after its first observation, want 2", got)
 	}
@@ -466,24 +460,34 @@ func TestNetMonitorIngestsOnlyNewObservations(t *testing.T) {
 		}
 	}
 	set(0, 1, 5, 1)
-	n.tick(2, false)
+	n.tick(2)
 	if got := mon.Times()[0][1]; got != 2 {
 		t.Fatalf("link (0, 1) reads %v: a time under an unchanged count was ingested", got)
 	}
 	set(0, 1, 5, 2)
-	n.tick(3, false)
+	n.tick(3)
 	if got := mon.Times()[0][1]; got != 5 {
 		t.Fatalf("link (0, 1) reads %v after its second observation, want 5", got)
 	}
 	// Worker 2 goes down at 3. Workers 0 and 1 observe nothing new but
 	// answer, so only worker 2 is evicted once a full period passes.
 	hub.SetWorkerDown(2, true)
-	n.tick(4, false)
-	n.tick(5.5, false)
+	n.tick(4)
+	n.tick(5.5)
 	if alive := mon.LiveWorkers(5.5); !alive[0] || !alive[1] || alive[2] {
 		t.Fatalf("liveness %v at 5.5, want only worker 2 stale", alive)
 	}
-	if mon.Evictions != 1 {
-		t.Fatalf("%d evictions, want 1", mon.Evictions)
+	if mon.Evictions() != 1 {
+		t.Fatalf("%d evictions, want 1", mon.Evictions())
+	}
+	// The loop numbers its policies by regeneration, and every worker that
+	// answered the last collect holds the newest.
+	if v, regens := n.pub.Version, mon.Regenerations(); v != regens {
+		t.Fatalf("published version %d after %d regenerations", v, regens)
+	}
+	for i := 0; i < m-1; i++ {
+		if p := hub.Pushed(i); p == nil || p.Version != n.pub.Version {
+			t.Fatalf("worker %d holds %+v, want version %d", i, p, n.pub.Version)
+		}
 	}
 }

@@ -62,10 +62,8 @@ type Monitor struct {
 	alive        []bool      // the liveness set of the regeneration under way
 	times        [][]float64 // the matrix Times fills
 
-	// Regenerations counts successful policy computations (observability).
-	Regenerations int
-	// Evictions counts workers evicted for staleness (observability).
-	Evictions int
+	regenerations int // successful policy computations
+	evictions     int // workers evicted for staleness
 }
 
 // New creates a Monitor. Period must be positive.
@@ -182,6 +180,22 @@ func (mo *Monitor) LiveWorkers(now float64) []bool {
 	return mo.liveness(make([]bool, mo.m), now)
 }
 
+// Regenerations returns the number of successful policy computations
+// (observability).
+func (mo *Monitor) Regenerations() int {
+	mo.mu.Lock()
+	defer mo.mu.Unlock()
+	return mo.regenerations
+}
+
+// Evictions returns the number of workers evicted for staleness
+// (observability).
+func (mo *Monitor) Evictions() int {
+	mo.mu.Lock()
+	defer mo.mu.Unlock()
+	return mo.evictions
+}
+
 // validLink bounds-checks worker indices: reports arrive over the wire, so
 // a malformed or hostile frame must not index outside the m x m matrices.
 func (mo *Monitor) validLink(i, j int) bool {
@@ -271,7 +285,7 @@ func (mo *Monitor) MaybeRegenerate(now float64) (*policy.Policy, bool) {
 			for j := range mo.ema[i] {
 				mo.ema[i][j] = 0
 			}
-			mo.Evictions++
+			mo.evictions++
 		}
 	}
 	mo.mu.Unlock()
@@ -288,7 +302,7 @@ func (mo *Monitor) MaybeRegenerate(now float64) (*policy.Policy, bool) {
 	mo.ran = true
 	mo.lastAlive, mo.alive = alive, mo.lastAlive
 	if err == nil {
-		mo.Regenerations++
+		mo.regenerations++
 	}
 	mo.mu.Unlock()
 	if err != nil {

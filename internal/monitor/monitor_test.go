@@ -29,8 +29,8 @@ func TestRegeneratesOnceCovered(t *testing.T) {
 	if len(pol.P) != 4 {
 		t.Fatalf("policy size %d", len(pol.P))
 	}
-	if mo.Regenerations != 1 {
-		t.Fatalf("Regenerations = %d", mo.Regenerations)
+	if mo.Regenerations() != 1 {
+		t.Fatalf("Regenerations = %d", mo.Regenerations())
 	}
 }
 
@@ -46,8 +46,8 @@ func TestPeriodGate(t *testing.T) {
 	if _, ok := mo.MaybeRegenerate(10); !ok {
 		t.Fatal("regeneration due at period boundary blocked")
 	}
-	if mo.Regenerations != 2 {
-		t.Fatalf("Regenerations = %d", mo.Regenerations)
+	if mo.Regenerations() != 2 {
+		t.Fatalf("Regenerations = %d", mo.Regenerations())
 	}
 }
 
@@ -173,7 +173,7 @@ func TestStaleRowEviction(t *testing.T) {
 	if pol2.P[3][3] != 1 {
 		t.Fatalf("dead row not pinned to self: %v", pol2.P[3])
 	}
-	if mo.Evictions == 0 {
+	if mo.Evictions() == 0 {
 		t.Fatal("eviction not counted")
 	}
 	// Worker 3 resumes reporting: re-admitted on the next regeneration.
@@ -212,17 +212,17 @@ func TestStaleEvictionDefaultsToThreePeriods(t *testing.T) {
 		mo.Heartbeat(1, now)
 		mo.MaybeRegenerate(now)
 	}
-	if alive := mo.LiveWorkers(window); !alive[2] || mo.Evictions != 0 {
+	if alive := mo.LiveWorkers(window); !alive[2] || mo.Evictions() != 0 {
 		t.Fatalf("worker 2 evicted %d periods after its last report, inside the %d-period window: %v, %d evictions",
-			DefaultStalePeriods, DefaultStalePeriods, alive, mo.Evictions)
+			DefaultStalePeriods, DefaultStalePeriods, alive, mo.Evictions())
 	}
 	mo.Heartbeat(0, window+1)
 	mo.Heartbeat(1, window+1)
 	if _, ok := mo.MaybeRegenerate(window + 1); !ok {
 		t.Fatal("the eviction did not force a regeneration")
 	}
-	if alive := mo.LiveWorkers(window + 1); alive[2] || !alive[0] || !alive[1] || mo.Evictions != 1 {
-		t.Fatalf("one second past the window: liveness %v, %d evictions; want worker 2 alone evicted once", alive, mo.Evictions)
+	if alive := mo.LiveWorkers(window + 1); alive[2] || !alive[0] || !alive[1] || mo.Evictions() != 1 {
+		t.Fatalf("one second past the window: liveness %v, %d evictions; want worker 2 alone evicted once", alive, mo.Evictions())
 	}
 }
 

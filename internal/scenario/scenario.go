@@ -291,8 +291,8 @@ const (
 	// (see core.DefaultMonitorTs).
 	DefaultMonitorTs = core.DefaultMonitorTs
 	// DefaultSlowPeriod is the slow-link relocation period: the paper's
-	// 300s over the same 50x time scale.
-	DefaultSlowPeriod = 300.0 / 50
+	// simnet.SlowLinkPeriod over the same 50x time scale.
+	DefaultSlowPeriod = simnet.SlowLinkPeriod / 50
 	// DefaultHorizon is the virtual-time span every dynamic network
 	// schedule covers; effectively unbounded.
 	DefaultHorizon  = 1e7

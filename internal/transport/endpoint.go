@@ -21,120 +21,14 @@ import (
 // reports its encoded byte size, so the puller accounts for real
 // bytes-on-wire.
 
-// listenerGroup is the shared server chassis: it owns the listener, tracks
-// live connections so Close can unblock handler reads, and waits for every
-// goroutine on shutdown.
-type listenerGroup struct {
-	ln    net.Listener
-	wg    sync.WaitGroup
-	mu    sync.Mutex
-	conns map[net.Conn]struct{}
-	done  chan struct{} // closed by close; ends handlers' waits too
-}
-
-// newListenerGroup starts the accept loop on ln, invoking handle for each
-// connection in its own goroutine until close.
-func newListenerGroup(ln net.Listener, handle func(net.Conn)) *listenerGroup {
-	g := &listenerGroup{ln: ln, conns: make(map[net.Conn]struct{}), done: make(chan struct{})}
-	g.wg.Add(1)
-	go g.serve(handle)
-	return g
-}
-
-// serve runs the accept loop. It returns when the listener is closed.
-func (g *listenerGroup) serve(handle func(net.Conn)) {
-	defer g.wg.Done()
-	for {
-		conn, err := g.ln.Accept()
-		if err != nil {
-			// Accept fails permanently once the listener closes (and
-			// transiently under fd exhaustion); either way, stop if Close
-			// ran, otherwise back off briefly and keep accepting — a bare
-			// retry would spin a core exactly when fds are scarce.
-			select {
-			case <-g.done:
-				return
-			case <-time.After(10 * time.Millisecond):
-				continue
-			}
-		}
-		if !g.track(conn) {
-			conn.Close() // lost the race with Close
-			continue
-		}
-		g.wg.Add(1)
-		go func(c net.Conn) {
-			defer g.wg.Done()
-			defer g.untrack(c)
-			defer c.Close()
-			handle(c)
-		}(conn)
-	}
-}
-
-func (g *listenerGroup) track(c net.Conn) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.isClosed() {
-		return false
-	}
-	g.conns[c] = struct{}{}
-	return true
-}
-
-func (g *listenerGroup) isClosed() bool {
-	select {
-	case <-g.done:
-		return true
-	default:
-		return false
-	}
-}
-
-func (g *listenerGroup) untrack(c net.Conn) {
-	g.mu.Lock()
-	delete(g.conns, c)
-	g.mu.Unlock()
-}
-
-// dropConns force-closes every live connection without touching the
-// listener: existing peers see their exchanges fail as if the process
-// died, while new connections are still accepted (and can be rejected at
-// the protocol layer). Used for crash injection.
-func (g *listenerGroup) dropConns() {
-	g.mu.Lock()
-	for c := range g.conns {
-		c.Close()
-	}
-	g.mu.Unlock()
-}
-
-// close shuts the listener, force-closes every live connection (unblocking
-// handler reads), and waits for the accept loop and all handlers to return.
-func (g *listenerGroup) close() error {
-	g.mu.Lock()
-	if g.isClosed() {
-		g.mu.Unlock()
-		g.wg.Wait()
-		return nil
-	}
-	close(g.done)
-	err := g.ln.Close()
-	for c := range g.conns {
-		c.Close()
-	}
-	g.mu.Unlock()
-	g.wg.Wait()
-	return err
-}
-
 // --- worker server ---
 
 // WorkerServer answers one worker's requests over persistent connections:
 // model pulls from its peers, encoded with one codec, and the monitor's
-// collects and pushes.
+// collects and pushes. It tracks its live connections so that Close and
+// SetDown can unblock handler reads.
 type WorkerServer struct {
-	grp   *listenerGroup
+	ln    net.Listener
 	src   ModelSource
 	times TimeSource // nil answers collects with an empty row
 	codec codec.Codec
@@ -144,12 +38,77 @@ type WorkerServer struct {
 	down    atomic.Bool
 	// pushed is the policy slot: the newest policy the monitor pushed.
 	pushed atomic.Pointer[Policy]
+
+	wg    sync.WaitGroup // the accept loop and every handler
+	mu    sync.Mutex     // guards conns and the closing of done
+	conns map[net.Conn]struct{}
+	done  chan struct{} // closed by Close; ends handlers' waits too
 }
 
+// serveWorker starts the accept loop on ln, serving each connection in
+// its own goroutine until Close.
 func serveWorker(ln net.Listener, src ModelSource, times TimeSource, c codec.Codec, latency func(from int) time.Duration) *WorkerServer {
-	s := &WorkerServer{src: src, times: times, codec: c, latency: latency}
-	s.grp = newListenerGroup(ln, s.handle)
+	s := &WorkerServer{ln: ln, src: src, times: times, codec: c, latency: latency,
+		conns: make(map[net.Conn]struct{}), done: make(chan struct{})}
+	s.wg.Add(1)
+	go s.serve()
 	return s
+}
+
+// serve runs the accept loop. It returns when the listener is closed.
+func (s *WorkerServer) serve() {
+	defer s.wg.Done()
+	for {
+		conn, err := s.ln.Accept()
+		if err != nil {
+			// Accept fails permanently once the listener closes (and
+			// transiently under fd exhaustion); either way, stop if Close
+			// ran, otherwise back off briefly and keep accepting — a bare
+			// retry would spin a core exactly when fds are scarce.
+			select {
+			case <-s.done:
+				return
+			case <-time.After(10 * time.Millisecond):
+				continue
+			}
+		}
+		if !s.track(conn) {
+			conn.Close() // lost the race with Close
+			continue
+		}
+		s.wg.Add(1)
+		go func(c net.Conn) {
+			defer s.wg.Done()
+			defer s.untrack(c)
+			defer c.Close()
+			s.handle(c)
+		}(conn)
+	}
+}
+
+func (s *WorkerServer) track(c net.Conn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.isClosed() {
+		return false
+	}
+	s.conns[c] = struct{}{}
+	return true
+}
+
+func (s *WorkerServer) isClosed() bool {
+	select {
+	case <-s.done:
+		return true
+	default:
+		return false
+	}
+}
+
+func (s *WorkerServer) untrack(c net.Conn) {
+	s.mu.Lock()
+	delete(s.conns, c)
+	s.mu.Unlock()
 }
 
 // SetDown injects a crash (or recovery) for this worker's endpoint: while
@@ -160,16 +119,43 @@ func serveWorker(ln net.Listener, src ModelSource, times TimeSource, c codec.Cod
 func (s *WorkerServer) SetDown(down bool) {
 	s.down.Store(down)
 	if down {
-		s.grp.dropConns()
+		s.dropConns()
 	}
 }
 
-// Addr returns the listener's address.
-func (s *WorkerServer) Addr() string { return s.grp.ln.Addr().String() }
+// dropConns force-closes every live connection without touching the
+// listener: existing peers see their exchanges fail as if the process
+// died.
+func (s *WorkerServer) dropConns() {
+	s.mu.Lock()
+	for c := range s.conns {
+		c.Close()
+	}
+	s.mu.Unlock()
+}
 
-// Close stops the server: it unblocks the accept loop, tears down live
-// connections, and waits for every handler goroutine to exit.
-func (s *WorkerServer) Close() error { return s.grp.close() }
+// Addr returns the listener's address.
+func (s *WorkerServer) Addr() string { return s.ln.Addr().String() }
+
+// Close stops the server: it shuts the listener, force-closes every live
+// connection (unblocking handler reads), and waits for the accept loop
+// and every handler goroutine to exit.
+func (s *WorkerServer) Close() error {
+	s.mu.Lock()
+	if s.isClosed() {
+		s.mu.Unlock()
+		s.wg.Wait()
+		return nil
+	}
+	close(s.done)
+	err := s.ln.Close()
+	for c := range s.conns {
+		c.Close()
+	}
+	s.mu.Unlock()
+	s.wg.Wait()
+	return err
+}
 
 // serverConn holds the buffers one served connection reuses for every
 // answer.
@@ -269,7 +255,7 @@ func (s *WorkerServer) wait(from int) bool {
 	select {
 	case <-t.C:
 		return true
-	case <-s.grp.done:
+	case <-s.done:
 		return false
 	}
 }

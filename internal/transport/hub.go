@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"netmax/internal/codec"
@@ -37,9 +36,6 @@ type Hub struct {
 	listen  func() (net.Listener, error)
 	dial    dialer
 	latency func(i, j int) time.Duration
-
-	pubMu sync.Mutex
-	pub   *Policy
 
 	// Written once by Serve and read-only afterwards.
 	served  bool
@@ -149,26 +145,6 @@ func (h *Hub) Pushed(id int) *Policy {
 		return nil
 	}
 	return h.workers[id].pushed.Load()
-}
-
-// SetPolicy publishes a policy under the next version. It may be called
-// before Serve. Publishing delivers nothing: the monitor pushes the
-// published policy to the workers (ControlClient.Push).
-func (h *Hub) SetPolicy(p [][]float64, rho float64) {
-	h.pubMu.Lock()
-	defer h.pubMu.Unlock()
-	v := 1
-	if h.pub != nil {
-		v = h.pub.Version + 1
-	}
-	h.pub = &Policy{P: p, Rho: rho, Version: v}
-}
-
-// Published returns the latest published policy, or nil if none was.
-func (h *Hub) Published() *Policy {
-	h.pubMu.Lock()
-	defer h.pubMu.Unlock()
-	return h.pub
 }
 
 // Close stops every server and tears down every client connection,

@@ -15,39 +15,25 @@ import (
 // TestLiveMonitorTrafficPerPeriod records the frames the live Network
 // Monitor sends (collects, pushes) and receives (their answers) in an
 // in-memory run. It sends at most one collect and one push per worker per
-// period, plus the start-up push of a policy published before the run,
-// and every request is answered once. The bound is the same at 60 and at
-// 600 iterations, which one time report per pulled iteration would break.
-// In uniform mode with nothing published the monitor sends nothing.
+// period, and every request is answered once. The bound is the same at 60
+// and at 600 iterations, which one time report per pulled iteration would
+// break. A uniform group runs no monitor loop, so its monitor sends
+// nothing.
 func TestLiveMonitorTrafficPerPeriod(t *testing.T) {
 	const workers = 4
 	const ts = 50 * time.Millisecond
-	uniform := make([][]float64, workers)
-	for i := range uniform {
-		uniform[i] = make([]float64, workers)
-		for j := range uniform[i] {
-			if j != i {
-				uniform[i][j] = 1.0 / (workers - 1)
-			}
-		}
-	}
 	train, test := data.SynthMNIST.Generate(1)
 	for _, c := range []struct {
-		name      string
-		iters     int
-		uniform   bool
-		published bool
+		name    string
+		iters   int
+		uniform bool
 	}{
-		{"netmax-60", 60, false, false},
-		{"netmax-600", 600, false, false},
-		{"uniform-600", 600, true, false},
-		{"uniform-published-600", 600, true, true},
+		{"netmax-60", 60, false},
+		{"netmax-600", 600, false},
+		{"uniform-600", 600, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			hub, frames := transport.NewRecordingLocalHub(func(i, j int) time.Duration { return 200 * time.Microsecond })
-			if c.published {
-				hub.SetPolicy(uniform, 1)
-			}
 			stats := live.Run(context.Background(), live.Config{
 				Spec:        nn.SimMobileNet,
 				Part:        data.Uniform(train, workers, 1),
@@ -70,18 +56,16 @@ func TestLiveMonitorTrafficPerPeriod(t *testing.T) {
 			periods := int(stats.Elapsed / ts)
 			t.Logf("%d iterations per worker in %v (%d periods): %d collects, %d pushes, %d answers",
 				c.iters, stats.Elapsed, periods, collects, pushes, received)
-			if bound := 2*workers*periods + workers; sent > bound {
+			if bound := 2 * workers * periods; sent > bound {
 				t.Fatalf("the monitor sent %d frames in %d periods, bound %d", sent, periods, bound)
 			}
 			if received != sent {
 				t.Fatalf("the monitor sent %d frames and received %d answers", sent, received)
 			}
 			switch {
-			case c.uniform && !c.published && sent != 0:
-				t.Fatalf("uniform mode with nothing published sent %d frames", sent)
-			case c.published && pushes < workers:
-				t.Fatalf("%d pushes, want the start-up push to each of %d workers", pushes, workers)
-			case c.iters == 600 && !(c.uniform && !c.published) && collects == 0:
+			case c.uniform && sent != 0:
+				t.Fatalf("uniform mode sent %d frames", sent)
+			case c.iters == 600 && !c.uniform && collects == 0:
 				t.Fatalf("no collect in %v: the run ended before a period", stats.Elapsed)
 			}
 		})

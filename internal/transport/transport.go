@@ -13,7 +13,9 @@
 // deadline before the first pull. The monitor side is a ControlClient per
 // worker: Collect reads the worker's link times and adopted policy
 // version, and Push fills the worker's policy slot, which the worker reads
-// with Hub.Pushed. Workers send the monitor nothing. Model payloads go
+// with Hub.Pushed. The transport keeps no policy of its own beyond those
+// slots: the monitor that generates and numbers policies lives with its
+// caller (internal/live). Workers send the monitor nothing. Model payloads go
 // through a dense compression codec (internal/codec). A pull is two calls
 // on the puller's goroutine: PullClient.Request sends the request and
 // starts the deadline, and PullClient.Receive reads the answer, decodes it
@@ -64,8 +66,9 @@ type LinkTime struct {
 type TimeSource func(dst []LinkTime) (row []LinkTime, adopted int)
 
 // Policy is a communication policy as it travels to the workers: the
-// matrix P, the consensus weight ρ, and its version, the number of
-// policies the hub had published when it was published.
+// matrix P, the consensus weight ρ, and its version, which the monitor
+// numbers 1, 2, … as it generates policies. A worker's slot keeps the
+// highest version pushed to it.
 type Policy struct {
 	P       [][]float64
 	Rho     float64

@@ -85,24 +85,18 @@ func TestLocalNetCodecApplied(t *testing.T) {
 	}
 }
 
-// TestLocalNetPolicyVersioning pins the hub's publication counter and the
-// worker's policy slot: each SetPolicy takes the next version, a push
-// fills the slot over the in-memory hub, and a push of an older version
-// leaves the newer one in place.
+// TestLocalNetPolicyVersioning pins the worker's policy slot: a push
+// fills it over the in-memory hub, and a push of an older version leaves
+// the newer one in place.
 func TestLocalNetPolicyVersioning(t *testing.T) {
 	hub := NewLocalHub(nil)
 	defer hub.Close()
 	serve(t, hub, Group{Sources: fixed(nil, nil)})
-	if hub.Published() != nil || hub.Pushed(1) != nil {
-		t.Fatal("a fresh hub has a published or pushed policy")
+	if hub.Pushed(1) != nil {
+		t.Fatal("a fresh hub has a pushed policy")
 	}
-	hub.SetPolicy([][]float64{{1, 0}, {0, 1}}, 0.2)
-	first := hub.Published()
-	hub.SetPolicy([][]float64{{0, 1}, {1, 0}}, 0.4)
-	second := hub.Published()
-	if first.Version != 1 || second.Version != 2 {
-		t.Fatalf("published versions %d, %d, want 1, 2", first.Version, second.Version)
-	}
+	first := &Policy{P: [][]float64{{1, 0}, {0, 1}}, Rho: 0.2, Version: 1}
+	second := &Policy{P: [][]float64{{0, 1}, {1, 0}}, Rho: 0.4, Version: 2}
 	ctl := hub.Control(1)
 	if err := ctl.Push(second); err != nil {
 		t.Fatal(err)
@@ -276,7 +270,7 @@ func TestTCPCollectResentAfterLostAnswer(t *testing.T) {
 	var calls atomic.Int32
 	times := func(dst []LinkTime) ([]LinkTime, int) {
 		if calls.Add(1) == 1 {
-			srv.grp.dropConns() // the first answer is lost
+			srv.dropConns() // the first answer is lost
 		}
 		return append(dst[:0], LinkTime{}, LinkTime{Secs: 0.5, Count: 7}), 2
 	}
@@ -305,20 +299,20 @@ func TestLocalNetDownWorkerMissesMonitor(t *testing.T) {
 	hub := NewLocalHub(nil)
 	defer hub.Close()
 	serve(t, hub, Group{Sources: fixed(nil, nil), Times: []TimeSource{nil, fixedTimes(make([]LinkTime, 2), 0)}, Timeout: time.Second})
-	hub.SetPolicy([][]float64{{0, 1}, {1, 0}}, 0.5)
+	pol := &Policy{P: [][]float64{{0, 1}, {1, 0}}, Rho: 0.5, Version: 1}
 	ctl := hub.Control(1)
 	hub.SetWorkerDown(1, true)
 	if _, err := ctl.Collect(make([]LinkTime, 2)); !errors.Is(err, ErrPeerDown) {
 		t.Fatalf("collect from a down worker = %v, want ErrPeerDown", err)
 	}
-	if err := ctl.Push(hub.Published()); !errors.Is(err, ErrPeerDown) {
+	if err := ctl.Push(pol); !errors.Is(err, ErrPeerDown) {
 		t.Fatalf("push to a down worker = %v, want ErrPeerDown", err)
 	}
 	if p := hub.Pushed(1); p != nil {
 		t.Fatalf("a down worker's slot took %+v", p)
 	}
 	hub.SetWorkerDown(1, false)
-	if err := ctl.Push(hub.Published()); err != nil {
+	if err := ctl.Push(pol); err != nil {
 		t.Fatalf("push after the rejoin: %v", err)
 	}
 	if p := hub.Pushed(1); p == nil || p.Version != 1 {

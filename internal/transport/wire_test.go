@@ -288,8 +288,8 @@ func TestTCPHubCloseLeaksNoGoroutines(t *testing.T) {
 			if _, err := hub.Control(0).Collect(make([]LinkTime, 3)); err != nil {
 				t.Fatal(err)
 			}
-			hub.SetPolicy([][]float64{{0, 1, 0}, {1, 0, 0}, {0, 0, 1}}, 0.3)
-			if err := hub.Control(2).Push(hub.Published()); err != nil {
+			pol := &Policy{P: [][]float64{{0, 1, 0}, {1, 0, 0}, {0, 0, 1}}, Rho: 0.3, Version: 1}
+			if err := hub.Control(2).Push(pol); err != nil {
 				t.Fatalf("push: %v", err)
 			}
 			if _, _, err := pull(hub.Peer(0, 2), 2); !errors.Is(err, ErrPeerDown) {
