@@ -57,11 +57,10 @@ func RunPSAsync(cfg *engine.Config) *engine.Result {
 	tr := engine.NewTracker(cfg, ws, "PS-asyn")
 	bytes := cfg.Spec.ModelBytes()
 
-	// The PS holds the global model and the (single, shared) optimizer
-	// state, as in Project Adam-style servers.
-	dim := cfg.Part.Shards[0].Dim()
-	classes := cfg.Part.Shards[0].Classes
-	ps := cfg.Spec.Build(cfg.Seed, dim, classes)
+	// The PS holds the global model, which starts as the workers' initial
+	// model, and the (single, shared) optimizer state, as in Project
+	// Adam-style servers.
+	ps := ws[0].Model.Clone()
 	// Server-side momentum would compound the (similar) gradients of all M
 	// workers into an effectively M/(1-momentum) times larger step and
 	// diverge; async parameter servers therefore apply updates with plain

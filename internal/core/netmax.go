@@ -18,7 +18,8 @@
 // is the averaging node on a fixed uniform policy (NewADPSGD). The
 // discrete-event runtime here drives one Node per simulated worker; the
 // live runtime (internal/live) drives the same type from each worker
-// goroutine.
+// goroutine. Both take their nodes and Network Monitor from NewControl,
+// on the settings Options.Resolved fills in.
 package core
 
 import (
@@ -27,29 +28,27 @@ import (
 
 	"netmax/internal/engine"
 	"netmax/internal/monitor"
+	"netmax/internal/policy"
+	"netmax/internal/simnet"
 )
 
 // DefaultMonitorTs is the Network Monitor period in virtual seconds: the
-// paper's Ts = 120s over the evaluation's 50x time scale. Simulated epochs
-// run about 50x faster than the paper's GPU epochs, so every
-// wall-clock-periodic mechanism is scaled by the same factor to keep the
-// dynamics per epoch equal.
-const DefaultMonitorTs = 120.0 / 50
+// paper's Ts = 120s over the evaluation's simnet.TimeScale.
+const DefaultMonitorTs = 120.0 / simnet.TimeScale
 
 // DefaultBeta is the EMA smoothing factor β of Algorithm 2.
 const DefaultBeta = 0.5
 
-// Options tunes NetMax beyond the engine Config.
+// Options tunes NetMax beyond the engine Config. A zero field is unset;
+// Resolved gives each its default.
 type Options struct {
-	// Ts is the Network Monitor schedule period in virtual seconds
-	// (default DefaultMonitorTs).
+	// Ts is the Network Monitor schedule period in virtual seconds.
 	Ts float64
 	// Beta is the EMA smoothing factor β of Algorithm 2 (paper suggests
-	// adapting it to network dynamics; default DefaultBeta).
+	// adapting it to network dynamics).
 	Beta float64
-	// PolicyRounds sets Algorithm 3's K = R grid (default
-	// policy.DefaultRounds). The convergence target is always Eq. 9's
-	// policy.DefaultEpsilon.
+	// PolicyRounds sets Algorithm 3's K = R grid. The convergence target
+	// is always Eq. 9's policy.DefaultEpsilon.
 	PolicyRounds int
 	// UniformPolicy disables the adaptive policy (the "uniform" arm of the
 	// Fig. 7 ablation): the monitor still collects reports but never
@@ -57,50 +56,67 @@ type Options struct {
 	UniformPolicy bool
 	// StalePeriods is the Network Monitor's liveness window: a worker
 	// silent for this many monitor periods is evicted and policies
-	// regenerate over the live subgraph. Zero selects
-	// monitor.DefaultStalePeriods (see monitor.Config.StalePeriods).
+	// regenerate over the live subgraph (see monitor.Config.StalePeriods).
 	StalePeriods int
 }
 
-func (o *Options) defaults() {
+// Resolved returns o with every unset setting replaced by its default:
+// a Ts ≤ 0 by DefaultMonitorTs, a Beta outside (0, 1) by DefaultBeta,
+// PolicyRounds zero by policy.DefaultRounds and a StalePeriods below 1 by
+// monitor.DefaultStalePeriods. It is the one place both runtimes take
+// these defaults from.
+func (o Options) Resolved() Options {
 	if o.Ts <= 0 {
 		o.Ts = DefaultMonitorTs
 	}
 	if o.Beta <= 0 || o.Beta >= 1 {
 		o.Beta = DefaultBeta
 	}
+	if o.PolicyRounds == 0 {
+		o.PolicyRounds = policy.DefaultRounds
+	}
+	if o.StalePeriods < 1 {
+		o.StalePeriods = monitor.DefaultStalePeriods
+	}
+	return o
+}
+
+// NewControl builds the control state of a NetMax-family run over the
+// graph adj: every worker's Node and the Network Monitor that regenerates
+// their policy, both on the resolved opts. averaging selects AD-PSGD's
+// blend for the nodes and the policies the monitor generates for them
+// (see NewNodes). Both runtimes build their nodes and monitor here.
+func NewControl(adj [][]bool, alpha float64, opts Options, averaging bool) ([]*Node, *monitor.Monitor) {
+	opts = opts.Resolved()
+	return NewNodes(adj, alpha, opts.Beta, averaging), monitor.New(monitor.Config{
+		Adj:            adj,
+		Alpha:          alpha,
+		Period:         opts.Ts,
+		Rounds:         opts.PolicyRounds,
+		AveragingBlend: averaging,
+		StalePeriods:   opts.StalePeriods,
+	})
 }
 
 // behavior implements engine.AsyncBehavior for NetMax: one Node per worker
 // plus the Network Monitor that regenerates their policy.
 type behavior struct {
-	opts  Options
-	mon   *monitor.Monitor
-	nodes []*Node
+	uniform bool
+	mon     *monitor.Monitor
+	nodes   []*Node
 }
 
-// averaging selects AD-PSGD's blend for the nodes of the graph adj and the
-// policies the monitor generates for them (see NewNodes).
+// newBehavior is NewControl's nodes and monitor driven by the engine.
 func newBehavior(adj [][]bool, alpha float64, opts Options, averaging bool) *behavior {
-	opts.defaults()
-	return &behavior{
-		opts:  opts,
-		nodes: NewNodes(adj, alpha, opts.Beta, averaging),
-		mon: monitor.New(monitor.Config{
-			Adj:            adj,
-			Alpha:          alpha,
-			Period:         opts.Ts,
-			Rounds:         opts.PolicyRounds,
-			AveragingBlend: averaging,
-			StalePeriods:   opts.StalePeriods,
-		}),
-	}
+	nodes, mon := NewControl(adj, alpha, opts, averaging)
+	return &behavior{uniform: opts.UniformPolicy, mon: mon, nodes: nodes}
 }
 
 // NewADPSGD returns AD-PSGD's behavior over the graph adj [11]: averaging
 // nodes on the fixed uniform policy. Departed peers are masked out, but hung
-// peers and slow links keep their uniform share. The nodes still report to
-// a monitor, which is never asked for a policy.
+// peers and slow links keep their uniform share. The nodes and monitor are
+// NewControl's on default options; the nodes still report to the monitor,
+// which is never asked for a policy.
 func NewADPSGD(adj [][]bool, alpha float64) engine.AsyncBehavior {
 	return newBehavior(adj, alpha, Options{UniformPolicy: true}, true)
 }
@@ -112,7 +128,7 @@ func NewADPSGD(adj [][]bool, alpha float64) engine.AsyncBehavior {
 // means "no pull this iteration") and weighs the pulled model as the node
 // decides (lines 13-14, Node.Coef and Node.TwoSided).
 func (b *behavior) Plan(i int, now float64, rng *rand.Rand) engine.Pull {
-	if !b.opts.UniformPolicy {
+	if !b.uniform {
 		if pol, ok := b.mon.MaybeRegenerate(now); ok {
 			for _, n := range b.nodes {
 				n.Adopt(pol.P, pol.Rho)

@@ -209,13 +209,22 @@ func TestFixedBlendOption(t *testing.T) {
 	}
 }
 
-// TestOptionsDefaults pins the defaults core owns. Policy rounds stay
-// zero: policy.Generate applies its own DefaultRounds to them.
+// TestOptionsDefaults pins the defaults Resolved gives the unset settings,
+// its fallback for an out-of-range β or window, and that set values pass
+// through.
 func TestOptionsDefaults(t *testing.T) {
-	o := Options{}
-	o.defaults()
-	if o.Ts != DefaultMonitorTs || o.Beta != 0.5 || o.PolicyRounds != 0 {
-		t.Fatalf("defaults = %+v", o)
+	want := Options{Ts: 2.4, Beta: 0.5, PolicyRounds: 10, StalePeriods: 3}
+	if got := (Options{}).Resolved(); got != want {
+		t.Fatalf("Options{}.Resolved() = %+v, want %+v", got, want)
+	}
+	for _, o := range []Options{{Beta: 1.5}, {Beta: -0.2}, {StalePeriods: -1}} {
+		if got := o.Resolved(); got != want {
+			t.Fatalf("%+v.Resolved() = %+v, want %+v", o, got, want)
+		}
+	}
+	set := Options{Ts: 0.5, Beta: 0.9, PolicyRounds: 4, UniformPolicy: true, StalePeriods: 7}
+	if got := set.Resolved(); got != set {
+		t.Fatalf("%+v.Resolved() = %+v", set, got)
 	}
 }
 

@@ -30,16 +30,14 @@ type Node struct {
 }
 
 // NewNodes builds the decision state of every worker of the graph adj with
-// learning rate alpha and EMA factor beta (DefaultBeta if outside (0, 1)).
+// learning rate alpha and EMA factor beta in (0, 1) (NewControl passes the
+// resolved Options.Beta).
 // averaging selects AD-PSGD's two-sided averaging (also the blend of the
 // Section III-D AD-PSGD+Monitor) in place of Algorithm 2's one-sided pull.
 // Each node starts on the uniform policy with ρ a quarter of the
 // feasibility cap 1/(2α·deg_max), giving an initial uniform blend
 // coefficient αρ·deg = 1/8.
 func NewNodes(adj [][]bool, alpha, beta float64, averaging bool) []*Node {
-	if beta <= 0 || beta >= 1 {
-		beta = DefaultBeta
-	}
 	maxDeg := 0
 	for i := range adj {
 		deg := 0

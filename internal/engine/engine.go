@@ -141,7 +141,9 @@ func (c *Config) Workers() []*Worker {
 	return ws
 }
 
-// Worker is one training replica.
+// Worker is one training replica: the run's first model or a clone of it
+// (see Config.Workers), with its own optimizer, shard, batch cursor and
+// RNG stream.
 type Worker struct {
 	Model  *nn.Model
 	Opt    *nn.SGD
@@ -150,14 +152,14 @@ type Worker struct {
 	Rng    *rand.Rand
 	cursor int
 
-	// x and labels hold the batch ComputeGrad last drew: view and the
-	// shard's labels, which alias the shard's rows, when the batch does not
-	// wrap past the shard's end, or buf and bufLabels, a copy, when it
-	// does. The model only reads them.
-	x         *tensor.Tensor
+	// x and labels hold the batch ComputeGrad last drew: a view of the
+	// shard's rows and labels when the batch does not wrap past the
+	// shard's end, or buf and bufLabels, a copy, when it does. The model
+	// only reads them. The tensors are held by value, so a batch costs no
+	// header allocation.
+	x         tensor.Tensor
 	labels    []int
-	view      tensor.Tensor
-	buf       *tensor.Tensor
+	buf       tensor.Tensor
 	bufLabels []int
 }
 
@@ -173,17 +175,16 @@ func (w *Worker) ComputeGrad() nn.Loss {
 	if len(w.bufLabels) != w.Batch {
 		// The copy's buffers come with the first batch, wrapped or not,
 		// so that a run allocates the same whenever its first wrap falls.
-		w.buf, w.bufLabels = tensor.New(w.Batch, w.Shard.Dim()), make([]int, w.Batch)
+		w.buf, w.bufLabels = *tensor.New(w.Batch, w.Shard.Dim()), make([]int, w.Batch)
 	}
 	if end <= w.Shard.Len() {
-		w.view = w.Shard.X.RowView(start, end)
-		w.x, w.labels = &w.view, w.Shard.Labels[start:end]
+		w.x, w.labels = w.Shard.X.RowView(start, end), w.Shard.Labels[start:end]
 	} else {
-		w.Shard.BatchInto(w.buf, w.bufLabels, start)
+		w.Shard.BatchInto(&w.buf, w.bufLabels, start)
 		w.x, w.labels = w.buf, w.bufLabels
 	}
 	w.cursor = end % w.Shard.Len()
-	l := w.Model.Loss(w.x, w.labels)
+	l := w.Model.Loss(&w.x, w.labels)
 	l.Backward()
 	return l
 }

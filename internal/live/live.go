@@ -61,10 +61,8 @@ type Config struct {
 	Batch int
 	Seed  int64
 	// NetMax tunes the monitor and workers as it tunes core.Run, but Ts is
-	// the wall-clock period in seconds and must be positive. The defaults
-	// are the engine's: a Beta outside (0, 1) selects core.DefaultBeta,
-	// PolicyRounds zero policy.DefaultRounds and StalePeriods zero
-	// monitor.DefaultStalePeriods.
+	// the wall-clock period in seconds. Unset fields take the engine's
+	// defaults (see core.Options.Resolved).
 	NetMax core.Options
 	// Duration bounds the run (wall clock); zero means rely on Iterations.
 	Duration time.Duration
@@ -255,19 +253,14 @@ func (n *netMonitor) tick(now float64) {
 	}
 }
 
-// newMonitor builds the Network Monitor of a run of cfg over the graph adj.
-func newMonitor(cfg Config, adj [][]bool) *monitor.Monitor {
-	opts := cfg.NetMax
-	return monitor.New(monitor.Config{Adj: adj, Alpha: cfg.LR, Period: opts.Ts, Rounds: opts.PolicyRounds, StalePeriods: opts.StalePeriods})
-}
-
 // Timing returns the wall-clock monitor period of a run of cfg and how long
 // a worker keeps a failed peer masked before it retries it: the monitor's
 // liveness window plus one period, so the monitor has had a fair chance to
 // react.
 func Timing(cfg Config) (ts, maskCooldown time.Duration) {
-	ts = time.Duration(cfg.NetMax.Ts * float64(time.Second))
-	return ts, ts * time.Duration(newMonitor(cfg, nil).StalePeriods()+1)
+	opts := cfg.NetMax.Resolved()
+	ts = time.Duration(opts.Ts * float64(time.Second))
+	return ts, ts * time.Duration(opts.StalePeriods+1)
 }
 
 // Run executes the live group until the configured bound and returns stats.
@@ -275,19 +268,18 @@ func Timing(cfg Config) (ts, maskCooldown time.Duration) {
 func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
 	m := len(cfg.Part.Shards)
 	adj := simnet.FullyConnected(m)
-	opts, fs := cfg.NetMax, simnet.NewFailureSchedule()
+	fs := simnet.NewFailureSchedule()
 	if cfg.Failures != nil {
 		fs = cfg.Failures
 	}
 	start := time.Now()
-	mon := newMonitor(cfg, adj)
+	nodes, mon := core.NewControl(adj, cfg.LR, cfg.NetMax, false)
 	ts, maskCooldown := Timing(cfg)
 
 	// The replicas are the engine's, so a live worker starts from the same
 	// model, batch order and RNG stream as the simulated one.
 	ecfg := &engine.Config{Spec: cfg.Spec, Part: cfg.Part, LR: cfg.LR, Batch: cfg.Batch, Seed: cfg.Seed}
 	reps := ecfg.Workers()
-	nodes := core.NewNodes(adj, cfg.LR, opts.Beta, false)
 	workers := make([]*worker, m)
 	sources := make([]transport.ModelSource, m)
 	times := make([]transport.TimeSource, m)
@@ -322,7 +314,7 @@ func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
 	// A uniform group generates no policy, so it has nothing to collect
 	// for or push and runs no loop.
 	monDone := make(chan struct{})
-	if opts.UniformPolicy {
+	if cfg.NetMax.UniformPolicy {
 		close(monDone)
 	} else {
 		go func() {
@@ -442,8 +434,7 @@ func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
 
 	// Final consensus model: elementwise mean. Every worker goroutine has
 	// exited, so nothing writes the replicas any more.
-	shard := cfg.Part.Shards[0]
-	avg := cfg.Spec.Build(cfg.Seed, shard.Dim(), shard.Classes)
+	avg := reps[0].Model.Clone()
 	engine.AverageModelInto(avg, reps, make([]float64, avg.VectorLen()))
 	loss, acc := avg.Evaluate(cfg.Test.X, cfg.Test.Labels)
 	adopted := make([]int, m)

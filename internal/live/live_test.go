@@ -87,6 +87,25 @@ func TestTimingFollowsTheMonitorWindow(t *testing.T) {
 	}
 }
 
+// TestUnsetPeriodTakesTheDefault runs an iteration-bounded group whose
+// NetMax.Ts is unset: its monitor ticks at core.DefaultMonitorTs, as
+// every other unset setting takes its default, and the run finishes.
+func TestUnsetPeriodTakesTheDefault(t *testing.T) {
+	hub := transport.NewLocalHub(nil)
+	defer hub.Close()
+	cfg := liveConfig(3, 20)
+	cfg.NetMax.Ts = 0
+	stats := Run(context.Background(), cfg, hub)
+	for i, n := range stats.IterationsPerWorker {
+		if n != 20 {
+			t.Fatalf("worker %d ran %d of 20 iterations", i, n)
+		}
+	}
+	if ts, _ := Timing(cfg); ts != time.Duration(core.DefaultMonitorTs*float64(time.Second)) {
+		t.Fatalf("unset Ts gives a monitor period of %v, want %vs", ts, core.DefaultMonitorTs)
+	}
+}
+
 // TestLiveGroupPermanentLeave verifies a worker that leaves for good: the
 // survivors finish their iterations and the run terminates.
 func TestLiveGroupPermanentLeave(t *testing.T) {
@@ -398,7 +417,7 @@ func TestLiveRejectsMalformedPolicy(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			// The last worker: the short matrix has no row for it.
-			w := &worker{id: m - 1, node: core.NewNodes(simnet.FullyConnected(m), 0.1, 0, false)[m-1]}
+			w := &worker{id: m - 1, node: core.NewNodes(simnet.FullyConnected(m), 0.1, core.DefaultBeta, false)[m-1]}
 			row := slices.Clone(w.node.Row())
 			w.adopt(&transport.Policy{P: c.p, Rho: c.rho, Version: 1}, m)
 			if w.version != 0 || !slices.Equal(w.node.Row(), row) {

@@ -152,10 +152,6 @@ func (mo *Monitor) SetLiveness(alive []bool, now float64) {
 	}
 }
 
-// StalePeriods returns the liveness window in periods, with the default
-// applied (see Config.StalePeriods).
-func (mo *Monitor) StalePeriods() int { return mo.cfg.StalePeriods }
-
 // aliveAt reports the combined liveness of worker i at time now: live
 // unless a membership event marked it down or its reports have gone stale.
 // Callers hold mo.mu.

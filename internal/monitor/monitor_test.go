@@ -198,8 +198,8 @@ func TestStaleRowEviction(t *testing.T) {
 func TestStaleEvictionDefaultsToThreePeriods(t *testing.T) {
 	const period = 10.0
 	mo := New(Config{Adj: simnet.FullyConnected(3), Alpha: 0.1, Period: period})
-	if mo.StalePeriods() != DefaultStalePeriods || DefaultStalePeriods != 3 {
-		t.Fatalf("window %d periods, default %d; want 3", mo.StalePeriods(), DefaultStalePeriods)
+	if mo.cfg.StalePeriods != DefaultStalePeriods || DefaultStalePeriods != 3 {
+		t.Fatalf("window %d periods, default %d; want 3", mo.cfg.StalePeriods, DefaultStalePeriods)
 	}
 	fullTimesAt(mo, 3, 1.0, 0)
 	if _, ok := mo.MaybeRegenerate(0); !ok {

@@ -95,6 +95,22 @@ func TestTrainingStepAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestBuildingAllocatesPerModelNotPerLayer builds models of one to five
+// layers: each costs the same four allocations (the model, its parameter
+// and gradient vectors, its layer slice), because a layer holds its
+// tensors by value.
+func TestBuildingAllocatesPerModelNotPerLayer(t *testing.T) {
+	for depth := 1; depth <= 5; depth++ {
+		widths := make([]int, depth+1)
+		for i := range widths {
+			widths[i] = 8 + i
+		}
+		if n := testing.AllocsPerRun(10, func() { zeroModel(widths) }); n != 4 {
+			t.Fatalf("a %d-layer model allocates %v times, want 4", depth, n)
+		}
+	}
+}
+
 // evalSet returns 500 rows of SynthCIFAR10's 24 features with labels
 // below 10: the size of the Tracker's eval and test sets.
 func evalSet() (*tensor.Tensor, []int) {

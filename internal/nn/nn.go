@@ -45,21 +45,23 @@ type Model struct {
 	soft tensor.Softmax
 }
 
-// layer is one affine map of the chain with the buffers of its passes.
+// layer is one affine map of the chain with the buffers of its passes. It
+// holds every tensor by value, so the layer slice is the only allocation
+// for their headers.
 type layer struct {
 	// Views into Model.params and Model.grads: w is W, and wb is W with b
 	// as one more row, the block the forward pass reads; db is b's
 	// gradient.
-	w, wb, dw *tensor.Tensor
+	w, wb, dw tensor.Tensor
 	db        []float64
 	// out is the layer's output on the last batch: ReLU(xW+b) below the
 	// top layer, the logits at it. The forward pass sizes it.
-	out *tensor.Tensor
+	out tensor.Tensor
 	// grad is the gradient of the loss with respect to xW+b, and wt holds
 	// Wᵀ for the input gradient dx = dOut@Wᵀ (the input layer computes no
 	// input gradient and has none). Backward sizes both, so a model that
-	// only evaluates carries neither.
-	grad, wt *tensor.Tensor
+	// only evaluates carries neither: their Data stays nil.
+	grad, wt tensor.Tensor
 }
 
 // newModel builds the chain widths[0] → … → widths[len-1] with
@@ -89,8 +91,9 @@ func zeroModel(widths []int) *Model {
 		l := &m.layers[i]
 		w, b := off, off+in*out
 		off = b + out
-		l.w, l.dw = tensor.FromSlice(m.params[w:b], in, out), tensor.FromSlice(m.grads[w:b], in, out)
-		l.wb, l.db = tensor.FromSlice(m.params[w:off], in+1, out), m.grads[b:off]
+		l.w = tensor.Tensor{Rows: in, Cols: out, Data: m.params[w:b]}
+		l.dw = tensor.Tensor{Rows: in, Cols: out, Data: m.grads[w:b]}
+		l.wb, l.db = tensor.Tensor{Rows: in + 1, Cols: out, Data: m.params[w:off]}, m.grads[b:off]
 	}
 	return m
 }
@@ -207,7 +210,7 @@ type Loss struct {
 // Backward reruns from the logits, so calling it leaves Backward's
 // gradient unchanged.
 func (l Loss) Item() float64 {
-	l.m.soft.Run(l.m.layers[len(l.m.layers)-1].out)
+	l.m.soft.Run(&l.m.layers[len(l.m.layers)-1].out)
 	nll := 0.0
 	for i, y := range l.labels {
 		nll = subLogProb(nll, l.m.soft.Prob(i, y))
@@ -238,22 +241,22 @@ func subLogProb(nll, p float64) float64 {
 func (l Loss) Backward() {
 	layers := l.m.layers
 	rows, top := len(l.labels), &layers[len(layers)-1]
-	top.grad = reuse(top.grad, rows, top.out.Cols)
-	l.m.soft.Run(top.out)
-	l.m.soft.GradInto(top.grad, l.labels, 1/float64(rows))
+	reuse(&top.grad, rows, top.out.Cols)
+	l.m.soft.Run(&top.out)
+	l.m.soft.GradInto(&top.grad, l.labels, 1/float64(rows))
 	for i := len(layers) - 1; i >= 0; i-- {
 		ly := &layers[i]
-		tensor.SumRowsInto(ly.db, ly.grad)
+		tensor.SumRowsInto(ly.db, &ly.grad)
 		if i == 0 {
-			tensor.MatMulTransAInto(ly.dw, l.x, ly.grad)
+			tensor.MatMulTransAInto(&ly.dw, l.x, &ly.grad)
 			break
 		}
 		below := &layers[i-1]
-		tensor.MatMulTransAInto(ly.dw, below.out, ly.grad)
-		ly.wt = reuse(ly.wt, ly.w.Cols, ly.w.Rows)
-		tensor.TransposeInto(ly.wt, ly.w)
-		below.grad = reuse(below.grad, rows, below.out.Cols)
-		tensor.MatMulGateInto(below.grad, ly.grad, ly.wt, below.out)
+		tensor.MatMulTransAInto(&ly.dw, &below.out, &ly.grad)
+		reuse(&ly.wt, ly.w.Cols, ly.w.Rows)
+		tensor.TransposeInto(&ly.wt, &ly.w)
+		reuse(&below.grad, rows, below.out.Cols)
+		tensor.MatMulGateInto(&below.grad, &ly.grad, &ly.wt, &below.out)
 	}
 }
 
@@ -314,7 +317,7 @@ func (m *Model) evaluate(x *tensor.Tensor, labels []int, wantLoss, wantAcc bool)
 		block := x.RowView(r, r+n)
 		m.forward(&block)
 		if wantLoss {
-			m.soft.Run(top.out)
+			m.soft.Run(&top.out)
 			for i, y := range labels[r : r+n] {
 				nll = subLogProb(nll, m.soft.Prob(i, y))
 			}
@@ -344,22 +347,21 @@ func (m *Model) forward(x *tensor.Tensor) {
 	in := x
 	for i := range m.layers {
 		l := &m.layers[i]
-		l.out = reuse(l.out, x.Rows, l.w.Cols)
-		tensor.AffineInto(l.out, in, l.wb, i < len(m.layers)-1)
-		in = l.out
+		reuse(&l.out, x.Rows, l.w.Cols)
+		tensor.AffineInto(&l.out, in, &l.wb, i < len(m.layers)-1)
+		in = &l.out
 	}
 }
 
-// reuse returns t reshaped to rows × cols, keeping its storage when that
-// holds enough elements: a model that alternates batch sizes allocates
-// only while the batch outgrows every earlier one.
-func reuse(t *tensor.Tensor, rows, cols int) *tensor.Tensor {
-	if t == nil || cap(t.Data) < rows*cols {
-		return tensor.New(rows, cols)
+// reuse reshapes t to rows × cols in place, keeping its storage when that
+// holds enough elements and growing it to a zeroed one otherwise: a model
+// that alternates batch sizes allocates only while the batch outgrows
+// every earlier one.
+func reuse(t *tensor.Tensor, rows, cols int) {
+	if cap(t.Data) < rows*cols {
+		t.Data = make([]float64, rows*cols)
 	}
-	t.Rows, t.Cols = rows, cols
-	t.Data = t.Data[:rows*cols]
-	return t
+	t.Rows, t.Cols, t.Data = rows, cols, t.Data[:rows*cols]
 }
 
 // SGD is a stochastic-gradient-descent optimizer with momentum and weight

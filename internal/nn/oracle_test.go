@@ -260,7 +260,7 @@ func TestEvaluationsSizeNoBackwardBuffers(t *testing.T) {
 	m.Accuracy(test, testLabels)
 	m.Evaluate(x, labels)
 	for i, l := range m.layers {
-		if l.grad != nil || l.wt != nil {
+		if l.grad.Data != nil || l.wt.Data != nil {
 			t.Fatalf("layer %d holds backward buffers after evaluations only", i)
 		}
 	}
@@ -351,7 +351,7 @@ func TestBackwardMatchesTransposedReference(t *testing.T) {
 		in := x
 		for i := range m.layers {
 			ly := &m.layers[i]
-			want := zeroSkipMatMul(transposed(in), ly.grad)
+			want := zeroSkipMatMul(transposed(in), &ly.grad)
 			for k, g := range ly.dw.Data {
 				if !sameFloat(g, want.Data[k]) {
 					t.Fatalf("widths %v layer %d: dW[%d] = %v, reference %v", widths, i, k, g, want.Data[k])
@@ -359,14 +359,14 @@ func TestBackwardMatchesTransposedReference(t *testing.T) {
 			}
 			if i > 0 {
 				below := &m.layers[i-1]
-				want := zeroSkipMatMul(ly.grad, transposed(ly.w))
+				want := zeroSkipMatMul(&ly.grad, transposed(&ly.w))
 				for k, g := range below.grad.Data {
 					if below.out.Data[k] > 0 && !sameFloat(g, want.Data[k]) {
 						t.Fatalf("widths %v layer %d: dx[%d] = %v, reference %v", widths, i, k, g, want.Data[k])
 					}
 				}
 			}
-			in = ly.out
+			in = &ly.out
 		}
 	}
 }

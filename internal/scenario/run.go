@@ -130,7 +130,7 @@ func (rep *Report) Summary() string {
 		for _, n := range s.IterationsPerWorker {
 			total += n
 		}
-		return fmt.Sprintf("%s [live/%s %s x%d]: acc %.2f%%, loss %.4f, %d iterations, %d policy broadcasts, %d pulls, %d peer-down pulls, %d bytes on wire, %.1fs",
+		return fmt.Sprintf("%s [live/%s %s x%d]: acc %.2f%%, loss %.4f, %d iterations, %d policies, %d pulls, %d peer-down pulls, %d bytes on wire, %.1fs",
 			m.Name, m.Algorithm, m.Model, m.Workers,
 			100*s.FinalAccuracy, s.FinalLoss, total, s.PolicyVersions, s.Pulls, s.PeerDownErrors, s.BytesOnWire, s.Elapsed.Seconds())
 	}

@@ -291,8 +291,8 @@ const (
 	// (see core.DefaultMonitorTs).
 	DefaultMonitorTs = core.DefaultMonitorTs
 	// DefaultSlowPeriod is the slow-link relocation period: the paper's
-	// simnet.SlowLinkPeriod over the same 50x time scale.
-	DefaultSlowPeriod = simnet.SlowLinkPeriod / 50
+	// simnet.SlowLinkPeriod over simnet.TimeScale.
+	DefaultSlowPeriod = simnet.SlowLinkPeriod / simnet.TimeScale
 	// DefaultHorizon is the virtual-time span every dynamic network
 	// schedule covers; effectively unbounded.
 	DefaultHorizon  = 1e7

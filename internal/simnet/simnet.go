@@ -99,29 +99,6 @@ func SingleMachine(m int) *Topology {
 	return Cluster([]int{m})
 }
 
-// Connected reports whether the adjacency graph is connected (Assumption 1).
-func (t *Topology) Connected() bool {
-	if t.M == 0 {
-		return true
-	}
-	seen := make([]bool, t.M)
-	stack := []int{0}
-	seen[0] = true
-	count := 1
-	for len(stack) > 0 {
-		i := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for j, ok := range t.Adj[i] {
-			if ok && !seen[j] {
-				seen[j] = true
-				count++
-				stack = append(stack, j)
-			}
-		}
-	}
-	return count == t.M
-}
-
 // slowdown is one entry of the dynamic schedule: link (A,B) is slowed by
 // Factor.
 type slowdown struct {
@@ -221,6 +198,12 @@ const (
 	// SlowLinkPeriod is how often the slowed link moves (Section V-A:
 	// "change the slow link every 5 minutes").
 	SlowLinkPeriod = 300.0
+	// TimeScale is the evaluation's time compression: simulated epochs run
+	// about 50x faster than the paper's GPU epochs, so every
+	// wall-clock-periodic mechanism of the paper (the monitor period Ts,
+	// the slow-link period) is divided by it to keep the dynamics per
+	// epoch equal.
+	TimeScale = 50
 )
 
 // NewHeterogeneousPeriod builds the multi-tenant-cluster network of
