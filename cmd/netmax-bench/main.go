@@ -9,10 +9,11 @@
 //	netmax-bench -exp fig12 -curves
 //	netmax-bench -all -quick -par 1 -bench-out BENCH_baseline.json -bench-label baseline
 //
-// -par pins host parallelism (1 = the serial baseline, 0 = one per CPU):
-// how many experiments, algorithm runs and seeds run side by side, and how
-// many gradients a synchronous baseline's round computes at once. Results
-// are bitwise identical at any setting, only wall-clock changes.
+// -par sizes the process's one host-parallelism budget (1 = the serial
+// baseline, 0 = one per CPU): experiments, algorithm runs, seeds and a
+// synchronous baseline's round gradients all draw their concurrency from
+// it, so nested levels together never exceed it. Results are bitwise
+// identical at any setting, only wall-clock changes.
 // -bench-out records per-experiment wall-clock seconds as JSON so
 // successive PRs can track the perf trajectory (see BENCH_baseline.json at
 // the repo root). Scenario manifests and suites run through netmax-scenario
@@ -75,7 +76,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "error: -par must be >= 0 (0 = NumCPU, 1 = serial)")
 		os.Exit(2)
 	}
-	engine.DefaultParallelism = *par
+	engine.SetParallelism(*par)
 
 	if *list {
 		for _, r := range experiments.All() {
@@ -134,9 +135,9 @@ func main() {
 		// time so the per-experiment seconds are contention-free and
 		// comparable across machines and PRs (each experiment still
 		// parallelizes internally per -par).
-		driverPar := engine.ResolveParallelism(0)
+		limit := 0
 		if *benchOut != "" || *benchCmp != "" {
-			driverPar = 1
+			limit = 1
 		}
 		runners := experiments.All()
 		outs := make([]bytes.Buffer, len(runners))
@@ -148,7 +149,7 @@ func main() {
 		var mu sync.Mutex
 		done := make([]bool, len(runners))
 		printed := 0
-		engine.Concurrently(len(runners), driverPar, func(k int) {
+		engine.Concurrently(len(runners), limit, func(k int) {
 			secs[k], errs[k] = runOne(runners[k].ID, &outs[k])
 			mu.Lock()
 			done[k] = true

@@ -106,11 +106,11 @@ func runCmd(args []string) {
 		fmt.Fprintln(os.Stderr, "error: -par must be >= 0")
 		os.Exit(2)
 	}
-	// -par pins host concurrency process-wide (a suite's member runs, a
-	// synchronous baseline's gradient round) without touching the
-	// manifests, so emitted resolved manifests — and therefore the
-	// reproducibility diffs — are identical at any -par.
-	engine.DefaultParallelism = *par
+	// -par sizes the process's one host-concurrency budget (a suite's
+	// member runs, a synchronous baseline's gradient round) without
+	// touching the manifests, so emitted resolved manifests — and
+	// therefore the reproducibility diffs — are identical at any -par.
+	engine.SetParallelism(*par)
 	paths, err := expand(fl.Args())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)

@@ -51,12 +51,11 @@ func runRounds(cfg *engine.Config, ws []*engine.Worker, algo string, bytes int64
 // summed serially in worker order, so the floating-point result is
 // identical at any parallelism.
 func averagedStep(cfg *engine.Config, ws []*engine.Worker) func() {
-	par := cfg.EffectiveParallelism()
 	vlen := ws[0].Model.VectorLen()
 	avg := make([]float64, vlen)
 	grad := func(k int) { ws[k].ComputeGrad() }
 	return func() {
-		engine.Concurrently(len(ws), par, grad)
+		engine.Concurrently(len(ws), cfg.Parallelism, grad)
 		clear(avg)
 		total := 0
 		for _, w := range ws {

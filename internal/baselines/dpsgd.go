@@ -48,7 +48,6 @@ func RunSyncDPSGD(cfg *engine.Config) *engine.Result {
 		next[i] = make([]float64, vlen)
 	}
 
-	par := cfg.EffectiveParallelism()
 	step := func(k int) {
 		ws[k].ComputeGrad()
 		ws[k].ApplyStep()
@@ -57,7 +56,7 @@ func RunSyncDPSGD(cfg *engine.Config) *engine.Result {
 		// Local gradient steps: conceptually parallel in the algorithm, and
 		// actually concurrent on the host (each worker only touches its own
 		// replica; the averaging below reads models serially afterwards).
-		engine.Concurrently(len(ws), par, step)
+		engine.Concurrently(len(ws), cfg.Parallelism, step)
 		for i, w := range ws {
 			w.Model.CopyVector(vecs[i])
 		}

@@ -1,6 +1,11 @@
 package engine
 
-import "testing"
+import (
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+)
 
 // resultsIdentical fails the test unless a and b agree bitwise: loss curve,
 // accuracy, virtual clock, traffic and cost split.
@@ -33,31 +38,57 @@ func resultsIdentical(t *testing.T, name string, a, b *Result) {
 
 // TestConcurrentlyCoversAllIndices pins the scheduling helper's contract.
 func TestConcurrentlyCoversAllIndices(t *testing.T) {
-	for _, par := range []int{1, 2, 7, 64} {
+	for _, limit := range []int{0, 1, 2, 7, 64} {
 		hits := make([]int, 33)
-		Concurrently(len(hits), par, func(k int) { hits[k]++ })
+		Concurrently(len(hits), limit, func(k int) { hits[k]++ })
 		for k, h := range hits {
 			if h != 1 {
-				t.Fatalf("par=%d: index %d ran %d times", par, k, h)
+				t.Fatalf("limit=%d: index %d ran %d times", limit, k, h)
 			}
 		}
 	}
 }
 
-func TestResolveParallelism(t *testing.T) {
-	if got := ResolveParallelism(1); got != 1 {
-		t.Fatalf("ResolveParallelism(1) = %d", got)
+// TestConcurrentlyLimitOneIsSerialLoop checks that limit 1 runs f(0) ...
+// f(n-1) in order; under -race the unsynchronized append also shows that
+// every call runs on the caller's goroutine.
+func TestConcurrentlyLimitOneIsSerialLoop(t *testing.T) {
+	var order []int
+	Concurrently(9, 1, func(k int) { order = append(order, k) })
+	for k, got := range order {
+		if got != k {
+			t.Fatalf("call %d ran f(%d): order %v", k, got, order)
+		}
 	}
-	if got := ResolveParallelism(6); got != 6 {
-		t.Fatalf("ResolveParallelism(6) = %d", got)
+	if len(order) != 9 {
+		t.Fatalf("ran %d calls, want 9", len(order))
 	}
-	if got := ResolveParallelism(0); got < 1 {
-		t.Fatalf("ResolveParallelism(0) = %d, want >= 1", got)
+}
+
+// TestConcurrentlyNestedStaysInBudget is the budget's gate: with -par 2 on
+// a 4-core host, nested fan-outs (a sweep over figures, each over its
+// algorithms) never run more than 2 leaf calls at once.
+func TestConcurrentlyNestedStaysInBudget(t *testing.T) {
+	prevPar := budget.par
+	defer SetParallelism(prevPar)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	SetParallelism(2)
+	var mu sync.Mutex
+	running, peak := 0, 0
+	Concurrently(4, 0, func(int) {
+		Concurrently(4, 0, func(int) {
+			mu.Lock()
+			running++
+			peak = max(peak, running)
+			mu.Unlock()
+			// Hold the call open so calls that may overlap do.
+			time.Sleep(time.Millisecond)
+			mu.Lock()
+			running--
+			mu.Unlock()
+		})
+	})
+	if peak > 2 {
+		t.Fatalf("%d leaf calls ran at once under SetParallelism(2)", peak)
 	}
-	prev := DefaultParallelism
-	DefaultParallelism = 3
-	if got := ResolveParallelism(0); got != 3 {
-		t.Fatalf("ResolveParallelism(0) with default 3 = %d", got)
-	}
-	DefaultParallelism = prev
 }

@@ -51,8 +51,8 @@ type Config struct {
 	ComputeScale []float64
 	// Parallelism bounds how many workers' gradients a synchronous round
 	// of Allreduce-SGD, PS-syn or D-PSGD computes concurrently on the host:
-	// 0 defers to DefaultParallelism (and ultimately GOMAXPROCS), 1 is the
-	// serial loop, n > 1 allows n concurrent gradients. Every other
+	// 0 leaves it to the process budget (SetParallelism), 1 is the serial
+	// loop, n > 1 allows at most n concurrent gradients. Every other
 	// algorithm steps one worker at a time and never reads it. Every
 	// setting produces bitwise-identical results: the round's reductions
 	// run serially in worker order afterwards.
@@ -82,9 +82,6 @@ func (c *Config) WireBytes() int64 {
 	}
 	return c.Spec.ModelBytes()
 }
-
-// EffectiveParallelism resolves the config's Parallelism setting.
-func (c *Config) EffectiveParallelism() int { return ResolveParallelism(c.Parallelism) }
 
 // ComputeSecs returns worker i's per-iteration gradient time under the
 // configured compute heterogeneity.

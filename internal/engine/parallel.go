@@ -5,55 +5,47 @@ import (
 	"sync"
 )
 
-// DefaultParallelism is the process-wide fallback for Config.Parallelism
-// and the run drivers when they are left at 0: 0 means runtime.GOMAXPROCS,
-// 1 forces the serial code paths everywhere, n > 1 caps each level's
-// concurrency at n. The commands set it from their -par flag so a whole
-// experiment sweep can be pinned without threading the knob through every
-// config constructor.
-var DefaultParallelism int
-
-// ResolveParallelism resolves a Parallelism setting (usually a Config field)
-// against DefaultParallelism and the machine size. The result is always ≥ 1.
-func ResolveParallelism(n int) int {
-	if n == 0 {
-		n = DefaultParallelism
-	}
-	if n == 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+// budget is the process-wide count of helper goroutines Concurrently may
+// run at once, summed over every level that calls it (the experiment sweep,
+// per-figure algorithm fan-out, suite members, a synchronous baseline's
+// gradient round), so nesting never multiplies concurrency: the outermost
+// active levels win the helpers and saturated inner calls run the serial
+// loop instead of oversubscribing cores or stacking N× the live training
+// state per level.
+var budget struct {
+	mu    sync.Mutex
+	par   int // SetParallelism's setting
+	inUse int
 }
 
-// Concurrently runs f(k) for every k in [0, n) with at most par invocations
-// in flight, returning when all have finished. par <= 1 degenerates to the
-// plain serial loop on the calling goroutine. Callers are responsible for
-// making the f(k) mutually independent; results must be written to
-// k-indexed slots (not appended) so the outcome is order-independent.
+// SetParallelism sizes the process-wide helper budget: 0 allows
+// GOMAXPROCS helpers, n > 0 allows min(n, GOMAXPROCS), so 1 makes every
+// Concurrently call the serial loop. Results are identical at any
+// setting. The commands call it from their -par flag.
+func SetParallelism(n int) {
+	budget.mu.Lock()
+	budget.par = n
+	budget.mu.Unlock()
+}
+
+// Concurrently runs f(k) for every k in [0, n), returning when all have
+// finished. The helpers that run f come from the process-wide budget that
+// SetParallelism sizes; limit caps them further for this call: 0 leaves
+// only the budget, 1 (or less) is the plain serial loop on the calling
+// goroutine, k > 1 allows at most k. Callers are responsible for making
+// the f(k) mutually independent; results must be written to k-indexed
+// slots (not appended) so the outcome is order-independent.
 //
-// Calls at every level (experiment driver, per-figure algorithm fan-out,
-// replicated seeds, suite members, a synchronous baseline's gradient round)
-// share one process-wide budget of GOMAXPROCS helper slots, so nesting
-// never multiplies concurrency: the outermost active levels win the slots
-// and saturated inner calls degrade to the serial loop instead of
-// oversubscribing cores or stacking N× the live training state per level.
-// Slot acquisition never blocks, so nested use cannot deadlock.
-func Concurrently(n, par int, f func(k int)) {
-	if par > n {
-		par = n
+// Taking helpers never blocks, so nested use cannot deadlock; a call that
+// gets fewer than two runs the serial loop, since a single helper is
+// strictly worse (the caller would idle feeding it).
+func Concurrently(n, limit int, f func(k int)) {
+	if limit == 0 || limit > n {
+		limit = n
 	}
 	helpers := 0
-	if n > 1 && par > 1 {
-		helpers = acquireSlots(par)
-	}
-	if helpers == 1 {
-		// A single helper is strictly worse than the serial loop (the
-		// caller would idle feeding it while holding a host slot).
-		releaseSlots(1)
-		helpers = 0
+	if limit > 1 {
+		helpers = takeHelpers(limit)
 	}
 	if helpers == 0 {
 		for k := 0; k < n; k++ {
@@ -61,7 +53,7 @@ func Concurrently(n, par int, f func(k int)) {
 		}
 		return
 	}
-	defer releaseSlots(helpers)
+	defer returnHelpers(helpers)
 	var wg sync.WaitGroup
 	next := make(chan int)
 	wg.Add(helpers)
@@ -80,31 +72,25 @@ func Concurrently(n, par int, f func(k int)) {
 	wg.Wait()
 }
 
-var (
-	slotOnce  sync.Once
-	hostSlots chan struct{}
-)
-
-// acquireSlots reserves up to want helper slots from the process-wide
-// budget without blocking, returning how many it got (possibly 0).
-func acquireSlots(want int) int {
-	slotOnce.Do(func() {
-		hostSlots = make(chan struct{}, runtime.GOMAXPROCS(0))
-	})
-	got := 0
-	for got < want {
-		select {
-		case hostSlots <- struct{}{}:
-			got++
-		default:
-			return got
-		}
+// takeHelpers reserves up to want helpers from the budget, returning how
+// many it got: 0 when fewer than two are free.
+func takeHelpers(want int) int {
+	size := runtime.GOMAXPROCS(0)
+	budget.mu.Lock()
+	defer budget.mu.Unlock()
+	if budget.par > 0 && budget.par < size {
+		size = budget.par
 	}
+	got := min(want, size-budget.inUse)
+	if got < 2 {
+		return 0
+	}
+	budget.inUse += got
 	return got
 }
 
-func releaseSlots(n int) {
-	for i := 0; i < n; i++ {
-		<-hostSlots
-	}
+func returnHelpers(n int) {
+	budget.mu.Lock()
+	budget.inUse -= n
+	budget.mu.Unlock()
 }

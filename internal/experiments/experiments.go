@@ -121,7 +121,7 @@ func run(m *scenario.Manifest) (*engine.Result, error) {
 func runAll(m *scenario.Manifest, algos ...string) ([]*engine.Result, error) {
 	out := make([]*engine.Result, len(algos))
 	errs := make([]error, len(algos))
-	engine.Concurrently(len(algos), engine.ResolveParallelism(0), func(k int) {
+	engine.Concurrently(len(algos), 0, func(k int) {
 		a := *m
 		a.Algorithm = algos[k]
 		out[k], errs[k] = run(&a)

@@ -1,8 +1,8 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
-	"sync"
 
 	"netmax/internal/engine"
 	"netmax/internal/stats"
@@ -24,23 +24,15 @@ func runStatsSpeedup(opt Options) (*Result, error) {
 	// Replicas share the data and model seeds and vary the network's
 	// dynamics.
 	replicate := func(algo string) ([]*engine.Result, error) {
-		var mu sync.Mutex
-		var firstErr error
-		rs := stats.Replicate(seeds, opt.Seed+5, func(seed int64) *engine.Result {
+		rs := make([]*engine.Result, seeds)
+		errs := make([]error, seeds)
+		engine.Concurrently(seeds, 0, func(i int) {
 			m := paperRun("stats-speedup", opt)
 			m.Algorithm, m.Workers, m.Epochs = algo, 8, scaleEpochs(20, opt)
-			m.Network.Seed = ptr(seed)
-			r, err := run(m)
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
-			return r
+			m.Network.Seed = ptr(stats.ReplicaSeed(opt.Seed+5, i))
+			rs[i], errs[i] = run(m)
 		})
-		return rs, firstErr
+		return rs, errors.Join(errs...)
 	}
 	netmax, err := replicate("netmax")
 	if err != nil {

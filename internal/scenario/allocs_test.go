@@ -40,17 +40,23 @@ type slowdown struct {
 	factor float64
 }
 
+// timed has the layout of a drawn schedule entry: its start time and the
+// entry.
+type timed[T any] struct {
+	start float64
+	entry T
+}
+
 // scheduleRegrowths is every regrowth of a network's lazily drawn schedule
 // while it draws its first drawn entries on the paper's 8-worker cluster:
-// the start-time slice and the entry slice, and for the shuffled network
-// the word slice its fast-link bitsets (one 8×8-bit word per entry) are
-// carved from.
+// the slice of timed entries, and for the shuffled network the word slice
+// its fast-link bitsets (one 8×8-bit word per entry) are carved from.
 func scheduleRegrowths(kind string, drawn int) int {
 	if kind == "shuffled" {
 		const words = (8*8 + 63) / 64
-		return regrowths[float64](0, drawn) + regrowths[[]uint64](0, drawn) + regrowths[uint64](0, drawn*words)
+		return regrowths[timed[[]uint64]](0, drawn) + regrowths[uint64](0, drawn*words)
 	}
-	return regrowths[float64](0, drawn) + regrowths[slowdown](0, drawn)
+	return regrowths[timed[slowdown]](0, drawn)
 }
 
 // TestEngineIterationsAllocateNothing runs every engine kind, and NetMax

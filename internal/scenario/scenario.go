@@ -97,8 +97,9 @@ type Manifest struct {
 	// (default true). Engine-only.
 	Overlap *bool `json:"overlap,omitempty"`
 	// Parallelism bounds how many gradients a synchronous round of
-	// allreduce, ps-sync or dpsgd computes concurrently: 0 (default) one
-	// per CPU, 1 serial. Results are bitwise identical at any setting.
+	// allreduce, ps-sync or dpsgd computes concurrently: 0 (default) as
+	// many as the process's host budget allows, 1 serial. Results are
+	// bitwise identical at any setting.
 	// Values above 1 are rejected for every other algorithm, which steps
 	// one worker at a time. Engine-only.
 	Parallelism int `json:"parallelism,omitempty"`
@@ -680,6 +681,8 @@ func validatePartition(e *errorList, r *Manifest) {
 		e.addf("unknown partition preset %q (want paper-8, paper-16, table-4 or table-7)", p.Preset)
 		return
 	}
+	ds, err := data.SpecByName(r.Dataset)
+	known := err == nil
 	switch p.Kind {
 	case "uniform":
 		if len(p.Segments) > 0 || len(p.LostLabels) > 0 {
@@ -689,22 +692,40 @@ func validatePartition(e *errorList, r *Manifest) {
 		if len(p.Segments) != r.Workers {
 			e.addf("partition segments has %d entries, want one per worker (%d)", len(p.Segments), r.Workers)
 		}
+		// data.Segments gives each unit train.Len()/sum rows, so a sum
+		// above the training set leaves every worker no examples. Capping
+		// each term keeps the sum from overflowing.
+		sum := 0
 		for i, s := range p.Segments {
 			if s <= 0 {
 				e.addf("partition segment %d must be positive, got %d", i, s)
+			} else {
+				sum += min(s, ds.TrainSize+1)
 			}
+		}
+		if known && sum > ds.TrainSize {
+			e.addf("partition segments sum to more than %s's %d training rows, leaving every worker no examples", r.Dataset, ds.TrainSize)
 		}
 	case "label-skew":
 		if len(p.LostLabels) != r.Workers {
 			e.addf("partition lost_labels has %d entries, want one per worker (%d)", len(p.LostLabels), r.Workers)
 		}
-		if ds, err := data.SpecByName(r.Dataset); err == nil {
-			for w, lost := range p.LostLabels {
-				for _, l := range lost {
-					if l < 0 || l >= ds.Classes {
-						e.addf("partition lost_labels[%d] names class %d outside %s's %d classes", w, l, r.Dataset, ds.Classes)
-					}
+		if !known {
+			break
+		}
+		for w, lost := range p.LostLabels {
+			seen := make([]bool, ds.Classes)
+			left := ds.Classes
+			for _, l := range lost {
+				if l < 0 || l >= ds.Classes {
+					e.addf("partition lost_labels[%d] names class %d outside %s's %d classes", w, l, r.Dataset, ds.Classes)
+				} else if !seen[l] {
+					seen[l] = true
+					left--
 				}
+			}
+			if left == 0 {
+				e.addf("partition lost_labels[%d] covers all of %s's %d classes, leaving worker %d no examples", w, r.Dataset, ds.Classes, w)
 			}
 		}
 	default:

@@ -143,6 +143,8 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		{"topk frac on raw", `{"name": "x", "codec": {"name": "raw", "topk_frac": 0.5}}`, `unknown field "topk_frac"`},
 		{"segments mismatch", `{"name": "x", "workers": 4, "partition": {"kind": "segments", "segments": [1, 2]}}`, "want one per worker"},
 		{"bad preset", `{"name": "x", "partition": {"preset": "paper-32"}}`, "unknown partition preset"},
+		{"segments beyond the training set", `{"name":"seg","workers":2,"epochs":1,"partition":{"kind":"segments","segments":[1,5000]}}`, "sum to more than CIFAR10's 2000 training rows"},
+		{"skew loses every class", `{"name":"skew","workers":2,"epochs":1,"dataset":"MNIST","partition":{"kind":"label-skew","lost_labels":[[0,1,2,3,4,5,6,7,8,9],[]]}}`, "covers all of MNIST's 10 classes"},
 		{"skew class range", `{"name": "x", "workers": 2, "dataset": "MNIST", "partition": {"kind": "label-skew", "lost_labels": [[11], []]}}`, "outside MNIST's 10 classes"},
 		{"cross-region workers", `{"name": "x", "workers": 8, "network": {"kind": "cross-region"}}`, "fixes workers to 6"},
 		{"static with dynamics", `{"name": "x", "network": {"kind": "static", "period_secs": 5}}`, "no dynamics"},

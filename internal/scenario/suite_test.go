@@ -356,11 +356,10 @@ func TestRunSuiteEmitsOutputs(t *testing.T) {
 // concurrent driver produces byte-identical per-run outputs and an
 // identical joint table.
 func TestSuiteRunParallelismBitwise(t *testing.T) {
-	prev := engine.DefaultParallelism
-	defer func() { engine.DefaultParallelism = prev }()
+	defer engine.SetParallelism(0)
 	trees := map[int]map[string]string{}
 	for _, par := range []int{1, 4} {
-		engine.DefaultParallelism = par
+		engine.SetParallelism(par)
 		out := t.TempDir()
 		rep, err := RunSuite(tinySuite(), SuiteRunOptions{OutDir: out})
 		if err != nil {

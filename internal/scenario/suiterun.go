@@ -98,13 +98,11 @@ func RunSuite(s *Suite, opt SuiteRunOptions) (*SuiteReport, error) {
 	}
 	// Members are independent (disjoint seeds, resolved configs) and each
 	// engine run is bitwise deterministic, so they execute concurrently —
-	// as many at once as engine.DefaultParallelism (then GOMAXPROCS)
-	// allows — and land in run-list order; per-run results and the joint
-	// table are byte-identical at any setting. The driver draws from the
-	// same process-wide GOMAXPROCS slot budget as every other level, so
-	// nesting never multiplies concurrency.
+	// as many at once as the process budget allows — and land in run-list
+	// order; per-run results and the joint table are byte-identical at any
+	// setting.
 	errs := make([]error, len(resolved.Runs))
-	engine.Concurrently(len(resolved.Runs), engine.ResolveParallelism(0), func(k int) {
+	engine.Concurrently(len(resolved.Runs), 0, func(k int) {
 		rep.Reports[k], errs[k] = Run(resolved.Runs[k].Manifest, RunOptions{OutDir: memberOut})
 	})
 	for k, err := range errs {

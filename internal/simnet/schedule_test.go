@@ -181,7 +181,7 @@ func slowdownCount(n *Network) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.drawThrough(s.horizon)
-	return len(s.entries)
+	return len(s.drawn)
 }
 
 func TestSlowdownCountMatchesEager(t *testing.T) {

@@ -119,8 +119,13 @@ type schedule[T any] struct {
 	horizon float64
 	next    float64  // start of the first undrawn entry
 	draw    func() T // draws the next entry from the schedule's RNG
-	starts  []float64
-	entries []T
+	drawn   []timed[T]
+}
+
+// timed is one drawn entry of a schedule and the time it starts.
+type timed[T any] struct {
+	start float64
+	entry T
 }
 
 func newSchedule[T any](horizon, period float64, draw func() T) *schedule[T] {
@@ -135,8 +140,7 @@ func newSchedule[T any](horizon, period float64, draw func() T) *schedule[T] {
 // does; k*period would round differently.
 func (s *schedule[T]) drawThrough(now float64) {
 	for s.next < s.horizon && s.next <= now {
-		s.starts = append(s.starts, s.next)
-		s.entries = append(s.entries, s.draw())
+		s.drawn = append(s.drawn, timed[T]{s.next, s.draw()})
 		s.next += s.period
 	}
 }
@@ -148,10 +152,10 @@ func (s *schedule[T]) at(now float64) (e T, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.drawThrough(now)
-	lo, hi := 0, len(s.starts)
+	lo, hi := 0, len(s.drawn)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if s.starts[mid] <= now {
+		if s.drawn[mid].start <= now {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -160,7 +164,7 @@ func (s *schedule[T]) at(now float64) (e T, ok bool) {
 	if lo == 0 {
 		return e, false
 	}
-	return s.entries[lo-1], true
+	return s.drawn[lo-1].entry, true
 }
 
 // Network converts (link, bytes, virtual time) into transfer seconds.

@@ -61,27 +61,6 @@ func TestSummarizeBoundsProperty(t *testing.T) {
 	}
 }
 
-func TestReplicateSeedsDistinct(t *testing.T) {
-	// Replicas run concurrently, so each reports its seed through its own
-	// result slot rather than through shared state.
-	rs := Replicate(3, 100, func(seed int64) *engine.Result {
-		return &engine.Result{TotalTime: float64(seed)}
-	})
-	if len(rs) != 3 {
-		t.Fatalf("replicates = %d", len(rs))
-	}
-	seen := make(map[float64]bool, len(rs))
-	for i, r := range rs {
-		if want := float64(ReplicaSeed(100, i)); r.TotalTime != want {
-			t.Fatalf("replicate %d ran seed %v, want %v", i, r.TotalTime, want)
-		}
-		if seen[r.TotalTime] {
-			t.Fatalf("seed %v repeated among %d replicates", r.TotalTime, len(rs))
-		}
-		seen[r.TotalTime] = true
-	}
-}
-
 func TestSpeedupSummary(t *testing.T) {
 	base := []*engine.Result{{TotalTime: 20}, {TotalTime: 40}}
 	test := []*engine.Result{{TotalTime: 10}, {TotalTime: 10}}

@@ -28,24 +28,25 @@
 //
 // # Performance
 //
-// Host parallelism lives at two levels, both bitwise deterministic, so
-// results are identical at any setting and only wall-clock changes:
-// independent runs fan out side by side (cmd/netmax-bench -all, a figure's
-// algorithms, replicated seeds, a suite's members), and the synchronous
-// baselines (Allreduce-SGD, PS-syn, D-PSGD) compute a round's gradients
-// concurrently, bounded by Config.Parallelism. Everything else runs on the
-// calling goroutine: the asynchronous engine steps one event at a time and
-// tensor kernels are single-threaded. The matmul kernel is AVX2 assembly on
-// amd64 CPUs that have it, with a pure-Go fallback of the same form
-// elsewhere. Each vector lane is one output element that adds its products
-// in the scalar loop's order, multiplying and adding in separate
-// instructions, so results are bitwise identical on either kernel. The
+// Host parallelism is one process-wide budget of helper goroutines, and it
+// is bitwise deterministic, so results are identical at any setting and
+// only wall-clock changes. Independent runs fan out side by side
+// (cmd/netmax-bench -all, a figure's algorithms, replicated seeds, a
+// suite's members), and the synchronous baselines (Allreduce-SGD, PS-syn,
+// D-PSGD) compute a round's gradients concurrently, further capped by
+// Config.Parallelism; every fan-out draws from the same budget, so nesting
+// never multiplies concurrency. Everything else runs on the calling
+// goroutine: the asynchronous engine steps one event at a time and tensor
+// kernels are single-threaded. The matmul kernel is AVX-512 or AVX2
+// assembly on amd64 CPUs that have it, with a pure-Go fallback of the same
+// form elsewhere. Each vector lane is one output element that adds its
+// products in the scalar loop's order, multiplying and adding in separate
+// instructions, so results are bitwise identical on every kernel. The
 // model's forward and backward pass is written out by hand over its
 // layer chain and reuses buffers the model owns, so a warm training step
-// allocates nothing. cmd/netmax-bench -par pins the parallelism
-// process-wide and -bench-out records the perf trajectory (see
-// BENCH_baseline.json / BENCH_pr1.json and README.md for the compute
-// core).
+// allocates nothing. cmd/netmax-bench -par sizes the budget and
+// -bench-out records the perf trajectory (see BENCH_baseline.json /
+// BENCH_pr1.json and README.md for the compute core).
 package netmax
 
 import (
@@ -122,8 +123,8 @@ type Suite = scenario.Suite
 type SuiteReport = scenario.SuiteReport
 
 // SuiteRunOptions tunes RunSuite (quick overrides and output directory).
-// Members run side by side, as many as the process-wide host parallelism
-// allows (GOMAXPROCS unless a command's -par pins it).
+// Members run side by side, as many as the process-wide host budget
+// allows (GOMAXPROCS unless a command's -par sizes it smaller).
 type SuiteRunOptions = scenario.SuiteRunOptions
 
 // SuiteTable is the joint comparison table of a suite run (the suite.json
