@@ -22,20 +22,23 @@ package main
 
 import (
 	"bytes"
+	"encoding/csv"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"netmax/internal/engine"
 	"netmax/internal/experiments"
-	"netmax/internal/trace"
 )
 
 // benchRecord is the schema of -bench-out files.
@@ -115,7 +118,7 @@ func main() {
 			if err != nil {
 				return 0, err
 			}
-			if err := trace.WriteCurvesCSV(f, res.Curves); err != nil {
+			if err := writeCurvesCSV(f, res.Curves); err != nil {
 				f.Close()
 				return 0, err
 			}
@@ -252,4 +255,28 @@ func compareBench(rec *benchRecord, baselinePath string, threshold float64, w io
 	}
 	fmt.Fprintf(w, "no timing regressions beyond %.2fx\n", threshold)
 	return nil
+}
+
+// writeCurvesCSV writes labeled curves as series,epoch,time,value rows,
+// series sorted by label for deterministic output.
+func writeCurvesCSV(w io.Writer, curves map[string][]engine.Point) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write([]string{"series", "epoch", "time_seconds", "value"}); err != nil {
+		return err
+	}
+	for _, label := range slices.Sorted(maps.Keys(curves)) {
+		for _, p := range curves[label] {
+			rec := []string{
+				label,
+				strconv.FormatFloat(p.Epoch, 'g', -1, 64),
+				strconv.FormatFloat(p.Time, 'g', -1, 64),
+				strconv.FormatFloat(p.Value, 'g', -1, 64),
+			}
+			if err := cw.Write(rec); err != nil {
+				return err
+			}
+		}
+	}
+	cw.Flush()
+	return cw.Error()
 }

@@ -324,7 +324,7 @@ func (b planProbe) Plan(i int, now float64, rng *rand.Rand) engine.Pull {
 // TestNetMaxIsolatedWorkerKeepsLastRow runs NetMax on a 4-ring through a
 // window in which workers 1 and 3 are down, leaving workers 0 and 2 with no
 // live neighbor. The live subgraph is not connected, so the monitor's
-// GenerateLive returns ErrNoFeasiblePolicy and the monitor keeps the last
+// policy.Generate returns ErrNoFeasiblePolicy and the monitor keeps the last
 // policy: each isolated worker keeps running on the row it held when the
 // window opened, with its dead peers masked and so no pull, and the run
 // finishes every epoch without a NaN. After the rejoin the monitor
@@ -384,10 +384,10 @@ func TestNetMaxIsolatedWorkerKeepsLastRow(t *testing.T) {
 	if b.mon.Regenerations() <= regens {
 		t.Fatalf("no regeneration after the rejoin: %d, %d in the window", b.mon.Regenerations(), regens)
 	}
-	_, err := policy.GenerateLive(policy.Input{Times: b.mon.Times(), Adj: cfg.Net.Topo.Adj, Alpha: cfg.LR},
-		[]bool{true, false, true, false})
+	_, err := policy.Generate(policy.Input{Times: b.mon.Times(), Adj: cfg.Net.Topo.Adj, Alpha: cfg.LR,
+		Alive: []bool{true, false, true, false}})
 	if !errors.Is(err, policy.ErrNoFeasiblePolicy) {
-		t.Fatalf("GenerateLive on the isolated pair: %v, want ErrNoFeasiblePolicy", err)
+		t.Fatalf("Generate on the isolated pair: %v, want ErrNoFeasiblePolicy", err)
 	}
 }
 

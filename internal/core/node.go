@@ -122,10 +122,10 @@ func (n *Node) Observe(j int, secs float64) float64 {
 }
 
 // Adopt installs the node's row of policy p and the step size rho. A row
-// with no peer mass — GenerateLive pins workers presumed dead to self — is
-// replaced by the uniform row: a node that adopts is running, and selecting
-// only itself would mean never pulling, never reporting and never being
-// re-admitted. Select and Coef read the same row, so a fallback pull also
+// with no peer mass — policy.Generate pins the workers Input.Alive presumes
+// dead to self — is replaced by the uniform row: a node that adopts is
+// running, and selecting only itself would mean never pulling, never
+// reporting and never being re-admitted. Select and Coef read the same row, so a fallback pull also
 // blends with a nonzero weight. Adopt never writes into p, which callers
 // may share between workers.
 func (n *Node) Adopt(p [][]float64, rho float64) {

@@ -11,9 +11,10 @@ import (
 )
 
 // TestNodeAdoptFallsBackWithoutWritingPolicy hands a node a policy whose
-// own row is pinned to self, as GenerateLive does for a worker presumed
-// dead. The node must select and blend from the uniform row, and leave the
-// matrix it was handed — shared between live workers — as it was.
+// own row is pinned to self, as policy.Generate does for a worker that
+// Input.Alive presumes dead. The node must select and blend from the
+// uniform row, and leave the matrix it was handed — shared between live
+// workers — as it was.
 func TestNodeAdoptFallsBackWithoutWritingPolicy(t *testing.T) {
 	nodes := NewNodes(simnet.FullyConnected(3), 0.1, DefaultBeta, false)
 	p := [][]float64{{0, 0.5, 0.5}, {0, 1, 0}, {0.5, 0.5, 0}}

@@ -14,7 +14,9 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"netmax/internal/engine"
 	"netmax/internal/scenario"
@@ -158,4 +160,61 @@ func lossTarget(rs []*engine.Result) float64 {
 		}
 	}
 	return worst * 1.1
+}
+
+// A col renders one cell of a convergence-race row from a run and the
+// race's loss target.
+type col func(r *engine.Result, target float64) string
+
+func totalTime(r *engine.Result, _ float64) string      { return f1(r.TotalTime) }
+func epochsToTarget(r *engine.Result, t float64) string { return f1(r.EpochToLoss(t)) }
+func timeToTarget(r *engine.Result, t float64) string   { return f1(r.TimeToLoss(t)) }
+func finalLoss(r *engine.Result, _ float64) string      { return fmt.Sprintf("%.3f", r.FinalLoss) }
+func accuracy(r *engine.Result, _ float64) string       { return pct(r.FinalAccuracy) }
+
+// race runs a convergence race: each named algorithm on a copy of m
+// (runAll), against a loss target every run reaches (lossTarget). Each run
+// adds one row to res, made of labels, the run's algorithm and one cell per
+// col, and its curve, keyed by labels and the algorithm joined with "/". It
+// returns the runs and the target.
+func race(res *Result, m *scenario.Manifest, algos, labels []string, cols ...col) ([]*engine.Result, float64, error) {
+	rs, err := runAll(m, algos...)
+	if err != nil {
+		return nil, 0, err
+	}
+	target := lossTarget(rs)
+	if res.Curves == nil {
+		res.Curves = map[string][]engine.Point{}
+	}
+	for _, r := range rs {
+		row := append(slices.Clone(labels), r.Algo)
+		res.Curves[strings.Join(row, "/")] = r.Curve
+		for _, c := range cols {
+			row = append(row, c(r, target))
+		}
+		res.Rows = append(res.Rows, row)
+	}
+	return rs, target, nil
+}
+
+// speedups returns note(algo, x) for each other run that reached target,
+// x being its time to target over NetMax's, or nothing when NetMax did not
+// reach it.
+func speedups(rs []*engine.Result, target float64, note func(algo string, x float64) string) []string {
+	var netmaxT float64
+	for _, r := range rs {
+		if r.Algo == "NetMax" {
+			netmaxT = r.TimeToLoss(target)
+		}
+	}
+	if netmaxT <= 0 {
+		return nil
+	}
+	var out []string
+	for _, r := range rs {
+		if t := r.TimeToLoss(target); r.Algo != "NetMax" && t > 0 {
+			out = append(out, note(r.Algo, t/netmaxT))
+		}
+	}
+	return out
 }

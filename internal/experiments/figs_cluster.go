@@ -45,7 +45,6 @@ func epochTimeDecomposition(id, title string, homogeneous bool, opt Options) (*R
 		ID:     id,
 		Title:  title,
 		Header: []string{"model", "approach", "comp cost (s)", "comm cost (s)", "epoch time (s)"},
-		Curves: map[string][]engine.Point{},
 	}
 	for _, model := range []string{"ResNet18", "VGG19"} {
 		m := paperRun(id, opt)
@@ -138,7 +137,6 @@ func lossVsTime(id, title string, homogeneous bool, opt Options) (*Result, error
 		ID:     id,
 		Title:  title,
 		Header: []string{"model", "approach", "total time (s)", "time to target loss (s)", "final loss"},
-		Curves: map[string][]engine.Point{},
 	}
 	for _, model := range []string{"ResNet18", "VGG19"} {
 		// LR 0.03 keeps per-epoch convergence comparable across approaches
@@ -152,28 +150,13 @@ func lossVsTime(id, title string, homogeneous bool, opt Options) (*Result, error
 		if homogeneous {
 			onSwitch(m)
 		}
-		rs, err := runAll(m, clusterAlgos...)
+		rs, target, err := race(res, m, clusterAlgos, []string{model}, totalTime, timeToTarget, finalLoss)
 		if err != nil {
 			return nil, err
 		}
-		target := lossTarget(rs)
-		var netmaxT float64
-		for _, r := range rs {
-			t := r.TimeToLoss(target)
-			res.Rows = append(res.Rows, []string{model, r.Algo, f1(r.TotalTime), f1(t), fmt.Sprintf("%.3f", r.FinalLoss)})
-			res.Curves[model+"/"+r.Algo] = r.Curve
-			if r.Algo == "NetMax" {
-				netmaxT = t
-			}
-		}
-		for _, r := range rs {
-			if r.Algo == "NetMax" || netmaxT <= 0 {
-				continue
-			}
-			if t := r.TimeToLoss(target); t > 0 {
-				res.Notes = append(res.Notes, fmt.Sprintf("%s: NetMax speedup over %s at loss %.3f: %.2fx", model, r.Algo, target, t/netmaxT))
-			}
-		}
+		res.Notes = append(res.Notes, speedups(rs, target, func(algo string, x float64) string {
+			return fmt.Sprintf("%s: NetMax speedup over %s at loss %.3f: %.2fx", model, algo, target, x)
+		})...)
 	}
 	return res, nil
 }

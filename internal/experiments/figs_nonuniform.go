@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"netmax/internal/engine"
 	"netmax/internal/scenario"
 )
 
@@ -38,19 +37,9 @@ func segmentsExperiment(id, title, dataset, model, preset string, workers, fullE
 		ID:     id,
 		Title:  title,
 		Header: []string{"approach", "total time (s)", "epochs to target", "time to target (s)", "final loss", "accuracy"},
-		Curves: map[string][]engine.Point{},
 	}
-	rs, err := runAll(m, clusterAlgos...)
-	if err != nil {
+	if _, _, err := race(res, m, clusterAlgos, nil, totalTime, epochsToTarget, timeToTarget, finalLoss, accuracy); err != nil {
 		return nil, err
-	}
-	target := lossTarget(rs)
-	for _, r := range rs {
-		res.Rows = append(res.Rows, []string{
-			r.Algo, f1(r.TotalTime), f1(r.EpochToLoss(target)), f1(r.TimeToLoss(target)),
-			fmt.Sprintf("%.3f", r.FinalLoss), pct(r.FinalAccuracy),
-		})
-		res.Curves[r.Algo] = r.Curve
 	}
 	res.Notes = append(res.Notes,
 		"paper shape: loss-vs-epoch curves nearly coincide; loss-vs-time shows NetMax fastest")
@@ -95,29 +84,14 @@ func runFig18(opt Options) (*Result, error) {
 		ID:     "fig18",
 		Title:  "MobileNet on non-IID MNIST (Table IV skew)",
 		Header: []string{"approach", "total time (s)", "time to target (s)", "final loss", "accuracy"},
-		Curves: map[string][]engine.Point{},
 	}
-	rs, err := runAll(m, clusterAlgos...)
+	rs, target, err := race(res, m, clusterAlgos, nil, totalTime, timeToTarget, finalLoss, accuracy)
 	if err != nil {
 		return nil, err
 	}
-	target := lossTarget(rs)
-	var netmaxT float64
-	for _, r := range rs {
-		res.Rows = append(res.Rows, []string{r.Algo, f1(r.TotalTime), f1(r.TimeToLoss(target)),
-			fmt.Sprintf("%.3f", r.FinalLoss), pct(r.FinalAccuracy)})
-		res.Curves[r.Algo] = r.Curve
-		if r.Algo == "NetMax" {
-			netmaxT = r.TimeToLoss(target)
-		}
-	}
-	for _, r := range rs {
-		if r.Algo != "NetMax" && netmaxT > 0 {
-			if t := r.TimeToLoss(target); t > 0 {
-				res.Notes = append(res.Notes, fmt.Sprintf("NetMax speedup over %s: %.2fx", r.Algo, t/netmaxT))
-			}
-		}
-	}
+	res.Notes = append(res.Notes, speedups(rs, target, func(algo string, x float64) string {
+		return fmt.Sprintf("NetMax speedup over %s: %.2fx", algo, x)
+	})...)
 	res.Notes = append(res.Notes, "paper: 2.45x/2.35x/1.39x over Prague/Allreduce/AD-PSGD; accuracy ~93% (non-IID cost)")
 	return res, nil
 }

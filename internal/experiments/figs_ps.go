@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"netmax/internal/engine"
 	"netmax/internal/scenario"
 )
 
@@ -26,19 +25,12 @@ func runFig14(opt Options) (*Result, error) {
 		ID:     "fig14",
 		Title:  "MobileNet on CIFAR100, heterogeneous, with PS baselines",
 		Header: []string{"approach", "total time (s)", "epochs to target", "time to target (s)", "accuracy"},
-		Curves: map[string][]engine.Point{},
 	}
 	// The cluster comparison set plus the parameter-server baselines of
 	// Section V-G.
-	rs, err := runAll(m, "prague", "allreduce", "adpsgd", "ps-sync", "ps-async", "netmax")
-	if err != nil {
+	algos := []string{"prague", "allreduce", "adpsgd", "ps-sync", "ps-async", "netmax"}
+	if _, _, err := race(res, m, algos, nil, totalTime, epochsToTarget, timeToTarget, accuracy); err != nil {
 		return nil, err
-	}
-	target := lossTarget(rs)
-	for _, r := range rs {
-		res.Rows = append(res.Rows, []string{r.Algo, f1(r.TotalTime), f1(r.EpochToLoss(target)),
-			f1(r.TimeToLoss(target)), pct(r.FinalAccuracy)})
-		res.Curves[r.Algo] = r.Curve
 	}
 	res.Notes = append(res.Notes,
 		"paper shape: PS-asyn worst per-epoch convergence; PS-syn slowest in time; NetMax fastest in time",
@@ -57,17 +49,10 @@ func runFig15(opt Options) (*Result, error) {
 		ID:     "fig15",
 		Title:  "Extension of AD-PSGD with Network Monitor",
 		Header: []string{"approach", "total time (s)", "epochs to target", "time to target (s)", "final loss"},
-		Curves: map[string][]engine.Point{},
 	}
-	rs, err := runAll(m, "adpsgd", "adpsgd-monitor", "netmax")
-	if err != nil {
+	algos := []string{"adpsgd", "adpsgd-monitor", "netmax"}
+	if _, _, err := race(res, m, algos, nil, totalTime, epochsToTarget, timeToTarget, finalLoss); err != nil {
 		return nil, err
-	}
-	target := lossTarget(rs)
-	for _, r := range rs {
-		res.Rows = append(res.Rows, []string{r.Algo, f1(r.TotalTime), f1(r.EpochToLoss(target)),
-			f1(r.TimeToLoss(target)), fmt.Sprintf("%.3f", r.FinalLoss)})
-		res.Curves[r.Algo] = r.Curve
 	}
 	res.Notes = append(res.Notes,
 		"paper shape: AD-PSGD+Monitor beats AD-PSGD in time but converges per-epoch slightly slower than NetMax (fixed vs 1/p-scaled blend weight)")
@@ -81,7 +66,6 @@ func runFig19(opt Options) (*Result, error) {
 		ID:     "fig19",
 		Title:  "Cross-region WAN training (6 regions, Table VII skew)",
 		Header: []string{"model", "approach", "total time (s)", "time to target (s)", "accuracy"},
-		Curves: map[string][]engine.Point{},
 	}
 	models := []string{"MobileNet", "GoogLeNet"}
 	if opt.Quick {
@@ -93,27 +77,14 @@ func runFig19(opt Options) (*Result, error) {
 		m.Network = &scenario.NetworkSpec{Kind: "cross-region"}
 		m.Partition = &scenario.PartitionSpec{Preset: "table-7"}
 		m.Batch, m.LR = 8, 0.05
-		rs, err := runAll(m, "netmax", "adpsgd", "ps-async", "ps-sync")
+		algos := []string{"netmax", "adpsgd", "ps-async", "ps-sync"}
+		rs, target, err := race(res, m, algos, []string{model}, totalTime, timeToTarget, accuracy)
 		if err != nil {
 			return nil, err
 		}
-		target := lossTarget(rs)
-		var netmaxT float64
-		for _, r := range rs {
-			res.Rows = append(res.Rows, []string{model, r.Algo, f1(r.TotalTime),
-				f1(r.TimeToLoss(target)), pct(r.FinalAccuracy)})
-			res.Curves[model+"/"+r.Algo] = r.Curve
-			if r.Algo == "NetMax" {
-				netmaxT = r.TimeToLoss(target)
-			}
-		}
-		for _, r := range rs {
-			if r.Algo != "NetMax" && netmaxT > 0 {
-				if t := r.TimeToLoss(target); t > 0 {
-					res.Notes = append(res.Notes, fmt.Sprintf("%s: NetMax %.2fx faster than %s", model, t/netmaxT, r.Algo))
-				}
-			}
-		}
+		res.Notes = append(res.Notes, speedups(rs, target, func(algo string, x float64) string {
+			return fmt.Sprintf("%s: NetMax %.2fx faster than %s", model, x, algo)
+		})...)
 	}
 	res.Notes = append(res.Notes, "paper: NetMax converges 1.9x/1.9x/2.1x faster than AD-PSGD/PS-asyn/PS-syn")
 	return res, nil

@@ -266,27 +266,37 @@ func Timing(cfg Config) (ts, maskCooldown time.Duration) {
 // Run executes the live group until the configured bound and returns stats.
 // The transport hub must be fresh; Run serves the whole group on it.
 func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
+	return newGroup(cfg, hub).run(ctx)
+}
+
+// group is a live run built and served but not started: no goroutine of it
+// runs yet, so what it holds may still be changed.
+type group struct {
+	cfg     Config
+	hub     *transport.Hub
+	start   time.Time
+	netMon  *netMonitor
+	reps    []*engine.Worker
+	workers []*worker
+}
+
+// newGroup builds cfg's workers and Network Monitor and serves the group
+// on hub.
+func newGroup(cfg Config, hub *transport.Hub) *group {
 	m := len(cfg.Part.Shards)
-	adj := simnet.FullyConnected(m)
-	fs := simnet.NewFailureSchedule()
-	if cfg.Failures != nil {
-		fs = cfg.Failures
-	}
-	start := time.Now()
-	nodes, mon := core.NewControl(adj, cfg.LR, cfg.NetMax, false)
-	ts, maskCooldown := Timing(cfg)
+	g := &group{cfg: cfg, hub: hub, start: time.Now(), workers: make([]*worker, m)}
+	nodes, mon := core.NewControl(simnet.FullyConnected(m), cfg.LR, cfg.NetMax, false)
 
 	// The replicas are the engine's, so a live worker starts from the same
 	// model, batch order and RNG stream as the simulated one.
 	ecfg := &engine.Config{Spec: cfg.Spec, Part: cfg.Part, LR: cfg.LR, Batch: cfg.Batch, Seed: cfg.Seed}
-	reps := ecfg.Workers()
-	workers := make([]*worker, m)
+	g.reps = ecfg.Workers()
 	sources := make([]transport.ModelSource, m)
 	times := make([]transport.TimeSource, m)
-	for i := 0; i < m; i++ {
-		w := &worker{id: i, rep: reps[i], node: nodes[i], pulled: make([]float64, reps[i].Model.VectorLen()),
+	for i, rep := range g.reps {
+		w := &worker{id: i, rep: rep, node: nodes[i], pulled: make([]float64, rep.Model.VectorLen()),
 			maskedAt: make([]time.Time, m), times: make([]transport.LinkTime, m)}
-		workers[i] = w
+		g.workers[i] = w
 		sources[i] = w.copyVector
 		times[i] = w.collect
 	}
@@ -298,7 +308,20 @@ func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
 		Codec:   cfg.Codec,
 		Timeout: cfg.PullTimeout,
 	})
-	netMon := newNetMonitor(hub, mon, m)
+	g.netMon = newNetMonitor(hub, mon, m)
+	return g
+}
+
+// run starts the monitor loop and the worker goroutines, waits for the
+// configured bound and returns the run's stats.
+func (g *group) run(ctx context.Context) *Stats {
+	cfg, hub, start, workers := g.cfg, g.hub, g.start, g.workers
+	m := len(workers)
+	fs := simnet.NewFailureSchedule()
+	if cfg.Failures != nil {
+		fs = cfg.Failures
+	}
+	ts, maskCooldown := Timing(cfg)
 
 	// Always derive a cancellable context: when the run is bounded by
 	// Iterations rather than Duration, the monitor goroutine must still be
@@ -326,7 +349,7 @@ func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
 				case <-runCtx.Done():
 					return
 				case <-ticker.C:
-					netMon.tick(time.Since(start).Seconds())
+					g.netMon.tick(time.Since(start).Seconds())
 				}
 			}
 		}()
@@ -434,8 +457,8 @@ func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
 
 	// Final consensus model: elementwise mean. Every worker goroutine has
 	// exited, so nothing writes the replicas any more.
-	avg := reps[0].Model.Clone()
-	engine.AverageModelInto(avg, reps, make([]float64, avg.VectorLen()))
+	avg := g.reps[0].Model.Clone()
+	engine.AverageModelInto(avg, g.reps, make([]float64, avg.VectorLen()))
 	loss, acc := avg.Evaluate(cfg.Test.X, cfg.Test.Labels)
 	adopted := make([]int, m)
 	for i, w := range workers {
@@ -445,13 +468,13 @@ func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
 		IterationsPerWorker: counts,
 		FinalAccuracy:       acc,
 		FinalLoss:           loss,
-		PolicyVersions:      netMon.pub.Version,
+		PolicyVersions:      g.netMon.pub.Version,
 		AdoptedVersions:     adopted,
 		BytesOnWire:         wireBytes.Load(),
 		Pulls:               pulls.Load(),
 		PeerDownErrors:      peerDown.Load(),
 		RejectedPulls:       rejected.Load(),
-		Evictions:           mon.Evictions(),
+		Evictions:           g.netMon.mon.Evictions(),
 		Elapsed:             time.Since(start),
 	}
 }

@@ -360,10 +360,12 @@ func TestLiveCodecOverTCP(t *testing.T) {
 	}
 }
 
-// TestLiveRejectsNonFinitePulls poisons worker 1's shard with NaN
-// features, so its first gradient step turns its model non-finite. Every
-// pull at it must be rejected and counted, and no other worker may blend
-// the poisoned vector: after the run their served models are finite.
+// TestLiveRejectsNonFinitePulls sets worker 1's parameters to NaN before
+// any goroutine of the group starts, so every answer worker 1 serves is
+// non-finite, and poisons its shard with NaN features, so its model stays
+// non-finite through training. Every pull at it must be rejected and
+// counted, and no other worker may blend the poisoned vector: after the
+// run their served models are finite.
 func TestLiveRejectsNonFinitePulls(t *testing.T) {
 	hub := transport.NewLocalHub(nil)
 	defer hub.Close()
@@ -372,7 +374,14 @@ func TestLiveRejectsNonFinitePulls(t *testing.T) {
 	for i := range cfg.Part.Shards[1].X.Data {
 		cfg.Part.Shards[1].X.Data[i] = math.NaN()
 	}
-	stats := Run(context.Background(), cfg, hub)
+	g := newGroup(cfg, hub)
+	poisoned := g.reps[1].Model
+	nan := make([]float64, poisoned.VectorLen())
+	for i := range nan {
+		nan[i] = math.NaN()
+	}
+	poisoned.SetVector(nan)
+	stats := g.run(context.Background())
 	if stats.RejectedPulls == 0 {
 		t.Fatal("no pull at the poisoned worker was rejected")
 	}

@@ -286,13 +286,14 @@ func (mo *Monitor) MaybeRegenerate(now float64) (*policy.Policy, bool) {
 	}
 	mo.mu.Unlock()
 
-	pol, err := policy.GenerateLive(policy.Input{
+	pol, err := policy.Generate(policy.Input{
 		Times:          mo.Times(),
 		Adj:            mo.cfg.Adj,
 		Alpha:          mo.cfg.Alpha,
 		Rounds:         mo.cfg.Rounds,
 		AveragingBlend: mo.cfg.AveragingBlend,
-	}, alive)
+		Alive:          alive,
+	})
 	mo.mu.Lock()
 	mo.last = now
 	mo.ran = true

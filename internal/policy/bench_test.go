@@ -49,7 +49,7 @@ func benchmarkGenerate(b *testing.B, averaging bool) {
 // candidates before their eigensolve.
 func TestBestFirstEigensolves(t *testing.T) {
 	for _, m := range []int{8, 16, 32, 64} {
-		s := runSearch(benchInput(m), nil)
+		s := runSearch(benchInput(m))
 		t.Logf("N=%d: %d eigensolves", m, s.eigensolves)
 		if s.eigensolves > 2 {
 			t.Errorf("N=%d: %d eigensolves, want at most 2", m, s.eigensolves)
@@ -65,7 +65,7 @@ func TestBestFirstEigensolves(t *testing.T) {
 func TestSetFloorOnlyForScoredRho(t *testing.T) {
 	for _, m := range []int{8, 16, 32, 64} {
 		in := benchInput(m)
-		s, _ := newSearch(in, DefaultEpsilon, nil)
+		s, _ := newSearch(in, DefaultEpsilon)
 		r := DefaultRounds
 		ur := 0.999 / (2 * in.Alpha * float64(s.maxDeg)) // below 0.5/α on a complete graph
 		scored := 0
@@ -82,7 +82,7 @@ func TestSetFloorOnlyForScoredRho(t *testing.T) {
 				scored++
 			}
 		}
-		full := runSearch(in, nil)
+		full := runSearch(in)
 		t.Logf("N=%d: setFloor for %d of %d ρ", m, full.floors, r)
 		if full.floors != scored || full.best.TConvergence != s.best.TConvergence {
 			t.Errorf("N=%d: runSearch set %d floors and found T = %v, the grid walk %d and %v",
@@ -105,7 +105,7 @@ func BenchmarkSearchSetup(b *testing.B) {
 		b.Run(fmt.Sprintf("N=%d", m), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				setupSink, _ = newSearch(in, DefaultEpsilon, nil)
+				setupSink, _ = newSearch(in, DefaultEpsilon)
 			}
 		})
 	}
@@ -120,7 +120,7 @@ func warmCandidate(tb testing.TB, m int) (*search, *Policy) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	s, _ := newSearch(in, DefaultEpsilon, nil)
+	s, _ := newSearch(in, DefaultEpsilon)
 	s.rows.setFloor(float64(2*in.Alpha*pol.Rho) + 1e-9)
 	return &s, pol
 }

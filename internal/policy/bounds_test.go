@@ -55,7 +55,7 @@ func TestLambda2BoundsHold(t *testing.T) {
 		m := 2 + rng.Intn(31)
 		averaging := trial%2 == 1
 		adj := randomGraph(rng, m, rng.Float64(), m > 2)
-		s, ok := newSearch(Input{Times: matrix(m), Adj: adj, Alpha: alpha, AveragingBlend: averaging}, DefaultEpsilon, nil)
+		s, ok := newSearch(Input{Times: matrix(m), Adj: adj, Alpha: alpha, AveragingBlend: averaging}, DefaultEpsilon)
 		if !ok {
 			continue
 		}
@@ -110,7 +110,7 @@ func TestDiagonalSecondOrderBound(t *testing.T) {
 	const alpha = 0.1
 	for trial := 0; trial < 600; trial++ {
 		m := 2 + rng.Intn(31)
-		s, ok := newSearch(Input{Times: matrix(m), Adj: randomGraph(rng, m, rng.Float64(), m > 2), Alpha: alpha}, DefaultEpsilon, nil)
+		s, ok := newSearch(Input{Times: matrix(m), Adj: randomGraph(rng, m, rng.Float64(), m > 2), Alpha: alpha}, DefaultEpsilon)
 		if !ok {
 			continue
 		}

@@ -40,7 +40,7 @@ func exhaustiveGenerate(in Input, audit func(s *search, rho, lim float64, lost b
 	if !plainConnected(in.Adj) {
 		return nil, ErrNoFeasiblePolicy
 	}
-	s, _ := newSearch(in, eps, nil)
+	s, _ := newSearch(in, eps)
 	var best *Policy
 	score := func(rho, tbar, floor float64) {
 		if !plainSolveRows(s.p, in, floor, float64(len(s.p))*tbar) {
@@ -295,9 +295,9 @@ func plainBuildY(y *linalg.Matrix, p [][]float64, adj [][]bool, ar float64, aver
 	}
 }
 
-// checkRejected requires Generate, GenerateLive (on alive, or on every
-// worker alive when it is nil) and exhaustiveGenerate to reject in with
-// ErrInvalidInput.
+// checkRejected requires Generate (on in, and on in with Alive set to
+// alive, or to every worker when alive is nil) and exhaustiveGenerate to
+// reject in with ErrInvalidInput.
 func checkRejected(t *testing.T, in Input, alive []bool) {
 	t.Helper()
 	if alive == nil {
@@ -306,10 +306,12 @@ func checkRejected(t *testing.T, in Input, alive []bool) {
 			alive[i] = true
 		}
 	}
+	live := in
+	live.Alive = alive
 	_, gerr := Generate(in)
-	_, lerr := GenerateLive(in, alive)
+	_, lerr := Generate(live)
 	_, xerr := exhaustiveGenerate(in, nil)
-	for name, err := range map[string]error{"Generate": gerr, "GenerateLive": lerr, "exhaustiveGenerate": xerr} {
+	for name, err := range map[string]error{"Generate": gerr, "Generate with Alive": lerr, "exhaustiveGenerate": xerr} {
 		if !errors.Is(err, ErrInvalidInput) {
 			t.Fatalf("%s: error %v, want ErrInvalidInput", name, err)
 		}
@@ -328,19 +330,15 @@ func undirected(adj [][]bool) bool {
 	return true
 }
 
-// checkAgainstOracle requires GenerateLive(in, alive) (Generate when alive
-// is nil) to return bitwise what exhaustiveGenerate returns on the live
-// subgraph, embedded as GenerateLive documents: dead rows self-only, dead
-// columns zero. A live subgraph that is not connected gets no policy.
+// checkAgainstOracle requires Generate on in with Alive set to alive to
+// return bitwise what exhaustiveGenerate returns on the live subgraph,
+// embedded as Input.Alive documents: dead rows self-only, dead columns
+// zero. A live subgraph that is not connected gets no policy.
 func checkAgainstOracle(t *testing.T, in Input, alive []bool) {
 	t.Helper()
-	var got *Policy
-	var err error
-	if alive == nil {
-		got, err = Generate(in)
-	} else {
-		got, err = GenerateLive(in, alive)
-	}
+	live := in
+	live.Alive = alive
+	got, err := Generate(live)
 	m := len(in.Times)
 	var idx []int
 	for i := 0; i < m; i++ {
@@ -450,7 +448,7 @@ func slowLinks(rng *rand.Rand, times [][]float64, frac float64) [][]float64 {
 // change the policy: step A's per-ρ floor, which ends a ρ's t̄ loop before
 // its rows are solved, and step C's diagonal bound, which rejects a
 // candidate before Y_P is built, only reject candidates the eigensolve
-// shows to lose. Generate and GenerateLive return bitwise the exhaustive
+// shows to lose. Generate returns bitwise the exhaustive
 // search's policy on full and sparse graphs, in the averaging mode, with
 // dead workers and over a range of grid sizes, and the same error on a
 // sparse graph that is not connected. Both reject a directed graph.
@@ -541,7 +539,7 @@ func TestGenerateBreaksTiesInGridOrder(t *testing.T) {
 	}
 }
 
-// FuzzGenerate checks Generate and GenerateLive against the exhaustive
+// FuzzGenerate checks Generate, with and without Input.Alive, against the exhaustive
 // search on inputs decoded from fuzz bytes: n and rounds give N in 2..16
 // and the grid size in 2..20; data, read cyclically, gives two bytes per
 // worker pair (the pair's times, whether each direction is an edge, and

@@ -15,8 +15,8 @@
 // otherwise). Randomized gossip on a graph has λ₂ < 1 exactly when the
 // graph is connected (Boyd et al., IEEE Trans. Inf. Theory 2006), so a
 // graph with fewer than two workers or more than one component has no
-// policy (ErrNoFeasiblePolicy); GenerateLive asks this of the live
-// subgraph.
+// policy (ErrNoFeasiblePolicy); with Input.Alive set, this is asked of
+// the live subgraph.
 //
 // Most candidates lose, and two closed-form lower bounds on λ₂ reject
 // most of the losers before their eigensolve. Both come from the Rayleigh
@@ -82,6 +82,13 @@ type Input struct {
 	// the row LPs use a tiny floor instead of 2αρ, and ρ plays no role in
 	// the update (a single outer iteration is searched).
 	AveragingBlend bool
+	// Alive, when non-nil, restricts the search to the live subgraph: the
+	// workers it marks, one entry per worker. The policy keeps the full
+	// index space, with dead rows pinned to self (a dead worker that
+	// somehow acts selects nobody) and dead columns zeroed (no live worker
+	// routes a pull at a corpse); nil and an all-true Alive search every
+	// worker.
+	Alive []bool
 }
 
 // Policy is the output of Algorithm 3.
@@ -100,8 +107,8 @@ type Policy struct {
 	TConvergence float64
 }
 
-// ErrNoFeasiblePolicy is returned when the graph (for GenerateLive, the live
-// subgraph) has fewer than two workers or is not connected, so that every
+// ErrNoFeasiblePolicy is returned when the graph (with Input.Alive set, the
+// live subgraph) has fewer than two workers or is not connected, so that every
 // policy has λ₂ = 1, or when no (ρ, t̄) candidate admits a feasible
 // probability matrix; callers keep their last policy or fall back to
 // Uniform.
@@ -110,7 +117,7 @@ var ErrNoFeasiblePolicy = errors.New("policy: no feasible policy found")
 // ErrInvalidInput is returned, wrapped with the offending entry, when
 // Generate is given a malformed Input: an empty, ragged or non-square
 // Times or Adj, an Adj that is not symmetric or marks a worker its own
-// neighbor, more than MaxWorkers workers, a NaN, infinite or negative
+// neighbor, more than MaxWorkers workers, an Alive of the wrong length, a NaN, infinite or negative
 // time on an edge, a learning rate that is not a positive finite number, a
 // negative Rounds, Rounds 1 or Rounds above MaxRounds, or a nonzero
 // Epsilon outside (0, 1). Validate returns it for a policy no worker may
@@ -194,6 +201,9 @@ func (in *Input) validate() error {
 				return fmt.Errorf("%w: time[%d][%d] = %v on an edge", ErrInvalidInput, i, j, t)
 			}
 		}
+	}
+	if in.Alive != nil && len(in.Alive) != m {
+		return fmt.Errorf("%w: %d liveness entries for %d workers", ErrInvalidInput, len(in.Alive), m)
 	}
 	return nil
 }
@@ -457,16 +467,16 @@ func timeInterval(sum, top []float64, alpha, rho float64) (lo, hi float64, ok bo
 	return lo, hi, lo <= hi
 }
 
-// Generate runs Algorithm 3 and returns the best feasible policy. A
-// malformed Input returns ErrInvalidInput. A graph with no policy (fewer
-// than two workers, or not connected) or no feasible candidate returns
-// ErrNoFeasiblePolicy; callers typically fall back to Uniform with a
-// mid-range ρ.
+// Generate runs Algorithm 3, over the live subgraph when in.Alive is set,
+// and returns the best feasible policy. A malformed Input returns
+// ErrInvalidInput. A graph with no policy (fewer than two workers, or not
+// connected) or no feasible candidate returns ErrNoFeasiblePolicy; callers
+// keep their last policy or fall back to Uniform with a mid-range ρ.
 func Generate(in Input) (*Policy, error) {
 	if err := in.validate(); err != nil {
 		return nil, err
 	}
-	s := runSearch(in, nil)
+	s := runSearch(in)
 	return s.result()
 }
 
@@ -489,9 +499,9 @@ const MaxRounds = 64
 const MaxWorkers = 256
 
 // runSearch scores Algorithm 3's (ρ, t̄) grid for a validated Input over
-// the workers alive marks (all of them when alive is nil) and returns the
+// the workers in.Alive marks (all of them when it is nil) and returns the
 // search holding the best candidate, if any.
-func runSearch(in Input, alive []bool) search {
+func runSearch(in Input) search {
 	rounds := in.Rounds
 	if rounds == 0 {
 		rounds = DefaultRounds
@@ -500,7 +510,7 @@ func runSearch(in Input, alive []bool) search {
 	if eps == 0 {
 		eps = DefaultEpsilon
 	}
-	s, ok := newSearch(in, eps, alive)
+	s, ok := newSearch(in, eps)
 	if !ok {
 		return s
 	}
@@ -564,15 +574,15 @@ type search struct {
 	floors       int
 }
 
-// newSearch sets up the search for a validated Input over the workers alive
-// marks (all of them when alive is nil), and reports whether their graph
+// newSearch sets up the search for a validated Input over the workers
+// in.Alive marks (all of them when it is nil), and reports whether their graph
 // has a policy: at least two workers, connected. Every buffer but the best
 // P, which the returned Policy keeps, is cut from one arena, sized here
 // from the live graph. The best P has a row per input worker, and the rows
 // of the dead select only themselves.
-func newSearch(in Input, eps float64, alive []bool) (search, bool) {
+func newSearch(in Input, eps float64) (search, bool) {
 	m := len(in.Times)
-	live := func(i int) bool { return alive == nil || alive[i] }
+	live := func(i int) bool { return in.Alive == nil || in.Alive[i] }
 	s := search{in: in, eps: eps, minDeg: m}
 	n, nnz := 0, 0
 	for i, row := range in.Adj {

@@ -423,15 +423,18 @@ func TestGenerateRejectsInvalidInput(t *testing.T) {
 		if _, err := Generate(in); !errors.Is(err, ErrInvalidInput) {
 			t.Errorf("%s: Generate err = %v, want ErrInvalidInput", name, err)
 		}
-		if _, err := GenerateLive(in, []bool{true, false, true}); !errors.Is(err, ErrInvalidInput) {
-			t.Errorf("%s: GenerateLive err = %v, want ErrInvalidInput", name, err)
+		in.Alive = []bool{true, false, true}
+		if _, err := Generate(in); !errors.Is(err, ErrInvalidInput) {
+			t.Errorf("%s with Alive: Generate err = %v, want ErrInvalidInput", name, err)
 		}
 	}
-	// A liveness vector must hold one entry per worker, nil included.
+	// A non-nil liveness vector must hold one entry per worker, an empty
+	// one included.
 	valid := Input{Times: hetTimes(4, 1), Adj: simnet.FullyConnected(4), Alpha: 0.1, Rounds: 2}
-	for _, alive := range [][]bool{{true, true, true}, {true, true, true, true, true}, {}, nil} {
-		if _, err := GenerateLive(valid, alive); !errors.Is(err, ErrInvalidInput) {
-			t.Errorf("%d liveness entries for 4 workers: GenerateLive err = %v, want ErrInvalidInput", len(alive), err)
+	for _, alive := range [][]bool{{true, true, true}, {true, true, true, true, true}, {}} {
+		valid.Alive = alive
+		if _, err := Generate(valid); !errors.Is(err, ErrInvalidInput) {
+			t.Errorf("%d liveness entries for 4 workers: Generate err = %v, want ErrInvalidInput", len(alive), err)
 		}
 	}
 	// Non-edge entries are ignored: a ring's missing chords may hold
@@ -449,10 +452,12 @@ func TestGenerateRejectsInvalidInput(t *testing.T) {
 // two disjoint triangles are two components, and one worker has no peer.
 func TestGenerateRejectsDisconnectedGraph(t *testing.T) {
 	ring := Input{Times: hetTimes(6, 2), Adj: simnet.Ring(6), Alpha: 0.1}
-	if _, err := GenerateLive(ring, []bool{false, true, true, false, true, true}); !errors.Is(err, ErrNoFeasiblePolicy) {
-		t.Errorf("6-ring with workers 0 and 3 dead: GenerateLive err = %v, want ErrNoFeasiblePolicy", err)
+	ring.Alive = []bool{false, true, true, false, true, true}
+	if _, err := Generate(ring); !errors.Is(err, ErrNoFeasiblePolicy) {
+		t.Errorf("6-ring with workers 0 and 3 dead: Generate err = %v, want ErrNoFeasiblePolicy", err)
 	}
-	if _, err := GenerateLive(ring, []bool{true, true, true, false, true, true}); err != nil {
+	ring.Alive = []bool{true, true, true, false, true, true}
+	if _, err := Generate(ring); err != nil {
 		t.Errorf("6-ring with worker 3 dead, a path: %v", err)
 	}
 	triangles := make([][]bool, 6)
@@ -483,8 +488,8 @@ const generateAllocs = 7
 // Generate call allocates generateAllocs times at every N and on a 2×2 and
 // a 10×10 grid, not per row, per ρ or per candidate. A fast worker whose
 // small times empty the t̄ interval of the top ρ values must cost nothing
-// either. GenerateLive with a dead worker, whose search runs over the
-// live workers, allocates as often.
+// either. Generate with a dead worker, whose search runs over the live
+// workers, allocates as often.
 func TestGenerateAllocationsIndependentOfGrid(t *testing.T) {
 	inputs := map[string]Input{"N=8": benchInput(8), "N=16": benchInput(16), "N=64": benchInput(64)}
 	fast := benchInput(16)
@@ -492,7 +497,7 @@ func TestGenerateAllocationsIndependentOfGrid(t *testing.T) {
 		fast.Times[0][j] /= 20
 		fast.Times[j][0] /= 20
 	}
-	s, _ := newSearch(fast, DefaultEpsilon, nil)
+	s, _ := newSearch(fast, DefaultEpsilon)
 	if _, _, ok := timeInterval(s.rows.sum, s.rows.tmax, fast.Alpha, 0.999/(2*fast.Alpha*15)); ok {
 		t.Fatal("the fast worker leaves the top ρ's interval non-empty")
 	}
@@ -509,15 +514,16 @@ func TestGenerateAllocationsIndependentOfGrid(t *testing.T) {
 		}
 	}
 	for _, m := range []int{8, 16} {
-		in, alive := benchInput(m), make([]bool, m)
-		for i := range alive {
-			alive[i] = i != 2
+		in := benchInput(m)
+		in.Alive = make([]bool, m)
+		for i := range in.Alive {
+			in.Alive[i] = i != 2
 		}
-		if _, err := GenerateLive(in, alive); err != nil {
+		if _, err := Generate(in); err != nil {
 			t.Fatalf("N=%d, worker 2 dead: %v", m, err)
 		}
-		if got := testing.AllocsPerRun(20, func() { GenerateLive(in, alive) }); got != generateAllocs {
-			t.Errorf("N=%d, worker 2 dead: GenerateLive allocates %v times, want %d", m, got, generateAllocs)
+		if got := testing.AllocsPerRun(20, func() { Generate(in) }); got != generateAllocs {
+			t.Errorf("N=%d, worker 2 dead: Generate allocates %v times, want %d", m, got, generateAllocs)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 )
@@ -68,9 +67,9 @@ func SampleMasked(row []float64, self int, masked []bool, rng *rand.Rand) int {
 }
 
 // SelfOnly reports whether a policy row assigns no mass to any peer: the
-// row GenerateLive pins onto workers presumed dead. A worker that is in
-// fact alive must not adopt such a row for itself — selecting only self
-// means never pulling, never reporting, and therefore never being
+// row Generate pins onto the workers Input.Alive presumes dead. A worker
+// that is in fact alive must not adopt such a row for itself — selecting
+// only self means never pulling, never reporting, and therefore never being
 // re-admitted by the monitor's liveness tracking. Callers detect the
 // condition with SelfOnly and fall back to uniform selection until the
 // monitor re-admits them.
@@ -81,23 +80,4 @@ func SelfOnly(row []float64, self int) bool {
 		}
 	}
 	return true
-}
-
-// GenerateLive runs Algorithm 3 restricted to the live subgraph, the
-// workers alive marks; alive must hold one entry per worker, or
-// GenerateLive returns ErrInvalidInput. The policy keeps the full index
-// space, with dead rows pinned to self (a dead worker that somehow acts
-// selects nobody) and dead columns zeroed (no live worker routes a pull at
-// a corpse); an all-true alive is exactly Generate. A live subgraph with
-// fewer than two workers, or one that is not connected, has no policy and
-// returns ErrNoFeasiblePolicy.
-func GenerateLive(in Input, alive []bool) (*Policy, error) {
-	if err := in.validate(); err != nil {
-		return nil, err
-	}
-	if m := len(in.Times); len(alive) != m {
-		return nil, fmt.Errorf("%w: %d liveness entries for %d workers", ErrInvalidInput, len(alive), m)
-	}
-	s := runSearch(in, alive)
-	return s.result()
 }

@@ -234,9 +234,8 @@ func TestGenerateLiveRestrictsToLiveSubgraph(t *testing.T) {
 			}
 		}
 	}
-	in := Input{Times: times, Adj: adj, Alpha: 0.1}
-	alive := []bool{true, true, false, true}
-	pol, err := GenerateLive(in, alive)
+	in := Input{Times: times, Adj: adj, Alpha: 0.1, Alive: []bool{true, true, false, true}}
+	pol, err := Generate(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,15 +265,17 @@ func TestGenerateLiveRestrictsToLiveSubgraph(t *testing.T) {
 		}
 	}
 	// All-true liveness behaves like plain Generate.
-	full, err := GenerateLive(in, []bool{true, true, true, true})
+	in.Alive = []bool{true, true, true, true}
+	full, err := Generate(in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(full.P) != m || full.P[2][2] == 1 {
-		t.Fatal("all-alive GenerateLive restricted the graph")
+		t.Fatal("all-alive Generate restricted the graph")
 	}
 	// One survivor: no policy.
-	if _, err := GenerateLive(in, []bool{false, false, true, false}); err == nil {
+	in.Alive = []bool{false, false, true, false}
+	if _, err := Generate(in); err == nil {
 		t.Fatal("single live worker must not admit a policy")
 	}
 }

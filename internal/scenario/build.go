@@ -112,6 +112,14 @@ func (m *Manifest) prepare() (*prepared, error) {
 	ds, _ := data.SpecByName(r.Dataset)
 	p.train, p.test = ds.Generate(*r.DataSeed)
 	p.part = r.buildPartition(p.train)
+	// Validation cannot see this: the shard sizes depend on the generated
+	// data. A worker with no rows has no batch to draw.
+	for i, shard := range p.part.Shards {
+		if shard.Len() == 0 {
+			return nil, fmt.Errorf("scenario %q: worker %d gets no training rows under the %s partition of %s",
+				r.Name, i, r.Partition.Kind, r.Dataset)
+		}
+	}
 	if r.Codec != nil {
 		p.codec, _ = codec.ByName(r.Codec.Name)
 	}

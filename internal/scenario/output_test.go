@@ -1,10 +1,11 @@
-package trace
+package scenario
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -31,7 +32,7 @@ func sampleResult() *engine.Result {
 
 func TestWriteCurveCSV(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteCurveCSV(&buf, sampleResult().Curve); err != nil {
+	if err := writeCurveCSV(&buf, sampleResult().Curve); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -46,39 +47,32 @@ func TestWriteCurveCSV(t *testing.T) {
 	}
 }
 
-func TestWriteCurvesCSVSortedSeries(t *testing.T) {
-	var buf bytes.Buffer
-	curves := map[string][]engine.Point{
-		"b": {{Epoch: 1, Time: 1, Value: 2}},
-		"a": {{Epoch: 1, Time: 1, Value: 3}},
-	}
-	if err := WriteCurvesCSV(&buf, curves); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	ia, ib := strings.Index(out, "\na,"), strings.Index(out, "\nb,")
-	if ia == -1 || ib == -1 || ia > ib {
-		t.Fatalf("series not sorted:\n%s", out)
-	}
-}
-
-// readResultJSON parses a result written by WriteResultJSON back into an
-// engine.Result.
-func readResultJSON(r io.Reader) (*engine.Result, error) {
+// readResultJSON parses a result.json back into an engine.Result.
+func readResultJSON(raw []byte) (*engine.Result, error) {
 	var res engine.Result
-	if err := json.NewDecoder(r).Decode(&res); err != nil {
-		return nil, fmt.Errorf("trace: decode result: %w", err)
+	if err := json.NewDecoder(bytes.NewReader(raw)).Decode(&res); err != nil {
+		return nil, fmt.Errorf("decode result: %w", err)
 	}
 	return &res, nil
 }
 
-func TestResultJSONRoundTrip(t *testing.T) {
-	r := sampleResult()
-	var buf bytes.Buffer
-	if err := WriteResultJSON(&buf, r); err != nil {
+// resultJSON writes r with writeJSON into dir and returns the file's bytes.
+func resultJSON(t testing.TB, dir string, r *engine.Result) []byte {
+	t.Helper()
+	path := filepath.Join(dir, "result.json")
+	if err := writeJSON(path, r); err != nil {
+		t.Fatalf("writeJSON: %v", err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := readResultJSON(&buf)
+	return raw
+}
+
+func TestResultJSONRoundTrip(t *testing.T) {
+	r := sampleResult()
+	got, err := readResultJSON(resultJSON(t, t.TempDir(), r))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,36 +86,29 @@ func TestResultJSONRoundTrip(t *testing.T) {
 }
 
 func TestReadResultJSONBadInput(t *testing.T) {
-	if _, err := readResultJSON(strings.NewReader("{nope")); err == nil {
+	if _, err := readResultJSON([]byte("{nope")); err == nil {
 		t.Fatal("expected decode error")
 	}
 }
 
 // FuzzResultJSON feeds arbitrary bytes to readResultJSON, a reader for
 // result files that come back from disk. Nothing may panic, and a result
-// it accepts must re-encode and read back to the same engine.Result.
+// it accepts must re-encode through writeJSON and read back to the same
+// engine.Result.
 //
-//	go test -run '^$' -fuzz FuzzResultJSON -fuzztime 20s ./internal/trace/
+//	go test -run '^$' -fuzz FuzzResultJSON -fuzztime 20s ./internal/scenario/
 func FuzzResultJSON(f *testing.F) {
 	for _, r := range []*engine.Result{sampleResult(), {}, {Algo: "AD-PSGD", Curve: []engine.Point{}, BytesSent: 1 << 40}} {
-		var buf bytes.Buffer
-		if err := WriteResultJSON(&buf, r); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
+		f.Add(resultJSON(f, f.TempDir(), r))
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		r, err := readResultJSON(bytes.NewReader(raw))
+		r, err := readResultJSON(raw)
 		if err != nil {
 			return
 		}
-		var buf bytes.Buffer
-		if err := WriteResultJSON(&buf, r); err != nil {
-			t.Fatalf("accepted result does not re-encode: %v", err)
-		}
-		again, err := readResultJSON(&buf)
+		again, err := readResultJSON(resultJSON(t, t.TempDir(), r))
 		if err != nil {
-			t.Fatalf("re-encoded result does not read back: %v\n%s", err, buf.Bytes())
+			t.Fatalf("re-encoded result does not read back: %v", err)
 		}
 		if !reflect.DeepEqual(again, r) {
 			t.Fatalf("round trip changed the result: %+v, read %+v", again, r)

@@ -1,16 +1,17 @@
 package scenario
 
 import (
-	"bytes"
 	"context"
+	"encoding/csv"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 
 	"netmax/internal/engine"
 	"netmax/internal/live"
-	"netmax/internal/trace"
 )
 
 // RunOptions tunes one scenario execution.
@@ -81,36 +82,22 @@ func (rep *Report) write(out string) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("scenario: %w", err)
 	}
-	raw, err := json.MarshalIndent(rep.Manifest, "", "  ")
-	if err != nil {
-		return "", fmt.Errorf("scenario: marshal resolved manifest: %w", err)
+	if err := writeJSON(filepath.Join(dir, "resolved.json"), rep.Manifest); err != nil {
+		return "", err
 	}
-	if err := os.WriteFile(filepath.Join(dir, "resolved.json"), append(raw, '\n'), 0o644); err != nil {
-		return "", fmt.Errorf("scenario: %w", err)
-	}
-	// Encode in memory first: a result that cannot be encoded (a diverged
-	// run's NaN loss) leaves no result.json behind.
-	resPath := filepath.Join(dir, "result.json")
-	var res bytes.Buffer
+	var res any = rep.Live
 	if rep.Engine != nil {
-		err = trace.WriteResultJSON(&res, rep.Engine)
-	} else {
-		enc := json.NewEncoder(&res)
-		enc.SetIndent("", "  ")
-		err = enc.Encode(rep.Live)
+		res = rep.Engine
 	}
-	if err == nil {
-		err = os.WriteFile(resPath, res.Bytes(), 0o644)
-	}
-	if err != nil {
-		return "", fmt.Errorf("scenario: write %s: %w", resPath, err)
+	if err := writeJSON(filepath.Join(dir, "result.json"), res); err != nil {
+		return "", err
 	}
 	if rep.Engine != nil && rep.Manifest.Output != nil && rep.Manifest.Output.Curves {
 		cf, err := os.Create(filepath.Join(dir, "curve.csv"))
 		if err != nil {
 			return "", fmt.Errorf("scenario: %w", err)
 		}
-		err = trace.WriteCurveCSV(cf, rep.Engine.Curve)
+		err = writeCurveCSV(cf, rep.Engine.Curve)
 		if cerr := cf.Close(); err == nil {
 			err = cerr
 		}
@@ -119,6 +106,42 @@ func (rep *Report) write(out string) (string, error) {
 		}
 	}
 	return dir, nil
+}
+
+// writeJSON writes v to path as indented JSON with a closing newline: the
+// one writer of a run's resolved.json and result.json and a suite's
+// resolved-suite.json and suite.json. It encodes before it creates the
+// file, so a value that cannot be encoded (a diverged run's NaN loss)
+// leaves no file behind.
+func writeJSON(path string, v any) error {
+	raw, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return fmt.Errorf("scenario: write %s: %w", path, err)
+	}
+	if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
+		return fmt.Errorf("scenario: %w", err)
+	}
+	return nil
+}
+
+// writeCurveCSV writes one training curve as epoch,time,value rows.
+func writeCurveCSV(w io.Writer, curve []engine.Point) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write([]string{"epoch", "time_seconds", "value"}); err != nil {
+		return err
+	}
+	for _, p := range curve {
+		rec := []string{
+			strconv.FormatFloat(p.Epoch, 'g', -1, 64),
+			strconv.FormatFloat(p.Time, 'g', -1, 64),
+			strconv.FormatFloat(p.Value, 'g', -1, 64),
+		}
+		if err := cw.Write(rec); err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	return cw.Error()
 }
 
 // Summary returns a one-line human-readable digest of the run.

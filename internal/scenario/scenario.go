@@ -26,6 +26,7 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -329,7 +330,7 @@ const (
 // Parse decodes a manifest from JSON, rejecting unknown fields, and
 // validates it.
 func Parse(raw []byte) (*Manifest, error) {
-	m, err := decodeManifest(raw)
+	m, err := decodeStrict[Manifest](raw, "manifest")
 	if err != nil {
 		return nil, err
 	}
@@ -339,28 +340,25 @@ func Parse(raw []byte) (*Manifest, error) {
 	return m, nil
 }
 
-// decodeManifest decodes a manifest, rejecting unknown fields and trailing
-// data; validation is the caller's job.
-func decodeManifest(raw []byte) (*Manifest, error) {
-	dec := json.NewDecoder(strings.NewReader(string(raw)))
+// decodeStrict decodes one JSON object, what ("manifest" or "suite"),
+// rejecting unknown fields and trailing data: garbage after the object is
+// as much a mistake as an unknown field. Validation is the caller's job.
+func decodeStrict[T any](raw []byte, what string) (*T, error) {
+	op := "scenario: parse"
+	if what != "manifest" {
+		op += " " + what
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
-	var m Manifest
-	if err := dec.Decode(&m); err != nil {
-		return nil, fmt.Errorf("scenario: parse: %w", err)
+	var v T
+	if err := dec.Decode(&v); err != nil {
+		return nil, fmt.Errorf("%s: %w", op, err)
 	}
-	// Trailing garbage after the manifest object is as much a mistake as
-	// an unknown field.
-	if !atEOF(dec) {
-		return nil, fmt.Errorf("scenario: parse: trailing data after manifest object")
+	// dec.More is not enough: it is false on a stray '}' or ']'.
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("%s: trailing data after %s object", op, what)
 	}
-	return &m, nil
-}
-
-// atEOF reports whether dec holds nothing but whitespace after the value
-// it decoded. dec.More is not enough: it is false on a stray '}' or ']'.
-func atEOF(dec *json.Decoder) bool {
-	_, err := dec.Token()
-	return err == io.EOF
+	return &v, nil
 }
 
 // Load reads, parses and validates a manifest file.

@@ -325,6 +325,30 @@ func TestUnencodableResultLeavesNoFile(t *testing.T) {
 	}
 }
 
+// TestEmptyShardIsAManifestError runs a label-skew manifest that passes
+// validation but leaves workers with no training rows: 250 MNIST workers
+// that each lose classes 1-9 share class 0's rows, which run out. Both
+// runtimes' set-up must name the first starved worker instead of reaching
+// a runner, whose batch cursor would divide by the empty shard's length.
+func TestEmptyShardIsAManifestError(t *testing.T) {
+	lost := make([]string, 250)
+	for i := range lost {
+		lost[i] = "[1,2,3,4,5,6,7,8,9]"
+	}
+	m, err := Parse([]byte(`{"name":"skew250","dataset":"MNIST","model":"MobileNet","workers":250,"epochs":1,` +
+		`"partition":{"kind":"label-skew","lost_labels":[` + strings.Join(lost, ",") + `]}}`))
+	if err != nil {
+		t.Fatalf("the manifest no longer validates, so this test no longer reaches set-up: %v", err)
+	}
+	if _, err := Run(m, RunOptions{}); err == nil || !strings.Contains(err.Error(), "gets no training rows") {
+		t.Fatalf("Run error %v, want a starved worker named", err)
+	}
+	m.Runtime, m.Epochs, m.Live = "live", 0, &LiveSpec{Iterations: 1}
+	if _, _, _, err := m.BuildLive(); err == nil || !strings.Contains(err.Error(), "gets no training rows") {
+		t.Fatalf("BuildLive error %v, want a starved worker named", err)
+	}
+}
+
 // TestRunEmitsResolvedManifest runs a tiny scenario with an output
 // directory and checks the reproducibility contract: resolved.json +
 // result.json are written, the resolved manifest re-loads cleanly, and

@@ -110,27 +110,12 @@ func IsSuite(raw []byte) bool {
 	return false
 }
 
-// decodeSuite decodes a suite document, rejecting unknown fields and
-// trailing data; validation is the caller's job (it needs dir set first).
-func decodeSuite(raw []byte) (*Suite, error) {
-	dec := json.NewDecoder(strings.NewReader(string(raw)))
-	dec.DisallowUnknownFields()
-	var s Suite
-	if err := dec.Decode(&s); err != nil {
-		return nil, fmt.Errorf("scenario: parse suite: %w", err)
-	}
-	if !atEOF(dec) {
-		return nil, fmt.Errorf("scenario: parse suite: trailing data after suite object")
-	}
-	return &s, nil
-}
-
 // ParseSuite decodes a suite from JSON, rejecting unknown fields, and
 // validates it (expanding the grid and loading path members to check every
 // resulting run). Relative member paths resolve against the working
 // directory; use LoadSuite for file-anchored paths.
 func ParseSuite(raw []byte) (*Suite, error) {
-	s, err := decodeSuite(raw)
+	s, err := decodeStrict[Suite](raw, "suite")
 	if err != nil {
 		return nil, err
 	}
@@ -143,7 +128,8 @@ func ParseSuite(raw []byte) (*Suite, error) {
 // loadSuiteBytes finishes loading an already-read suite file: anchor
 // member paths to the file's directory and validate.
 func loadSuiteBytes(raw []byte, path string) (*Suite, error) {
-	s, err := decodeSuite(raw)
+	// Validation needs dir set first.
+	s, err := decodeStrict[Suite](raw, "suite")
 	if err != nil {
 		return nil, fmt.Errorf("%w (in %s)", err, path)
 	}
@@ -282,7 +268,7 @@ func (s *Suite) loadMember(mem *SuiteMember) (m, full, quick *Manifest, err erro
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("scenario: %w", err)
 	}
-	if m, err = decodeManifest(raw); err == nil {
+	if m, err = decodeStrict[Manifest](raw, "manifest"); err == nil {
 		full, quick, err = m.resolveForms()
 	}
 	if err != nil {

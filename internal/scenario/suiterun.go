@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -189,21 +188,10 @@ func (rep *SuiteReport) write(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("scenario: %w", err)
 	}
-	raw, err := json.MarshalIndent(rep.Suite, "", "  ")
-	if err != nil {
-		return fmt.Errorf("scenario: marshal resolved suite: %w", err)
+	if err := writeJSON(filepath.Join(dir, "resolved-suite.json"), rep.Suite); err != nil {
+		return err
 	}
-	if err := os.WriteFile(filepath.Join(dir, "resolved-suite.json"), append(raw, '\n'), 0o644); err != nil {
-		return fmt.Errorf("scenario: %w", err)
-	}
-	raw, err = json.MarshalIndent(rep.Table, "", "  ")
-	if err != nil {
-		return fmt.Errorf("scenario: marshal suite table: %w", err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "suite.json"), append(raw, '\n'), 0o644); err != nil {
-		return fmt.Errorf("scenario: %w", err)
-	}
-	return nil
+	return writeJSON(filepath.Join(dir, "suite.json"), rep.Table)
 }
 
 // WriteTable renders the joint table as aligned text: one row per arm,
@@ -241,9 +229,4 @@ func (t *SuiteTable) WriteTable(w io.Writer) error {
 
 func (d Dist) fmt() string {
 	return fmt.Sprintf("%.4g +/- %.3g", d.Mean, d.Std)
-}
-
-// Summary returns a one-line digest of the suite run.
-func (rep *SuiteReport) Summary() string {
-	return fmt.Sprintf("%s: %d runs, %d arms", rep.Suite.Name, len(rep.Reports), len(rep.Table.Arms))
 }

@@ -48,10 +48,6 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-func (s Summary) String() string {
-	return fmt.Sprintf("%.3g +/- %.2g (n=%d)", s.Mean, s.StdErr, s.N)
-}
-
 // ReplicaSeed derives replica i's seed from a base seed: seeds are spaced
 // 1000 apart so per-replica derived seeds (network schedules, partitions)
 // never collide across replicas. The scenario suite layer's replicate
