@@ -6,7 +6,7 @@
 //	netmax-bench -exp fig8
 //	netmax-bench -exp tab2 -quick -seed 7
 //	netmax-bench -all -quick
-//	netmax-bench -exp fig12 -curves
+//	netmax-bench -exp fig12 -csv curves
 //	netmax-bench -all -quick -par 1 -bench-out BENCH_baseline.json -bench-label baseline
 //
 // -par sizes the process's one host-parallelism budget (1 = the serial
@@ -65,7 +65,6 @@ func main() {
 		all      = flag.Bool("all", false, "run every experiment")
 		quick    = flag.Bool("quick", false, "reduced epochs/node counts for a fast pass")
 		seed     = flag.Int64("seed", 1, "random seed")
-		curves   = flag.Bool("curves", false, "also print the raw figure series")
 		csvDir   = flag.String("csv", "", "directory to write per-experiment curve CSVs into")
 		par      = flag.Int("par", 0, "host parallelism: 0 = NumCPU, 1 = serial; results are identical either way")
 		benchOut = flag.String("bench-out", "", "write per-experiment wall-clock seconds as JSON to this file")
@@ -106,9 +105,6 @@ func main() {
 		}
 		secs := time.Since(start).Seconds()
 		res.WriteTable(w)
-		if *curves {
-			res.WriteCurves(w)
-		}
 		if *csvDir != "" && len(res.Curves) > 0 {
 			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 				return 0, err

@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"netmax/internal/core"
@@ -67,7 +68,7 @@ func TestUniformMaskMatchesRebuild(t *testing.T) {
 							a, b := rand.New(rand.NewSource(s)), rand.New(rand.NewSource(s))
 							for draw := 0; draw < 50; draw++ {
 								p := u.Plan(i, float64(event), a)
-								want := policy.Sample(ref[i], i, b)
+								want := policy.Sample(ref[i], i, nil, b)
 								if p.Peer != want {
 									t.Fatalf("m=%d seed %d %s share %v event %d worker %d draw %d: masked pick %d, rebuilt pick %d (alive %v)",
 										m, seed, name, share, event, i, draw, p.Peer, want, alive)
@@ -178,5 +179,40 @@ func TestUniformRunsSkipDepartedPeers(t *testing.T) {
 	h.OnMembership(alive, 2)
 	if h.iters[1] != 7 || h.inFlight[1] {
 		t.Fatalf("Hop re-admitted worker 1 at %d iterations (in flight %v), want the slowest member's 7 and none in flight", h.iters[1], h.inFlight[1])
+	}
+}
+
+// TestUniformRunsBuildNoMonitor runs SAPS-PSGD and Hop, AD-PSGD's wrappers,
+// through a crash, a rejoin and a leave: the core behavior under each holds
+// no Network Monitor, and since a call on the nil monitor would panic,
+// finishing every epoch shows that none is made.
+func TestUniformRunsBuildNoMonitor(t *testing.T) {
+	T := core.RunADPSGD(hetConfig(4, 4, 3)).TotalTime
+	cfg := hetConfig(4, 4, 3)
+	for name, b := range map[string]engine.AsyncBehavior{
+		"SAPS": saps{core.NewADPSGD(sapsSubgraph(cfg), cfg.LR)},
+		"Hop":  newHopAsync(cfg.Net.Topo.Adj, cfg.LR, 0),
+	} {
+		run := hetConfig(4, 4, 3)
+		run.Failures = simnet.NewFailureSchedule().Crash(1, 0.2*T, 0.5*T).Leave(3, 0.6*T)
+		if r := engine.RunAsync(run, b, name); r.Epochs != 4 {
+			t.Fatalf("%s: %d epochs, want 4", name, r.Epochs)
+		}
+		if holdsMonitor(b) {
+			t.Fatalf("%s built a Network Monitor", name)
+		}
+	}
+}
+
+// holdsMonitor reports whether the core behavior inside b's wrappers holds
+// a Network Monitor (its unexported mon field is non-nil).
+func holdsMonitor(b engine.AsyncBehavior) bool {
+	v := reflect.ValueOf(b)
+	for {
+		v = reflect.Indirect(v)
+		if mon := v.FieldByName("mon"); mon.IsValid() {
+			return !mon.IsNil()
+		}
+		v = v.FieldByName("AsyncBehavior").Elem()
 	}
 }

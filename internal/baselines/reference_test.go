@@ -29,7 +29,7 @@ func newRefUniform(adj [][]bool, share float64) *refUniform {
 }
 
 func (u *refUniform) Plan(i int, now float64, rng *rand.Rand) engine.Pull {
-	return engine.Pull{Peer: policy.SampleMasked(u.p[i], i, u.down, rng), Coef: 0.5 * u.share, TwoSided: true, Share: u.share}
+	return engine.Pull{Peer: policy.Sample(u.p[i], i, u.down, rng), Coef: 0.5 * u.share, TwoSided: true, Share: u.share}
 }
 
 func (u *refUniform) OnIterationEnd(i, j int, s, now float64) {}

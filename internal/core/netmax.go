@@ -19,7 +19,8 @@
 // discrete-event runtime here drives one Node per simulated worker; the
 // live runtime (internal/live) drives the same type from each worker
 // goroutine. Both take their nodes and Network Monitor from NewControl,
-// on the settings Options.Resolved fills in.
+// on the settings Options.Resolved fills in; a run on a fixed uniform
+// policy (AD-PSGD, or NetMax's uniform ablation) has no monitor at all.
 package core
 
 import (
@@ -40,34 +41,36 @@ const DefaultMonitorTs = 120.0 / simnet.TimeScale
 const DefaultBeta = 0.5
 
 // Options tunes NetMax beyond the engine Config. A zero field is unset;
-// Resolved gives each its default.
+// Resolved gives each its default. It is also a manifest's netmax block,
+// under the json names below.
 type Options struct {
-	// Ts is the Network Monitor schedule period in virtual seconds.
-	Ts float64
+	// TsSecs is the Network Monitor schedule period in seconds: virtual
+	// seconds on the engine, wall-clock seconds on the live runtime.
+	TsSecs float64 `json:"ts_secs,omitempty"`
 	// Beta is the EMA smoothing factor β of Algorithm 2 (paper suggests
 	// adapting it to network dynamics).
-	Beta float64
+	Beta float64 `json:"beta,omitempty"`
 	// PolicyRounds sets Algorithm 3's K = R grid. The convergence target
 	// is always Eq. 9's policy.DefaultEpsilon.
-	PolicyRounds int
+	PolicyRounds int `json:"policy_rounds,omitempty"`
 	// UniformPolicy disables the adaptive policy (the "uniform" arm of the
-	// Fig. 7 ablation): the monitor still collects reports but never
-	// generates a policy.
-	UniformPolicy bool
+	// Fig. 7 ablation): the workers keep the uniform policy, and the run
+	// builds no Network Monitor.
+	UniformPolicy bool `json:"uniform_policy,omitempty"`
 	// StalePeriods is the Network Monitor's liveness window: a worker
 	// silent for this many monitor periods is evicted and policies
 	// regenerate over the live subgraph (see monitor.Config.StalePeriods).
-	StalePeriods int
+	StalePeriods int `json:"stale_periods,omitempty"`
 }
 
 // Resolved returns o with every unset setting replaced by its default:
-// a Ts ≤ 0 by DefaultMonitorTs, a Beta outside (0, 1) by DefaultBeta,
+// a TsSecs ≤ 0 by DefaultMonitorTs, a Beta outside (0, 1) by DefaultBeta,
 // PolicyRounds zero by policy.DefaultRounds and a StalePeriods below 1 by
-// monitor.DefaultStalePeriods. It is the one place both runtimes take
-// these defaults from.
+// monitor.DefaultStalePeriods. It is the one place both runtimes and the
+// scenario manifests take these defaults from.
 func (o Options) Resolved() Options {
-	if o.Ts <= 0 {
-		o.Ts = DefaultMonitorTs
+	if o.TsSecs <= 0 {
+		o.TsSecs = DefaultMonitorTs
 	}
 	if o.Beta <= 0 || o.Beta >= 1 {
 		o.Beta = DefaultBeta
@@ -85,13 +88,18 @@ func (o Options) Resolved() Options {
 // graph adj: every worker's Node and the Network Monitor that regenerates
 // their policy, both on the resolved opts. averaging selects AD-PSGD's
 // blend for the nodes and the policies the monitor generates for them
-// (see NewNodes). Both runtimes build their nodes and monitor here.
+// (see NewNodes). Under opts.UniformPolicy no policy is ever generated, so
+// the monitor is nil. Both runtimes build their nodes and monitor here.
 func NewControl(adj [][]bool, alpha float64, opts Options, averaging bool) ([]*Node, *monitor.Monitor) {
 	opts = opts.Resolved()
-	return NewNodes(adj, alpha, opts.Beta, averaging), monitor.New(monitor.Config{
+	nodes := NewNodes(adj, alpha, opts.Beta, averaging)
+	if opts.UniformPolicy {
+		return nodes, nil
+	}
+	return nodes, monitor.New(monitor.Config{
 		Adj:            adj,
 		Alpha:          alpha,
-		Period:         opts.Ts,
+		Period:         opts.TsSecs,
 		Rounds:         opts.PolicyRounds,
 		AveragingBlend: averaging,
 		StalePeriods:   opts.StalePeriods,
@@ -99,36 +107,33 @@ func NewControl(adj [][]bool, alpha float64, opts Options, averaging bool) ([]*N
 }
 
 // behavior implements engine.AsyncBehavior for NetMax: one Node per worker
-// plus the Network Monitor that regenerates their policy.
+// plus the Network Monitor that regenerates their policy, nil on a fixed
+// uniform policy.
 type behavior struct {
-	uniform bool
-	mon     *monitor.Monitor
-	nodes   []*Node
+	mon   *monitor.Monitor
+	nodes []*Node
 }
 
 // newBehavior is NewControl's nodes and monitor driven by the engine.
 func newBehavior(adj [][]bool, alpha float64, opts Options, averaging bool) *behavior {
 	nodes, mon := NewControl(adj, alpha, opts, averaging)
-	return &behavior{uniform: opts.UniformPolicy, mon: mon, nodes: nodes}
+	return &behavior{mon: mon, nodes: nodes}
 }
 
 // NewADPSGD returns AD-PSGD's behavior over the graph adj [11]: averaging
 // nodes on the fixed uniform policy. Departed peers are masked out, but hung
-// peers and slow links keep their uniform share. The nodes and monitor are
-// NewControl's on default options; the nodes still report to the monitor,
-// which is never asked for a policy.
+// peers and slow links keep their uniform share. It has no Network Monitor.
 func NewADPSGD(adj [][]bool, alpha float64) engine.AsyncBehavior {
 	return newBehavior(adj, alpha, Options{UniformPolicy: true}, true)
 }
 
-// Plan first runs the Network Monitor's periodic policy regeneration and
-// hands every worker the new policy; under UniformPolicy there is nothing to
-// hand out, so the monitor is never asked to generate one. It then samples
-// worker i's peer from its policy row (Algorithm 2 line 9; p[i][i] mass
-// means "no pull this iteration") and weighs the pulled model as the node
-// decides (lines 13-14, Node.Coef and Node.TwoSided).
+// Plan first runs the Network Monitor's periodic policy regeneration, if
+// the run has a monitor, and hands every worker the new policy. It then
+// samples worker i's peer from its policy row (Algorithm 2 line 9; p[i][i]
+// mass means "no pull this iteration") and weighs the pulled model as the
+// node decides (lines 13-14, Node.Coef and Node.TwoSided).
 func (b *behavior) Plan(i int, now float64, rng *rand.Rand) engine.Pull {
-	if !b.uniform {
+	if b.mon != nil {
 		if pol, ok := b.mon.MaybeRegenerate(now); ok {
 			for _, n := range b.nodes {
 				n.Adopt(pol.P, pol.Rho)
@@ -144,7 +149,7 @@ func (b *behavior) Plan(i int, now float64, rng *rand.Rand) engine.Pull {
 }
 
 // OnMembership masks crashed peers out of every worker's selection at once
-// and feeds the membership to the monitor, which forces a policy
+// and feeds the membership to the monitor, if any, which forces a policy
 // regeneration over the live subgraph at the next Plan (the row LPs
 // re-solve on every membership change).
 func (b *behavior) OnMembership(alive []bool, now float64) {
@@ -153,15 +158,21 @@ func (b *behavior) OnMembership(alive []bool, now float64) {
 			n.SetMasked(k, !a)
 		}
 	}
-	b.mon.SetLiveness(alive, now)
+	if b.mon != nil {
+		b.mon.SetLiveness(alive, now)
+	}
 }
 
 // OnIterationEnd folds the measured iteration time of worker i's iteration
 // that started at now into its EMA time vector and reports it to the
 // monitor. The report is stamped at the iteration's end, when the worker
 // has it; a self-selected iteration pulls nothing and only heartbeats, so
-// every iteration tells the monitor that its worker is alive.
+// every iteration tells the monitor that its worker is alive. Without a
+// monitor it does nothing: only the monitor reads the EMA.
 func (b *behavior) OnIterationEnd(i, j int, iterSecs, now float64) {
+	if b.mon == nil {
+		return
+	}
 	end := now + iterSecs
 	if j == i {
 		b.mon.Heartbeat(i, end)
@@ -174,7 +185,11 @@ func (b *behavior) OnIterationEnd(i, j int, iterSecs, now float64) {
 func Run(cfg *engine.Config, opts Options) *engine.Result {
 	b := newBehavior(cfg.Net.Topo.Adj, cfg.LR, opts, false)
 	r := engine.RunAsync(cfg, b, "NetMax")
-	debugRegens.Store(int64(b.mon.Regenerations()))
+	regens := 0
+	if b.mon != nil {
+		regens = b.mon.Regenerations()
+	}
+	debugRegens.Store(int64(regens))
 	return r
 }
 

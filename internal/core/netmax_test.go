@@ -33,7 +33,7 @@ func hetConfig(workers, epochs int, seed int64) *engine.Config {
 }
 
 func TestNetMaxTrains(t *testing.T) {
-	r := Run(hetConfig(4, 6, 3), Options{Ts: 2})
+	r := Run(hetConfig(4, 6, 3), Options{TsSecs: 2})
 	if r.Epochs != 6 {
 		t.Fatalf("epochs = %d", r.Epochs)
 	}
@@ -46,20 +46,20 @@ func TestNetMaxTrains(t *testing.T) {
 }
 
 func TestNetMaxDeterministic(t *testing.T) {
-	a := Run(hetConfig(4, 3, 3), Options{Ts: 2})
-	b := Run(hetConfig(4, 3, 3), Options{Ts: 2})
+	a := Run(hetConfig(4, 3, 3), Options{TsSecs: 2})
+	b := Run(hetConfig(4, 3, 3), Options{TsSecs: 2})
 	if a.TotalTime != b.TotalTime || a.FinalLoss != b.FinalLoss {
 		t.Fatalf("non-deterministic: %v/%v vs %v/%v", a.TotalTime, a.FinalLoss, b.TotalTime, b.FinalLoss)
 	}
 }
 
-// TestRunDefaultTsIsDefaultMonitorTs checks that a zero Options.Ts runs the
+// TestRunDefaultTsIsDefaultMonitorTs checks that a zero Options.TsSecs runs the
 // monitor on the scaled paper period that every documented entry point
 // uses, not on the paper's unscaled 120 s.
 func TestRunDefaultTsIsDefaultMonitorTs(t *testing.T) {
 	def := Run(hetConfig(4, 3, 3), Options{})
 	defRegens := DebugRegens()
-	want := Run(hetConfig(4, 3, 3), Options{Ts: DefaultMonitorTs})
+	want := Run(hetConfig(4, 3, 3), Options{TsSecs: DefaultMonitorTs})
 	if !reflect.DeepEqual(def, want) || defRegens != DebugRegens() {
 		t.Fatalf("Options{} differs from Ts = DefaultMonitorTs: loss %v vs %v, virtual time %v vs %v, %d vs %d regenerations",
 			def.FinalLoss, want.FinalLoss, def.TotalTime, want.TotalTime, defRegens, DebugRegens())
@@ -68,7 +68,7 @@ func TestRunDefaultTsIsDefaultMonitorTs(t *testing.T) {
 
 func TestNetMaxRegeneratesPolicies(t *testing.T) {
 	cfg := hetConfig(4, 8, 3)
-	b := newBehavior(cfg.Net.Topo.Adj, cfg.LR, Options{Ts: 2}, false)
+	b := newBehavior(cfg.Net.Topo.Adj, cfg.LR, Options{TsSecs: 2}, false)
 	engine.RunAsync(cfg, b, "NetMax")
 	if b.mon.Regenerations() < 2 {
 		t.Fatalf("monitor regenerated only %d times over a multi-period run", b.mon.Regenerations())
@@ -78,7 +78,7 @@ func TestNetMaxRegeneratesPolicies(t *testing.T) {
 func TestNetMaxFasterThanADPSGDHeterogeneous(t *testing.T) {
 	// The headline claim (Fig. 8): on a heterogeneous network NetMax's
 	// total training time beats AD-PSGD's for the same epoch count.
-	nm := Run(hetConfig(8, 12, 11), Options{Ts: 2})
+	nm := Run(hetConfig(8, 12, 11), Options{TsSecs: 2})
 	ad := RunADPSGD(hetConfig(8, 12, 11))
 	if nm.TotalTime >= ad.TotalTime {
 		t.Fatalf("NetMax %vs not faster than AD-PSGD %vs", nm.TotalTime, ad.TotalTime)
@@ -87,7 +87,7 @@ func TestNetMaxFasterThanADPSGDHeterogeneous(t *testing.T) {
 
 func TestNetMaxCommCostBelowADPSGD(t *testing.T) {
 	// Fig. 5: NetMax's per-epoch communication cost is below AD-PSGD's.
-	nm := Run(hetConfig(8, 12, 13), Options{Ts: 2})
+	nm := Run(hetConfig(8, 12, 13), Options{TsSecs: 2})
 	ad := RunADPSGD(hetConfig(8, 12, 13))
 	if nm.CommCostPerEpoch(8) >= ad.CommCostPerEpoch(8) {
 		t.Fatalf("NetMax comm %v >= AD-PSGD %v", nm.CommCostPerEpoch(8), ad.CommCostPerEpoch(8))
@@ -106,7 +106,7 @@ func TestNetMaxHomogeneousMatchesADPSGD(t *testing.T) {
 		cfg.Net = simnet.NewHomogeneous(simnet.SingleMachine(8))
 		return cfg
 	}
-	nm := Run(mk(), Options{Ts: 2})
+	nm := Run(mk(), Options{TsSecs: 2})
 	ad := RunADPSGD(mk())
 	ratio := nm.TotalTime / ad.TotalTime
 	if ratio > 1.5 || ratio < 0.5 {
@@ -115,23 +115,50 @@ func TestNetMaxHomogeneousMatchesADPSGD(t *testing.T) {
 }
 
 func TestUniformPolicyOptionDisablesAdaptation(t *testing.T) {
-	adaptive := Run(hetConfig(8, 10, 17), Options{Ts: 2})
+	adaptive := Run(hetConfig(8, 10, 17), Options{TsSecs: 2})
 	cfg := hetConfig(8, 10, 17)
-	b := newBehavior(cfg.Net.Topo.Adj, cfg.LR, Options{Ts: 2, UniformPolicy: true}, false)
+	b := newBehavior(cfg.Net.Topo.Adj, cfg.LR, Options{TsSecs: 2, UniformPolicy: true}, false)
 	uniform := engine.RunAsync(cfg, b, "NetMax")
 	// Fig. 7: adaptive probabilities are the main source of gain.
 	if adaptive.TotalTime >= uniform.TotalTime {
 		t.Fatalf("adaptive (%v) not faster than uniform (%v)", adaptive.TotalTime, uniform.TotalTime)
 	}
-	// The uniform arm discards every policy, so none may be generated.
-	if b.mon.Regenerations() != 0 {
-		t.Fatalf("uniform run generated %d policies, want 0", b.mon.Regenerations())
+	// The uniform arm never generates a policy, so it builds no monitor.
+	if b.mon != nil {
+		t.Fatal("uniform run built a Network Monitor")
+	}
+}
+
+// TestUniformRunsBuildNoMonitor runs AD-PSGD and NetMax's uniform arm
+// through a crash, a rejoin and a leave. Neither builds a Network Monitor;
+// a call on the nil monitor would panic, so finishing every epoch shows
+// that none is made. Run reports 0 regenerations for the uniform arm.
+func TestUniformRunsBuildNoMonitor(t *testing.T) {
+	T := Run(hetConfig(4, 4, 3), Options{TsSecs: 2}).TotalTime
+	for name, b := range map[string]*behavior{
+		"AD-PSGD":        NewADPSGD(hetConfig(4, 4, 3).Net.Topo.Adj, 0.1).(*behavior),
+		"NetMax uniform": newBehavior(hetConfig(4, 4, 3).Net.Topo.Adj, 0.1, Options{UniformPolicy: true}, false),
+	} {
+		cfg := hetConfig(4, 4, 3)
+		cfg.Failures = simnet.NewFailureSchedule().Crash(1, 0.2*T, 0.5*T).Leave(3, 0.6*T)
+		if r := engine.RunAsync(cfg, b, name); r.Epochs != 4 {
+			t.Fatalf("%s: %d epochs, want 4", name, r.Epochs)
+		}
+		if b.mon != nil {
+			t.Fatalf("%s built a Network Monitor", name)
+		}
+	}
+	cfg := hetConfig(4, 4, 3)
+	cfg.Failures = simnet.NewFailureSchedule().Crash(1, 0.2*T, 0.5*T).Leave(3, 0.6*T)
+	Run(cfg, Options{UniformPolicy: true})
+	if n := DebugRegens(); n != 0 {
+		t.Fatalf("uniform Run reports %d regenerations, want 0", n)
 	}
 }
 
 func TestADPSGDMonitorBetweenADPSGDAndNetMax(t *testing.T) {
 	// Fig. 15: AD-PSGD+Monitor is faster than plain AD-PSGD in time.
-	ext := RunADPSGDMonitor(hetConfig(8, 10, 19), Options{Ts: 2})
+	ext := RunADPSGDMonitor(hetConfig(8, 10, 19), Options{TsSecs: 2})
 	ad := RunADPSGD(hetConfig(8, 10, 19))
 	if ext.TotalTime >= ad.TotalTime {
 		t.Fatalf("AD-PSGD+Monitor (%v) not faster than AD-PSGD (%v)", ext.TotalTime, ad.TotalTime)
@@ -213,7 +240,7 @@ func TestFixedBlendOption(t *testing.T) {
 // its fallback for an out-of-range β or window, and that set values pass
 // through.
 func TestOptionsDefaults(t *testing.T) {
-	want := Options{Ts: 2.4, Beta: 0.5, PolicyRounds: 10, StalePeriods: 3}
+	want := Options{TsSecs: 2.4, Beta: 0.5, PolicyRounds: 10, StalePeriods: 3}
 	if got := (Options{}).Resolved(); got != want {
 		t.Fatalf("Options{}.Resolved() = %+v, want %+v", got, want)
 	}
@@ -222,7 +249,7 @@ func TestOptionsDefaults(t *testing.T) {
 			t.Fatalf("%+v.Resolved() = %+v, want %+v", o, got, want)
 		}
 	}
-	set := Options{Ts: 0.5, Beta: 0.9, PolicyRounds: 4, UniformPolicy: true, StalePeriods: 7}
+	set := Options{TsSecs: 0.5, Beta: 0.9, PolicyRounds: 4, UniformPolicy: true, StalePeriods: 7}
 	if got := set.Resolved(); got != set {
 		t.Fatalf("%+v.Resolved() = %+v", set, got)
 	}
@@ -249,11 +276,11 @@ func TestEMAUpdateRule(t *testing.T) {
 // rejoin with monitor liveness tracking enabled: the run must finish every
 // epoch, keep the loss decreasing in trend, and leave no peer masked.
 func TestNetMaxSurvivesCrashRejoin(t *testing.T) {
-	clean := Run(hetConfig(4, 4, 3), Options{Ts: 2})
+	clean := Run(hetConfig(4, 4, 3), Options{TsSecs: 2})
 	cfg := hetConfig(4, 4, 3)
 	cfg.Failures = simnet.NewFailureSchedule().
 		Crash(1, clean.TotalTime*0.25, clean.TotalTime*0.55)
-	r := Run(cfg, Options{Ts: 2, StalePeriods: 2})
+	r := Run(cfg, Options{TsSecs: 2, StalePeriods: 2})
 	if r.Epochs != 4 {
 		t.Fatalf("churn run completed %d epochs, want 4", r.Epochs)
 	}
@@ -270,10 +297,10 @@ func TestNetMaxSurvivesCrashRejoin(t *testing.T) {
 // TestNetMaxFailureFreeScheduleIdentical pins the bitwise gate one level
 // up: a NetMax run with an inert schedule attached matches the bare run.
 func TestNetMaxFailureFreeScheduleIdentical(t *testing.T) {
-	a := Run(hetConfig(4, 2, 3), Options{Ts: 2})
+	a := Run(hetConfig(4, 2, 3), Options{TsSecs: 2})
 	cfg := hetConfig(4, 2, 3)
 	cfg.Failures = simnet.NewFailureSchedule() // empty
-	b := Run(cfg, Options{Ts: 2})
+	b := Run(cfg, Options{TsSecs: 2})
 	if a.TotalTime != b.TotalTime || a.FinalLoss != b.FinalLoss || a.FinalAccuracy != b.FinalAccuracy {
 		t.Fatalf("inert schedule changed the trajectory: %v/%v vs %v/%v",
 			a.TotalTime, a.FinalLoss, b.TotalTime, b.FinalLoss)
@@ -286,13 +313,13 @@ func TestNetMaxFailureFreeScheduleIdentical(t *testing.T) {
 // while the coverage gate froze policy regeneration for the whole cluster.
 // After the rejoin, the worker must end the run live and receiving pulls.
 func TestNetMaxReadmitsEvictedWorker(t *testing.T) {
-	clean := Run(hetConfig(4, 2, 3), Options{Ts: 2})
+	clean := Run(hetConfig(4, 2, 3), Options{TsSecs: 2})
 	cfg := hetConfig(4, 8, 3)
 	// Down for many staleness windows (Ts=2, k=1): guaranteed eviction.
 	crashAt := clean.TotalTime * 0.5
 	rejoinAt := crashAt + 10*2
 	cfg.Failures = simnet.NewFailureSchedule().Crash(1, crashAt, rejoinAt)
-	b := newBehavior(cfg.Net.Topo.Adj, cfg.LR, Options{Ts: 2, StalePeriods: 1}, false)
+	b := newBehavior(cfg.Net.Topo.Adj, cfg.LR, Options{TsSecs: 2, StalePeriods: 1}, false)
 	r := engine.RunAsync(cfg, b, "NetMax")
 	if r.Epochs != 8 {
 		t.Fatalf("run completed %d epochs, want 8", r.Epochs)
@@ -335,11 +362,11 @@ func TestNetMaxIsolatedWorkerKeepsLastRow(t *testing.T) {
 		cfg.Net.Topo.Adj = simnet.Ring(4)
 		return cfg
 	}
-	clean := Run(ringConfig(4), Options{Ts: 2})
+	clean := Run(ringConfig(4), Options{TsSecs: 2})
 	down, up := clean.TotalTime*0.3, clean.TotalTime*0.6
 	cfg := ringConfig(4)
 	cfg.Failures = simnet.NewFailureSchedule().Crash(1, down, up).Crash(3, down, up)
-	b := newBehavior(cfg.Net.Topo.Adj, cfg.LR, Options{Ts: 2}, false)
+	b := newBehavior(cfg.Net.Topo.Adj, cfg.LR, Options{TsSecs: 2}, false)
 	isolated := []int{0, 2}
 	held := make([][]float64, 4) // each isolated worker's row as the window opens
 	regens, inWindow := -1, 0
@@ -409,7 +436,7 @@ func (b endProbe) OnIterationEnd(i, j int, iterSecs, now float64) {
 // selected itself (worker 1).
 func TestEveryIterationStampsItsEnd(t *testing.T) {
 	window := float64(monitor.DefaultStalePeriods) * 2
-	b := newBehavior(simnet.FullyConnected(3), 0.1, Options{Ts: 2}, false)
+	b := newBehavior(simnet.FullyConnected(3), 0.1, Options{TsSecs: 2}, false)
 	b.OnIterationEnd(0, 2, 5, 100)
 	b.OnIterationEnd(1, 1, 5, 100)
 	if alive := b.mon.LiveWorkers(105 + window); !alive[0] || !alive[1] {

@@ -76,7 +76,7 @@ func NewNodes(adj [][]bool, alpha, beta float64, averaging bool) []*Node {
 // line 9), skipping masked peers. Returning the node's own id means "no
 // pull this iteration".
 func (n *Node) Select(rng *rand.Rand) int {
-	return policy.SampleMasked(n.row, n.id, n.mask, rng)
+	return policy.Sample(n.row, n.id, n.mask, rng)
 }
 
 // Coef returns the coefficient c of the blend x ← x + c(x_j − x) (Algorithm

@@ -46,7 +46,7 @@ func TestEngineLiveParity(t *testing.T) {
 		}
 		// The manifest sets no netmax block, so its runner is core.Run
 		// with the default monitor period; RunNodes must match it bitwise.
-		r, nodes := core.RunNodes(cfg, core.Options{Ts: scenario.DefaultMonitorTs})
+		r, nodes := core.RunNodes(cfg, core.Options{TsSecs: core.DefaultMonitorTs})
 		if ref := run(cfg); ref.FinalLoss != r.FinalLoss || ref.TotalTime != r.TotalTime {
 			t.Fatalf("RunNodes (loss %v, time %v) differs from the manifest's runner (%v, %v)",
 				r.FinalLoss, r.TotalTime, ref.FinalLoss, ref.TotalTime)

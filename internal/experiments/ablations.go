@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"netmax/internal/core"
 	"netmax/internal/scenario"
 )
 
@@ -15,7 +16,7 @@ func init() {
 
 // ablRun is the ablations' NetMax run on the paper cluster, with the
 // given monitor knobs.
-func ablRun(id string, opt Options, epochs int, nm scenario.NetMaxSpec) *scenario.Manifest {
+func ablRun(id string, opt Options, epochs int, nm core.Options) *scenario.Manifest {
 	m := paperRun(id, opt)
 	m.Workers, m.Epochs, m.LRDecayEpoch = 8, epochs, epochs*7/10
 	m.NetMax = &nm
@@ -27,11 +28,11 @@ func ablRun(id string, opt Options, epochs int, nm scenario.NetMaxSpec) *scenari
 // algorithmic delta between NetMax and AD-PSGD+Monitor).
 func runAblBlend(opt Options) (*Result, error) {
 	epochs := scaleEpochs(30, opt)
-	scaled, err := run(ablRun("abl-blend", opt, epochs, scenario.NetMaxSpec{}))
+	scaled, err := run(ablRun("abl-blend", opt, epochs, core.Options{}))
 	if err != nil {
 		return nil, err
 	}
-	m := ablRun("abl-blend", opt, epochs, scenario.NetMaxSpec{})
+	m := ablRun("abl-blend", opt, epochs, core.Options{})
 	m.Algorithm = "adpsgd-monitor"
 	fixed, err := run(m)
 	if err != nil {
@@ -60,9 +61,9 @@ func runAblTs(opt Options) (*Result, error) {
 		Title:  "Monitor period Ts sweep (seconds, simulator scale)",
 		Header: []string{"Ts", "total time (s)", "comm cost/epoch (s)"},
 	}
-	const ts0 = scenario.DefaultMonitorTs
+	const ts0 = core.DefaultMonitorTs
 	for _, ts := range []float64{ts0 / 4, ts0, ts0 * 4, ts0 * 16} {
-		r, err := run(ablRun("abl-ts", opt, epochs, scenario.NetMaxSpec{TsSecs: ts}))
+		r, err := run(ablRun("abl-ts", opt, epochs, core.Options{TsSecs: ts}))
 		if err != nil {
 			return nil, err
 		}
@@ -82,7 +83,7 @@ func runAblBeta(opt Options) (*Result, error) {
 		Header: []string{"beta", "total time (s)", "comm cost/epoch (s)"},
 	}
 	for _, beta := range []float64{0.1, 0.5, 0.9} {
-		r, err := run(ablRun("abl-beta", opt, epochs, scenario.NetMaxSpec{Beta: beta}))
+		r, err := run(ablRun("abl-beta", opt, epochs, core.Options{Beta: beta}))
 		if err != nil {
 			return nil, err
 		}
@@ -104,7 +105,7 @@ func runAblRounds(opt Options) (*Result, error) {
 		Header: []string{"K=R", "total time (s)", "comm cost/epoch (s)"},
 	}
 	for _, k := range []int{3, 10, 20} {
-		r, err := run(ablRun("abl-rounds", opt, epochs, scenario.NetMaxSpec{PolicyRounds: k}))
+		r, err := run(ablRun("abl-rounds", opt, epochs, core.Options{PolicyRounds: k}))
 		if err != nil {
 			return nil, err
 		}

@@ -208,12 +208,3 @@ func TestWriteTableRenders(t *testing.T) {
 		}
 	}
 }
-
-func TestWriteCurvesRenders(t *testing.T) {
-	res := quick(t, "fig18")
-	var buf bytes.Buffer
-	res.WriteCurves(&buf)
-	if !strings.Contains(buf.String(), "epoch=") {
-		t.Error("curves output empty")
-	}
-}

@@ -3,9 +3,9 @@ package experiments
 import (
 	"fmt"
 
+	"netmax/internal/core"
 	"netmax/internal/engine"
 	"netmax/internal/nn"
-	"netmax/internal/scenario"
 	"netmax/internal/simnet"
 )
 
@@ -112,7 +112,7 @@ func runFig7(opt Options) (*Result, error) {
 			m := paperRun("fig7", opt)
 			m.Model, m.Workers, m.Epochs = model, 8, scaleEpochs(16, opt)
 			m.Overlap = ptr(setting.overlap)
-			m.NetMax = &scenario.NetMaxSpec{UniformPolicy: setting.uniform}
+			m.NetMax = &core.Options{UniformPolicy: setting.uniform}
 			sum := 0.0
 			for _, ns := range netSeeds {
 				m.Network.Seed = ptr(ns)

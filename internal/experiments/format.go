@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -39,24 +38,6 @@ func (r *Result) WriteTable(w io.Writer) {
 	}
 	for _, n := range r.Notes {
 		fmt.Fprintf(w, "note: %s\n", n)
-	}
-}
-
-// WriteCurves renders the figure series (if any) as per-series point lists.
-func (r *Result) WriteCurves(w io.Writer) {
-	if len(r.Curves) == 0 {
-		return
-	}
-	keys := make([]string, 0, len(r.Curves))
-	for k := range r.Curves {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(w, "-- %s --\n", k)
-		for _, p := range r.Curves[k] {
-			fmt.Fprintf(w, "  epoch=%5.1f  t=%9.2f  value=%.4f\n", p.Epoch, p.Time, p.Value)
-		}
 	}
 }
 

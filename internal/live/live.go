@@ -30,8 +30,8 @@
 // adopted it. The monitor loop is the only publisher: it numbers the
 // policies it generates 1, 2, … and keeps the newest. A worker sends the
 // monitor nothing; it adopts a pushed policy at its next iteration. A
-// uniform group generates no policy, so it runs no monitor loop and sends
-// no monitor frames.
+// uniform group generates no policy, so it builds no Network Monitor, runs
+// no monitor loop and sends no monitor frames.
 package live
 
 import (
@@ -60,9 +60,10 @@ type Config struct {
 	LR    float64
 	Batch int
 	Seed  int64
-	// NetMax tunes the monitor and workers as it tunes core.Run, but Ts is
-	// the wall-clock period in seconds. Unset fields take the engine's
-	// defaults (see core.Options.Resolved).
+	// NetMax tunes the monitor and workers as it tunes core.Run, but
+	// TsSecs is the wall-clock period. Unset fields take the engine's
+	// defaults (see core.Options.Resolved). Under UniformPolicy the group
+	// builds no Network Monitor.
 	NetMax core.Options
 	// Duration bounds the run (wall clock); zero means rely on Iterations.
 	Duration time.Duration
@@ -259,7 +260,7 @@ func (n *netMonitor) tick(now float64) {
 // react.
 func Timing(cfg Config) (ts, maskCooldown time.Duration) {
 	opts := cfg.NetMax.Resolved()
-	ts = time.Duration(opts.Ts * float64(time.Second))
+	ts = time.Duration(opts.TsSecs * float64(time.Second))
 	return ts, ts * time.Duration(opts.StalePeriods+1)
 }
 
@@ -272,16 +273,17 @@ func Run(ctx context.Context, cfg Config, hub *transport.Hub) *Stats {
 // group is a live run built and served but not started: no goroutine of it
 // runs yet, so what it holds may still be changed.
 type group struct {
-	cfg     Config
-	hub     *transport.Hub
-	start   time.Time
+	cfg   Config
+	hub   *transport.Hub
+	start time.Time
+	// netMon is nil in a uniform group, which generates no policy.
 	netMon  *netMonitor
 	reps    []*engine.Worker
 	workers []*worker
 }
 
-// newGroup builds cfg's workers and Network Monitor and serves the group
-// on hub.
+// newGroup builds cfg's workers and Network Monitor, if the group adapts
+// its policy, and serves the group on hub.
 func newGroup(cfg Config, hub *transport.Hub) *group {
 	m := len(cfg.Part.Shards)
 	g := &group{cfg: cfg, hub: hub, start: time.Now(), workers: make([]*worker, m)}
@@ -308,7 +310,9 @@ func newGroup(cfg Config, hub *transport.Hub) *group {
 		Codec:   cfg.Codec,
 		Timeout: cfg.PullTimeout,
 	})
-	g.netMon = newNetMonitor(hub, mon, m)
+	if mon != nil {
+		g.netMon = newNetMonitor(hub, mon, m)
+	}
 	return g
 }
 
@@ -323,6 +327,14 @@ func (g *group) run(ctx context.Context) *Stats {
 	}
 	ts, maskCooldown := Timing(cfg)
 
+	// A worker the schedule has down from the start is down before any
+	// goroutine of the run starts, so no peer's first pull finds it up.
+	for i := range workers {
+		if fs.Down(i, 0) {
+			hub.SetWorkerDown(i, true)
+		}
+	}
+
 	// Always derive a cancellable context: when the run is bounded by
 	// Iterations rather than Duration, the monitor goroutine must still be
 	// stopped once the workers finish.
@@ -334,10 +346,9 @@ func (g *group) run(ctx context.Context) *Stats {
 	}
 
 	// Monitor loop: one collect, regeneration and push round per period.
-	// A uniform group generates no policy, so it has nothing to collect
-	// for or push and runs no loop.
+	// A uniform group has no monitor, so it runs no loop.
 	monDone := make(chan struct{})
-	if cfg.NetMax.UniformPolicy {
+	if g.netMon == nil {
 		close(monDone)
 	} else {
 		go func() {
@@ -464,17 +475,21 @@ func (g *group) run(ctx context.Context) *Stats {
 	for i, w := range workers {
 		adopted[i] = w.version
 	}
+	var policies, evictions int
+	if g.netMon != nil {
+		policies, evictions = g.netMon.pub.Version, g.netMon.mon.Evictions()
+	}
 	return &Stats{
 		IterationsPerWorker: counts,
 		FinalAccuracy:       acc,
 		FinalLoss:           loss,
-		PolicyVersions:      g.netMon.pub.Version,
+		PolicyVersions:      policies,
 		AdoptedVersions:     adopted,
 		BytesOnWire:         wireBytes.Load(),
 		Pulls:               pulls.Load(),
 		PeerDownErrors:      peerDown.Load(),
 		RejectedPulls:       rejected.Load(),
-		Evictions:           g.netMon.mon.Evictions(),
+		Evictions:           evictions,
 		Elapsed:             time.Since(start),
 	}
 }

@@ -29,7 +29,7 @@ func TestLiveGroupSurvivesCrashRejoin(t *testing.T) {
 	hub := transport.NewLocalHub(func(i, j int) time.Duration { return time.Millisecond })
 	defer hub.Close()
 	cfg := liveConfig(4, 200)
-	cfg.NetMax.Ts = 0.040
+	cfg.NetMax.TsSecs = 0.040
 	cfg.NetMax.StalePeriods = 2
 	cfg.PullTimeout = 200 * time.Millisecond
 	cfg.Failures = simnet.NewFailureSchedule().Crash(2, 0.030, 0.150)
@@ -53,6 +53,30 @@ func TestLiveGroupSurvivesCrashRejoin(t *testing.T) {
 	}
 }
 
+// TestLiveUniformGroupBuildsNoMonitor runs a uniform group through the
+// crash and rejoin for which TestLiveGroupSurvivesCrashRejoin's adaptive
+// group evicts a worker. The uniform group builds no Network Monitor, so
+// it reports no policy and no eviction.
+func TestLiveUniformGroupBuildsNoMonitor(t *testing.T) {
+	hub := transport.NewLocalHub(func(i, j int) time.Duration { return time.Millisecond })
+	defer hub.Close()
+	cfg := liveConfig(4, 200)
+	cfg.NetMax = core.Options{TsSecs: 0.040, StalePeriods: 2, UniformPolicy: true}
+	cfg.PullTimeout = 200 * time.Millisecond
+	cfg.Failures = simnet.NewFailureSchedule().Crash(2, 0.030, 0.150)
+	g := newGroup(cfg, hub)
+	if g.netMon != nil {
+		t.Fatal("uniform group built a Network Monitor")
+	}
+	stats := g.run(context.Background())
+	if stats.PolicyVersions != 0 || stats.Evictions != 0 {
+		t.Fatalf("uniform group reports %d policies and %d evictions, want 0 and 0", stats.PolicyVersions, stats.Evictions)
+	}
+	if stats.Pulls == 0 {
+		t.Fatal("the group pulled nothing")
+	}
+}
+
 // TestLiveHealthyGroupEvictsNobody runs a failure-free group at the
 // tightest staleness window, one period, over at least five periods. Every
 // worker answers every collect, pulled or not, so none goes stale.
@@ -60,7 +84,7 @@ func TestLiveHealthyGroupEvictsNobody(t *testing.T) {
 	hub := transport.NewLocalHub(func(i, j int) time.Duration { return time.Millisecond })
 	defer hub.Close()
 	cfg := liveConfig(4, 0)
-	cfg.NetMax.Ts = 0.030
+	cfg.NetMax.TsSecs = 0.030
 	cfg.NetMax.StalePeriods = 1
 	cfg.Duration = 250 * time.Millisecond
 	stats := Run(context.Background(), cfg, hub)
@@ -80,7 +104,7 @@ func TestTimingFollowsTheMonitorWindow(t *testing.T) {
 		stale int
 		want  time.Duration
 	}{{0, time.Duration(monitor.DefaultStalePeriods+1) * 500 * time.Millisecond}, {1, time.Second}, {5, 3 * time.Second}} {
-		ts, cooldown := Timing(Config{NetMax: core.Options{Ts: 0.5, StalePeriods: c.stale}})
+		ts, cooldown := Timing(Config{NetMax: core.Options{TsSecs: 0.5, StalePeriods: c.stale}})
 		if ts != 500*time.Millisecond || cooldown != c.want {
 			t.Fatalf("StalePeriods %d: period %v, cooldown %v; want 500ms, %v", c.stale, ts, cooldown, c.want)
 		}
@@ -88,13 +112,13 @@ func TestTimingFollowsTheMonitorWindow(t *testing.T) {
 }
 
 // TestUnsetPeriodTakesTheDefault runs an iteration-bounded group whose
-// NetMax.Ts is unset: its monitor ticks at core.DefaultMonitorTs, as
+// NetMax.TsSecs is unset: its monitor ticks at core.DefaultMonitorTs, as
 // every other unset setting takes its default, and the run finishes.
 func TestUnsetPeriodTakesTheDefault(t *testing.T) {
 	hub := transport.NewLocalHub(nil)
 	defer hub.Close()
 	cfg := liveConfig(3, 20)
-	cfg.NetMax.Ts = 0
+	cfg.NetMax.TsSecs = 0
 	stats := Run(context.Background(), cfg, hub)
 	for i, n := range stats.IterationsPerWorker {
 		if n != 20 {
@@ -162,7 +186,7 @@ func liveConfig(workers, iters int) Config {
 		LR:          0.1,
 		Batch:       16,
 		Seed:        7,
-		NetMax:      core.Options{Ts: 0.050},
+		NetMax:      core.Options{TsSecs: 0.050},
 		Iterations:  iters,
 		PullTimeout: 2 * time.Second,
 	}
@@ -180,7 +204,7 @@ func TestLiveIterationsAllocateNothing(t *testing.T) {
 		defer hub.Close()
 		cfg := liveConfig(4, iters)
 		cfg.NetMax.UniformPolicy = true
-		cfg.NetMax.Ts = 3600
+		cfg.NetMax.TsSecs = 3600
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		stats := Run(context.Background(), cfg, hub)
@@ -223,7 +247,7 @@ func TestLiveGroupRegeneratesPolicy(t *testing.T) {
 	})
 	defer hub.Close()
 	cfg := liveConfig(4, 250)
-	cfg.NetMax.Ts = 0.060
+	cfg.NetMax.TsSecs = 0.060
 	stats := Run(context.Background(), cfg, hub)
 	if stats.PolicyVersions == 0 {
 		t.Fatal("monitor never published a policy")

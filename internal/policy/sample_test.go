@@ -41,7 +41,7 @@ func TestSampleNeverReturnsZeroProbabilityIndex(t *testing.T) {
 			row[j] -= 1e-3 * row[j]
 		}
 		for draw := 0; draw < 50; draw++ {
-			j := Sample(row, self, rng)
+			j := Sample(row, self, nil, rng)
 			if row[j] <= 0 {
 				t.Fatalf("trial %d: sampled zero-probability index %d (self=%d, row=%v)", trial, j, self, row)
 			}
@@ -54,7 +54,7 @@ func TestSampleNeverReturnsZeroProbabilityIndex(t *testing.T) {
 	// and must land on the last positive entry, never on zero-mass self.
 	short := []float64{0.25, 0, 0.25, 0}
 	for i := 0; i < 400; i++ {
-		if j := Sample(short, 3, rng); j != 0 && j != 2 {
+		if j := Sample(short, 3, nil, rng); j != 0 && j != 2 {
 			t.Fatalf("under-normalized row sampled %d, want 0 or 2", j)
 		}
 	}
@@ -65,7 +65,7 @@ func TestSampleSelfMassIsLegitimate(t *testing.T) {
 	row := []float64{0.5, 0.5} // self=1 carries real mass
 	sawSelf := false
 	for i := 0; i < 200; i++ {
-		if Sample(row, 1, rng) == 1 {
+		if Sample(row, 1, nil, rng) == 1 {
 			sawSelf = true
 		}
 	}
@@ -73,17 +73,17 @@ func TestSampleSelfMassIsLegitimate(t *testing.T) {
 		t.Fatal("self with positive probability was never sampled")
 	}
 	// Empty row: self is the only sane answer.
-	if j := Sample([]float64{0, 0, 0}, 2, rng); j != 2 {
+	if j := Sample([]float64{0, 0, 0}, 2, nil, rng); j != 2 {
 		t.Fatalf("empty row sampled %d, want self", j)
 	}
 }
 
-func TestSampleMaskedSkipsMaskedPeers(t *testing.T) {
+func TestSampleSkipsMaskedPeers(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	row := []float64{0, 0.5, 0.3, 0.2}
 	masked := []bool{false, true, false, false}
 	for i := 0; i < 500; i++ {
-		j := SampleMasked(row, 0, masked, rng)
+		j := Sample(row, 0, masked, rng)
 		if j == 1 {
 			t.Fatal("sampled a masked peer")
 		}
@@ -93,24 +93,25 @@ func TestSampleMaskedSkipsMaskedPeers(t *testing.T) {
 	}
 	// All peers masked: self is the only fallback.
 	all := []bool{false, true, true, true}
-	if j := SampleMasked(row, 0, all, rng); j != 0 {
+	if j := Sample(row, 0, all, rng); j != 0 {
 		t.Fatalf("fully masked row sampled %d, want self", j)
 	}
-	// Nil mask must agree with Sample draw-for-draw.
+	// A nil and an all-false mask draw alike, draw for draw.
 	a := rand.New(rand.NewSource(11))
 	b := rand.New(rand.NewSource(11))
+	none := make([]bool, len(row))
 	for i := 0; i < 200; i++ {
-		if x, y := Sample(row, 0, a), SampleMasked(row, 0, nil, b); x != y {
-			t.Fatalf("Sample and nil-mask SampleMasked diverged: %d vs %d", x, y)
+		if x, y := Sample(row, 0, nil, a), Sample(row, 0, none, b); x != y {
+			t.Fatalf("nil and all-false masks diverged: %d vs %d", x, y)
 		}
 	}
 }
 
-// twoScanSampleMasked is SampleMasked as it was written before its two
+// twoScanSample is Sample as it was written before its two
 // cases shared one scan: an unmasked scan for a nil or all-false mask, and
 // a separate renormalizing scan otherwise. It is the bitwise oracle for the
 // single scan.
-func twoScanSampleMasked(row []float64, self int, masked []bool, rng *rand.Rand) int {
+func twoScanSample(row []float64, self int, masked []bool, rng *rand.Rand) int {
 	r := rng.Float64()
 	if masked != nil {
 		any := false
@@ -166,12 +167,12 @@ func twoScanSampleMasked(row []float64, self int, masked []bool, rng *rand.Rand)
 	return fallback
 }
 
-// TestSampleMaskedMatchesTwoScans draws from random rows (normalized,
+// TestSampleMatchesTwoScans draws from random rows (normalized,
 // under-normalized, with and without self mass and zero entries) under
 // nil, all-false, partial, self-only and full masks, and requires the
 // single scan to pick the two-scan oracle's index on every draw of the
 // same RNG stream.
-func TestSampleMaskedMatchesTwoScans(t *testing.T) {
+func TestSampleMatchesTwoScans(t *testing.T) {
 	gen := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 3000; trial++ {
 		m := 1 + gen.Intn(9)
@@ -214,8 +215,8 @@ func TestSampleMaskedMatchesTwoScans(t *testing.T) {
 		seed := gen.Int63()
 		a, b := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
 		for draw := 0; draw < 40; draw++ {
-			if got, want := SampleMasked(row, self, masked, a), twoScanSampleMasked(row, self, masked, b); got != want {
-				t.Fatalf("trial %d draw %d: SampleMasked = %d, two-scan oracle = %d (row %v, self %d, mask %v)",
+			if got, want := Sample(row, self, masked, a), twoScanSample(row, self, masked, b); got != want {
+				t.Fatalf("trial %d draw %d: Sample = %d, two-scan oracle = %d (row %v, self %d, mask %v)",
 					trial, draw, got, want, row, self, masked)
 			}
 		}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"netmax/internal/core"
 )
 
 // churnDeadline bounds TestAlgorithmTable's churn run of one kind, which
@@ -85,7 +87,7 @@ func TestAlgorithmTable(t *testing.T) {
 					m.Failures = &FailureSpec{Events: []FailureEvent{{Kind: "leave", Worker: 1, At: 1}}}
 				}},
 				{"parallelism 2", a.parallelism, func(m *Manifest) { m.Parallelism = 2 }},
-				{"netmax", a.netmax, func(m *Manifest) { m.NetMax = &NetMaxSpec{Beta: 0.3} }},
+				{"netmax", a.netmax, func(m *Manifest) { m.NetMax = &core.Options{Beta: 0.3} }},
 				{"hop_staleness", a.hopStaleness, func(m *Manifest) { m.HopStaleness = 2 }},
 				{"live runtime", a.live, func(m *Manifest) {
 					m.Runtime, m.Epochs, m.Network = "live", 0, nil

@@ -144,7 +144,7 @@ func TestEngineIterationsAllocateNothing(t *testing.T) {
 
 			regens := 0
 			if p.algo.netmax {
-				regens = int((t2-t1)/p.opts.Ts) + 1
+				regens = int((t2-t1)/p.opts.TsSecs) + 1
 			}
 			if fs := p.failures; fs != nil {
 				for at := fs.NextTransition(t1); at <= t2; at = fs.NextTransition(at) {

@@ -98,7 +98,8 @@ type prepared struct {
 }
 
 // prepare validates and resolves m, then builds the model spec, the data,
-// its partition, the codec, the failure schedule and the NetMax options.
+// its partition, the codec and the failure schedule, and copies the netmax
+// block (zero without one).
 func (m *Manifest) prepare() (*prepared, error) {
 	r, err := m.resolve()
 	if err != nil {
@@ -124,29 +125,14 @@ func (m *Manifest) prepare() (*prepared, error) {
 		p.codec, _ = codec.ByName(r.Codec.Name)
 	}
 	p.failures = r.buildFailures()
-	p.opts = r.options()
-	return p, nil
-}
-
-// options translates the resolved netmax block into core.Options (zero
-// without one). A live monitor's period is live.ts_millis in wall-clock
-// seconds.
-func (r *Manifest) options() core.Options {
-	nm := r.NetMax
-	if nm == nil {
-		return core.Options{}
+	if r.NetMax != nil {
+		p.opts = *r.NetMax
 	}
-	opts := core.Options{
-		Ts:            nm.TsSecs,
-		Beta:          nm.Beta,
-		PolicyRounds:  nm.PolicyRounds,
-		UniformPolicy: nm.UniformPolicy,
-		StalePeriods:  nm.StalePeriods,
-	}
+	// A live monitor's period is live.ts_millis in wall-clock seconds.
 	if r.Runtime == "live" {
-		opts.Ts = float64(r.Live.TsMillis) / 1000
+		p.opts.TsSecs = float64(r.Live.TsMillis) / 1000
 	}
-	return opts
+	return p, nil
 }
 
 // BuildEngine translates an engine-runtime manifest into a ready-to-run

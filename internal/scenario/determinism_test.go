@@ -77,7 +77,7 @@ func TestManifestMatchesFlagPathBitwise(t *testing.T) {
 	t.Run("netmax static", func(t *testing.T) {
 		cfg := flagConfig(nn.SimMobileNet, data.SynthMNIST, workers, epochs, seed,
 			simnet.NewStatic(simnet.PaperCluster(workers)))
-		want := core.Run(cfg, core.Options{Ts: DefaultMonitorTs})
+		want := core.Run(cfg, core.Options{TsSecs: core.DefaultMonitorTs})
 
 		m := &Manifest{
 			Name: "gate-netmax-static", Model: "MobileNet", Dataset: "MNIST",
@@ -97,7 +97,7 @@ func TestManifestMatchesFlagPathBitwise(t *testing.T) {
 		// the run seed — all defaults in the manifest path.
 		cfg := flagConfig(nn.SimMobileNet, data.SynthMNIST, workers, epochs, seed,
 			simnet.NewHeterogeneousPeriod(simnet.PaperCluster(workers), seed, DefaultHorizon, DefaultSlowPeriod))
-		want := core.Run(cfg, core.Options{Ts: DefaultMonitorTs})
+		want := core.Run(cfg, core.Options{TsSecs: core.DefaultMonitorTs})
 
 		m := &Manifest{
 			Name: "gate-netmax-het", Model: "MobileNet", Dataset: "MNIST",
@@ -139,13 +139,13 @@ func TestManifestMatchesFlagPathBitwise(t *testing.T) {
 		fs.DetectSecs = 0.5
 		fs.Crash(1, 2, 5).Hang(2, 1, 3)
 		cfg.Failures = fs
-		want := core.Run(cfg, core.Options{Ts: DefaultMonitorTs, StalePeriods: 2})
+		want := core.Run(cfg, core.Options{TsSecs: core.DefaultMonitorTs, StalePeriods: 2})
 
 		m := &Manifest{
 			Name: "gate-failures", Model: "MobileNet", Dataset: "MNIST",
 			Workers: workers, Epochs: epochs, Seed: seed,
 			Network: &NetworkSpec{Kind: "static"},
-			NetMax:  &NetMaxSpec{StalePeriods: 2},
+			NetMax:  &core.Options{StalePeriods: 2},
 			Failures: &FailureSpec{
 				DetectSecs: 0.5,
 				Events: []FailureEvent{

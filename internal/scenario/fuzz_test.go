@@ -58,8 +58,12 @@ func FuzzParseManifest(f *testing.F) {
 		if _, err := Parse(out); err != nil {
 			t.Fatalf("resolved manifest does not parse back: %v\n%s", err, out)
 		}
-		if r := m.Resolved(); r.Runtime == "live" {
-			ts, cooldown := live.Timing(live.Config{NetMax: r.options()})
+		if m.Resolved().Runtime == "live" {
+			p, err := m.prepare()
+			if err != nil {
+				t.Fatalf("accepted manifest does not build: %v\n%s", err, raw)
+			}
+			ts, cooldown := live.Timing(live.Config{NetMax: p.opts})
 			if ts <= 0 || cooldown <= 0 {
 				t.Fatalf("accepted live manifest runs a monitor period of %v and a retry cooldown of %v\n%s", ts, cooldown, raw)
 			}

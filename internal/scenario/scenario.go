@@ -38,7 +38,6 @@ import (
 	"netmax/internal/codec"
 	"netmax/internal/core"
 	"netmax/internal/data"
-	"netmax/internal/monitor"
 	"netmax/internal/nn"
 	"netmax/internal/policy"
 	"netmax/internal/simnet"
@@ -111,10 +110,14 @@ type Manifest struct {
 	Compute   *ComputeSpec   `json:"compute,omitempty"`
 	Codec     *CodecSpec     `json:"codec,omitempty"`
 	Failures  *FailureSpec   `json:"failures,omitempty"`
-	NetMax    *NetMaxSpec    `json:"netmax,omitempty"`
-	Live      *LiveSpec      `json:"live,omitempty"`
-	Output    *OutputSpec    `json:"output,omitempty"`
-	Quick     *QuickSpec     `json:"quick,omitempty"`
+	// NetMax tunes the NetMax monitor/policy loop (algorithms "netmax" and
+	// "adpsgd-monitor" only) on both runtimes; unset fields take
+	// core.Options.Resolved's defaults. netmax.ts_secs is engine-only: a
+	// live monitor's wall-clock period is live.ts_millis.
+	NetMax *core.Options `json:"netmax,omitempty"`
+	Live   *LiveSpec     `json:"live,omitempty"`
+	Output *OutputSpec   `json:"output,omitempty"`
+	Quick  *QuickSpec    `json:"quick,omitempty"`
 }
 
 // TopologySpec places workers onto machines. Engine-only.
@@ -213,27 +216,8 @@ type RandomChurnSpec struct {
 	MeanDownSecs float64 `json:"mean_down_secs"`
 }
 
-// NetMaxSpec tunes the NetMax monitor/policy loop (algorithms "netmax" and
-// "adpsgd-monitor" only) on both runtimes.
-type NetMaxSpec struct {
-	// TsSecs is the Network Monitor period in virtual seconds (default
-	// 2.4, the paper's 120s over the 50x time scale). Engine-only: a live
-	// monitor's wall-clock period is live.ts_millis.
-	TsSecs float64 `json:"ts_secs,omitempty"`
-	// Beta is the EMA smoothing factor (default 0.5).
-	Beta float64 `json:"beta,omitempty"`
-	// PolicyRounds sets Algorithm 3's K and R grids (default 10).
-	PolicyRounds int `json:"policy_rounds,omitempty"`
-	// UniformPolicy disables the adaptive policy (the uniform ablation).
-	UniformPolicy bool `json:"uniform_policy,omitempty"`
-	// StalePeriods is the monitor's liveness window in periods on both
-	// runtimes: a worker silent this long is evicted (default
-	// monitor.DefaultStalePeriods, at least 1; eviction is never off).
-	StalePeriods int `json:"stale_periods,omitempty"`
-}
-
 // LiveSpec configures what only the live (goroutine / TCP) runtime has;
-// its monitor and churn are in NetMaxSpec and FailureSpec. Every model pull
+// its monitor and churn are in the netmax block and FailureSpec. Every model pull
 // and monitor exchange has the deadline DefaultPullTimeout.
 type LiveSpec struct {
 	// Transport: "local" (default; in-memory pipes, injectable latency) or
@@ -289,9 +273,6 @@ const (
 	DefaultEpochs      = 8
 	DefaultBatch       = 16
 	DefaultLR          = 0.1
-	// DefaultMonitorTs is the NetMax monitor period in virtual seconds
-	// (see core.DefaultMonitorTs).
-	DefaultMonitorTs = core.DefaultMonitorTs
 	// DefaultSlowPeriod is the slow-link relocation period: the paper's
 	// simnet.SlowLinkPeriod over simnet.TimeScale.
 	DefaultSlowPeriod = simnet.SlowLinkPeriod / simnet.TimeScale
@@ -478,21 +459,12 @@ func (m *Manifest) Resolved() *Manifest {
 	}
 	if a, _ := lookupAlgorithm(r.Algorithm); a.netmax {
 		if r.NetMax == nil {
-			r.NetMax = &NetMaxSpec{}
+			r.NetMax = &core.Options{}
 		}
-		nm := r.NetMax
+		*r.NetMax = r.NetMax.Resolved()
 		// Live takes its period from live.ts_millis.
-		if r.Runtime != "live" && nm.TsSecs == 0 {
-			nm.TsSecs = DefaultMonitorTs
-		}
-		if nm.StalePeriods == 0 {
-			nm.StalePeriods = monitor.DefaultStalePeriods
-		}
-		if nm.Beta == 0 {
-			nm.Beta = core.DefaultBeta
-		}
-		if nm.PolicyRounds == 0 {
-			nm.PolicyRounds = policy.DefaultRounds
+		if r.Runtime == "live" {
+			r.NetMax.TsSecs = 0
 		}
 	}
 	return r
@@ -777,35 +749,37 @@ func validateEngine(e *errorList, m, r *Manifest, a algorithm) {
 	validateTopologyNetwork(e, r)
 	validateCompute(e, r)
 	validateFailures(e, r)
-	validateNetMax(e, r)
+	validateNetMax(e, m)
 }
 
-// validateNetMax checks the resolved NetMax block of either runtime; only
-// the engine reads ts_secs.
-func validateNetMax(e *errorList, r *Manifest) {
-	if nm := r.NetMax; nm != nil {
-		if r.Runtime == "live" {
-			if nm.TsSecs != 0 {
-				e.addf("netmax.ts_secs is engine-only (a live monitor's period is live.ts_millis)")
-			}
-		} else if nm.TsSecs <= 0 {
-			e.addf("netmax.ts_secs must be positive, got %g", nm.TsSecs)
-		}
-		if nm.Beta <= 0 || nm.Beta >= 1 {
-			e.addf("netmax.beta must be in (0, 1), got %g", nm.Beta)
-		}
-		if nm.PolicyRounds < 2 {
-			e.addf("netmax.policy_rounds must be >= 2 (one round searches a one-point grid), got %d", nm.PolicyRounds)
-		}
-		if nm.PolicyRounds > policy.MaxRounds {
-			e.addf("netmax.policy_rounds must be <= %d (a regeneration scores rounds² candidates), got %d", policy.MaxRounds, nm.PolicyRounds)
-		}
-		if nm.StalePeriods < 1 {
-			e.addf("netmax.stale_periods must be >= 1, got %d", nm.StalePeriods)
-		}
-		if nm.StalePeriods > maxStalePeriods {
-			e.addf("netmax.stale_periods must be <= %d, got %d", maxStalePeriods, nm.StalePeriods)
-		}
+// validateNetMax checks the netmax block of either runtime as written: a
+// zero field is unset, and resolution gives it its default, but would also
+// silently replace an out-of-range one. Only the engine reads ts_secs.
+func validateNetMax(e *errorList, m *Manifest) {
+	nm := m.NetMax
+	if nm == nil {
+		return
+	}
+	switch {
+	case m.Runtime == "live" && nm.TsSecs != 0:
+		e.addf("netmax.ts_secs is engine-only (a live monitor's period is live.ts_millis)")
+	case nm.TsSecs < 0:
+		e.addf("netmax.ts_secs must be positive, got %g", nm.TsSecs)
+	}
+	if nm.Beta < 0 || nm.Beta >= 1 {
+		e.addf("netmax.beta must be in (0, 1), got %g", nm.Beta)
+	}
+	if nm.PolicyRounds != 0 && nm.PolicyRounds < 2 {
+		e.addf("netmax.policy_rounds must be >= 2 (one round searches a one-point grid), got %d", nm.PolicyRounds)
+	}
+	if nm.PolicyRounds > policy.MaxRounds {
+		e.addf("netmax.policy_rounds must be <= %d (a regeneration scores rounds² candidates), got %d", policy.MaxRounds, nm.PolicyRounds)
+	}
+	if nm.StalePeriods < 0 {
+		e.addf("netmax.stale_periods must be >= 1, got %d", nm.StalePeriods)
+	}
+	if nm.StalePeriods > maxStalePeriods {
+		e.addf("netmax.stale_periods must be <= %d, got %d", maxStalePeriods, nm.StalePeriods)
 	}
 }
 
@@ -995,5 +969,5 @@ func validateLive(e *errorList, m, r *Manifest, a algorithm) {
 		}
 	}
 	validateFailures(e, r)
-	validateNetMax(e, r)
+	validateNetMax(e, m)
 }

@@ -44,7 +44,7 @@ func TestResolvedFixedPoint(t *testing.T) {
 			Compute:  &ComputeSpec{Kind: "straggler", Worker: 3, Factor: 5},
 			Codec:    &CodecSpec{Name: "float32"},
 			Failures: &FailureSpec{Events: []FailureEvent{{Kind: "crash", Worker: 1, At: 5, Rejoin: 9}}},
-			NetMax:   &NetMaxSpec{StalePeriods: 2},
+			NetMax:   &core.Options{StalePeriods: 2},
 			Output:   &OutputSpec{Curves: true},
 		},
 		{
@@ -59,7 +59,7 @@ func TestResolvedFixedPoint(t *testing.T) {
 		{
 			Name: "t-live-churn", Runtime: "live", Model: "MobileNet", Dataset: "MNIST",
 			Live:     &LiveSpec{DurationSecs: 1},
-			NetMax:   &NetMaxSpec{UniformPolicy: true},
+			NetMax:   &core.Options{UniformPolicy: true},
 			Failures: &FailureSpec{Events: []FailureEvent{{Kind: "crash", Worker: 1, At: 0.2, Rejoin: 0.6}}},
 		},
 		{
@@ -186,7 +186,11 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		{"live beta", `{"name": "x", "runtime": "live", "live": {"iterations": 5, "beta": 0.3}}`, `unknown field "beta"`},
 		{"live uniform", `{"name": "x", "runtime": "live", "live": {"iterations": 5, "uniform": true}}`, `unknown field "uniform"`},
 		{"live stale_periods", `{"name": "x", "runtime": "live", "live": {"iterations": 5, "stale_periods": 2}}`, `unknown field "stale_periods"`},
-		{"stale periods negative", `{"name": "x", "netmax": {"stale_periods": -1}}`, "netmax.stale_periods must be >= 1"},
+		{"stale periods negative", `{"name": "x", "netmax": {"stale_periods": -1}}`, "netmax.stale_periods must be >= 1, got -1"},
+		{"beta above 1", `{"name": "x", "netmax": {"beta": 1.5}}`, "netmax.beta must be in (0, 1), got 1.5"},
+		{"beta negative", `{"name": "x", "netmax": {"beta": -0.2}}`, "netmax.beta must be in (0, 1), got -0.2"},
+		{"ts_secs negative", `{"name": "x", "netmax": {"ts_secs": -1}}`, "netmax.ts_secs must be positive, got -1"},
+		{"policy rounds negative", `{"name": "x", "netmax": {"policy_rounds": -1}}`, "netmax.policy_rounds must be >= 2 (one round searches a one-point grid), got -1"},
 		{"stale periods above cap", `{"name": "x", "netmax": {"stale_periods": 100000000000}}`, "netmax.stale_periods must be <= 1000"},
 		{"live stale periods above cap", `{"name": "x", "runtime": "live", "live": {"iterations": 5}, "netmax": {"stale_periods": 100000000000}}`, "netmax.stale_periods must be <= 1000"},
 		{"live ts_millis above cap", `{"name":"x","runtime":"live","model":"MobileNet","dataset":"MNIST","workers":4,"live":{"transport":"local","iterations":5,"ts_millis":10000000000000}}`, "live.ts_millis must be <= 3600000"},
@@ -418,7 +422,7 @@ func TestRunLive(t *testing.T) {
 // seconds and the library defaults explicit, and the pull deadline is
 // DefaultPullTimeout.
 func TestBuildLiveConfigEncoding(t *testing.T) {
-	build := func(l *LiveSpec, nm *NetMaxSpec) live.Config {
+	build := func(l *LiveSpec, nm *core.Options) live.Config {
 		t.Helper()
 		m := &Manifest{Name: "t-live-encoding", Runtime: "live", Model: "MobileNet", Dataset: "MNIST", Live: l, NetMax: nm}
 		cfg, _, closeHub, err := m.BuildLive()
@@ -429,15 +433,42 @@ func TestBuildLiveConfigEncoding(t *testing.T) {
 		return cfg
 	}
 	cfg := build(&LiveSpec{Iterations: 1}, nil)
-	want := core.Options{Ts: 0.5, Beta: 0.5, PolicyRounds: 10, StalePeriods: 3}
+	want := core.Options{TsSecs: 0.5, Beta: 0.5, PolicyRounds: 10, StalePeriods: 3}
 	if cfg.NetMax != want || cfg.PullTimeout != 2*time.Second || cfg.Failures != nil {
 		t.Fatalf("defaults: NetMax %+v, PullTimeout %v, Failures %v; want %+v, 2s, nil", cfg.NetMax, cfg.PullTimeout, cfg.Failures, want)
 	}
 	cfg = build(&LiveSpec{Iterations: 1, TsMillis: 200},
-		&NetMaxSpec{Beta: 0.3, PolicyRounds: 4, UniformPolicy: true, StalePeriods: 5})
-	want = core.Options{Ts: 0.2, Beta: 0.3, PolicyRounds: 4, UniformPolicy: true, StalePeriods: 5}
+		&core.Options{Beta: 0.3, PolicyRounds: 4, UniformPolicy: true, StalePeriods: 5})
+	want = core.Options{TsSecs: 0.2, Beta: 0.3, PolicyRounds: 4, UniformPolicy: true, StalePeriods: 5}
 	if cfg.NetMax != want {
 		t.Fatalf("set: NetMax %+v; want %+v", cfg.NetMax, want)
+	}
+}
+
+// TestZeroNetMaxBlockResolvesInCore checks that the manifest takes its
+// NetMax defaults from core.Options.Resolved: an absent or empty netmax
+// block resolves to core.Options{}.Resolved() on the engine, and to the
+// same with TsSecs 0 on live, whose period is live.ts_millis.
+func TestZeroNetMaxBlockResolvesInCore(t *testing.T) {
+	want := core.Options{}.Resolved()
+	for _, c := range []struct {
+		runtime string
+		ts      float64
+	}{{"engine", want.TsSecs}, {"live", 0}} {
+		for _, nm := range []*core.Options{nil, {}} {
+			m := &Manifest{Name: "x", Runtime: c.runtime, NetMax: nm}
+			if c.runtime == "live" {
+				m.Live = &LiveSpec{Iterations: 1}
+			}
+			w := want
+			w.TsSecs = c.ts
+			if got := m.Resolved().NetMax; got == nil || *got != w {
+				t.Fatalf("%s, block %v: resolved netmax %+v, want %+v", c.runtime, nm, got, w)
+			}
+			if nm != nil && *nm != (core.Options{}) {
+				t.Fatalf("%s: Resolved wrote into the manifest's block: %+v", c.runtime, *nm)
+			}
+		}
 	}
 }
 

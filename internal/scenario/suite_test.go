@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"netmax/internal/core"
 	"netmax/internal/engine"
 	"netmax/internal/stats"
 )
@@ -92,7 +93,7 @@ func TestSuiteGridExpansion(t *testing.T) {
 			Name: "t-base", Model: "MobileNet", Dataset: "MNIST",
 			Workers: 4, Epochs: 1, Seed: 3,
 			Network: &NetworkSpec{Kind: "static"},
-			NetMax:  &NetMaxSpec{StalePeriods: 2},
+			NetMax:  &core.Options{StalePeriods: 2},
 		}},
 		Grid: &GridSpec{
 			Algorithms: []string{"netmax", "adpsgd"},

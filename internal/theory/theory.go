@@ -104,7 +104,7 @@ func (it *Iteration) Adopt(pol *policy.Policy) {
 // step, then the blend x_i + c(x_j − x_i), which a two-sided node mirrors
 // onto j with i's pre-blend model.
 func (it *Iteration) Step() {
-	i := policy.Sample(it.Pg, 0, it.rng)
+	i := policy.Sample(it.Pg, 0, nil, it.rng)
 	n := it.Nodes[i]
 	j := n.Select(it.rng)
 	xi := it.X[i] - float64(it.Alpha*it.Q.Grad(i, it.X[i], it.NoiseStd, it.rng))

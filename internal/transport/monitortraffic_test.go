@@ -41,7 +41,7 @@ func TestLiveMonitorTrafficPerPeriod(t *testing.T) {
 				LR:          0.1,
 				Batch:       16,
 				Seed:        7,
-				NetMax:      core.Options{Ts: ts.Seconds(), StalePeriods: 3, UniformPolicy: c.uniform},
+				NetMax:      core.Options{TsSecs: ts.Seconds(), StalePeriods: 3, UniformPolicy: c.uniform},
 				Iterations:  c.iters,
 				PullTimeout: 2 * time.Second,
 			}, hub)
