@@ -193,3 +193,21 @@ func BenchmarkDecode(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkEncode times one AppendEncode of each codec into a reused
+// buffer at the live benchmark's model size: the encode a worker's server
+// runs on every pull it answers.
+func BenchmarkEncode(b *testing.B) {
+	dim := nn.SimMobileNet.Build(1, data.SynthMNIST.Dim, data.SynthMNIST.Classes).VectorLen()
+	vec := randomVec(rand.New(rand.NewSource(3)), dim)
+	for _, c := range []Codec{Raw{}, Float32{}} {
+		b.Run(c.Name(), func(b *testing.B) {
+			buf := c.AppendEncode(nil, vec)
+			b.ReportAllocs()
+			b.SetBytes(int64(len(buf)))
+			for i := 0; i < b.N; i++ {
+				buf = c.AppendEncode(buf[:0], vec)
+			}
+		})
+	}
+}

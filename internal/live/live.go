@@ -3,9 +3,10 @@
 // Network Monitor regenerating policies on a wall-clock timer — as opposed
 // to the discrete-event simulation in internal/engine. This is the
 // deployment-shaped half of the reproduction. The hub speaks one wire
-// protocol over in-memory pipes (with injected latency, for heterogeneity
-// on one machine) or over loopback TCP; Run serves the whole group on it
-// once, before the first pull, with the configured codec and deadline.
+// protocol over loopback TCP, with injected pull latency for heterogeneity
+// on one machine (transport.NewLocalHub) or without (transport.NewTCPHub);
+// Run serves the whole group on it once, before the first pull, with the
+// configured codec and deadline.
 //
 // The algorithm is not re-implemented here. Each worker goroutine drives
 // core.Node, the per-worker NetMax state the engine's behavior also uses
@@ -31,7 +32,8 @@
 // policies it generates 1, 2, … and keeps the newest. A worker sends the
 // monitor nothing; it adopts a pushed policy at its next iteration. A
 // uniform group generates no policy, so it builds no Network Monitor, runs
-// no monitor loop and sends no monitor frames.
+// no monitor loop and sends no monitor frames; its workers time no
+// iteration and keep no link times.
 package live
 
 import (
@@ -142,7 +144,8 @@ type worker struct {
 	// timesMu guards what the monitor collects, apart from mu, which the
 	// optimizer step holds. Only the worker goroutine writes it.
 	timesMu sync.Mutex
-	// times holds the EMA time and observation count of every link.
+	// times holds the EMA time and observation count of every link; nil in
+	// a group without a Network Monitor, which collects none.
 	times []transport.LinkTime
 	// version is the policy version the node last adopted.
 	version int
@@ -294,13 +297,18 @@ func newGroup(cfg Config, hub *transport.Hub) *group {
 	ecfg := &engine.Config{Spec: cfg.Spec, Part: cfg.Part, LR: cfg.LR, Batch: cfg.Batch, Seed: cfg.Seed}
 	g.reps = ecfg.Workers()
 	sources := make([]transport.ModelSource, m)
-	times := make([]transport.TimeSource, m)
+	// Only a monitor collects link times: a group without one serves no
+	// time source, and its workers time no iteration.
+	var times []transport.TimeSource
 	for i, rep := range g.reps {
 		w := &worker{id: i, rep: rep, node: nodes[i], pulled: make([]float64, rep.Model.VectorLen()),
-			maskedAt: make([]time.Time, m), times: make([]transport.LinkTime, m)}
+			maskedAt: make([]time.Time, m)}
 		g.workers[i] = w
 		sources[i] = w.copyVector
-		times[i] = w.collect
+		if mon != nil {
+			w.times = make([]transport.LinkTime, m)
+			times = append(times, w.collect)
+		}
 	}
 	// A worker whose endpoint cannot be opened (descriptor exhaustion) is
 	// unreachable: pulls at it count as PeerDownErrors, as for a crash.
@@ -366,6 +374,7 @@ func (g *group) run(ctx context.Context) *Stats {
 		}()
 	}
 
+	timed := g.netMon != nil // only a monitor reads iteration times
 	counts := make([]int, m)
 	var wireBytes, pulls, peerDown, rejected atomic.Int64
 	var wg sync.WaitGroup
@@ -409,7 +418,10 @@ func (g *group) run(ctx context.Context) *Stats {
 					}
 				}
 				j := w.node.Select(w.rep.Rng)
-				iterStart := time.Now()
+				var iterStart time.Time
+				if timed {
+					iterStart = time.Now()
+				}
 				// Request the neighbor's model before the local gradient
 				// step and read the answer after it: the peer's server
 				// copies, encodes and sends the model while this worker
@@ -439,7 +451,9 @@ func (g *group) run(ctx context.Context) *Stats {
 					w.mu.Unlock()
 					wireBytes.Add(pulledBytes)
 					pulls.Add(1)
-					w.observe(j, time.Since(iterStart).Seconds())
+					if timed {
+						w.observe(j, time.Since(iterStart).Seconds())
+					}
 				case errors.Is(pullErr, transport.ErrNonFinite):
 					// The peer answered with a poisoned vector: keep the
 					// local model, and observe nothing, so the link's
@@ -456,7 +470,9 @@ func (g *group) run(ctx context.Context) *Stats {
 						w.maskedAt[j] = time.Now()
 						peerDown.Add(1)
 					}
-					w.observe(j, time.Since(iterStart).Seconds())
+					if timed {
+						w.observe(j, time.Since(iterStart).Seconds())
+					}
 				}
 				counts[w.id]++ // safe: one writer per index
 			}

@@ -56,7 +56,8 @@ func TestLiveGroupSurvivesCrashRejoin(t *testing.T) {
 // TestLiveUniformGroupBuildsNoMonitor runs a uniform group through the
 // crash and rejoin for which TestLiveGroupSurvivesCrashRejoin's adaptive
 // group evicts a worker. The uniform group builds no Network Monitor, so
-// it reports no policy and no eviction.
+// it reports no policy and no eviction, and no worker keeps link times:
+// every worker's row stays empty, and a collect reads a row of no links.
 func TestLiveUniformGroupBuildsNoMonitor(t *testing.T) {
 	hub := transport.NewLocalHub(func(i, j int) time.Duration { return time.Millisecond })
 	defer hub.Close()
@@ -74,6 +75,14 @@ func TestLiveUniformGroupBuildsNoMonitor(t *testing.T) {
 	}
 	if stats.Pulls == 0 {
 		t.Fatal("the group pulled nothing")
+	}
+	for i, w := range g.workers {
+		if w.times != nil {
+			t.Errorf("worker %d keeps link times %v", i, w.times)
+		}
+		if _, err := hub.Control(i).Collect(nil); err != nil {
+			t.Errorf("collect of worker %d as a row of no links: %v", i, err)
+		}
 	}
 }
 
@@ -193,7 +202,7 @@ func liveConfig(workers, iters int) Config {
 }
 
 // TestLiveIterationsAllocateNothing runs a uniform-policy group on the
-// in-process hub for n and for 2n iterations per worker: the extra
+// local hub for n and for 2n iterations per worker: the extra
 // iterations, pulls included, must not allocate. What a run allocates
 // once (replicas, connections, buffers, the final evaluation) is the same
 // for both. Ts is an hour, so the monitor never ticks in either run.

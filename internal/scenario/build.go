@@ -268,8 +268,9 @@ func (r *Manifest) buildFailures() *simnet.FailureSchedule {
 }
 
 // BuildLive translates a live-runtime manifest into a live.Config plus a
-// transport hub: in-memory for transport "local", loopback sockets for
-// "tcp". The returned closer releases the hub's servers and connections
+// transport hub on loopback TCP: transport.NewLocalHub with the manifest's
+// latency for transport "local", transport.NewTCPHub for "tcp". The
+// returned closer releases the hub's servers and connections
 // and must be called after the run.
 func (m *Manifest) BuildLive() (live.Config, *transport.Hub, func() error, error) {
 	p, err := m.prepare()

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -40,9 +42,14 @@ type Report struct {
 	Dir string
 }
 
+// ErrDiverged reports a run whose training diverged: its final loss is NaN
+// or ±Inf. Run returns it, naming the run, before it writes any file.
+var ErrDiverged = errors.New("training diverged")
+
 // Run executes a manifest end to end: apply quick overrides, validate,
 // build, run, and emit the resolved manifest next to the results so every
-// reported number is reproducible from one file.
+// reported number is reproducible from one file. A diverged run fails
+// with ErrDiverged.
 func Run(m *Manifest, opt RunOptions) (*Report, error) {
 	if opt.Quick {
 		m = m.ApplyQuick()
@@ -65,6 +72,9 @@ func Run(m *Manifest, opt RunOptions) (*Report, error) {
 		cfg, run := p.engine()
 		rep.Engine = run(cfg)
 	}
+	if loss := rep.finalLoss(); math.IsNaN(loss) || math.IsInf(loss, 0) {
+		return nil, fmt.Errorf("scenario %q: %w (final loss %v)", p.r.Name, ErrDiverged, loss)
+	}
 	if opt.OutDir != "" {
 		dir, err := rep.write(opt.OutDir)
 		if err != nil {
@@ -73,6 +83,14 @@ func Run(m *Manifest, opt RunOptions) (*Report, error) {
 		rep.Dir = dir
 	}
 	return rep, nil
+}
+
+// finalLoss is the final loss of whichever runtime ran.
+func (rep *Report) finalLoss() float64 {
+	if rep.Live != nil {
+		return rep.Live.FinalLoss
+	}
+	return rep.Engine.FinalLoss
 }
 
 // write emits resolved.json, result.json and (when requested) curve.csv
@@ -111,8 +129,7 @@ func (rep *Report) write(out string) (string, error) {
 // writeJSON writes v to path as indented JSON with a closing newline: the
 // one writer of a run's resolved.json and result.json and a suite's
 // resolved-suite.json and suite.json. It encodes before it creates the
-// file, so a value that cannot be encoded (a diverged run's NaN loss)
-// leaves no file behind.
+// file, so a value that cannot be encoded (a NaN) leaves no file behind.
 func writeJSON(path string, v any) error {
 	raw, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {

@@ -220,8 +220,9 @@ type RandomChurnSpec struct {
 // its monitor and churn are in the netmax block and FailureSpec. Every model pull
 // and monitor exchange has the deadline DefaultPullTimeout.
 type LiveSpec struct {
-	// Transport: "local" (default; in-memory pipes, injectable latency) or
-	// "tcp" (loopback sockets). Both speak the binary wire protocol.
+	// Transport: "local" (default; loopback TCP with the injectable
+	// latency of Latency) or "tcp" (loopback TCP, no injected latency).
+	// Both speak the binary wire protocol over the same sockets.
 	Transport string `json:"transport,omitempty"`
 	// TsMillis is the monitor's wall-clock policy period (default 500).
 	TsMillis int `json:"ts_millis,omitempty"`
@@ -234,7 +235,7 @@ type LiveSpec struct {
 	Latency *LatencySpec `json:"latency,omitempty"`
 }
 
-// LatencySpec emulates a two-tier network on the in-process transport: the
+// LatencySpec emulates a two-tier network on the local transport: the
 // first Colocated workers share fast links; every other pair is slow.
 type LatencySpec struct {
 	// Colocated is how many leading workers count as co-located.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -312,21 +313,86 @@ func TestApplyQuick(t *testing.T) {
 	}
 }
 
-// TestUnencodableResultLeavesNoFile runs a manifest whose learning rate
-// makes training diverge: its NaN loss cannot be encoded, so Run returns
-// the error and writes no result.json.
+// TestUnencodableResultLeavesNoFile hands writeJSON a value it cannot
+// encode: it returns the error and creates no file.
 func TestUnencodableResultLeavesNoFile(t *testing.T) {
-	m, err := Parse([]byte(`{"name":"hot","model":"ResNet18","dataset":"CIFAR10","workers":4,"epochs":2,"lr":1000,"seed":1}`))
+	path := filepath.Join(t.TempDir(), "result.json")
+	if err := writeJSON(path, map[string]float64{"loss": math.NaN()}); err == nil {
+		t.Fatal("writeJSON encoded a NaN without error")
+	}
+	if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("result.json of a failed encode: stat error %v, want it absent", err)
+	}
+}
+
+// hot is a manifest whose learning rate makes NetMax's training diverge.
+const hot = `{"name":"hot","model":"ResNet18","dataset":"CIFAR10","workers":4,"epochs":2,"lr":1000,"seed":1}`
+
+// TestDivergedRunFailsTyped runs hot without file output and with an out
+// dir: both fail with ErrDiverged naming the run, and the out dir holds no
+// file of it.
+func TestDivergedRunFailsTyped(t *testing.T) {
+	for _, out := range []string{"", t.TempDir()} {
+		m, err := Parse([]byte(hot))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Run(m, RunOptions{OutDir: out})
+		if !errors.Is(err, ErrDiverged) || !strings.Contains(err.Error(), `"hot"`) {
+			t.Fatalf("out %q: Run error %v, want ErrDiverged naming the run", out, err)
+		}
+		if rep != nil {
+			t.Fatalf("out %q: a diverged run returned a report", out)
+		}
+		if out == "" {
+			continue
+		}
+		if _, err := os.Stat(filepath.Join(out, "hot", "result.json")); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("result.json of a diverged run: stat error %v, want it absent", err)
+		}
+	}
+	// A suite passes its member's error up.
+	s := &Suite{Name: "hot-suite", Runs: []SuiteMember{{Manifest: mustParse(t, hot)}}}
+	if _, err := RunSuite(s, SuiteRunOptions{}); !errors.Is(err, ErrDiverged) {
+		t.Fatalf("RunSuite error %v, want ErrDiverged", err)
+	}
+}
+
+// TestDivergingKindsFailTyped runs hot on every other engine algorithm
+// kind: each returns a finite, encodable result or ErrDiverged.
+func TestDivergingKindsFailTyped(t *testing.T) {
+	for _, a := range algorithms {
+		if a.kind == "netmax" {
+			continue
+		}
+		t.Run(a.kind, func(t *testing.T) {
+			m := mustParse(t, hot)
+			m.Algorithm = a.kind
+			rep, err := Run(m, RunOptions{})
+			if err != nil {
+				if !errors.Is(err, ErrDiverged) {
+					t.Fatalf("Run error %v, want nil or ErrDiverged", err)
+				}
+				return
+			}
+			if l := rep.Engine.FinalLoss; math.IsNaN(l) || math.IsInf(l, 0) {
+				t.Fatalf("final loss %v without ErrDiverged", l)
+			}
+			if _, err := json.Marshal(rep.Engine); err != nil {
+				t.Fatalf("finite result does not encode: %v", err)
+			}
+		})
+	}
+}
+
+// mustParse parses a manifest, failing the test on error.
+func mustParse(t *testing.T, raw string) *Manifest {
+	t.Helper()
+	m, err := Parse([]byte(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := t.TempDir()
-	if _, err := Run(m, RunOptions{OutDir: out}); err == nil {
-		t.Fatal("Run encoded a diverged result without error")
-	}
-	if _, err := os.Stat(filepath.Join(out, "hot", "result.json")); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("result.json of a failed encode: stat error %v, want it absent", err)
-	}
+	return m
 }
 
 // TestEmptyShardIsAManifestError runs a label-skew manifest that passes
@@ -392,7 +458,7 @@ func TestRunEmitsResolvedManifest(t *testing.T) {
 	}
 }
 
-// TestRunLive exercises the live runtime end to end on the in-process
+// TestRunLive exercises the live runtime end to end on the local
 // transport.
 func TestRunLive(t *testing.T) {
 	m := &Manifest{

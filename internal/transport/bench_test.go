@@ -9,22 +9,13 @@ import (
 )
 
 // The transport round-trip benchmarks: one pull and one monitor collect
-// over each carrier, on a served two-worker hub.
+// on a served two-worker loopback TCP hub.
 //
 //	go test -run '^$' -bench RoundTrip -benchmem ./internal/transport/
 
-// benchHubs are the two carriers a hub runs on.
-var benchHubs = []struct {
-	name string
-	open func() (*Hub, error)
-}{
-	{"pipe", func() (*Hub, error) { return NewLocalHub(nil), nil }},
-	{"tcp", NewTCPHub},
-}
-
 // BenchmarkPullRoundTrip pulls a float32-coded model at the live
 // benchmark's size (MobileNet's stand-in on MNIST) from worker 1 to
-// worker 0. Its overlapped sub-benchmarks split the pull as a live worker
+// worker 0. Its overlapped sub-benchmark splits the pull as a live worker
 // does: Request, one 16-row gradient step of that model, then Receive.
 func BenchmarkPullRoundTrip(b *testing.B) {
 	dim := nn.SimMobileNet.Build(1, data.SynthMNIST.Dim, data.SynthMNIST.Classes).VectorLen()
@@ -32,47 +23,25 @@ func BenchmarkPullRoundTrip(b *testing.B) {
 	for i := range vec {
 		vec[i] = float64(i) / float64(dim)
 	}
-	for _, c := range benchHubs {
-		for _, overlapped := range []bool{false, true} {
-			name := c.name
-			if overlapped {
-				name += "/overlapped"
-			}
-			b.Run(name, func(b *testing.B) {
-				hub := openBenchHub(b, c.open, Group{Sources: fixed(vec, vec), Codec: codec.Float32{}})
-				dst := make([]float64, dim)
-				peer := hub.Peer(0, 1)
-				step := func() {}
-				if overlapped {
-					step = newGradStep()
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					peer.Request()
-					step()
-					if _, err := peer.Receive(dst); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
+	for _, overlapped := range []bool{false, true} {
+		name := "tcp"
+		if overlapped {
+			name += "/overlapped"
 		}
-	}
-}
-
-// BenchmarkCollectRoundTrip collects worker 1's link times, as the
-// monitor does once per period.
-func BenchmarkCollectRoundTrip(b *testing.B) {
-	row := []LinkTime{{Secs: 0.25, Count: 9}, {}}
-	for _, c := range benchHubs {
-		b.Run(c.name, func(b *testing.B) {
-			hub := openBenchHub(b, c.open, Group{Sources: fixed(nil, nil), Times: []TimeSource{nil, fixedTimes(row, 1)}})
-			ctl := hub.Control(1)
-			dst := make([]LinkTime, len(row))
+		b.Run(name, func(b *testing.B) {
+			hub := openBenchHub(b, Group{Sources: fixed(vec, vec), Codec: codec.Float32{}})
+			dst := make([]float64, dim)
+			peer := hub.Peer(0, 1)
+			step := func() {}
+			if overlapped {
+				step = newGradStep()
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := ctl.Collect(dst); err != nil {
+				peer.Request()
+				step()
+				if _, err := peer.Receive(dst); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -80,10 +49,26 @@ func BenchmarkCollectRoundTrip(b *testing.B) {
 	}
 }
 
+// BenchmarkCollectRoundTrip collects worker 1's link times, as the
+// monitor does once per period.
+func BenchmarkCollectRoundTrip(b *testing.B) {
+	row := []LinkTime{{Secs: 0.25, Count: 9}, {}}
+	hub := openBenchHub(b, Group{Sources: fixed(nil, nil), Times: []TimeSource{nil, fixedTimes(row, 1)}})
+	ctl := hub.Control(1)
+	dst := make([]LinkTime, len(row))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ctl.Collect(dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // openBenchHub opens a hub, serves g on it, and closes it when b ends.
-func openBenchHub(b *testing.B, open func() (*Hub, error), g Group) *Hub {
+func openBenchHub(b *testing.B, g Group) *Hub {
 	b.Helper()
-	hub, err := open()
+	hub, err := NewTCPHub()
 	if err != nil {
 		b.Fatal(err)
 	}

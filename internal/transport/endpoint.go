@@ -15,8 +15,8 @@ import (
 // The endpoints speak the persistent binary wire protocol of wire.go:
 // clients dial once and exchange length-prefixed frames (message kind +
 // codec id + payload) over the same connection for the life of the run.
-// The connection is a TCP socket or one end of an in-memory net.Pipe
-// (pipe.go); nothing above the dialer and the listener tells them apart.
+// The connection is a loopback TCP socket, with the kernel's deadlines
+// and connection drops.
 // Model payloads go through a dense codec (internal/codec), and every pull
 // reports its encoded byte size, so the puller accounts for real
 // bytes-on-wire.
@@ -262,19 +262,11 @@ func (s *WorkerServer) wait(from int) bool {
 
 // --- persistent client connection ---
 
-// dialer opens a connection to addr; a positive timeout bounds the dial.
-type dialer func(addr string, timeout time.Duration) (net.Conn, error)
-
-func dialTCP(addr string, timeout time.Duration) (net.Conn, error) {
-	return net.DialTimeout("tcp", addr, timeout)
-}
-
 // persistentConn is the shared client chassis: one lazily dialed
 // connection plus the frame request/response exchange with its retry
 // policy. An exchange is send followed by recv; owners serialize
 // exchanges with their own mutex.
 type persistentConn struct {
-	dial dialer // nil dials TCP
 	conn net.Conn
 	r    *bufio.Reader
 	w    *bufio.Writer
@@ -360,11 +352,7 @@ func (pc *persistentConn) ensure(addr string, timeout time.Duration) error {
 	if pc.conn != nil {
 		return nil
 	}
-	dial := pc.dial
-	if dial == nil {
-		dial = dialTCP
-	}
-	conn, err := dial(addr, timeout)
+	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return fmt.Errorf("transport: dial %s: %w", addr, err)
 	}

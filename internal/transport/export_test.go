@@ -25,17 +25,11 @@ func pullModel(p *PullClient, dst []float64) (wireBytes int64, err error) {
 // connections recorded. The returned function counts the frames of a kind
 // the servers have read and written so far.
 func NewRecordingLocalHub(latency func(i, j int) time.Duration) (*Hub, func(kind uint8) int) {
-	pn := &pipeNet{listeners: make(map[string]*pipeListener)}
-	return newRecordingHub(pn.listen, pn.dial, latency)
-}
-
-// newRecordingHub is NewRecordingLocalHub over any carrier: listen opens
-// each worker's listener and dial reaches it.
-func newRecordingHub(listen func() (net.Listener, error), dial dialer, latency func(i, j int) time.Duration) (*Hub, func(kind uint8) int) {
 	var mu sync.Mutex
 	var lns []*recordingListener
-	recording := func() (net.Listener, error) {
-		ln, err := listen()
+	hub := NewLocalHub(latency)
+	hub.listen = func() (net.Listener, error) {
+		ln, err := listenTCP()
 		if err != nil {
 			return nil, err
 		}
@@ -54,5 +48,5 @@ func newRecordingHub(listen func() (net.Listener, error), dial dialer, latency f
 		}
 		return n
 	}
-	return &Hub{listen: recording, dial: dial, latency: latency}, frames
+	return hub, frames
 }

@@ -27,14 +27,16 @@ type Group struct {
 }
 
 // Hub wires a whole NetMax process group: one WorkerServer per worker,
-// reached over loopback TCP (NewTCPHub) or over in-memory pipes
-// (NewLocalHub). Either way every pull, collect and push goes through the
-// same servers, clients and wire frames. Serve fixes the group; from then
-// on every (from, to) pair, and the monitor's link to every worker, reuses
-// one persistent connection for the life of the hub.
+// each on an ephemeral loopback TCP port, and the persistent clients that
+// reach them. Every pull, collect and push goes through the same servers,
+// clients and wire frames, with kernel deadlines and real connection
+// drops. Serve fixes the group; from then on every (from, to) pair, and the
+// monitor's link to every worker, reuses one persistent connection for the
+// life of the hub.
 type Hub struct {
+	// listen opens each worker's listener: listenTCP, or a wrapper of it
+	// in the tests that record frames.
 	listen  func() (net.Listener, error)
-	dial    dialer
 	latency func(i, j int) time.Duration
 
 	// Written once by Serve and read-only afterwards.
@@ -45,26 +47,25 @@ type Hub struct {
 }
 
 // NewTCPHub returns a hub whose workers will listen on ephemeral loopback
-// ports. Its error is always nil: Serve opens the listeners and reports
-// any that fail. Close must be called to release listeners and
-// connections.
+// ports, answering every pull at once: NewLocalHub(nil). Its error is
+// always nil: Serve opens the listeners and reports any that fail. Close
+// must be called to release listeners and connections.
 func NewTCPHub() (*Hub, error) {
-	return &Hub{listen: listenTCP, dial: dialTCP}, nil
+	return NewLocalHub(nil), nil
 }
 
 // listenTCP listens on an ephemeral loopback port.
 func listenTCP() (net.Listener, error) { return net.Listen("tcp", "127.0.0.1:0") }
 
-// NewLocalHub returns a hub whose connections are in-memory pipes inside
-// this process. latency, when non-nil, is the artificial one-way delay of
-// a pull from worker j by worker i: j's server waits it out before
-// answering, so a latency at or beyond the pull timeout is a hung peer
-// (the pull fails with ErrPeerDown after one deadline). The monitor's
-// collects and pushes get no latency. Close must be called to stop its
-// servers.
+// NewLocalHub returns a loopback TCP hub, as NewTCPHub does, with injected
+// latency for heterogeneity on one machine. latency, when non-nil, is the
+// artificial one-way delay of a pull from worker j by worker i: j's server
+// waits it out before answering, so a latency at or beyond the pull
+// timeout is a hung peer (the pull fails with ErrPeerDown after one
+// deadline). The monitor's collects and pushes get no latency. Close must
+// be called to release listeners and connections.
 func NewLocalHub(latency func(i, j int) time.Duration) *Hub {
-	pn := &pipeNet{listeners: make(map[string]*pipeListener)}
-	return &Hub{listen: pn.listen, dial: pn.dial, latency: latency}
+	return &Hub{listen: listenTCP, latency: latency}
 }
 
 // Serve starts the group g: one worker server per source, a pull handle
@@ -109,9 +110,9 @@ func (h *Hub) Serve(g Group) error {
 	for from := range h.peers {
 		h.peers[from] = make([]*PullClient, m)
 		for to, addr := range addrs {
-			h.peers[from][to] = &PullClient{From: from, Addr: addr, Timeout: g.Timeout, pc: persistentConn{dial: h.dial}}
+			h.peers[from][to] = &PullClient{From: from, Addr: addr, Timeout: g.Timeout}
 		}
-		h.ctl[from] = &ControlClient{Addr: addrs[from], Timeout: g.Timeout, pc: persistentConn{dial: h.dial}}
+		h.ctl[from] = &ControlClient{Addr: addrs[from], Timeout: g.Timeout}
 	}
 	return errors.Join(errs...)
 }
@@ -130,7 +131,7 @@ func (h *Hub) SetWorkerDown(id int, down bool) {
 // address, whose pulls fail with ErrPeerDown.
 func (h *Hub) Peer(from, to int) *PullClient {
 	if from < 0 || from >= len(h.peers) || to < 0 || to >= len(h.peers) {
-		return &PullClient{From: from, pc: persistentConn{dial: h.dial}}
+		return &PullClient{From: from}
 	}
 	return h.peers[from][to]
 }

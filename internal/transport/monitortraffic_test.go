@@ -13,8 +13,8 @@ import (
 )
 
 // TestLiveMonitorTrafficPerPeriod records the frames the live Network
-// Monitor sends (collects, pushes) and receives (their answers) in an
-// in-memory run. It sends at most one collect and one push per worker per
+// Monitor sends (collects, pushes) and receives (their answers) in a
+// run on the local hub. It sends at most one collect and one push per worker per
 // period, and every request is answered once. The bound is the same at 60
 // and at 600 iterations, which one time report per pulled iteration would
 // break. A uniform group runs no monitor loop, so its monitor sends

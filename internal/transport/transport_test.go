@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"net/netip"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -13,8 +14,8 @@ import (
 	"netmax/internal/codec"
 )
 
-// The TestLocalNet tests drive the in-process hub: the same servers,
-// clients and frames as TCP, over in-memory pipes.
+// The TestLocalNet tests drive NewLocalHub: loopback TCP with an optional
+// injected pull latency.
 
 func TestLocalNetPull(t *testing.T) {
 	hub := NewLocalHub(nil)
@@ -53,16 +54,26 @@ func TestLocalNetUnknownPeer(t *testing.T) {
 	}
 }
 
+// TestLocalNetLatencyInjected pulls three times over a local hub with a
+// 20 ms latency: each pull, the first (which dials) and the warm ones,
+// takes at least the latency, and the peer is a loopback TCP address.
 func TestLocalNetLatencyInjected(t *testing.T) {
-	hub := NewLocalHub(func(i, j int) time.Duration { return 30 * time.Millisecond })
+	const latency = 20 * time.Millisecond
+	hub := NewLocalHub(func(i, j int) time.Duration { return latency })
 	defer hub.Close()
 	serve(t, hub, Group{Sources: fixed([]float64{0}, []float64{1})})
-	start := time.Now()
-	if _, _, err := pull(hub.Peer(0, 1), 1); err != nil {
-		t.Fatal(err)
+	peer := hub.Peer(0, 1)
+	if addr, err := netip.ParseAddrPort(peer.Addr); err != nil || !addr.Addr().IsLoopback() {
+		t.Fatalf("peer address %q (%v), want a loopback TCP address", peer.Addr, err)
 	}
-	if d := time.Since(start); d < 25*time.Millisecond {
-		t.Fatalf("latency not injected: %v", d)
+	for k := 0; k < 3; k++ {
+		start := time.Now()
+		if _, _, err := pull(peer, 1); err != nil {
+			t.Fatal(err)
+		}
+		if d := time.Since(start); d < latency {
+			t.Fatalf("pull %d took %v, want at least the %v latency", k, d, latency)
+		}
 	}
 }
 
@@ -86,7 +97,7 @@ func TestLocalNetCodecApplied(t *testing.T) {
 }
 
 // TestLocalNetPolicyVersioning pins the worker's policy slot: a push
-// fills it over the in-memory hub, and a push of an older version leaves
+// fills it over the local hub, and a push of an older version leaves
 // the newer one in place.
 func TestLocalNetPolicyVersioning(t *testing.T) {
 	hub := NewLocalHub(nil)
@@ -113,7 +124,7 @@ func TestLocalNetPolicyVersioning(t *testing.T) {
 	}
 }
 
-// TestLocalNetReports checks that a collect over the in-memory hub returns
+// TestLocalNetReports checks that a collect over the local hub returns
 // what the worker's time source reports: its link times with their counts,
 // and its adopted policy version.
 func TestLocalNetReports(t *testing.T) {
@@ -292,7 +303,7 @@ func TestTCPCollectResentAfterLostAnswer(t *testing.T) {
 }
 
 // TestLocalNetDownWorkerMissesMonitor checks the monitor's exchanges with a
-// crashed worker over pipes: a collect and a push both fail with
+// crashed worker: a collect and a push both fail with
 // ErrPeerDown and leave the slot empty, and after the rejoin the re-sent
 // push lands.
 func TestLocalNetDownWorkerMissesMonitor(t *testing.T) {
