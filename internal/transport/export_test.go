@@ -25,9 +25,16 @@ func pullModel(p *PullClient, dst []float64) (wireBytes int64, err error) {
 // connections recorded. The returned function counts the frames of a kind
 // the servers have read and written so far.
 func NewRecordingLocalHub(latency func(i, j int) time.Duration) (*Hub, func(kind uint8) int) {
+	hub := NewLocalHub(latency)
+	return hub, recordFrames(hub)
+}
+
+// recordFrames makes the not yet served hub record every worker server's
+// connections, and returns the count of the frames of a kind the servers
+// have read and written so far.
+func recordFrames(hub *Hub) func(kind uint8) int {
 	var mu sync.Mutex
 	var lns []*recordingListener
-	hub := NewLocalHub(latency)
 	hub.listen = func() (net.Listener, error) {
 		ln, err := listenTCP()
 		if err != nil {
@@ -39,7 +46,7 @@ func NewRecordingLocalHub(latency func(i, j int) time.Duration) (*Hub, func(kind
 		mu.Unlock()
 		return rl, nil
 	}
-	frames := func(kind uint8) int {
+	return func(kind uint8) int {
 		mu.Lock()
 		defer mu.Unlock()
 		n := 0
@@ -48,5 +55,4 @@ func NewRecordingLocalHub(latency func(i, j int) time.Duration) (*Hub, func(kind
 		}
 		return n
 	}
-	return hub, frames
 }
