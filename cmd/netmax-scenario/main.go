@@ -23,6 +23,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io/fs"
@@ -163,7 +164,7 @@ func validateCmd(args []string) {
 	}
 	bad := 0
 	for _, path := range paths {
-		if _, _, err := scenario.LoadAny(path); err != nil {
+		if err := check(path); err != nil {
 			bad++
 			fmt.Fprintf(os.Stderr, "INVALID %s\n  %v\n", path, err)
 			continue
@@ -175,6 +176,40 @@ func validateCmd(args []string) {
 		os.Exit(1)
 	}
 	fmt.Printf("%d manifests valid\n", len(paths))
+}
+
+// check loads a manifest or suite and sets up each of its runs as run
+// does before training: it builds the data, the partition and the hub,
+// and trains nothing.
+func check(path string) error {
+	m, s, err := scenario.LoadAny(path)
+	if err != nil {
+		return err
+	}
+	runs := []scenario.SuiteMember{{Manifest: m}}
+	if s != nil {
+		resolved, err := s.Resolve(false)
+		if err != nil {
+			return err
+		}
+		runs = resolved.Runs
+	}
+	for _, r := range runs {
+		if err := setUp(r.Manifest); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// setUp builds m as run does, then releases the hub.
+func setUp(m *scenario.Manifest) error {
+	if m.Resolved().Runtime != "live" {
+		_, _, err := m.BuildEngine()
+		return err
+	}
+	_, _, closeHub, err := m.BuildLive()
+	return errors.Join(err, closeHub())
 }
 
 func listCmd(args []string) {

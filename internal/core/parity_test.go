@@ -12,12 +12,12 @@ import (
 
 // TestEngineLiveParity runs one 4-worker NetMax manifest on both runtimes:
 // on the engine over the paper cluster, which at 4 workers is two machines
-// (workers 0-1 and 2-3 share one), and on the in-process live transport with the same split
-// emulated by latency (1 ms within a pair, 6 ms across). Both drive
-// core.Node, so this checks what each runtime wires around it — clock,
-// network and monitor: both groups must train, and each converged policy
-// must give worker 0's co-located peer, worker 1, more of its pulls than
-// either cross-machine peer.
+// (workers 0-1 and 2-3 share one), and on the live runtime's loopback-TCP
+// hub with the same split emulated by latency (1 ms within a pair, 6 ms
+// across). Both drive core.Node, so this checks what each runtime wires
+// around it — clock, network and monitor: both groups must train, and each
+// converged policy must give worker 0's co-located peer, worker 1, more of
+// its pulls than either cross-machine peer.
 //
 // On the engine, whose clock is virtual, worker 1 must also get the
 // majority of worker 0's peer mass (it gets 0.53). A live group measures

@@ -3,8 +3,8 @@
 // Network Monitor regenerating policies on a wall-clock timer — as opposed
 // to the discrete-event simulation in internal/engine. This is the
 // deployment-shaped half of the reproduction. The hub speaks one wire
-// protocol over loopback TCP, with injected pull latency for heterogeneity
-// on one machine (transport.NewLocalHub) or without (transport.NewTCPHub);
+// protocol over loopback TCP (transport.NewLocalHub, which both
+// live.transport spellings open; only "local" admits injected latency).
 // Run serves the whole group on it once, before the first pull, with the
 // configured codec and deadline.
 //

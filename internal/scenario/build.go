@@ -268,9 +268,10 @@ func (r *Manifest) buildFailures() *simnet.FailureSchedule {
 }
 
 // BuildLive translates a live-runtime manifest into a live.Config plus a
-// transport hub on loopback TCP: transport.NewLocalHub with the manifest's
-// latency for transport "local", transport.NewTCPHub for "tcp". The
-// returned closer releases the hub's servers and connections
+// transport hub on loopback TCP. Both live.transport spellings open the
+// same hub, transport.NewLocalHub with the manifest's latency (nil without
+// a latency block); they differ only in that "tcp" admits no latency
+// block. The returned closer releases the hub's servers and connections
 // and must be called after the run.
 func (m *Manifest) BuildLive() (live.Config, *transport.Hub, func() error, error) {
 	p, err := m.prepare()
@@ -280,14 +281,15 @@ func (m *Manifest) BuildLive() (live.Config, *transport.Hub, func() error, error
 	if p.r.Runtime != "live" {
 		return live.Config{}, nil, closeNothing, fmt.Errorf("scenario %q: BuildLive on runtime %q", p.r.Name, p.r.Runtime)
 	}
-	return p.live()
+	cfg, hub := p.live()
+	return cfg, hub, hub.Close, nil
 }
 
 // closeNothing is the closer BuildLive returns when it builds no hub.
 func closeNothing() error { return nil }
 
 // live builds the live configuration and its transport hub.
-func (p *prepared) live() (live.Config, *transport.Hub, func() error, error) {
+func (p *prepared) live() (live.Config, *transport.Hub) {
 	r, l := p.r, p.r.Live
 	cfg := live.Config{
 		Spec:        p.spec,
@@ -303,13 +305,6 @@ func (p *prepared) live() (live.Config, *transport.Hub, func() error, error) {
 		PullTimeout: DefaultPullTimeout,
 		Failures:    p.failures,
 	}
-	if l.Transport == "tcp" {
-		hub, err := transport.NewTCPHub()
-		if err != nil {
-			return live.Config{}, nil, closeNothing, fmt.Errorf("scenario %q: tcp hub: %w", r.Name, err)
-		}
-		return cfg, hub, hub.Close, nil
-	}
 	var latency func(i, j int) time.Duration
 	if lat := l.Latency; lat != nil {
 		colocated, intra, inter := lat.Colocated, lat.IntraMillis, lat.InterMillis
@@ -320,6 +315,5 @@ func (p *prepared) live() (live.Config, *transport.Hub, func() error, error) {
 			return time.Duration(inter * float64(time.Millisecond))
 		}
 	}
-	hub := transport.NewLocalHub(latency)
-	return cfg, hub, hub.Close, nil
+	return cfg, transport.NewLocalHub(latency)
 }

@@ -60,12 +60,9 @@ func Run(m *Manifest, opt RunOptions) (*Report, error) {
 	}
 	rep := &Report{Manifest: p.r}
 	if p.r.Runtime == "live" {
-		cfg, hub, closeHub, err := p.live()
-		if err != nil {
-			return nil, err
-		}
+		cfg, hub := p.live()
 		rep.Live = live.Run(context.Background(), cfg, hub)
-		if err := closeHub(); err != nil {
+		if err := hub.Close(); err != nil {
 			return nil, fmt.Errorf("scenario %q: closing hub: %w", p.r.Name, err)
 		}
 	} else {

@@ -220,9 +220,9 @@ type RandomChurnSpec struct {
 // its monitor and churn are in the netmax block and FailureSpec. Every model pull
 // and monitor exchange has the deadline DefaultPullTimeout.
 type LiveSpec struct {
-	// Transport: "local" (default; loopback TCP with the injectable
-	// latency of Latency) or "tcp" (loopback TCP, no injected latency).
-	// Both speak the binary wire protocol over the same sockets.
+	// Transport: "local" (default) or "tcp". Both open the same
+	// loopback-TCP hub, transport.NewLocalHub; they differ only in that
+	// "tcp" admits no Latency block.
 	Transport string `json:"transport,omitempty"`
 	// TsMillis is the monitor's wall-clock policy period (default 500).
 	TsMillis int `json:"ts_millis,omitempty"`
@@ -231,7 +231,7 @@ type LiveSpec struct {
 	DurationSecs float64 `json:"duration_secs,omitempty"`
 	// Iterations bounds per-worker iterations; 0 relies on DurationSecs.
 	Iterations int `json:"iterations,omitempty"`
-	// Latency injects artificial latency on the local transport.
+	// Latency injects artificial pull latency; only "local" admits it.
 	Latency *LatencySpec `json:"latency,omitempty"`
 }
 

@@ -15,6 +15,7 @@ import (
 	"netmax/internal/core"
 	"netmax/internal/live"
 	"netmax/internal/simnet"
+	"netmax/internal/transport"
 )
 
 // minimal returns the smallest interesting engine manifest: quick to run,
@@ -174,6 +175,10 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		{"live with engine block", `{"name": "x", "runtime": "live", "epochs": 4, "live": {"iterations": 5}}`, "engine-only"},
 		{"engine with live block", `{"name": "x", "live": {"iterations": 5}}`, "only valid with runtime"},
 		{"live bad transport", `{"name": "x", "runtime": "live", "live": {"iterations": 5, "transport": "udp"}}`, "unknown live transport"},
+		// The one effect live.transport keeps: both spellings open the same
+		// hub, and only "local" takes injected latency.
+		{"live tcp latency", `{"name": "x", "runtime": "live", "live": {"iterations": 5, "transport": "tcp", "latency": {"colocated": 2, "intra_millis": 1, "inter_millis": 6}}}`,
+			`scenario "x": live.latency injection requires the local transport`},
 		{"live beta above 1", `{"name": "x", "runtime": "live", "live": {"iterations": 5}, "netmax": {"beta": 1.5}}`, "netmax.beta must be in (0, 1)"},
 		{"live beta negative", `{"name": "x", "runtime": "live", "live": {"iterations": 5}, "netmax": {"beta": -0.2}}`, "netmax.beta must be in (0, 1)"},
 		{"live ts_secs", `{"name": "x", "runtime": "live", "live": {"iterations": 5}, "netmax": {"ts_secs": 1}}`, "netmax.ts_secs is engine-only"},
@@ -556,6 +561,55 @@ func TestBuildLiveFailures(t *testing.T) {
 	want := simnet.NewFailureSchedule().Crash(1, 0.2, 0.6).Leave(2, 0.5).Events()
 	if cfg.Failures == nil || !reflect.DeepEqual(cfg.Failures.Events(), want) {
 		t.Fatalf("live.Config.Failures = %+v, want events %+v", cfg.Failures, want)
+	}
+}
+
+// TestBuildLiveHubLatency serves the hubs BuildLive returns for a "tcp"
+// manifest, a "local" one without a latency block and a "local" one whose
+// block makes workers 0-1 co-located and cross-pair pulls cost 20 ms. Every
+// hub answers pulls, and on the third a cross-pair pull takes at least the
+// 20 ms; only lower bounds are checked, so load cannot fail the test.
+func TestBuildLiveHubLatency(t *testing.T) {
+	const inter = 20 * time.Millisecond
+	cases := []struct {
+		name      string
+		transport string
+		latency   *LatencySpec
+		cross     time.Duration // the least a cross-pair pull takes
+	}{
+		{"tcp", "tcp", nil, 0},
+		{"local", "local", nil, 0},
+		{"local latency", "local", &LatencySpec{Colocated: 2, IntraMillis: 0, InterMillis: 20}, inter},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m := &Manifest{Name: "t-live-hub", Runtime: "live", Model: "MobileNet", Dataset: "MNIST", Workers: 4,
+				Live: &LiveSpec{Transport: c.transport, Iterations: 1, Latency: c.latency}}
+			_, hub, closeHub, err := m.BuildLive()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer closeHub()
+			sources := make([]transport.ModelSource, m.Workers)
+			for j := range sources {
+				sources[j] = func(dst []float64) []float64 { return append(dst[:0], float64(j)) }
+			}
+			if err := hub.Serve(transport.Group{Sources: sources, Timeout: DefaultPullTimeout}); err != nil {
+				t.Fatal(err)
+			}
+			for _, to := range []int{1, 2} {
+				peer := hub.Peer(0, to)
+				got := make([]float64, 1)
+				start := time.Now()
+				peer.Request()
+				if _, err := peer.Receive(got); err != nil || got[0] != float64(to) {
+					t.Fatalf("pull 0 <- %d: %v, %v", to, got, err)
+				}
+				if d := time.Since(start); to == 2 && d < c.cross {
+					t.Fatalf("cross-pair pull took %v, want at least %v", d, c.cross)
+				}
+			}
+		})
 	}
 }
 

@@ -136,12 +136,12 @@ func TestLocalNetWorkerDownAndHang(t *testing.T) {
 	}
 }
 
-// The split-pull tests run on both hubs a live group builds, which share
-// one carrier, loopback TCP: a live worker sends its pull request before
-// its gradient step and reads the answer after it. Case "pipe" is
-// NewLocalHub, the hub of live.transport "local" (its carrier was an
-// in-memory pipe before it moved to TCP, and the case keeps its name);
-// case "tcp" is NewTCPHub, the hub of "tcp", given the test's latency.
+// The split-pull tests run on both hub constructors, which open the same
+// loopback-TCP hub: a live worker sends its pull request before its
+// gradient step and reads the answer after it. Case "pipe" is
+// NewLocalHub, which BuildLive calls for either live.transport spelling
+// (the case keeps the name of a carrier since removed); case "tcp" is
+// NewTCPHub, the latency-free form, given the test's latency.
 var carriers = []string{"pipe", "tcp"}
 
 // openRecordingHub opens the carrier's hub with the given pull latency,

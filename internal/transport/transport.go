@@ -6,10 +6,10 @@
 // There is one implementation: worker servers and the persistent-connection
 // clients that call them, speaking the length-prefixed binary frame
 // protocol of wire.go (specified in docs/WIRE.md) over loopback TCP. A Hub
-// wires a whole process group: NewTCPHub answers every pull at once, and
-// NewLocalHub adds an injected per-pair pull latency, for heterogeneity on
-// one machine; both run the same sockets, frames, deadlines and redial
-// rule. A hub is configured once:
+// wires a whole process group: NewLocalHub, with an optional per-pair pull
+// latency (NewTCPHub is its latency-free form), is the hub of both
+// live.transport spellings, which differ only in that "tcp" admits no
+// latency block. A hub is configured once:
 // Serve fixes its worker model and time sources, codec and per-call
 // deadline before the first pull. The monitor side is a ControlClient per
 // worker: Collect reads the worker's link times and adopted policy
