@@ -3,10 +3,13 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"strings"
 	"testing"
+
+	"netmax/internal/scenario"
 )
 
 // TestMain lets a test run the command: with NETMAX_SCENARIO_MAIN set, the
@@ -55,10 +58,59 @@ func TestValidateRejectsWhatRunRejects(t *testing.T) {
 }
 
 // TestValidateAcceptsTheLibrary validates every checked-in manifest and
-// suite, each built in its full and its quick form.
+// suite: each is checked in its full and its quick form, and each run is
+// built in its full form.
 func TestValidateAcceptsTheLibrary(t *testing.T) {
 	code, stdout, stderr := command(t, "validate", "../../scenarios/...")
 	if code != 0 || !strings.HasSuffix(stdout, " manifests valid\n") {
 		t.Fatalf("validate exited %d:\n%s%s", code, stdout, stderr)
+	}
+}
+
+// TestListTheLibrary lists every checked-in manifest and suite: one valid
+// line per file, in expand's order, and a suite's run count is the length
+// of its resolved full-scale run list.
+func TestListTheLibrary(t *testing.T) {
+	const library = "../../scenarios/..."
+	code, stdout, stderr := command(t, "list", library)
+	if code != 0 {
+		t.Fatalf("list exited %d:\n%s%s", code, stdout, stderr)
+	}
+	paths, err := expand([]string{library})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(stdout, "\n"), "\n")
+	if len(lines) != len(paths) {
+		t.Fatalf("list printed %d lines for %d files:\n%s", len(lines), len(paths), stdout)
+	}
+	suites := 0
+	for i, path := range paths {
+		line := lines[i]
+		if strings.Contains(line, "(invalid") {
+			t.Fatalf("list called %s invalid: %s", path, line)
+		}
+		m, s, err := scenario.LoadAny(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var name, want string
+		if s != nil {
+			resolved, err := s.Resolve(false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name, want = s.Name, fmt.Sprintf("suite/%d runs", len(resolved.Runs))
+			suites++
+		} else {
+			r := m.Resolved()
+			name, want = r.Name, r.Runtime+"/"+r.Algorithm
+		}
+		if f := strings.Fields(line); len(f) < 2 || f[0] != name || !strings.HasPrefix(strings.Join(f[1:], " ")+" ", want+" ") {
+			t.Errorf("list printed %q for %s, want name %q and kind %q", line, path, name, want)
+		}
+	}
+	if suites == 0 {
+		t.Fatal("the library lists no suite")
 	}
 }

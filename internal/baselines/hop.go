@@ -8,8 +8,8 @@ import (
 	"netmax/internal/engine"
 )
 
-// defaultHopStaleness is the default iteration-gap bound for RunHop.
-const defaultHopStaleness = 4
+// DefaultHopStaleness is the default iteration-gap bound for RunHop.
+const DefaultHopStaleness = 4
 
 // hopAsync is AD-PSGD's behavior (core.NewADPSGD) behind a staleness gate:
 // a worker too far ahead of the slowest member waits instead of starting an
@@ -85,10 +85,10 @@ func RunHop(cfg *engine.Config, staleness int) *engine.Result {
 }
 
 // newHopAsync builds Hop's behavior over the graph adj with learning rate
-// alpha; a non-positive staleness selects defaultHopStaleness.
+// alpha; a non-positive staleness selects DefaultHopStaleness.
 func newHopAsync(adj [][]bool, alpha float64, staleness int) *hopAsync {
 	if staleness <= 0 {
-		staleness = defaultHopStaleness
+		staleness = DefaultHopStaleness
 	}
 	m := len(adj)
 	return &hopAsync{

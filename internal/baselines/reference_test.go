@@ -51,7 +51,7 @@ type refHop struct {
 
 func newRefHop(adj [][]bool, staleness int) *refHop {
 	if staleness <= 0 {
-		staleness = defaultHopStaleness
+		staleness = DefaultHopStaleness
 	}
 	m := len(adj)
 	return &refHop{

@@ -101,7 +101,7 @@ type prepared struct {
 // its partition, the codec and the failure schedule, and copies the netmax
 // block (zero without one).
 func (m *Manifest) prepare() (*prepared, error) {
-	r, err := m.resolve()
+	r, _, err := m.resolveForms()
 	if err != nil {
 		return nil, err
 	}

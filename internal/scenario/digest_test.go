@@ -114,7 +114,7 @@ func TestResolvedManifestsDigest(t *testing.T) {
 			continue
 		}
 		add(name, "full", m.Resolved())
-		add(name, "quick", m.ApplyQuick().Resolved())
+		add(name, "quick", m.applyQuick().Resolved())
 	}
 	checkDigests(t, filepath.Join("testdata", "resolved-manifests.sha256"), got.Bytes(), "resolved-manifest")
 }

@@ -69,7 +69,7 @@ func FuzzParseManifest(f *testing.F) {
 			}
 			return
 		}
-		for _, form := range []*Manifest{m, m.ApplyQuick()} {
+		for _, form := range []*Manifest{m, m.applyQuick()} {
 			if _, _, err := form.BuildEngine(); err != nil {
 				t.Fatalf("accepted manifest does not build: %v\n%s", err, raw)
 			}

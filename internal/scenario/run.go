@@ -52,7 +52,7 @@ var ErrDiverged = errors.New("training diverged")
 // with ErrDiverged.
 func Run(m *Manifest, opt RunOptions) (*Report, error) {
 	if opt.Quick {
-		m = m.ApplyQuick()
+		m = m.applyQuick()
 	}
 	p, err := m.prepare()
 	if err != nil {

@@ -35,6 +35,7 @@ import (
 	"strings"
 	"time"
 
+	"netmax/internal/baselines"
 	"netmax/internal/codec"
 	"netmax/internal/core"
 	"netmax/internal/data"
@@ -67,7 +68,7 @@ type Manifest struct {
 	// netmax.uniform_policy).
 	Algorithm string `json:"algorithm,omitempty"`
 	// HopStaleness is Hop's staleness bound (algorithm "hop" only;
-	// 0 selects the baseline default).
+	// 0 selects baselines.DefaultHopStaleness, 4).
 	HopStaleness int `json:"hop_staleness,omitempty"`
 	// Model is an nn model-zoo name: MobileNet, ResNet18 (default),
 	// ResNet50, VGG19, GoogLeNet.
@@ -458,7 +459,11 @@ func (m *Manifest) Resolved() *Manifest {
 			r.Failures.DetectSecs = simnet.DefaultDetectSecs
 		}
 	}
-	if a, _ := lookupAlgorithm(r.Algorithm); a.netmax {
+	a, _ := lookupAlgorithm(r.Algorithm)
+	if a.hopStaleness && r.HopStaleness == 0 {
+		r.HopStaleness = baselines.DefaultHopStaleness
+	}
+	if a.netmax {
 		if r.NetMax == nil {
 			r.NetMax = &core.Options{}
 		}
@@ -471,11 +476,11 @@ func (m *Manifest) Resolved() *Manifest {
 	return r
 }
 
-// ApplyQuick returns a copy with the manifest's quick overrides applied and
+// applyQuick returns a copy with the manifest's quick overrides applied and
 // the Quick block cleared, so the resolved form of a quick run stands alone
 // as a reproducible description of what actually ran. Manifests without a
 // Quick block are returned unchanged (already their own quick form).
-func (m *Manifest) ApplyQuick() *Manifest {
+func (m *Manifest) applyQuick() *Manifest {
 	if m.Quick == nil {
 		return m
 	}
@@ -537,19 +542,12 @@ func (e *errorList) err() error {
 // Validation operates on the resolved view, so a manifest is valid exactly
 // when its resolved form is runnable; the quick overrides are checked too.
 func (m *Manifest) Validate() error {
-	_, err := m.resolve()
+	_, _, err := m.resolveForms()
 	return err
 }
 
-// resolve validates the manifest as Validate does and returns its resolved
-// form.
-func (m *Manifest) resolve() (*Manifest, error) {
-	r, _, err := m.resolveForms()
-	return r, err
-}
-
 // resolveForms validates the manifest as Validate does and returns its
-// resolved form and the resolved form of ApplyQuick (r itself when there
+// resolved form and the resolved form of applyQuick (r itself when there
 // is no quick block).
 func (m *Manifest) resolveForms() (r, quick *Manifest, err error) {
 	if r, err = m.validateOne(); err != nil {
@@ -558,7 +556,7 @@ func (m *Manifest) resolveForms() (r, quick *Manifest, err error) {
 	if m.Quick == nil {
 		return r, r, nil
 	}
-	if quick, err = m.ApplyQuick().validateOne(); err != nil {
+	if quick, err = m.applyQuick().validateOne(); err != nil {
 		return nil, nil, fmt.Errorf("%w (with quick overrides applied)", err)
 	}
 	return r, quick, nil

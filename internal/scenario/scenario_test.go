@@ -237,7 +237,7 @@ func TestScenarioLibraryValidates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reading %s: %v", path, err)
 		}
-		if IsSuite(raw) {
+		if isSuite(raw) {
 			suites++
 		} else {
 			manifests++
@@ -298,23 +298,23 @@ func TestScenarioLibraryValidates(t *testing.T) {
 	}
 }
 
-// TestApplyQuick checks override application and clearing.
+// TestApplyQuick checks applyQuick: override application and clearing.
 func TestApplyQuick(t *testing.T) {
 	m := minimal()
 	m.Quick = &QuickSpec{Workers: 2, Epochs: 1}
-	q := m.ApplyQuick()
+	q := m.applyQuick()
 	if q.Workers != 2 || q.Epochs != 1 {
 		t.Fatalf("quick overrides not applied: %+v", q)
 	}
 	if q.Quick != nil {
-		t.Fatalf("quick block survived ApplyQuick")
+		t.Fatalf("quick block survived applyQuick")
 	}
 	if m.Workers != 4 || m.Epochs != 2 {
-		t.Fatalf("ApplyQuick mutated the original")
+		t.Fatalf("applyQuick mutated the original")
 	}
-	if again := q.ApplyQuick(); !reflect.DeepEqual(q, again) {
+	if again := q.applyQuick(); !reflect.DeepEqual(q, again) {
 		// Second application is the identity (no Quick block left).
-		t.Fatalf("ApplyQuick not idempotent after clearing: %+v vs %+v", q, again)
+		t.Fatalf("applyQuick not idempotent after clearing: %+v vs %+v", q, again)
 	}
 }
 

@@ -94,10 +94,10 @@ type SuiteOutputSpec struct {
 	TargetLoss float64 `json:"target_loss,omitempty"`
 }
 
-// IsSuite reports whether raw looks like a suite document rather than a
+// isSuite reports whether raw looks like a suite document rather than a
 // single-run manifest: suites carry a top-level "runs", "base" or "grid"
 // key, which no Manifest has.
-func IsSuite(raw []byte) bool {
+func isSuite(raw []byte) bool {
 	var top map[string]json.RawMessage
 	if err := json.Unmarshal(raw, &top); err != nil {
 		return false
@@ -158,7 +158,7 @@ func LoadAny(path string) (*Manifest, *Suite, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("scenario: %w", err)
 	}
-	if IsSuite(raw) {
+	if isSuite(raw) {
 		s, err := loadSuiteBytes(raw, path)
 		return nil, s, err
 	}
@@ -169,21 +169,13 @@ func LoadAny(path string) (*Manifest, *Suite, error) {
 	return m, nil, nil
 }
 
-// Validate checks the suite structurally and then expands it both ways
-// (full scale and with quick overrides applied), so a suite is valid
-// exactly when every run it describes is runnable and uniquely named —
-// the same rigor single manifests get.
+// Validate checks the suite as Resolve does: its shape, then one expansion
+// that resolves every member in its full and its quick form, so a suite is
+// valid exactly when every run it describes, at either scale, is runnable
+// and uniquely named — the same rigor single manifests get.
 func (s *Suite) Validate() error {
-	if err := s.validateShape(); err != nil {
-		return err
-	}
-	if _, err := s.Resolve(false); err != nil {
-		return err
-	}
-	if _, err := s.Resolve(true); err != nil {
-		return fmt.Errorf("%w (with quick overrides applied)", err)
-	}
-	return nil
+	_, err := s.Resolve(false)
+	return err
 }
 
 // validateShape performs the suite-level structural checks (Resolve runs
@@ -253,7 +245,7 @@ const maxSuiteRuns = 1000
 // loaded relative to the suite's directory. It returns the manifest (for
 // an inline member a deep copy: expansion must not mutate the suite) and
 // its resolved full and quick forms (resolveForms), so each member is
-// validated once per Resolve.
+// read and validated once per Resolve.
 func (s *Suite) loadMember(mem *SuiteMember) (m, full, quick *Manifest, err error) {
 	if mem.Manifest != nil {
 		m = mem.Manifest.clone()
@@ -278,8 +270,9 @@ func (s *Suite) loadMember(mem *SuiteMember) (m, full, quick *Manifest, err erro
 }
 
 // Resolve expands the suite into its explicit run list: the grid (if any)
-// is multiplied out, path members are inlined, quick overrides are applied
-// when quick is set, and every member is fully resolved. The result is a
+// is multiplied out, path members are inlined, and every member is fully
+// resolved. One expansion yields both scales, so each member is checked in
+// its full and its quick form whichever list quick picks. The result is a
 // marshal/parse fixed point — Resolve of a resolved suite returns it
 // unchanged — and is what RunSuite executes and emits as
 // resolved-suite.json.
@@ -287,20 +280,16 @@ func (s *Suite) Resolve(quick bool) (*Suite, error) {
 	if err := s.validateShape(); err != nil {
 		return nil, err
 	}
-	out := &Suite{Name: s.Name, Description: s.Description}
-	if s.Output != nil {
-		cp := *s.Output
-		out.Output = &cp
-	}
-	var members []SuiteMember
-	var err error
+	expand := s.explicitMembers
 	if s.Grid != nil {
-		members, err = s.expandGrid(quick)
-	} else {
-		members, err = s.explicitMembers(quick)
+		expand = s.expandGrid
 	}
+	members, quickMembers, err := expand()
 	if err != nil {
 		return nil, err
+	}
+	if quick {
+		members = quickMembers
 	}
 	seen := make(map[string]int, len(members))
 	for i, mem := range members {
@@ -310,40 +299,42 @@ func (s *Suite) Resolve(quick bool) (*Suite, error) {
 		}
 		seen[name] = i
 	}
-	out.Runs = members
+	out := &Suite{Name: s.Name, Description: s.Description, Runs: members}
+	if s.Output != nil {
+		cp := *s.Output
+		out.Output = &cp
+	}
 	return out, nil
 }
 
-// explicitMembers inlines and resolves an explicit run list.
-func (s *Suite) explicitMembers(quick bool) ([]SuiteMember, error) {
-	members := make([]SuiteMember, 0, len(s.Runs))
+// explicitMembers inlines and resolves an explicit run list, returning its
+// full-scale and its quick members.
+func (s *Suite) explicitMembers() (full, quick []SuiteMember, err error) {
 	for i, mem := range s.Runs {
 		_, r, q, err := s.loadMember(&mem)
 		if err != nil {
-			return nil, fmt.Errorf("suite %q: run %d: %w", s.Name, i, err)
-		}
-		if quick {
-			r = q
+			return nil, nil, fmt.Errorf("suite %q: run %d: %w", s.Name, i, err)
 		}
 		arm := mem.Arm
 		if arm == "" {
 			arm = r.Name
 		}
-		members = append(members, SuiteMember{Manifest: r, Arm: arm})
+		full = append(full, SuiteMember{Manifest: r, Arm: arm})
+		quick = append(quick, SuiteMember{Manifest: q, Arm: arm})
 	}
-	return members, nil
+	return full, quick, nil
 }
 
-// expandGrid multiplies the base manifest by the grid's dimensions. Arm
-// labels concatenate the varying dimensions (algorithm, then codec);
-// member names append the arm and the seed to the suite name.
-func (s *Suite) expandGrid(quick bool) ([]SuiteMember, error) {
+// expandGrid multiplies the base manifest by the grid's dimensions,
+// returning the full-scale and the quick members. Arm labels concatenate
+// the varying dimensions (algorithm, then codec); member names append the
+// arm and the seed to the suite name. A cell keeps the base's quick block:
+// quick touches only workers, epochs and live iterations, which no grid
+// dimension sets, so each cell's quick form is its own.
+func (s *Suite) expandGrid() (full, quick []SuiteMember, err error) {
 	base, _, _, err := s.loadMember(s.Base)
 	if err != nil {
-		return nil, fmt.Errorf("suite %q: base: %w", s.Name, err)
-	}
-	if quick {
-		base = base.ApplyQuick()
+		return nil, nil, fmt.Errorf("suite %q: base: %w", s.Name, err)
 	}
 	g := s.Grid
 	br := base.Resolved()
@@ -369,7 +360,6 @@ func (s *Suite) expandGrid(quick bool) ([]SuiteMember, error) {
 		}
 	}
 
-	var members []SuiteMember
 	for _, algo := range algos {
 		for _, cdc := range codecs {
 			arm := armLabel(g, algo, cdc)
@@ -397,15 +387,16 @@ func (s *Suite) expandGrid(quick bool) ([]SuiteMember, error) {
 				}
 				m.Name = fmt.Sprintf("%s-%s-s%d", s.Name, arm, seed)
 				m.Description = ""
-				r, err := m.resolve()
+				r, q, err := m.resolveForms()
 				if err != nil {
-					return nil, fmt.Errorf("suite %q: arm %q seed %d: %w", s.Name, arm, seed, err)
+					return nil, nil, fmt.Errorf("suite %q: arm %q seed %d: %w", s.Name, arm, seed, err)
 				}
-				members = append(members, SuiteMember{Manifest: r, Arm: arm})
+				full = append(full, SuiteMember{Manifest: r, Arm: arm})
+				quick = append(quick, SuiteMember{Manifest: q, Arm: arm})
 			}
 		}
 	}
-	return members, nil
+	return full, quick, nil
 }
 
 // armLabel names one grid cell from its varying dimensions: the algorithm

@@ -244,14 +244,14 @@ func TestSuiteValidateRejectsMalformed(t *testing.T) {
 
 // TestIsSuite checks the content-based detection LoadAny relies on.
 func TestIsSuite(t *testing.T) {
-	if IsSuite([]byte(`{"name": "x", "workers": 4}`)) {
+	if isSuite([]byte(`{"name": "x", "workers": 4}`)) {
 		t.Errorf("single manifest detected as suite")
 	}
 	for _, raw := range []string{
 		`{"name": "x", "runs": []}`,
 		`{"name": "x", "base": {}, "grid": {}}`,
 	} {
-		if !IsSuite([]byte(raw)) {
+		if !isSuite([]byte(raw)) {
 			t.Errorf("suite document not detected: %s", raw)
 		}
 	}
