@@ -26,6 +26,13 @@ func pullModel(p *PullClient, dst []float64) (wireBytes int64, err error) {
 // the servers have read and written so far.
 func NewRecordingLocalHub(latency func(i, j int) time.Duration) (*Hub, func(kind uint8) int) {
 	hub := NewLocalHub(latency)
+	return hub, recordFrames(hub)
+}
+
+// recordFrames makes the not yet served hub record every worker server's
+// connections, and returns the count of the frames of a kind the servers
+// have read and written so far.
+func recordFrames(hub *Hub) func(kind uint8) int {
 	var mu sync.Mutex
 	var lns []*recordingListener
 	hub.listen = func() (net.Listener, error) {
@@ -39,7 +46,7 @@ func NewRecordingLocalHub(latency func(i, j int) time.Duration) (*Hub, func(kind
 		mu.Unlock()
 		return rl, nil
 	}
-	return hub, func(kind uint8) int {
+	return func(kind uint8) int {
 		mu.Lock()
 		defer mu.Unlock()
 		n := 0
