@@ -8,12 +8,13 @@
 //	{"alpha": 0.1, "times": [[0,1,9],[1,0,2],[9,2,0]]}
 //
 // At most 256 workers. Missing adjacency means fully connected. Optional
-// fields: "adj", "rounds" (Algorithm 3's grid size K = R, 2 to 64) and
-// "epsilon" (Eq. 9's target, in (0, 1)); zero or absent selects the
-// default. Unknown fields and data after the object are errors. "adj" is
-// the paper's undirected graph: an adjacency that is not symmetric, or
-// marks a worker its own neighbor, is invalid input, and a graph that is
-// not connected has no policy. Both exit 1 with the error.
+// fields: "alpha" (the learning rate, default 0.1), "adj", "rounds"
+// (Algorithm 3's grid size K = R, 2 to 64) and "epsilon" (Eq. 9's target,
+// in (0, 1)); zero or absent selects the default, and a negative alpha
+// is invalid input. Unknown fields and data after the object are errors.
+// "adj" is the paper's undirected graph: an adjacency that is not
+// symmetric, or marks a worker its own neighbor, is invalid input, and a
+// graph that is not connected has no policy. Both exit 1 with the error.
 //
 //	echo '{"alpha":0.1,"times":[[0,1,9],[1,0,2],[9,2,0]]}' | netmax-policy
 //	netmax-policy -demo
@@ -73,7 +74,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			return 1
 		}
 	}
-	if in.Alpha <= 0 {
+	if in.Alpha == 0 {
 		in.Alpha = 0.1
 	}
 	if in.Adj == nil {

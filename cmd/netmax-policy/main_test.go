@@ -9,16 +9,18 @@ import (
 // TestMalformedInputExitsWithMessage pins inputs that used to panic with an
 // index out of range (ragged times, ragged adjacency), print a policy for
 // impossible link times (negative times), or silently run the defaults (a
-// misspelled or retired field such as the old outer_rounds, a stray
-// closing brace, a negative rounds or an epsilon outside (0, 1)), report
-// a one-point grid as "no feasible policy", or score a grid too large to
-// finish: each now exits 1 with a message naming the fault. A directed
-// adjacency is invalid input, and a disconnected one has no policy.
+// negative alpha, a misspelled or retired field such as the old
+// outer_rounds, a stray closing brace, a negative rounds or an epsilon
+// outside (0, 1)), report a one-point grid as "no feasible policy", or
+// score a grid too large to finish: each now exits 1 with a message
+// naming the fault. A directed adjacency is invalid input, and a
+// disconnected one has no policy.
 func TestMalformedInputExitsWithMessage(t *testing.T) {
 	for name, c := range map[string]struct{ in, msg string }{
 		"ragged times":     {`{"alpha":0.1,"times":[[0,1,2],[1,0],[2,1,0]]}`, "policy: invalid input"},
 		"ragged adj":       {`{"alpha":0.1,"times":[[0,1,2],[1,0,2],[2,1,0]],"adj":[[false,true,true],[true,false],[true,true,false]]}`, "policy: invalid input"},
 		"negative times":   {`{"alpha":0.1,"times":[[0,-1,2],[-1,0,2],[2,2,0]]}`, "policy: invalid input"},
+		"negative alpha":   {`{"alpha":-5,"times":[[0,1,9],[1,0,2],[9,2,0]]}`, "policy: invalid input: learning rate -5"},
 		"unknown field":    {`{"alpha":0.1,"times":[[0,1],[1,0]],"outer_rounds":5}`, `unknown field "outer_rounds"`},
 		"stray brace":      {`{"alpha":0.1,"times":[[0,1],[1,0]]}}`, "trailing data"},
 		"one round":        {`{"alpha":0.1,"times":[[0,1,9],[1,0,2],[9,2,0]],"rounds":1}`, "policy: invalid input: rounds 1"},

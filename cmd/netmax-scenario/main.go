@@ -188,11 +188,7 @@ func check(path string) error {
 	}
 	runs := []scenario.SuiteMember{{Manifest: m}}
 	if s != nil {
-		resolved, err := s.Resolve(false)
-		if err != nil {
-			return err
-		}
-		runs = resolved.Runs
+		runs = s.Runs
 	}
 	for _, r := range runs {
 		if err := setUp(r.Manifest); err != nil {
@@ -202,9 +198,9 @@ func check(path string) error {
 	return nil
 }
 
-// setUp builds m as run does, then releases the hub.
+// setUp builds the resolved manifest m as run does, then releases the hub.
 func setUp(m *scenario.Manifest) error {
-	if m.Resolved().Runtime != "live" {
+	if m.Runtime != "live" {
 		_, _, err := m.BuildEngine()
 		return err
 	}
@@ -228,17 +224,11 @@ func listCmd(args []string) {
 			continue
 		}
 		if s != nil {
-			resolved, err := s.Resolve(false)
-			if err != nil {
-				fmt.Printf("%-34s  (invalid: %v)\n", filepath.Base(path), err)
-				continue
-			}
-			kind := fmt.Sprintf("suite/%d runs", len(resolved.Runs))
+			kind := fmt.Sprintf("suite/%d runs", len(s.Runs))
 			fmt.Printf("%-34s  %-22s  %s\n", s.Name, kind, s.Description)
 			continue
 		}
-		r := m.Resolved()
-		kind := fmt.Sprintf("%s/%s", r.Runtime, r.Algorithm)
-		fmt.Printf("%-34s  %-22s  %s\n", r.Name, kind, m.Description)
+		kind := fmt.Sprintf("%s/%s", m.Runtime, m.Algorithm)
+		fmt.Printf("%-34s  %-22s  %s\n", m.Name, kind, m.Description)
 	}
 }

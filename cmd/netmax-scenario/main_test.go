@@ -69,7 +69,7 @@ func TestValidateAcceptsTheLibrary(t *testing.T) {
 
 // TestListTheLibrary lists every checked-in manifest and suite: one valid
 // line per file, in expand's order, and a suite's run count is the length
-// of its resolved full-scale run list.
+// of its authored form's full-scale run list.
 func TestListTheLibrary(t *testing.T) {
 	const library = "../../scenarios/..."
 	code, stdout, stderr := command(t, "list", library)
@@ -90,19 +90,29 @@ func TestListTheLibrary(t *testing.T) {
 		if strings.Contains(line, "(invalid") {
 			t.Fatalf("list called %s invalid: %s", path, line)
 		}
-		m, s, err := scenario.LoadAny(path)
+		// list prints what LoadAny returns, so the expected line comes
+		// from the authored file instead: LoadSuite or Load, then resolved.
+		_, s, err := scenario.LoadAny(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var name, want string
 		if s != nil {
-			resolved, err := s.Resolve(false)
+			authored, err := scenario.LoadSuite(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			name, want = s.Name, fmt.Sprintf("suite/%d runs", len(resolved.Runs))
+			resolved, err := authored.Resolve(false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name, want = authored.Name, fmt.Sprintf("suite/%d runs", len(resolved.Runs))
 			suites++
 		} else {
+			m, err := scenario.Load(path)
+			if err != nil {
+				t.Fatal(err)
+			}
 			r := m.Resolved()
 			name, want = r.Name, r.Runtime+"/"+r.Algorithm
 		}

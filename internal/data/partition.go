@@ -14,17 +14,14 @@ type Partition struct {
 	Segments []int
 }
 
-// Uniform splits train evenly across m workers (Sections V-B..V-E).
+// Uniform splits train evenly across m workers (Sections V-B..V-E): the
+// segment partition with one segment per worker.
 func Uniform(train *Dataset, m int, seed int64) *Partition {
-	idx := shuffledIndices(train.Len(), seed)
-	shards := make([]*Dataset, m)
 	segs := make([]int, m)
-	per := train.Len() / m
-	for i := 0; i < m; i++ {
-		shards[i] = train.Slice(idx[i*per : (i+1)*per])
+	for i := range segs {
 		segs[i] = 1
 	}
-	return &Partition{Shards: shards, Segments: segs}
+	return Segments(train, segs, seed)
 }
 
 // Segments implements the paper's non-uniform partitioning (Section V-F):

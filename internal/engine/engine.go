@@ -210,7 +210,9 @@ type Result struct {
 	Algo string `json:"algo"`
 	// Loss curve sampled at (fractional) epoch boundaries.
 	Curve []Point `json:"curve"`
-	// FinalLoss is the last curve value.
+	// FinalLoss is the last curve value: the averaged model's loss on
+	// Config.Eval, a training subset (a manifest's first 400 training
+	// rows). live.Stats.FinalLoss is a loss on the test set instead.
 	FinalLoss float64 `json:"final_loss"`
 	// FinalAccuracy on the held-out test set, of the averaged model.
 	FinalAccuracy float64 `json:"final_accuracy"`

@@ -91,7 +91,8 @@ type Stats struct {
 	IterationsPerWorker []int
 	// FinalAccuracy of the averaged model on the test set.
 	FinalAccuracy float64
-	// FinalLoss of the averaged model on the test set.
+	// FinalLoss of the averaged model on the test set. The engine's
+	// Result.FinalLoss is a loss on a training subset instead.
 	FinalLoss float64
 	// PolicyVersions is the version of the newest policy the monitor
 	// generated: the number of policies it published (0 in uniform mode).

@@ -110,8 +110,12 @@ func FuzzParseSuite(f *testing.F) {
 		return out
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		s, err := loadSuiteBytes(raw, filepath.Join(dir, "fuzz.json"))
+		s, err := decodeStrict[Suite](raw, "suite")
 		if err != nil {
+			return
+		}
+		s.dir = dir
+		if s.Validate() != nil {
 			return
 		}
 		if !json.Valid(raw) {

@@ -125,21 +125,6 @@ func ParseSuite(raw []byte) (*Suite, error) {
 	return s, nil
 }
 
-// loadSuiteBytes finishes loading an already-read suite file: anchor
-// member paths to the file's directory and validate.
-func loadSuiteBytes(raw []byte, path string) (*Suite, error) {
-	// Validation needs dir set first.
-	s, err := decodeStrict[Suite](raw, "suite")
-	if err != nil {
-		return nil, fmt.Errorf("%w (in %s)", err, path)
-	}
-	s.dir = filepath.Dir(path)
-	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("%w (in %s)", err, path)
-	}
-	return s, nil
-}
-
 // LoadSuite reads, parses and validates a suite file; member paths resolve
 // relative to the suite file's directory.
 func LoadSuite(path string) (*Suite, error) {
@@ -147,26 +132,41 @@ func LoadSuite(path string) (*Suite, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
-	return loadSuiteBytes(raw, path)
+	s, err := decodeStrict[Suite](raw, "suite")
+	if err == nil {
+		s.dir = filepath.Dir(path) // validation needs dir set first
+		err = s.Validate()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w (in %s)", err, path)
+	}
+	return s, nil
 }
 
 // LoadAny loads either a single-run manifest or a suite, detected by
-// content (suites carry "runs"/"base"/"grid"). Exactly one of the returns
-// is non-nil on success.
+// content (suites carry "runs"/"base"/"grid"), in the resolved form its
+// validation produced: a manifest's Resolved, or a suite's Resolve(false),
+// whose members keep their quick blocks, so Resolve of it reads no file.
+// Exactly one of the returns is non-nil on success.
 func LoadAny(path string) (*Manifest, *Suite, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, fmt.Errorf("scenario: %w", err)
 	}
+	var m *Manifest
+	var s *Suite
 	if isSuite(raw) {
-		s, err := loadSuiteBytes(raw, path)
-		return nil, s, err
+		if s, err = decodeStrict[Suite](raw, "suite"); err == nil {
+			s.dir = filepath.Dir(path)
+			s, err = s.Resolve(false)
+		}
+	} else if m, err = decodeStrict[Manifest](raw, "manifest"); err == nil {
+		m, _, err = m.resolveForms()
 	}
-	m, err := Parse(raw)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w (in %s)", err, path)
 	}
-	return m, nil, nil
+	return m, s, nil
 }
 
 // Validate checks the suite as Resolve does: its shape, then one expansion

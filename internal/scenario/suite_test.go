@@ -195,6 +195,79 @@ func TestSuitePathMembers(t *testing.T) {
 	}
 }
 
+// TestLoadAnyResolvedForm checks that LoadAny's resolved form stands in for
+// the authored file: Resolve of the suite LoadAny returns equals Resolve of
+// LoadSuite's at both scales, for every library suite and for a grid over
+// a path base with a quick block and a preset partition, and every library
+// manifest loads as Load(path).Resolved().
+func TestLoadAnyResolvedForm(t *testing.T) {
+	dir := t.TempDir()
+	base := []byte(`{
+	  "name": "t-base", "model": "MobileNet", "dataset": "MNIST",
+	  "workers": 8, "epochs": 4, "batch": 8,
+	  "partition": {"preset": "paper-8"},
+	  "quick": {"epochs": 1}
+	}`)
+	if err := os.WriteFile(filepath.Join(dir, "t-base.json"), base, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	grid := []byte(`{
+	  "name": "t-grid",
+	  "base": {"path": "t-base.json"},
+	  "grid": {
+	    "algorithms": ["netmax", "adpsgd"],
+	    "codecs": [{"name": "float32"}, {"name": ""}],
+	    "replicate": {"n": 2}
+	  }
+	}`)
+	synthetic := filepath.Join(dir, "t-grid.json")
+	if err := os.WriteFile(synthetic, grid, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	paths, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	suites := 0
+	for _, path := range append(paths, synthetic) {
+		m, s, err := LoadAny(path)
+		if err != nil {
+			t.Fatalf("%s: LoadAny: %v", path, err)
+		}
+		if s == nil {
+			authored, err := Load(path)
+			if err != nil {
+				t.Fatalf("%s: Load: %v", path, err)
+			}
+			if want := authored.Resolved(); !reflect.DeepEqual(m, want) {
+				t.Errorf("%s: LoadAny's manifest differs from Load(path).Resolved()", path)
+			}
+			continue
+		}
+		suites++
+		authored, err := LoadSuite(path)
+		if err != nil {
+			t.Fatalf("%s: LoadSuite: %v", path, err)
+		}
+		for _, quick := range []bool{false, true} {
+			got, err := s.Resolve(quick)
+			if err != nil {
+				t.Fatalf("%s: Resolve(%v) of LoadAny's suite: %v", path, quick, err)
+			}
+			want, err := authored.Resolve(quick)
+			if err != nil {
+				t.Fatalf("%s: Resolve(%v) of LoadSuite's suite: %v", path, quick, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: Resolve(%v) of LoadAny's suite differs from LoadSuite's", path, quick)
+			}
+		}
+	}
+	if suites < 2 {
+		t.Fatalf("checked %d suites, want the library's and the synthetic one", suites)
+	}
+}
+
 // TestSuiteValidateRejectsMalformed is the malformed-suite table.
 func TestSuiteValidateRejectsMalformed(t *testing.T) {
 	valid := `{"name": "m", "model": "MobileNet", "dataset": "MNIST", "workers": 4, "epochs": 1, "network": {"kind": "static"}}`
