@@ -7,6 +7,7 @@ import (
 
 	"netmax/internal/core"
 	"netmax/internal/engine"
+	"netmax/internal/monitor"
 	"netmax/internal/policy"
 	"netmax/internal/simnet"
 )
@@ -183,9 +184,9 @@ func TestUniformRunsSkipDepartedPeers(t *testing.T) {
 }
 
 // TestUniformRunsBuildNoMonitor runs SAPS-PSGD and Hop, AD-PSGD's wrappers,
-// through a crash, a rejoin and a leave: the core behavior under each holds
-// no Network Monitor, and since a call on the nil monitor would panic,
-// finishing every epoch shows that none is made.
+// through a crash, a rejoin and a leave: each finishes every epoch, and the
+// core behavior under each takes its policy from a source that is not a
+// Network Monitor.
 func TestUniformRunsBuildNoMonitor(t *testing.T) {
 	T := core.RunADPSGD(hetConfig(4, 4, 3)).TotalTime
 	cfg := hetConfig(4, 4, 3)
@@ -204,14 +205,15 @@ func TestUniformRunsBuildNoMonitor(t *testing.T) {
 	}
 }
 
-// holdsMonitor reports whether the core behavior inside b's wrappers holds
-// a Network Monitor (its unexported mon field is non-nil).
+// holdsMonitor reports whether the core behavior inside b's wrappers takes
+// its policy from a Network Monitor (its unexported src field holds a
+// *monitor.Monitor).
 func holdsMonitor(b engine.AsyncBehavior) bool {
 	v := reflect.ValueOf(b)
 	for {
 		v = reflect.Indirect(v)
-		if mon := v.FieldByName("mon"); mon.IsValid() {
-			return !mon.IsNil()
+		if src := v.FieldByName("src"); src.IsValid() {
+			return src.Elem().Type() == reflect.TypeOf((*monitor.Monitor)(nil))
 		}
 		v = v.FieldByName("AsyncBehavior").Elem()
 	}

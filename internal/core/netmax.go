@@ -18,9 +18,9 @@
 // is the averaging node on a fixed uniform policy (NewADPSGD). The
 // discrete-event runtime here drives one Node per simulated worker; the
 // live runtime (internal/live) drives the same type from each worker
-// goroutine. Both take their nodes and Network Monitor from NewControl,
-// on the settings Options.Resolved fills in; a run on a fixed uniform
-// policy (AD-PSGD, or NetMax's uniform ablation) has no monitor at all.
+// goroutine. Both take their nodes and PolicySource from NewControl, on
+// the settings Options.Resolved fills in; a run on a fixed uniform policy
+// (AD-PSGD, or NetMax's uniform ablation) builds no Network Monitor.
 package core
 
 import (
@@ -84,17 +84,43 @@ func (o Options) Resolved() Options {
 	return o
 }
 
+// PolicySource is where a NetMax-family run takes its communication policy
+// from: the Network Monitor (*monitor.Monitor), which regenerates (P, ρ)
+// once a period from what the workers report (Algorithm 1), or a fixed
+// policy that ignores every report and never regenerates. Both runtimes
+// report each link time, heartbeat and membership change to it and hand
+// every worker the policy MaybeRegenerate returns.
+type PolicySource interface {
+	ObserveAt(i, j int, iterSecs, now float64)
+	Heartbeat(i int, now float64)
+	SetLiveness(alive []bool, now float64)
+	MaybeRegenerate(now float64) (*policy.Policy, bool)
+	Regenerations() int
+}
+
+var _ PolicySource = (*monitor.Monitor)(nil)
+
+// fixedPolicy is the PolicySource of a run on a fixed policy: the nodes
+// keep the uniform policy they start on.
+type fixedPolicy struct{}
+
+func (fixedPolicy) ObserveAt(int, int, float64, float64)           {}
+func (fixedPolicy) Heartbeat(int, float64)                         {}
+func (fixedPolicy) SetLiveness([]bool, float64)                    {}
+func (fixedPolicy) MaybeRegenerate(float64) (*policy.Policy, bool) { return nil, false }
+func (fixedPolicy) Regenerations() int                             { return 0 }
+
 // NewControl builds the control state of a NetMax-family run over the
-// graph adj: every worker's Node and the Network Monitor that regenerates
-// their policy, both on the resolved opts. averaging selects AD-PSGD's
-// blend for the nodes and the policies the monitor generates for them
-// (see NewNodes). Under opts.UniformPolicy no policy is ever generated, so
-// the monitor is nil. Both runtimes build their nodes and monitor here.
-func NewControl(adj [][]bool, alpha float64, opts Options, averaging bool) ([]*Node, *monitor.Monitor) {
+// graph adj on the resolved opts: every worker's Node and their policy
+// source, the Network Monitor or, under opts.UniformPolicy, a fixed source
+// that keeps the uniform policy and builds no monitor. averaging selects
+// AD-PSGD's blend for the nodes and the policies the monitor generates for
+// them (see NewNodes). Both runtimes build their nodes and source here.
+func NewControl(adj [][]bool, alpha float64, opts Options, averaging bool) ([]*Node, PolicySource) {
 	opts = opts.Resolved()
 	nodes := NewNodes(adj, alpha, opts.Beta, averaging)
 	if opts.UniformPolicy {
-		return nodes, nil
+		return nodes, fixedPolicy{}
 	}
 	return nodes, monitor.New(monitor.Config{
 		Adj:            adj,
@@ -107,17 +133,16 @@ func NewControl(adj [][]bool, alpha float64, opts Options, averaging bool) ([]*N
 }
 
 // behavior implements engine.AsyncBehavior for NetMax: one Node per worker
-// plus the Network Monitor that regenerates their policy, nil on a fixed
-// uniform policy.
+// plus the source of their policy.
 type behavior struct {
-	mon   *monitor.Monitor
+	src   PolicySource
 	nodes []*Node
 }
 
-// newBehavior is NewControl's nodes and monitor driven by the engine.
+// newBehavior is NewControl's nodes and policy source driven by the engine.
 func newBehavior(adj [][]bool, alpha float64, opts Options, averaging bool) *behavior {
-	nodes, mon := NewControl(adj, alpha, opts, averaging)
-	return &behavior{mon: mon, nodes: nodes}
+	nodes, src := NewControl(adj, alpha, opts, averaging)
+	return &behavior{src: src, nodes: nodes}
 }
 
 // NewADPSGD returns AD-PSGD's behavior over the graph adj [11]: averaging
@@ -127,17 +152,15 @@ func NewADPSGD(adj [][]bool, alpha float64) engine.AsyncBehavior {
 	return newBehavior(adj, alpha, Options{UniformPolicy: true}, true)
 }
 
-// Plan first runs the Network Monitor's periodic policy regeneration, if
-// the run has a monitor, and hands every worker the new policy. It then
-// samples worker i's peer from its policy row (Algorithm 2 line 9; p[i][i]
-// mass means "no pull this iteration") and weighs the pulled model as the
-// node decides (lines 13-14, Node.Coef and Node.TwoSided).
+// Plan first runs the policy source's periodic regeneration and hands
+// every worker a new policy. It then samples worker i's peer from its
+// policy row (Algorithm 2 line 9; p[i][i] mass means "no pull this
+// iteration") and weighs the pulled model as the node decides (lines
+// 13-14, Node.Coef and Node.TwoSided).
 func (b *behavior) Plan(i int, now float64, rng *rand.Rand) engine.Pull {
-	if b.mon != nil {
-		if pol, ok := b.mon.MaybeRegenerate(now); ok {
-			for _, n := range b.nodes {
-				n.Adopt(pol.P, pol.Rho)
-			}
+	if pol, ok := b.src.MaybeRegenerate(now); ok {
+		for _, n := range b.nodes {
+			n.Adopt(pol.P, pol.Rho)
 		}
 	}
 	n := b.nodes[i]
@@ -149,8 +172,8 @@ func (b *behavior) Plan(i int, now float64, rng *rand.Rand) engine.Pull {
 }
 
 // OnMembership masks crashed peers out of every worker's selection at once
-// and feeds the membership to the monitor, if any, which forces a policy
-// regeneration over the live subgraph at the next Plan (the row LPs
+// and feeds the membership to the policy source. The Network Monitor then
+// regenerates over the live subgraph at the next Plan (the row LPs
 // re-solve on every membership change).
 func (b *behavior) OnMembership(alive []bool, now float64) {
 	for _, n := range b.nodes {
@@ -158,38 +181,29 @@ func (b *behavior) OnMembership(alive []bool, now float64) {
 			n.SetMasked(k, !a)
 		}
 	}
-	if b.mon != nil {
-		b.mon.SetLiveness(alive, now)
-	}
+	b.src.SetLiveness(alive, now)
 }
 
 // OnIterationEnd folds the measured iteration time of worker i's iteration
 // that started at now into its EMA time vector and reports it to the
-// monitor. The report is stamped at the iteration's end, when the worker
-// has it; a self-selected iteration pulls nothing and only heartbeats, so
-// every iteration tells the monitor that its worker is alive. Without a
-// monitor it does nothing: only the monitor reads the EMA.
+// policy source. The report is stamped at the iteration's end, when the
+// worker has it; a self-selected iteration pulls nothing and only
+// heartbeats, so every iteration tells the monitor that its worker is
+// alive.
 func (b *behavior) OnIterationEnd(i, j int, iterSecs, now float64) {
-	if b.mon == nil {
-		return
-	}
 	end := now + iterSecs
 	if j == i {
-		b.mon.Heartbeat(i, end)
+		b.src.Heartbeat(i, end)
 		return
 	}
-	b.mon.ObserveAt(i, j, b.nodes[i].Observe(j, iterSecs), end)
+	b.src.ObserveAt(i, j, b.nodes[i].Observe(j, iterSecs), end)
 }
 
 // Run trains with NetMax under cfg and returns the aggregated result.
 func Run(cfg *engine.Config, opts Options) *engine.Result {
 	b := newBehavior(cfg.Net.Topo.Adj, cfg.LR, opts, false)
 	r := engine.RunAsync(cfg, b, "NetMax")
-	regens := 0
-	if b.mon != nil {
-		regens = b.mon.Regenerations()
-	}
-	debugRegens.Store(int64(regens))
+	debugRegens.Store(int64(b.src.Regenerations()))
 	return r
 }
 

@@ -70,8 +70,8 @@ func TestNetMaxRegeneratesPolicies(t *testing.T) {
 	cfg := hetConfig(4, 8, 3)
 	b := newBehavior(cfg.Net.Topo.Adj, cfg.LR, Options{TsSecs: 2}, false)
 	engine.RunAsync(cfg, b, "NetMax")
-	if b.mon.Regenerations() < 2 {
-		t.Fatalf("monitor regenerated only %d times over a multi-period run", b.mon.Regenerations())
+	if b.mon().Regenerations() < 2 {
+		t.Fatalf("monitor regenerated only %d times over a multi-period run", b.mon().Regenerations())
 	}
 }
 
@@ -124,15 +124,15 @@ func TestUniformPolicyOptionDisablesAdaptation(t *testing.T) {
 		t.Fatalf("adaptive (%v) not faster than uniform (%v)", adaptive.TotalTime, uniform.TotalTime)
 	}
 	// The uniform arm never generates a policy, so it builds no monitor.
-	if b.mon != nil {
+	if _, ok := b.src.(*monitor.Monitor); ok {
 		t.Fatal("uniform run built a Network Monitor")
 	}
 }
 
 // TestUniformRunsBuildNoMonitor runs AD-PSGD and NetMax's uniform arm
-// through a crash, a rejoin and a leave. Neither builds a Network Monitor;
-// a call on the nil monitor would panic, so finishing every epoch shows
-// that none is made. Run reports 0 regenerations for the uniform arm.
+// through a crash, a rejoin and a leave: each finishes every epoch and
+// takes its policy from a source that is not a Network Monitor. Run
+// reports 0 regenerations for the uniform arm.
 func TestUniformRunsBuildNoMonitor(t *testing.T) {
 	T := Run(hetConfig(4, 4, 3), Options{TsSecs: 2}).TotalTime
 	for name, b := range map[string]*behavior{
@@ -144,7 +144,7 @@ func TestUniformRunsBuildNoMonitor(t *testing.T) {
 		if r := engine.RunAsync(cfg, b, name); r.Epochs != 4 {
 			t.Fatalf("%s: %d epochs, want 4", name, r.Epochs)
 		}
-		if b.mon != nil {
+		if _, ok := b.src.(*monitor.Monitor); ok {
 			t.Fatalf("%s built a Network Monitor", name)
 		}
 	}
@@ -324,8 +324,8 @@ func TestNetMaxReadmitsEvictedWorker(t *testing.T) {
 	if r.Epochs != 8 {
 		t.Fatalf("run completed %d epochs, want 8", r.Epochs)
 	}
-	alive := b.mon.LiveWorkers(r.TotalTime)
-	if b.mon.Evictions() == 0 {
+	alive := b.mon().LiveWorkers(r.TotalTime)
+	if b.mon().Evictions() == 0 {
 		t.Fatal("worker was never evicted; the scenario did not exercise re-admission")
 	}
 	if !alive[1] {
@@ -381,9 +381,9 @@ func TestNetMaxIsolatedWorkerKeepsLastRow(t *testing.T) {
 			return
 		}
 		if regens < 0 {
-			regens = b.mon.Regenerations()
+			regens = b.mon().Regenerations()
 		}
-		if b.mon.Regenerations() != regens {
+		if b.mon().Regenerations() != regens {
 			t.Fatalf("t = %v: the monitor regenerated a policy for a disconnected live graph", now)
 		}
 		if i != 0 && i != 2 {
@@ -401,17 +401,17 @@ func TestNetMaxIsolatedWorkerKeepsLastRow(t *testing.T) {
 			t.Fatalf("worker %d at t = %v: pulls from %d, which is down", i, now, p.Peer)
 		}
 	}}, "NetMax")
-	t.Logf("%d isolated iterations after %d regenerations, %d at the end", inWindow, regens, b.mon.Regenerations())
+	t.Logf("%d isolated iterations after %d regenerations, %d at the end", inWindow, regens, b.mon().Regenerations())
 	if inWindow == 0 || regens < 1 {
 		t.Fatalf("%d isolated iterations after %d regenerations; the run did not exercise the window", inWindow, regens)
 	}
 	if r.Epochs != 4 || math.IsNaN(r.FinalLoss) || math.IsInf(r.FinalLoss, 0) {
 		t.Fatalf("%d epochs, final loss %v", r.Epochs, r.FinalLoss)
 	}
-	if b.mon.Regenerations() <= regens {
-		t.Fatalf("no regeneration after the rejoin: %d, %d in the window", b.mon.Regenerations(), regens)
+	if b.mon().Regenerations() <= regens {
+		t.Fatalf("no regeneration after the rejoin: %d, %d in the window", b.mon().Regenerations(), regens)
 	}
-	_, err := policy.Generate(policy.Input{Times: b.mon.Times(), Adj: cfg.Net.Topo.Adj, Alpha: cfg.LR,
+	_, err := policy.Generate(policy.Input{Times: b.mon().Times(), Adj: cfg.Net.Topo.Adj, Alpha: cfg.LR,
 		Alive: []bool{true, false, true, false}})
 	if !errors.Is(err, policy.ErrNoFeasiblePolicy) {
 		t.Fatalf("Generate on the isolated pair: %v, want ErrNoFeasiblePolicy", err)
@@ -439,10 +439,10 @@ func TestEveryIterationStampsItsEnd(t *testing.T) {
 	b := newBehavior(simnet.FullyConnected(3), 0.1, Options{TsSecs: 2}, false)
 	b.OnIterationEnd(0, 2, 5, 100)
 	b.OnIterationEnd(1, 1, 5, 100)
-	if alive := b.mon.LiveWorkers(105 + window); !alive[0] || !alive[1] {
+	if alive := b.mon().LiveWorkers(105 + window); !alive[0] || !alive[1] {
 		t.Fatalf("liveness %v when the window closes on the iterations' end", alive)
 	}
-	if alive := b.mon.LiveWorkers(105 + window + 0.01); alive[0] || alive[1] {
+	if alive := b.mon().LiveWorkers(105 + window + 0.01); alive[0] || alive[1] {
 		t.Fatalf("liveness %v after the window closed on the iterations' end", alive)
 	}
 }
@@ -469,15 +469,15 @@ func TestFailureFreeRunEvictsNobody(t *testing.T) {
 			selfRun = max(selfRun, run[i])
 		}}, "NetMax")
 		t.Logf("averaging %v: longest iteration %.2f s against a %.1f s window; up to %d self-selected iterations in a row; %d regenerations",
-			averaging, longest, window, selfRun, b.mon.Regenerations())
+			averaging, longest, window, selfRun, b.mon().Regenerations())
 		if longest <= window || selfRun < 2 {
 			t.Fatalf("averaging %v: longest iteration %v s, %d self-selected in a row: the run cannot tell the stamping rules apart", averaging, longest, selfRun)
 		}
 		if r.Epochs != 4 {
 			t.Fatalf("averaging %v: %d epochs, want 4", averaging, r.Epochs)
 		}
-		if b.mon.Evictions() != 0 {
-			t.Fatalf("averaging %v: the monitor evicted %d healthy workers", averaging, b.mon.Evictions())
+		if b.mon().Evictions() != 0 {
+			t.Fatalf("averaging %v: the monitor evicted %d healthy workers", averaging, b.mon().Evictions())
 		}
 	}
 }
@@ -502,7 +502,7 @@ func TestHungWorkerEvictedWithinWindow(t *testing.T) {
 	b := newBehavior(cfg.Net.Topo.Adj, cfg.LR, Options{}, false)
 	longest, evicted := 0.0, -1.0 // the hung worker's longest iteration; the eviction time
 	engine.RunAsync(cfg, endProbe{planProbe{b, func(_ int, now float64, _ engine.Pull) {
-		if evicted < 0 && b.mon.Evictions() > 0 {
+		if evicted < 0 && b.mon().Evictions() > 0 {
 			evicted = now
 		}
 	}}, func(i, _ int, iterSecs float64) {
@@ -514,8 +514,8 @@ func TestHungWorkerEvictedWithinWindow(t *testing.T) {
 	if evicted < 0 {
 		t.Fatal("the hung worker was never evicted")
 	}
-	if b.mon.Evictions() != 1 {
-		t.Fatalf("%d evictions, want the hung worker's 1", b.mon.Evictions())
+	if b.mon().Evictions() != 1 {
+		t.Fatalf("%d evictions, want the hung worker's 1", b.mon().Evictions())
 	}
 	if evicted <= at+window || evicted > at+window+longest {
 		t.Fatalf("evicted at %v s, want in (%v, %v]: the hang at %v s plus the %v s window plus one %v s iteration",

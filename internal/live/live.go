@@ -291,7 +291,8 @@ type group struct {
 func newGroup(cfg Config, hub *transport.Hub) *group {
 	m := len(cfg.Part.Shards)
 	g := &group{cfg: cfg, hub: hub, start: time.Now(), workers: make([]*worker, m)}
-	nodes, mon := core.NewControl(simnet.FullyConnected(m), cfg.LR, cfg.NetMax, false)
+	nodes, src := core.NewControl(simnet.FullyConnected(m), cfg.LR, cfg.NetMax, false)
+	mon, _ := src.(*monitor.Monitor) // nil for the fixed source of a uniform group
 
 	// The replicas are the engine's, so a live worker starts from the same
 	// model, batch order and RNG stream as the simulated one.

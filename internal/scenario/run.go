@@ -167,9 +167,9 @@ func (rep *Report) Summary() string {
 		for _, n := range s.IterationsPerWorker {
 			total += n
 		}
-		return fmt.Sprintf("%s [live/%s %s x%d]: acc %.2f%%, loss %.4f, %d iterations, %d policies, %d pulls, %d peer-down pulls, %d bytes on wire, %.1fs",
+		return fmt.Sprintf("%s [live/%s %s x%d]: acc %.2f%%, loss %.4f, %d iterations, %d policies, %d pulls, %d peer-down pulls, %d rejected pulls, %d evictions, %d bytes on wire, %.1fs",
 			m.Name, m.Algorithm, m.Model, m.Workers,
-			100*s.FinalAccuracy, s.FinalLoss, total, s.PolicyVersions, s.Pulls, s.PeerDownErrors, s.BytesOnWire, s.Elapsed.Seconds())
+			100*s.FinalAccuracy, s.FinalLoss, total, s.PolicyVersions, s.Pulls, s.PeerDownErrors, s.RejectedPulls, s.Evictions, s.BytesOnWire, s.Elapsed.Seconds())
 	}
 	r := rep.Engine
 	return fmt.Sprintf("%s [engine/%s %s x%d]: acc %.2f%%, loss %.4f, %.1f virtual secs, %d steps, %d bytes",

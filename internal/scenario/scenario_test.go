@@ -615,7 +615,8 @@ func TestBuildLiveHubLatency(t *testing.T) {
 
 // TestLiveSummaryFields checks that a live run's summary line carries every
 // number the live runtime reports: accuracy and loss, iterations, policies
-// generated, pulls, failed pulls, bytes on wire and wall time.
+// generated, pulls, failed and rejected pulls, evictions, bytes on wire and
+// wall time.
 func TestLiveSummaryFields(t *testing.T) {
 	rep := &Report{
 		Manifest: &Manifest{Name: "t-live", Algorithm: "netmax", Model: "MobileNet", Workers: 2},
@@ -627,10 +628,12 @@ func TestLiveSummaryFields(t *testing.T) {
 			BytesOnWire:         4096,
 			Pulls:               11,
 			PeerDownErrors:      2,
+			RejectedPulls:       1,
+			Evictions:           1,
 			Elapsed:             1500 * time.Millisecond,
 		},
 	}
-	want := "t-live [live/netmax MobileNet x2]: acc 87.50%, loss 0.3142, 12 iterations, 3 policies, 11 pulls, 2 peer-down pulls, 4096 bytes on wire, 1.5s"
+	want := "t-live [live/netmax MobileNet x2]: acc 87.50%, loss 0.3142, 12 iterations, 3 policies, 11 pulls, 2 peer-down pulls, 1 rejected pulls, 1 evictions, 4096 bytes on wire, 1.5s"
 	if got := rep.Summary(); got != want {
 		t.Fatalf("Summary() = %q\nwant        %q", got, want)
 	}
