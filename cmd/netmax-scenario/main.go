@@ -117,6 +117,7 @@ func runCmd(args []string) {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
 	}
+	opt := scenario.RunOptions{Quick: *quick, OutDir: *out}
 	for _, path := range paths {
 		m, s, err := scenario.LoadAny(path)
 		if err != nil {
@@ -124,7 +125,7 @@ func runCmd(args []string) {
 			os.Exit(1)
 		}
 		if s != nil {
-			rep, err := scenario.RunSuite(s, scenario.SuiteRunOptions{Quick: *quick, OutDir: *out})
+			rep, err := scenario.RunSuite(s, opt)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "error:", err)
 				os.Exit(1)
@@ -141,7 +142,7 @@ func runCmd(args []string) {
 			}
 			continue
 		}
-		rep, err := scenario.Run(m, scenario.RunOptions{Quick: *quick, OutDir: *out})
+		rep, err := scenario.Run(m, opt)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			os.Exit(1)

@@ -102,7 +102,7 @@ func TestListTheLibrary(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			resolved, err := authored.Resolve(false)
+			resolved, err := authored.Resolve()
 			if err != nil {
 				t.Fatal(err)
 			}

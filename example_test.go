@@ -126,7 +126,7 @@ func ExampleRunSuite() {
 		fmt.Println("error:", err)
 		return
 	}
-	rep, err := netmax.RunSuite(s, netmax.SuiteRunOptions{})
+	rep, err := netmax.RunSuite(s, netmax.ScenarioRunOptions{})
 	if err != nil {
 		fmt.Println("error:", err)
 		return

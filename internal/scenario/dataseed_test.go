@@ -81,7 +81,7 @@ func TestSuiteReplicasVaryDataSeed(t *testing.T) {
 		Network: &NetworkSpec{Kind: "static"},
 	}
 	grid := &GridSpec{Algorithms: []string{"adpsgd"}, Replicate: &ReplicateSpec{N: 2}}
-	r, err := (&Suite{Name: "t-replicas", Base: &SuiteMember{Manifest: base}, Grid: grid}).Resolve(false)
+	r, err := (&Suite{Name: "t-replicas", Base: &SuiteMember{Manifest: base}, Grid: grid}).Resolve()
 	if err != nil {
 		t.Fatalf("Resolve: %v", err)
 	}
@@ -96,7 +96,7 @@ func TestSuiteReplicasVaryDataSeed(t *testing.T) {
 
 	// A base that pins data_seed keeps the data fixed across replicas.
 	base.DataSeed = i64Ptr(11)
-	r, err = (&Suite{Name: "t-replicas", Base: &SuiteMember{Manifest: base}, Grid: grid}).Resolve(false)
+	r, err = (&Suite{Name: "t-replicas", Base: &SuiteMember{Manifest: base}, Grid: grid}).Resolve()
 	if err != nil {
 		t.Fatalf("Resolve: %v", err)
 	}

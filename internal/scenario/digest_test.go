@@ -34,14 +34,10 @@ func TestQuickOutputsDigest(t *testing.T) {
 			t.Fatalf("%s: %v", path, err)
 		}
 		if s != nil {
-			resolved, err := s.Resolve(true)
-			if err != nil {
-				t.Fatalf("%s: %v", path, err)
-			}
-			if resolved.Runs[0].Manifest.Runtime == "live" {
+			if s.Runs[0].Manifest.Runtime == "live" {
 				continue
 			}
-			if _, err := RunSuite(s, SuiteRunOptions{Quick: true, OutDir: out}); err != nil {
+			if _, err := RunSuite(s, RunOptions{Quick: true, OutDir: out}); err != nil {
 				t.Fatalf("%s: %v", path, err)
 			}
 			continue
@@ -77,7 +73,7 @@ func TestQuickOutputsDigest(t *testing.T) {
 
 // TestResolvedManifestsDigest pins the SHA-256 of the indented JSON of
 // every checked-in manifest's Resolved form, full-scale and with its quick
-// overrides applied, and of every suite's Resolve(false) and Resolve(true).
+// overrides applied, and of every suite's Resolve and its quickRuns.
 // It covers the live manifests, whose runs TestQuickOutputsDigest skips,
 // and the defaults resolution writes into every resolved.json.
 func TestResolvedManifestsDigest(t *testing.T) {
@@ -100,23 +96,30 @@ func TestResolvedManifestsDigest(t *testing.T) {
 			t.Fatalf("%s: %v", path, err)
 		}
 		if s != nil {
-			for _, quick := range []bool{false, true} {
-				r, err := s.Resolve(quick)
-				if err != nil {
-					t.Fatalf("%s: %v", path, err)
-				}
-				form := "full"
-				if quick {
-					form = "quick"
-				}
-				add(name, form, r)
+			r, err := s.Resolve()
+			if err != nil {
+				t.Fatalf("%s: %v", path, err)
 			}
+			add(name, "full", r)
+			add(name, "quick", quickRuns(r))
 			continue
 		}
 		add(name, "full", m.Resolved())
 		add(name, "quick", m.applyQuick().Resolved())
 	}
 	checkDigests(t, filepath.Join("testdata", "resolved-manifests.sha256"), got.Bytes(), "resolved-manifest")
+}
+
+// quickRuns returns the resolved suite r with each member in the form
+// RunSuite runs and records under RunOptions.Quick: its quick overrides
+// applied, then resolved, as Run resolves it.
+func quickRuns(r *Suite) *Suite {
+	q := *r
+	q.Runs = make([]SuiteMember, len(r.Runs))
+	for i, mem := range r.Runs {
+		q.Runs[i] = SuiteMember{Manifest: mem.Manifest.applyQuick().Resolved(), Arm: mem.Arm}
+	}
+	return &q
 }
 
 // checkDigests compares got with the digest list at path, or rewrites the

@@ -81,7 +81,7 @@ func FuzzParseManifest(f *testing.F) {
 // every suite of the scenario library and one suite with a stray closing
 // brace; member paths resolve against scenarios/, as they do for the
 // checked-in files. Loading must never panic, whatever it accepts must be
-// one valid JSON document, and an accepted suite's Resolve(false) output must marshal, parse
+// one valid JSON document, and an accepted suite's Resolve() output must marshal, parse
 // back and resolve to the same bytes: resolved-suite.json is a fixed point.
 func FuzzParseSuite(f *testing.F) {
 	dir := filepath.Join("..", "..", "scenarios")
@@ -99,7 +99,7 @@ func FuzzParseSuite(f *testing.F) {
 	f.Add([]byte(`{"name": "x", "runs": [{"path": "churn-crash-rejoin.json"}]}}`))
 	resolve := func(t *testing.T, s *Suite) []byte {
 		t.Helper()
-		r, err := s.Resolve(false)
+		r, err := s.Resolve()
 		if err != nil {
 			t.Fatalf("valid suite does not resolve: %v", err)
 		}

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"os"
 	"reflect"
 	"regexp"
@@ -33,29 +34,11 @@ var kindProbes = []struct {
 // accepts, and name nothing else but the block's own fields. The codec row
 // must name exactly the algorithms that take a codec, in table order.
 func TestReadmeSchemaInSync(t *testing.T) {
-	raw, err := os.ReadFile("../../README.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(raw)
-	start := strings.Index(text, "## The manifest schema")
-	if start < 0 {
-		t.Fatal("README has no manifest schema section")
-	}
-	section := text[start:]
-	if end := strings.Index(section[1:], "\n## "); end >= 0 {
-		section = section[:end+1]
-	}
-
-	backticked := regexp.MustCompile("`([^`]+)`")
 	documented := map[string]bool{}
 	rows := map[string]map[string]bool{} // field -> every backticked name in its row
 	lines := map[string]string{}         // field -> its row
-	for _, line := range strings.Split(section, "\n") {
+	for _, line := range schemaRows(t) {
 		cells := strings.Split(line, "|")
-		if len(cells) < 3 || !strings.HasPrefix(strings.TrimSpace(line), "|") {
-			continue
-		}
 		named := map[string]bool{}
 		for _, m := range backticked.FindAllStringSubmatch(line, -1) {
 			named[m[1]] = true
@@ -161,6 +144,76 @@ func TestReadmeSchemaInSync(t *testing.T) {
 			if named != kp.block && !fields[kp.block][named] && !kinds[named] {
 				t.Errorf("README schema row %q names %q, which is neither a field of the block nor a value the validator accepts", kp.block, named)
 			}
+		}
+	}
+}
+
+// backticked matches a backticked name in the schema table.
+var backticked = regexp.MustCompile("`([^`]+)`")
+
+// schemaRows returns the rows of README's manifest-schema table.
+func schemaRows(t *testing.T) []string {
+	t.Helper()
+	raw, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(raw)
+	start := strings.Index(text, "## The manifest schema")
+	if start < 0 {
+		t.Fatal("README has no manifest schema section")
+	}
+	section := text[start:]
+	if end := strings.Index(section[1:], "\n## "); end >= 0 {
+		section = section[:end+1]
+	}
+	var rows []string
+	for _, line := range strings.Split(section, "\n") {
+		if len(strings.Split(line, "|")) >= 3 && strings.HasPrefix(strings.TrimSpace(line), "|") {
+			rows = append(rows, line)
+		}
+	}
+	return rows
+}
+
+// TestReadmeSchemaDefaults checks the schema table's defaults column: each
+// row that names a literal default must show what Resolved writes into a
+// manifest that leaves the field unset. A row that names several fields
+// lists their defaults in order, and the workers row gives one per
+// runtime.
+func TestReadmeSchemaDefaults(t *testing.T) {
+	defaults := map[string]string{} // first field of a row -> its defaults cell
+	for _, line := range schemaRows(t) {
+		cells := strings.Split(line, "|")
+		if m := backticked.FindStringSubmatch(cells[1]); m != nil {
+			defaults[m[1]] = strings.TrimSpace(strings.ReplaceAll(cells[2], "`", ""))
+		}
+	}
+	engine := (&Manifest{Name: "x"}).Resolved()
+	live := (&Manifest{Name: "x", Runtime: "live"}).Resolved()
+	hop := (&Manifest{Name: "x", Algorithm: "hop"}).Resolved()
+	want := map[string]string{
+		"runtime":       engine.Runtime,
+		"algorithm":     engine.Algorithm,
+		"hop_staleness": fmt.Sprint(hop.HopStaleness),
+		"model":         engine.Model,
+		"dataset":       engine.Dataset,
+		"seed":          fmt.Sprint(engine.Seed),
+		"workers":       fmt.Sprintf("%d (engine) / %d (live)", engine.Workers, live.Workers),
+		"epochs": fmt.Sprintf("%d, %d, %g, %d, %t, %d",
+			engine.Epochs, engine.Batch, engine.LR, engine.LRDecayEpoch, *engine.Overlap, engine.Parallelism),
+		"topology":  engine.Topology.Kind,
+		"network":   engine.Network.Kind,
+		"partition": engine.Partition.Kind,
+	}
+	for field, w := range want {
+		got, ok := defaults[field]
+		if !ok {
+			t.Errorf("README schema table has no row for %s", field)
+			continue
+		}
+		if got != w {
+			t.Errorf("README schema row %q gives the default %q, Resolved writes %q", field, got, w)
 		}
 	}
 }

@@ -255,7 +255,7 @@ func TestScenarioLibraryValidates(t *testing.T) {
 				if s.Description == "" {
 					t.Errorf("suite %s has no description", ent.Name())
 				}
-				r, err := s.Resolve(false)
+				r, err := s.Resolve()
 				if err != nil {
 					t.Fatalf("Resolve: %v", err)
 				}
@@ -264,7 +264,7 @@ func TestScenarioLibraryValidates(t *testing.T) {
 				if err != nil {
 					t.Fatalf("ParseSuite(Resolve): %v", err)
 				}
-				again, err := back.Resolve(false)
+				again, err := back.Resolve()
 				if err != nil {
 					t.Fatalf("re-Resolve: %v", err)
 				}
@@ -358,7 +358,7 @@ func TestDivergedRunFailsTyped(t *testing.T) {
 	}
 	// A suite passes its member's error up.
 	s := &Suite{Name: "hot-suite", Runs: []SuiteMember{{Manifest: mustParse(t, hot)}}}
-	if _, err := RunSuite(s, SuiteRunOptions{}); !errors.Is(err, ErrDiverged) {
+	if _, err := RunSuite(s, RunOptions{}); !errors.Is(err, ErrDiverged) {
 		t.Fatalf("RunSuite error %v, want ErrDiverged", err)
 	}
 }

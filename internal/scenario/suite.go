@@ -145,8 +145,8 @@ func LoadSuite(path string) (*Suite, error) {
 
 // LoadAny loads either a single-run manifest or a suite, detected by
 // content (suites carry "runs"/"base"/"grid"), in the resolved form its
-// validation produced: a manifest's Resolved, or a suite's Resolve(false),
-// whose members keep their quick blocks, so Resolve of it reads no file.
+// validation produced: a manifest's Resolved, or a suite's Resolve, whose
+// members keep their quick blocks, so Resolve of it reads no file.
 // Exactly one of the returns is non-nil on success.
 func LoadAny(path string) (*Manifest, *Suite, error) {
 	raw, err := os.ReadFile(path)
@@ -158,7 +158,7 @@ func LoadAny(path string) (*Manifest, *Suite, error) {
 	if isSuite(raw) {
 		if s, err = decodeStrict[Suite](raw, "suite"); err == nil {
 			s.dir = filepath.Dir(path)
-			s, err = s.Resolve(false)
+			s, err = s.Resolve()
 		}
 	} else if m, err = decodeStrict[Manifest](raw, "manifest"); err == nil {
 		m, _, err = m.resolveForms()
@@ -174,7 +174,7 @@ func LoadAny(path string) (*Manifest, *Suite, error) {
 // valid exactly when every run it describes, at either scale, is runnable
 // and uniquely named — the same rigor single manifests get.
 func (s *Suite) Validate() error {
-	_, err := s.Resolve(false)
+	_, err := s.Resolve()
 	return err
 }
 
@@ -242,15 +242,13 @@ func (s *Suite) validateShape() error {
 const maxSuiteRuns = 1000
 
 // loadMember materializes and validates a member's manifest, inline or
-// loaded relative to the suite's directory. It returns the manifest (for
-// an inline member a deep copy: expansion must not mutate the suite) and
-// its resolved full and quick forms (resolveForms), so each member is
-// read and validated once per Resolve.
-func (s *Suite) loadMember(mem *SuiteMember) (m, full, quick *Manifest, err error) {
+// loaded relative to the suite's directory. It returns the manifest as
+// authored and its resolved form, checked at both scales (resolveForms),
+// so each member is read and validated once per Resolve.
+func (s *Suite) loadMember(mem *SuiteMember) (m, r *Manifest, err error) {
 	if mem.Manifest != nil {
-		m = mem.Manifest.clone()
-		full, quick, err = m.resolveForms()
-		return m, full, quick, err
+		r, _, err = mem.Manifest.resolveForms()
+		return mem.Manifest, r, err
 	}
 	path := mem.Path
 	if !filepath.IsAbs(path) && s.dir != "" {
@@ -258,25 +256,24 @@ func (s *Suite) loadMember(mem *SuiteMember) (m, full, quick *Manifest, err erro
 	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("scenario: %w", err)
+		return nil, nil, fmt.Errorf("scenario: %w", err)
 	}
 	if m, err = decodeStrict[Manifest](raw, "manifest"); err == nil {
-		full, quick, err = m.resolveForms()
+		r, _, err = m.resolveForms()
 	}
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("%w (in %s)", err, path)
+		return nil, nil, fmt.Errorf("%w (in %s)", err, path)
 	}
-	return m, full, quick, nil
+	return m, r, nil
 }
 
 // Resolve expands the suite into its explicit run list: the grid (if any)
 // is multiplied out, path members are inlined, and every member is fully
-// resolved. One expansion yields both scales, so each member is checked in
-// its full and its quick form whichever list quick picks. The result is a
-// marshal/parse fixed point — Resolve of a resolved suite returns it
-// unchanged — and is what RunSuite executes and emits as
-// resolved-suite.json.
-func (s *Suite) Resolve(quick bool) (*Suite, error) {
+// resolved, checked in its full and its quick form, and keeps its quick
+// block as a resolved manifest does. The result is a marshal/parse fixed
+// point — Resolve of a resolved suite returns it unchanged — and is what
+// RunSuite executes, each member at the scale its RunOptions pick.
+func (s *Suite) Resolve() (*Suite, error) {
 	if err := s.validateShape(); err != nil {
 		return nil, err
 	}
@@ -284,12 +281,9 @@ func (s *Suite) Resolve(quick bool) (*Suite, error) {
 	if s.Grid != nil {
 		expand = s.expandGrid
 	}
-	members, quickMembers, err := expand()
+	members, err := expand()
 	if err != nil {
 		return nil, err
-	}
-	if quick {
-		members = quickMembers
 	}
 	seen := make(map[string]int, len(members))
 	for i, mem := range members {
@@ -307,37 +301,34 @@ func (s *Suite) Resolve(quick bool) (*Suite, error) {
 	return out, nil
 }
 
-// explicitMembers inlines and resolves an explicit run list, returning its
-// full-scale and its quick members.
-func (s *Suite) explicitMembers() (full, quick []SuiteMember, err error) {
+// explicitMembers inlines and resolves an explicit run list.
+func (s *Suite) explicitMembers() ([]SuiteMember, error) {
+	var members []SuiteMember
 	for i, mem := range s.Runs {
-		_, r, q, err := s.loadMember(&mem)
+		_, r, err := s.loadMember(&mem)
 		if err != nil {
-			return nil, nil, fmt.Errorf("suite %q: run %d: %w", s.Name, i, err)
+			return nil, fmt.Errorf("suite %q: run %d: %w", s.Name, i, err)
 		}
 		arm := mem.Arm
 		if arm == "" {
 			arm = r.Name
 		}
-		full = append(full, SuiteMember{Manifest: r, Arm: arm})
-		quick = append(quick, SuiteMember{Manifest: q, Arm: arm})
+		members = append(members, SuiteMember{Manifest: r, Arm: arm})
 	}
-	return full, quick, nil
+	return members, nil
 }
 
-// expandGrid multiplies the base manifest by the grid's dimensions,
-// returning the full-scale and the quick members. Arm labels concatenate
-// the varying dimensions (algorithm, then codec); member names append the
-// arm and the seed to the suite name. A cell keeps the base's quick block:
-// quick touches only workers, epochs and live iterations, which no grid
-// dimension sets, so each cell's quick form is its own.
-func (s *Suite) expandGrid() (full, quick []SuiteMember, err error) {
-	base, _, _, err := s.loadMember(s.Base)
+// expandGrid multiplies the base manifest by the grid's dimensions. Arm
+// labels concatenate the varying dimensions (algorithm, then codec);
+// member names append the arm and the seed to the suite name. A cell
+// keeps the base's quick block: quick touches only workers, epochs and
+// live iterations, which no grid dimension sets.
+func (s *Suite) expandGrid() ([]SuiteMember, error) {
+	base, br, err := s.loadMember(s.Base)
 	if err != nil {
-		return nil, nil, fmt.Errorf("suite %q: base: %w", s.Name, err)
+		return nil, fmt.Errorf("suite %q: base: %w", s.Name, err)
 	}
 	g := s.Grid
-	br := base.Resolved()
 
 	algos := g.Algorithms
 	if len(algos) == 0 {
@@ -360,6 +351,7 @@ func (s *Suite) expandGrid() (full, quick []SuiteMember, err error) {
 		}
 	}
 
+	var members []SuiteMember
 	for _, algo := range algos {
 		for _, cdc := range codecs {
 			arm := armLabel(g, algo, cdc)
@@ -387,16 +379,15 @@ func (s *Suite) expandGrid() (full, quick []SuiteMember, err error) {
 				}
 				m.Name = fmt.Sprintf("%s-%s-s%d", s.Name, arm, seed)
 				m.Description = ""
-				r, q, err := m.resolveForms()
+				r, _, err := m.resolveForms()
 				if err != nil {
-					return nil, nil, fmt.Errorf("suite %q: arm %q seed %d: %w", s.Name, arm, seed, err)
+					return nil, fmt.Errorf("suite %q: arm %q seed %d: %w", s.Name, arm, seed, err)
 				}
-				full = append(full, SuiteMember{Manifest: r, Arm: arm})
-				quick = append(quick, SuiteMember{Manifest: q, Arm: arm})
+				members = append(members, SuiteMember{Manifest: r, Arm: arm})
 			}
 		}
 	}
-	return full, quick, nil
+	return members, nil
 }
 
 // armLabel names one grid cell from its varying dimensions: the algorithm

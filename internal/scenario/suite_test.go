@@ -52,11 +52,11 @@ func TestSuiteResolveFixedPoint(t *testing.T) {
 			if err := s.Validate(); err != nil {
 				t.Fatalf("Validate: %v", err)
 			}
-			r, err := s.Resolve(false)
+			r, err := s.Resolve()
 			if err != nil {
 				t.Fatalf("Resolve: %v", err)
 			}
-			again, err := r.Resolve(false)
+			again, err := r.Resolve()
 			if err != nil {
 				t.Fatalf("re-Resolve: %v", err)
 			}
@@ -71,7 +71,7 @@ func TestSuiteResolveFixedPoint(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ParseSuite(Resolve): %v", err)
 			}
-			resolved, err := back.Resolve(false)
+			resolved, err := back.Resolve()
 			if err != nil {
 				t.Fatalf("Resolve(parse back): %v", err)
 			}
@@ -101,7 +101,7 @@ func TestSuiteGridExpansion(t *testing.T) {
 			Replicate:  &ReplicateSpec{N: 3},
 		},
 	}
-	r, err := s.Resolve(false)
+	r, err := s.Resolve()
 	if err != nil {
 		t.Fatalf("Resolve: %v", err)
 	}
@@ -150,8 +150,8 @@ func TestSuiteGridExpansion(t *testing.T) {
 }
 
 // TestSuitePathMembers checks file-anchored member resolution: paths
-// resolve relative to the suite file, and quick resolution applies the
-// member's own quick overrides.
+// resolve relative to the suite file, the resolved member keeps its quick
+// block, and a quick run applies the member's own quick overrides.
 func TestSuitePathMembers(t *testing.T) {
 	dir := t.TempDir()
 	member := []byte(`{
@@ -176,30 +176,31 @@ func TestSuitePathMembers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadSuite: %v", err)
 	}
-	full, err := s.Resolve(false)
+	full, err := s.Resolve()
 	if err != nil {
-		t.Fatalf("Resolve(full): %v", err)
+		t.Fatalf("Resolve: %v", err)
 	}
-	if got := full.Runs[0].Manifest; got.Workers != 4 || got.Epochs != 4 {
-		t.Errorf("full-scale member resolved to workers=%d epochs=%d", got.Workers, got.Epochs)
+	if got := full.Runs[0].Manifest; got.Workers != 4 || got.Epochs != 4 || got.Quick == nil {
+		t.Errorf("member resolved to workers=%d epochs=%d quick=%+v, want 4/4 with its quick block", got.Workers, got.Epochs, got.Quick)
 	}
-	quick, err := s.Resolve(true)
+	rep, err := RunSuite(s, RunOptions{Quick: true})
 	if err != nil {
-		t.Fatalf("Resolve(quick): %v", err)
+		t.Fatalf("RunSuite(quick): %v", err)
 	}
-	if got := quick.Runs[0].Manifest; got.Workers != 2 || got.Epochs != 1 {
-		t.Errorf("quick member resolved to workers=%d epochs=%d, want 2/1", got.Workers, got.Epochs)
+	if got := rep.Suite.Runs[0].Manifest; got.Workers != 2 || got.Epochs != 1 {
+		t.Errorf("quick member ran as workers=%d epochs=%d, want 2/1", got.Workers, got.Epochs)
 	}
-	if quick.Runs[0].Manifest.Quick != nil {
-		t.Errorf("quick block survived suite resolution")
+	if rep.Suite.Runs[0].Manifest.Quick != nil {
+		t.Errorf("quick block survived in the quick run list")
 	}
 }
 
 // TestLoadAnyResolvedForm checks that LoadAny's resolved form stands in for
 // the authored file: Resolve of the suite LoadAny returns equals Resolve of
-// LoadSuite's at both scales, for every library suite and for a grid over
-// a path base with a quick block and a preset partition, and every library
-// manifest loads as Load(path).Resolved().
+// LoadSuite's, and so do their quick run lists (quickRuns), for every
+// library suite and for a grid over a path base with a quick block and a
+// preset partition, and every library manifest loads as
+// Load(path).Resolved().
 func TestLoadAnyResolvedForm(t *testing.T) {
 	dir := t.TempDir()
 	base := []byte(`{
@@ -249,22 +250,89 @@ func TestLoadAnyResolvedForm(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: LoadSuite: %v", path, err)
 		}
-		for _, quick := range []bool{false, true} {
-			got, err := s.Resolve(quick)
-			if err != nil {
-				t.Fatalf("%s: Resolve(%v) of LoadAny's suite: %v", path, quick, err)
-			}
-			want, err := authored.Resolve(quick)
-			if err != nil {
-				t.Fatalf("%s: Resolve(%v) of LoadSuite's suite: %v", path, quick, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: Resolve(%v) of LoadAny's suite differs from LoadSuite's", path, quick)
-			}
+		got, err := s.Resolve()
+		if err != nil {
+			t.Fatalf("%s: Resolve of LoadAny's suite: %v", path, err)
+		}
+		want, err := authored.Resolve()
+		if err != nil {
+			t.Fatalf("%s: Resolve of LoadSuite's suite: %v", path, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Resolve of LoadAny's suite differs from LoadSuite's", path)
+		}
+		if !reflect.DeepEqual(quickRuns(got), quickRuns(want)) {
+			t.Errorf("%s: quick run list of LoadAny's suite differs from LoadSuite's", path)
 		}
 	}
 	if suites < 2 {
 		t.Fatalf("checked %d suites, want the library's and the synthetic one", suites)
+	}
+}
+
+// TestQuickOfResolvedIsQuick pins the equality RunSuite relies on when it
+// runs a resolved member under RunOptions.Quick: for every library
+// manifest and every member of a library suite, the quick overrides
+// applied to the resolved form resolve to what they resolve to when
+// applied to the authored manifest.
+func TestQuickOfResolvedIsQuick(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range paths {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		members := []SuiteMember{{Path: filepath.Base(path)}}
+		if isSuite(raw) {
+			s, err := decodeStrict[Suite](raw, "suite")
+			if err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+			members = s.Runs
+			if s.Base != nil {
+				members = append(members, *s.Base)
+			}
+		}
+		lib := &Suite{dir: filepath.Dir(path)}
+		for _, mem := range members {
+			m, r, err := lib.loadMember(&mem)
+			if err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+			if !reflect.DeepEqual(r.applyQuick().Resolved(), m.applyQuick().Resolved()) {
+				t.Errorf("%s: %s: the quick form of the resolved manifest differs from the resolved quick form", path, m.Name)
+			}
+		}
+	}
+}
+
+// TestRunSuiteChecksBothScales checks that a member invalid at either
+// scale fails RunSuite at either scale before any member runs: the valid
+// member writes no output.
+func TestRunSuiteChecksBothScales(t *testing.T) {
+	valid := Manifest{
+		Name: "t-valid", Model: "MobileNet", Dataset: "MNIST",
+		Workers: 4, Epochs: 1,
+		Network: &NetworkSpec{Kind: "static"},
+	}
+	badFull, badQuick := valid, valid
+	badFull.Name, badFull.Workers, badFull.Quick = "t-bad-full", 1, &QuickSpec{Workers: 2}
+	badQuick.Name, badQuick.Quick = "t-bad-quick", &QuickSpec{Workers: 1}
+	for _, bad := range []Manifest{badFull, badQuick} {
+		for _, quick := range []bool{false, true} {
+			s := &Suite{Name: "t-scales", Runs: []SuiteMember{{Manifest: &valid}, {Manifest: &bad}}}
+			out := t.TempDir()
+			_, err := RunSuite(s, RunOptions{Quick: quick, OutDir: out})
+			if err == nil || !strings.Contains(err.Error(), "workers must be >= 2") {
+				t.Errorf("%s, quick %v: RunSuite error %v, want the member's workers check", bad.Name, quick, err)
+			}
+			if ents, err := os.ReadDir(out); err != nil || len(ents) != 0 {
+				t.Errorf("%s, quick %v: a member ran before the suite was rejected (%d entries, %v)", bad.Name, quick, len(ents), err)
+			}
+		}
 	}
 }
 
@@ -379,7 +447,7 @@ func requireSameTree(t *testing.T, name string, a, b map[string]string) {
 // list reproduces the entire tree bitwise.
 func TestRunSuiteEmitsOutputs(t *testing.T) {
 	out := t.TempDir()
-	rep, err := RunSuite(tinySuite(), SuiteRunOptions{OutDir: out})
+	rep, err := RunSuite(tinySuite(), RunOptions{OutDir: out})
 	if err != nil {
 		t.Fatalf("RunSuite: %v", err)
 	}
@@ -419,7 +487,7 @@ func TestRunSuiteEmitsOutputs(t *testing.T) {
 		t.Fatalf("emitted resolved suite does not reload: %v", err)
 	}
 	out2 := t.TempDir()
-	if _, err := RunSuite(back, SuiteRunOptions{OutDir: out2}); err != nil {
+	if _, err := RunSuite(back, RunOptions{OutDir: out2}); err != nil {
 		t.Fatalf("re-running resolved suite: %v", err)
 	}
 	requireSameTree(t, "rerun", readTree(t, dir), readTree(t, filepath.Join(out2, "t-suite")))
@@ -435,7 +503,7 @@ func TestSuiteRunParallelismBitwise(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		engine.SetParallelism(par)
 		out := t.TempDir()
-		rep, err := RunSuite(tinySuite(), SuiteRunOptions{OutDir: out})
+		rep, err := RunSuite(tinySuite(), RunOptions{OutDir: out})
 		if err != nil {
 			t.Fatalf("RunSuite(par=%d): %v", par, err)
 		}
@@ -451,7 +519,7 @@ func TestRunSuiteValidatesShape(t *testing.T) {
 	s := tinySuite()
 	s.Name = "../escape"
 	out := t.TempDir()
-	if _, err := RunSuite(s, SuiteRunOptions{OutDir: out}); err == nil {
+	if _, err := RunSuite(s, RunOptions{OutDir: out}); err == nil {
 		t.Fatalf("RunSuite accepted a suite name with path separators")
 	} else if !strings.Contains(err.Error(), "path separators") {
 		t.Fatalf("error %q does not mention path separators", err)
@@ -466,15 +534,15 @@ func TestRunSuiteValidatesShape(t *testing.T) {
 func TestRunSuiteMemberError(t *testing.T) {
 	s := tinySuite()
 	s.Grid.Algorithms = []string{"netmax"}
-	r, err := s.Resolve(false)
+	r, err := s.Resolve()
 	if err != nil {
 		t.Fatalf("Resolve: %v", err)
 	}
-	// Sabotage a resolved member past validation: Run re-validates and
+	// Sabotage a resolved member past validation: RunSuite re-validates and
 	// must surface the member name in the error.
 	r.Runs[0].Manifest.Model = "NoSuchModel"
 	name := r.Runs[0].Manifest.Name
-	if _, err := RunSuite(r, SuiteRunOptions{}); err == nil {
+	if _, err := RunSuite(r, RunOptions{}); err == nil {
 		t.Fatalf("RunSuite accepted a broken member")
 	} else if !strings.Contains(err.Error(), name) {
 		t.Fatalf("error %q does not name the failing run %q", err, name)

@@ -10,27 +10,17 @@ import (
 	"netmax/internal/stats"
 )
 
-// SuiteRunOptions tunes one suite execution.
-type SuiteRunOptions struct {
-	// Quick applies each member's quick overrides before running.
-	Quick bool
-	// OutDir, when non-empty, roots the suite's output tree:
-	// <OutDir>/<suite-name>/resolved-suite.json (the explicit run list that
-	// reproduces everything), suite.json (the joint table), and one
-	// <member-name>/ directory per run with the usual resolved.json /
-	// result.json / curve.csv. Empty skips all file output.
-	OutDir string
-}
-
 // SuiteReport is the outcome of one suite run.
 type SuiteReport struct {
-	// Suite is the resolved suite (explicit run list) that actually ran.
+	// Suite is the explicit run list that actually ran: each member as Run
+	// resolved it, quick overrides applied under RunOptions.Quick.
 	Suite *Suite
 	// Reports holds the member reports, in run-list order.
 	Reports []*Report
 	// Table is the joint per-arm summary.
 	Table *SuiteTable
-	// Dir is where suite outputs were written ("" when OutDir was empty).
+	// Dir is where suite outputs were written ("" when RunOptions.OutDir
+	// was empty).
 	Dir string
 }
 
@@ -81,12 +71,13 @@ func distOf(xs []float64) Dist {
 }
 
 // RunSuite executes a suite end to end: resolve to the explicit run list,
-// run every member under the bounded-parallel driver, build the joint
-// table, and (when OutDir is set) emit resolved-suite.json and suite.json
-// next to the per-run outputs so the whole comparison is reproducible from
-// one file.
-func RunSuite(s *Suite, opt SuiteRunOptions) (*SuiteReport, error) {
-	resolved, err := s.Resolve(opt.Quick)
+// checking every member at both scales before any runs, run every member
+// under the bounded-parallel driver with opt's scale, build the joint
+// table, and (when opt.OutDir is set) emit resolved-suite.json and
+// suite.json under <OutDir>/<suite-name>/, next to one directory per
+// member run, so the whole comparison is reproducible from one file.
+func RunSuite(s *Suite, opt RunOptions) (*SuiteReport, error) {
+	resolved, err := s.Resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -102,12 +93,13 @@ func RunSuite(s *Suite, opt SuiteRunOptions) (*SuiteReport, error) {
 	// setting.
 	errs := make([]error, len(resolved.Runs))
 	engine.Concurrently(len(resolved.Runs), 0, func(k int) {
-		rep.Reports[k], errs[k] = Run(resolved.Runs[k].Manifest, RunOptions{OutDir: memberOut})
+		rep.Reports[k], errs[k] = Run(resolved.Runs[k].Manifest, RunOptions{Quick: opt.Quick, OutDir: memberOut})
 	})
 	for k, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("suite %q: run %q: %w", resolved.Name, resolved.Runs[k].Manifest.Name, err)
 		}
+		resolved.Runs[k].Manifest = rep.Reports[k].Manifest
 	}
 	rep.Table = resolved.buildTable(rep.Reports)
 	if opt.OutDir != "" {

@@ -94,7 +94,8 @@ type Scenario = scenario.Manifest
 // that actually ran plus the engine result or live stats.
 type ScenarioReport = scenario.Report
 
-// ScenarioRunOptions tunes RunScenario (quick overrides, output directory).
+// ScenarioRunOptions tunes RunScenario and RunSuite (quick overrides,
+// output directory).
 type ScenarioRunOptions = scenario.RunOptions
 
 // LoadScenario reads, parses and validates a scenario manifest file;
@@ -122,11 +123,6 @@ type Suite = scenario.Suite
 // table.
 type SuiteReport = scenario.SuiteReport
 
-// SuiteRunOptions tunes RunSuite (quick overrides and output directory).
-// Members run side by side, as many as the process-wide host budget
-// allows (GOMAXPROCS unless a command's -par sizes it smaller).
-type SuiteRunOptions = scenario.SuiteRunOptions
-
 // SuiteTable is the joint comparison table of a suite run (the suite.json
 // schema): one row per arm, metrics summarized as mean +/- sample stddev.
 type SuiteTable = scenario.SuiteTable
@@ -139,11 +135,13 @@ var (
 	ParseSuite = scenario.ParseSuite
 )
 
-// RunSuite executes a suite end to end under the bounded-parallel driver
-// and, when an output directory is configured, writes the explicit
-// resolved run list (resolved-suite.json) and the joint table (suite.json)
+// RunSuite executes a suite end to end, each member at the scale opt
+// picks, and, when an output directory is configured, writes the explicit
+// run list that ran (resolved-suite.json) and the joint table (suite.json)
 // next to the per-run outputs, so a multi-arm multi-seed comparison is
-// reproducible — bitwise, on the engine runtime — from one file.
-func RunSuite(s *Suite, opt SuiteRunOptions) (*SuiteReport, error) {
+// reproducible — bitwise, on the engine runtime — from one file. Members
+// run side by side, as many as the process-wide host budget allows
+// (GOMAXPROCS unless a command's -par sizes it smaller).
+func RunSuite(s *Suite, opt ScenarioRunOptions) (*SuiteReport, error) {
 	return scenario.RunSuite(s, opt)
 }
