@@ -8,10 +8,11 @@
 //	{"alpha": 0.1, "times": [[0,1,9],[1,0,2],[9,2,0]]}
 //
 // At most 256 workers. Missing adjacency means fully connected. Optional
-// fields: "alpha" (the learning rate, default 0.1), "adj", "rounds"
-// (Algorithm 3's grid size K = R, 2 to 64) and "epsilon" (Eq. 9's target,
-// in (0, 1)); zero or absent selects the default, and a negative alpha
-// is invalid input. Unknown fields and data after the object are errors.
+// fields: "alpha" (the learning rate, default 0.1), "adj" and "rounds"
+// (Algorithm 3's grid size K = R, 2 to 64); zero or absent selects the
+// default, and a negative alpha is invalid input. Unknown fields (the
+// retired "epsilon" among them: no policy depends on Eq. 9's ε) and data
+// after the object are errors.
 // "adj" is the paper's undirected graph: an adjacency that is not
 // symmetric, or marks a worker its own neighbor, is invalid input, and a
 // graph that is not connected has no policy. Both exit 1 with the error.
@@ -37,7 +38,6 @@ type input struct {
 	Times  [][]float64 `json:"times"`
 	Adj    [][]bool    `json:"adj,omitempty"`
 	Rounds int         `json:"rounds,omitempty"`
-	Eps    float64     `json:"epsilon,omitempty"`
 }
 
 func main() {
@@ -82,8 +82,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 
 	pol, err := policy.Generate(policy.Input{
-		Times: in.Times, Adj: in.Adj, Alpha: in.Alpha,
-		Rounds: in.Rounds, Epsilon: in.Eps,
+		Times: in.Times, Adj: in.Adj, Alpha: in.Alpha, Rounds: in.Rounds,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, "error:", err)

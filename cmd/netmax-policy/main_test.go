@@ -10,8 +10,8 @@ import (
 // index out of range (ragged times, ragged adjacency), print a policy for
 // impossible link times (negative times), or silently run the defaults (a
 // negative alpha, a misspelled or retired field such as the old
-// outer_rounds, a stray closing brace, a negative rounds or an epsilon
-// outside (0, 1)), report a one-point grid as "no feasible policy", or
+// outer_rounds or epsilon, a stray closing brace or a negative rounds),
+// report a one-point grid as "no feasible policy", or
 // score a grid too large to finish: each now exits 1 with a message
 // naming the fault. A directed adjacency is invalid input, and a
 // disconnected one has no policy.
@@ -26,7 +26,7 @@ func TestMalformedInputExitsWithMessage(t *testing.T) {
 		"one round":        {`{"alpha":0.1,"times":[[0,1,9],[1,0,2],[9,2,0]],"rounds":1}`, "policy: invalid input: rounds 1"},
 		"negative rounds":  {`{"alpha":0.1,"times":[[0,1,9],[1,0,2],[9,2,0]],"rounds":-5}`, "policy: invalid input: rounds -5"},
 		"rounds above cap": {`{"alpha":0.1,"times":[[0,1,9],[1,0,2],[9,2,0]],"rounds":65}`, "policy: invalid input: rounds 65"},
-		"epsilon above 1":  {`{"alpha":0.1,"times":[[0,1,9],[1,0,2],[9,2,0]],"epsilon":5}`, "policy: invalid input: epsilon 5"},
+		"retired epsilon":  {`{"alpha":0.1,"times":[[0,1,9],[1,0,2],[9,2,0]],"epsilon":0.05}`, `unknown field "epsilon"`},
 		"asymmetric adj":   {`{"alpha":0.1,"times":[[0,1,9],[1,0,2],[9,2,0]],"adj":[[false,true,true],[true,false,true],[true,false,false]]}`, "policy: invalid input"},
 		"disconnected adj": {`{"alpha":0.1,"times":[[0,1,9,1],[1,0,2,1],[9,2,0,1],[1,1,1,0]],"adj":[[false,true,false,false],[true,false,false,false],[false,false,false,true],[false,false,true,false]]}`, "policy: no feasible policy"},
 	} {

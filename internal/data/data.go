@@ -87,7 +87,8 @@ type Spec struct {
 	// class centers is ~Sep*sqrt(2) regardless of dimensionality. The
 	// Sep/ClusterStd ratio is calibrated per dataset so trained test
 	// accuracy lands near the paper's reported accuracy for that dataset
-	// (Tables II/V/VI).
+	// (Tables II/V/VI). It is required: every spec sets it, and a zero Sep
+	// puts every class center at the origin.
 	Sep float64
 }
 
@@ -126,11 +127,7 @@ func SpecByName(name string) (Spec, error) {
 // seeds yield identical data.
 func (s Spec) Generate(seed int64) (train, test *Dataset) {
 	rng := rand.New(rand.NewSource(seed))
-	sep := s.Sep
-	if sep <= 0 {
-		sep = 4.0
-	}
-	centerStd := sep / math.Sqrt(float64(s.Dim))
+	centerStd := s.Sep / math.Sqrt(float64(s.Dim))
 	centers := make([][]float64, s.Classes)
 	for c := range centers {
 		center := make([]float64, s.Dim)

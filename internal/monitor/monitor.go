@@ -35,8 +35,10 @@ type Config struct {
 	// evicted — its EMA row is cleared and policies are regenerated over
 	// the live subgraph only, so the policy stops routing pulls at a
 	// corpse whose last (attractive) iteration time would otherwise live
-	// forever. A value below 1 selects DefaultStalePeriods; eviction is
-	// never off.
+	// forever. A value below 1 selects DefaultStalePeriods in New, the
+	// window's second default next to core.Options.Resolved: the runtimes
+	// pass Resolved's window, and this package's tests that set none rely
+	// on New's. Eviction is never off.
 	StalePeriods int
 }
 

@@ -65,7 +65,7 @@ func TestBestFirstEigensolves(t *testing.T) {
 func TestSetFloorOnlyForScoredRho(t *testing.T) {
 	for _, m := range []int{8, 16, 32, 64} {
 		in := benchInput(m)
-		s, _ := newSearch(in, DefaultEpsilon)
+		s, _ := newSearch(in)
 		r := DefaultRounds
 		ur := 0.999 / (2 * in.Alpha * float64(s.maxDeg)) // below 0.5/α on a complete graph
 		scored := 0
@@ -105,7 +105,7 @@ func BenchmarkSearchSetup(b *testing.B) {
 		b.Run(fmt.Sprintf("N=%d", m), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				setupSink, _ = newSearch(in, DefaultEpsilon)
+				setupSink, _ = newSearch(in)
 			}
 		})
 	}
@@ -120,7 +120,7 @@ func warmCandidate(tb testing.TB, m int) (*search, *Policy) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	s, _ := newSearch(in, DefaultEpsilon)
+	s, _ := newSearch(in)
 	s.rows.setFloor(float64(2*in.Alpha*pol.Rho) + 1e-9)
 	return &s, pol
 }

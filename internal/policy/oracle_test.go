@@ -30,17 +30,14 @@ func exhaustiveGenerate(in Input, audit func(s *search, rho, lim float64, lost b
 	if err := in.validate(); err != nil {
 		return nil, err
 	}
-	rounds, eps := in.Rounds, in.Epsilon
+	rounds := in.Rounds
 	if rounds == 0 {
 		rounds = DefaultRounds
-	}
-	if eps == 0 {
-		eps = DefaultEpsilon
 	}
 	if !plainConnected(in.Adj) {
 		return nil, ErrNoFeasiblePolicy
 	}
-	s, _ := newSearch(in, eps)
+	s, _ := newSearch(in)
 	var best *Policy
 	score := func(rho, tbar, floor float64) {
 		if !plainSolveRows(s.p, in, floor, float64(len(s.p))*tbar) {
@@ -51,11 +48,11 @@ func exhaustiveGenerate(in Input, audit func(s *search, rho, lim float64, lost b
 		l2, tconv := math.NaN(), math.NaN()
 		if err == nil && len(eig) >= 2 {
 			l2 = eig[1]
-			tconv = tbar * tensor.Log(eps) / tensor.Log(l2)
+			tconv = tbar * tensor.Log(DefaultEpsilon) / tensor.Log(l2)
 		}
 		lost := !(l2 < 1 && l2 > 0) || best != nil && !(tconv < best.TConvergence)
 		if audit != nil && best != nil {
-			audit(&s, rho, tensor.Exp(tbar*tensor.Log(eps)/best.TConvergence)+boundMargin, lost)
+			audit(&s, rho, tensor.Exp(tbar*tensor.Log(DefaultEpsilon)/best.TConvergence)+boundMargin, lost)
 		}
 		if lost {
 			return

@@ -7,8 +7,10 @@
 // values of the target mean iteration time t̄; every (ρ, t̄) candidate is
 // turned into a concrete probability matrix P by solving the Eq. (14) row
 // LP of every worker in closed form (rowLPs), scored by the predicted
-// convergence time T = t̄ · ln ε / ln λ₂(Y_P), and the best-scoring policy
-// is returned. λ₂ comes from a tridiagonal QL eigensolve (linalg).
+// convergence time T = t̄ · ln ε / ln λ₂(Y_P) (Eq. 8), and the best-scoring
+// policy is returned. λ₂ comes from a tridiagonal QL eigensolve (linalg).
+// ln ε is a factor of every candidate's T, so no choice depends on Eq. 9's
+// target ε, which is no input (see logEpsilon).
 //
 // The graph is the paper's: d_{i,m} marks the neighbors of an undirected
 // graph, so Adj must be symmetric with a false diagonal (ErrInvalidInput
@@ -55,7 +57,7 @@ import (
 	"netmax/internal/tensor"
 )
 
-// Input bundles everything Algorithm 3 needs.
+// Input bundles everything Algorithm 3 needs (ε is none of it: see logEpsilon).
 type Input struct {
 	// Times[i][m] is the measured iteration time of worker i when pulling
 	// from neighbor m (seconds); it must be finite and non-negative on every
@@ -72,9 +74,6 @@ type Input struct {
 	// only the top of the range, where the row floors 2αρ leave almost no
 	// feasible policy. So is a value above MaxRounds.
 	Rounds int
-	// Epsilon is the convergence target ε of Eq. (9), in (0, 1). Zero
-	// defaults to DefaultEpsilon.
-	Epsilon float64
 	// AveragingBlend selects the Section III-D extension mode: the worker
 	// update is AD-PSGD's fixed averaging x_i ← (x_i+x_j)/2 instead of the
 	// 1/p-scaled consensus blend. The positivity constraint on Y's entries
@@ -103,7 +102,7 @@ type Policy struct {
 	// TBar is the global mean iteration time of the chosen candidate.
 	TBar float64
 	// TConvergence is the predicted convergence time t̄·ln ε/ln λ₂ used as
-	// the selection objective (Eq. 8).
+	// the selection objective (Eq. 8), at ε = DefaultEpsilon.
 	TConvergence float64
 }
 
@@ -119,9 +118,8 @@ var ErrNoFeasiblePolicy = errors.New("policy: no feasible policy found")
 // Times or Adj, an Adj that is not symmetric or marks a worker its own
 // neighbor, more than MaxWorkers workers, an Alive of the wrong length, a NaN, infinite or negative
 // time on an edge, a learning rate that is not a positive finite number, a
-// negative Rounds, Rounds 1 or Rounds above MaxRounds, or a nonzero
-// Epsilon outside (0, 1). Validate returns it for a policy no worker may
-// adopt.
+// negative Rounds, Rounds 1 or Rounds above MaxRounds. Validate returns it
+// for a policy no worker may adopt.
 var ErrInvalidInput = errors.New("policy: invalid input")
 
 // rowSumTol is how far a policy row may sum from 1 and still be adopted:
@@ -180,9 +178,6 @@ func (in *Input) validate() error {
 	}
 	if in.Rounds > MaxRounds {
 		return fmt.Errorf("%w: rounds %d above the cap of %d", ErrInvalidInput, in.Rounds, MaxRounds)
-	}
-	if in.Epsilon != 0 && !(in.Epsilon > 0 && in.Epsilon < 1) {
-		return fmt.Errorf("%w: epsilon %v outside (0, 1); use 0 for the default", ErrInvalidInput, in.Epsilon)
 	}
 	for i := 0; i < m; i++ {
 		if len(in.Times[i]) != m || len(in.Adj[i]) != m {
@@ -487,6 +482,11 @@ const (
 	DefaultEpsilon = 1e-2
 )
 
+// logEpsilon is ln ε at DefaultEpsilon. A factor common to every T cannot
+// change the winner, nor the loss limit λ* = ε^(t̄/T_best) =
+// λ₂,best^(t̄/t̄_best), so the search scores at this ε alone.
+var logEpsilon = tensor.Log(DefaultEpsilon)
+
 // MaxRounds caps the grid size: one regeneration scores Rounds² candidates,
 // and each candidate solves every row, so an unbounded value turns a valid
 // input into a run that never ends. The largest grid in use is 20.
@@ -506,11 +506,7 @@ func runSearch(in Input) search {
 	if rounds == 0 {
 		rounds = DefaultRounds
 	}
-	eps := in.Epsilon
-	if eps == 0 {
-		eps = DefaultEpsilon
-	}
-	s, ok := newSearch(in, eps)
+	s, ok := newSearch(in)
 	if !ok {
 		return s
 	}
@@ -551,7 +547,6 @@ func runSearch(in Input) search {
 // space.
 type search struct {
 	in      Input
-	eps     float64
 	idx     []int // the input index of each searched worker
 	nbrs    [][]int
 	maxDeg  int
@@ -580,10 +575,10 @@ type search struct {
 // P, which the returned Policy keeps, is cut from one arena, sized here
 // from the live graph. The best P has a row per input worker, and the rows
 // of the dead select only themselves.
-func newSearch(in Input, eps float64) (search, bool) {
+func newSearch(in Input) (search, bool) {
 	m := len(in.Times)
 	live := func(i int) bool { return in.Alive == nil || in.Alive[i] }
-	s := search{in: in, eps: eps, minDeg: m}
+	s := search{in: in, minDeg: m}
 	n, nnz := 0, 0
 	for i, row := range in.Adj {
 		if !live(i) {
@@ -735,7 +730,7 @@ func (s *search) lossLimit(tbar float64) float64 {
 	if !s.found {
 		return math.Inf(1)
 	}
-	return tensor.Exp(tbar*tensor.Log(s.eps)/s.best.TConvergence) + boundMargin
+	return tensor.Exp(tbar*logEpsilon/s.best.TConvergence) + boundMargin
 }
 
 // l2Floor returns step A's lower bound on λ₂ for every candidate at ρ, or
@@ -797,7 +792,7 @@ func (s *search) score(ki, ri int, rho, tbar, lim float64) {
 	if l2 >= 1 || l2 <= 0 {
 		return
 	}
-	tconv := tbar * tensor.Log(s.eps) / tensor.Log(l2)
+	tconv := tbar * logEpsilon / tensor.Log(l2)
 	if s.found && !(tconv < s.best.TConvergence ||
 		tconv == s.best.TConvergence && (ki < s.bestK || ki == s.bestK && ri < s.bestR)) {
 		return

@@ -10,6 +10,7 @@ import (
 
 	"netmax/internal/linalg"
 	"netmax/internal/simnet"
+	"netmax/internal/tensor"
 )
 
 // hetTimes builds an iteration-time matrix with one fast and several slow
@@ -143,21 +144,37 @@ func TestGenerateProducesFeasiblePolicy(t *testing.T) {
 }
 
 // TestGenerateZeroOptionsMeanDefaults pins the one home of Algorithm 3's
-// defaults: zero rounds and ε generate the same policy as DefaultRounds
-// and DefaultEpsilon, so callers may leave them unset.
+// default grid: zero rounds generate the same policy as DefaultRounds, so
+// callers may leave it unset.
 func TestGenerateZeroOptionsMeanDefaults(t *testing.T) {
 	in := Input{Times: hetTimes(5, 2), Adj: simnet.FullyConnected(5), Alpha: 0.1}
 	zero, err := Generate(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in.Rounds, in.Epsilon = DefaultRounds, DefaultEpsilon
+	in.Rounds = DefaultRounds
 	explicit, err := Generate(in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(*zero) != fmt.Sprint(*explicit) {
 		t.Fatalf("zero options gave %+v, explicit defaults %+v", *zero, *explicit)
+	}
+}
+
+// TestTConvergenceIsEq8AtDefaultEpsilon pins what Policy.TConvergence
+// reports: Eq. 8's t̄·ln ε/ln λ₂ at DefaultEpsilon, the one ε the search
+// scores at, bitwise, for every policy Generate returns on hetTimes(8, s).
+func TestTConvergenceIsEq8AtDefaultEpsilon(t *testing.T) {
+	for s := int64(1); s <= 50; s++ {
+		pol, err := Generate(Input{Times: hetTimes(8, s), Adj: simnet.FullyConnected(8), Alpha: 0.1})
+		if err != nil {
+			t.Fatalf("seed %d: %v", s, err)
+		}
+		want := pol.TBar * tensor.Log(DefaultEpsilon) / tensor.Log(pol.Lambda2)
+		if math.Float64bits(pol.TConvergence) != math.Float64bits(want) {
+			t.Errorf("seed %d: TConvergence = %v, t̄·ln ε/ln λ₂ = %v", s, pol.TConvergence, want)
+		}
 	}
 }
 
@@ -407,10 +424,6 @@ func TestGenerateRejectsInvalidInput(t *testing.T) {
 		"one round":        {Times: good, Adj: full3, Alpha: 0.1, Rounds: 1},
 		"negative rounds":  {Times: good, Adj: full3, Alpha: 0.1, Rounds: -5},
 		"rounds above cap": {Times: good, Adj: full3, Alpha: 0.1, Rounds: MaxRounds + 1},
-		"epsilon above 1":  {Times: good, Adj: full3, Alpha: 0.1, Epsilon: 5},
-		"epsilon of 1":     {Times: good, Adj: full3, Alpha: 0.1, Epsilon: 1},
-		"negative epsilon": {Times: good, Adj: full3, Alpha: 0.1, Epsilon: -0.01},
-		"NaN epsilon":      {Times: good, Adj: full3, Alpha: 0.1, Epsilon: math.NaN()},
 		"workers above cap": {Times: hetTimes(MaxWorkers+1, 1), Adj: simnet.FullyConnected(MaxWorkers + 1),
 			Alpha: 0.1, Rounds: 2},
 		"directed 4-cycle": {Times: hetTimes(4, 1), Adj: [][]bool{
@@ -497,7 +510,7 @@ func TestGenerateAllocationsIndependentOfGrid(t *testing.T) {
 		fast.Times[0][j] /= 20
 		fast.Times[j][0] /= 20
 	}
-	s, _ := newSearch(fast, DefaultEpsilon)
+	s, _ := newSearch(fast)
 	if _, _, ok := timeInterval(s.rows.sum, s.rows.tmax, fast.Alpha, 0.999/(2*fast.Alpha*15)); ok {
 		t.Fatal("the fast worker leaves the top ρ's interval non-empty")
 	}

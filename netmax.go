@@ -45,8 +45,10 @@
 // model's forward and backward pass is written out by hand over its
 // layer chain and reuses buffers the model owns, so a warm training step
 // allocates nothing. cmd/netmax-bench -par sizes the budget and
-// -bench-out records the perf trajectory (see BENCH_baseline.json /
-// BENCH_pr1.json and README.md for the compute core).
+// -bench-out records the perf trajectory: BENCH_baseline.json and
+// BENCH_pr1.json start it, BENCH_pr26.json is the baseline CI's bench gate
+// compares against, and BENCH_pr29.json is the last committed record (see
+// README.md for the compute core).
 package netmax
 
 import (
