@@ -157,7 +157,7 @@ func TestUniformRunsSkipDepartedPeers(t *testing.T) {
 	for name, b := range map[string]engine.AsyncBehavior{
 		"AD-PSGD": core.NewADPSGD(cfg.Net.Topo.Adj, cfg.LR),
 		"SAPS":    saps{core.NewADPSGD(sapsSubgraph(cfg), cfg.LR)},
-		"Hop":     newHopAsync(cfg.Net.Topo.Adj, cfg.LR, 0),
+		"Hop":     newHopAsync(cfg.Net.Topo.Adj, cfg.LR, DefaultHopStaleness),
 	} {
 		run := hetConfig(4, 4, 3)
 		run.Failures = simnet.NewFailureSchedule().Crash(1, 0.2*T, 0.5*T).Leave(3, 0.6*T)
@@ -171,7 +171,7 @@ func TestUniformRunsSkipDepartedPeers(t *testing.T) {
 		}
 	}
 
-	h := newHopAsync(cfg.Net.Topo.Adj, cfg.LR, 0)
+	h := newHopAsync(cfg.Net.Topo.Adj, cfg.LR, DefaultHopStaleness)
 	copy(h.iters, []int{9, 3, 7, 8})
 	h.inFlight[1] = true
 	alive := []bool{true, false, true, true}
@@ -192,7 +192,7 @@ func TestUniformRunsBuildNoMonitor(t *testing.T) {
 	cfg := hetConfig(4, 4, 3)
 	for name, b := range map[string]engine.AsyncBehavior{
 		"SAPS": saps{core.NewADPSGD(sapsSubgraph(cfg), cfg.LR)},
-		"Hop":  newHopAsync(cfg.Net.Topo.Adj, cfg.LR, 0),
+		"Hop":  newHopAsync(cfg.Net.Topo.Adj, cfg.LR, DefaultHopStaleness),
 	} {
 		run := hetConfig(4, 4, 3)
 		run.Failures = simnet.NewFailureSchedule().Crash(1, 0.2*T, 0.5*T).Leave(3, 0.6*T)

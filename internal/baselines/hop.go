@@ -8,7 +8,7 @@ import (
 	"netmax/internal/engine"
 )
 
-// DefaultHopStaleness is the default iteration-gap bound for RunHop.
+// DefaultHopStaleness is the Hop bound a manifest that sets none resolves to.
 const DefaultHopStaleness = 4
 
 // hopAsync is AD-PSGD's behavior (core.NewADPSGD) behind a staleness gate:
@@ -80,15 +80,16 @@ func (h *hopAsync) OnMembership(alive []bool, now float64) {
 // "when network links experience a continuous slowdown, the whole system
 // would be dragged down by these low-speed links": a worker stuck behind a
 // slow link eventually stalls everyone through the staleness gate.
+// It panics on a staleness below 1.
 func RunHop(cfg *engine.Config, staleness int) *engine.Result {
 	return engine.RunAsync(cfg, newHopAsync(cfg.Net.Topo.Adj, cfg.LR, staleness), "Hop")
 }
 
 // newHopAsync builds Hop's behavior over the graph adj with learning rate
-// alpha; a non-positive staleness selects DefaultHopStaleness.
+// alpha and the iteration-gap bound staleness (at least 1).
 func newHopAsync(adj [][]bool, alpha float64, staleness int) *hopAsync {
-	if staleness <= 0 {
-		staleness = DefaultHopStaleness
+	if staleness < 1 {
+		panic("baselines: Hop's staleness bound must be at least 1")
 	}
 	m := len(adj)
 	return &hopAsync{

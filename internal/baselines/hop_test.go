@@ -16,11 +16,16 @@ func TestHopTrains(t *testing.T) {
 	}
 }
 
-func TestHopDefaultStaleness(t *testing.T) {
-	r := RunHop(hetConfig(4, 3, 3), 0)
-	if r.Epochs != 3 {
-		t.Fatalf("epochs = %d", r.Epochs)
-	}
+// TestRunHopPanicsOnUnresolvedBound pins that RunHop takes a resolved
+// bound: DefaultHopStaleness is applied only by scenario's
+// Manifest.Resolved, and a bound of 0 would let no worker start.
+func TestRunHopPanicsOnUnresolvedBound(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("RunHop accepted a staleness bound of 0")
+		}
+	}()
+	RunHop(hetConfig(4, 3, 3), 0)
 }
 
 func TestHopDeterministic(t *testing.T) {

@@ -50,9 +50,6 @@ type refHop struct {
 }
 
 func newRefHop(adj [][]bool, staleness int) *refHop {
-	if staleness <= 0 {
-		staleness = DefaultHopStaleness
-	}
 	m := len(adj)
 	return &refHop{
 		refUniform: *newRefUniform(adj, 1),
@@ -130,7 +127,7 @@ func TestNodeBaselinesMatchReference(t *testing.T) {
 				}{
 					{"AD-PSGD", core.RunADPSGD, newRefUniform(base.Net.Topo.Adj, 1)},
 					{"SAPS-PSGD", RunSAPS, newRefUniform(sapsSubgraph(base), sapsSparsity)},
-					{"Hop", func(cfg *engine.Config) *engine.Result { return RunHop(cfg, 0) }, newRefHop(base.Net.Topo.Adj, 0)},
+					{"Hop", func(cfg *engine.Config) *engine.Result { return RunHop(cfg, DefaultHopStaleness) }, newRefHop(base.Net.Topo.Adj, DefaultHopStaleness)},
 				} {
 					got := c.run(mk())
 					want := engine.RunAsync(mk(), c.ref, c.algo)

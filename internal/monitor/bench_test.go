@@ -11,7 +11,7 @@ import (
 // its first policy generated, so later calls see a covered, live group.
 func benchMonitor(b *testing.B) *Monitor {
 	topo := simnet.PaperCluster(8)
-	mo := New(Config{Adj: topo.Adj, Alpha: 0.1, Period: 10})
+	mo := New(Config{Adj: topo.Adj, Alpha: 0.1, Period: 10, StalePeriods: DefaultStalePeriods})
 	for i := 0; i < topo.M; i++ {
 		for j := 0; j < topo.M; j++ {
 			secs := 4.0

@@ -35,15 +35,13 @@ type Config struct {
 	// evicted — its EMA row is cleared and policies are regenerated over
 	// the live subgraph only, so the policy stops routing pulls at a
 	// corpse whose last (attractive) iteration time would otherwise live
-	// forever. A value below 1 selects DefaultStalePeriods in New, the
-	// window's second default next to core.Options.Resolved: the runtimes
-	// pass Resolved's window, and this package's tests that set none rely
-	// on New's. Eviction is never off.
+	// forever. It must be at least 1: core.Options.Resolved alone defaults
+	// it, and eviction is never off.
 	StalePeriods int
 }
 
-// DefaultStalePeriods is the liveness window, in periods, of a Config that
-// sets none. The engine stamps a worker at the end of every iteration and
+// DefaultStalePeriods is core.Options.Resolved's liveness window, in
+// periods. The engine stamps a worker at the end of every iteration and
 // the live monitor at every collect the worker answers, so only a crashed
 // or hung worker goes this long unheard.
 const DefaultStalePeriods = 3
@@ -68,10 +66,10 @@ type Monitor struct {
 	evictions     int // workers evicted for staleness
 }
 
-// New creates a Monitor. Period must be positive.
+// New creates a Monitor. Period must be positive; a StalePeriods below 1 panics.
 func New(cfg Config) *Monitor {
 	if cfg.StalePeriods < 1 {
-		cfg.StalePeriods = DefaultStalePeriods
+		panic("monitor: StalePeriods must be at least 1")
 	}
 	m := len(cfg.Adj)
 	ema := make([][]float64, m)

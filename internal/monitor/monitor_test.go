@@ -8,7 +8,7 @@ import (
 )
 
 func TestNoRegenerationWithoutCoverage(t *testing.T) {
-	mo := New(Config{Adj: simnet.FullyConnected(4), Alpha: 0.1, Period: 10})
+	mo := New(Config{Adj: simnet.FullyConnected(4), Alpha: 0.1, Period: 10, StalePeriods: DefaultStalePeriods})
 	if _, ok := mo.MaybeRegenerate(0); ok {
 		t.Fatal("regenerated with no observations")
 	}
@@ -20,7 +20,7 @@ func TestNoRegenerationWithoutCoverage(t *testing.T) {
 }
 
 func TestRegeneratesOnceCovered(t *testing.T) {
-	mo := New(Config{Adj: simnet.FullyConnected(4), Alpha: 0.1, Period: 10})
+	mo := New(Config{Adj: simnet.FullyConnected(4), Alpha: 0.1, Period: 10, StalePeriods: DefaultStalePeriods})
 	fullTimesAt(mo, 4, 2.0, 0)
 	pol, ok := mo.MaybeRegenerate(0)
 	if !ok {
@@ -35,7 +35,7 @@ func TestRegeneratesOnceCovered(t *testing.T) {
 }
 
 func TestPeriodGate(t *testing.T) {
-	mo := New(Config{Adj: simnet.FullyConnected(4), Alpha: 0.1, Period: 10})
+	mo := New(Config{Adj: simnet.FullyConnected(4), Alpha: 0.1, Period: 10, StalePeriods: DefaultStalePeriods})
 	fullTimesAt(mo, 4, 2.0, 0)
 	if _, ok := mo.MaybeRegenerate(0); !ok {
 		t.Fatal("first regeneration blocked")
@@ -52,7 +52,7 @@ func TestPeriodGate(t *testing.T) {
 }
 
 func TestTimesFillsGapsPessimistically(t *testing.T) {
-	mo := New(Config{Adj: simnet.FullyConnected(3), Alpha: 0.1, Period: 10})
+	mo := New(Config{Adj: simnet.FullyConnected(3), Alpha: 0.1, Period: 10, StalePeriods: DefaultStalePeriods})
 	mo.ObserveAt(0, 1, 1.0, 0)
 	mo.ObserveAt(1, 0, 1.0, 0)
 	mo.ObserveAt(2, 0, 9.0, 0)
@@ -70,7 +70,7 @@ func TestTimesFillsGapsPessimistically(t *testing.T) {
 }
 
 func TestObserveSelfIgnored(t *testing.T) {
-	mo := New(Config{Adj: simnet.FullyConnected(2), Alpha: 0.1, Period: 10})
+	mo := New(Config{Adj: simnet.FullyConnected(2), Alpha: 0.1, Period: 10, StalePeriods: DefaultStalePeriods})
 	mo.ObserveAt(1, 1, 5, 0)
 	if mo.ema[1][1] != 0 {
 		t.Fatal("self observation stored")
@@ -80,7 +80,7 @@ func TestObserveSelfIgnored(t *testing.T) {
 func TestAdaptsToChangedTimes(t *testing.T) {
 	// After link (0,1) degrades, the regenerated policy should shift mass
 	// away from it.
-	mo := New(Config{Adj: simnet.FullyConnected(4), Alpha: 0.1, Period: 1})
+	mo := New(Config{Adj: simnet.FullyConnected(4), Alpha: 0.1, Period: 1, StalePeriods: DefaultStalePeriods})
 	fullTimesAt(mo, 4, 1.0, 0)
 	pol1, ok := mo.MaybeRegenerate(0)
 	if !ok {
@@ -98,7 +98,7 @@ func TestAdaptsToChangedTimes(t *testing.T) {
 }
 
 func TestObserveRejectsOutOfRangeIndices(t *testing.T) {
-	mo := New(Config{Adj: simnet.FullyConnected(3), Alpha: 0.1, Period: 10})
+	mo := New(Config{Adj: simnet.FullyConnected(3), Alpha: 0.1, Period: 10, StalePeriods: DefaultStalePeriods})
 	// Wire-supplied indices must never panic or corrupt state.
 	mo.ObserveAt(7, 1, 2.0, 0)
 	mo.ObserveAt(0, -1, 2.0, 0)
@@ -191,16 +191,16 @@ func TestStaleRowEviction(t *testing.T) {
 	}
 }
 
-// TestStaleEvictionDefaultsToThreePeriods checks that eviction is never
-// off: with StalePeriods zero, a silent worker is evicted once
-// DefaultStalePeriods periods have passed since it was last heard from,
-// and not before.
+// TestStaleEvictionDefaultsToThreePeriods checks the window every run
+// gets unless it sets one (core.Options.Resolved's DefaultStalePeriods,
+// 3): a silent worker is evicted once that many periods have passed since
+// it was last heard from, and not before.
 func TestStaleEvictionDefaultsToThreePeriods(t *testing.T) {
 	const period = 10.0
-	mo := New(Config{Adj: simnet.FullyConnected(3), Alpha: 0.1, Period: period})
-	if mo.cfg.StalePeriods != DefaultStalePeriods || DefaultStalePeriods != 3 {
-		t.Fatalf("window %d periods, default %d; want 3", mo.cfg.StalePeriods, DefaultStalePeriods)
+	if DefaultStalePeriods != 3 {
+		t.Fatalf("default window %d periods, want 3", DefaultStalePeriods)
 	}
+	mo := New(Config{Adj: simnet.FullyConnected(3), Alpha: 0.1, Period: period, StalePeriods: DefaultStalePeriods})
 	fullTimesAt(mo, 3, 1.0, 0)
 	if _, ok := mo.MaybeRegenerate(0); !ok {
 		t.Fatal("first regeneration failed")
@@ -230,7 +230,7 @@ func TestStaleEvictionDefaultsToThreePeriods(t *testing.T) {
 // SetLiveness change re-solves the row LPs immediately, bypassing the
 // period gate, and re-admission restores routing.
 func TestSetLivenessForcesRegeneration(t *testing.T) {
-	mo := New(Config{Adj: simnet.FullyConnected(4), Alpha: 0.1, Period: 100})
+	mo := New(Config{Adj: simnet.FullyConnected(4), Alpha: 0.1, Period: 100, StalePeriods: DefaultStalePeriods})
 	fullTimesAt(mo, 4, 1.0, 0)
 	if _, ok := mo.MaybeRegenerate(0); !ok {
 		t.Fatal("first regeneration failed")
@@ -263,7 +263,7 @@ func TestSetLivenessForcesRegeneration(t *testing.T) {
 }
 
 func TestObserveRejectsNonFiniteTimes(t *testing.T) {
-	mo := New(Config{Adj: simnet.FullyConnected(2), Alpha: 0.1, Period: 10})
+	mo := New(Config{Adj: simnet.FullyConnected(2), Alpha: 0.1, Period: 10, StalePeriods: DefaultStalePeriods})
 	mo.ObserveAt(0, 1, math.NaN(), 0)
 	mo.ObserveAt(0, 1, math.Inf(1), 0)
 	mo.ObserveAt(0, 1, -3, 0)
@@ -274,5 +274,21 @@ func TestObserveRejectsNonFiniteTimes(t *testing.T) {
 	mo.ObserveAt(0, 1, 2.5, 0)
 	if mo.ema[0][1] != 2.5 {
 		t.Fatal("valid observation rejected")
+	}
+}
+
+// TestNewPanicsOnUnresolvedWindow pins that New takes a resolved window:
+// DefaultStalePeriods is applied only by core.Options.Resolved, so a
+// window below 1 is a caller that skipped it.
+func TestNewPanicsOnUnresolvedWindow(t *testing.T) {
+	for _, stale := range []int{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New accepted a stale window of %d periods", stale)
+				}
+			}()
+			New(Config{Adj: simnet.FullyConnected(3), Alpha: 0.1, Period: 10, StalePeriods: stale})
+		}()
 	}
 }

@@ -87,10 +87,11 @@ func MinPositiveEntry(p *Policy, times [][]float64, adj [][]bool, alpha float64)
 
 // CertifyApproximation checks the Appendix B guarantee for a generated
 // policy on a fully connected graph: the policy's realized objective
-// l(λ₂) = t̄·ln ε/ln λ₂ must not exceed ratio times the analytical lower
-// bound L·ln ε / ln((M-3)/(M-1)). It returns the realized objective, the
+// l(λ₂) = t̄·ln ε/ln λ₂ (its TConvergence) must not exceed ratio times the
+// analytical lower bound L·ln ε / ln((M-3)/(M-1)), both at DefaultEpsilon
+// (ln ε cancels from the check). It returns the realized objective, the
 // lower bound, and the certified ratio.
-func CertifyApproximation(p *Policy, times [][]float64, adj [][]bool, alpha, epsilon float64) (objective, lowerBound, ratio float64, err error) {
+func CertifyApproximation(p *Policy, times [][]float64, adj [][]bool, alpha float64) (objective, lowerBound, ratio float64, err error) {
 	m := len(p.P)
 	lo, hi, err := FeasibleTimeInterval(times, adj, alpha, p.Rho)
 	if err != nil {
@@ -105,8 +106,8 @@ func CertifyApproximation(p *Policy, times [][]float64, adj [][]bool, alpha, eps
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	objective = p.TBar * tensor.Log(epsilon) / tensor.Log(p.Lambda2)
-	lowerBound = lo * tensor.Log(epsilon) / tensor.Log(lowerL2)
+	objective = p.TConvergence
+	lowerBound = lo * logEpsilon / tensor.Log(lowerL2)
 	if objective > ratio*lowerBound*(1+1e-9) {
 		return objective, lowerBound, ratio, errors.New("policy: Appendix B bound violated")
 	}

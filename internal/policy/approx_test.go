@@ -93,11 +93,29 @@ func TestCertifyApproximation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj, lower, ratio, err := CertifyApproximation(pol, times, adj, 0.1, 1e-2)
+	obj, lower, ratio, err := CertifyApproximation(pol, times, adj, 0.1)
 	if err != nil {
 		t.Fatalf("certification failed: %v (obj=%v lower=%v ratio=%v)", err, obj, lower, ratio)
 	}
 	if obj <= 0 || lower <= 0 || ratio < 1 {
 		t.Fatalf("degenerate certificate: obj=%v lower=%v ratio=%v", obj, lower, ratio)
+	}
+	if math.Float64bits(obj) != math.Float64bits(pol.TConvergence) {
+		t.Errorf("objective %v is not the policy's TConvergence %v", obj, pol.TConvergence)
+	}
+	// The certificate on this input, bit for bit, as computed with ε = 1e-2
+	// passed in and ln ε taken in each formula: reading ln ε from
+	// logEpsilon must not move it.
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"objective", obj, math.Float64frombits(0x404fe7b19a281a56)},
+		{"lower bound", lower, math.Float64frombits(0x40163c8c8b1d8cd7)},
+		{"ratio", ratio, math.Float64frombits(0x4293b487e6bb7b4e)},
+	} {
+		if math.Float64bits(c.got) != math.Float64bits(c.want) {
+			t.Errorf("%s = %v (%#x), want %v", c.name, c.got, math.Float64bits(c.got), c.want)
+		}
 	}
 }

@@ -502,6 +502,7 @@ const MaxWorkers = 256
 // the workers in.Alive marks (all of them when it is nil) and returns the
 // search holding the best candidate, if any.
 func runSearch(in Input) search {
+	// Zero is for callers with no core.Options: GeneratePolicy, netmax-policy.
 	rounds := in.Rounds
 	if rounds == 0 {
 		rounds = DefaultRounds

@@ -542,24 +542,21 @@ func (e *errorList) err() error {
 // Validation operates on the resolved view, so a manifest is valid exactly
 // when its resolved form is runnable; the quick overrides are checked too.
 func (m *Manifest) Validate() error {
-	_, _, err := m.resolveForms()
+	_, err := m.resolveForms()
 	return err
 }
 
-// resolveForms validates the manifest as Validate does and returns its
-// resolved form and the resolved form of applyQuick (r itself when there
-// is no quick block).
-func (m *Manifest) resolveForms() (r, quick *Manifest, err error) {
-	if r, err = m.validateOne(); err != nil {
-		return nil, nil, err
+// resolveForms validates the manifest as Validate does, at both scales,
+// and returns its resolved form.
+func (m *Manifest) resolveForms() (*Manifest, error) {
+	r, err := m.validateOne()
+	if err != nil || m.Quick == nil {
+		return r, err
 	}
-	if m.Quick == nil {
-		return r, r, nil
+	if _, err := m.applyQuick().validateOne(); err != nil {
+		return nil, fmt.Errorf("%w (with quick overrides applied)", err)
 	}
-	if quick, err = m.applyQuick().validateOne(); err != nil {
-		return nil, nil, fmt.Errorf("%w (with quick overrides applied)", err)
-	}
-	return r, quick, nil
+	return r, nil
 }
 
 // validateOne validates the manifest alone, without its quick form, and

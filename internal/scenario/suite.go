@@ -161,7 +161,7 @@ func LoadAny(path string) (*Manifest, *Suite, error) {
 			s, err = s.Resolve()
 		}
 	} else if m, err = decodeStrict[Manifest](raw, "manifest"); err == nil {
-		m, _, err = m.resolveForms()
+		m, err = m.resolveForms()
 	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w (in %s)", err, path)
@@ -247,7 +247,7 @@ const maxSuiteRuns = 1000
 // so each member is read and validated once per Resolve.
 func (s *Suite) loadMember(mem *SuiteMember) (m, r *Manifest, err error) {
 	if mem.Manifest != nil {
-		r, _, err = mem.Manifest.resolveForms()
+		r, err = mem.Manifest.resolveForms()
 		return mem.Manifest, r, err
 	}
 	path := mem.Path
@@ -259,7 +259,7 @@ func (s *Suite) loadMember(mem *SuiteMember) (m, r *Manifest, err error) {
 		return nil, nil, fmt.Errorf("scenario: %w", err)
 	}
 	if m, err = decodeStrict[Manifest](raw, "manifest"); err == nil {
-		r, _, err = m.resolveForms()
+		r, err = m.resolveForms()
 	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w (in %s)", err, path)
@@ -379,7 +379,7 @@ func (s *Suite) expandGrid() ([]SuiteMember, error) {
 				}
 				m.Name = fmt.Sprintf("%s-%s-s%d", s.Name, arm, seed)
 				m.Description = ""
-				r, _, err := m.resolveForms()
+				r, err := m.resolveForms()
 				if err != nil {
 					return nil, fmt.Errorf("suite %q: arm %q seed %d: %w", s.Name, arm, seed, err)
 				}
